@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-smoke serve-smoke clean
+.PHONY: all build test race vet benchmark benchmark-compare bench bench-smoke serve-smoke clean
 
 all: vet build test
 
@@ -15,6 +15,16 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# benchmark runs the repository's committed benchmark (BENCHMARK.json,
+# benchmark/README.md): every workload end to end, one table each.
+# benchmark-compare applies BENCHMARK.json's bounds to two result files
+# written with `go run ./benchmark -runs N -out file.json`.
+benchmark:
+	$(GO) run ./benchmark
+
+benchmark-compare:
+	$(GO) run ./benchmark -compare $(OLD) $(NEW)
 
 # bench writes the fixed-workload benchmark suite to BENCH_N.json so the
 # performance trajectory of successive PRs can be diffed. Bump the file

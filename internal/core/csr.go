@@ -29,7 +29,8 @@ const (
 )
 
 // cellRange caches one B object's overlapped cell-coordinate range so
-// the two counting-sort passes don't recompute it.
+// the two counting-sort passes don't recompute it; gridProbe reads lo,
+// the cell the object begins in, to decide which cell owns a pair.
 type cellRange struct{ lo, hi grid.Coords }
 
 // cellEntry is one replica on the sparse path: B object index idx in
@@ -57,9 +58,11 @@ type joinScratch struct {
 // csrGrid is the built grid for one node: B object indexes grouped by
 // cell in one flat ids array, with either dense per-cell offsets
 // (counts) or a sorted distinct-key directory (keys/offs). All storage
-// belongs to the joinScratch that built it.
+// belongs to the joinScratch that built it. ranges[i] is the cell range
+// of B object i.
 type csrGrid struct {
 	dense    bool
+	ranges   []cellRange
 	counts   []int32 // dense: counts[k] = end offset of cell k; start = counts[k-1] (0 for k=0)
 	ids      []int32
 	keys     []int64
@@ -136,7 +139,7 @@ func (ws *joinScratch) buildDense(g *grid.Grid, cells int, replicas int64) *csrG
 	}
 	// After the scatter pass counts[k] is the *end* offset of cell k
 	// (and counts[k-1] its start), exactly the CSR offsets run() needs.
-	return &csrGrid{dense: true, counts: counts, ids: ids, replicas: replicas, occupied: occupied}
+	return &csrGrid{dense: true, ranges: ws.ranges, counts: counts, ids: ids, replicas: replicas, occupied: occupied}
 }
 
 func (ws *joinScratch) buildSparse(g *grid.Grid, replicas int64) *csrGrid {
@@ -170,7 +173,7 @@ func (ws *joinScratch) buildSparse(g *grid.Grid, replicas int64) *csrGrid {
 	}
 	ws.offs = append(ws.offs, int32(len(ws.entries)))
 	return &csrGrid{
-		dense: false, ids: ids, keys: ws.keys, offs: ws.offs,
+		dense: false, ranges: ws.ranges, ids: ids, keys: ws.keys, offs: ws.offs,
 		replicas: replicas, occupied: int64(len(ws.keys)),
 	}
 }

@@ -54,30 +54,44 @@ func (t *Tree) mapGridJoin(n *Node, bs []geom.Object, postDedup bool, c *stats.C
 	return int64(len(cells))
 }
 
-// runMapReference executes build + probe assign + map-grid join,
-// returning counters, sorted pairs and the total occupied-cell count.
-func runMapReference(a, b geom.Dataset, cfg Config, postDedup bool) (stats.Counters, []geom.Pair, int64) {
-	var c stats.Counters
+// mapReference is what the map-grid join of a whole probe reports.
+type mapReference struct {
+	c         stats.Counters
+	pairs     []geom.Pair // sorted
+	occupied  int64       // occupied cells, summed over the nodes
+	peakBytes int64       // largest per-node analytic grid footprint
+}
+
+// runMapReference executes build + probe assign + map-grid join.
+func runMapReference(a, b geom.Dataset, cfg Config, postDedup bool) mapReference {
+	var ref mapReference
 	sink := &stats.CollectSink{}
 	t := Build(a, cfg)
 	p := t.NewProbe()
-	p.Assign(b, nil, &c)
-	occupied := int64(0)
+	p.Assign(b, nil, &ref.c)
 	for _, id := range p.active {
-		occupied += t.mapGridJoin(t.nodes[id], p.nodeB(id), postDedup, &c, sink)
+		before := ref.c.Replicas
+		occupied := t.mapGridJoin(t.nodes[id], p.nodeB(id), postDedup, &ref.c, sink)
+		ref.occupied += occupied
+		bytes := occupied*stats.BytesPerCell + (ref.c.Replicas-before)*stats.BytesPerRef
+		ref.peakBytes = max(ref.peakBytes, bytes)
 	}
-	return c, sortedPairs(sink.Pairs), occupied
+	ref.pairs = sortedPairs(sink.Pairs)
+	return ref
 }
 
 // TestCSRMatchesMapGrid: the CSR grid must count exactly the same
 // Comparisons and Replicas as the seed's map grid, in both dedup modes,
 // across distributions and grid shapes (including configs that force the
-// sparse CSR path via coarse node MBRs).
+// sparse CSR path via coarse node MBRs) — probed node by node, and
+// through JoinPhase with 2 and 4 workers, where stage 1 of joinParallel
+// chunks a big node's A objects across workers probing one shared grid.
 func TestCSRMatchesMapGrid(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		a, b geom.Dataset
+		name    string
+		cfg     Config
+		a, b    geom.Dataset
+		chunked bool // the root must be big enough for the stage-1 fan-out
 	}{
 		{
 			name: "uniform-default",
@@ -97,13 +111,24 @@ func TestCSRMatchesMapGrid(t *testing.T) {
 			a:    datagen.GaussianSet(400, 505).Expand(4),
 			b:    datagen.GaussianSet(1200, 506),
 		},
+		{
+			// Leaf MBRs of ε-expanded objects overlap, so a third of B
+			// lands in the root; probe objects span ~100 fine cells and B
+			// objects several, so a candidate pair shares many cells
+			// (7 tests per pair in post-dedup mode).
+			name:    "one-big-node",
+			cfg:     Config{Partitions: 8, Fanout: 8, LocalCells: 200, CellFactor: 0.25},
+			a:       datagen.UniformSet(600, 507).Expand(40),
+			b:       datagen.UniformSet(1500, 508).Expand(15),
+			chunked: true,
+		},
 	} {
 		for _, postDedup := range []bool{false, true} {
 			cfg := tc.cfg
 			if postDedup {
 				cfg.LocalJoin = LocalJoinGridPostDedup
 			}
-			refC, refPairs, refOccupied := runMapReference(tc.a, tc.b, cfg, postDedup)
+			ref := runMapReference(tc.a, tc.b, cfg, postDedup)
 
 			var c stats.Counters
 			sink := &stats.CollectSink{}
@@ -122,20 +147,45 @@ func TestCSRMatchesMapGrid(t *testing.T) {
 				tr.gridProbe(g, csr, bs, tr.subtreeA(n), nil, &c, sink)
 			}
 
-			if c.Comparisons != refC.Comparisons {
+			if c.Comparisons != ref.c.Comparisons {
 				t.Errorf("%s postDedup=%v: Comparisons %d, map grid %d",
-					tc.name, postDedup, c.Comparisons, refC.Comparisons)
+					tc.name, postDedup, c.Comparisons, ref.c.Comparisons)
 			}
-			if c.Replicas != refC.Replicas {
+			if c.Replicas != ref.c.Replicas {
 				t.Errorf("%s postDedup=%v: Replicas %d, map grid %d",
-					tc.name, postDedup, c.Replicas, refC.Replicas)
+					tc.name, postDedup, c.Replicas, ref.c.Replicas)
 			}
-			if occupied != refOccupied {
+			if occupied != ref.occupied {
 				t.Errorf("%s postDedup=%v: occupied cells %d, map grid %d",
-					tc.name, postDedup, occupied, refOccupied)
+					tc.name, postDedup, occupied, ref.occupied)
 			}
-			if !slices.Equal(sortedPairs(sink.Pairs), refPairs) {
+			if !slices.Equal(sortedPairs(sink.Pairs), ref.pairs) {
 				t.Errorf("%s postDedup=%v: pair set differs from map grid", tc.name, postDedup)
+			}
+
+			for _, workers := range []int{2, 4} {
+				var c stats.Counters
+				sink := &stats.CollectSink{}
+				p.SetWorkers(workers)
+				p.Assign(tc.b, nil, &c)
+				p.JoinPhase(nil, &c, sink)
+				if tc.chunked && len(p.big) == 0 {
+					t.Fatalf("%s workers=%d: premise: no node was chunked across workers", tc.name, workers)
+				}
+				if c != ref.c {
+					t.Errorf("%s postDedup=%v workers=%d: counters %+v, map grid %+v",
+						tc.name, postDedup, workers, c, ref.c)
+				}
+				// The peak is one node's occupied cells and replicas: the
+				// occupied-cell count as the parallel path accounts it.
+				if p.peakGridBytes != ref.peakBytes {
+					t.Errorf("%s postDedup=%v workers=%d: peak grid bytes %d, map grid %d",
+						tc.name, postDedup, workers, p.peakGridBytes, ref.peakBytes)
+				}
+				if !slices.Equal(sortedPairs(sink.Pairs), ref.pairs) {
+					t.Errorf("%s postDedup=%v workers=%d: pair set differs from map grid",
+						tc.name, postDedup, workers)
+				}
 			}
 		}
 	}

@@ -97,44 +97,72 @@ func (t *Tree) gridJoin(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.Co
 // node out across workers, each probing its own chunk. The worker's
 // ticker is charged one unit per candidate run entry, so a cancelled
 // join aborts within CheckEvery comparisons plus one cell run.
+//
+// A pair sharing several cells belongs to exactly one of them: the cell
+// where, in every dimension, one of the two objects begins (Tsitsigkos
+// et al., arXiv 2307.09256). That is the reference-point rule without
+// the arithmetic. grid.RefCell clamps the componentwise max of the two
+// minimum corners; the clamp is monotone, so the cell of the max is the
+// max of the cells, i.e. of the two objects' first cells — a's from its
+// Range, b's cached in csr.ranges by buildCSR. Inside a cell both hold a
+// and b, x >= aLo and x >= bLo already, so x == max(aLo, bLo) iff
+// x == aLo or x == bLo; and in a's own first cell the whole run passes
+// unchecked. The cells are walked with an inlined triple loop for the
+// reason buildDense gives.
 func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs, as []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink) {
 	postDedup := t.cfg.LocalJoin == LocalJoinGridPostDedup
-	var a *geom.Object
-	probe := func(key int64) {
-		run := csr.run(key)
-		if len(run) == 0 || tk.TickN(len(run)) {
-			return
-		}
-		for _, bi := range run {
-			b := &bs[bi]
-			if postDedup {
-				// Paper mode: test in every shared cell, keep the
-				// hit only in the reference cell.
-				c.Comparisons++
-				if a.Box.Intersects(b.Box) && g.Key(g.RefCell(&a.Box, &b.Box)) == key {
-					c.Results++
-					sink.Emit(a.ID, b.ID)
-				}
-				continue
-			}
-			// Canonical-cell rule: test the pair only once.
-			if g.Key(g.RefCell(&a.Box, &b.Box)) != key {
-				continue
-			}
-			c.Comparisons++
-			if a.Box.Intersects(b.Box) {
-				c.Results++
-				sink.Emit(a.ID, b.ID)
-			}
-		}
-	}
+	r1, r2 := int64(g.Res[1]), int64(g.Res[2])
 	for ai := range as {
 		if tk.Stopped() {
 			return
 		}
-		a = &as[ai]
-		lo, hi := g.Range(a.Box)
-		g.ForEachKey(lo, hi, probe)
+		a := &as[ai]
+		aLo, aHi := g.Range(a.Box)
+		for x := aLo[0]; x <= aHi[0]; x++ {
+			for y := aLo[1]; y <= aHi[1]; y++ {
+				base := (int64(x)*r1 + int64(y)) * r2
+				// b must begin in this cell in every dimension a does not.
+				needX, needY := x != aLo[0], y != aLo[1]
+				for z := aLo[2]; z <= aHi[2]; z++ {
+					run := csr.run(base + int64(z))
+					if len(run) == 0 {
+						continue
+					}
+					if tk.TickN(len(run)) {
+						return
+					}
+					needZ := z != aLo[2]
+					check := needX || needY || needZ
+					for _, bi := range run {
+						b := &bs[bi]
+						owns := true
+						if check {
+							bLo := &csr.ranges[bi].lo
+							owns = (!needX || bLo[0] == x) && (!needY || bLo[1] == y) && (!needZ || bLo[2] == z)
+						}
+						if postDedup {
+							// Paper mode: test in every shared cell, keep
+							// the hit only in the owning cell.
+							c.Comparisons++
+							if a.Box.Intersects(b.Box) && owns {
+								c.Results++
+								sink.Emit(a.ID, b.ID)
+							}
+							continue
+						}
+						// Canonical-cell rule: test the pair only once.
+						if !owns {
+							continue
+						}
+						c.Comparisons++
+						if a.Box.Intersects(b.Box) {
+							c.Results++
+							sink.Emit(a.ID, b.ID)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

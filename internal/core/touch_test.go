@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -137,6 +138,31 @@ func TestBuildTreeShape(t *testing.T) {
 	countEntries(tr.Root)
 	if count != 1000 {
 		t.Fatalf("tree holds %d entries, want 1000", count)
+	}
+}
+
+// TestBuildDeterministic: STR breaks ties by position, so two builds
+// over one dataset give the same tree — node for node the same MBR and
+// the same arena order — even when most centers tie.
+func TestBuildDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(152))
+	a := make(geom.Dataset, 2000)
+	for i := range a {
+		p := geom.Point{float64(rng.Intn(8)), float64(rng.Intn(8)), float64(rng.Intn(8))}
+		a[i] = geom.Object{ID: geom.ID(i), Box: geom.NewBox(p, geom.Add(p, geom.Point{1, 1, 1}))}
+	}
+	cfg := Config{Partitions: 64, Fanout: 3}
+	t1, t2 := Build(a, cfg), Build(a, cfg)
+	if len(t1.nodes) != len(t2.nodes) {
+		t.Fatalf("%d nodes, then %d", len(t1.nodes), len(t2.nodes))
+	}
+	for id := range t1.nodes {
+		if t1.nodes[id].MBR != t2.nodes[id].MBR {
+			t.Fatalf("node %d: MBR %v, then %v", id, t1.nodes[id].MBR, t2.nodes[id].MBR)
+		}
+	}
+	if !slices.Equal(t1.arena, t2.arena) {
+		t.Fatal("the two builds order the arena differently")
 	}
 }
 

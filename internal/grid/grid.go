@@ -156,6 +156,10 @@ func (g *Grid) CellBox(c Coords) geom.Box {
 // processed exactly once: in this cell. When they do not overlap the
 // point is still well defined, letting local joins skip duplicate *tests*
 // before paying for the intersection check.
+//
+// clampIndex is monotone, so the result equals the componentwise max of
+// the two boxes' first cells (Range's lo): a caller that already holds
+// both, like TOUCH's grid probe, needs no arithmetic at all.
 func (g *Grid) RefCell(a, b *geom.Box) Coords {
 	var c Coords
 	for d := 0; d < geom.Dims; d++ {

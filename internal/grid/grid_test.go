@@ -175,6 +175,60 @@ func TestRefCellProperties(t *testing.T) {
 	}
 }
 
+// TestPropRefCellIsMaxOfFirstCells: clampIndex is monotone, so the cell
+// of the componentwise max of two minimum corners is the componentwise
+// max of the two boxes' first cells. TOUCH's grid probe decides pair
+// ownership from the first cells alone and relies on exactly this. The
+// grids include a collapsed dimension; the boxes reach outside the
+// universe (clamped) and put faces exactly on cell boundaries.
+func TestPropRefCellIsMaxOfFirstCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		var u geom.Box
+		var res Coords
+		for d := 0; d < geom.Dims; d++ {
+			u.Min[d] = rng.Float64()*200 - 100
+			u.Max[d] = u.Min[d] + 1 + rng.Float64()*100
+			res[d] = 1 + rng.Intn(12)
+		}
+		if trial%4 == 0 {
+			d := rng.Intn(geom.Dims)
+			u.Max[d] = u.Min[d] // zero extent: the dimension collapses to one cell
+		}
+		g := NewRes(u, res)
+		coord := func(d int) float64 {
+			switch ext := u.Extent(d); rng.Intn(3) {
+			case 0: // exactly on a cell boundary, the universe's faces included
+				return u.Min[d] + float64(rng.Intn(g.Res[d]+1))*g.CellSide(d)
+			case 1: // anywhere within half an extent outside the universe
+				return u.Min[d] - ext/2 - 1 + rng.Float64()*(2*ext+2)
+			default:
+				return u.Min[d] + rng.Float64()*ext
+			}
+		}
+		box := func() geom.Box {
+			var p, q geom.Point
+			for d := 0; d < geom.Dims; d++ {
+				p[d], q[d] = coord(d), coord(d)
+			}
+			return geom.NewBox(p, q)
+		}
+		for i := 0; i < 200; i++ {
+			a, b := box(), box()
+			loA, _ := g.Range(a)
+			loB, _ := g.Range(b)
+			var want Coords
+			for d := 0; d < geom.Dims; d++ {
+				want[d] = max(loA[d], loB[d])
+			}
+			if got := g.RefCell(&a, &b); got != want {
+				t.Fatalf("grid %v res %v: RefCell(%v, %v) = %v, max of first cells %v and %v = %v",
+					u, g.Res, a, b, got, loA, loB, want)
+			}
+		}
+	}
+}
+
 func TestForEachCellVisitsAllOnce(t *testing.T) {
 	lo, hi := Coords{1, 2, 3}, Coords{3, 2, 5}
 	seen := make(map[Coords]int)

@@ -18,13 +18,13 @@ import (
 	"touch/internal/geom"
 )
 
-// keyed pairs an item with its precomputed sort point. Extracting the
-// center once per item instead of twice per comparison keeps the sort —
-// the dominant cost of tree building — working on a flat key it can
-// compare without calling back into the caller.
-type keyed[T any] struct {
-	c    geom.Point
-	item T
+// sortRec is what pack sorts instead of the items themselves: 16 bytes
+// that carry the sort key, so the sort — the dominant cost of tree
+// building — neither calls back into the caller nor moves whole items.
+type sortRec struct {
+	key float64 // the item's center in the dimension being sorted
+	idx int32   // index of the item in Pack's input
+	pos int32   // position before this sort, the tie-break
 }
 
 // Pack groups items into tiles of at most groupSize elements using STR.
@@ -34,6 +34,13 @@ type keyed[T any] struct {
 //
 // Every input item appears in exactly one output group, and every group
 // except possibly the last few is full.
+//
+// Ties: items whose centers are equal in the dimension being sorted keep
+// the relative order they had before that sort — input order in the
+// first dimension, the order the previous dimension's sort left them in
+// afterwards. Every sort is therefore a total order and Pack is a pure
+// function of (items, centers, groupSize): the same input always packs
+// to the same groups in the same order.
 func Pack[T any](items []T, center func(T) geom.Point, groupSize int) [][]T {
 	if groupSize < 1 {
 		panic("str: groupSize must be >= 1")
@@ -41,63 +48,74 @@ func Pack[T any](items []T, center func(T) geom.Point, groupSize int) [][]T {
 	if len(items) == 0 {
 		return nil
 	}
-	work := make([]keyed[T], len(items))
-	for i, it := range items {
-		work[i] = keyed[T]{c: center(it), item: it}
+	if len(items) > math.MaxInt32 {
+		panic("str: more than MaxInt32 items")
 	}
-	out := make([][]T, 0, (len(items)+groupSize-1)/groupSize)
-	return pack(work, groupSize, 0, out)
+	centers := make([]geom.Point, len(items))
+	recs := make([]sortRec, len(items))
+	for i, it := range items {
+		centers[i] = center(it)
+		recs[i].idx = int32(i)
+	}
+	p := packer[T]{items: items, centers: centers, groupSize: groupSize}
+	p.out = make([][]T, 0, (len(items)+groupSize-1)/groupSize)
+	p.pack(recs, 0)
+	return p.out
 }
 
-// pack recursively tiles work on dimensions dim..Dims-1, appending the
-// resulting groups to out.
-func pack[T any](work []keyed[T], groupSize, dim int, out [][]T) [][]T {
-	n := len(work)
-	if n == 0 {
-		return out
+// packer holds what every level of the recursion shares.
+type packer[T any] struct {
+	items     []T
+	centers   []geom.Point
+	groupSize int
+	out       [][]T
+}
+
+// pack recursively tiles recs on dimensions dim..Dims-1, appending the
+// resulting groups to p.out.
+func (p *packer[T]) pack(recs []sortRec, dim int) {
+	n := len(recs)
+	if n <= p.groupSize {
+		p.extract(recs)
+		return
 	}
-	if n <= groupSize {
-		return append(out, extract(work))
+	for i := range recs {
+		r := &recs[i]
+		r.key, r.pos = p.centers[r.idx][dim], int32(i)
 	}
-	slices.SortFunc(work, func(a, b keyed[T]) int {
-		return cmp.Compare(a.c[dim], b.c[dim])
+	slices.SortFunc(recs, func(a, b sortRec) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
 	})
 	if dim == geom.Dims-1 {
 		// Last dimension: chop the sorted run into consecutive groups.
-		for i := 0; i < n; i += groupSize {
-			end := i + groupSize
-			if end > n {
-				end = n
-			}
-			out = append(out, extract(work[i:end]))
+		for i := 0; i < n; i += p.groupSize {
+			p.extract(recs[i:min(i+p.groupSize, n)])
 		}
-		return out
+		return
 	}
-	// P = number of groups still to produce; S = slabs in this dimension.
-	p := (n + groupSize - 1) / groupSize
+	// groups = number of groups still to produce; s = slabs in this dimension.
+	groups := (n + p.groupSize - 1) / p.groupSize
 	remaining := geom.Dims - dim
-	s := int(math.Ceil(math.Pow(float64(p), 1/float64(remaining))))
+	s := int(math.Ceil(math.Pow(float64(groups), 1/float64(remaining))))
 	if s < 1 {
 		s = 1
 	}
 	slabSize := (n + s - 1) / s
 	for i := 0; i < n; i += slabSize {
-		end := i + slabSize
-		if end > n {
-			end = n
-		}
-		out = pack(work[i:end:end], groupSize, dim+1, out)
+		p.pack(recs[i:min(i+slabSize, n)], dim+1)
 	}
-	return out
 }
 
-// extract materializes one group from the keyed working slice.
-func extract[T any](ks []keyed[T]) []T {
-	g := make([]T, len(ks))
-	for i := range ks {
-		g[i] = ks[i].item
+// extract materializes one group, gathering the items by index.
+func (p *packer[T]) extract(recs []sortRec) {
+	g := make([]T, len(recs))
+	for i, r := range recs {
+		g[i] = p.items[r.idx]
 	}
-	return g
+	p.out = append(p.out, g)
 }
 
 // PackObjects is Pack specialized to spatial objects, grouping by MBR

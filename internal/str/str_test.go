@@ -1,7 +1,10 @@
 package str
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -196,6 +199,69 @@ func TestPackGeneric(t *testing.T) {
 	for i := range flat {
 		if flat[i] != i+1 {
 			t.Fatalf("groups not in sorted contiguous order: %v", groups)
+		}
+	}
+}
+
+// stablePack is the reference Pack must equal: the same tiling, written
+// the plain way — whole (center, item) structs sorted with the standard
+// library's stable sort.
+func stablePack(objs []geom.Object, groupSize int) [][]geom.Object {
+	type keyed struct {
+		c    geom.Point
+		item geom.Object
+	}
+	work := make([]keyed, len(objs))
+	for i, o := range objs {
+		work[i] = keyed{center(o), o}
+	}
+	var out [][]geom.Object
+	var pack func(work []keyed, dim int)
+	pack = func(work []keyed, dim int) {
+		n := len(work)
+		if n > groupSize {
+			slices.SortStableFunc(work, func(a, b keyed) int { return cmp.Compare(a.c[dim], b.c[dim]) })
+		}
+		if n <= groupSize || dim == geom.Dims-1 {
+			for chunk := range slices.Chunk(work, groupSize) {
+				g := make([]geom.Object, len(chunk))
+				for i := range chunk {
+					g[i] = chunk[i].item
+				}
+				out = append(out, g)
+			}
+			return
+		}
+		groups := (n + groupSize - 1) / groupSize
+		slabs := int(math.Ceil(math.Pow(float64(groups), 1/float64(geom.Dims-dim))))
+		for slab := range slices.Chunk(work, (n+slabs-1)/slabs) {
+			pack(slab, dim+1)
+		}
+	}
+	pack(work, 0)
+	return out
+}
+
+// TestPackTiesAreStable: on grid-aligned points, where most centers tie
+// in every dimension, Pack must keep tied items in the order the
+// previous sort left them — i.e. equal the stable-sort reference — and
+// therefore give the same groups on every call.
+func TestPackTiesAreStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	objs := make([]geom.Object, 3000)
+	for i := range objs {
+		p := geom.Point{float64(rng.Intn(6)), float64(rng.Intn(6)), float64(rng.Intn(6))}
+		objs[i] = geom.Object{ID: geom.ID(i), Box: geom.BoxAt(p)}
+	}
+	for _, groupSize := range []int{1, 7, 64, 500} {
+		got := PackObjects(objs, groupSize)
+		want := stablePack(objs, groupSize)
+		equal := func(a, b []geom.Object) bool { return slices.Equal(a, b) }
+		if !slices.EqualFunc(got, want, equal) {
+			t.Fatalf("groupSize %d: groups differ from the stable-sort reference", groupSize)
+		}
+		if !slices.EqualFunc(PackObjects(objs, groupSize), got, equal) {
+			t.Fatalf("groupSize %d: two calls on one input gave different groups", groupSize)
 		}
 	}
 }
