@@ -1,27 +1,17 @@
 // Command touchbench regenerates the tables and figures of the TOUCH
-// paper's evaluation (SIGMOD 2013, §6), and tracks the repository's own
-// performance trajectory.
+// paper's evaluation (SIGMOD 2013, §6). The repository's own performance
+// trajectory is the committed benchmark: `go run ./benchmark`.
 //
 // Usage:
 //
 //	touchbench -list
 //	touchbench -exp fig9 [-scale 0.02] [-seed 42] [-algs touch,pbsm-500]
 //	touchbench -exp all
-//	touchbench -bench -json BENCH_1.json
 //
 // The -scale flag multiplies the paper's dataset sizes (1.0 = the full
 // 1.6M × 9.6M workloads); the default keeps every experiment within
 // minutes on a single core. Results print as aligned text tables with
 // one row per workload point and one column per algorithm.
-//
-// The -bench mode runs every algorithm (plus the parallel TOUCH core at
-// several worker counts, plus concurrent-client serving throughput on
-// one shared index — whole-dataset joins, single-probe range/kNN
-// queries, and the same queries through the touchserved HTTP subsystem
-// on loopback) on one fixed uniform workload and writes a
-// machine-readable JSON summary — per-algorithm wall time, phase times,
-// comparisons, results, analytic memory and queries/sec — so successive
-// revisions can be diffed (`make bench` writes BENCH_4.json).
 package main
 
 import (
@@ -37,23 +27,13 @@ import (
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list available experiments and exit")
-		exp      = flag.String("exp", "", "experiment id (see -list), or 'all'")
-		scale    = flag.Float64("scale", 0.02, "dataset scale relative to the paper (0 < scale <= 1)")
-		seed     = flag.Int64("seed", 42, "random seed for the dataset generators")
-		algs     = flag.String("algs", "", "comma-separated algorithm filter (default: the experiment's set)")
-		benchRun = flag.Bool("bench", false, "run the fixed-workload benchmark suite instead of an experiment")
-		jsonPath = flag.String("json", "", "write -bench results as JSON to this file (default: stdout)")
+		list  = flag.Bool("list", false, "list available experiments and exit")
+		exp   = flag.String("exp", "", "experiment id (see -list), or 'all'")
+		scale = flag.Float64("scale", 0.02, "dataset scale relative to the paper (0 < scale <= 1)")
+		seed  = flag.Int64("seed", 42, "random seed for the dataset generators")
+		algs  = flag.String("algs", "", "comma-separated algorithm filter (default: the experiment's set)")
 	)
 	flag.Parse()
-
-	if *benchRun {
-		if err := runBenchSuite(*scale, *seed, *jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "touchbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list || *exp == "" {
 		fmt.Println("Available experiments:")

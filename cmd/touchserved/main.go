@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"touch"
+	"touch/internal/api"
 	"touch/internal/server"
 )
 
@@ -129,7 +130,7 @@ func main() {
 
 	for _, p := range preloads {
 		name, path, _ := strings.Cut(p, "=")
-		if !server.ValidDatasetName(name) {
+		if !api.ValidDatasetName(name) {
 			fatal("-load name must be 1-128 chars of [A-Za-z0-9._-]", "arg", p)
 		}
 		f, err := os.Open(path)

@@ -37,31 +37,39 @@ import (
 
 	"touch"
 	"touch/client"
+	"touch/internal/api"
 )
 
-// queryJSON and joinJSON mirror the HTTP API's response shapes
-// (internal/server queryResponse / joinResponse) so encoding/json
-// produces identical bytes.
-type queryJSON struct {
-	Dataset   string         `json:"dataset"`
-	Version   int64          `json:"version"`
-	Type      string         `json:"type"`
-	Count     int            `json:"count"`
-	IDs       []touch.ID     `json:"ids,omitempty"`
-	Neighbors []neighborJSON `json:"neighbors,omitempty"`
+// spec is one parsed command-line SPEC.
+type spec struct {
+	q         api.Query   // range, point, knn
+	boxes     []touch.Box // join, joincount
+	countOnly bool
 }
 
-type neighborJSON struct {
-	ID       touch.ID `json:"id"`
-	Distance float64  `json:"distance"`
-}
-
-type joinJSON struct {
-	Dataset      string        `json:"dataset"`
-	Version      int64         `json:"version"`
-	ProbeObjects int           `json:"probe_objects"`
-	Count        int64         `json:"count"`
-	Pairs        [][2]touch.ID `json:"pairs,omitempty"`
+// parseSpec parses "kind:args"; any malformed spec is fatal.
+func parseSpec(arg string) spec {
+	kind, rest, ok := strings.Cut(arg, ":")
+	if !ok {
+		log.Fatalf("bad spec %q: want kind:args", arg)
+	}
+	var sp spec
+	switch kind {
+	case api.TypeRange:
+		f := floats(arg, rest, 6)
+		sp.q = api.Query{Type: kind, Box: touch.Box{Min: touch.Point{f[0], f[1], f[2]}, Max: touch.Point{f[3], f[4], f[5]}}}
+	case api.TypePoint:
+		f := floats(arg, rest, 3)
+		sp.q = api.Query{Type: kind, Point: touch.Point{f[0], f[1], f[2]}}
+	case api.TypeKNN:
+		f := floats(arg, rest, 4)
+		sp.q = api.Query{Type: kind, Point: touch.Point{f[0], f[1], f[2]}, K: int(f[3])}
+	case "join", "joincount":
+		sp.boxes, sp.countOnly = joinBoxes(arg, rest), kind == "joincount"
+	default:
+		log.Fatalf("bad spec %q: unknown kind %q", arg, kind)
+	}
+	return sp
 }
 
 func main() {
@@ -78,6 +86,10 @@ func main() {
 	if *addr == "" || flag.NArg() == 0 {
 		log.Fatalf("usage: touchwire -addr HOST:PORT [-dataset NAME] SPEC...")
 	}
+	specs := make([]spec, flag.NArg())
+	for i, arg := range flag.Args() {
+		specs[i] = parseSpec(arg)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -87,179 +99,124 @@ func main() {
 	}
 	defer c.Close()
 
+	run := runBatch
 	if *traced {
-		runTraced(ctx, c, *dataset, *eps, flag.Args())
-		return
+		run = runTraced
 	}
+	if err := run(ctx, c, *dataset, *eps, specs); err != nil {
+		log.Fatalf("%v", err)
+	}
+}
 
-	// One batch, one write burst: every spec is in flight before the
-	// first answer is read back.
+// joinAnswer renders a join answer in the HTTP API's shape, minus the
+// stats the wire does not carry.
+func joinAnswer(dataset string, sp spec, version, count int64, pairs []touch.Pair) api.JoinResponse {
+	return api.JoinResponse{Dataset: dataset, Version: version, ProbeObjects: len(sp.boxes),
+		Count: count, Pairs: api.Pairs(pairs)}
+}
+
+// runBatch answers every spec from one batch, one write burst: every
+// spec is in flight before the first answer is read back.
+func runBatch(ctx context.Context, c *client.Conn, dataset string, eps float64, specs []spec) error {
 	b := c.Batch()
-	gets := make([]func() error, 0, flag.NArg())
-	enc := json.NewEncoder(os.Stdout)
-	for _, spec := range flag.Args() {
-		kind, arg, ok := strings.Cut(spec, ":")
-		if !ok {
-			log.Fatalf("bad spec %q: want kind:args", spec)
-		}
-		switch kind {
-		case "range":
-			f := floats(spec, arg, 6)
-			box := touch.Box{Min: touch.Point{f[0], f[1], f[2]}, Max: touch.Point{f[3], f[4], f[5]}}
-			fut := b.Range(*dataset, box)
-			gets = append(gets, func() error {
-				v, ids, err := fut.Get(ctx)
-				if err != nil {
-					return err
-				}
-				return enc.Encode(queryJSON{Dataset: *dataset, Version: v, Type: "range", Count: len(ids), IDs: ids})
-			})
-		case "point":
-			f := floats(spec, arg, 3)
-			fut := b.Point(*dataset, touch.Point{f[0], f[1], f[2]})
-			gets = append(gets, func() error {
-				v, ids, err := fut.Get(ctx)
-				if err != nil {
-					return err
-				}
-				return enc.Encode(queryJSON{Dataset: *dataset, Version: v, Type: "point", Count: len(ids), IDs: ids})
-			})
-		case "knn":
-			f := floats(spec, arg, 4)
-			k := int(f[3])
-			fut := b.KNN(*dataset, touch.Point{f[0], f[1], f[2]}, k)
-			gets = append(gets, func() error {
+	gets := make([]func() (any, error), len(specs))
+	for i, sp := range specs {
+		js := client.JoinSpec{Boxes: sp.boxes, Eps: eps}
+		switch {
+		case sp.boxes != nil && sp.countOnly:
+			fut := b.JoinCount(dataset, js)
+			gets[i] = func() (any, error) {
+				v, n, err := fut.Get(ctx)
+				return joinAnswer(dataset, sp, v, n, nil), err
+			}
+		case sp.boxes != nil:
+			fut := b.Join(dataset, js)
+			gets[i] = func() (any, error) {
+				v, pairs, n, err := fut.Get(ctx)
+				return joinAnswer(dataset, sp, v, n, pairs), err
+			}
+		case sp.q.Type == api.TypeKNN:
+			fut := b.KNN(dataset, sp.q.Point, sp.q.K)
+			gets[i] = func() (any, error) {
 				v, nbrs, err := fut.Get(ctx)
-				if err != nil {
-					return err
-				}
-				out := queryJSON{Dataset: *dataset, Version: v, Type: "knn", Count: len(nbrs)}
-				for _, n := range nbrs {
-					out.Neighbors = append(out.Neighbors, neighborJSON{ID: n.ID, Distance: n.Distance})
-				}
-				return enc.Encode(out)
-			})
-		case "join", "joincount":
-			boxes := joinBoxes(spec, arg)
-			spec := client.JoinSpec{Boxes: boxes, Eps: *eps}
-			if kind == "joincount" {
-				fut := b.JoinCount(*dataset, spec)
-				gets = append(gets, func() error {
-					v, n, err := fut.Get(ctx)
-					if err != nil {
-						return err
-					}
-					return enc.Encode(joinJSON{Dataset: *dataset, Version: v, ProbeObjects: len(boxes), Count: n})
-				})
-			} else {
-				fut := b.Join(*dataset, spec)
-				gets = append(gets, func() error {
-					v, pairs, n, err := fut.Get(ctx)
-					if err != nil {
-						return err
-					}
-					out := joinJSON{Dataset: *dataset, Version: v, ProbeObjects: len(boxes), Count: n}
-					for _, p := range pairs {
-						out.Pairs = append(out.Pairs, [2]touch.ID{p.A, p.B})
-					}
-					return enc.Encode(out)
-				})
+				return api.NewQueryResponse(dataset, v, sp.q.Type, nil, nbrs), err
 			}
 		default:
-			log.Fatalf("bad spec %q: unknown kind %q", spec, kind)
+			var fut client.IDsFuture
+			if sp.q.Type == api.TypeRange {
+				fut = b.Range(dataset, sp.q.Box)
+			} else {
+				fut = b.Point(dataset, sp.q.Point)
+			}
+			gets[i] = func() (any, error) {
+				v, ids, err := fut.Get(ctx)
+				return api.NewQueryResponse(dataset, v, sp.q.Type, ids, nil), err
+			}
 		}
 	}
 	if err := b.Send(); err != nil {
-		log.Fatalf("send batch: %v", err)
+		return err
 	}
+	enc := json.NewEncoder(os.Stdout)
 	for _, get := range gets {
-		if err := get(); err != nil {
-			log.Fatalf("%v", err)
+		answer, err := get()
+		if err == nil {
+			err = enc.Encode(answer)
+		}
+		if err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // runTraced answers each spec with a traced unary call: the answer goes
 // to stdout in the usual shape, the engine trace to stderr. Sequential
 // round trips instead of one pipelined batch — tracing is a diagnosis
 // mode, not a throughput mode.
-func runTraced(ctx context.Context, c *client.Conn, dataset string, eps float64, specs []string) {
+func runTraced(ctx context.Context, c *client.Conn, dataset string, eps float64, specs []spec) error {
 	enc := json.NewEncoder(os.Stdout)
 	tenc := json.NewEncoder(os.Stderr)
-	emitTrace := func(tr *client.Trace) {
+	for _, sp := range specs {
+		var (
+			answer any
+			v, n   int64
+			ids    []touch.ID
+			nbrs   []touch.Neighbor
+			pairs  []touch.Pair
+			tr     *client.Trace
+			err    error
+		)
+		js := client.JoinSpec{Boxes: sp.boxes, Eps: eps}
+		switch {
+		case sp.boxes != nil && sp.countOnly:
+			v, n, tr, err = c.JoinCountTraced(ctx, dataset, js)
+			answer = joinAnswer(dataset, sp, v, n, nil)
+		case sp.boxes != nil:
+			v, pairs, n, tr, err = c.JoinTraced(ctx, dataset, js)
+			answer = joinAnswer(dataset, sp, v, n, pairs)
+		default:
+			switch sp.q.Type {
+			case api.TypeRange:
+				v, ids, tr, err = c.RangeTraced(ctx, dataset, sp.q.Box)
+			case api.TypePoint:
+				v, ids, tr, err = c.PointTraced(ctx, dataset, sp.q.Point)
+			default:
+				v, nbrs, tr, err = c.KNNTraced(ctx, dataset, sp.q.Point, sp.q.K)
+			}
+			answer = api.NewQueryResponse(dataset, v, sp.q.Type, ids, nbrs)
+		}
+		if err != nil {
+			return err
+		}
 		if tr != nil {
 			_ = tenc.Encode(tr)
 		}
-	}
-	for _, spec := range specs {
-		kind, arg, ok := strings.Cut(spec, ":")
-		if !ok {
-			log.Fatalf("bad spec %q: want kind:args", spec)
-		}
-		var err error
-		switch kind {
-		case "range":
-			f := floats(spec, arg, 6)
-			box := touch.Box{Min: touch.Point{f[0], f[1], f[2]}, Max: touch.Point{f[3], f[4], f[5]}}
-			var v int64
-			var ids []touch.ID
-			var tr *client.Trace
-			if v, ids, tr, err = c.RangeTraced(ctx, dataset, box); err == nil {
-				emitTrace(tr)
-				err = enc.Encode(queryJSON{Dataset: dataset, Version: v, Type: "range", Count: len(ids), IDs: ids})
-			}
-		case "point":
-			f := floats(spec, arg, 3)
-			var v int64
-			var ids []touch.ID
-			var tr *client.Trace
-			if v, ids, tr, err = c.PointTraced(ctx, dataset, touch.Point{f[0], f[1], f[2]}); err == nil {
-				emitTrace(tr)
-				err = enc.Encode(queryJSON{Dataset: dataset, Version: v, Type: "point", Count: len(ids), IDs: ids})
-			}
-		case "knn":
-			f := floats(spec, arg, 4)
-			var v int64
-			var nbrs []touch.Neighbor
-			var tr *client.Trace
-			if v, nbrs, tr, err = c.KNNTraced(ctx, dataset, touch.Point{f[0], f[1], f[2]}, int(f[3])); err == nil {
-				emitTrace(tr)
-				out := queryJSON{Dataset: dataset, Version: v, Type: "knn", Count: len(nbrs)}
-				for _, n := range nbrs {
-					out.Neighbors = append(out.Neighbors, neighborJSON{ID: n.ID, Distance: n.Distance})
-				}
-				err = enc.Encode(out)
-			}
-		case "join", "joincount":
-			boxes := joinBoxes(spec, arg)
-			js := client.JoinSpec{Boxes: boxes, Eps: eps}
-			if kind == "joincount" {
-				var v, n int64
-				var tr *client.Trace
-				if v, n, tr, err = c.JoinCountTraced(ctx, dataset, js); err == nil {
-					emitTrace(tr)
-					err = enc.Encode(joinJSON{Dataset: dataset, Version: v, ProbeObjects: len(boxes), Count: n})
-				}
-			} else {
-				var v, n int64
-				var pairs []touch.Pair
-				var tr *client.Trace
-				if v, pairs, n, tr, err = c.JoinTraced(ctx, dataset, js); err == nil {
-					emitTrace(tr)
-					out := joinJSON{Dataset: dataset, Version: v, ProbeObjects: len(boxes), Count: n}
-					for _, p := range pairs {
-						out.Pairs = append(out.Pairs, [2]touch.ID{p.A, p.B})
-					}
-					err = enc.Encode(out)
-				}
-			}
-		default:
-			log.Fatalf("bad spec %q: unknown kind %q", spec, kind)
-		}
-		if err != nil {
-			log.Fatalf("%v", err)
+		if err := enc.Encode(answer); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // floats parses arg as exactly n comma-separated numbers.

@@ -2,13 +2,16 @@ package router
 
 // The router's HTTP front: the same /v1 surface touchserved exposes,
 // answered by proxying over the binary wire protocol to the ring
-// owners. Query and join responses are re-rendered into the exact JSON
-// shapes the backends emit, so for range/point/knn a client cannot
-// tell a router answer from a direct backend answer byte-for-byte.
-// Deliberate differences, documented in README.md:
+// owners. Requests are decoded and answers rendered with the
+// internal/api shapes, decoder and error table the backends themselves
+// use, so for range/point/knn — and for every request the router can
+// refuse without a backend — a client cannot tell a router answer from a
+// direct backend answer byte-for-byte. Deliberate differences,
+// documented in README.md:
 //
-//   - Joins carry no "stats" object and no trace: the wire protocol
-//     does not stream the engine's join statistics.
+//   - Joins carry no "stats" object, no trace and no "probe_version":
+//     the wire protocol does not stream the engine's join statistics or
+//     the named probe's version.
 //   - GET /v1/datasets is the merged, provenance-annotated catalog —
 //     a router-specific shape, not one backend's listing.
 //   - Loads and deletes are not routed: dataset placement is by name,
@@ -17,116 +20,40 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
 	"touch"
 	"touch/client"
+	"touch/internal/api"
 )
 
 // maxBodyBytes caps proxied request bodies (queries, joins, updates).
 const maxBodyBytes = 64 << 20
 
-// Router-specific error codes, extending the server's vocabulary.
-const (
-	// codeNoBackend: every ring owner for the dataset was unreachable.
-	codeNoBackend = "no_backend"
-	// codeNotRoutable: the operation exists on backends but is not
-	// proxied (load, delete).
-	codeNotRoutable = "not_routable"
-)
-
-// statusForCode maps the wire error vocabulary back onto the HTTP
-// statuses the backends themselves would have used, so a proxied error
-// keeps its status across the transport change.
-func statusForCode(code string) int {
-	switch code {
-	case "bad_request", "invalid_box", "invalid_point", "invalid_k", "invalid_eps", "invalid_name":
-		return http.StatusBadRequest
-	case "unknown_dataset", "not_found":
-		return http.StatusNotFound
-	case "method_not_allowed":
-		return http.StatusMethodNotAllowed
-	case "body_too_large":
-		return http.StatusRequestEntityTooLarge
-	case "unsupported_type":
-		return http.StatusUnsupportedMediaType
-	case "result_too_large", "id_space_exhausted":
-		return http.StatusUnprocessableEntity
-	case "overload":
-		return http.StatusTooManyRequests
-	case "building", "timeout", "draining":
-		return http.StatusServiceUnavailable
-	case "client_closed":
-		return 499
-	case "internal":
-		return http.StatusInternalServerError
-	}
-	return http.StatusBadGateway
-}
-
-type apiError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-type errorBody struct {
-	Error apiError `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: apiError{Code: code, Message: fmt.Sprintf(format, args...)}})
-}
-
-// writeProxiedError maps a read/update failure onto the HTTP response:
-// backend answers keep their own code and status, connection-level
-// exhaustion becomes a 502, context expiry the usual timeout shape.
-func writeProxiedError(w http.ResponseWriter, err error) {
+// proxiedError maps a forwarding failure onto the error vocabulary for
+// either front: backend answers keep their own code (and, over HTTP,
+// the status the backend's own HTTP front would have used),
+// connection-level exhaustion becomes no_backend, context expiry the
+// usual timeout / client_closed pair.
+func proxiedError(err error) *api.Error {
 	var se *client.ServerError
 	switch {
 	case errors.As(err, &se):
-		writeError(w, statusForCode(se.Code), se.Code, "%s", se.Message)
+		return &api.Error{Code: se.Code, Message: se.Message}
 	case IsNoBackend(err):
-		writeError(w, http.StatusBadGateway, codeNoBackend, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusServiceUnavailable, "timeout", "request exceeded the router's processing budget")
+		return api.Errorf(api.CodeTimeout, "request exceeded the router's processing budget")
 	case errors.Is(err, context.Canceled):
-		writeError(w, 499, "client_closed", "request canceled by client")
-	default:
-		writeError(w, http.StatusBadGateway, codeNoBackend, "%v", err)
+		return api.Errorf(api.CodeClientClosed, "request canceled by client")
 	}
+	return api.Errorf(api.CodeNoBackend, "%v", err)
 }
 
-func validName(name string) bool {
-	if len(name) == 0 || len(name) > 128 {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '.', c == '_', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func decodeJSONBody(r *http.Request, into any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	return dec.Decode(into)
+// reject answers a request that is refused at the routing layer.
+func reject(w http.ResponseWriter, code, format string, args ...any) {
+	api.WriteError(w, api.Errorf(code, format, args...))
 }
 
 // ServeHTTP is the router's HTTP surface: /healthz, /metrics, and the
@@ -143,7 +70,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	case "/v1/datasets":
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET on /v1/datasets")
+			reject(w, api.CodeMethod, "use GET on /v1/datasets")
 			return
 		}
 		rt.handleCatalog(w, r)
@@ -151,12 +78,12 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	rest, ok := strings.CutPrefix(path, "/v1/datasets/")
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "unknown route %q", path)
+		reject(w, api.CodeNotFound, "unknown route %q", path)
 		return
 	}
 	name, action, _ := strings.Cut(rest, "/")
-	if !validName(name) {
-		writeError(w, http.StatusBadRequest, "invalid_name",
+	if !api.ValidDatasetName(name) {
+		reject(w, api.CodeInvalidName,
 			"dataset name must be 1-128 chars of [A-Za-z0-9._-], got %q", name)
 		return
 	}
@@ -166,28 +93,28 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "":
 		switch r.Method {
 		case http.MethodPatch:
-			rt.handleUpdate(ctx, w, r, name)
+			rt.proxy(ctx, w, r, name, (*Router).handleUpdate)
 		case http.MethodPost, http.MethodDelete:
-			writeError(w, http.StatusNotImplemented, codeNotRoutable,
+			reject(w, api.CodeNotRoutable,
 				"the router does not proxy dataset loads or deletes; address the owning backends directly (owners of %q: %s)",
 				name, strings.Join(rt.Owners(name), ", "))
 		default:
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use PATCH on /v1/datasets/{name}")
+			reject(w, api.CodeMethod, "use PATCH on /v1/datasets/{name}")
 		}
 	case "query":
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST on /v1/datasets/{name}/query")
+			reject(w, api.CodeMethod, "use POST on /v1/datasets/{name}/query")
 			return
 		}
-		rt.handleQuery(ctx, w, r, name)
+		rt.proxy(ctx, w, r, name, (*Router).handleQuery)
 	case "join":
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST on /v1/datasets/{name}/join")
+			reject(w, api.CodeMethod, "use POST on /v1/datasets/{name}/join")
 			return
 		}
-		rt.handleJoin(ctx, w, r, name)
+		rt.proxy(ctx, w, r, name, (*Router).handleJoin)
 	default:
-		writeError(w, http.StatusNotFound, "not_found", "unknown action %q", action)
+		reject(w, api.CodeNotFound, "unknown action %q", action)
 	}
 }
 
@@ -204,204 +131,99 @@ func (rt *Router) handleHealthz(w http.ResponseWriter) {
 		// the load balancer to stop sending traffic here.
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, struct {
+	api.WriteJSON(w, status, struct {
 		Status   string `json:"status"`
 		Backends int    `json:"backends"`
 		Healthy  int    `json:"healthy"`
 	}{Status: map[bool]string{true: "ok", false: "no_backends"}[healthy > 0], Backends: len(rt.backends), Healthy: healthy})
 }
 
-// --- query ----------------------------------------------------------------
+// --- query, join, update ----------------------------------------------------
 
-// The request/response shapes below mirror internal/server byte for
-// byte; field order and omitempty placement matter for the identity
-// guarantee the router tests pin.
-
-type queryRequest struct {
-	Type  string    `json:"type"`
-	Box   []float64 `json:"box,omitempty"`
-	Point []float64 `json:"point,omitempty"`
-	K     int       `json:"k,omitempty"`
-}
-
-type neighborJSON struct {
-	ID       touch.ID `json:"id"`
-	Distance float64  `json:"distance"`
-}
-
-type queryResponse struct {
-	Dataset   string         `json:"dataset"`
-	Version   int64          `json:"version"`
-	Type      string         `json:"type"`
-	Count     int            `json:"count"`
-	IDs       []touch.ID     `json:"ids,omitempty"`
-	Neighbors []neighborJSON `json:"neighbors,omitempty"`
-}
-
-func (rt *Router) handleQuery(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
-	var req queryRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding request body: %v", err)
+// proxy runs one proxied handler and writes its answer: the response
+// under 200, or the error.
+func (rt *Router) proxy(ctx context.Context, w http.ResponseWriter, r *http.Request, name string,
+	handler func(*Router, context.Context, http.ResponseWriter, *http.Request, string) (any, *api.Error)) {
+	resp, e := handler(rt, ctx, w, r, name)
+	if e != nil {
+		api.WriteError(w, e)
 		return
 	}
-	resp := queryResponse{Dataset: name, Type: req.Type}
-	var err error
-	switch req.Type {
-	case "range":
-		if len(req.Box) != 6 {
-			writeError(w, http.StatusBadRequest, "invalid_box", "range query needs a 6-number box, got %d", len(req.Box))
-			return
-		}
-		box := touch.Box{
-			Min: touch.Point{req.Box[0], req.Box[1], req.Box[2]},
-			Max: touch.Point{req.Box[3], req.Box[4], req.Box[5]},
-		}
-		resp.Version, resp.IDs, err = rt.Range(ctx, name, box)
-		resp.Count = len(resp.IDs)
-	case "point":
-		if len(req.Point) != 3 {
-			writeError(w, http.StatusBadRequest, "invalid_point", "point query needs a 3-number point, got %d", len(req.Point))
-			return
-		}
-		resp.Version, resp.IDs, err = rt.Point(ctx, name, touch.Point{req.Point[0], req.Point[1], req.Point[2]})
-		resp.Count = len(resp.IDs)
-	case "knn":
-		if len(req.Point) != 3 {
-			writeError(w, http.StatusBadRequest, "invalid_point", "knn query needs a 3-number point, got %d", len(req.Point))
-			return
-		}
-		var nbrs []touch.Neighbor
-		resp.Version, nbrs, err = rt.KNN(ctx, name, touch.Point{req.Point[0], req.Point[1], req.Point[2]}, req.K)
-		resp.Neighbors = make([]neighborJSON, len(nbrs))
-		for i, n := range nbrs {
-			resp.Neighbors[i] = neighborJSON{ID: n.ID, Distance: n.Distance}
-		}
-		resp.Count = len(nbrs)
+	api.WriteJSON(w, http.StatusOK, resp)
+}
+
+// query answers one parsed query from the dataset's owners — the typed
+// dispatch both fronts share.
+func (rt *Router) query(ctx context.Context, dataset string, q *api.Query) (version int64, ids []touch.ID, nbrs []touch.Neighbor, err error) {
+	switch q.Type {
+	case api.TypeRange:
+		version, ids, err = rt.Range(ctx, dataset, q.Box)
+	case api.TypePoint:
+		version, ids, err = rt.Point(ctx, dataset, q.Point)
 	default:
-		writeError(w, http.StatusBadRequest, "bad_request",
-			"unknown query type %q (want range, point or knn)", req.Type)
-		return
+		version, nbrs, err = rt.KNN(ctx, dataset, q.Point, q.K)
 	}
+	return version, ids, nbrs, err
+}
+
+func (rt *Router) handleQuery(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) (any, *api.Error) {
+	var req api.QueryRequest
+	if e := api.DecodeBody(w, r, maxBodyBytes, &req); e != nil {
+		return nil, e
+	}
+	q, e := req.Query()
+	if e != nil {
+		return nil, e
+	}
+	version, ids, nbrs, err := rt.query(ctx, name, &q)
 	if err != nil {
-		writeProxiedError(w, err)
-		return
+		return nil, proxiedError(err)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return api.NewQueryResponse(name, version, q.Type, ids, nbrs), nil
 }
 
-// --- join -----------------------------------------------------------------
-
-type joinRequest struct {
-	Boxes     [][]float64 `json:"boxes,omitempty"`
-	Probe     string      `json:"probe,omitempty"`
-	Eps       float64     `json:"eps,omitempty"`
-	Workers   int         `json:"workers,omitempty"`
-	CountOnly bool        `json:"count_only,omitempty"`
-}
-
-type joinResponse struct {
-	Dataset      string        `json:"dataset"`
-	Version      int64         `json:"version"`
-	Probe        string        `json:"probe,omitempty"`
-	ProbeObjects int           `json:"probe_objects"`
-	Count        int64         `json:"count"`
-	Pairs        [][2]touch.ID `json:"pairs,omitempty"`
-}
-
-func (rt *Router) handleJoin(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
-	var req joinRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding request body: %v", err)
-		return
+func (rt *Router) handleJoin(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) (any, *api.Error) {
+	var req api.JoinRequest
+	if e := api.DecodeBody(w, r, maxBodyBytes, &req); e != nil {
+		return nil, e
 	}
-	if req.Probe != "" && req.Boxes != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "give either inline boxes or a probe name, not both")
-		return
+	boxes, e := req.ProbeBoxes()
+	if e != nil {
+		return nil, e
 	}
-	if req.Probe == "" && req.Boxes == nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "give inline boxes or a probe name")
-		return
-	}
-	spec := client.JoinSpec{Probe: req.Probe, Eps: req.Eps, Workers: req.Workers}
-	if req.Boxes != nil {
-		spec.Boxes = make([]touch.Box, len(req.Boxes))
-		for i, row := range req.Boxes {
-			if len(row) != 6 {
-				writeError(w, http.StatusBadRequest, "invalid_box",
-					"box %d: want 6 numbers [minX minY minZ maxX maxY maxZ], got %d", i, len(row))
-				return
-			}
-			spec.Boxes[i] = touch.Box{
-				Min: touch.Point{row[0], row[1], row[2]},
-				Max: touch.Point{row[3], row[4], row[5]},
-			}
-		}
-	}
-	resp := joinResponse{Dataset: name, Probe: req.Probe, ProbeObjects: len(spec.Boxes)}
+	spec := client.JoinSpec{Probe: req.Probe, Boxes: boxes, Eps: req.Eps, Workers: req.Workers}
+	resp := api.JoinResponse{Dataset: name, Probe: req.Probe, ProbeObjects: len(boxes)}
 	var err error
 	if req.CountOnly {
 		resp.Version, resp.Count, err = rt.JoinCount(ctx, name, spec)
 	} else {
 		var pairs []touch.Pair
 		resp.Version, pairs, resp.Count, err = rt.Join(ctx, name, spec)
-		resp.Pairs = make([][2]touch.ID, len(pairs))
-		for i, p := range pairs {
-			resp.Pairs[i] = [2]touch.ID{p.A, p.B}
-		}
+		resp.Pairs = api.Pairs(pairs)
 	}
 	if err != nil {
-		writeProxiedError(w, err)
-		return
+		return nil, proxiedError(err)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-// --- update ---------------------------------------------------------------
-
-type updateRequest struct {
-	Insert [][]float64 `json:"insert,omitempty"`
-	Delete []touch.ID  `json:"delete,omitempty"`
-}
-
-func (rt *Router) handleUpdate(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
-	var req updateRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding request body: %v", err)
-		return
+func (rt *Router) handleUpdate(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) (any, *api.Error) {
+	var req api.UpdateRequest
+	if e := api.DecodeBody(w, r, maxBodyBytes, &req); e != nil {
+		return nil, e
 	}
-	if len(req.Insert) == 0 && len(req.Delete) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "update needs insert rows or delete IDs")
-		return
+	inserts, e := api.Boxes("insert", req.Insert)
+	if e != nil {
+		return nil, e
 	}
-	spec := client.UpdateSpec{Delete: req.Delete}
-	spec.Insert = make([]touch.Box, len(req.Insert))
-	for i, row := range req.Insert {
-		if len(row) != 6 {
-			writeError(w, http.StatusBadRequest, "invalid_box",
-				"insert %d: want 6 numbers [minX minY minZ maxX maxY maxZ], got %d", i, len(row))
-			return
-		}
-		spec.Insert[i] = touch.Box{
-			Min: touch.Point{row[0], row[1], row[2]},
-			Max: touch.Point{row[3], row[4], row[5]},
-		}
-	}
-	res, err := rt.Update(ctx, name, spec)
+	res, err := rt.Update(ctx, name, client.UpdateSpec{Insert: inserts, Delete: req.Delete})
 	if err != nil {
-		writeProxiedError(w, err)
-		return
+		return nil, proxiedError(err)
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Name            string     `json:"name"`
-		Version         int64      `json:"version"`
-		InsertedIDs     []touch.ID `json:"inserted_ids,omitempty"`
-		Deleted         int        `json:"deleted"`
-		DeltaInserts    int        `json:"delta_inserts"`
-		DeltaTombstones int        `json:"delta_tombstones"`
-	}{
+	return api.UpdateResponse{
 		Name: name, Version: res.Version, InsertedIDs: res.InsertedIDs, Deleted: res.Deleted,
 		DeltaInserts: res.DeltaInserts, DeltaTombstones: res.DeltaTombstones,
-	})
+	}, nil
 }
 
 // --- catalog --------------------------------------------------------------
@@ -456,5 +278,5 @@ func (rt *Router) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	for _, f := range failures {
 		out.FailedBackends = append(out.FailedBackends, failedBackendJSON{Backend: f.Backend, Error: f.Err.Error()})
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }

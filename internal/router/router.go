@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,7 +13,9 @@ import (
 
 	"touch"
 	"touch/client"
+	"touch/internal/api"
 	"touch/internal/promhist"
+	"touch/internal/wire"
 )
 
 // Config tunes a Router. Backends is the only required field.
@@ -69,18 +71,9 @@ func (c *Config) fillDefaults() {
 		c.RequestTimeout = 10 * time.Second
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(discardHandler{})
+		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 }
-
-// discardHandler drops every record (slog.DiscardHandler arrived in Go
-// 1.24; this keeps the floor lower).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // backend is one touchserved replica: its connection pool, health state
 // and per-backend metrics.
@@ -124,7 +117,9 @@ type Router struct {
 
 	stop chan struct{}
 	done chan struct{}
-	wire wireFrontState
+	// wire owns the wire front's listeners and connections; see
+	// wirefront.go for the per-connection forwarding loop.
+	wire wire.Acceptor
 
 	closeOnce sync.Once
 }
@@ -147,8 +142,9 @@ func New(cfg Config) (*Router, error) {
 	for _, addr := range rt.ring.Nodes() {
 		rt.backends[addr] = &backend{addr: addr, pool: client.NewPool(addr, cfg.PoolSize)}
 	}
-	rt.wire.lns = make(map[net.Listener]struct{})
-	rt.wire.conns = make(map[net.Conn]context.CancelFunc)
+	rt.wire.MaxFrame = wireMaxFrame
+	rt.wire.Info = func() string { return "touchrouter/go" }
+	rt.wire.Handle = rt.serveWireConn
 	return rt, nil
 }
 
@@ -191,11 +187,20 @@ var errNoBackend = errors.New("router: no owner backend reachable")
 // IsNoBackend reports whether err means every owner was unreachable.
 func IsNoBackend(err error) bool { return errors.Is(err, errNoBackend) }
 
+// answered reports whether err is a backend's authoritative answer to a
+// request — a ServerError — rather than a failure to get one. A
+// "draining" answer is the exception: it is a replica saying it is
+// going away, so reads treat it like a dead connection and move on to
+// the next owner.
+func answered(err error) bool {
+	var se *client.ServerError
+	return errors.As(err, &se) && se.Code != api.CodeDraining
+}
+
 // read runs fn against the dataset's owners in ring order — healthy
 // owners in a first pass, ejected ones as a last resort — failing over
 // on connection-level errors until fn succeeds, a backend answers
-// authoritatively (a ServerError is an answer, not a failover trigger),
-// or the caller's context expires.
+// authoritatively (see answered), or the caller's context expires.
 func (rt *Router) read(ctx context.Context, dataset string, fn func(context.Context, *client.Conn) error) error {
 	owners := rt.owners(dataset)
 	tried := 0
@@ -216,8 +221,7 @@ func (rt *Router) read(ctx context.Context, dataset string, fn func(context.Cont
 			if err == nil {
 				return nil
 			}
-			var se *client.ServerError
-			if errors.As(err, &se) {
+			if answered(err) {
 				return err
 			}
 			lastErr = err
@@ -243,11 +247,8 @@ func (rt *Router) try(ctx context.Context, b *backend, fn func(context.Context, 
 		err = fn(ctx, c)
 	}
 	b.latency.Observe(time.Since(start))
-	if err != nil {
-		var se *client.ServerError
-		if !errors.As(err, &se) {
-			b.errs.Add(1)
-		}
+	if err != nil && !answered(err) {
+		b.errs.Add(1)
 	}
 	return err
 }

@@ -108,6 +108,68 @@ func TestRoutedHTTPByteIdentity(t *testing.T) {
 			t.Fatalf("query %s:\ndirect: %s\nrouted: %s", body, direct.Body.Bytes(), routed.Body.Bytes())
 		}
 	}
+
+	// Error rows: the router decodes with the backends' decoder, parses
+	// with their row helpers and maps codes through their status table,
+	// so a refused request is refused with the same status and the same
+	// bytes whichever front door it knocked on.
+	const query, join, update = "/v1/datasets/d/query", "/v1/datasets/d/join", "/v1/datasets/d"
+	for _, row := range []struct {
+		name, path, body string
+		status           int
+	}{
+		{"query trailing data", query, `{"type":"range","box":[0,0,0,400,400,400]} trailing`, 400},
+		{"query second document", query, `{"type":"point","point":[1,2,3]}{}`, 400},
+		{"query truncated json", query, `{"type":"range","box":[0,0,0`, 400},
+		{"query 5-number box", query, `{"type":"range","box":[0,0,0,400,400]}`, 400},
+		{"query 2-number point", query, `{"type":"knn","point":[1,2],"k":3}`, 400},
+		{"query k:0", query, `{"type":"knn","point":[1,2,3],"k":0}`, 400},
+		{"query inverted box", query, `{"type":"range","box":[400,400,400,0,0,0]}`, 400},
+		{"query unknown type", query, `{"type":"nearest","point":[1,2,3]}`, 400},
+		{"query unknown dataset", "/v1/datasets/ghost/query", `{"type":"point","point":[1,2,3]}`, 404},
+		{"join trailing data", join, `{"boxes":[[0,0,0,9,9,9]]} trailing`, 400},
+		{"join boxes and probe", join, `{"boxes":[[0,0,0,9,9,9]],"probe":"d"}`, 400},
+		{"join neither", join, `{}`, 400},
+		{"join 3-number box", join, `{"boxes":[[0,0,0]]}`, 400},
+		{"join inverted box", join, `{"boxes":[[9,9,9,0,0,0]]}`, 400},
+		{"join negative eps", join, `{"boxes":[[0,0,0,9,9,9]],"eps":-1}`, 400},
+		{"join unknown probe", join, `{"probe":"ghost","count_only":true}`, 404},
+		{"update empty", update, `{}`, 400},
+		{"update trailing data", update, `{"delete":[1]} trailing`, 400},
+		{"update 4-number insert", update, `{"insert":[[0,0,0,1]]}`, 400},
+		{"update inverted insert", update, `{"insert":[[9,9,9,0,0,0]]}`, 400},
+		{"update unknown dataset", "/v1/datasets/ghost", `{"delete":[1]}`, 404},
+	} {
+		post := postJSON
+		if !strings.Contains(row.path, "/query") && !strings.Contains(row.path, "/join") {
+			post = postJSONPatch
+		}
+		direct := post(t, b0.srv, row.path, row.body)
+		routed := post(t, rt, row.path, row.body)
+		if direct.Code != row.status || routed.Code != row.status {
+			t.Errorf("%s: direct %d, routed %d, want %d\ndirect: %srouted: %s",
+				row.name, direct.Code, routed.Code, row.status, direct.Body.Bytes(), routed.Body.Bytes())
+			continue
+		}
+		if !bytes.Equal(direct.Body.Bytes(), routed.Body.Bytes()) {
+			t.Errorf("%s:\ndirect: %srouted: %s", row.name, direct.Body.Bytes(), routed.Body.Bytes())
+		}
+	}
+
+	// A draining replica answers every frame "draining". For a read that
+	// is not the answer but "ask the next owner": the routed response is
+	// still the 200 the other replica gives.
+	primary, other := b0, b1
+	if rt.Owners("d")[0] == "r1" {
+		primary, other = b1, b0
+	}
+	primary.srv.BeginShutdown()
+	direct := postJSON(t, other.srv, query, bodies[0])
+	routed := postJSON(t, rt, query, bodies[0])
+	if routed.Code != http.StatusOK || !bytes.Equal(direct.Body.Bytes(), routed.Body.Bytes()) {
+		t.Fatalf("read with a draining primary: %d %s\nwant the other owner's answer: %s",
+			routed.Code, routed.Body.Bytes(), direct.Body.Bytes())
+	}
 }
 
 // TestRoutedWireMatchesDirect: the router's wire front answers range,

@@ -36,6 +36,7 @@ import (
 
 	"touch"
 	"touch/client"
+	"touch/internal/api"
 	"touch/internal/wire"
 )
 
@@ -47,78 +48,18 @@ const wireConcurrency = 64
 // matching the backends' batching.
 const wirePairBatch = 512
 
-// wireHandshakeTimeout caps the hello exchange.
-const wireHandshakeTimeout = 10 * time.Second
-
 // wireMaxFrame caps inbound frame payloads.
 const wireMaxFrame = 64 << 20
-
-// wireFrontState tracks the wire front's listeners and connections for
-// drain, mirroring the backend server's shape.
-type wireFrontState struct {
-	mu      sync.Mutex
-	lns     map[net.Listener]struct{}
-	conns   map[net.Conn]context.CancelFunc
-	stopped bool
-	connWG  sync.WaitGroup
-}
 
 // ServeWire accepts binary-protocol connections on ln until the
 // listener fails or ShutdownWire closes it (which returns nil). Run it
 // on its own goroutine, one per listener.
-func (rt *Router) ServeWire(ln net.Listener) error {
-	rt.wire.mu.Lock()
-	if rt.wire.stopped {
-		rt.wire.mu.Unlock()
-		ln.Close()
-		return errors.New("router: ServeWire after ShutdownWire")
-	}
-	rt.wire.lns[ln] = struct{}{}
-	rt.wire.mu.Unlock()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			rt.wire.mu.Lock()
-			delete(rt.wire.lns, ln)
-			stopped := rt.wire.stopped
-			rt.wire.mu.Unlock()
-			if stopped {
-				return nil
-			}
-			return err
-		}
-		rt.wire.connWG.Add(1)
-		go rt.serveWireConn(nc)
-	}
-}
+func (rt *Router) ServeWire(ln net.Listener) error { return rt.wire.Serve(ln) }
 
 // ShutdownWire stops accepting, force-closes every wire-front
 // connection (canceling their in-flight forwards) and waits for the
 // connection goroutines to unwind.
-func (rt *Router) ShutdownWire(ctx context.Context) error {
-	rt.wire.mu.Lock()
-	rt.wire.stopped = true
-	for ln := range rt.wire.lns {
-		ln.Close()
-	}
-	for nc, cancel := range rt.wire.conns {
-		cancel()
-		nc.Close()
-	}
-	rt.wire.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		rt.wire.connWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+func (rt *Router) ShutdownWire(ctx context.Context) error { return rt.wire.Shutdown(ctx) }
 
 // frontConn is one wire-front client connection.
 type frontConn struct {
@@ -143,43 +84,18 @@ type frontConn struct {
 	wg  sync.WaitGroup
 }
 
-func (rt *Router) serveWireConn(nc net.Conn) {
-	defer rt.wire.connWG.Done()
-	defer nc.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
+// serveWireConn serves one handshaken connection (wire.Acceptor's
+// Handle).
+func (rt *Router) serveWireConn(ctx context.Context, r *wire.Reader, w *wire.Writer) {
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	rt.wire.mu.Lock()
-	if rt.wire.stopped {
-		rt.wire.mu.Unlock()
-		return
-	}
-	rt.wire.conns[nc] = cancel
-	rt.wire.mu.Unlock()
-	defer func() {
-		rt.wire.mu.Lock()
-		delete(rt.wire.conns, nc)
-		rt.wire.mu.Unlock()
-	}()
-
-	nc.SetDeadline(time.Now().Add(wireHandshakeTimeout))
 	c := &frontConn{
 		rt:      rt,
-		w:       wire.NewWriter(nc),
+		w:       w,
 		ctx:     ctx,
 		cancels: make(map[uint32]context.CancelFunc),
 		sem:     make(chan struct{}, wireConcurrency),
 	}
-	r := wire.NewReader(nc, wireMaxFrame)
-	clientV, _, err := r.ReadHello()
-	if err != nil {
-		return
-	}
-	if c.w.WriteHello("touchrouter/go") != nil || c.w.Flush() != nil || clientV != wire.Version {
-		return
-	}
-	nc.SetDeadline(time.Time{})
-
 	rt.met.wireConns.Add(1)
 	defer rt.met.wireConns.Add(-1)
 
@@ -191,39 +107,30 @@ func (rt *Router) serveWireConn(nc net.Conn) {
 
 // readReq is one decoded read frame awaiting forwarding.
 type readReq struct {
-	op      byte
 	tag     uint32
 	dataset string
-	box     touch.Box   // OpRange
-	pt      touch.Point // OpPoint, OpKNN
-	k       int         // OpKNN
+	q       api.Query
 }
 
 // decodeRead decodes a read frame into a readReq, copying the dataset
 // name out of the reader's reused payload buffer.
 func decodeRead(op byte, tag uint32, payload []byte) (readReq, error) {
-	req := readReq{op: op, tag: tag}
+	req := readReq{tag: tag}
+	var name []byte
+	var err error
 	switch op {
 	case wire.OpRange:
-		name, box, _, err := wire.DecodeRangeReq(payload)
-		if err != nil {
-			return req, err
-		}
-		req.dataset, req.box = string(name), box
+		req.q.Type = api.TypeRange
+		name, req.q.Box, _, err = wire.DecodeRangeReq(payload)
 	case wire.OpPoint:
-		name, pt, _, err := wire.DecodePointReq(payload)
-		if err != nil {
-			return req, err
-		}
-		req.dataset, req.pt = string(name), pt
+		req.q.Type = api.TypePoint
+		name, req.q.Point, _, err = wire.DecodePointReq(payload)
 	case wire.OpKNN:
-		name, pt, k, _, err := wire.DecodeKNNReq(payload)
-		if err != nil {
-			return req, err
-		}
-		req.dataset, req.pt, req.k = string(name), pt, k
+		req.q.Type = api.TypeKNN
+		name, req.q.Point, req.q.K, _, err = wire.DecodeKNNReq(payload)
 	}
-	return req, nil
+	req.dataset = string(name)
+	return req, err
 }
 
 func (c *frontConn) readLoop(r *wire.Reader) {
@@ -261,7 +168,7 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 		op, tag, payload, err := r.ReadFrame()
 		if err != nil {
 			if errors.Is(err, wire.ErrMalformed) {
-				c.fatalError(0, "bad_request", err.Error())
+				c.fatalError(0, err.Error())
 			}
 			return
 		}
@@ -276,7 +183,7 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 			c.inflight.Add(1)
 			req, err := decodeRead(op, tag, payload)
 			if err != nil {
-				c.respondErr(tag, &client.ServerError{Code: "bad_request", Message: err.Error()})
+				c.respondError(tag, api.DecodeError(err))
 				continue
 			}
 			group = append(group, req)
@@ -296,7 +203,7 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 				c.forward(op, tag, buf)
 			}()
 		default:
-			c.fatalError(tag, "bad_request", fmt.Sprintf("unknown opcode %#02x", op))
+			c.fatalError(tag, fmt.Sprintf("unknown opcode %#02x", op))
 			return
 		}
 	}
@@ -320,30 +227,30 @@ func (c *frontConn) respondStream(tag uint32, payload []byte) {
 	c.wmu.Unlock()
 }
 
-func (c *frontConn) fatalError(tag uint32, code, msg string) {
+func (c *frontConn) fatalError(tag uint32, msg string) {
 	c.wmu.Lock()
-	if c.w.WriteFrame(wire.OpError, tag, wire.AppendErrorResp(nil, code, msg)) == nil {
+	if c.w.WriteFrame(wire.OpError, tag, wire.AppendErrorResp(nil, api.CodeBadRequest, msg)) == nil {
 		_ = c.w.Flush()
 	}
 	c.wmu.Unlock()
 }
 
-// respondErr maps a forwarding failure onto the wire error vocabulary:
-// backend answers pass through verbatim, connection exhaustion becomes
-// no_backend, context expiry the timeout/client_closed pair.
-func (c *frontConn) respondErr(tag uint32, err error) {
-	code, msg := codeNoBackend, err.Error()
-	var se *client.ServerError
+// respondError answers a request with an error frame.
+func (c *frontConn) respondError(tag uint32, e *api.Error) {
+	c.respond(wire.OpError, tag, wire.AppendErrorResp(nil, e.Code, e.Message))
+}
+
+// respondQuery answers a read: ID-list queries with OpIDs, kNN with
+// OpNeighbors, a forwarding failure with its proxied error.
+func (c *frontConn) respondQuery(r *readReq, version int64, ids []touch.ID, nbrs []touch.Neighbor, err error) {
 	switch {
-	case errors.As(err, &se):
-		code, msg = se.Code, se.Message
-	case IsNoBackend(err):
-	case errors.Is(err, context.DeadlineExceeded):
-		code, msg = "timeout", "request exceeded the router's processing budget"
-	case errors.Is(err, context.Canceled):
-		code, msg = "client_closed", "request canceled"
+	case err != nil:
+		c.respondError(r.tag, proxiedError(err))
+	case r.q.Type == api.TypeKNN:
+		c.respond(wire.OpNeighbors, r.tag, wire.AppendNeighborsResp(nil, version, nbrs))
+	default:
+		c.respond(wire.OpIDs, r.tag, wire.AppendIDsResp(nil, version, ids))
 	}
-	c.respond(wire.OpError, tag, wire.AppendErrorResp(nil, code, msg))
 }
 
 // forwardReads proxies one dispatched burst of read frames. Contiguous
@@ -400,36 +307,20 @@ func (c *frontConn) tryBatch(ctx context.Context, b *backend, reqs []readReq) []
 	b.requests.Add(int64(len(reqs)))
 	start := time.Now()
 	batch := conn.Batch()
-	gets := make([]func(context.Context) (byte, []byte, error), len(reqs))
-	for i, r := range reqs {
-		switch r.op {
-		case wire.OpRange:
-			f := batch.Range(r.dataset, r.box)
-			gets[i] = func(ctx context.Context) (byte, []byte, error) {
-				version, ids, err := f.Get(ctx)
-				if err != nil {
-					return 0, nil, err
-				}
-				return wire.OpIDs, wire.AppendIDsResp(nil, version, ids), nil
-			}
-		case wire.OpPoint:
-			f := batch.Point(r.dataset, r.pt)
-			gets[i] = func(ctx context.Context) (byte, []byte, error) {
-				version, ids, err := f.Get(ctx)
-				if err != nil {
-					return 0, nil, err
-				}
-				return wire.OpIDs, wire.AppendIDsResp(nil, version, ids), nil
-			}
-		case wire.OpKNN:
-			f := batch.KNN(r.dataset, r.pt, r.k)
-			gets[i] = func(ctx context.Context) (byte, []byte, error) {
-				version, nbrs, err := f.Get(ctx)
-				if err != nil {
-					return 0, nil, err
-				}
-				return wire.OpNeighbors, wire.AppendNeighborsResp(nil, version, nbrs), nil
-			}
+	// One future per request; which of the two is live follows q.Type.
+	type future struct {
+		ids  client.IDsFuture
+		nbrs client.NeighborsFuture
+	}
+	futs := make([]future, len(reqs))
+	for i := range reqs {
+		switch r := &reqs[i]; r.q.Type {
+		case api.TypeRange:
+			futs[i].ids = batch.Range(r.dataset, r.q.Box)
+		case api.TypePoint:
+			futs[i].ids = batch.Point(r.dataset, r.q.Point)
+		default:
+			futs[i].nbrs = batch.KNN(r.dataset, r.q.Point, r.q.K)
 		}
 	}
 	if err := batch.Send(); err != nil {
@@ -440,19 +331,27 @@ func (c *frontConn) tryBatch(ctx context.Context, b *backend, reqs []readReq) []
 	}
 	var rest []readReq
 	var connErr error
-	for i, get := range gets {
-		op, payload, err := get(ctx)
-		if err != nil {
-			var se *client.ServerError
-			if errors.As(err, &se) {
-				c.respond(wire.OpError, reqs[i].tag, wire.AppendErrorResp(nil, se.Code, se.Message))
-				continue
-			}
+	for i := range reqs {
+		r := &reqs[i]
+		var (
+			version int64
+			ids     []touch.ID
+			nbrs    []touch.Neighbor
+			err     error
+		)
+		if r.q.Type == api.TypeKNN {
+			version, nbrs, err = futs[i].nbrs.Get(ctx)
+		} else {
+			version, ids, err = futs[i].ids.Get(ctx)
+		}
+		// A server error is the backend's authoritative answer; anything
+		// else (and a draining replica) fails the request over.
+		if err != nil && !answered(err) {
 			connErr = err
-			rest = append(rest, reqs[i])
+			rest = append(rest, *r)
 			continue
 		}
-		c.respond(op, reqs[i].tag, payload)
+		c.respondQuery(r, version, ids, nbrs, err)
 	}
 	b.latency.Observe(time.Since(start))
 	rt.met.requests[rcQuery].Add(int64(len(reqs) - len(rest)))
@@ -463,43 +362,28 @@ func (c *frontConn) tryBatch(ctx context.Context, b *backend, reqs []readReq) []
 	return rest
 }
 
+// track registers the in-flight forward for tag so a cancel frame can
+// abort it; a nil cancel unregisters it.
+func (c *frontConn) track(tag uint32, cancel context.CancelFunc) {
+	c.mu.Lock()
+	if cancel == nil {
+		delete(c.cancels, tag)
+	} else {
+		c.cancels[tag] = cancel
+	}
+	c.mu.Unlock()
+}
+
 // forwardRead proxies one read over the typed failover path,
 // registering its tag so a cancel frame can abort it.
 func (c *frontConn) forwardRead(ctx context.Context, r readReq) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	c.mu.Lock()
-	c.cancels[r.tag] = cancel
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.cancels, r.tag)
-		c.mu.Unlock()
-	}()
+	c.track(r.tag, cancel)
+	defer c.track(r.tag, nil)
 
-	switch r.op {
-	case wire.OpRange:
-		version, ids, err := c.rt.Range(ctx, r.dataset, r.box)
-		if err != nil {
-			c.respondErr(r.tag, err)
-			return
-		}
-		c.respond(wire.OpIDs, r.tag, wire.AppendIDsResp(nil, version, ids))
-	case wire.OpPoint:
-		version, ids, err := c.rt.Point(ctx, r.dataset, r.pt)
-		if err != nil {
-			c.respondErr(r.tag, err)
-			return
-		}
-		c.respond(wire.OpIDs, r.tag, wire.AppendIDsResp(nil, version, ids))
-	case wire.OpKNN:
-		version, nbrs, err := c.rt.KNN(ctx, r.dataset, r.pt, r.k)
-		if err != nil {
-			c.respondErr(r.tag, err)
-			return
-		}
-		c.respond(wire.OpNeighbors, r.tag, wire.AppendNeighborsResp(nil, version, nbrs))
-	}
+	version, ids, nbrs, err := c.rt.query(ctx, r.dataset, &r.q)
+	c.respondQuery(&r, version, ids, nbrs, err)
 }
 
 // forward proxies one join, update or catalog frame: decode, route,
@@ -508,14 +392,8 @@ func (c *frontConn) forwardRead(ctx context.Context, r readReq) {
 func (c *frontConn) forward(op byte, tag uint32, payload []byte) {
 	ctx, cancel := context.WithTimeout(c.ctx, c.rt.cfg.RequestTimeout)
 	defer cancel()
-	c.mu.Lock()
-	c.cancels[tag] = cancel
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.cancels, tag)
-		c.mu.Unlock()
-	}()
+	c.track(tag, cancel)
+	defer c.track(tag, nil)
 
 	switch op {
 	case wire.OpJoin:
@@ -524,8 +402,8 @@ func (c *frontConn) forward(op byte, tag uint32, payload []byte) {
 		c.forwardUpdate(ctx, tag, payload)
 	case wire.OpCatalog:
 		if len(payload) != 0 {
-			c.respondErr(tag, &client.ServerError{Code: "bad_request",
-				Message: fmt.Sprintf("catalog request carries a %d-byte payload, want empty", len(payload))})
+			c.respondError(tag, api.Errorf(api.CodeBadRequest,
+				"catalog request carries a %d-byte payload, want empty", len(payload)))
 			return
 		}
 		rows, _ := c.rt.Catalog(ctx)
@@ -549,14 +427,14 @@ func (c *frontConn) forward(op byte, tag uint32, payload []byte) {
 func (c *frontConn) forwardJoin(ctx context.Context, tag uint32, payload []byte) {
 	jr, err := wire.DecodeJoinReq(payload)
 	if err != nil {
-		c.respondErr(tag, &client.ServerError{Code: "bad_request", Message: err.Error()})
+		c.respondError(tag, api.DecodeError(err))
 		return
 	}
 	spec := client.JoinSpec{Probe: string(jr.ProbeName), Boxes: jr.Boxes, Eps: jr.Eps, Workers: jr.Workers}
 	if jr.CountOnly {
 		version, count, err := c.rt.JoinCount(ctx, string(jr.Name), spec)
 		if err != nil {
-			c.respondErr(tag, err)
+			c.respondError(tag, proxiedError(err))
 			return
 		}
 		c.respond(wire.OpCount, tag, wire.AppendCountResp(nil, version, count))
@@ -564,7 +442,7 @@ func (c *frontConn) forwardJoin(ctx context.Context, tag uint32, payload []byte)
 	}
 	version, pairs, count, err := c.rt.Join(ctx, string(jr.Name), spec)
 	if err != nil {
-		c.respondErr(tag, err)
+		c.respondError(tag, proxiedError(err))
 		return
 	}
 	// Re-stream in batches: frames for one tag stay in order because
@@ -582,12 +460,12 @@ func (c *frontConn) forwardJoin(ctx context.Context, tag uint32, payload []byte)
 func (c *frontConn) forwardUpdate(ctx context.Context, tag uint32, payload []byte) {
 	ur, err := wire.DecodeUpdateReq(payload)
 	if err != nil {
-		c.respondErr(tag, &client.ServerError{Code: "bad_request", Message: err.Error()})
+		c.respondError(tag, api.DecodeError(err))
 		return
 	}
 	res, err := c.rt.Update(ctx, string(ur.Name), client.UpdateSpec{Insert: ur.Inserts, Delete: ur.Deletes})
 	if err != nil {
-		c.respondErr(tag, err)
+		c.respondError(tag, proxiedError(err))
 		return
 	}
 	resp := wire.UpdateResp{

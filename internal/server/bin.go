@@ -20,21 +20,22 @@ package server
 //
 // Admission differs from HTTP in one deliberate way: a frame that finds
 // every slot taken waits for one instead of failing with an overload
-// error. Pipelined requests were already accepted into the connection's
-// bounded queue, and the queue plus TCP backpressure bound the waiting
-// work, so degrading into queueing (like a connection pool does) beats
-// failing hundreds of in-flight requests at once.
+// error (see Server.begin).
+//
+// The handlers here are a codec: decode the frame, call the execute core
+// (core.go), encode the answer. They return the request's *api.Error, if
+// any; handle writes the error frame.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
 	"time"
 
 	"touch"
+	"touch/internal/api"
 	"touch/internal/geom"
 	"touch/internal/trace"
 	"touch/internal/wire"
@@ -51,105 +52,6 @@ const wirePairBatch = 512
 // write buffer mid-join before an explicit flush keeps the stream
 // moving (the 64 KiB buffer also self-flushes when full).
 const wireStreamFlushEvery = 16
-
-// wireHandshakeTimeout caps the handshake; a dialer that never speaks
-// cannot pin the connection goroutine.
-const wireHandshakeTimeout = 10 * time.Second
-
-// wireState tracks the binary listeners and connections for drain.
-type wireState struct {
-	mu      sync.RWMutex
-	lns     map[net.Listener]struct{}
-	conns   map[net.Conn]context.CancelFunc
-	stopped bool
-	// reqs counts requests past the admission check; ShutdownWire waits
-	// on it. The Add runs under mu.RLock with stopped checked, and Wait
-	// only after stopped is set under mu.Lock, so Add can never race a
-	// Wait that already saw zero.
-	reqs   sync.WaitGroup
-	connWG sync.WaitGroup
-}
-
-// wireBeginReq registers one in-flight binary request with the drain
-// accounting; false means the server is shut down and the request must
-// be rejected.
-func (s *Server) wireBeginReq() bool {
-	s.wire.mu.RLock()
-	defer s.wire.mu.RUnlock()
-	if s.wire.stopped {
-		return false
-	}
-	s.wire.reqs.Add(1)
-	return true
-}
-
-// ServeWire accepts binary-protocol connections on ln until the
-// listener fails or ShutdownWire closes it (which returns nil). Run it
-// on its own goroutine, one per listener.
-func (s *Server) ServeWire(ln net.Listener) error {
-	s.wire.mu.Lock()
-	if s.wire.stopped {
-		s.wire.mu.Unlock()
-		ln.Close()
-		return errors.New("server: ServeWire after ShutdownWire")
-	}
-	s.wire.lns[ln] = struct{}{}
-	s.wire.mu.Unlock()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			s.wire.mu.Lock()
-			delete(s.wire.lns, ln)
-			stopped := s.wire.stopped
-			s.wire.mu.Unlock()
-			if stopped {
-				return nil
-			}
-			return err
-		}
-		s.wire.connWG.Add(1)
-		go s.serveWireConn(nc)
-	}
-}
-
-// ShutdownWire drains the binary protocol: stops accepting, rejects new
-// frames with a draining error, waits (bounded by ctx) for requests
-// already admitted, then force-closes every connection and waits for
-// their goroutines to unwind. Call BeginShutdown first when the HTTP
-// side is draining too — the two are independent.
-func (s *Server) ShutdownWire(ctx context.Context) error {
-	s.wire.mu.Lock()
-	s.wire.stopped = true
-	for ln := range s.wire.lns {
-		ln.Close()
-	}
-	s.wire.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		s.wire.reqs.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-
-	// Force-close every connection and cancel its context so slot
-	// waiters and engine calls abort cooperatively; the readers then
-	// fail, the workers drain, and the connection goroutines exit —
-	// admission slots are freed on that same unwind.
-	s.wire.mu.Lock()
-	for nc, cancel := range s.wire.conns {
-		cancel()
-		nc.Close()
-	}
-	s.wire.mu.Unlock()
-	s.wire.connWG.Wait()
-	return err
-}
 
 // wireReq is one decoded request frame waiting for the worker. The
 // structs are recycled through binConn.free, and buf keeps its capacity
@@ -194,39 +96,20 @@ type binConn struct {
 	scratch []byte
 	pairBuf []geom.Pair
 
-	// span is the current request's trace, worker-owned and reset per
-	// request — kept on the connection so the steady (untraced) pipeline
-	// stays allocation-free. Its RequestID is assigned lazily, only when
-	// a request is traced, slow, or fails.
-	span touch.Span
-
-	// dsRef is the per-dataset counter cell the current request resolved
-	// via serving(); handle()'s completion hook folds the span into it.
-	// Cached as a pointer so the steady path does one map lookup and no
-	// allocation per request.
-	dsRef *dsCounters
-}
-
-// ensureRequestID assigns the current request's ID if it does not have
-// one yet, and returns it.
-func (c *binConn) ensureRequestID() string {
-	if c.span.RequestID == "" {
-		c.span.RequestID = nextRequestID()
-	}
-	return c.span.RequestID
+	// req is the current request's accounting state, worker-owned and
+	// reset per request — kept on the connection so the steady (untraced)
+	// pipeline stays allocation-free.
+	req request
 }
 
 // respondTrace emits the non-terminal OpTrace frame carrying the
 // current request's span; call it immediately before the terminal
 // response of a traced request.
 func (c *binConn) respondTrace(tag uint32) {
-	c.ensureRequestID()
-	c.scratch = wire.AppendTraceResp(c.scratch[:0], spanTraceResp(&c.span))
-	c.respond(wire.OpTrace, tag, c.scratch)
-}
-
-// spanTraceResp converts an engine span to its wire form.
-func spanTraceResp(sp *touch.Span) wire.TraceResp {
+	sp := &c.req.span
+	if sp.RequestID == "" {
+		sp.RequestID = nextRequestID()
+	}
 	r := wire.TraceResp{
 		RequestID:   sp.RequestID,
 		PhaseNs:     make([]int64, trace.NumPhases),
@@ -240,53 +123,26 @@ func spanTraceResp(sp *touch.Span) wire.TraceResp {
 	for i, d := range sp.Durations {
 		r.PhaseNs[i] = int64(d)
 	}
-	return r
+	c.scratch = wire.AppendTraceResp(c.scratch[:0], r)
+	c.respond(wire.OpTrace, tag, c.scratch)
 }
 
-func (s *Server) serveWireConn(nc net.Conn) {
-	defer s.wire.connWG.Done()
-	defer nc.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
+// serveWireConn serves one handshaken connection (wire.Acceptor's
+// Handle): the reader on this goroutine, the worker on its own.
+func (s *Server) serveWireConn(ctx context.Context, r *wire.Reader, w *wire.Writer) {
+	// Canceled by ShutdownWire's force-close, or below once the reader
+	// is done — either way in-flight engine work and slot waits abort.
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// Register before the handshake so ShutdownWire can force-close a
-	// connection that dials during drain and never completes its hello.
-	s.wire.mu.Lock()
-	if s.wire.stopped {
-		s.wire.mu.Unlock()
-		return
-	}
-	s.wire.conns[nc] = cancel
-	s.wire.mu.Unlock()
-	defer func() {
-		s.wire.mu.Lock()
-		delete(s.wire.conns, nc)
-		s.wire.mu.Unlock()
-	}()
-
-	nc.SetDeadline(time.Now().Add(wireHandshakeTimeout))
 	c := &binConn{
 		s:       s,
-		r:       wire.NewReader(nc, int(s.cfg.MaxBodyBytes)),
-		w:       wire.NewWriter(nc),
+		r:       r,
+		w:       w,
 		ctx:     ctx,
 		queue:   make(chan *wireReq, wireQueueDepth),
 		free:    make(chan *wireReq, wireQueueDepth+1),
 		pending: make(map[uint32]bool),
 	}
-	// The client helloes first; the server always replies with its own
-	// hello so a version-mismatched client learns what this server
-	// speaks, then the connection closes on mismatch. The client's info
-	// string is informational only and ignored here.
-	clientV, _, err := c.r.ReadHello()
-	if err != nil {
-		return
-	}
-	if c.w.WriteHello(s.helloInfo()) != nil || c.w.Flush() != nil || clientV != wire.Version {
-		return
-	}
-	nc.SetDeadline(time.Time{})
-
 	s.met.wireConns.Add(1)
 	defer s.met.wireConns.Add(-1)
 
@@ -315,7 +171,7 @@ func (c *binConn) readLoop() {
 		op, tag, payload, err := c.r.ReadFrame()
 		if err != nil {
 			if errors.Is(err, wire.ErrMalformed) {
-				c.fatalError(0, codeBadRequest, err.Error())
+				c.fatalError(0, err.Error())
 			}
 			return
 		}
@@ -331,7 +187,7 @@ func (c *binConn) readLoop() {
 			c.mu.Unlock()
 			c.queue <- req
 		default:
-			c.fatalError(tag, codeBadRequest, fmt.Sprintf("unknown opcode %#02x", op))
+			c.fatalError(tag, fmt.Sprintf("unknown opcode %#02x", op))
 			return
 		}
 	}
@@ -352,15 +208,11 @@ func (c *binConn) cancelTag(tag uint32) {
 	}
 }
 
+// setCurrent names the join executing right now (cancel nil: none), so
+// a cancel frame for its tag can abort it.
 func (c *binConn) setCurrent(tag uint32, cancel context.CancelFunc) {
 	c.mu.Lock()
 	c.curTag, c.curCancel = tag, cancel
-	c.mu.Unlock()
-}
-
-func (c *binConn) clearCurrent() {
-	c.mu.Lock()
-	c.curTag, c.curCancel = 0, nil
 	c.mu.Unlock()
 }
 
@@ -401,65 +253,24 @@ func (c *binConn) respondStream(tag uint32, payload []byte, flush bool) {
 	c.wmu.Unlock()
 }
 
-// fatalError writes an always-flushed error frame right before the
-// connection closes on a protocol error; safe from the reader.
-func (c *binConn) fatalError(tag uint32, code, msg string) {
+// fatalError writes an always-flushed bad_request error frame right
+// before the connection closes on a protocol error; safe from the
+// reader.
+func (c *binConn) fatalError(tag uint32, msg string) {
 	c.wmu.Lock()
-	if c.w.WriteFrame(wire.OpError, tag, wire.AppendErrorResp(nil, code, msg)) == nil {
+	if c.w.WriteFrame(wire.OpError, tag, wire.AppendErrorResp(nil, api.CodeBadRequest, msg)) == nil {
 		_ = c.w.Flush()
 	}
 	c.wmu.Unlock()
 }
 
-func (c *binConn) respondErrorf(tag uint32, code, format string, args ...any) {
-	c.respond(wire.OpError, tag, wire.AppendErrorResp(nil, code, fmt.Sprintf(format, args...)))
-}
-
-func (c *binConn) badPayload(tag uint32, err error) int {
-	c.respondErrorf(tag, codeBadRequest, "decoding request: %v", err)
-	return http.StatusBadRequest
-}
-
-func (c *binConn) respondEngineError(tag uint32, err error) int {
-	resp := engineError(err)
-	c.respondErrorf(tag, resp.code, "%s", resp.message)
-	return resp.status
-}
-
-// respondAborted answers a canceled join, reusing the HTTP path's
-// deadline-vs-client classification for the reject metrics.
-func (c *binConn) respondAborted(tag uint32, ctx context.Context) int {
-	if c.s.recordAbort(ctx) {
-		c.respondErrorf(tag, codeTimeout, "request exceeded the %v processing budget", c.s.cfg.RequestTimeout)
-		return http.StatusServiceUnavailable
-	}
-	c.respondErrorf(tag, codeClientClosed, "request canceled by client")
-	return statusClientClosed
-}
-
-// serving resolves the snapshot a request answers from, writing the
-// unknown-dataset / still-building error frame itself when there is
-// none — the wire twin of Server.serving.
-func (c *binConn) serving(tag uint32, name []byte) (*snapshot, int) {
-	snap, exists := c.s.cat.snapshotBytes(name)
-	if !exists {
-		c.respondErrorf(tag, codeUnknownDataset, "dataset %q not loaded", name)
-		return nil, http.StatusNotFound
-	}
-	if snap == nil {
-		c.respondErrorf(tag, codeBuilding, "dataset %q is still building its first index version", name)
-		return nil, http.StatusServiceUnavailable
-	}
-	c.dsRef = c.s.met.dataset(name)
-	return snap, 0
-}
-
-// handle executes one request frame: metrics, drain and cancel checks,
-// admission, then dispatch. Every request frame gets exactly one
-// terminal response frame — that contract is what lets the client
-// pipeline blindly.
+// handle executes one request frame: accounting, cancel and drain
+// checks, then run. Every request frame gets exactly one terminal
+// response frame — that contract is what lets the client pipeline
+// blindly — and it is on the wire before the request leaves the drain
+// accounting.
 func (c *binConn) handle(req *wireReq) {
-	s := c.s
+	s, rq := c.s, &c.req
 	class := classWireQuery
 	switch req.op {
 	case wire.OpJoin:
@@ -469,93 +280,64 @@ func (c *binConn) handle(req *wireReq) {
 	case wire.OpCatalog:
 		class = classWireCatalog
 	}
-	s.met.requests[class].Add(1)
+	s.arrive(rq, class)
 	s.met.observeWireDepth(len(c.queue) + 1)
-	start := time.Now()
-	admitted := false
-	status := http.StatusOK
-	c.span = touch.Span{}
-	c.dsRef = nil
-	defer func() {
-		s.met.observe(class, status, time.Since(start), admitted)
-		s.met.observeSpan(&c.span)
-		c.dsRef.add(&c.span)
-		s.noteSlow(&c.span, class, status, time.Since(start))
-	}()
 
 	c.mu.Lock()
 	canceled := c.pending[req.tag]
 	delete(c.pending, req.tag)
 	c.mu.Unlock()
-	if canceled {
+
+	var e *api.Error
+	switch {
+	case canceled:
 		s.met.rejectCanceled.Add(1)
-		status = statusClientClosed
-		c.respondErrorf(req.tag, codeClientClosed, "request canceled by client")
-		return
+		e = api.Errorf(api.CodeClientClosed, "request canceled by client")
+	case !s.wire.BeginRequest():
+		e = api.Errorf(api.CodeDraining, "server is shut down")
+	default:
+		defer s.wire.EndRequest()
+		e = c.run(req)
 	}
-	if s.draining.Load() {
-		s.met.rejectDraining.Add(1)
-		status = http.StatusServiceUnavailable
-		c.respondErrorf(req.tag, codeDraining, "server is draining for shutdown")
-		return
+	status := http.StatusOK
+	if e != nil {
+		status = e.Status()
+		c.respond(wire.OpError, req.tag, wire.AppendErrorResp(nil, e.Code, e.Message))
 	}
-	if !s.wireBeginReq() {
-		status = http.StatusServiceUnavailable
-		c.respondErrorf(req.tag, codeDraining, "server is shut down")
-		return
-	}
-	defer s.wire.reqs.Done()
+	s.finish(rq, status)
+}
+
+// run admits one frame and dispatches it to its handler.
+func (c *binConn) run(req *wireReq) *api.Error {
+	s := c.s
 	// Queue wait counts against the processing budget — the boundary
 	// check HTTP requests get from their admission deadline.
 	if time.Since(req.enq) > s.cfg.RequestTimeout {
-		s.met.rejectTimeout.Add(1)
-		status = http.StatusServiceUnavailable
-		c.respondErrorf(req.tag, codeTimeout, "request exceeded the %v processing budget", s.cfg.RequestTimeout)
-		return
+		return s.timedOut()
 	}
-	select {
-	case s.slots <- struct{}{}:
-	case <-c.ctx.Done():
-		// Connection torn down while waiting; nobody to answer.
-		s.met.rejectCanceled.Add(1)
-		status = statusClientClosed
-		return
+	if e := s.begin(&c.req, req.enq, c.ctx.Done()); e != nil {
+		return e
 	}
-	// Queue wait plus slot wait is this request's admission phase.
-	c.span.Add(trace.PhaseAdmission, time.Since(req.enq))
-	s.met.inFlight.Add(1)
-	admitted = true
-	defer func() {
-		<-s.slots
-		s.met.inFlight.Add(-1)
-	}()
-
 	switch req.op {
-	case wire.OpRange:
-		status = c.handleRange(req)
-	case wire.OpPoint:
-		status = c.handlePoint(req)
-	case wire.OpKNN:
-		status = c.handleKNN(req)
 	case wire.OpJoin:
-		status = c.handleJoin(req)
+		return c.handleJoin(req)
 	case wire.OpUpdate:
-		status = c.handleUpdate(req)
+		return c.handleUpdate(req)
 	case wire.OpCatalog:
-		status = c.handleCatalog(req)
+		return c.handleCatalog(req)
 	}
+	return c.handleQuery(req)
 }
 
 // handleCatalog answers OpCatalog with the serving catalog — the wire
 // twin of GET /v1/datasets, carrying the rows a routing tier needs to
 // merge listings across replicas.
-func (c *binConn) handleCatalog(req *wireReq) int {
+func (c *binConn) handleCatalog(req *wireReq) *api.Error {
 	if len(req.buf) != 0 {
-		c.respondErrorf(req.tag, codeBadRequest, "catalog request carries a %d-byte payload, want empty", len(req.buf))
-		return http.StatusBadRequest
+		return api.Errorf(api.CodeBadRequest, "catalog request carries a %d-byte payload, want empty", len(req.buf))
 	}
-	if !c.checkAlive() {
-		return statusClientClosed
+	if c.ctx.Err() != nil {
+		return c.s.aborted(c.ctx)
 	}
 	infos := c.s.cat.list()
 	entries := make([]wire.CatalogEntry, len(infos))
@@ -572,138 +354,66 @@ func (c *binConn) handleCatalog(req *wireReq) int {
 		}
 	}
 	c.respond(wire.OpCatalogResp, req.tag, wire.AppendCatalogResp(nil, entries))
-	return http.StatusOK
+	return nil
 }
 
-// checkAlive is the query-path boundary check: single-probe queries run
-// in microseconds, so like their HTTP twins they only verify the
-// request is still wanted before the engine call, not during it.
-func (c *binConn) checkAlive() bool {
-	if c.ctx.Err() != nil {
-		c.s.met.rejectCanceled.Add(1)
-		return false
-	}
-	return true
-}
-
-func (c *binConn) handleRange(req *wireReq) int {
+// handleQuery answers OpRange, OpPoint and OpKNN: ID-list queries with
+// OpIDs, kNN with OpNeighbors.
+func (c *binConn) handleQuery(req *wireReq) *api.Error {
+	rq := &c.req
 	decStart := time.Now()
-	name, box, flags, err := wire.DecodeRangeReq(req.buf)
+	var (
+		dataset []byte
+		q       api.Query
+		flags   byte
+		err     error
+	)
+	switch req.op {
+	case wire.OpRange:
+		q.Type = api.TypeRange
+		dataset, q.Box, flags, err = wire.DecodeRangeReq(req.buf)
+	case wire.OpPoint:
+		q.Type = api.TypePoint
+		dataset, q.Point, flags, err = wire.DecodePointReq(req.buf)
+	default:
+		q.Type = api.TypeKNN
+		dataset, q.Point, q.K, flags, err = wire.DecodeKNNReq(req.buf)
+	}
 	if err != nil {
-		return c.badPayload(req.tag, err)
+		return api.DecodeError(err)
 	}
-	c.span.Add(trace.PhaseDecode, time.Since(decStart))
-	snap, st := c.serving(req.tag, name)
-	if snap == nil {
-		return st
+	rq.span.Add(trace.PhaseDecode, time.Since(decStart))
+	snap, e := resolve(c.s, rq, dataset)
+	if e != nil {
+		return e
 	}
-	if hook := c.s.testHookWorker; hook != nil {
-		hook(c.ctx)
-	}
-	if !c.checkAlive() {
-		return statusClientClosed
-	}
-	ids, err := snap.engine().RangeQueryTraced(box, &c.span)
-	if err != nil {
-		return c.respondEngineError(req.tag, err)
+	ids, nbrs, e := c.s.runQuery(c.ctx, rq, snap, &q)
+	if e != nil {
+		return e
 	}
 	if flags&wire.QueryFlagTrace != 0 {
 		c.respondTrace(req.tag)
 	}
-	c.scratch = wire.AppendIDsResp(c.scratch[:0], snap.version, ids)
-	c.respond(wire.OpIDs, req.tag, c.scratch)
-	return http.StatusOK
-}
-
-func (c *binConn) handlePoint(req *wireReq) int {
-	decStart := time.Now()
-	name, pt, flags, err := wire.DecodePointReq(req.buf)
-	if err != nil {
-		return c.badPayload(req.tag, err)
+	if q.Type == api.TypeKNN {
+		c.scratch = wire.AppendNeighborsResp(c.scratch[:0], snap.version, nbrs)
+		c.respond(wire.OpNeighbors, req.tag, c.scratch)
+	} else {
+		c.scratch = wire.AppendIDsResp(c.scratch[:0], snap.version, ids)
+		c.respond(wire.OpIDs, req.tag, c.scratch)
 	}
-	c.span.Add(trace.PhaseDecode, time.Since(decStart))
-	snap, st := c.serving(req.tag, name)
-	if snap == nil {
-		return st
-	}
-	if hook := c.s.testHookWorker; hook != nil {
-		hook(c.ctx)
-	}
-	if !c.checkAlive() {
-		return statusClientClosed
-	}
-	ids, err := snap.engine().PointQueryTraced(pt[0], pt[1], pt[2], &c.span)
-	if err != nil {
-		return c.respondEngineError(req.tag, err)
-	}
-	if flags&wire.QueryFlagTrace != 0 {
-		c.respondTrace(req.tag)
-	}
-	c.scratch = wire.AppendIDsResp(c.scratch[:0], snap.version, ids)
-	c.respond(wire.OpIDs, req.tag, c.scratch)
-	return http.StatusOK
-}
-
-func (c *binConn) handleKNN(req *wireReq) int {
-	decStart := time.Now()
-	name, pt, k, flags, err := wire.DecodeKNNReq(req.buf)
-	if err != nil {
-		return c.badPayload(req.tag, err)
-	}
-	c.span.Add(trace.PhaseDecode, time.Since(decStart))
-	snap, st := c.serving(req.tag, name)
-	if snap == nil {
-		return st
-	}
-	if hook := c.s.testHookWorker; hook != nil {
-		hook(c.ctx)
-	}
-	if !c.checkAlive() {
-		return statusClientClosed
-	}
-	nbrs, err := snap.engine().KNNTraced(pt, k, &c.span)
-	if err != nil {
-		return c.respondEngineError(req.tag, err)
-	}
-	if flags&wire.QueryFlagTrace != 0 {
-		c.respondTrace(req.tag)
-	}
-	c.scratch = wire.AppendNeighborsResp(c.scratch[:0], snap.version, nbrs)
-	c.respond(wire.OpNeighbors, req.tag, c.scratch)
-	return http.StatusOK
+	return nil
 }
 
 // handleUpdate applies an OpUpdate frame — the wire twin of HTTP's
-// PATCH handler: deletes, then inserts, published atomically against
-// the serving snapshot, answered with one OpUpdateDone.
-func (c *binConn) handleUpdate(req *wireReq) int {
+// PATCH handler — answered with one OpUpdateDone.
+func (c *binConn) handleUpdate(req *wireReq) *api.Error {
 	ur, err := wire.DecodeUpdateReq(req.buf)
 	if err != nil {
-		return c.badPayload(req.tag, err)
+		return api.DecodeError(err)
 	}
-	if len(ur.Inserts) == 0 && len(ur.Deletes) == 0 {
-		c.respondErrorf(req.tag, codeBadRequest, "update needs insert boxes or delete ids")
-		return http.StatusBadRequest
-	}
-	if _, err := touch.DatasetFromBoxes(ur.Inserts); err != nil {
-		c.respondErrorf(req.tag, codeInvalidBox, "%v", err)
-		return http.StatusBadRequest
-	}
-	if !c.checkAlive() {
-		return statusClientClosed
-	}
-	res, st := c.s.cat.applyUpdate(string(ur.Name), ur.Inserts, ur.Deletes)
-	switch st {
-	case updUnknown:
-		c.respondErrorf(req.tag, codeUnknownDataset, "dataset %q not loaded", ur.Name)
-		return http.StatusNotFound
-	case updBuilding:
-		c.respondErrorf(req.tag, codeBuilding, "dataset %q is still building its first index version", ur.Name)
-		return http.StatusServiceUnavailable
-	case updOverflow:
-		c.respondErrorf(req.tag, codeIDExhausted,
-			"inserting %d objects would exhaust the dataset's object ID space", len(ur.Inserts))
-		return http.StatusUnprocessableEntity
+	res, e := c.s.update(c.ctx, string(ur.Name), ur.Inserts, ur.Deletes)
+	if e != nil {
+		return e
 	}
 	c.scratch = wire.AppendUpdateResp(c.scratch[:0], wire.UpdateResp{
 		Version: res.version, FirstID: res.firstID,
@@ -711,7 +421,7 @@ func (c *binConn) handleUpdate(req *wireReq) int {
 		DeltaInserts: res.deltaIns, DeltaTombstones: res.deltaTomb,
 	})
 	c.respond(wire.OpUpdateDone, req.tag, c.scratch)
-	return http.StatusOK
+	return nil
 }
 
 // handleJoin answers a join frame. count_only joins return one OpCount;
@@ -722,64 +432,40 @@ func (c *binConn) handleUpdate(req *wireReq) int {
 // context and per-tag cancel registration; a cancel frame or ShutdownWire
 // aborts the engine cooperatively and the admission slot frees on the
 // unwind.
-func (c *binConn) handleJoin(req *wireReq) int {
-	s := c.s
+func (c *binConn) handleJoin(req *wireReq) *api.Error {
+	s, rq := c.s, &c.req
 	decStart := time.Now()
 	jr, err := wire.DecodeJoinReq(req.buf)
 	if err != nil {
-		return c.badPayload(req.tag, err)
+		return api.DecodeError(err)
 	}
-	c.span.Add(trace.PhaseDecode, time.Since(decStart))
-	snap, st := c.serving(req.tag, jr.Name)
-	if snap == nil {
-		return st
+	rq.span.Add(trace.PhaseDecode, time.Since(decStart))
+	snap, e := resolve(s, rq, jr.Name)
+	if e != nil {
+		return e
 	}
-	var probe touch.Dataset
-	if jr.ProbeName != nil {
-		psnap, st := c.serving(req.tag, jr.ProbeName)
-		if psnap == nil {
-			return st
-		}
-		probe = psnap.dataset()
-	} else {
-		probe, err = touch.DatasetFromBoxes(jr.Boxes)
-		if err != nil {
-			c.respondErrorf(req.tag, codeInvalidBox, "%v", err)
-			return http.StatusBadRequest
-		}
-	}
-	workers := clampWorkers(jr.Workers)
-	if workers <= 0 {
-		workers = s.cfg.Workers
+	plan, e := prepareJoin(s, rq, snap, jr.ProbeName, jr.Boxes, jr.Workers)
+	if e != nil {
+		return e
 	}
 
 	ctx, cancel := context.WithTimeout(c.ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	c.setCurrent(req.tag, cancel)
-	defer c.clearCurrent()
-	if hook := s.testHookWorker; hook != nil {
-		hook(ctx)
-	}
+	defer c.setCurrent(0, nil)
+	s.hook(ctx)
 
-	// ε = 0 takes the same fast path as HTTP's handleJoin: both routes
-	// go through DistanceJoinCtx/Seq, where Dataset.Expand(0) is the
-	// identity — no expansion copy on either protocol, so wire and HTTP
-	// answers stay byte-identical at eps = 0 by construction.
 	if jr.CountOnly {
-		res, err := snap.engine().DistanceJoinCtx(ctx, probe, jr.Eps,
-			&touch.Options{Workers: workers, NoPairs: true, Trace: &c.span})
-		switch {
-		case errors.Is(err, touch.ErrJoinCanceled):
-			return c.respondAborted(req.tag, ctx)
-		case err != nil:
-			return c.respondEngineError(req.tag, err)
+		res, e := s.join(ctx, rq, plan, jr.Eps, true, 0)
+		if e != nil {
+			return e
 		}
 		if jr.Trace {
 			c.respondTrace(req.tag)
 		}
-		c.scratch = wire.AppendCountResp(c.scratch[:0], snap.version, res.Stats.Results)
+		c.scratch = wire.AppendCountResp(c.scratch[:0], plan.snap.version, res.Stats.Results)
 		c.respond(wire.OpCount, req.tag, c.scratch)
-		return http.StatusOK
+		return nil
 	}
 
 	// Unlike NDJSON streaming, a mid-stream failure here still has a
@@ -788,13 +474,10 @@ func (c *binConn) handleJoin(req *wireReq) int {
 	c.pairBuf = c.pairBuf[:0]
 	n := int64(0)
 	frames := 0
-	for p, err := range snap.engine().DistanceJoinSeq(ctx, probe, jr.Eps,
-		&touch.Options{Workers: workers, Trace: &c.span}) {
+	for p, err := range plan.snap.engine().DistanceJoinSeq(ctx, plan.probe, jr.Eps,
+		&touch.Options{Workers: plan.workers, Trace: &rq.span}) {
 		if err != nil {
-			if errors.Is(err, touch.ErrJoinCanceled) {
-				return c.respondAborted(req.tag, ctx)
-			}
-			return c.respondEngineError(req.tag, err)
+			return s.joinError(ctx, err)
 		}
 		c.pairBuf = append(c.pairBuf, p)
 		if len(c.pairBuf) == wirePairBatch {
@@ -813,7 +496,7 @@ func (c *binConn) handleJoin(req *wireReq) int {
 	if jr.Trace {
 		c.respondTrace(req.tag)
 	}
-	c.scratch = wire.AppendJoinDoneResp(c.scratch[:0], snap.version, n)
+	c.scratch = wire.AppendJoinDoneResp(c.scratch[:0], plan.snap.version, n)
 	c.respond(wire.OpJoinDone, req.tag, c.scratch)
-	return http.StatusOK
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"strings"
@@ -14,6 +15,7 @@ import (
 
 	"touch"
 	"touch/client"
+	"touch/internal/api"
 	"touch/internal/testutil"
 	"touch/internal/wire"
 )
@@ -51,7 +53,18 @@ func (ts *testServer) dialWire(addr string) *client.Conn {
 // identically — same IDs, neighbors, pairs, counts and catalog version
 // — for range, point, knn and join against the same serving snapshot.
 func TestWireDifferentialVsHTTP(t *testing.T) {
-	ts := newTestServer(t, Config{})
+	// One-object datasets park in their build until the test ends: the
+	// "still building" rows below need a name with no version ready.
+	release := make(chan struct{})
+	defer close(release)
+	cfg := Config{}
+	cfg.build = func(ds touch.Dataset, tc touch.TOUCHConfig) *touch.Index {
+		if len(ds) == 1 {
+			<-release
+		}
+		return touch.BuildIndex(ds, tc)
+	}
+	ts := newTestServer(t, cfg)
 	ds := touch.GenerateUniform(800, 42)
 	ts.srv.Load("cells", ds, touch.TOUCHConfig{})
 	addr := ts.startWire()
@@ -60,13 +73,13 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 
 	boxes, points, ks := testutil.QueryWorkload(7, 48)
 
-	httpQuery := func(body queryRequest) queryResponse {
+	httpQuery := func(body api.QueryRequest) api.QueryResponse {
 		t.Helper()
 		status, raw := ts.postJSON("/v1/datasets/cells/query", body)
 		if status != http.StatusOK {
 			t.Fatalf("http query: status %d: %s", status, raw)
 		}
-		var resp queryResponse
+		var resp api.QueryResponse
 		if err := json.Unmarshal(raw, &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +88,7 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 
 	for i := range boxes {
 		b := boxes[i]
-		href := httpQuery(queryRequest{Type: "range", Box: []float64{b.Min[0], b.Min[1], b.Min[2], b.Max[0], b.Max[1], b.Max[2]}})
+		href := httpQuery(api.QueryRequest{Type: "range", Box: []float64{b.Min[0], b.Min[1], b.Min[2], b.Max[0], b.Max[1], b.Max[2]}})
 		wv, wids, err := c.Range(ctx, "cells", b)
 		if err != nil {
 			t.Fatalf("wire range %d: %v", i, err)
@@ -93,7 +106,7 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 		}
 
 		p := points[i]
-		href = httpQuery(queryRequest{Type: "point", Point: []float64{p[0], p[1], p[2]}})
+		href = httpQuery(api.QueryRequest{Type: "point", Point: []float64{p[0], p[1], p[2]}})
 		_, wids, err = c.Point(ctx, "cells", p)
 		if err != nil {
 			t.Fatalf("wire point %d: %v", i, err)
@@ -107,7 +120,7 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 			}
 		}
 
-		href = httpQuery(queryRequest{Type: "knn", Point: []float64{p[0], p[1], p[2]}, K: ks[i]})
+		href = httpQuery(api.QueryRequest{Type: "knn", Point: []float64{p[0], p[1], p[2]}, K: ks[i]})
 		_, nbrs, err := c.KNN(ctx, "cells", p, ks[i])
 		if err != nil {
 			t.Fatalf("wire knn %d: %v", i, err)
@@ -131,11 +144,11 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 		probeBoxes[i] = o.Box
 	}
 
-	status, raw := ts.postJSON("/v1/datasets/cells/join", joinRequest{Boxes: rows, Eps: 3})
+	status, raw := ts.postJSON("/v1/datasets/cells/join", api.JoinRequest{Boxes: rows, Eps: 3})
 	if status != http.StatusOK {
 		t.Fatalf("http join: status %d: %s", status, raw)
 	}
-	var hj joinResponse
+	var hj api.JoinResponse
 	if err := json.Unmarshal(raw, &hj); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +173,7 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 	}
 
 	ts.srv.Load("probe", probe, touch.TOUCHConfig{})
-	status, raw = ts.postJSON("/v1/datasets/cells/join", joinRequest{Probe: "probe", CountOnly: true})
+	status, raw = ts.postJSON("/v1/datasets/cells/join", api.JoinRequest{Probe: "probe", CountOnly: true})
 	if status != http.StatusOK {
 		t.Fatalf("http named join: status %d: %s", status, raw)
 	}
@@ -170,6 +183,67 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 	_, wcount, err = c.JoinCount(ctx, "cells", client.JoinSpec{Probe: "probe"})
 	if err != nil || wcount != hj.Count {
 		t.Fatalf("wire named join count: %d, %v (http %d)", wcount, err, hj.Count)
+	}
+
+	// Unknown and still-building datasets, through every opcode: one
+	// resolve answers both transports, so code and message agree.
+	if status, raw := ts.postJSON("/v1/datasets/slow", loadRequest{Boxes: [][]float64{{0, 0, 0, 1, 1, 1}}}); status != http.StatusAccepted {
+		t.Fatalf("load slow: %d %s", status, raw)
+	}
+	box, pt := touch.Box{Max: touch.Point{9, 9, 9}}, touch.Point{1, 2, 3}
+	boxRow, ptRow := []float64{0, 0, 0, 9, 9, 9}, []float64{1, 2, 3}
+	inline := client.JoinSpec{Boxes: []touch.Box{box}}
+	for _, tc := range []struct {
+		dataset string
+		status  int
+		code    string
+	}{
+		{"ghost", http.StatusNotFound, api.CodeUnknownDataset},
+		{"slow", http.StatusServiceUnavailable, api.CodeBuilding},
+	} {
+		rows := []struct {
+			op   string
+			wire func() error
+			path string
+			body any
+		}{
+			{"range", func() error { _, _, err := c.Range(ctx, tc.dataset, box); return err },
+				"/query", api.QueryRequest{Type: "range", Box: boxRow}},
+			{"point", func() error { _, _, err := c.Point(ctx, tc.dataset, pt); return err },
+				"/query", api.QueryRequest{Type: "point", Point: ptRow}},
+			{"knn", func() error { _, _, err := c.KNN(ctx, tc.dataset, pt, 3); return err },
+				"/query", api.QueryRequest{Type: "knn", Point: ptRow, K: 3}},
+			{"join", func() error { _, _, _, err := c.Join(ctx, tc.dataset, inline); return err },
+				"/join", api.JoinRequest{Boxes: [][]float64{boxRow}}},
+			{"joincount", func() error { _, _, err := c.JoinCount(ctx, tc.dataset, inline); return err },
+				"/join", api.JoinRequest{Boxes: [][]float64{boxRow}, CountOnly: true}},
+			{"update", func() error {
+				_, err := c.Update(ctx, tc.dataset, client.UpdateSpec{Insert: []touch.Box{box}})
+				return err
+			}, "", api.UpdateRequest{Insert: [][]float64{boxRow}}},
+		}
+		for _, row := range rows {
+			method := http.MethodPost
+			if row.op == "update" {
+				method = http.MethodPatch
+			}
+			status, raw := ts.do(method, "/v1/datasets/"+tc.dataset+row.path, "application/json", row.body)
+			var eb api.ErrorBody
+			if err := json.Unmarshal(raw, &eb); err != nil || status != tc.status || eb.Error.Code != tc.code {
+				t.Fatalf("http %s on %s: status %d body %s, want %d %s", row.op, tc.dataset, status, raw, tc.status, tc.code)
+			}
+			var se *client.ServerError
+			if err := row.wire(); !errors.As(err, &se) || se.Code != tc.code || se.Message != eb.Error.Message {
+				t.Fatalf("wire %s on %s: %v, want %s %q", row.op, tc.dataset, err, tc.code, eb.Error.Message)
+			}
+		}
+		// The probe side of a join resolves through the same function.
+		status, raw := ts.postJSON("/v1/datasets/cells/join", api.JoinRequest{Probe: tc.dataset, CountOnly: true})
+		_, _, err := c.JoinCount(ctx, "cells", client.JoinSpec{Probe: tc.dataset})
+		var se *client.ServerError
+		if status != tc.status || errCode(t, raw) != tc.code || !errors.As(err, &se) || se.Code != tc.code {
+			t.Fatalf("probe %s: http %d %s, wire %v, want %s", tc.dataset, status, raw, err, tc.code)
+		}
 	}
 }
 
@@ -239,11 +313,11 @@ func TestWireErrorFrames(t *testing.T) {
 
 	_, _, err := c.Range(ctx, "nope", touch.Box{Max: touch.Point{1, 1, 1}})
 	var se *client.ServerError
-	if !errors.As(err, &se) || se.Code != codeUnknownDataset {
+	if !errors.As(err, &se) || se.Code != api.CodeUnknownDataset {
 		t.Fatalf("unknown dataset: %v", err)
 	}
 	_, _, err = c.KNN(ctx, "cells", touch.Point{1, 2, 3}, -5)
-	if !errors.As(err, &se) || se.Code != codeInvalidK {
+	if !errors.As(err, &se) || se.Code != api.CodeInvalidK {
 		t.Fatalf("bad k: %v", err)
 	}
 	// The connection survived both error frames.
@@ -253,7 +327,7 @@ func TestWireErrorFrames(t *testing.T) {
 
 	ts.srv.BeginShutdown()
 	_, _, err = c.Range(ctx, "cells", touch.Box{Max: touch.Point{1, 1, 1}})
-	if !errors.As(err, &se) || se.Code != codeDraining {
+	if !errors.As(err, &se) || se.Code != api.CodeDraining {
 		t.Fatalf("draining: %v", err)
 	}
 }
@@ -338,8 +412,8 @@ func TestWireCancelQueued(t *testing.T) {
 		op   byte
 		code string
 	}{
-		{1, wire.OpError, codeClientClosed},
-		{2, wire.OpError, codeClientClosed},
+		{1, wire.OpError, api.CodeClientClosed},
+		{2, wire.OpError, api.CodeClientClosed},
 		{3, wire.OpIDs, ""},
 	}
 	for _, want := range expect {
@@ -364,19 +438,61 @@ func TestWireCancelQueued(t *testing.T) {
 // TestWireTimeout parks a join past its budget: the server answers a
 // structured timeout error and records the reject.
 func TestWireTimeout(t *testing.T) {
-	ts := newTestServer(t, Config{RequestTimeout: 30 * time.Millisecond})
+	logged := captureHandler(make(chan map[string]string, 16)) // a handful of records, never awaited by the server
+	ts := newTestServer(t, Config{RequestTimeout: 30 * time.Millisecond, Logger: slog.New(logged)})
 	ts.srv.Load("cells", touch.GenerateUniform(50, 5), touch.TOUCHConfig{})
 	ts.srv.testHookWorker = func(ctx context.Context) { <-ctx.Done() }
 	c := ts.dialWire(ts.startWire())
 
 	_, _, _, err := c.Join(context.Background(), "cells", client.JoinSpec{Boxes: []touch.Box{{Max: touch.Point{1, 1, 1}}}})
 	var se *client.ServerError
-	if !errors.As(err, &se) || se.Code != codeTimeout {
+	if !errors.As(err, &se) || se.Code != api.CodeTimeout {
 		t.Fatalf("timeout join: %v", err)
 	}
 	if ts.srv.met.rejectTimeout.Load() == 0 {
 		t.Fatal("timeout not recorded in reject metrics")
 	}
+
+	// The completion hook is shared with HTTP: a wire request that ends
+	// >= 500 is logged under a request ID, exactly like an HTTP one. The
+	// hook runs after the error frame is written, so wait for the record.
+	timeout := time.After(5 * time.Second)
+	for {
+		select {
+		case rec := <-logged:
+			if rec["msg"] != "request failed" {
+				continue
+			}
+			if rec["class"] != "wire_join" || rec["status"] != "503" || rec["id"] == "" || rec["level"] != "ERROR" {
+				t.Fatalf("request failed record = %v", rec)
+			}
+			return
+		case <-timeout:
+			t.Fatal("no \"request failed\" record for the timed-out wire join")
+		}
+	}
+}
+
+// captureHandler is a slog.Handler that hands every record — message,
+// level and attributes rendered as strings — to the test; records
+// beyond the channel's capacity are dropped.
+type captureHandler chan map[string]string
+
+func (h captureHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h captureHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h captureHandler) WithGroup(string) slog.Handler            { return h }
+
+func (h captureHandler) Handle(_ context.Context, r slog.Record) error {
+	rec := map[string]string{"msg": r.Message, "level": r.Level.String()}
+	r.Attrs(func(a slog.Attr) bool {
+		rec[a.Key] = a.Value.String()
+		return true
+	})
+	select {
+	case h <- rec:
+	default:
+	}
+	return nil
 }
 
 // TestWireShutdownDrain proves ShutdownWire terminates in-flight
@@ -503,19 +619,19 @@ func TestWireMalformedFrames(t *testing.T) {
 	t.Run("oversized-length", func(t *testing.T) {
 		nc, r := rawWireConn(t, addr)
 		nc.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-		expectErrorThenClose(t, nc, r, codeBadRequest)
+		expectErrorThenClose(t, nc, r, api.CodeBadRequest)
 	})
 	t.Run("undersized-length", func(t *testing.T) {
 		nc, r := rawWireConn(t, addr)
 		nc.Write([]byte{0x01, 0x00, 0x00, 0x00})
-		expectErrorThenClose(t, nc, r, codeBadRequest)
+		expectErrorThenClose(t, nc, r, api.CodeBadRequest)
 	})
 	t.Run("unknown-opcode", func(t *testing.T) {
 		nc, r := rawWireConn(t, addr)
 		w := wire.NewWriter(nc)
 		w.WriteFrame(0x7F, 9, nil)
 		w.Flush()
-		expectErrorThenClose(t, nc, r, codeBadRequest)
+		expectErrorThenClose(t, nc, r, api.CodeBadRequest)
 	})
 	t.Run("torn-frame", func(t *testing.T) {
 		nc, r := rawWireConn(t, addr)
@@ -537,7 +653,7 @@ func TestWireMalformedFrames(t *testing.T) {
 		if err != nil || op != wire.OpError || tag != 5 {
 			t.Fatalf("op=%#02x tag=%d err=%v", op, tag, err)
 		}
-		if code, _, _ := wire.DecodeErrorResp(payload); code != codeBadRequest {
+		if code, _, _ := wire.DecodeErrorResp(payload); code != api.CodeBadRequest {
 			t.Fatalf("code %q", code)
 		}
 		w.WriteFrame(wire.OpRange, 6, wire.AppendRangeReq(nil, "cells", touch.Box{Max: touch.Point{1, 1, 1}}))

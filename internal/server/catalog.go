@@ -61,9 +61,6 @@ type snapshot struct {
 // *touch.Overlay; handlers call through it so an updated dataset
 // transparently serves merged answers.
 type engine interface {
-	RangeQuery(touch.Box) ([]touch.ID, error)
-	PointQuery(x, y, z float64) ([]touch.ID, error)
-	KNN(touch.Point, int) ([]touch.Neighbor, error)
 	RangeQueryTraced(touch.Box, *touch.Span) ([]touch.ID, error)
 	PointQueryTraced(x, y, z float64, sp *touch.Span) ([]touch.ID, error)
 	KNNTraced(touch.Point, int, *touch.Span) ([]touch.Neighbor, error)
@@ -257,8 +254,8 @@ func (c *catalog) load(name string, ds touch.Dataset, cfg touch.TOUCHConfig, wai
 	return v, true
 }
 
-// updStatus classifies the outcome of applyUpdate so the HTTP and wire
-// handlers can map failures to their own error vocabularies.
+// updStatus classifies the outcome of applyUpdate; Server.update maps
+// the failures onto the error vocabulary.
 type updStatus int
 
 const (
@@ -387,7 +384,7 @@ func (c *catalog) runCompaction(e *entry, from *snapshot, v int64) {
 		switch {
 		case err != nil:
 			p.log.Error("snapshot: persist failed, dataset is ephemeral",
-					"dataset", e.name, "version", v, "err", err)
+				"dataset", e.name, "version", v, "err", err)
 		case wrote:
 			snap.persisted, snap.snapBytes = true, size
 		}
@@ -405,24 +402,15 @@ func (c *catalog) runCompaction(e *entry, from *snapshot, v int64) {
 	c.compactions.Add(1)
 }
 
-// snapshot returns the serving snapshot for a name. exists reports
+// snapshotOf returns the serving snapshot for a name. exists reports
 // whether the name is known at all; a known name with a nil snapshot is
-// still building its first version.
-func (c *catalog) snapshot(name string) (snap *snapshot, exists bool) {
-	e := c.entryFor(name)
-	if e == nil {
-		return nil, false
-	}
-	return e.ready.Load(), true
-}
-
-// snapshotBytes is snapshot for a name that is still a byte slice off
-// the wire: the map lookup's string conversion does not copy (the
+// still building its first version. The name may still be a byte slice
+// off the wire: the map lookup's string conversion does not copy (the
 // compiler recognizes the m[string(b)] form), keeping the binary
 // protocol's per-request path allocation-free.
-func (c *catalog) snapshotBytes(name []byte) (snap *snapshot, exists bool) {
+func snapshotOf[S name](c *catalog, n S) (snap *snapshot, exists bool) {
 	c.mu.RLock()
-	e := c.entries[string(name)]
+	e := c.entries[string(n)]
 	c.mu.RUnlock()
 	if e == nil {
 		return nil, false
@@ -573,13 +561,13 @@ func (e *entry) info() datasetInfo {
 		status = "rebuilding"
 	}
 	return datasetInfo{
-		Name:          e.name,
-		Version:       snap.version,
-		Status:        status,
-		Objects:       snap.stats.Objects,
-		StaticBytes:   snap.stats.StaticBytes,
-		Nodes:         snap.stats.Nodes,
-		Height:        snap.stats.Height,
+		Name:            e.name,
+		Version:         snap.version,
+		Status:          status,
+		Objects:         snap.stats.Objects,
+		StaticBytes:     snap.stats.StaticBytes,
+		Nodes:           snap.stats.Nodes,
+		Height:          snap.stats.Height,
 		BuiltAt:         snap.builtAt.UTC().Format(time.RFC3339Nano),
 		Persisted:       snap.persisted,
 		SnapshotBytes:   snap.snapBytes,

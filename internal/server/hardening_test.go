@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"touch"
+	"touch/internal/api"
 )
 
 // TestLoadRejectsFanoutOne: config.fanout == 1 would panic inside the
@@ -20,7 +21,7 @@ func TestLoadRejectsFanoutOne(t *testing.T) {
 	req := loadRequest{Boxes: [][]float64{{0, 0, 0, 1, 1, 1}}}
 	req.Config.Fanout = 1
 	status, body := ts.postJSON("/v1/datasets/f1", req)
-	if status != http.StatusBadRequest || errCode(t, body) != codeBadRequest {
+	if status != http.StatusBadRequest || errCode(t, body) != api.CodeBadRequest {
 		t.Fatalf("fanout=1 load: %d %s", status, body)
 	}
 	if status, _ := ts.do(http.MethodGet, "/healthz", "", nil); status != http.StatusOK {
@@ -37,7 +38,7 @@ func TestJoinWorkersClamped(t *testing.T) {
 	ts.loadAndWait("a", a, 16)
 
 	status, body := ts.postJSON("/v1/datasets/a/join",
-		joinRequest{Boxes: boxRows(b), Workers: 1 << 30, CountOnly: true})
+		api.JoinRequest{Boxes: boxRows(b), Workers: 1 << 30, CountOnly: true})
 	if status != http.StatusOK {
 		t.Fatalf("clamped join: %d %s", status, body)
 	}
@@ -70,7 +71,7 @@ func TestBuildBacklogCap(t *testing.T) {
 		}
 	}
 	status, body := ts.postJSON("/v1/datasets/q3", row)
-	if status != http.StatusTooManyRequests || errCode(t, body) != codeOverload {
+	if status != http.StatusTooManyRequests || errCode(t, body) != api.CodeOverload {
 		t.Fatalf("backlog overflow: %d %s", status, body)
 	}
 
@@ -109,7 +110,7 @@ func TestSupersededBuildsSkipped(t *testing.T) {
 	close(tokens)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if snap, _ := c.snapshot("s"); snap != nil && snap.version == 3 {
+		if snap, _ := snapshotOf(c, "s"); snap != nil && snap.version == 3 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -144,7 +145,7 @@ func TestLocalCellsClamped(t *testing.T) {
 	}
 	ts.waitServing("lc", 1)
 	status, body = ts.postJSON("/v1/datasets/lc/join",
-		joinRequest{Boxes: [][]float64{{0, 0, 0, 1000, 1000, 1000}}, CountOnly: true})
+		api.JoinRequest{Boxes: [][]float64{{0, 0, 0, 1000, 1000, 1000}}, CountOnly: true})
 	if status != http.StatusOK {
 		t.Fatalf("join with clamped grid: %d %s", status, body)
 	}
@@ -180,8 +181,8 @@ func TestJoinResultCap(t *testing.T) {
 	}
 	ts.loadAndWait("dense", ds, 4)
 
-	status, body := ts.postJSON("/v1/datasets/dense/join", joinRequest{Boxes: boxRows(ds)})
-	if status != http.StatusUnprocessableEntity || errCode(t, body) != codeResultTooLarge {
+	status, body := ts.postJSON("/v1/datasets/dense/join", api.JoinRequest{Boxes: boxRows(ds)})
+	if status != http.StatusUnprocessableEntity || errCode(t, body) != api.CodeResultTooLarge {
 		t.Fatalf("over-cap join: %d %s", status, body)
 	}
 	// The abort happened inside the engine (a result limit, not a
@@ -190,11 +191,11 @@ func TestJoinResultCap(t *testing.T) {
 		t.Fatalf("over-cap join recorded %d limited rejects, want 1", got)
 	}
 	// count_only is exempt and exact.
-	status, body = ts.postJSON("/v1/datasets/dense/join", joinRequest{Boxes: boxRows(ds), CountOnly: true})
+	status, body = ts.postJSON("/v1/datasets/dense/join", api.JoinRequest{Boxes: boxRows(ds), CountOnly: true})
 	if status != http.StatusOK {
 		t.Fatalf("count_only join: %d %s", status, body)
 	}
-	var jr joinResponse
+	var jr api.JoinResponse
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestClientDisconnectIsNotATimeout(t *testing.T) {
 	// The handler observes the cancellation, records the 499 and
 	// releases its slot — nothing external to unblock.
 	deadline = time.Now().Add(5 * time.Second)
-	for ts.srv.met.responses[classQuery][codeIndex(statusClientClosed)].Load() != 1 {
+	for ts.srv.met.responses[classQuery][codeIndex(api.StatusClientClosed)].Load() != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("disconnect never recorded as 499")
 		}

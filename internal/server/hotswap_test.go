@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"touch"
+	"touch/internal/api"
 )
 
 // TestConcurrentClientsWithHotRebuild is the serving-correctness
@@ -91,7 +92,7 @@ func TestConcurrentClientsWithHotRebuild(t *testing.T) {
 				switch (cl + it) % 3 {
 				case 0: // range
 					o := ranges[(cl+it)%len(ranges)]
-					status, body := ts.postJSON("/v1/datasets/hot/query", queryRequest{
+					status, body := ts.postJSON("/v1/datasets/hot/query", api.QueryRequest{
 						Type: "range",
 						Box: []float64{o.box.Min[0], o.box.Min[1], o.box.Min[2],
 							o.box.Max[0], o.box.Max[1], o.box.Max[2]},
@@ -100,7 +101,7 @@ func TestConcurrentClientsWithHotRebuild(t *testing.T) {
 						errs <- fmt.Errorf("client %d it %d: range status %d: %s", cl, it, status, body)
 						return
 					}
-					var qr queryResponse
+					var qr api.QueryResponse
 					if err := json.Unmarshal(body, &qr); err != nil {
 						errs <- err
 						return
@@ -119,14 +120,14 @@ func TestConcurrentClientsWithHotRebuild(t *testing.T) {
 					}
 				case 1: // knn
 					o := knns[(cl+it)%len(knns)]
-					status, body := ts.postJSON("/v1/datasets/hot/query", queryRequest{
+					status, body := ts.postJSON("/v1/datasets/hot/query", api.QueryRequest{
 						Type: "knn", Point: o.pt[:], K: o.k,
 					})
 					if status != http.StatusOK {
 						errs <- fmt.Errorf("client %d it %d: knn status %d: %s", cl, it, status, body)
 						return
 					}
-					var qr queryResponse
+					var qr api.QueryResponse
 					if err := json.Unmarshal(body, &qr); err != nil {
 						errs <- err
 						return
@@ -145,12 +146,12 @@ func TestConcurrentClientsWithHotRebuild(t *testing.T) {
 						}
 					}
 				case 2: // join
-					status, body := ts.postJSON("/v1/datasets/hot/join", joinRequest{Boxes: boxRows(probe)})
+					status, body := ts.postJSON("/v1/datasets/hot/join", api.JoinRequest{Boxes: boxRows(probe)})
 					if status != http.StatusOK {
 						errs <- fmt.Errorf("client %d it %d: join status %d: %s", cl, it, status, body)
 						return
 					}
-					var jr joinResponse
+					var jr api.JoinResponse
 					if err := json.Unmarshal(body, &jr); err != nil {
 						errs <- err
 						return
@@ -203,11 +204,11 @@ func TestConcurrentClientsWithHotRebuild(t *testing.T) {
 
 	// After the dust settles, the newest accepted version serves.
 	ts.waitServing("hot", 7)
-	status, body := ts.postJSON("/v1/datasets/hot/query", queryRequest{Type: "point", Point: []float64{1, 1, 1}})
+	status, body := ts.postJSON("/v1/datasets/hot/query", api.QueryRequest{Type: "point", Point: []float64{1, 1, 1}})
 	if status != http.StatusOK {
 		t.Fatalf("final query: %d %s", status, body)
 	}
-	var qr queryResponse
+	var qr api.QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestCatalogVersionMonotonic(t *testing.T) {
 				return
 			default:
 			}
-			if snap, ok := cat.snapshot("m"); ok && snap != nil {
+			if snap, ok := snapshotOf(cat, "m"); ok && snap != nil {
 				if snap.version < maxSeen {
 					t.Errorf("serving version regressed: %d after %d", snap.version, maxSeen)
 					return
@@ -257,28 +258,26 @@ func TestCatalogVersionMonotonic(t *testing.T) {
 	}
 	wg.Wait()
 
+	// The stale-build skip must leave the building counter at zero — once
+	// the superseded builds queued behind the newest one have had their
+	// turn at the build lock, which can be after version 20 is serving.
+	e := cat.entryFor("m")
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		snap, _ := cat.snapshot("m")
-		if snap != nil && snap.version == loads {
+		snap, _ := snapshotOf(cat, "m")
+		e.mu.Lock()
+		building := e.building
+		e.mu.Unlock()
+		if snap != nil && snap.version == loads && building == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("never converged to version %d (at %v)", loads, snap)
+			t.Fatalf("never converged to version %d with no build pending (at %v, building %d)", loads, snap, building)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	watcher.Wait()
-
-	// The stale-build skip must leave the building counter at zero.
-	e := cat.entryFor("m")
-	e.mu.Lock()
-	building := e.building
-	e.mu.Unlock()
-	if building != 0 {
-		t.Fatalf("building counter leaked: %d", building)
-	}
 	if info := e.info(); info.Status != "ready" || info.Version != loads {
 		t.Fatalf("final info %+v", info)
 	}

@@ -176,38 +176,21 @@ func (m *metrics) observeSpan(sp *touch.Span) {
 	}
 }
 
-// dataset resolves (creating on first use) the per-dataset counters for
-// name. The read path is one RLock and a map lookup — no allocation,
-// []byte keys don't escape.
-func (m *metrics) dataset(name []byte) *dsCounters {
+// datasetCounters resolves (creating on first use) the per-dataset
+// counters for a name. The read path is one RLock and a map lookup — no
+// allocation, a []byte name does not escape.
+func datasetCounters[S name](m *metrics, n S) *dsCounters {
 	m.dsMu.RLock()
-	c := m.ds[string(name)]
+	c := m.ds[string(n)]
 	m.dsMu.RUnlock()
 	if c != nil {
 		return c
 	}
 	m.dsMu.Lock()
 	defer m.dsMu.Unlock()
-	if c = m.ds[string(name)]; c == nil {
+	if c = m.ds[string(n)]; c == nil {
 		c = &dsCounters{}
-		m.ds[string(name)] = c
-	}
-	return c
-}
-
-// datasetNamed is dataset for callers that already hold a string.
-func (m *metrics) datasetNamed(name string) *dsCounters {
-	m.dsMu.RLock()
-	c := m.ds[name]
-	m.dsMu.RUnlock()
-	if c != nil {
-		return c
-	}
-	m.dsMu.Lock()
-	defer m.dsMu.Unlock()
-	if c = m.ds[name]; c == nil {
-		c = &dsCounters{}
-		m.ds[name] = c
+		m.ds[string(n)] = c
 	}
 	return c
 }
@@ -333,12 +316,12 @@ func (m *metrics) render(w io.Writer, datasets []datasetInfo, snapshotErrors, co
 	fmt.Fprintf(w, "# TYPE touchserved_dataset_comparisons_total counter\n")
 	for _, name := range dsNames {
 		fmt.Fprintf(w, "touchserved_dataset_comparisons_total{dataset=%q} %d\n",
-			name, m.datasetNamed(name).comparisons.Load())
+			name, datasetCounters(m, name).comparisons.Load())
 	}
 	fmt.Fprintf(w, "# TYPE touchserved_dataset_replicas_total counter\n")
 	for _, name := range dsNames {
 		fmt.Fprintf(w, "touchserved_dataset_replicas_total{dataset=%q} %d\n",
-			name, m.datasetNamed(name).replicas.Load())
+			name, datasetCounters(m, name).replicas.Load())
 	}
 
 	fmt.Fprintf(w, "# TYPE touchserved_wire_connections gauge\n")

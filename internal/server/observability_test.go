@@ -15,6 +15,7 @@ import (
 
 	"touch"
 	"touch/client"
+	"touch/internal/api"
 	"touch/internal/promtext"
 )
 
@@ -55,14 +56,14 @@ func (ts *testServer) doHeaders(method, path string, body any, hdr map[string]st
 
 // tracedJoin posts a join with X-Touch-Trace armed and decodes the
 // response, failing unless a trace came back.
-func (ts *testServer) tracedJoin(name string, req joinRequest) (joinResponse, http.Header) {
+func (ts *testServer) tracedJoin(name string, req api.JoinRequest) (api.JoinResponse, http.Header) {
 	ts.t.Helper()
 	status, raw, hdr := ts.doHeaders(http.MethodPost, "/v1/datasets/"+name+"/join", req,
 		map[string]string{traceHeader: "1"})
 	if status != http.StatusOK {
 		ts.t.Fatalf("traced join: status %d: %s", status, raw)
 	}
-	var resp joinResponse
+	var resp api.JoinResponse
 	if err := json.Unmarshal(raw, &resp); err != nil {
 		ts.t.Fatal(err)
 	}
@@ -100,10 +101,10 @@ func TestMetricsScrapeWellFormed(t *testing.T) {
 
 	// HTTP: queries, a join, and a reject, so the conditional families
 	// (responses, rejects, latency gauges, dataset counters) populate.
-	ts.postJSON("/v1/datasets/m/query", queryRequest{Type: "range", Box: []float64{0, 0, 0, 500, 500, 500}})
-	ts.postJSON("/v1/datasets/m/query", queryRequest{Type: "knn", Point: []float64{1, 2, 3}, K: 5})
-	ts.postJSON("/v1/datasets/m/join", joinRequest{Probe: "p", Eps: 3, CountOnly: true})
-	ts.postJSON("/v1/datasets/nosuch/query", queryRequest{Type: "point", Point: []float64{0, 0, 0}})
+	ts.postJSON("/v1/datasets/m/query", api.QueryRequest{Type: "range", Box: []float64{0, 0, 0, 500, 500, 500}})
+	ts.postJSON("/v1/datasets/m/query", api.QueryRequest{Type: "knn", Point: []float64{1, 2, 3}, K: 5})
+	ts.postJSON("/v1/datasets/m/join", api.JoinRequest{Probe: "p", Eps: 3, CountOnly: true})
+	ts.postJSON("/v1/datasets/nosuch/query", api.QueryRequest{Type: "point", Point: []float64{0, 0, 0}})
 
 	// Wire: one query and one join through the binary listener.
 	addr := ts.startWire()
@@ -212,7 +213,7 @@ func TestTracedJoinMatchesStatsAndLibrary(t *testing.T) {
 	ts.srv.Load("cells", ds, touch.TOUCHConfig{})
 	ts.srv.Load("probe", probe, touch.TOUCHConfig{})
 
-	resp, hdr := ts.tracedJoin("cells", joinRequest{Probe: "probe", Eps: 3, Workers: 1, CountOnly: true})
+	resp, hdr := ts.tracedJoin("cells", api.JoinRequest{Probe: "probe", Eps: 3, Workers: 1, CountOnly: true})
 	tr := resp.Trace
 	if tr.RequestID == "" {
 		t.Fatal("trace without a request ID")
@@ -253,7 +254,7 @@ func TestTracedJoinMatchesStatsAndLibrary(t *testing.T) {
 	}
 
 	// Without the header the response must not grow a trace field.
-	status, raw := ts.postJSON("/v1/datasets/cells/join", joinRequest{Probe: "probe", Eps: 3, CountOnly: true})
+	status, raw := ts.postJSON("/v1/datasets/cells/join", api.JoinRequest{Probe: "probe", Eps: 3, CountOnly: true})
 	if status != http.StatusOK {
 		t.Fatalf("untraced join: status %d", status)
 	}
@@ -277,12 +278,12 @@ func TestTraceParityHTTPVsWire(t *testing.T) {
 	// Range query both ways.
 	box := touch.Box{Min: touch.Point{10, 10, 10}, Max: touch.Point{400, 400, 400}}
 	status, raw, _ := ts.doHeaders(http.MethodPost, "/v1/datasets/cells/query",
-		queryRequest{Type: "range", Box: []float64{10, 10, 10, 400, 400, 400}},
+		api.QueryRequest{Type: "range", Box: []float64{10, 10, 10, 400, 400, 400}},
 		map[string]string{traceHeader: "1"})
 	if status != http.StatusOK {
 		t.Fatalf("traced http range: status %d: %s", status, raw)
 	}
-	var qresp queryResponse
+	var qresp api.QueryResponse
 	if err := json.Unmarshal(raw, &qresp); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestTraceParityHTTPVsWire(t *testing.T) {
 	}
 
 	// Named count-only join both ways, single worker for determinism.
-	jresp, _ := ts.tracedJoin("cells", joinRequest{Probe: "probe", Eps: 3, Workers: 1, CountOnly: true})
+	jresp, _ := ts.tracedJoin("cells", api.JoinRequest{Probe: "probe", Eps: 3, Workers: 1, CountOnly: true})
 	_, wcount, jtr, err := c.JoinCountTraced(ctx, "cells", client.JoinSpec{Probe: "probe", Eps: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +348,7 @@ func TestTracePhaseSpansCoverLatency(t *testing.T) {
 	ts.srv.Load("bigprobe", probe, touch.TOUCHConfig{})
 
 	start := time.Now()
-	resp, _ := ts.tracedJoin("big", joinRequest{Probe: "bigprobe", Eps: 4, Workers: 1, CountOnly: true})
+	resp, _ := ts.tracedJoin("big", api.JoinRequest{Probe: "bigprobe", Eps: 4, Workers: 1, CountOnly: true})
 	wall := time.Since(start)
 
 	status, raw := ts.do(http.MethodGet, "/debug/slowlog", "", nil)
@@ -410,7 +411,7 @@ func TestVersionAndSlowlogEndpoints(t *testing.T) {
 	// Any admitted request beats a 1ns threshold, so this query lands in
 	// the ring with its span attached.
 	status, _, hdr := ts.doHeaders(http.MethodPost, "/v1/datasets/m/query",
-		queryRequest{Type: "range", Box: []float64{0, 0, 0, 100, 100, 100}}, nil)
+		api.QueryRequest{Type: "range", Box: []float64{0, 0, 0, 100, 100, 100}}, nil)
 	if status != http.StatusOK {
 		t.Fatalf("query: status %d", status)
 	}

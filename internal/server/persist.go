@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"touch"
+	"touch/internal/api"
 	snapstore "touch/internal/snapshot"
 )
 
@@ -126,7 +127,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	}
 	p := s.persist
 	res, err := p.store.Scan(func(name string, size int64, data []byte) error {
-		if !validName(name) {
+		if !api.ValidDatasetName(name) {
 			return fmt.Errorf("file name %q is not a servable dataset name", name)
 		}
 		info, ds, idx, err := touch.DecodeSnapshot(data)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"touch"
+	"touch/internal/api"
 	snapstore "touch/internal/snapshot"
 )
 
@@ -44,11 +45,11 @@ func (ts *testServer) datasetInfo(name string) datasetInfo {
 // rangeIDs runs one range query over HTTP and returns the IDs.
 func (ts *testServer) rangeIDs(name string, box []float64) []touch.ID {
 	ts.t.Helper()
-	status, body := ts.postJSON("/v1/datasets/"+name+"/query", queryRequest{Type: "range", Box: box})
+	status, body := ts.postJSON("/v1/datasets/"+name+"/query", api.QueryRequest{Type: "range", Box: box})
 	if status != http.StatusOK {
 		ts.t.Fatalf("range on %s: status %d: %s", name, status, body)
 	}
-	var qr queryResponse
+	var qr api.QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
 		ts.t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestDeleteThenRestartDoesNotResurrect(t *testing.T) {
 	if stats.Loaded != 0 {
 		t.Fatalf("deleted dataset resurrected: %+v", stats)
 	}
-	if status, _ := b.postJSON("/v1/datasets/doomed/query", queryRequest{Type: "point", Point: []float64{1, 2, 3}}); status != http.StatusNotFound {
+	if status, _ := b.postJSON("/v1/datasets/doomed/query", api.QueryRequest{Type: "point", Point: []float64{1, 2, 3}}); status != http.StatusNotFound {
 		t.Fatalf("query on deleted dataset: status %d", status)
 	}
 	// The version sequence still continues past the deleted generation —
@@ -298,7 +299,7 @@ func TestRepostRacingRecoveryConverges(t *testing.T) {
 	}
 	close(release)
 	b.waitServing("ds", 3)
-	if snap, _ := b.srv.cat.snapshot("ds"); snap.version != 3 {
+	if snap, _ := snapshotOf(b.srv.cat, "ds"); snap.version != 3 {
 		t.Fatalf("serving v%d, want the restored v3", snap.version)
 	}
 	// The stale racing build must not have overwritten the v3 file.

@@ -63,8 +63,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -79,8 +77,10 @@ import (
 	"time"
 
 	"touch"
+	"touch/internal/api"
 	snapstore "touch/internal/snapshot"
 	"touch/internal/trace"
+	"touch/internal/wire"
 )
 
 // Config tunes the serving subsystem; the zero value is production-safe.
@@ -209,9 +209,9 @@ type Server struct {
 	persist    *persister
 	persistErr error
 
-	// wire tracks the binary-protocol listeners and connections; see
-	// bin.go for the serving loop and ShutdownWire for the drain.
-	wire wireState
+	// wire owns the binary-protocol listeners and connections; see
+	// bin.go for the per-connection serving loop.
+	wire wire.Acceptor
 
 	// slow is the bounded slow-query ring; nil when
 	// Config.SlowQueryThreshold is 0.
@@ -245,8 +245,9 @@ func New(cfg Config) *Server {
 	if cfg.NodeID != "" {
 		s.SetNodeID(cfg.NodeID)
 	}
-	s.wire.lns = make(map[net.Listener]struct{})
-	s.wire.conns = make(map[net.Conn]context.CancelFunc)
+	s.wire.MaxFrame = int(cfg.MaxBodyBytes)
+	s.wire.Info = s.helloInfo
+	s.wire.Handle = s.serveWireConn
 	if cfg.SlowQueryThreshold > 0 {
 		s.slow = &slowLog{threshold: cfg.SlowQueryThreshold}
 	}
@@ -299,7 +300,7 @@ func (s *Server) Load(name string, ds touch.Dataset, cfg touch.TOUCHConfig) (ver
 	v, _ := s.cat.load(name, ds, cfg, true, 0) // synchronous: no backlog cap
 	// The snapshot can lag v only if a concurrent load superseded this
 	// one before it built; report whatever version is serving.
-	if snap, _ := s.cat.snapshot(name); snap != nil {
+	if snap, _ := snapshotOf(s.cat, name); snap != nil {
 		stats = snap.stats
 	}
 	return v, stats
@@ -311,33 +312,28 @@ func (s *Server) Load(name string, ds touch.Dataset, cfg touch.TOUCHConfig) (ver
 // completion. Follow with http.Server.Shutdown to drain connections.
 func (s *Server) BeginShutdown() { s.draining.Store(true) }
 
-// statusRecorder captures the response status for metrics and forwards
-// Flush so the NDJSON streaming path can push pairs through the
-// net/http buffer as they are produced.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
+// ServeWire accepts binary-protocol connections on ln until the
+// listener fails or ShutdownWire closes it (which returns nil). Run it
+// on its own goroutine, one per listener.
+func (s *Server) ServeWire(ln net.Listener) error { return s.wire.Serve(ln) }
 
-func (r *statusRecorder) WriteHeader(status int) {
-	r.status = status
-	r.ResponseWriter.WriteHeader(status)
-}
-
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
+// ShutdownWire drains the binary protocol: stops accepting, rejects new
+// frames with a draining error, waits (bounded by ctx) for requests
+// already admitted, then force-closes every connection and waits for
+// their goroutines to unwind — admission slots are freed on that same
+// unwind. Call BeginShutdown first when the HTTP side is draining too —
+// the two are independent.
+func (s *Server) ShutdownWire(ctx context.Context) error { return s.wire.Shutdown(ctx) }
 
 // reject answers a request that never reached a handler — unknown
 // route, wrong method, bad dataset name — and records it under the
 // "other" class: a scanner flood answered at the routing layer must be
 // visible in /metrics, not read as an idle server.
-func (s *Server) reject(w http.ResponseWriter, status int, code, format string, args ...any) {
+func (s *Server) reject(w http.ResponseWriter, code, format string, args ...any) {
+	e := api.Errorf(code, format, args...)
 	s.met.requests[classOther].Add(1)
-	s.met.responses[classOther][codeIndex(status)].Add(1)
-	writeError(w, status, code, format, args...)
+	s.met.responses[classOther][codeIndex(e.Status())].Add(1)
+	api.WriteError(w, e)
 }
 
 // ServeHTTP routes requests. Routing is by hand — seven routes — so
@@ -356,15 +352,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.handleSlowlog(w, r)
 	case path == "/v1/datasets":
 		if r.Method != http.MethodGet {
-			s.reject(w, http.StatusMethodNotAllowed, codeMethod, "use GET on /v1/datasets")
+			s.reject(w, api.CodeMethod, "use GET on /v1/datasets")
 			return
 		}
-		s.admit(classCatalog, w, r, s.handleList)
+		s.serve(classCatalog, w, r, "", (*Server).handleList)
 	case strings.HasPrefix(path, "/v1/datasets/"):
 		rest := strings.TrimPrefix(path, "/v1/datasets/")
 		name, action, _ := strings.Cut(rest, "/")
-		if !validName(name) {
-			s.reject(w, http.StatusBadRequest, codeInvalidName,
+		if !api.ValidDatasetName(name) {
+			s.reject(w, api.CodeInvalidName,
 				"dataset name must be 1-128 chars of [A-Za-z0-9._-], got %q", name)
 			return
 		}
@@ -372,86 +368,72 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case "":
 			switch r.Method {
 			case http.MethodPost:
-				s.admit(classLoad, w, r, func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-					s.handleLoad(ctx, w, r, name)
-				})
+				s.serve(classLoad, w, r, name, (*Server).handleLoad)
 			case http.MethodPatch:
-				s.admit(classUpdate, w, r, func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-					s.handleUpdate(ctx, w, r, name)
-				})
+				s.serve(classUpdate, w, r, name, (*Server).handleUpdate)
 			case http.MethodDelete:
-				s.admit(classCatalog, w, r, func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-					s.handleDelete(ctx, w, r, name)
-				})
+				s.serve(classCatalog, w, r, name, (*Server).handleDelete)
 			default:
-				s.reject(w, http.StatusMethodNotAllowed, codeMethod, "use POST, PATCH or DELETE on /v1/datasets/{name}")
+				s.reject(w, api.CodeMethod, "use POST, PATCH or DELETE on /v1/datasets/{name}")
 			}
 		case "query":
 			if r.Method != http.MethodPost {
-				s.reject(w, http.StatusMethodNotAllowed, codeMethod, "use POST on /v1/datasets/{name}/query")
+				s.reject(w, api.CodeMethod, "use POST on /v1/datasets/{name}/query")
 				return
 			}
-			s.admit(classQuery, w, r, func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-				s.handleQuery(ctx, w, r, name)
-			})
+			s.serve(classQuery, w, r, name, (*Server).handleQuery)
 		case "join":
 			if r.Method != http.MethodPost {
-				s.reject(w, http.StatusMethodNotAllowed, codeMethod, "use POST on /v1/datasets/{name}/join")
+				s.reject(w, api.CodeMethod, "use POST on /v1/datasets/{name}/join")
 				return
 			}
-			s.admit(classJoin, w, r, func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-				s.handleJoin(ctx, w, r, name)
-			})
+			s.serve(classJoin, w, r, name, (*Server).handleJoin)
 		default:
-			s.reject(w, http.StatusNotFound, codeNotFound, "unknown action %q", action)
+			s.reject(w, api.CodeNotFound, "unknown action %q", action)
 		}
 	default:
-		s.reject(w, http.StatusNotFound, codeNotFound, "no route for %s", path)
+		s.reject(w, api.CodeNotFound, "no route for %s", path)
 	}
 }
 
-// ValidDatasetName reports whether a name is servable over HTTP — the
-// check the router applies. Preload paths (touchserved -load) use it to
-// fail fast instead of cataloging a dataset no request could reach.
-func ValidDatasetName(name string) bool { return validName(name) }
-
-// validName keeps dataset names filesystem- and metrics-label-safe.
-func validName(name string) bool {
-	if len(name) == 0 || len(name) > 128 {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '.', c == '_', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-type handlerFn func(ctx context.Context, w http.ResponseWriter, r *http.Request)
-
-// reqInfo is the per-request observability state threaded through the
-// handler via the request context: the server-assigned request ID, the
-// engine span, whether the client opted into the trace in its response,
-// and the dataset the request answered from (set by the handler, read
-// by admit's completion hook for the per-dataset counters).
-type reqInfo struct {
-	id      string
-	span    touch.Span
-	traced  bool
+// httpRequest is one admitted-or-rejected /v1 request: the shared
+// accounting state plus what the JSON codec needs. It is the
+// ResponseWriter its handler answers on, recording the status for the
+// metrics and forwarding Flush so the NDJSON streaming path can push
+// pairs through the net/http buffer as they are produced.
+type httpRequest struct {
+	request
+	http.ResponseWriter
+	status int
+	r      *http.Request
+	// ctx carries the per-request processing budget, armed at admission.
+	ctx context.Context
+	// dataset is the {name} path element; empty on the catalog listing.
 	dataset string
+	// traced is the client's X-Touch-Trace opt-in.
+	traced bool
 }
 
-type reqInfoKey struct{}
+func (h *httpRequest) WriteHeader(status int) {
+	h.status = status
+	h.ResponseWriter.WriteHeader(status)
+}
 
-// requestInfo returns the request's reqInfo, or nil outside admit (unit
-// tests calling handlers directly).
-func requestInfo(ctx context.Context) *reqInfo {
-	ri, _ := ctx.Value(reqInfoKey{}).(*reqInfo)
-	return ri
+func (h *httpRequest) Flush() {
+	if f, ok := h.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// decode reads the request's JSON body (capped at MaxBodyBytes → 413)
+// into into, timing it as the decode phase.
+func (h *httpRequest) decode(s *Server, into any) *api.Error {
+	start := time.Now()
+	if e := api.DecodeBody(h, h.r, s.cfg.MaxBodyBytes, into); e != nil {
+		return e
+	}
+	h.span.Add(trace.PhaseDecode, time.Since(start))
+	return nil
 }
 
 // traceHeader is the opt-in request header: "X-Touch-Trace: 1" adds the
@@ -463,115 +445,29 @@ const traceHeader = "X-Touch-Trace"
 // slow log and server logs can be searched for.
 const requestIDHeader = "X-Touch-Request-Id"
 
-// admit is the admission-control front door for all /v1 traffic: it
-// rejects during drain (503) or when every in-flight slot is taken
-// (429), caps the request body, arms the per-request deadline and
-// records metrics. The slot is held exactly for the handler's lifetime —
-// a canceled request's engine work aborts cooperatively inside the
-// handler, so there is no abandoned computation for the slot to follow.
-func (s *Server) admit(class int, w http.ResponseWriter, r *http.Request, h handlerFn) {
-	s.met.requests[class].Add(1)
-	sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	start := time.Now()
-	admitted := false
-	ri := &reqInfo{id: nextRequestID(), traced: r.Header.Get(traceHeader) == "1"}
-	ri.span.RequestID = ri.id
-	// Duration histograms only see admitted requests: microsecond-fast
-	// 429s and drain rejections would otherwise drag the reported
-	// p50/p99 toward zero exactly when the server is overloaded.
-	defer func() {
-		d := time.Since(start)
-		s.met.observe(class, sr.status, d, admitted)
-		if admitted {
-			s.met.observeSpan(&ri.span)
-			if ri.dataset != "" {
-				s.met.datasetNamed(ri.dataset).add(&ri.span)
-			}
-			s.noteSlow(&ri.span, class, sr.status, d)
-			if sr.status >= 500 {
-				s.logger().Error("request failed",
-					"id", ri.id, "class", classNames[class], "status", sr.status,
-					"duration_ms", float64(d)/1e6)
-			} else if sr.status >= 400 {
-				s.logger().Debug("request rejected",
-					"id", ri.id, "class", classNames[class], "status", sr.status)
-			}
-		}
-	}()
+// serve is the HTTP front door of all /v1 traffic: admission (503 during
+// drain, 429 when every in-flight slot is taken), the per-request
+// deadline, the handler, and the completion hook. A handler either
+// writes its success response or returns the error for serve to write.
+func (s *Server) serve(class int, w http.ResponseWriter, r *http.Request, dataset string,
+	handler func(*Server, *httpRequest) *api.Error) {
+	h := &httpRequest{ResponseWriter: w, status: http.StatusOK, r: r, dataset: dataset,
+		traced: r.Header.Get(traceHeader) == "1"}
+	s.arrive(&h.request, class)
+	h.span.RequestID = nextRequestID()
+	defer func() { s.finish(&h.request, h.status) }()
 
-	if s.draining.Load() {
-		s.met.rejectDraining.Add(1)
-		writeError(sr, http.StatusServiceUnavailable, codeDraining, "server is draining for shutdown")
-		return
+	e := s.begin(&h.request, h.start, nil)
+	if e == nil {
+		h.Header().Set(requestIDHeader, h.span.RequestID)
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
+		h.ctx = ctx
+		e = handler(s, h)
 	}
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		s.met.rejectOverload.Add(1)
-		sr.Header().Set("Retry-After", "1")
-		writeError(sr, http.StatusTooManyRequests, codeOverload,
-			"server at its %d-request in-flight cap", s.cfg.MaxInFlight)
-		return
+	if e != nil {
+		api.WriteError(h, e)
 	}
-	ri.span.Add(trace.PhaseAdmission, time.Since(start))
-	s.met.inFlight.Add(1)
-	admitted = true
-	defer func() {
-		<-s.slots
-		s.met.inFlight.Add(-1)
-	}()
-
-	sr.Header().Set(requestIDHeader, ri.id)
-	r.Body = http.MaxBytesReader(sr, r.Body, s.cfg.MaxBodyBytes)
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	ctx = context.WithValue(ctx, reqInfoKey{}, ri)
-	h(ctx, sr, r.WithContext(ctx))
-}
-
-// recordAbort classifies a canceled computation for the reject metrics
-// — one place for the deadline-vs-disconnect distinction, shared by the
-// buffered error responses and the NDJSON mid-stream truncation path.
-// It reports whether the deadline was to blame.
-func (s *Server) recordAbort(ctx context.Context) (timedOut bool) {
-	if errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
-		s.met.rejectTimeout.Add(1)
-		return true
-	}
-	s.met.rejectCanceled.Add(1)
-	return false
-}
-
-// writeAborted answers a request whose computation was canceled, telling
-// budget blowouts apart from client behavior: a deadline expiry is the
-// server's own 503 timeout; anything else means the client (or its load
-// balancer) hung up — 499, written for the metrics' sake, since nobody
-// reads it.
-func (s *Server) writeAborted(ctx context.Context, w http.ResponseWriter) {
-	if s.recordAbort(ctx) {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, codeTimeout,
-			"request exceeded the %v processing budget", s.cfg.RequestTimeout)
-		return
-	}
-	writeError(w, statusClientClosed, codeClientClosed, "client closed the connection")
-}
-
-// serving resolves the snapshot a read request answers from, writing the
-// 404 / 503-building error itself when there is none.
-func (s *Server) serving(w http.ResponseWriter, name string) (*snapshot, bool) {
-	snap, exists := s.cat.snapshot(name)
-	if !exists {
-		writeError(w, http.StatusNotFound, codeUnknownDataset, "dataset %q not loaded", name)
-		return nil, false
-	}
-	if snap == nil {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, codeBuilding,
-			"dataset %q is still building its first index version", name)
-		return nil, false
-	}
-	return snap, true
 }
 
 // --- health & metrics ---------------------------------------------------
@@ -591,10 +487,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.draining.Load() {
 		h.Status = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, h)
+		api.WriteJSON(w, http.StatusServiceUnavailable, h)
 		return
 	}
-	writeJSON(w, http.StatusOK, h)
+	api.WriteJSON(w, http.StatusOK, h)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -607,10 +503,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // HTTP twin of the wire hello's informational field.
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.reject(w, http.StatusMethodNotAllowed, codeMethod, "use GET on /version")
+		s.reject(w, api.CodeMethod, "use GET on /version")
 		return
 	}
-	writeJSON(w, http.StatusOK, VersionInfo())
+	api.WriteJSON(w, http.StatusOK, VersionInfo())
 }
 
 // handleSlowlog answers GET /debug/slowlog with the recorded slow
@@ -619,12 +515,12 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 // which is exactly when someone reads it.
 func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.reject(w, http.StatusMethodNotAllowed, codeMethod, "use GET on /debug/slowlog")
+		s.reject(w, api.CodeMethod, "use GET on /debug/slowlog")
 		return
 	}
 	if s.slow == nil {
-		writeError(w, http.StatusNotFound, codeNotFound,
-			"slow-query log disabled; start touchserved with -slow-query-ms")
+		api.WriteError(w, api.Errorf(api.CodeNotFound,
+			"slow-query log disabled; start touchserved with -slow-query-ms"))
 		return
 	}
 	entries, total := s.slow.snapshot()
@@ -640,30 +536,31 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	for i, e := range entries {
 		out.Entries[i] = slowEntryToJSON(e)
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // --- catalog ------------------------------------------------------------
 
-func (s *Server) handleList(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+func (s *Server) handleList(h *httpRequest) *api.Error {
+	api.WriteJSON(h, http.StatusOK, struct {
 		Datasets []datasetInfo `json:"datasets"`
 	}{Datasets: s.cat.list()})
+	return nil
 }
 
-func (s *Server) handleDelete(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
-	retired, ok := s.cat.drop(name)
+func (s *Server) handleDelete(h *httpRequest) *api.Error {
+	retired, ok := s.cat.drop(h.dataset)
 	if !ok {
-		writeError(w, http.StatusNotFound, codeUnknownDataset, "dataset %q not loaded", name)
-		return
+		return api.Errorf(api.CodeUnknownDataset, "dataset %q not loaded", h.dataset)
 	}
 	if s.persist != nil {
-		s.persist.delete(name, retired)
+		s.persist.delete(h.dataset, retired)
 	}
-	writeJSON(w, http.StatusOK, struct {
+	api.WriteJSON(h, http.StatusOK, struct {
 		Name    string `json:"name"`
 		Deleted bool   `json:"deleted"`
-	}{Name: name, Deleted: true})
+	}{Name: h.dataset, Deleted: true})
+	return nil
 }
 
 // loadRequest is the JSON body of POST /v1/datasets/{name}.
@@ -679,8 +576,8 @@ type loadRequest struct {
 	} `json:"config"`
 }
 
-func (s *Server) handleLoad(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
-	ct := r.Header.Get("Content-Type")
+func (s *Server) handleLoad(h *httpRequest) *api.Error {
+	ct := h.r.Header.Get("Content-Type")
 	var (
 		ds  touch.Dataset
 		cfg touch.TOUCHConfig
@@ -689,21 +586,21 @@ func (s *Server) handleLoad(ctx context.Context, w http.ResponseWriter, r *http.
 	switch {
 	case strings.HasPrefix(ct, "application/json"):
 		var req loadRequest
-		if err = decodeJSONBody(r, &req); err != nil {
-			writeDecodeError(w, err)
-			return
+		if e := h.decode(s, &req); e != nil {
+			return e
 		}
-		if ds, err = boxesToDataset(req.Boxes); err != nil {
-			writeError(w, http.StatusBadRequest, codeInvalidBox, "%v", err)
-			return
+		boxes, e := api.Boxes("box", req.Boxes)
+		if e != nil {
+			return e
+		}
+		if ds, err = touch.DatasetFromBoxes(boxes); err != nil {
+			return api.EngineError(err)
 		}
 		// The engine treats fanout 1 as a programming error (the tree
 		// would never converge to a root) and panics — a background
 		// build panic would kill the process, so reject it here.
 		if req.Config.Fanout == 1 {
-			writeError(w, http.StatusBadRequest, codeBadRequest,
-				"config.fanout must be 0 (default) or >= 2")
-			return
+			return api.Errorf(api.CodeBadRequest, "config.fanout must be 0 (default) or >= 2")
 		}
 		cfg = touch.TOUCHConfig{
 			Partitions: req.Config.Partitions,
@@ -712,14 +609,12 @@ func (s *Server) handleLoad(ctx context.Context, w http.ResponseWriter, r *http.
 			Workers:    clampWorkers(req.Config.Workers),
 		}
 	case ct == "" || strings.HasPrefix(ct, "text/"):
-		if ds, err = touch.ReadDataset(r.Body); err != nil {
-			writeDecodeError(w, err)
-			return
+		if ds, err = touch.ReadDataset(http.MaxBytesReader(h, h.r.Body, s.cfg.MaxBodyBytes)); err != nil {
+			return api.DecodeError(err)
 		}
 	default:
-		writeError(w, http.StatusUnsupportedMediaType, codeUnsupported,
+		return api.Errorf(api.CodeUnsupported,
 			"content type %q: send application/json boxes or a text/plain dataset", ct)
-		return
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = s.cfg.Workers
@@ -728,136 +623,49 @@ func (s *Server) handleLoad(ctx context.Context, w http.ResponseWriter, r *http.
 	// Builds run in the background and outlive the request's admission
 	// slot; the catalog reserves a backlog slot atomically so load
 	// floods degrade into 429s too.
-	version, accepted := s.cat.load(name, ds, cfg, false, s.cfg.MaxPendingBuilds)
+	version, accepted := s.cat.load(h.dataset, ds, cfg, false, s.cfg.MaxPendingBuilds)
 	if !accepted {
 		s.met.rejectOverload.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, codeOverload,
-			"server at its %d-build backlog cap", s.cfg.MaxPendingBuilds)
-		return
+		return api.Errorf(api.CodeOverload, "server at its %d-build backlog cap", s.cfg.MaxPendingBuilds)
 	}
-	writeJSON(w, http.StatusAccepted, struct {
+	api.WriteJSON(h, http.StatusAccepted, struct {
 		Name    string `json:"name"`
 		Version int64  `json:"version"`
 		Status  string `json:"status"`
 		Objects int    `json:"objects"`
-	}{Name: name, Version: version, Status: "building", Objects: len(ds)})
+	}{Name: h.dataset, Version: version, Status: "building", Objects: len(ds)})
+	return nil
 }
 
-// updateRequest is the JSON body of PATCH /v1/datasets/{name}: a batch
-// of incremental updates against the serving version. Deletes apply
-// before inserts, so one batch can replace objects without tombstoning
-// its own inserts.
-type updateRequest struct {
-	// Insert holds one [minX minY minZ maxX maxY maxZ] row per new
-	// object; IDs are assigned by the server, consecutively.
-	Insert [][]float64 `json:"insert,omitempty"`
-	// Delete lists object IDs to tombstone. Unknown or already-deleted
-	// IDs are skipped silently (idempotent).
-	Delete []touch.ID `json:"delete,omitempty"`
-}
-
-func (s *Server) handleUpdate(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
-	var req updateRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		writeDecodeError(w, err)
-		return
+func (s *Server) handleUpdate(h *httpRequest) *api.Error {
+	var req api.UpdateRequest
+	if e := h.decode(s, &req); e != nil {
+		return e
 	}
-	if len(req.Insert) == 0 && len(req.Delete) == 0 {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "update needs insert rows or delete IDs")
-		return
+	inserts, e := api.Boxes("insert", req.Insert)
+	if e != nil {
+		return e
 	}
-	// Validate through the same hardening as a load; the validated
-	// dataset is discarded — applyUpdate assigns the real IDs.
-	inserts := make([]touch.Box, len(req.Insert))
-	for i, row := range req.Insert {
-		if len(row) != 6 {
-			writeError(w, http.StatusBadRequest, codeInvalidBox,
-				"insert %d: want 6 numbers [minX minY minZ maxX maxY maxZ], got %d", i, len(row))
-			return
-		}
-		inserts[i] = touch.Box{
-			Min: touch.Point{row[0], row[1], row[2]},
-			Max: touch.Point{row[3], row[4], row[5]},
-		}
-	}
-	if _, err := touch.DatasetFromBoxes(inserts); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidBox, "%v", err)
-		return
-	}
-	res, st := s.cat.applyUpdate(name, inserts, req.Delete)
-	switch st {
-	case updUnknown:
-		writeError(w, http.StatusNotFound, codeUnknownDataset, "dataset %q not loaded", name)
-		return
-	case updBuilding:
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, codeBuilding,
-			"dataset %q is still building its first index version", name)
-		return
-	case updOverflow:
-		writeError(w, http.StatusUnprocessableEntity, codeIDExhausted,
-			"inserting %d objects would exhaust the dataset's object ID space", len(inserts))
-		return
+	res, e := s.update(h.ctx, h.dataset, inserts, req.Delete)
+	if e != nil {
+		return e
 	}
 	ids := make([]touch.ID, len(inserts))
 	for i := range ids {
 		ids[i] = touch.ID(res.firstID) + touch.ID(i)
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Name            string     `json:"name"`
-		Version         int64      `json:"version"`
-		InsertedIDs     []touch.ID `json:"inserted_ids,omitempty"`
-		Deleted         int        `json:"deleted"`
-		DeltaInserts    int        `json:"delta_inserts"`
-		DeltaTombstones int        `json:"delta_tombstones"`
-	}{
-		Name: name, Version: res.version, InsertedIDs: ids, Deleted: res.deleted,
+	api.WriteJSON(h, http.StatusOK, api.UpdateResponse{
+		Name: h.dataset, Version: res.version, InsertedIDs: ids, Deleted: res.deleted,
 		DeltaInserts: res.deltaIns, DeltaTombstones: res.deltaTomb,
 	})
+	return nil
 }
 
 // --- query --------------------------------------------------------------
 
-// queryRequest is the JSON body of POST /v1/datasets/{name}/query.
-type queryRequest struct {
-	Type  string    `json:"type"` // "range" | "point" | "knn"
-	Box   []float64 `json:"box,omitempty"`
-	Point []float64 `json:"point,omitempty"`
-	K     int       `json:"k,omitempty"`
-}
-
-type neighborJSON struct {
-	ID       touch.ID `json:"id"`
-	Distance float64  `json:"distance"`
-}
-
-type queryResponse struct {
-	Dataset   string         `json:"dataset"`
-	Version   int64          `json:"version"`
-	Type      string         `json:"type"`
-	Count     int            `json:"count"`
-	IDs       []touch.ID     `json:"ids,omitempty"`
-	Neighbors []neighborJSON `json:"neighbors,omitempty"`
-	Trace     *traceJSON     `json:"trace,omitempty"`
-}
-
-// traceJSON is the X-Touch-Trace response field: the request's span —
-// phase wall times keyed by phase name (zero phases omitted), engine
-// counters, cancel cause — under the server-assigned request ID.
-type traceJSON struct {
-	RequestID   string           `json:"request_id"`
-	PhaseNs     map[string]int64 `json:"phase_ns"`
-	Comparisons int64            `json:"comparisons"`
-	NodeTests   int64            `json:"node_tests"`
-	Filtered    int64            `json:"filtered"`
-	Results     int64            `json:"results"`
-	Replicas    int64            `json:"replicas"`
-	Cancel      string           `json:"cancel"`
-}
-
-func spanTraceJSON(sp *touch.Span) *traceJSON {
-	return &traceJSON{
+// spanTrace renders a span as the X-Touch-Trace response field.
+func spanTrace(sp *touch.Span) *api.Trace {
+	return &api.Trace{
 		RequestID:   sp.RequestID,
 		PhaseNs:     spanPhaseNs(sp),
 		Comparisons: sp.Comparisons,
@@ -869,121 +677,32 @@ func spanTraceJSON(sp *touch.Span) *traceJSON {
 	}
 }
 
-func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
-	ri := requestInfo(ctx)
-	var sp *touch.Span
-	if ri != nil {
-		sp = &ri.span
-		ri.dataset = name
+func (s *Server) handleQuery(h *httpRequest) *api.Error {
+	var req api.QueryRequest
+	if e := h.decode(s, &req); e != nil {
+		return e
 	}
-	decStart := time.Now()
-	var req queryRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		writeDecodeError(w, err)
-		return
+	q, e := req.Query()
+	if e != nil {
+		return e
 	}
-	sp.Add(trace.PhaseDecode, time.Since(decStart))
-	snap, ok := s.serving(w, name)
-	if !ok {
-		return
+	snap, e := resolve(s, &h.request, h.dataset)
+	if e != nil {
+		return e
 	}
-	if hook := s.testHookWorker; hook != nil {
-		hook(ctx)
+	ids, nbrs, e := s.runQuery(h.ctx, &h.request, snap, &q)
+	if e != nil {
+		return e
 	}
-	// Single-probe queries run in microseconds, so the deadline is only
-	// checked at the boundary — a request whose budget is already gone
-	// (it spent it queueing upstream, or the client left) skips the work.
-	if ctx.Err() != nil {
-		s.writeAborted(ctx, w)
-		return
+	resp := api.NewQueryResponse(h.dataset, snap.version, q.Type, ids, nbrs)
+	if h.traced {
+		resp.Trace = spanTrace(&h.span)
 	}
-	resp := queryResponse{Dataset: name, Version: snap.version, Type: req.Type}
-	switch req.Type {
-	case "range":
-		if len(req.Box) != 6 {
-			writeError(w, http.StatusBadRequest, codeInvalidBox, "range query needs a 6-number box, got %d", len(req.Box))
-			return
-		}
-		box := touch.Box{
-			Min: touch.Point{req.Box[0], req.Box[1], req.Box[2]},
-			Max: touch.Point{req.Box[3], req.Box[4], req.Box[5]},
-		}
-		ids, err := snap.engine().RangeQueryTraced(box, sp)
-		if err != nil {
-			engineError(err).write(w)
-			return
-		}
-		resp.IDs, resp.Count = ids, len(ids)
-	case "point":
-		if len(req.Point) != 3 {
-			writeError(w, http.StatusBadRequest, codeInvalidPoint, "point query needs a 3-number point, got %d", len(req.Point))
-			return
-		}
-		ids, err := snap.engine().PointQueryTraced(req.Point[0], req.Point[1], req.Point[2], sp)
-		if err != nil {
-			engineError(err).write(w)
-			return
-		}
-		resp.IDs, resp.Count = ids, len(ids)
-	case "knn":
-		if len(req.Point) != 3 {
-			writeError(w, http.StatusBadRequest, codeInvalidPoint, "knn query needs a 3-number point, got %d", len(req.Point))
-			return
-		}
-		nbrs, err := snap.engine().KNNTraced(touch.Point{req.Point[0], req.Point[1], req.Point[2]}, req.K, sp)
-		if err != nil {
-			engineError(err).write(w)
-			return
-		}
-		resp.Neighbors = make([]neighborJSON, len(nbrs))
-		for i, n := range nbrs {
-			resp.Neighbors[i] = neighborJSON{ID: n.ID, Distance: n.Distance}
-		}
-		resp.Count = len(nbrs)
-	default:
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"unknown query type %q (want range, point or knn)", req.Type)
-		return
-	}
-	if ri != nil && ri.traced {
-		resp.Trace = spanTraceJSON(sp)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(h, http.StatusOK, resp)
+	return nil
 }
 
 // --- join ---------------------------------------------------------------
-
-// joinRequest is the JSON body of POST /v1/datasets/{name}/join. Exactly
-// one of Boxes (an inline probe dataset) or Probe (the name of a loaded
-// dataset) selects the probe side.
-type joinRequest struct {
-	Boxes     [][]float64 `json:"boxes,omitempty"`
-	Probe     string      `json:"probe,omitempty"`
-	Eps       float64     `json:"eps,omitempty"`
-	Workers   int         `json:"workers,omitempty"`
-	CountOnly bool        `json:"count_only,omitempty"`
-}
-
-type joinStatsJSON struct {
-	Comparisons int64 `json:"comparisons"`
-	NodeTests   int64 `json:"node_tests"`
-	Filtered    int64 `json:"filtered"`
-	MemoryBytes int64 `json:"memory_bytes"`
-	AssignNs    int64 `json:"assign_ns"`
-	JoinNs      int64 `json:"join_ns"`
-}
-
-type joinResponse struct {
-	Dataset      string         `json:"dataset"`
-	Version      int64          `json:"version"`
-	Probe        string         `json:"probe,omitempty"`
-	ProbeVersion int64          `json:"probe_version,omitempty"`
-	ProbeObjects int            `json:"probe_objects"`
-	Count        int64          `json:"count"`
-	Pairs        [][2]touch.ID  `json:"pairs,omitempty"`
-	Stats        *joinStatsJSON `json:"stats,omitempty"`
-	Trace        *traceJSON     `json:"trace,omitempty"`
-}
 
 // ndjsonContentType is the media type selecting (and labelling) the
 // streaming join response.
@@ -1010,63 +729,26 @@ func wantsNDJSON(accept string) bool {
 	return false
 }
 
-func (s *Server) handleJoin(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) {
-	ri := requestInfo(ctx)
-	var sp *touch.Span
-	if ri != nil {
-		sp = &ri.span
-		ri.dataset = name
+func (s *Server) handleJoin(h *httpRequest) *api.Error {
+	var req api.JoinRequest
+	if e := h.decode(s, &req); e != nil {
+		return e
 	}
-	decStart := time.Now()
-	var req joinRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		writeDecodeError(w, err)
-		return
+	snap, e := resolve(s, &h.request, h.dataset)
+	if e != nil {
+		return e
 	}
-	sp.Add(trace.PhaseDecode, time.Since(decStart))
-	snap, ok := s.serving(w, name)
-	if !ok {
-		return
+	inline, e := req.ProbeBoxes()
+	if e != nil {
+		return e
 	}
-
-	resp := joinResponse{Dataset: name, Version: snap.version}
-	var probe touch.Dataset
-	switch {
-	case req.Probe != "" && req.Boxes != nil:
-		writeError(w, http.StatusBadRequest, codeBadRequest, "give either inline boxes or a probe name, not both")
-		return
-	case req.Probe != "":
-		probeSnap, ok := s.serving(w, req.Probe)
-		if !ok {
-			return
-		}
-		// dataset() folds the probe's pending updates in, so a named
-		// probe joins with the same merged state its own queries see.
-		probe = probeSnap.dataset()
-		resp.Probe, resp.ProbeVersion = req.Probe, probeSnap.version
-	case req.Boxes != nil:
-		var err error
-		if probe, err = boxesToDataset(req.Boxes); err != nil {
-			writeError(w, http.StatusBadRequest, codeInvalidBox, "%v", err)
-			return
-		}
-	default:
-		writeError(w, http.StatusBadRequest, codeBadRequest, "give inline boxes or a probe name")
-		return
+	plan, e := prepareJoin(s, &h.request, snap, req.Probe, inline, req.Workers)
+	if e != nil {
+		return e
 	}
-	resp.ProbeObjects = len(probe)
-
-	workers := clampWorkers(req.Workers)
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
-	if hook := s.testHookWorker; hook != nil {
-		hook(ctx)
-	}
-
-	if !req.CountOnly && wantsNDJSON(r.Header.Get("Accept")) {
-		s.streamJoin(ctx, w, snap, probe, req.Eps, workers, sp)
-		return
+	s.hook(h.ctx)
+	if !req.CountOnly && wantsNDJSON(h.r.Header.Get("Accept")) {
+		return s.streamJoin(h, plan, req.Eps)
 	}
 
 	// The buffered path runs with a result limit one past the response
@@ -1074,40 +756,33 @@ func (s *Server) handleJoin(ctx context.Context, w http.ResponseWriter, r *http.
 	// there, instead of materializing |A|·|B| pairs to throw away.
 	// count_only joins carry no pairs, so their count stays exact and
 	// uncapped.
-	opt := &touch.Options{Workers: workers, NoPairs: req.CountOnly, Trace: sp}
+	limit := int64(0)
 	if !req.CountOnly {
-		opt.Limit = int64(s.cfg.MaxJoinPairs) + 1
+		limit = int64(s.cfg.MaxJoinPairs) + 1
 	}
-	// ε = 0 is the plain intersection join; Dataset.Expand(0) is the
-	// identity, so there is no expansion copy to skip.
-	res, err := snap.engine().DistanceJoinCtx(ctx, probe, req.Eps, opt)
-	switch {
-	case errors.Is(err, touch.ErrJoinCanceled):
-		s.writeAborted(ctx, w)
-		return
-	case err != nil:
-		engineError(err).write(w)
-		return
+	res, e := s.join(h.ctx, &h.request, plan, req.Eps, req.CountOnly, limit)
+	if e != nil {
+		return e
 	}
-	resp.Count = res.Stats.Results
+	resp := api.JoinResponse{
+		Dataset: h.dataset, Version: plan.snap.version,
+		Probe: req.Probe, ProbeVersion: plan.probeVersion, ProbeObjects: len(plan.probe),
+		Count: res.Stats.Results,
+	}
 	if !req.CountOnly {
 		if res.Stats.Results > int64(s.cfg.MaxJoinPairs) {
 			s.met.rejectLimited.Add(1)
-			writeError(w, http.StatusUnprocessableEntity, codeResultTooLarge,
+			return api.Errorf(api.CodeResultTooLarge,
 				"join exceeds the %d-pair response cap; use count_only, the %s streaming mode, or a narrower probe",
 				s.cfg.MaxJoinPairs, ndjsonContentType)
-			return
 		}
 		// Canonical (indexed, probe) ascending order: parallel joins
 		// emit in nondeterministic order, but the wire format is
 		// stable and byte-identical to a direct Index call.
 		res.SortPairs()
-		resp.Pairs = make([][2]touch.ID, len(res.Pairs))
-		for i, p := range res.Pairs {
-			resp.Pairs[i] = [2]touch.ID{p.A, p.B}
-		}
+		resp.Pairs = api.Pairs(res.Pairs)
 	}
-	resp.Stats = &joinStatsJSON{
+	resp.Stats = &api.JoinStats{
 		Comparisons: res.Stats.Comparisons,
 		NodeTests:   res.Stats.NodeTests,
 		Filtered:    res.Stats.Filtered,
@@ -1115,10 +790,11 @@ func (s *Server) handleJoin(ctx context.Context, w http.ResponseWriter, r *http.
 		AssignNs:    res.Stats.AssignTime.Nanoseconds(),
 		JoinNs:      res.Stats.JoinTime.Nanoseconds(),
 	}
-	if ri != nil && ri.traced {
-		resp.Trace = spanTraceJSON(sp)
+	if h.traced {
+		resp.Trace = spanTrace(&h.span)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(h, http.StatusOK, resp)
+	return nil
 }
 
 // streamFlushEvery is how many NDJSON pair lines are written between
@@ -1141,27 +817,24 @@ const streamFlushInterval = 250 * time.Millisecond
 // expiry cancels the engine mid-stream; the truncated stream simply
 // ends without the trailer (the status line is long gone), and the
 // abort is recorded under its own reject reason.
-func (s *Server) streamJoin(ctx context.Context, w http.ResponseWriter, snap *snapshot, probe touch.Dataset, eps float64, workers int, sp *touch.Span) {
+func (s *Server) streamJoin(h *httpRequest, plan joinPlan, eps float64) *api.Error {
+	ctx := h.ctx
 	// The eps validation must run before the 200 goes on the wire, so it
 	// is checked here for the status and delegated to the engine
 	// (DistanceJoinSeq) for the semantics — expansion policy included.
 	if eps < 0 {
-		writeError(w, http.StatusBadRequest, codeInvalidEps, "%v",
-			fmt.Errorf("%w %g", touch.ErrNegativeDistance, eps))
-		return
+		return api.EngineError(fmt.Errorf("%w %g", touch.ErrNegativeDistance, eps))
 	}
 	// Last boundary check before the 200 goes on the wire: a request
 	// whose budget is already gone (or whose client already left) gets
 	// the same 503/499 the buffered path would give, not an empty
 	// trailer-less 200.
 	if ctx.Err() != nil {
-		s.writeAborted(ctx, w)
-		return
+		return s.aborted(ctx)
 	}
-	w.Header().Set("Content-Type", ndjsonContentType)
-	w.WriteHeader(http.StatusOK)
-	bw := bufio.NewWriterSize(w, 64<<10)
-	flusher, _ := w.(http.Flusher)
+	h.Header().Set("Content-Type", ndjsonContentType)
+	h.WriteHeader(http.StatusOK)
+	bw := bufio.NewWriterSize(h, 64<<10)
 
 	// All writer access — pair lines, count-based flushes and the timer
 	// goroutine's staleness flushes — runs under one mutex: the
@@ -1171,9 +844,7 @@ func (s *Server) streamJoin(ctx context.Context, w http.ResponseWriter, snap *sn
 	dirty := false
 	flushLocked := func() {
 		_ = bw.Flush()
-		if flusher != nil {
-			flusher.Flush()
-		}
+		h.Flush()
 		dirty = false
 	}
 	stopTimer := make(chan struct{})
@@ -1203,19 +874,18 @@ func (s *Server) streamJoin(ctx context.Context, w http.ResponseWriter, snap *sn
 	}()
 
 	n := int64(0)
-	for p, err := range snap.engine().DistanceJoinSeq(ctx, probe, eps, &touch.Options{Workers: workers, Trace: sp}) {
+	for p, err := range plan.snap.engine().DistanceJoinSeq(ctx, plan.probe, eps,
+		&touch.Options{Workers: plan.workers, Trace: &h.span}) {
 		if err != nil {
 			// Mid-stream failure: the 200 is already on the wire, so the
 			// truncation is the signal — plus, for cancellations, the
-			// reject metric. (A non-cancellation engine error is
-			// unreachable today: eps was validated above.)
-			if errors.Is(err, touch.ErrJoinCanceled) {
-				s.recordAbort(ctx)
-			}
+			// reject metric joinError records. (A non-cancellation engine
+			// error is unreachable today: eps was validated above.)
+			s.joinError(ctx, err)
 			mu.Lock()
 			_ = bw.Flush()
 			mu.Unlock()
-			return
+			return nil
 		}
 		mu.Lock()
 		fmt.Fprintf(bw, "[%d,%d]\n", p.A, p.B)
@@ -1229,49 +899,5 @@ func (s *Server) streamJoin(ctx context.Context, w http.ResponseWriter, snap *sn
 	fmt.Fprintf(bw, "{\"count\":%d}\n", n)
 	_ = bw.Flush()
 	mu.Unlock()
-}
-
-// --- decoding helpers ---------------------------------------------------
-
-// decodeJSONBody decodes the request body, rejecting trailing garbage.
-func decodeJSONBody(r *http.Request, into any) error {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(into); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("request body has trailing data after the JSON document")
-	}
 	return nil
-}
-
-// writeDecodeError distinguishes an over-cap body (413, from
-// http.MaxBytesReader), an invalid dataset box (400 invalid_box) and
-// plain malformed input (400 bad_request).
-func writeDecodeError(w http.ResponseWriter, err error) {
-	var tooLarge *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
-			"request body exceeds the %d-byte cap", tooLarge.Limit)
-	case errors.Is(err, touch.ErrInvalidBox):
-		writeError(w, http.StatusBadRequest, codeInvalidBox, "%v", err)
-	default:
-		writeError(w, http.StatusBadRequest, codeBadRequest, "decoding request: %v", err)
-	}
-}
-
-// boxesToDataset turns decoded JSON rows into a hardened Dataset.
-func boxesToDataset(rows [][]float64) (touch.Dataset, error) {
-	boxes := make([]touch.Box, len(rows))
-	for i, row := range rows {
-		if len(row) != 6 {
-			return nil, fmt.Errorf("box %d: want 6 numbers [minX minY minZ maxX maxY maxZ], got %d", i, len(row))
-		}
-		boxes[i] = touch.Box{
-			Min: touch.Point{row[0], row[1], row[2]},
-			Max: touch.Point{row[3], row[4], row[5]},
-		}
-	}
-	return touch.DatasetFromBoxes(boxes)
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"touch"
+	"touch/internal/api"
 	"touch/internal/testutil"
 )
 
@@ -75,7 +76,7 @@ func (ts *testServer) postJSON(path string, body any) (int, []byte) {
 // errCode extracts the structured error code of a non-2xx body.
 func errCode(t *testing.T, body []byte) string {
 	t.Helper()
-	var eb errorBody
+	var eb api.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatalf("response is not a structured JSON error: %v (%s)", err, body)
 	}
@@ -124,7 +125,7 @@ func (ts *testServer) waitServing(name string, v int64) {
 	ts.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if snap, ok := ts.srv.cat.snapshot(name); ok && snap != nil && snap.version >= v {
+		if snap, ok := snapshotOf(ts.srv.cat, name); ok && snap != nil && snap.version >= v {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -144,7 +145,7 @@ func TestEndToEndQueryDifferential(t *testing.T) {
 	boxes, points, ks := testutil.QueryWorkload(12, 24)
 	for i := range boxes {
 		// Range.
-		status, body := ts.postJSON("/v1/datasets/main/query", queryRequest{
+		status, body := ts.postJSON("/v1/datasets/main/query", api.QueryRequest{
 			Type: "range",
 			Box: []float64{boxes[i].Min[0], boxes[i].Min[1], boxes[i].Min[2],
 				boxes[i].Max[0], boxes[i].Max[1], boxes[i].Max[2]},
@@ -152,7 +153,7 @@ func TestEndToEndQueryDifferential(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("range %d: status %d: %s", i, status, body)
 		}
-		var qr queryResponse
+		var qr api.QueryResponse
 		if err := json.Unmarshal(body, &qr); err != nil {
 			t.Fatal(err)
 		}
@@ -170,13 +171,13 @@ func TestEndToEndQueryDifferential(t *testing.T) {
 		}
 
 		// Point.
-		status, body = ts.postJSON("/v1/datasets/main/query", queryRequest{
+		status, body = ts.postJSON("/v1/datasets/main/query", api.QueryRequest{
 			Type: "point", Point: points[i][:],
 		})
 		if status != http.StatusOK {
 			t.Fatalf("point %d: status %d: %s", i, status, body)
 		}
-		qr = queryResponse{}
+		qr = api.QueryResponse{}
 		if err := json.Unmarshal(body, &qr); err != nil {
 			t.Fatal(err)
 		}
@@ -194,13 +195,13 @@ func TestEndToEndQueryDifferential(t *testing.T) {
 		}
 
 		// kNN.
-		status, body = ts.postJSON("/v1/datasets/main/query", queryRequest{
+		status, body = ts.postJSON("/v1/datasets/main/query", api.QueryRequest{
 			Type: "knn", Point: points[i][:], K: ks[i],
 		})
 		if status != http.StatusOK {
 			t.Fatalf("knn %d: status %d: %s", i, status, body)
 		}
-		qr = queryResponse{}
+		qr = api.QueryResponse{}
 		if err := json.Unmarshal(body, &qr); err != nil {
 			t.Fatal(err)
 		}
@@ -245,11 +246,11 @@ func TestJoinEndpoint(t *testing.T) {
 
 	// Inline probe, eps = 0 (plain intersection), explicit workers.
 	for _, workers := range []int{0, 2} {
-		status, body := ts.postJSON("/v1/datasets/a/join", joinRequest{Boxes: boxRows(b), Workers: workers})
+		status, body := ts.postJSON("/v1/datasets/a/join", api.JoinRequest{Boxes: boxRows(b), Workers: workers})
 		if status != http.StatusOK {
 			t.Fatalf("inline join: status %d: %s", status, body)
 		}
-		var jr joinResponse
+		var jr api.JoinResponse
 		if err := json.Unmarshal(body, &jr); err != nil {
 			t.Fatal(err)
 		}
@@ -266,11 +267,11 @@ func TestJoinEndpoint(t *testing.T) {
 	}
 
 	// Named probe with ε-distance.
-	status, body := ts.postJSON("/v1/datasets/a/join", joinRequest{Probe: "b", Eps: 4})
+	status, body := ts.postJSON("/v1/datasets/a/join", api.JoinRequest{Probe: "b", Eps: 4})
 	if status != http.StatusOK {
 		t.Fatalf("named join: status %d: %s", status, body)
 	}
-	var jr joinResponse
+	var jr api.JoinResponse
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +286,11 @@ func TestJoinEndpoint(t *testing.T) {
 	}
 
 	// count_only suppresses pairs but keeps the count.
-	status, body = ts.postJSON("/v1/datasets/a/join", joinRequest{Probe: "b", CountOnly: true})
+	status, body = ts.postJSON("/v1/datasets/a/join", api.JoinRequest{Probe: "b", CountOnly: true})
 	if status != http.StatusOK {
 		t.Fatalf("count join: status %d: %s", status, body)
 	}
-	jr = joinResponse{}
+	jr = api.JoinResponse{}
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatal(err)
 	}
@@ -308,11 +309,11 @@ func TestTextLoader(t *testing.T) {
 		t.Fatalf("text load: status %d: %s", status, body)
 	}
 	ts.waitServing("txt", 1)
-	status, body = ts.postJSON("/v1/datasets/txt/query", queryRequest{Type: "point", Point: []float64{6, 6, 6}})
+	status, body = ts.postJSON("/v1/datasets/txt/query", api.QueryRequest{Type: "point", Point: []float64{6, 6, 6}})
 	if status != http.StatusOK {
 		t.Fatalf("query: status %d: %s", status, body)
 	}
-	var qr queryResponse
+	var qr api.QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +354,8 @@ func TestCatalogListingAndDelete(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("delete: status %d", status)
 	}
-	status, body = ts.postJSON("/v1/datasets/listed/query", queryRequest{Type: "point", Point: []float64{0, 0, 0}})
-	if status != http.StatusNotFound || errCode(t, body) != codeUnknownDataset {
+	status, body = ts.postJSON("/v1/datasets/listed/query", api.QueryRequest{Type: "point", Point: []float64{0, 0, 0}})
+	if status != http.StatusNotFound || errCode(t, body) != api.CodeUnknownDataset {
 		t.Fatalf("query after delete: %d %s", status, body)
 	}
 }
@@ -374,35 +375,35 @@ func TestErrorStatuses(t *testing.T) {
 		wantStatus  int
 		wantCode    string
 	}{
-		{"unknown route", http.MethodGet, "/nope", "", nil, 404, codeNotFound},
-		{"unknown action", http.MethodPost, "/v1/datasets/ds/frobnicate", "application/json", queryRequest{}, 404, codeNotFound},
-		{"list wrong method", http.MethodPost, "/v1/datasets", "application/json", nil, 405, codeMethod},
-		{"query wrong method", http.MethodGet, "/v1/datasets/ds/query", "", nil, 405, codeMethod},
-		{"load wrong method", http.MethodPut, "/v1/datasets/ds", "", nil, 405, codeMethod},
-		{"bad dataset name", http.MethodPost, "/v1/datasets/bad%20name", "application/json", loadRequest{}, 400, codeInvalidName},
-		{"unknown dataset query", http.MethodPost, "/v1/datasets/ghost/query", "application/json", queryRequest{Type: "point", Point: []float64{0, 0, 0}}, 404, codeUnknownDataset},
-		{"unknown dataset join", http.MethodPost, "/v1/datasets/ghost/join", "application/json", joinRequest{Boxes: [][]float64{}}, 404, codeUnknownDataset},
-		{"unknown probe name", http.MethodPost, "/v1/datasets/ds/join", "application/json", joinRequest{Probe: "ghost"}, 404, codeUnknownDataset},
-		{"delete unknown", http.MethodDelete, "/v1/datasets/ghost", "", nil, 404, codeUnknownDataset},
-		{"malformed json", http.MethodPost, "/v1/datasets/ds/query", "application/json", []byte("{nope"), 400, codeBadRequest},
-		{"trailing garbage", http.MethodPost, "/v1/datasets/ds/query", "application/json", []byte(`{"type":"point","point":[0,0,0]} extra`), 400, codeBadRequest},
-		{"unknown query type", http.MethodPost, "/v1/datasets/ds/query", "application/json", queryRequest{Type: "cube"}, 400, codeBadRequest},
-		{"short box", http.MethodPost, "/v1/datasets/ds/query", "application/json", queryRequest{Type: "range", Box: []float64{0, 0, 0, 1}}, 400, codeInvalidBox},
-		{"inverted box", http.MethodPost, "/v1/datasets/ds/query", "application/json", queryRequest{Type: "range", Box: []float64{5, 0, 0, 1, 1, 1}}, 400, codeInvalidBox},
+		{"unknown route", http.MethodGet, "/nope", "", nil, 404, api.CodeNotFound},
+		{"unknown action", http.MethodPost, "/v1/datasets/ds/frobnicate", "application/json", api.QueryRequest{}, 404, api.CodeNotFound},
+		{"list wrong method", http.MethodPost, "/v1/datasets", "application/json", nil, 405, api.CodeMethod},
+		{"query wrong method", http.MethodGet, "/v1/datasets/ds/query", "", nil, 405, api.CodeMethod},
+		{"load wrong method", http.MethodPut, "/v1/datasets/ds", "", nil, 405, api.CodeMethod},
+		{"bad dataset name", http.MethodPost, "/v1/datasets/bad%20name", "application/json", loadRequest{}, 400, api.CodeInvalidName},
+		{"unknown dataset query", http.MethodPost, "/v1/datasets/ghost/query", "application/json", api.QueryRequest{Type: "point", Point: []float64{0, 0, 0}}, 404, api.CodeUnknownDataset},
+		{"unknown dataset join", http.MethodPost, "/v1/datasets/ghost/join", "application/json", api.JoinRequest{Boxes: [][]float64{}}, 404, api.CodeUnknownDataset},
+		{"unknown probe name", http.MethodPost, "/v1/datasets/ds/join", "application/json", api.JoinRequest{Probe: "ghost"}, 404, api.CodeUnknownDataset},
+		{"delete unknown", http.MethodDelete, "/v1/datasets/ghost", "", nil, 404, api.CodeUnknownDataset},
+		{"malformed json", http.MethodPost, "/v1/datasets/ds/query", "application/json", []byte("{nope"), 400, api.CodeBadRequest},
+		{"trailing garbage", http.MethodPost, "/v1/datasets/ds/query", "application/json", []byte(`{"type":"point","point":[0,0,0]} extra`), 400, api.CodeBadRequest},
+		{"unknown query type", http.MethodPost, "/v1/datasets/ds/query", "application/json", api.QueryRequest{Type: "cube"}, 400, api.CodeBadRequest},
+		{"short box", http.MethodPost, "/v1/datasets/ds/query", "application/json", api.QueryRequest{Type: "range", Box: []float64{0, 0, 0, 1}}, 400, api.CodeInvalidBox},
+		{"inverted box", http.MethodPost, "/v1/datasets/ds/query", "application/json", api.QueryRequest{Type: "range", Box: []float64{5, 0, 0, 1, 1, 1}}, 400, api.CodeInvalidBox},
 		// JSON itself cannot carry NaN/Inf — an out-of-range literal dies
 		// in the decoder (the NaN path is reachable via the text loader).
-		{"overflow box", http.MethodPost, "/v1/datasets/ds/query", "application/json", []byte(`{"type":"range","box":[1e999,0,0,1,1,1]}`), 400, codeBadRequest},
-		{"short point", http.MethodPost, "/v1/datasets/ds/query", "application/json", queryRequest{Type: "point", Point: []float64{1}}, 400, codeInvalidPoint},
-		{"bad k", http.MethodPost, "/v1/datasets/ds/query", "application/json", queryRequest{Type: "knn", Point: []float64{0, 0, 0}, K: 0}, 400, codeInvalidK},
-		{"negative eps", http.MethodPost, "/v1/datasets/ds/join", "application/json", joinRequest{Boxes: [][]float64{{0, 0, 0, 1, 1, 1}}, Eps: -2}, 400, codeInvalidEps},
-		{"join no probe", http.MethodPost, "/v1/datasets/ds/join", "application/json", joinRequest{}, 400, codeBadRequest},
-		{"join both probes", http.MethodPost, "/v1/datasets/ds/join", "application/json", joinRequest{Boxes: [][]float64{{0, 0, 0, 1, 1, 1}}, Probe: "ds"}, 400, codeBadRequest},
-		{"load bad row width", http.MethodPost, "/v1/datasets/w", "application/json", loadRequest{Boxes: [][]float64{{1, 2, 3}}}, 400, codeInvalidBox},
-		{"load inverted box", http.MethodPost, "/v1/datasets/w", "application/json", loadRequest{Boxes: [][]float64{{9, 0, 0, 1, 1, 1}}}, 400, codeInvalidBox},
-		{"load text nan", http.MethodPost, "/v1/datasets/w", "text/plain", []byte("NaN 0 0 1 1 1\n"), 400, codeInvalidBox},
-		{"load text inf", http.MethodPost, "/v1/datasets/w", "text/plain", []byte("0 0 0 1 1 Inf\n"), 400, codeInvalidBox},
-		{"load wrong content type", http.MethodPost, "/v1/datasets/w", "application/protobuf", []byte("x"), 415, codeUnsupported},
-		{"join inline inverted box", http.MethodPost, "/v1/datasets/ds/join", "application/json", joinRequest{Boxes: [][]float64{{9, 0, 0, 1, 1, 1}}}, 400, codeInvalidBox},
+		{"overflow box", http.MethodPost, "/v1/datasets/ds/query", "application/json", []byte(`{"type":"range","box":[1e999,0,0,1,1,1]}`), 400, api.CodeBadRequest},
+		{"short point", http.MethodPost, "/v1/datasets/ds/query", "application/json", api.QueryRequest{Type: "point", Point: []float64{1}}, 400, api.CodeInvalidPoint},
+		{"bad k", http.MethodPost, "/v1/datasets/ds/query", "application/json", api.QueryRequest{Type: "knn", Point: []float64{0, 0, 0}, K: 0}, 400, api.CodeInvalidK},
+		{"negative eps", http.MethodPost, "/v1/datasets/ds/join", "application/json", api.JoinRequest{Boxes: [][]float64{{0, 0, 0, 1, 1, 1}}, Eps: -2}, 400, api.CodeInvalidEps},
+		{"join no probe", http.MethodPost, "/v1/datasets/ds/join", "application/json", api.JoinRequest{}, 400, api.CodeBadRequest},
+		{"join both probes", http.MethodPost, "/v1/datasets/ds/join", "application/json", api.JoinRequest{Boxes: [][]float64{{0, 0, 0, 1, 1, 1}}, Probe: "ds"}, 400, api.CodeBadRequest},
+		{"load bad row width", http.MethodPost, "/v1/datasets/w", "application/json", loadRequest{Boxes: [][]float64{{1, 2, 3}}}, 400, api.CodeInvalidBox},
+		{"load inverted box", http.MethodPost, "/v1/datasets/w", "application/json", loadRequest{Boxes: [][]float64{{9, 0, 0, 1, 1, 1}}}, 400, api.CodeInvalidBox},
+		{"load text nan", http.MethodPost, "/v1/datasets/w", "text/plain", []byte("NaN 0 0 1 1 1\n"), 400, api.CodeInvalidBox},
+		{"load text inf", http.MethodPost, "/v1/datasets/w", "text/plain", []byte("0 0 0 1 1 Inf\n"), 400, api.CodeInvalidBox},
+		{"load wrong content type", http.MethodPost, "/v1/datasets/w", "application/protobuf", []byte("x"), 415, api.CodeUnsupported},
+		{"join inline inverted box", http.MethodPost, "/v1/datasets/ds/join", "application/json", api.JoinRequest{Boxes: [][]float64{{9, 0, 0, 1, 1, 1}}}, 400, api.CodeInvalidBox},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -419,7 +420,7 @@ func TestErrorStatuses(t *testing.T) {
 	// Oversized body → 413 with code body_too_large.
 	big := loadRequest{Boxes: boxRows(touch.GenerateUniform(200, 42))}
 	status, body := ts.postJSON("/v1/datasets/big", big)
-	if status != http.StatusRequestEntityTooLarge || errCode(t, body) != codeBodyTooLarge {
+	if status != http.StatusRequestEntityTooLarge || errCode(t, body) != api.CodeBodyTooLarge {
 		t.Fatalf("oversized body: %d %s", status, body)
 	}
 }
@@ -444,8 +445,8 @@ func TestBuildingStatus(t *testing.T) {
 	}
 
 	// First version not ready: query → 503 building, listing → building.
-	status, body = ts.postJSON("/v1/datasets/slow/query", queryRequest{Type: "point", Point: []float64{1, 1, 1}})
-	if status != http.StatusServiceUnavailable || errCode(t, body) != codeBuilding {
+	status, body = ts.postJSON("/v1/datasets/slow/query", api.QueryRequest{Type: "point", Point: []float64{1, 1, 1}})
+	if status != http.StatusServiceUnavailable || errCode(t, body) != api.CodeBuilding {
 		t.Fatalf("query while building: %d %s", status, body)
 	}
 	_, body = ts.do(http.MethodGet, "/v1/datasets", "", nil)
@@ -462,11 +463,11 @@ func TestBuildingStatus(t *testing.T) {
 	if status != http.StatusAccepted {
 		t.Fatalf("reload: %d", status)
 	}
-	status, body = ts.postJSON("/v1/datasets/slow/query", queryRequest{Type: "point", Point: []float64{1, 1, 1}})
+	status, body = ts.postJSON("/v1/datasets/slow/query", api.QueryRequest{Type: "point", Point: []float64{1, 1, 1}})
 	if status != http.StatusOK {
 		t.Fatalf("query during rebuild: %d %s", status, body)
 	}
-	var qr queryResponse
+	var qr api.QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +481,7 @@ func TestBuildingStatus(t *testing.T) {
 
 	tokens <- struct{}{} // release build 2
 	ts.waitServing("slow", 2)
-	status, body = ts.postJSON("/v1/datasets/slow/query", queryRequest{Type: "point", Point: []float64{1, 1, 1}})
+	status, body = ts.postJSON("/v1/datasets/slow/query", api.QueryRequest{Type: "point", Point: []float64{1, 1, 1}})
 	if status != http.StatusOK {
 		t.Fatal(status)
 	}
@@ -507,7 +508,7 @@ func TestOverloadRejects(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			status, _ := ts.postJSON("/v1/datasets/ds/query", queryRequest{Type: "point", Point: []float64{1, 1, 1}})
+			status, _ := ts.postJSON("/v1/datasets/ds/query", api.QueryRequest{Type: "point", Point: []float64{1, 1, 1}})
 			if status != http.StatusOK {
 				t.Errorf("blocked query finished with %d", status)
 			}
@@ -530,7 +531,7 @@ func TestOverloadRejects(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests || errCode(t, body) != codeOverload {
+	if resp.StatusCode != http.StatusTooManyRequests || errCode(t, body) != api.CodeOverload {
 		t.Fatalf("overload: %d %s", resp.StatusCode, body)
 	}
 	if resp.Header.Get("Retry-After") == "" {
@@ -565,8 +566,8 @@ func TestRequestTimeout(t *testing.T) {
 	ts.srv.testHookWorker = func(ctx context.Context) { <-ctx.Done() }
 	ts.loadAndWait("ds", touch.GenerateUniform(100, 71), 16)
 
-	status, body := ts.postJSON("/v1/datasets/ds/query", queryRequest{Type: "point", Point: []float64{1, 1, 1}})
-	if status != http.StatusServiceUnavailable || errCode(t, body) != codeTimeout {
+	status, body := ts.postJSON("/v1/datasets/ds/query", api.QueryRequest{Type: "point", Point: []float64{1, 1, 1}})
+	if status != http.StatusServiceUnavailable || errCode(t, body) != api.CodeTimeout {
 		t.Fatalf("timeout: %d %s", status, body)
 	}
 	// The slot frees with the response, with nothing to unblock: only the
@@ -594,8 +595,8 @@ func TestJoinTimeoutCancelsEngine(t *testing.T) {
 	ts.loadAndWait("ds", touch.GenerateUniform(200, 72).Expand(5), 16)
 
 	status, body := ts.postJSON("/v1/datasets/ds/join",
-		joinRequest{Boxes: boxRows(touch.GenerateUniform(300, 73))})
-	if status != http.StatusServiceUnavailable || errCode(t, body) != codeTimeout {
+		api.JoinRequest{Boxes: boxRows(touch.GenerateUniform(300, 73))})
+	if status != http.StatusServiceUnavailable || errCode(t, body) != api.CodeTimeout {
 		t.Fatalf("join timeout: %d %s", status, body)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -618,7 +619,7 @@ func TestGracefulDrain(t *testing.T) {
 
 	inFlight := make(chan int, 1)
 	go func() {
-		status, _ := ts.postJSON("/v1/datasets/ds/query", queryRequest{Type: "point", Point: []float64{1, 1, 1}})
+		status, _ := ts.postJSON("/v1/datasets/ds/query", api.QueryRequest{Type: "point", Point: []float64{1, 1, 1}})
 		inFlight <- status
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -631,8 +632,8 @@ func TestGracefulDrain(t *testing.T) {
 
 	ts.srv.BeginShutdown()
 
-	status, body := ts.postJSON("/v1/datasets/ds/query", queryRequest{Type: "point", Point: []float64{2, 2, 2}})
-	if status != http.StatusServiceUnavailable || errCode(t, body) != codeDraining {
+	status, body := ts.postJSON("/v1/datasets/ds/query", api.QueryRequest{Type: "point", Point: []float64{2, 2, 2}})
+	if status != http.StatusServiceUnavailable || errCode(t, body) != api.CodeDraining {
 		t.Fatalf("query while draining: %d %s", status, body)
 	}
 	status, body = ts.do(http.MethodGet, "/healthz", "", nil)
@@ -652,9 +653,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	ts.loadAndWait("m", touch.GenerateUniform(300, 91), 16)
 	for i := 0; i < 3; i++ {
-		ts.postJSON("/v1/datasets/m/query", queryRequest{Type: "knn", Point: []float64{1, 2, 3}, K: 4})
+		ts.postJSON("/v1/datasets/m/query", api.QueryRequest{Type: "knn", Point: []float64{1, 2, 3}, K: 4})
 	}
-	ts.postJSON("/v1/datasets/m/join", joinRequest{Boxes: [][]float64{{0, 0, 0, 5, 5, 5}}})
+	ts.postJSON("/v1/datasets/m/join", api.JoinRequest{Boxes: [][]float64{{0, 0, 0, 5, 5, 5}}})
 	ts.do(http.MethodGet, "/no/such/route", "", nil) // routing-layer 404
 
 	status, body := ts.do(http.MethodGet, "/healthz", "", nil)
@@ -696,7 +697,7 @@ func TestSyncLoad(t *testing.T) {
 	if v != 1 || stats.Objects != len(ds) {
 		t.Fatalf("Load returned v=%d stats=%+v", v, stats)
 	}
-	snap, ok := s.cat.snapshot("pre")
+	snap, ok := snapshotOf(s.cat, "pre")
 	if !ok || snap == nil || snap.version != 1 {
 		t.Fatalf("snapshot after sync load: %v %v", snap, ok)
 	}

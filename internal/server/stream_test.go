@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"touch"
+	"touch/internal/api"
 )
 
 // streamPairs POSTs a join with Accept: application/x-ndjson and returns
@@ -77,17 +78,17 @@ func TestNDJSONStreamDifferential(t *testing.T) {
 
 	for _, eps := range []float64{0, 4} {
 		// Buffered answer.
-		status, body := ts.postJSON("/v1/datasets/a/join", joinRequest{Boxes: boxRows(b), Eps: eps})
+		status, body := ts.postJSON("/v1/datasets/a/join", api.JoinRequest{Boxes: boxRows(b), Eps: eps})
 		if status != http.StatusOK {
 			t.Fatalf("buffered join: %d %s", status, body)
 		}
-		var jr joinResponse
+		var jr api.JoinResponse
 		if err := json.Unmarshal(body, &jr); err != nil {
 			t.Fatal(err)
 		}
 
 		// Streamed answer, canonically sorted after the fact.
-		streamed, trailer := ts.streamPairs("/v1/datasets/a/join", joinRequest{Boxes: boxRows(b), Eps: eps})
+		streamed, trailer := ts.streamPairs("/v1/datasets/a/join", api.JoinRequest{Boxes: boxRows(b), Eps: eps})
 		if trailer != int64(len(streamed)) {
 			t.Fatalf("eps=%g: trailer count %d, streamed %d pairs", eps, trailer, len(streamed))
 		}
@@ -124,10 +125,10 @@ func TestNDJSONStreamBypassesResultCap(t *testing.T) {
 	}
 	ts.loadAndWait("dense", ds, 4)
 
-	if status, body := ts.postJSON("/v1/datasets/dense/join", joinRequest{Boxes: boxRows(ds)}); status != http.StatusUnprocessableEntity {
+	if status, body := ts.postJSON("/v1/datasets/dense/join", api.JoinRequest{Boxes: boxRows(ds)}); status != http.StatusUnprocessableEntity {
 		t.Fatalf("buffered over-cap join: %d %s", status, body)
 	}
-	pairs, trailer := ts.streamPairs("/v1/datasets/dense/join", joinRequest{Boxes: boxRows(ds)})
+	pairs, trailer := ts.streamPairs("/v1/datasets/dense/join", api.JoinRequest{Boxes: boxRows(ds)})
 	if len(pairs) != 400 || trailer != 400 {
 		t.Fatalf("streamed %d pairs, trailer %d, want 400", len(pairs), trailer)
 	}
@@ -139,7 +140,7 @@ func TestNDJSONCountOnlyStaysBuffered(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	ds := touch.GenerateUniform(60, 181)
 	ts.loadAndWait("c", ds, 8)
-	req, err := json.Marshal(joinRequest{Boxes: boxRows(ds), CountOnly: true})
+	req, err := json.Marshal(api.JoinRequest{Boxes: boxRows(ds), CountOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestNDJSONExpiredBudgetIsNotA200(t *testing.T) {
 	ts.srv.testHookWorker = func(ctx context.Context) { <-ctx.Done() }
 	ts.loadAndWait("ds", touch.GenerateUniform(50, 191), 8)
 
-	buf, _ := json.Marshal(joinRequest{Boxes: boxRows(touch.GenerateUniform(30, 192))})
+	buf, _ := json.Marshal(api.JoinRequest{Boxes: boxRows(touch.GenerateUniform(30, 192))})
 	req, err := http.NewRequest(http.MethodPost, ts.hs.URL+"/v1/datasets/ds/join", strings.NewReader(string(buf)))
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +222,7 @@ func TestNDJSONDisconnectCancelsStream(t *testing.T) {
 	}
 	ts.loadAndWait("dense", ds, 16)
 
-	buf, _ := json.Marshal(joinRequest{Boxes: boxRows(ds)})
+	buf, _ := json.Marshal(api.JoinRequest{Boxes: boxRows(ds)})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		ts.hs.URL+"/v1/datasets/dense/join", strings.NewReader(string(buf)))

@@ -13,11 +13,12 @@ import (
 
 	"touch"
 	"touch/client"
+	"touch/internal/api"
 	"touch/internal/testutil"
 )
 
 // patch sends a PATCH /v1/datasets/{name} and decodes the ack.
-func (ts *testServer) patch(name string, req updateRequest) (int, []byte) {
+func (ts *testServer) patch(name string, req api.UpdateRequest) (int, []byte) {
 	return ts.do(http.MethodPatch, "/v1/datasets/"+name, "application/json", req)
 }
 
@@ -59,11 +60,11 @@ func (ts *testServer) checkAgainstOracle(o *updOracle, name string, probe touch.
 	t.Helper()
 	boxes, points, ks := testutil.QueryWorkload(seed, 12)
 	for i := range boxes {
-		status, raw := ts.postJSON("/v1/datasets/"+name+"/query", queryRequest{Type: "range", Box: boxRow(boxes[i])})
+		status, raw := ts.postJSON("/v1/datasets/"+name+"/query", api.QueryRequest{Type: "range", Box: boxRow(boxes[i])})
 		if status != http.StatusOK {
 			t.Fatalf("range: status %d: %s", status, raw)
 		}
-		var resp queryResponse
+		var resp api.QueryResponse
 		if err := json.Unmarshal(raw, &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func (ts *testServer) checkAgainstOracle(o *updOracle, name string, probe touch.
 		}
 
 		status, raw = ts.postJSON("/v1/datasets/"+name+"/query",
-			queryRequest{Type: "knn", Point: []float64{points[i][0], points[i][1], points[i][2]}, K: ks[i]})
+			api.QueryRequest{Type: "knn", Point: []float64{points[i][0], points[i][1], points[i][2]}, K: ks[i]})
 		if status != http.StatusOK {
 			t.Fatalf("knn: status %d: %s", status, raw)
 		}
@@ -103,11 +104,11 @@ func (ts *testServer) checkAgainstOracle(o *updOracle, name string, probe touch.
 		}
 	}
 
-	status, raw := ts.postJSON("/v1/datasets/"+name+"/join", joinRequest{Boxes: boxRows(probe), Eps: 2.5})
+	status, raw := ts.postJSON("/v1/datasets/"+name+"/join", api.JoinRequest{Boxes: boxRows(probe), Eps: 2.5})
 	if status != http.StatusOK {
 		ts.t.Fatalf("join: status %d: %s", status, raw)
 	}
-	var jr joinResponse
+	var jr api.JoinResponse
 	if err := json.Unmarshal(raw, &jr); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestUpdateEndToEndDifferential(t *testing.T) {
 		deletes = append(deletes, touch.ID(1<<30)) // unknown: skipped silently
 
 		wantIDs := o.apply(inserts, deletes)
-		status, raw := ts.patch("cells", updateRequest{Insert: rowsOf(inserts), Delete: deletes})
+		status, raw := ts.patch("cells", api.UpdateRequest{Insert: rowsOf(inserts), Delete: deletes})
 		if status != http.StatusOK {
 			t.Fatalf("patch step %d: status %d: %s", step, status, raw)
 		}
@@ -224,7 +225,7 @@ func TestUpdateCompactionPublishes(t *testing.T) {
 		boxes[i] = touch.GenerateUniform(1, int64(i)*77+1)[0].Box
 	}
 	wantIDs := o.apply(boxes, []touch.ID{3, 4, 5})
-	status, raw := ts.patch("cells", updateRequest{Insert: rowsOf(boxes), Delete: []touch.ID{3, 4, 5}})
+	status, raw := ts.patch("cells", api.UpdateRequest{Insert: rowsOf(boxes), Delete: []touch.ID{3, 4, 5}})
 	if status != http.StatusOK {
 		t.Fatalf("patch: status %d: %s", status, raw)
 	}
@@ -233,7 +234,7 @@ func TestUpdateCompactionPublishes(t *testing.T) {
 	// publish with the delta folded in.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		snap, _ := ts.srv.cat.snapshot("cells")
+		snap, _ := snapshotOf(ts.srv.cat, "cells")
 		if snap != nil && snap.version > v0 && snap.d.Size() == 0 {
 			if snap.stats.Objects != 300-3+12 {
 				t.Fatalf("compacted base has %d objects, want %d", snap.stats.Objects, 300-3+12)
@@ -253,7 +254,7 @@ func TestUpdateCompactionPublishes(t *testing.T) {
 	// IDs keep ascending across the fold — the next insert must not
 	// reuse anything, even though the compaction rebuilt the base.
 	next := o.apply([]touch.Box{{Max: touch.Point{1, 1, 1}}}, nil)
-	status, raw = ts.patch("cells", updateRequest{Insert: [][]float64{{0, 0, 0, 1, 1, 1}}})
+	status, raw = ts.patch("cells", api.UpdateRequest{Insert: [][]float64{{0, 0, 0, 1, 1, 1}}})
 	if status != http.StatusOK {
 		t.Fatalf("post-compaction patch: status %d: %s", status, raw)
 	}
@@ -285,29 +286,29 @@ func TestUpdateErrors(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	ts.srv.Load("cells", touch.GenerateUniform(50, 1), touch.TOUCHConfig{})
 
-	status, raw := ts.patch("nosuch", updateRequest{Delete: []touch.ID{1}})
-	if status != http.StatusNotFound || errCode(t, raw) != codeUnknownDataset {
+	status, raw := ts.patch("nosuch", api.UpdateRequest{Delete: []touch.ID{1}})
+	if status != http.StatusNotFound || errCode(t, raw) != api.CodeUnknownDataset {
 		t.Fatalf("unknown dataset: status %d code %s", status, errCode(t, raw))
 	}
 
-	status, raw = ts.patch("cells", updateRequest{})
-	if status != http.StatusBadRequest || errCode(t, raw) != codeBadRequest {
+	status, raw = ts.patch("cells", api.UpdateRequest{})
+	if status != http.StatusBadRequest || errCode(t, raw) != api.CodeBadRequest {
 		t.Fatalf("empty batch: status %d: %s", status, raw)
 	}
 
-	status, raw = ts.patch("cells", updateRequest{Insert: [][]float64{{1, 2}}})
-	if status != http.StatusBadRequest || errCode(t, raw) != codeInvalidBox {
+	status, raw = ts.patch("cells", api.UpdateRequest{Insert: [][]float64{{1, 2}}})
+	if status != http.StatusBadRequest || errCode(t, raw) != api.CodeInvalidBox {
 		t.Fatalf("short row: status %d: %s", status, raw)
 	}
 
-	status, raw = ts.patch("cells", updateRequest{Insert: [][]float64{{5, 5, 5, 1, 1, 1}}})
-	if status != http.StatusBadRequest || errCode(t, raw) != codeInvalidBox {
+	status, raw = ts.patch("cells", api.UpdateRequest{Insert: [][]float64{{5, 5, 5, 1, 1, 1}}})
+	if status != http.StatusBadRequest || errCode(t, raw) != api.CodeInvalidBox {
 		t.Fatalf("inverted box: status %d: %s", status, raw)
 	}
 
 	// Deleting the same ID twice: second time is a silent no-op.
 	for i, want := range []int{1, 0} {
-		status, raw = ts.patch("cells", updateRequest{Delete: []touch.ID{7}})
+		status, raw = ts.patch("cells", api.UpdateRequest{Delete: []touch.ID{7}})
 		if status != http.StatusOK {
 			t.Fatalf("delete %d: status %d: %s", i, status, raw)
 		}
@@ -323,7 +324,7 @@ func TestUpdateErrors(t *testing.T) {
 	}
 
 	// The 405 on the collection element names PATCH now.
-	status, raw = ts.do(http.MethodPut, "/v1/datasets/cells", "application/json", updateRequest{})
+	status, raw = ts.do(http.MethodPut, "/v1/datasets/cells", "application/json", api.UpdateRequest{})
 	if status != http.StatusMethodNotAllowed || !strings.Contains(string(raw), "PATCH") {
 		t.Fatalf("PUT: status %d: %s", status, raw)
 	}
@@ -380,11 +381,11 @@ func TestWireUpdateMatchesHTTP(t *testing.T) {
 	// eps = 0 parity: the HTTP buffered join and the wire streaming join
 	// must marshal to byte-identical pair sets over the merged state.
 	probe := touch.GenerateUniform(200, 44).Expand(40)
-	status, raw := ts.postJSON("/v1/datasets/cells/join", joinRequest{Boxes: boxRows(probe), Eps: 0})
+	status, raw := ts.postJSON("/v1/datasets/cells/join", api.JoinRequest{Boxes: boxRows(probe), Eps: 0})
 	if status != http.StatusOK {
 		t.Fatalf("http join: status %d: %s", status, raw)
 	}
-	var hj joinResponse
+	var hj api.JoinResponse
 	if err := json.Unmarshal(raw, &hj); err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +400,7 @@ func TestWireUpdateMatchesHTTP(t *testing.T) {
 	if count == 0 {
 		t.Fatal("eps=0 join found no pairs; probe too small to exercise the fast path")
 	}
-	wj := joinResponse{Dataset: "cells", Version: wv, ProbeObjects: len(probe), Count: count,
+	wj := api.JoinResponse{Dataset: "cells", Version: wv, ProbeObjects: len(probe), Count: count,
 		Pairs: make([][2]touch.ID, len(pairs))}
 	for i, p := range pairs {
 		wj.Pairs[i] = [2]touch.ID{p.A, p.B}
@@ -447,12 +448,12 @@ func TestUpdateUnderConcurrentReads(t *testing.T) {
 				default:
 				}
 				status, raw := ts.postJSON("/v1/datasets/cells/query",
-					queryRequest{Type: "range", Box: boxRow(box)})
+					api.QueryRequest{Type: "range", Box: boxRow(box)})
 				if status != http.StatusOK {
 					fail("reader %d: range status %d: %s", g, status, raw)
 					return
 				}
-				var resp queryResponse
+				var resp api.QueryResponse
 				if err := json.Unmarshal(raw, &resp); err != nil {
 					fail("reader %d: %v", g, err)
 					return
@@ -509,7 +510,7 @@ func TestUpdateUnderConcurrentReads(t *testing.T) {
 			}
 		}
 		ids := o.apply(ins, dels)
-		status, raw := ts.patch("cells", updateRequest{Insert: rowsOf(ins), Delete: dels})
+		status, raw := ts.patch("cells", api.UpdateRequest{Insert: rowsOf(ins), Delete: dels})
 		if status != http.StatusOK {
 			t.Fatalf("patch step %d: status %d: %s", step, status, raw)
 		}
