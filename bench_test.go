@@ -244,3 +244,112 @@ func BenchmarkIndexKNN(b *testing.B) {
 		})
 	}
 }
+
+// overlayBenchSizes are the pending-delta sizes (inserts + tombstones)
+// the overlay benchmarks run at: none, a quarter of the default
+// compaction threshold, the threshold, and a delta a stalled compaction
+// let grow to four times it.
+var overlayBenchSizes = []int{0, 1024, 4096, 16384}
+
+// loadedMutable returns a Mutable over base, auto-compaction off, with
+// a pending delta of n entries: two thirds inserts, one third
+// tombstones split evenly between base objects and those inserts.
+func loadedMutable(b *testing.B, base touch.Dataset, n int) *touch.Mutable {
+	b.Helper()
+	m, err := touch.NewMutable(base, touch.TOUCHConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.SetCompactThreshold(0)
+	if n == 0 {
+		return m
+	}
+	boxes := make([]touch.Box, n-n/3)
+	for i, o := range touch.GenerateUniform(len(boxes), 7) {
+		boxes[i] = o.Box
+	}
+	ids, err := m.Insert(boxes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dead := make([]touch.ID, 0, n/3)
+	for i := 0; i < n/6; i++ {
+		dead = append(dead, base[i*(len(base)/(n/6))].ID, ids[i*4])
+	}
+	if got := m.Delete(dead); got != len(dead) {
+		b.Fatalf("deleted %d of %d", got, len(dead))
+	}
+	return m
+}
+
+// BenchmarkOverlayKNN prices k=10 nearest-neighbor queries through a
+// Mutable at each pending-delta size; delta=0 is the frozen path.
+func BenchmarkOverlayKNN(b *testing.B) {
+	base := touch.GenerateUniform(100_000, 1)
+	for _, n := range overlayBenchSizes {
+		b.Run(fmt.Sprintf("delta=%d", n), func(b *testing.B) {
+			m := loadedMutable(b, base, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := touch.Point{float64(i*31%1000) + 0.5, float64(i*67%1000) + 0.5, float64(i*131%1000) + 0.5}
+				if _, err := m.KNN(p, 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkOverlayRange prices 50-unit cube range queries through a
+// Mutable at each pending-delta size.
+func BenchmarkOverlayRange(b *testing.B) {
+	base := touch.GenerateUniform(100_000, 1)
+	for _, n := range overlayBenchSizes {
+		b.Run(fmt.Sprintf("delta=%d", n), func(b *testing.B) {
+			m := loadedMutable(b, base, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := touch.Point{float64(i%16) * 60, float64((i/16)%16) * 60, float64(i%8) * 120}
+				if _, err := m.RangeQuery(touch.NewBox(lo, touch.Point{lo[0] + 50, lo[1] + 50, lo[2] + 50})); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMutableUpdate prices one update — 16 inserts and 8 deletes of
+// earlier inserts, the committed benchmark's batch — published on top of
+// each pending-delta size. The Mutable is rebuilt off the clock every 64
+// updates so the delta stays within 1536 entries of the nominal size.
+func BenchmarkMutableUpdate(b *testing.B) {
+	base := touch.GenerateUniform(20_000, 1)
+	boxes := make([]touch.Box, 16)
+	for i, o := range touch.GenerateUniform(len(boxes), 8) {
+		boxes[i] = o.Box
+	}
+	for _, n := range overlayBenchSizes {
+		b.Run(fmt.Sprintf("delta=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var m *touch.Mutable
+			var prev []touch.ID
+			for i := 0; i < b.N; i++ {
+				if i%64 == 0 {
+					b.StopTimer()
+					m, prev = loadedMutable(b, base, n), nil
+					b.StartTimer()
+				}
+				ids, err := m.Insert(boxes)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(prev) > 0 {
+					m.Delete(prev[:8])
+				}
+				prev = ids
+			}
+		})
+	}
+}

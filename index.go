@@ -31,6 +31,7 @@ import (
 type Index struct {
 	tree   *core.Tree
 	lenA   int
+	maxID  ID        // largest indexed object ID, -1 when empty
 	probes sync.Pool // *core.Probe
 }
 
@@ -39,9 +40,7 @@ type Index struct {
 // cfg.Workers sets the default per-query parallelism; Options.Workers
 // overrides it per call.
 func BuildIndex(a Dataset, cfg TOUCHConfig) *Index {
-	ix := &Index{tree: core.Build(a, cfg), lenA: len(a)}
-	ix.probes.New = func() any { return ix.tree.NewProbe() }
-	return ix
+	return indexFromTree(core.Build(a, cfg), len(a))
 }
 
 // Join runs TOUCH's assignment and join phases against b, reusing the
@@ -254,6 +253,13 @@ func (ix *Index) KNN(q Point, k int) ([]Neighbor, error) { return ix.KNNTraced(q
 
 // KNNTraced is KNN with per-request tracing; see RangeQueryTraced.
 func (ix *Index) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
+	return ix.knn(q, k, nil, sp)
+}
+
+// knn is the one kNN entry point: KNNTraced over the indexed objects
+// whose IDs are not in skip (ascending, may be nil). Overlay passes its
+// tombstones, so the base search returns exactly the k live neighbors.
+func (ix *Index) knn(q Point, k int, skip []ID, sp *Span) ([]Neighbor, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrInvalidK, k)
 	}
@@ -264,10 +270,10 @@ func (ix *Index) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
 	defer ix.probes.Put(p)
 	var c Stats
 	if sp == nil {
-		return slices.Clone(p.KNN(q, k, &c)), nil
+		return slices.Clone(p.KNN(q, k, &c, skip...)), nil
 	}
 	start := time.Now()
-	nbrs := slices.Clone(p.KNN(q, k, &c))
+	nbrs := slices.Clone(p.KNN(q, k, &c, skip...))
 	sp.Add(trace.PhaseQuery, time.Since(start))
 	c.Results = int64(len(nbrs))
 	sp.Record(&c)

@@ -155,7 +155,14 @@ func (s *queryScratch) pop() knnItem {
 // so the k-th object pops before any node that could still beat it is
 // discarded. The returned slice aliases probe-owned scratch; see
 // RangeQuery.
-func (p *Probe) KNN(q geom.Point, k int, c *stats.Counters) []geom.Neighbor {
+//
+// skip, when given, lists object IDs (ascending) to treat as absent: a
+// skipped object is dropped when it is popped, so the search order — and
+// with it the (Distance, ID) order and the tie rule — is that of the
+// unfiltered search, and the answer is the first k unskipped objects of
+// it. The delta layer passes its tombstones here instead of over-asking
+// by one neighbor per tombstone.
+func (p *Probe) KNN(q geom.Point, k int, c *stats.Counters, skip ...geom.ID) []geom.Neighbor {
 	t := p.tree
 	s := &p.query
 	s.nbrs = s.nbrs[:0]
@@ -168,6 +175,11 @@ func (p *Probe) KNN(q geom.Point, k int, c *stats.Counters) []geom.Neighbor {
 	for len(s.heap) > 0 {
 		it := s.pop()
 		if it.obj {
+			if len(skip) > 0 {
+				if _, dead := slices.BinarySearch(skip, geom.ID(it.id)); dead {
+					continue
+				}
+			}
 			s.nbrs = append(s.nbrs, geom.Neighbor{ID: geom.ID(it.id), Distance: it.dist})
 			if len(s.nbrs) == k {
 				break

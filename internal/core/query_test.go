@@ -291,3 +291,56 @@ func BenchmarkProbeKNN(b *testing.B) {
 		})
 	}
 }
+
+// TestKNNSkipTiesAndShadows pins the skip list on hand-built cases: a
+// dead and a live object at one distance, the k nearest all dead, every
+// object dead, and skip IDs the tree never held. MaxID rides along.
+func TestKNNSkipTiesAndShadows(t *testing.T) {
+	// Object i sits at x = 10*(i/2): IDs 2j and 2j+1 tie at every
+	// distance from a point on the x axis.
+	ds := make(geom.Dataset, 40)
+	for i := range ds {
+		x := float64(10 * (i / 2))
+		ds[i] = geom.Object{ID: geom.ID(i), Box: geom.NewBox(geom.Point{x, 0, 0}, geom.Point{x + 1, 1, 1})}
+	}
+	tree := Build(ds, Config{Partitions: 8})
+	if got := tree.MaxID(); got != 39 {
+		t.Fatalf("MaxID = %d, want 39", got)
+	}
+	if got := Build(nil, Config{}).MaxID(); got != -1 {
+		t.Fatalf("MaxID of an empty tree = %d, want -1", got)
+	}
+	p := tree.NewProbe()
+	q := geom.Point{-5, 0.5, 0.5}
+	ids := func(nbrs []geom.Neighbor) []geom.ID {
+		out := make([]geom.ID, len(nbrs))
+		for i, nb := range nbrs {
+			out[i] = nb.ID
+		}
+		return out
+	}
+	all := make([]geom.ID, len(ds))
+	for i := range all {
+		all[i] = geom.ID(i)
+	}
+	var c stats.Counters
+	for _, tc := range []struct {
+		name string
+		k    int
+		skip []geom.ID
+		want []geom.ID
+	}{
+		{"dead and live tie", 3, []geom.ID{0, 3}, []geom.ID{1, 2, 4}},
+		{"k nearest all dead", 2, []geom.ID{0, 1, 2, 3}, []geom.ID{4, 5}},
+		{"absent skip IDs", 2, []geom.ID{-7, 40, 1000}, []geom.ID{0, 1}},
+		{"k beyond the live count", 50, all[:38], []geom.ID{38, 39}},
+		{"every object skipped", 3, all, []geom.ID{}},
+	} {
+		if got := ids(p.KNN(q, tc.k, &c, tc.skip...)); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: KNN(k=%d, skip=%v) = %v, want %v", tc.name, tc.k, tc.skip, got, tc.want)
+		}
+	}
+	if c.Results != 3+2+2+2 {
+		t.Errorf("Results = %d, want the 9 neighbors returned", c.Results)
+	}
+}

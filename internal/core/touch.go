@@ -174,6 +174,16 @@ func (t *Tree) Workers() int { return t.cfg.Workers }
 // filled in), so a snapshot can reproduce the exact tree on reload.
 func (t *Tree) Config() Config { return t.cfg }
 
+// MaxID returns the largest object ID the tree indexes, -1 when it is
+// empty. One scan of the arena; callers that need it often keep it.
+func (t *Tree) MaxID() geom.ID {
+	maxID := geom.ID(-1)
+	for i := range t.arena {
+		maxID = max(maxID, t.arena[i].ID)
+	}
+	return maxID
+}
+
 // subtreeA returns the A objects of the node's descendant leaves as a
 // zero-copy view into the arena.
 func (t *Tree) subtreeA(n *Node) []geom.Object {

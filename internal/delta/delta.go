@@ -13,15 +13,21 @@
 // ID-ascending, every insert receives a fresh ID strictly greater than
 // any ID the base has ever held (NextID is monotone, IDs are never
 // reused), and deletes are recorded as tombstones rather than applied
-// in place. Merged reads are then a disjoint union — base answers minus
-// tombstoned IDs, plus a brute-force pass over the live inserts — and
-// folding the delta into a new base (Merged) preserves every surviving
-// ID, so answers over base+delta are bit-identical to answers over an
-// index rebuilt from the merged dataset.
+// in place: the inserts array keeps tombstoned objects, and the
+// tombstones are one ID-ascending slice that is retained until a
+// compaction folds it. Readers take both slices as they are (Objects,
+// Tombstones) and test a tombstone by binary search only on an object
+// that is already a hit, so publishing an update costs O(batch) plus a
+// 4-byte-per-tombstone copy when the batch deletes something. Merged
+// reads are a disjoint union — base answers minus tombstoned IDs, plus
+// one pass over the inserts — and folding the delta into a new base
+// (Merged) preserves every surviving ID, so answers over base+delta are
+// bit-identical to answers over an index rebuilt from the merged
+// dataset.
 package delta
 
 import (
-	"maps"
+	"slices"
 
 	"touch/internal/geom"
 )
@@ -30,13 +36,15 @@ import (
 // dataset. The zero of the type is not used; start from NewForBase. A
 // nil *Delta is a valid empty delta for every read accessor.
 type Delta struct {
-	// inserts holds every inserted object of this base generation in ID
-	// order, including ones later tombstoned — the slice is append-only
-	// so descendant deltas can share its backing array.
+	// inserts holds every inserted object of this base generation with
+	// consecutive ascending IDs, including ones later tombstoned — the
+	// slice is append-only so descendant deltas and the readers of
+	// published generations share its backing array.
 	inserts geom.Dataset
-	// tombs marks deleted IDs, of base objects and inserts alike. The
-	// map is never mutated after the Delta is published; Delete clones.
-	tombs map[geom.ID]struct{}
+	// tombs lists the deleted IDs, of base objects and inserts alike,
+	// ascending. Never mutated after the Delta is published; Delete
+	// copies.
+	tombs []geom.ID
 	// nextID is the ID the next insert will receive. It only grows,
 	// across compactions included, so IDs are never reused.
 	nextID geom.ID
@@ -44,7 +52,7 @@ type Delta struct {
 
 // NewForBase returns an empty delta whose first insert will receive an
 // ID greater than every ID in base. base need not be sorted here (the
-// max is scanned), though merged reads elsewhere require it ascending.
+// max is scanned), though Merged and merged reads require it ascending.
 func NewForBase(base geom.Dataset) *Delta {
 	next := geom.ID(0)
 	for i := range base {
@@ -64,81 +72,75 @@ func (d *Delta) NextID() geom.ID {
 }
 
 // Empty reports whether the delta holds no pending updates.
-func (d *Delta) Empty() bool {
-	return d == nil || (len(d.inserts) == 0 && len(d.tombs) == 0)
-}
+func (d *Delta) Empty() bool { return d.Size() == 0 }
 
 // Inserts returns the number of buffered inserts, tombstoned ones
 // included.
-func (d *Delta) Inserts() int {
-	if d == nil {
-		return 0
-	}
-	return len(d.inserts)
-}
+func (d *Delta) Inserts() int { return len(d.Objects()) }
 
 // Tombstones returns the number of tombstoned IDs.
-func (d *Delta) Tombstones() int {
-	if d == nil {
-		return 0
-	}
-	return len(d.tombs)
-}
+func (d *Delta) Tombstones() int { return len(d.Tombs()) }
 
 // Size is the total number of buffered updates — the quantity
 // compaction thresholds are compared against.
 func (d *Delta) Size() int { return d.Inserts() + d.Tombstones() }
 
+// Objects returns every buffered insert, tombstoned ones included, in
+// ID order. The slice is the delta's own: read-only, and valid while
+// the writer keeps the history linear (see Insert).
+func (d *Delta) Objects() geom.Dataset {
+	if d == nil {
+		return nil
+	}
+	return d.inserts
+}
+
+// Tombs returns the tombstoned IDs ascending. The slice is the delta's
+// own and read-only; TombIDs returns a copy.
+func (d *Delta) Tombs() []geom.ID {
+	if d == nil {
+		return nil
+	}
+	return d.tombs
+}
+
 // Tombstoned reports whether id has been deleted in this delta.
 func (d *Delta) Tombstoned(id geom.ID) bool {
-	if d == nil {
-		return false
-	}
-	_, dead := d.tombs[id]
+	_, dead := slices.BinarySearch(d.Tombs(), id)
 	return dead
 }
 
-// TombIDs returns the tombstoned IDs as a fresh slice, in no particular
-// order.
-func (d *Delta) TombIDs() []geom.ID {
-	if d == nil || len(d.tombs) == 0 {
-		return nil
+// TombIDs returns the tombstoned IDs ascending, as a fresh slice.
+func (d *Delta) TombIDs() []geom.ID { return slices.Clone(d.Tombs()) }
+
+// appendLive appends the objects of src (ID-ascending) that tombs
+// (ascending) does not name: one binary search per tombstone, the runs
+// between them copied whole.
+func appendLive(dst, src geom.Dataset, tombs []geom.ID) geom.Dataset {
+	for _, id := range tombs {
+		i, dead := slices.BinarySearchFunc(src, id, func(o geom.Object, id geom.ID) int { return int(o.ID) - int(id) })
+		dst = append(dst, src[:i]...)
+		if dead {
+			i++
+		}
+		src = src[i:]
 	}
-	ids := make([]geom.ID, 0, len(d.tombs))
-	for id := range d.tombs {
-		ids = append(ids, id)
-	}
-	return ids
+	return append(dst, src...)
 }
 
 // Live returns the buffered inserts that have not been tombstoned, in
 // ID order, as a fresh slice safe to retain.
 func (d *Delta) Live() geom.Dataset {
-	if d == nil || len(d.inserts) == 0 {
+	if d.Inserts() == 0 {
 		return nil
 	}
-	live := make(geom.Dataset, 0, len(d.inserts))
-	for _, o := range d.inserts {
-		if _, dead := d.tombs[o.ID]; !dead {
-			live = append(live, o)
-		}
-	}
-	return live
+	return appendLive(make(geom.Dataset, 0, len(d.inserts)), d.inserts, d.tombs)
 }
 
-// containsInsert reports whether id is one of this delta's inserts.
-// inserts are ID-ascending, so a binary search suffices.
+// containsInsert reports whether id is one of this delta's inserts,
+// whose IDs are the consecutive run ending just below nextID.
 func (d *Delta) containsInsert(id geom.ID) bool {
-	lo, hi := 0, len(d.inserts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if d.inserts[mid].ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(d.inserts) && d.inserts[lo].ID == id
+	return id < d.nextID && int(d.nextID)-int(id) <= len(d.inserts)
 }
 
 // CanInsert reports whether n more inserts fit before the int32 ID
@@ -152,7 +154,14 @@ const maxID = geom.ID(1<<31 - 1)
 // Insert returns a delta extended with one object per box, assigning
 // the IDs first, first+1, … in order. Boxes must already be validated
 // by the caller. The receiver must be non-nil and the caller must hold
-// the writer lock — the underlying array is shared with the parent.
+// the writer lock.
+//
+// Linear history only: the new objects are appended into the spare
+// capacity of the array the receiver — and every published reader of it
+// — shares, so each delta may be extended at most once by a child that
+// is kept. Forking two kept children from one parent would let the
+// second overwrite the first one's objects. Calling Insert again on the
+// same parent and discarding the earlier result is fine.
 func (d *Delta) Insert(boxes []geom.Box) (nd *Delta, first geom.ID) {
 	first = d.nextID
 	if len(boxes) == 0 {
@@ -167,37 +176,27 @@ func (d *Delta) Insert(boxes []geom.Box) (nd *Delta, first geom.ID) {
 
 // Delete returns a delta with a tombstone added for every id that is
 // currently live — present in the base (as reported by inBase) or among
-// this delta's inserts, and not already tombstoned. Unknown and
-// already-deleted IDs are skipped; deleted reports how many tombstones
-// were actually added. The receiver must be non-nil.
+// this delta's inserts, and not already tombstoned. Unknown, repeated
+// and already-deleted IDs are skipped; deleted reports how many
+// tombstones were actually added. The receiver must be non-nil. The
+// tombstone slice is copied once, with the new IDs merged in place.
 func (d *Delta) Delete(ids []geom.ID, inBase func(geom.ID) bool) (nd *Delta, deleted int) {
-	nd = d
-	var tombs map[geom.ID]struct{}
-	for _, id := range ids {
-		if _, dead := nd.tombs[id]; dead {
-			continue
-		}
-		if tombs != nil {
-			if _, dead := tombs[id]; dead {
-				continue
-			}
-		}
-		if !nd.containsInsert(id) && !inBase(id) {
-			continue
-		}
-		if tombs == nil {
-			tombs = maps.Clone(nd.tombs)
-			if tombs == nil {
-				tombs = make(map[geom.ID]struct{})
-			}
-		}
-		tombs[id] = struct{}{}
-		deleted++
-	}
-	if deleted == 0 {
+	add := slices.Clone(ids)
+	slices.Sort(add)
+	add = slices.DeleteFunc(slices.Compact(add), func(id geom.ID) bool {
+		return d.Tombstoned(id) || (!d.containsInsert(id) && !inBase(id))
+	})
+	if len(add) == 0 {
 		return d, 0
 	}
-	return &Delta{inserts: d.inserts, tombs: tombs, nextID: d.nextID}, deleted
+	old := d.tombs
+	tombs := make([]geom.ID, 0, len(old)+len(add))
+	for _, id := range add {
+		i, _ := slices.BinarySearch(old, id)
+		tombs = append(append(tombs, old[:i]...), id)
+		old = old[i:]
+	}
+	return &Delta{inserts: d.inserts, tombs: append(tombs, old...), nextID: d.nextID}, len(add)
 }
 
 // Since returns the updates of d not yet contained in its ancestor d0:
@@ -207,44 +206,38 @@ func (d *Delta) Delete(ids []geom.ID, inBase func(geom.ID) bool) (nd *Delta, del
 // it (those objects were folded in dead or not at all), while later
 // tombstones survive verbatim, whether they point at old base IDs, at
 // folded inserts (now base IDs of the new generation) or at inserts
-// newer than the fold. d must descend from d0 by Insert/Delete steps.
+// newer than the fold. d must descend from d0 by Insert/Delete steps,
+// so d0's tombstones are a subsequence of d's and one walk separates
+// them.
 func (d *Delta) Since(d0 *Delta) *Delta {
 	nd := &Delta{nextID: d.nextID}
 	if n := len(d0.inserts); n < len(d.inserts) {
 		nd.inserts = d.inserts[n:]
 	}
-	for id := range d.tombs {
-		if _, folded := d0.tombs[id]; folded {
-			continue
+	if n := len(d.tombs) - len(d0.tombs); n > 0 {
+		nd.tombs = make([]geom.ID, 0, n)
+		folded := d0.tombs
+		for _, id := range d.tombs {
+			if len(folded) > 0 && folded[0] == id {
+				folded = folded[1:]
+				continue
+			}
+			nd.tombs = append(nd.tombs, id)
 		}
-		if nd.tombs == nil {
-			nd.tombs = make(map[geom.ID]struct{})
-		}
-		nd.tombs[id] = struct{}{}
 	}
 	return nd
 }
 
-// Merged materializes the dataset this delta describes over base: the
-// base objects that survive the tombstones followed by the live
-// inserts. With base ID-ascending the result is ID-ascending too, ready
-// to build the next-generation index from — and, by the ID-stability
-// contract, an index built from it answers every query and join exactly
-// as the (base index + delta) pair does.
+// Merged materializes the dataset this delta describes over base, which
+// must be ID-ascending: the base objects that survive the tombstones
+// followed by the live inserts, ID-ascending too and ready to build the
+// next-generation index from — and, by the ID-stability contract, an
+// index built from it answers every query and join exactly as the
+// (base index + delta) pair does.
 func (d *Delta) Merged(base geom.Dataset) geom.Dataset {
 	if d.Empty() {
 		return base
 	}
 	merged := make(geom.Dataset, 0, len(base)+len(d.inserts)-len(d.tombs))
-	for _, o := range base {
-		if _, dead := d.tombs[o.ID]; !dead {
-			merged = append(merged, o)
-		}
-	}
-	for _, o := range d.inserts {
-		if _, dead := d.tombs[o.ID]; !dead {
-			merged = append(merged, o)
-		}
-	}
-	return merged
+	return appendLive(appendLive(merged, base, d.tombs), d.inserts, d.tombs)
 }

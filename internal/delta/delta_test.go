@@ -21,7 +21,7 @@ func base(n int) geom.Dataset {
 
 func inBase(ds geom.Dataset) func(geom.ID) bool {
 	return func(id geom.ID) bool {
-		return int(id) < len(ds)
+		return id >= 0 && int(id) < len(ds)
 	}
 }
 
@@ -107,9 +107,7 @@ func TestSince(t *testing.T) {
 	if nd.Inserts() != 1 || nd.inserts[0].ID != 4 {
 		t.Fatalf("Since inserts = %v", nd.inserts)
 	}
-	got := nd.TombIDs()
-	slices.Sort(got)
-	if !slices.Equal(got, []geom.ID{1, 3, 4}) {
+	if got := nd.TombIDs(); !slices.Equal(got, []geom.ID{1, 3, 4}) {
 		t.Fatalf("Since tombs = %v, want [1 3 4]", got)
 	}
 	if nd.Tombstoned(0) {
@@ -134,5 +132,115 @@ func TestCanInsert(t *testing.T) {
 	}
 	if d.CanInsert(3) {
 		t.Fatal("CanInsert past the int32 ID space")
+	}
+}
+
+// TestDeleteKeepsTombstonesSorted drives Delete through every kind of
+// ID at once — base and insert IDs, repeats inside the batch, IDs
+// already dead, IDs nobody ever held, all out of order — and checks the
+// tombstones stay one ascending duplicate-free slice that parents do
+// not share.
+func TestDeleteKeepsTombstonesSorted(t *testing.T) {
+	bs := base(10)
+	d0 := NewForBase(bs)
+	d0, first := d0.Insert([]geom.Box{box(20), box(21), box(22), box(23)}) // ids 10..13
+	if first != 10 {
+		t.Fatalf("first insert ID = %d, want 10", first)
+	}
+
+	d1, n := d0.Delete([]geom.ID{12, 3, 12, 99, 7, 3, -4, 14}, inBase(bs))
+	if n != 3 || !slices.Equal(d1.Tombs(), []geom.ID{3, 7, 12}) {
+		t.Fatalf("first delete: n=%d tombs=%v, want 3 and [3 7 12]", n, d1.Tombs())
+	}
+	// Already-dead IDs are skipped, new ones merge in on both sides of
+	// and between the old ones.
+	d2, n := d1.Delete([]geom.ID{13, 7, 0, 5, 12, 10}, inBase(bs))
+	if n != 4 || !slices.Equal(d2.Tombs(), []geom.ID{0, 3, 5, 7, 10, 12, 13}) {
+		t.Fatalf("second delete: n=%d tombs=%v, want 4 and [0 3 5 7 10 12 13]", n, d2.Tombs())
+	}
+	if !slices.Equal(d1.Tombs(), []geom.ID{3, 7, 12}) || d0.Tombstones() != 0 {
+		t.Fatalf("Delete changed an ancestor: d0=%v d1=%v", d0.Tombs(), d1.Tombs())
+	}
+	for _, id := range []geom.ID{0, 3, 5, 7, 10, 12, 13} {
+		if !d2.Tombstoned(id) {
+			t.Fatalf("Tombstoned(%d) = false", id)
+		}
+	}
+	for _, id := range []geom.ID{-4, 1, 11, 14, 99} {
+		if d2.Tombstoned(id) {
+			t.Fatalf("Tombstoned(%d) = true", id)
+		}
+	}
+	if live := d2.Live(); len(live) != 1 || live[0].ID != 11 {
+		t.Fatalf("Live = %v, want only ID 11", live)
+	}
+	if got := d2.TombIDs(); !slices.Equal(got, d2.Tombs()) || &got[0] == &d2.Tombs()[0] {
+		t.Fatal("TombIDs must be a copy of Tombs")
+	}
+	if d2.Objects()[2].ID != 12 || d2.Inserts() != 4 {
+		t.Fatalf("Objects must keep tombstoned inserts, got %v", d2.Objects())
+	}
+}
+
+// TestInsertSharesOneArray pins the shared-array discipline: a linear
+// chain of inserts extends one backing array that earlier generations
+// keep reading untouched.
+func TestInsertSharesOneArray(t *testing.T) {
+	d0, _ := NewForBase(nil).Insert([]geom.Box{box(1), box(2), box(3)})
+	if cap(d0.Objects()) < 4 {
+		t.Skip("append left no spare capacity to share")
+	}
+	d1, _ := d0.Insert([]geom.Box{box(4)})
+	d2, _ := d1.Insert([]geom.Box{box(5)})
+	if &d0.Objects()[0] != &d1.Objects()[0] {
+		t.Fatal("a linear history reallocated with spare capacity left")
+	}
+	if d0.Inserts() != 3 || d1.Inserts() != 4 || d2.Inserts() != 5 || d1.Objects()[3].Box != box(4) {
+		t.Fatalf("generations see %d/%d/%d inserts", d0.Inserts(), d1.Inserts(), d2.Inserts())
+	}
+}
+
+// TestSinceAndMergedWalks checks the two merge-walks against their
+// definitions on a delta whose tombstones interleave folded and new
+// ones at both ends.
+func TestSinceAndMergedWalks(t *testing.T) {
+	bs := base(12)
+	d0 := NewForBase(bs)
+	d0, _ = d0.Insert([]geom.Box{box(30), box(31)}) // ids 12, 13
+	d0, _ = d0.Delete([]geom.ID{2, 6, 13}, inBase(bs))
+	d1, _ := d0.Insert([]geom.Box{box(32), box(33)}) // ids 14, 15
+	d1, _ = d1.Delete([]geom.ID{0, 4, 11, 12, 15}, inBase(bs))
+
+	nd := d1.Since(d0)
+	if !slices.Equal(nd.Tombs(), []geom.ID{0, 4, 11, 12, 15}) {
+		t.Fatalf("Since tombs = %v, want [0 4 11 12 15]", nd.Tombs())
+	}
+	if nd.Inserts() != 2 || nd.Objects()[0].ID != 14 || nd.NextID() != 16 {
+		t.Fatalf("Since inserts = %v next=%d", nd.Objects(), nd.NextID())
+	}
+	if same := d1.Since(d1); !same.Empty() || same.NextID() != 16 {
+		t.Fatalf("Since(self) = %d inserts, %v", same.Inserts(), same.Tombs())
+	}
+
+	var want []geom.ID
+	for id := geom.ID(0); id < 16; id++ {
+		if !d1.Tombstoned(id) {
+			want = append(want, id)
+		}
+	}
+	ids := func(ds geom.Dataset) (out []geom.ID) {
+		for _, o := range ds {
+			out = append(out, o.ID)
+		}
+		return out
+	}
+	if got := ids(d1.Merged(bs)); !slices.Equal(got, want) {
+		t.Fatalf("Merged = %v, want %v", got, want)
+	}
+	if got := ids(nd.Merged(d0.Merged(bs))); !slices.Equal(got, want) {
+		t.Fatalf("fold then Since = %v, want %v", got, want)
+	}
+	if got := d1.Since(d1).Merged(bs); &got[0] != &bs[0] {
+		t.Fatal("an empty delta must return the base itself")
 	}
 }

@@ -177,7 +177,9 @@ func (b Box) Distance(o Box) float64 {
 func (b Box) PointDistance(p Point) float64 {
 	sum := 0.0
 	for d := 0; d < Dims; d++ {
-		gap := math.Max(b.Min[d]-p[d], p[d]-b.Max[d])
+		// The builtin max, as in Union: math.Max's semantics, inlined —
+		// this runs once per pending insert of every merged kNN query.
+		gap := max(b.Min[d]-p[d], p[d]-b.Max[d])
 		if gap > 0 {
 			sum += gap * gap
 		}

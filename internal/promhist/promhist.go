@@ -100,16 +100,21 @@ func (h *Histogram) Quantile(q float64) (seconds float64, ok bool) {
 }
 
 // Render writes one histogram family member's bucket/sum/count lines.
-// labels is the rendered label pairs without braces ("class=\"query\"");
-// the caller writes the # TYPE header once per family.
+// labels is the rendered label pairs without braces ("class=\"query\""),
+// empty for a family of one; the caller writes the # TYPE header once
+// per family.
 func (h *Histogram) Render(w io.Writer, name, labels string) {
+	sep := ","
+	if labels == "" {
+		sep = ""
+	}
 	cum := int64(0)
 	for i, le := range buckets {
 		cum += h.buckets[i].Load()
-		fmt.Fprintf(w, "%s_bucket{%s,le=\"%g\"} %d\n", name, labels, le, cum)
+		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%g\"} %d\n", name, labels, sep, le, cum)
 	}
 	cum += h.buckets[len(buckets)].Load()
-	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, cum)
+	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum)
 	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, float64(h.sumNs.Load())/1e9)
 	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, cum)
 }

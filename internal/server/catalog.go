@@ -10,6 +10,7 @@ import (
 
 	"touch"
 	"touch/internal/delta"
+	"touch/internal/promhist"
 )
 
 // buildFunc constructs the index over one dataset version. Production
@@ -91,15 +92,11 @@ func (s *snapshot) dataset() touch.Dataset {
 // withDelta derives the serving state that publishes nd over the same
 // base as s.
 func (s *snapshot) withDelta(nd *delta.Delta) *snapshot {
-	ns := &snapshot{
+	return &snapshot{
 		version: s.version, ds: s.ds, idx: s.idx, stats: s.stats,
 		builtAt: s.builtAt, cfg: s.cfg, persisted: s.persisted, snapBytes: s.snapBytes,
-		d: nd,
+		d: nd, ov: touch.OverlayOf(s.idx, nd),
 	}
-	if !nd.Empty() {
-		ns.ov = touch.NewOverlay(s.idx, nd.Live(), nd.TombIDs())
-	}
-	return ns
 }
 
 // entry is one named dataset of the catalog.
@@ -145,6 +142,9 @@ type catalog struct {
 	// compactions abandoned because a newer full version superseded them.
 	compactions        atomic.Int64
 	compactionsSkipped atomic.Int64
+	// compactionTime histograms the published folds end to end: merge,
+	// build and persist.
+	compactionTime promhist.Histogram
 
 	mu      sync.RWMutex
 	entries map[string]*entry
@@ -360,12 +360,16 @@ func (c *catalog) maybeCompact(e *entry, size int) {
 func (c *catalog) runCompaction(e *entry, from *snapshot, v int64) {
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
+	carried := 0 // size of the delta the publish left pending
 	defer func() {
 		e.mu.Lock()
 		e.building--
 		e.compacting = false
 		e.mu.Unlock()
 		c.pending.Add(-1)
+		// Updates that outran this build may already be over the
+		// threshold again; no later update need arrive to fold them.
+		c.maybeCompact(e, carried)
 	}()
 	e.mu.Lock()
 	superseded := e.accepted > v
@@ -374,6 +378,7 @@ func (c *catalog) runCompaction(e *entry, from *snapshot, v int64) {
 		c.compactionsSkipped.Add(1)
 		return
 	}
+	start := time.Now()
 	merged := from.d.Merged(from.ds)
 	idx := c.build(merged, from.cfg)
 	snap := &snapshot{version: v, ds: merged, idx: idx, stats: idx.Stats(), builtAt: time.Now(), cfg: from.cfg}
@@ -398,8 +403,11 @@ func (c *catalog) runCompaction(e *entry, from *snapshot, v int64) {
 		c.compactionsSkipped.Add(1)
 		return
 	}
-	e.ready.Store(snap.withDelta(cur.d.Since(from.d)))
+	nd := cur.d.Since(from.d)
+	e.ready.Store(snap.withDelta(nd))
 	c.compactions.Add(1)
+	c.compactionTime.Observe(time.Since(start))
+	carried = nd.Size()
 }
 
 // snapshotOf returns the serving snapshot for a name. exists reports

@@ -1,0 +1,145 @@
+package server
+
+import (
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"touch"
+)
+
+func uniformBoxes(n int, seed int64) []touch.Box {
+	boxes := make([]touch.Box, n)
+	for i, o := range touch.GenerateUniform(n, seed) {
+		boxes[i] = o.Box
+	}
+	return boxes
+}
+
+// TestCompactionRearmsAfterPublish: updates that arrive while a
+// compaction is building carry over into the delta it publishes; when
+// they alone are over the threshold a second compaction must follow
+// with no further update to trigger it. The injected build holds every
+// compaction on a channel, so the burst provably lands inside the first
+// build and the second build's arrival is the event waited on.
+func TestCompactionRearmsAfterPublish(t *testing.T) {
+	started := make(chan int)
+	release := make(chan struct{})
+	hold := false // written before the first held build starts, read by builds only
+	cat := newCatalog(func(ds touch.Dataset, cfg touch.TOUCHConfig) *touch.Index {
+		if hold {
+			started <- len(ds)
+			<-release
+		}
+		return touch.BuildIndex(ds, cfg)
+	})
+	cat.compactAt = 8
+	base := touch.GenerateUniform(200, 61)
+	if v, ok := cat.load("m", base, touch.TOUCHConfig{}, true, 0); !ok || v != 1 {
+		t.Fatalf("load: version %d, ok %v", v, ok)
+	}
+	hold = true
+
+	awaitBuild := func(what string, wantObjects int) {
+		t.Helper()
+		select {
+		case n := <-started:
+			if n != wantObjects {
+				t.Fatalf("%s builds over %d objects, want %d", what, n, wantObjects)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s never started", what)
+		}
+	}
+	update := func(seed int64) {
+		t.Helper()
+		if _, st := cat.applyUpdate("m", uniformBoxes(16, seed), nil); st != updOK {
+			t.Fatalf("applyUpdate: status %d", st)
+		}
+	}
+
+	update(62) // 16 pending ≥ 8: the first compaction starts and is held
+	awaitBuild("first compaction", 216)
+	for seed := int64(63); seed < 66; seed++ {
+		update(seed) // 48 more land while it builds
+	}
+	release <- struct{}{}
+	// No further update: the carried-over 48 must re-arm on their own.
+	awaitBuild("second compaction", 264)
+	release <- struct{}{}
+
+	for {
+		snap, _ := snapshotOf(cat, "m")
+		if snap.version == 3 {
+			if snap.d.Size() != 0 || snap.stats.Objects != 264 {
+				t.Fatalf("version 3 has %d objects and %d pending updates, want 264 and 0", snap.stats.Objects, snap.d.Size())
+			}
+			break
+		}
+		runtime.Gosched()
+	}
+	if got := cat.compactions.Load(); got != 2 {
+		t.Fatalf("compactions = %d, want 2", got)
+	}
+	if got := cat.compactionTime.Count(); got != 2 {
+		t.Fatalf("compaction_seconds observed %d folds, want 2", got)
+	}
+}
+
+// TestUpdatePublishAllocatesPerBatch is the structural form of "update
+// publish is O(batch)": the bytes one applyUpdate allocates do not grow
+// with the inserts already pending, and with T tombstones pending a
+// batch that deletes pays one 4-byte-per-tombstone copy and nothing
+// else. Bytes, not time; the median of nine consecutive updates keeps
+// the occasional amortized growth of the shared insert array out.
+func TestUpdatePublishAllocatesPerBatch(t *testing.T) {
+	base := touch.GenerateUniform(4000, 71)
+	batch := uniformBoxes(16, 72)
+	perUpdate := func(pendingInserts, pendingTombs, deletes int) uint64 {
+		cat := newCatalog(nil) // compactAt 0: no compaction underneath
+		cat.load("m", base, touch.TOUCHConfig{}, true, 0)
+		if pendingInserts > 0 {
+			cat.applyUpdate("m", uniformBoxes(pendingInserts, 73), nil)
+		}
+		dead := make([]touch.ID, pendingTombs)
+		for i := range dead {
+			dead[i] = touch.ID(i)
+		}
+		if res, _ := cat.applyUpdate("m", nil, dead); res.deleted != pendingTombs {
+			t.Fatalf("tombstoned %d of %d", res.deleted, pendingTombs)
+		}
+		var samples []uint64
+		var before, after runtime.MemStats
+		for i := 0; i < 9; i++ {
+			del := make([]touch.ID, deletes)
+			for j := range del {
+				del[j] = touch.ID(pendingTombs + i*deletes + j)
+			}
+			runtime.ReadMemStats(&before)
+			res, st := cat.applyUpdate("m", batch, del)
+			runtime.ReadMemStats(&after)
+			if st != updOK || res.inserted != len(batch) || res.deleted != deletes {
+				t.Fatalf("applyUpdate: status %d, %+v", st, res)
+			}
+			samples = append(samples, after.TotalAlloc-before.TotalAlloc)
+		}
+		slices.Sort(samples)
+		return samples[len(samples)/2]
+	}
+
+	const slack = 1024
+	empty := perUpdate(0, 0, 0)
+	if got := perUpdate(8192, 0, 0); got > empty+slack {
+		t.Errorf("update over 8192 pending inserts allocates %d B, over none %d B: publish is not O(batch)", got, empty)
+	}
+	const tombs = 2048
+	if got := perUpdate(8192, tombs, 0); got > empty+slack {
+		t.Errorf("insert-only update over %d tombstones allocates %d B, over none %d B: tombstones were copied", tombs, got, empty)
+	}
+	// The nine measured updates add 8 tombstones each, and the allocator
+	// rounds the copy up to a size class, at most an eighth more.
+	if got, limit := perUpdate(8192, tombs, 8), empty+slack+4*(tombs+9*8)*9/8; got > limit {
+		t.Errorf("deleting update over %d tombstones allocates %d B, want ≤ %d (4 B per tombstone + the constant)", tombs, got, limit)
+	}
+}

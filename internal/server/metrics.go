@@ -240,8 +240,9 @@ func (m *metrics) qps(now time.Time) float64 {
 // render writes the Prometheus text exposition. datasets describes the
 // catalog at scrape time; snapshotErrors is the cumulative persistence
 // failure count; compactions and compactionsSkipped count background
-// delta folds published and abandoned.
-func (m *metrics) render(w io.Writer, datasets []datasetInfo, snapshotErrors, compactions, compactionsSkipped int64) {
+// delta folds published and abandoned, compactionTime times the
+// published ones.
+func (m *metrics) render(w io.Writer, datasets []datasetInfo, snapshotErrors, compactions, compactionsSkipped int64, compactionTime *promhist.Histogram) {
 	uptime := time.Since(m.start).Seconds()
 
 	fmt.Fprintf(w, "# TYPE touchserved_uptime_seconds gauge\n")
@@ -366,6 +367,8 @@ func (m *metrics) render(w io.Writer, datasets []datasetInfo, snapshotErrors, co
 	fmt.Fprintf(w, "# TYPE touchserved_compactions_total counter\n")
 	fmt.Fprintf(w, "touchserved_compactions_total{outcome=\"published\"} %d\n", compactions)
 	fmt.Fprintf(w, "touchserved_compactions_total{outcome=\"skipped\"} %d\n", compactionsSkipped)
+	fmt.Fprintf(w, "# TYPE touchserved_compaction_seconds histogram\n")
+	compactionTime.Render(w, "touchserved_compaction_seconds", "")
 
 	// Snapshot health: failed persistence operations, and which datasets
 	// are durably on disk — a persisted=0 dataset on a server with a

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"touch"
 	"touch/internal/geom"
@@ -200,6 +201,136 @@ func TestDifferentialMutable(t *testing.T) {
 	}
 }
 
+// TestDifferentialMutableLargeDelta is the regime the compaction
+// threshold normally keeps out of sight: a delta of more than twice
+// DefaultCompactThreshold inserts with auto-compaction off, half of
+// them tombstoned, tombstones on base and insert IDs alike and handed
+// to Delete shuffled and with repeats. Every query shape and join form
+// of checkMutableAgainstRebuild must still equal the rebuilt index —
+// before the fold, after more updates on top, and after the fold.
+func TestDifferentialMutableLargeDelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(9400))
+	base := touch.GenerateUniform(900, 9401).Expand(6)
+	m, err := touch.NewMutable(base, touch.TOUCHConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetCompactThreshold(0)
+	probe := touch.GenerateUniform(90, 9402)
+
+	ids, err := m.Insert(randBoxes(rng, 2*touch.DefaultCompactThreshold+57))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var del []geom.ID
+	for i, id := range ids {
+		if i%2 == 0 {
+			del = append(del, id)
+		}
+	}
+	for i := 0; i < len(base); i += 3 {
+		del = append(del, base[i].ID, base[i].ID) // repeats inside the batch
+	}
+	rng.Shuffle(len(del), func(i, j int) { del[i], del[j] = del[j], del[i] })
+	if got, want := m.Delete(del), (len(ids)+1)/2+(len(base)+2)/3; got != want {
+		t.Fatalf("Delete tombstoned %d objects, want %d", got, want)
+	}
+	if st := m.Stats(); st.DeltaInserts != len(ids) || st.DeltaTombstones*2 < st.DeltaInserts {
+		t.Fatalf("delta is not the large regime: %+v", st)
+	}
+	checkMutableAgainstRebuild(t, m, probe, 9410)
+
+	// More history on top: inserts after the tombstones, deletes that
+	// hit old inserts, new inserts, dead IDs and the base again.
+	more, err := m.Insert(randBoxes(rng, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Delete([]geom.ID{more[7], ids[1], ids[0], base[1].ID, more[7], ids[len(ids)-1], 1 << 30})
+	checkMutableAgainstRebuild(t, m, probe, 9411)
+
+	if !m.Compact() {
+		t.Fatal("Compact had nothing to fold")
+	}
+	if st := m.Stats(); st.DeltaInserts != 0 || st.DeltaTombstones != 0 {
+		t.Fatalf("post-compact delta not empty: %+v", st)
+	}
+	checkMutableAgainstRebuild(t, m, probe, 9412)
+}
+
+// TestNewOverlayContract: the public constructor accepts what callers
+// outside the delta layer hand it — inserts already filtered of the
+// deleted objects or not, deleted IDs in any order — answers exactly as
+// the rebuilt index either way, leaves the caller's slices alone, and
+// refuses inserts that break the ID invariant instead of answering out
+// of order.
+func TestNewOverlayContract(t *testing.T) {
+	base := touch.GenerateUniform(300, 9501).Expand(8)
+	idx := touch.BuildIndex(base, touch.TOUCHConfig{})
+	var inserts, live touch.Dataset
+	for i, b := range randBoxes(rand.New(rand.NewSource(9502)), 200) {
+		inserts = append(inserts, touch.Object{ID: geom.ID(1000 + 3*i), Box: b})
+	}
+	deleted := []geom.ID{1000 + 3*150, 7, 1000, 299, 1000 + 3*42, 0, 123}
+	merged := slices.Clone(base)
+	for _, o := range inserts {
+		if !slices.Contains(deleted, o.ID) {
+			live = append(live, o)
+		}
+	}
+	merged = slices.DeleteFunc(append(merged, live...), func(o touch.Object) bool { return slices.Contains(deleted, o.ID) })
+	rebuilt := touch.BuildIndex(merged, touch.TOUCHConfig{})
+	probe := touch.GenerateUniform(80, 9503)
+	wantJoin := PairSet(rebuilt.Join(probe, nil).Pairs)
+
+	order := slices.Clone(deleted)
+	for name, ov := range map[string]*touch.Overlay{
+		"unfiltered":  touch.NewOverlay(idx, inserts, deleted),
+		"prefiltered": touch.NewOverlay(idx, live, deleted),
+	} {
+		boxes, points, ks := QueryWorkload(9504, 12)
+		for i := range boxes {
+			got, err := ov.RangeQuery(boxes[i])
+			want, _ := rebuilt.RangeQuery(boxes[i])
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s: RangeQuery(%v) = %v, %v; want %v", name, boxes[i], got, err, want)
+			}
+			p := points[i]
+			gotPt, err := ov.PointQuery(p[0], p[1], p[2])
+			wantPt, _ := rebuilt.PointQuery(p[0], p[1], p[2])
+			if err != nil || !slices.Equal(gotPt, wantPt) {
+				t.Fatalf("%s: PointQuery(%v) = %v, %v; want %v", name, p, gotPt, err, wantPt)
+			}
+			gotK, err := ov.KNN(p, ks[i])
+			wantK, _ := rebuilt.KNN(p, ks[i])
+			if err != nil || !slices.Equal(gotK, wantK) {
+				t.Fatalf("%s: KNN(%v, %d) = %v, %v; want %v", name, p, ks[i], gotK, err, wantK)
+			}
+		}
+		if got := PairSet(ov.Join(probe, nil).Pairs); !slices.Equal(got, wantJoin) {
+			t.Fatalf("%s: Join has %d pairs, want %d", name, len(got), len(wantJoin))
+		}
+	}
+	if !slices.Equal(deleted, order) {
+		t.Fatalf("NewOverlay reordered the caller's deleted slice: %v", deleted)
+	}
+
+	for name, bad := range map[string]touch.Dataset{
+		"insert ID inside the base's range": {{ID: 299, Box: inserts[0].Box}},
+		"inserts out of ID order":           {inserts[1], inserts[0]},
+		"duplicate insert ID":               {inserts[0], inserts[0]},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewOverlay accepted %s", name)
+				}
+			}()
+			touch.NewOverlay(idx, bad, nil)
+		}()
+	}
+}
+
 // TestMutableStatsAndIDs pins the bookkeeping contract: consecutive
 // ascending IDs from Insert, idempotent Delete, live-object accounting
 // and monotone IDs across a compaction (never reused).
@@ -239,6 +370,42 @@ func TestMutableStatsAndIDs(t *testing.T) {
 	}
 	if !slices.Equal(ids, []geom.ID{13}) {
 		t.Fatalf("post-compact Insert IDs = %v, want [13]", ids)
+	}
+}
+
+// TestMutableCompactionRearms: a burst that lands while a background
+// compaction is building carries over into the next generation's delta;
+// if that is again over the threshold, a second compaction must follow
+// on its own — no later write arrives here to trigger it. The base is
+// large enough that the first build (tens of milliseconds) outlasts the
+// whole burst (microseconds).
+func TestMutableCompactionRearms(t *testing.T) {
+	m, err := touch.NewMutable(touch.GenerateUniform(40_000, 9601), touch.TOUCHConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const threshold = 8
+	m.SetCompactThreshold(threshold)
+	rng := rand.New(rand.NewSource(9602))
+	for i := 0; i < 20; i++ {
+		if _, err := m.Insert(randBoxes(rng, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st := m.Stats()
+		if st.DeltaInserts+st.DeltaTombstones < threshold {
+			if st.Base.Objects != 40_000+20*16 {
+				t.Fatalf("folded base has %d objects, want %d", st.Base.Objects, 40_000+20*16)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("delta of %d entries left pending at threshold %d after %d compactions",
+				st.DeltaInserts+st.DeltaTombstones, threshold, st.Compactions)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -14,11 +14,17 @@ import (
 // and the join bit-identical to an index rebuilt from the merged
 // dataset — the adversarial counterpart of TestDifferentialMutable,
 // on the same coarse coordinate lattice as the other fuzz targets so
-// boundary touches, duplicate boxes and distance ties are common.
+// boundary touches, duplicate boxes and distance ties are common. A
+// bulk op builds the large-delta regime: 64 inserts at once (several
+// times the base), every other one tombstoned together with every
+// third base ID, so dead inserts and dead base objects tie with live
+// ones all through the answers.
 func FuzzDeltaMerge(f *testing.F) {
 	fuzzSeeds(f)
 	f.Add([]byte{0x05, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88,
 		0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff, 0x01, 0x02})
+	f.Add([]byte{0x17, 0x04, 0x31, 0x42, 0x53, 0x64, 0x75, 0x86, 0x97, 0xa8, 0xb9, 0xca, 0xdb, 0xec,
+		0xfd, 0x0e, 0x1f, 0x20, 0x31, 0x42, 0x53, 0x64, 0x75, 0x86, 0x97, 0xa8, 0x04, 0x02, 0x09, 0x04})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -37,7 +43,22 @@ func FuzzDeltaMerge(f *testing.F) {
 			op := data[off]
 			off++
 			ops++
-			switch op % 4 {
+			switch op % 5 {
+			case 4: // bulk: 64 inserts drawn from the whole stream, half of them and a third of the base deleted
+				stream := bytes.Repeat(data, 1+(64*bytesPerBox)/len(data))
+				boxes := make([]geom.Box, 64)
+				for j := range boxes {
+					boxes[j] = fuzzBox(stream, (j*bytesPerBox+int(op))%(len(stream)-bytesPerBox+1))
+				}
+				ids, err := m.Insert(boxes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var del []geom.ID
+				for j := 0; j < len(ids); j += 2 {
+					del = append(del, ids[j], geom.ID(j/2*3))
+				}
+				m.Delete(del)
 			case 0, 1: // insert up to 3 boxes
 				n := min(int(op/4)%3+1, (len(data)-off)/bytesPerBox)
 				boxes := make([]geom.Box, 0, n)

@@ -79,13 +79,6 @@ func (v *mutView) inBase(id ID) bool {
 	return ok
 }
 
-func overlayFor(idx *Index, d *delta.Delta) *Overlay {
-	if d.Empty() {
-		return nil
-	}
-	return NewOverlay(idx, d.Live(), d.TombIDs())
-}
-
 // NewMutable builds the base index over ds (zero cfg = paper defaults,
 // as BuildIndex) and returns a Mutable ready for updates. The dataset
 // is cloned and sorted by ID; duplicate IDs are rejected. Auto-
@@ -120,8 +113,10 @@ func (m *Mutable) SetCompactThreshold(n int) {
 }
 
 // maybeCompact schedules a background compaction when the delta size
-// has reached the threshold and none is already queued. Caller holds
-// m.mu.
+// has reached the threshold and none is already queued. Once it has
+// published, the updates that arrived during its build are checked
+// again, so a burst that outran one compaction is not left pending
+// until the next write. Caller holds m.mu.
 func (m *Mutable) maybeCompact(size int) {
 	if m.threshold <= 0 || size < m.threshold {
 		return
@@ -130,8 +125,11 @@ func (m *Mutable) maybeCompact(size int) {
 		return
 	}
 	go func() {
-		defer m.compactQueued.Store(false)
 		m.Compact()
+		m.compactQueued.Store(false)
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		m.maybeCompact(m.view.Load().d.Size())
 	}()
 }
 
@@ -153,7 +151,7 @@ func (m *Mutable) Insert(boxes []Box) ([]ID, error) {
 	}
 	nd, first := v.d.Insert(boxes)
 	if len(boxes) > 0 {
-		m.view.Store(&mutView{base: v.base, idx: v.idx, d: nd, ov: overlayFor(v.idx, nd)})
+		m.view.Store(&mutView{base: v.base, idx: v.idx, d: nd, ov: OverlayOf(v.idx, nd)})
 		m.maybeCompact(nd.Size())
 	}
 	ids := make([]ID, len(boxes))
@@ -172,7 +170,7 @@ func (m *Mutable) Delete(ids []ID) int {
 	v := m.view.Load()
 	nd, n := v.d.Delete(ids, v.inBase)
 	if n > 0 {
-		m.view.Store(&mutView{base: v.base, idx: v.idx, d: nd, ov: overlayFor(v.idx, nd)})
+		m.view.Store(&mutView{base: v.base, idx: v.idx, d: nd, ov: OverlayOf(v.idx, nd)})
 		m.maybeCompact(nd.Size())
 	}
 	return n
@@ -199,7 +197,7 @@ func (m *Mutable) Compact() bool {
 	// compactor, so the current delta still descends from v0's.
 	v1 := m.view.Load()
 	nd := v1.d.Since(v0.d)
-	m.view.Store(&mutView{base: merged, idx: idx, d: nd, ov: overlayFor(idx, nd)})
+	m.view.Store(&mutView{base: merged, idx: idx, d: nd, ov: OverlayOf(idx, nd)})
 	m.compactions.Add(1)
 	return true
 }

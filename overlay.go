@@ -1,13 +1,14 @@
 package touch
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"iter"
 	"slices"
+	"sort"
 	"time"
 
+	"touch/internal/delta"
 	"touch/internal/geom"
 	"touch/internal/nl"
 	"touch/internal/stats"
@@ -16,68 +17,124 @@ import (
 
 // Overlay combines an immutable base Index with a small set of pending
 // updates — inserted objects and deleted (tombstoned) IDs — and
-// presents the Index query and join surface over the merged state. Base
-// answers are filtered against the tombstones and united with a
-// brute-force pass over the inserts, so every answer is bit-identical
-// to what an index rebuilt from the merged dataset would return, at a
-// cost linear in the (small) insert buffer.
+// presents the Index query and join surface over the merged state.
+// Every answer is bit-identical to what an index rebuilt from the
+// merged dataset would return.
+//
+// An Overlay holds the delta's two slices as they are: the inserts,
+// which may contain tombstoned objects, and the tombstones, ascending
+// and retained. A tombstone is tested by binary search, and only on an
+// object that is already a hit. What each shape costs on top of the
+// same query on the bare Index: a range or point query filters the base
+// answer and makes one pass over the inserts, appending matches in ID
+// order (no sort, no extra allocation); kNN is an exactly-k base search
+// that drops tombstoned objects as they are popped, plus one pass over
+// the inserts that touches the running top-k only when an insert beats
+// its current k-th neighbor; a join filters the base pairs and runs the
+// brute-force pass over the live inserts. Publishing an update is
+// O(batch): nothing here is copied or rebuilt per generation.
 //
 // An Overlay is an immutable value: it holds references, never copies
 // the base, and is safe for arbitrary concurrent callers, exactly like
 // Index. The write side lives elsewhere (Mutable here, the serving
 // catalog in touchserved); both publish a fresh Overlay per mutation
-// through an atomic pointer.
+// through an atomic pointer, built by OverlayOf.
 //
-// Two invariants are assumed, not checked: every insert ID is greater
-// than every ID the base index holds (so merged ID lists stay sorted by
-// concatenation — a violation is detected and repaired with an explicit
-// sort), and inserts contains no tombstoned objects (filter with
-// Delta.Live or equivalent before constructing).
+// The invariant the merges rest on: the inserts are strictly
+// ID-ascending and every insert ID is greater than every ID the base
+// index holds, so merged ID lists stay sorted by concatenation and an
+// insert loses every distance tie against what is already in a top-k.
+// A delta.Delta guarantees it; NewOverlay checks it once.
 type Overlay struct {
 	idx     *Index
 	inserts Dataset
-	tombs   map[ID]struct{}
+	tombs   []ID
 }
 
-// NewOverlay builds an Overlay over idx with the given live inserted
-// objects and deleted IDs. The slices are retained, not copied; treat
-// them as frozen afterwards.
+// NewOverlay builds an Overlay over idx with the given inserted objects
+// and deleted IDs. inserts must satisfy the Overlay invariant — checked
+// here, once, and a violation panics — and may or may not still contain
+// objects that deleted names. deleted may come in any order and is
+// copied only if it has to be sorted; otherwise the slices are
+// retained, not copied: treat them as frozen afterwards.
 func NewOverlay(idx *Index, inserts Dataset, deleted []ID) *Overlay {
-	v := &Overlay{idx: idx, inserts: inserts}
-	if len(deleted) > 0 {
-		v.tombs = make(map[ID]struct{}, len(deleted))
-		for _, id := range deleted {
-			v.tombs[id] = struct{}{}
+	last := idx.maxID
+	for i := range inserts {
+		if inserts[i].ID <= last {
+			panic(fmt.Sprintf("touch: NewOverlay: insert ID %d is not above the base's and the earlier inserts' IDs (≤ %d)", inserts[i].ID, last))
 		}
+		last = inserts[i].ID
 	}
-	return v
+	if !slices.IsSorted(deleted) {
+		deleted = slices.Clone(deleted)
+		slices.Sort(deleted)
+	}
+	return &Overlay{idx: idx, inserts: inserts, tombs: deleted}
+}
+
+// OverlayOf returns the Overlay of idx and the pending updates of d,
+// sharing d's slices, or nil when d is empty — the caller then reads
+// the bare index, which is exactly the frozen path. It is the one
+// construction path of Mutable and the serving catalog.
+func OverlayOf(idx *Index, d *delta.Delta) *Overlay {
+	if d.Empty() {
+		return nil
+	}
+	return &Overlay{idx: idx, inserts: d.Objects(), tombs: d.Tombs()}
 }
 
 // Base returns the underlying base index.
 func (v *Overlay) Base() *Index { return v.idx }
 
-// filterIDs removes tombstoned IDs from ids in place.
-func (v *Overlay) filterIDs(ids []ID) []ID {
-	if len(v.tombs) == 0 {
-		return ids
-	}
-	live := ids[:0]
-	for _, id := range ids {
-		if _, dead := v.tombs[id]; !dead {
-			live = append(live, id)
-		}
-	}
-	return live
+// dead reports whether id is tombstoned.
+func (v *Overlay) dead(id ID) bool {
+	_, dead := slices.BinarySearch(v.tombs, id)
+	return dead
 }
 
-// mergeIDs appends the insert-side IDs to the (already filtered) base
-// IDs. Insert IDs are greater than base IDs by the Overlay invariant,
-// so concatenation preserves ascending order; the check-and-sort is the
-// cheap repair path for callers that broke the invariant.
-func mergeIDs(baseIDs, extra []ID) []ID {
-	ids := append(baseIDs, extra...)
-	if !slices.IsSorted(ids) {
-		slices.Sort(ids)
+// merge turns the base answer ids (ascending) for the box q into the
+// merged answer: the inserts intersecting q are appended — in ID order
+// and above every base ID, so the list stays ascending — and then the
+// tombstoned IDs, base objects and inserts alike, are removed in place.
+// A non-nil sp records the insert pass as PhaseDelta and the filter as
+// PhaseOverlay.
+func (v *Overlay) merge(ids []ID, q Box, sp *Span) []ID {
+	var start time.Time
+	if sp != nil {
+		start = time.Now()
+	}
+	ins := v.inserts
+	for i := range ins {
+		// Box.Intersects, written out: its loop indexes the corner arrays
+		// by a variable, which costs a copy of both boxes per call, and
+		// this pass is that test and nothing else.
+		b := &ins[i].Box
+		if b.Min[0] > q.Max[0] || q.Min[0] > b.Max[0] ||
+			b.Min[1] > q.Max[1] || q.Min[1] > b.Max[1] ||
+			b.Min[2] > q.Max[2] || q.Min[2] > b.Max[2] {
+			continue
+		}
+		ids = append(ids, ins[i].ID)
+	}
+	if sp != nil {
+		sp.Add(trace.PhaseDelta, time.Since(start))
+		start = time.Now()
+	}
+	if tombs := v.tombs; len(tombs) > 0 {
+		live := ids[:0]
+		for _, id := range ids {
+			// ids ascend, so each search resumes where the last ended.
+			at, dead := slices.BinarySearch(tombs, id)
+			tombs = tombs[at:]
+			if !dead {
+				live = append(live, id)
+			}
+		}
+		ids = live
+	}
+	if sp != nil {
+		sp.Add(trace.PhaseOverlay, time.Since(start))
+		sp.SetResults(int64(len(ids)))
 	}
 	return ids
 }
@@ -88,25 +145,15 @@ func mergeIDs(baseIDs, extra []ID) []ID {
 func (v *Overlay) RangeQuery(q Box) ([]ID, error) { return v.RangeQueryTraced(q, nil) }
 
 // RangeQueryTraced is RangeQuery with per-request tracing: the base
-// descent records PhaseQuery (see Index.RangeQueryTraced), the
-// brute-force scan of the pending inserts records PhaseDelta, and the
-// tombstone filter plus merge records PhaseOverlay.
+// descent records PhaseQuery (see Index.RangeQueryTraced), the pass
+// over the pending inserts records PhaseDelta, and the tombstone filter
+// records PhaseOverlay.
 func (v *Overlay) RangeQueryTraced(q Box, sp *Span) ([]ID, error) {
 	ids, err := v.idx.RangeQueryTraced(q, sp)
 	if err != nil {
 		return nil, err
 	}
-	if sp == nil {
-		return mergeIDs(v.filterIDs(ids), nl.RangeQuery(v.inserts, q)), nil
-	}
-	start := time.Now()
-	extra := nl.RangeQuery(v.inserts, q)
-	sp.Add(trace.PhaseDelta, time.Since(start))
-	start = time.Now()
-	ids = mergeIDs(v.filterIDs(ids), extra)
-	sp.Add(trace.PhaseOverlay, time.Since(start))
-	sp.SetResults(int64(len(ids)))
-	return ids, nil
+	return v.merge(ids, q, sp), nil
 }
 
 // PointQuery returns the IDs of every live object whose MBR contains
@@ -122,77 +169,45 @@ func (v *Overlay) PointQueryTraced(x, y, z float64, sp *Span) ([]ID, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sp == nil {
-		return mergeIDs(v.filterIDs(ids), nl.PointQuery(v.inserts, Point{x, y, z})), nil
-	}
-	start := time.Now()
-	extra := nl.PointQuery(v.inserts, Point{x, y, z})
-	sp.Add(trace.PhaseDelta, time.Since(start))
-	start = time.Now()
-	ids = mergeIDs(v.filterIDs(ids), extra)
-	sp.Add(trace.PhaseOverlay, time.Since(start))
-	sp.SetResults(int64(len(ids)))
-	return ids, nil
+	return v.merge(ids, geom.BoxAt(Point{x, y, z}), sp), nil
 }
 
 // KNN returns the k live objects nearest to q with Index.KNN's exact
 // (Distance, ID) ordering and tie-breaking over the merged state. The
-// base index is asked for k plus one candidate per tombstone — the
-// tombstones can shadow at most that many of its answers — and the
-// survivors merge with a brute-force scan of the inserts.
+// base index is asked for exactly k neighbors with the tombstones as
+// its skip list; they are the running top-k that one pass over the
+// inserts then improves.
 func (v *Overlay) KNN(q Point, k int) ([]Neighbor, error) { return v.KNNTraced(q, k, nil) }
 
 // KNNTraced is KNN with per-request tracing; see RangeQueryTraced. The
-// tombstone filter and the merge-sort of the insert candidates record
-// PhaseOverlay; the brute-force insert scan records PhaseDelta.
+// insert pass, merge included, records PhaseDelta; the tombstone test
+// runs inside the base search.
 func (v *Overlay) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("%w (got %d)", ErrInvalidK, k)
-	}
-	nbrs, err := v.idx.KNNTraced(q, k+len(v.tombs), sp)
+	nbrs, err := v.idx.knn(q, k, v.tombs, sp)
 	if err != nil {
 		return nil, err
 	}
-	var overlayTime time.Duration
 	var start time.Time
 	if sp != nil {
 		start = time.Now()
 	}
-	if len(v.tombs) > 0 {
-		live := nbrs[:0]
-		for _, n := range nbrs {
-			if _, dead := v.tombs[n.ID]; !dead {
-				live = append(live, n)
-			}
+	ins := v.inserts
+	for i := range ins {
+		d := ins[i].Box.PointDistance(q)
+		// An insert's ID is above every ID already in nbrs, so it ranks
+		// after all of them at its distance: a tie with the k-th loses.
+		if (len(nbrs) == k && d >= nbrs[k-1].Distance) || v.dead(ins[i].ID) {
+			continue
 		}
-		nbrs = live
+		at := sort.Search(len(nbrs), func(j int) bool { return nbrs[j].Distance > d })
+		if len(nbrs) < k {
+			nbrs = append(nbrs, Neighbor{})
+		}
+		copy(nbrs[at+1:], nbrs[at:])
+		nbrs[at] = Neighbor{ID: ins[i].ID, Distance: d}
 	}
 	if sp != nil {
-		overlayTime += time.Since(start)
-	}
-	if len(v.inserts) > 0 {
-		if sp != nil {
-			start = time.Now()
-		}
-		extra := nl.KNN(v.inserts, q, k)
-		if sp != nil {
-			sp.Add(trace.PhaseDelta, time.Since(start))
-			start = time.Now()
-		}
-		nbrs = append(nbrs, extra...)
-		slices.SortFunc(nbrs, func(a, b Neighbor) int {
-			if a.Distance != b.Distance {
-				return cmp.Compare(a.Distance, b.Distance)
-			}
-			return cmp.Compare(a.ID, b.ID)
-		})
-		if sp != nil {
-			overlayTime += time.Since(start)
-		}
-	}
-	nbrs = nbrs[:min(k, len(nbrs))]
-	if sp != nil {
-		sp.Add(trace.PhaseOverlay, overlayTime)
+		sp.Add(trace.PhaseDelta, time.Since(start))
 		sp.SetResults(int64(len(nbrs)))
 	}
 	return nbrs, nil
@@ -200,7 +215,8 @@ func (v *Overlay) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
 
 // runMerged executes one merged join: the base index probe with a
 // tombstone filter in front of the delivery chain, then — unless the
-// join was stopped — the brute-force insert pass into the same chain.
+// join was stopped — the brute-force pass over the live inserts into
+// the same chain, one nl.Join per run of inserts between two dead ones.
 // The engine counts every emission in c.Results before the filter can
 // see it, so the dropped pairs are subtracted afterwards, keeping
 // Stats.Results equal to the delivered (live) pair count. A non-nil sp
@@ -212,7 +228,7 @@ func (v *Overlay) runMerged(b Dataset, workers int, ctl *stats.Control, c *Stats
 	var dropped int64
 	if len(v.tombs) > 0 {
 		base = stats.FuncSink(func(a, bid geom.ID) {
-			if _, dead := v.tombs[a]; dead {
+			if v.dead(a) {
 				dropped++
 				return
 			}
@@ -221,16 +237,24 @@ func (v *Overlay) runMerged(b Dataset, workers int, ctl *stats.Control, c *Stats
 	}
 	v.idx.runProbe(b, workers, ctl, c, base)
 	c.Results -= dropped
-	if ctl.Stopped() {
-		return
+	var start time.Time
+	if sp != nil {
+		start = time.Now()
 	}
-	if len(v.inserts) > 0 {
-		if sp == nil {
-			nl.Join(v.inserts, b, ctl, c, sink)
-			return
+	ins := v.inserts
+	for from, i := 0, 0; i <= len(ins); i++ {
+		if i < len(ins) && !v.dead(ins[i].ID) {
+			continue
 		}
-		start := time.Now()
-		nl.Join(v.inserts, b, ctl, c, sink)
+		if from < i {
+			if ctl.Stopped() {
+				break
+			}
+			nl.Join(ins[from:i], b, ctl, c, sink)
+		}
+		from = i + 1
+	}
+	if sp != nil && len(ins) > 0 {
 		sp.Add(trace.PhaseDelta, time.Since(start))
 	}
 }

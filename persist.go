@@ -92,10 +92,10 @@ func ReadSnapshot(r io.Reader) (SnapshotInfo, Dataset, *Index, error) {
 	return DecodeSnapshot(data)
 }
 
-// indexFromTree wraps an already-validated tree in the public Index,
-// wiring the probe pool exactly as BuildIndex does.
+// indexFromTree wraps a built or already-validated thawed tree in the
+// public Index and wires its probe pool.
 func indexFromTree(t *core.Tree, lenA int) *Index {
-	ix := &Index{tree: t, lenA: lenA}
+	ix := &Index{tree: t, lenA: lenA, maxID: t.MaxID()}
 	ix.probes.New = func() any { return ix.tree.NewProbe() }
 	return ix
 }
