@@ -293,7 +293,7 @@ func BenchmarkOverlayKNN(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := touch.Point{float64(i*31%1000) + 0.5, float64(i*67%1000) + 0.5, float64(i*131%1000) + 0.5}
-				if _, err := m.KNN(p, 10); err != nil {
+				if _, err := m.View().KNN(p, 10); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -312,7 +312,7 @@ func BenchmarkOverlayRange(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				lo := touch.Point{float64(i%16) * 60, float64((i/16)%16) * 60, float64(i%8) * 120}
-				if _, err := m.RangeQuery(touch.NewBox(lo, touch.Point{lo[0] + 50, lo[1] + 50, lo[2] + 50})); err != nil {
+				if _, err := m.View().RangeQuery(touch.NewBox(lo, touch.Point{lo[0] + 50, lo[1] + 50, lo[2] + 50})); err != nil {
 					b.Fatal(err)
 				}
 			}

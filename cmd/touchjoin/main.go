@@ -212,7 +212,7 @@ func main() {
 		if _, err = m.Insert(boxesOf(updIns)); err != nil {
 			fatal(err)
 		}
-		res, err = m.DistanceJoinCtx(joinCtx, b, *eps, opt)
+		res, err = m.View().DistanceJoinCtx(joinCtx, b, *eps, opt)
 	} else {
 		res, err = touch.DistanceJoinCtx(joinCtx, alg, a, b, *eps, opt)
 	}
@@ -455,11 +455,7 @@ func runQuery(ctx context.Context, a touch.Dataset, mode, boxArg, ptArg string, 
 	// With -insert/-delete the query answers over the incrementally
 	// edited state: index A, apply the updates (inserted boxes get the
 	// same ε-expansion the indexed side carries), query the merge.
-	var ix interface {
-		RangeQuery(touch.Box) ([]touch.ID, error)
-		PointQuery(x, y, z float64) ([]touch.ID, error)
-		KNN(touch.Point, int) ([]touch.Neighbor, error)
-	}
+	var ix *touch.Overlay
 	if len(updIns) > 0 || len(updDel) > 0 {
 		m, err := touch.NewMutable(a.Expand(eps), touch.TOUCHConfig{})
 		if err != nil {
@@ -470,9 +466,9 @@ func runQuery(ctx context.Context, a touch.Dataset, mode, boxArg, ptArg string, 
 		if _, err := m.Insert(boxesOf(updIns.Expand(eps))); err != nil {
 			return err
 		}
-		ix = m
+		ix = m.View()
 	} else {
-		ix = touch.BuildIndex(a.Expand(eps), touch.TOUCHConfig{})
+		ix = touch.NewOverlay(touch.BuildIndex(a.Expand(eps), touch.TOUCHConfig{}), nil, nil)
 	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("query canceled: %w", err)

@@ -1,127 +1,301 @@
-// Serving: one shared TOUCH index under concurrent query traffic.
+// Serving: one dataset, one reader, three front doors.
 //
 // The paper's §4.3 reusable-index scenario taken to its serving-system
-// conclusion: the TOUCH tree is built once on dataset A and is immutable
-// from then on, so any number of goroutines can join their own probe
-// datasets against it at the same time — no locks, no per-query tree
-// rebuild, and pooled per-query probe state that recycles its buffers.
-// Every concurrent result is verified against a sequential reference
-// run. Run with:
+// conclusion. The program loads two datasets once and then asks the
+// same three questions — a range query, a kNN query and an ε-join — of
+// the same data
 //
-//	go run ./examples/serving [-clients 8] [-queries 6]
+//  1. in process, on one shared reader under concurrent goroutines
+//     (plus a streaming join that is broken out of and one that is
+//     canceled by a deadline),
+//  2. over HTTP/JSON, through the touchserved handler on a loopback port,
+//  3. over the pipelined binary protocol, through touch/client (unary,
+//     one pipelined batch, a streamed join and a canceled one),
+//
+// and requires identical answers at every door. It then updates the
+// dataset (a PATCH over HTTP, an Update over the wire, the same batches
+// applied to an in-process Mutable) and asks again, snapshots the index
+// through the public codec, and finally abandons the server and
+// restarts a fresh one from its data directory: same versions, same
+// answers, no rebuild. Run with:
+//
+//	go run ./examples/serving [-clients 8]
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"runtime"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"reflect"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"touch"
+	"touch/client"
+	"touch/internal/api"
+	"touch/internal/server"
 )
 
+// The three questions every door is asked.
+var (
+	box = touch.NewBox(touch.Point{200, 200, 200}, touch.Point{420, 420, 420})
+	pt  = touch.Point{333, 666, 111}
+)
+
+const (
+	k   = 12
+	eps = 5.0
+)
+
+// answers is what a door returns for them.
+type answers struct {
+	IDs   []touch.ID
+	Nbrs  []touch.Neighbor
+	Pairs []touch.Pair // sorted by (A, B)
+}
+
 func main() {
-	var (
-		clients = flag.Int("clients", 8, "concurrent client goroutines")
-		queries = flag.Int("queries", 6, "queries per client")
-	)
+	clients := flag.Int("clients", 8, "concurrent in-process client goroutines")
 	flag.Parse()
+	ctx := context.Background()
+	dir, err := os.MkdirTemp("", "touch-serving")
+	check(err)
+	defer os.RemoveAll(dir)
 
-	// The indexed dataset: built once, never touched again. The ε = 5
-	// expansion is applied to the index side once, so every query is a
-	// plain intersection join against it.
-	a := touch.GenerateUniform(20_000, 1).Expand(5)
-	start := time.Now()
-	idx := touch.BuildIndex(a, touch.TOUCHConfig{})
-	fmt.Printf("index built on %d objects in %v (build happens once)\n",
-		len(a), time.Since(start).Round(time.Millisecond))
+	// Load once. Every Load persists its snapshot to the data directory
+	// before the version becomes visible.
+	cells := touch.GenerateClustered(20_000, 1)
+	grid := touch.GenerateUniform(5_000, 2)
+	srv := server.New(server.Config{MaxInFlight: 32, DataDir: dir})
+	srv.Load("cells", cells, touch.TOUCHConfig{})
+	srv.Load("grid", grid, touch.TOUCHConfig{})
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	check(err)
+	go srv.ServeWire(ln)
+	defer srv.ShutdownWire(ctx)
+	conn, err := client.Dial(ctx, ln.Addr().String())
+	check(err)
+	defer conn.Close()
+	fmt.Printf("cells (%d) and grid (%d) loaded; HTTP on %s, wire on %s\n\n", len(cells), len(grid), hs.URL, ln.Addr())
 
-	// Each client gets its own stream of probe datasets — distinct
-	// workloads, as independent users would send.
-	probes := make([][]touch.Dataset, *clients)
-	for cl := range probes {
-		probes[cl] = make([]touch.Dataset, *queries)
-		for q := range probes[cl] {
-			probes[cl][q] = touch.GenerateUniform(30_000, int64(100+cl*(*queries)+q))
-		}
+	// --- 1. In process: one reader, many goroutines. --------------------
+	// The tree is immutable and every call draws a private probe from a
+	// pool, so any number of goroutines share one reader with no locks.
+	m, err := touch.NewMutable(cells, touch.TOUCHConfig{})
+	check(err)
+	want := inProcess(m.View(), grid)
+	if len(want.IDs) < 4 || len(want.Nbrs) != k || len(want.Pairs) == 0 {
+		log.Fatalf("the fixture answers too little: %d ids, %d pairs", len(want.IDs), len(want.Pairs))
 	}
-
-	// Sequential reference pass: result counts every concurrent join
-	// must reproduce.
-	want := make([][]int64, *clients)
-	seqStart := time.Now()
-	for cl := range probes {
-		want[cl] = make([]int64, *queries)
-		for q, b := range probes[cl] {
-			want[cl][q] = idx.Join(b, &touch.Options{NoPairs: true}).Stats.Results
-		}
-	}
-	seqWall := time.Since(seqStart)
-
-	// The same queries again, all clients at once on the one shared
-	// index. Each Join checks a pooled probe out, writes only to it,
-	// and returns it — the tree itself is read-only.
-	var totalResults atomic.Int64
 	var wg sync.WaitGroup
-	parStart := time.Now()
 	for cl := 0; cl < *clients; cl++ {
 		wg.Add(1)
-		go func(cl int) {
+		go func() {
 			defer wg.Done()
-			for q, b := range probes[cl] {
-				res := idx.Join(b, &touch.Options{NoPairs: true})
-				if res.Stats.Results != want[cl][q] {
-					log.Fatalf("client %d query %d: %d results, sequential run found %d",
-						cl, q, res.Stats.Results, want[cl][q])
-				}
-				totalResults.Add(res.Stats.Results)
-			}
-		}(cl)
+			mustAgree("concurrent in-process client", inProcess(m.View(), grid), want)
+		}()
 	}
 	wg.Wait()
-	parWall := time.Since(parStart)
+	fmt.Printf("in process: %d ids, %d neighbors, %d pairs — %d concurrent clients agree ✓\n",
+		len(want.IDs), len(want.Nbrs), len(want.Pairs), *clients)
 
-	total := *clients * *queries
-	fmt.Printf("\n%d clients × %d queries = %d joins on one shared index\n",
-		*clients, *queries, total)
-	fmt.Printf("sequential:  %v (%.1f queries/s)\n",
-		seqWall.Round(time.Millisecond), float64(total)/seqWall.Seconds())
-	fmt.Printf("concurrent:  %v (%.1f queries/s) on %d CPUs\n",
-		parWall.Round(time.Millisecond), float64(total)/parWall.Seconds(), runtime.NumCPU())
-	fmt.Printf("throughput:  %.2fx\n", seqWall.Seconds()/parWall.Seconds())
-	fmt.Printf("%d result pairs total — all %d concurrent joins matched the sequential run ✓\n",
-		totalResults.Load(), total)
-
-	// The same index also serves cancellable, streaming consumers: a
-	// JoinSeq loop pulls pairs as the engine finds them (O(1) result
-	// memory) and breaking out aborts the join instead of finishing it.
-	sample := int(want[0][0]/2 + 1) // stop halfway through the result set
-	streamed := 0
-	for _, err := range idx.JoinSeq(context.Background(), probes[0][0], nil) {
-		if err != nil {
-			log.Fatalf("streaming join: %v", err)
-		}
-		if streamed++; streamed == sample {
-			break // the engine stops here, not at pair want[0][0]
+	// The same reader serves streaming consumers: breaking out of a
+	// JoinSeq loop aborts the join instead of finishing it, and a
+	// deadline cancels one mid-flight.
+	streamed, half := 0, len(want.Pairs)/2+1
+	for _, err := range m.View().DistanceJoinSeq(ctx, grid, eps, nil) {
+		check(err)
+		if streamed++; streamed == half {
+			break
 		}
 	}
-	if streamed != sample {
-		log.Fatalf("streamed %d pairs, expected to break at %d", streamed, sample)
-	}
-	fmt.Printf("streamed the first %d of %d pairs off an iterator, then broke out ✓\n",
-		streamed, want[0][0])
-
-	// And a deadline cancels a join mid-flight instead of letting it run
-	// to completion — the serving layer's timeout story.
-	ctx, cancel := context.WithTimeout(context.Background(), 1*time.Nanosecond)
-	defer cancel()
-	if _, err := idx.JoinCtx(ctx, probes[0][0], &touch.Options{NoPairs: true}); !errors.Is(err, touch.ErrJoinCanceled) {
+	dctx, cancel := context.WithTimeout(ctx, time.Nanosecond)
+	_, err = m.View().DistanceJoinCtx(dctx, grid, eps, nil)
+	cancel()
+	if !errors.Is(err, touch.ErrJoinCanceled) {
 		log.Fatalf("expected ErrJoinCanceled, got %v", err)
 	}
-	fmt.Println("deadline-canceled join returned ErrJoinCanceled ✓")
+	fmt.Printf("streamed %d of %d pairs then broke out; a deadline returned ErrJoinCanceled ✓\n", streamed, len(want.Pairs))
+
+	// --- 2 and 3. The network doors. --------------------------------------
+	mustAgree("HTTP", overHTTP(hs.URL), want)
+	mustAgree("wire", overWire(ctx, conn), want)
+	fmt.Println("HTTP/JSON and binary wire answers identical to the in-process reader ✓")
+
+	// One pipelined batch: every request leaves in a single write burst
+	// and the answers come back tagged, in request order.
+	b := conn.Batch()
+	futs := make([]client.IDsFuture, 16)
+	for i := range futs {
+		futs[i] = b.Range("cells", shifted(i))
+	}
+	check(b.Send())
+	for i, f := range futs {
+		_, ids, err := f.Get(ctx)
+		check(err)
+		if ref, _ := m.View().RangeQuery(shifted(i)); !slices.Equal(ids, ref) {
+			log.Fatalf("pipelined range %d: %d ids, in process %d", i, len(ids), len(ref))
+		}
+	}
+	// A canceled context sends a cancel frame: the server tears the join
+	// down and the connection stays usable.
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, _, _, err := conn.Join(cctx, "cells", client.JoinSpec{Probe: "grid", Eps: eps}); !errors.Is(err, context.Canceled) {
+		log.Fatalf("canceled wire join returned %v", err)
+	}
+	mustAgree("wire after cancel", overWire(ctx, conn), want)
+	fmt.Printf("pipelined batch of %d matches; canceled join left the connection serving ✓\n\n", len(futs))
+
+	// --- Updates: the same batches at every door. ---------------------------
+	// Deletes apply before inserts; inserted objects get fresh IDs after
+	// the largest base ID, the same on the server and in the Mutable.
+	ins := []touch.Box{box, shifted(1)}
+	var ur api.UpdateResponse
+	call("PATCH", hs.URL+"/v1/datasets/cells", api.UpdateRequest{Insert: [][]float64{row(ins[0]), row(ins[1])}, Delete: want.IDs[:2]}, &ur)
+	m.Delete(want.IDs[:2])
+	ids, err := m.Insert(ins)
+	check(err)
+	if !reflect.DeepEqual(ur.InsertedIDs, ids) {
+		log.Fatalf("server assigned IDs %v, Mutable %v", ur.InsertedIDs, ids)
+	}
+	_, err = conn.Update(ctx, "cells", client.UpdateSpec{Delete: want.IDs[2:4]})
+	check(err)
+	m.Delete(want.IDs[2:4])
+
+	// One View answers all three questions from one generation.
+	updated := inProcess(m.View(), grid)
+	if reflect.DeepEqual(updated, want) {
+		log.Fatal("the update changed no answer")
+	}
+	mustAgree("HTTP after update", overHTTP(hs.URL), updated)
+	mustAgree("wire after update", overWire(ctx, conn), updated)
+	st := m.Stats()
+	fmt.Printf("updated (%d inserts, %d tombstones pending): %d ids now, all three doors agree ✓\n",
+		st.DeltaInserts, st.DeltaTombstones, len(updated.IDs))
+	// Folding the delta into a fresh base changes no answer.
+	m.Compact()
+	mustAgree("after Compact", inProcess(m.View(), grid), updated)
+
+	// --- Durability: the codec, then a restart. ----------------------------
+	idx := m.View().Base()
+	data, err := touch.EncodeSnapshot(touch.SnapshotInfo{Name: "cells", Version: 1}, m.Dataset(), idx)
+	check(err)
+	_, _, thawed, err := touch.DecodeSnapshot(data)
+	check(err)
+	mustAgree("decoded snapshot", inProcess(touch.NewOverlay(thawed, nil, nil), grid), updated)
+	data[len(data)/2] ^= 1
+	if _, _, _, err := touch.DecodeSnapshot(data); !errors.Is(err, touch.ErrSnapshotCorrupt) {
+		log.Fatalf("a flipped bit decoded: %v", err)
+	}
+	fmt.Printf("snapshot of %s round-trips to identical answers; one flipped bit is rejected ✓\n", touch.FormatBytes(int64(len(data))))
+
+	// Abandon the server — no drain, no flush — and start another over
+	// the same directory. Pending updates live in memory only until a
+	// compaction folds them into the next persisted version, so the
+	// restart serves the base version: the answers from before the PATCH.
+	start := time.Now()
+	srv2 := server.New(server.Config{DataDir: dir})
+	rs, err := srv2.Recover()
+	check(err)
+	hs2 := httptest.NewServer(srv2)
+	defer hs2.Close()
+	mustAgree("restarted server", overHTTP(hs2.URL), want)
+	fmt.Printf("restart: recovered %d datasets in %v with zero rebuilds, base answers intact ✓\n",
+		rs.Loaded, time.Since(start).Round(time.Microsecond))
+}
+
+// inProcess asks the reader directly.
+func inProcess(v *touch.Overlay, probe touch.Dataset) answers {
+	ids, err := v.RangeQuery(box)
+	check(err)
+	nbrs, err := v.KNN(pt, k)
+	check(err)
+	res, err := v.DistanceJoin(probe, eps, nil)
+	check(err)
+	res.SortPairs()
+	return answers{ids, nbrs, res.Pairs}
+}
+
+// overHTTP asks touchserved's JSON API.
+func overHTTP(base string) answers {
+	var a answers
+	var qr api.QueryResponse
+	call("POST", base+"/v1/datasets/cells/query", api.QueryRequest{Type: api.TypeRange, Box: row(box)}, &qr)
+	a.IDs = qr.IDs
+	qr = api.QueryResponse{}
+	call("POST", base+"/v1/datasets/cells/query", api.QueryRequest{Type: api.TypeKNN, Point: pt[:], K: k}, &qr)
+	for _, n := range qr.Neighbors {
+		a.Nbrs = append(a.Nbrs, touch.Neighbor{ID: n.ID, Distance: n.Distance})
+	}
+	var jr api.JoinResponse
+	call("POST", base+"/v1/datasets/cells/join", api.JoinRequest{Probe: "grid", Eps: eps}, &jr)
+	for _, p := range jr.Pairs {
+		a.Pairs = append(a.Pairs, touch.Pair{A: p[0], B: p[1]})
+	}
+	return a
+}
+
+// overWire asks the binary protocol, one unary request each.
+func overWire(ctx context.Context, c *client.Conn) answers {
+	_, ids, err := c.Range(ctx, "cells", box)
+	check(err)
+	_, nbrs, err := c.KNN(ctx, "cells", pt, k)
+	check(err)
+	_, pairs, _, err := c.Join(ctx, "cells", client.JoinSpec{Probe: "grid", Eps: eps})
+	check(err)
+	return answers{ids, nbrs, pairs}
+}
+
+// call sends one JSON request and decodes the 200 response.
+func call(method, url string, body, into any) {
+	buf, err := json.Marshal(body)
+	check(err)
+	req, err := http.NewRequest(method, url, bytes.NewReader(buf))
+	check(err)
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	check(err)
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	check(err)
+	if resp.StatusCode != http.StatusOK {
+		log.Fatalf("%s %s: status %d: %s", method, url, resp.StatusCode, out)
+	}
+	check(json.Unmarshal(out, into))
+}
+
+func row(b touch.Box) []float64 {
+	return []float64{b.Min[0], b.Min[1], b.Min[2], b.Max[0], b.Max[1], b.Max[2]}
+}
+
+// shifted is the i-th box of the pipelined batch.
+func shifted(i int) touch.Box {
+	lo := touch.Point{float64(i * 50), float64(i * 40), float64(i * 30)}
+	return touch.NewBox(lo, touch.Point{lo[0] + 150, lo[1] + 150, lo[2] + 150})
+}
+
+func mustAgree(door string, got, want answers) {
+	if !reflect.DeepEqual(got, want) {
+		log.Fatalf("%s: answers differ (%d/%d ids, %d/%d neighbors, %d/%d pairs)", door,
+			len(got.IDs), len(want.IDs), len(got.Nbrs), len(want.Nbrs), len(got.Pairs), len(want.Pairs))
+	}
+}
+
+func check(err error) {
+	if err != nil {
+		log.Fatal(err)
+	}
 }

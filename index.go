@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"touch/internal/core"
+	"touch/internal/geom"
+	"touch/internal/nl"
 	"touch/internal/stats"
 	"touch/internal/trace"
 )
@@ -20,7 +22,9 @@ import (
 //
 // Beyond batch joins, the built tree doubles as a general query engine
 // over the indexed dataset: RangeQuery, PointQuery and KNN answer
-// single-probe questions through the same hierarchy.
+// single-probe questions through the same hierarchy. The read surface is
+// the reader's, with nothing pending: an Index answers exactly as an
+// Overlay with no inserts and no tombstones does, at the same cost.
 //
 // The tree is immutable after BuildIndex; everything a single join or
 // query writes lives in a per-query probe object drawn from an internal
@@ -29,10 +33,9 @@ import (
 // steady-state serving recycles all probe state, allocating near zero
 // per query.
 type Index struct {
-	tree   *core.Tree
-	lenA   int
-	maxID  ID        // largest indexed object ID, -1 when empty
-	probes sync.Pool // *core.Probe
+	reader
+	lenA  int
+	maxID ID // largest indexed object ID, -1 when empty
 }
 
 // BuildIndex constructs the TOUCH tree on the dataset with the given
@@ -43,61 +46,130 @@ func BuildIndex(a Dataset, cfg TOUCHConfig) *Index {
 	return indexFromTree(core.Build(a, cfg), len(a))
 }
 
+// reader is the one read surface of the package: a base tree plus a
+// possibly-empty delta of pending updates. Index embeds it with nothing
+// pending, Overlay with the inserts and tombstones of one generation,
+// and Mutable.View returns the current one; all twelve query and join
+// methods are declared here and answer bit-identically to an index
+// rebuilt from the merged dataset.
+//
+// The delta is held as its two slices, as they are: the inserts, which
+// may contain tombstoned objects, and the tombstones, ascending. A
+// tombstone is tested by binary search, and only on an object that is
+// already a hit. Every delta pass starts by returning when both slices
+// are empty, so with nothing pending a read runs the bare tree's
+// instructions plus that one branch, and its trace carries no delta or
+// overlay phase.
+//
+// A reader is immutable and holds references only: safe for arbitrary
+// concurrent callers, each call drawing a private probe from the pool
+// its base Index owns.
+type reader struct {
+	tree    *core.Tree
+	probes  *sync.Pool // *core.Probe, shared by every reader over tree
+	inserts Dataset
+	tombs   []ID
+}
+
+// frozen reports whether nothing is pending.
+func (r *reader) frozen() bool { return len(r.inserts) == 0 && len(r.tombs) == 0 }
+
 // Join runs TOUCH's assignment and join phases against b, reusing the
-// prebuilt tree. Result pairs are in (index dataset, b) orientation.
-// Safe to call concurrently on a shared Index: each call checks a
-// private probe out of the pool and the tree is never written. It is
-// JoinCtx with a background context — uncancellable, and free of any
-// cancellation bookkeeping unless Options.Limit is set.
-func (ix *Index) Join(b Dataset, opt *Options) *Result {
+// prebuilt tree. Result pairs are in (indexed dataset, b) orientation,
+// every Options knob honored. Over a non-empty delta the base pairs are
+// filtered against the tombstones and a brute-force pass joins the live
+// inserts, so pair order is the base engine's emission order followed
+// by the insert pass — arbitrary under parallelism; sort with
+// Result.SortPairs for a canonical order. Safe to call concurrently:
+// each call checks a private probe out of the pool and the tree is
+// never written. It is JoinCtx with a background context —
+// uncancellable, and free of any cancellation bookkeeping unless
+// Options.Limit is set.
+func (r *reader) Join(b Dataset, opt *Options) *Result {
 	// A background context can never cancel, so the only abort cause is
 	// a limit stop — not an error.
-	res, _ := ix.JoinCtx(context.Background(), b, opt)
+	res, _ := r.JoinCtx(context.Background(), b, opt)
 	return res
 }
 
 // JoinCtx is Join under a context: cancelling ctx (or its deadline
-// expiring) aborts the assignment and join phases cooperatively — every
-// worker checkpoints at least once per CheckEvery comparisons — and
-// returns ctx's error wrapped in ErrJoinCanceled. A join stopped by
-// Options.Limit is not an error; it returns the truncated result. The
-// probe recycles cleanly either way: an aborted call leaves no state
-// behind for the next join drawing the same probe from the pool.
-func (ix *Index) JoinCtx(ctx context.Context, b Dataset, opt *Options) (*Result, error) {
+// expiring) aborts the assignment and join phases and the insert pass
+// cooperatively — every worker checkpoints at least once per CheckEvery
+// comparisons — and returns ctx's error wrapped in ErrJoinCanceled. A
+// join stopped by Options.Limit is not an error; it returns the
+// truncated result, and the limit counts only live (delivered) pairs.
+// The probe recycles cleanly either way: an aborted call leaves no
+// state behind for the next join drawing the same probe from the pool.
+func (r *reader) JoinCtx(ctx context.Context, b Dataset, opt *Options) (*Result, error) {
 	o := opt.normalized()
-	if err := ctx.Err(); err != nil {
-		return nil, canceled(err)
-	}
-	ctl := control(ctx, &o)
-	res := &Result{}
-	sink, finish := joinSink(&o, false, ctl, res)
-	ix.runProbe(b, o.Workers, ctl, &res.Stats, sink)
-	err := canceledErr(ctx, ctl)
-	if err == nil {
-		finish()
-	}
-	if t := o.Trace; t != nil {
-		t.Record(&res.Stats)
-		t.SetCancel(ctl.Cause())
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return collect(ctx, &o, false, func(ctl *stats.Control, c *Stats, sink Sink) {
+		r.run(b, &o, ctl, c, sink)
+	})
 }
 
-// runProbe is the engine block shared by JoinCtx and JoinSeq: draw a
-// probe from the pool, pin its worker count (a recycled probe keeps its
-// previous count, so it is re-pinned to the build-time default unless
-// the call overrides it), run the assignment and join phases with their
-// timings, and account the memory.
-func (ix *Index) runProbe(b Dataset, workers int, ctl *stats.Control, c *Stats, sink Sink) {
-	p := ix.probes.Get().(*core.Probe)
-	defer ix.probes.Put(p)
+// run executes one join for JoinCtx and JoinSeq. With nothing pending
+// that is the base probe and nothing else; otherwise the base probe with
+// a tombstone filter in front of the delivery chain, then — unless the
+// join was stopped — the brute-force pass over the live inserts into
+// the same chain, one nl.Join per run of inserts between two dead ones.
+// The engine counts every emission in c.Results before the filter can
+// see it, so the dropped pairs are subtracted afterwards, keeping
+// Stats.Results equal to the delivered (live) pair count. A non-nil
+// o.Trace records the insert pass's wall time as PhaseDelta (the
+// tombstone filter runs inline inside the join phase and is not timed
+// separately).
+func (r *reader) run(b Dataset, o *Options, ctl *stats.Control, c *Stats, sink Sink) {
+	if r.frozen() {
+		r.runProbe(b, o.Workers, ctl, c, sink)
+		return
+	}
+	base := sink
+	var dropped int64
+	if len(r.tombs) > 0 {
+		base = stats.FuncSink(func(a, bid ID) {
+			if r.dead(a) {
+				dropped++
+				return
+			}
+			sink.Emit(a, bid)
+		})
+	}
+	r.runProbe(b, o.Workers, ctl, c, base)
+	c.Results -= dropped
+	var start time.Time
+	if o.Trace != nil {
+		start = time.Now()
+	}
+	ins := r.inserts
+	for from, i := 0, 0; i <= len(ins); i++ {
+		if i < len(ins) && !r.dead(ins[i].ID) {
+			continue
+		}
+		if from < i {
+			if ctl.Stopped() {
+				break
+			}
+			nl.Join(ins[from:i], b, ctl, c, sink)
+		}
+		from = i + 1
+	}
+	if o.Trace != nil && len(ins) > 0 {
+		o.Trace.Add(trace.PhaseDelta, time.Since(start))
+	}
+}
+
+// runProbe is the engine block of run: draw a probe from the pool, pin
+// its worker count (a recycled probe keeps its previous count, so it is
+// re-pinned to the build-time default unless the call overrides it),
+// run the assignment and join phases with their timings, and account
+// the memory.
+func (r *reader) runProbe(b Dataset, workers int, ctl *stats.Control, c *Stats, sink Sink) {
+	p := r.probes.Get().(*core.Probe)
+	defer r.probes.Put(p)
 	if workers > 1 {
 		p.SetWorkers(workers)
 	} else {
-		p.SetWorkers(ix.tree.Workers())
+		p.SetWorkers(r.tree.Workers())
 	}
 
 	start := time.Now()
@@ -106,24 +178,26 @@ func (ix *Index) runProbe(b Dataset, workers int, ctl *stats.Control, c *Stats, 
 	start = time.Now()
 	p.JoinPhase(ctl, c, sink)
 	c.JoinTime += time.Since(start)
-	c.MemoryBytes += ix.tree.StaticBytes() + p.MemoryBytes()
+	c.MemoryBytes += r.tree.StaticBytes() + p.MemoryBytes()
 }
 
 // DistanceJoin is Join with the probe dataset's boxes enlarged by eps —
 // note that for a reusable index the expansion must be applied to the
-// probe side, unlike the one-shot DistanceJoin which expands A. Like the
-// one-shot DistanceJoin, a negative eps is rejected.
-func (ix *Index) DistanceJoin(b Dataset, eps float64, opt *Options) (*Result, error) {
-	return ix.DistanceJoinCtx(context.Background(), b, eps, opt)
+// probe side (the identity at eps = 0, so base and insert passes see
+// the same expanded probe), unlike the one-shot DistanceJoin which
+// expands A. Like the one-shot DistanceJoin, a negative eps is
+// rejected.
+func (r *reader) DistanceJoin(b Dataset, eps float64, opt *Options) (*Result, error) {
+	return r.DistanceJoinCtx(context.Background(), b, eps, opt)
 }
 
 // DistanceJoinCtx is DistanceJoin under a context, with the cancellation
 // and limit semantics of JoinCtx.
-func (ix *Index) DistanceJoinCtx(ctx context.Context, b Dataset, eps float64, opt *Options) (*Result, error) {
+func (r *reader) DistanceJoinCtx(ctx context.Context, b Dataset, eps float64, opt *Options) (*Result, error) {
 	if err := checkEps(eps); err != nil {
 		return nil, err
 	}
-	return ix.JoinCtx(ctx, b.Expand(eps), opt)
+	return r.JoinCtx(ctx, b.Expand(eps), opt)
 }
 
 // IndexStats describes the immutable build artifact behind an Index:
@@ -171,111 +245,103 @@ func checkPoint(p Point) error {
 	return nil
 }
 
-// RangeQuery returns the IDs of every indexed object whose MBR
-// intersects q, sorted ascending. Touching boundaries count as
-// intersecting (closed-interval semantics, the same predicate the joins
-// use). A malformed box — NaN coordinates or Min > Max in some
-// dimension — is rejected with ErrInvalidBox; build boxes with NewBox
-// to normalize corner order.
+// RangeQuery returns the IDs of every live object whose MBR intersects
+// q, sorted ascending. Touching boundaries count as intersecting
+// (closed-interval semantics, the same predicate the joins use). A
+// malformed box — NaN coordinates or Min > Max in some dimension — is
+// rejected with ErrInvalidBox; build boxes with NewBox to normalize
+// corner order.
 //
 // The traversal is the best case O(log |A| + r) for r results: node
 // MBRs prune disjoint subtrees, and a subtree fully inside q is emitted
-// as one contiguous arena scan with no per-object tests. Safe for
-// arbitrary concurrent callers on a shared Index; steady-state serving
-// allocates only the returned slice.
-func (ix *Index) RangeQuery(q Box) ([]ID, error) { return ix.RangeQueryTraced(q, nil) }
+// as one contiguous arena scan with no per-object tests. Over a
+// non-empty delta the base answer is then filtered against the
+// tombstones and one pass over the inserts appends the matches in ID
+// order (no sort, no extra allocation). Safe for arbitrary concurrent
+// callers; steady-state serving allocates only the returned slice.
+func (r *reader) RangeQuery(q Box) ([]ID, error) { return r.RangeQueryTraced(q, nil) }
 
 // RangeQueryTraced is RangeQuery with per-request tracing: a non-nil
 // span receives the descent wall time (PhaseQuery) and the traversal
-// counters the query engine already maintains. A nil span is exactly
-// RangeQuery — no timing, no allocations.
-func (ix *Index) RangeQueryTraced(q Box, sp *Span) ([]ID, error) {
+// counters the query engine already maintains and, over a non-empty
+// delta only, the pass over the pending inserts as PhaseDelta and the
+// tombstone filter as PhaseOverlay. A nil span is exactly RangeQuery —
+// no timing, no allocations.
+func (r *reader) RangeQueryTraced(q Box, sp *Span) ([]ID, error) {
 	if !q.Valid() {
 		return nil, fmt.Errorf("%w %v", ErrInvalidBox, q)
 	}
-	p := ix.probes.Get().(*core.Probe)
-	defer ix.probes.Put(p)
+	p := r.probes.Get().(*core.Probe)
+	defer r.probes.Put(p)
 	var c Stats
 	if sp == nil {
-		return slices.Clone(p.RangeQuery(q, &c)), nil
+		return r.merge(slices.Clone(p.RangeQuery(q, &c)), q, nil), nil
 	}
 	start := time.Now()
 	ids := slices.Clone(p.RangeQuery(q, &c))
 	sp.Add(trace.PhaseQuery, time.Since(start))
 	c.Results = int64(len(ids))
 	sp.Record(&c)
-	return ids, nil
+	return r.merge(ids, q, sp), nil
 }
 
-// PointQuery returns the IDs of every indexed object whose MBR contains
+// PointQuery returns the IDs of every live object whose MBR contains
 // the point (x, y, z), boundary included, sorted ascending. It is
 // RangeQuery with a zero-extent box; NaN coordinates are rejected with
 // ErrInvalidPoint.
-func (ix *Index) PointQuery(x, y, z float64) ([]ID, error) {
-	return ix.PointQueryTraced(x, y, z, nil)
+func (r *reader) PointQuery(x, y, z float64) ([]ID, error) {
+	return r.PointQueryTraced(x, y, z, nil)
 }
 
 // PointQueryTraced is PointQuery with per-request tracing; see
 // RangeQueryTraced.
-func (ix *Index) PointQueryTraced(x, y, z float64, sp *Span) ([]ID, error) {
+func (r *reader) PointQueryTraced(x, y, z float64, sp *Span) ([]ID, error) {
 	pt := Point{x, y, z}
 	if err := checkPoint(pt); err != nil {
 		return nil, err
 	}
-	p := ix.probes.Get().(*core.Probe)
-	defer ix.probes.Put(p)
-	var c Stats
-	if sp == nil {
-		return slices.Clone(p.PointQuery(pt, &c)), nil
-	}
-	start := time.Now()
-	ids := slices.Clone(p.PointQuery(pt, &c))
-	sp.Add(trace.PhaseQuery, time.Since(start))
-	c.Results = int64(len(ids))
-	sp.Record(&c)
-	return ids, nil
+	return r.RangeQueryTraced(geom.BoxAt(pt), sp)
 }
 
-// KNN returns the k indexed objects nearest to q by minimum Euclidean
+// KNN returns the k live objects nearest to q by minimum Euclidean
 // distance between the point and each object's MBR, ordered by
 // (Distance, ID) ascending — equal distances resolve to the smaller
 // object ID, so results are deterministic. Fewer than k neighbors are
-// returned when the index holds fewer than k objects. k < 1 is rejected
-// with ErrInvalidK and NaN coordinates with ErrInvalidPoint.
+// returned when fewer than k objects are live. k < 1 is rejected with
+// ErrInvalidK and NaN coordinates with ErrInvalidPoint.
 //
 // The search is best-first branch and bound over node MBRs with a
 // distance-ordered priority queue, visiting only the nodes whose MBR
 // distance can still beat the current k-th neighbor — O(log |A| + k)
-// node visits on well-separated data. Safe for arbitrary concurrent
-// callers on a shared Index; steady-state serving allocates only the
+// node visits on well-separated data. Over a non-empty delta the base
+// is asked for exactly k neighbors with the tombstones as its skip
+// list, dropping tombstoned objects as they are popped; they are the
+// running top-k that one pass over the inserts then improves, touching
+// it only when an insert beats the current k-th neighbor. Safe for
+// arbitrary concurrent callers; steady-state serving allocates only the
 // returned slice.
-func (ix *Index) KNN(q Point, k int) ([]Neighbor, error) { return ix.KNNTraced(q, k, nil) }
+func (r *reader) KNN(q Point, k int) ([]Neighbor, error) { return r.KNNTraced(q, k, nil) }
 
-// KNNTraced is KNN with per-request tracing; see RangeQueryTraced.
-func (ix *Index) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
-	return ix.knn(q, k, nil, sp)
-}
-
-// knn is the one kNN entry point: KNNTraced over the indexed objects
-// whose IDs are not in skip (ascending, may be nil). Overlay passes its
-// tombstones, so the base search returns exactly the k live neighbors.
-func (ix *Index) knn(q Point, k int, skip []ID, sp *Span) ([]Neighbor, error) {
+// KNNTraced is KNN with per-request tracing; see RangeQueryTraced. The
+// insert pass, merge included, records PhaseDelta; the tombstone test
+// runs inside the base search.
+func (r *reader) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrInvalidK, k)
 	}
 	if err := checkPoint(q); err != nil {
 		return nil, err
 	}
-	p := ix.probes.Get().(*core.Probe)
-	defer ix.probes.Put(p)
+	p := r.probes.Get().(*core.Probe)
+	defer r.probes.Put(p)
 	var c Stats
 	if sp == nil {
-		return slices.Clone(p.KNN(q, k, &c, skip...)), nil
+		return r.mergeKNN(slices.Clone(p.KNN(q, k, &c, r.tombs...)), q, k, nil), nil
 	}
 	start := time.Now()
-	nbrs := slices.Clone(p.KNN(q, k, &c, skip...))
+	nbrs := slices.Clone(p.KNN(q, k, &c, r.tombs...))
 	sp.Add(trace.PhaseQuery, time.Since(start))
 	c.Results = int64(len(nbrs))
 	sp.Record(&c)
-	return nbrs, nil
+	return r.mergeKNN(nbrs, q, k, sp), nil
 }

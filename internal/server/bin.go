@@ -474,7 +474,7 @@ func (c *binConn) handleJoin(req *wireReq) *api.Error {
 	c.pairBuf = c.pairBuf[:0]
 	n := int64(0)
 	frames := 0
-	for p, err := range plan.snap.engine().DistanceJoinSeq(ctx, plan.probe, jr.Eps,
+	for p, err := range plan.snap.ov.DistanceJoinSeq(ctx, plan.probe, jr.Eps,
 		&touch.Options{Workers: plan.workers, Trace: &rq.span}) {
 		if err != nil {
 			return s.joinError(ctx, err)

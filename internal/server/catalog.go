@@ -1,8 +1,6 @@
 package server
 
 import (
-	"context"
-	"iter"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,8 +19,8 @@ type buildFunc func(touch.Dataset, touch.TOUCHConfig) *touch.Index
 // snapshot is one immutable serving state of a named dataset: the
 // decoded base objects, the index built over them, the index stats —
 // and, since the incremental-update path, the pending delta of inserts
-// and tombstones against that base together with the merged read engine
-// over it. A reader obtains a snapshot with a single atomic load and
+// and tombstones against that base together with the touch.Overlay
+// over both. A request obtains a snapshot with a single atomic load and
 // uses its fields together, so every query and join answers from one
 // consistent (base, delta) pair even while a PATCH, a rebuild or a
 // compaction swaps the entry underneath it — an update is entirely
@@ -45,10 +43,10 @@ type snapshot struct {
 	snapBytes int64
 
 	// d holds the updates applied since this base version was built
-	// (nil = none); ov is the merged read engine over (idx, d), non-nil
-	// exactly when d is non-empty. The delta is in-memory only — its
-	// updates become durable when a compaction folds them into the next
-	// persisted base version.
+	// (nil = none); ov is the reader over (idx, d) that every query and
+	// join of this serving state runs on, always set. The delta is
+	// in-memory only — its updates become durable when a compaction folds
+	// them into the next persisted base version.
 	d  *delta.Delta
 	ov *touch.Overlay
 
@@ -58,33 +56,10 @@ type snapshot struct {
 	merged     touch.Dataset
 }
 
-// engine is the query/join surface shared by *touch.Index and
-// *touch.Overlay; handlers call through it so an updated dataset
-// transparently serves merged answers.
-type engine interface {
-	RangeQueryTraced(touch.Box, *touch.Span) ([]touch.ID, error)
-	PointQueryTraced(x, y, z float64, sp *touch.Span) ([]touch.ID, error)
-	KNNTraced(touch.Point, int, *touch.Span) ([]touch.Neighbor, error)
-	DistanceJoinCtx(context.Context, touch.Dataset, float64, *touch.Options) (*touch.Result, error)
-	DistanceJoinSeq(context.Context, touch.Dataset, float64, *touch.Options) iter.Seq2[touch.Pair, error]
-}
-
-// engine returns the read engine for this serving state: the merged
-// overlay when updates are pending, the bare index otherwise.
-func (s *snapshot) engine() engine {
-	if s.ov != nil {
-		return s.ov
-	}
-	return s.idx
-}
-
 // dataset returns the live objects of this serving state — the base
 // dataset when no updates are pending, the merged materialization
 // otherwise (computed once and cached on the snapshot).
 func (s *snapshot) dataset() touch.Dataset {
-	if s.ov == nil {
-		return s.ds
-	}
 	s.mergedOnce.Do(func() { s.merged = s.d.Merged(s.ds) })
 	return s.merged
 }
@@ -223,7 +198,7 @@ func (c *catalog) load(name string, ds touch.Dataset, cfg touch.TOUCHConfig, wai
 			return
 		}
 		idx := c.build(ds, cfg)
-		snap := &snapshot{version: v, ds: ds, idx: idx, stats: idx.Stats(), builtAt: time.Now(), cfg: cfg}
+		snap := &snapshot{version: v, ds: ds, idx: idx, stats: idx.Stats(), builtAt: time.Now(), cfg: cfg, ov: touch.OverlayOf(idx, nil)}
 		if p := c.persist; p != nil {
 			// Write-ahead of visibility: the snapshot must be durably on
 			// disk before the hot swap can publish it, so a crash right
@@ -404,9 +379,11 @@ func (c *catalog) runCompaction(e *entry, from *snapshot, v int64) {
 		return
 	}
 	nd := cur.d.Since(from.d)
-	e.ready.Store(snap.withDelta(nd))
+	// Counted and observed before the publish, so a scrape never shows a
+	// serving version whose fold is missing from the compaction metrics.
 	c.compactions.Add(1)
 	c.compactionTime.Observe(time.Since(start))
+	e.ready.Store(snap.withDelta(nd))
 	carried = nd.Size()
 }
 
@@ -488,7 +465,7 @@ func (c *catalog) counters() map[string]int64 {
 func (c *catalog) restore(name string, version int64, ds touch.Dataset, idx *touch.Index, builtAt time.Time, size int64) {
 	snap := &snapshot{
 		version: version, ds: ds, idx: idx, stats: idx.Stats(),
-		builtAt: builtAt, persisted: true, snapBytes: size,
+		builtAt: builtAt, persisted: true, snapBytes: size, ov: touch.OverlayOf(idx, nil),
 	}
 	c.mu.Lock()
 	e := c.entries[name]

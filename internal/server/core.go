@@ -182,7 +182,7 @@ func (s *Server) runQuery(ctx context.Context, rq *request, snap *snapshot, q *a
 		return nil, nil, s.aborted(ctx)
 	}
 	var err error
-	switch eng := snap.engine(); q.Type {
+	switch eng := snap.ov; q.Type {
 	case api.TypeRange:
 		ids, err = eng.RangeQueryTraced(q.Box, &rq.span)
 	case api.TypePoint:
@@ -261,7 +261,7 @@ func prepareJoin[S name](s *Server, rq *request, snap *snapshot, probeName S, in
 // skip, on either protocol. limit > 0 makes the engine abort
 // cooperatively once that many pairs exist.
 func (s *Server) join(ctx context.Context, rq *request, p joinPlan, eps float64, noPairs bool, limit int64) (*touch.Result, *api.Error) {
-	res, err := p.snap.engine().DistanceJoinCtx(ctx, p.probe, eps,
+	res, err := p.snap.ov.DistanceJoinCtx(ctx, p.probe, eps,
 		&touch.Options{Workers: p.workers, NoPairs: noPairs, Limit: limit, Trace: &rq.span})
 	if err != nil {
 		return nil, s.joinError(ctx, err)

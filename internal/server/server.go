@@ -874,7 +874,7 @@ func (s *Server) streamJoin(h *httpRequest, plan joinPlan, eps float64) *api.Err
 	}()
 
 	n := int64(0)
-	for p, err := range plan.snap.engine().DistanceJoinSeq(ctx, plan.probe, eps,
+	for p, err := range plan.snap.ov.DistanceJoinSeq(ctx, plan.probe, eps,
 		&touch.Options{Workers: plan.workers, Trace: &h.span}) {
 		if err != nil {
 			// Mid-stream failure: the 200 is already on the wire, so the

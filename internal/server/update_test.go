@@ -68,7 +68,7 @@ func (ts *testServer) checkAgainstOracle(o *updOracle, name string, probe touch.
 		if err := json.Unmarshal(raw, &resp); err != nil {
 			t.Fatal(err)
 		}
-		want, err := o.m.RangeQuery(boxes[i])
+		want, err := o.m.View().RangeQuery(boxes[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func (ts *testServer) checkAgainstOracle(o *updOracle, name string, probe touch.
 		if err := json.Unmarshal(raw, &resp); err != nil {
 			t.Fatal(err)
 		}
-		wantN, err := o.m.KNN(points[i], ks[i])
+		wantN, err := o.m.View().KNN(points[i], ks[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func (ts *testServer) checkAgainstOracle(o *updOracle, name string, probe touch.
 	if err := json.Unmarshal(raw, &jr); err != nil {
 		t.Fatal(err)
 	}
-	res, err := o.m.DistanceJoin(probe, 2.5, nil)
+	res, err := o.m.View().DistanceJoin(probe, 2.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

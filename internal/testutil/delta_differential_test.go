@@ -56,7 +56,7 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 
 	boxes, points, ks := QueryWorkload(seed, 8)
 	for i := range boxes {
-		got, err := m.RangeQuery(boxes[i])
+		got, err := m.View().RangeQuery(boxes[i])
 		if err != nil {
 			t.Fatalf("RangeQuery: %v", err)
 		}
@@ -72,7 +72,7 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 		}
 
 		p := points[i]
-		gotPt, err := m.PointQuery(p[0], p[1], p[2])
+		gotPt, err := m.View().PointQuery(p[0], p[1], p[2])
 		if err != nil {
 			t.Fatalf("PointQuery: %v", err)
 		}
@@ -81,7 +81,7 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 			t.Fatalf("PointQuery(%v) diverges from rebuild: got %v, want %v", p, gotPt, wantPt)
 		}
 
-		gotK, err := m.KNN(p, ks[i])
+		gotK, err := m.View().KNN(p, ks[i])
 		if err != nil {
 			t.Fatalf("KNN: %v", err)
 		}
@@ -92,7 +92,7 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 	}
 
 	for _, eps := range []float64{0, 7.5} {
-		res, err := m.DistanceJoin(probe, eps, nil)
+		res, err := m.View().DistanceJoin(probe, eps, nil)
 		if err != nil {
 			t.Fatalf("DistanceJoin: %v", err)
 		}
@@ -109,7 +109,7 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 			t.Fatalf("DistanceJoin(eps=%g): Stats.Results=%d but %d pairs", eps, res.Stats.Results, len(got))
 		}
 
-		count, err := m.DistanceJoin(probe, eps, &touch.Options{NoPairs: true})
+		count, err := m.View().DistanceJoin(probe, eps, &touch.Options{NoPairs: true})
 		if err != nil {
 			t.Fatalf("count-only DistanceJoin: %v", err)
 		}
@@ -118,7 +118,7 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 		}
 
 		var streamed []touch.Pair
-		for p, err := range m.DistanceJoinSeq(context.Background(), probe, eps, nil) {
+		for p, err := range m.View().DistanceJoinSeq(context.Background(), probe, eps, nil) {
 			if err != nil {
 				t.Fatalf("DistanceJoinSeq: %v", err)
 			}
@@ -131,7 +131,7 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 
 	// Limit must deliver exactly min(limit, total) live pairs — never a
 	// tombstoned one (every delivered pair's A side must be live).
-	res := m.Join(probe, &touch.Options{Limit: 5})
+	res := m.View().Join(probe, &touch.Options{Limit: 5})
 	if res != nil {
 		alive := make(map[geom.ID]bool, len(merged))
 		for _, o := range merged {
@@ -435,7 +435,7 @@ func TestMutableRace(t *testing.T) {
 				switch i % 5 {
 				case 0:
 					q := geom.NewBox(geom.Point{0, 0, 0}, geom.Point{1200, 1200, 1200})
-					ids, err := m.RangeQuery(q)
+					ids, err := m.View().RangeQuery(q)
 					if err != nil {
 						errs <- err
 						return
@@ -451,12 +451,12 @@ func TestMutableRace(t *testing.T) {
 						}
 					}
 				case 1:
-					if _, err := m.PointQuery(rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*1000); err != nil {
+					if _, err := m.View().PointQuery(rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*1000); err != nil {
 						errs <- err
 						return
 					}
 				case 2:
-					nbrs, err := m.KNN(geom.Point{rng.Float64() * 1000, rng.Float64() * 1000, rng.Float64() * 1000}, 10)
+					nbrs, err := m.View().KNN(geom.Point{rng.Float64() * 1000, rng.Float64() * 1000, rng.Float64() * 1000}, 10)
 					if err != nil {
 						errs <- err
 						return
@@ -468,13 +468,13 @@ func TestMutableRace(t *testing.T) {
 						}
 					}
 				case 3:
-					if _, err := m.DistanceJoinCtx(ctx, probe, 5, &touch.Options{Workers: 2}); err != nil && ctx.Err() == nil {
+					if _, err := m.View().DistanceJoinCtx(ctx, probe, 5, &touch.Options{Workers: 2}); err != nil && ctx.Err() == nil {
 						errs <- err
 						return
 					}
 				default:
 					n := 0
-					for _, err := range m.JoinSeq(ctx, probe, nil) {
+					for _, err := range m.View().JoinSeq(ctx, probe, nil) {
 						if err != nil {
 							if ctx.Err() == nil {
 								errs <- err

@@ -84,7 +84,7 @@ func FuzzDeltaMerge(f *testing.F) {
 		rebuilt := touch.BuildIndex(merged, touch.TOUCHConfig{})
 		boxes, points, ks := QueryWorkload(int64(len(data))*31+int64(data[1]), 4)
 		for i := range boxes {
-			got, err := m.RangeQuery(boxes[i])
+			got, err := m.View().RangeQuery(boxes[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func FuzzDeltaMerge(f *testing.F) {
 				t.Fatalf("RangeQuery diverges from rebuild: got %v, want %v", got, want)
 			}
 			p := points[i]
-			gotK, err := m.KNN(p, ks[i])
+			gotK, err := m.View().KNN(p, ks[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func FuzzDeltaMerge(f *testing.F) {
 			}
 		}
 		probe, _ := fuzzDataset(bytes.Repeat(data, 1+120/max(len(data), 1)), 0, 8)
-		res := m.Join(probe, nil)
+		res := m.View().Join(probe, nil)
 		wantRes := rebuilt.Join(probe, nil)
 		got, want := PairSet(res.Pairs), PairSet(wantRes.Pairs)
 		if !slices.Equal(got, want) {

@@ -1,10 +1,8 @@
 package touch
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -25,19 +23,22 @@ var ErrIDSpaceExhausted = errors.New("touch: object ID space exhausted")
 const DefaultCompactThreshold = 4096
 
 // Mutable is an incrementally updatable index: an immutable base Index
-// plus a small delta of pending inserts and tombstones, presented
-// through the familiar query and join surface. Reads are lock-free —
-// they load one atomic pointer to an immutable (base, delta) view — and
-// are safe concurrently with writers and with the background
-// compaction that periodically folds the delta into a fresh base index.
+// plus a small delta of pending inserts and tombstones, read through
+// View. Reads are lock-free — View loads one atomic pointer to an
+// immutable (base, delta) generation — and are safe concurrently with
+// writers and with the background compaction that periodically folds
+// the delta into a fresh base index.
 //
-// The consistency contract: every query and join answers exactly as an
-// Index rebuilt from Dataset() (the merged live objects) would at that
-// moment, and each call observes one atomic view — a compaction or a
-// concurrent write is either entirely visible or not at all. Inserted
-// objects receive fresh ascending IDs (starting after the largest base
-// ID) that are never reused; Delete tombstones by ID and unknown or
-// already-deleted IDs are ignored.
+// The consistency contract: the Overlay View returns is never nil and
+// never changes — every query and join on it answers exactly as an
+// Index rebuilt from the merged live objects of its generation would,
+// however many writes and compactions publish meanwhile, so several
+// questions asked of one View are answered from one state; a compaction
+// or a concurrent write is either entirely visible to a View or not at
+// all, and the next View call sees it. Inserted objects receive fresh
+// ascending IDs (starting after the largest base ID) that are never
+// reused; Delete tombstones by ID and unknown or already-deleted IDs
+// are ignored.
 //
 // Writers (Insert, Delete, Compact, SetCompactThreshold) serialize on
 // an internal mutex; reads never block on it. The zero Mutable is not
@@ -60,14 +61,17 @@ type Mutable struct {
 	compactions   atomic.Int64
 }
 
-// mutView is one immutable generation of a Mutable: the base dataset
-// and its index, the pending delta and the merged read engine (nil
-// Overlay means the delta is empty and reads go straight to the index).
+// mutView is one immutable generation of a Mutable: the base dataset,
+// the pending delta and the reader over the base index and that delta.
 type mutView struct {
 	base Dataset // ID-ascending
-	idx  *Index
 	d    *delta.Delta
 	ov   *Overlay
+}
+
+// newView builds the generation of base, its index and the delta d.
+func newView(base Dataset, idx *Index, d *delta.Delta) *mutView {
+	return &mutView{base: base, d: d, ov: OverlayOf(idx, d)}
 }
 
 // inBase reports whether id is one of the base objects, by binary
@@ -92,11 +96,7 @@ func NewMutable(ds Dataset, cfg TOUCHConfig) (*Mutable, error) {
 		}
 	}
 	m := &Mutable{cfg: cfg, threshold: DefaultCompactThreshold}
-	m.view.Store(&mutView{
-		base: base,
-		idx:  BuildIndex(base, cfg),
-		d:    delta.NewForBase(base),
-	})
+	m.view.Store(newView(base, BuildIndex(base, cfg), delta.NewForBase(base)))
 	return m, nil
 }
 
@@ -151,7 +151,7 @@ func (m *Mutable) Insert(boxes []Box) ([]ID, error) {
 	}
 	nd, first := v.d.Insert(boxes)
 	if len(boxes) > 0 {
-		m.view.Store(&mutView{base: v.base, idx: v.idx, d: nd, ov: OverlayOf(v.idx, nd)})
+		m.view.Store(newView(v.base, v.ov.Base(), nd))
 		m.maybeCompact(nd.Size())
 	}
 	ids := make([]ID, len(boxes))
@@ -170,7 +170,7 @@ func (m *Mutable) Delete(ids []ID) int {
 	v := m.view.Load()
 	nd, n := v.d.Delete(ids, v.inBase)
 	if n > 0 {
-		m.view.Store(&mutView{base: v.base, idx: v.idx, d: nd, ov: OverlayOf(v.idx, nd)})
+		m.view.Store(newView(v.base, v.ov.Base(), nd))
 		m.maybeCompact(nd.Size())
 	}
 	return n
@@ -197,8 +197,10 @@ func (m *Mutable) Compact() bool {
 	// compactor, so the current delta still descends from v0's.
 	v1 := m.view.Load()
 	nd := v1.d.Since(v0.d)
-	m.view.Store(&mutView{base: merged, idx: idx, d: nd, ov: OverlayOf(idx, nd)})
+	// Counted before it is published, so no reader of the new generation
+	// can see a Stats that has not counted its fold.
 	m.compactions.Add(1)
+	m.view.Store(newView(merged, idx, nd))
 	return true
 }
 
@@ -207,8 +209,19 @@ func (m *Mutable) Compact() bool {
 // the rebuild oracle the Mutable's answers are defined against.
 func (m *Mutable) Dataset() Dataset {
 	v := m.view.Load()
-	return slices.Clone(v.d.Merged(v.base))
+	if v.d.Empty() {
+		// Merged hands back base itself; everything else it returns is
+		// already a fresh slice.
+		return slices.Clone(v.base)
+	}
+	return v.d.Merged(v.base)
 }
+
+// View returns the current generation's reader: an immutable Overlay
+// over the base index and the pending delta, never nil. Take one View
+// to ask several questions of one state; take a new one to see later
+// writes.
+func (m *Mutable) View() *Overlay { return m.view.Load().ov }
 
 // MutableStats describes a Mutable at one instant: the base index
 // shape, the live object count across base and delta, the pending
@@ -231,105 +244,10 @@ type MutableStats struct {
 func (m *Mutable) Stats() MutableStats {
 	v := m.view.Load()
 	return MutableStats{
-		Base:            v.idx.Stats(),
+		Base:            v.ov.Base().Stats(),
 		Objects:         len(v.base) + v.d.Inserts() - v.d.Tombstones(),
 		DeltaInserts:    v.d.Inserts(),
 		DeltaTombstones: v.d.Tombstones(),
 		Compactions:     m.compactions.Load(),
-	}
-}
-
-// RangeQuery is Index.RangeQuery over the merged live objects.
-func (m *Mutable) RangeQuery(q Box) ([]ID, error) { return m.RangeQueryTraced(q, nil) }
-
-// RangeQueryTraced is Index.RangeQueryTraced over the merged live
-// objects: a view with pending updates records the overlay and delta
-// phases on top of the base descent.
-func (m *Mutable) RangeQueryTraced(q Box, sp *Span) ([]ID, error) {
-	if v := m.view.Load(); v.ov != nil {
-		return v.ov.RangeQueryTraced(q, sp)
-	} else {
-		return v.idx.RangeQueryTraced(q, sp)
-	}
-}
-
-// PointQuery is Index.PointQuery over the merged live objects.
-func (m *Mutable) PointQuery(x, y, z float64) ([]ID, error) {
-	return m.PointQueryTraced(x, y, z, nil)
-}
-
-// PointQueryTraced is Index.PointQueryTraced over the merged live
-// objects; see RangeQueryTraced.
-func (m *Mutable) PointQueryTraced(x, y, z float64, sp *Span) ([]ID, error) {
-	if v := m.view.Load(); v.ov != nil {
-		return v.ov.PointQueryTraced(x, y, z, sp)
-	} else {
-		return v.idx.PointQueryTraced(x, y, z, sp)
-	}
-}
-
-// KNN is Index.KNN over the merged live objects.
-func (m *Mutable) KNN(q Point, k int) ([]Neighbor, error) { return m.KNNTraced(q, k, nil) }
-
-// KNNTraced is Index.KNNTraced over the merged live objects; see
-// RangeQueryTraced.
-func (m *Mutable) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
-	if v := m.view.Load(); v.ov != nil {
-		return v.ov.KNNTraced(q, k, sp)
-	} else {
-		return v.idx.KNNTraced(q, k, sp)
-	}
-}
-
-// Join is Index.Join over the merged live objects.
-func (m *Mutable) Join(b Dataset, opt *Options) *Result {
-	res, _ := m.JoinCtx(context.Background(), b, opt)
-	return res
-}
-
-// JoinCtx is Index.JoinCtx over the merged live objects. The view is
-// captured once at entry: a concurrent write or compaction never mixes
-// into a running join.
-func (m *Mutable) JoinCtx(ctx context.Context, b Dataset, opt *Options) (*Result, error) {
-	if v := m.view.Load(); v.ov != nil {
-		return v.ov.JoinCtx(ctx, b, opt)
-	} else {
-		return v.idx.JoinCtx(ctx, b, opt)
-	}
-}
-
-// DistanceJoin is Index.DistanceJoin over the merged live objects.
-func (m *Mutable) DistanceJoin(b Dataset, eps float64, opt *Options) (*Result, error) {
-	return m.DistanceJoinCtx(context.Background(), b, eps, opt)
-}
-
-// DistanceJoinCtx is Index.DistanceJoinCtx over the merged live
-// objects.
-func (m *Mutable) DistanceJoinCtx(ctx context.Context, b Dataset, eps float64, opt *Options) (*Result, error) {
-	if v := m.view.Load(); v.ov != nil {
-		return v.ov.DistanceJoinCtx(ctx, b, eps, opt)
-	} else {
-		return v.idx.DistanceJoinCtx(ctx, b, eps, opt)
-	}
-}
-
-// JoinSeq is Index.JoinSeq over the merged live objects. The view is
-// captured when the iterator starts; updates during iteration don't
-// affect the stream.
-func (m *Mutable) JoinSeq(ctx context.Context, b Dataset, opt *Options) iter.Seq2[Pair, error] {
-	if v := m.view.Load(); v.ov != nil {
-		return v.ov.JoinSeq(ctx, b, opt)
-	} else {
-		return v.idx.JoinSeq(ctx, b, opt)
-	}
-}
-
-// DistanceJoinSeq is Index.DistanceJoinSeq over the merged live
-// objects, with JoinSeq's view-capture semantics.
-func (m *Mutable) DistanceJoinSeq(ctx context.Context, b Dataset, eps float64, opt *Options) iter.Seq2[Pair, error] {
-	if v := m.view.Load(); v.ov != nil {
-		return v.ov.DistanceJoinSeq(ctx, b, eps, opt)
-	} else {
-		return v.idx.DistanceJoinSeq(ctx, b, eps, opt)
 	}
 }

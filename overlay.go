@@ -1,38 +1,23 @@
 package touch
 
 import (
-	"context"
 	"fmt"
-	"iter"
 	"slices"
 	"sort"
 	"time"
 
 	"touch/internal/delta"
-	"touch/internal/geom"
-	"touch/internal/nl"
-	"touch/internal/stats"
 	"touch/internal/trace"
 )
 
 // Overlay combines an immutable base Index with a small set of pending
 // updates — inserted objects and deleted (tombstoned) IDs — and
-// presents the Index query and join surface over the merged state.
+// presents the reader's query and join surface over the merged state.
 // Every answer is bit-identical to what an index rebuilt from the
-// merged dataset would return.
-//
-// An Overlay holds the delta's two slices as they are: the inserts,
-// which may contain tombstoned objects, and the tombstones, ascending
-// and retained. A tombstone is tested by binary search, and only on an
-// object that is already a hit. What each shape costs on top of the
-// same query on the bare Index: a range or point query filters the base
-// answer and makes one pass over the inserts, appending matches in ID
-// order (no sort, no extra allocation); kNN is an exactly-k base search
-// that drops tombstoned objects as they are popped, plus one pass over
-// the inserts that touches the running top-k only when an insert beats
-// its current k-th neighbor; a join filters the base pairs and runs the
-// brute-force pass over the live inserts. Publishing an update is
-// O(batch): nothing here is copied or rebuilt per generation.
+// merged dataset would return, and an Overlay with nothing pending
+// reads exactly as its base Index does. What each shape costs over a
+// non-empty delta is documented on the reader's methods. Publishing an
+// update is O(batch): nothing here is copied or rebuilt per generation.
 //
 // An Overlay is an immutable value: it holds references, never copies
 // the base, and is safe for arbitrary concurrent callers, exactly like
@@ -46,9 +31,8 @@ import (
 // insert loses every distance tie against what is already in a top-k.
 // A delta.Delta guarantees it; NewOverlay checks it once.
 type Overlay struct {
-	idx     *Index
-	inserts Dataset
-	tombs   []ID
+	reader
+	idx *Index
 }
 
 // NewOverlay builds an Overlay over idx with the given inserted objects
@@ -69,26 +53,29 @@ func NewOverlay(idx *Index, inserts Dataset, deleted []ID) *Overlay {
 		deleted = slices.Clone(deleted)
 		slices.Sort(deleted)
 	}
-	return &Overlay{idx: idx, inserts: inserts, tombs: deleted}
+	return idx.over(inserts, deleted)
 }
 
 // OverlayOf returns the Overlay of idx and the pending updates of d,
-// sharing d's slices, or nil when d is empty — the caller then reads
-// the bare index, which is exactly the frozen path. It is the one
-// construction path of Mutable and the serving catalog.
+// sharing d's slices; never nil — an empty (or nil) d yields the reader
+// with nothing pending. It is the one construction path of Mutable and
+// the serving catalog.
 func OverlayOf(idx *Index, d *delta.Delta) *Overlay {
-	if d.Empty() {
-		return nil
-	}
-	return &Overlay{idx: idx, inserts: d.Objects(), tombs: d.Tombs()}
+	return idx.over(d.Objects(), d.Tombs())
+}
+
+// over returns the reader of ix's tree and probe pool with the given
+// delta pending.
+func (ix *Index) over(inserts Dataset, tombs []ID) *Overlay {
+	return &Overlay{reader{tree: ix.tree, probes: ix.probes, inserts: inserts, tombs: tombs}, ix}
 }
 
 // Base returns the underlying base index.
 func (v *Overlay) Base() *Index { return v.idx }
 
 // dead reports whether id is tombstoned.
-func (v *Overlay) dead(id ID) bool {
-	_, dead := slices.BinarySearch(v.tombs, id)
+func (r *reader) dead(id ID) bool {
+	_, dead := slices.BinarySearch(r.tombs, id)
 	return dead
 }
 
@@ -98,12 +85,15 @@ func (v *Overlay) dead(id ID) bool {
 // tombstoned IDs, base objects and inserts alike, are removed in place.
 // A non-nil sp records the insert pass as PhaseDelta and the filter as
 // PhaseOverlay.
-func (v *Overlay) merge(ids []ID, q Box, sp *Span) []ID {
+func (r *reader) merge(ids []ID, q Box, sp *Span) []ID {
+	if r.frozen() {
+		return ids
+	}
 	var start time.Time
 	if sp != nil {
 		start = time.Now()
 	}
-	ins := v.inserts
+	ins := r.inserts
 	for i := range ins {
 		// Box.Intersects, written out: its loop indexes the corner arrays
 		// by a variable, which costs a copy of both boxes per call, and
@@ -120,7 +110,7 @@ func (v *Overlay) merge(ids []ID, q Box, sp *Span) []ID {
 		sp.Add(trace.PhaseDelta, time.Since(start))
 		start = time.Now()
 	}
-	if tombs := v.tombs; len(tombs) > 0 {
+	if tombs := r.tombs; len(tombs) > 0 {
 		live := ids[:0]
 		for _, id := range ids {
 			// ids ascend, so each search resumes where the last ended.
@@ -139,64 +129,23 @@ func (v *Overlay) merge(ids []ID, q Box, sp *Span) []ID {
 	return ids
 }
 
-// RangeQuery returns the IDs of every live object whose MBR intersects
-// q, sorted ascending — Index.RangeQuery over the merged state, with
-// identical validation and semantics.
-func (v *Overlay) RangeQuery(q Box) ([]ID, error) { return v.RangeQueryTraced(q, nil) }
-
-// RangeQueryTraced is RangeQuery with per-request tracing: the base
-// descent records PhaseQuery (see Index.RangeQueryTraced), the pass
-// over the pending inserts records PhaseDelta, and the tombstone filter
-// records PhaseOverlay.
-func (v *Overlay) RangeQueryTraced(q Box, sp *Span) ([]ID, error) {
-	ids, err := v.idx.RangeQueryTraced(q, sp)
-	if err != nil {
-		return nil, err
-	}
-	return v.merge(ids, q, sp), nil
-}
-
-// PointQuery returns the IDs of every live object whose MBR contains
-// the point, sorted ascending — Index.PointQuery over the merged state.
-func (v *Overlay) PointQuery(x, y, z float64) ([]ID, error) {
-	return v.PointQueryTraced(x, y, z, nil)
-}
-
-// PointQueryTraced is PointQuery with per-request tracing; see
-// RangeQueryTraced.
-func (v *Overlay) PointQueryTraced(x, y, z float64, sp *Span) ([]ID, error) {
-	ids, err := v.idx.PointQueryTraced(x, y, z, sp)
-	if err != nil {
-		return nil, err
-	}
-	return v.merge(ids, geom.BoxAt(Point{x, y, z}), sp), nil
-}
-
-// KNN returns the k live objects nearest to q with Index.KNN's exact
-// (Distance, ID) ordering and tie-breaking over the merged state. The
-// base index is asked for exactly k neighbors with the tombstones as
-// its skip list; they are the running top-k that one pass over the
-// inserts then improves.
-func (v *Overlay) KNN(q Point, k int) ([]Neighbor, error) { return v.KNNTraced(q, k, nil) }
-
-// KNNTraced is KNN with per-request tracing; see RangeQueryTraced. The
-// insert pass, merge included, records PhaseDelta; the tombstone test
-// runs inside the base search.
-func (v *Overlay) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
-	nbrs, err := v.idx.knn(q, k, v.tombs, sp)
-	if err != nil {
-		return nil, err
+// mergeKNN improves nbrs — the k nearest live base objects of q, in
+// (Distance, ID) order — with one pass over the inserts. A non-nil sp
+// records the pass as PhaseDelta.
+func (r *reader) mergeKNN(nbrs []Neighbor, q Point, k int, sp *Span) []Neighbor {
+	if r.frozen() {
+		return nbrs
 	}
 	var start time.Time
 	if sp != nil {
 		start = time.Now()
 	}
-	ins := v.inserts
+	ins := r.inserts
 	for i := range ins {
 		d := ins[i].Box.PointDistance(q)
 		// An insert's ID is above every ID already in nbrs, so it ranks
 		// after all of them at its distance: a tie with the k-th loses.
-		if (len(nbrs) == k && d >= nbrs[k-1].Distance) || v.dead(ins[i].ID) {
+		if (len(nbrs) == k && d >= nbrs[k-1].Distance) || r.dead(ins[i].ID) {
 			continue
 		}
 		at := sort.Search(len(nbrs), func(j int) bool { return nbrs[j].Distance > d })
@@ -210,121 +159,5 @@ func (v *Overlay) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
 		sp.Add(trace.PhaseDelta, time.Since(start))
 		sp.SetResults(int64(len(nbrs)))
 	}
-	return nbrs, nil
-}
-
-// runMerged executes one merged join: the base index probe with a
-// tombstone filter in front of the delivery chain, then — unless the
-// join was stopped — the brute-force pass over the live inserts into
-// the same chain, one nl.Join per run of inserts between two dead ones.
-// The engine counts every emission in c.Results before the filter can
-// see it, so the dropped pairs are subtracted afterwards, keeping
-// Stats.Results equal to the delivered (live) pair count. A non-nil sp
-// records the insert pass's wall time as PhaseDelta (the tombstone
-// filter runs inline inside the join phase and is not timed
-// separately).
-func (v *Overlay) runMerged(b Dataset, workers int, ctl *stats.Control, c *Stats, sink Sink, sp *trace.Span) {
-	base := sink
-	var dropped int64
-	if len(v.tombs) > 0 {
-		base = stats.FuncSink(func(a, bid geom.ID) {
-			if v.dead(a) {
-				dropped++
-				return
-			}
-			sink.Emit(a, bid)
-		})
-	}
-	v.idx.runProbe(b, workers, ctl, c, base)
-	c.Results -= dropped
-	var start time.Time
-	if sp != nil {
-		start = time.Now()
-	}
-	ins := v.inserts
-	for from, i := 0, 0; i <= len(ins); i++ {
-		if i < len(ins) && !v.dead(ins[i].ID) {
-			continue
-		}
-		if from < i {
-			if ctl.Stopped() {
-				break
-			}
-			nl.Join(ins[from:i], b, ctl, c, sink)
-		}
-		from = i + 1
-	}
-	if sp != nil && len(ins) > 0 {
-		sp.Add(trace.PhaseDelta, time.Since(start))
-	}
-}
-
-// Join is Index.Join over the merged state: pairs in (indexed dataset,
-// b) orientation, every Options knob honored. Pair order is the base
-// engine's emission order followed by the insert pass — arbitrary under
-// parallelism, as with Index; sort with Result.SortPairs for a
-// canonical order.
-func (v *Overlay) Join(b Dataset, opt *Options) *Result {
-	res, _ := v.JoinCtx(context.Background(), b, opt)
-	return res
-}
-
-// JoinCtx is Join under a context, with Index.JoinCtx's cancellation
-// and limit semantics: both the base probe and the insert pass abort
-// cooperatively, and Options.Limit counts only live (delivered) pairs.
-func (v *Overlay) JoinCtx(ctx context.Context, b Dataset, opt *Options) (*Result, error) {
-	o := opt.normalized()
-	if err := ctx.Err(); err != nil {
-		return nil, canceled(err)
-	}
-	ctl := control(ctx, &o)
-	res := &Result{}
-	sink, finish := joinSink(&o, false, ctl, res)
-	v.runMerged(b, o.Workers, ctl, &res.Stats, sink, o.Trace)
-	err := canceledErr(ctx, ctl)
-	if err == nil {
-		finish()
-	}
-	if t := o.Trace; t != nil {
-		t.Record(&res.Stats)
-		t.SetCancel(ctl.Cause())
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// DistanceJoin is Index.DistanceJoin over the merged state.
-func (v *Overlay) DistanceJoin(b Dataset, eps float64, opt *Options) (*Result, error) {
-	return v.DistanceJoinCtx(context.Background(), b, eps, opt)
-}
-
-// DistanceJoinCtx is DistanceJoin under a context. Like
-// Index.DistanceJoinCtx it expands the probe side by eps (the identity
-// at eps = 0), so base and insert passes see the same expanded probe.
-func (v *Overlay) DistanceJoinCtx(ctx context.Context, b Dataset, eps float64, opt *Options) (*Result, error) {
-	if err := checkEps(eps); err != nil {
-		return nil, err
-	}
-	return v.JoinCtx(ctx, b.Expand(eps), opt)
-}
-
-// JoinSeq is Index.JoinSeq over the merged state: the streaming
-// iterator form of JoinCtx, yielding base-probe pairs (tombstones
-// filtered) followed by the insert pass.
-func (v *Overlay) JoinSeq(ctx context.Context, b Dataset, opt *Options) iter.Seq2[Pair, error] {
-	o := opt.normalized()
-	return streamJoin(ctx, &o, false, func(ctl *stats.Control, c *Stats, sink Sink) {
-		v.runMerged(b, o.Workers, ctl, c, sink, o.Trace)
-	})
-}
-
-// DistanceJoinSeq is JoinSeq with the probe expanded by eps, mirroring
-// Index.DistanceJoinSeq.
-func (v *Overlay) DistanceJoinSeq(ctx context.Context, b Dataset, eps float64, opt *Options) iter.Seq2[Pair, error] {
-	if err := checkEps(eps); err != nil {
-		return func(yield func(Pair, error) bool) { yield(Pair{}, err) }
-	}
-	return v.JoinSeq(ctx, b.Expand(eps), opt)
+	return nbrs
 }

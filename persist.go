@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"touch/internal/core"
@@ -95,9 +96,8 @@ func ReadSnapshot(r io.Reader) (SnapshotInfo, Dataset, *Index, error) {
 // indexFromTree wraps a built or already-validated thawed tree in the
 // public Index and wires its probe pool.
 func indexFromTree(t *core.Tree, lenA int) *Index {
-	ix := &Index{tree: t, lenA: lenA, maxID: t.MaxID()}
-	ix.probes.New = func() any { return ix.tree.NewProbe() }
-	return ix
+	probes := &sync.Pool{New: func() any { return t.NewProbe() }}
+	return &Index{reader: reader{tree: t, probes: probes}, lenA: lenA, maxID: t.MaxID()}
 }
 
 // Config returns the configuration the index was built with, defaults

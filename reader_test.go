@@ -1,0 +1,271 @@
+package touch
+
+import (
+	"context"
+	"iter"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+	"unsafe"
+
+	"touch/internal/delta"
+	"touch/internal/trace"
+)
+
+// querier is the read surface the package declares once, on the
+// unexported reader; the interface exists only here, to hold both
+// exported readers to it at compile time.
+type querier interface {
+	RangeQuery(Box) ([]ID, error)
+	RangeQueryTraced(Box, *Span) ([]ID, error)
+	PointQuery(x, y, z float64) ([]ID, error)
+	PointQueryTraced(x, y, z float64, sp *Span) ([]ID, error)
+	KNN(Point, int) ([]Neighbor, error)
+	KNNTraced(Point, int, *Span) ([]Neighbor, error)
+	Join(Dataset, *Options) *Result
+	JoinCtx(context.Context, Dataset, *Options) (*Result, error)
+	DistanceJoin(Dataset, float64, *Options) (*Result, error)
+	DistanceJoinCtx(context.Context, Dataset, float64, *Options) (*Result, error)
+	JoinSeq(context.Context, Dataset, *Options) iter.Seq2[Pair, error]
+	DistanceJoinSeq(context.Context, Dataset, float64, *Options) iter.Seq2[Pair, error]
+}
+
+var (
+	_ querier = (*Index)(nil)
+	_ querier = (*Overlay)(nil)
+)
+
+// raceEnabled is set by race_test.go under the race detector, where
+// sync.Pool drops items at random and allocation counts mean nothing.
+var raceEnabled bool
+
+// untimed returns the span with its durations cleared, after checking
+// that only the phases in recorded carry time.
+func untimed(t *testing.T, sp Span, recorded ...trace.Phase) Span {
+	t.Helper()
+	for _, p := range trace.Phases() {
+		if sp.Durations[p] != 0 && !slices.Contains(recorded, p) {
+			t.Errorf("phase %s recorded %v on a reader with nothing pending", p.Name(), sp.Durations[p])
+		}
+	}
+	sp.Durations = [trace.NumPhases]time.Duration{}
+	return sp
+}
+
+// TestOverlayEmptyDeltaReaderParity: the four ways to hold a dataset
+// with nothing pending — the bare Index, an Overlay built with no
+// updates, an Overlay of an empty delta and a fresh Mutable's View —
+// are one reader: the same answers, the same trace apart from the
+// durations (no delta or overlay phase), the same allocations per call.
+func TestOverlayEmptyDeltaReaderParity(t *testing.T) {
+	ds := GenerateClustered(3000, 1501).Expand(4)
+	probe := GenerateUniform(2000, 1502)
+	idx := BuildIndex(ds, TOUCHConfig{})
+	m, err := NewMutable(ds, TOUCHConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readers := []struct {
+		name string
+		r    querier
+	}{
+		{"Index", idx},
+		{"NewOverlay(nil,nil)", NewOverlay(idx, nil, nil)},
+		{"OverlayOf(empty)", OverlayOf(idx, delta.NewForBase(ds))},
+		{"Mutable.View", m.View()},
+	}
+
+	box, pt := ds[11].Box.Expand(40), queryPoint(rand.New(rand.NewSource(1503)))
+	ctx := context.Background()
+	shapes := []struct {
+		name     string
+		recorded []trace.Phase
+		ask      func(querier, *Span) any
+	}{
+		{"range", []trace.Phase{trace.PhaseQuery}, func(r querier, sp *Span) any {
+			ids, err := r.RangeQueryTraced(box, sp)
+			return []any{ids, err}
+		}},
+		{"point", []trace.Phase{trace.PhaseQuery}, func(r querier, sp *Span) any {
+			c := ds[7].Box.Center()
+			ids, err := r.PointQueryTraced(c[0], c[1], c[2], sp)
+			return []any{ids, err}
+		}},
+		{"knn", []trace.Phase{trace.PhaseQuery}, func(r querier, sp *Span) any {
+			nbrs, err := r.KNNTraced(pt, 10, sp)
+			return []any{nbrs, err}
+		}},
+		{"Join", []trace.Phase{trace.PhaseAssign, trace.PhaseJoin}, func(r querier, sp *Span) any {
+			return r.Join(probe, &Options{Trace: sp}).Pairs
+		}},
+		{"DistanceJoinCtx", []trace.Phase{trace.PhaseAssign, trace.PhaseJoin}, func(r querier, sp *Span) any {
+			res, err := r.DistanceJoinCtx(ctx, probe, 3, &Options{Trace: sp})
+			return []any{res.Pairs, statsKey(&res.Stats), err}
+		}},
+		{"JoinSeq+Limit", []trace.Phase{trace.PhaseAssign, trace.PhaseJoin}, func(r querier, sp *Span) any {
+			var pairs []Pair
+			for p, err := range r.JoinSeq(ctx, probe, &Options{Limit: 40, Trace: sp}) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				pairs = append(pairs, p)
+			}
+			return pairs
+		}},
+	}
+	for _, sh := range shapes {
+		var wantSpan Span
+		want := sh.ask(idx, &wantSpan)
+		wantSpan = untimed(t, wantSpan, sh.recorded...)
+		if wantSpan.Results == 0 {
+			t.Fatalf("%s: the fixture answers nothing", sh.name)
+		}
+		for _, rd := range readers[1:] {
+			var sp Span
+			if got := sh.ask(rd.r, &sp); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %s: answer differs from the Index's", sh.name, rd.name)
+			}
+			if sp = untimed(t, sp, sh.recorded...); sp != wantSpan {
+				t.Errorf("%s on %s: span %+v, the Index's %+v", sh.name, rd.name, sp, wantSpan)
+			}
+		}
+	}
+
+	if raceEnabled {
+		return
+	}
+	for _, sh := range shapes[:3] {
+		want := testing.AllocsPerRun(200, func() { sh.ask(idx, nil) })
+		for _, rd := range readers[1:] {
+			if got := testing.AllocsPerRun(200, func() { sh.ask(rd.r, nil) }); got != want {
+				t.Errorf("%s on %s: %v allocs per call, the Index's %v", sh.name, rd.name, got, want)
+			}
+		}
+	}
+}
+
+// TestMutableViewIsOneGeneration: a View is immutable. One taken before
+// a writer inserts, deletes and compacts keeps answering as the rebuild
+// of its own generation while those writes publish; a fresh View
+// answers the new state. Run under -race.
+func TestMutableViewIsOneGeneration(t *testing.T) {
+	m, err := NewMutable(GenerateUniform(2000, 1511), TOUCHConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetCompactThreshold(-1)
+	rng := rand.New(rand.NewSource(1512))
+	boxes := func(n int) []Box {
+		bs := make([]Box, n)
+		for i := range bs {
+			bs[i] = queryBox(rng)
+		}
+		return bs
+	}
+	// Start from a generation with both kinds of update pending.
+	if _, err := m.Insert(boxes(50)); err != nil {
+		t.Fatal(err)
+	}
+	m.Delete([]ID{3, 400, 2010})
+
+	probe := GenerateUniform(1500, 1513)
+	qs, pts := boxes(20), make([]Point, 20)
+	for i := range pts {
+		pts[i] = queryPoint(rng)
+	}
+	check := func(v *Overlay, oracle *Index) {
+		t.Helper()
+		for i := range qs {
+			got, _ := v.RangeQuery(qs[i])
+			if want, _ := oracle.RangeQuery(qs[i]); !slices.Equal(got, want) {
+				t.Fatalf("RangeQuery(%v): %d ids, its generation's rebuild has %d", qs[i], len(got), len(want))
+			}
+			gotK, _ := v.KNN(pts[i], 8)
+			if wantK, _ := oracle.KNN(pts[i], 8); !slices.Equal(gotK, wantK) {
+				t.Fatalf("KNN(%v): %v, its generation's rebuild has %v", pts[i], gotK, wantK)
+			}
+		}
+		got, want := v.Join(probe, nil), oracle.Join(probe, nil)
+		if !slices.Equal(sortPairSet(got.Pairs), sortPairSet(want.Pairs)) {
+			t.Fatalf("Join: %d pairs, its generation's rebuild has %d", len(got.Pairs), len(want.Pairs))
+		}
+	}
+
+	old, oldLive := m.View(), m.Dataset()
+	oldOracle := BuildIndex(oldLive, TOUCHConfig{})
+	inserts := boxes(400) // rng is not shared with the writer
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ids, err := m.Insert(inserts[i%len(inserts) : i%len(inserts)+1])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			m.Delete([]ID{ids[0] - 1, ID(i % 2000)})
+			if i%8 == 7 {
+				m.Compact()
+			}
+		}
+	}()
+	for m.Stats().Compactions < 2 {
+		check(old, oldOracle)
+	}
+	close(stop)
+	wg.Wait()
+	check(old, oldOracle)
+
+	if fresh := m.View(); fresh == old {
+		t.Fatal("View did not move after writes")
+	} else {
+		check(fresh, BuildIndex(m.Dataset(), TOUCHConfig{}))
+	}
+	if got, _ := old.RangeQuery(NewBox(Point{-1, -1, -1}, Point{1e9, 1e9, 1e9})); len(got) != len(oldLive) {
+		t.Fatalf("the old View now holds %d objects, its generation had %d", len(got), len(oldLive))
+	}
+}
+
+// TestMutableDatasetAllocatesOnce: Dataset hands out one fresh slice of
+// the merged objects, whether or not the delta is empty — not a clone
+// of the slice Merged just built.
+func TestMutableDatasetAllocatesOnce(t *testing.T) {
+	m, err := NewMutable(GenerateUniform(50_000, 1521), TOUCHConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetCompactThreshold(-1)
+	for _, pending := range []bool{false, true} {
+		if pending {
+			m.Delete([]ID{1, 2, 3})
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ds := m.Dataset()
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		one := uint64(len(ds)) * uint64(unsafe.Sizeof(Object{}))
+		if got < one || got >= 2*one {
+			t.Errorf("pending=%v: Dataset allocated %d bytes, want one %d-byte slice", pending, got, one)
+		}
+		if pending {
+			continue
+		}
+		// The empty-delta answer must still be the caller's own.
+		ds[0].ID = -7
+		if m.Dataset()[0].ID == -7 {
+			t.Error("Dataset aliases the base when nothing is pending")
+		}
+	}
+}

@@ -138,28 +138,29 @@ func JoinSeq(ctx context.Context, alg Algorithm, a, b Dataset, opt *Options) ite
 	})
 }
 
-// JoinSeq is the streaming form of Index.JoinCtx, with the semantics of
-// the package-level JoinSeq: pairs are yielded in (index dataset, b)
-// orientation as the join produces them, breaking out of the loop or
+// JoinSeq is the streaming form of JoinCtx, with the semantics of the
+// package-level JoinSeq: pairs are yielded in (indexed dataset, b)
+// orientation as the join produces them — base-probe pairs, tombstones
+// filtered, followed by the insert pass — breaking out of the loop or
 // cancelling ctx aborts the join cooperatively, Options.Limit truncates
 // the sequence exactly, and Options.Sink / Options.NoPairs (knobs of
-// the materializing mode) are ignored. Safe for arbitrary concurrent callers
-// on a shared Index; each iteration draws its own probe from the pool
-// and recycles it when the loop ends, however it ends.
-func (ix *Index) JoinSeq(ctx context.Context, b Dataset, opt *Options) iter.Seq2[Pair, error] {
+// the materializing mode) are ignored. Safe for arbitrary concurrent
+// callers; each iteration draws its own probe from the pool and
+// recycles it when the loop ends, however it ends.
+func (r *reader) JoinSeq(ctx context.Context, b Dataset, opt *Options) iter.Seq2[Pair, error] {
 	o := opt.normalized()
 	return streamJoin(ctx, &o, false, func(ctl *stats.Control, c *Stats, sink Sink) {
-		ix.runProbe(b, o.Workers, ctl, c, sink)
+		r.run(b, &o, ctl, c, sink)
 	})
 }
 
 // DistanceJoinSeq is JoinSeq with the probe dataset's boxes enlarged by
-// eps — the streaming form of Index.DistanceJoinCtx, sharing its
-// validation and probe-side expansion. A negative eps yields the
+// eps — the streaming form of DistanceJoinCtx, sharing its validation
+// and probe-side expansion. A negative eps yields the
 // ErrNegativeDistance-wrapped error as the sequence's only element.
-func (ix *Index) DistanceJoinSeq(ctx context.Context, b Dataset, eps float64, opt *Options) iter.Seq2[Pair, error] {
+func (r *reader) DistanceJoinSeq(ctx context.Context, b Dataset, eps float64, opt *Options) iter.Seq2[Pair, error] {
 	if err := checkEps(eps); err != nil {
 		return func(yield func(Pair, error) bool) { yield(Pair{}, err) }
 	}
-	return ix.JoinSeq(ctx, b.Expand(eps), opt)
+	return r.JoinSeq(ctx, b.Expand(eps), opt)
 }

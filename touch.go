@@ -372,18 +372,26 @@ func SpatialJoinCtx(ctx context.Context, alg Algorithm, a, b Dataset, opt *Optio
 	if err != nil {
 		return nil, err
 	}
+	a, b, swapped := o.orderDatasets(a, b)
+	return collect(ctx, &o, swapped, func(ctl *stats.Control, c *Stats, sink Sink) {
+		dispatch(alg, join, &o, a, b, ctl, c, sink)
+	})
+}
+
+// collect runs one join to completion and materializes its result — the
+// twin of streamJoin, over the same run closure: build the abort handle
+// and the delivery chain, run, and translate the abort state. Every
+// materializing join of the package, one-shot or over a prebuilt tree,
+// ends here.
+func collect(ctx context.Context, o *Options, swapped bool, run func(*stats.Control, *Stats, Sink)) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, canceled(err)
 	}
-
-	a, b, swapped := o.orderDatasets(a, b)
-
-	ctl := control(ctx, &o)
+	ctl := control(ctx, o)
 	res := &Result{}
-	sink, finish := joinSink(&o, swapped, ctl, res)
-
-	dispatch(alg, join, &o, a, b, ctl, &res.Stats, sink)
-	err = canceledErr(ctx, ctl)
+	sink, finish := joinSink(o, swapped, ctl, res)
+	run(ctl, &res.Stats, sink)
+	err := canceledErr(ctx, ctl)
 	if err == nil {
 		finish()
 	}
