@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet benchmark benchmark-compare bench-smoke serve-smoke clean
+.PHONY: all build test race vet benchmark benchmark-compare serve-smoke clean
 
 all: vet build test
 
@@ -25,10 +25,6 @@ benchmark:
 
 benchmark-compare:
 	$(GO) run ./benchmark -compare $(OLD) $(NEW)
-
-# bench-smoke is the CI-sized run: every testing.B benchmark once.
-bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # serve-smoke boots touchserved on a random port, exercises every query
 # shape plus a join and the metrics endpoint over real HTTP with curl,

@@ -550,16 +550,7 @@ func (c *Conn) Update(ctx context.Context, dataset string, spec UpdateSpec) (Upd
 // DatasetInfo is one row of a wire catalog listing — the wire twin of
 // GET /v1/datasets, carrying the fields a routing tier needs to merge
 // listings across replicas.
-type DatasetInfo struct {
-	Name            string
-	Version         int64
-	Status          string // "ready", "building" or "rebuilding"
-	Objects         int64
-	StaticBytes     int64
-	DeltaInserts    int
-	DeltaTombstones int
-	Persisted       bool
-}
+type DatasetInfo = wire.CatalogEntry
 
 // Datasets lists the server's catalog, sorted by name.
 func (c *Conn) Datasets(ctx context.Context) ([]DatasetInfo, error) {
@@ -573,24 +564,7 @@ func (c *Conn) Datasets(ctx context.Context) ([]DatasetInfo, error) {
 	if cl.op != wire.OpCatalogResp {
 		return nil, fmt.Errorf("client: unexpected response opcode %#02x", cl.op)
 	}
-	entries, err := wire.DecodeCatalogResp(cl.payload)
-	if err != nil {
-		return nil, err
-	}
-	infos := make([]DatasetInfo, len(entries))
-	for i, e := range entries {
-		infos[i] = DatasetInfo{
-			Name:            e.Name,
-			Version:         e.Version,
-			Status:          e.Status,
-			Objects:         e.Objects,
-			StaticBytes:     e.StaticBytes,
-			DeltaInserts:    e.DeltaInserts,
-			DeltaTombstones: e.DeltaTombstones,
-			Persisted:       e.Persisted,
-		}
-	}
-	return infos, nil
+	return wire.DecodeCatalogResp(cl.payload)
 }
 
 // Join runs a join and materializes its pairs, sorted canonically.

@@ -19,8 +19,7 @@ func (t *Tree) mapGridJoin(n *Node, bs []geom.Object, postDedup bool, c *stats.C
 	cells := make(map[int64][]int32)
 	for i := range bs {
 		lo, hi := g.Range(bs[i].Box)
-		grid.ForEachCell(lo, hi, func(cc grid.Coords) {
-			k := g.Key(cc)
+		g.ForEachKey(lo, hi, func(k int64) {
 			cells[k] = append(cells[k], int32(i))
 			c.Replicas++
 		})
@@ -29,8 +28,9 @@ func (t *Tree) mapGridJoin(n *Node, bs []geom.Object, postDedup bool, c *stats.C
 	for ai := range as {
 		a := &as[ai]
 		lo, hi := g.Range(a.Box)
-		grid.ForEachCell(lo, hi, func(cc grid.Coords) {
-			for _, bi := range cells[g.Key(cc)] {
+		g.ForEachKey(lo, hi, func(k int64) {
+			cc := g.KeyCoords(k)
+			for _, bi := range cells[k] {
 				b := &bs[bi]
 				if postDedup {
 					c.Comparisons++

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -251,44 +250,6 @@ func TestKNNCounters(t *testing.T) {
 	}
 	if c.Comparisons >= int64(len(ds)) {
 		t.Fatalf("no pruning: %d object distance evaluations for |A|=%d", c.Comparisons, len(ds))
-	}
-}
-
-func BenchmarkProbeRangeQuery(b *testing.B) {
-	ds := datagen.UniformSet(100_000, 281)
-	tree := Build(ds, Config{})
-	p := tree.NewProbe()
-	rng := rand.New(rand.NewSource(282))
-	queries := make([]geom.Box, 256)
-	for i := range queries {
-		queries[i] = randomQueryBox(rng)
-	}
-	var c stats.Counters
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.RangeQuery(queries[i%len(queries)], &c)
-	}
-}
-
-func BenchmarkProbeKNN(b *testing.B) {
-	ds := datagen.UniformSet(100_000, 283)
-	tree := Build(ds, Config{})
-	p := tree.NewProbe()
-	rng := rand.New(rand.NewSource(284))
-	pts := make([]geom.Point, 256)
-	for i := range pts {
-		pts[i] = geom.Point{rng.Float64() * 1000, rng.Float64() * 1000, rng.Float64() * 1000}
-	}
-	var c stats.Counters
-	b.ReportAllocs()
-	b.ResetTimer()
-	for _, k := range []int{1, 10, 100} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p.KNN(pts[i%len(pts)], k, &c)
-			}
-		})
 	}
 }
 

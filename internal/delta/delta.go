@@ -4,10 +4,12 @@
 // memtable over a packed run. A Delta is an immutable value — every
 // mutation returns a new *Delta sharing structure with its parent — so
 // the owning layer can publish it through an atomic pointer and readers
-// never take a lock. Writers must be serialized externally (the touch
-// package's Mutable and the server catalog both hold a mutex across
-// mutations), which lets inserts share one append-only backing array
-// across generations.
+// never take a lock. The write path is written once here and run by both
+// owners, the touch package's Mutable and the server catalog, each under
+// its own writer lock: Apply is the update step (a batch of deletes, then
+// inserts) and Scheduler decides when the owner folds the delta into a
+// rebuilt base. Serialized writers are what lets inserts share one
+// append-only backing array across generations.
 //
 // The contract that everything downstream leans on: a base dataset is
 // ID-ascending, every insert receives a fresh ID strictly greater than
@@ -113,12 +115,17 @@ func (d *Delta) Tombstoned(id geom.ID) bool {
 // TombIDs returns the tombstoned IDs ascending, as a fresh slice.
 func (d *Delta) TombIDs() []geom.ID { return slices.Clone(d.Tombs()) }
 
+// findID binary-searches the ID-ascending ds for id.
+func findID(ds geom.Dataset, id geom.ID) (int, bool) {
+	return slices.BinarySearchFunc(ds, id, func(o geom.Object, id geom.ID) int { return int(o.ID) - int(id) })
+}
+
 // appendLive appends the objects of src (ID-ascending) that tombs
 // (ascending) does not name: one binary search per tombstone, the runs
 // between them copied whole.
 func appendLive(dst, src geom.Dataset, tombs []geom.ID) geom.Dataset {
 	for _, id := range tombs {
-		i, dead := slices.BinarySearchFunc(src, id, func(o geom.Object, id geom.ID) int { return int(o.ID) - int(id) })
+		i, dead := findID(src, id)
 		dst = append(dst, src[:i]...)
 		if dead {
 			i++
@@ -197,6 +204,24 @@ func (d *Delta) Delete(ids []geom.ID, inBase func(geom.ID) bool) (nd *Delta, del
 		old = old[i:]
 	}
 	return &Delta{inserts: d.inserts, tombs: append(tombs, old...), nextID: d.nextID}, len(add)
+}
+
+// Apply is the one update step both owners run under their writer lock:
+// deletes first — so a batch can delete existing IDs and insert their
+// replacements without tombstoning its own inserts — with membership in
+// the ID-ascending base by binary search, then inserts. ok is false, and
+// nothing applied, when the inserts would overflow the ID space; a batch
+// that changes nothing returns the receiver itself.
+func (d *Delta) Apply(base geom.Dataset, inserts []geom.Box, deletes []geom.ID) (next *Delta, first geom.ID, deleted int, ok bool) {
+	if !d.CanInsert(len(inserts)) {
+		return d, d.nextID, 0, false
+	}
+	next, deleted = d.Delete(deletes, func(id geom.ID) bool {
+		_, found := findID(base, id)
+		return found
+	})
+	next, first = next.Insert(inserts)
+	return next, first, deleted, true
 }
 
 // Since returns the updates of d not yet contained in its ancestor d0:

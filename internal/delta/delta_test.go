@@ -244,3 +244,55 @@ func TestSinceAndMergedWalks(t *testing.T) {
 		t.Fatal("an empty delta must return the base itself")
 	}
 }
+
+// TestApplyEqualsDeleteThenInsert runs the batch shapes FuzzDeltaMerge
+// drives a Mutable with down two chains, one through Apply and one
+// through Delete then Insert, and requires the same delta and the same
+// results after every step.
+func TestApplyEqualsDeleteThenInsert(t *testing.T) {
+	bs := base(24)
+	var bulkDel []geom.ID // every other one of the inserts 29..92, every third base ID
+	for j := 0; j < 64; j += 2 {
+		bulkDel = append(bulkDel, geom.ID(29+j), geom.ID(j/2*3))
+	}
+	script := []struct {
+		inserts int
+		deletes []geom.ID
+	}{
+		{3, nil}, {0, []geom.ID{7}}, {0, []geom.ID{7, 99, -1, 7}}, {1, []geom.ID{25}},
+		// 28 is the ID this batch's own insert is about to receive:
+		// deletes apply first, so it must stay live.
+		{1, []geom.ID{28, 3}},
+		{64, nil}, {0, bulkDel}, {2, []geom.ID{0, 1, 30, 90, 500}},
+		{0, nil}, {0, []geom.ID{7, 99}}, // nothing changes: the receiver itself comes back
+	}
+	viaApply, viaSteps := NewForBase(bs), NewForBase(bs)
+	for i, step := range script {
+		boxes := make([]geom.Box, step.inserts)
+		next, first, deleted, ok := viaApply.Apply(bs, boxes, step.deletes)
+		want, wantDeleted := viaSteps.Delete(step.deletes, inBase(bs))
+		want, wantFirst := want.Insert(boxes)
+		if !ok || first != wantFirst || deleted != wantDeleted || next.NextID() != want.NextID() ||
+			!slices.Equal(next.Objects(), want.Objects()) || !slices.Equal(next.Tombs(), want.Tombs()) {
+			t.Fatalf("step %d: Apply = (ok %v, first %d, deleted %d, %v, tombs %v), Delete then Insert = (first %d, deleted %d, %v, tombs %v)",
+				i, ok, first, deleted, next.Objects(), next.Tombs(), wantFirst, wantDeleted, want.Objects(), want.Tombs())
+		}
+		if (next == viaApply) != (want == viaSteps) {
+			t.Fatalf("step %d: Apply returned the receiver itself: %v, Delete then Insert: %v", i, next == viaApply, want == viaSteps)
+		}
+		viaApply, viaSteps = next, want
+	}
+	if viaApply.Tombstoned(28) || !viaApply.Tombstoned(3) {
+		t.Fatal("a batch tombstoned the insert it was about to make, or skipped the base ID beside it")
+	}
+
+	// Inserts that do not fit the ID space refuse the whole batch, its
+	// deletes included, and leave the receiver untouched.
+	full := &Delta{nextID: maxID - 1}
+	if next, _, deleted, ok := full.Apply(bs, make([]geom.Box, 3), []geom.ID{0, 1}); ok || next != full || deleted != 0 || full.Size() != 0 {
+		t.Fatalf("overflowing Apply = (%+v, deleted %d, ok %v), want the untouched receiver and ok=false", next, deleted, ok)
+	}
+	if next, first, deleted, ok := full.Apply(bs, make([]geom.Box, 2), []geom.ID{0, 1}); !ok || first != maxID-1 || deleted != 2 || next.Size() != 4 {
+		t.Fatalf("Apply of the last two IDs = (first %d, deleted %d, ok %v)", first, deleted, ok)
+	}
+}

@@ -246,13 +246,3 @@ func (b Box) IsEmpty() bool {
 	}
 	return false
 }
-
-// MBROf returns the minimum bounding box of a set of boxes, or EmptyBox
-// when the set is empty.
-func MBROf(boxes []Box) Box {
-	mbr := EmptyBox()
-	for _, b := range boxes {
-		mbr = mbr.Union(b)
-	}
-	return mbr
-}

@@ -236,16 +236,6 @@ func TestEmptyBoxIdentity(t *testing.T) {
 	}
 }
 
-func TestMBROf(t *testing.T) {
-	if !MBROf(nil).IsEmpty() {
-		t.Fatal("MBR of no boxes must be empty")
-	}
-	got := MBROf([]Box{box(0, 0, 0, 1, 1, 1), box(-1, 5, 0, 0, 6, 2)})
-	if got != box(-1, 0, 0, 1, 6, 2) {
-		t.Fatalf("MBROf = %v", got)
-	}
-}
-
 func TestBoxString(t *testing.T) {
 	s := box(1, 2, 3, 4, 5, 6).String()
 	if s != "[1,2,3]-[4,5,6]" {

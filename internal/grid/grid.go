@@ -80,9 +80,6 @@ func NewCellSize(universe geom.Box, side float64, maxRes int) *Grid {
 	return NewRes(universe, res)
 }
 
-// CellSide returns the cell side length in dimension d.
-func (g *Grid) CellSide(d int) float64 { return g.cell[d] }
-
 // Cells returns the total number of cells in the grid.
 func (g *Grid) Cells() int {
 	n := 1
@@ -92,17 +89,10 @@ func (g *Grid) Cells() int {
 	return n
 }
 
-// CoordsOf returns the coordinates of the cell containing p, clamped to
-// the grid (points outside the universe map to the nearest border cell,
-// which is what both PBSM and the local join need for clamped ranges).
-func (g *Grid) CoordsOf(p geom.Point) Coords {
-	var c Coords
-	for d := 0; d < geom.Dims; d++ {
-		c[d] = g.clampIndex(d, p[d])
-	}
-	return c
-}
-
+// clampIndex returns the index in dimension d of the cell containing v,
+// clamped to the grid: points outside the universe map to the nearest
+// border cell, which is what both PBSM and the local join need for
+// clamped ranges.
 func (g *Grid) clampIndex(d int, v float64) int {
 	i := int((v - g.Universe.Min[d]) / g.cell[d])
 	if i < 0 {
@@ -139,16 +129,6 @@ func (g *Grid) KeyCoords(k int64) Coords {
 	return c
 }
 
-// CellBox returns the spatial region of the cell at c.
-func (g *Grid) CellBox(c Coords) geom.Box {
-	var b geom.Box
-	for d := 0; d < geom.Dims; d++ {
-		b.Min[d] = g.Universe.Min[d] + float64(c[d])*g.cell[d]
-		b.Max[d] = b.Min[d] + g.cell[d]
-	}
-	return b
-}
-
 // RefCell returns the cell of the canonical reference point of the pair
 // of boxes — the componentwise maximum of the two minimum corners,
 // clamped to the grid. When the boxes overlap, that point lies in their
@@ -172,24 +152,11 @@ func (g *Grid) RefCell(a, b *geom.Box) Coords {
 	return c
 }
 
-// ForEachCell visits every cell in the inclusive coordinate range
-// [lo, hi], in row-major order.
-func ForEachCell(lo, hi Coords, visit func(Coords)) {
-	var c Coords
-	for c[0] = lo[0]; c[0] <= hi[0]; c[0]++ {
-		for c[1] = lo[1]; c[1] <= hi[1]; c[1]++ {
-			for c[2] = lo[2]; c[2] <= hi[2]; c[2]++ {
-				visit(c)
-			}
-		}
-	}
-}
-
 // ForEachKey visits every cell in the inclusive coordinate range
 // [lo, hi] in row-major order, passing the linearized cell key (the
 // value Key would return for those coordinates). The keys are computed
 // incrementally, saving the two multiplications per cell that calling
-// Key inside a ForEachCell callback would cost — the difference is
+// Key on each cell's coordinates would cost — the difference is
 // measurable in replica-heavy loops (PBSM assignment, TOUCH's CSR grid
 // build).
 func (g *Grid) ForEachKey(lo, hi Coords, visit func(int64)) {

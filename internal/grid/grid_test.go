@@ -18,8 +18,8 @@ func TestNewBasics(t *testing.T) {
 		t.Fatalf("Cells = %d, want 1000", g.Cells())
 	}
 	for d := 0; d < geom.Dims; d++ {
-		if g.CellSide(d) != 10 {
-			t.Fatalf("CellSide(%d) = %g", d, g.CellSide(d))
+		if g.cell[d] != 10 {
+			t.Fatalf("cell side in dimension %d = %g", d, g.cell[d])
 		}
 	}
 }
@@ -45,6 +45,13 @@ func TestDegenerateUniverseCollapses(t *testing.T) {
 	}
 }
 
+// cellOf returns the cell containing p: the first cell of the range of
+// the degenerate box at p.
+func cellOf(g *Grid, p geom.Point) Coords {
+	lo, _ := g.Range(geom.Box{Min: p, Max: p})
+	return lo
+}
+
 func TestCoordsOfAndClamping(t *testing.T) {
 	g := New(universe(), 10)
 	cases := []struct {
@@ -59,8 +66,8 @@ func TestCoordsOfAndClamping(t *testing.T) {
 		{geom.Point{-5, 50, 200}, Coords{0, 5, 9}},   // clamped outside
 	}
 	for _, tc := range cases {
-		if got := g.CoordsOf(tc.p); got != tc.want {
-			t.Errorf("CoordsOf(%v) = %v, want %v", tc.p, got, tc.want)
+		if got := cellOf(g, tc.p); got != tc.want {
+			t.Errorf("cell of %v = %v, want %v", tc.p, got, tc.want)
 		}
 	}
 }
@@ -107,25 +114,11 @@ func TestKeyUnique(t *testing.T) {
 	}
 }
 
-func TestCellBox(t *testing.T) {
-	g := New(universe(), 10)
-	b := g.CellBox(Coords{1, 2, 3})
-	want := geom.NewBox(geom.Point{10, 20, 30}, geom.Point{20, 30, 40})
-	if b != want {
-		t.Fatalf("CellBox = %v, want %v", b, want)
-	}
-	// The cell box must contain exactly the points mapping to the cell
-	// (up to the shared boundary).
-	if g.CoordsOf(b.Center()) != (Coords{1, 2, 3}) {
-		t.Fatal("center of cell box maps elsewhere")
-	}
-}
-
 func TestNewCellSize(t *testing.T) {
 	g := NewCellSize(universe(), 7, 500)
 	for d := 0; d < geom.Dims; d++ {
-		if g.CellSide(d) < 7 {
-			t.Fatalf("cell side %g below requested 7", g.CellSide(d))
+		if g.cell[d] < 7 {
+			t.Fatalf("cell side %g below requested 7", g.cell[d])
 		}
 	}
 	// Cap applies.
@@ -199,7 +192,7 @@ func TestPropRefCellIsMaxOfFirstCells(t *testing.T) {
 		coord := func(d int) float64 {
 			switch ext := u.Extent(d); rng.Intn(3) {
 			case 0: // exactly on a cell boundary, the universe's faces included
-				return u.Min[d] + float64(rng.Intn(g.Res[d]+1))*g.CellSide(d)
+				return u.Min[d] + float64(rng.Intn(g.Res[d]+1))*g.cell[d]
 			case 1: // anywhere within half an extent outside the universe
 				return u.Min[d] - ext/2 - 1 + rng.Float64()*(2*ext+2)
 			default:
@@ -230,9 +223,10 @@ func TestPropRefCellIsMaxOfFirstCells(t *testing.T) {
 }
 
 func TestForEachCellVisitsAllOnce(t *testing.T) {
+	g := NewRes(universe(), Coords{4, 3, 7})
 	lo, hi := Coords{1, 2, 3}, Coords{3, 2, 5}
 	seen := make(map[Coords]int)
-	ForEachCell(lo, hi, func(c Coords) { seen[c]++ })
+	g.ForEachKey(lo, hi, func(k int64) { seen[g.KeyCoords(k)]++ })
 	if int64(len(seen)) != RangeCells(lo, hi) {
 		t.Fatalf("visited %d cells, want %d", len(seen), RangeCells(lo, hi))
 	}
@@ -246,7 +240,7 @@ func TestForEachCellVisitsAllOnce(t *testing.T) {
 func TestPropCoordsWithinRes(t *testing.T) {
 	g := NewRes(universe(), Coords{4, 9, 13})
 	f := func(x, y, z float64) bool {
-		c := g.CoordsOf(geom.Point{x * 200, y * 200, z * 200})
+		c := cellOf(g, geom.Point{x * 200, y * 200, z * 200})
 		for d := 0; d < geom.Dims; d++ {
 			if c[d] < 0 || c[d] >= g.Res[d] {
 				return false

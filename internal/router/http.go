@@ -228,21 +228,6 @@ func (rt *Router) handleUpdate(ctx context.Context, w http.ResponseWriter, r *ht
 
 // --- catalog --------------------------------------------------------------
 
-type catalogRowJSON struct {
-	Name            string `json:"name"`
-	Version         int64  `json:"version"`
-	Status          string `json:"status"`
-	Objects         int64  `json:"objects"`
-	StaticBytes     int64  `json:"static_bytes"`
-	Persisted       bool   `json:"persisted"`
-	DeltaInserts    int    `json:"delta_inserts,omitempty"`
-	DeltaTombstones int    `json:"delta_tombstones,omitempty"`
-	// Backends lists every backend reporting the dataset; Source names
-	// the one whose row is shown (the primary owner when reachable).
-	Backends []string `json:"backends"`
-	Source   string   `json:"source"`
-}
-
 type failedBackendJSON struct {
 	Backend string `json:"backend"`
 	Error   string `json:"error"`
@@ -257,24 +242,10 @@ func (rt *Router) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	rows, failures := rt.Catalog(ctx)
 	out := struct {
-		Datasets       []catalogRowJSON    `json:"datasets"`
+		Datasets       []CatalogRow        `json:"datasets"`
 		Partial        bool                `json:"partial"`
 		FailedBackends []failedBackendJSON `json:"failed_backends,omitempty"`
-	}{Datasets: make([]catalogRowJSON, len(rows)), Partial: len(failures) > 0}
-	for i, row := range rows {
-		out.Datasets[i] = catalogRowJSON{
-			Name:            row.Name,
-			Version:         row.Version,
-			Status:          row.Status,
-			Objects:         row.Objects,
-			StaticBytes:     row.StaticBytes,
-			Persisted:       row.Persisted,
-			DeltaInserts:    row.DeltaInserts,
-			DeltaTombstones: row.DeltaTombstones,
-			Backends:        row.Backends,
-			Source:          row.Source,
-		}
-	}
+	}{Datasets: rows, Partial: len(failures) > 0}
 	for _, f := range failures {
 		out.FailedBackends = append(out.FailedBackends, failedBackendJSON{Backend: f.Backend, Error: f.Err.Error()})
 	}

@@ -357,9 +357,9 @@ type CatalogRow struct {
 	client.DatasetInfo
 	// Backends lists the display IDs of every backend reporting the
 	// dataset, sorted.
-	Backends []string
+	Backends []string `json:"backends"`
 	// Source is the display ID of the backend whose row was chosen.
-	Source string
+	Source string `json:"source"`
 }
 
 // BackendFailure reports one backend a scatter-gather could not reach.

@@ -409,16 +409,7 @@ func (c *frontConn) forward(op byte, tag uint32, payload []byte) {
 		rows, _ := c.rt.Catalog(ctx)
 		entries := make([]wire.CatalogEntry, len(rows))
 		for i, row := range rows {
-			entries[i] = wire.CatalogEntry{
-				Name:            row.Name,
-				Version:         row.Version,
-				Status:          row.Status,
-				Objects:         row.Objects,
-				StaticBytes:     row.StaticBytes,
-				DeltaInserts:    row.DeltaInserts,
-				DeltaTombstones: row.DeltaTombstones,
-				Persisted:       row.Persisted,
-			}
+			entries[i] = row.DatasetInfo
 		}
 		c.respond(wire.OpCatalogResp, tag, wire.AppendCatalogResp(nil, entries))
 	}

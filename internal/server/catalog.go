@@ -42,11 +42,11 @@ type snapshot struct {
 	persisted bool
 	snapBytes int64
 
-	// d holds the updates applied since this base version was built
-	// (nil = none); ov is the reader over (idx, d) that every query and
-	// join of this serving state runs on, always set. The delta is
-	// in-memory only — its updates become durable when a compaction folds
-	// them into the next persisted base version.
+	// d holds the updates applied since this base version was built,
+	// never nil; ov is the reader over (idx, d) that every query and join
+	// of this serving state runs on. The delta is in-memory only — its
+	// updates become durable when a compaction folds them into the next
+	// persisted base version.
 	d  *delta.Delta
 	ov *touch.Overlay
 
@@ -62,6 +62,12 @@ type snapshot struct {
 func (s *snapshot) dataset() touch.Dataset {
 	s.mergedOnce.Do(func() { s.merged = s.d.Merged(s.ds) })
 	return s.merged
+}
+
+// newSnapshot is a freshly built or restored version, nothing pending.
+func newSnapshot(version int64, ds touch.Dataset, idx *touch.Index, builtAt time.Time, cfg touch.TOUCHConfig) *snapshot {
+	base := snapshot{version: version, ds: ds, idx: idx, stats: idx.Stats(), builtAt: builtAt, cfg: cfg}
+	return base.withDelta(delta.NewForBase(ds))
 }
 
 // withDelta derives the serving state that publishes nd over the same
@@ -83,12 +89,15 @@ type entry struct {
 	// readers load, and the read path takes no locks.
 	ready atomic.Pointer[snapshot]
 
-	mu       sync.Mutex // guards the version counters and compacting below
-	accepted int64      // newest version accepted for building
-	building int        // builds in flight or queued
-	// compacting marks a background compaction in flight for this entry;
-	// at most one ever runs, and a new one is not scheduled while set.
-	compacting bool
+	mu         sync.Mutex      // guards the fields below and every store to ready
+	accepted   int64           // newest version accepted for building
+	building   int             // builds in flight or queued
+	folds      delta.Scheduler // background compactions, at most one in flight
+	pendingMax int             // largest pending delta an update has published
+	// dropped marks an entry that drop removed while a request still held
+	// it: its update answers as if the lookup had missed and its fold
+	// reserves no version, so the retired counter stays the name's newest.
+	dropped bool
 
 	buildMu sync.Mutex // serializes builds of this entry
 }
@@ -115,8 +124,9 @@ type catalog struct {
 	compactAt int
 	// compactions counts published delta folds; compactionsSkipped counts
 	// compactions abandoned because a newer full version superseded them.
-	compactions        atomic.Int64
-	compactionsSkipped atomic.Int64
+	compactions         atomic.Int64
+	compactionsSkipped  atomic.Int64
+	compactionsInFlight atomic.Int64 // folds holding a reserved version
 	// compactionTime histograms the published folds end to end: merge,
 	// build and persist.
 	compactionTime promhist.Histogram
@@ -143,6 +153,18 @@ func (c *catalog) entryFor(name string) *entry {
 	return c.entries[name]
 }
 
+// entryLocked returns the named entry, created if new with its version
+// counter continuing a dropped predecessor's. Caller holds c.mu.
+func (c *catalog) entryLocked(name string) *entry {
+	e := c.entries[name]
+	if e == nil {
+		e = &entry{name: name, accepted: c.retired[name], folds: delta.Scheduler{Threshold: c.compactAt}}
+		delete(c.retired, name)
+		c.entries[name] = e
+	}
+	return e
+}
+
 // acquireVersion creates the entry if needed and assigns the next
 // version under the catalog lock — the same lock drop takes — so a
 // DELETE racing a load can never record a stale counter into retired
@@ -150,18 +172,56 @@ func (c *catalog) entryFor(name string) *entry {
 func (c *catalog) acquireVersion(name string) (*entry, int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[name]
-	if e == nil {
-		e = &entry{name: name, accepted: c.retired[name]}
-		delete(c.retired, name)
-		c.entries[name] = e
-	}
+	e := c.entryLocked(name)
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.accepted++
-	v := e.accepted
 	e.building++
+	return e, e.accepted
+}
+
+// buildVersion is the one way the reserved version v of e comes to
+// exist: in its turn on the entry's build lock it builds the index over
+// what dataset returns, persists ahead of visibility and returns the
+// snapshot for the caller to publish under its own guard. Superseded
+// builds are skipped — nil, dataset never called: once a newer version
+// has been accepted (it will build after us, or already has), ours could
+// never serve, so don't waste the work and release the pinned dataset at
+// once. The caller's guarded store still protects against swaps backwards.
+func (c *catalog) buildVersion(e *entry, v int64, cfg touch.TOUCHConfig, dataset func() touch.Dataset) *snapshot {
+	e.buildMu.Lock()
+	defer e.buildMu.Unlock()
+	e.mu.Lock()
+	superseded := e.accepted > v
 	e.mu.Unlock()
-	return e, v
+	if superseded {
+		return nil
+	}
+	ds := dataset()
+	snap := newSnapshot(v, ds, c.build(ds, cfg), time.Now(), cfg)
+	if p := c.persist; p != nil {
+		// Write-ahead of visibility: the snapshot — and with it every
+		// update a compaction folded in — must be durably on disk before
+		// the hot swap can publish it, so a crash right after a
+		// 200-visible version still restarts with that version. A
+		// persistence failure degrades gracefully — the caller's swap
+		// still happens, the version just serves as ephemeral (flagged
+		// in the listing, counted in metrics).
+		var err error
+		if snap.snapBytes, snap.persisted, err = p.save(e.name, v, ds, snap.idx, snap.builtAt); err != nil {
+			p.log.Error("snapshot: persist failed, dataset is ephemeral",
+				"dataset", e.name, "version", v, "err", err)
+		}
+	}
+	return snap
+}
+
+// released ends a version's reservation; deferred, so after its publish.
+func (c *catalog) released(e *entry) {
+	e.mu.Lock()
+	e.building--
+	e.mu.Unlock()
+	c.pending.Add(-1)
 }
 
 // load accepts a new version of the named dataset and builds its index,
@@ -176,50 +236,15 @@ func (c *catalog) load(name string, ds touch.Dataset, cfg touch.TOUCHConfig, wai
 		return 0, false
 	}
 	e, v := c.acquireVersion(name)
-
 	run := func() {
-		e.buildMu.Lock()
-		defer e.buildMu.Unlock()
-		defer func() {
+		defer c.released(e)
+		if snap := c.buildVersion(e, v, cfg, func() touch.Dataset { return ds }); snap != nil {
 			e.mu.Lock()
-			e.building--
-			e.mu.Unlock()
-			c.pending.Add(-1)
-		}()
-		// Skip superseded builds: once a newer version has been accepted
-		// (it will build after us, or already has), our result could
-		// never serve — don't waste the work and release the pinned
-		// dataset immediately. The version-guarded store below still
-		// protects against any swap backwards.
-		e.mu.Lock()
-		superseded := e.accepted > v
-		e.mu.Unlock()
-		if superseded {
-			return
-		}
-		idx := c.build(ds, cfg)
-		snap := &snapshot{version: v, ds: ds, idx: idx, stats: idx.Stats(), builtAt: time.Now(), cfg: cfg, ov: touch.OverlayOf(idx, nil)}
-		if p := c.persist; p != nil {
-			// Write-ahead of visibility: the snapshot must be durably on
-			// disk before the hot swap can publish it, so a crash right
-			// after a 200-visible version still restarts with that
-			// version. A persistence failure degrades gracefully — the
-			// swap below still happens, the version just serves as
-			// ephemeral (flagged in the listing, counted in metrics).
-			size, wrote, err := p.save(e.name, v, ds, idx, snap.builtAt)
-			switch {
-			case err != nil:
-				p.log.Error("snapshot: persist failed, dataset is ephemeral",
-					"dataset", e.name, "version", v, "err", err)
-			case wrote:
-				snap.persisted, snap.snapBytes = true, size
+			if cur := e.ready.Load(); cur == nil || cur.version < v {
+				e.ready.Store(snap)
 			}
+			e.mu.Unlock()
 		}
-		e.mu.Lock()
-		if cur := e.ready.Load(); cur == nil || cur.version < v {
-			e.ready.Store(snap)
-		}
-		e.mu.Unlock()
 	}
 	if wait {
 		run()
@@ -251,132 +276,86 @@ type updResult struct {
 }
 
 // applyUpdate applies one batch of deletes and inserts to the named
-// dataset's pending delta and publishes the merged serving state
-// atomically — queries concurrent with the PATCH see either all of it or
-// none of it. Deletes apply first, so a batch can delete existing IDs
-// and insert replacements without tombstoning its own inserts; unknown
-// or already-deleted IDs are skipped silently. Inserted objects get
-// fresh consecutive IDs, never reused even across compactions. Boxes
-// must already be validated (DatasetFromBoxes rules).
+// dataset's pending delta (delta.Apply: deletes first, unknown or
+// already-deleted IDs skipped silently, fresh consecutive insert IDs
+// never reused even across compactions) and publishes the merged serving
+// state atomically — queries concurrent with the PATCH see all of it or
+// none of it. Boxes must already be validated (DatasetFromBoxes rules).
 func (c *catalog) applyUpdate(name string, inserts []touch.Box, deletes []touch.ID) (updResult, updStatus) {
-	e := c.entryFor(name)
+	return c.updateEntry(c.entryFor(name), inserts, deletes)
+}
+
+// updateEntry is applyUpdate past the lookup, which may have missed (nil)
+// or been overtaken by a DELETE.
+func (c *catalog) updateEntry(e *entry, inserts []touch.Box, deletes []touch.ID) (updResult, updStatus) {
 	if e == nil {
 		return updResult{}, updUnknown
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	snap := e.ready.Load()
-	if snap == nil {
-		e.mu.Unlock()
+	switch {
+	case e.dropped:
+		return updResult{}, updUnknown
+	case snap == nil:
 		return updResult{}, updBuilding
 	}
-	d := snap.d
-	if d == nil {
-		d = delta.NewForBase(snap.ds)
+	d, first, deleted, ok := snap.d.Apply(snap.ds, inserts, deletes)
+	if !ok {
+		return updResult{}, updOverflow
 	}
-	res := updResult{version: snap.version, firstID: -1}
-	if len(deletes) > 0 {
-		d, res.deleted = d.Delete(deletes, func(id touch.ID) bool {
-			_, ok := sort.Find(len(snap.ds), func(i int) int { return int(id) - int(snap.ds[i].ID) })
-			return ok
-		})
+	res := updResult{
+		version: snap.version, firstID: -1, inserted: len(inserts), deleted: deleted,
+		deltaIns: d.Inserts(), deltaTomb: d.Tombstones(),
 	}
 	if len(inserts) > 0 {
-		if !d.CanInsert(len(inserts)) {
-			e.mu.Unlock()
-			return updResult{}, updOverflow
-		}
-		var first touch.ID
-		d, first = d.Insert(inserts)
 		res.firstID = int64(first)
-		res.inserted = len(inserts)
 	}
-	res.deltaIns, res.deltaTomb = d.Inserts(), d.Tombstones()
 	e.ready.Store(snap.withDelta(d))
-	size := d.Size()
-	e.mu.Unlock()
-	c.maybeCompact(e, size)
+	e.pendingMax = max(e.pendingMax, d.Size())
+	e.folds.Arm(&e.mu, d.Size(), func() int { return c.fold(e) })
 	return res, updOK
 }
 
-// maybeCompact schedules a background compaction of e when its pending
-// delta has reached the configured threshold and no compaction or newer
-// full build is already in flight. Reserving the next version number
-// under e.mu means a re-POST racing the compaction is ordered: whichever
-// reserves later has the higher version and wins the publish guard.
-func (c *catalog) maybeCompact(e *entry, size int) {
-	if c.compactAt <= 0 || size < c.compactAt {
-		return
-	}
+// fold is the one compaction: it folds e's pending delta into a fresh
+// base index and publishes it as the next version with load's write-ahead
+// persistence, unless a newer full version supersedes it. Reserving the
+// version under e.mu orders a racing re-POST: whichever reserves later
+// has the higher version and wins the publish guard. Updates applied
+// while the build ran carry over into the new snapshot's delta (its size
+// is the result), which inherits the ID high-water mark: no ID reuse.
+func (c *catalog) fold(e *entry) (pending int) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	snap := e.ready.Load()
-	if snap == nil || snap.d.Empty() || e.compacting {
-		return
+	from := e.ready.Load()
+	if e.dropped || from.d.Empty() {
+		e.mu.Unlock()
+		return 0
 	}
-	if e.accepted != snap.version {
+	if e.accepted != from.version {
 		// A newer full version is building; it replaces the base
 		// wholesale, so folding into the old base could never publish.
+		e.mu.Unlock()
 		c.compactionsSkipped.Add(1)
-		return
+		return 0
 	}
 	e.accepted++
-	v := e.accepted
 	e.building++
-	e.compacting = true
-	c.pending.Add(1)
-	go c.runCompaction(e, snap, v)
-}
-
-// runCompaction folds from's delta into a fresh base index and publishes
-// it as version v with load's write-ahead persistence, unless a newer
-// full version superseded it meanwhile. Updates applied while the build
-// ran carry over into the new snapshot's delta, and the new delta always
-// inherits the ID high-water mark so compaction never causes ID reuse.
-func (c *catalog) runCompaction(e *entry, from *snapshot, v int64) {
-	e.buildMu.Lock()
-	defer e.buildMu.Unlock()
-	carried := 0 // size of the delta the publish left pending
-	defer func() {
-		e.mu.Lock()
-		e.building--
-		e.compacting = false
-		e.mu.Unlock()
-		c.pending.Add(-1)
-		// Updates that outran this build may already be over the
-		// threshold again; no later update need arrive to fold them.
-		c.maybeCompact(e, carried)
-	}()
-	e.mu.Lock()
-	superseded := e.accepted > v
+	v := e.accepted
 	e.mu.Unlock()
-	if superseded {
-		c.compactionsSkipped.Add(1)
-		return
-	}
+	c.pending.Add(1)
+	defer c.released(e)
+	c.compactionsInFlight.Add(1)
+	defer c.compactionsInFlight.Add(-1)
 	start := time.Now()
-	merged := from.d.Merged(from.ds)
-	idx := c.build(merged, from.cfg)
-	snap := &snapshot{version: v, ds: merged, idx: idx, stats: idx.Stats(), builtAt: time.Now(), cfg: from.cfg}
-	if p := c.persist; p != nil {
-		// Same write-ahead-of-visibility contract as load: the folded
-		// delta becomes durable here, before it can serve.
-		size, wrote, err := p.save(e.name, v, merged, idx, snap.builtAt)
-		switch {
-		case err != nil:
-			p.log.Error("snapshot: persist failed, dataset is ephemeral",
-				"dataset", e.name, "version", v, "err", err)
-		case wrote:
-			snap.persisted, snap.snapBytes = true, size
-		}
-	}
+	snap := c.buildVersion(e, v, from.cfg, func() touch.Dataset { return from.d.Merged(from.ds) })
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cur := e.ready.Load()
-	if cur == nil || cur.version != from.version {
-		// A newer full load published while we built; its dataset
-		// replaced ours wholesale and pending updates with it.
+	if snap == nil || cur.version != from.version {
+		// A newer full load was accepted or published while we built; its
+		// dataset replaced ours wholesale and pending updates with it.
 		c.compactionsSkipped.Add(1)
-		return
+		return 0
 	}
 	nd := cur.d.Since(from.d)
 	// Counted and observed before the publish, so a scrape never shows a
@@ -384,7 +363,7 @@ func (c *catalog) runCompaction(e *entry, from *snapshot, v int64) {
 	c.compactions.Add(1)
 	c.compactionTime.Observe(time.Since(start))
 	e.ready.Store(snap.withDelta(nd))
-	carried = nd.Size()
+	return nd.Size()
 }
 
 // snapshotOf returns the serving snapshot for a name. exists reports
@@ -430,7 +409,7 @@ func (c *catalog) drop(name string) (retired int64, ok bool) {
 		}
 	}
 	e.mu.Lock()
-	retired = e.accepted
+	retired, e.dropped = e.accepted, true
 	e.mu.Unlock()
 	c.retired[name] = retired
 	delete(c.entries, name)
@@ -463,22 +442,13 @@ func (c *catalog) counters() map[string]int64 {
 // startup recovery converges to the newest version, whichever side wins
 // the race.
 func (c *catalog) restore(name string, version int64, ds touch.Dataset, idx *touch.Index, builtAt time.Time, size int64) {
-	snap := &snapshot{
-		version: version, ds: ds, idx: idx, stats: idx.Stats(),
-		builtAt: builtAt, persisted: true, snapBytes: size, ov: touch.OverlayOf(idx, nil),
-	}
+	snap := newSnapshot(version, ds, idx, builtAt, touch.TOUCHConfig{})
+	snap.persisted, snap.snapBytes = true, size
 	c.mu.Lock()
-	e := c.entries[name]
-	if e == nil {
-		e = &entry{name: name, accepted: c.retired[name]}
-		delete(c.retired, name)
-		c.entries[name] = e
-	}
+	e := c.entryLocked(name)
 	c.mu.Unlock()
 	e.mu.Lock()
-	if e.accepted < version {
-		e.accepted = version
-	}
+	e.accepted = max(e.accepted, version)
 	if cur := e.ready.Load(); cur == nil || cur.version < version {
 		e.ready.Store(snap)
 	}
@@ -496,9 +466,7 @@ func (c *catalog) restoreCounters(versions map[string]int64) {
 	for name, v := range versions {
 		if e := c.entries[name]; e != nil {
 			e.mu.Lock()
-			if e.accepted < v {
-				e.accepted = v
-			}
+			e.accepted = max(e.accepted, v)
 			e.mu.Unlock()
 			continue
 		}
@@ -531,11 +499,12 @@ type datasetInfo struct {
 	// still counts the base index. Omitted when no updates are pending.
 	DeltaInserts    int `json:"delta_inserts,omitempty"`
 	DeltaTombstones int `json:"delta_tombstones,omitempty"`
+	deltaPendingMax int // entry.pendingMax: a metric, not part of the listing
 }
 
 func (e *entry) info() datasetInfo {
 	e.mu.Lock()
-	accepted, building := e.accepted, e.building
+	accepted, building, pendingMax := e.accepted, e.building, e.pendingMax
 	e.mu.Unlock()
 	snap := e.ready.Load()
 	if snap == nil {
@@ -558,6 +527,7 @@ func (e *entry) info() datasetInfo {
 		SnapshotBytes:   snap.snapBytes,
 		DeltaInserts:    snap.d.Inserts(),
 		DeltaTombstones: snap.d.Tombstones(),
+		deltaPendingMax: pendingMax,
 	}
 }
 

@@ -143,3 +143,61 @@ func TestUpdatePublishAllocatesPerBatch(t *testing.T) {
 		t.Errorf("deleting update over %d tombstones allocates %d B, want ≤ %d (4 B per tombstone + the constant)", tombs, got, limit)
 	}
 }
+
+// TestCompactionGaugesFollowTheFold holds one compaction inside its index
+// build: compactions_in_flight reads 1 while the fold holds its reserved
+// version and 0 once it has published, and delta_pending_max keeps the
+// 16 the update published after the fold emptied the live delta.
+func TestCompactionGaugesFollowTheFold(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	cat := newCatalog(func(ds touch.Dataset, cfg touch.TOUCHConfig) *touch.Index {
+		if len(ds) > 200 { // the fold's merged dataset, not the load
+			close(started)
+			<-release
+		}
+		return touch.BuildIndex(ds, cfg)
+	})
+	cat.compactAt = 8
+	cat.load("m", touch.GenerateUniform(200, 81), touch.TOUCHConfig{}, true, 0)
+	cat.applyUpdate("m", uniformBoxes(16, 82), nil)
+	<-started
+	if n, row := cat.compactionsInFlight.Load(), cat.list()[0]; n != 1 || row.deltaPendingMax != 16 {
+		t.Fatalf("during the held fold: %d in flight, pending max %d; want 1 and 16", n, row.deltaPendingMax)
+	}
+	close(release)
+	for cat.compactionsInFlight.Load() != 0 {
+		runtime.Gosched()
+	}
+	if row := cat.list()[0]; row.Version != 2 || row.DeltaInserts != 0 || row.deltaPendingMax != 16 {
+		t.Fatalf("after the fold: %+v; want version 2, nothing pending, high-water mark 16", row)
+	}
+}
+
+// TestFoldYieldsToNewerFullVersion: an update that crosses the threshold
+// while a re-POST is building arms a fold that must count itself skipped
+// and reserve nothing — the re-POST replaces the base wholesale, so a
+// fold into the old one could never publish.
+func TestFoldYieldsToNewerFullVersion(t *testing.T) {
+	release := make(chan struct{})
+	cat := newCatalog(func(ds touch.Dataset, cfg touch.TOUCHConfig) *touch.Index {
+		if len(ds) == 50 { // the re-POST
+			<-release
+		}
+		return touch.BuildIndex(ds, cfg)
+	})
+	cat.compactAt = 8
+	cat.load("m", touch.GenerateUniform(200, 91), touch.TOUCHConfig{}, true, 0)
+	cat.load("m", touch.GenerateUniform(50, 92), touch.TOUCHConfig{}, false, 0) // version 2, held in its build
+	cat.applyUpdate("m", uniformBoxes(16, 93), nil)
+	for cat.compactionsSkipped.Load() == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	for snap, _ := snapshotOf(cat, "m"); snap.version != 2; snap, _ = snapshotOf(cat, "m") {
+		runtime.Gosched()
+	}
+	if row := cat.list()[0]; row.Objects != 50 || row.DeltaInserts != 0 || cat.compactions.Load() != 0 || cat.compactionsSkipped.Load() != 1 {
+		t.Fatalf("after the re-POST: %+v, %d folds published, %d skipped; want its 50 objects, nothing pending, 0 and 1",
+			row, cat.compactions.Load(), cat.compactionsSkipped.Load())
+	}
+}

@@ -237,13 +237,12 @@ func (m *metrics) qps(now time.Time) float64 {
 	return float64(inWindow) / qpsWindow.Seconds()
 }
 
-// render writes the Prometheus text exposition. datasets describes the
-// catalog at scrape time; snapshotErrors is the cumulative persistence
-// failure count; compactions and compactionsSkipped count background
-// delta folds published and abandoned, compactionTime times the
-// published ones.
-func (m *metrics) render(w io.Writer, datasets []datasetInfo, snapshotErrors, compactions, compactionsSkipped int64, compactionTime *promhist.Histogram) {
+// render writes the Prometheus text exposition. cat is read at scrape
+// time for the dataset rows and the compaction counters; snapshotErrors
+// is the cumulative persistence failure count.
+func (m *metrics) render(w io.Writer, cat *catalog, snapshotErrors int64) {
 	uptime := time.Since(m.start).Seconds()
+	datasets := cat.list()
 
 	fmt.Fprintf(w, "# TYPE touchserved_uptime_seconds gauge\n")
 	fmt.Fprintf(w, "touchserved_uptime_seconds %g\n", uptime)
@@ -364,11 +363,22 @@ func (m *metrics) render(w io.Writer, datasets []datasetInfo, snapshotErrors, co
 			fmt.Fprintf(w, "touchserved_delta_tombstones{dataset=%q} %d\n", d.Name, d.DeltaTombstones)
 		}
 	}
+	// The high-water mark survives the folds that empty the gauges above:
+	// how far updates outran compaction, without sampling at the right
+	// moment.
+	fmt.Fprintf(w, "# TYPE touchserved_delta_pending_max gauge\n")
+	for _, d := range datasets {
+		if d.deltaPendingMax > 0 {
+			fmt.Fprintf(w, "touchserved_delta_pending_max{dataset=%q} %d\n", d.Name, d.deltaPendingMax)
+		}
+	}
+	fmt.Fprintf(w, "# TYPE touchserved_compactions_in_flight gauge\n")
+	fmt.Fprintf(w, "touchserved_compactions_in_flight %d\n", cat.compactionsInFlight.Load())
 	fmt.Fprintf(w, "# TYPE touchserved_compactions_total counter\n")
-	fmt.Fprintf(w, "touchserved_compactions_total{outcome=\"published\"} %d\n", compactions)
-	fmt.Fprintf(w, "touchserved_compactions_total{outcome=\"skipped\"} %d\n", compactionsSkipped)
+	fmt.Fprintf(w, "touchserved_compactions_total{outcome=\"published\"} %d\n", cat.compactions.Load())
+	fmt.Fprintf(w, "touchserved_compactions_total{outcome=\"skipped\"} %d\n", cat.compactionsSkipped.Load())
 	fmt.Fprintf(w, "# TYPE touchserved_compaction_seconds histogram\n")
-	compactionTime.Render(w, "touchserved_compaction_seconds", "")
+	cat.compactionTime.Render(w, "touchserved_compaction_seconds", "")
 
 	// Snapshot health: failed persistence operations, and which datasets
 	// are durably on disk — a persisted=0 dataset on a server with a

@@ -165,16 +165,33 @@ func TestVersionCountersSurviveRestart(t *testing.T) {
 	}
 }
 
+// TestDeleteThenRestartDoesNotResurrect also replays, in its losing
+// order, a PATCH that resolved its entry a moment before the DELETE
+// removed it: the test holds the entry as that request would and, after
+// the DELETE, drives the update step and an already-armed fold through
+// it. Neither may reserve retired+1 — that version would pass the
+// persister's staleness guard and the restart would serve the dataset.
 func TestDeleteThenRestartDoesNotResurrect(t *testing.T) {
 	dir := t.TempDir()
-	a := newTestServer(t, Config{DataDir: dir})
+	a := newTestServer(t, Config{DataDir: dir, CompactThreshold: 8})
 	ds := touch.GenerateUniform(200, 9)
 	a.loadAndWait("doomed", ds, 16)
 	a.loadAndWait("doomed", ds, 16) // counter at 2
+	held := a.srv.cat.entryFor("doomed")
+	if _, st := a.srv.cat.updateEntry(held, uniformBoxes(4, 10), nil); st != updOK {
+		t.Fatalf("update under the threshold: status %d", st)
+	}
 	if status, body := a.do(http.MethodDelete, "/v1/datasets/doomed", "", nil); status != http.StatusOK {
 		t.Fatalf("delete: %d: %s", status, body)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "doomed.snap")); !os.IsNotExist(err) {
+	if res, st := a.srv.cat.updateEntry(held, uniformBoxes(16, 11), nil); st != updUnknown {
+		t.Fatalf("update through the dropped entry: status %d, %+v, want unknown_dataset", st, res)
+	}
+	if pending := a.srv.cat.fold(held); pending != 0 {
+		t.Fatalf("fold of the dropped entry left %d pending, want a refusal", pending)
+	}
+	snapFile := filepath.Join(dir, "doomed.snap")
+	if _, err := os.Stat(snapFile); !os.IsNotExist(err) {
 		t.Fatalf("snapshot file survived DELETE: %v", err)
 	}
 
@@ -187,9 +204,13 @@ func TestDeleteThenRestartDoesNotResurrect(t *testing.T) {
 		t.Fatalf("query on deleted dataset: status %d", status)
 	}
 	// The version sequence still continues past the deleted generation —
-	// the counters file outlives the snapshot.
-	if v := b.loadAndWait("doomed", ds, 16); v != 3 {
-		t.Fatalf("re-POST after delete+restart got v%d, want 3", v)
+	// the counters file outlives the snapshot — and at retired+1, which
+	// the dropped entry must not have reserved.
+	if v := b.loadAndWait("doomed", ds, 16); v != 3 || !b.datasetInfo("doomed").Persisted {
+		t.Fatalf("re-POST after delete+restart got v%d, want 3, persisted", v)
+	}
+	if _, err := os.Stat(snapFile); err != nil {
+		t.Fatalf("re-POSTed version left no snapshot file: %v", err)
 	}
 }
 

@@ -495,8 +495,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.render(w, s.cat.list(), s.SnapshotErrors(),
-		s.cat.compactions.Load(), s.cat.compactionsSkipped.Load(), &s.cat.compactionTime)
+	s.met.render(w, s.cat, s.SnapshotErrors())
 }
 
 // handleVersion answers GET /version with the build description — the

@@ -124,15 +124,6 @@ func PackObjects(objs []geom.Object, groupSize int) [][]geom.Object {
 	return Pack(objs, func(o geom.Object) geom.Point { return o.Box.Center() }, groupSize)
 }
 
-// PartitionCount returns the number of groups Pack will produce for n
-// items with the given group size: ⌈n / groupSize⌉.
-func PartitionCount(n, groupSize int) int {
-	if groupSize < 1 {
-		panic("str: groupSize must be >= 1")
-	}
-	return (n + groupSize - 1) / groupSize
-}
-
 // GroupSizeFor returns the bucket size needed to split n items into (at
 // most) the requested number of partitions: ⌈n / partitions⌉, minimum 1.
 // This converts the paper's "number of partitions" TOUCH parameter

@@ -48,11 +48,6 @@ func SortByXMin(ds geom.Dataset) geom.Dataset {
 	return out
 }
 
-// IsSortedByXMin reports whether ds is sorted by ascending Min[0].
-func IsSortedByXMin(ds []geom.Object) bool {
-	return slices.IsSortedFunc(ds, byXMin)
-}
-
 func byXMin(a, b geom.Object) int { return cmp.Compare(a.Box.Min[0], b.Box.Min[0]) }
 
 // JoinSorted performs the synchronous forward scan over two slices that

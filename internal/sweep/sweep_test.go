@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -110,13 +111,13 @@ func TestTouchingBoundariesCount(t *testing.T) {
 func TestSortByXMin(t *testing.T) {
 	ds := datagen.UniformSet(200, 5)
 	sorted := SortByXMin(ds)
-	if !IsSortedByXMin(sorted) {
+	if !slices.IsSortedFunc(sorted, byXMin) {
 		t.Fatal("SortByXMin output not sorted")
 	}
 	if len(sorted) != len(ds) {
 		t.Fatal("SortByXMin changed length")
 	}
-	if IsSortedByXMin(ds) {
+	if slices.IsSortedFunc(ds, byXMin) {
 		t.Fatal("test premise broken: input accidentally sorted")
 	}
 	// Original untouched.

@@ -901,16 +901,18 @@ const MaxCatalogEntries = 65536
 
 // CatalogEntry is one dataset row of an OpCatalogResp payload: the
 // subset of the HTTP catalog listing a routing tier needs to merge
-// listings and reason about replica freshness.
+// listings and reason about replica freshness. It is also the row
+// client.Datasets returns and, by its JSON tags, the row the router's
+// GET /v1/datasets renders — one declaration, no copies between them.
 type CatalogEntry struct {
-	Name            string
-	Version         int64
-	Status          string // "ready" | "building"
-	Objects         int64
-	StaticBytes     int64
-	DeltaInserts    int
-	DeltaTombstones int
-	Persisted       bool
+	Name            string `json:"name"`
+	Version         int64  `json:"version"`
+	Status          string `json:"status"` // "ready", "building" or "rebuilding"
+	Objects         int64  `json:"objects"`
+	StaticBytes     int64  `json:"static_bytes"`
+	Persisted       bool   `json:"persisted"`
+	DeltaInserts    int    `json:"delta_inserts,omitempty"`
+	DeltaTombstones int    `json:"delta_tombstones,omitempty"`
 }
 
 // catalogEntryMinSize is the smallest encoding of one entry (both

@@ -50,15 +50,12 @@ type Mutable struct {
 	mu   sync.Mutex
 	view atomic.Pointer[mutView]
 
-	// threshold is the auto-compaction trigger (<= 0 disabled); guarded
-	// by mu.
-	threshold int
+	// folds schedules the background Compact at the threshold; guarded by mu.
+	folds delta.Scheduler
 
-	// compactMu serializes compactions; compactQueued dedupes the
-	// background trigger so at most one goroutine is ever in flight.
-	compactMu     sync.Mutex
-	compactQueued atomic.Bool
-	compactions   atomic.Int64
+	// compactMu serializes compactions, explicit and scheduled.
+	compactMu   sync.Mutex
+	compactions atomic.Int64
 }
 
 // mutView is one immutable generation of a Mutable: the base dataset,
@@ -74,15 +71,6 @@ func newView(base Dataset, idx *Index, d *delta.Delta) *mutView {
 	return &mutView{base: base, d: d, ov: OverlayOf(idx, d)}
 }
 
-// inBase reports whether id is one of the base objects, by binary
-// search over the ID-ascending base dataset.
-func (v *mutView) inBase(id ID) bool {
-	_, ok := slices.BinarySearchFunc(v.base, id, func(o Object, id ID) int {
-		return int(o.ID) - int(id)
-	})
-	return ok
-}
-
 // NewMutable builds the base index over ds (zero cfg = paper defaults,
 // as BuildIndex) and returns a Mutable ready for updates. The dataset
 // is cloned and sorted by ID; duplicate IDs are rejected. Auto-
@@ -95,7 +83,7 @@ func NewMutable(ds Dataset, cfg TOUCHConfig) (*Mutable, error) {
 			return nil, fmt.Errorf("touch: duplicate object ID %d", base[i].ID)
 		}
 	}
-	m := &Mutable{cfg: cfg, threshold: DefaultCompactThreshold}
+	m := &Mutable{cfg: cfg, folds: delta.Scheduler{Threshold: DefaultCompactThreshold}}
 	m.view.Store(newView(base, BuildIndex(base, cfg), delta.NewForBase(base)))
 	return m, nil
 }
@@ -108,29 +96,29 @@ func NewMutable(ds Dataset, cfg TOUCHConfig) (*Mutable, error) {
 func (m *Mutable) SetCompactThreshold(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.threshold = n
-	m.maybeCompact(m.view.Load().d.Size())
+	m.folds.Threshold = n
+	m.folds.Arm(&m.mu, m.view.Load().d.Size(), m.fold)
 }
 
-// maybeCompact schedules a background compaction when the delta size
-// has reached the threshold and none is already queued. Once it has
-// published, the updates that arrived during its build are checked
-// again, so a burst that outran one compaction is not left pending
-// until the next write. Caller holds m.mu.
-func (m *Mutable) maybeCompact(size int) {
-	if m.threshold <= 0 || size < m.threshold {
-		return
+// fold is the scheduled compaction; it reports the updates that arrived
+// during the build and are still pending, for the scheduler to check.
+func (m *Mutable) fold() int {
+	m.Compact()
+	return m.view.Load().d.Size()
+}
+
+// apply runs one update step against the current generation and, when
+// it changed anything, publishes the next one and arms the scheduler.
+func (m *Mutable) apply(boxes []Box, ids []ID) (first ID, deleted int, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v := m.view.Load()
+	nd, first, deleted, ok := v.d.Apply(v.base, boxes, ids)
+	if nd != v.d {
+		m.view.Store(newView(v.base, v.ov.Base(), nd))
+		m.folds.Arm(&m.mu, nd.Size(), m.fold)
 	}
-	if !m.compactQueued.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		m.Compact()
-		m.compactQueued.Store(false)
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		m.maybeCompact(m.view.Load().d.Size())
-	}()
+	return first, deleted, ok
 }
 
 // Insert adds one object per box and returns the assigned IDs, which
@@ -143,16 +131,9 @@ func (m *Mutable) Insert(boxes []Box) ([]ID, error) {
 			return nil, err
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v := m.view.Load()
-	if !v.d.CanInsert(len(boxes)) {
+	first, _, ok := m.apply(boxes, nil)
+	if !ok {
 		return nil, ErrIDSpaceExhausted
-	}
-	nd, first := v.d.Insert(boxes)
-	if len(boxes) > 0 {
-		m.view.Store(newView(v.base, v.ov.Base(), nd))
-		m.maybeCompact(nd.Size())
 	}
 	ids := make([]ID, len(boxes))
 	for i := range ids {
@@ -165,14 +146,7 @@ func (m *Mutable) Insert(boxes []Box) ([]ID, error) {
 // unknown and already-deleted IDs are skipped silently, so Delete is
 // idempotent.
 func (m *Mutable) Delete(ids []ID) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v := m.view.Load()
-	nd, n := v.d.Delete(ids, v.inBase)
-	if n > 0 {
-		m.view.Store(newView(v.base, v.ov.Base(), nd))
-		m.maybeCompact(nd.Size())
-	}
+	_, n, _ := m.apply(nil, ids)
 	return n
 }
 

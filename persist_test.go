@@ -126,33 +126,3 @@ func TestDecodeSnapshotCorrupt(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkSnapshotCodec tracks the restart-path costs: encode (the
-// build-path overhead of a durable catalog) and decode (what a restart
-// pays per dataset instead of a rebuild — compare BenchmarkSnapshotCodec
-// /decode to an 8K-object BuildIndex to see the speedup).
-func BenchmarkSnapshotCodec(b *testing.B) {
-	ds := GenerateUniform(8192, 42)
-	ix := BuildIndex(ds, TOUCHConfig{})
-	info := SnapshotInfo{Name: "bench", Version: 1, BuiltAt: time.Unix(0, 0)}
-	data, err := EncodeSnapshot(info, ds, ix)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("encode", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if _, err := EncodeSnapshot(info, ds, ix); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := DecodeSnapshot(data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
