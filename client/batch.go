@@ -36,19 +36,32 @@ func (c *Conn) Batch() *Batch { return &Batch{c: c} }
 // Len reports how many requests are queued and unsent.
 func (b *Batch) Len() int { return len(b.reqs) }
 
-func (b *Batch) add(op byte, encode func([]byte) []byte) future {
+// add is the batch's one queueing step: encode the payload onto the
+// shared buffer, refuse it alone if the server's frame cap would (see
+// Conn.admit), then reserve its tag.
+func (b *Batch) add(op byte, encode func([]byte) []byte) ReplyFuture {
 	if b.err != nil {
-		return future{err: b.err}
-	}
-	tag, cl, err := b.c.register()
-	if err != nil {
-		b.err = err
-		return future{err: err}
+		return ReplyFuture{err: b.err}
 	}
 	off := len(b.buf)
 	b.buf = encode(b.buf)
+	if err := b.c.admit(len(b.buf) - off); err != nil {
+		b.buf = b.buf[:off]
+		return ReplyFuture{err: err}
+	}
+	tag, cl, err := b.c.register()
+	if err != nil {
+		b.buf, b.err = b.buf[:off], err
+		return ReplyFuture{err: err}
+	}
 	b.reqs = append(b.reqs, batchReq{op: op, tag: tag, off: off, end: len(b.buf)})
-	return future{c: b.c, tag: tag, call: cl}
+	return ReplyFuture{c: b.c, tag: tag, call: cl}
+}
+
+// Do queues a raw request — an opcode and an already encoded payload,
+// copied — the pipelined form of Conn.Do.
+func (b *Batch) Do(op byte, payload []byte) ReplyFuture {
+	return b.add(op, func(dst []byte) []byte { return append(dst, payload...) })
 }
 
 // Range queues a range query.
@@ -125,15 +138,18 @@ func (b *Batch) Send() error {
 	return nil
 }
 
-// future is the shared blocking half of the typed futures below.
-type future struct {
+// ReplyFuture resolves to a queued request's Reply, undecoded; the typed
+// futures below are a ReplyFuture and one of Reply's decoders.
+type ReplyFuture struct {
 	c    *Conn
 	tag  uint32
 	call *call
 	err  error // queue-time failure: Get reports it without blocking
 }
 
-func (f *future) wait(ctx context.Context) (*call, error) {
+// Get blocks until the request's terminal frame has arrived (see
+// Conn.Do for what is a Reply and what is an error).
+func (f ReplyFuture) Get(ctx context.Context) (*Reply, error) {
 	if f.err != nil {
 		return nil, f.err
 	}
@@ -141,57 +157,57 @@ func (f *future) wait(ctx context.Context) (*call, error) {
 }
 
 // IDsFuture resolves to a range or point query's answer.
-type IDsFuture struct{ f future }
+type IDsFuture struct{ f ReplyFuture }
 
 func (f IDsFuture) Get(ctx context.Context) (version int64, ids []touch.ID, err error) {
-	cl, err := f.f.wait(ctx)
+	r, err := f.f.Get(ctx)
 	if err != nil {
 		return 0, nil, err
 	}
-	return decodeIDs(cl)
+	return r.IDs()
 }
 
 // NeighborsFuture resolves to a kNN query's answer.
-type NeighborsFuture struct{ f future }
+type NeighborsFuture struct{ f ReplyFuture }
 
 func (f NeighborsFuture) Get(ctx context.Context) (version int64, nbrs []touch.Neighbor, err error) {
-	cl, err := f.f.wait(ctx)
+	r, err := f.f.Get(ctx)
 	if err != nil {
 		return 0, nil, err
 	}
-	return decodeNeighbors(cl)
+	return r.Neighbors()
 }
 
 // CountFuture resolves to a count-only join's answer.
-type CountFuture struct{ f future }
+type CountFuture struct{ f ReplyFuture }
 
 func (f CountFuture) Get(ctx context.Context) (version, count int64, err error) {
-	cl, err := f.f.wait(ctx)
+	r, err := f.f.Get(ctx)
 	if err != nil {
 		return 0, 0, err
 	}
-	return decodeCount(cl)
+	return r.Count()
 }
 
 // UpdateFuture resolves to an update batch's result.
-type UpdateFuture struct{ f future }
+type UpdateFuture struct{ f ReplyFuture }
 
 func (f UpdateFuture) Get(ctx context.Context) (UpdateResult, error) {
-	cl, err := f.f.wait(ctx)
+	r, err := f.f.Get(ctx)
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	return decodeUpdate(cl)
+	return r.Update()
 }
 
 // JoinFuture resolves to a materialized join's answer, pairs sorted
 // canonically.
-type JoinFuture struct{ f future }
+type JoinFuture struct{ f ReplyFuture }
 
 func (f JoinFuture) Get(ctx context.Context) (version int64, pairs []touch.Pair, count int64, err error) {
-	cl, err := f.f.wait(ctx)
+	r, err := f.f.Get(ctx)
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	return decodeJoin(cl)
+	return r.Join()
 }

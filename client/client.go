@@ -16,6 +16,13 @@
 //     amortizes the round trip and the syscalls, and is where the
 //     protocol's throughput over HTTP/JSON comes from.
 //
+// Under both sits one raw round trip: Conn.Do (and Batch.Do) sends an
+// opcode and an encoded payload and returns a Reply — the frames the
+// server answered with, undecoded. Every typed call is an encoder, Do
+// and one of Reply's decoders (IDs, Neighbors, Count, Join, Update,
+// Datasets, Trace), so a relay such as the router's wire front can move
+// the same frames on without knowing any payload format.
+//
 // Canceling a request's context sends a cancel frame for its tag and
 // then waits for the guaranteed terminal response — the server frees
 // the request's admission slot on abort, and the connection stays
@@ -30,11 +37,13 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"touch"
+	"touch/internal/api"
 	"touch/internal/trace"
 	"touch/internal/wire"
 )
@@ -53,17 +62,29 @@ type ServerError struct {
 
 func (e *ServerError) Error() string { return fmt.Sprintf("server: %s: %s", e.Code, e.Message) }
 
+// Frame is one response frame as it arrived: opcode and undecoded
+// payload.
+type Frame struct {
+	Op      byte
+	Payload []byte
+}
+
+// Reply is everything the server sent for one request, undecoded: the
+// terminal frame (embedded) and, in arrival order before it, the
+// non-terminal frames — a join's OpPairs batches, a traced request's
+// OpTrace trailer. The decoder methods below turn it into typed values;
+// a relay writes the frames on as they are.
+type Reply struct {
+	Frame
+	Stream []Frame
+}
+
 // call is one in-flight request: the reader goroutine fills it and
 // closes done exactly once.
 type call struct {
-	done     chan struct{}
-	op       byte
-	payload  []byte
-	pairs    []touch.Pair // accumulated OpPairs batches (joins)
-	pairsErr error
-	trace    *wire.TraceResp // OpTrace trailer, when the request asked for one
-	traceErr error
-	err      error // connection-level failure
+	done  chan struct{}
+	reply Reply
+	err   error // connection-level failure
 }
 
 // Conn is one binary-protocol connection. Safe for concurrent use.
@@ -75,6 +96,9 @@ type Conn struct {
 	// its hello frame ("touchserved/v1.2.3 rev/abc... go1.x"); empty for
 	// servers predating the info field.
 	serverInfo string
+	// maxFrame is the server's inbound frame cap from the hello's
+	// "maxframe/<bytes>" token, 0 when it advertised none.
+	maxFrame int
 
 	// wmu serializes frame writes and flushes.
 	wmu sync.Mutex
@@ -94,10 +118,14 @@ func (c *Conn) ServerInfo() string { return c.serverInfo }
 // token of its hello info (touchserved -node-id) — or "" when the server
 // did not advertise one. Routing tiers key logs and per-backend metrics
 // on it.
-func (c *Conn) ServerNode() string {
+func (c *Conn) ServerNode() string { return c.helloToken("node/") }
+
+// helloToken returns the value of the first "<prefix><value>" token of
+// the server's hello info, "" when there is none.
+func (c *Conn) helloToken(prefix string) string {
 	for _, f := range strings.Fields(c.serverInfo) {
-		if id, ok := strings.CutPrefix(f, "node/"); ok {
-			return id
+		if v, ok := strings.CutPrefix(f, prefix); ok {
+			return v
 		}
 	}
 	return ""
@@ -129,6 +157,8 @@ func Dial(ctx context.Context, addr string) (*Conn, error) {
 		return nil, fmt.Errorf("client: handshake: %w", err)
 	}
 	c.serverInfo = info
+	// A missing or unparsable token leaves the cap at 0: no local check.
+	c.maxFrame, _ = strconv.Atoi(c.helloToken("maxframe/"))
 	if v != wire.Version {
 		nc.Close()
 		return nil, fmt.Errorf("client: server speaks protocol version %d, this client speaks %d", v, wire.Version)
@@ -171,9 +201,10 @@ func (c *Conn) fail(err error) {
 }
 
 // readLoop is the connection's single reader: it matches every response
-// frame to its pending call by tag. Non-terminal frames — OpPairs
-// batches and the OpTrace trailer — accumulate on the call; any other
-// opcode completes it.
+// frame to its pending call by tag and copies it onto the call's Reply,
+// decoding nothing — every caller's response waits behind this
+// goroutine. Non-terminal frames (OpPairs batches, the OpTrace trailer)
+// accumulate; any other opcode completes the call.
 func (c *Conn) readLoop(r *wire.Reader) {
 	for {
 		op, tag, payload, err := r.ReadFrame()
@@ -194,23 +225,12 @@ func (c *Conn) readLoop(r *wire.Reader) {
 			c.fail(fmt.Errorf("client: response for unknown tag %d (opcode %#02x)", tag, op))
 			return
 		}
-		switch op {
-		case wire.OpPairs:
-			if cl.pairsErr == nil {
-				cl.pairs, cl.pairsErr = wire.DecodePairsResp(payload, cl.pairs)
-			}
-			continue
-		case wire.OpTrace:
-			tr, err := wire.DecodeTraceResp(payload)
-			if err != nil {
-				cl.traceErr = err
-			} else {
-				cl.trace = &tr
-			}
+		f := Frame{Op: op, Payload: append([]byte(nil), payload...)}
+		if nonTerminal {
+			cl.reply.Stream = append(cl.reply.Stream, f)
 			continue
 		}
-		cl.op = op
-		cl.payload = append([]byte(nil), payload...)
+		cl.reply.Frame = f
 		close(cl.done)
 	}
 }
@@ -230,6 +250,20 @@ func (c *Conn) register() (uint32, *call, error) {
 	return c.nextTag, cl, nil
 }
 
+// admit refuses a payload of n bytes the server's advertised frame cap
+// would reject. The server answers an over-cap frame by closing the
+// connection, failing every request pipelined on it; refusing here, with
+// the code HTTP's 413 carries, fails this one request alone. Servers
+// that advertise no cap get no check.
+func (c *Conn) admit(n int) error {
+	n += 1 + 4 // the cap is on what the length prefix counts: opcode, tag, payload
+	if c.maxFrame > 0 && n > c.maxFrame {
+		return &ServerError{Code: api.CodeBodyTooLarge, Message: fmt.Sprintf(
+			"request frame of %d bytes exceeds the server's %d-byte cap", n, c.maxFrame)}
+	}
+	return nil
+}
+
 func (c *Conn) sendCancel(tag uint32) {
 	c.wmu.Lock()
 	if c.w.WriteFrame(wire.OpCancel, tag, nil) == nil {
@@ -241,23 +275,32 @@ func (c *Conn) sendCancel(tag uint32) {
 // wait blocks until the call completes. A context cancellation sends a
 // cancel frame and keeps waiting for the guaranteed terminal response
 // (or the connection's death) — then reports the context's error.
-func (c *Conn) wait(ctx context.Context, tag uint32, cl *call) (*call, error) {
+func (c *Conn) wait(ctx context.Context, tag uint32, cl *call) (*Reply, error) {
 	select {
 	case <-cl.done:
-		return cl, cl.err
 	case <-ctx.Done():
 		c.sendCancel(tag)
 		<-cl.done
-		if cl.err != nil {
-			return cl, cl.err
+		if cl.err == nil {
+			return nil, ctx.Err()
 		}
-		return cl, ctx.Err()
 	}
+	if cl.err != nil {
+		return nil, cl.err
+	}
+	return &cl.reply, nil
 }
 
-// roundTrip is the unary path: one frame out, flushed, one terminal
-// response waited for.
-func (c *Conn) roundTrip(ctx context.Context, op byte, payload []byte) (*call, error) {
+// Do is the raw round trip under every typed call: one frame out,
+// flushed, and the frames the server answered with returned undecoded.
+// A server error frame is a Reply like any other (see Reply.Err); the
+// error return is for requests that got no answer — a refused over-cap
+// payload (*ServerError, body_too_large, nothing written), a dead
+// connection, an expired context.
+func (c *Conn) Do(ctx context.Context, op byte, payload []byte) (*Reply, error) {
+	if err := c.admit(len(payload)); err != nil {
+		return nil, err
+	}
 	tag, cl, err := c.register()
 	if err != nil {
 		return nil, err
@@ -276,69 +319,78 @@ func (c *Conn) roundTrip(ctx context.Context, op byte, payload []byte) (*call, e
 
 // --- response decoding ----------------------------------------------------
 
-func respError(cl *call) error {
-	if cl.op != wire.OpError {
+// Err returns the server's structured error when the reply's terminal
+// frame is OpError, nil for any other answer.
+func (r *Reply) Err() error {
+	if r.Op != wire.OpError {
 		return nil
 	}
-	code, msg, err := wire.DecodeErrorResp(cl.payload)
+	code, msg, err := wire.DecodeErrorResp(r.Payload)
 	if err != nil {
 		return fmt.Errorf("client: bad error frame: %w", err)
 	}
 	return &ServerError{Code: code, Message: msg}
 }
 
-func decodeIDs(cl *call) (int64, []touch.ID, error) {
-	if err := respError(cl); err != nil {
-		return 0, nil, err
+// expect opens every typed decoder: the server's error if it sent one,
+// a protocol error if the terminal opcode is not the answer's.
+func (r *Reply) expect(op byte) error {
+	if err := r.Err(); err != nil {
+		return err
 	}
-	if cl.op != wire.OpIDs {
-		return 0, nil, fmt.Errorf("client: unexpected response opcode %#02x", cl.op)
+	if r.Op != op {
+		return fmt.Errorf("client: unexpected response opcode %#02x", r.Op)
 	}
-	return wire.DecodeIDsResp(cl.payload)
+	return nil
 }
 
-func decodeNeighbors(cl *call) (int64, []touch.Neighbor, error) {
-	if err := respError(cl); err != nil {
+// IDs decodes a range or point query's answer.
+func (r *Reply) IDs() (version int64, ids []touch.ID, err error) {
+	if err := r.expect(wire.OpIDs); err != nil {
 		return 0, nil, err
 	}
-	if cl.op != wire.OpNeighbors {
-		return 0, nil, fmt.Errorf("client: unexpected response opcode %#02x", cl.op)
-	}
-	return wire.DecodeNeighborsResp(cl.payload)
+	return wire.DecodeIDsResp(r.Payload)
 }
 
-func decodeCount(cl *call) (int64, int64, error) {
-	if err := respError(cl); err != nil {
+// Neighbors decodes a kNN query's answer.
+func (r *Reply) Neighbors() (version int64, nbrs []touch.Neighbor, err error) {
+	if err := r.expect(wire.OpNeighbors); err != nil {
+		return 0, nil, err
+	}
+	return wire.DecodeNeighborsResp(r.Payload)
+}
+
+// Count decodes a count-only join's answer.
+func (r *Reply) Count() (version, count int64, err error) {
+	if err := r.expect(wire.OpCount); err != nil {
 		return 0, 0, err
 	}
-	if cl.op != wire.OpCount {
-		return 0, 0, fmt.Errorf("client: unexpected response opcode %#02x", cl.op)
-	}
-	return wire.DecodeCountResp(cl.payload)
+	return wire.DecodeCountResp(r.Payload)
 }
 
-// decodeJoin finishes a streaming join: pairs were accumulated by the
-// reader, OpJoinDone carries the version and total. Pairs are sorted
-// into the canonical (indexed, probe) ascending order the HTTP path
-// uses, so the two transports answer byte-identically.
-func decodeJoin(cl *call) (version int64, pairs []touch.Pair, count int64, err error) {
-	if err := respError(cl); err != nil {
+// Join decodes a streaming join: the OpPairs batches of the stream, then
+// OpJoinDone with the version and total. Pairs are sorted into the
+// canonical (indexed, probe) ascending order the HTTP path uses, so the
+// two transports answer byte-identically.
+func (r *Reply) Join() (version int64, pairs []touch.Pair, count int64, err error) {
+	if err := r.expect(wire.OpJoinDone); err != nil {
 		return 0, nil, 0, err
 	}
-	if cl.op != wire.OpJoinDone {
-		return 0, nil, 0, fmt.Errorf("client: unexpected response opcode %#02x", cl.op)
+	for _, f := range r.Stream {
+		if f.Op != wire.OpPairs {
+			continue
+		}
+		if pairs, err = wire.DecodePairsResp(f.Payload, pairs); err != nil {
+			return 0, nil, 0, fmt.Errorf("client: bad pairs frame: %w", err)
+		}
 	}
-	if cl.pairsErr != nil {
-		return 0, nil, 0, fmt.Errorf("client: bad pairs frame: %w", cl.pairsErr)
-	}
-	version, count, err = wire.DecodeJoinDoneResp(cl.payload)
+	version, count, err = wire.DecodeJoinDoneResp(r.Payload)
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	if count != int64(len(cl.pairs)) {
-		return 0, nil, 0, fmt.Errorf("client: join stream carried %d pairs but the trailer counts %d", len(cl.pairs), count)
+	if count != int64(len(pairs)) {
+		return 0, nil, 0, fmt.Errorf("client: join stream carried %d pairs but the trailer counts %d", len(pairs), count)
 	}
-	pairs = cl.pairs
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].A != pairs[j].A {
 			return pairs[i].A < pairs[j].A
@@ -348,77 +400,78 @@ func decodeJoin(cl *call) (version int64, pairs []touch.Pair, count int64, err e
 	return version, pairs, count, nil
 }
 
-func decodeUpdate(cl *call) (UpdateResult, error) {
-	if err := respError(cl); err != nil {
+// Update decodes an update batch's result.
+func (r *Reply) Update() (UpdateResult, error) {
+	if err := r.expect(wire.OpUpdateDone); err != nil {
 		return UpdateResult{}, err
 	}
-	if cl.op != wire.OpUpdateDone {
-		return UpdateResult{}, fmt.Errorf("client: unexpected response opcode %#02x", cl.op)
-	}
-	r, err := wire.DecodeUpdateResp(cl.payload)
+	u, err := wire.DecodeUpdateResp(r.Payload)
 	if err != nil {
 		return UpdateResult{}, err
 	}
 	res := UpdateResult{
-		Version: r.Version, Deleted: r.Deleted,
-		DeltaInserts: r.DeltaInserts, DeltaTombstones: r.DeltaTombstones,
+		Version: u.Version, Deleted: u.Deleted,
+		DeltaInserts: u.DeltaInserts, DeltaTombstones: u.DeltaTombstones,
 	}
-	if r.FirstID >= 0 {
-		res.InsertedIDs = make([]touch.ID, r.Inserted)
+	if u.FirstID >= 0 {
+		res.InsertedIDs = make([]touch.ID, u.Inserted)
 		for i := range res.InsertedIDs {
-			res.InsertedIDs[i] = touch.ID(r.FirstID) + touch.ID(i)
+			res.InsertedIDs[i] = touch.ID(u.FirstID) + touch.ID(i)
 		}
 	}
 	return res, nil
 }
 
+// Datasets decodes a catalog listing.
+func (r *Reply) Datasets() ([]DatasetInfo, error) {
+	if err := r.expect(wire.OpCatalogResp); err != nil {
+		return nil, err
+	}
+	return wire.DecodeCatalogResp(r.Payload)
+}
+
 // --- tracing --------------------------------------------------------------
 
 // Trace is the per-request engine trace the server returns when a
-// request asks for one (the wire twin of the HTTP X-Touch-Trace
-// response field): the server-assigned request ID, wall time per engine
-// phase, and the engine's work counters for exactly this request.
-type Trace struct {
-	// RequestID is the server-assigned identifier, usable to correlate
-	// with server logs and the slow-query log.
-	RequestID string
-	// PhaseNs holds nanoseconds spent per engine phase, keyed by phase
-	// name ("admission", "decode", "join", ...); phases the request never
-	// entered are absent.
-	PhaseNs map[string]int64
+// request asks for one — the X-Touch-Trace response field of the HTTP
+// API, one declaration for both transports: the server-assigned request
+// ID (usable to correlate with server logs and the slow-query log), wall
+// time per engine phase keyed by phase name ("admission", "decode",
+// "join", ...; phases the request never entered are absent), the
+// engine's work counters for exactly this request, and why the engine
+// stopped early ("none" for a complete run).
+type Trace = api.Trace
 
-	Comparisons int64
-	NodeTests   int64
-	Filtered    int64
-	Results     int64
-	Replicas    int64
-	// Cancel names why the engine stopped early, "" for a complete run.
-	Cancel string
-}
-
-// callTrace converts an accumulated OpTrace trailer. A missing or
-// malformed trailer yields nil — tracing is best-effort diagnostics and
-// never fails the request it rides on.
-func callTrace(cl *call) *Trace {
-	if cl.trace == nil || cl.traceErr != nil {
-		return nil
-	}
-	t := &Trace{
-		RequestID:   cl.trace.RequestID,
-		PhaseNs:     make(map[string]int64),
-		Comparisons: cl.trace.Comparisons,
-		NodeTests:   cl.trace.NodeTests,
-		Filtered:    cl.trace.Filtered,
-		Results:     cl.trace.Results,
-		Replicas:    cl.trace.Replicas,
-		Cancel:      trace.CancelName(int32(cl.trace.Cancel)),
-	}
-	for i, ns := range cl.trace.PhaseNs {
-		if ns > 0 && i < int(trace.NumPhases) {
-			t.PhaseNs[trace.Phase(i).Name()] = ns
+// Trace decodes the reply's OpTrace trailer. A missing or malformed
+// trailer yields nil — tracing is best-effort diagnostics and never
+// fails the request it rides on.
+func (r *Reply) Trace() *Trace {
+	for _, f := range r.Stream {
+		if f.Op != wire.OpTrace {
+			continue
 		}
+		tr, err := wire.DecodeTraceResp(f.Payload)
+		if err != nil {
+			return nil
+		}
+		t := &Trace{
+			RequestID:   tr.RequestID,
+			PhaseNs:     make(map[string]int64),
+			Comparisons: tr.Comparisons,
+			NodeTests:   tr.NodeTests,
+			Filtered:    tr.Filtered,
+			Results:     tr.Results,
+			Replicas:    tr.Replicas,
+			Cancel:      trace.CancelName(int32(tr.Cancel)),
+		}
+		for i, ns := range tr.PhaseNs {
+			if ns > 0 && i < int(trace.NumPhases) {
+				t.PhaseNs[trace.Phase(i).Name()] = ns
+			}
+		}
+		return t
 	}
-	return t
+	return nil
 }
 
 // --- unary API ------------------------------------------------------------
@@ -426,60 +479,60 @@ func callTrace(cl *call) *Trace {
 // Range returns the IDs of indexed objects intersecting the box, and
 // the dataset version that answered.
 func (c *Conn) Range(ctx context.Context, dataset string, b touch.Box) (version int64, ids []touch.ID, err error) {
-	cl, err := c.roundTrip(ctx, wire.OpRange, wire.AppendRangeReq(nil, dataset, b))
+	r, err := c.Do(ctx, wire.OpRange, wire.AppendRangeReq(nil, dataset, b))
 	if err != nil {
 		return 0, nil, err
 	}
-	return decodeIDs(cl)
+	return r.IDs()
 }
 
 // RangeTraced is Range with per-request tracing: the server returns its
 // engine trace alongside the result.
 func (c *Conn) RangeTraced(ctx context.Context, dataset string, b touch.Box) (version int64, ids []touch.ID, tr *Trace, err error) {
-	cl, err := c.roundTrip(ctx, wire.OpRange, wire.AppendRangeReqFlags(nil, dataset, b, wire.QueryFlagTrace))
+	r, err := c.Do(ctx, wire.OpRange, wire.AppendRangeReqFlags(nil, dataset, b, wire.QueryFlagTrace))
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	version, ids, err = decodeIDs(cl)
-	return version, ids, callTrace(cl), err
+	version, ids, err = r.IDs()
+	return version, ids, r.Trace(), err
 }
 
 // Point returns the IDs of indexed objects containing the point.
 func (c *Conn) Point(ctx context.Context, dataset string, pt touch.Point) (version int64, ids []touch.ID, err error) {
-	cl, err := c.roundTrip(ctx, wire.OpPoint, wire.AppendPointReq(nil, dataset, pt))
+	r, err := c.Do(ctx, wire.OpPoint, wire.AppendPointReq(nil, dataset, pt))
 	if err != nil {
 		return 0, nil, err
 	}
-	return decodeIDs(cl)
+	return r.IDs()
 }
 
 // PointTraced is Point with per-request tracing.
 func (c *Conn) PointTraced(ctx context.Context, dataset string, pt touch.Point) (version int64, ids []touch.ID, tr *Trace, err error) {
-	cl, err := c.roundTrip(ctx, wire.OpPoint, wire.AppendPointReqFlags(nil, dataset, pt, wire.QueryFlagTrace))
+	r, err := c.Do(ctx, wire.OpPoint, wire.AppendPointReqFlags(nil, dataset, pt, wire.QueryFlagTrace))
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	version, ids, err = decodeIDs(cl)
-	return version, ids, callTrace(cl), err
+	version, ids, err = r.IDs()
+	return version, ids, r.Trace(), err
 }
 
 // KNN returns the k nearest indexed objects to the point.
 func (c *Conn) KNN(ctx context.Context, dataset string, pt touch.Point, k int) (version int64, nbrs []touch.Neighbor, err error) {
-	cl, err := c.roundTrip(ctx, wire.OpKNN, wire.AppendKNNReq(nil, dataset, pt, k))
+	r, err := c.Do(ctx, wire.OpKNN, wire.AppendKNNReq(nil, dataset, pt, k))
 	if err != nil {
 		return 0, nil, err
 	}
-	return decodeNeighbors(cl)
+	return r.Neighbors()
 }
 
 // KNNTraced is KNN with per-request tracing.
 func (c *Conn) KNNTraced(ctx context.Context, dataset string, pt touch.Point, k int) (version int64, nbrs []touch.Neighbor, tr *Trace, err error) {
-	cl, err := c.roundTrip(ctx, wire.OpKNN, wire.AppendKNNReqFlags(nil, dataset, pt, k, wire.QueryFlagTrace))
+	r, err := c.Do(ctx, wire.OpKNN, wire.AppendKNNReqFlags(nil, dataset, pt, k, wire.QueryFlagTrace))
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	version, nbrs, err = decodeNeighbors(cl)
-	return version, nbrs, callTrace(cl), err
+	version, nbrs, err = r.Neighbors()
+	return version, nbrs, r.Trace(), err
 }
 
 // JoinSpec selects a join's probe side and parameters. Exactly one of
@@ -494,22 +547,22 @@ type JoinSpec struct {
 
 // JoinCount runs a count-only join.
 func (c *Conn) JoinCount(ctx context.Context, dataset string, spec JoinSpec) (version, count int64, err error) {
-	cl, err := c.roundTrip(ctx, wire.OpJoin, wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, true, spec.Probe, spec.Boxes))
+	r, err := c.Do(ctx, wire.OpJoin, wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, true, spec.Probe, spec.Boxes))
 	if err != nil {
 		return 0, 0, err
 	}
-	return decodeCount(cl)
+	return r.Count()
 }
 
 // JoinCountTraced is JoinCount with per-request tracing.
 func (c *Conn) JoinCountTraced(ctx context.Context, dataset string, spec JoinSpec) (version, count int64, tr *Trace, err error) {
-	cl, err := c.roundTrip(ctx, wire.OpJoin,
+	r, err := c.Do(ctx, wire.OpJoin,
 		wire.AppendJoinReqFlags(nil, dataset, spec.Eps, spec.Workers, wire.FlagCountOnly|wire.FlagTrace, spec.Probe, spec.Boxes))
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	version, count, err = decodeCount(cl)
-	return version, count, callTrace(cl), err
+	version, count, err = r.Count()
+	return version, count, r.Trace(), err
 }
 
 // UpdateSpec is one incremental-update batch against a loaded dataset.
@@ -540,11 +593,11 @@ type UpdateResult struct {
 // wire twin of PATCH /v1/datasets/{name}. The update is visible to
 // every later query, on any connection, before Update returns.
 func (c *Conn) Update(ctx context.Context, dataset string, spec UpdateSpec) (UpdateResult, error) {
-	cl, err := c.roundTrip(ctx, wire.OpUpdate, wire.AppendUpdateReq(nil, dataset, spec.Delete, spec.Insert))
+	r, err := c.Do(ctx, wire.OpUpdate, wire.AppendUpdateReq(nil, dataset, spec.Delete, spec.Insert))
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	return decodeUpdate(cl)
+	return r.Update()
 }
 
 // DatasetInfo is one row of a wire catalog listing — the wire twin of
@@ -554,17 +607,11 @@ type DatasetInfo = wire.CatalogEntry
 
 // Datasets lists the server's catalog, sorted by name.
 func (c *Conn) Datasets(ctx context.Context) ([]DatasetInfo, error) {
-	cl, err := c.roundTrip(ctx, wire.OpCatalog, nil)
+	r, err := c.Do(ctx, wire.OpCatalog, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := respError(cl); err != nil {
-		return nil, err
-	}
-	if cl.op != wire.OpCatalogResp {
-		return nil, fmt.Errorf("client: unexpected response opcode %#02x", cl.op)
-	}
-	return wire.DecodeCatalogResp(cl.payload)
+	return r.Datasets()
 }
 
 // Join runs a join and materializes its pairs, sorted canonically.
@@ -572,20 +619,20 @@ func (c *Conn) Datasets(ctx context.Context) ([]DatasetInfo, error) {
 // mode, and unlike buffered HTTP joins — there is no server-side
 // MaxJoinPairs cap; the cap here is this client's memory.
 func (c *Conn) Join(ctx context.Context, dataset string, spec JoinSpec) (version int64, pairs []touch.Pair, count int64, err error) {
-	cl, err := c.roundTrip(ctx, wire.OpJoin, wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, false, spec.Probe, spec.Boxes))
+	r, err := c.Do(ctx, wire.OpJoin, wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, false, spec.Probe, spec.Boxes))
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	return decodeJoin(cl)
+	return r.Join()
 }
 
 // JoinTraced is Join with per-request tracing.
 func (c *Conn) JoinTraced(ctx context.Context, dataset string, spec JoinSpec) (version int64, pairs []touch.Pair, count int64, tr *Trace, err error) {
-	cl, err := c.roundTrip(ctx, wire.OpJoin,
+	r, err := c.Do(ctx, wire.OpJoin,
 		wire.AppendJoinReqFlags(nil, dataset, spec.Eps, spec.Workers, wire.FlagTrace, spec.Probe, spec.Boxes))
 	if err != nil {
 		return 0, nil, 0, nil, err
 	}
-	version, pairs, count, err = decodeJoin(cl)
-	return version, pairs, count, callTrace(cl), err
+	version, pairs, count, err = r.Join()
+	return version, pairs, count, r.Trace(), err
 }

@@ -1,10 +1,10 @@
-// Command touchwire probes a touchserved binary listener: it pipelines
-// every query given on the command line over one connection in a single
-// batch, then prints one JSON answer per line, in request order, in
-// exactly the shape the HTTP API uses (modulo join stats, which carry
-// wall-clock timings and are never printed). That makes differential
-// smoke tests one-line diffs: the same query over HTTP and over the
-// wire must print the same bytes.
+// Command touchwire probes a touchserved (or touchrouter) binary
+// listener: it pipelines every query given on the command line over one
+// connection in a single batch, then prints one JSON answer per line, in
+// request order, in exactly the shape the HTTP API uses (modulo join
+// stats, which carry wall-clock timings and are never printed). That
+// makes differential smoke tests one-line diffs: the same query over
+// HTTP and over the wire must print the same bytes.
 //
 // Usage:
 //
@@ -21,8 +21,9 @@
 // Answers go to stdout; any error (transport or server-side) is fatal
 // with a nonzero exit. -trace asks the server for a per-query engine
 // trace (request ID, phase timings, work counters) and prints one JSON
-// trace per query to stderr — stdout stays byte-identical to the
-// untraced run, so differential tests keep working.
+// trace per query to stderr, in the shape of the HTTP API's "trace"
+// response field — stdout stays byte-identical to the untraced run, so
+// differential tests keep working.
 package main
 
 import (
@@ -38,6 +39,7 @@ import (
 	"touch"
 	"touch/client"
 	"touch/internal/api"
+	"touch/internal/wire"
 )
 
 // spec is one parsed command-line SPEC.
@@ -99,118 +101,73 @@ func main() {
 	}
 	defer c.Close()
 
-	run := runBatch
-	if *traced {
-		run = runTraced
-	}
-	if err := run(ctx, c, *dataset, *eps, specs); err != nil {
+	if err := run(ctx, c, *dataset, *eps, *traced, specs); err != nil {
 		log.Fatalf("%v", err)
 	}
 }
 
-// joinAnswer renders a join answer in the HTTP API's shape, minus the
-// stats the wire does not carry.
-func joinAnswer(dataset string, sp spec, version, count int64, pairs []touch.Pair) api.JoinResponse {
-	return api.JoinResponse{Dataset: dataset, Version: version, ProbeObjects: len(sp.boxes),
-		Count: count, Pairs: api.Pairs(pairs)}
-}
-
-// runBatch answers every spec from one batch, one write burst: every
-// spec is in flight before the first answer is read back.
-func runBatch(ctx context.Context, c *client.Conn, dataset string, eps float64, specs []spec) error {
+// run answers every spec from one batch, one write burst: every spec —
+// its trace flag set when traced — is in flight before the first reply
+// is read back. Answers go to stdout, each engine trace to stderr ahead
+// of its answer.
+func run(ctx context.Context, c *client.Conn, dataset string, eps float64, traced bool, specs []spec) error {
+	var queryFlags, joinFlags byte
+	if traced {
+		queryFlags, joinFlags = wire.QueryFlagTrace, wire.FlagTrace
+	}
 	b := c.Batch()
-	gets := make([]func() (any, error), len(specs))
+	futs := make([]client.ReplyFuture, len(specs))
 	for i, sp := range specs {
-		js := client.JoinSpec{Boxes: sp.boxes, Eps: eps}
 		switch {
 		case sp.boxes != nil && sp.countOnly:
-			fut := b.JoinCount(dataset, js)
-			gets[i] = func() (any, error) {
-				v, n, err := fut.Get(ctx)
-				return joinAnswer(dataset, sp, v, n, nil), err
-			}
+			futs[i] = b.Do(wire.OpJoin, wire.AppendJoinReqFlags(nil, dataset, eps, 0, joinFlags|wire.FlagCountOnly, "", sp.boxes))
 		case sp.boxes != nil:
-			fut := b.Join(dataset, js)
-			gets[i] = func() (any, error) {
-				v, pairs, n, err := fut.Get(ctx)
-				return joinAnswer(dataset, sp, v, n, pairs), err
-			}
-		case sp.q.Type == api.TypeKNN:
-			fut := b.KNN(dataset, sp.q.Point, sp.q.K)
-			gets[i] = func() (any, error) {
-				v, nbrs, err := fut.Get(ctx)
-				return api.NewQueryResponse(dataset, v, sp.q.Type, nil, nbrs), err
-			}
+			futs[i] = b.Do(wire.OpJoin, wire.AppendJoinReqFlags(nil, dataset, eps, 0, joinFlags, "", sp.boxes))
+		case sp.q.Type == api.TypeRange:
+			futs[i] = b.Do(wire.OpRange, wire.AppendRangeReqFlags(nil, dataset, sp.q.Box, queryFlags))
+		case sp.q.Type == api.TypePoint:
+			futs[i] = b.Do(wire.OpPoint, wire.AppendPointReqFlags(nil, dataset, sp.q.Point, queryFlags))
 		default:
-			var fut client.IDsFuture
-			if sp.q.Type == api.TypeRange {
-				fut = b.Range(dataset, sp.q.Box)
-			} else {
-				fut = b.Point(dataset, sp.q.Point)
-			}
-			gets[i] = func() (any, error) {
-				v, ids, err := fut.Get(ctx)
-				return api.NewQueryResponse(dataset, v, sp.q.Type, ids, nil), err
-			}
+			futs[i] = b.Do(wire.OpKNN, wire.AppendKNNReqFlags(nil, dataset, sp.q.Point, sp.q.K, queryFlags))
 		}
 	}
 	if err := b.Send(); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
-	for _, get := range gets {
-		answer, err := get()
-		if err == nil {
-			err = enc.Encode(answer)
-		}
+	enc, tenc := json.NewEncoder(os.Stdout), json.NewEncoder(os.Stderr)
+	for i, sp := range specs {
+		r, err := futs[i].Get(ctx)
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// runTraced answers each spec with a traced unary call: the answer goes
-// to stdout in the usual shape, the engine trace to stderr. Sequential
-// round trips instead of one pipelined batch — tracing is a diagnosis
-// mode, not a throughput mode.
-func runTraced(ctx context.Context, c *client.Conn, dataset string, eps float64, specs []spec) error {
-	enc := json.NewEncoder(os.Stdout)
-	tenc := json.NewEncoder(os.Stderr)
-	for _, sp := range specs {
 		var (
-			answer any
-			v, n   int64
-			ids    []touch.ID
-			nbrs   []touch.Neighbor
-			pairs  []touch.Pair
-			tr     *client.Trace
-			err    error
+			v, n  int64
+			ids   []touch.ID
+			nbrs  []touch.Neighbor
+			pairs []touch.Pair
 		)
-		js := client.JoinSpec{Boxes: sp.boxes, Eps: eps}
 		switch {
 		case sp.boxes != nil && sp.countOnly:
-			v, n, tr, err = c.JoinCountTraced(ctx, dataset, js)
-			answer = joinAnswer(dataset, sp, v, n, nil)
+			v, n, err = r.Count()
 		case sp.boxes != nil:
-			v, pairs, n, tr, err = c.JoinTraced(ctx, dataset, js)
-			answer = joinAnswer(dataset, sp, v, n, pairs)
+			v, pairs, n, err = r.Join()
+		case sp.q.Type == api.TypeKNN:
+			v, nbrs, err = r.Neighbors()
 		default:
-			switch sp.q.Type {
-			case api.TypeRange:
-				v, ids, tr, err = c.RangeTraced(ctx, dataset, sp.q.Box)
-			case api.TypePoint:
-				v, ids, tr, err = c.PointTraced(ctx, dataset, sp.q.Point)
-			default:
-				v, nbrs, tr, err = c.KNNTraced(ctx, dataset, sp.q.Point, sp.q.K)
-			}
-			answer = api.NewQueryResponse(dataset, v, sp.q.Type, ids, nbrs)
+			v, ids, err = r.IDs()
 		}
 		if err != nil {
 			return err
 		}
-		if tr != nil {
+		if tr := r.Trace(); tr != nil {
 			_ = tenc.Encode(tr)
+		}
+		// Join answers take the HTTP API's shape minus the stats the wire
+		// does not carry.
+		var answer any = api.NewQueryResponse(dataset, v, sp.q.Type, ids, nbrs)
+		if sp.boxes != nil {
+			answer = api.JoinResponse{Dataset: dataset, Version: v, ProbeObjects: len(sp.boxes),
+				Count: n, Pairs: api.Pairs(pairs)}
 		}
 		if err := enc.Encode(answer); err != nil {
 			return err

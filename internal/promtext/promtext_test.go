@@ -87,8 +87,8 @@ a 1
 b 1
 a 2
 `,
-		"bad type": "# TYPE a widget\na 1\n",
-		"timestamp": "# TYPE a counter\na 1 1700000000\n",
+		"bad type":            "# TYPE a widget\na 1\n",
+		"timestamp":           "# TYPE a counter\na 1 1700000000\n",
 		"unterminated labels": "# TYPE a counter\na{x=\"1\" 1\n",
 		"non-cumulative buckets": `# TYPE h histogram
 h_bucket{le="1"} 5

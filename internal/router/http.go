@@ -152,20 +152,6 @@ func (rt *Router) proxy(ctx context.Context, w http.ResponseWriter, r *http.Requ
 	api.WriteJSON(w, http.StatusOK, resp)
 }
 
-// query answers one parsed query from the dataset's owners — the typed
-// dispatch both fronts share.
-func (rt *Router) query(ctx context.Context, dataset string, q *api.Query) (version int64, ids []touch.ID, nbrs []touch.Neighbor, err error) {
-	switch q.Type {
-	case api.TypeRange:
-		version, ids, err = rt.Range(ctx, dataset, q.Box)
-	case api.TypePoint:
-		version, ids, err = rt.Point(ctx, dataset, q.Point)
-	default:
-		version, nbrs, err = rt.KNN(ctx, dataset, q.Point, q.K)
-	}
-	return version, ids, nbrs, err
-}
-
 func (rt *Router) handleQuery(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) (any, *api.Error) {
 	var req api.QueryRequest
 	if e := api.DecodeBody(w, r, maxBodyBytes, &req); e != nil {
@@ -175,7 +161,20 @@ func (rt *Router) handleQuery(ctx context.Context, w http.ResponseWriter, r *htt
 	if e != nil {
 		return nil, e
 	}
-	version, ids, nbrs, err := rt.query(ctx, name, &q)
+	var (
+		version int64
+		ids     []touch.ID
+		nbrs    []touch.Neighbor
+		err     error
+	)
+	switch q.Type {
+	case api.TypeRange:
+		version, ids, err = rt.Range(ctx, name, q.Box)
+	case api.TypePoint:
+		version, ids, err = rt.Point(ctx, name, q.Point)
+	default:
+		version, nbrs, err = rt.KNN(ctx, name, q.Point, q.K)
+	}
 	if err != nil {
 		return nil, proxiedError(err)
 	}

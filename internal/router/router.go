@@ -197,11 +197,44 @@ func answered(err error) bool {
 	return errors.As(err, &se) && se.Code != api.CodeDraining
 }
 
-// read runs fn against the dataset's owners in ring order — healthy
+// relay is the one forwarding path under both fronts: it sends an
+// already encoded request frame to the dataset's owners and returns the
+// answering owner's frames undecoded. Queries and joins go through the
+// read failover; any error frame but "draining" is the owner's answer
+// and comes back as a Reply like a result does. Updates go to the
+// primary owner only, with no failover: the router cannot know whether
+// a torn connection applied the batch, and a blind retry on a fallback
+// owner could double-apply it — the explicit error hands that call to
+// the caller, who knows whether the batch is idempotent.
+func (rt *Router) relay(ctx context.Context, dataset string, op byte, payload []byte) (*client.Reply, error) {
+	if op != wire.OpUpdate {
+		class := rcQuery
+		if op == wire.OpJoin {
+			class = rcJoin
+		}
+		rt.met.requests[class].Add(1)
+		return rt.read(ctx, dataset, op, payload)
+	}
+	rt.met.requests[rcUpdate].Add(1)
+	owners := rt.owners(dataset)
+	if len(owners) == 0 {
+		return nil, errNoBackend
+	}
+	b := owners[0]
+	r, err := rt.try(ctx, b, op, payload)
+	var se *client.ServerError
+	if err != nil && !errors.As(err, &se) {
+		rt.noteFailure(b, err)
+		err = fmt.Errorf("router: update primary %s: %w", b.ID(), err)
+	}
+	return r, err
+}
+
+// read sends the frame to the dataset's owners in ring order — healthy
 // owners in a first pass, ejected ones as a last resort — failing over
-// on connection-level errors until fn succeeds, a backend answers
-// authoritatively (see answered), or the caller's context expires.
-func (rt *Router) read(ctx context.Context, dataset string, fn func(context.Context, *client.Conn) error) error {
+// on connection-level errors until a backend answers authoritatively
+// (see answered) or the caller's context expires.
+func (rt *Router) read(ctx context.Context, dataset string, op byte, payload []byte) (*client.Reply, error) {
 	owners := rt.owners(dataset)
 	tried := 0
 	var lastErr error
@@ -217,136 +250,110 @@ func (rt *Router) read(ctx context.Context, dataset string, fn func(context.Cont
 				rt.met.failovers.Add(1)
 			}
 			tried++
-			err := rt.try(ctx, b, fn)
+			r, err := rt.try(ctx, b, op, payload)
 			if err == nil {
-				return nil
+				return r, nil
 			}
-			if answered(err) {
-				return err
+			if answered(err) || ctx.Err() != nil {
+				return nil, err
 			}
 			lastErr = err
-			if ctx.Err() != nil {
-				return err
-			}
 			rt.noteFailure(b, err)
 		}
 	}
 	if lastErr == nil {
 		lastErr = errNoBackend
 	}
-	return fmt.Errorf("%w: %w", errNoBackend, lastErr)
+	return nil, fmt.Errorf("%w: %w", errNoBackend, lastErr)
 }
 
-// try runs fn over one backend's pool, feeding the per-backend request,
-// error and latency series.
-func (rt *Router) try(ctx context.Context, b *backend, fn func(context.Context, *client.Conn) error) error {
+// try runs one round trip over one backend's pool, feeding the
+// per-backend request, error and latency series. The Reply counts only
+// when the error is nil: a replica's "draining" error frame is returned
+// as the error it is to every request but an update, whose primary has
+// no one to defer to.
+func (rt *Router) try(ctx context.Context, b *backend, op byte, payload []byte) (*client.Reply, error) {
 	b.requests.Add(1)
 	start := time.Now()
 	c, err := b.pool.Conn(ctx)
+	var r *client.Reply
 	if err == nil {
-		err = fn(ctx, c)
+		if r, err = c.Do(ctx, op, payload); err == nil && op != wire.OpUpdate {
+			err = draining(r)
+		}
 	}
 	b.latency.Observe(time.Since(start))
 	if err != nil && !answered(err) {
 		b.errs.Add(1)
 	}
-	return err
+	return r, err
+}
+
+// draining returns a replica's "draining" error frame as an error and
+// nil for any other reply.
+func draining(r *client.Reply) error {
+	var se *client.ServerError
+	if errors.As(r.Err(), &se) && se.Code == api.CodeDraining {
+		return se
+	}
+	return nil
 }
 
 // Range answers a range query from the dataset's owners.
 func (rt *Router) Range(ctx context.Context, dataset string, box touch.Box) (version int64, ids []touch.ID, err error) {
-	rt.met.requests[rcQuery].Add(1)
-	err = rt.read(ctx, dataset, func(ctx context.Context, c *client.Conn) error {
-		var e error
-		version, ids, e = c.Range(ctx, dataset, box)
-		return e
-	})
-	return version, ids, err
+	r, err := rt.relay(ctx, dataset, wire.OpRange, wire.AppendRangeReq(nil, dataset, box))
+	if err != nil {
+		return 0, nil, err
+	}
+	return r.IDs()
 }
 
 // Point answers a point query from the dataset's owners.
 func (rt *Router) Point(ctx context.Context, dataset string, pt touch.Point) (version int64, ids []touch.ID, err error) {
-	rt.met.requests[rcQuery].Add(1)
-	err = rt.read(ctx, dataset, func(ctx context.Context, c *client.Conn) error {
-		var e error
-		version, ids, e = c.Point(ctx, dataset, pt)
-		return e
-	})
-	return version, ids, err
+	r, err := rt.relay(ctx, dataset, wire.OpPoint, wire.AppendPointReq(nil, dataset, pt))
+	if err != nil {
+		return 0, nil, err
+	}
+	return r.IDs()
 }
 
 // KNN answers a k-nearest-neighbor query from the dataset's owners.
 func (rt *Router) KNN(ctx context.Context, dataset string, pt touch.Point, k int) (version int64, nbrs []touch.Neighbor, err error) {
-	rt.met.requests[rcQuery].Add(1)
-	err = rt.read(ctx, dataset, func(ctx context.Context, c *client.Conn) error {
-		var e error
-		version, nbrs, e = c.KNN(ctx, dataset, pt, k)
-		return e
-	})
-	return version, nbrs, err
+	r, err := rt.relay(ctx, dataset, wire.OpKNN, wire.AppendKNNReq(nil, dataset, pt, k))
+	if err != nil {
+		return 0, nil, err
+	}
+	return r.Neighbors()
 }
 
 // Join runs a join against the dataset's owners, materializing pairs.
 func (rt *Router) Join(ctx context.Context, dataset string, spec client.JoinSpec) (version int64, pairs []touch.Pair, count int64, err error) {
-	rt.met.requests[rcJoin].Add(1)
-	err = rt.read(ctx, dataset, func(ctx context.Context, c *client.Conn) error {
-		var e error
-		version, pairs, count, e = c.Join(ctx, dataset, spec)
-		return e
-	})
-	return version, pairs, count, err
+	r, err := rt.relay(ctx, dataset, wire.OpJoin,
+		wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, false, spec.Probe, spec.Boxes))
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	return r.Join()
 }
 
 // JoinCount runs a count-only join against the dataset's owners.
 func (rt *Router) JoinCount(ctx context.Context, dataset string, spec client.JoinSpec) (version, count int64, err error) {
-	rt.met.requests[rcJoin].Add(1)
-	err = rt.read(ctx, dataset, func(ctx context.Context, c *client.Conn) error {
-		var e error
-		version, count, e = c.JoinCount(ctx, dataset, spec)
-		return e
-	})
-	return version, count, err
+	r, err := rt.relay(ctx, dataset, wire.OpJoin,
+		wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, true, spec.Probe, spec.Boxes))
+	if err != nil {
+		return 0, 0, err
+	}
+	return r.Count()
 }
 
 // Update applies an incremental update through the dataset's primary
-// owner only. There is no failover: the router cannot know whether a
-// torn connection applied the batch, and a blind retry on a fallback
-// owner could double-apply it — the explicit error hands that call to
-// the caller, who knows whether the batch is idempotent.
+// owner only (see relay).
 func (rt *Router) Update(ctx context.Context, dataset string, spec client.UpdateSpec) (client.UpdateResult, error) {
-	rt.met.requests[rcUpdate].Add(1)
-	owners := rt.owners(dataset)
-	if len(owners) == 0 {
-		return client.UpdateResult{}, errNoBackend
-	}
-	b := owners[0]
-	res, err := rt.tryUpdate(ctx, b, dataset, spec)
+	r, err := rt.relay(ctx, dataset, wire.OpUpdate, wire.AppendUpdateReq(nil, dataset, spec.Delete, spec.Insert))
 	if err != nil {
-		var se *client.ServerError
-		if !errors.As(err, &se) {
-			rt.noteFailure(b, err)
-			return res, fmt.Errorf("router: update primary %s: %w", b.ID(), err)
-		}
+		return client.UpdateResult{}, err
 	}
-	return res, err
-}
-
-func (rt *Router) tryUpdate(ctx context.Context, b *backend, dataset string, spec client.UpdateSpec) (client.UpdateResult, error) {
-	b.requests.Add(1)
-	start := time.Now()
-	c, err := b.pool.Conn(ctx)
-	var res client.UpdateResult
-	if err == nil {
-		res, err = c.Update(ctx, dataset, spec)
-	}
-	b.latency.Observe(time.Since(start))
-	if err != nil {
-		var se *client.ServerError
-		if !errors.As(err, &se) {
-			b.errs.Add(1)
-		}
-	}
-	return res, err
+	return r.Update()
 }
 
 // CatalogRow is one dataset of the merged catalog: the row reported by
@@ -389,11 +396,10 @@ func (rt *Router) Catalog(ctx context.Context) ([]CatalogRow, []BackendFailure) 
 		go func(b *backend) {
 			defer wg.Done()
 			var infos []client.DatasetInfo
-			err := rt.try(ctx, b, func(ctx context.Context, c *client.Conn) error {
-				var e error
-				infos, e = c.Datasets(ctx)
-				return e
-			})
+			r, err := rt.try(ctx, b, wire.OpCatalog, nil)
+			if err == nil {
+				infos, err = r.Datasets()
+			}
 			if err != nil {
 				rt.noteFailure(b, err)
 			}

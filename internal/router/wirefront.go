@@ -4,26 +4,36 @@ package router
 // to its own clients that it speaks to the backends, so a client.Conn
 // or client.Pool pointed at a router works unchanged.
 //
+// The front is a frame relay. To place a request it reads one fact —
+// the dataset name that opens the payload (wire.RequestDataset) — and
+// knows no payload format beyond that: the client's frame goes to an
+// owner as it arrived, and the owner's frames come back under the
+// client's tag as they arrived. So trace flags cross the hop (the
+// OpTrace trailer, request ID included, is the answering backend's), a
+// join's OpPairs frames are the owner's — not re-sorted, not
+// re-batched — and a malformed payload is refused by the owner, in the
+// owner's words. Nothing is written to the client before the owner's
+// terminal frame has arrived: a request is answered by exactly one
+// owner, and a failover mid-answer stays invisible.
+//
 // Read frames (range, point, kNN) that arrive back-to-back — a
 // pipelining client's flush delivers dozens in one burst — are
 // coalesced and forwarded as one pipelined Batch to the dataset's
 // first healthy owner: one flush toward the backend, one goroutine,
-// one flush back, so the per-query cost of the extra hop is the
-// re-encode, not a per-request round trip. A connection-level failure
-// mid-batch drops only the unanswered requests onto the typed
-// failover path, which retries the remaining ring owners. Joins,
+// one flush back, so the per-query cost of the extra hop is two frame
+// copies, not a per-request round trip. A connection-level failure
+// mid-batch drops only the unanswered requests onto the failover path
+// (Router.relay), which retries the remaining ring owners. Joins,
 // updates and catalog requests keep their own goroutine each
 // (bounded per connection), so one slow join never convoys the
 // pipelined queries behind it; responses go back matched by tag,
 // possibly out of arrival order — exactly what the protocol's tag
 // contract permits.
 //
-// Two deliberate differences from a direct backend: trace flags are
-// ignored (a trace describes one engine's execution; the router may
-// split retries across engines, and a stitched trace would lie), and
-// cancel frames for coalesced reads are accepted but not propagated —
-// the response simply arrives and wins the race, which the protocol
-// permits for any cancel.
+// The catalog is the one request the front answers itself (the merged
+// listing), and cancel frames for coalesced reads are accepted but not
+// propagated — the response simply arrives and wins the race, which
+// the protocol permits for any cancel.
 
 import (
 	"context"
@@ -34,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"touch"
 	"touch/client"
 	"touch/internal/api"
 	"touch/internal/wire"
@@ -43,10 +52,6 @@ import (
 // wireConcurrency bounds concurrently forwarded requests per client
 // connection; at the bound the reader stops, backpressuring via TCP.
 const wireConcurrency = 64
-
-// wirePairBatch is how many join pairs one OpPairs frame carries,
-// matching the backends' batching.
-const wirePairBatch = 512
 
 // wireMaxFrame caps inbound frame payloads.
 const wireMaxFrame = 64 << 20
@@ -105,32 +110,14 @@ func (rt *Router) serveWireConn(ctx context.Context, r *wire.Reader, w *wire.Wri
 	c.wg.Wait()
 }
 
-// readReq is one decoded read frame awaiting forwarding.
-type readReq struct {
+// relayReq is one request frame awaiting forwarding: the routing key
+// peeked from its payload, and the payload copied out of the reader's
+// reused buffer.
+type relayReq struct {
+	op      byte
 	tag     uint32
 	dataset string
-	q       api.Query
-}
-
-// decodeRead decodes a read frame into a readReq, copying the dataset
-// name out of the reader's reused payload buffer.
-func decodeRead(op byte, tag uint32, payload []byte) (readReq, error) {
-	req := readReq{tag: tag}
-	var name []byte
-	var err error
-	switch op {
-	case wire.OpRange:
-		req.q.Type = api.TypeRange
-		name, req.q.Box, _, err = wire.DecodeRangeReq(payload)
-	case wire.OpPoint:
-		req.q.Type = api.TypePoint
-		name, req.q.Point, _, err = wire.DecodePointReq(payload)
-	case wire.OpKNN:
-		req.q.Type = api.TypeKNN
-		name, req.q.Point, req.q.K, _, err = wire.DecodeKNNReq(payload)
-	}
-	req.dataset = string(name)
-	return req, err
+	payload []byte
 }
 
 func (c *frontConn) readLoop(r *wire.Reader) {
@@ -138,7 +125,7 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 	// buffered; it is dispatched as soon as the next read would block
 	// (or the group is full), so a pipelined burst becomes one batch
 	// and a lone request is forwarded immediately.
-	var group []readReq
+	var group []relayReq
 	dispatch := func() {
 		if len(group) == 0 {
 			return
@@ -172,6 +159,7 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 			}
 			return
 		}
+		read := false
 		switch op {
 		case wire.OpCancel:
 			c.mu.Lock()
@@ -179,51 +167,65 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 				cancel()
 			}
 			c.mu.Unlock()
+			continue
 		case wire.OpRange, wire.OpPoint, wire.OpKNN:
-			c.inflight.Add(1)
-			req, err := decodeRead(op, tag, payload)
-			if err != nil {
-				c.respondError(tag, api.DecodeError(err))
-				continue
-			}
-			group = append(group, req)
+			read = true
 		case wire.OpJoin, wire.OpUpdate, wire.OpCatalog:
-			dispatch()
-			select {
-			case c.sem <- struct{}{}:
-			case <-c.ctx.Done():
-				return
-			}
-			buf := append([]byte(nil), payload...)
-			c.inflight.Add(1)
-			c.wg.Add(1)
-			go func() {
-				defer c.wg.Done()
-				defer func() { <-c.sem }()
-				c.forward(op, tag, buf)
-			}()
 		default:
 			c.fatalError(tag, fmt.Sprintf("unknown opcode %#02x", op))
 			return
 		}
+		req := relayReq{op: op, tag: tag, payload: append([]byte(nil), payload...)}
+		if op != wire.OpCatalog {
+			// A payload too short to hold its own name cannot be placed;
+			// it is refused here, with the error an owner would give.
+			name, err := wire.RequestDataset(req.payload)
+			if err != nil {
+				c.inflight.Add(1)
+				c.respondError(tag, api.DecodeError(err))
+				continue
+			}
+			req.dataset = string(name)
+		}
+		if read {
+			c.inflight.Add(1)
+			group = append(group, req)
+			continue
+		}
+		dispatch()
+		select {
+		case c.sem <- struct{}{}:
+		case <-c.ctx.Done():
+			return
+		}
+		c.inflight.Add(1)
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			defer func() { <-c.sem }()
+			ctx, cancel := context.WithTimeout(c.ctx, c.rt.cfg.RequestTimeout)
+			defer cancel()
+			c.forward(ctx, &req)
+		}()
 	}
 }
 
-// respond writes one terminal frame and flushes when the pipeline has
-// drained. Write errors mean a dying connection; the reader sees it.
-func (c *frontConn) respond(op byte, tag uint32, payload []byte) {
+// respond writes one request's answer — the stream frames, then the
+// terminal frame, under the client's tag — and flushes when the
+// pipeline has drained. Write errors mean a dying connection; the
+// reader sees it.
+func (c *frontConn) respond(tag uint32, terminal client.Frame, stream ...client.Frame) {
 	c.wmu.Lock()
-	err := c.w.WriteFrame(op, tag, payload)
+	var err error
+	for i := 0; i < len(stream) && err == nil; i++ {
+		err = c.w.WriteFrame(stream[i].Op, tag, stream[i].Payload)
+	}
+	if err == nil {
+		err = c.w.WriteFrame(terminal.Op, tag, terminal.Payload)
+	}
 	if c.inflight.Add(-1) == 0 && err == nil {
 		_ = c.w.Flush()
 	}
-	c.wmu.Unlock()
-}
-
-// respondStream writes a non-terminal OpPairs frame mid-join.
-func (c *frontConn) respondStream(tag uint32, payload []byte) {
-	c.wmu.Lock()
-	_ = c.w.WriteFrame(wire.OpPairs, tag, payload)
 	c.wmu.Unlock()
 }
 
@@ -235,30 +237,20 @@ func (c *frontConn) fatalError(tag uint32, msg string) {
 	c.wmu.Unlock()
 }
 
-// respondError answers a request with an error frame.
+// respondError answers a request the router itself refuses or could not
+// get answered with an error frame.
 func (c *frontConn) respondError(tag uint32, e *api.Error) {
-	c.respond(wire.OpError, tag, wire.AppendErrorResp(nil, e.Code, e.Message))
+	c.respond(tag, client.Frame{Op: wire.OpError, Payload: wire.AppendErrorResp(nil, e.Code, e.Message)})
 }
 
-// respondQuery answers a read: ID-list queries with OpIDs, kNN with
-// OpNeighbors, a forwarding failure with its proxied error.
-func (c *frontConn) respondQuery(r *readReq, version int64, ids []touch.ID, nbrs []touch.Neighbor, err error) {
-	switch {
-	case err != nil:
-		c.respondError(r.tag, proxiedError(err))
-	case r.q.Type == api.TypeKNN:
-		c.respond(wire.OpNeighbors, r.tag, wire.AppendNeighborsResp(nil, version, nbrs))
-	default:
-		c.respond(wire.OpIDs, r.tag, wire.AppendIDsResp(nil, version, ids))
-	}
-}
-
-// forwardReads proxies one dispatched burst of read frames. Contiguous
-// runs for the same dataset (the whole burst, for a typical pipelining
-// client) ride one pipelined batch; anything a batch could not answer
-// falls back to the typed per-request path. One timeout covers the
-// burst.
-func (c *frontConn) forwardReads(reqs []readReq) {
+// forwardReads proxies one dispatched burst of read frames under one
+// timeout. Each contiguous run for the same dataset (the whole burst,
+// for a typical pipelining client) is answered batched over the first
+// healthy owner when it holds more than one request, per-request with
+// full failover otherwise — including the leftovers of a batch whose
+// connection died mid-flight, each of which counts as a failover
+// because a second backend is about to serve it.
+func (c *frontConn) forwardReads(reqs []relayReq) {
 	ctx, cancel := context.WithTimeout(c.ctx, c.rt.cfg.RequestTimeout)
 	defer cancel()
 	for start := 0; start < len(reqs); {
@@ -266,28 +258,17 @@ func (c *frontConn) forwardReads(reqs []readReq) {
 		for end < len(reqs) && reqs[end].dataset == reqs[start].dataset {
 			end++
 		}
-		c.forwardDatasetReads(ctx, reqs[start:end])
+		run := reqs[start:end]
 		start = end
-	}
-}
-
-// forwardDatasetReads answers a same-dataset run of reads: batched over
-// the first healthy owner when there is more than one, per-request
-// with full failover otherwise — including the leftovers of a batch
-// whose connection died mid-flight, each of which counts as a
-// failover because a second backend is about to serve it.
-func (c *frontConn) forwardDatasetReads(ctx context.Context, reqs []readReq) {
-	if len(reqs) > 1 {
-		if b := c.rt.healthyOwner(reqs[0].dataset); b != nil {
-			rest := c.tryBatch(ctx, b, reqs)
-			if len(rest) > 0 {
-				c.rt.met.failovers.Add(int64(len(rest)))
+		if len(run) > 1 {
+			if b := c.rt.healthyOwner(run[0].dataset); b != nil {
+				run = c.tryBatch(ctx, b, run)
+				c.rt.met.failovers.Add(int64(len(run)))
 			}
-			reqs = rest
 		}
-	}
-	for _, r := range reqs {
-		c.forwardRead(ctx, r)
+		for i := range run {
+			c.forward(ctx, &run[i])
+		}
 	}
 }
 
@@ -297,7 +278,7 @@ func (c *frontConn) forwardDatasetReads(ctx context.Context, reqs []readReq) {
 // or with an authoritative server error — are responded to here; the
 // remainder (connection-level failures) are returned for the caller
 // to fail over.
-func (c *frontConn) tryBatch(ctx context.Context, b *backend, reqs []readReq) []readReq {
+func (c *frontConn) tryBatch(ctx context.Context, b *backend, reqs []relayReq) []relayReq {
 	rt := c.rt
 	conn, err := b.pool.Conn(ctx)
 	if err != nil {
@@ -307,21 +288,9 @@ func (c *frontConn) tryBatch(ctx context.Context, b *backend, reqs []readReq) []
 	b.requests.Add(int64(len(reqs)))
 	start := time.Now()
 	batch := conn.Batch()
-	// One future per request; which of the two is live follows q.Type.
-	type future struct {
-		ids  client.IDsFuture
-		nbrs client.NeighborsFuture
-	}
-	futs := make([]future, len(reqs))
+	futs := make([]client.ReplyFuture, len(reqs))
 	for i := range reqs {
-		switch r := &reqs[i]; r.q.Type {
-		case api.TypeRange:
-			futs[i].ids = batch.Range(r.dataset, r.q.Box)
-		case api.TypePoint:
-			futs[i].ids = batch.Point(r.dataset, r.q.Point)
-		default:
-			futs[i].nbrs = batch.KNN(r.dataset, r.q.Point, r.q.K)
-		}
+		futs[i] = batch.Do(reqs[i].op, reqs[i].payload)
 	}
 	if err := batch.Send(); err != nil {
 		b.errs.Add(1)
@@ -329,29 +298,24 @@ func (c *frontConn) tryBatch(ctx context.Context, b *backend, reqs []readReq) []
 		rt.noteFailure(b, err)
 		return reqs
 	}
-	var rest []readReq
+	var rest []relayReq
 	var connErr error
 	for i := range reqs {
-		r := &reqs[i]
-		var (
-			version int64
-			ids     []touch.ID
-			nbrs    []touch.Neighbor
-			err     error
-		)
-		if r.q.Type == api.TypeKNN {
-			version, nbrs, err = futs[i].nbrs.Get(ctx)
-		} else {
-			version, ids, err = futs[i].ids.Get(ctx)
+		r, err := futs[i].Get(ctx)
+		if err == nil {
+			err = draining(r)
 		}
 		// A server error is the backend's authoritative answer; anything
 		// else (and a draining replica) fails the request over.
-		if err != nil && !answered(err) {
+		switch {
+		case err == nil:
+			c.respond(reqs[i].tag, r.Frame, r.Stream...)
+		case answered(err):
+			c.respondError(reqs[i].tag, proxiedError(err))
+		default:
 			connErr = err
-			rest = append(rest, *r)
-			continue
+			rest = append(rest, reqs[i])
 		}
-		c.respondQuery(r, version, ids, nbrs, err)
 	}
 	b.latency.Observe(time.Since(start))
 	rt.met.requests[rcQuery].Add(int64(len(reqs) - len(rest)))
@@ -374,36 +338,19 @@ func (c *frontConn) track(tag uint32, cancel context.CancelFunc) {
 	c.mu.Unlock()
 }
 
-// forwardRead proxies one read over the typed failover path,
-// registering its tag so a cancel frame can abort it.
-func (c *frontConn) forwardRead(ctx context.Context, r readReq) {
+// forward answers one request on the caller's goroutine, its tag
+// registered so a cancel frame can abort it: the merged catalog from
+// Router.Catalog, every other frame through Router.relay.
+func (c *frontConn) forward(ctx context.Context, req *relayReq) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	c.track(r.tag, cancel)
-	defer c.track(r.tag, nil)
+	c.track(req.tag, cancel)
+	defer c.track(req.tag, nil)
 
-	version, ids, nbrs, err := c.rt.query(ctx, r.dataset, &r.q)
-	c.respondQuery(&r, version, ids, nbrs, err)
-}
-
-// forward proxies one join, update or catalog frame: decode, route,
-// re-encode. Runs on its own goroutine; tag registration makes it
-// cancelable by frame.
-func (c *frontConn) forward(op byte, tag uint32, payload []byte) {
-	ctx, cancel := context.WithTimeout(c.ctx, c.rt.cfg.RequestTimeout)
-	defer cancel()
-	c.track(tag, cancel)
-	defer c.track(tag, nil)
-
-	switch op {
-	case wire.OpJoin:
-		c.forwardJoin(ctx, tag, payload)
-	case wire.OpUpdate:
-		c.forwardUpdate(ctx, tag, payload)
-	case wire.OpCatalog:
-		if len(payload) != 0 {
-			c.respondError(tag, api.Errorf(api.CodeBadRequest,
-				"catalog request carries a %d-byte payload, want empty", len(payload)))
+	if req.op == wire.OpCatalog {
+		if len(req.payload) != 0 {
+			c.respondError(req.tag, api.Errorf(api.CodeBadRequest,
+				"catalog request carries a %d-byte payload, want empty", len(req.payload)))
 			return
 		}
 		rows, _ := c.rt.Catalog(ctx)
@@ -411,61 +358,13 @@ func (c *frontConn) forward(op byte, tag uint32, payload []byte) {
 		for i, row := range rows {
 			entries[i] = row.DatasetInfo
 		}
-		c.respond(wire.OpCatalogResp, tag, wire.AppendCatalogResp(nil, entries))
+		c.respond(req.tag, client.Frame{Op: wire.OpCatalogResp, Payload: wire.AppendCatalogResp(nil, entries)})
+		return
 	}
-}
-
-func (c *frontConn) forwardJoin(ctx context.Context, tag uint32, payload []byte) {
-	jr, err := wire.DecodeJoinReq(payload)
+	r, err := c.rt.relay(ctx, req.dataset, req.op, req.payload)
 	if err != nil {
-		c.respondError(tag, api.DecodeError(err))
+		c.respondError(req.tag, proxiedError(err))
 		return
 	}
-	spec := client.JoinSpec{Probe: string(jr.ProbeName), Boxes: jr.Boxes, Eps: jr.Eps, Workers: jr.Workers}
-	if jr.CountOnly {
-		version, count, err := c.rt.JoinCount(ctx, string(jr.Name), spec)
-		if err != nil {
-			c.respondError(tag, proxiedError(err))
-			return
-		}
-		c.respond(wire.OpCount, tag, wire.AppendCountResp(nil, version, count))
-		return
-	}
-	version, pairs, count, err := c.rt.Join(ctx, string(jr.Name), spec)
-	if err != nil {
-		c.respondError(tag, proxiedError(err))
-		return
-	}
-	// Re-stream in batches: frames for one tag stay in order because
-	// they all come from this goroutine; other tags may interleave.
-	var buf []byte
-	for len(pairs) > 0 {
-		n := min(wirePairBatch, len(pairs))
-		buf = wire.AppendPairsResp(buf[:0], pairs[:n])
-		c.respondStream(tag, buf)
-		pairs = pairs[n:]
-	}
-	c.respond(wire.OpJoinDone, tag, wire.AppendJoinDoneResp(nil, version, count))
-}
-
-func (c *frontConn) forwardUpdate(ctx context.Context, tag uint32, payload []byte) {
-	ur, err := wire.DecodeUpdateReq(payload)
-	if err != nil {
-		c.respondError(tag, api.DecodeError(err))
-		return
-	}
-	res, err := c.rt.Update(ctx, string(ur.Name), client.UpdateSpec{Insert: ur.Inserts, Delete: ur.Deletes})
-	if err != nil {
-		c.respondError(tag, proxiedError(err))
-		return
-	}
-	resp := wire.UpdateResp{
-		Version: res.Version, FirstID: -1,
-		Inserted: len(res.InsertedIDs), Deleted: res.Deleted,
-		DeltaInserts: res.DeltaInserts, DeltaTombstones: res.DeltaTombstones,
-	}
-	if len(res.InsertedIDs) > 0 {
-		resp.FirstID = int64(res.InsertedIDs[0])
-	}
-	c.respond(wire.OpUpdateDone, tag, wire.AppendUpdateResp(nil, resp))
+	c.respond(req.tag, r.Frame, r.Stream...)
 }

@@ -442,7 +442,9 @@ func (c *catalog) counters() map[string]int64 {
 // startup recovery converges to the newest version, whichever side wins
 // the race.
 func (c *catalog) restore(name string, version int64, ds touch.Dataset, idx *touch.Index, builtAt time.Time, size int64) {
-	snap := newSnapshot(version, ds, idx, builtAt, touch.TOUCHConfig{})
+	// The snapshot round-trips the build configuration; a fold of this
+	// version must rebuild with it, not with the defaults.
+	snap := newSnapshot(version, ds, idx, builtAt, idx.Config())
 	snap.persisted, snap.snapBytes = true, size
 	c.mu.Lock()
 	e := c.entryLocked(name)

@@ -350,3 +350,35 @@ func readSnapshotFile(t *testing.T, path string) (int64, string, int, error) {
 	}
 	return info.Version, info.Name, len(ds), nil
 }
+
+// TestRestartKeepsBuildConfig: the build configuration a dataset was
+// loaded with survives a restart — the first compaction after Recover
+// rebuilds the tree in the shape its load asked for, not with the paper
+// defaults.
+func TestRestartKeepsBuildConfig(t *testing.T) {
+	dir := t.TempDir()
+	a := newTestServer(t, Config{DataDir: dir})
+	ds := touch.GenerateUniform(5000, 5)
+	_, want := a.srv.Load("d", ds, touch.TOUCHConfig{Partitions: 16, Fanout: 4})
+
+	b := newTestServer(t, Config{DataDir: dir, CompactThreshold: 8})
+	if stats := b.recover(); stats.Loaded != 1 {
+		t.Fatalf("recovery stats %+v", stats)
+	}
+	// Replace eight objects: the delta crosses the threshold and the
+	// object count — and with it the shape a given configuration packs —
+	// stays what it was.
+	req := api.UpdateRequest{Delete: []touch.ID{0, 1, 2, 3, 4, 5, 6, 7}}
+	for _, o := range ds[:8] {
+		req.Insert = append(req.Insert, boxRow(o.Box))
+	}
+	if status, raw := b.patch("d", req); status != http.StatusOK {
+		t.Fatalf("patch: status %d: %s", status, raw)
+	}
+	b.waitServing("d", 2)
+	snap, _ := snapshotOf(b.srv.cat, "d")
+	if got := snap.stats; got.Objects != want.Objects || got.Leaves != want.Leaves || got.Height != want.Height {
+		t.Fatalf("fold after restart built %d leaves, height %d; the load built %d leaves, height %d",
+			got.Leaves, got.Height, want.Leaves, want.Height)
+	}
+}

@@ -280,10 +280,12 @@ func (s *Server) SetNodeID(id string) {
 }
 
 // helloInfo is the info string of the server's wire hello: the build
-// string, plus a "node/<id>" token naming this instance when one is
-// configured.
+// string, a "maxframe/<bytes>" token stating the frame cap this server
+// enforces — so a client can refuse an over-cap request itself instead
+// of losing the connection to it — plus a "node/<id>" token naming this
+// instance when one is configured.
 func (s *Server) helloInfo() string {
-	info := BuildInfo()
+	info := fmt.Sprintf("%s maxframe/%d", BuildInfo(), s.wire.MaxFrame)
 	if id := s.nodeID.Load(); id != nil && *id != "" {
 		info += " node/" + *id
 	}

@@ -11,7 +11,8 @@
 //	magic "TCHSNAP1" | format version u32 | section count u32
 //	meta    (name, version, builtAt, tree config, element counts)
 //	objects (the dataset in load order: id + 6 coords per object)
-//	tree    (the arena permutation and the DFS pre-order node table)
+//	tree    (the arena — every object again, id + 6 coords, in the tree's
+//	         DFS leaf order — and the DFS pre-order node table)
 //
 // Every section is length-prefixed (u64) and carries a CRC32-Castagnoli
 // of its payload; all integers are little-endian and floats are IEEE-754

@@ -28,6 +28,7 @@ func wireSeed(t testing.TB) []byte {
 		{wire.OpJoin, wire.AppendJoinReq(nil, "d", 2.5, 4, false, "", []geom.Box{box, box})},
 		{wire.OpJoin, wire.AppendJoinReq(nil, "d", 0, 0, true, "probe", nil)},
 		{wire.OpJoin, wire.AppendJoinReqFlags(nil, "d", 0, 0, wire.FlagTrace, "probe", nil)},
+		{wire.OpUpdate, wire.AppendUpdateReq(nil, "d", []geom.ID{3, 9}, []geom.Box{box})},
 		{wire.OpCancel, nil},
 		{wire.OpCatalog, nil},
 		{wire.OpCatalogResp, wire.AppendCatalogResp(nil, []wire.CatalogEntry{
@@ -52,7 +53,9 @@ func wireSeed(t testing.TB) []byte {
 // round-tripped through its Append twin, re-decoded and re-encoded:
 // the two encodings must match byte for byte (encoding is canonical, so
 // byte equality is the NaN-safe way to say "same value") — the property
-// the pipelined server and client both lean on.
+// the pipelined server and client both lean on. And on any payload a
+// request decoder accepts, RequestDataset — all a relay reads of it —
+// returns the same name bytes.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	valid := wireSeed(f)
@@ -73,6 +76,12 @@ func FuzzWireDecode(f *testing.F) {
 			if err != nil {
 				return // EOF or malformed — both fine; panics are the bug
 			}
+			routed, routeErr := wire.RequestDataset(payload) // must not panic, whatever the opcode
+			sameName := func(name []byte) {
+				if routeErr != nil || !bytes.Equal(routed, name) {
+					t.Fatalf("op 0x%02x: RequestDataset = %q, %v; the request decoder reads %q", op, routed, routeErr, name)
+				}
+			}
 			var enc, enc2 []byte
 			switch op {
 			case wire.OpRange:
@@ -80,6 +89,7 @@ func FuzzWireDecode(f *testing.F) {
 				if err != nil {
 					continue
 				}
+				sameName(name)
 				enc = wire.AppendRangeReqFlags(nil, string(name), box, flags)
 				n2, b2, fl2, err := wire.DecodeRangeReq(enc)
 				if err != nil {
@@ -91,6 +101,7 @@ func FuzzWireDecode(f *testing.F) {
 				if err != nil {
 					continue
 				}
+				sameName(name)
 				enc = wire.AppendPointReqFlags(nil, string(name), pt, flags)
 				n2, p2, fl2, err := wire.DecodePointReq(enc)
 				if err != nil {
@@ -102,6 +113,7 @@ func FuzzWireDecode(f *testing.F) {
 				if err != nil {
 					continue
 				}
+				sameName(name)
 				enc = wire.AppendKNNReqFlags(nil, string(name), pt, k, flags)
 				n2, p2, k2, fl2, err := wire.DecodeKNNReq(enc)
 				if err != nil {
@@ -113,6 +125,7 @@ func FuzzWireDecode(f *testing.F) {
 				if err != nil {
 					continue
 				}
+				sameName(jr.Name)
 				if len(jr.Boxes) > len(payload)/48 {
 					t.Fatalf("join decode conjured %d boxes from a %d-byte payload", len(jr.Boxes), len(payload))
 				}
@@ -132,6 +145,18 @@ func FuzzWireDecode(f *testing.F) {
 					t.Fatalf("join re-decode: %v", err)
 				}
 				enc2 = wire.AppendJoinReqFlags(nil, string(jr2.Name), jr2.Eps, jr2.Workers, joinFlags(jr2), string(jr2.ProbeName), jr2.Boxes)
+			case wire.OpUpdate:
+				ur, err := wire.DecodeUpdateReq(payload)
+				if err != nil {
+					continue
+				}
+				sameName(ur.Name)
+				enc = wire.AppendUpdateReq(nil, string(ur.Name), ur.Deletes, ur.Inserts)
+				ur2, err := wire.DecodeUpdateReq(enc)
+				if err != nil {
+					t.Fatalf("update re-decode: %v", err)
+				}
+				enc2 = wire.AppendUpdateReq(nil, string(ur2.Name), ur2.Deletes, ur2.Inserts)
 			case wire.OpCatalogResp:
 				entries, err := wire.DecodeCatalogResp(payload)
 				if err != nil {

@@ -428,6 +428,16 @@ func (c *cursor) done() error {
 
 // --- requests -----------------------------------------------------------
 
+// RequestDataset returns the dataset name that opens every OpRange,
+// OpPoint, OpKNN, OpJoin and OpUpdate payload — the leading str and
+// nothing else, which is all a relay needs to place a request; the rest
+// of the payload is for the server that executes it to judge. name
+// aliases the payload.
+func RequestDataset(p []byte) (name []byte, err error) {
+	c := cursor{b: p}
+	return c.str()
+}
+
 // queryFlags finishes a query request payload: the trailing flags byte
 // is written only when non-zero, so a zero-flag encoding is
 // byte-identical to the pre-flags wire format.

@@ -178,8 +178,8 @@ WIRE_TRACE="$WORK/wire-trace.json"
 TRACED_WIRE=$("$WIREBIN" -addr "$WADDR" -dataset smoke -trace \
     'range:0,0,0,50,50,50' 2> "$WIRE_TRACE") || fail "traced touchwire probe"
 echo "$TRACED_WIRE" | grep -q '"count":3' || fail "traced wire answer"
-grep -q '"RequestID"' "$WIRE_TRACE" || fail "wire trace carries no request id"
-grep -q '"Comparisons"' "$WIRE_TRACE" || fail "wire trace carries no engine counters"
+grep -q '"request_id"' "$WIRE_TRACE" || fail "wire trace carries no request id"
+grep -q '"comparisons"' "$WIRE_TRACE" || fail "wire trace carries no engine counters"
 
 # The binary path reports under its own metric classes and connection
 # gauge. The gauge drops when the server notices touchwire hung up, so
@@ -314,10 +314,11 @@ WADDR2=$(wait_for "$BLOG2" "touchserved wire listening on") || fail "replica-b w
 HADDR1=$(wait_for "$BLOG1" "touchserved listening on") || fail "replica-a http address"
 
 LOG="$WORK/router.log"
-"$RBIN" -addr 127.0.0.1:0 -backends "$WADDR1,$WADDR2" -replication 2 \
+"$RBIN" -addr 127.0.0.1:0 -bin-addr 127.0.0.1:0 -backends "$WADDR1,$WADDR2" -replication 2 \
     -health-interval 200ms > "$LOG" 2>&1 &
 RPID=$!
 RADDR=$(wait_for "$LOG" "touchrouter listening on") || fail "router address"
+RWADDR=$(wait_for "$LOG" "touchrouter wire listening on") || fail "router wire address"
 RBASE="http://$RADDR"
 echo "serve-smoke: router on $RBASE over $WADDR1 $WADDR2"
 
@@ -338,6 +339,20 @@ DJ=$(dpost /v1/datasets/smoke/join '{"boxes":[[4,4,4,6,6,6]]}' | strip_stats) ||
 [ "$RJ" = "$DJ" ] || fail "routed join differs from direct:
 routed: $RJ
 direct: $DJ"
+
+# The router's wire front relays frames, trace trailer included: a
+# traced probe prints the same stdout as the untraced one and exactly
+# one trace line, carrying the answering backend's request id.
+ROUTED_WIRE=$("$WIREBIN" -addr "$RWADDR" -dataset smoke 'range:0,0,0,50,50,50') \
+    || fail "routed touchwire probe"
+ROUTED_TRACE="$WORK/routed-trace.json"
+ROUTED_TRACED=$("$WIREBIN" -addr "$RWADDR" -dataset smoke -trace \
+    'range:0,0,0,50,50,50' 2> "$ROUTED_TRACE") || fail "traced routed touchwire probe"
+[ "$ROUTED_TRACED" = "$ROUTED_WIRE" ] || fail "traced routed answer differs from untraced:
+traced:   $ROUTED_TRACED
+untraced: $ROUTED_WIRE"
+[ "$(wc -l < "$ROUTED_TRACE")" -eq 1 ] || fail "routed trace is not one line: $(cat "$ROUTED_TRACE")"
+grep -q '"request_id":"[^"]' "$ROUTED_TRACE" || fail "routed trace carries no request id: $(cat "$ROUTED_TRACE")"
 
 # Merged catalog: one row for smoke, provenance naming both replicas.
 CAT=$(curl -sf "$RBASE/v1/datasets") || fail "routed catalog"
