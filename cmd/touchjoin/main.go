@@ -20,7 +20,8 @@
 // 0-based line indices per line; in -b mode pairs stream to the output
 // incrementally as the engine finds them — constant memory regardless
 // of result size — in emission order (deterministic with -workers 1,
-// arbitrary otherwise; sort externally if a canonical order is needed).
+// arbitrary otherwise, and not stable across releases: it follows the
+// engine's grid sizing; sort externally if a canonical order is needed).
 // -stats prints the execution metrics (comparisons, filtered objects,
 // memory, per-phase timings) to stderr.
 //

@@ -16,7 +16,7 @@ func tinyRC() RunConfig { return RunConfig{Scale: 0.002, Seed: 7} }
 func TestRegistryCoversEveryPaperArtefact(t *testing.T) {
 	want := []string{
 		"table1", "loading", "fig8", "fig9", "fig10", "fig11",
-		"fig12", "fig13", "fig14", "fig15", "fig16", "ablation",
+		"fig12", "fig13", "fig14", "fig15", "fig16", "ablation", "levels",
 		"queries",
 	}
 	for _, id := range want {

@@ -31,7 +31,17 @@ const (
 // cellRange caches one B object's overlapped cell-coordinate range so
 // the two counting-sort passes don't recompute it; gridProbe reads lo,
 // the cell the object begins in, to decide which cell owns a pair.
-type cellRange struct{ lo, hi grid.Coords }
+// int32 holds any coordinate: a resolution is at most LocalCells, and
+// the cell count of a grid is an int.
+type cellRange struct{ lo, hi [geom.Dims]int32 }
+
+func newCellRange(lo, hi grid.Coords) cellRange {
+	var r cellRange
+	for d := 0; d < geom.Dims; d++ {
+		r.lo[d], r.hi[d] = int32(lo[d]), int32(hi[d])
+	}
+	return r
+}
 
 // cellEntry is one replica on the sparse path: B object index idx in
 // cell key.
@@ -42,8 +52,13 @@ type cellEntry struct {
 
 // joinScratch is the per-worker buffer arena of the join phase. All
 // slices grow to the high-water mark of the nodes a worker processes
-// and are reused; see gridJoin and sweepJoin.
+// and are reused; see gridJoin and sweepJoin. The ones whose length is
+// known before they are filled (ranges, ids, entries) are sized to it in
+// one step, not appended to: a slice regrown across nodes of slowly
+// rising size copies itself every time.
 type joinScratch struct {
+	tasks   []probeTask // the current node's probe tasks, see probeTasks
+	idx     []int32     // probeTasks' stack of surviving B object indexes
 	ranges  []cellRange
 	counts  []int32     // dense path: per-cell counts → end offsets
 	ids     []int32     // B object indexes grouped by cell
@@ -71,17 +86,26 @@ type csrGrid struct {
 	occupied int64
 }
 
+// sized returns s with length n, reallocated (contents dropped) only when
+// its capacity is short.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // buildCSR hashes the node's B objects into the grid. The dense path is
 // a classic two-pass counting sort over the cell space; when the cell
 // space is much larger than the replica count (huge node MBR, few B
 // objects) the sparse path sorts (key, idx) pairs instead, keeping the
 // work proportional to the replicas rather than the cells.
 func (ws *joinScratch) buildCSR(g *grid.Grid, bs []geom.Object) *csrGrid {
-	ws.ranges = ws.ranges[:0]
+	ws.ranges = sized(ws.ranges, len(bs))
 	replicas := int64(0)
 	for i := range bs {
 		lo, hi := g.Range(bs[i].Box)
-		ws.ranges = append(ws.ranges, cellRange{lo, hi})
+		ws.ranges[i] = newCellRange(lo, hi)
 		replicas += grid.RangeCells(lo, hi)
 	}
 	cells := int64(g.Cells())
@@ -93,15 +117,11 @@ func (ws *joinScratch) buildCSR(g *grid.Grid, bs []geom.Object) *csrGrid {
 }
 
 func (ws *joinScratch) buildDense(g *grid.Grid, cells int, replicas int64) *csrGrid {
-	if cap(ws.counts) < cells {
-		ws.counts = make([]int32, cells)
-	}
-	counts := ws.counts[:cells]
+	ws.counts = sized(ws.counts, cells)
+	counts := ws.counts
 	clear(counts)
-	if cap(ws.ids) < int(replicas) {
-		ws.ids = make([]int32, replicas)
-	}
-	ids := ws.ids[:replicas]
+	ws.ids = sized(ws.ids, int(replicas))
+	ids := ws.ids
 
 	// The count and scatter passes iterate cell keys with inlined loops
 	// (instead of Grid.ForEachKey) — the callback indirection costs more
@@ -143,12 +163,18 @@ func (ws *joinScratch) buildDense(g *grid.Grid, cells int, replicas int64) *csrG
 }
 
 func (ws *joinScratch) buildSparse(g *grid.Grid, replicas int64) *csrGrid {
-	ws.entries = ws.entries[:0]
+	ws.entries = slices.Grow(ws.entries[:0], int(replicas))
+	r1, r2 := int64(g.Res[1]), int64(g.Res[2])
 	for i, r := range ws.ranges {
 		bi := int32(i)
-		g.ForEachKey(r.lo, r.hi, func(k int64) {
-			ws.entries = append(ws.entries, cellEntry{key: k, idx: bi})
-		})
+		for x := int64(r.lo[0]); x <= int64(r.hi[0]); x++ {
+			for y := int64(r.lo[1]); y <= int64(r.hi[1]); y++ {
+				base := (x*r1 + y) * r2
+				for k := base + int64(r.lo[2]); k <= base+int64(r.hi[2]); k++ {
+					ws.entries = append(ws.entries, cellEntry{key: k, idx: bi})
+				}
+			}
+		}
 	}
 	// Sorting by (key, idx) groups each cell's replicas contiguously and
 	// keeps the build deterministic without relying on sort stability.
@@ -160,10 +186,8 @@ func (ws *joinScratch) buildSparse(g *grid.Grid, replicas int64) *csrGrid {
 	})
 	ws.keys = ws.keys[:0]
 	ws.offs = ws.offs[:0]
-	if cap(ws.ids) < len(ws.entries) {
-		ws.ids = make([]int32, len(ws.entries))
-	}
-	ids := ws.ids[:len(ws.entries)]
+	ws.ids = sized(ws.ids, len(ws.entries))
+	ids := ws.ids
 	for i, e := range ws.entries {
 		if len(ws.keys) == 0 || ws.keys[len(ws.keys)-1] != e.key {
 			ws.keys = append(ws.keys, e.key)

@@ -24,7 +24,14 @@ func (t *Tree) mapGridJoin(n *Node, bs []geom.Object, postDedup bool, c *stats.C
 			c.Replicas++
 		})
 	}
-	as := t.subtreeA(n)
+	var as []geom.Object // the A objects the probe tasks let through
+	for _, task := range new(joinScratch).probeTasks(n, bs, nil, c) {
+		for _, a := range t.arena[task.aStart:task.aEnd] {
+			if a.Box.Intersects(task.mbr) {
+				as = append(as, a)
+			}
+		}
+	}
 	for ai := range as {
 		a := &as[ai]
 		lo, hi := g.Range(a.Box)
@@ -144,7 +151,9 @@ func TestCSRMatchesMapGrid(t *testing.T) {
 				csr := ws.buildCSR(g, bs)
 				occupied += csr.occupied
 				c.Replicas += csr.replicas
-				tr.gridProbe(g, csr, bs, tr.subtreeA(n), nil, &c, sink)
+				for _, task := range new(joinScratch).probeTasks(n, bs, nil, &c) {
+					tr.gridProbe(g, csr, bs, &task, nil, &c, sink)
+				}
 			}
 
 			if c.Comparisons != ref.c.Comparisons {
@@ -212,7 +221,7 @@ func TestCSRSparsePath(t *testing.T) {
 	ws2 := &joinScratch{}
 	for i := range bs {
 		lo, hi := g.Range(bs[i].Box)
-		ws2.ranges = append(ws2.ranges, cellRange{lo, hi})
+		ws2.ranges = append(ws2.ranges, newCellRange(lo, hi))
 	}
 	ref := ws2.buildDense(g, g.Cells(), sparse.replicas)
 	if sparse.replicas != ref.replicas || sparse.occupied != ref.occupied {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"touch/internal/geom"
@@ -28,11 +29,13 @@ const (
 	LocalJoinGridPostDedup
 	// LocalJoinSweep replaces the grid with a plane-sweep between the
 	// node's B objects and the subtree's A objects (the local join the
-	// paper's *other* baselines use).
+	// paper's *other* baselines use). Like LocalJoinNested it is one of
+	// the ablation's strawmen and walks the node's whole subtree; only
+	// the grid kinds prune it to probe tasks.
 	LocalJoinSweep
 	// LocalJoinNested compares every B object of the node against every
 	// A object below it — Algorithm 1's literal join(in.entities,
-	// leaf.entities) without any space partitioning.
+	// leaf.entities) without any space partitioning or pruning.
 	LocalJoinNested
 )
 
@@ -72,13 +75,25 @@ func (t *Tree) localJoin(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.C
 
 // gridJoin implements Algorithm 4: the node's B objects are hashed into
 // an equi-width grid over the node's MBR (a flat CSR layout, see
-// csr.go), and every A object in the node's arena range probes the
-// cells it overlaps. Depending on the configuration, duplicate
-// candidates are skipped before the test (canonical-cell rule) or
-// discarded after it (reference-point method).
+// csr.go), and the A objects that can meet one of them — the node's
+// probe tasks, see probeTasks — probe the cells they overlap. Depending
+// on the configuration, duplicate candidates are skipped before the test
+// (canonical-cell rule) or discarded after it (reference-point method).
 func (t *Tree) gridJoin(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink, ws *joinScratch) {
-	g := t.localGrid(n, bs)
+	tasks := ws.probeTasks(n, bs, tk, c)
+	if tk.Stopped() {
+		return
+	}
+	g, csr := t.nodeGrid(n, bs, c, ws)
+	for i := range tasks {
+		t.gridProbe(g, csr, bs, &tasks[i], tk, c, sink)
+	}
+}
 
+// nodeGrid sizes and builds one node's grid in ws, charging its replicas
+// to c and its analytic footprint to the scratch's peak.
+func (t *Tree) nodeGrid(n *Node, bs []geom.Object, c *stats.Counters, ws *joinScratch) (*grid.Grid, *csrGrid) {
+	g := t.localGrid(n, bs)
 	csr := ws.buildCSR(g, bs)
 	c.Replicas += csr.replicas
 	// Transient per-node grid footprint: remember the peak; Join adds it
@@ -87,16 +102,80 @@ func (t *Tree) gridJoin(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.Co
 	if gridBytes > ws.peakBytes {
 		ws.peakBytes = gridBytes
 	}
-
-	t.gridProbe(g, csr, bs, t.subtreeA(n), tk, c, sink)
+	return g, csr
 }
 
-// gridProbe runs the probe side of Algorithm 4: every A object in as
-// probes the cells it overlaps in the built CSR grid. The grid and csr
-// are read-only here, so joinParallel can fan the A objects of one huge
-// node out across workers, each probing its own chunk. The worker's
-// ticker is charged one unit per candidate run entry, so a cancelled
-// join aborts within CheckEvery comparisons plus one cell run.
+// probeTask is one stretch [aStart, aEnd) of a node's arena range whose A
+// objects may meet the node's B objects, with the MBR of the B objects
+// that can reach it.
+type probeTask struct {
+	aStart, aEnd int32
+	mbr          geom.Box
+}
+
+// probeTasks filters the node's B objects down its subtree before any A
+// object is probed, so the join's cost follows the probe, not the index.
+// An A object below a node m lies inside m's MBR and can only meet the B
+// objects whose box meets that MBR: starting from the whole B segment,
+// the descent keeps, child by child, the B objects that meet the child's
+// MBR (each test charged to c.NodeTests; the survivors' indexes live on
+// the ws.idx stack). A child none meets is skipped with its whole arena
+// range. The descent stops at a leaf, or as soon as more B objects than
+// A objects are left — one more filter pass then costs more than the
+// probes it can save — and emits a task there. Tasks come out disjoint
+// and in ascending arena order, so probing them in turn visits the
+// surviving A objects in the order a scan of the whole subtree would.
+//
+// The ticker is charged one unit per test, a filter pass at a time: a
+// cancelled join gives up within one pass over the node's B objects. The
+// tasks live in ws and are valid until its next probeTasks call.
+func (ws *joinScratch) probeTasks(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.Counters) []probeTask {
+	ws.tasks = ws.tasks[:0]
+	ws.idx = slices.Grow(ws.idx[:0], len(bs))
+	for i := range bs {
+		ws.idx = append(ws.idx, int32(i))
+	}
+	ws.descend(n, bs, 0, tk, c)
+	return ws.tasks
+}
+
+// descend is probeTasks below node n, for the B objects ws.idx[from:].
+func (ws *joinScratch) descend(n *Node, bs []geom.Object, from int, tk *stats.Ticker, c *stats.Counters) {
+	end := len(ws.idx)
+	if n.Leaf() || end-from > n.aCount() {
+		mbr := geom.EmptyBox()
+		for _, bi := range ws.idx[from:end] {
+			mbr = mbr.Union(bs[bi].Box)
+		}
+		ws.tasks = append(ws.tasks, probeTask{aStart: n.aStart, aEnd: n.aEnd, mbr: mbr})
+		return
+	}
+	for _, ch := range n.Children {
+		if tk.TickN(end - from) {
+			return
+		}
+		c.NodeTests += int64(end - from)
+		for _, bi := range ws.idx[from:end] {
+			if bs[bi].Box.Intersects(ch.MBR) {
+				ws.idx = append(ws.idx, bi)
+			}
+		}
+		if len(ws.idx) > end {
+			ws.descend(ch, bs, end, tk, c)
+			ws.idx = ws.idx[:end]
+		}
+	}
+}
+
+// gridProbe runs the probe side of Algorithm 4 for one task: every A
+// object of the task that meets the task's MBR probes the cells it
+// overlaps in the built CSR grid (the others are rejected before their
+// cell range is computed; like that computation, the rejection is not a
+// counted test). The grid and csr are read-only here, so joinParallel can
+// fan the tasks of one huge node out across workers, each probing its own
+// share. The worker's ticker is charged one unit per candidate run entry,
+// so a cancelled join aborts within CheckEvery comparisons plus one cell
+// run.
 //
 // A pair sharing several cells belongs to exactly one of them: the cell
 // where, in every dimension, one of the two objects begins (Tsitsigkos
@@ -109,14 +188,18 @@ func (t *Tree) gridJoin(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.Co
 // x == aLo or x == bLo; and in a's own first cell the whole run passes
 // unchecked. The cells are walked with an inlined triple loop for the
 // reason buildDense gives.
-func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs, as []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink) {
+func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *probeTask, tk *stats.Ticker, c *stats.Counters, sink stats.Sink) {
 	postDedup := t.cfg.LocalJoin == LocalJoinGridPostDedup
 	r1, r2 := int64(g.Res[1]), int64(g.Res[2])
+	as := t.arena[task.aStart:task.aEnd]
 	for ai := range as {
 		if tk.Stopped() {
 			return
 		}
 		a := &as[ai]
+		if !a.Box.Intersects(task.mbr) {
+			continue
+		}
 		aLo, aHi := g.Range(a.Box)
 		for x := aLo[0]; x <= aHi[0]; x++ {
 			for y := aLo[1]; y <= aHi[1]; y++ {
@@ -138,7 +221,7 @@ func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs, as []geom.Object, tk *s
 						owns := true
 						if check {
 							bLo := &csr.ranges[bi].lo
-							owns = (!needX || bLo[0] == x) && (!needY || bLo[1] == y) && (!needZ || bLo[2] == z)
+							owns = (!needX || int(bLo[0]) == x) && (!needY || int(bLo[1]) == y) && (!needZ || int(bLo[2]) == z)
 						}
 						if postDedup {
 							// Paper mode: test in every shared cell, keep
@@ -166,19 +249,31 @@ func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs, as []geom.Object, tk *s
 	}
 }
 
-// localGrid sizes the grid for one node: the cell side stays
-// considerably larger than the average object (§5.2.2) — of either
-// dataset, since probe objects (A, possibly ε-expanded) that span many
-// cells would multiply grid lookups — and the resolution is capped at
-// LocalCells per dimension.
+// cellHalvings is how many times localGrid may halve the paper's cell
+// side. The candidates are counted, not compared against a floor: a
+// mean extent that overflowed to +Inf halves to +Inf forever.
+const cellHalvings = 4
+
+// localGrid sizes the grid for one node. The paper's rule is the
+// coarsest candidate: a cell side "considerably larger than the average
+// object" (§5.2.2), CellFactor × the larger of the two datasets' mean
+// extents — of either dataset, since probe objects (A, possibly
+// ε-expanded) that span many cells multiply grid lookups — with the
+// resolution capped at LocalCells per dimension. In memory a replica
+// costs a word and a candidate costs a box test (Tsitsigkos & Mamoulis,
+// arXiv 1908.11740), so that side is often far too coarse: localGrid
+// prices it and its cellHalvings halvings with gridWork and takes the
+// cheapest, the coarser on a tie. A finer grid is therefore built only
+// where the estimate expects the comparisons to shrink by more than the
+// replicas and cell lookups it adds; an estimate that is not finite
+// keeps the paper's side.
 func (t *Tree) localGrid(n *Node, bs []geom.Object) *grid.Grid {
-	avg := geom.Dataset(bs).AverageExtent()
+	extB := geom.Dataset(bs).AverageExtent()
+	extA := 0.0
 	if n.aCount() > 0 {
-		if avgA := n.extSumA / float64(n.aCount()); avgA > avg {
-			avg = avgA
-		}
+		extA = n.extSumA / float64(n.aCount())
 	}
-	side := avg * t.cfg.CellFactor
+	side := max(extA, extB) * t.cfg.CellFactor
 	if side <= 0 {
 		// Degenerate (point) objects: fall back to the resolution cap.
 		maxExt := 0.0
@@ -192,7 +287,47 @@ func (t *Tree) localGrid(n *Node, bs []geom.Object) *grid.Grid {
 			side = 1
 		}
 	}
-	return grid.NewCellSize(n.MBR, side, t.cfg.LocalCells)
+	// csr.go keeps cell coordinates in int32.
+	maxRes := min(t.cfg.LocalCells, math.MaxInt32)
+	work := func(s float64) float64 {
+		return gridWork(n.MBR, grid.ResFor(n.MBR, s, maxRes), float64(n.aCount()), float64(len(bs)), extA, extB)
+	}
+	best, bestWork := side, work(side)
+	if !math.IsInf(bestWork, 0) && !math.IsNaN(bestWork) {
+		// s > 0: a denormal side halves to zero.
+		for i, s := 0, side/2; i < cellHalvings && s > 0; i, s = i+1, s/2 {
+			if w := work(s); w < bestWork {
+				best, bestWork = s, w
+			}
+		}
+	}
+	return grid.NewCellSize(n.MBR, best, maxRes)
+}
+
+// gridWork estimates a node's local-join work on a grid of the given
+// resolution over its MBR, from numbers the node already has: replicas
+// written + cells looked up + pairs compared, each counted once.
+//
+//	nB·Π min(res, 1+extB/cell) + nA·Π min(res, 1+extA/cell) + nA·nB·Π min(1, (cell+extA+extB)/X)
+//
+// with the products over the dimensions of non-zero MBR extent X (the
+// others collapse to one cell): an object of mean extent e overlaps
+// 1 + e/cell cells per dimension, and two objects share a cell when
+// their begins are within cell + extA + extB of each other.
+func gridWork(mbr geom.Box, res grid.Coords, nA, nB, extA, extB float64) float64 {
+	replicas, lookups, pairs := nB, nA, nA*nB
+	for d := 0; d < geom.Dims; d++ {
+		x := mbr.Extent(d)
+		if !(x > 0) {
+			continue
+		}
+		r := float64(res[d])
+		cell := x / r
+		replicas *= min(r, 1+extB/cell)
+		lookups *= min(r, 1+extA/cell)
+		pairs *= min(1, (cell+extA+extB)/x)
+	}
+	return replicas + lookups + pairs
 }
 
 // sweepJoin plane-sweeps the subtree's A objects against the node's B

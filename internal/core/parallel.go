@@ -67,9 +67,11 @@ func (p *Probe) assignParallel(b geom.Dataset, dest []int32, ctl *stats.Control,
 // stages. Nodes whose estimated cost is a large share of the total —
 // the root-most nodes can hold orders of magnitude more work than a
 // leaf, and a node is otherwise indivisible — are processed one at a
-// time with all workers cooperating: the CSR grid is built once and the
-// node's A objects are probed in parallel chunks. The remaining nodes
-// are dispatched whole to a worker pool, most expensive first. Each
+// time with all workers cooperating: the probe tasks and the CSR grid
+// are built once and the tasks' A objects are probed in parallel shares
+// — the same task list the sequential join walks, so the counters do not
+// depend on the worker count. The remaining nodes are dispatched whole
+// to a worker pool, most expensive first. Each
 // worker owns a stats.Counters and a joinScratch (grid buffers are
 // reused across nodes and across joins) and batches emitted pairs,
 // taking the shared sink's mutex once per batch instead of once per
@@ -114,36 +116,50 @@ func (p *Probe) joinParallel(ctl *stats.Control, c *stats.Counters, sink stats.S
 		batches[w] = locked.NewBatch(sinkBatchSize)
 	}
 
-	// Stage 1: big nodes, all workers probing chunks of one node's
-	// subtree range at a time.
+	// Stage 1: big nodes, one at a time: the tasks and the grid are built
+	// once, here, and every worker probes an equal share of the tasks'
+	// A objects.
+	tk0 := stats.NewTicker(ctl)
 	for _, id := range p.big {
 		if ctl.Stopped() {
 			break
 		}
 		n := t.nodes[id]
 		bs := p.nodeB(id)
-		g := t.localGrid(n, bs)
 		ws0 := p.scratches[0]
-		csr := ws0.buildCSR(g, bs)
-		c.Replicas += csr.replicas
-		if gridBytes := csr.occupied*stats.BytesPerCell + csr.replicas*stats.BytesPerRef; gridBytes > ws0.peakBytes {
-			ws0.peakBytes = gridBytes
+		tasks := ws0.probeTasks(n, bs, &tk0, c)
+		if tk0.Stopped() {
+			break
 		}
-		as := t.subtreeA(n)
-		chunk := (len(as) + workers - 1) / workers
+		g, csr := t.nodeGrid(n, bs, c, ws0)
+		total := 0
+		for i := range tasks {
+			total += int(tasks[i].aEnd - tasks[i].aStart)
+		}
+		share := (total + workers - 1) / workers
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := min(lo+chunk, len(as))
-			if lo >= hi {
-				break
-			}
+		for w := 0; w*share < total; w++ {
 			wg.Add(1)
-			go func(w, lo, hi int) {
+			go func(w int) {
 				defer wg.Done()
 				tk := stats.NewTicker(ctl)
-				t.gridProbe(g, csr, bs, as[lo:hi], &tk, &counters[w], batches[w])
-			}(w, lo, hi)
+				// Worker w owns objects [skip, skip+left) of the tasks laid
+				// end to end.
+				skip, left := w*share, share
+				for i := 0; i < len(tasks) && left > 0; i++ {
+					part := tasks[i]
+					size := int(part.aEnd - part.aStart)
+					if skip >= size {
+						skip -= size
+						continue
+					}
+					take := min(size-skip, left)
+					part.aStart += int32(skip)
+					part.aEnd = part.aStart + int32(take)
+					skip, left = 0, left-take
+					t.gridProbe(g, csr, bs, &part, &tk, &counters[w], batches[w])
+				}
+			}(w)
 		}
 		wg.Wait()
 	}

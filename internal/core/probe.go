@@ -80,6 +80,40 @@ func (p *Probe) nodeB(id int32) []geom.Object {
 // tree (the probe dataset size minus the filtered objects).
 func (p *Probe) Assigned() int { return len(p.bObjs) }
 
+// LevelStats is one tree depth of Probe.Levels.
+type LevelStats struct {
+	Nodes     int // nodes at this depth
+	Active    int // of them, the nodes holding B objects
+	AssignedB int // B objects assigned at this depth
+	ActiveA   int // A objects below the nodes holding B objects
+}
+
+// Levels reports where the last Assign placed the B objects, one entry
+// per tree depth from the root (0) down: how well the hierarchy
+// partitions the probe, and how much of the index each level's local
+// joins have below them.
+func (p *Probe) Levels() []LevelStats {
+	t := p.tree
+	levels := make([]LevelStats, t.Height)
+	depth := make([]int, len(t.nodes))
+	var walk func(n *Node, d int)
+	walk = func(n *Node, d int) {
+		depth[n.id] = d
+		levels[d].Nodes++
+		for _, ch := range n.Children {
+			walk(ch, d+1)
+		}
+	}
+	walk(t.Root, 0)
+	for _, id := range p.active {
+		l := &levels[depth[id]]
+		l.Active++
+		l.AssignedB += len(p.nodeB(id))
+		l.ActiveA += t.nodes[id].aCount()
+	}
+	return levels
+}
+
 // MemoryBytes is the analytic footprint of the probe's last join: the
 // assigned B references plus the peak transient local-join grid. Valid
 // after JoinPhase; together with Tree.StaticBytes it reproduces the

@@ -1,0 +1,195 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"touch/internal/datagen"
+	"touch/internal/geom"
+	"touch/internal/nl"
+	"touch/internal/stats"
+)
+
+// nodeTasks runs probeTasks for every active node of an assigned probe
+// and returns a copy of each node's list, keyed by node id.
+func nodeTasks(tr *Tree, p *Probe, c *stats.Counters) map[int32][]probeTask {
+	ws := &joinScratch{}
+	out := make(map[int32][]probeTask, len(p.active))
+	for _, id := range p.active {
+		out[id] = append([]probeTask(nil), ws.probeTasks(tr.nodes[id], p.nodeB(id), nil, c)...)
+	}
+	return out
+}
+
+// TestProbeTasksLoseNoPair: whatever the descent prunes, every pair of
+// the nested-loop oracle must stay reachable — its A object inside a
+// task of the node its B object was assigned to, and meeting that task's
+// MBR — and a node's tasks must be disjoint, ascending and inside the
+// node's arena range, the order a scan of the whole subtree would visit.
+func TestProbeTasksLoseNoPair(t *testing.T) {
+	const nA = 600
+	box := geom.NewBox(geom.Point{400, 400, 400}, geom.Point{600, 600, 600})
+	identical := make(geom.Dataset, nA)
+	for i := range identical {
+		identical[i] = geom.Object{ID: geom.ID(i), Box: box}
+	}
+	planar := datagen.UniformSet(nA, 602)
+	for i := range planar {
+		planar[i].Box.Min[2], planar[i].Box.Max[2] = 500, 500
+	}
+	for _, shape := range []struct {
+		name string
+		a    geom.Dataset
+		cfg  Config
+	}{
+		{name: "uniform", a: datagen.UniformSet(nA, 600).Expand(6)},
+		{name: "clustered", a: datagen.ClusteredSet(nA, 601).Expand(6)},
+		{name: "all-identical", a: identical},
+		{name: "planar", a: planar.Expand(6)},
+		{name: "single-leaf", a: datagen.UniformSet(nA, 603).Expand(6), cfg: Config{Partitions: 1}},
+	} {
+		tr := Build(shape.a, shape.cfg)
+		arenaPos := make(map[geom.ID]int32, len(tr.arena))
+		for i := range tr.arena {
+			arenaPos[tr.arena[i].ID] = int32(i)
+		}
+		for _, nB := range []int{1, 8, 64, 4 * nA} {
+			name := fmt.Sprintf("%s/B=%d", shape.name, nB)
+			b := datagen.UniformSet(nB, int64(610+nB)).Expand(20)
+			p := tr.NewProbe()
+			var c stats.Counters
+			p.Assign(b, nil, &c)
+			assigned := make(map[geom.ID]int32, len(b))
+			for _, id := range p.active {
+				for _, o := range p.nodeB(id) {
+					assigned[o.ID] = id
+				}
+			}
+			tasks := nodeTasks(tr, p, &c)
+			for id, ts := range tasks {
+				n := tr.nodes[id]
+				next := n.aStart
+				for _, task := range ts {
+					if task.aStart < next || task.aEnd <= task.aStart || task.aEnd > n.aEnd {
+						t.Fatalf("%s: node %d [%d,%d): task [%d,%d) after offset %d",
+							name, id, n.aStart, n.aEnd, task.aStart, task.aEnd, next)
+					}
+					next = task.aEnd
+				}
+			}
+			pairs := 0
+			for pair := range oracle(shape.a, b) {
+				pairs++
+				id, ok := assigned[pair.B]
+				if !ok {
+					t.Fatalf("%s: B object %d of pair %v was filtered", name, pair.B, pair)
+				}
+				pos := arenaPos[pair.A]
+				reached := false
+				for _, task := range tasks[id] {
+					if task.aStart <= pos && pos < task.aEnd {
+						reached = tr.arena[pos].Box.Intersects(task.mbr)
+					}
+				}
+				if !reached {
+					t.Fatalf("%s: pair %v: A object at arena %d is in no task of node %d that it meets",
+						name, pair, pos, id)
+				}
+			}
+			if nB == 4*nA && pairs == 0 {
+				t.Fatalf("%s: premise: the oracle found no pair", name)
+			}
+		}
+	}
+}
+
+// TestSmallProbeSkipsTheIndex: a join's cost follows the probe, not the
+// index. 256 boxes against 50,000 objects must leave most of the arena
+// below the nodes they were assigned to unvisited — structurally, not by
+// the clock — and still find every pair.
+func TestSmallProbeSkipsTheIndex(t *testing.T) {
+	a := datagen.UniformSet(50_000, 620)
+	b := datagen.UniformSet(256, 621).Expand(5)
+	tr := Build(a, Config{})
+	p := tr.NewProbe()
+	var c stats.Counters
+	p.Assign(b, nil, &c)
+	below, visited := 0, 0
+	for id, ts := range nodeTasks(tr, p, &c) {
+		below += tr.nodes[id].aCount()
+		for _, task := range ts {
+			visited += int(task.aEnd - task.aStart)
+		}
+	}
+	if visited*4 >= below {
+		t.Fatalf("tasks cover %d A objects of the %d below the active nodes, want under a quarter", visited, below)
+	}
+	sink := &stats.CountSink{}
+	p.JoinPhase(nil, &c, sink)
+	var want stats.Counters
+	nl.Join(a, b, nil, &want, &stats.CountSink{})
+	if c.Results != want.Results || sink.N != want.Results {
+		t.Fatalf("Results %d (emitted %d), nested loop %d", c.Results, sink.N, want.Results)
+	}
+}
+
+// joinCounts is the paper's currency for one join: what TOUCH did, not
+// how long it took. Every field is exact and machine-independent.
+type joinCounts struct {
+	Comparisons, NodeTests, Filtered, Results, Replicas int64
+	StaticBytes, ProbeBytes                             int64
+}
+
+// TestJoinCountsGolden pins the counts of two joins — the two ways the
+// benchmark uses the engine, at a size that runs in well under a second —
+// to the literal table below, for 1 and 2 workers. A change that moves a
+// count must move the table with it, so the old and the new number both
+// show in its diff.
+func TestJoinCountsGolden(t *testing.T) {
+	axons, dendrites := datagen.GenerateNeuro(datagen.ScaledNeuroConfig(42, 1.0/50))
+	for _, tc := range []struct {
+		name string
+		a, b geom.Dataset
+		want joinCounts
+	}{
+		{
+			// join_sparse's shape: a one-shot join, the tree built on the
+			// ε-expanded smaller side.
+			name: "uniform-20Kx60K",
+			a:    datagen.UniformSet(20_000, 42).Expand(5),
+			b:    datagen.UniformSet(60_000, 43),
+			want: joinCounts{
+				Comparisons: 38248, NodeTests: 358343, Filtered: 11, Results: 1551, Replicas: 64360,
+				StaticBytes: 425728, ProbeBytes: 2770832,
+			},
+		},
+		{
+			// join_dense's shape: a prebuilt tree on the axons, probed
+			// with the ε-expanded dendrites.
+			name: "neuro-1/50",
+			a:    axons.Objects(),
+			b:    dendrites.Objects().Expand(5),
+			want: joinCounts{
+				Comparisons: 158263, NodeTests: 244578, Filtered: 15637, Results: 22883, Replicas: 70727,
+				StaticBytes: 368768, ProbeBytes: 601856,
+			},
+		},
+	} {
+		tr := Build(tc.a, Config{})
+		for _, workers := range []int{1, 2} {
+			p := tr.NewProbe()
+			p.SetWorkers(workers)
+			var c stats.Counters
+			p.Assign(tc.b, nil, &c)
+			p.JoinPhase(nil, &c, &stats.CountSink{})
+			got := joinCounts{
+				Comparisons: c.Comparisons, NodeTests: c.NodeTests, Filtered: c.Filtered,
+				Results: c.Results, Replicas: c.Replicas,
+				StaticBytes: tr.StaticBytes(), ProbeBytes: p.MemoryBytes(),
+			}
+			if got != tc.want {
+				t.Errorf("%s workers=%d:\n got %+v\nwant %+v", tc.name, workers, got, tc.want)
+			}
+		}
+	}
+}

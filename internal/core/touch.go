@@ -11,7 +11,12 @@
 //     sibling; objects overlapping no MBR are filtered out entirely.
 //  3. Join — each node holding B objects is joined against the A objects
 //     in its descendant leaves through an equi-width grid local join
-//     (Algorithm 4) with reference-point duplicate avoidance.
+//     (Algorithm 4) with reference-point duplicate avoidance. The work
+//     follows what can match on both sides of the pair: the node's B
+//     objects are first filtered down its subtree, so only the stretches
+//     of the arena some B object can reach are probed (probeTasks), and
+//     the cell side is the cheapest, by estimated work, of the paper's
+//     and its four halvings (localGrid).
 //
 // Unlike PBSM there is no replication of B objects (single assignment,
 // Lemma 3: no duplicate results before the local join), and unlike S3 the
@@ -83,8 +88,10 @@ type Config struct {
 	// LocalCells caps the local-join grid resolution per dimension.
 	// Default 500.
 	LocalCells int
-	// CellFactor scales the minimum local-join cell side relative to the
-	// average B-object extent within the node. Default 2.
+	// CellFactor scales the coarsest local-join cell side relative to the
+	// mean object extent within the node; the local join halves that side
+	// up to four times while its estimated work drops (localGrid).
+	// Default 2.
 	CellFactor float64
 	// LocalJoin selects the local-join strategy (Algorithm 4 variants);
 	// the zero value is the grid with pre-test deduplication. See

@@ -60,6 +60,13 @@ func NewRes(universe geom.Box, res Coords) *Grid {
 // Used by TOUCH's local join to keep cells "considerably larger than the
 // average size of the objects" (§5.2.2).
 func NewCellSize(universe geom.Box, side float64, maxRes int) *Grid {
+	return NewRes(universe, ResFor(universe, side, maxRes))
+}
+
+// ResFor returns the per-dimension resolution NewCellSize gives a grid
+// of the given cell side, so a caller weighing several sides can price
+// each without building its grid.
+func ResFor(universe geom.Box, side float64, maxRes int) Coords {
 	if side <= 0 {
 		panic(fmt.Sprintf("grid: cell side %g <= 0", side))
 	}
@@ -68,16 +75,9 @@ func NewCellSize(universe geom.Box, side float64, maxRes int) *Grid {
 	}
 	var res Coords
 	for d := 0; d < geom.Dims; d++ {
-		n := int(universe.Extent(d) / side)
-		if n < 1 {
-			n = 1
-		}
-		if n > maxRes {
-			n = maxRes
-		}
-		res[d] = n
+		res[d] = max(1, clampFloor(universe.Extent(d)/side, maxRes+1))
 	}
-	return NewRes(universe, res)
+	return res
 }
 
 // Cells returns the total number of cells in the grid.
@@ -89,19 +89,26 @@ func (g *Grid) Cells() int {
 	return n
 }
 
+// clampFloor truncates f to an integer in [0, n-1], clamping before it
+// converts: int(f) of a value beyond ±2⁶³ is implementation-defined in
+// Go (MinInt64 on amd64, so a far-right coordinate would land in cell 0),
+// and NaN compares false with everything, so it goes to 0 as well.
+func clampFloor(f float64, n int) int {
+	if !(f > 0) {
+		return 0
+	}
+	if f >= float64(n) {
+		return n - 1
+	}
+	return int(f)
+}
+
 // clampIndex returns the index in dimension d of the cell containing v,
 // clamped to the grid: points outside the universe map to the nearest
 // border cell, which is what both PBSM and the local join need for
 // clamped ranges.
 func (g *Grid) clampIndex(d int, v float64) int {
-	i := int((v - g.Universe.Min[d]) / g.cell[d])
-	if i < 0 {
-		return 0
-	}
-	if i >= g.Res[d] {
-		return g.Res[d] - 1
-	}
-	return i
+	return clampFloor((v-g.Universe.Min[d])/g.cell[d], g.Res[d])
 }
 
 // Range returns the inclusive cell-coordinate range overlapped by the

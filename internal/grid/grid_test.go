@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -260,4 +261,52 @@ func randBox(rng *rand.Rand) geom.Box {
 		h[d] = rng.Float64() * 10
 	}
 	return geom.NewBox(geom.Sub(c, h), geom.Add(c, h))
+}
+
+// TestRangeClampsBeforeConverting: a quotient beyond ±2⁶³ (or ±Inf, or
+// NaN) must clamp to the border cell on its own side; converting first
+// is implementation-defined and wraps a far-right coordinate to cell 0
+// on amd64.
+func TestRangeClampsBeforeConverting(t *testing.T) {
+	inf := math.Inf(1)
+	g := New(geom.NewBox(geom.Point{0, 0, 0}, geom.Point{10, 10, 10}), 10)
+	for _, tc := range []struct {
+		name   string
+		box    geom.Box
+		lo, hi Coords
+	}{
+		{
+			name: "beyond-int64",
+			box:  geom.Box{Min: geom.Point{-1e300, 5, 5}, Max: geom.Point{1e300, 5.5, 2e19}},
+			lo:   Coords{0, 5, 5}, hi: Coords{9, 5, 9},
+		},
+		{
+			name: "infinite",
+			box:  geom.Box{Min: geom.Point{-inf, -inf, 3}, Max: geom.Point{inf, 2, inf}},
+			lo:   Coords{0, 0, 3}, hi: Coords{9, 2, 9},
+		},
+		{
+			name: "in-range-unchanged",
+			box:  geom.Box{Min: geom.Point{0, 9.999, 10}, Max: geom.Point{0.5, 10, 11}},
+			lo:   Coords{0, 9, 9}, hi: Coords{0, 9, 9},
+		},
+	} {
+		if lo, hi := g.Range(tc.box); lo != tc.lo || hi != tc.hi {
+			t.Errorf("%s: Range = %v %v, want %v %v", tc.name, lo, hi, tc.lo, tc.hi)
+		}
+	}
+
+	// A collapsed dimension has one cell whatever the coordinate, and an
+	// infinite universe (cell side +Inf, quotients 0 or NaN) maps every
+	// coordinate to cell 0 instead of panicking or wrapping.
+	flat := New(geom.NewBox(geom.Point{0, 0, 7}, geom.Point{10, 10, 7}), 10)
+	lo, hi := flat.Range(geom.Box{Min: geom.Point{1, 1, -1e300}, Max: geom.Point{2, 2, 1e300}})
+	if lo != (Coords{1, 1, 0}) || hi != (Coords{2, 2, 0}) {
+		t.Errorf("collapsed dimension: Range = %v %v", lo, hi)
+	}
+	huge := NewCellSize(geom.Box{Min: geom.Point{-1e308, 0, 0}, Max: geom.Point{1e308, 10, 10}}, 1, 10)
+	lo, hi = huge.Range(geom.Box{Min: geom.Point{-1e308, 0, 0}, Max: geom.Point{1e308, 10, 10}})
+	if lo != (Coords{0, 0, 0}) || hi != (Coords{0, 9, 9}) {
+		t.Errorf("infinite extent: Range = %v %v (res %v)", lo, hi, huge.Res)
+	}
 }

@@ -24,6 +24,9 @@ import (
 type Case struct {
 	Name string
 	A, B touch.Dataset
+	// KeepOrder makes every join index A as given instead of letting the
+	// join-order heuristic pick the smaller side.
+	KeepOrder bool
 }
 
 // IdenticalSet returns n objects sharing one box — the pathological
@@ -67,6 +70,10 @@ func Cases(seed int64) []Case {
 		{Name: "all-identical", A: withAnchor(IdenticalSet(60, box), geom.Point{0, 0, 0}),
 			B: withAnchor(IdenticalSet(90, box), geom.Point{999, 999, 999})},
 		{Name: "identical-vs-uniform", A: IdenticalSet(64, box), B: touch.GenerateUniform(200, seed+12)},
+		// The serving regime: a handful of probe boxes against a large
+		// index, where TOUCH's local join prunes deepest. The order
+		// heuristic would index the probe instead, so the order is kept.
+		{Name: "probe-100x-smaller", A: touch.GenerateUniform(6000, seed+13).Expand(8), B: touch.GenerateUniform(60, seed+14).Expand(30), KeepOrder: true},
 	}
 }
 
@@ -109,7 +116,7 @@ func OraclePairs(a, b touch.Dataset) ([]touch.Pair, error) {
 // CheckJoin runs one algorithm at one worker count and returns an error
 // unless its pair set is identical to the oracle's.
 func CheckJoin(alg touch.Algorithm, c Case, workers int, want []touch.Pair) error {
-	res, err := touch.SpatialJoin(alg, c.A, c.B, &touch.Options{Workers: workers})
+	res, err := touch.SpatialJoin(alg, c.A, c.B, &touch.Options{Workers: workers, KeepOrder: c.KeepOrder})
 	if err != nil {
 		return fmt.Errorf("%s/%s workers=%d: %w", c.Name, alg, workers, err)
 	}

@@ -36,6 +36,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"touch/internal/core"
 	"touch/internal/geom"
@@ -308,6 +309,37 @@ func (s *limitSink) Emit(a, b geom.ID) {
 	}
 }
 
+// pairChunks gathers the pairs of a materializing join. Appending to one
+// slice copies everything gathered so far each time it regrows — 59 MB
+// allocated to deliver 16 MB of pairs — so the pairs go into chunks that
+// double up to maxPairChunk and are joined once, into a Result.Pairs
+// sized for them.
+type pairChunks struct {
+	full [][]Pair // filled chunks, in emission order
+	cur  []Pair   // the chunk being filled
+}
+
+const (
+	minPairChunk = 256
+	maxPairChunk = 64 << 10
+)
+
+// Emit implements Sink.
+func (p *pairChunks) Emit(a, b geom.ID) {
+	if len(p.cur) == cap(p.cur) {
+		if p.cur != nil {
+			p.full = append(p.full, p.cur)
+		}
+		p.cur = make([]Pair, 0, min(max(2*cap(p.cur), minPairChunk), maxPairChunk))
+	}
+	p.cur = append(p.cur, Pair{A: a, B: b})
+}
+
+// pairs joins the chunks; nil when nothing was emitted.
+func (p *pairChunks) pairs() []Pair {
+	return slices.Concat(append(p.full, p.cur)...)
+}
+
 // joinSink builds the pair-delivery chain of one join: the engine-facing
 // sink (re-orienting pairs when the join-order heuristic swapped the
 // datasets, capping delivery when a limit is set) and a finish func the
@@ -315,7 +347,7 @@ func (s *limitSink) Emit(a, b geom.ID) {
 // Stats.Results to the delivered count.
 func joinSink(o *Options, swapped bool, ctl *stats.Control, res *Result) (sink Sink, finish func()) {
 	var base Sink
-	var collect *stats.CollectSink
+	var collect *pairChunks
 	switch {
 	case o.Sink != nil && swapped:
 		base = stats.FuncSink(func(x, y geom.ID) { o.Sink.Emit(y, x) })
@@ -324,12 +356,10 @@ func joinSink(o *Options, swapped bool, ctl *stats.Control, res *Result) (sink S
 	case o.NoPairs:
 		base = &stats.CountSink{}
 	case swapped:
-		collect = &stats.CollectSink{}
-		base = stats.FuncSink(func(x, y geom.ID) {
-			collect.Pairs = append(collect.Pairs, Pair{A: y, B: x})
-		})
+		collect = &pairChunks{}
+		base = stats.FuncSink(func(x, y geom.ID) { collect.Emit(y, x) })
 	default:
-		collect = &stats.CollectSink{}
+		collect = &pairChunks{}
 		base = collect
 	}
 	sink = base
@@ -340,7 +370,7 @@ func joinSink(o *Options, swapped bool, ctl *stats.Control, res *Result) (sink S
 	}
 	finish = func() {
 		if collect != nil {
-			res.Pairs = collect.Pairs
+			res.Pairs = collect.pairs()
 		}
 		if lim != nil {
 			// The engine's own Results counter may include pairs emitted
