@@ -13,6 +13,12 @@ import (
 // side of the join. Finite coordinates pass every loader, so such a box
 // is one request away. The pair sets must equal the nested loop's; a
 // grid-sizing loop that never ends shows as the test's own timeout.
+//
+// The last order is hostile by skew, not by overflow: one universe-sized
+// box among 2,047 small ones. The cell side follows the mean extent, so the
+// one box overlaps every cell of a grid sized for the others. What that
+// must not cost is asserted by count, not by the clock: the replicas stay
+// within a small multiple of the objects joined.
 func TestJoinHostileExtents(t *testing.T) {
 	hostile := GenerateUniform(500, 801)
 	for _, b := range []Box{
@@ -40,16 +46,24 @@ func TestJoinHostileExtents(t *testing.T) {
 		tinyB = append(tinyB, Object{ID: ID(k), Box: Box{Min: Point{lo + step, lo + step, lo + step}, Max: Point{lo + 3*step, lo + 3*step, lo + 3*step}}})
 	}
 
+	// One box over the whole universe among 2,047 small ones: a legal
+	// inline probe. Unbounded, the root's grid alone holds 72.5M replicas.
+	skewed := append(GenerateUniform(2047, 804), Object{ID: 2047, Box: Box{Min: Point{0, 0, 0}, Max: Point{1000, 1000, 1000}}})
+	indexed := GenerateUniform(20_000, 805)
+
 	for _, order := range []struct {
 		name string
 		a, b Dataset
 		eps  float64
 		cfg  TOUCHConfig
+		// maxReplicas, when set, bounds Stats.Replicas of every path.
+		maxReplicas int64
 	}{
 		{name: "hostile-indexed", a: hostile, b: plain, eps: 5},
 		{name: "hostile-probing", a: plain, b: hostile, eps: 5},
 		{name: "far-probing-finest-grid", a: plain, b: far, eps: 5, cfg: TOUCHConfig{CellFactor: 1e-22}},
 		{name: "denormal", a: tinyA, b: tinyB},
+		{name: "one-universe-box-probing", a: indexed, b: skewed, maxReplicas: 8 * int64(len(indexed)+len(skewed))},
 	} {
 		a, b, eps := order.a, order.b, order.eps
 		nl, err := DistanceJoin(AlgNL, a, b, eps, &Options{KeepOrder: true})
@@ -67,6 +81,10 @@ func TestJoinHostileExtents(t *testing.T) {
 			}
 			if got := sortPairSet(res.Pairs); !slices.Equal(got, want) {
 				t.Errorf("%s/%s: %d pairs, nested loop has %d", order.name, path, len(got), len(want))
+			}
+			if order.maxReplicas > 0 && res.Stats.Replicas > order.maxReplicas {
+				t.Errorf("%s/%s: %d replicas joining %d × %d objects, want at most %d",
+					order.name, path, res.Stats.Replicas, len(a), len(b), order.maxReplicas)
 			}
 		}
 

@@ -215,9 +215,9 @@ type IndexStats struct {
 	// Height is the number of tree levels; 1 means a single leaf.
 	Height int
 	// StaticBytes is the analytic footprint of the immutable build
-	// artifact — the tree structure plus the A references in the buckets
-	// (§6.4). Per-query probe state is accounted separately, in
-	// Stats.MemoryBytes of each join result.
+	// artifact — the tree structure, the A references in the buckets
+	// (§6.4) and the leaves' block directory. Per-query probe state is
+	// accounted separately, in Stats.MemoryBytes of each join result.
 	StaticBytes int64
 }
 
@@ -253,12 +253,13 @@ func checkPoint(p Point) error {
 // corner order.
 //
 // The traversal is the best case O(log |A| + r) for r results: node
-// MBRs prune disjoint subtrees, and a subtree fully inside q is emitted
-// as one contiguous arena scan with no per-object tests. Over a
-// non-empty delta the base answer is then filtered against the
-// tombstones and one pass over the inserts appends the matches in ID
-// order (no sort, no extra allocation). Safe for arbitrary concurrent
-// callers; steady-state serving allocates only the returned slice.
+// MBRs prune disjoint subtrees, a subtree fully inside q is emitted as
+// one contiguous arena scan with no per-object tests, and a leaf is
+// read block by block under the same rule. Over a non-empty delta the
+// base answer is then filtered against the tombstones and one pass over
+// the inserts appends the matches in ID order (no sort, no extra
+// allocation). Safe for arbitrary concurrent callers; steady-state
+// serving allocates only the returned slice.
 func (r *reader) RangeQuery(q Box) ([]ID, error) { return r.RangeQueryTraced(q, nil) }
 
 // RangeQueryTraced is RangeQuery with per-request tracing: a non-nil
@@ -310,14 +311,15 @@ func (r *reader) PointQueryTraced(x, y, z float64, sp *Span) ([]ID, error) {
 // returned when fewer than k objects are live. k < 1 is rejected with
 // ErrInvalidK and NaN coordinates with ErrInvalidPoint.
 //
-// The search is best-first branch and bound over node MBRs with a
-// distance-ordered priority queue, visiting only the nodes whose MBR
-// distance can still beat the current k-th neighbor — O(log |A| + k)
-// node visits on well-separated data. Over a non-empty delta the base
-// is asked for exactly k neighbors with the tombstones as its skip
-// list, dropping tombstoned objects as they are popped; they are the
-// running top-k that one pass over the inserts then improves, touching
-// it only when an insert beats the current k-th neighbor. Safe for
+// The search is a bounded best-first branch and bound: a
+// distance-ordered priority queue of nodes and leaf blocks, the best k
+// objects so far in a k-slot heap, and everything strictly beyond the
+// k-th distance dropped unseen — O(log |A| + k) node visits on
+// well-separated data. Over a non-empty delta the base is asked for
+// exactly k neighbors with the tombstones as its skip list, looked up
+// only for an object that would enter the heap; they are the running
+// top-k that one pass over the inserts then improves, touching it only
+// when an insert beats the current k-th neighbor. Safe for
 // arbitrary concurrent callers; steady-state serving allocates only the
 // returned slice.
 func (r *reader) KNN(q Point, k int) ([]Neighbor, error) { return r.KNNTraced(q, k, nil) }

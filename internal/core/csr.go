@@ -95,12 +95,10 @@ func sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// buildCSR hashes the node's B objects into the grid. The dense path is
-// a classic two-pass counting sort over the cell space; when the cell
-// space is much larger than the replica count (huge node MBR, few B
-// objects) the sparse path sorts (key, idx) pairs instead, keeping the
-// work proportional to the replicas rather than the cells.
-func (ws *joinScratch) buildCSR(g *grid.Grid, bs []geom.Object) *csrGrid {
+// cellRanges is the first pass of the CSR build: it caches the cell range
+// each B object overlaps in ws.ranges and returns how many replicas
+// hashing them into g would write, before anything is allocated for them.
+func (ws *joinScratch) cellRanges(g *grid.Grid, bs []geom.Object) int64 {
 	ws.ranges = sized(ws.ranges, len(bs))
 	replicas := int64(0)
 	for i := range bs {
@@ -108,6 +106,16 @@ func (ws *joinScratch) buildCSR(g *grid.Grid, bs []geom.Object) *csrGrid {
 		ws.ranges[i] = newCellRange(lo, hi)
 		replicas += grid.RangeCells(lo, hi)
 	}
+	return replicas
+}
+
+// buildCSR hashes the node's B objects into the grid, from the ranges and
+// the replica count cellRanges left. The dense path is a classic two-pass
+// counting sort over the cell space; when the cell space is much larger
+// than the replica count (huge node MBR, few B objects) the sparse path
+// sorts (key, idx) pairs instead, keeping the work proportional to the
+// replicas rather than the cells.
+func (ws *joinScratch) buildCSR(g *grid.Grid, replicas int64) *csrGrid {
 	cells := int64(g.Cells())
 	if cells <= maxDenseCells && replicas < math.MaxInt32 &&
 		cells <= denseSlackFactor*replicas+denseSlackBase {

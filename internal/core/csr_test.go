@@ -15,7 +15,7 @@ import (
 // grid must not diverge from: identical Comparisons, Replicas, occupied
 // cell count and result set per node.
 func (t *Tree) mapGridJoin(n *Node, bs []geom.Object, postDedup bool, c *stats.Counters, sink stats.Sink) int64 {
-	g := t.localGrid(n, bs)
+	g, _ := t.boundedGrid(n, bs, new(joinScratch))
 	cells := make(map[int64][]int32)
 	for i := range bs {
 		lo, hi := g.Range(bs[i].Box)
@@ -99,6 +99,7 @@ func TestCSRMatchesMapGrid(t *testing.T) {
 		cfg     Config
 		a, b    geom.Dataset
 		chunked bool // the root must be big enough for the stage-1 fan-out
+		bounded bool // boundedGrid must coarsen some node's grid
 	}{
 		{
 			name: "uniform-default",
@@ -129,6 +130,17 @@ func TestCSRMatchesMapGrid(t *testing.T) {
 			b:       datagen.UniformSet(1500, 508).Expand(15),
 			chunked: true,
 		},
+		{
+			// One box over the whole universe among small ones: sized from
+			// the mean extent the root's grid would hold 1.2M replicas, so
+			// the CSR and the reference both join on the coarsened grid.
+			name: "one-universe-box",
+			cfg:  Config{},
+			a:    datagen.UniformSet(600, 509),
+			b: append(datagen.UniformSet(400, 510),
+				geom.Object{ID: 400, Box: geom.NewBox(geom.Point{0, 0, 0}, geom.Point{1000, 1000, 1000})}),
+			bounded: true,
+		},
 	} {
 		for _, postDedup := range []bool{false, true} {
 			cfg := tc.cfg
@@ -144,18 +156,23 @@ func TestCSRMatchesMapGrid(t *testing.T) {
 			p.Assign(tc.b, nil, &c)
 			ws := &joinScratch{}
 			occupied := int64(0)
+			coarsened := false
 			for _, id := range p.active {
 				n := tr.nodes[id]
 				bs := p.nodeB(id)
-				g := tr.localGrid(n, bs)
-				csr := ws.buildCSR(g, bs)
+				g, csr := tr.nodeGrid(n, bs, &c, ws)
+				if sized, _ := tr.localGrid(n, bs); sized.Res != g.Res {
+					coarsened = true
+				}
 				occupied += csr.occupied
-				c.Replicas += csr.replicas
 				for _, task := range new(joinScratch).probeTasks(n, bs, nil, &c) {
 					tr.gridProbe(g, csr, bs, &task, nil, &c, sink)
 				}
 			}
 
+			if coarsened != tc.bounded {
+				t.Fatalf("%s postDedup=%v: premise: a grid coarsened: %v, want %v", tc.name, postDedup, coarsened, tc.bounded)
+			}
 			if c.Comparisons != ref.c.Comparisons {
 				t.Errorf("%s postDedup=%v: Comparisons %d, map grid %d",
 					tc.name, postDedup, c.Comparisons, ref.c.Comparisons)
@@ -212,18 +229,13 @@ func TestCSRSparsePath(t *testing.T) {
 		{ID: 3, Box: geom.NewBox(geom.Point{990, 990, 990}, geom.Point{999, 999, 999})},
 	}
 	ws := &joinScratch{}
-	sparse := ws.buildCSR(g, bs)
+	sparse := ws.buildCSR(g, ws.cellRanges(g, bs))
 	if sparse.dense {
 		t.Fatal("premise: expected the sparse path")
 	}
-	// Dense reference on a fresh scratch with the slack checks bypassed
-	// (buildDense consumes the ranges its buildCSR pass would cache).
+	// Dense reference on a fresh scratch with the slack checks bypassed.
 	ws2 := &joinScratch{}
-	for i := range bs {
-		lo, hi := g.Range(bs[i].Box)
-		ws2.ranges = append(ws2.ranges, newCellRange(lo, hi))
-	}
-	ref := ws2.buildDense(g, g.Cells(), sparse.replicas)
+	ref := ws2.buildDense(g, g.Cells(), ws2.cellRanges(g, bs))
 	if sparse.replicas != ref.replicas || sparse.occupied != ref.occupied {
 		t.Fatalf("sparse/dense disagree: replicas %d/%d occupied %d/%d",
 			sparse.replicas, ref.replicas, sparse.occupied, ref.occupied)

@@ -23,8 +23,9 @@ import (
 // structural invariant Build establishes is re-checked — arena ranges,
 // child-count consistency, recomputed MBRs and extent sums, height and
 // leaf counts. A Frozen that passes Thaw is bit-equivalent to the tree a
-// fresh Build of the same arena partitioning would produce; one that
-// does not is rejected with an error, never a panic and never a tree
+// fresh Build of the same arena partitioning would produce — the derived
+// block directory included, which Thaw rebuilds instead of reading; one
+// that does not is rejected with an error, never a panic and never a tree
 // that answers queries differently from its checksum-blessed bytes.
 
 // FrozenNode is one node of a frozen tree, in DFS pre-order. Children
@@ -222,6 +223,9 @@ func Thaw(f *Frozen) (*Tree, error) {
 	if err := verifyDerived(t); err != nil {
 		return nil, err
 	}
+	// The block directory is not part of the frozen form: it is rebuilt
+	// over the arena as it arrived, whatever order a leaf's stretch is in.
+	t.indexBlocks()
 	return t, nil
 }
 

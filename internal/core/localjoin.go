@@ -93,8 +93,8 @@ func (t *Tree) gridJoin(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.Co
 // nodeGrid sizes and builds one node's grid in ws, charging its replicas
 // to c and its analytic footprint to the scratch's peak.
 func (t *Tree) nodeGrid(n *Node, bs []geom.Object, c *stats.Counters, ws *joinScratch) (*grid.Grid, *csrGrid) {
-	g := t.localGrid(n, bs)
-	csr := ws.buildCSR(g, bs)
+	g, replicas := t.boundedGrid(n, bs, ws)
+	csr := ws.buildCSR(g, replicas)
 	c.Replicas += csr.replicas
 	// Transient per-node grid footprint: remember the peak; Join adds it
 	// on top of the static structure bytes.
@@ -103,6 +103,39 @@ func (t *Tree) nodeGrid(n *Node, bs []geom.Object, c *stats.Counters, ws *joinSc
 		ws.peakBytes = gridBytes
 	}
 	return g, csr
+}
+
+// replicaSlack is how many times the work localGrid priced for a whole
+// local join the replicas of its grid alone may cost before boundedGrid
+// coarsens it. Measured over every node of the benchmark's join inputs
+// and of uniform, Gaussian and clustered joins at three seeds, a grid's
+// replicas never exceed 0.65 of that work (0.54 on the benchmark's), so
+// only an estimate that is off by most of an order of magnitude coarsens
+// anything.
+const replicaSlack = 4
+
+// boundedGrid is localGrid held to its own estimate. The cell side comes
+// from mean extents, so a few objects far larger than the mean — one
+// universe-sized box among thousands of points is a legal probe — can
+// overlap millions of cells the estimate never priced. The replicas are
+// counted before anything is allocated for them (cellRanges, the CSR
+// build's first pass): while they exceed replicaSlack times the estimated
+// work of the whole join, the resolution is halved and they are counted
+// again, each pass as cheap as one filter pass of probeTasks. An estimate
+// that is not finite coarsens nothing. The cell ranges of the grid
+// returned are left in ws for buildCSR.
+func (t *Tree) boundedGrid(n *Node, bs []geom.Object, ws *joinScratch) (*grid.Grid, int64) {
+	g, work := t.localGrid(n, bs)
+	replicas := ws.cellRanges(g, bs)
+	for float64(replicas) > replicaSlack*work && g.Cells() > 1 {
+		res := g.Res
+		for d := range res {
+			res[d] = (res[d] + 1) / 2
+		}
+		g = grid.NewRes(n.MBR, res)
+		replicas = ws.cellRanges(g, bs)
+	}
+	return g, replicas
 }
 
 // probeTask is one stretch [aStart, aEnd) of a node's arena range whose A
@@ -120,11 +153,14 @@ type probeTask struct {
 // the descent keeps, child by child, the B objects that meet the child's
 // MBR (each test charged to c.NodeTests; the survivors' indexes live on
 // the ws.idx stack). A child none meets is skipped with its whole arena
-// range. The descent stops at a leaf, or as soon as more B objects than
-// A objects are left — one more filter pass then costs more than the
-// probes it can save — and emits a task there. Tasks come out disjoint
-// and in ascending arena order, so probing them in turn visits the
-// surviving A objects in the order a scan of the whole subtree would.
+// range. The descent emits a task as soon as more B objects than A
+// objects are left — one more filter pass then costs more than the
+// probes it can save — and does not stop at a leaf: while no more B
+// objects are left than a block holds, the leaf's blocks are its
+// children, so a small probe's tasks are blocks, not buckets. Tasks come
+// out disjoint and in ascending arena order, so probing them in turn
+// visits the surviving A objects in the order a scan of the whole subtree
+// would.
 //
 // The ticker is charged one unit per test, a filter pass at a time: a
 // cancelled join gives up within one pass over the node's B objects. The
@@ -142,29 +178,50 @@ func (ws *joinScratch) probeTasks(n *Node, bs []geom.Object, tk *stats.Ticker, c
 // descend is probeTasks below node n, for the B objects ws.idx[from:].
 func (ws *joinScratch) descend(n *Node, bs []geom.Object, from int, tk *stats.Ticker, c *stats.Counters) {
 	end := len(ws.idx)
-	if n.Leaf() || end-from > n.aCount() {
-		mbr := geom.EmptyBox()
-		for _, bi := range ws.idx[from:end] {
-			mbr = mbr.Union(bs[bi].Box)
-		}
-		ws.tasks = append(ws.tasks, probeTask{aStart: n.aStart, aEnd: n.aEnd, mbr: mbr})
+	if end-from > n.aCount() || (n.Leaf() && (end-from > leafBlock || len(n.blocks) < 2)) {
+		ws.emit(n.aStart, n.aEnd, bs, from)
 		return
 	}
+	// A leaf has blocks and no children, an inner node children and no
+	// blocks: one of the two loops runs.
+	for i := range n.blocks {
+		if ws.meeting(n.blocks[i], bs, from, end, tk, c) {
+			start := n.aStart + int32(i*leafBlock)
+			ws.emit(start, min(start+leafBlock, n.aEnd), bs, end)
+		}
+		ws.idx = ws.idx[:end]
+	}
 	for _, ch := range n.Children {
-		if tk.TickN(end - from) {
-			return
-		}
-		c.NodeTests += int64(end - from)
-		for _, bi := range ws.idx[from:end] {
-			if bs[bi].Box.Intersects(ch.MBR) {
-				ws.idx = append(ws.idx, bi)
-			}
-		}
-		if len(ws.idx) > end {
+		if ws.meeting(ch.MBR, bs, from, end, tk, c) {
 			ws.descend(ch, bs, end, tk, c)
-			ws.idx = ws.idx[:end]
+		}
+		ws.idx = ws.idx[:end]
+	}
+}
+
+// meeting is one filter pass of descend: it pushes the B objects of
+// ws.idx[from:end] that meet mbr onto the stack and reports whether any
+// does. A stopped ticker reads as none.
+func (ws *joinScratch) meeting(mbr geom.Box, bs []geom.Object, from, end int, tk *stats.Ticker, c *stats.Counters) bool {
+	if tk.TickN(end - from) {
+		return false
+	}
+	c.NodeTests += int64(end - from)
+	for _, bi := range ws.idx[from:end] {
+		if bs[bi].Box.Intersects(mbr) {
+			ws.idx = append(ws.idx, bi)
 		}
 	}
+	return len(ws.idx) > end
+}
+
+// emit appends the task [aStart, aEnd) for the B objects ws.idx[from:].
+func (ws *joinScratch) emit(aStart, aEnd int32, bs []geom.Object, from int) {
+	mbr := geom.EmptyBox()
+	for _, bi := range ws.idx[from:] {
+		mbr = mbr.Union(bs[bi].Box)
+	}
+	ws.tasks = append(ws.tasks, probeTask{aStart: aStart, aEnd: aEnd, mbr: mbr})
 }
 
 // gridProbe runs the probe side of Algorithm 4 for one task: every A
@@ -266,8 +323,9 @@ const cellHalvings = 4
 // cheapest, the coarser on a tie. A finer grid is therefore built only
 // where the estimate expects the comparisons to shrink by more than the
 // replicas and cell lookups it adds; an estimate that is not finite
-// keeps the paper's side.
-func (t *Tree) localGrid(n *Node, bs []geom.Object) *grid.Grid {
+// keeps the paper's side. The estimate of the side taken is returned with
+// the grid.
+func (t *Tree) localGrid(n *Node, bs []geom.Object) (*grid.Grid, float64) {
 	extB := geom.Dataset(bs).AverageExtent()
 	extA := 0.0
 	if n.aCount() > 0 {
@@ -301,7 +359,7 @@ func (t *Tree) localGrid(n *Node, bs []geom.Object) *grid.Grid {
 			}
 		}
 	}
-	return grid.NewCellSize(n.MBR, best, maxRes)
+	return grid.NewCellSize(n.MBR, best, maxRes), bestWork
 }
 
 // gridWork estimates a node's local-join work on a grid of the given

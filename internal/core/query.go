@@ -11,30 +11,35 @@ import (
 // whole dataset B through the hierarchy; the queries here answer one
 // box, point or k-nearest-neighbor question at a time against the
 // indexed dataset A, reusing the same immutable structure: node MBRs
-// prune the descent and the dense-DFS arena layout turns every subtree
-// into one contiguous [aStart, aEnd) scan. Queries only read the Tree;
-// all traversal state (DFS stack, kNN heap, result buffers) lives in
-// the Probe's queryScratch and recycles across queries, so steady-state
-// serving allocates nothing inside the traversal.
+// prune the descent, the dense-DFS arena layout turns every subtree
+// into one contiguous [aStart, aEnd) scan, and inside a leaf the block
+// directory prunes once more, leafBlock objects at a time. Queries only
+// read the Tree; all traversal state (DFS stack, kNN queue, result
+// buffers) lives in the Probe's queryScratch and recycles across queries,
+// so steady-state serving allocates nothing inside the traversal.
 
 // queryScratch is the per-probe traversal state of the single-probe
-// queries: a node-id stack for the range/point descent, a binary heap
-// for the best-first kNN search and the result buffers the queries
-// append into. All slices recycle across queries.
+// queries: a node-id stack for the range/point descent, the queue of
+// nodes and leaf blocks of the best-first kNN search and the result
+// buffers the queries append into (nbrs doubles as the kNN search's
+// k-slot heap). All slices recycle across queries.
 type queryScratch struct {
 	stack []int32
-	heap  []knnItem
+	queue []knnItem
 	ids   []geom.ID
 	nbrs  []geom.Neighbor
 }
 
 // RangeQuery returns the IDs of every indexed A object whose MBR
 // intersects q (closed-interval semantics: touching boundaries count),
-// sorted ascending by ID. The returned slice aliases probe-owned
-// scratch and is only valid until the probe's next query or join —
-// callers that retain results must copy them. Node-MBR tests are
-// charged to c.NodeTests, object tests to c.Comparisons, and emitted
-// matches to c.Results.
+// sorted ascending by ID. A subtree or a leaf block that q contains is
+// emitted without per-object tests, a leaf block that misses q is skipped
+// whole, and only the remaining blocks are scanned. The returned slice
+// aliases probe-owned scratch and is only valid until the probe's next
+// query or join — callers that retain results must copy them. Node-MBR
+// and block-MBR tests are charged to c.NodeTests (a leaf of a single
+// block has been tested already and is not tested again), object tests
+// to c.Comparisons, and emitted matches to c.Results.
 func (p *Probe) RangeQuery(q geom.Box, c *stats.Counters) []geom.ID {
 	t := p.tree
 	s := &p.query
@@ -57,18 +62,34 @@ func (p *Probe) RangeQuery(q geom.Box, c *stats.Counters) []geom.ID {
 			c.Results += int64(n.aCount())
 			continue
 		}
-		if n.Leaf() {
-			for i := range n.Entries {
-				c.Comparisons++
-				if n.Entries[i].Box.Intersects(q) {
-					s.ids = append(s.ids, n.Entries[i].ID)
-					c.Results++
-				}
+		if !n.Leaf() {
+			for _, ch := range n.Children {
+				s.stack = append(s.stack, ch.id)
 			}
 			continue
 		}
-		for _, ch := range n.Children {
-			s.stack = append(s.stack, ch.id)
+		for bi := range n.blocks {
+			es := n.entryBlock(bi)
+			if len(n.blocks) > 1 {
+				c.NodeTests++
+				if !n.blocks[bi].Intersects(q) {
+					continue
+				}
+				if q.Contains(n.blocks[bi]) {
+					for i := range es {
+						s.ids = append(s.ids, es[i].ID)
+					}
+					c.Results += int64(len(es))
+					continue
+				}
+			}
+			c.Comparisons += int64(len(es))
+			for i := range es {
+				if es[i].Box.Intersects(q) {
+					s.ids = append(s.ids, es[i].ID)
+					c.Results++
+				}
+			}
 		}
 	}
 	slices.Sort(s.ids)
@@ -83,85 +104,133 @@ func (p *Probe) PointQuery(pt geom.Point, c *stats.Counters) []geom.ID {
 	return p.RangeQuery(geom.BoxAt(pt), c)
 }
 
-// knnItem is one entry of the kNN search heap: either a tree node (id =
-// dense node id) or an indexed object (obj = true, id = object ID), with
-// its minimum distance from the query point.
+// knnItem is one entry of the kNN search queue: a tree node (blk < 0) or
+// one block of a leaf, with the distance of its MBR from the query point.
 type knnItem struct {
-	dist float64
-	id   int32
-	obj  bool
+	dist      float64
+	node, blk int32
 }
 
-// knnLess orders the kNN heap: by distance first, then nodes before
-// objects, then by ascending id. Popping an equal-distance node before
-// an object guarantees that any smaller-id object inside that node
-// enters the heap before the tie is consumed, which makes the
-// (Distance, ID) order of the results exact — not just the distances.
-func knnLess(a, b knnItem) bool {
+// before orders the kNN queue: nearest first, then by node id and block
+// so the traversal — and with it the counters — is deterministic.
+func (a knnItem) before(b knnItem) bool {
 	if a.dist != b.dist {
 		return a.dist < b.dist
 	}
-	if a.obj != b.obj {
-		return !a.obj
-	}
-	return a.id < b.id
+	return a.node < b.node || (a.node == b.node && a.blk < b.blk)
 }
 
-// push adds an item to the heap, restoring the heap order.
-func (s *queryScratch) push(it knnItem) {
-	s.heap = append(s.heap, it)
-	i := len(s.heap) - 1
+// after is the (Distance, ID) order of kNN results, reversed: the k-slot
+// heap keeps the worst of the best k on top.
+func after(a, b geom.Neighbor) bool {
+	return a.Distance > b.Distance || (a.Distance == b.Distance && a.ID > b.ID)
+}
+
+// siftUp and siftDown restore the order of a binary heap h, whose root is
+// the element no other is less than, after h[i] changed.
+func siftUp[T any](h []T, i int, less func(a, b T) bool) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !knnLess(s.heap[i], s.heap[parent]) {
+		if !less(h[i], h[parent]) {
 			break
 		}
-		s.heap[i], s.heap[parent] = s.heap[parent], s.heap[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
 }
 
-// pop removes and returns the minimum item of the heap.
-func (s *queryScratch) pop() knnItem {
-	top := s.heap[0]
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
-	i := 0
+func siftDown[T any](h []T, i int, less func(a, b T) bool) {
 	for {
 		l, r, m := 2*i+1, 2*i+2, i
-		if l < len(s.heap) && knnLess(s.heap[l], s.heap[m]) {
+		if l < len(h) && less(h[l], h[m]) {
 			m = l
 		}
-		if r < len(s.heap) && knnLess(s.heap[r], s.heap[m]) {
+		if r < len(h) && less(h[r], h[m]) {
 			m = r
 		}
 		if m == i {
-			break
+			return
 		}
-		s.heap[i], s.heap[m] = s.heap[m], s.heap[i]
+		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	return top
+}
+
+// beyond reports whether something at distance d from the query point can
+// be dropped unseen: k neighbors are held and d is strictly beyond the
+// worst of them. At the k-th distance itself it cannot — it may hold an
+// object whose smaller ID wins the tie.
+func (s *queryScratch) beyond(d float64, k int) bool {
+	return len(s.nbrs) == k && d > s.nbrs[0].Distance
+}
+
+// enqueue adds a node or block to the kNN queue unless it is beyond the
+// bound.
+func (s *queryScratch) enqueue(mbr *geom.Box, q geom.Point, k int, node, blk int32) {
+	d := mbr.PointDistance(q)
+	if s.beyond(d, k) {
+		return
+	}
+	s.queue = append(s.queue, knnItem{dist: d, node: node, blk: blk})
+	siftUp(s.queue, len(s.queue)-1, knnItem.before)
+}
+
+// offer runs the objects es past the k-slot heap s.nbrs: an object enters
+// when fewer than k are held or it precedes the worst of them in
+// (Distance, ID) order — and only then is it looked up in skip.
+func (s *queryScratch) offer(es []geom.Object, q geom.Point, k int, skip []geom.ID) {
+	for i := range es {
+		nb := geom.Neighbor{ID: es[i].ID, Distance: es[i].Box.PointDistance(q)}
+		full := len(s.nbrs) == k
+		if full && !after(s.nbrs[0], nb) {
+			continue
+		}
+		if len(skip) > 0 {
+			if _, dead := slices.BinarySearch(skip, nb.ID); dead {
+				continue
+			}
+		}
+		if full {
+			s.nbrs[0] = nb
+			siftDown(s.nbrs, 0, after)
+		} else {
+			s.nbrs = append(s.nbrs, nb)
+			siftUp(s.nbrs, len(s.nbrs)-1, after)
+		}
+	}
 }
 
 // KNN returns the k indexed A objects nearest to q by minimum Euclidean
 // box distance, ordered by (Distance, ID) ascending — ties at the k-th
 // distance resolve to the smaller object IDs, deterministically. Fewer
 // than k results are returned when the index holds fewer than k
-// objects. The search is the classic best-first branch and bound over
-// node MBRs: a distance-ordered priority queue holds nodes and objects
-// together, a node's MBR distance lower-bounding everything below it,
-// so the k-th object pops before any node that could still beat it is
-// discarded. The returned slice aliases probe-owned scratch; see
+// objects. The returned slice aliases probe-owned scratch; see
 // RangeQuery.
 //
-// skip, when given, lists object IDs (ascending) to treat as absent: a
-// skipped object is dropped when it is popped, so the search order — and
-// with it the (Distance, ID) order and the tie rule — is that of the
-// unfiltered search, and the answer is the first k unskipped objects of
-// it. The delta layer passes its tombstones here instead of over-asking
-// by one neighbor per tombstone.
+// The search is a bounded best-first branch and bound. A priority queue
+// holds tree nodes and, below an opened leaf of several blocks, its
+// blocks — never objects — nearest MBR first; the best k objects seen so
+// far sit in a k-slot max-heap on (Distance, ID), and once it is full its
+// top is the bound: a node, a block or an object *strictly* beyond the
+// k-th distance is dropped unseen, and the search ends when the nearest
+// queued entry is. At the k-th distance itself nothing is pruned by
+// distance alone — a node or block there may still hold an object whose
+// smaller ID wins the tie — and an object enters exactly when it precedes
+// the current k-th in (Distance, ID) order. Distances are the
+// PointDistance values the results carry, compared as they are: squared
+// distances that differ can round to one Distance, and ordering by them
+// would reorder that tie. The answer is therefore the first k of the full
+// (Distance, ID) order, whatever order the objects were met in.
+//
+// Child-MBR and block-MBR distance evaluations are charged to
+// c.NodeTests (a single-block leaf's block is its MBR and is not tested
+// again), object distance evaluations to c.Comparisons.
+//
+// skip, when given, lists object IDs (ascending) to treat as absent. It
+// is consulted only for an object that would otherwise enter the heap —
+// a skipped object never tightens the bound — so the answer is the first
+// k unskipped objects of the full order. The delta layer passes its
+// tombstones here instead of over-asking by one neighbor per tombstone.
 func (p *Probe) KNN(q geom.Point, k int, c *stats.Counters, skip ...geom.ID) []geom.Neighbor {
 	t := p.tree
 	s := &p.query
@@ -169,39 +238,44 @@ func (p *Probe) KNN(q geom.Point, k int, c *stats.Counters, skip ...geom.ID) []g
 	if k <= 0 || t.SizeA == 0 {
 		return s.nbrs
 	}
-	s.heap = s.heap[:0]
+	s.queue = s.queue[:0]
 	c.NodeTests++
-	s.push(knnItem{dist: t.Root.MBR.PointDistance(q), id: t.Root.id})
-	for len(s.heap) > 0 {
-		it := s.pop()
-		if it.obj {
-			if len(skip) > 0 {
-				if _, dead := slices.BinarySearch(skip, geom.ID(it.id)); dead {
-					continue
-				}
-			}
-			s.nbrs = append(s.nbrs, geom.Neighbor{ID: geom.ID(it.id), Distance: it.dist})
-			if len(s.nbrs) == k {
-				break
-			}
-			continue
+	s.enqueue(&t.Root.MBR, q, k, t.Root.id, -1)
+	for len(s.queue) > 0 {
+		it := s.queue[0]
+		if s.beyond(it.dist, k) {
+			break
 		}
-		n := t.nodes[it.id]
-		if n.Leaf() {
-			for i := range n.Entries {
-				c.Comparisons++
-				s.push(knnItem{
-					dist: n.Entries[i].Box.PointDistance(q),
-					id:   int32(n.Entries[i].ID),
-					obj:  true,
-				})
+		last := len(s.queue) - 1
+		s.queue[0] = s.queue[last]
+		s.queue = s.queue[:last]
+		siftDown(s.queue, 0, knnItem.before)
+		n := t.nodes[it.node]
+		switch {
+		case it.blk >= 0:
+			es := n.entryBlock(int(it.blk))
+			c.Comparisons += int64(len(es))
+			s.offer(es, q, k, skip)
+		case !n.Leaf():
+			c.NodeTests += int64(len(n.Children))
+			for _, ch := range n.Children {
+				s.enqueue(&ch.MBR, q, k, ch.id, -1)
 			}
-			continue
+		case len(n.blocks) > 1:
+			c.NodeTests += int64(len(n.blocks))
+			for bi := range n.blocks {
+				s.enqueue(&n.blocks[bi], q, k, n.id, int32(bi))
+			}
+		default:
+			c.Comparisons += int64(len(n.Entries))
+			s.offer(n.Entries, q, k, skip)
 		}
-		for _, ch := range n.Children {
-			c.NodeTests++
-			s.push(knnItem{dist: ch.MBR.PointDistance(q), id: ch.id})
-		}
+	}
+	// Heap sort in place: the worst of what is left moves behind it, so
+	// the slice ends up ascending in (Distance, ID).
+	for end := len(s.nbrs) - 1; end > 0; end-- {
+		s.nbrs[0], s.nbrs[end] = s.nbrs[end], s.nbrs[0]
+		siftDown(s.nbrs[:end], 0, after)
 	}
 	c.Results += int64(len(s.nbrs))
 	return s.nbrs

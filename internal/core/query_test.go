@@ -25,23 +25,26 @@ func randomQueryBox(rng *rand.Rand) geom.Box {
 
 // TestRangeQueryMatchesOracle: the tree-accelerated range query must
 // return exactly the oracle's ID set on every distribution and on a
-// probe reusing its scratch across queries.
+// probe reusing its scratch across queries — in small buckets (one block
+// per leaf) and in buckets of several blocks.
 func TestRangeQueryMatchesOracle(t *testing.T) {
 	for _, dist := range []datagen.Distribution{datagen.Uniform, datagen.Gaussian, datagen.Clustered} {
 		ds := datagen.Generate(datagen.DefaultConfig(dist, 800, 211)).Expand(3)
-		tree := Build(ds, Config{Partitions: 64})
-		p := tree.NewProbe()
-		rng := rand.New(rand.NewSource(212))
-		for i := 0; i < 50; i++ {
-			q := randomQueryBox(rng)
-			want := nl.RangeQuery(ds, q)
-			var c stats.Counters
-			got := p.RangeQuery(q, &c)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s query %d (%v): got %d ids, want %d", dist, i, q, len(got), len(want))
-			}
-			if c.Results != int64(len(got)) {
-				t.Fatalf("%s query %d: Results=%d, len=%d", dist, i, c.Results, len(got))
+		for _, partitions := range []int{64, 3} {
+			tree := Build(ds, Config{Partitions: partitions})
+			p := tree.NewProbe()
+			rng := rand.New(rand.NewSource(212))
+			for i := 0; i < 50; i++ {
+				q := randomQueryBox(rng)
+				want := nl.RangeQuery(ds, q)
+				var c stats.Counters
+				got := p.RangeQuery(q, &c)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s/%d query %d (%v): got %d ids, want %d", dist, partitions, i, q, len(got), len(want))
+				}
+				if c.Results != int64(len(got)) {
+					t.Fatalf("%s/%d query %d: Results=%d, len=%d", dist, partitions, i, c.Results, len(got))
+				}
 			}
 		}
 	}
@@ -78,22 +81,24 @@ func TestPointQueryMatchesOracle(t *testing.T) {
 
 // TestKNNMatchesOracle: best-first kNN must reproduce the oracle's
 // (Distance, ID) order exactly — including distance ties — for several
-// k on every distribution.
+// k on every distribution, in buckets of one block and of several.
 func TestKNNMatchesOracle(t *testing.T) {
 	for _, dist := range []datagen.Distribution{datagen.Uniform, datagen.Gaussian, datagen.Clustered} {
 		ds := datagen.Generate(datagen.DefaultConfig(dist, 700, 231))
-		tree := Build(ds, Config{Partitions: 32})
-		p := tree.NewProbe()
-		rng := rand.New(rand.NewSource(232))
-		for i := 0; i < 30; i++ {
-			q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000, rng.Float64() * 1000}
-			for _, k := range []int{1, 3, 10, len(ds), len(ds) + 5} {
-				want := nl.KNN(ds, q, k)
-				var c stats.Counters
-				got := p.KNN(q, k, &c)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: knn(%v, %d): got %v..., want %v...",
-						dist, q, k, head(got, 3), head(want, 3))
+		for _, partitions := range []int{32, 2} {
+			tree := Build(ds, Config{Partitions: partitions})
+			p := tree.NewProbe()
+			rng := rand.New(rand.NewSource(232))
+			for i := 0; i < 30; i++ {
+				q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000, rng.Float64() * 1000}
+				for _, k := range []int{1, 3, 10, len(ds), len(ds) + 5} {
+					want := nl.KNN(ds, q, k)
+					var c stats.Counters
+					got := p.KNN(q, k, &c)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s/%d: knn(%v, %d): got %v..., want %v...",
+							dist, partitions, q, k, head(got, 3), head(want, 3))
+					}
 				}
 			}
 		}
@@ -235,7 +240,8 @@ func TestQueryAfterJoinInterleaving(t *testing.T) {
 
 // TestKNNCounters: the search must charge node visits to NodeTests and
 // object distance evaluations to Comparisons, and prune: on clustered
-// data a small-k query should examine far fewer objects than |A|.
+// data a small-k query should examine far fewer objects than |A| — and,
+// in buckets of several blocks, fewer than the buckets it opens hold.
 func TestKNNCounters(t *testing.T) {
 	ds := datagen.ClusteredSet(5_000, 271)
 	tree := Build(ds, Config{})
@@ -250,6 +256,15 @@ func TestKNNCounters(t *testing.T) {
 	}
 	if c.Comparisons >= int64(len(ds)) {
 		t.Fatalf("no pruning: %d object distance evaluations for |A|=%d", c.Comparisons, len(ds))
+	}
+
+	// Two buckets of 2,500 objects, 40 blocks each, and the query point
+	// between them: the search opens both, and the bound must skip most of
+	// their blocks on either side of the point.
+	c = stats.Counters{}
+	Build(ds, Config{Partitions: 2}).NewProbe().KNN(geom.Point{500, 500, 500}, 3, &c)
+	if c.Comparisons >= int64(len(ds))/2 {
+		t.Fatalf("no block pruning: %d object distance evaluations in two leaves of %d", c.Comparisons, len(ds)/2)
 	}
 }
 
@@ -303,5 +318,79 @@ func TestKNNSkipTiesAndShadows(t *testing.T) {
 	}
 	if c.Results != 3+2+2+2 {
 		t.Errorf("Results = %d, want the 9 neighbors returned", c.Results)
+	}
+}
+
+// queryCounts is the paper's currency for a batch of single-probe
+// queries: what the kernels did, summed, not how long it took.
+type queryCounts struct {
+	NodeTests, Comparisons, Results int64
+}
+
+// TestQueryCountsGolden is the serving-side companion of
+// TestJoinCountsGolden: the counts of 64 fixed range queries and 64 fixed
+// kNN searches (k = 10), summed, against the literal table below — on
+// the two datasets of that test, each in the paper's 1,024 buckets (a
+// handful of objects per leaf, one block each) and in buckets of 488 and
+// 478 objects, the size the benchmark's 500K index serves from, where
+// the block directory does the work. A change that moves a count must move
+// the table with it, so the old and the new number both show in its diff.
+func TestQueryCountsGolden(t *testing.T) {
+	axons, _ := datagen.GenerateNeuro(datagen.ScaledNeuroConfig(42, 1.0/50))
+	for _, tc := range []struct {
+		name       string
+		ds         geom.Dataset
+		cfg        Config
+		rangeWant  queryCounts
+		knnWant    queryCounts
+		wantBlocks int
+	}{
+		{
+			name: "uniform-20K", ds: datagen.UniformSet(20_000, 42),
+			rangeWant:  queryCounts{NodeTests: 5740, Comparisons: 7040, Results: 852},
+			knnWant:    queryCounts{NodeTests: 6119, Comparisons: 6960, Results: 640},
+			wantBlocks: 1000,
+		},
+		{
+			name: "uniform-20K/big-buckets", ds: datagen.UniformSet(20_000, 42), cfg: Config{Partitions: 41},
+			rangeWant:  queryCounts{NodeTests: 2374, Comparisons: 16744, Results: 852},
+			knnWant:    queryCounts{NodeTests: 2515, Comparisons: 17768, Results: 640},
+			wantBlocks: 336,
+		},
+		{
+			name: "neuro-1/50", ds: axons.Objects(),
+			rangeWant:  queryCounts{NodeTests: 2948, Comparisons: 2386, Results: 533},
+			knnWant:    queryCounts{NodeTests: 5072, Comparisons: 4181, Results: 640},
+			wantBlocks: 1000,
+		},
+		{
+			name: "neuro-1/50/big-buckets", ds: axons.Objects(), cfg: Config{Partitions: 27},
+			rangeWant:  queryCounts{NodeTests: 1594, Comparisons: 9512, Results: 533},
+			knnWant:    queryCounts{NodeTests: 2613, Comparisons: 19866, Results: 640},
+			wantBlocks: 216,
+		},
+	} {
+		tr := Build(tc.ds, tc.cfg)
+		p := tr.NewProbe()
+		// Query shapes in the dataset's own universe: boxes from point-like
+		// to a third of its extent per side, points anywhere inside it.
+		mbr, rng := tr.Root.MBR, rand.New(rand.NewSource(4242))
+		var rc, kc stats.Counters
+		for i := 0; i < 64; i++ {
+			var lo, hi, pt geom.Point
+			for d := range lo {
+				lo[d] = mbr.Min[d] + rng.Float64()*mbr.Extent(d)
+				hi[d] = lo[d] + rng.Float64()*rng.Float64()*mbr.Extent(d)/3
+				pt[d] = mbr.Min[d] + rng.Float64()*mbr.Extent(d)
+			}
+			p.RangeQuery(geom.NewBox(lo, hi), &rc)
+			p.KNN(pt, 10, &kc)
+		}
+		gotRange := queryCounts{rc.NodeTests, rc.Comparisons, rc.Results}
+		gotKNN := queryCounts{kc.NodeTests, kc.Comparisons, kc.Results}
+		if gotRange != tc.rangeWant || gotKNN != tc.knnWant || len(tr.blocks) != tc.wantBlocks {
+			t.Errorf("%s (%d objects, %d leaves):\n got range %+v knn %+v blocks %d\nwant range %+v knn %+v blocks %d",
+				tc.name, len(tc.ds), tr.Leaves, gotRange, gotKNN, len(tr.blocks), tc.rangeWant, tc.knnWant, tc.wantBlocks)
+		}
 	}
 }

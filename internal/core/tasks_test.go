@@ -47,6 +47,7 @@ func TestProbeTasksLoseNoPair(t *testing.T) {
 		{name: "all-identical", a: identical},
 		{name: "planar", a: planar.Expand(6)},
 		{name: "single-leaf", a: datagen.UniformSet(nA, 603).Expand(6), cfg: Config{Partitions: 1}},
+		{name: "leaves-of-three-blocks", a: datagen.ClusteredSet(nA, 604).Expand(6), cfg: Config{Partitions: 4}},
 	} {
 		tr := Build(shape.a, shape.cfg)
 		arenaPos := make(map[geom.ID]int32, len(tr.arena))
@@ -106,30 +107,43 @@ func TestProbeTasksLoseNoPair(t *testing.T) {
 // TestSmallProbeSkipsTheIndex: a join's cost follows the probe, not the
 // index. 256 boxes against 50,000 objects must leave most of the arena
 // below the nodes they were assigned to unvisited — structurally, not by
-// the clock — and still find every pair.
+// the clock — and still find every pair, for 1 and 4 workers. In the
+// paper's buckets (49 objects) the tasks are leaves; in buckets of 782
+// the descent has to go on into the blocks to skip as much.
 func TestSmallProbeSkipsTheIndex(t *testing.T) {
 	a := datagen.UniformSet(50_000, 620)
 	b := datagen.UniformSet(256, 621).Expand(5)
-	tr := Build(a, Config{})
-	p := tr.NewProbe()
-	var c stats.Counters
-	p.Assign(b, nil, &c)
-	below, visited := 0, 0
-	for id, ts := range nodeTasks(tr, p, &c) {
-		below += tr.nodes[id].aCount()
-		for _, task := range ts {
-			visited += int(task.aEnd - task.aStart)
-		}
-	}
-	if visited*4 >= below {
-		t.Fatalf("tasks cover %d A objects of the %d below the active nodes, want under a quarter", visited, below)
-	}
-	sink := &stats.CountSink{}
-	p.JoinPhase(nil, &c, sink)
 	var want stats.Counters
 	nl.Join(a, b, nil, &want, &stats.CountSink{})
-	if c.Results != want.Results || sink.N != want.Results {
-		t.Fatalf("Results %d (emitted %d), nested loop %d", c.Results, sink.N, want.Results)
+	for _, partitions := range []int{DefaultPartitions, 64} {
+		tr := Build(a, Config{Partitions: partitions})
+		p := tr.NewProbe()
+		var c stats.Counters
+		p.Assign(b, nil, &c)
+		below, visited, longest := 0, 0, 0
+		for id, ts := range nodeTasks(tr, p, &c) {
+			below += tr.nodes[id].aCount()
+			for _, task := range ts {
+				visited += int(task.aEnd - task.aStart)
+				longest = max(longest, int(task.aEnd-task.aStart))
+			}
+		}
+		if visited*4 >= below {
+			t.Fatalf("%d buckets: tasks cover %d A objects of the %d below the active nodes, want under a quarter", partitions, visited, below)
+		}
+		if longest > leafBlock {
+			t.Fatalf("%d buckets: a task of %d A objects, want at most a block of %d", partitions, longest, leafBlock)
+		}
+		for _, workers := range []int{1, 4} {
+			var c stats.Counters
+			sink := &stats.CountSink{}
+			p.SetWorkers(workers)
+			p.Assign(b, nil, &c)
+			p.JoinPhase(nil, &c, sink)
+			if c.Results != want.Results || sink.N != want.Results {
+				t.Fatalf("%d buckets, %d workers: Results %d (emitted %d), nested loop %d", partitions, workers, c.Results, sink.N, want.Results)
+			}
+		}
 	}
 }
 
@@ -140,16 +154,17 @@ type joinCounts struct {
 	StaticBytes, ProbeBytes                             int64
 }
 
-// TestJoinCountsGolden pins the counts of two joins — the two ways the
-// benchmark uses the engine, at a size that runs in well under a second —
-// to the literal table below, for 1 and 2 workers. A change that moves a
-// count must move the table with it, so the old and the new number both
-// show in its diff.
+// TestJoinCountsGolden pins the counts of three joins — the three ways
+// the benchmark uses the engine, at a size that runs in well under a
+// second — to the literal table below, for 1 and 2 workers. A change
+// that moves a count must move the table with it, so the old and the new
+// number both show in its diff.
 func TestJoinCountsGolden(t *testing.T) {
 	axons, dendrites := datagen.GenerateNeuro(datagen.ScaledNeuroConfig(42, 1.0/50))
 	for _, tc := range []struct {
 		name string
 		a, b geom.Dataset
+		cfg  Config
 		want joinCounts
 	}{
 		{
@@ -160,7 +175,7 @@ func TestJoinCountsGolden(t *testing.T) {
 			b:    datagen.UniformSet(60_000, 43),
 			want: joinCounts{
 				Comparisons: 38248, NodeTests: 358343, Filtered: 11, Results: 1551, Replicas: 64360,
-				StaticBytes: 425728, ProbeBytes: 2770832,
+				StaticBytes: 473728, ProbeBytes: 2770832,
 			},
 		},
 		{
@@ -171,11 +186,25 @@ func TestJoinCountsGolden(t *testing.T) {
 			b:    dendrites.Objects().Expand(5),
 			want: joinCounts{
 				Comparisons: 158263, NodeTests: 244578, Filtered: 15637, Results: 22883, Replicas: 70727,
-				StaticBytes: 368768, ProbeBytes: 601856,
+				StaticBytes: 416768, ProbeBytes: 601856,
+			},
+		},
+		{
+			// The served join's shape — testutil's probe-100x-smaller, a
+			// handful of boxes against a large index — in buckets of 375
+			// objects, close to the 488 of the benchmark's 500K index: the
+			// probe's tasks are leaf blocks, not leaves.
+			name: "probe-100x-smaller",
+			a:    datagen.UniformSet(6000, 7014).Expand(8),
+			b:    datagen.UniformSet(60, 7015).Expand(30),
+			cfg:  Config{Partitions: 16},
+			want: joinCounts{
+				Comparisons: 746, NodeTests: 1538, Filtered: 0, Results: 167, Replicas: 198,
+				StaticBytes: 58512, ProbeBytes: 4448,
 			},
 		},
 	} {
-		tr := Build(tc.a, Config{})
+		tr := Build(tc.a, tc.cfg)
 		for _, workers := range []int{1, 2} {
 			p := tr.NewProbe()
 			p.SetWorkers(workers)

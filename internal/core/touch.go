@@ -13,8 +13,9 @@
 //     in its descendant leaves through an equi-width grid local join
 //     (Algorithm 4) with reference-point duplicate avoidance. The work
 //     follows what can match on both sides of the pair: the node's B
-//     objects are first filtered down its subtree, so only the stretches
-//     of the arena some B object can reach are probed (probeTasks), and
+//     objects are first filtered down its subtree — into the leaves'
+//     blocks, when few are left — so only the stretches of the arena some
+//     B object can reach are probed (probeTasks), and
 //     the cell side is the cheapest, by estimated work, of the paper's
 //     and its four halvings (localGrid).
 //
@@ -50,6 +51,19 @@
 // sequential processing order and a Probe can address per-node B
 // segments by id without touching the shared nodes.
 //
+// Under every leaf sits a block directory: one MBR per leafBlock
+// consecutive arena objects of the leaf, so a single probe — a range
+// query, a kNN search, a small join's probe task — opens a stretch of a
+// bucket instead of all of it. The blocks need no sort of their own: a
+// leaf's stretch is in the order of the last sort STR applied to it (the
+// last dimension, for a bucket cut from a full tile), so consecutive
+// objects are neighbours along that dimension; a dataset that fits one
+// bucket is never sorted and its blocks are only as tight as its input
+// order. The order decides how much the directory prunes, never what a
+// query answers. The directory is derived state: one arena pass at the
+// end of Build fills it, Thaw rebuilds it over whatever order the frozen
+// arena holds, and it is never serialized.
+//
 // Both the assignment and join phases run in parallel when the probe's
 // worker count is > 1; results and counters are identical to the
 // single-threaded execution (the emission order of pairs may differ).
@@ -75,6 +89,13 @@ const (
 	// average object extent.
 	DefaultCellFactor = 2.0
 )
+
+// leafBlock is how many consecutive arena objects of a leaf share one MBR
+// in the block directory. The paper's 1,024 buckets are sized for joins
+// that stream whole datasets; a single probe wants to open less than a
+// bucket. 32 measured no better end to end than 64 and costs twice the
+// heap.
+const leafBlock = 64
 
 // Config carries TOUCH's tunable parameters (§5.2).
 type Config struct {
@@ -134,6 +155,12 @@ type Node struct {
 	Children []*Node
 	Entries  []geom.Object // A objects; leaves only, aliasing the tree arena
 
+	// blocks is the leaf's stretch of the block directory: blocks[i] is
+	// the MBR of Entries[i*leafBlock : (i+1)*leafBlock]. A leaf of at most
+	// leafBlock objects has one block, equal to its own MBR; an empty leaf
+	// has none. Leaves only, aliasing Tree.blocks.
+	blocks []geom.Box
+
 	// [aStart, aEnd) is the subtree's range in the tree arena (see the
 	// flat layout invariant in the package comment).
 	aStart, aEnd int32
@@ -171,6 +198,10 @@ type Tree struct {
 	// arena holds all A objects contiguously, ordered leaf by leaf in
 	// DFS order; node [aStart, aEnd) ranges index into it.
 	arena []geom.Object
+
+	// blocks is the block directory of all leaves, in arena order (see
+	// Node.blocks and indexBlocks).
+	blocks []geom.Box
 }
 
 // Workers returns the tree's default worker count, the one probes start
@@ -249,7 +280,8 @@ func Build(a geom.Dataset, cfg Config) *Tree {
 // and stamps every node's [aStart, aEnd) range, establishing the flat
 // layout invariant. The same walk assigns dense node ids in DFS
 // pre-order and fills the id → node table. Leaf Entries are re-pointed
-// at their arena segment.
+// at their arena segment, and the block directory is laid over the
+// finished arena.
 func (t *Tree) linearize(a geom.Dataset) {
 	t.arena = make([]geom.Object, 0, len(a))
 	t.nodes = make([]*Node, 0, t.Nodes)
@@ -269,6 +301,45 @@ func (t *Tree) linearize(a geom.Dataset) {
 		n.aEnd = int32(len(t.arena))
 	}
 	walk(t.Root)
+	t.indexBlocks()
+}
+
+// entryBlock returns the objects of the leaf's i-th block.
+func (n *Node) entryBlock(i int) []geom.Object {
+	return n.Entries[i*leafBlock : min((i+1)*leafBlock, len(n.Entries))]
+}
+
+// indexBlocks builds the block directory from the arena as it stands: one
+// pass, one exactly sized allocation. A block's MBR is the union of its
+// objects in arena order, the way Build unions a leaf's.
+func (t *Tree) indexBlocks() {
+	total := 0
+	for _, n := range t.nodes {
+		if n.Leaf() {
+			total += (n.aCount() + leafBlock - 1) / leafBlock
+		}
+	}
+	t.blocks = make([]geom.Box, 0, total)
+	for _, n := range t.nodes {
+		if !n.Leaf() {
+			continue
+		}
+		first := len(t.blocks)
+		for i := 0; i*leafBlock < len(n.Entries); i++ {
+			es := n.entryBlock(i)
+			mbr := geom.EmptyBox()
+			for j := range es {
+				// Box.Union, written out: called by value it copies both
+				// boxes per object, which more than doubles this pass.
+				b := &es[j].Box
+				mbr.Min[0], mbr.Max[0] = min(mbr.Min[0], b.Min[0]), max(mbr.Max[0], b.Max[0])
+				mbr.Min[1], mbr.Max[1] = min(mbr.Min[1], b.Min[1]), max(mbr.Max[1], b.Max[1])
+				mbr.Min[2], mbr.Max[2] = min(mbr.Min[2], b.Min[2]), max(mbr.Max[2], b.Max[2])
+			}
+			t.blocks = append(t.blocks, mbr)
+		}
+		n.blocks = t.blocks[first:len(t.blocks):len(t.blocks)]
+	}
 }
 
 // AssignOne places one object of dataset B in the tree following
@@ -308,11 +379,13 @@ func (t *Tree) AssignOne(o geom.Object, c *stats.Counters) *Node {
 
 // StaticBytes is the analytic footprint of the immutable build artifact:
 // the tree structure plus the A references in the buckets ("the buckets
-// constructed based on dataset A in addition to the tree", §6.4). The
-// per-query side — assigned B references and the transient local-join
-// grid — is accounted by Probe.MemoryBytes.
+// constructed based on dataset A in addition to the tree", §6.4), plus
+// one MBR per block of the leaves' block directory. The per-query side —
+// assigned B references and the transient local-join grid — is accounted
+// by Probe.MemoryBytes.
 func (t *Tree) StaticBytes() int64 {
-	return int64(t.Nodes)*stats.BytesPerNode + int64(t.SizeA)*stats.BytesPerRef
+	return int64(t.Nodes)*stats.BytesPerNode + int64(t.SizeA)*stats.BytesPerRef +
+		int64(len(t.blocks))*stats.BytesPerBox
 }
 
 // Join runs all three TOUCH phases: build the tree on a, assign b via a

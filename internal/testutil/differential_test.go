@@ -38,37 +38,41 @@ func TestDifferentialJoins(t *testing.T) {
 
 // TestDifferentialQueries checks RangeQuery, PointQuery and KNN against
 // the brute-force oracles on every dataset shape of the table,
-// including the pure all-identical-boxes shape (kNN distance ties).
+// including the pure all-identical-boxes shape (kNN distance ties) — in
+// the paper's 1,024 buckets, where a leaf holds a handful of objects, and
+// in two buckets, where it holds up to 47 blocks of them.
 func TestDifferentialQueries(t *testing.T) {
 	for _, d := range QueryDatasets(7101) {
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
-			ix := touch.BuildIndex(d.A, touch.TOUCHConfig{})
-			boxes, points, ks := QueryWorkload(7102, 15)
-			for i := range boxes {
-				got, err := ix.RangeQuery(boxes[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := nl.RangeQuery(d.A, boxes[i]); !slices.Equal(got, want) {
-					t.Fatalf("RangeQuery(%v): got %d ids, want %d", boxes[i], len(got), len(want))
-				}
+			for _, cfg := range []touch.TOUCHConfig{{}, {Partitions: 2}} {
+				ix := touch.BuildIndex(d.A, cfg)
+				boxes, points, ks := QueryWorkload(7102, 15)
+				for i := range boxes {
+					got, err := ix.RangeQuery(boxes[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := nl.RangeQuery(d.A, boxes[i]); !slices.Equal(got, want) {
+						t.Fatalf("%d buckets: RangeQuery(%v): got %d ids, want %d", ix.Stats().Leaves, boxes[i], len(got), len(want))
+					}
 
-				p := points[i]
-				gotPt, err := ix.PointQuery(p[0], p[1], p[2])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := nl.PointQuery(d.A, p); !slices.Equal(gotPt, want) {
-					t.Fatalf("PointQuery(%v): got %v, want %v", p, gotPt, want)
-				}
+					p := points[i]
+					gotPt, err := ix.PointQuery(p[0], p[1], p[2])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := nl.PointQuery(d.A, p); !slices.Equal(gotPt, want) {
+						t.Fatalf("%d buckets: PointQuery(%v): got %v, want %v", ix.Stats().Leaves, p, gotPt, want)
+					}
 
-				gotNbrs, err := ix.KNN(p, ks[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := nl.KNN(d.A, p, ks[i]); !slices.Equal(gotNbrs, want) {
-					t.Fatalf("KNN(%v, %d): diverged from oracle", p, ks[i])
+					gotNbrs, err := ix.KNN(p, ks[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := nl.KNN(d.A, p, ks[i]); !slices.Equal(gotNbrs, want) {
+						t.Fatalf("%d buckets: KNN(%v, %d): diverged from oracle", ix.Stats().Leaves, p, ks[i])
+					}
 				}
 			}
 		})

@@ -123,11 +123,56 @@ func FuzzRangeQuery(f *testing.F) {
 	})
 }
 
+// fuzzLattice encodes lattice values (multiples of 5 in [0, 315]) the way
+// fuzzVal decodes them.
+func fuzzLattice(vals ...float64) []byte {
+	out := make([]byte, 0, 2*len(vals))
+	for _, v := range vals {
+		out = binary.LittleEndian.AppendUint16(out, uint16(v/5))
+	}
+	return out
+}
+
+// knnTieSeeds are two FuzzKNN inputs in which most objects share the k-th
+// distance and the smaller IDs are met last, so the fuzzer starts from the
+// bound's tie rule instead of having to find it.
+func knnTieSeeds() [][]byte {
+	// A 3×3×3 shell of points around the query point, every point present
+	// four times: 24 objects at distance 25, 48 at √1250, 32 at √1875. k =
+	// 30 ends inside the second group, and four buckets put the objects in
+	// STR's ascending order while the IDs run with descending coordinates.
+	shell := append([]byte{2<<5 | 29}, fuzzLattice(160, 160, 160)...)
+	for c := 0; c < 4; c++ {
+		for _, dx := range []float64{25, 0, -25} {
+			for _, dy := range []float64{25, 0, -25} {
+				for _, dz := range []float64{25, 0, -25} {
+					if dx != 0 || dy != 0 || dz != 0 {
+						shell = append(shell, fuzzLattice(160+dx, 160+dy, 160+dz, 160+dx, 160+dy, 160+dz)...)
+					}
+				}
+			}
+		}
+	}
+	// Exact duplicates only: 64 copies of the point 40 to the right of the
+	// query point, then 64 of the point 40 to its left. Two buckets, both
+	// at the distance all 128 objects share; the left one is opened first
+	// and fills the heap, and the 10 smallest IDs are all in the right one.
+	sides := append([]byte{1<<5 | 9}, fuzzLattice(160, 160, 160)...)
+	for _, x := range []float64{200, 120} {
+		sides = append(sides, bytes.Repeat(fuzzLattice(x, 160, 160, x, 160, 160), 64)...)
+	}
+	return [][]byte{shell, sides}
+}
+
 // FuzzKNN: best-first kNN must match the sort-everything oracle —
 // including the (Distance, ID) tie order the lattice provokes — on
-// arbitrary decoded datasets, query points and k.
+// arbitrary decoded datasets, query points, k and bucket counts (1 to
+// 128, so leaves of one object and leaves of two blocks both occur).
 func FuzzKNN(f *testing.F) {
 	fuzzSeeds(f)
+	for _, seed := range knnTieSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 7 {
 			return
@@ -135,7 +180,7 @@ func FuzzKNN(f *testing.F) {
 		k := 1 + int(data[0])%32
 		p := geom.Point{fuzzVal(data, 1), fuzzVal(data, 3), fuzzVal(data, 5)}
 		ds, _ := fuzzDataset(data, 7, 128)
-		ix := touch.BuildIndex(ds, touch.TOUCHConfig{})
+		ix := touch.BuildIndex(ds, touch.TOUCHConfig{Partitions: 1 << (data[0] >> 5)})
 
 		got, err := ix.KNN(p, k)
 		if err != nil {

@@ -5,8 +5,10 @@ import (
 	"slices"
 	"testing"
 
+	"touch"
 	"touch/internal/core"
 	"touch/internal/geom"
+	"touch/internal/nl"
 	"touch/internal/stats"
 )
 
@@ -69,3 +71,119 @@ func TestKNNSkipMatchesFilteredSearch(t *testing.T) {
 		}
 	}
 }
+
+// TestKNNTiesAndSkipsMatchBruteForce holds the bounded search to the kNN
+// contract where it is easiest to break: a lattice of points, every one
+// present five times under far-apart IDs, so that dozens of objects
+// share the k-th distance; tombstones on some of the tied IDs; pending
+// inserts at the very same positions. The index sits in four buckets of
+// ten blocks, so nodes, blocks and objects all meet the bound at a tie.
+// Index.KNN and Mutable.View().KNN must return the brute-force
+// (Distance, ID) order for k = 1, 10, n and n+5. A search that prunes at
+// >= instead of > loses the tied objects with the smaller IDs; one that
+// lets a tombstoned object tighten the bound before looking it up in the
+// skip list loses live ones behind it.
+func TestKNNTiesAndSkipsMatchBruteForce(t *testing.T) {
+	const side, copies, step = 8, 5, 10.0
+	const cells = side * side * side
+	at := func(cell int) geom.Box {
+		return geom.BoxAt(geom.Point{step * float64(cell/(side*side)), step * float64(cell/side%side), step * float64(cell%side)})
+	}
+	ds := make(touch.Dataset, 0, copies*cells)
+	for c := 0; c < copies; c++ {
+		for cell := 0; cell < cells; cell++ {
+			ds = append(ds, touch.Object{ID: geom.ID(len(ds)), Box: at(cell)})
+		}
+	}
+	cfg := touch.TOUCHConfig{Partitions: 4}
+	ix := touch.BuildIndex(ds, cfg)
+	m, err := touch.NewMutable(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetCompactThreshold(0)
+	// Tombstones: every fifth ID, so every tie group loses some members
+	// and keeps others. Pending inserts: one more copy of every third
+	// lattice point, tying with the base objects there; a few of those
+	// deleted again.
+	var dead []geom.ID
+	for id := 0; id < len(ds); id += 5 {
+		dead = append(dead, geom.ID(id))
+	}
+	m.Delete(dead)
+	var extra []geom.Box
+	for cell := 0; cell < cells; cell += 3 {
+		extra = append(extra, at(cell))
+	}
+	inserted, err := m.Insert(extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Delete([]geom.ID{inserted[0], inserted[7], inserted[len(inserted)-1]})
+	live := m.Dataset()
+	isDead := func(id geom.ID) bool { _, ok := slices.BinarySearch(dead, id); return ok }
+
+	// Lattice points (30 objects at distance 10, 60 at √200), cell centres
+	// (40 at the nearest distance), edge midpoints, and points outside the
+	// lattice facing a whole face of it.
+	var queries []geom.Point
+	for _, cell := range []int{0, 73, 219, 292, cells - 1} {
+		p := at(cell).Min
+		queries = append(queries, p,
+			geom.Point{p[0] + step/2, p[1] + step/2, p[2] + step/2},
+			geom.Point{p[0] + step/2, p[1], p[2]},
+			geom.Point{p[0], p[1] - step/2, p[2] + step/2})
+	}
+	queries = append(queries, geom.Point{-50, 35, 35}, geom.Point{35, 35, 200}, geom.Point{-5, -5, -5})
+
+	tiedWithDeadAndPending := 0
+	for _, q := range queries {
+		for _, run := range []struct {
+			name string
+			knn  func(geom.Point, int) ([]touch.Neighbor, error)
+			ds   touch.Dataset
+		}{
+			{"Index", ix.KNN, ds},
+			{"Mutable.View", m.View().KNN, live},
+		} {
+			n := len(run.ds)
+			for _, k := range []int{1, 10, n, n + 5} {
+				got, err := run.knn(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := nl.KNN(run.ds, q, k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s.KNN(%v, %d) over %d objects: first difference at %d:\n got %v\nwant %v",
+						run.name, q, k, n, firstDiff(got, want), head(got, 12), head(want, 12))
+				}
+			}
+		}
+		// Premise: at k = 10 the k-th distance is shared by dozens of
+		// objects, tombstoned base objects and pending inserts among them.
+		kth := nl.KNN(live, q, 10)[9].Distance
+		tied, tiedDead, tiedPending := 0, 0, 0
+		for _, o := range ds {
+			if o.Box.PointDistance(q) == kth && isDead(o.ID) {
+				tiedDead++
+			}
+		}
+		for _, o := range live {
+			if o.Box.PointDistance(q) == kth {
+				tied++
+				if int(o.ID) >= len(ds) {
+					tiedPending++
+				}
+			}
+		}
+		if tied >= 24 && tiedDead > 0 && tiedPending > 0 {
+			tiedWithDeadAndPending++
+		}
+	}
+	if tiedWithDeadAndPending < 5 {
+		t.Fatalf("premise: only %d of %d query points have two dozen live objects, a tombstone and a pending insert at the 10th distance",
+			tiedWithDeadAndPending, len(queries))
+	}
+}
+
+func head[T any](s []T, n int) []T { return s[:min(n, len(s))] }

@@ -132,9 +132,9 @@ func CheckJoin(alg touch.Algorithm, c Case, workers int, want []touch.Pair) erro
 	return nil
 }
 
-// firstDiff returns the index of the first position where the two
-// canonical pair lists diverge.
-func firstDiff(a, b []touch.Pair) int {
+// firstDiff returns the index of the first position where the two lists
+// diverge.
+func firstDiff[T comparable](a, b []T) int {
 	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
