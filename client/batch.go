@@ -21,6 +21,7 @@ type Batch struct {
 	c    *Conn
 	buf  []byte
 	reqs []batchReq
+	last *call // of the newest queued request
 	err  error
 }
 
@@ -55,6 +56,7 @@ func (b *Batch) add(op byte, encode func([]byte) []byte) ReplyFuture {
 		return ReplyFuture{err: err}
 	}
 	b.reqs = append(b.reqs, batchReq{op: op, tag: tag, off: off, end: len(b.buf)})
+	b.last = cl
 	return ReplyFuture{c: b.c, tag: tag, call: cl}
 }
 
@@ -110,15 +112,22 @@ func (b *Batch) Update(dataset string, spec UpdateSpec) UpdateFuture {
 
 // Send writes every queued request in one burst with one flush, then
 // resets the batch for reuse. It does not wait for responses — harvest
-// the futures. On a write error the connection is poisoned and every
-// queued future fails.
+// the futures. Nobody is waiting on the batch yet, so Send gives it a
+// reader of its own until its last response is in: the answers are
+// drained while the caller still writes or harvests, however deep the
+// pipeline, and never back up into the server. On a write error the
+// connection is poisoned and every queued future fails.
 func (b *Batch) Send() error {
 	if b.err != nil {
 		err := b.err
-		b.reqs, b.buf, b.err = b.reqs[:0], b.buf[:0], nil
+		b.reqs, b.buf, b.last, b.err = b.reqs[:0], b.buf[:0], nil, nil
 		return err
 	}
 	c := b.c
+	if b.last != nil {
+		go c.await(b.last)
+		b.last = nil
+	}
 	c.wmu.Lock()
 	var err error
 	for _, r := range b.reqs {

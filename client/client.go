@@ -5,7 +5,12 @@
 // A Conn is safe for concurrent use and multiplexes every request over
 // one connection: each request carries a tag, responses are matched by
 // tag, and in-order execution on the server means no response ever
-// waits behind bookkeeping here. Two usage patterns:
+// waits behind bookkeeping here. There is no reader goroutine: a caller
+// waiting for a response reads the connection itself unless another
+// caller already does, completing whatever calls the frames it reads
+// belong to, so a lone round trip wakes no goroutine but its own — on an
+// otherwise idle machine each extra wake-up is an idle core brought out
+// of its sleep. Two usage patterns:
 //
 //   - Unary calls (Range, Point, KNN, Join, JoinCount) write one frame,
 //     flush, and wait. Concurrent goroutines sharing a Conn pipeline
@@ -28,7 +33,9 @@
 // the request's admission slot on abort, and the connection stays
 // usable. A connection-level error fails every outstanding request
 // with the same error and poisons the Conn; Pool replaces poisoned
-// connections on the next checkout.
+// connections on the next checkout. A connection that dies while no
+// request is in flight is noticed by the next Err or the next request,
+// whichever looks first.
 package client
 
 import (
@@ -79,8 +86,8 @@ type Reply struct {
 	Stream []Frame
 }
 
-// call is one in-flight request: the reader goroutine fills it and
-// closes done exactly once.
+// call is one in-flight request: whoever reads its terminal frame fills
+// it and closes done exactly once.
 type call struct {
 	done  chan struct{}
 	reply Reply
@@ -91,6 +98,14 @@ type call struct {
 type Conn struct {
 	nc net.Conn
 	w  *wire.Writer
+
+	// rmu is the read side: whoever holds it reads frames from r and
+	// completes the calls they answer, its own and everyone else's. A
+	// reader that leaves puts a token on turn (capacity 1), which wakes
+	// one caller still waiting to take the read side over.
+	rmu  sync.Mutex
+	r    *wire.Reader
+	turn chan struct{}
 
 	// serverInfo is the free-text build identification the server sent in
 	// its hello frame ("touchserved/v1.2.3 rev/abc... go1.x"); empty for
@@ -143,8 +158,8 @@ func Dial(ctx context.Context, addr string) (*Conn, error) {
 	if dl, ok := ctx.Deadline(); ok {
 		nc.SetDeadline(dl)
 	}
-	c := &Conn{nc: nc, w: wire.NewWriter(nc), pending: make(map[uint32]*call)}
 	r := wire.NewReader(nc, 0)
+	c := &Conn{nc: nc, w: wire.NewWriter(nc), r: r, turn: make(chan struct{}, 1), pending: make(map[uint32]*call)}
 	if err := c.w.WriteHello("touchclient/go"); err == nil {
 		err = c.w.Flush()
 	} else {
@@ -164,7 +179,6 @@ func Dial(ctx context.Context, addr string) (*Conn, error) {
 		return nil, fmt.Errorf("client: server speaks protocol version %d, this client speaks %d", v, wire.Version)
 	}
 	nc.SetDeadline(time.Time{})
-	go c.readLoop(r)
 	return c, nil
 }
 
@@ -176,15 +190,26 @@ func (c *Conn) Close() error {
 }
 
 // Err returns the connection's sticky error, nil while it is usable.
+// When nobody is reading the connection it looks at the socket first,
+// without blocking, so a peer that hung up while the connection sat idle
+// is reported here rather than to the next request.
 func (c *Conn) Err() error {
+	if c.rmu.TryLock() {
+		if c.r.Buffered() == 0 {
+			if err := hungUp(c.nc); err != nil {
+				c.fail(fmt.Errorf("client: read: %w", err))
+			}
+		}
+		c.releaseRead()
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
 }
 
 // fail poisons the connection: the first error sticks, every pending
-// call completes with it, and the socket closes (which also stops the
-// reader).
+// call completes with it, and the socket closes (which also ends a
+// blocked read).
 func (c *Conn) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
@@ -200,38 +225,73 @@ func (c *Conn) fail(err error) {
 	}
 }
 
-// readLoop is the connection's single reader: it matches every response
-// frame to its pending call by tag and copies it onto the call's Reply,
-// decoding nothing — every caller's response waits behind this
-// goroutine. Non-terminal frames (OpPairs batches, the OpTrace trailer)
-// accumulate; any other opcode completes the call.
-func (c *Conn) readLoop(r *wire.Reader) {
-	for {
-		op, tag, payload, err := r.ReadFrame()
-		if err != nil {
-			c.fail(fmt.Errorf("client: read: %w", err))
-			return
-		}
-		nonTerminal := op == wire.OpPairs || op == wire.OpTrace
-		c.mu.Lock()
-		cl := c.pending[tag]
-		if !nonTerminal {
-			delete(c.pending, tag)
-		}
-		c.mu.Unlock()
-		if cl == nil {
-			// A response for a tag nobody waits on: the server answered
-			// something this client never sent, or answered twice.
-			c.fail(fmt.Errorf("client: response for unknown tag %d (opcode %#02x)", tag, op))
-			return
-		}
-		f := Frame{Op: op, Payload: append([]byte(nil), payload...)}
-		if nonTerminal {
-			cl.reply.Stream = append(cl.reply.Stream, f)
+// readFrame reads one response frame and hands it to its pending call,
+// matched by tag and copied onto the call's Reply, decoding nothing.
+// Non-terminal frames (OpPairs batches, the OpTrace trailer) accumulate;
+// any other opcode completes the call. It reports false once the
+// connection has failed. The caller holds rmu.
+func (c *Conn) readFrame() bool {
+	op, tag, payload, err := c.r.ReadFrame()
+	if err != nil {
+		c.fail(fmt.Errorf("client: read: %w", err))
+		return false
+	}
+	nonTerminal := op == wire.OpPairs || op == wire.OpTrace
+	c.mu.Lock()
+	cl := c.pending[tag]
+	if !nonTerminal {
+		delete(c.pending, tag)
+	}
+	c.mu.Unlock()
+	if cl == nil {
+		// A response for a tag nobody waits on: the server answered
+		// something this client never sent, or answered twice.
+		c.fail(fmt.Errorf("client: response for unknown tag %d (opcode %#02x)", tag, op))
+		return false
+	}
+	f := Frame{Op: op, Payload: append([]byte(nil), payload...)}
+	if nonTerminal {
+		cl.reply.Stream = append(cl.reply.Stream, f)
+		return true
+	}
+	cl.reply.Frame = f
+	close(cl.done)
+	return true
+}
+
+// releaseRead gives the read side up and lets one waiting caller take it.
+func (c *Conn) releaseRead() {
+	c.rmu.Unlock()
+	select {
+	case c.turn <- struct{}{}:
+	default: // a token is waiting already
+	}
+}
+
+// await blocks until the call completes, reading the connection itself
+// whenever nobody else does.
+func (c *Conn) await(cl *call) {
+	for !cl.completed() {
+		if c.rmu.TryLock() {
+			for !cl.completed() && c.readFrame() {
+			}
+			c.releaseRead()
 			continue
 		}
-		cl.reply.Frame = f
-		close(cl.done)
+		select {
+		case <-cl.done:
+		case <-c.turn:
+		}
+	}
+}
+
+// completed reports whether done has been closed.
+func (cl *call) completed() bool {
+	select {
+	case <-cl.done:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -276,12 +336,14 @@ func (c *Conn) sendCancel(tag uint32) {
 // cancel frame and keeps waiting for the guaranteed terminal response
 // (or the connection's death) — then reports the context's error.
 func (c *Conn) wait(ctx context.Context, tag uint32, cl *call) (*Reply, error) {
-	select {
-	case <-cl.done:
-	case <-ctx.Done():
-		c.sendCancel(tag)
-		<-cl.done
-		if cl.err == nil {
+	if ctx.Done() == nil || cl.completed() {
+		c.await(cl)
+	} else {
+		// The waiter may be the one blocked in the read, so the cancel
+		// frame goes out from the context's own goroutine.
+		stop := context.AfterFunc(ctx, func() { c.sendCancel(tag) })
+		c.await(cl)
+		if !stop() && cl.err == nil {
 			return nil, ctx.Err()
 		}
 	}

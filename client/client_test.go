@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -165,5 +166,94 @@ func TestConnSharedPipelining(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestErrSeesIdleHangUp: nobody reads a connection that has no request
+// in flight, so a peer that goes away meanwhile is found by looking:
+// Err peeks at the socket and reports the hang-up, and a pool hands the
+// connection out no more — no request has to fail to find out.
+func TestErrSeesIdleHangUp(t *testing.T) {
+	srv := server.New(server.Config{})
+	srv.Load("d", touch.GenerateUniform(50, 1), touch.TOUCHConfig{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeWire(ln)
+	ctx := context.Background()
+	p := client.NewPool(ln.Addr().String(), 1)
+	defer p.Close()
+	c, err := p.Conn(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := touch.Box{Max: touch.Point{500, 500, 500}}
+	if _, _, err := c.Range(ctx, "d", box); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("Err on a live idle connection: %v", err)
+	}
+	if !p.Healthy() {
+		t.Fatal("the pool holds a live connection and reports unhealthy")
+	}
+
+	sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if err := srv.ShutdownWire(sctx); err != nil {
+		t.Fatal(err)
+	}
+	// The close is on the wire once ShutdownWire returns; loopback
+	// delivers it at once, a loaded machine a little later.
+	for deadline := time.Now().Add(5 * time.Second); c.Err() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Err never reported the peer's hang-up on an idle connection")
+		}
+	}
+	if p.Healthy() {
+		t.Fatal("the pool reports a hung-up connection healthy")
+	}
+	if _, _, err := c.Range(ctx, "d", box); err == nil {
+		t.Fatal("a request on the hung-up connection succeeded")
+	}
+}
+
+// TestCancelReachesTheReadingCaller: a lone caller reads its own
+// response, so it is inside a blocked read when its context ends — the
+// cancel frame goes out all the same, the server aborts the join, the
+// terminal frame comes back to the same caller and the connection stays
+// usable.
+func TestCancelReachesTheReadingCaller(t *testing.T) {
+	srv := server.New(server.Config{})
+	srv.Load("big", touch.GenerateUniform(60_000, 2).Expand(30), touch.TOUCHConfig{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeWire(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.ShutdownWire(ctx)
+	})
+	c, err := client.Dial(context.Background(), ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	// A self-join of 60,000 fat boxes runs for seconds.
+	_, _, err = c.JoinCount(ctx, "big", client.JoinSpec{Probe: "big", Eps: 40})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("the join returned %v after %v, want the context's deadline", err, time.Since(start))
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("the canceled join took %v to come back", took)
+	}
+	if _, ids, err := c.Range(context.Background(), "big", touch.Box{Max: touch.Point{50, 50, 50}}); err != nil || len(ids) == 0 {
+		t.Fatalf("the connection after a cancel: %d ids, %v", len(ids), err)
 	}
 }

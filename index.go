@@ -34,7 +34,6 @@ import (
 // per query.
 type Index struct {
 	reader
-	lenA  int
 	maxID ID // largest indexed object ID, -1 when empty
 }
 
@@ -43,46 +42,72 @@ type Index struct {
 // cfg.Workers sets the default per-query parallelism; Options.Workers
 // overrides it per call.
 func BuildIndex(a Dataset, cfg TOUCHConfig) *Index {
-	return indexFromTree(core.Build(a, cfg), len(a))
+	return indexFromTree(core.Build(a, cfg))
 }
 
-// reader is the one read surface of the package: a base tree plus a
-// possibly-empty delta of pending updates. Index embeds it with nothing
-// pending, Overlay with the inserts and tombstones of one generation,
-// and Mutable.View returns the current one; all twelve query and join
-// methods are declared here and answer bit-identically to an index
-// rebuilt from the merged dataset.
+// reader is the one read surface of the package: a short list of
+// immutable TOUCH trees — tiers, over ascending, disjoint ID ranges,
+// tiers[0] being the base — plus a possibly-empty delta of pending
+// updates. Index embeds it with one tier and nothing pending, Overlay
+// with the tiers, the unindexed tail and the tombstones of one
+// generation, and Mutable.View returns the current one; all twelve query
+// and join methods are declared here and answer bit-identically to an
+// index rebuilt from the merged dataset.
 //
-// The delta is held as its two slices, as they are: the inserts, which
-// may contain tombstoned objects, and the tombstones, ascending. A
+// Reads fan over the tiers: a range query concatenates the tiers'
+// answers, already ascending by the ID-range invariant; a kNN search
+// runs base to top over one k-slot heap, so a tier beyond the k-th
+// distance found so far costs its root test; a join runs one probe per
+// tier. The delta is held as its two slices, as they are: the inserts no
+// fold has indexed yet, which may contain tombstoned objects, and the
+// tombstones — of tier objects and inserts alike — ascending. A
 // tombstone is tested by binary search, and only on an object that is
-// already a hit. Every delta pass starts by returning when both slices
-// are empty, so with nothing pending a read runs the bare tree's
-// instructions plus that one branch, and its trace carries no delta or
-// overlay phase.
+// already a hit. Every delta pass starts by returning when its slice is
+// empty, so with one tier and nothing pending a read runs the bare
+// tree's instructions plus those branches, and its trace carries no
+// delta or overlay phase.
 //
 // A reader is immutable and holds references only: safe for arbitrary
-// concurrent callers, each call drawing a private probe from the pool
-// its base Index owns.
+// concurrent callers, each call drawing a private probe from the pool of
+// the tier it probes.
 type reader struct {
-	tree    *core.Tree
-	probes  *sync.Pool // *core.Probe, shared by every reader over tree
+	tiers   []tier
+	upper   []*core.Tree // the trees of tiers[1:], as the engine's queries take them
 	inserts Dataset
 	tombs   []ID
+}
+
+// tier is one immutable tree of a reader with the objects it indexes.
+type tier struct {
+	// ds is the tier's dataset, ID-ascending: what a fold merges and an
+	// update searches. A bare Index keeps none — its caller holds the
+	// dataset — and only generations made by OverlayOf carry it.
+	ds     Dataset
+	tree   *core.Tree
+	probes *sync.Pool // *core.Probe, shared by every reader over tree
+}
+
+// newReader returns the reader over tiers with nothing pending.
+func newReader(tiers []tier) reader {
+	r := reader{tiers: tiers}
+	for _, t := range tiers[1:] {
+		r.upper = append(r.upper, t.tree)
+	}
+	return r
 }
 
 // frozen reports whether nothing is pending.
 func (r *reader) frozen() bool { return len(r.inserts) == 0 && len(r.tombs) == 0 }
 
 // Join runs TOUCH's assignment and join phases against b, reusing the
-// prebuilt tree. Result pairs are in (indexed dataset, b) orientation,
-// every Options knob honored. Over a non-empty delta the base pairs are
-// filtered against the tombstones and a brute-force pass joins the live
-// inserts, so pair order is the base engine's emission order followed
-// by the insert pass — arbitrary under parallelism; sort with
-// Result.SortPairs for a canonical order. Safe to call concurrently:
-// each call checks a private probe out of the pool and the tree is
-// never written. It is JoinCtx with a background context —
+// prebuilt trees. Result pairs are in (indexed dataset, b) orientation,
+// every Options knob honored. Tier after tier is probed, the pairs
+// filtered against the tombstones when there are any, and a brute-force
+// pass joins the live inserts, so pair order is the engine's emission
+// order tier by tier followed by the insert pass — arbitrary under
+// parallelism; sort with Result.SortPairs for a canonical order. Safe to
+// call concurrently: each call checks a private probe out of a tier's
+// pool and no tree is ever written. It is JoinCtx with a background context —
 // uncancellable, and free of any cancellation bookkeeping unless
 // Options.Limit is set.
 func (r *reader) Join(b Dataset, opt *Options) *Result {
@@ -107,40 +132,38 @@ func (r *reader) JoinCtx(ctx context.Context, b Dataset, opt *Options) (*Result,
 	})
 }
 
-// run executes one join for JoinCtx and JoinSeq. With nothing pending
-// that is the base probe and nothing else; otherwise the base probe with
-// a tombstone filter in front of the delivery chain, then — unless the
-// join was stopped — the brute-force pass over the live inserts into
-// the same chain, one nl.Join per run of inserts between two dead ones.
-// The engine counts every emission in c.Results before the filter can
-// see it, so the dropped pairs are subtracted afterwards, keeping
-// Stats.Results equal to the delivered (live) pair count. A non-nil
-// o.Trace records the insert pass's wall time as PhaseDelta (the
-// tombstone filter runs inline inside the join phase and is not timed
-// separately).
+// run executes one join for JoinCtx and JoinSeq: one probe per tier, with
+// a tombstone filter in front of the delivery chain when there are
+// tombstones, then — unless the join was stopped or nothing is unindexed
+// — the brute-force pass over the live inserts into the same chain, one
+// nl.Join per run of inserts between two dead ones. The engine counts
+// every emission in c.Results before the filter can see it, so the
+// dropped pairs are subtracted afterwards, keeping Stats.Results equal to
+// the delivered (live) pair count. A non-nil o.Trace records the insert
+// pass's wall time as PhaseDelta (the tombstone filter runs inline inside
+// the join phase and is not timed separately).
 func (r *reader) run(b Dataset, o *Options, ctl *stats.Control, c *Stats, sink Sink) {
-	if r.frozen() {
-		r.runProbe(b, o.Workers, ctl, c, sink)
-		return
-	}
-	base := sink
-	var dropped int64
-	if len(r.tombs) > 0 {
-		base = stats.FuncSink(func(a, bid ID) {
+	if len(r.tombs) == 0 {
+		r.probeTiers(b, o.Workers, ctl, c, sink)
+	} else {
+		var dropped int64
+		r.probeTiers(b, o.Workers, ctl, c, stats.FuncSink(func(a, bid ID) {
 			if r.dead(a) {
 				dropped++
 				return
 			}
 			sink.Emit(a, bid)
-		})
+		}))
+		c.Results -= dropped
 	}
-	r.runProbe(b, o.Workers, ctl, c, base)
-	c.Results -= dropped
+	ins := r.inserts
+	if len(ins) == 0 {
+		return
+	}
 	var start time.Time
 	if o.Trace != nil {
 		start = time.Now()
 	}
-	ins := r.inserts
 	for from, i := 0, 0; i <= len(ins); i++ {
 		if i < len(ins) && !r.dead(ins[i].ID) {
 			continue
@@ -153,23 +176,34 @@ func (r *reader) run(b Dataset, o *Options, ctl *stats.Control, c *Stats, sink S
 		}
 		from = i + 1
 	}
-	if o.Trace != nil && len(ins) > 0 {
+	if o.Trace != nil {
 		o.Trace.Add(trace.PhaseDelta, time.Since(start))
 	}
 }
 
-// runProbe is the engine block of run: draw a probe from the pool, pin
-// its worker count (a recycled probe keeps its previous count, so it is
-// re-pinned to the build-time default unless the call overrides it),
+// probeTiers runs the engine over every tier in turn, unless the join is
+// stopped on the way.
+func (r *reader) probeTiers(b Dataset, workers int, ctl *stats.Control, c *Stats, sink Sink) {
+	for i := range r.tiers {
+		if i > 0 && ctl.Stopped() {
+			return
+		}
+		r.tiers[i].runProbe(b, workers, ctl, c, sink)
+	}
+}
+
+// runProbe is the engine block of run: draw a probe from the tier's pool,
+// pin its worker count (a recycled probe keeps its previous count, so it
+// is re-pinned to the build-time default unless the call overrides it),
 // run the assignment and join phases with their timings, and account
 // the memory.
-func (r *reader) runProbe(b Dataset, workers int, ctl *stats.Control, c *Stats, sink Sink) {
-	p := r.probes.Get().(*core.Probe)
-	defer r.probes.Put(p)
+func (t *tier) runProbe(b Dataset, workers int, ctl *stats.Control, c *Stats, sink Sink) {
+	p := t.probes.Get().(*core.Probe)
+	defer t.probes.Put(p)
 	if workers > 1 {
 		p.SetWorkers(workers)
 	} else {
-		p.SetWorkers(r.tree.Workers())
+		p.SetWorkers(t.tree.Workers())
 	}
 
 	start := time.Now()
@@ -178,7 +212,7 @@ func (r *reader) runProbe(b Dataset, workers int, ctl *stats.Control, c *Stats, 
 	start = time.Now()
 	p.JoinPhase(ctl, c, sink)
 	c.JoinTime += time.Since(start)
-	c.MemoryBytes += r.tree.StaticBytes() + p.MemoryBytes()
+	c.MemoryBytes += t.tree.StaticBytes() + p.MemoryBytes()
 }
 
 // DistanceJoin is Join with the probe dataset's boxes enlarged by eps —
@@ -224,14 +258,15 @@ type IndexStats struct {
 // Stats reports the size and shape of the index. The values are fixed at
 // BuildIndex time; calling Stats never touches per-query state, so it is
 // safe concurrently with any queries.
-func (ix *Index) Stats() IndexStats {
-	t := ix.tree
+func (ix *Index) Stats() IndexStats { return ix.tiers[0].stats() }
+
+func (t *tier) stats() IndexStats {
 	return IndexStats{
-		Objects:     ix.lenA,
-		Nodes:       t.Nodes,
-		Leaves:      t.Leaves,
-		Height:      t.Height,
-		StaticBytes: t.StaticBytes(),
+		Objects:     t.tree.SizeA,
+		Nodes:       t.tree.Nodes,
+		Leaves:      t.tree.Leaves,
+		Height:      t.tree.Height,
+		StaticBytes: t.tree.StaticBytes(),
 	}
 }
 
@@ -255,10 +290,10 @@ func checkPoint(p Point) error {
 // The traversal is the best case O(log |A| + r) for r results: node
 // MBRs prune disjoint subtrees, a subtree fully inside q is emitted as
 // one contiguous arena scan with no per-object tests, and a leaf is
-// read block by block under the same rule. Over a non-empty delta the
-// base answer is then filtered against the tombstones and one pass over
-// the inserts appends the matches in ID order (no sort, no extra
-// allocation). Safe for arbitrary concurrent callers; steady-state
+// read block by block under the same rule, tier after tier. Over a
+// non-empty delta one pass over the inserts then appends the matches in
+// ID order (no sort, no extra allocation) and the answer is filtered
+// against the tombstones. Safe for arbitrary concurrent callers; steady-state
 // serving allocates only the returned slice.
 func (r *reader) RangeQuery(q Box) ([]ID, error) { return r.RangeQueryTraced(q, nil) }
 
@@ -272,14 +307,15 @@ func (r *reader) RangeQueryTraced(q Box, sp *Span) ([]ID, error) {
 	if !q.Valid() {
 		return nil, fmt.Errorf("%w %v", ErrInvalidBox, q)
 	}
-	p := r.probes.Get().(*core.Probe)
-	defer r.probes.Put(p)
+	probes := r.tiers[0].probes
+	p := probes.Get().(*core.Probe)
+	defer probes.Put(p)
 	var c Stats
 	if sp == nil {
-		return r.merge(slices.Clone(p.RangeQuery(q, &c)), q, nil), nil
+		return r.merge(slices.Clone(p.RangeQuery(q, &c, r.upper...)), q, nil), nil
 	}
 	start := time.Now()
-	ids := slices.Clone(p.RangeQuery(q, &c))
+	ids := slices.Clone(p.RangeQuery(q, &c, r.upper...))
 	sp.Add(trace.PhaseQuery, time.Since(start))
 	c.Results = int64(len(ids))
 	sp.Record(&c)
@@ -315,18 +351,19 @@ func (r *reader) PointQueryTraced(x, y, z float64, sp *Span) ([]ID, error) {
 // distance-ordered priority queue of nodes and leaf blocks, the best k
 // objects so far in a k-slot heap, and everything strictly beyond the
 // k-th distance dropped unseen — O(log |A| + k) node visits on
-// well-separated data. Over a non-empty delta the base is asked for
-// exactly k neighbors with the tombstones as its skip list, looked up
-// only for an object that would enter the heap; they are the running
-// top-k that one pass over the inserts then improves, touching it only
-// when an insert beats the current k-th neighbor. Safe for
+// well-separated data. The tiers are searched base to top over that one
+// heap, so a tier wholly beyond the k-th distance found below it costs
+// one node test, with the tombstones as the skip list, looked up only
+// for an object that would enter the heap; one pass over the inserts
+// then improves the same heap, touching it only when an insert beats
+// the current k-th neighbor. Safe for
 // arbitrary concurrent callers; steady-state serving allocates only the
 // returned slice.
 func (r *reader) KNN(q Point, k int) ([]Neighbor, error) { return r.KNNTraced(q, k, nil) }
 
 // KNNTraced is KNN with per-request tracing; see RangeQueryTraced. The
-// insert pass, merge included, records PhaseDelta; the tombstone test
-// runs inside the base search.
+// insert pass records PhaseDelta; the tombstone test runs inside the
+// search.
 func (r *reader) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrInvalidK, k)
@@ -334,16 +371,28 @@ func (r *reader) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
 	if err := checkPoint(q); err != nil {
 		return nil, err
 	}
-	p := r.probes.Get().(*core.Probe)
-	defer r.probes.Put(p)
+	probes := r.tiers[0].probes
+	p := probes.Get().(*core.Probe)
+	defer probes.Put(p)
 	var c Stats
-	if sp == nil {
-		return r.mergeKNN(slices.Clone(p.KNN(q, k, &c, r.tombs...)), q, k, nil), nil
+	var start time.Time
+	if sp != nil {
+		start = time.Now()
 	}
-	start := time.Now()
-	nbrs := slices.Clone(p.KNN(q, k, &c, r.tombs...))
-	sp.Add(trace.PhaseQuery, time.Since(start))
-	c.Results = int64(len(nbrs))
+	p.Nearest(q, k, &c, r.tombs, r.upper...)
+	if sp != nil {
+		sp.Add(trace.PhaseQuery, time.Since(start))
+	}
+	if len(r.inserts) > 0 {
+		if sp != nil {
+			start = time.Now()
+		}
+		p.Offer(r.inserts, q, k, r.tombs)
+		if sp != nil {
+			sp.Add(trace.PhaseDelta, time.Since(start))
+		}
+	}
+	nbrs := slices.Clone(p.Neighbors(&c))
 	sp.Record(&c)
-	return r.mergeKNN(nbrs, q, k, sp), nil
+	return nbrs, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"touch/internal/geom"
@@ -17,6 +18,13 @@ import (
 // read the Tree; all traversal state (DFS stack, kNN queue, result
 // buffers) lives in the Probe's queryScratch and recycles across queries,
 // so steady-state serving allocates nothing inside the traversal.
+//
+// None of that state belongs to a particular tree, so one probe can walk
+// several: a tiered index — immutable trees over ascending, disjoint ID
+// ranges, the probe's own tree being the lowest — answers a range query
+// as the concatenation of its tiers' answers and a kNN search as one
+// search over one k-slot heap, each tier starting from the neighbours
+// the tiers before it found.
 
 // queryScratch is the per-probe traversal state of the single-probe
 // queries: a node-id stack for the range/point descent, the queue of
@@ -40,10 +48,24 @@ type queryScratch struct {
 // and block-MBR tests are charged to c.NodeTests (a leaf of a single
 // block has been tested already and is not tested again), object tests
 // to c.Comparisons, and emitted matches to c.Results.
-func (p *Probe) RangeQuery(q geom.Box, c *stats.Counters) []geom.ID {
-	t := p.tree
+//
+// upper lists the trees above the probe's own in a tiered index, lowest
+// first; each tier's answer is sorted on its own and follows the answer
+// of the tier below, which is the ascending order of the whole because
+// the tiers' ID ranges ascend.
+func (p *Probe) RangeQuery(q geom.Box, c *stats.Counters, upper ...*Tree) []geom.ID {
 	s := &p.query
 	s.ids = s.ids[:0]
+	s.rangeQuery(p.tree, q, c)
+	for _, t := range upper {
+		s.rangeQuery(t, q, c)
+	}
+	return s.ids
+}
+
+// rangeQuery appends t's answer to q, ascending, to s.ids.
+func (s *queryScratch) rangeQuery(t *Tree, q geom.Box, c *stats.Counters) {
+	from := len(s.ids)
 	s.stack = append(s.stack[:0], t.Root.id)
 	for len(s.stack) > 0 {
 		id := s.stack[len(s.stack)-1]
@@ -92,8 +114,7 @@ func (p *Probe) RangeQuery(q geom.Box, c *stats.Counters) []geom.ID {
 			}
 		}
 	}
-	slices.Sort(s.ids)
-	return s.ids
+	slices.Sort(s.ids[from:])
 }
 
 // PointQuery returns the IDs of every indexed A object whose MBR
@@ -177,10 +198,28 @@ func (s *queryScratch) enqueue(mbr *geom.Box, q geom.Point, k int, node, blk int
 
 // offer runs the objects es past the k-slot heap s.nbrs: an object enters
 // when fewer than k are held or it precedes the worst of them in
-// (Distance, ID) order — and only then is it looked up in skip.
+// (Distance, ID) order — and only then is it looked up in skip. The
+// distance is Box.PointDistance's, its sum of squared gaps cut short: the
+// partial sums only grow, so the first one past the bound (farther)
+// settles that the object is strictly beyond the worst neighbour held,
+// which is most objects of a long unindexed stretch after one dimension.
 func (s *queryScratch) offer(es []geom.Object, q geom.Point, k int, skip []geom.ID) {
+	limit := math.Inf(1)
+	if len(s.nbrs) == k {
+		limit = farther(s.nbrs[0].Distance)
+	}
 	for i := range es {
-		nb := geom.Neighbor{ID: es[i].ID, Distance: es[i].Box.PointDistance(q)}
+		b := &es[i].Box
+		sum := 0.0
+		for d := 0; d < geom.Dims && sum <= limit; d++ {
+			if gap := max(b.Min[d]-q[d], q[d]-b.Max[d]); gap > 0 {
+				sum += gap * gap
+			}
+		}
+		if sum > limit {
+			continue
+		}
+		nb := geom.Neighbor{ID: es[i].ID, Distance: math.Sqrt(sum)}
 		full := len(s.nbrs) == k
 		if full && !after(s.nbrs[0], nb) {
 			continue
@@ -197,8 +236,17 @@ func (s *queryScratch) offer(es []geom.Object, q geom.Point, k int, skip []geom.
 			s.nbrs = append(s.nbrs, nb)
 			siftUp(s.nbrs, len(s.nbrs)-1, after)
 		}
+		if len(s.nbrs) == k {
+			limit = farther(s.nbrs[0].Distance)
+		}
 	}
 }
+
+// farther returns a bound on squared distances: a sum of squared gaps
+// above it has a root strictly above d. It is d² with a margin of 2⁻⁴⁰,
+// which swallows the rounding of the square and of the root (2⁻⁵³ each),
+// so the comparison of the roots never needs to be made to know it.
+func farther(d float64) float64 { return d * d * (1 + 0x1p-40) }
 
 // KNN returns the k indexed A objects nearest to q by minimum Euclidean
 // box distance, ordered by (Distance, ID) ascending — ties at the k-th
@@ -231,12 +279,60 @@ func (s *queryScratch) offer(es []geom.Object, q geom.Point, k int, skip []geom.
 // a skipped object never tightens the bound — so the answer is the first
 // k unskipped objects of the full order. The delta layer passes its
 // tombstones here instead of over-asking by one neighbor per tombstone.
+//
+// KNN is Nearest over the probe's own tree alone, then Neighbors.
 func (p *Probe) KNN(q geom.Point, k int, c *stats.Counters, skip ...geom.ID) []geom.Neighbor {
-	t := p.tree
+	p.Nearest(q, k, c, skip)
+	return p.Neighbors(c)
+}
+
+// Nearest runs KNN's search over the probe's own tree and then, in
+// order, over the upper trees of a tiered index, and leaves the k best
+// objects in the probe — unordered, for Offer to improve and Neighbors to
+// return. The k-slot heap is one across the tiers: each search starts
+// from the neighbours already held, so a tier whose root lies strictly
+// beyond the k-th distance found below it costs that one node test.
+func (p *Probe) Nearest(q geom.Point, k int, c *stats.Counters, skip []geom.ID, upper ...*Tree) {
 	s := &p.query
 	s.nbrs = s.nbrs[:0]
-	if k <= 0 || t.SizeA == 0 {
-		return s.nbrs
+	if k <= 0 {
+		return
+	}
+	s.nearest(p.tree, q, k, c, skip)
+	for _, t := range upper {
+		s.nearest(t, q, k, c, skip)
+	}
+}
+
+// Offer improves the neighbours Nearest left in the probe with objs,
+// objects no tree holds — the unindexed tail of a tiered index — under
+// the same k, skip list and (Distance, ID) order. Distance evaluations
+// here are not charged to any counter.
+func (p *Probe) Offer(objs []geom.Object, q geom.Point, k int, skip []geom.ID) {
+	if k > 0 {
+		p.query.offer(objs, q, k, skip)
+	}
+}
+
+// Neighbors returns what Nearest and Offer have gathered, ordered by
+// (Distance, ID) ascending, and charges their count to c.Results. The
+// slice aliases probe-owned scratch; see RangeQuery.
+func (p *Probe) Neighbors(c *stats.Counters) []geom.Neighbor {
+	s := &p.query
+	// Heap sort in place: the worst of what is left moves behind it, so
+	// the slice ends up ascending in (Distance, ID).
+	for end := len(s.nbrs) - 1; end > 0; end-- {
+		s.nbrs[0], s.nbrs[end] = s.nbrs[end], s.nbrs[0]
+		siftDown(s.nbrs[:end], 0, after)
+	}
+	c.Results += int64(len(s.nbrs))
+	return s.nbrs
+}
+
+// nearest improves the k-slot heap s.nbrs with the objects of t.
+func (s *queryScratch) nearest(t *Tree, q geom.Point, k int, c *stats.Counters, skip []geom.ID) {
+	if t.SizeA == 0 {
+		return
 	}
 	s.queue = s.queue[:0]
 	c.NodeTests++
@@ -271,12 +367,4 @@ func (p *Probe) KNN(q geom.Point, k int, c *stats.Counters, skip ...geom.ID) []g
 			s.offer(n.Entries, q, k, skip)
 		}
 	}
-	// Heap sort in place: the worst of what is left moves behind it, so
-	// the slice ends up ascending in (Distance, ID).
-	for end := len(s.nbrs) - 1; end > 0; end-- {
-		s.nbrs[0], s.nbrs[end] = s.nbrs[end], s.nbrs[0]
-		siftDown(s.nbrs[:end], 0, after)
-	}
-	c.Results += int64(len(s.nbrs))
-	return s.nbrs
 }

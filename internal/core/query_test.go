@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -391,6 +392,131 @@ func TestQueryCountsGolden(t *testing.T) {
 		if gotRange != tc.rangeWant || gotKNN != tc.knnWant || len(tr.blocks) != tc.wantBlocks {
 			t.Errorf("%s (%d objects, %d leaves):\n got range %+v knn %+v blocks %d\nwant range %+v knn %+v blocks %d",
 				tc.name, len(tc.ds), tr.Leaves, gotRange, gotKNN, len(tr.blocks), tc.rangeWant, tc.knnWant, tc.wantBlocks)
+		}
+	}
+}
+
+// tieredFixture cuts one ID-ordered dataset into consecutive stretches
+// and builds a tree over each: a tiered index as the layers above hold
+// it, the first tree the probe's own and the rest its upper tiers.
+func tieredFixture(ds geom.Dataset, cuts ...int) (p *Probe, upper []*Tree) {
+	from := 0
+	for _, to := range append(cuts, len(ds)) {
+		tree := Build(ds[from:to], Config{Partitions: 4})
+		if from = to; p == nil {
+			p = tree.NewProbe()
+		} else {
+			upper = append(upper, tree)
+		}
+	}
+	return p, upper
+}
+
+// TestTieredQueriesMatchOracle: one probe walked over three tiers
+// answers the range query and the kNN search of the whole dataset — in
+// ID order and in (Distance, ID) order, ties across tiers included
+// (every box is present in every tier) — with a skip list and a tail of
+// unindexed objects offered to the same heap, and the probe is none the
+// worse for its next single-tree query.
+func TestTieredQueriesMatchOracle(t *testing.T) {
+	base := datagen.ClusteredSet(300, 251).Expand(3)
+	var ds geom.Dataset
+	for copy := 0; copy < 4; copy++ { // three tiers and the tail hold the same boxes
+		for _, o := range base {
+			ds = append(ds, geom.Object{ID: geom.ID(len(ds)), Box: o.Box})
+		}
+	}
+	tail := ds[900:]
+	p, upper := tieredFixture(ds[:900], 300, 600)
+	var skip []geom.ID
+	live := ds[:0:0]
+	for _, o := range ds {
+		if o.ID%7 == 3 {
+			skip = append(skip, o.ID)
+		} else {
+			live = append(live, o)
+		}
+	}
+	rng := rand.New(rand.NewSource(252))
+	for i := 0; i < 60; i++ {
+		q := randomQueryBox(rng)
+		var c stats.Counters
+		if got, want := p.RangeQuery(q, &c, upper...), nl.RangeQuery(ds[:900], q); !slices.Equal(got, want) {
+			t.Fatalf("tiered RangeQuery(%v): %d ids, want %d", q, len(got), len(want))
+		} else if c.Results != int64(len(got)) {
+			t.Fatalf("tiered RangeQuery: Results=%d for %d ids", c.Results, len(got))
+		}
+		pt, k := base[rng.Intn(len(base))].Box.Center(), 1+rng.Intn(40)
+		c = stats.Counters{}
+		p.Nearest(pt, k, &c, skip, upper...)
+		p.Offer(tail, pt, k, skip)
+		if got, want := p.Neighbors(&c), nl.KNN(live, pt, k); !slices.Equal(got, want) {
+			t.Fatalf("tiered KNN(%v, %d):\n got %v\nwant %v", pt, k, got, want)
+		} else if c.Results != int64(len(got)) {
+			t.Fatalf("tiered KNN: Results=%d for %d neighbors", c.Results, len(got))
+		}
+		if got, want := p.KNN(pt, k, &c), nl.KNN(ds[:300], pt, k); !slices.Equal(got, want) {
+			t.Fatalf("KNN on the probe's own tree after a tiered search:\n got %v\nwant %v", got, want)
+		}
+	}
+}
+
+// TestSeededKNNPrunesFarTier: the k-slot heap is one across the tiers,
+// so a tier that lies wholly beyond the k-th distance found below it is
+// dismissed by the test of its root and nothing else — exactly one node
+// test more than the search of the lower tier alone, no comparison more
+// — while the same tier searched on its own opens nodes and objects.
+func TestSeededKNNPrunesFarTier(t *testing.T) {
+	near := datagen.UniformSet(2000, 261) // the generator's 1000³ universe
+	far := make(geom.Dataset, 500)
+	for i, o := range datagen.UniformSet(500, 262) {
+		o.Box.Min[0], o.Box.Max[0] = o.Box.Min[0]+5000, o.Box.Max[0]+5000
+		far[i] = geom.Object{ID: geom.ID(2000 + i), Box: o.Box}
+	}
+	p := Build(near, Config{Partitions: 16}).NewProbe()
+	farTree := Build(far, Config{Partitions: 16})
+	rng := rand.New(rand.NewSource(263))
+	for i := 0; i < 40; i++ {
+		q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000, rng.Float64() * 1000}
+		const k = 10
+		var alone, tiered, own stats.Counters
+		want := slices.Clone(p.KNN(q, k, &alone))
+		p.Nearest(q, k, &tiered, nil, farTree)
+		if got := p.Neighbors(&tiered); !slices.Equal(got, want) {
+			t.Fatalf("a tier out of reach changed the answer: %v, want %v", got, want)
+		}
+		if tiered.NodeTests != alone.NodeTests+1 || tiered.Comparisons != alone.Comparisons {
+			t.Fatalf("the far tier cost %d node tests and %d comparisons, want 1 and 0",
+				tiered.NodeTests-alone.NodeTests, tiered.Comparisons-alone.Comparisons)
+		}
+		farTree.NewProbe().KNN(q, k, &own)
+		if own.NodeTests < 2 || own.Comparisons == 0 {
+			t.Fatalf("the far tier searched on its own cost %d node tests and %d comparisons: the fixture prunes nothing", own.NodeTests, own.Comparisons)
+		}
+	}
+}
+
+// TestFartherBoundsTheRoot: the squared-distance bound offer prunes by is
+// safe wherever it is used — a sum above farther(d) has a root strictly
+// above d, across magnitudes from subnormal to near overflow, at the
+// nearest representable sums above the bound — and it is not so wide that
+// it stops pruning: a sum a millionth above d² is past it.
+func TestFartherBoundsTheRoot(t *testing.T) {
+	rng := rand.New(rand.NewSource(271))
+	ds := []float64{0, math.SmallestNonzeroFloat64, 1e-170, 1.5e-162, 1e-154, 1e-20, 1, math.Pi, 1e20, 1e153, 1e154, math.MaxFloat64, math.Inf(1)}
+	for i := 0; i < 2000; i++ {
+		ds = append(ds, math.Ldexp(rng.Float64()+0.5, rng.Intn(1000)-500))
+	}
+	for _, d := range ds {
+		limit := farther(d)
+		for s, n := limit, 0; n < 64 && !math.IsInf(s, 1); n++ {
+			s = math.Nextafter(s, math.Inf(1))
+			if !(math.Sqrt(s) > d) {
+				t.Fatalf("sum %g is above farther(%g) = %g but its root %g is not above %g", s, d, limit, math.Sqrt(s), d)
+			}
+		}
+		if d > 1e-100 && d < 1e100 && !(d*d*(1+1e-6) > limit) {
+			t.Fatalf("farther(%g) = %g leaves a sum a millionth above d² unpruned", d, limit)
 		}
 	}
 }

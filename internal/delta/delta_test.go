@@ -19,6 +19,9 @@ func base(n int) geom.Dataset {
 	return ds
 }
 
+// all is the cut of a fold that rewrites every tier: below every ID.
+const all = geom.ID(-1 << 31)
+
 func inBase(ds geom.Dataset) func(geom.ID) bool {
 	return func(id geom.ID) bool {
 		return id >= 0 && int(id) < len(ds)
@@ -103,7 +106,7 @@ func TestSince(t *testing.T) {
 	d1, _ := d0.Insert([]geom.Box{box(21)}) // id 4
 	d1, _ = d1.Delete([]geom.ID{1, 3, 4}, inBase(bs))
 
-	nd := d1.Since(d0)
+	nd := d1.Since(d0, all)
 	if nd.Inserts() != 1 || nd.inserts[0].ID != 4 {
 		t.Fatalf("Since inserts = %v", nd.inserts)
 	}
@@ -211,14 +214,14 @@ func TestSinceAndMergedWalks(t *testing.T) {
 	d1, _ := d0.Insert([]geom.Box{box(32), box(33)}) // ids 14, 15
 	d1, _ = d1.Delete([]geom.ID{0, 4, 11, 12, 15}, inBase(bs))
 
-	nd := d1.Since(d0)
+	nd := d1.Since(d0, all)
 	if !slices.Equal(nd.Tombs(), []geom.ID{0, 4, 11, 12, 15}) {
 		t.Fatalf("Since tombs = %v, want [0 4 11 12 15]", nd.Tombs())
 	}
 	if nd.Inserts() != 2 || nd.Objects()[0].ID != 14 || nd.NextID() != 16 {
 		t.Fatalf("Since inserts = %v next=%d", nd.Objects(), nd.NextID())
 	}
-	if same := d1.Since(d1); !same.Empty() || same.NextID() != 16 {
+	if same := d1.Since(d1, all); !same.Empty() || same.NextID() != 16 {
 		t.Fatalf("Since(self) = %d inserts, %v", same.Inserts(), same.Tombs())
 	}
 
@@ -240,7 +243,7 @@ func TestSinceAndMergedWalks(t *testing.T) {
 	if got := ids(nd.Merged(d0.Merged(bs))); !slices.Equal(got, want) {
 		t.Fatalf("fold then Since = %v, want %v", got, want)
 	}
-	if got := d1.Since(d1).Merged(bs); &got[0] != &bs[0] {
+	if got := d1.Since(d1, all).Merged(bs); &got[0] != &bs[0] {
 		t.Fatal("an empty delta must return the base itself")
 	}
 }
@@ -269,7 +272,7 @@ func TestApplyEqualsDeleteThenInsert(t *testing.T) {
 	viaApply, viaSteps := NewForBase(bs), NewForBase(bs)
 	for i, step := range script {
 		boxes := make([]geom.Box, step.inserts)
-		next, first, deleted, ok := viaApply.Apply(bs, boxes, step.deletes)
+		next, first, deleted, ok := viaApply.Apply(boxes, step.deletes, inBase(bs))
 		want, wantDeleted := viaSteps.Delete(step.deletes, inBase(bs))
 		want, wantFirst := want.Insert(boxes)
 		if !ok || first != wantFirst || deleted != wantDeleted || next.NextID() != want.NextID() ||
@@ -289,10 +292,94 @@ func TestApplyEqualsDeleteThenInsert(t *testing.T) {
 	// Inserts that do not fit the ID space refuse the whole batch, its
 	// deletes included, and leave the receiver untouched.
 	full := &Delta{nextID: maxID - 1}
-	if next, _, deleted, ok := full.Apply(bs, make([]geom.Box, 3), []geom.ID{0, 1}); ok || next != full || deleted != 0 || full.Size() != 0 {
+	if next, _, deleted, ok := full.Apply(make([]geom.Box, 3), []geom.ID{0, 1}, inBase(bs)); ok || next != full || deleted != 0 || full.Size() != 0 {
 		t.Fatalf("overflowing Apply = (%+v, deleted %d, ok %v), want the untouched receiver and ok=false", next, deleted, ok)
 	}
-	if next, first, deleted, ok := full.Apply(bs, make([]geom.Box, 2), []geom.ID{0, 1}); !ok || first != maxID-1 || deleted != 2 || next.Size() != 4 {
+	if next, first, deleted, ok := full.Apply(make([]geom.Box, 2), []geom.ID{0, 1}, inBase(bs)); !ok || first != maxID-1 || deleted != 2 || next.Size() != 4 {
 		t.Fatalf("Apply of the last two IDs = (first %d, deleted %d, ok %v)", first, deleted, ok)
+	}
+}
+
+// TestSinceBelowTheCutSettles walks one dataset through the two kinds of
+// fold over three tiers' worth of history: tombstones below a fold's cut
+// stay readable but stop counting, tombstones at or above it leave with
+// their objects, what arrived during the fold carries over unfolded, and
+// at every step the tiers a reader would hold, merged under the delta,
+// equal the plain account of what is live.
+func TestSinceBelowTheCutSettles(t *testing.T) {
+	ids := func(ds geom.Dataset) (out []geom.ID) {
+		for _, o := range ds {
+			out = append(out, o.ID)
+		}
+		return out
+	}
+	tier0 := base(10) // IDs 0..9
+	held := func(tiers ...geom.Dataset) func(geom.ID) bool {
+		return func(id geom.ID) bool {
+			for _, ds := range tiers {
+				if Holds(ds, id) {
+					return true
+				}
+			}
+			return false
+		}
+	}
+
+	// Tail 10..13, tombstones into tier 0 and into the tail.
+	d0 := NewForBase(tier0)
+	d0, _, _, _ = d0.Apply(make([]geom.Box, 4), nil, held(tier0))
+	d0, _, n, _ := d0.Apply(nil, []geom.ID{2, 11, 7}, held(tier0))
+	if n != 3 || d0.Size() != 7 {
+		t.Fatalf("deleted %d, size %d; want 3 and 7", n, d0.Size())
+	}
+	// The tail becomes tier 1 (cut = its first ID) while two more updates land.
+	tier1 := d0.Merged()
+	if got := ids(tier1); !slices.Equal(got, []geom.ID{10, 12, 13}) {
+		t.Fatalf("tier 1 = %v, want [10 12 13]", got)
+	}
+	d1, _, _, _ := d0.Apply(make([]geom.Box, 2), []geom.ID{3, 12}, held(tier0)) // 12 is in the tail d0 folds
+	fold := d0.Since(d0, 10)
+	if !slices.Equal(fold.Tombs(), []geom.ID{2, 7}) || !fold.Empty() || fold.Tombstones() != 0 || fold.NextID() != 14 {
+		t.Fatalf("the fold's own delta: tombs %v, size %d, next %d; want [2 7] settled, 0, 14", fold.Tombs(), fold.Size(), fold.NextID())
+	}
+	d2 := d1.Since(d0, 10)
+	if !slices.Equal(d2.Tombs(), []geom.ID{2, 3, 7, 12}) || d2.Tombstones() != 2 || d2.Inserts() != 2 || d2.Size() != 4 {
+		t.Fatalf("carried over: tombs %v (%d unfolded), %d inserts", d2.Tombs(), d2.Tombstones(), d2.Inserts())
+	}
+	if got, want := ids(d2.Merged(tier0, tier1)), []geom.ID{0, 1, 4, 5, 6, 8, 9, 10, 13, 14, 15}; !slices.Equal(got, want) {
+		t.Fatalf("tiers merged under the carried delta = %v, want %v", got, want)
+	}
+	// An insert keeps the settled count; a delete of an ID a settled
+	// tombstone already names is a no-op; one into tier 1 is found by
+	// search, not by the consecutive-run shortcut (11 left a gap there).
+	d3, _, n, _ := d2.Apply(make([]geom.Box, 1), []geom.ID{2, 11, 13}, held(tier0, tier1))
+	if n != 1 || d3.Tombstones() != 3 || !slices.Equal(d3.Tombs(), []geom.ID{2, 3, 7, 12, 13}) {
+		t.Fatalf("deleted %d, tombs %v (%d unfolded); want 1, [2 3 7 12 13], 3", n, d3.Tombs(), d3.Tombstones())
+	}
+	// A fold from tier 1 up: tombstones at or above its first ID go, the
+	// ones into tier 0 stay and are all settled now.
+	merged := d3.Merged(tier1)
+	if got := ids(merged); !slices.Equal(got, []geom.ID{10, 14, 15, 16}) {
+		t.Fatalf("tier 1 rewritten = %v, want [10 14 15 16]", got)
+	}
+	d4 := d3.Since(d3, tier1[0].ID)
+	if !slices.Equal(d4.Tombs(), []geom.ID{2, 3, 7}) || !d4.Empty() || d4.NextID() != 17 {
+		t.Fatalf("after the merge: tombs %v, size %d, next %d", d4.Tombs(), d4.Size(), d4.NextID())
+	}
+	if got, want := ids(d4.Merged(tier0, merged)), []geom.ID{0, 1, 4, 5, 6, 8, 9, 10, 14, 15, 16}; !slices.Equal(got, want) {
+		t.Fatalf("after the merge, live = %v, want %v", got, want)
+	}
+	// A full fold settles nothing and keeps nothing.
+	if d5 := d4.Since(d4, all); len(d5.Tombs()) != 0 || d5.NextID() != 17 {
+		t.Fatalf("after a full fold: tombs %v", d5.Tombs())
+	}
+
+	// Restored: the persisted mark wins over the largest live ID, and the
+	// other way round for a file that carries none.
+	if r := Restored([]geom.ID{2, 3}, 17, 16); r.NextID() != 17 || !r.Empty() || !r.Tombstoned(3) {
+		t.Fatalf("Restored(next 17, max 16): next %d, size %d", r.NextID(), r.Size())
+	}
+	if r := Restored(nil, 0, 16); r.NextID() != 17 {
+		t.Fatalf("Restored(next 0, max 16): next %d, want 17", r.NextID())
 	}
 }

@@ -17,10 +17,14 @@ func TestScheduler(t *testing.T) {
 		started <- struct{}{}
 		return <-result
 	}
+	newScheduler := func(threshold int) *Scheduler {
+		s := NewScheduler(&mu, threshold, fold)
+		return &s
+	}
 	arm := func(s *Scheduler, size int) {
 		mu.Lock()
 		defer mu.Unlock()
-		s.Arm(&mu, size, fold)
+		s.Arm(size)
 	}
 	// settle waits until no fold is in flight and fails if one shows up
 	// on started meanwhile. A fold goroutine's last act is clearing the bit
@@ -41,7 +45,7 @@ func TestScheduler(t *testing.T) {
 		}
 	}
 
-	for _, s := range []*Scheduler{{}, {Threshold: -1}, {Threshold: 8}} {
+	for _, s := range []*Scheduler{newScheduler(0), newScheduler(-1), newScheduler(8)} {
 		arm(s, 7)
 		if s.Threshold <= 0 {
 			arm(s, 1<<30)
@@ -49,7 +53,7 @@ func TestScheduler(t *testing.T) {
 		settle(s, "with scheduling disabled or the delta under the threshold")
 	}
 
-	s := &Scheduler{Threshold: 8}
+	s := newScheduler(8)
 	arm(s, 8)
 	<-started
 	arm(s, 100) // one is in flight: a fold started here would trip a later settle

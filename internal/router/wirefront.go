@@ -124,7 +124,12 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 	// group accumulates read frames while more input is already
 	// buffered; it is dispatched as soon as the next read would block
 	// (or the group is full), so a pipelined burst becomes one batch
-	// and a lone request is forwarded immediately.
+	// and a lone request is forwarded immediately — on this goroutine,
+	// when nothing else is in flight on the connection: a read is
+	// answered in microseconds (and within the request timeout whatever
+	// the backend does), no cancel frame could arrive for anything else
+	// meanwhile, and a goroutine started for it is a wake-up that, on an
+	// otherwise idle machine, brings an idle core out of its sleep.
 	var group []relayReq
 	dispatch := func() {
 		if len(group) == 0 {
@@ -132,6 +137,10 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 		}
 		g := group
 		group = nil
+		if len(g) == 1 && c.inflight.Load() == 1 && r.Buffered() == 0 {
+			c.forwardReads(g)
+			return
+		}
 		select {
 		case c.sem <- struct{}{}:
 		case <-c.ctx.Done():

@@ -9,11 +9,16 @@ package server
 // and enqueues requests on a bounded channel; when the queue is full it
 // stops reading, which backpressures the client through TCP instead of
 // buffering unboundedly. Cancel frames are handled by the reader
-// directly — it never blocks on request execution, so a cancel can
+// directly — it never blocks on a join's execution, so a cancel can
 // overtake the queued requests ahead of it. The worker executes
 // requests in arrival order and writes responses; because requests on
 // one connection are answered in order, a pipelining client can match
-// responses by tag without reordering. Writes are buffered and flushed
+// responses by tag without reordering. A lone short request — anything
+// but a join, arriving with nothing queued, executing or waiting in the
+// read buffer — is executed by the reader itself: it finishes in
+// microseconds, nothing could overtake it, and handing it to the worker
+// would cost a goroutine wake-up, which on an otherwise idle machine is
+// an idle core brought out of its sleep. Writes are buffered and flushed
 // only when the queue runs empty, so a deep pipeline amortizes one
 // syscall over many responses — this batching is where the protocol's
 // throughput comes from.
@@ -32,6 +37,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"touch"
@@ -79,6 +85,10 @@ type binConn struct {
 
 	queue chan *wireReq
 	free  chan *wireReq
+	// queued counts the requests handed to the worker and not yet
+	// answered; at zero the worker is idle and its scratch is the reader's
+	// to use.
+	queued atomic.Int32
 
 	// mu guards the cancellation bookkeeping: pending maps every queued
 	// tag to whether a cancel frame arrived for it, and curTag/curCancel
@@ -152,6 +162,7 @@ func (s *Server) serveWireConn(ctx context.Context, r *wire.Reader, w *wire.Writ
 		for req := range c.queue {
 			c.handle(req)
 			c.putReq(req)
+			c.queued.Add(-1)
 		}
 	}()
 	c.readLoop()
@@ -185,6 +196,12 @@ func (c *binConn) readLoop() {
 			c.mu.Lock()
 			c.pending[tag] = false
 			c.mu.Unlock()
+			if op != wire.OpJoin && c.queued.Load() == 0 && c.r.Buffered() == 0 {
+				c.handle(req)
+				c.putReq(req)
+				continue
+			}
+			c.queued.Add(1)
 			c.queue <- req
 		default:
 			c.fatalError(tag, fmt.Sprintf("unknown opcode %#02x", op))

@@ -17,23 +17,20 @@ import (
 type buildFunc func(touch.Dataset, touch.TOUCHConfig) *touch.Index
 
 // snapshot is one immutable serving state of a named dataset: the
-// decoded base objects, the index built over them, the index stats —
-// and, since the incremental-update path, the pending delta of inserts
-// and tombstones against that base together with the touch.Overlay
-// over both. A request obtains a snapshot with a single atomic load and
-// uses its fields together, so every query and join answers from one
-// consistent (base, delta) pair even while a PATCH, a rebuild or a
-// compaction swaps the entry underneath it — an update is entirely
-// visible to a request or not at all, never half.
+// touch.Overlay of one generation — the index tiers, the pending inserts
+// and the tombstones — with the version that built its tiers. A request
+// obtains a snapshot with a single atomic load and asks everything of
+// its Overlay, so every query and join answers from one consistent state
+// even while a PATCH, a rebuild or a compaction swaps the entry
+// underneath it — an update is entirely visible to a request or not at
+// all, never half.
 type snapshot struct {
 	version int64
-	ds      touch.Dataset
-	idx     *touch.Index
-	stats   touch.IndexStats
+	// ov is the generation every query, join and update of this serving
+	// state runs on. Its pending updates are in-memory only — they become
+	// durable when a compaction folds them into the next persisted version.
+	ov      *touch.Overlay
 	builtAt time.Time
-	// cfg is the build configuration of this version; compaction reuses
-	// it so a folded index keeps the shape the POST asked for.
-	cfg touch.TOUCHConfig
 	// persisted marks a version whose snapshot file is durably on disk
 	// (written before this snapshot became visible, or restored from
 	// disk at startup); snapBytes is that file's size. A false persisted
@@ -42,41 +39,45 @@ type snapshot struct {
 	persisted bool
 	snapBytes int64
 
-	// d holds the updates applied since this base version was built,
-	// never nil; ov is the reader over (idx, d) that every query and join
-	// of this serving state runs on. The delta is in-memory only — its
-	// updates become durable when a compaction folds them into the next
-	// persisted base version.
-	d  *delta.Delta
-	ov *touch.Overlay
-
-	// merged lazily materializes d.Merged(ds) for probe-side use of an
-	// updated dataset in joins; computed at most once per snapshot.
+	// merged lazily materializes ov.Dataset() for probe-side use of the
+	// dataset in joins; computed at most once per snapshot.
 	mergedOnce sync.Once
 	merged     touch.Dataset
 }
 
-// dataset returns the live objects of this serving state — the base
-// dataset when no updates are pending, the merged materialization
-// otherwise (computed once and cached on the snapshot).
+// dataset returns the live objects of this serving state — the loaded
+// dataset itself while it has never been updated, the merged
+// materialization otherwise (computed once and cached on the snapshot).
 func (s *snapshot) dataset() touch.Dataset {
-	s.mergedOnce.Do(func() { s.merged = s.d.Merged(s.ds) })
+	s.mergedOnce.Do(func() { s.merged = s.ov.Dataset() })
 	return s.merged
 }
 
-// newSnapshot is a freshly built or restored version, nothing pending.
-func newSnapshot(version int64, ds touch.Dataset, idx *touch.Index, builtAt time.Time, cfg touch.TOUCHConfig) *snapshot {
-	base := snapshot{version: version, ds: ds, idx: idx, stats: idx.Stats(), builtAt: builtAt, cfg: cfg}
-	return base.withDelta(delta.NewForBase(ds))
+// pending returns the size of the unfolded tail, inserts + tombstones:
+// what the compaction threshold is compared against.
+func (s *snapshot) pending() int {
+	ins, tombs := s.ov.Pending()
+	return ins + tombs
 }
 
-// withDelta derives the serving state that publishes nd over the same
-// base as s.
-func (s *snapshot) withDelta(nd *delta.Delta) *snapshot {
+// stats describes the version's index tiers as one index; updates do not
+// move it, only the fold or build that made the version.
+func (s *snapshot) stats() touch.IndexStats { return s.ov.Stats() }
+
+// tiers counts the version's index tiers.
+func (s *snapshot) tiers() int { return len(s.ov.Tiers()) }
+
+// newSnapshot is a freshly built or restored version.
+func newSnapshot(version int64, ov *touch.Overlay, builtAt time.Time) *snapshot {
+	return &snapshot{version: version, ov: ov, builtAt: builtAt}
+}
+
+// withOverlay derives the serving state that publishes ov, a generation
+// over the same tiers as s's.
+func (s *snapshot) withOverlay(ov *touch.Overlay) *snapshot {
 	return &snapshot{
-		version: s.version, ds: s.ds, idx: s.idx, stats: s.stats,
-		builtAt: s.builtAt, cfg: s.cfg, persisted: s.persisted, snapBytes: s.snapBytes,
-		d: nd, ov: touch.OverlayOf(s.idx, nd),
+		version: s.version, ov: ov,
+		builtAt: s.builtAt, persisted: s.persisted, snapBytes: s.snapBytes,
 	}
 }
 
@@ -118,17 +119,19 @@ type catalog struct {
 	// backlog, which lives outside the request-slot admission layer.
 	pending atomic.Int64
 
-	// compactAt is the per-dataset delta size (inserts + tombstones) at
-	// which an update schedules a background compaction; <= 0 disables
-	// automatic compaction. Set once at construction.
+	// compactAt is the per-dataset size of the unfolded tail (inserts +
+	// tombstones) at which an update schedules a background compaction;
+	// <= 0 disables automatic compaction. Set once at construction.
 	compactAt int
-	// compactions counts published delta folds; compactionsSkipped counts
-	// compactions abandoned because a newer full version superseded them.
+	// compactions counts published folds and compactionObjects the objects
+	// they wrote into new trees; compactionsSkipped counts compactions
+	// abandoned because a newer full version superseded them.
 	compactions         atomic.Int64
+	compactionObjects   atomic.Int64
 	compactionsSkipped  atomic.Int64
 	compactionsInFlight atomic.Int64 // folds holding a reserved version
 	// compactionTime histograms the published folds end to end: merge,
-	// build and persist.
+	// build of the one new tree and persist.
 	compactionTime promhist.Histogram
 
 	mu      sync.RWMutex
@@ -158,7 +161,8 @@ func (c *catalog) entryFor(name string) *entry {
 func (c *catalog) entryLocked(name string) *entry {
 	e := c.entries[name]
 	if e == nil {
-		e = &entry{name: name, accepted: c.retired[name], folds: delta.Scheduler{Threshold: c.compactAt}}
+		e = &entry{name: name, accepted: c.retired[name]}
+		e.folds = delta.NewScheduler(&e.mu, c.compactAt, func() int { return c.fold(e) })
 		delete(c.retired, name)
 		c.entries[name] = e
 	}
@@ -181,14 +185,15 @@ func (c *catalog) acquireVersion(name string) (*entry, int64) {
 }
 
 // buildVersion is the one way the reserved version v of e comes to
-// exist: in its turn on the entry's build lock it builds the index over
-// what dataset returns, persists ahead of visibility and returns the
-// snapshot for the caller to publish under its own guard. Superseded
-// builds are skipped — nil, dataset never called: once a newer version
-// has been accepted (it will build after us, or already has), ours could
-// never serve, so don't waste the work and release the pinned dataset at
-// once. The caller's guarded store still protects against swaps backwards.
-func (c *catalog) buildVersion(e *entry, v int64, cfg touch.TOUCHConfig, dataset func() touch.Dataset) *snapshot {
+// exist: in its turn on the entry's build lock it runs generation — a
+// full build or a fold — persists what it returns ahead of visibility and
+// returns the snapshot for the caller to publish under its own guard.
+// Superseded builds are skipped — nil, generation never called: once a
+// newer version has been accepted (it will build after us, or already
+// has), ours could never serve, so don't waste the work and release the
+// pinned dataset at once. The caller's guarded store still protects
+// against swaps backwards.
+func (c *catalog) buildVersion(e *entry, v int64, generation func() *touch.Overlay) *snapshot {
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
 	e.mu.Lock()
@@ -197,8 +202,7 @@ func (c *catalog) buildVersion(e *entry, v int64, cfg touch.TOUCHConfig, dataset
 	if superseded {
 		return nil
 	}
-	ds := dataset()
-	snap := newSnapshot(v, ds, c.build(ds, cfg), time.Now(), cfg)
+	snap := newSnapshot(v, generation(), time.Now())
 	if p := c.persist; p != nil {
 		// Write-ahead of visibility: the snapshot — and with it every
 		// update a compaction folded in — must be durably on disk before
@@ -208,7 +212,7 @@ func (c *catalog) buildVersion(e *entry, v int64, cfg touch.TOUCHConfig, dataset
 		// still happens, the version just serves as ephemeral (flagged
 		// in the listing, counted in metrics).
 		var err error
-		if snap.snapBytes, snap.persisted, err = p.save(e.name, v, ds, snap.idx, snap.builtAt); err != nil {
+		if snap.snapBytes, snap.persisted, err = p.save(e.name, v, snap.ov, snap.builtAt); err != nil {
 			p.log.Error("snapshot: persist failed, dataset is ephemeral",
 				"dataset", e.name, "version", v, "err", err)
 		}
@@ -238,7 +242,8 @@ func (c *catalog) load(name string, ds touch.Dataset, cfg touch.TOUCHConfig, wai
 	e, v := c.acquireVersion(name)
 	run := func() {
 		defer c.released(e)
-		if snap := c.buildVersion(e, v, cfg, func() touch.Dataset { return ds }); snap != nil {
+		full := func() *touch.Overlay { return touch.OverlayOf(ds, c.build(ds, cfg)) }
+		if snap := c.buildVersion(e, v, full); snap != nil {
 			e.mu.Lock()
 			if cur := e.ready.Load(); cur == nil || cur.version < v {
 				e.ready.Store(snap)
@@ -271,12 +276,12 @@ type updResult struct {
 	firstID   int64 // first assigned insert ID, -1 when nothing inserted
 	inserted  int
 	deleted   int // live objects actually tombstoned (idempotent skip otherwise)
-	deltaIns  int // pending delta inserts after this update
-	deltaTomb int // pending delta tombstones after this update
+	deltaIns  int // unfolded inserts after this update
+	deltaTomb int // unfolded tombstones after this update
 }
 
 // applyUpdate applies one batch of deletes and inserts to the named
-// dataset's pending delta (delta.Apply: deletes first, unknown or
+// dataset's pending delta (Overlay.Apply: deletes first, unknown or
 // already-deleted IDs skipped silently, fresh consecutive insert IDs
 // never reused even across compactions) and publishes the merged serving
 // state atomically — queries concurrent with the PATCH see all of it or
@@ -300,34 +305,35 @@ func (c *catalog) updateEntry(e *entry, inserts []touch.Box, deletes []touch.ID)
 	case snap == nil:
 		return updResult{}, updBuilding
 	}
-	d, first, deleted, ok := snap.d.Apply(snap.ds, inserts, deletes)
+	ov, first, deleted, ok := snap.ov.Apply(inserts, deletes)
 	if !ok {
 		return updResult{}, updOverflow
 	}
-	res := updResult{
-		version: snap.version, firstID: -1, inserted: len(inserts), deleted: deleted,
-		deltaIns: d.Inserts(), deltaTomb: d.Tombstones(),
-	}
+	res := updResult{version: snap.version, firstID: -1, inserted: len(inserts), deleted: deleted}
+	res.deltaIns, res.deltaTomb = ov.Pending()
 	if len(inserts) > 0 {
 		res.firstID = int64(first)
 	}
-	e.ready.Store(snap.withDelta(d))
-	e.pendingMax = max(e.pendingMax, d.Size())
-	e.folds.Arm(&e.mu, d.Size(), func() int { return c.fold(e) })
+	e.ready.Store(snap.withOverlay(ov))
+	pending := res.deltaIns + res.deltaTomb
+	e.pendingMax = max(e.pendingMax, pending)
+	e.folds.Arm(pending)
 	return res, updOK
 }
 
-// fold is the one compaction: it folds e's pending delta into a fresh
-// base index and publishes it as the next version with load's write-ahead
-// persistence, unless a newer full version supersedes it. Reserving the
-// version under e.mu orders a racing re-POST: whichever reserves later
-// has the higher version and wins the publish guard. Updates applied
-// while the build ran carry over into the new snapshot's delta (its size
-// is the result), which inherits the ID high-water mark: no ID reuse.
+// fold is the one compaction: it folds e's unfolded tail into the tiers
+// (Overlay.Fold — a new top tier, or one tree in place of the tiers the
+// tail has outgrown) and publishes the result as the next version with
+// load's write-ahead persistence, unless a newer full version supersedes
+// it. Reserving the version under e.mu orders a racing re-POST: whichever
+// reserves later has the higher version and wins the publish guard.
+// Updates applied while the build ran carry over into the new snapshot's
+// tail (its size is the result), which inherits the ID high-water mark:
+// no ID reuse.
 func (c *catalog) fold(e *entry) (pending int) {
 	e.mu.Lock()
 	from := e.ready.Load()
-	if e.dropped || from.d.Empty() {
+	if e.dropped || from.pending() == 0 {
 		e.mu.Unlock()
 		return 0
 	}
@@ -347,7 +353,11 @@ func (c *catalog) fold(e *entry) (pending int) {
 	c.compactionsInFlight.Add(1)
 	defer c.compactionsInFlight.Add(-1)
 	start := time.Now()
-	snap := c.buildVersion(e, v, from.cfg, func() touch.Dataset { return from.d.Merged(from.ds) })
+	var f *touch.Fold
+	snap := c.buildVersion(e, v, func() *touch.Overlay {
+		f = from.ov.Fold(false, c.build)
+		return f.Next(from.ov)
+	})
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cur := e.ready.Load()
@@ -357,13 +367,14 @@ func (c *catalog) fold(e *entry) (pending int) {
 		c.compactionsSkipped.Add(1)
 		return 0
 	}
-	nd := cur.d.Since(from.d)
+	next := snap.withOverlay(f.Next(cur.ov))
 	// Counted and observed before the publish, so a scrape never shows a
 	// serving version whose fold is missing from the compaction metrics.
 	c.compactions.Add(1)
+	c.compactionObjects.Add(int64(f.Objects))
 	c.compactionTime.Observe(time.Since(start))
-	e.ready.Store(snap.withDelta(nd))
-	return nd.Size()
+	e.ready.Store(next)
+	return next.pending()
 }
 
 // snapshotOf returns the serving snapshot for a name. exists reports
@@ -441,10 +452,8 @@ func (c *catalog) counters() map[string]int64 {
 // version is never replaced by an older file — so a re-POST racing
 // startup recovery converges to the newest version, whichever side wins
 // the race.
-func (c *catalog) restore(name string, version int64, ds touch.Dataset, idx *touch.Index, builtAt time.Time, size int64) {
-	// The snapshot round-trips the build configuration; a fold of this
-	// version must rebuild with it, not with the defaults.
-	snap := newSnapshot(version, ds, idx, builtAt, idx.Config())
+func (c *catalog) restore(name string, version int64, ov *touch.Overlay, builtAt time.Time, size int64) {
+	snap := newSnapshot(version, ov, builtAt)
 	snap.persisted, snap.snapBytes = true, size
 	c.mu.Lock()
 	e := c.entryLocked(name)
@@ -496,12 +505,16 @@ type datasetInfo struct {
 	// snapshot file size when persisted.
 	Persisted     bool  `json:"persisted"`
 	SnapshotBytes int64 `json:"snapshot_bytes,omitempty"`
-	// DeltaInserts and DeltaTombstones count the pending incremental
-	// updates (PATCH) not yet folded into the base version — Objects
-	// still counts the base index. Omitted when no updates are pending.
+	// DeltaInserts and DeltaTombstones count the incremental updates
+	// (PATCH) no compaction has folded into the serving version yet —
+	// Objects counts what the version's index tiers held live when it was
+	// built. Omitted when no updates are pending.
 	DeltaInserts    int `json:"delta_inserts,omitempty"`
 	DeltaTombstones int `json:"delta_tombstones,omitempty"`
-	deltaPendingMax int // entry.pendingMax: a metric, not part of the listing
+	// Metrics, not part of the listing: entry.pendingMax and the serving
+	// version's tier count.
+	deltaPendingMax int
+	tiers           int
 }
 
 func (e *entry) info() datasetInfo {
@@ -516,20 +529,23 @@ func (e *entry) info() datasetInfo {
 	if building > 0 {
 		status = "rebuilding"
 	}
+	ins, tombs := snap.ov.Pending()
+	stats := snap.stats()
 	return datasetInfo{
 		Name:            e.name,
 		Version:         snap.version,
 		Status:          status,
-		Objects:         snap.stats.Objects,
-		StaticBytes:     snap.stats.StaticBytes,
-		Nodes:           snap.stats.Nodes,
-		Height:          snap.stats.Height,
+		Objects:         stats.Objects,
+		StaticBytes:     stats.StaticBytes,
+		Nodes:           stats.Nodes,
+		Height:          stats.Height,
 		BuiltAt:         snap.builtAt.UTC().Format(time.RFC3339Nano),
 		Persisted:       snap.persisted,
 		SnapshotBytes:   snap.snapBytes,
-		DeltaInserts:    snap.d.Inserts(),
-		DeltaTombstones: snap.d.Tombstones(),
+		DeltaInserts:    ins,
+		DeltaTombstones: tombs,
 		deltaPendingMax: pendingMax,
+		tiers:           snap.tiers(),
 	}
 }
 

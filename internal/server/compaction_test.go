@@ -22,7 +22,10 @@ func uniformBoxes(n int, seed int64) []touch.Box {
 // they alone are over the threshold a second compaction must follow
 // with no further update to trigger it. The injected build holds every
 // compaction on a channel, so the burst provably lands inside the first
-// build and the second build's arrival is the event waited on.
+// build and the second build's arrival is the event waited on. The folds
+// cost what changed: the first indexes its 16 inserts as a tier of their
+// own, the second rewrites that tier together with the 48 that outgrew
+// it, and neither touches the 200-object base.
 func TestCompactionRearmsAfterPublish(t *testing.T) {
 	started := make(chan int)
 	release := make(chan struct{})
@@ -60,20 +63,20 @@ func TestCompactionRearmsAfterPublish(t *testing.T) {
 	}
 
 	update(62) // 16 pending ≥ 8: the first compaction starts and is held
-	awaitBuild("first compaction", 216)
+	awaitBuild("first compaction", 16)
 	for seed := int64(63); seed < 66; seed++ {
 		update(seed) // 48 more land while it builds
 	}
 	release <- struct{}{}
 	// No further update: the carried-over 48 must re-arm on their own.
-	awaitBuild("second compaction", 264)
+	awaitBuild("second compaction", 64)
 	release <- struct{}{}
 
 	for {
 		snap, _ := snapshotOf(cat, "m")
 		if snap.version == 3 {
-			if snap.d.Size() != 0 || snap.stats.Objects != 264 {
-				t.Fatalf("version 3 has %d objects and %d pending updates, want 264 and 0", snap.stats.Objects, snap.d.Size())
+			if snap.pending() != 0 || snap.stats().Objects != 264 || snap.tiers() != 2 {
+				t.Fatalf("version 3 has %d objects in %d tiers and %d pending updates, want 264, 2 and 0", snap.stats().Objects, snap.tiers(), snap.pending())
 			}
 			break
 		}
@@ -85,6 +88,9 @@ func TestCompactionRearmsAfterPublish(t *testing.T) {
 	if got := cat.compactionTime.Count(); got != 2 {
 		t.Fatalf("compaction_seconds observed %d folds, want 2", got)
 	}
+	if got := cat.compactionObjects.Load(); got != 16+64 {
+		t.Fatalf("compaction_objects_total = %d, want the 16 + 64 the two folds wrote", got)
+	}
 }
 
 // TestUpdatePublishAllocatesPerBatch is the structural form of "update
@@ -92,7 +98,11 @@ func TestCompactionRearmsAfterPublish(t *testing.T) {
 // with the inserts already pending, and with T tombstones pending a
 // batch that deletes pays one 4-byte-per-tombstone copy and nothing
 // else. Bytes, not time; the median of nine consecutive updates keeps
-// the occasional amortized growth of the shared insert array out.
+// the occasional amortized growth of the shared insert array out. And by
+// count: an insert-only update publishes in three allocations — the
+// delta, the reader over it and the serving state — with the compaction
+// threshold armed or not; the scheduler holds its fold from construction
+// and Arm allocates nothing.
 func TestUpdatePublishAllocatesPerBatch(t *testing.T) {
 	base := touch.GenerateUniform(4000, 71)
 	batch := uniformBoxes(16, 72)
@@ -128,6 +138,15 @@ func TestUpdatePublishAllocatesPerBatch(t *testing.T) {
 		return samples[len(samples)/2]
 	}
 
+	for _, compactAt := range []int{0, 1 << 30} {
+		cat := newCatalog(nil)
+		cat.compactAt = compactAt
+		cat.load("m", base, touch.TOUCHConfig{}, true, 0)
+		if got := testing.AllocsPerRun(100, func() { cat.applyUpdate("m", batch, nil) }); got != 3 {
+			t.Errorf("an insert-only update with the threshold at %d allocates %v objects, want 3", compactAt, got)
+		}
+	}
+
 	const slack = 1024
 	empty := perUpdate(0, 0, 0)
 	if got := perUpdate(8192, 0, 0); got > empty+slack {
@@ -151,7 +170,7 @@ func TestUpdatePublishAllocatesPerBatch(t *testing.T) {
 func TestCompactionGaugesFollowTheFold(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	cat := newCatalog(func(ds touch.Dataset, cfg touch.TOUCHConfig) *touch.Index {
-		if len(ds) > 200 { // the fold's merged dataset, not the load
+		if len(ds) != 200 { // the fold's tier, not the load
 			close(started)
 			<-release
 		}

@@ -348,9 +348,13 @@ func (m *metrics) render(w io.Writer, cat *catalog, snapshotErrors int64) {
 		fmt.Fprintf(w, "touchserved_dataset_objects{dataset=%q} %d\n", d.Name, d.Objects)
 	}
 
-	// Incremental-update health: per-dataset pending delta sizes and the
-	// cumulative compaction outcomes. A delta that only ever grows means
-	// compaction is disabled or falling behind.
+	// Incremental-update health: per-dataset index tiers and pending delta
+	// sizes, and the cumulative compaction outcomes. A delta that only ever
+	// grows means compaction is disabled or falling behind.
+	fmt.Fprintf(w, "# TYPE touchserved_dataset_tiers gauge\n")
+	for _, d := range datasets {
+		fmt.Fprintf(w, "touchserved_dataset_tiers{dataset=%q} %d\n", d.Name, d.tiers)
+	}
 	fmt.Fprintf(w, "# TYPE touchserved_delta_inserts gauge\n")
 	for _, d := range datasets {
 		if d.DeltaInserts > 0 {
@@ -377,6 +381,10 @@ func (m *metrics) render(w io.Writer, cat *catalog, snapshotErrors int64) {
 	fmt.Fprintf(w, "# TYPE touchserved_compactions_total counter\n")
 	fmt.Fprintf(w, "touchserved_compactions_total{outcome=\"published\"} %d\n", cat.compactions.Load())
 	fmt.Fprintf(w, "touchserved_compactions_total{outcome=\"skipped\"} %d\n", cat.compactionsSkipped.Load())
+	// Objects written into new trees by published folds: over the inserts
+	// accepted, the write amplification.
+	fmt.Fprintf(w, "# TYPE touchserved_compaction_objects_total counter\n")
+	fmt.Fprintf(w, "touchserved_compaction_objects_total %d\n", cat.compactionObjects.Load())
 	fmt.Fprintf(w, "# TYPE touchserved_compaction_seconds histogram\n")
 	cat.compactionTime.Render(w, "touchserved_compaction_seconds", "")
 

@@ -43,8 +43,8 @@ type persister struct {
 // save persists one built version. wrote is false with a nil error when
 // the version is stale (a newer one — or a tombstone — already owns the
 // file); size is the snapshot's byte count when wrote.
-func (p *persister) save(name string, version int64, ds touch.Dataset, idx *touch.Index, builtAt time.Time) (size int64, wrote bool, err error) {
-	data, err := touch.EncodeSnapshot(touch.SnapshotInfo{Name: name, Version: version, BuiltAt: builtAt}, ds, idx)
+func (p *persister) save(name string, version int64, ov *touch.Overlay, builtAt time.Time) (size int64, wrote bool, err error) {
+	data, err := ov.EncodeSnapshot(touch.SnapshotInfo{Name: name, Version: version, BuiltAt: builtAt})
 	if err != nil {
 		p.errors.Add(1)
 		return 0, false, err
@@ -113,7 +113,8 @@ type RecoveryStats struct {
 
 // Recover scans the configured data directory and restores every valid
 // snapshot into the catalog — checksums verified, tree invariants
-// re-validated, no rebuilds — quarantining undecodable files instead of
+// re-validated, every tier, the tombstones and the next insert ID
+// restored, no rebuilds — quarantining undecodable files instead of
 // refusing to start. Version counters are restored from the store's
 // counter file, so names whose snapshots were deleted (or never
 // persisted) continue their version sequence. Safe to call while
@@ -130,7 +131,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		if !api.ValidDatasetName(name) {
 			return fmt.Errorf("file name %q is not a servable dataset name", name)
 		}
-		info, ds, idx, err := touch.DecodeSnapshot(data)
+		info, ov, err := touch.DecodeOverlay(data)
 		if err != nil {
 			return err
 		}
@@ -141,9 +142,9 @@ func (s *Server) Recover() (RecoveryStats, error) {
 			return fmt.Errorf("snapshot version %d is not a servable version", info.Version)
 		}
 		p.restored(name, info.Version)
-		s.cat.restore(name, info.Version, ds, idx, info.BuiltAt, size)
+		s.cat.restore(name, info.Version, ov, info.BuiltAt, size)
 		p.log.Info("snapshot: restored dataset",
-			"dataset", name, "version", info.Version, "objects", len(ds), "bytes", size)
+			"dataset", name, "version", info.Version, "objects", ov.Stats().Objects, "tiers", len(ov.Tiers()), "bytes", size)
 		return nil
 	}, func(format string, args ...any) { p.log.Warn(fmt.Sprintf(format, args...)) })
 	if err != nil {

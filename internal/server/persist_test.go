@@ -365,11 +365,13 @@ func TestRestartKeepsBuildConfig(t *testing.T) {
 	if stats := b.recover(); stats.Loaded != 1 {
 		t.Fatalf("recovery stats %+v", stats)
 	}
-	// Replace eight objects: the delta crosses the threshold and the
-	// object count — and with it the shape a given configuration packs —
-	// stays what it was.
-	req := api.UpdateRequest{Delete: []touch.ID{0, 1, 2, 3, 4, 5, 6, 7}}
-	for _, o := range ds[:8] {
+	// Replace a quarter of the objects: inserts plus tombstones weigh half
+	// the base, so the fold rewrites the base itself, and the object count
+	// — and with it the shape a given configuration packs — stays what it
+	// was.
+	var req api.UpdateRequest
+	for _, o := range ds[:len(ds)/4] {
+		req.Delete = append(req.Delete, o.ID)
 		req.Insert = append(req.Insert, boxRow(o.Box))
 	}
 	if status, raw := b.patch("d", req); status != http.StatusOK {
@@ -377,7 +379,7 @@ func TestRestartKeepsBuildConfig(t *testing.T) {
 	}
 	b.waitServing("d", 2)
 	snap, _ := snapshotOf(b.srv.cat, "d")
-	if got := snap.stats; got.Objects != want.Objects || got.Leaves != want.Leaves || got.Height != want.Height {
+	if got := snap.stats(); snap.tiers() != 1 || got.Objects != want.Objects || got.Leaves != want.Leaves || got.Height != want.Height {
 		t.Fatalf("fold after restart built %d leaves, height %d; the load built %d leaves, height %d",
 			got.Leaves, got.Height, want.Leaves, want.Height)
 	}

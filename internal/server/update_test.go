@@ -235,9 +235,9 @@ func TestUpdateCompactionPublishes(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		snap, _ := snapshotOf(ts.srv.cat, "cells")
-		if snap != nil && snap.version > v0 && snap.d.Size() == 0 {
-			if snap.stats.Objects != 300-3+12 {
-				t.Fatalf("compacted base has %d objects, want %d", snap.stats.Objects, 300-3+12)
+		if snap != nil && snap.version > v0 && snap.pending() == 0 {
+			if snap.stats().Objects != 300-3+12 {
+				t.Fatalf("compacted base has %d objects, want %d", snap.stats().Objects, 300-3+12)
 			}
 			break
 		}

@@ -1,7 +1,10 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,8 +26,7 @@ func buildRecord(t *testing.T, n int, seed int64, cfg core.Config) (*Record, *co
 		Name:    "roundtrip",
 		Version: 7,
 		BuiltAt: time.Unix(1700000000, 123456789).UTC(),
-		Objects: ds,
-		Tree:    tree.Freeze(),
+		Tiers:   []Tier{{Objects: ds, Tree: tree.Freeze()}},
 	}, tree
 }
 
@@ -51,19 +53,18 @@ func TestMarshalUnmarshalRoundtrip(t *testing.T) {
 			if got.Name != rec.Name || got.Version != rec.Version || !got.BuiltAt.Equal(rec.BuiltAt) {
 				t.Fatalf("identity mismatch: %q v%d %v", got.Name, got.Version, got.BuiltAt)
 			}
-			if len(got.Objects) != len(rec.Objects) {
-				t.Fatalf("objects length %d, want %d", len(got.Objects), len(rec.Objects))
+			if len(got.Tiers) != 1 || len(got.Tombs) != 0 || got.NextID != rec.NextID {
+				t.Fatalf("%d tiers, %d tombstones, next ID %d; want 1, 0, %d", len(got.Tiers), len(got.Tombs), got.NextID, rec.NextID)
 			}
-			for i := range rec.Objects {
-				if got.Objects[i] != rec.Objects[i] {
-					t.Fatalf("object %d = %v, want %v", i, got.Objects[i], rec.Objects[i])
-				}
+			if !slices.Equal(got.Tiers[0].Objects, rec.Tiers[0].Objects) {
+				t.Fatalf("objects differ: %d decoded, %d encoded", len(got.Tiers[0].Objects), len(rec.Tiers[0].Objects))
 			}
 
-			thawed, err := got.Thaw()
+			trees, err := got.Thaw()
 			if err != nil {
 				t.Fatalf("Thaw: %v", err)
 			}
+			thawed := trees[0]
 			// Differential join: decoded tree must answer exactly like the
 			// one it was frozen from.
 			probe := datagen.ClusteredSet(800, 5)
@@ -88,14 +89,19 @@ func TestMarshalUnmarshalRoundtrip(t *testing.T) {
 
 func TestMarshalRejectsInconsistentRecord(t *testing.T) {
 	rec, _ := buildRecord(t, 100, 3, core.Config{})
-	rec.Objects = rec.Objects[:50]
+	rec.Tiers[0].Objects = rec.Tiers[0].Objects[:50]
 	if _, err := rec.Marshal(); err == nil || !strings.Contains(err.Error(), "arena") {
 		t.Fatalf("marshal with mismatched objects: %v", err)
 	}
 	rec, _ = buildRecord(t, 10, 3, core.Config{})
-	rec.Tree = nil
+	rec.Tiers[0].Tree = nil
 	if _, err := rec.Marshal(); err == nil {
 		t.Fatal("marshal with nil tree succeeded")
+	}
+	rec, _ = buildRecord(t, 10, 3, core.Config{})
+	rec.Tiers = nil
+	if _, err := rec.Marshal(); err == nil {
+		t.Fatal("marshal with no tiers succeeded")
 	}
 	rec, _ = buildRecord(t, 10, 3, core.Config{})
 	rec.Name = ""
@@ -160,5 +166,122 @@ func TestUnmarshalHeaderChecks(t *testing.T) {
 
 	if _, err := Unmarshal(nil); err == nil {
 		t.Fatal("nil input decoded")
+	}
+}
+
+// tieredRecord is a record of three tiers over ascending ID ranges, as a
+// fold leaves them, with tombstones into each and a high-water mark above
+// the largest ID held.
+func tieredRecord(t *testing.T) *Record {
+	t.Helper()
+	all := datagen.UniformSet(1400, 31)
+	rec := &Record{Name: "tiers", Version: 9, BuiltAt: time.Unix(1700000001, 0).UTC(), NextID: 1500}
+	for _, r := range [][2]int{{0, 1000}, {1000, 1300}, {1320, 1400}} { // 1300..1319 were folded away
+		ds := all[r[0]:r[1]]
+		rec.Tiers = append(rec.Tiers, Tier{Objects: ds, Tree: core.Build(ds, core.Config{Partitions: 8}).Freeze()})
+	}
+	rec.Tombs = []geom.ID{4, 999, 1000, 1299, 1320, 1377}
+	return rec
+}
+
+// TestTieredRoundtrip: format 2 carries every tier, the tombstones and
+// the next insert ID, and what comes back thaws tier by tier.
+func TestTieredRoundtrip(t *testing.T) {
+	rec := tieredRecord(t)
+	data, err := rec.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != rec.Name || got.Version != rec.Version || !got.BuiltAt.Equal(rec.BuiltAt) ||
+		got.NextID != rec.NextID || !slices.Equal(got.Tombs, rec.Tombs) || len(got.Tiers) != len(rec.Tiers) {
+		t.Fatalf("decoded %q v%d next %d tombs %v in %d tiers", got.Name, got.Version, got.NextID, got.Tombs, len(got.Tiers))
+	}
+	trees, err := got.Thaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tier := range rec.Tiers {
+		if !slices.Equal(got.Tiers[i].Objects, tier.Objects) || got.Tiers[i].Tree.Cfg != tier.Tree.Cfg {
+			t.Fatalf("tier %d differs after the round trip", i)
+		}
+		if trees[i].SizeA != len(tier.Objects) || trees[i].Leaves != tier.Tree.Leaves {
+			t.Fatalf("tier %d thawed to %d objects in %d leaves", i, trees[i].SizeA, trees[i].Leaves)
+		}
+	}
+	for cut := len(data) - 40; cut < len(data); cut++ {
+		if _, err := Unmarshal(data[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation inside the tombstone section at %d/%d: %v", cut, len(data), err)
+		}
+	}
+}
+
+// TestUnmarshalChecksTiers: what merged reads lean on is checked at the
+// door — a file whose tiers or tombstones are out of order is corrupt,
+// however good its checksums.
+func TestUnmarshalChecksTiers(t *testing.T) {
+	for name, spoil := range map[string]func(*Record){
+		"tier ID ranges overlap":           func(r *Record) { r.Tiers[1], r.Tiers[2] = r.Tiers[2], r.Tiers[1] },
+		"tier not ID-ascending":            func(r *Record) { o := r.Tiers[1].Objects; o[3], o[4] = o[4], o[3] },
+		"duplicate ID across tiers":        func(r *Record) { r.Tiers[2].Objects[0].ID = 1299 },
+		"empty upper tier":                 func(r *Record) { r.Tiers[1] = Tier{Tree: core.Build(nil, core.Config{}).Freeze()} },
+		"tombstones out of order":          func(r *Record) { r.Tombs[0], r.Tombs[1] = r.Tombs[1], r.Tombs[0] },
+		"duplicate tombstone":              func(r *Record) { r.Tombs[1] = r.Tombs[0] },
+		"tombstone for an ID nobody holds": func(r *Record) { r.Tombs[4] = 1310 },
+		"negative next ID":                 func(r *Record) { r.NextID = -2 },
+	} {
+		rec := tieredRecord(t)
+		for i := range rec.Tiers { // the fixture's tiers share one backing array
+			rec.Tiers[i].Objects = slices.Clone(rec.Tiers[i].Objects)
+		}
+		spoil(rec)
+		data, err := rec.Marshal()
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", name, err)
+		}
+		if _, err := Unmarshal(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Unmarshal = %v, want ErrCorrupt", name, err)
+		}
+	}
+	// A lone tier without tombstones is a dataset as it was loaded, in
+	// whatever order.
+	rec, _ := buildRecord(t, 50, 3, core.Config{})
+	slices.Reverse(rec.Tiers[0].Objects)
+	data, _ := rec.Marshal()
+	if _, err := Unmarshal(data); err != nil {
+		t.Fatalf("a lone unordered tier: %v", err)
+	}
+}
+
+// TestFormat1StillDecodes: testdata/format1.snap was written by the last
+// build whose only format was 1 (23 objects, fanout 4, two partitions,
+// name "legacy", version 7). It must keep decoding, to one tier without
+// tombstones or a high-water mark, and thaw.
+func TestFormat1StillDecodes(t *testing.T) {
+	data, err := os.ReadFile("testdata/format1.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[len(Magic):]); v != formatV1 {
+		t.Fatalf("the fixture is format %d", v)
+	}
+	rec, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Name != "legacy" || rec.Version != 7 || len(rec.Tiers) != 1 || len(rec.Tiers[0].Objects) != 23 ||
+		len(rec.Tombs) != 0 || rec.NextID != 0 || rec.Tiers[0].Tree.Cfg.Fanout != 4 {
+		t.Fatalf("decoded %q v%d: %d tiers, %d tombstones, next ID %d", rec.Name, rec.Version, len(rec.Tiers), len(rec.Tombs), rec.NextID)
+	}
+	if _, err := rec.Thaw(); err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(data); cut += 13 {
+		if _, err := Unmarshal(data[:cut]); err == nil {
+			t.Fatalf("format-1 truncation at %d/%d decoded", cut, len(data))
+		}
 	}
 }

@@ -22,9 +22,74 @@ import (
 // that carry the sort key, so the sort — the dominant cost of tree
 // building — neither calls back into the caller nor moves whole items.
 type sortRec struct {
-	key float64 // the item's center in the dimension being sorted
-	idx int32   // index of the item in Pack's input
-	pos int32   // position before this sort, the tie-break
+	key uint64 // sortKey of the item's center in the dimension being sorted
+	idx int32  // index of the item in Pack's input
+	pos int32  // position before this sort, the comparison sort's tie-break
+}
+
+// sortKey maps a coordinate to an unsigned integer that orders as
+// cmp.Compare orders the floats: NaN before everything, every NaN equal,
+// −0 equal to +0.
+func sortKey(f float64) uint64 {
+	if f != f {
+		return 0
+	}
+	bits := math.Float64bits(f + 0) // −0 + 0 is +0
+	if bits>>63 != 0 {
+		return ^bits
+	}
+	return bits | 1<<63
+}
+
+// radixMin is the run length from which sortRecs sorts by radix; under
+// it the comparison sort's lower fixed cost wins.
+const radixMin = 512
+
+// sortRecs sorts recs by (key, position before the sort), with tmp — as
+// long as recs — for scratch. Long runs take a least-significant-digit
+// radix sort over the key's eight bytes: every pass is stable, so tied
+// keys keep the order they came in and pos is never read; a byte on
+// which all keys agree (the exponent bytes, on most data) costs no pass.
+func sortRecs(recs, tmp []sortRec) {
+	if len(recs) < radixMin {
+		for i := range recs {
+			recs[i].pos = int32(i)
+		}
+		slices.SortFunc(recs, func(a, b sortRec) int {
+			if c := cmp.Compare(a.key, b.key); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.pos, b.pos)
+		})
+		return
+	}
+	var counts [8][256]int32
+	for i := range recs {
+		k := recs[i].key
+		for b := range counts {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	src, dst := recs, tmp
+	for b := range counts {
+		cnt, shift := &counts[b], 8*b
+		if int(cnt[byte(src[0].key>>shift)]) == len(src) {
+			continue
+		}
+		sum := int32(0)
+		for i, c := range cnt {
+			cnt[i], sum = sum, sum+c
+		}
+		for i := range src {
+			d := byte(src[i].key >> shift)
+			dst[cnt[d]] = src[i]
+			cnt[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &recs[0] {
+		copy(recs, src)
+	}
 }
 
 // Pack groups items into tiles of at most groupSize elements using STR.
@@ -59,7 +124,11 @@ func Pack[T any](items []T, center func(T) geom.Point, groupSize int) [][]T {
 	}
 	p := packer[T]{items: items, centers: centers, groupSize: groupSize}
 	p.out = make([][]T, 0, (len(items)+groupSize-1)/groupSize)
-	p.pack(recs, 0)
+	var tmp []sortRec
+	if len(items) >= radixMin {
+		tmp = make([]sortRec, len(items))
+	}
+	p.pack(recs, tmp, 0)
 	return p.out
 }
 
@@ -72,8 +141,8 @@ type packer[T any] struct {
 }
 
 // pack recursively tiles recs on dimensions dim..Dims-1, appending the
-// resulting groups to p.out.
-func (p *packer[T]) pack(recs []sortRec, dim int) {
+// resulting groups to p.out. tmp is sortRecs' scratch, as long as recs.
+func (p *packer[T]) pack(recs, tmp []sortRec, dim int) {
 	n := len(recs)
 	if n <= p.groupSize {
 		p.extract(recs)
@@ -81,14 +150,9 @@ func (p *packer[T]) pack(recs []sortRec, dim int) {
 	}
 	for i := range recs {
 		r := &recs[i]
-		r.key, r.pos = p.centers[r.idx][dim], int32(i)
+		r.key = sortKey(p.centers[r.idx][dim])
 	}
-	slices.SortFunc(recs, func(a, b sortRec) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.pos, b.pos)
-	})
+	sortRecs(recs, tmp)
 	if dim == geom.Dims-1 {
 		// Last dimension: chop the sorted run into consecutive groups.
 		for i := 0; i < n; i += p.groupSize {
@@ -105,7 +169,12 @@ func (p *packer[T]) pack(recs []sortRec, dim int) {
 	}
 	slabSize := (n + s - 1) / s
 	for i := 0; i < n; i += slabSize {
-		p.pack(recs[i:min(i+slabSize, n)], dim+1)
+		end := min(i+slabSize, n)
+		var slabTmp []sortRec
+		if tmp != nil {
+			slabTmp = tmp[i:end]
+		}
+		p.pack(recs[i:end], slabTmp, dim+1)
 	}
 }
 

@@ -2,6 +2,7 @@ package str
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -256,6 +257,86 @@ func TestPackTiesAreStable(t *testing.T) {
 		}
 		if !slices.EqualFunc(PackObjects(objs, groupSize), got, equal) {
 			t.Fatalf("groupSize %d: two calls on one input gave different groups", groupSize)
+		}
+	}
+}
+
+// TestPackEqualsStableReference holds the radix path — every run of
+// radixMin records or more — to the stable-sort reference, group for
+// group, on this file's datasets and on the keys a bit-pattern sort gets
+// wrong first: NaN centers (first, all equal), −0 beside +0 (equal),
+// negative coordinates, infinities, one value everywhere, and a handful
+// of distinct keys each held by hundreds of items. Tied items differ
+// only by ID, so a sort that is not stable fails on the group contents.
+func TestPackEqualsStableReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	at := func(p geom.Point) geom.Box { return geom.Box{Min: p, Max: p} }
+	special := []float64{math.NaN(), math.Copysign(0, -1), 0, -1.5, 1.5, math.Inf(-1), math.Inf(1),
+		-math.MaxFloat64, math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	tables := map[string]func(i int) geom.Box{
+		"special values": func(int) geom.Box {
+			return at(geom.Point{special[rng.Intn(len(special))], special[rng.Intn(len(special))], special[rng.Intn(len(special))]})
+		},
+		"signed zeros": func(i int) geom.Box {
+			return at(geom.Point{math.Copysign(0, float64(i%2)-0.5), 0, math.Copysign(0, float64(i%3)-1.5)})
+		},
+		"all equal": func(int) geom.Box { return at(geom.Point{7, 7, 7}) },
+		"few keys": func(int) geom.Box {
+			return at(geom.Point{float64(rng.Intn(3)), float64(rng.Intn(3)) - 1, -float64(rng.Intn(3))})
+		},
+		"negative side": func(int) geom.Box { return at(geom.Point{-rng.Float64() * 1e6, rng.NormFloat64(), -rng.ExpFloat64()}) },
+		"NaN in one dimension": func(i int) geom.Box {
+			p := geom.Point{rng.Float64(), rng.Float64(), rng.Float64()}
+			if i%4 == 0 {
+				p[i/4%3] = math.NaN()
+			}
+			return at(p)
+		},
+	}
+	cases := map[string][]geom.Object{}
+	for name, box := range tables {
+		objs := make([]geom.Object, 5000)
+		for i := range objs {
+			objs[i] = geom.Object{ID: geom.ID(i), Box: box(i)}
+		}
+		cases[name] = objs
+	}
+	for _, n := range []int{1, 7, 100, radixMin - 1, radixMin, 1000, 1025, 20_000} {
+		cases[fmt.Sprintf("uniform %d", n)] = datagen.UniformSet(n, int64(n))
+	}
+	cases["clustered"] = datagen.ClusteredSet(6000, 3)
+	// Objects hold NaN, so compare bit patterns, not values.
+	same := func(a, b geom.Object) bool {
+		if a.ID != b.ID {
+			return false
+		}
+		for d := 0; d < geom.Dims; d++ {
+			if math.Float64bits(a.Box.Min[d]) != math.Float64bits(b.Box.Min[d]) || math.Float64bits(a.Box.Max[d]) != math.Float64bits(b.Box.Max[d]) {
+				return false
+			}
+		}
+		return true
+	}
+	for name, objs := range cases {
+		for _, groupSize := range []int{1, 16, 196, 3000} {
+			got, want := PackObjects(objs, groupSize), stablePack(objs, groupSize)
+			if !slices.EqualFunc(got, want, func(a, b []geom.Object) bool { return slices.EqualFunc(a, b, same) }) {
+				t.Errorf("%s, groupSize %d: groups differ from the stable-sort reference", name, groupSize)
+			}
+		}
+	}
+}
+
+// TestSortKeyOrdersAsCompare: sortKey is monotone in cmp.Compare's order
+// of the floats, and equal exactly where that order ties.
+func TestSortKeyOrdersAsCompare(t *testing.T) {
+	vals := []float64{math.NaN(), -math.NaN(), math.Inf(-1), -math.MaxFloat64, -2, -1, -math.SmallestNonzeroFloat64,
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1, 2, math.MaxFloat64, math.Inf(1)}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := cmp.Compare(sortKey(a), sortKey(b)), cmp.Compare(a, b); got != want {
+				t.Errorf("sortKey orders %v and %v as %d, cmp.Compare as %d", a, b, got, want)
+			}
 		}
 	}
 }

@@ -3,8 +3,11 @@ package testutil
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,6 +37,59 @@ func randBoxes(rng *rand.Rand, n int) []geom.Box {
 		boxes[i] = geom.NewBox(lo, hi)
 	}
 	return boxes
+}
+
+// foldTail has the scheduler fold the unfolded tail of m, whose automatic
+// compaction the test keeps off otherwise, and returns once that fold has
+// published — the scheduled fold, which decides by its rule how many
+// tiers it rewrites, where Compact always rewrites them all. The caller
+// is the only writer.
+func foldTail(t testing.TB, m *touch.Mutable) {
+	t.Helper()
+	st := m.Stats()
+	if st.DeltaInserts+st.DeltaTombstones == 0 {
+		return
+	}
+	m.SetCompactThreshold(1)
+	for deadline := time.Now().Add(30 * time.Second); m.Stats().Compactions == st.Compactions; time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the scheduled fold never published")
+		}
+	}
+	m.SetCompactThreshold(0)
+	checkTiers(t, m, true)
+}
+
+// checkTiers holds the tiers of m's current generation to their
+// invariants: ID ranges ascending and disjoint, nothing empty above the
+// base — and, right after a fold, every tier more than twice as large as
+// everything above it together (which bounds the tier count by the
+// logarithm of the dataset) and less than half dead.
+func checkTiers(t testing.TB, m *touch.Mutable, folded bool) {
+	t.Helper()
+	tiers := m.View().Tiers()
+	above, last := 0, geom.ID(-1)
+	for i := len(tiers) - 1; i >= 0; i-- {
+		tier := tiers[i]
+		if folded && (2*above >= tier.Objects || 2*tier.Dead >= tier.Objects) && tier.Objects+above > 0 {
+			t.Fatalf("after a fold tier %d holds %d objects, %d of them dead, under %d above it: %+v", i, tier.Objects, tier.Dead, above, tiers)
+		}
+		above += tier.Objects
+	}
+	for i, tier := range tiers {
+		if tier.Objects == 0 && i > 0 {
+			t.Fatalf("tier %d is empty: %+v", i, tiers)
+		}
+		if tier.Objects > 0 && (tier.MinID <= last || tier.MaxID < tier.MinID) {
+			t.Fatalf("tier %d spans IDs [%d, %d] after %d: %+v", i, tier.MinID, tier.MaxID, last, tiers)
+		}
+		if tier.Objects > 0 {
+			last = tier.MaxID
+		}
+	}
+	if folded && len(tiers) > bits.Len(uint(above))+1 {
+		t.Fatalf("%d tiers over %d objects: %+v", len(tiers), above, tiers)
+	}
 }
 
 // liveIDs lists the IDs currently live in the mutable's merged view.
@@ -152,8 +208,9 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 
 // TestDifferentialMutable drives random op scripts — insert a random
 // batch, delete a random subset (live IDs, repeats and unknowns mixed),
-// or compact — and verifies the full rebuild equivalence after every
-// step, across several seeds and base shapes.
+// fold the tail as the scheduler would, or compact — and verifies the
+// full rebuild equivalence and the tier invariants after every step,
+// across several seeds and base shapes.
 func TestDifferentialMutable(t *testing.T) {
 	bases := []struct {
 		name string
@@ -174,12 +231,18 @@ func TestDifferentialMutable(t *testing.T) {
 				m.SetCompactThreshold(0) // compaction only via the explicit op
 				probe := touch.GenerateUniform(120, 9200+seed)
 
-				for step := 0; step < 12; step++ {
-					switch op := rng.Intn(5); {
+				issued := geom.ID(len(base.ds)) - 1
+				for step := 0; step < 14; step++ {
+					switch op := rng.Intn(6); {
 					case op <= 1: // insert
-						if _, err := m.Insert(randBoxes(rng, 1+rng.Intn(40))); err != nil {
+						ids, err := m.Insert(randBoxes(rng, 1+rng.Intn(40)))
+						if err != nil {
 							t.Fatalf("step %d insert: %v", step, err)
 						}
+						if ids[0] <= issued {
+							t.Fatalf("step %d: insert received ID %d, IDs up to %d have been issued", step, ids[0], issued)
+						}
+						issued = ids[len(ids)-1]
 					case op <= 3: // delete
 						ids := liveIDs(m)
 						var del []geom.ID
@@ -191,9 +254,15 @@ func TestDifferentialMutable(t *testing.T) {
 							}
 						}
 						m.Delete(del)
+					case op == 4: // the scheduled fold
+						foldTail(t, m)
 					default: // compact
 						m.Compact()
+						if tiers := m.View().Tiers(); len(tiers) != 1 || tiers[0].Dead != 0 {
+							t.Fatalf("step %d: Compact left %+v", step, tiers)
+						}
 					}
+					checkTiers(t, m, false)
 					checkMutableAgainstRebuild(t, m, probe, 9300+seed*100+int64(step))
 				}
 			})
@@ -256,6 +325,201 @@ func TestDifferentialMutableLargeDelta(t *testing.T) {
 		t.Fatalf("post-compact delta not empty: %+v", st)
 	}
 	checkMutableAgainstRebuild(t, m, probe, 9412)
+}
+
+// TestDifferentialMutableTiers is the history the fold rule is for: a
+// base of 4,000 objects under tails that come in geometrically smaller,
+// so that the scheduled folds stack three tiers on it before anything is
+// merged; then rounds of inserts and of deletes aimed into every tier and
+// into the tail, with scheduled folds that now add a tier and now rewrite
+// the ones the tail has outgrown. After every step every query and join
+// form must equal the index rebuilt from Dataset(), no ID may come back,
+// and after every fold the tiers must satisfy checkTiers.
+func TestDifferentialMutableTiers(t *testing.T) {
+	rng := rand.New(rand.NewSource(9700))
+	base := touch.GenerateUniform(4000, 9701).Expand(4)
+	m, err := touch.NewMutable(base, touch.TOUCHConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetCompactThreshold(0)
+	probe := touch.GenerateUniform(150, 9702)
+	issued := geom.ID(len(base)) - 1
+	insert := func(n int) {
+		t.Helper()
+		ids, err := m.Insert(randBoxes(rng, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ids[0] <= issued {
+			t.Fatalf("insert received ID %d, IDs up to %d have been issued", ids[0], issued)
+		}
+		issued = ids[len(ids)-1]
+	}
+	// deleteEverywhere tombstones a few live objects of every tier and of
+	// the tail, plus IDs that are already dead or were never issued.
+	deleteEverywhere := func() {
+		live := liveIDs(m)
+		var del []geom.ID
+		for _, tier := range m.View().Tiers() {
+			lo, _ := slices.BinarySearch(live, tier.MinID)
+			hi, _ := slices.BinarySearch(live, tier.MaxID+1)
+			for i := 0; i < 1+tier.Objects/25 && lo < hi; i++ {
+				del = append(del, live[lo+rng.Intn(hi-lo)])
+			}
+		}
+		if st := m.Stats(); st.DeltaInserts > 0 {
+			del = append(del, live[len(live)-1-rng.Intn(min(st.DeltaInserts, len(live)))], issued+7, del[0])
+		}
+		rng.Shuffle(len(del), func(i, j int) { del[i], del[j] = del[j], del[i] })
+		m.Delete(del)
+	}
+	step := int64(0)
+	check := func() {
+		t.Helper()
+		checkTiers(t, m, false)
+		checkMutableAgainstRebuild(t, m, probe, 9710+step)
+		step++
+	}
+
+	for _, n := range []int{1000, 300, 100} {
+		insert(n)
+		check()
+		foldTail(t, m)
+		check()
+	}
+	if tiers := m.View().Tiers(); len(tiers) != 4 {
+		t.Fatalf("three geometrically shrinking tails left %d tiers, want 4: %+v", len(tiers), tiers)
+	}
+	added, merged, outlived := 0, 0, 0
+	for round := 0; round < 14; round++ {
+		insert(20 + rng.Intn(150))
+		deleteEverywhere()
+		check()
+		if round%2 == 1 {
+			before := len(m.View().Tiers())
+			foldTail(t, m)
+			if after := len(m.View().Tiers()); after > before {
+				added++
+			} else {
+				merged++
+			}
+			if st := m.Stats(); st.DeltaInserts+st.DeltaTombstones != 0 {
+				t.Fatalf("a fold left %d inserts and %d tombstones unfolded", st.DeltaInserts, st.DeltaTombstones)
+			}
+			for _, tier := range m.View().Tiers() {
+				outlived += tier.Dead
+			}
+			check()
+		}
+	}
+	if added == 0 || merged == 0 {
+		t.Fatalf("%d folds added a tier and %d merged some: the history exercises one kind only", added, merged)
+	}
+	if outlived == 0 {
+		t.Fatal("no tombstone outlived a fold: the settled-tombstone path never ran")
+	}
+	insert(60)
+	foldTail(t, m)
+	deleteEverywhere()
+	if !m.Compact() {
+		t.Fatal("Compact had nothing to fold")
+	}
+	if tiers := m.View().Tiers(); len(tiers) != 1 || tiers[0].Dead != 0 || tiers[0].Objects != len(m.Dataset()) {
+		t.Fatalf("Compact left %+v over %d live objects", tiers, len(m.Dataset()))
+	}
+	check()
+	insert(1)
+}
+
+// TestMutableTiersUnderRacingWrites: folds racing writers. One writer
+// inserts and deletes (into old tiers as well) with the threshold at 48,
+// so background folds add and merge tiers underneath it the whole time,
+// while readers take a View, rebuild an index from that very View's
+// Dataset and hold the View to it: a generation is immutable, whatever
+// publishes meanwhile. Run under -race.
+func TestMutableTiersUnderRacingWrites(t *testing.T) {
+	m, err := touch.NewMutable(touch.GenerateUniform(3000, 9801).Expand(6), touch.TOUCHConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetCompactThreshold(48)
+	stop := make(chan struct{})
+	errs := make(chan error, 8)
+	var readers sync.WaitGroup
+	var maxTiers atomic.Int64
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(9810 + r)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := m.View()
+				tiers := v.Tiers()
+				for old := maxTiers.Load(); int64(len(tiers)) > old && !maxTiers.CompareAndSwap(old, int64(len(tiers))); old = maxTiers.Load() {
+				}
+				for i := 1; i < len(tiers); i++ {
+					if tiers[i].MinID <= tiers[i-1].MaxID {
+						errs <- fmt.Errorf("tier ID ranges overlap: %+v", tiers)
+						return
+					}
+				}
+				rebuilt := touch.BuildIndex(v.Dataset(), touch.TOUCHConfig{})
+				boxes, points, ks := QueryWorkload(rng.Int63(), 6)
+				for i := range boxes {
+					got, _ := v.RangeQuery(boxes[i])
+					if want, _ := rebuilt.RangeQuery(boxes[i]); !slices.Equal(got, want) {
+						errs <- fmt.Errorf("RangeQuery(%v) over %d tiers: %d ids, its generation's rebuild has %d", boxes[i], len(tiers), len(got), len(want))
+						return
+					}
+					gotK, _ := v.KNN(points[i], ks[i])
+					if wantK, _ := rebuilt.KNN(points[i], ks[i]); !slices.Equal(gotK, wantK) {
+						errs <- fmt.Errorf("KNN(%v, %d) over %d tiers diverges from its generation's rebuild", points[i], ks[i], len(tiers))
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	rng := rand.New(rand.NewSource(9820))
+	issued := geom.ID(2999)
+	for i := 0; i < 500; i++ {
+		ids, err := m.Insert(randBoxes(rng, 12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ids[0] <= issued {
+			t.Fatalf("insert received ID %d, IDs up to %d have been issued", ids[0], issued)
+		}
+		issued = ids[len(ids)-1]
+		m.Delete([]geom.ID{geom.ID(rng.Intn(int(issued))), geom.ID(rng.Intn(int(issued))), ids[0] - 5, ids[3]})
+		// Writes cost microseconds and folds milliseconds: wait for the
+		// scheduler now and then, or one fold absorbs the whole history.
+		for st := m.Stats(); st.DeltaInserts > 150; st = m.Stats() {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	close(stop)
+	readers.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	// Let the scheduler's chain end, then hold the final state to both.
+	for st := m.Stats(); st.DeltaInserts+st.DeltaTombstones >= 48; st = m.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	if st := m.Stats(); st.Compactions < 20 || maxTiers.Load() < 3 {
+		t.Fatalf("%d folds published and at most %d tiers seen: the writer never raced a tiered fold", st.Compactions, maxTiers.Load())
+	}
+	checkTiers(t, m, false)
+	checkMutableAgainstRebuild(t, m, touch.GenerateUniform(100, 9830), 9831)
 }
 
 // TestNewOverlayContract: the public constructor accepts what callers
@@ -376,9 +640,9 @@ func TestMutableStatsAndIDs(t *testing.T) {
 // TestMutableCompactionRearms: a burst that lands while a background
 // compaction is building carries over into the next generation's delta;
 // if that is again over the threshold, a second compaction must follow
-// on its own — no later write arrives here to trigger it. The base is
-// large enough that the first build (tens of milliseconds) outlasts the
-// whole burst (microseconds).
+// on its own — no later write arrives here to trigger it. Nothing here
+// waits for the burst to land inside a build; whichever way the writes
+// and the folds interleave, every insert must end up in a tier.
 func TestMutableCompactionRearms(t *testing.T) {
 	m, err := touch.NewMutable(touch.GenerateUniform(40_000, 9601), touch.TOUCHConfig{})
 	if err != nil {
@@ -396,8 +660,13 @@ func TestMutableCompactionRearms(t *testing.T) {
 	for {
 		st := m.Stats()
 		if st.DeltaInserts+st.DeltaTombstones < threshold {
-			if st.Base.Objects != 40_000+20*16 {
-				t.Fatalf("folded base has %d objects, want %d", st.Base.Objects, 40_000+20*16)
+			indexed := 0
+			for _, tier := range m.View().Tiers() {
+				indexed += tier.Objects
+			}
+			if want := 40_000 + 20*16 - st.DeltaInserts; indexed != want || st.Base.Objects != 40_000 {
+				t.Fatalf("the tiers hold %d objects (base %d), want %d (base 40000: 320 inserts never reach half of it)",
+					indexed, st.Base.Objects, want)
 			}
 			return
 		}

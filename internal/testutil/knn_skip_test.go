@@ -78,8 +78,11 @@ func TestKNNSkipMatchesFilteredSearch(t *testing.T) {
 // share the k-th distance; tombstones on some of the tied IDs; pending
 // inserts at the very same positions. The index sits in four buckets of
 // ten blocks, so nodes, blocks and objects all meet the bound at a tie.
-// Index.KNN and Mutable.View().KNN must return the brute-force
-// (Distance, ID) order for k = 1, 10, n and n+5. A search that prunes at
+// A second Mutable holds the lattice in three tiers — two more copies of
+// it folded in one after the other — under tombstones in every tier and
+// a pending tail, so the tie groups also span the trees that share the
+// one heap. Index.KNN and both Mutable.View().KNN must return the
+// brute-force (Distance, ID) order for k = 1, 10, n and n+5. A search that prunes at
 // >= instead of > loses the tied objects with the smaller IDs; one that
 // lets a tombstoned object tighten the bound before looking it up in the
 // skip list loses live ones behind it.
@@ -123,6 +126,43 @@ func TestKNNTiesAndSkipsMatchBruteForce(t *testing.T) {
 	live := m.Dataset()
 	isDead := func(id geom.ID) bool { _, ok := slices.BinarySearch(dead, id); return ok }
 
+	// Three tiers: every lattice point once more, folded; every third one
+	// once more, folded; then the same tombstones and pending inserts as
+	// above plus tombstones into both upper tiers.
+	tiered, err := touch.NewMutable(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered.SetCompactThreshold(0)
+	var all []geom.Box
+	for cell := 0; cell < cells; cell++ {
+		all = append(all, at(cell))
+	}
+	var upper []geom.ID
+	for _, boxes := range [][]geom.Box{all, extra} {
+		ids, err := tiered.Insert(boxes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		foldTail(t, tiered)
+		for i := 0; i < len(ids); i += 4 {
+			upper = append(upper, ids[i])
+		}
+	}
+	if tiers := tiered.View().Tiers(); len(tiers) != 3 {
+		t.Fatalf("the fixture holds %d tiers, want 3: %+v", len(tiers), tiers)
+	}
+	tiered.Delete(append(upper, dead...))
+	if inserted, err = tiered.Insert(extra); err != nil {
+		t.Fatal(err)
+	}
+	tiered.Delete([]geom.ID{inserted[0], inserted[7], inserted[len(inserted)-1]})
+	for i, tier := range tiered.View().Tiers() {
+		if tier.Dead == 0 {
+			t.Fatalf("the fixture has no tombstone in tier %d", i)
+		}
+	}
+
 	// Lattice points (30 objects at distance 10, 60 at √200), cell centres
 	// (40 at the nearest distance), edge midpoints, and points outside the
 	// lattice facing a whole face of it.
@@ -145,6 +185,7 @@ func TestKNNTiesAndSkipsMatchBruteForce(t *testing.T) {
 		}{
 			{"Index", ix.KNN, ds},
 			{"Mutable.View", m.View().KNN, live},
+			{"three-tier Mutable.View", tiered.View().KNN, tiered.Dataset()},
 		} {
 			n := len(run.ds)
 			for _, k := range []int{1, 10, n, n + 5} {

@@ -17,58 +17,42 @@ import (
 // count is small.
 var ErrIDSpaceExhausted = errors.New("touch: object ID space exhausted")
 
-// DefaultCompactThreshold is the delta size (inserts + tombstones) at
-// which a Mutable schedules a background compaction unless
-// SetCompactThreshold chose otherwise.
+// DefaultCompactThreshold is the size of the unfolded tail (inserts +
+// tombstones no fold has seen) at which a Mutable schedules a background
+// fold unless SetCompactThreshold chose otherwise.
 const DefaultCompactThreshold = 4096
 
-// Mutable is an incrementally updatable index: an immutable base Index
-// plus a small delta of pending inserts and tombstones, read through
-// View. Reads are lock-free — View loads one atomic pointer to an
-// immutable (base, delta) generation — and are safe concurrently with
-// writers and with the background compaction that periodically folds
-// the delta into a fresh base index.
+// Mutable is an incrementally updatable index: a short list of immutable
+// index tiers plus a small tail of pending inserts and tombstones, read
+// through View. Reads are lock-free — View loads one atomic pointer to
+// an immutable generation — and are safe concurrently with writers and
+// with the background folds that index the tail as a new tier or merge
+// it with the tiers it has outgrown (Overlay.Fold has the rule).
 //
 // The consistency contract: the Overlay View returns is never nil and
 // never changes — every query and join on it answers exactly as an
 // Index rebuilt from the merged live objects of its generation would,
-// however many writes and compactions publish meanwhile, so several
-// questions asked of one View are answered from one state; a compaction
-// or a concurrent write is either entirely visible to a View or not at
-// all, and the next View call sees it. Inserted objects receive fresh
-// ascending IDs (starting after the largest base ID) that are never
-// reused; Delete tombstones by ID and unknown or already-deleted IDs
-// are ignored.
+// however many writes and folds publish meanwhile, so several questions
+// asked of one View are answered from one state; a fold or a concurrent
+// write is either entirely visible to a View or not at all, and the next
+// View call sees it. Inserted objects receive fresh ascending IDs
+// (starting after the largest base ID) that are never reused; Delete
+// tombstones by ID and unknown or already-deleted IDs are ignored.
 //
 // Writers (Insert, Delete, Compact, SetCompactThreshold) serialize on
 // an internal mutex; reads never block on it. The zero Mutable is not
 // usable — construct with NewMutable.
 type Mutable struct {
-	cfg TOUCHConfig
-
 	// mu serializes mutations and view publication. Reads only Load.
 	mu   sync.Mutex
-	view atomic.Pointer[mutView]
+	view atomic.Pointer[Overlay]
 
-	// folds schedules the background Compact at the threshold; guarded by mu.
+	// folds schedules the background fold at the threshold; guarded by mu.
 	folds delta.Scheduler
 
-	// compactMu serializes compactions, explicit and scheduled.
+	// compactMu serializes folds, explicit and scheduled.
 	compactMu   sync.Mutex
 	compactions atomic.Int64
-}
-
-// mutView is one immutable generation of a Mutable: the base dataset,
-// the pending delta and the reader over the base index and that delta.
-type mutView struct {
-	base Dataset // ID-ascending
-	d    *delta.Delta
-	ov   *Overlay
-}
-
-// newView builds the generation of base, its index and the delta d.
-func newView(base Dataset, idx *Index, d *delta.Delta) *mutView {
-	return &mutView{base: base, d: d, ov: OverlayOf(idx, d)}
 }
 
 // NewMutable builds the base index over ds (zero cfg = paper defaults,
@@ -83,28 +67,26 @@ func NewMutable(ds Dataset, cfg TOUCHConfig) (*Mutable, error) {
 			return nil, fmt.Errorf("touch: duplicate object ID %d", base[i].ID)
 		}
 	}
-	m := &Mutable{cfg: cfg, folds: delta.Scheduler{Threshold: DefaultCompactThreshold}}
-	m.view.Store(newView(base, BuildIndex(base, cfg), delta.NewForBase(base)))
+	m := &Mutable{}
+	// The scheduled fold reports the updates that arrived during the build
+	// and are still unfolded, for the scheduler to check.
+	m.folds = delta.NewScheduler(&m.mu, DefaultCompactThreshold, func() int {
+		m.fold(false)
+		return m.view.Load().d.Size()
+	})
+	m.view.Store(OverlayOf(base, BuildIndex(base, cfg)))
 	return m, nil
 }
 
-// SetCompactThreshold sets the delta size (inserts + tombstones) that
-// triggers a background compaction; n <= 0 disables automatic
-// compaction (Compact can still be called explicitly). If the current
-// delta already meets the new threshold a compaction is scheduled
-// immediately.
+// SetCompactThreshold sets the size of the unfolded tail (inserts +
+// tombstones) that triggers a background fold; n <= 0 disables automatic
+// folds (Compact can still be called explicitly). If the current tail
+// already meets the new threshold a fold is scheduled immediately.
 func (m *Mutable) SetCompactThreshold(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.folds.Threshold = n
-	m.folds.Arm(&m.mu, m.view.Load().d.Size(), m.fold)
-}
-
-// fold is the scheduled compaction; it reports the updates that arrived
-// during the build and are still pending, for the scheduler to check.
-func (m *Mutable) fold() int {
-	m.Compact()
-	return m.view.Load().d.Size()
+	m.folds.Arm(m.view.Load().d.Size())
 }
 
 // apply runs one update step against the current generation and, when
@@ -113,10 +95,10 @@ func (m *Mutable) apply(boxes []Box, ids []ID) (first ID, deleted int, ok bool) 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	v := m.view.Load()
-	nd, first, deleted, ok := v.d.Apply(v.base, boxes, ids)
-	if nd != v.d {
-		m.view.Store(newView(v.base, v.ov.Base(), nd))
-		m.folds.Arm(&m.mu, nd.Size(), m.fold)
+	next, first, deleted, ok := v.Apply(boxes, ids)
+	if next != v {
+		m.view.Store(next)
+		m.folds.Arm(next.d.Size())
 	}
 	return first, deleted, ok
 }
@@ -150,78 +132,79 @@ func (m *Mutable) Delete(ids []ID) int {
 	return n
 }
 
-// Compact synchronously folds the current delta into a fresh base
-// index and publishes it, returning whether there was anything to fold.
-// The expensive build runs without blocking writers or readers; only
-// the final pointer swap takes the writer lock, where updates that
-// arrived during the build carry over into the new (small) delta.
-// Concurrent Compact calls serialize.
-func (m *Mutable) Compact() bool {
+// Compact synchronously folds everything — every tier, the pending
+// inserts and all tombstones — into one fresh base index and publishes
+// it, returning whether there was anything to fold. It is the scheduled
+// fold started at the base (Overlay.Fold). The expensive build runs
+// without blocking writers or readers; only the final pointer swap takes
+// the writer lock, where updates that arrived during the build carry
+// over into the new (small) tail. Concurrent Compact calls serialize.
+func (m *Mutable) Compact() bool { return m.fold(true) }
+
+// fold is the compaction, explicit (full) and scheduled.
+func (m *Mutable) fold(full bool) bool {
 	m.compactMu.Lock()
 	defer m.compactMu.Unlock()
-	v0 := m.view.Load()
-	if v0.d.Empty() {
+	f := m.view.Load().Fold(full, BuildIndex)
+	if f == nil {
 		return false
 	}
-	merged := v0.d.Merged(v0.base)
-	idx := BuildIndex(merged, m.cfg)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Writers never replace the base and compactMu makes us the only
-	// compactor, so the current delta still descends from v0's.
-	v1 := m.view.Load()
-	nd := v1.d.Since(v0.d)
-	// Counted before it is published, so no reader of the new generation
-	// can see a Stats that has not counted its fold.
+	// Writers only Apply and compactMu makes us the only folder, so the
+	// current generation still descends from the one folded. Counted
+	// before it is published, so no reader of the new generation can see
+	// a Stats that has not counted its fold.
 	m.compactions.Add(1)
-	m.view.Store(newView(merged, idx, nd))
+	m.view.Store(f.Next(m.view.Load()))
 	return true
 }
 
-// Dataset returns the merged live objects — base survivors plus live
+// Dataset returns the merged live objects — tier survivors plus live
 // inserts, ID-ascending — as a fresh slice. An Index built from it is
 // the rebuild oracle the Mutable's answers are defined against.
 func (m *Mutable) Dataset() Dataset {
 	v := m.view.Load()
-	if v.d.Empty() {
-		// Merged hands back base itself; everything else it returns is
-		// already a fresh slice.
-		return slices.Clone(v.base)
+	if len(v.tiers) == 1 && v.frozen() {
+		// Merged hands back the tier's dataset itself; everything else it
+		// returns is already a fresh slice.
+		return slices.Clone(v.tiers[0].ds)
 	}
-	return v.d.Merged(v.base)
+	return v.Dataset()
 }
 
 // View returns the current generation's reader: an immutable Overlay
-// over the base index and the pending delta, never nil. Take one View
-// to ask several questions of one state; take a new one to see later
-// writes.
-func (m *Mutable) View() *Overlay { return m.view.Load().ov }
+// over the tiers and the pending tail, never nil. Take one View to ask
+// several questions of one state; take a new one to see later writes.
+func (m *Mutable) View() *Overlay { return m.view.Load() }
 
 // MutableStats describes a Mutable at one instant: the base index
-// shape, the live object count across base and delta, the pending
-// delta size and how many compactions have folded so far.
+// shape, the live object count across tiers and tail, the size of the
+// unfolded tail and how many folds have published so far.
 type MutableStats struct {
-	// Base is the shape of the current base index (its Objects count
-	// includes base objects that are tombstoned in the delta).
+	// Base is the shape of the current base index, the lowest tier (its
+	// Objects count includes objects that are tombstoned). Overlay.Tiers
+	// on View describes the tiers above it.
 	Base IndexStats
-	// Objects is the number of live objects over base + delta.
+	// Objects is the number of live objects over tiers + tail.
 	Objects int
-	// DeltaInserts and DeltaTombstones are the pending update counts;
+	// DeltaInserts and DeltaTombstones are the unfolded update counts;
 	// their sum is compared against the compaction threshold.
 	DeltaInserts    int
 	DeltaTombstones int
-	// Compactions counts the delta folds published since NewMutable.
+	// Compactions counts the folds published since NewMutable.
 	Compactions int64
 }
 
 // Stats reports the current state. Safe concurrently with everything.
 func (m *Mutable) Stats() MutableStats {
 	v := m.view.Load()
+	ins, tombs := v.Pending()
 	return MutableStats{
-		Base:            v.ov.Base().Stats(),
-		Objects:         len(v.base) + v.d.Inserts() - v.d.Tombstones(),
-		DeltaInserts:    v.d.Inserts(),
-		DeltaTombstones: v.d.Tombstones(),
+		Base:            v.Base().Stats(),
+		Objects:         v.Stats().Objects + ins - tombs,
+		DeltaInserts:    ins,
+		DeltaTombstones: tombs,
 		Compactions:     m.compactions.Load(),
 	}
 }

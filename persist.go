@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"touch/internal/core"
+	"touch/internal/delta"
 	"touch/internal/snapshot"
 )
 
@@ -38,12 +39,28 @@ func EncodeSnapshot(info SnapshotInfo, a Dataset, ix *Index) ([]byte, error) {
 	if ix == nil {
 		return nil, errors.New("touch: nil index")
 	}
+	return OverlayOf(a, ix).EncodeSnapshot(info)
+}
+
+// EncodeSnapshot serializes a whole generation: every tier's dataset and
+// tree, the tombstones over them and the ID high-water mark, so that
+// DecodeOverlay restores the same live objects, the same answers and the
+// same next insert ID with no tree rebuilt. Inserts no fold has indexed
+// have no place in the format — a generation that holds some fails to
+// encode; fold first. The receiver must descend from OverlayOf.
+func (v *Overlay) EncodeSnapshot(info SnapshotInfo) ([]byte, error) {
+	if n := len(v.inserts); n > 0 {
+		return nil, fmt.Errorf("touch: %d unfolded inserts cannot be encoded", n)
+	}
 	rec := &snapshot.Record{
 		Name:    info.Name,
 		Version: info.Version,
 		BuiltAt: info.BuiltAt,
-		Objects: a,
-		Tree:    ix.tree.Freeze(),
+		Tombs:   v.tombs,
+		NextID:  v.d.NextID(),
+	}
+	for _, t := range v.tiers {
+		rec.Tiers = append(rec.Tiers, snapshot.Tier{Objects: t.ds, Tree: t.tree.Freeze()})
 	}
 	return rec.Marshal()
 }
@@ -54,18 +71,44 @@ func EncodeSnapshot(info SnapshotInfo, a Dataset, ix *Index) ([]byte, error) {
 // structural invariant of the tree is re-verified (MBRs and extent sums
 // are recomputed from the arena and compared bit-exactly), so corrupt
 // bytes — torn writes, bit flips, hostile edits — are rejected with an
-// error wrapping ErrSnapshotCorrupt.
+// error wrapping ErrSnapshotCorrupt. A snapshot of a generation with
+// several tiers or with tombstones is not one dataset and one index:
+// decode it with DecodeOverlay.
 func DecodeSnapshot(data []byte) (SnapshotInfo, Dataset, *Index, error) {
+	info, v, err := DecodeOverlay(data)
+	if err != nil {
+		return SnapshotInfo{}, nil, nil, err
+	}
+	if len(v.tiers) > 1 || len(v.tombs) > 0 {
+		return SnapshotInfo{}, nil, nil, fmt.Errorf("touch: snapshot holds %d tiers and %d tombstones; decode it with DecodeOverlay", len(v.tiers), len(v.tombs))
+	}
+	return info, v.tiers[0].ds, v.idx, nil
+}
+
+// DecodeOverlay decodes and fully validates a snapshot of either
+// producer — EncodeSnapshot's one dataset and index, or a whole
+// generation — into a generation ready to serve and to update: every
+// tier restored without a rebuild, the tombstones in place, and the next
+// insert ID the persisted high-water mark (one above the largest ID held
+// for a file that carries none). Validation and errors as DecodeSnapshot.
+func DecodeOverlay(data []byte) (SnapshotInfo, *Overlay, error) {
 	rec, err := snapshot.Unmarshal(data)
 	if err != nil {
-		return SnapshotInfo{}, nil, nil, err
+		return SnapshotInfo{}, nil, err
 	}
-	tree, err := rec.Thaw()
+	trees, err := rec.Thaw()
 	if err != nil {
-		return SnapshotInfo{}, nil, nil, err
+		return SnapshotInfo{}, nil, err
+	}
+	tiers := make([]tier, len(trees))
+	var base *Index
+	maxID := ID(-1)
+	for i := len(trees) - 1; i >= 0; i-- {
+		base = indexFromTree(trees[i])
+		tiers[i], maxID = base.tier(rec.Tiers[i].Objects), max(maxID, base.maxID)
 	}
 	info := SnapshotInfo{Name: rec.Name, Version: rec.Version, BuiltAt: rec.BuiltAt}
-	return info, rec.Objects, indexFromTree(tree, len(rec.Objects)), nil
+	return info, base.over(tiers, delta.Restored(rec.Tombs, rec.NextID, maxID)), nil
 }
 
 // WriteSnapshot is EncodeSnapshot to an io.Writer, returning the byte
@@ -95,12 +138,12 @@ func ReadSnapshot(r io.Reader) (SnapshotInfo, Dataset, *Index, error) {
 
 // indexFromTree wraps a built or already-validated thawed tree in the
 // public Index and wires its probe pool.
-func indexFromTree(t *core.Tree, lenA int) *Index {
+func indexFromTree(t *core.Tree) *Index {
 	probes := &sync.Pool{New: func() any { return t.NewProbe() }}
-	return &Index{reader: reader{tree: t, probes: probes}, lenA: lenA, maxID: t.MaxID()}
+	return &Index{reader: newReader([]tier{{tree: t, probes: probes}}), maxID: t.MaxID()}
 }
 
 // Config returns the configuration the index was built with, defaults
 // filled in — the value a snapshot round-trips, so a rebuild with this
 // config reproduces the identical tree shape.
-func (ix *Index) Config() TOUCHConfig { return ix.tree.Config() }
+func (ix *Index) Config() TOUCHConfig { return ix.tiers[0].tree.Config() }

@@ -8,11 +8,11 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
-	"touch/internal/delta"
 	"touch/internal/trace"
 )
 
@@ -58,7 +58,7 @@ func untimed(t *testing.T, sp Span, recorded ...trace.Phase) Span {
 
 // TestOverlayEmptyDeltaReaderParity: the four ways to hold a dataset
 // with nothing pending — the bare Index, an Overlay built with no
-// updates, an Overlay of an empty delta and a fresh Mutable's View —
+// updates, the first generation of OverlayOf and a fresh Mutable's View —
 // are one reader: the same answers, the same trace apart from the
 // durations (no delta or overlay phase), the same allocations per call.
 func TestOverlayEmptyDeltaReaderParity(t *testing.T) {
@@ -75,7 +75,7 @@ func TestOverlayEmptyDeltaReaderParity(t *testing.T) {
 	}{
 		{"Index", idx},
 		{"NewOverlay(nil,nil)", NewOverlay(idx, nil, nil)},
-		{"OverlayOf(empty)", OverlayOf(idx, delta.NewForBase(ds))},
+		{"OverlayOf", OverlayOf(ds, idx)},
 		{"Mutable.View", m.View()},
 	}
 
@@ -235,6 +235,119 @@ func TestMutableViewIsOneGeneration(t *testing.T) {
 	if got, _ := old.RangeQuery(NewBox(Point{-1, -1, -1}, Point{1e9, 1e9, 1e9})); len(got) != len(oldLive) {
 		t.Fatalf("the old View now holds %d objects, its generation had %d", len(got), len(oldLive))
 	}
+}
+
+// TestViewOutlivesTierMerges: a View taken over three tiers, a tail and
+// tombstones in every one of them keeps answering as the rebuild of its
+// own generation while a writer keeps inserting, deleting and folding
+// underneath it — through at least two folds that rewrite tiers the View
+// still reads and one that adds a tier beside them. The tiers are
+// immutable and shared, not copied: the old View and the new generations
+// read the same trees until a merge replaces them for the new ones only.
+// Run under -race.
+func TestViewOutlivesTierMerges(t *testing.T) {
+	m, err := NewMutable(GenerateUniform(3000, 1531), TOUCHConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetCompactThreshold(-1)
+	rng := rand.New(rand.NewSource(1532))
+	boxes := func(n int) []Box {
+		bs := make([]Box, n)
+		for i := range bs {
+			bs[i] = queryBox(rng)
+		}
+		return bs
+	}
+	var first, second []ID
+	for i, n := range []int{700, 200} {
+		ids, err := m.Insert(boxes(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.fold(false) {
+			t.Fatal("nothing to fold")
+		}
+		if i == 0 {
+			first = ids
+		} else {
+			second = ids
+		}
+	}
+	tail, err := m.Insert(boxes(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Delete([]ID{5, 2999, first[0], first[333], second[7], tail[3]})
+	old := m.View()
+	if tiers := old.Tiers(); len(tiers) != 3 || tiers[0].Dead != 2 || tiers[1].Dead != 2 || tiers[2].Dead != 1 || len(old.inserts) != 40 {
+		t.Fatalf("the fixture holds %+v under %d pending inserts", tiers, len(old.inserts))
+	}
+	oldLive := old.Dataset()
+	oldOracle := BuildIndex(oldLive, TOUCHConfig{})
+
+	probe := GenerateUniform(1200, 1533)
+	qs, pts := boxes(16), make([]Point, 16)
+	for i := range pts {
+		pts[i] = queryPoint(rng)
+	}
+	check := func(v *Overlay, oracle *Index) {
+		t.Helper()
+		for i := range qs {
+			got, _ := v.RangeQuery(qs[i])
+			if want, _ := oracle.RangeQuery(qs[i]); !slices.Equal(got, want) {
+				t.Fatalf("RangeQuery(%v): %d ids, its generation's rebuild has %d", qs[i], len(got), len(want))
+			}
+			gotK, _ := v.KNN(pts[i], 12)
+			if wantK, _ := oracle.KNN(pts[i], 12); !slices.Equal(gotK, wantK) {
+				t.Fatalf("KNN(%v): %v, its generation's rebuild has %v", pts[i], gotK, wantK)
+			}
+		}
+		got, want := v.Join(probe, nil), oracle.Join(probe, nil)
+		if !slices.Equal(sortPairSet(got.Pairs), sortPairSet(want.Pairs)) {
+			t.Fatalf("Join: %d pairs, its generation's rebuild has %d", len(got.Pairs), len(want.Pairs))
+		}
+	}
+
+	inserts := boxes(600) // rng is not shared with the writer
+	var merges, adds atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			at := i * 37 % (len(inserts) - 60)
+			ids, err := m.Insert(inserts[at : at+20+i%40])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			m.Delete([]ID{ids[0], ID(i * 13 % 3000), first[(i*7)%len(first)]})
+			before := len(m.View().tiers)
+			m.fold(false)
+			if len(m.View().tiers) > before {
+				adds.Add(1)
+			} else {
+				merges.Add(1)
+			}
+		}
+	}()
+	for merges.Load() < 2 || adds.Load() < 1 {
+		check(old, oldOracle)
+	}
+	close(stop)
+	wg.Wait()
+	check(old, oldOracle)
+	if got, _ := old.RangeQuery(NewBox(Point{-1, -1, -1}, Point{1e9, 1e9, 1e9})); len(got) != len(oldLive) {
+		t.Fatalf("the old View now holds %d objects, its generation had %d", len(got), len(oldLive))
+	}
+	check(m.View(), BuildIndex(m.Dataset(), TOUCHConfig{}))
 }
 
 // TestMutableDatasetAllocatesOnce: Dataset hands out one fresh slice of
