@@ -47,6 +47,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"touch"
@@ -268,22 +269,48 @@ func (c *Conn) releaseRead() {
 	}
 }
 
+// tryRead takes the read side if it is free, reads until the call has
+// completed (or the connection failed) and gives the read side up again,
+// token and all. It reports false when somebody else holds the read
+// side — who will leave a token in turn when they go.
+func (c *Conn) tryRead(cl *call) bool {
+	if !c.rmu.TryLock() {
+		return false
+	}
+	for !cl.completed() && c.readFrame() {
+	}
+	c.releaseRead()
+	return true
+}
+
 // await blocks until the call completes, reading the connection itself
-// whenever nobody else does.
+// whenever nobody else does. A token taken from turn is the duty to see
+// the read side manned, and it is never dropped: the taker goes through
+// tryRead even when its own call has completed meanwhile — the departing
+// reader may have completed it and left the token in the same breath, and
+// the token may be all that stands between another waiter and a
+// connection nobody reads. Either the read side is free, and tryRead
+// leaves a fresh token behind, or someone holds it and will.
 func (c *Conn) await(cl *call) {
 	for !cl.completed() {
-		if c.rmu.TryLock() {
-			for !cl.completed() && c.readFrame() {
-			}
-			c.releaseRead()
+		if c.tryRead(cl) {
 			continue
+		}
+		if gap := awaitGap.Load(); gap != nil {
+			(*gap)()
 		}
 		select {
 		case <-cl.done:
 		case <-c.turn:
+			c.tryRead(cl)
 		}
 	}
 }
+
+// awaitGap, when a test sets it, runs between a waiter finding the read
+// side taken and its going to sleep — the window in which its call can
+// complete and a token arrive at once.
+var awaitGap atomic.Pointer[func()]
 
 // completed reports whether done has been closed.
 func (cl *call) completed() bool {

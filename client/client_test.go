@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"touch"
 	"touch/client"
 	"touch/internal/server"
+	"touch/internal/wire"
 )
 
 func startServer(t *testing.T) string {
@@ -214,6 +217,11 @@ func TestErrSeesIdleHangUp(t *testing.T) {
 	if p.Healthy() {
 		t.Fatal("the pool reports a hung-up connection healthy")
 	}
+	// The pool looks at the connection it is about to hand out: the dead
+	// one is dropped, and with the server gone the redial fails.
+	if c2, err := p.Conn(ctx); err == nil {
+		t.Fatalf("the pool handed out a connection (the hung-up one: %v) with the server gone", c2 == c)
+	}
 	if _, _, err := c.Range(ctx, "d", box); err == nil {
 		t.Fatal("a request on the hung-up connection succeeded")
 	}
@@ -255,5 +263,208 @@ func TestCancelReachesTheReadingCaller(t *testing.T) {
 	}
 	if _, ids, err := c.Range(context.Background(), "big", touch.Box{Max: touch.Point{50, 50, 50}}); err != nil || len(ids) == 0 {
 		t.Fatalf("the connection after a cancel: %d ids, %v", len(ids), err)
+	}
+}
+
+// scriptedPeer is a wire peer that answers a request only when the test
+// says so: it completes the handshake, reports the tag of every request
+// frame on reqs, and answer writes one empty OpIDs frame.
+type scriptedPeer struct {
+	reqs chan uint32
+	mu   sync.Mutex
+	w    *wire.Writer
+}
+
+func startScriptedPeer(t *testing.T) (*scriptedPeer, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	p := &scriptedPeer{reqs: make(chan uint32, 1024)}
+	ready := make(chan struct{})
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		r := wire.NewReader(nc, 0)
+		p.w = wire.NewWriter(nc)
+		if _, _, err := r.ReadHello(); err != nil || p.w.WriteHello("") != nil || p.w.Flush() != nil {
+			return
+		}
+		close(ready)
+		for {
+			op, tag, _, err := r.ReadFrame()
+			if err != nil {
+				return
+			}
+			if op != wire.OpCancel {
+				p.reqs <- tag
+			}
+		}
+	}()
+	t.Cleanup(func() { <-ready }) // p.w is the accepting goroutine's until then
+	return p, ln.Addr().String()
+}
+
+func (p *scriptedPeer) answer(tags ...uint32) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	empty := wire.AppendIDsResp(nil, 1, nil)
+	for _, tag := range tags {
+		p.w.WriteFrame(wire.OpIDs, tag, empty)
+	}
+	p.w.Flush()
+}
+
+// TestReadSideTokenIsNeverSwallowed walks the one interleaving in which
+// a hand-off token can be lost. Caller A reads the connection; B and C
+// find the read side taken and, before they go to sleep, A reads B's
+// answer and its own and leaves a token. B wakes to a completed call and
+// a waiting token at once — Go picks between two ready select cases at
+// random — and if it takes the token and simply leaves, C sleeps on a
+// connection nobody reads: its answer, and the reply to its cancel
+// frame, sit in the socket, so no deadline rescues it. Each round loses
+// the token with probability one half at a client that drops it.
+func TestReadSideTokenIsNeverSwallowed(t *testing.T) {
+	peer, addr := startScriptedPeer(t)
+	c, err := client.Dial(context.Background(), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// The first two waiters of a round stop in the gap until released.
+	var held atomic.Int32
+	gaps := make(chan chan struct{})
+	client.SetAwaitGap(func() {
+		if held.Add(1) <= 2 {
+			release := make(chan struct{})
+			gaps <- release
+			<-release
+		}
+	})
+	defer client.SetAwaitGap(nil)
+
+	call := func(done chan<- error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_, _, err := c.Range(ctx, "d", touch.Box{})
+		done <- err
+	}
+	expect := func(what string, done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s is stranded: its answer is on the socket and nobody reads the connection", what)
+		}
+	}
+	for round := 0; round < 24; round++ {
+		held.Store(0)
+		doneA, doneB, doneC := make(chan error, 1), make(chan error, 1), make(chan error, 1)
+		go call(doneA)
+		tagA := <-peer.reqs
+		for !c.ReadSideTaken() { // A is the reader before anyone else waits
+			time.Sleep(50 * time.Microsecond)
+		}
+		go call(doneB)
+		tagB := <-peer.reqs
+		gapB := <-gaps
+		go call(doneC)
+		tagC := <-peer.reqs
+		gapC := <-gaps
+
+		peer.answer(tagB, tagA)
+		expect("caller A", doneA) // A has completed B, left, and put a token down
+		close(gapB)
+		expect("caller B", doneB)
+		close(gapC)
+		peer.answer(tagC)
+		expect("caller C", doneC)
+	}
+}
+
+// TestReadSideHandOffNeverStrands: many goroutines share one Conn, and
+// the read side passes from caller to caller as each gets its answer. A
+// hand-off token swallowed by a caller that was already done would leave
+// the others' answers unread on the socket with nobody coming for them —
+// and no deadline can help, the reply to the cancel frame sits in the
+// same socket. The peer here answers only once every caller of a burst
+// is waiting, all answers in one segment: whoever reads completes several
+// calls and leaves, so callers keep finding their call done and a token
+// waiting at once, and no later request comes along to pick a stranded
+// caller up by accident.
+func TestReadSideHandOffNeverStrands(t *testing.T) {
+	const callers, bursts = 12, 300
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		r, w := wire.NewReader(nc, 0), wire.NewWriter(nc)
+		if _, _, err := r.ReadHello(); err != nil || w.WriteHello("") != nil || w.Flush() != nil {
+			return
+		}
+		empty := wire.AppendIDsResp(nil, 1, nil)
+		for {
+			var tags [callers]uint32
+			for i := 0; i < callers; {
+				op, tag, _, err := r.ReadFrame()
+				if err != nil {
+					return
+				}
+				if op != wire.OpCancel {
+					tags[i] = tag
+					i++
+				}
+			}
+			for _, tag := range tags {
+				w.WriteFrame(wire.OpIDs, tag, empty)
+			}
+			w.Flush()
+		}
+	}()
+	c, err := client.Dial(context.Background(), ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	errs := make(chan error, callers)
+	for b := 0; b < bursts; b++ {
+		for g := 0; g < callers; g++ {
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				_, _, err := c.Range(ctx, "d", touch.Box{})
+				errs <- err
+			}()
+		}
+		// A stranded caller never returns at all (wait outlasts its
+		// context until the terminal frame is read), so the test keeps
+		// its own clock.
+		timeout := time.After(20 * time.Second)
+		for g := 0; g < callers; g++ {
+			select {
+			case err := <-errs:
+				if err != nil {
+					t.Fatalf("burst %d: a call on the shared connection: %v", b, err)
+				}
+			case <-timeout:
+				t.Fatalf("burst %d: %d of %d callers are stranded, nobody reads the connection", b, callers-g, callers)
+			}
+		}
 	}
 }

@@ -68,6 +68,26 @@ func (p *Pool) Healthy() bool {
 	return false
 }
 
+// pick returns the next live pooled connection in round-robin order,
+// nil when there is none. It looks only at the connection it is about to
+// hand out — Conn.Err on an idle connection is a look at its socket, one
+// system call — and one found dead is closed, dropped and the next
+// tried; a dead connection further round is found when its turn comes.
+// The caller holds mu.
+func (p *Pool) pick() *Conn {
+	for len(p.conns) > 0 {
+		p.next++
+		i := p.next % len(p.conns)
+		c := p.conns[i]
+		if c.Err() == nil {
+			return c
+		}
+		c.Close()
+		p.conns = append(p.conns[:i], p.conns[i+1:]...)
+	}
+	return nil
+}
+
 // Conn returns a healthy pooled connection, dialing if the pool is not
 // yet full or a pooled connection has failed. The dial happens outside
 // the pool lock — a slow or hanging dial must not block other callers
@@ -83,27 +103,12 @@ func (p *Pool) Conn(ctx context.Context) (*Conn, error) {
 		p.mu.Unlock()
 		return nil, ErrClosed
 	}
-	live := p.conns[:0]
-	for _, c := range p.conns {
-		if c.Err() == nil {
-			live = append(live, c)
-		} else {
-			c.Close()
-		}
-	}
-	p.conns = live
-	if len(p.conns) >= p.size {
-		p.next++
-		c := p.conns[p.next%len(p.conns)]
-		p.mu.Unlock()
-		return c, nil
-	}
-	// Snapshot a round-robin fallback before unlocking: if the dial
+	// The pick doubles as the fallback: if the pool is short and the dial
 	// fails, a healthy connection still answers this call.
-	var fallback *Conn
-	if len(p.conns) > 0 {
-		p.next++
-		fallback = p.conns[p.next%len(p.conns)]
+	fallback := p.pick()
+	if fallback != nil && len(p.conns) >= p.size {
+		p.mu.Unlock()
+		return fallback, nil
 	}
 	if wait, lastErr := time.Until(p.nextDial), p.lastErr; wait > 0 && lastErr != nil {
 		p.mu.Unlock()

@@ -229,3 +229,101 @@ func TestOverCapRequestFailsAlone(t *testing.T) {
 		}
 	}
 }
+
+// stalledBackend is a wire peer that shakes hands and then answers no
+// request until it is canceled — the terminal frame a cancel is owed is
+// all it ever sends. It reports every request frame's tag on reqs and
+// every cancel frame's on cancels.
+type stalledBackend struct {
+	addr          string
+	reqs, cancels chan uint32
+}
+
+func startStalledBackend(t *testing.T) *stalledBackend {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	b := &stalledBackend{addr: ln.Addr().String(), reqs: make(chan uint32, 64), cancels: make(chan uint32, 64)}
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer nc.Close()
+				r := wire.NewReader(nc, 0)
+				if _, _, err := r.ReadHello(); err != nil || wire.WriteHello(nc, "node/stalled") != nil {
+					return
+				}
+				for {
+					op, tag, _, err := r.ReadFrame()
+					if err != nil {
+						return
+					}
+					if op == wire.OpCancel {
+						w := wire.NewWriter(nc)
+						w.WriteFrame(wire.OpError, tag, wire.AppendErrorResp(nil, api.CodeClientClosed, "canceled"))
+						w.Flush()
+						b.cancels <- tag
+					} else {
+						b.reqs <- tag
+					}
+				}
+			}()
+		}
+	}()
+	return b
+}
+
+// TestLoneReadAbortsOnCancelAndHangUp: a lone read forwarded to a backend
+// that never answers is not the connection's business alone — its
+// reader is back at the socket while the forward waits, so the request's
+// cancel frame ends the forward at once (the client gets its terminal
+// frame, the backend the cancel), and so does the client hanging up.
+// Neither waits for the request timeout.
+func TestLoneReadAbortsOnCancelAndHangUp(t *testing.T) {
+	b := startStalledBackend(t)
+	rt, err := router.New(router.Config{Backends: []string{b.addr}, Replication: 1, RequestTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	t.Cleanup(func() { rt.Close() })
+	c := serveWire(t, context.Background(), rt)
+	expect := func(what string, ch <-chan uint32) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: nothing after 10 s, the forward is still waiting on the backend", what)
+		}
+	}
+	box := touch.Box{Max: touch.Point{1, 1, 1}}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.Range(ctx, "d", box)
+		done <- err
+	}()
+	expect("the backend receiving the forwarded read", b.reqs)
+	cancel()
+	expect("the backend receiving the forward's cancel", b.cancels)
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("the canceled read returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the canceled read got no terminal frame from the router")
+	}
+
+	go c.Range(context.Background(), "d", box)
+	expect("the backend receiving the second forwarded read", b.reqs)
+	c.Close()
+	expect("the backend receiving a cancel after the client hung up", b.cancels)
+}

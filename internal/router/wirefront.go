@@ -53,6 +53,15 @@ import (
 // connection; at the bound the reader stops, backpressuring via TCP.
 const wireConcurrency = 64
 
+// lonePatience is the period of a connection's lone-read watch (see
+// frontConn.watch): a lone read the reader forwards itself keeps it from
+// the socket for one period at least and two at most before the read
+// loop moves on without it. A healthy backend answers in a hundredth.
+const lonePatience = 5 * time.Millisecond
+
+// loneTaken in frontConn.lone: the watch has moved the read loop on.
+const loneTaken = -1
+
 // wireMaxFrame caps inbound frame payloads.
 const wireMaxFrame = 64 << 20
 
@@ -71,7 +80,10 @@ type frontConn struct {
 	rt *Router
 	w  *wire.Writer
 
-	ctx context.Context
+	// ctx is the connection's lifetime; the read loop cancels it when the
+	// reading ends, which aborts the forwards in flight.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// wmu serializes frame writes across the forwarding goroutines.
 	wmu sync.Mutex
@@ -85,8 +97,17 @@ type frontConn struct {
 	mu      sync.Mutex
 	cancels map[uint32]context.CancelFunc
 
+	// wg counts the read loop and every forward in flight.
 	sem chan struct{}
 	wg  sync.WaitGroup
+
+	// The lone-read watch. lone is the number of the lone read the reader
+	// is forwarding itself right now (loneSeq counts them, and is the
+	// reader's), 0 when it is not, loneTaken once the watch has moved the
+	// read loop on without it; watching says the watch's timer is armed.
+	loneSeq  int64
+	lone     atomic.Int64
+	watching atomic.Bool
 }
 
 // serveWireConn serves one handshaken connection (wire.Acceptor's
@@ -98,15 +119,17 @@ func (rt *Router) serveWireConn(ctx context.Context, r *wire.Reader, w *wire.Wri
 		rt:      rt,
 		w:       w,
 		ctx:     ctx,
+		cancel:  cancel,
 		cancels: make(map[uint32]context.CancelFunc),
 		sem:     make(chan struct{}, wireConcurrency),
 	}
 	rt.met.wireConns.Add(1)
 	defer rt.met.wireConns.Add(-1)
 
+	// The read loop may finish on another goroutine than this one; it
+	// cancels ctx when it does, and the forwards unwind.
+	c.wg.Add(1)
 	c.readLoop(r)
-	// Reader done: abort in-flight forwards, wait for their goroutines.
-	cancel()
 	c.wg.Wait()
 }
 
@@ -120,16 +143,26 @@ type relayReq struct {
 	payload []byte
 }
 
+// readLoop reads the connection's frames until it ends, then cancels the
+// connection's context and gives up the read loop's count in wg. It may
+// do so on another goroutine than it was called on: a lone read is
+// forwarded by the goroutine that read it, and if the backend keeps it
+// past lonePatience the watch carries the loop on while this goroutine
+// sees the forward through and returns.
 func (c *frontConn) readLoop(r *wire.Reader) {
+	if c.read(r) {
+		c.cancel()
+		c.wg.Done()
+	}
+}
+
+// read is readLoop's loop; false means the loop has moved on to another
+// goroutine, true that the reading is over.
+func (c *frontConn) read(r *wire.Reader) bool {
 	// group accumulates read frames while more input is already
 	// buffered; it is dispatched as soon as the next read would block
 	// (or the group is full), so a pipelined burst becomes one batch
-	// and a lone request is forwarded immediately — on this goroutine,
-	// when nothing else is in flight on the connection: a read is
-	// answered in microseconds (and within the request timeout whatever
-	// the backend does), no cancel frame could arrive for anything else
-	// meanwhile, and a goroutine started for it is a wake-up that, on an
-	// otherwise idle machine, brings an idle core out of its sleep.
+	// and a lone request is forwarded immediately.
 	var group []relayReq
 	dispatch := func() {
 		if len(group) == 0 {
@@ -137,10 +170,6 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 		}
 		g := group
 		group = nil
-		if len(g) == 1 && c.inflight.Load() == 1 && r.Buffered() == 0 {
-			c.forwardReads(g)
-			return
-		}
 		select {
 		case c.sem <- struct{}{}:
 		case <-c.ctx.Done():
@@ -159,6 +188,31 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 	defer dispatch()
 	for {
 		if r.Buffered() == 0 || len(group) >= wireConcurrency {
+			// A read with nothing else in flight on the connection is
+			// forwarded right here: a goroutine started for it is a
+			// wake-up, and on an otherwise idle machine that is an idle
+			// core brought out of its sleep — more than the forward
+			// itself costs. But the forward waits on a backend for as
+			// long as the backend takes, and the socket must not go
+			// unread that long, or the request's cancel frame and the
+			// client's hang-up would wait with it: the watch sees to it.
+			if len(group) == 1 && c.inflight.Load() == 1 && r.Buffered() == 0 {
+				g := group
+				group = nil
+				c.loneSeq++
+				n := c.loneSeq
+				c.lone.Store(n)
+				if !c.watching.Swap(true) {
+					time.AfterFunc(lonePatience, func() { c.watch(r, n) })
+				}
+				c.wg.Add(1)
+				c.forwardReads(g)
+				c.wg.Done()
+				if !c.lone.CompareAndSwap(n, 0) {
+					return false // the watch has moved the loop on
+				}
+				continue
+			}
 			dispatch()
 		}
 		op, tag, payload, err := r.ReadFrame()
@@ -166,7 +220,7 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 			if errors.Is(err, wire.ErrMalformed) {
 				c.fatalError(0, err.Error())
 			}
-			return
+			return true
 		}
 		read := false
 		switch op {
@@ -182,7 +236,7 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 		case wire.OpJoin, wire.OpUpdate, wire.OpCatalog:
 		default:
 			c.fatalError(tag, fmt.Sprintf("unknown opcode %#02x", op))
-			return
+			return true
 		}
 		req := relayReq{op: op, tag: tag, payload: append([]byte(nil), payload...)}
 		if op != wire.OpCatalog {
@@ -205,7 +259,7 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 		select {
 		case c.sem <- struct{}{}:
 		case <-c.ctx.Done():
-			return
+			return true
 		}
 		c.inflight.Add(1)
 		c.wg.Add(1)
@@ -217,6 +271,33 @@ func (c *frontConn) readLoop(r *wire.Reader) {
 			c.forward(ctx, &req)
 		}()
 	}
+}
+
+// watch is one tick of the connection's lone-read watch. A timer per
+// lone read would do — but a timer due sooner than every other is itself
+// a wake-up for whichever thread sleeps in the poller, on every request —
+// so there is one per connection, ticking every lonePatience while lone
+// reads keep coming. seen is the lone read that was in progress a tick
+// ago: if it still is, it has kept the reader from the socket for a
+// whole period, and the read loop carries on here, on the timer's
+// goroutine, while the reader finishes as that forward's goroutine. Two
+// ticks in a row with no lone read in progress put the watch to sleep;
+// the next lone read arms it again.
+func (c *frontConn) watch(r *wire.Reader, seen int64) {
+	cur := c.lone.Load()
+	switch {
+	case cur > 0 && cur == seen && c.lone.CompareAndSwap(cur, loneTaken):
+		c.watching.Store(false)
+		c.readLoop(r)
+		return
+	case cur <= 0 && seen <= 0:
+		c.watching.Store(false)
+		if c.lone.Load() <= 0 || c.watching.Swap(true) {
+			return // asleep, or the reader has armed the next watch already
+		}
+		// A lone read began before the flag went down, unwatched: stay up.
+	}
+	time.AfterFunc(lonePatience, func() { c.watch(r, cur) })
 }
 
 // respond writes one request's answer — the stream frames, then the

@@ -15,10 +15,13 @@ package server
 // one connection are answered in order, a pipelining client can match
 // responses by tag without reordering. A lone short request — anything
 // but a join, arriving with nothing queued, executing or waiting in the
-// read buffer — is executed by the reader itself: it finishes in
-// microseconds, nothing could overtake it, and handing it to the worker
-// would cost a goroutine wake-up, which on an otherwise idle machine is
-// an idle core brought out of its sleep. Writes are buffered and flushed
+// read buffer, and with an admission slot free for the taking — is
+// executed by the reader itself: nothing on that path waits (the slot is
+// claimed before, without blocking; a request that finds none queues for
+// the worker, so the reader still sees a hang-up while it waits),
+// nothing could overtake it, and handing it to the worker would cost a
+// goroutine wake-up, which on an otherwise idle machine is an idle core
+// brought out of its sleep. Writes are buffered and flushed
 // only when the queue runs empty, so a deep pipeline amortizes one
 // syscall over many responses — this batching is where the protocol's
 // throughput comes from.
@@ -160,7 +163,7 @@ func (s *Server) serveWireConn(ctx context.Context, r *wire.Reader, w *wire.Writ
 	go func() {
 		defer close(workerDone)
 		for req := range c.queue {
-			c.handle(req)
+			c.handle(req, false)
 			c.putReq(req)
 			c.queued.Add(-1)
 		}
@@ -196,8 +199,10 @@ func (c *binConn) readLoop() {
 			c.mu.Lock()
 			c.pending[tag] = false
 			c.mu.Unlock()
-			if op != wire.OpJoin && c.queued.Load() == 0 && c.r.Buffered() == 0 {
-				c.handle(req)
+			// The reader executes only what cannot make it wait: the
+			// admission slot is claimed here, or the request queues.
+			if op != wire.OpJoin && c.queued.Load() == 0 && c.r.Buffered() == 0 && c.s.claimSlot() {
+				c.handle(req, true)
 				c.putReq(req)
 				continue
 			}
@@ -285,8 +290,9 @@ func (c *binConn) fatalError(tag uint32, msg string) {
 // checks, then run. Every request frame gets exactly one terminal
 // response frame — that contract is what lets the client pipeline
 // blindly — and it is on the wire before the request leaves the drain
-// accounting.
-func (c *binConn) handle(req *wireReq) {
+// accounting. slot says the caller has claimed the request's admission
+// slot already.
+func (c *binConn) handle(req *wireReq, slot bool) {
 	s, rq := c.s, &c.req
 	class := classWireQuery
 	switch req.op {
@@ -298,6 +304,7 @@ func (c *binConn) handle(req *wireReq) {
 		class = classWireCatalog
 	}
 	s.arrive(rq, class)
+	rq.slot = slot
 	s.met.observeWireDepth(len(c.queue) + 1)
 
 	c.mu.Lock()

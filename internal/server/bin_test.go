@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -432,6 +433,50 @@ func TestWireCancelQueued(t *testing.T) {
 	}
 	if got := ts.srv.met.rejectCanceled.Load(); got < 2 {
 		t.Fatalf("rejectCanceled = %d, want >= 2", got)
+	}
+}
+
+// TestWireLoneReadWaitingForASlotSeesHangUp: the reader executes a lone
+// read itself only when it can take an admission slot without waiting.
+// With every slot held, the read queues for the worker and the reader
+// goes back to the socket — so when the client hangs up, the wait for a
+// slot ends at once instead of lasting as long as whoever holds it.
+func TestWireLoneReadWaitingForASlotSeesHangUp(t *testing.T) {
+	ts := newTestServer(t, Config{MaxInFlight: 1})
+	ts.srv.Load("cells", touch.GenerateUniform(100, 5), touch.TOUCHConfig{})
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	letGo := sync.OnceFunc(func() { close(release) })
+	defer letGo() // on a failure too, or the parked join outlives the test
+	ts.srv.testHookWorker = func(ctx context.Context) {
+		entered <- struct{}{}
+		<-release
+	}
+	addr := ts.startWire()
+	holder := ts.dialWire(addr)
+	joined := make(chan error, 1)
+	go func() {
+		_, _, err := holder.JoinCount(context.Background(), "cells", client.JoinSpec{Boxes: []touch.Box{{Max: touch.Point{1, 1, 1}}}})
+		joined <- err
+	}()
+	<-entered // the one slot is taken and stays taken
+
+	nc, _ := rawWireConn(t, addr)
+	w := wire.NewWriter(nc)
+	w.WriteFrame(wire.OpRange, 1, wire.AppendRangeReq(nil, "cells", touch.Box{Max: touch.Point{500, 500, 500}}))
+	w.Flush()
+	for ts.srv.met.requests[classWireQuery].Load() == 0 { // the read has reached admission
+		time.Sleep(time.Millisecond)
+	}
+	nc.Close()
+	for deadline := time.Now().Add(5 * time.Second); ts.srv.met.rejectCanceled.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the read still waits for a slot after its client hung up: nobody was reading the connection")
+		}
+	}
+	letGo()
+	if err := <-joined; err != nil {
+		t.Fatalf("the join holding the slot: %v", err)
 	}
 }
 

@@ -28,7 +28,11 @@ type request struct {
 	class int
 	// start is when the transport began working on the request; the
 	// duration histograms and the slow log measure from it.
-	start    time.Time
+	start time.Time
+	// slot: the request holds one of the MaxInFlight slots — claimed by
+	// begin, or beforehand by a wire reader about to execute the request
+	// itself (see binConn.readLoop); finish gives it back either way.
+	slot     bool
 	admitted bool
 	// span is the request's trace. Its RequestID is set up front on HTTP
 	// and lazily on the wire — only when a request is traced, slow, or
@@ -68,14 +72,11 @@ func (s *Server) begin(rq *request, arrived time.Time, wait <-chan struct{}) *ap
 		s.met.rejectDraining.Add(1)
 		return api.Errorf(api.CodeDraining, "server is draining for shutdown")
 	}
-	if wait == nil {
-		select {
-		case s.slots <- struct{}{}:
-		default:
+	if !rq.slot && !s.claimSlot() {
+		if wait == nil {
 			s.met.rejectOverload.Add(1)
 			return api.Errorf(api.CodeOverload, "server at its %d-request in-flight cap", s.cfg.MaxInFlight)
 		}
-	} else {
 		select {
 		case s.slots <- struct{}{}:
 		case <-wait:
@@ -84,10 +85,21 @@ func (s *Server) begin(rq *request, arrived time.Time, wait <-chan struct{}) *ap
 			return api.Errorf(api.CodeClientClosed, "connection closed while waiting for an admission slot")
 		}
 	}
+	rq.slot = true
 	rq.span.Add(trace.PhaseAdmission, time.Since(arrived))
 	s.met.inFlight.Add(1)
 	rq.admitted = true
 	return nil
+}
+
+// claimSlot takes an admission slot if one is free, without waiting.
+func (s *Server) claimSlot() bool {
+	select {
+	case s.slots <- struct{}{}:
+		return true
+	default:
+		return false
+	}
 }
 
 // finish is the one completion hook: it frees the admission slot and
@@ -98,8 +110,10 @@ func (s *Server) begin(rq *request, arrived time.Time, wait <-chan struct{}) *ap
 // cooperatively inside the handler, so there is no abandoned computation
 // for the slot to follow.
 func (s *Server) finish(rq *request, status int) {
-	if rq.admitted {
+	if rq.slot {
 		<-s.slots
+	}
+	if rq.admitted {
 		s.met.inFlight.Add(-1)
 	}
 	d := time.Since(rq.start)

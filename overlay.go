@@ -49,8 +49,9 @@ type Overlay struct {
 // contain objects that deleted names. deleted may come in any order and
 // is copied only if it has to be sorted; otherwise the slices are
 // retained, not copied: treat them as frozen afterwards. The result
-// holds no dataset for its index, so it cannot be stepped with Apply or
-// Fold; generations that can start from OverlayOf.
+// holds no dataset for its index, so it has none to merge or to search
+// for a deleted ID: Apply, Fold and Dataset panic on it, saying so.
+// Generations that can be stepped start from OverlayOf.
 func NewOverlay(idx *Index, inserts Dataset, deleted []ID) *Overlay {
 	last := idx.maxID
 	for i := range inserts {
@@ -94,6 +95,14 @@ func (ix *Index) over(tiers []tier, d *delta.Delta) *Overlay {
 // Base returns the base index, the lowest tier.
 func (v *Overlay) Base() *Index { return v.idx }
 
+// stepped panics when v is read-only (see NewOverlay); method names the
+// caller.
+func (v *Overlay) stepped(method string) {
+	if v.d == nil {
+		panic("touch: Overlay." + method + " on a read-only Overlay built by NewOverlay, which holds no dataset for its index; start from OverlayOf")
+	}
+}
+
 // Apply is the update step: deletes first — so a batch can delete
 // existing IDs and insert their replacements — then inserts, which
 // receive the consecutive IDs first, first+1, …, never used before.
@@ -103,6 +112,7 @@ func (v *Overlay) Base() *Index { return v.idx }
 // returns the receiver itself. Boxes must already be validated. The
 // caller serializes Apply and Fold.Next on one generation chain.
 func (v *Overlay) Apply(inserts []Box, deletes []ID) (next *Overlay, first ID, deleted int, ok bool) {
+	v.stepped("Apply")
 	nd, first, deleted, ok := v.d.Apply(inserts, deletes, v.holds)
 	if nd == v.d {
 		return v, first, deleted, ok
@@ -129,12 +139,20 @@ func (v *Overlay) holds(id ID) bool {
 // compaction threshold is compared against; tombstones a fold left in
 // place, because they name objects of tiers it did not rewrite, are not
 // part of it.
-func (v *Overlay) Pending() (inserts, tombstones int) { return v.d.Inserts(), v.d.Tombstones() }
+func (v *Overlay) Pending() (inserts, tombstones int) {
+	return len(v.inserts), len(v.tombs) - v.settled()
+}
+
+// settled counts the tombstones a fold has seen and left in place.
+func (v *Overlay) settled() int { return len(v.d.Tombs()) - v.d.Tombstones() }
 
 // Dataset returns the merged live objects, ID-ascending: what an index
 // rebuilt from scratch would be built over. Read-only — with one tier and
 // no update ever applied to it, it is that tier's own dataset.
-func (v *Overlay) Dataset() Dataset { return v.d.Merged(v.datasets(0)...) }
+func (v *Overlay) Dataset() Dataset {
+	v.stepped("Dataset")
+	return v.d.Merged(v.datasets(0)...)
+}
 
 // datasets lists the datasets of the tiers from start up.
 func (v *Overlay) datasets(start int) []Dataset {
@@ -160,7 +178,7 @@ func (v *Overlay) Stats() IndexStats {
 		st.Height = max(st.Height, t.Height)
 		st.StaticBytes += t.StaticBytes
 	}
-	st.Objects -= len(v.d.Tombs()) - v.d.Tombstones()
+	st.Objects -= v.settled()
 	return st
 }
 
@@ -235,6 +253,7 @@ type Fold struct {
 // A tier above the base is built with the base's configuration and as
 // many partitions as give it the base's objects per bucket.
 func (v *Overlay) Fold(full bool, build func(Dataset, TOUCHConfig) *Index) *Fold {
+	v.stepped("Fold")
 	ins, tombs := v.d.Objects(), v.d.Tombs()
 	tail := v.d.NextID() - ID(len(ins)) // the first unfolded insert's ID
 	start := len(v.tiers)

@@ -49,6 +49,9 @@ func EncodeSnapshot(info SnapshotInfo, a Dataset, ix *Index) ([]byte, error) {
 // have no place in the format — a generation that holds some fails to
 // encode; fold first. The receiver must descend from OverlayOf.
 func (v *Overlay) EncodeSnapshot(info SnapshotInfo) ([]byte, error) {
+	if v.d == nil {
+		return nil, errors.New("touch: a read-only Overlay built by NewOverlay holds no dataset to encode")
+	}
 	if n := len(v.inserts); n > 0 {
 		return nil, fmt.Errorf("touch: %d unfolded inserts cannot be encoded", n)
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -380,5 +381,45 @@ func TestMutableDatasetAllocatesOnce(t *testing.T) {
 		if m.Dataset()[0].ID == -7 {
 			t.Error("Dataset aliases the base when nothing is pending")
 		}
+	}
+}
+
+// TestReadOnlyOverlayAccounts: an Overlay built by NewOverlay has no
+// write side, only what it was given to read. Pending and Stats count
+// exactly that, and the three methods that need the dataset the index was
+// built from — Apply, Fold, Dataset — panic with a message that says what
+// to use instead, as EncodeSnapshot refuses with an error; none of them
+// runs into a nil pointer halfway.
+func TestReadOnlyOverlayAccounts(t *testing.T) {
+	base := GenerateUniform(300, 3)
+	idx := BuildIndex(base, TOUCHConfig{})
+	ins := Dataset{{ID: 300, Box: Box{Max: Point{1, 1, 1}}}, {ID: 301, Box: Box{Max: Point{2, 2, 2}}}}
+	v := NewOverlay(idx, ins, []ID{301, 7, 12})
+	if i, d := v.Pending(); i != 2 || d != 3 {
+		t.Errorf("Pending() = %d inserts, %d tombstones; the overlay was given 2 and 3", i, d)
+	}
+	if got := v.Stats().Objects; got != 300 {
+		t.Errorf("Stats().Objects = %d, want the base's 300", got)
+	}
+	if ids, err := v.RangeQuery(Box{Max: Point{2, 2, 2}}); err != nil || !slices.Contains(ids, 300) || slices.Contains(ids, 301) {
+		t.Errorf("range over the read-only overlay: %v, %v", ids, err)
+	}
+	if _, err := v.EncodeSnapshot(SnapshotInfo{Name: "d", Version: 1}); err == nil {
+		t.Error("EncodeSnapshot encoded an overlay that holds no dataset")
+	}
+	for name, call := range map[string]func(){
+		"Apply":   func() { v.Apply([]Box{{}}, nil) },
+		"Fold":    func() { v.Fold(true, BuildIndex) },
+		"Dataset": func() { v.Dataset() },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "Overlay."+name) || !strings.Contains(msg, "OverlayOf") {
+					t.Errorf("%s on a read-only overlay: recovered %q, want a panic naming the method and OverlayOf", name, msg)
+				}
+			}()
+			call()
+		}()
 	}
 }
