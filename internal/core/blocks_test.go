@@ -36,7 +36,7 @@ func checkDirectory(t *testing.T, name string, tr *Tree) {
 		next += len(n.blocks)
 		covered := n.aStart
 		for i, blk := range n.blocks {
-			es := n.entryBlock(i)
+			es := n.Entries[i*leafBlock : min((i+1)*leafBlock, len(n.Entries))]
 			if len(es) == 0 || (len(es) != leafBlock && i != len(n.blocks)-1) {
 				t.Fatalf("%s: leaf %d block %d holds %d objects", name, n.id, i, len(es))
 			}
@@ -58,7 +58,7 @@ func checkDirectory(t *testing.T, name string, tr *Tree) {
 	if next != len(tr.blocks) || cap(tr.blocks) != len(tr.blocks) {
 		t.Fatalf("%s: leaves claim %d blocks, the directory holds %d (cap %d)", name, next, len(tr.blocks), cap(tr.blocks))
 	}
-	if want := int64(tr.Nodes)*stats.BytesPerNode + int64(tr.SizeA)*stats.BytesPerRef + int64(next)*stats.BytesPerBox; tr.StaticBytes() != want {
+	if want := int64(tr.Nodes)*(stats.BytesPerNode+64) + int64(tr.SizeA)*stats.BytesPerRef + int64(next)*stats.BytesPerBox; tr.StaticBytes() != want {
 		t.Fatalf("%s: StaticBytes %d, want %d with %d blocks", name, tr.StaticBytes(), want, next)
 	}
 }

@@ -24,9 +24,10 @@ import (
 // child-count consistency, recomputed MBRs and extent sums, height and
 // leaf counts. A Frozen that passes Thaw is bit-equivalent to the tree a
 // fresh Build of the same arena partitioning would produce — the derived
-// block directory included, which Thaw rebuilds instead of reading; one
-// that does not is rejected with an error, never a panic and never a tree
-// that answers queries differently from its checksum-blessed bytes.
+// block directory and probe table included, which Thaw rebuilds instead
+// of reading; one that does not is rejected with an error, never a panic
+// and never a tree that answers queries differently from its
+// checksum-blessed bytes.
 
 // FrozenNode is one node of a frozen tree, in DFS pre-order. Children
 // is the direct child count — enough to rebuild the topology, because
@@ -223,9 +224,10 @@ func Thaw(f *Frozen) (*Tree, error) {
 	if err := verifyDerived(t); err != nil {
 		return nil, err
 	}
-	// The block directory is not part of the frozen form: it is rebuilt
-	// over the arena as it arrived, whatever order a leaf's stretch is in.
-	t.indexBlocks()
+	// The block directory and the probe table are not part of the frozen
+	// form: they are rebuilt over the arena as it arrived, whatever order a
+	// leaf's stretch is in.
+	t.index()
 	return t, nil
 }
 
@@ -255,10 +257,11 @@ func verifyDerived(t *Tree) error {
 		mbr := geom.EmptyBox()
 		ext := 0.0
 		if n.Leaf() {
-			for _, o := range n.Entries {
-				mbr = mbr.Union(o.Box)
+			for i := range n.Entries {
+				b := &n.Entries[i].Box
+				mbr.Extend(b)
 				for d := 0; d < geom.Dims; d++ {
-					ext += o.Box.Extent(d)
+					ext += b.Extent(d)
 				}
 			}
 			ext /= geom.Dims
@@ -267,7 +270,7 @@ func verifyDerived(t *Tree) error {
 				if err := walk(ch); err != nil {
 					return err
 				}
-				mbr = mbr.Union(ch.MBR)
+				mbr.Extend(&ch.MBR)
 				ext += ch.extSumA
 			}
 		}
@@ -304,7 +307,7 @@ func verifyDerived(t *Tree) error {
 		mbr := geom.EmptyBox()
 		ext := 0.0
 		for _, ch := range n.Children {
-			mbr = mbr.Union(ch.MBR)
+			mbr.Extend(&ch.MBR)
 			ext += ch.extSumA
 		}
 		if err := checkNode(n, mbr, ext); err != nil {

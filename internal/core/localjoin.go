@@ -185,14 +185,14 @@ func (ws *joinScratch) descend(n *Node, bs []geom.Object, from int, tk *stats.Ti
 	// A leaf has blocks and no children, an inner node children and no
 	// blocks: one of the two loops runs.
 	for i := range n.blocks {
-		if ws.meeting(n.blocks[i], bs, from, end, tk, c) {
+		if ws.meeting(&n.blocks[i], bs, from, end, tk, c) {
 			start := n.aStart + int32(i*leafBlock)
 			ws.emit(start, min(start+leafBlock, n.aEnd), bs, end)
 		}
 		ws.idx = ws.idx[:end]
 	}
 	for _, ch := range n.Children {
-		if ws.meeting(ch.MBR, bs, from, end, tk, c) {
+		if ws.meeting(&ch.MBR, bs, from, end, tk, c) {
 			ws.descend(ch, bs, end, tk, c)
 		}
 		ws.idx = ws.idx[:end]
@@ -202,13 +202,13 @@ func (ws *joinScratch) descend(n *Node, bs []geom.Object, from int, tk *stats.Ti
 // meeting is one filter pass of descend: it pushes the B objects of
 // ws.idx[from:end] that meet mbr onto the stack and reports whether any
 // does. A stopped ticker reads as none.
-func (ws *joinScratch) meeting(mbr geom.Box, bs []geom.Object, from, end int, tk *stats.Ticker, c *stats.Counters) bool {
+func (ws *joinScratch) meeting(mbr *geom.Box, bs []geom.Object, from, end int, tk *stats.Ticker, c *stats.Counters) bool {
 	if tk.TickN(end - from) {
 		return false
 	}
 	c.NodeTests += int64(end - from)
 	for _, bi := range ws.idx[from:end] {
-		if bs[bi].Box.Intersects(mbr) {
+		if bs[bi].Box.Meets(mbr) {
 			ws.idx = append(ws.idx, bi)
 		}
 	}
@@ -219,7 +219,7 @@ func (ws *joinScratch) meeting(mbr geom.Box, bs []geom.Object, from, end int, tk
 func (ws *joinScratch) emit(aStart, aEnd int32, bs []geom.Object, from int) {
 	mbr := geom.EmptyBox()
 	for _, bi := range ws.idx[from:] {
-		mbr = mbr.Union(bs[bi].Box)
+		mbr.Extend(&bs[bi].Box)
 	}
 	ws.tasks = append(ws.tasks, probeTask{aStart: aStart, aEnd: aEnd, mbr: mbr})
 }
@@ -254,7 +254,7 @@ func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *pro
 			return
 		}
 		a := &as[ai]
-		if !a.Box.Intersects(task.mbr) {
+		if !a.Box.Meets(&task.mbr) {
 			continue
 		}
 		aLo, aHi := g.Range(a.Box)
@@ -284,7 +284,7 @@ func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *pro
 							// Paper mode: test in every shared cell, keep
 							// the hit only in the owning cell.
 							c.Comparisons++
-							if a.Box.Intersects(b.Box) && owns {
+							if a.Box.Meets(&b.Box) && owns {
 								c.Results++
 								sink.Emit(a.ID, b.ID)
 							}
@@ -295,7 +295,7 @@ func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *pro
 							continue
 						}
 						c.Comparisons++
-						if a.Box.Intersects(b.Box) {
+						if a.Box.Meets(&b.Box) {
 							c.Results++
 							sink.Emit(a.ID, b.ID)
 						}
@@ -417,7 +417,7 @@ func (t *Tree) nestedJoin(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.
 				return
 			}
 			c.Comparisons++
-			if a.Box.Intersects(bs[i].Box) {
+			if a.Box.Meets(&bs[i].Box) {
 				c.Results++
 				sink.Emit(a.ID, bs[i].ID)
 			}

@@ -14,10 +14,13 @@ import (
 // indexed dataset A, reusing the same immutable structure: node MBRs
 // prune the descent, the dense-DFS arena layout turns every subtree
 // into one contiguous [aStart, aEnd) scan, and inside a leaf the block
-// directory prunes once more, leafBlock objects at a time. Queries only
-// read the Tree; all traversal state (DFS stack, kNN queue, result
-// buffers) lives in the Probe's queryScratch and recycles across queries,
-// so steady-state serving allocates nothing inside the traversal.
+// directory prunes once more, leafBlock objects at a time. The queries
+// read the hierarchy from the probe table (probeEntry), never from the
+// nodes: pre-order with skip links needs no stack, so the range walk is
+// one forward pass and all that is left of the traversal state — the kNN
+// queue, the result buffers, the sort's scratch — lives in the Probe's
+// queryScratch and recycles across queries; steady-state serving
+// allocates nothing inside the traversal.
 //
 // None of that state belongs to a particular tree, so one probe can walk
 // several: a tiered index — immutable trees over ascending, disjoint ID
@@ -27,15 +30,16 @@ import (
 // the tiers before it found.
 
 // queryScratch is the per-probe traversal state of the single-probe
-// queries: a node-id stack for the range/point descent, the queue of
-// nodes and leaf blocks of the best-first kNN search and the result
-// buffers the queries append into (nbrs doubles as the kNN search's
-// k-slot heap). All slices recycle across queries.
+// queries: the queue of nodes and leaf blocks of the best-first kNN
+// search, the result buffers the queries append into (nbrs doubles as the
+// kNN search's k-slot heap) and the second buffer and digit counters of
+// the range answer's radix sort. All slices recycle across queries.
 type queryScratch struct {
-	stack []int32
-	queue []knnItem
-	ids   []geom.ID
-	nbrs  []geom.Neighbor
+	queue  []knnItem
+	ids    []geom.ID
+	nbrs   []geom.Neighbor
+	sorted []geom.ID
+	counts [1 << radixBits]int32
 }
 
 // RangeQuery returns the IDs of every indexed A object whose MBR
@@ -56,65 +60,81 @@ type queryScratch struct {
 func (p *Probe) RangeQuery(q geom.Box, c *stats.Counters, upper ...*Tree) []geom.ID {
 	s := &p.query
 	s.ids = s.ids[:0]
-	s.rangeQuery(p.tree, q, c)
+	s.rangeQuery(p.tree, &q, c)
 	for _, t := range upper {
-		s.rangeQuery(t, q, c)
+		s.rangeQuery(t, &q, c)
 	}
 	return s.ids
 }
 
-// rangeQuery appends t's answer to q, ascending, to s.ids.
-func (s *queryScratch) rangeQuery(t *Tree, q geom.Box, c *stats.Counters) {
+// rangeQuery appends t's answer to q, ascending, to s.ids. It walks the
+// probe table front to back: a node that misses q is left by its skip
+// link, and so is one q contains, after its arena range is emitted; any
+// other inner node is followed by its first child, any other leaf is
+// scanned block by block and followed by its skip link, the next entry.
+func (s *queryScratch) rangeQuery(t *Tree, q *geom.Box, c *stats.Counters) {
 	from := len(s.ids)
-	s.stack = append(s.stack[:0], t.Root.id)
-	for len(s.stack) > 0 {
-		id := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		n := t.nodes[id]
-		c.NodeTests++
-		if !n.MBR.Intersects(q) {
-			continue
-		}
-		if q.Contains(n.MBR) {
-			// The whole subtree matches: emit its arena range without
-			// per-object tests.
-			for _, o := range t.subtreeA(n) {
-				s.ids = append(s.ids, o.ID)
-			}
-			c.Results += int64(n.aCount())
-			continue
-		}
-		if !n.Leaf() {
-			for _, ch := range n.Children {
-				s.stack = append(s.stack, ch.id)
-			}
-			continue
-		}
-		for bi := range n.blocks {
-			es := n.entryBlock(bi)
-			if len(n.blocks) > 1 {
-				c.NodeTests++
-				if !n.blocks[bi].Intersects(q) {
-					continue
-				}
-				if q.Contains(n.blocks[bi]) {
-					for i := range es {
-						s.ids = append(s.ids, es[i].ID)
+	nodeTests, comparisons := 0, 0
+	for i := int32(0); int(i) < len(t.table); {
+		e := &t.table[i]
+		nodeTests++
+		switch {
+		case !e.mbr.Meets(q):
+			i = e.skip
+		case q.Covers(&e.mbr):
+			s.emit(t.arena[e.aStart:e.aEnd])
+			i = e.skip
+		case !e.leaf(i):
+			i++
+		default:
+			blocks := e.blocks()
+			for bi := int32(0); bi < blocks; bi++ {
+				es := t.block(e, bi)
+				if blocks > 1 {
+					nodeTests++
+					blk := &t.blocks[e.block+bi]
+					if !blk.Meets(q) {
+						continue
 					}
-					c.Results += int64(len(es))
-					continue
+					if q.Covers(blk) {
+						s.emit(es)
+						continue
+					}
+				}
+				comparisons += len(es)
+				for j := range es {
+					if es[j].Box.Meets(q) {
+						s.ids = append(s.ids, es[j].ID)
+					}
 				}
 			}
-			c.Comparisons += int64(len(es))
-			for i := range es {
-				if es[i].Box.Intersects(q) {
-					s.ids = append(s.ids, es[i].ID)
-					c.Results++
-				}
-			}
+			i = e.skip
 		}
 	}
-	slices.Sort(s.ids[from:])
+	c.NodeTests += int64(nodeTests)
+	c.Comparisons += int64(comparisons)
+	c.Results += int64(len(s.ids) - from)
+	s.sortIDs(s.ids[from:])
+}
+
+// emit appends the IDs of es, objects q contains whole — a subtree's
+// arena range or a block — without per-object tests.
+func (s *queryScratch) emit(es []geom.Object) {
+	for i := range es {
+		s.ids = append(s.ids, es[i].ID)
+	}
+}
+
+// blocks returns how many blocks the leaf entry e has in the directory
+// (an inner node has none of its own; its entry's count means nothing).
+func (e *probeEntry) blocks() int32 {
+	return (e.aEnd - e.aStart + leafBlock - 1) / leafBlock
+}
+
+// block returns the objects of block bi of the leaf entry e.
+func (t *Tree) block(e *probeEntry, bi int32) []geom.Object {
+	start := e.aStart + bi*leafBlock
+	return t.arena[start:min(start+leafBlock, e.aEnd)]
 }
 
 // PointQuery returns the IDs of every indexed A object whose MBR
@@ -331,12 +351,10 @@ func (p *Probe) Neighbors(c *stats.Counters) []geom.Neighbor {
 
 // nearest improves the k-slot heap s.nbrs with the objects of t.
 func (s *queryScratch) nearest(t *Tree, q geom.Point, k int, c *stats.Counters, skip []geom.ID) {
-	if t.SizeA == 0 {
-		return
-	}
+	tab := t.table
 	s.queue = s.queue[:0]
 	c.NodeTests++
-	s.enqueue(&t.Root.MBR, q, k, t.Root.id, -1)
+	s.enqueue(&tab[0].mbr, q, k, 0, -1)
 	for len(s.queue) > 0 {
 		it := s.queue[0]
 		if s.beyond(it.dist, k) {
@@ -346,25 +364,27 @@ func (s *queryScratch) nearest(t *Tree, q geom.Point, k int, c *stats.Counters, 
 		s.queue[0] = s.queue[last]
 		s.queue = s.queue[:last]
 		siftDown(s.queue, 0, knnItem.before)
-		n := t.nodes[it.node]
+		e := &tab[it.node]
+		blocks := e.blocks()
 		switch {
 		case it.blk >= 0:
-			es := n.entryBlock(int(it.blk))
+			es := t.block(e, it.blk)
 			c.Comparisons += int64(len(es))
 			s.offer(es, q, k, skip)
-		case !n.Leaf():
-			c.NodeTests += int64(len(n.Children))
-			for _, ch := range n.Children {
-				s.enqueue(&ch.MBR, q, k, ch.id, -1)
+		case !e.leaf(it.node):
+			for ch := it.node + 1; ch < e.skip; ch = tab[ch].skip {
+				c.NodeTests++
+				s.enqueue(&tab[ch].mbr, q, k, ch, -1)
 			}
-		case len(n.blocks) > 1:
-			c.NodeTests += int64(len(n.blocks))
-			for bi := range n.blocks {
-				s.enqueue(&n.blocks[bi], q, k, n.id, int32(bi))
+		case blocks > 1:
+			c.NodeTests += int64(blocks)
+			for bi := int32(0); bi < blocks; bi++ {
+				s.enqueue(&t.blocks[e.block+bi], q, k, it.node, bi)
 			}
 		default:
-			c.Comparisons += int64(len(n.Entries))
-			s.offer(n.Entries, q, k, skip)
+			es := t.arena[e.aStart:e.aEnd]
+			c.Comparisons += int64(len(es))
+			s.offer(es, q, k, skip)
 		}
 	}
 }

@@ -175,7 +175,7 @@ func TestJoinCountsGolden(t *testing.T) {
 			b:    datagen.UniformSet(60_000, 43),
 			want: joinCounts{
 				Comparisons: 38248, NodeTests: 358343, Filtered: 11, Results: 1551, Replicas: 64360,
-				StaticBytes: 473728, ProbeBytes: 2770832,
+				StaticBytes: 606592, ProbeBytes: 2770832,
 			},
 		},
 		{
@@ -186,7 +186,7 @@ func TestJoinCountsGolden(t *testing.T) {
 			b:    dendrites.Objects().Expand(5),
 			want: joinCounts{
 				Comparisons: 158263, NodeTests: 244578, Filtered: 15637, Results: 22883, Replicas: 70727,
-				StaticBytes: 416768, ProbeBytes: 601856,
+				StaticBytes: 549632, ProbeBytes: 601856,
 			},
 		},
 		{
@@ -200,7 +200,7 @@ func TestJoinCountsGolden(t *testing.T) {
 			cfg:  Config{Partitions: 16},
 			want: joinCounts{
 				Comparisons: 746, NodeTests: 1538, Filtered: 0, Results: 167, Replicas: 198,
-				StaticBytes: 58512, ProbeBytes: 4448,
+				StaticBytes: 61392, ProbeBytes: 4448,
 			},
 		},
 	} {

@@ -64,6 +64,14 @@
 // end of Build fills it, Thaw rebuilds it over whatever order the frozen
 // arena holds, and it is never serialized.
 //
+// The same pass lays out the probe table, the form of the hierarchy the
+// single-probe queries read: one 64-byte entry per node, in the node
+// table's DFS pre-order, holding the node's MBR, its arena range, its
+// first block and the id of the first node after its subtree. A pre-order
+// walk that skips a subtree by jumping there needs no stack and follows no
+// pointer — a range query is one forward pass over the table, a kNN search
+// reads a node's children as the entries at i+1, skip, skip, … (probeEntry).
+//
 // Both the assignment and join phases run in parallel when the probe's
 // worker count is > 1; results and counters are identical to the
 // single-threaded execution (the emission order of pairs may differ).
@@ -200,9 +208,30 @@ type Tree struct {
 	arena []geom.Object
 
 	// blocks is the block directory of all leaves, in arena order (see
-	// Node.blocks and indexBlocks).
+	// Node.blocks and index).
 	blocks []geom.Box
+
+	// table is the probe table, entry i describing nodes[i] (see
+	// probeEntry and index).
+	table []probeEntry
 }
+
+// probeEntry is one node as the single-probe queries see it: everything
+// a range walk or a kNN search reads about the node in one cache line, at
+// the node's dense id. The entries of a subtree are the contiguous run
+// [i, skip), so skip is where a walk continues once node i is pruned or
+// emitted whole, the children of an inner node are the entries i+1,
+// table[i+1].skip, … up to skip, and a leaf is an entry whose skip is
+// i+1. Derived like the block directory, never serialized.
+type probeEntry struct {
+	mbr          geom.Box
+	skip         int32 // id of the first node after the subtree
+	aStart, aEnd int32 // the subtree's arena range
+	block        int32 // index in Tree.blocks of the subtree's first block
+}
+
+// leaf reports whether entry i of the probe table, e, is a leaf.
+func (e *probeEntry) leaf(i int32) bool { return e.skip == i+1 }
 
 // Workers returns the tree's default worker count, the one probes start
 // with (Probe.SetWorkers overrides it per query).
@@ -236,7 +265,7 @@ func Build(a geom.Dataset, cfg Config) *Tree {
 	if len(a) == 0 {
 		t.Root = &Node{MBR: geom.EmptyBox()}
 		t.Height, t.Nodes, t.Leaves = 1, 1, 1
-		t.nodes = []*Node{t.Root}
+		t.linearize(a)
 		return t
 	}
 	bucketSize := str.GroupSizeFor(len(a), cfg.Partitions)
@@ -244,10 +273,11 @@ func Build(a geom.Dataset, cfg Config) *Tree {
 	level := make([]*Node, len(groups))
 	for i, g := range groups {
 		n := &Node{Entries: g, MBR: geom.EmptyBox()}
-		for _, o := range g {
-			n.MBR = n.MBR.Union(o.Box)
+		for j := range g {
+			b := &g[j].Box
+			n.MBR.Extend(b)
 			for d := 0; d < geom.Dims; d++ {
-				n.extSumA += o.Box.Extent(d)
+				n.extSumA += b.Extent(d)
 			}
 		}
 		n.extSumA /= geom.Dims
@@ -262,7 +292,7 @@ func Build(a geom.Dataset, cfg Config) *Tree {
 		for i, g := range parents {
 			n := &Node{Children: g, MBR: geom.EmptyBox()}
 			for _, ch := range g {
-				n.MBR = n.MBR.Union(ch.MBR)
+				n.MBR.Extend(&ch.MBR)
 				n.extSumA += ch.extSumA
 			}
 			next[i] = n
@@ -280,7 +310,7 @@ func Build(a geom.Dataset, cfg Config) *Tree {
 // and stamps every node's [aStart, aEnd) range, establishing the flat
 // layout invariant. The same walk assigns dense node ids in DFS
 // pre-order and fills the id → node table. Leaf Entries are re-pointed
-// at their arena segment, and the block directory is laid over the
+// at their arena segment, and the derived state is laid over the
 // finished arena.
 func (t *Tree) linearize(a geom.Dataset) {
 	t.arena = make([]geom.Object, 0, len(a))
@@ -301,44 +331,44 @@ func (t *Tree) linearize(a geom.Dataset) {
 		n.aEnd = int32(len(t.arena))
 	}
 	walk(t.Root)
-	t.indexBlocks()
+	t.index()
 }
 
-// entryBlock returns the objects of the leaf's i-th block.
-func (n *Node) entryBlock(i int) []geom.Object {
-	return n.Entries[i*leafBlock : min((i+1)*leafBlock, len(n.Entries))]
-}
-
-// indexBlocks builds the block directory from the arena as it stands: one
-// pass, one exactly sized allocation. A block's MBR is the union of its
-// objects in arena order, the way Build unions a leaf's.
-func (t *Tree) indexBlocks() {
-	total := 0
-	for _, n := range t.nodes {
+// index derives the block directory and the probe table from the arena
+// and the node table as they stand: one pass over each, one exactly sized
+// allocation each. A block's MBR is the union of its objects in arena
+// order, the way Build unions a leaf's.
+func (t *Tree) index() {
+	t.table = make([]probeEntry, len(t.nodes))
+	total := int32(0)
+	// Last node first: an inner node's subtree ends where its last
+	// child's does, and children follow their parent.
+	for i := len(t.nodes) - 1; i >= 0; i-- {
+		n, e := t.nodes[i], &t.table[i]
+		e.mbr, e.aStart, e.aEnd = n.MBR, n.aStart, n.aEnd
+		e.skip = int32(i + 1)
 		if n.Leaf() {
-			total += (n.aCount() + leafBlock - 1) / leafBlock
+			total += e.blocks()
+		} else {
+			e.skip = t.table[n.Children[len(n.Children)-1].id].skip
 		}
 	}
 	t.blocks = make([]geom.Box, 0, total)
-	for _, n := range t.nodes {
+	for i, n := range t.nodes {
+		e := &t.table[i]
+		e.block = int32(len(t.blocks))
 		if !n.Leaf() {
 			continue
 		}
-		first := len(t.blocks)
-		for i := 0; i*leafBlock < len(n.Entries); i++ {
-			es := n.entryBlock(i)
+		for bi := int32(0); bi < e.blocks(); bi++ {
+			es := t.block(e, bi)
 			mbr := geom.EmptyBox()
 			for j := range es {
-				// Box.Union, written out: called by value it copies both
-				// boxes per object, which more than doubles this pass.
-				b := &es[j].Box
-				mbr.Min[0], mbr.Max[0] = min(mbr.Min[0], b.Min[0]), max(mbr.Max[0], b.Max[0])
-				mbr.Min[1], mbr.Max[1] = min(mbr.Min[1], b.Min[1]), max(mbr.Max[1], b.Max[1])
-				mbr.Min[2], mbr.Max[2] = min(mbr.Min[2], b.Min[2]), max(mbr.Max[2], b.Max[2])
+				mbr.Extend(&es[j].Box)
 			}
 			t.blocks = append(t.blocks, mbr)
 		}
-		n.blocks = t.blocks[first:len(t.blocks):len(t.blocks)]
+		n.blocks = t.blocks[e.block:len(t.blocks):len(t.blocks)]
 	}
 }
 
@@ -349,7 +379,7 @@ func (t *Tree) indexBlocks() {
 func (t *Tree) AssignOne(o geom.Object, c *stats.Counters) *Node {
 	p := t.Root
 	c.NodeTests++
-	if !p.MBR.Intersects(o.Box) {
+	if !p.MBR.Meets(&o.Box) {
 		return nil
 	}
 	for !p.Leaf() {
@@ -357,7 +387,7 @@ func (t *Tree) AssignOne(o geom.Object, c *stats.Counters) *Node {
 		multi := false
 		for _, ch := range p.Children {
 			c.NodeTests++
-			if ch.MBR.Intersects(o.Box) {
+			if ch.MBR.Meets(&o.Box) {
 				if hit != nil {
 					multi = true
 					break
@@ -380,13 +410,17 @@ func (t *Tree) AssignOne(o geom.Object, c *stats.Counters) *Node {
 // StaticBytes is the analytic footprint of the immutable build artifact:
 // the tree structure plus the A references in the buckets ("the buckets
 // constructed based on dataset A in addition to the tree", §6.4), plus
-// one MBR per block of the leaves' block directory. The per-query side —
-// assigned B references and the transient local-join grid — is accounted
-// by Probe.MemoryBytes.
+// one MBR per block of the leaves' block directory and one probe table
+// entry per node. The per-query side — assigned B references and the
+// transient local-join grid — is accounted by Probe.MemoryBytes.
 func (t *Tree) StaticBytes() int64 {
-	return int64(t.Nodes)*stats.BytesPerNode + int64(t.SizeA)*stats.BytesPerRef +
+	return int64(t.Nodes)*(stats.BytesPerNode+bytesPerProbeEntry) + int64(t.SizeA)*stats.BytesPerRef +
 		int64(len(t.blocks))*stats.BytesPerBox
 }
+
+// bytesPerProbeEntry is the size of one probeEntry: an MBR and four
+// int32s, one cache line.
+const bytesPerProbeEntry = stats.BytesPerBox + 4*4
 
 // Join runs all three TOUCH phases: build the tree on a, assign b via a
 // fresh probe, join. Phase timings land in c.BuildTime / c.AssignTime /

@@ -57,24 +57,45 @@ func (b Box) Valid() bool {
 
 // Intersects reports whether b and o overlap, where touching boundaries
 // count as overlap (closed-interval semantics).
-func (b Box) Intersects(o Box) bool {
-	for d := 0; d < Dims; d++ {
-		if b.Min[d] > o.Max[d] || o.Min[d] > b.Max[d] {
-			return false
-		}
-	}
-	return true
-}
+func (b Box) Intersects(o Box) bool { return b.Meets(&o) }
 
 // Contains reports whether b fully contains o (closed semantics: a box
 // contains itself).
-func (b Box) Contains(o Box) bool {
-	for d := 0; d < Dims; d++ {
-		if o.Min[d] < b.Min[d] || o.Max[d] > b.Max[d] {
-			return false
-		}
-	}
-	return true
+func (b Box) Contains(o Box) bool { return b.Covers(&o) }
+
+// Meets, Covers and Extend are Intersects, Contains and Union for the
+// inner loops: by pointer and with constant indices. A corner array
+// indexed by a loop variable has to live in memory, so a by-value form
+// written as a loop over the dimensions copies both boxes on every call —
+// in a scan that is the test and nothing else, the copy is most of the
+// cost. The by-value forms are these, called on their copies. Written out
+// for three dimensions:
+var _ = [1]struct{}{}[Dims-3]
+
+// Meets is Intersects. It is the negation of the six "lies beyond" tests,
+// so a NaN corner, for which every comparison is false, meets everything;
+// a chain of <= would answer the opposite.
+func (b *Box) Meets(o *Box) bool {
+	return !(b.Min[0] > o.Max[0] || o.Min[0] > b.Max[0] ||
+		b.Min[1] > o.Max[1] || o.Min[1] > b.Max[1] ||
+		b.Min[2] > o.Max[2] || o.Min[2] > b.Max[2])
+}
+
+// Covers is Contains, the negation of the six "sticks out" tests.
+func (b *Box) Covers(o *Box) bool {
+	return !(o.Min[0] < b.Min[0] || o.Max[0] > b.Max[0] ||
+		o.Min[1] < b.Min[1] || o.Max[1] > b.Max[1] ||
+		o.Min[2] < b.Min[2] || o.Max[2] > b.Max[2])
+}
+
+// Extend grows b in place to the smallest box enclosing both b and o.
+func (b *Box) Extend(o *Box) {
+	// The builtin min/max share math.Min/Max's IEEE semantics (NaN
+	// propagation, -0 < +0) but inline to branch-free code — this is the
+	// inner loop of tree construction, of the block directory and of
+	// snapshot verification, which compares its results bit for bit.
+	b.Min = Point{min(b.Min[0], o.Min[0]), min(b.Min[1], o.Min[1]), min(b.Min[2], o.Min[2])}
+	b.Max = Point{max(b.Max[0], o.Max[0]), max(b.Max[1], o.Max[1]), max(b.Max[2], o.Max[2])}
 }
 
 // ContainsPoint reports whether p lies inside or on the boundary of b.
@@ -101,13 +122,7 @@ func (b Box) Expand(eps float64) Box {
 
 // Union returns the smallest box enclosing both b and o.
 func (b Box) Union(o Box) Box {
-	// The builtin min/max share math.Min/Max's IEEE semantics (NaN
-	// propagation, -0 < +0) but inline to branch-free code — Union is the
-	// inner loop of both tree construction and snapshot verification.
-	for d := 0; d < Dims; d++ {
-		b.Min[d] = min(b.Min[d], o.Min[d])
-		b.Max[d] = max(b.Max[d], o.Max[d])
-	}
+	b.Extend(&o)
 	return b
 }
 

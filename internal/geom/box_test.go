@@ -386,3 +386,73 @@ func TestPropPointDistanceMatchesBoxDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPointerFormsKeepTheTruthTable pins Meets, Covers and Extend — and
+// through them Intersects, Contains and Union — to the per-dimension loops
+// they replaced, on every pair of boxes over a lattice that holds what the
+// loops' comparisons distinguish: NaN (every comparison false, so a NaN
+// corner neither lies beyond nor sticks out), both zeros (equal, but
+// min/max order them and Thaw compares unions bit for bit), both
+// infinities, inverted corners. A <= chain in place of a negated > fails
+// the NaN rows; a min or max written as a comparison fails the zero rows.
+func TestPointerFormsKeepTheTruthTable(t *testing.T) {
+	intersects := func(b, o Box) bool {
+		for d := 0; d < Dims; d++ {
+			if b.Min[d] > o.Max[d] || o.Min[d] > b.Max[d] {
+				return false
+			}
+		}
+		return true
+	}
+	contains := func(b, o Box) bool {
+		for d := 0; d < Dims; d++ {
+			if o.Min[d] < b.Min[d] || o.Max[d] > b.Max[d] {
+				return false
+			}
+		}
+		return true
+	}
+	union := func(b, o Box) Box {
+		for d := 0; d < Dims; d++ {
+			b.Min[d] = min(b.Min[d], o.Min[d])
+			b.Max[d] = max(b.Max[d], o.Max[d])
+		}
+		return b
+	}
+	bits := func(b Box) (out [2 * Dims]uint64) {
+		for d := 0; d < Dims; d++ {
+			out[d], out[Dims+d] = math.Float64bits(b.Min[d]), math.Float64bits(b.Max[d])
+		}
+		return out
+	}
+	vals := []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 1, math.Inf(1), math.NaN()}
+	// Every (min, max) pair of the lattice in one dimension at a time, the
+	// other two held at an overlapping [0, 1]: the predicates are
+	// conjunctions over the dimensions, so one free dimension reaches every
+	// row of the table.
+	var boxes []Box
+	for d := 0; d < Dims; d++ {
+		for _, lo := range vals {
+			for _, hi := range vals {
+				b := Box{Min: Point{0, 0, 0}, Max: Point{1, 1, 1}}
+				b.Min[d], b.Max[d] = lo, hi
+				boxes = append(boxes, b)
+			}
+		}
+	}
+	for _, b := range boxes {
+		for _, o := range boxes {
+			if got, want := b.Meets(&o), intersects(b, o); got != want || b.Intersects(o) != want {
+				t.Fatalf("%v meets %v: Meets %v, Intersects %v, the loop %v", b, o, got, b.Intersects(o), want)
+			}
+			if got, want := b.Covers(&o), contains(b, o); got != want || b.Contains(o) != want {
+				t.Fatalf("%v covers %v: Covers %v, Contains %v, the loop %v", b, o, got, b.Contains(o), want)
+			}
+			grown, want := b, bits(union(b, o))
+			grown.Extend(&o)
+			if bits(grown) != want || bits(b.Union(o)) != want {
+				t.Fatalf("%v ∪ %v: Extend %v, Union %v, the loop %v", b, o, grown, b.Union(o), union(b, o))
+			}
+		}
+	}
+}

@@ -96,6 +96,15 @@ func FuzzJoin(f *testing.F) {
 // boxes.
 func FuzzRangeQuery(f *testing.F) {
 	fuzzSeeds(f)
+	// The most objects a run decodes, every one meeting the query box: an
+	// answer past the cut-over of the engine's radix sort, which the
+	// shared seeds' few dozen hits never reach.
+	long := fuzzLattice(100, 100, 100, 200, 200, 200)
+	for i := 0; i < 128; i++ {
+		lo := float64(5 * (i % 40))
+		long = append(long, fuzzLattice(lo, lo, 150, 200, 200, 150)...)
+	}
+	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < bytesPerBox {
 			return
@@ -119,6 +128,44 @@ func FuzzRangeQuery(f *testing.F) {
 		}
 		if want := nl.PointQuery(ds, p); !slices.Equal(gotPt, want) {
 			t.Fatalf("PointQuery(%v) on %d objects: got %v, want %v", p, len(ds), gotPt, want)
+		}
+	})
+}
+
+// FuzzSortIDs: the order of a range answer. Every four bytes are one
+// object ID — any int32, duplicates and negatives included — of an object
+// that meets the query box, so the answer is all of them and must come
+// back as slices.Sort leaves them: through the comparison sort below the
+// engine's cut-over, through the radix sort above it, whatever the IDs
+// span.
+func FuzzSortIDs(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0x80}, 40)) // MaxInt32 and MinInt32
+	f.Add(bytes.Repeat([]byte{7, 0, 0, 0}, 100))                           // all equal
+	stripes := make([]byte, 0, 800)
+	for i := 0; i < 800; i++ {
+		stripes = append(stripes, byte(i*37))
+	}
+	f.Add(stripes)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ds := make(geom.Dataset, min(len(data)/4, 1024))
+		want := make([]geom.ID, len(ds))
+		for i := range ds {
+			x := float64(i % 7)
+			ds[i] = geom.Object{
+				ID:  geom.ID(binary.LittleEndian.Uint32(data[4*i:])),
+				Box: geom.NewBox(geom.Point{x, 0, 0}, geom.Point{x + 1, 1, 1}),
+			}
+			want[i] = ds[i].ID
+		}
+		slices.Sort(want)
+		ix := touch.BuildIndex(ds, touch.TOUCHConfig{Partitions: 1 + len(data)%5})
+		got, err := ix.RangeQuery(geom.NewBox(geom.Point{-1, 0, 0}, geom.Point{9, 0, 0}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("RangeQuery over %d objects that all match: ids not as slices.Sort leaves them\n got %v\nwant %v", len(ds), got, want)
 		}
 	})
 }

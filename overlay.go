@@ -332,16 +332,9 @@ func (r *reader) merge(ids []ID, q Box, sp *Span) []ID {
 	}
 	ins := r.inserts
 	for i := range ins {
-		// Box.Intersects, written out: its loop indexes the corner arrays
-		// by a variable, which costs a copy of both boxes per call, and
-		// this pass is that test and nothing else.
-		b := &ins[i].Box
-		if b.Min[0] > q.Max[0] || q.Min[0] > b.Max[0] ||
-			b.Min[1] > q.Max[1] || q.Min[1] > b.Max[1] ||
-			b.Min[2] > q.Max[2] || q.Min[2] > b.Max[2] {
-			continue
+		if ins[i].Box.Meets(&q) {
+			ids = append(ids, ins[i].ID)
 		}
-		ids = append(ids, ins[i].ID)
 	}
 	if sp != nil {
 		sp.Add(trace.PhaseDelta, time.Since(start))

@@ -74,6 +74,45 @@ func TestIndexQueriesMatchOracle(t *testing.T) {
 	}
 }
 
+// TestQueriesOnDegenerateIndexes: a tree with nothing under it has a
+// probe table like any other — one entry, built with the tree, not on the
+// first query — so the empty index, the index of one object and a
+// generation with an empty tier (above or below the objects) take the
+// walk every query takes and agree with the oracles.
+func TestQueriesOnDegenerateIndexes(t *testing.T) {
+	one := Dataset{{ID: 0, Box: NewBox(Point{1, 2, 3}, Point{4, 5, 6})}}
+	some := GenerateUniform(300, 77)
+	tierOf := func(ds Dataset) tier { return BuildIndex(ds, TOUCHConfig{Partitions: 4}).tier(ds) }
+	everything := NewBox(Point{-1e9, -1e9, -1e9}, Point{1e9, 1e9, 1e9})
+	for _, tc := range []struct {
+		name  string
+		tiers []tier
+		ds    Dataset
+	}{
+		{"empty index", []tier{tierOf(nil)}, nil},
+		{"one object", []tier{tierOf(one)}, one},
+		{"empty upper tier", []tier{tierOf(some), tierOf(nil)}, some},
+		{"empty base tier", []tier{tierOf(nil), tierOf(some)}, some},
+	} {
+		r := newReader(tc.tiers)
+		for _, q := range []Box{everything, NewBox(Point{0, 0, 0}, Point{10, 10, 10}), NewBox(Point{-9, -9, -9}, Point{-8, -8, -8}), some[7].Box} {
+			if got, err := r.RangeQuery(q); err != nil || !slices.Equal(got, nl.RangeQuery(tc.ds, q)) {
+				t.Errorf("%s: RangeQuery(%v) = %v, %v; the nested loop finds %v", tc.name, q, got, err, nl.RangeQuery(tc.ds, q))
+			}
+		}
+		for _, pt := range []Point{{2, 3, 4}, {-5, 0, 0}, some[7].Box.Min} {
+			if got, err := r.PointQuery(pt[0], pt[1], pt[2]); err != nil || !slices.Equal(got, nl.PointQuery(tc.ds, pt)) {
+				t.Errorf("%s: PointQuery(%v) = %v, %v; the nested loop finds %v", tc.name, pt, got, err, nl.PointQuery(tc.ds, pt))
+			}
+			for _, k := range []int{1, 3, 400} {
+				if got, err := r.KNN(pt, k); err != nil || !slices.Equal(got, nl.KNN(tc.ds, pt, k)) {
+					t.Errorf("%s: KNN(%v, %d) returned %d neighbors, %v; the nested loop %d", tc.name, pt, k, len(got), err, len(nl.KNN(tc.ds, pt, k)))
+				}
+			}
+		}
+	}
+}
+
 // TestQueryArgumentErrors: malformed boxes, NaN points and k < 1 must be
 // rejected with the matching sentinel errors, before any traversal.
 func TestQueryArgumentErrors(t *testing.T) {
