@@ -131,11 +131,13 @@ func TestCSRMatchesMapGrid(t *testing.T) {
 			chunked: true,
 		},
 		{
-			// One box over the whole universe among small ones: sized from
-			// the mean extent the root's grid would hold 1.2M replicas, so
-			// the CSR and the reference both join on the coarsened grid.
+			// One box over the whole universe among small ones, all of them
+			// in one node — a tree of a single bucket, so every box is the
+			// root's: sized from the mean extent that node's grid would hold
+			// 1.2M replicas, so the CSR and the reference both join on the
+			// coarsened grid.
 			name: "one-universe-box",
-			cfg:  Config{},
+			cfg:  Config{Partitions: 1},
 			a:    datagen.UniformSet(600, 509),
 			b: append(datagen.UniformSet(400, 510),
 				geom.Object{ID: 400, Box: geom.NewBox(geom.Point{0, 0, 0}, geom.Point{1000, 1000, 1000})}),

@@ -231,8 +231,9 @@ func Thaw(f *Frozen) (*Tree, error) {
 	return t, nil
 }
 
-// measureHeight returns the level count of the thawed topology. The walk
-// depth is already bounded by maxThawDepth.
+// measureHeight returns the number of nodes on the longest path from n
+// down to a leaf — leaves may sit at different depths. Thaw's walk has
+// bounded the depth by maxThawDepth before it is called there.
 func measureHeight(n *Node) int {
 	h := 0
 	for _, ch := range n.Children {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,7 +12,8 @@ import (
 )
 
 // thawEqual asserts that a thawed tree is structurally identical to the
-// original: counts, per-node topology, MBRs, arena ranges and content.
+// original: counts, per-node topology, MBRs, arena ranges and content,
+// and the derived probe table and block directory.
 func thawEqual(t *testing.T, want, got *Tree) {
 	t.Helper()
 	if got.Nodes != want.Nodes || got.Leaves != want.Leaves || got.Height != want.Height || got.SizeA != want.SizeA {
@@ -36,22 +38,53 @@ func thawEqual(t *testing.T, want, got *Tree) {
 	if got.cfg != want.cfg {
 		t.Fatalf("config %+v, want %+v", got.cfg, want.cfg)
 	}
+	if !slices.Equal(got.table, want.table) {
+		t.Fatal("the thawed probe table differs from the built one")
+	}
+	if !slices.Equal(got.blocks, want.blocks) {
+		t.Fatal("the thawed block directory differs from the built one")
+	}
+}
+
+// leafDepths returns the distinct depths of the tree's leaves, ascending.
+func leafDepths(tr *Tree) []int {
+	var depths []int
+	var walk func(n *Node, d int)
+	walk = func(n *Node, d int) {
+		if n.Leaf() && !slices.Contains(depths, d) {
+			depths = append(depths, d)
+		}
+		for _, ch := range n.Children {
+			walk(ch, d+1)
+		}
+	}
+	walk(tr.Root, 0)
+	slices.Sort(depths)
+	return depths
 }
 
 func TestFreezeThawRoundtrip(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		ds   geom.Dataset
-		cfg  Config
+		name   string
+		ds     geom.Dataset
+		cfg    Config
+		uneven bool // premise: the leaves sit at more than one depth
 	}{
-		{"empty", nil, Config{}},
-		{"single", datagen.UniformSet(1, 1), Config{}},
-		{"uniform", datagen.UniformSet(4000, 2), Config{Partitions: 64, Workers: 3}},
-		{"clustered-fanout4", datagen.ClusteredSet(2500, 3), Config{Partitions: 128, Fanout: 4}},
-		{"sweep-localjoin", datagen.GaussianSet(900, 4), Config{Partitions: 16, LocalJoin: LocalJoinSweep}},
+		{"empty", nil, Config{}, false},
+		{"single", datagen.UniformSet(1, 1), Config{}, false},
+		{"uniform", datagen.UniformSet(4000, 2), Config{Partitions: 64, Workers: 3}, false},
+		{"clustered-fanout4", datagen.ClusteredSet(2500, 3), Config{Partitions: 128, Fanout: 4}, false},
+		{"sweep-localjoin", datagen.GaussianSet(900, 4), Config{Partitions: 16, LocalJoin: LocalJoinSweep}, false},
+		// STR cuts 1,021 buckets from 11 slabs, and 11 halves to 5 and 6,
+		// to 2, 3, 3 and 3: some slabs end up a level below the others, and
+		// the runs and tiles inside them round the same way.
+		{"leaves-at-unequal-depths", datagen.UniformSet(20_000, 5), Config{Partitions: 1021}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := Build(tc.ds, tc.cfg)
+			if d := leafDepths(want); tc.uneven && len(d) < 2 {
+				t.Fatalf("premise: every leaf sits at depth %v", d)
+			}
 			got, err := Thaw(want.Freeze())
 			if err != nil {
 				t.Fatalf("Thaw: %v", err)

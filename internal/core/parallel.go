@@ -48,10 +48,8 @@ func (p *Probe) assignParallel(b geom.Dataset, dest []int32, ctl *stats.Control,
 				if tk.Tick() {
 					break
 				}
-				if n := t.AssignOne(b[i], local); n != nil {
-					dest[i] = n.id
-				} else {
-					dest[i] = -1
+				dest[i] = t.AssignOne(&b[i].Box, local)
+				if dest[i] < 0 {
 					local.Filtered++
 				}
 			}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"touch/internal/geom"
 	"touch/internal/stats"
 )
@@ -86,12 +88,22 @@ type LevelStats struct {
 	Active    int // of them, the nodes holding B objects
 	AssignedB int // B objects assigned at this depth
 	ActiveA   int // A objects below the nodes holding B objects
+
+	// Split counts the inner nodes at this depth by the dimension their
+	// children are separated along — read off the children's MBRs as the
+	// dimension in which neighbouring siblings have the smallest share of
+	// the node's extent in common, the tree keeping no record of its cuts —
+	// and Overlap is that share, averaged over those nodes: 0 when no
+	// sibling reaches into the next, 1 when each spans the whole node.
+	Split   [geom.Dims]int
+	Overlap float64
 }
 
 // Levels reports where the last Assign placed the B objects, one entry
 // per tree depth from the root (0) down: how well the hierarchy
-// partitions the probe, and how much of the index each level's local
-// joins have below them.
+// partitions the probe, how much of the index each level's local joins
+// have below them, and how cleanly each level's nodes split. Leaves may
+// sit at different depths; the last entry is the deepest's.
 func (p *Probe) Levels() []LevelStats {
 	t := p.tree
 	levels := make([]LevelStats, t.Height)
@@ -99,12 +111,28 @@ func (p *Probe) Levels() []LevelStats {
 	var walk func(n *Node, d int)
 	walk = func(n *Node, d int) {
 		depth[n.id] = d
-		levels[d].Nodes++
+		l := &levels[d]
+		l.Nodes++
+		if !n.Leaf() {
+			dim, share := n.split()
+			l.Split[dim]++
+			l.Overlap += share
+		}
 		for _, ch := range n.Children {
 			walk(ch, d+1)
 		}
 	}
 	walk(t.Root, 0)
+	for d := range levels {
+		l := &levels[d]
+		inner := 0
+		for _, nodes := range l.Split {
+			inner += nodes
+		}
+		if inner > 0 {
+			l.Overlap /= float64(inner)
+		}
+	}
 	for _, id := range p.active {
 		l := &levels[depth[id]]
 		l.Active++
@@ -112,6 +140,27 @@ func (p *Probe) Levels() []LevelStats {
 		l.ActiveA += t.nodes[id].aCount()
 	}
 	return levels
+}
+
+// split returns the dimension in which the inner node's neighbouring
+// children have the least in common, and how much that is as a share of
+// the node's extent there (0 for a node of no extent).
+func (n *Node) split() (dim int, share float64) {
+	share = math.Inf(1)
+	for d := 0; d < geom.Dims; d++ {
+		common := 0.0
+		for i, ch := range n.Children[1:] {
+			prev := n.Children[i]
+			common += max(0, min(prev.MBR.Max[d], ch.MBR.Max[d])-max(prev.MBR.Min[d], ch.MBR.Min[d]))
+		}
+		if ext := n.MBR.Extent(d); ext > 0 {
+			common /= ext
+		}
+		if common < share {
+			dim, share = d, common
+		}
+	}
+	return dim, share
 }
 
 // MemoryBytes is the analytic footprint of the probe's last join: the
@@ -145,10 +194,8 @@ func (p *Probe) Assign(b geom.Dataset, ctl *stats.Control, c *stats.Counters) {
 			if tk.Tick() {
 				break
 			}
-			if n := t.AssignOne(b[i], c); n != nil {
-				dest[i] = n.id
-			} else {
-				dest[i] = -1
+			dest[i] = t.AssignOne(&b[i].Box, c)
+			if dest[i] < 0 {
 				c.Filtered++
 			}
 		}

@@ -133,10 +133,15 @@ func TestProbeTable(t *testing.T) {
 // each with a private probe, run range queries and kNN searches over one
 // tree — answers long enough for the radix sort among them — and must
 // reproduce the nested loop's answers and the sequential counters (run
-// under -race).
+// under -race). The tree's leaves sit at unequal depths, as most trees'
+// do: a walk that took the depth of the first leaf for the depth of all
+// would go wrong here.
 func TestConcurrentQueriesOneTree(t *testing.T) {
 	ds := datagen.ClusteredSet(6000, 941).Expand(3)
 	tr := Build(ds, Config{Partitions: 24})
+	if d := leafDepths(tr); len(d) < 2 {
+		t.Fatalf("premise: every leaf sits at depth %v; three slabs under fanout 2 should put one a level up", d)
+	}
 	const goroutines, queries = 8, 24
 	type query struct {
 		box  geom.Box

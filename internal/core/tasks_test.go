@@ -159,6 +159,19 @@ type joinCounts struct {
 // second — to the literal table below, for 1 and 2 workers. A change
 // that moves a count must move the table with it, so the old and the new
 // number both show in its diff.
+//
+// The table last moved when the upper levels began to nest (Build, nest).
+// B objects sink to small nodes instead of staying at a root whose
+// children overlapped, so each is gridded against a bucket's worth of A:
+// Comparisons and Replicas are down, and so is ProbeBytes, the peak
+// grid being a small node's and no longer the root's. Filtered is up,
+// because a tree whose siblings do not overlap shows its dead space.
+// NodeTests is the sum of the descent, which now runs the tree's whole
+// height for most objects, and of the probe tasks' filter passes, which
+// shrank with the nodes: up where |B| ≥ |A| (the first two rows), down
+// where the probe is small. StaticBytes is down by the nodes the old
+// builder's rounding added (every inner node now has at least two
+// children).
 func TestJoinCountsGolden(t *testing.T) {
 	axons, dendrites := datagen.GenerateNeuro(datagen.ScaledNeuroConfig(42, 1.0/50))
 	for _, tc := range []struct {
@@ -174,8 +187,8 @@ func TestJoinCountsGolden(t *testing.T) {
 			a:    datagen.UniformSet(20_000, 42).Expand(5),
 			b:    datagen.UniformSet(60_000, 43),
 			want: joinCounts{
-				Comparisons: 38248, NodeTests: 358343, Filtered: 11, Results: 1551, Replicas: 64360,
-				StaticBytes: 606592, ProbeBytes: 2770832,
+				Comparisons: 30623, NodeTests: 1437388, Filtered: 1526, Results: 1551, Replicas: 62092,
+				StaticBytes: 591808, ProbeBytes: 514056,
 			},
 		},
 		{
@@ -185,8 +198,8 @@ func TestJoinCountsGolden(t *testing.T) {
 			a:    axons.Objects(),
 			b:    dendrites.Objects().Expand(5),
 			want: joinCounts{
-				Comparisons: 158263, NodeTests: 244578, Filtered: 15637, Results: 22883, Replicas: 70727,
-				StaticBytes: 549632, ProbeBytes: 601856,
+				Comparisons: 98619, NodeTests: 324028, Filtered: 17835, Results: 22883, Replicas: 50774,
+				StaticBytes: 534848, ProbeBytes: 162784,
 			},
 		},
 		{
@@ -199,8 +212,8 @@ func TestJoinCountsGolden(t *testing.T) {
 			b:    datagen.UniformSet(60, 7015).Expand(30),
 			cfg:  Config{Partitions: 16},
 			want: joinCounts{
-				Comparisons: 746, NodeTests: 1538, Filtered: 0, Results: 167, Replicas: 198,
-				StaticBytes: 61392, ProbeBytes: 4448,
+				Comparisons: 447, NodeTests: 1170, Filtered: 0, Results: 167, Replicas: 157,
+				StaticBytes: 59472, ProbeBytes: 3040,
 			},
 		},
 	} {

@@ -4,11 +4,25 @@
 // TOUCH runs in three phases (§4.2):
 //
 //  1. Tree building — dataset A is grouped into p buckets with STR; the
-//     buckets become the leaves of a tree whose upper levels group f
-//     nodes (the fanout) per parent, again with STR.
+//     buckets become the leaves of a tree whose upper levels follow the
+//     cuts STR made to get them: it cut the buckets from slabs, the slabs
+//     into runs and the runs into tiles, each cut an exact partition of
+//     the objects by centre, so the cuts nest, and the tiles of a run, the
+//     runs of a slab and the slabs are each grouped f (the fanout) or
+//     fewer per parent by splitting them, in order, into near-equal parts
+//     (nest). The paper's Algorithm 2 applies STR again to the nodes of
+//     every level; with f = 2 that re-slabs each level across the cuts of
+//     the one below, siblings share most of their extent, and most of B
+//     cannot leave the root. Grouping along the cuts keeps every inner
+//     node's children separated in one dimension, overlapping there by an
+//     object's extent at most, and sorts nothing above the leaves.
 //  2. Assignment — every object of dataset B descends from the root to
 //     the lowest node whose MBR it overlaps without overlapping a
 //     sibling; objects overlapping no MBR are filtered out entirely.
+//     Algorithm 3 as written: in a tree that nests, the descent runs the
+//     tree's height for most objects, which is the hierarchy doing its
+//     work and, at one hard-to-predict branch per level, the one thing it
+//     made dearer.
 //  3. Join — each node holding B objects is joined against the A objects
 //     in its descendant leaves through an equi-width grid local join
 //     (Algorithm 4) with reference-point duplicate avoidance. The work
@@ -39,14 +53,15 @@
 //
 // # Flat layout invariant
 //
-// After Build, all A objects live in one contiguous arena slice ordered
-// leaf by leaf in tree (DFS) order: every node's subtree covers exactly
+// After Build, all A objects live in one contiguous arena slice — the
+// one STR ordered them into, never copied — leaf by leaf in tree (DFS)
+// order: every node's subtree covers exactly
 // the half-open arena range [aStart, aEnd), leaves included, so local
 // joins read their A objects as a zero-copy slice view instead of
 // re-walking the subtree. Leaf Entries slices alias the arena; nothing
 // may reorder the arena after Build (local joins that need a different
 // order, e.g. the plane-sweep, must copy first — B objects live in the
-// probe's private CSR and may be reordered freely). The same walk stamps
+// probe's private CSR and may be reordered freely). One walk stamps
 // every node's dense id in DFS pre-order, so ascending node ids are the
 // sequential processing order and a Probe can address per-node B
 // segments by id without touching the shared nodes.
@@ -78,6 +93,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"touch/internal/geom"
@@ -194,7 +210,7 @@ func (n *Node) aCount() int { return int(n.aEnd - n.aStart) }
 // Tree safely serves concurrent probes.
 type Tree struct {
 	Root   *Node
-	Height int // levels, 1 = single leaf
+	Height int // nodes on the longest root-to-leaf path, 1 = single leaf
 	Nodes  int
 	Leaves int
 	SizeA  int // objects indexed
@@ -204,7 +220,8 @@ type Tree struct {
 	nodes []*Node
 
 	// arena holds all A objects contiguously, ordered leaf by leaf in
-	// DFS order; node [aStart, aEnd) ranges index into it.
+	// DFS order, which is STR's output order; node [aStart, aEnd) ranges
+	// index into it.
 	arena []geom.Object
 
 	// blocks is the block directory of all leaves, in arena order (see
@@ -257,24 +274,30 @@ func (t *Tree) subtreeA(n *Node) []geom.Object {
 	return t.arena[n.aStart:n.aEnd:n.aEnd]
 }
 
-// Build runs the tree-building phase (Algorithm 2) on dataset A. An
-// empty dataset produces a single empty leaf.
+// Build runs the tree-building phase on dataset A: Algorithm 2's leaves,
+// and above them the grouping along STR's cuts the package comment
+// describes. An empty dataset produces a single empty leaf. Build is a
+// pure function of the dataset and the configuration.
 func Build(a geom.Dataset, cfg Config) *Tree {
 	cfg.fillDefaults()
 	t := &Tree{SizeA: len(a), cfg: cfg}
 	if len(a) == 0 {
 		t.Root = &Node{MBR: geom.EmptyBox()}
 		t.Height, t.Nodes, t.Leaves = 1, 1, 1
-		t.linearize(a)
+		t.number()
 		return t
 	}
 	bucketSize := str.GroupSizeFor(len(a), cfg.Partitions)
-	groups := str.PackObjects(a, bucketSize)
-	level := make([]*Node, len(groups))
-	for i, g := range groups {
-		n := &Node{Entries: g, MBR: geom.EmptyBox()}
-		for j := range g {
-			b := &g[j].Box
+	arena, stages := str.PackStages(a, func(o geom.Object) geom.Point { return o.Box.Center() }, bucketSize)
+	t.arena = arena
+	// The buckets are the runs of STR's last cut.
+	buckets := stages[len(stages)-1]
+	level := make([]*Node, len(buckets)-1)
+	for i := range level {
+		start, end := buckets[i], buckets[i+1]
+		n := &Node{Entries: arena[start:end:end], MBR: geom.EmptyBox(), aStart: start, aEnd: end}
+		for j := range n.Entries {
+			b := &n.Entries[j].Box
 			n.MBR.Extend(b)
 			for d := 0; d < geom.Dims; d++ {
 				n.extSumA += b.Extent(d)
@@ -285,50 +308,71 @@ func Build(a geom.Dataset, cfg Config) *Tree {
 	}
 	t.Leaves = len(level)
 	t.Nodes = len(level)
-	t.Height = 1
-	for len(level) > 1 {
-		parents := str.Pack(level, func(n *Node) geom.Point { return n.MBR.Center() }, cfg.Fanout)
-		next := make([]*Node, len(parents))
-		for i, g := range parents {
-			n := &Node{Children: g, MBR: geom.EmptyBox()}
-			for _, ch := range g {
-				n.MBR.Extend(&ch.MBR)
-				n.extSumA += ch.extSumA
+	// Collapse the cuts above it innermost first: the tiles of a run become
+	// one node, then the runs of a slab, then the slabs. A cut lists its
+	// runs by the arena offset they begin at, which is how each finds its
+	// children in the level below.
+	for d := len(stages) - 2; d >= 0; d-- {
+		runs := stages[d]
+		next := make([]*Node, len(runs)-1)
+		lo := 0
+		for r := range next {
+			hi := lo + 1
+			for hi < len(level) && level[hi].aStart < runs[r+1] {
+				hi++
 			}
-			next[i] = n
+			next[r] = t.nest(level[lo:hi])
+			lo = hi
 		}
 		level = next
-		t.Nodes += len(level)
-		t.Height++
 	}
-	t.Root = level[0]
-	t.linearize(a)
+	t.Root = t.nest(level)
+	t.Height = measureHeight(t.Root)
+	t.number()
 	return t
 }
 
-// linearize concatenates the leaf buckets into the arena in DFS order
-// and stamps every node's [aStart, aEnd) range, establishing the flat
-// layout invariant. The same walk assigns dense node ids in DFS
-// pre-order and fills the id → node table. Leaf Entries are re-pointed
-// at their arena segment, and the derived state is laid over the
-// finished arena.
-func (t *Tree) linearize(a geom.Dataset) {
-	t.arena = make([]geom.Object, 0, len(a))
+// nest returns one node over the consecutive siblings ns, which ascend
+// along the dimension their run was cut in: ns itself when it is one
+// node, a parent of all of them when the fanout allows, and otherwise a
+// parent of Fanout near-equal consecutive parts, each nested the same
+// way. Every inner node so has between two and Fanout children, and its
+// children are separated along one dimension.
+func (t *Tree) nest(ns []*Node) *Node {
+	if len(ns) == 1 {
+		return ns[0]
+	}
+	n := &Node{MBR: geom.EmptyBox()}
+	if f := t.cfg.Fanout; len(ns) <= f {
+		n.Children = slices.Clone(ns)
+	} else {
+		n.Children = make([]*Node, f)
+		for i := range n.Children {
+			n.Children[i] = t.nest(ns[i*len(ns)/f : (i+1)*len(ns)/f])
+		}
+	}
+	for _, ch := range n.Children {
+		n.MBR.Extend(&ch.MBR)
+		n.extSumA += ch.extSumA
+	}
+	n.aStart, n.aEnd = n.Children[0].aStart, n.Children[len(n.Children)-1].aEnd
+	t.Nodes++
+	return n
+}
+
+// number stamps every node's dense id in DFS pre-order and fills the
+// id → node table. Children are consecutive stretches of the arena, so
+// that is also arena order — the flat layout invariant — and the derived
+// state is laid over it.
+func (t *Tree) number() {
 	t.nodes = make([]*Node, 0, t.Nodes)
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		n.id = int32(len(t.nodes))
 		t.nodes = append(t.nodes, n)
-		n.aStart = int32(len(t.arena))
-		if n.Leaf() {
-			t.arena = append(t.arena, n.Entries...)
-			n.Entries = t.arena[n.aStart:len(t.arena):len(t.arena)]
-		} else {
-			for _, ch := range n.Children {
-				walk(ch)
-			}
+		for _, ch := range n.Children {
+			walk(ch)
 		}
-		n.aEnd = int32(len(t.arena))
 	}
 	walk(t.Root)
 	t.index()
@@ -372,22 +416,22 @@ func (t *Tree) index() {
 	}
 }
 
-// AssignOne places one object of dataset B in the tree following
-// Algorithm 3 and returns the node it was assigned to, or nil when the
-// object was filtered (it overlaps no MBR and therefore cannot intersect
-// any object of A). Child-MBR tests are charged to c.NodeTests.
-func (t *Tree) AssignOne(o geom.Object, c *stats.Counters) *Node {
+// AssignOne places one box of dataset B in the tree following Algorithm 3
+// and returns the dense id of the node it was assigned to, or -1 when the
+// box was filtered (it overlaps no MBR and therefore cannot intersect any
+// object of A). Child-MBR tests are charged to c.NodeTests.
+func (t *Tree) AssignOne(b *geom.Box, c *stats.Counters) int32 {
 	p := t.Root
 	c.NodeTests++
-	if !p.MBR.Meets(&o.Box) {
-		return nil
+	if !p.MBR.Meets(b) {
+		return -1
 	}
 	for !p.Leaf() {
 		var hit *Node
 		multi := false
 		for _, ch := range p.Children {
 			c.NodeTests++
-			if ch.MBR.Meets(&o.Box) {
+			if ch.MBR.Meets(b) {
 				if hit != nil {
 					multi = true
 					break
@@ -397,14 +441,14 @@ func (t *Tree) AssignOne(o geom.Object, c *stats.Counters) *Node {
 		}
 		if hit == nil {
 			// Inside p's MBR but in dead space between the children.
-			return nil
+			return -1
 		}
 		if multi {
-			return p
+			break
 		}
 		p = hit
 	}
-	return p
+	return p.id
 }
 
 // StaticBytes is the analytic footprint of the immutable build artifact:

@@ -181,8 +181,8 @@ func TestAssignmentInvariants(t *testing.T) {
 	tr := Build(a, Config{})
 	var c stats.Counters
 	for _, o := range b {
-		n := tr.AssignOne(o, &c)
-		if n == nil {
+		id := tr.AssignOne(&o.Box, &c)
+		if id < 0 {
 			// Filtered: must not intersect any leaf MBR.
 			var check func(m *Node)
 			check = func(m *Node) {
@@ -197,6 +197,7 @@ func TestAssignmentInvariants(t *testing.T) {
 			continue
 		}
 		// Assigned: the node's MBR must overlap the object.
+		n := tr.nodes[id]
 		if !n.MBR.Intersects(o.Box) {
 			t.Fatalf("object %d assigned to non-overlapping node", o.ID)
 		}
@@ -225,7 +226,7 @@ func TestFilteredObjectsHaveNoPartners(t *testing.T) {
 	var c stats.Counters
 	filtered := make([]geom.Object, 0)
 	for _, o := range b {
-		if tr.AssignOne(o, &c) == nil {
+		if tr.AssignOne(&o.Box, &c) < 0 {
 			filtered = append(filtered, o)
 		}
 	}

@@ -1,8 +1,10 @@
 package snapshot
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"os"
 	"slices"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"touch/internal/core"
 	"touch/internal/datagen"
 	"touch/internal/geom"
+	"touch/internal/nl"
 	"touch/internal/stats"
 )
 
@@ -283,5 +286,72 @@ func TestFormat1StillDecodes(t *testing.T) {
 		if _, err := Unmarshal(data[:cut]); err == nil {
 			t.Fatalf("format-1 truncation at %d/%d decoded", cut, len(data))
 		}
+	}
+}
+
+// TestFormat2OfTheOldBuilderThaws: testdata/format2.snap was written by
+// the last build whose upper levels were packed with STR on the nodes'
+// centres (150 clustered objects, 15 partitions: 45 nodes over 18 leaves,
+// where this build's tree over the same leaves has 35). Topology is child
+// counts, so the snapshot thaws to the tree it holds, not to the tree this
+// build would make — and that tree answers range, kNN and join questions
+// as the nested loop does.
+func TestFormat2OfTheOldBuilderThaws(t *testing.T) {
+	data, err := os.ReadFile("testdata/format2.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[len(Magic):]); v != 2 {
+		t.Fatalf("the fixture is format %d", v)
+	}
+	rec, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees, err := rec.Thaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trees) != 1 {
+		t.Fatalf("%d tiers thawed, want 1", len(trees))
+	}
+	tree, ds := trees[0], rec.Tiers[0].Objects
+	rebuilt := core.Build(ds, tree.Config())
+	if tree.Nodes != 45 || tree.Leaves != 18 || tree.Height != 6 || rebuilt.Leaves != tree.Leaves || rebuilt.Nodes >= tree.Nodes {
+		t.Fatalf("premise: thawed %d nodes over %d leaves, height %d; a rebuild has %d over %d",
+			tree.Nodes, tree.Leaves, tree.Height, rebuilt.Nodes, rebuilt.Leaves)
+	}
+
+	rng := rand.New(rand.NewSource(2))
+	mbr := tree.Root.MBR
+	p := tree.NewProbe()
+	var c stats.Counters
+	for i := 0; i < 200; i++ {
+		var lo, hi, pt geom.Point
+		for d := range lo {
+			lo[d] = mbr.Min[d] + rng.Float64()*mbr.Extent(d)
+			hi[d] = lo[d] + rng.Float64()*mbr.Extent(d)/4
+			pt[d] = mbr.Min[d] + rng.Float64()*mbr.Extent(d)
+		}
+		q := geom.NewBox(lo, hi)
+		if got, want := p.RangeQuery(q, &c), nl.RangeQuery(ds, q); !slices.Equal(got, want) {
+			t.Fatalf("range %v: %v, nested loop %v", q, got, want)
+		}
+		k := 1 + rng.Intn(12)
+		if got, want := p.KNN(pt, k, &c), nl.KNN(ds, pt, k); !slices.Equal(got, want) {
+			t.Fatalf("%d nearest to %v: %v, nested loop %v", k, pt, got, want)
+		}
+	}
+
+	probe := datagen.UniformSet(2000, 78).Expand(15)
+	got, want := &stats.CollectSink{}, &stats.CollectSink{}
+	p.Assign(probe, nil, &c)
+	p.JoinPhase(nil, &c, got)
+	nl.Join(ds, probe, nil, &stats.Counters{}, want)
+	byIDs := func(a, b geom.Pair) int { return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B)) }
+	slices.SortFunc(got.Pairs, byIDs)
+	slices.SortFunc(want.Pairs, byIDs)
+	if len(want.Pairs) == 0 || !slices.Equal(got.Pairs, want.Pairs) {
+		t.Fatalf("join: %d pairs, nested loop %d", len(got.Pairs), len(want.Pairs))
 	}
 }

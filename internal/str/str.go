@@ -1,13 +1,19 @@
 // Package str implements Sort-Tile-Recursive packing (Leutenegger, Lopez
 // & Edgington, ICDE'97), the bulk-loading strategy the TOUCH paper uses
-// both to group dataset A into buckets (leaf nodes) and to build the
-// upper levels of its hierarchical partitioning tree, and that the
-// baseline R-tree uses for bulk loading.
+// to group dataset A into buckets (leaf nodes), and that the baseline
+// R-tree uses for bulk loading, level after level.
 //
 // STR sorts items by the first dimension of their center, slices the
 // sequence into ⌈P^(1/D)⌉ vertical slabs, and recursively tiles each slab
 // on the remaining dimensions, producing P groups of at most groupSize
 // items with small, mostly non-overlapping MBRs.
+//
+// The cuts nest — slabs hold runs, runs hold tiles, each an exact
+// partition of the items by center — and PackStages reports them with the
+// items in the order STR leaves them. TOUCH builds the upper levels of its
+// tree along them instead of packing the buckets' centers again, which
+// would cut across them; the R-tree packs level after level, as the STR
+// paper does.
 package str
 
 import (
@@ -106,12 +112,44 @@ func sortRecs(recs, tmp []sortRec) {
 // afterwards. Every sort is therefore a total order and Pack is a pure
 // function of (items, centers, groupSize): the same input always packs
 // to the same groups in the same order.
+//
+// The groups are stretches of one array, end to end, each with its
+// capacity clipped to its length: sorting one in place is safe, and an
+// append to one copies it out.
 func Pack[T any](items []T, center func(T) geom.Point, groupSize int) [][]T {
+	ordered, stages := PackStages(items, center, groupSize)
+	if len(ordered) == 0 {
+		return nil
+	}
+	bounds := stages[geom.Dims-1]
+	groups := make([][]T, len(bounds)-1)
+	for i := range groups {
+		groups[i] = ordered[bounds[i]:bounds[i+1]:bounds[i+1]]
+	}
+	return groups
+}
+
+// Stages tells where STR cut the items it ordered: Stages[d] lists,
+// ascending from 0, the offsets at which the runs of the cut made along
+// dimension d begin — Stages[0] the slabs, Stages[1] the runs of every
+// slab, and so on down to the last, whose runs are the groups — and then
+// the number of items, so run i of a cut is [Stages[d][i], Stages[d][i+1]).
+// A run's centers precede the next run's of the same parent in dimension
+// d (ties in the order the sort before left them), every run of cut d
+// begins a run of cut d+1, and a run small enough to become one group
+// uncut still counts as a run of every cut below it. No items, no runs:
+// the lists are nil.
+type Stages [geom.Dims][]int32
+
+// PackStages is Pack in its flat form: the items in the order STR leaves
+// them — the groups end to end, in one newly allocated slice — and where
+// it cut them.
+func PackStages[T any](items []T, center func(T) geom.Point, groupSize int) ([]T, Stages) {
 	if groupSize < 1 {
 		panic("str: groupSize must be >= 1")
 	}
 	if len(items) == 0 {
-		return nil
+		return nil, Stages{}
 	}
 	if len(items) > math.MaxInt32 {
 		panic("str: more than MaxInt32 items")
@@ -123,13 +161,16 @@ func Pack[T any](items []T, center func(T) geom.Point, groupSize int) [][]T {
 		recs[i].idx = int32(i)
 	}
 	p := packer[T]{items: items, centers: centers, groupSize: groupSize}
-	p.out = make([][]T, 0, (len(items)+groupSize-1)/groupSize)
+	p.out = make([]T, 0, len(items))
 	var tmp []sortRec
 	if len(items) >= radixMin {
 		tmp = make([]sortRec, len(items))
 	}
 	p.pack(recs, tmp, 0)
-	return p.out
+	for d := range p.stages {
+		p.stages[d] = append(p.stages[d], int32(len(items)))
+	}
+	return p.out, p.stages
 }
 
 // packer holds what every level of the recursion shares.
@@ -137,14 +178,24 @@ type packer[T any] struct {
 	items     []T
 	centers   []geom.Point
 	groupSize int
-	out       [][]T
+	out       []T
+	stages    Stages
 }
 
-// pack recursively tiles recs on dimensions dim..Dims-1, appending the
-// resulting groups to p.out. tmp is sortRecs' scratch, as long as recs.
+// pack recursively tiles recs — one run of the cut along dim-1, or the
+// whole input — on dimensions dim..Dims-1, appending the resulting groups
+// to p.out and where the runs begin to p.stages. tmp is sortRecs'
+// scratch, as long as recs.
 func (p *packer[T]) pack(recs, tmp []sortRec, dim int) {
 	n := len(recs)
+	first := int32(len(p.out))
+	if dim > 0 {
+		p.stages[dim-1] = append(p.stages[dim-1], first)
+	}
 	if n <= p.groupSize {
+		for d := dim; d < geom.Dims-1; d++ {
+			p.stages[d] = append(p.stages[d], first)
+		}
 		p.extract(recs)
 		return
 	}
@@ -180,11 +231,12 @@ func (p *packer[T]) pack(recs, tmp []sortRec, dim int) {
 
 // extract materializes one group, gathering the items by index.
 func (p *packer[T]) extract(recs []sortRec) {
-	g := make([]T, len(recs))
+	start := len(p.out)
+	p.stages[geom.Dims-1] = append(p.stages[geom.Dims-1], int32(start))
+	p.out = p.out[:start+len(recs)]
 	for i, r := range recs {
-		g[i] = p.items[r.idx]
+		p.out[start+i] = p.items[r.idx]
 	}
-	p.out = append(p.out, g)
 }
 
 // PackObjects is Pack specialized to spatial objects, grouping by MBR

@@ -198,10 +198,10 @@ func TestPackGeneric(t *testing.T) {
 	}
 }
 
-// stablePack is the reference Pack must equal: the same tiling, written
-// the plain way — whole (center, item) structs sorted with the standard
-// library's stable sort.
-func stablePack(objs []geom.Object, groupSize int) [][]geom.Object {
+// stablePack is the reference PackStages must equal: the same tiling and
+// the same record of its cuts, written the plain way — whole (center,
+// item) structs sorted with the standard library's stable sort.
+func stablePack(objs []geom.Object, groupSize int) ([][]geom.Object, Stages) {
 	type keyed struct {
 		c    geom.Point
 		item geom.Object
@@ -211,6 +211,8 @@ func stablePack(objs []geom.Object, groupSize int) [][]geom.Object {
 		work[i] = keyed{center(o), o}
 	}
 	var out [][]geom.Object
+	var stages Stages
+	done := int32(0) // items in out
 	var pack func(work []keyed, dim int)
 	pack = func(work []keyed, dim int) {
 		n := len(work)
@@ -218,14 +220,24 @@ func stablePack(objs []geom.Object, groupSize int) [][]geom.Object {
 			slices.SortStableFunc(work, func(a, b keyed) int { return cmp.Compare(a.c[dim], b.c[dim]) })
 		}
 		if n <= groupSize || dim == geom.Dims-1 {
+			// Nothing but the chop into groups cuts this run again: it is
+			// one run of every cut that is left above that.
+			for d := max(dim, 1); d < geom.Dims; d++ {
+				stages[d-1] = append(stages[d-1], done)
+			}
 			for chunk := range slices.Chunk(work, groupSize) {
 				g := make([]geom.Object, len(chunk))
 				for i := range chunk {
 					g[i] = chunk[i].item
 				}
 				out = append(out, g)
+				stages[geom.Dims-1] = append(stages[geom.Dims-1], done)
+				done += int32(len(g))
 			}
 			return
+		}
+		if dim > 0 {
+			stages[dim-1] = append(stages[dim-1], done)
 		}
 		groups := (n + groupSize - 1) / groupSize
 		slabs := int(math.Ceil(math.Pow(float64(groups), 1/float64(geom.Dims-dim))))
@@ -234,7 +246,10 @@ func stablePack(objs []geom.Object, groupSize int) [][]geom.Object {
 		}
 	}
 	pack(work, 0)
-	return out
+	for d := range stages {
+		stages[d] = append(stages[d], done)
+	}
+	return out, stages
 }
 
 // TestPackTiesAreStable: on grid-aligned points, where most centers tie
@@ -250,7 +265,7 @@ func TestPackTiesAreStable(t *testing.T) {
 	}
 	for _, groupSize := range []int{1, 7, 64, 500} {
 		got := PackObjects(objs, groupSize)
-		want := stablePack(objs, groupSize)
+		want, _ := stablePack(objs, groupSize)
 		equal := func(a, b []geom.Object) bool { return slices.Equal(a, b) }
 		if !slices.EqualFunc(got, want, equal) {
 			t.Fatalf("groupSize %d: groups differ from the stable-sort reference", groupSize)
@@ -319,9 +334,99 @@ func TestPackEqualsStableReference(t *testing.T) {
 	}
 	for name, objs := range cases {
 		for _, groupSize := range []int{1, 16, 196, 3000} {
-			got, want := PackObjects(objs, groupSize), stablePack(objs, groupSize)
+			got := PackObjects(objs, groupSize)
+			ordered, gotStages := PackStages(objs, center, groupSize)
+			want, wantStages := stablePack(objs, groupSize)
 			if !slices.EqualFunc(got, want, func(a, b []geom.Object) bool { return slices.EqualFunc(a, b, same) }) {
 				t.Errorf("%s, groupSize %d: groups differ from the stable-sort reference", name, groupSize)
+			}
+			if !slices.EqualFunc(ordered, slices.Concat(want...), same) {
+				t.Errorf("%s, groupSize %d: the ordered items are not the reference's groups end to end", name, groupSize)
+			}
+			for d := range gotStages {
+				if !slices.Equal(gotStages[d], wantStages[d]) {
+					t.Errorf("%s, groupSize %d: runs of the cut along dimension %d begin at %v, in the reference at %v",
+						name, groupSize, d, gotStages[d], wantStages[d])
+				}
+			}
+		}
+	}
+}
+
+// TestStagesTileTheItems: the cuts PackStages reports are the cuts it
+// made. The runs of every cut tile the ordered items from the first to
+// the last, the last cut's in groups of groupSize with remainders only
+// where a run ends; a run of one cut is made of whole runs of the next;
+// and inside one run the parts it was cut into ascend by center in the
+// dimension of that cut: no center of a part lies before a center of the
+// part before it.
+func TestStagesTileTheItems(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	tied := make([]geom.Object, 4000)
+	for i := range tied {
+		p := geom.Point{float64(rng.Intn(5)), float64(rng.Intn(5)), float64(rng.Intn(5))}
+		tied[i] = geom.Object{ID: geom.ID(i), Box: geom.BoxAt(p)}
+	}
+	same := make([]geom.Object, 1000)
+	for i := range same {
+		same[i] = geom.Object{ID: geom.ID(i), Box: geom.BoxAt(geom.Point{3, 3, 3})}
+	}
+	cases := map[string][]geom.Object{
+		"uniform":           datagen.UniformSet(20_000, 31),
+		"clustered":         datagen.ClusteredSet(6000, 32),
+		"grid-aligned":      tied,
+		"all centers equal": same,
+		"one object":        datagen.UniformSet(1, 34),
+	}
+	for name, objs := range cases {
+		for _, groupSize := range []int{1, 7, 20, 196, 999, 1000, 30_000} {
+			ordered, stages := PackStages(objs, center, groupSize)
+			n := int32(len(ordered))
+			if len(ordered) != len(objs) {
+				t.Fatalf("%s, groupSize %d: %d items ordered, %d given", name, groupSize, len(ordered), len(objs))
+			}
+			// span returns the lowest and highest center, in dimension d, of
+			// the items [lo, hi).
+			span := func(d int, lo, hi int32) (float64, float64) {
+				least, most := math.Inf(1), math.Inf(-1)
+				for _, o := range ordered[lo:hi] {
+					c := center(o)[d]
+					least, most = min(least, c), max(most, c)
+				}
+				return least, most
+			}
+			outer := []int32{0, n} // the whole input, as the one run of a cut above the first
+			for d, inner := range stages {
+				if len(inner) < 2 || inner[0] != 0 || inner[len(inner)-1] != n || !slices.IsSorted(inner) ||
+					len(slices.Compact(slices.Clone(inner))) != len(inner) {
+					t.Fatalf("%s, groupSize %d: runs of the cut along dimension %d begin at %v: not a tiling of %d items",
+						name, groupSize, d, inner, n)
+				}
+				for r, lo := range outer[:len(outer)-1] {
+					hi := outer[r+1]
+					i, whole := slices.BinarySearch(inner, lo)
+					j, wholeToo := slices.BinarySearch(inner, hi)
+					if !whole || !wholeToo {
+						t.Fatalf("%s, groupSize %d: the run [%d, %d) is not made of whole runs of the cut along dimension %d",
+							name, groupSize, lo, hi, d)
+					}
+					// The parts of the run [lo, hi): [inner[k], inner[k+1]) for k in [i, j).
+					for k := i; k < j; k++ {
+						if size := int(inner[k+1] - inner[k]); d == geom.Dims-1 && (size > groupSize || size < groupSize && k+1 < j) {
+							t.Errorf("%s, groupSize %d: the group at item %d holds %d items inside a run that ends at %d",
+								name, groupSize, inner[k], size, hi)
+						}
+						if k == i {
+							continue
+						}
+						_, before := span(d, inner[k-1], inner[k])
+						if after, _ := span(d, inner[k], inner[k+1]); after < before {
+							t.Errorf("%s, groupSize %d: along dimension %d the part at item %d begins at center %g, before %g of the part it follows",
+								name, groupSize, d, inner[k], after, before)
+						}
+					}
+				}
+				outer = inner
 			}
 		}
 	}

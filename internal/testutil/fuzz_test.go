@@ -65,11 +65,31 @@ func fuzzSeeds(f *testing.F) {
 	f.Add(stripes)
 }
 
+// nestSeeds returns the two datasets, n boxes each, on which the cuts the
+// tree is built along have their edge cases: every box around one centre,
+// with extents that differ, so each of STR's sorts is one long tie and the
+// runs are cut by position alone; and n scattered boxes, for an n one past
+// a count that tiles evenly (a cube of slabs, a multiple of the bucket), so
+// the last slab, run and bucket are each a remainder of one.
+func nestSeeds(n int) (sameCentre, scattered []byte) {
+	for j := 0; j < n; j++ {
+		hx, hy, hz := float64(5*(j%7)), float64(5*(j/7%5)), float64(5*(j%3))
+		sameCentre = append(sameCentre, fuzzLattice(160-hx, 160-hy, 160-hz, 160+hx, 160+hy, 160+hz)...)
+		x, y, z := float64(5*(j*7%62)), float64(5*(j*13%62)), float64(5*(j*29%62))
+		scattered = append(scattered, fuzzLattice(x, y, z, x+float64(5*(j%3)), y+5, z)...)
+	}
+	return sameCentre, scattered
+}
+
 // FuzzJoin: TOUCH (sequential and 4 workers) and the clamped PBSM grid
 // must reproduce the nested-loop pair set on arbitrary decoded
 // datasets.
 func FuzzJoin(f *testing.F) {
 	fuzzSeeds(f)
+	// 28 objects in buckets of one: a cube of 27 and one over.
+	sameCentre, scattered := nestSeeds(28)
+	f.Add(slices.Concat([]byte{28}, sameCentre, scattered))
+	f.Add(slices.Concat([]byte{28}, scattered, sameCentre))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -105,6 +125,10 @@ func FuzzRangeQuery(f *testing.F) {
 		long = append(long, fuzzLattice(lo, lo, 150, 200, 200, 150)...)
 	}
 	f.Add(long)
+	// 65 objects in buckets of one: a cube of 64 and one over.
+	sameCentre, scattered := nestSeeds(65)
+	f.Add(append(fuzzLattice(100, 100, 100, 200, 200, 200), sameCentre...))
+	f.Add(append(fuzzLattice(100, 100, 100, 200, 200, 200), scattered...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < bytesPerBox {
 			return
@@ -219,6 +243,14 @@ func FuzzKNN(f *testing.F) {
 	fuzzSeeds(f)
 	for _, seed := range knnTieSeeds() {
 		f.Add(seed)
+	}
+	// 65 objects, k = 10: asked for 64 buckets they make 32 of two and one
+	// of one, asked for 8, seven of nine and one of two.
+	sameCentre, scattered := nestSeeds(65)
+	for _, buckets := range []byte{6, 3} {
+		head := append([]byte{buckets<<5 | 9}, fuzzLattice(160, 160, 160)...)
+		f.Add(slices.Concat(head, sameCentre))
+		f.Add(slices.Concat(head, scattered))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 7 {
