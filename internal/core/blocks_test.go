@@ -20,45 +20,42 @@ import (
 func checkDirectory(t *testing.T, name string, tr *Tree) {
 	t.Helper()
 	next := 0 // next unclaimed entry of tr.blocks
-	for _, n := range tr.nodes {
-		if !n.Leaf() {
-			if n.blocks != nil {
-				t.Fatalf("%s: inner node %d has %d blocks", name, n.id, len(n.blocks))
-			}
+	for i := range tr.table {
+		id, n := int32(i), &tr.table[i]
+		if int(n.block) != next {
+			t.Fatalf("%s: node %d's blocks do not start at directory entry %d", name, id, next)
+		}
+		if !n.leaf(id) {
 			continue
 		}
-		if want := (n.aCount() + leafBlock - 1) / leafBlock; len(n.blocks) != want {
-			t.Fatalf("%s: leaf %d of %d objects has %d blocks, want %d", name, n.id, n.aCount(), len(n.blocks), want)
-		}
-		if len(n.blocks) > 0 && &n.blocks[0] != &tr.blocks[next] {
-			t.Fatalf("%s: leaf %d's blocks do not start at directory entry %d", name, n.id, next)
-		}
-		next += len(n.blocks)
+		blocks := tr.blocks[n.block : n.block+n.blocks()]
+		next += len(blocks)
 		covered := n.aStart
-		for i, blk := range n.blocks {
-			es := n.Entries[i*leafBlock : min((i+1)*leafBlock, len(n.Entries))]
-			if len(es) == 0 || (len(es) != leafBlock && i != len(n.blocks)-1) {
-				t.Fatalf("%s: leaf %d block %d holds %d objects", name, n.id, i, len(es))
+		for bi, blk := range blocks {
+			es := tr.block(n, int32(bi))
+			if len(es) == 0 || (len(es) != leafBlock && bi != len(blocks)-1) {
+				t.Fatalf("%s: leaf %d block %d holds %d objects", name, id, bi, len(es))
 			}
 			if &es[0] != &tr.arena[covered] {
-				t.Fatalf("%s: leaf %d block %d does not start at arena %d", name, n.id, i, covered)
+				t.Fatalf("%s: leaf %d block %d does not start at arena %d", name, id, bi, covered)
 			}
 			covered += int32(len(es))
 			if want := geom.Dataset(es).MBR(); blk != want {
-				t.Fatalf("%s: leaf %d block %d MBR %v, its objects' %v", name, n.id, i, blk, want)
+				t.Fatalf("%s: leaf %d block %d MBR %v, its objects' %v", name, id, bi, blk, want)
 			}
 		}
 		if covered != n.aEnd {
-			t.Fatalf("%s: leaf %d [%d,%d): blocks end at %d", name, n.id, n.aStart, n.aEnd, covered)
+			t.Fatalf("%s: leaf %d [%d,%d): blocks end at %d", name, id, n.aStart, n.aEnd, covered)
 		}
-		if len(n.blocks) == 1 && n.blocks[0] != n.MBR {
-			t.Fatalf("%s: leaf %d's only block %v differs from its MBR %v", name, n.id, n.blocks[0], n.MBR)
+		if len(blocks) == 1 && blocks[0] != n.mbr {
+			t.Fatalf("%s: leaf %d's only block %v differs from its MBR %v", name, id, blocks[0], n.mbr)
 		}
 	}
 	if next != len(tr.blocks) || cap(tr.blocks) != len(tr.blocks) {
 		t.Fatalf("%s: leaves claim %d blocks, the directory holds %d (cap %d)", name, next, len(tr.blocks), cap(tr.blocks))
 	}
-	if want := int64(tr.Nodes)*(stats.BytesPerNode+64) + int64(tr.SizeA)*stats.BytesPerRef + int64(next)*stats.BytesPerBox; tr.StaticBytes() != want {
+	// One 64-byte entry and one 8-byte extent sum per node.
+	if want := int64(tr.Nodes)*(64+8) + int64(tr.SizeA)*stats.BytesPerRef + int64(next)*stats.BytesPerBox; tr.StaticBytes() != want {
 		t.Fatalf("%s: StaticBytes %d, want %d with %d blocks", name, tr.StaticBytes(), want, next)
 	}
 }

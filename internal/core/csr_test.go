@@ -14,8 +14,8 @@ import (
 // hashed into a map[int64][]int32 — kept here as the reference the CSR
 // grid must not diverge from: identical Comparisons, Replicas, occupied
 // cell count and result set per node.
-func (t *Tree) mapGridJoin(n *Node, bs []geom.Object, postDedup bool, c *stats.Counters, sink stats.Sink) int64 {
-	g, _ := t.boundedGrid(n, bs, new(joinScratch))
+func (t *Tree) mapGridJoin(id int32, bs []geom.Object, postDedup bool, c *stats.Counters, sink stats.Sink) int64 {
+	g, _ := t.boundedGrid(id, bs, new(joinScratch))
 	cells := make(map[int64][]int32)
 	for i := range bs {
 		lo, hi := g.Range(bs[i].Box)
@@ -25,7 +25,7 @@ func (t *Tree) mapGridJoin(n *Node, bs []geom.Object, postDedup bool, c *stats.C
 		})
 	}
 	var as []geom.Object // the A objects the probe tasks let through
-	for _, task := range new(joinScratch).probeTasks(n, bs, nil, c) {
+	for _, task := range new(joinScratch).probeTasks(t, id, bs, nil, c) {
 		for _, a := range t.arena[task.aStart:task.aEnd] {
 			if a.Box.Intersects(task.mbr) {
 				as = append(as, a)
@@ -78,7 +78,7 @@ func runMapReference(a, b geom.Dataset, cfg Config, postDedup bool) mapReference
 	p.Assign(b, nil, &ref.c)
 	for _, id := range p.active {
 		before := ref.c.Replicas
-		occupied := t.mapGridJoin(t.nodes[id], p.nodeB(id), postDedup, &ref.c, sink)
+		occupied := t.mapGridJoin(id, p.nodeB(id), postDedup, &ref.c, sink)
 		ref.occupied += occupied
 		bytes := occupied*stats.BytesPerCell + (ref.c.Replicas-before)*stats.BytesPerRef
 		ref.peakBytes = max(ref.peakBytes, bytes)
@@ -160,14 +160,13 @@ func TestCSRMatchesMapGrid(t *testing.T) {
 			occupied := int64(0)
 			coarsened := false
 			for _, id := range p.active {
-				n := tr.nodes[id]
 				bs := p.nodeB(id)
-				g, csr := tr.nodeGrid(n, bs, &c, ws)
-				if sized, _ := tr.localGrid(n, bs); sized.Res != g.Res {
+				g, csr := tr.nodeGrid(id, bs, &c, ws)
+				if sized, _ := tr.localGrid(id, bs); sized.Res != g.Res {
 					coarsened = true
 				}
 				occupied += csr.occupied
-				for _, task := range new(joinScratch).probeTasks(n, bs, nil, &c) {
+				for _, task := range new(joinScratch).probeTasks(tr, id, bs, nil, &c) {
 					tr.gridProbe(g, csr, bs, &task, nil, &c, sink)
 				}
 			}

@@ -15,8 +15,8 @@ import (
 // package comment makes this nearly free: the arena is already one
 // contiguous slice and the node table is already dense DFS pre-order, so
 // a frozen tree is the arena plus one fixed-size record per node, and
-// thawing rebuilds the child pointers from the per-node child counts
-// alone.
+// thawing turns the per-node child counts back into the table's skip
+// links in one pass.
 //
 // Thaw trusts nothing: a frozen tree arrives from disk, where torn
 // writes, bit flips and hostile edits are all possible, so every
@@ -24,8 +24,8 @@ import (
 // child-count consistency, recomputed MBRs and extent sums, height and
 // leaf counts. A Frozen that passes Thaw is bit-equivalent to the tree a
 // fresh Build of the same arena partitioning would produce — the derived
-// block directory and probe table included, which Thaw rebuilds instead
-// of reading; one that does not is rejected with an error, never a panic
+// block directory included, which Thaw rebuilds instead of reading; one
+// that does not is rejected with an error, never a panic
 // and never a tree that answers queries differently from its
 // checksum-blessed bytes.
 
@@ -53,33 +53,32 @@ type Frozen struct {
 	Nodes []FrozenNode
 }
 
-// Freeze returns the tree's flat form. The arena and node slices alias
-// the tree's own storage (the tree is immutable, so sharing is safe);
-// Thaw copies out of the decoder's buffers on the way back in.
+// Freeze returns the tree's flat form. The arena aliases the tree's own
+// storage (the tree is immutable, so sharing is safe); Thaw keeps the
+// arena it is handed.
 func (t *Tree) Freeze() *Frozen {
 	f := &Frozen{
 		Cfg:    t.cfg,
 		Height: t.Height,
 		Leaves: t.Leaves,
 		Arena:  t.arena,
-		Nodes:  make([]FrozenNode, len(t.nodes)),
+		Nodes:  make([]FrozenNode, len(t.table)),
 	}
-	for i, n := range t.nodes {
-		f.Nodes[i] = FrozenNode{
-			MBR:      n.MBR,
-			Children: int32(len(n.Children)),
-			AStart:   n.aStart,
-			AEnd:     n.aEnd,
-			ExtSumA:  n.extSumA,
+	for i := range t.table {
+		e := &t.table[i]
+		children := int32(0)
+		for ch := int32(i) + 1; ch < e.skip; ch = t.table[ch].skip {
+			children++
 		}
+		f.Nodes[i] = FrozenNode{MBR: e.mbr, Children: children, AStart: e.aStart, AEnd: e.aEnd, ExtSumA: t.extSum[i]}
 	}
 	return f
 }
 
-// maxThawDepth bounds the reconstruction recursion. Build with fanout
-// >= 2 produces heights logarithmic in the node count, so any genuine
-// tree is far below this; a hostile chain of single-child nodes is
-// rejected instead of unwinding a pathological stack.
+// maxThawDepth bounds the depth of a frozen tree. Build with fanout >= 2
+// produces heights logarithmic in the node count, so any genuine tree is
+// far below this; a hostile chain of single-child nodes is rejected, and
+// Thaw's stack of open nodes never grows past it.
 const maxThawDepth = 64
 
 // errCorrupt builds the uniform Thaw rejection error.
@@ -122,7 +121,7 @@ func finiteObject(o *geom.Object) bool {
 
 // Thaw reconstructs a Tree from its frozen form, validating every
 // structural invariant Build would have established. The returned tree
-// owns the Frozen's slices (the decoder must not reuse them).
+// keeps the Frozen's arena (the decoder must not reuse it).
 func Thaw(f *Frozen) (*Tree, error) {
 	if err := validateThawConfig(f.Cfg); err != nil {
 		return nil, err
@@ -142,214 +141,127 @@ func Thaw(f *Frozen) (*Tree, error) {
 	cfg := f.Cfg
 	cfg.fillDefaults()
 	t := &Tree{
-		Height: f.Height,
 		Nodes:  len(f.Nodes),
 		SizeA:  len(f.Arena),
 		cfg:    cfg,
-		nodes:  make([]*Node, len(f.Nodes)),
 		arena:  f.Arena,
+		table:  make([]entry, len(f.Nodes)),
+		extSum: make([]float64, len(f.Nodes)),
 	}
 
-	next := 0   // next unconsumed frozen node
-	leaves := 0 // leaf count recomputed during the walk
-	var build func(depth int) (*Node, error)
-	build = func(depth int) (*Node, error) {
-		if depth > maxThawDepth {
+	// One pass in the nodes' own DFS pre-order. open is the path from the
+	// root to the node being read, inner nodes that still have children to
+	// come: a node's children follow it, each subtree contiguous, so a
+	// node is a child of the innermost open one, and a subtree that ends
+	// is checked against its parent as one child more.
+	type openNode struct {
+		id   int32
+		left int32 // children still to come
+		next int32 // where the next child's arena range must begin
+	}
+	open := make([]openNode, 0, maxThawDepth)
+	for i := range f.Nodes {
+		fn, id := &f.Nodes[i], int32(i)
+		if i > 0 && len(open) == 0 {
+			return nil, errCorrupt("%d trailing nodes unreachable from the root", len(f.Nodes)-i)
+		}
+		if len(open) == maxThawDepth {
 			return nil, errCorrupt("tree deeper than %d levels", maxThawDepth)
 		}
-		if next >= len(f.Nodes) {
-			return nil, errCorrupt("child counts consume more than %d nodes", len(f.Nodes))
-		}
-		fn := &f.Nodes[next]
-		n := &Node{
-			MBR:     fn.MBR,
-			aStart:  fn.AStart,
-			aEnd:    fn.AEnd,
-			id:      int32(next),
-			extSumA: fn.ExtSumA,
-		}
-		t.nodes[next] = n
-		next++
 		if fn.AStart < 0 || fn.AEnd < fn.AStart || int(fn.AEnd) > len(f.Arena) {
-			return nil, errCorrupt("node %d arena range [%d,%d) outside arena of %d", n.id, fn.AStart, fn.AEnd, len(f.Arena))
+			return nil, errCorrupt("node %d arena range [%d,%d) outside arena of %d", id, fn.AStart, fn.AEnd, len(f.Arena))
 		}
 		if fn.Children < 0 || int(fn.Children) > len(f.Nodes) {
-			return nil, errCorrupt("node %d child count %d", n.id, fn.Children)
+			return nil, errCorrupt("node %d child count %d", id, fn.Children)
 		}
-		if fn.Children == 0 {
-			leaves++
-			n.Entries = t.arena[n.aStart:n.aEnd:n.aEnd]
-			return n, nil
+		t.table[i] = entry{mbr: fn.MBR, skip: id + 1, aStart: fn.AStart, aEnd: fn.AEnd}
+		t.extSum[i] = fn.ExtSumA
+		t.Height = max(t.Height, len(open)+1)
+		if fn.Children > 0 {
+			open = append(open, openNode{id: id, left: fn.Children, next: fn.AStart})
+			continue
 		}
-		n.Children = make([]*Node, fn.Children)
-		for i := range n.Children {
-			ch, err := build(depth + 1)
-			if err != nil {
-				return nil, err
+		t.Leaves++
+		// The leaf ends its own subtree and that of every open node it is
+		// the last child of. Children partition the parent's arena range
+		// contiguously.
+		for ch := id; len(open) > 0; open = open[:len(open)-1] {
+			p, c := &open[len(open)-1], &t.table[ch]
+			if c.aStart != p.next {
+				return nil, errCorrupt("node %d child %d arena range starts at %d, want %d", p.id, f.Nodes[p.id].Children-p.left, c.aStart, p.next)
 			}
-			// Children partition the parent's arena range contiguously.
-			wantStart := n.aStart
-			if i > 0 {
-				wantStart = n.Children[i-1].aEnd
+			p.next = c.aEnd
+			if p.left--; p.left > 0 {
+				break
 			}
-			if ch.aStart != wantStart {
-				return nil, errCorrupt("node %d child %d arena range starts at %d, want %d", n.id, i, ch.aStart, wantStart)
+			pe := &t.table[p.id]
+			if p.next != pe.aEnd {
+				return nil, errCorrupt("node %d arena range ends at %d, children end at %d", p.id, pe.aEnd, p.next)
 			}
-			n.Children[i] = ch
+			pe.skip = id + 1
+			ch = p.id
 		}
-		if last := n.Children[len(n.Children)-1]; last.aEnd != n.aEnd {
-			return nil, errCorrupt("node %d arena range ends at %d, children end at %d", n.id, n.aEnd, last.aEnd)
-		}
-		return n, nil
 	}
-	root, err := build(1)
-	if err != nil {
-		return nil, err
+	if len(open) > 0 {
+		return nil, errCorrupt("child counts consume more than %d nodes", len(f.Nodes))
 	}
-	if next != len(f.Nodes) {
-		return nil, errCorrupt("%d trailing nodes unreachable from the root", len(f.Nodes)-next)
-	}
-	if root.aStart != 0 || int(root.aEnd) != len(f.Arena) {
+	if root := &t.table[0]; root.aStart != 0 || int(root.aEnd) != len(f.Arena) {
 		return nil, errCorrupt("root arena range [%d,%d) does not cover the %d-object arena", root.aStart, root.aEnd, len(f.Arena))
 	}
-	if leaves != f.Leaves {
-		return nil, errCorrupt("leaf count %d, walk found %d", f.Leaves, leaves)
+	if t.Leaves != f.Leaves {
+		return nil, errCorrupt("leaf count %d, walk found %d", f.Leaves, t.Leaves)
 	}
-	t.Leaves = leaves
-	t.Root = root
-
-	if h := measureHeight(root); h != f.Height {
-		return nil, errCorrupt("height %d, walk found %d", f.Height, h)
+	if t.Height != f.Height {
+		return nil, errCorrupt("height %d, walk found %d", f.Height, t.Height)
 	}
-	if err := verifyDerived(t); err != nil {
+	if err := t.verifyDerived(); err != nil {
 		return nil, err
 	}
-	// The block directory and the probe table are not part of the frozen
-	// form: they are rebuilt over the arena as it arrived, whatever order a
-	// leaf's stretch is in.
+	// The block directory is not part of the frozen form: it is rebuilt
+	// over the arena as it arrived, whatever order a leaf's stretch is in.
 	t.index()
 	return t, nil
 }
 
-// measureHeight returns the number of nodes on the longest path from n
-// down to a leaf — leaves may sit at different depths. Thaw's walk has
-// bounded the depth by maxThawDepth before it is called there.
-func measureHeight(n *Node) int {
-	h := 0
-	for _, ch := range n.Children {
-		if c := measureHeight(ch); c > h {
-			h = c
-		}
-	}
-	return h + 1
-}
-
-// verifyDerived recomputes every node's MBR and summed mean extent from
-// the arena exactly the way Build does and demands bit-equality
-// (identical float operation order), so an MBR or extent corruption that
-// slipped past the checksums cannot make the thawed tree answer
-// differently from a rebuild. The root's subtrees are verified in
-// parallel — they are disjoint and each is recomputed in the exact same
-// op order as a sequential walk, so the bit-equality contract is
-// unaffected; this is the dominant cost of thawing a large snapshot.
-func verifyDerived(t *Tree) error {
-	var walk func(n *Node) error
-	walk = func(n *Node) error {
-		mbr := geom.EmptyBox()
-		ext := 0.0
-		if n.Leaf() {
-			for i := range n.Entries {
-				b := &n.Entries[i].Box
-				mbr.Extend(b)
-				for d := 0; d < geom.Dims; d++ {
-					ext += b.Extent(d)
-				}
+// verifyDerived recomputes every node's MBR and summed mean extent the
+// way Build does (derive) and demands bit-equality, so an MBR or extent
+// corruption that slipped past the checksums cannot make the thawed tree
+// answer differently from a rebuild. A node's check reads the arena or
+// its children's stored values and nothing another check writes, so the
+// table is checked in as many stretches as there are CPUs — the leaves'
+// arena pass is the dominant cost of thawing a large snapshot — and the
+// error is the one of the lowest failing node.
+func (t *Tree) verifyDerived() error {
+	check := func(lo, hi int) error {
+		for i := int32(lo); i < int32(hi); i++ {
+			mbr, ext := t.derive(i)
+			if mbr != t.table[i].mbr {
+				return errCorrupt("node %d MBR %v does not match its subtree's %v", i, t.table[i].mbr, mbr)
 			}
-			ext /= geom.Dims
-		} else {
-			for _, ch := range n.Children {
-				if err := walk(ch); err != nil {
-					return err
-				}
-				mbr.Extend(&ch.MBR)
-				ext += ch.extSumA
-			}
-		}
-		return checkNode(n, mbr, ext)
-	}
-
-	// Split the tree into enough disjoint subtrees to spread across the
-	// CPUs: expand a frontier level by level, collecting the internal
-	// nodes above it. An internal node's own check only reads its direct
-	// children's *stored* values, so the upper nodes can be checked
-	// sequentially without waiting for the subtree walks.
-	target := runtime.GOMAXPROCS(0)
-	frontier := []*Node{t.Root}
-	var upper []*Node
-	for len(frontier) < target {
-		next := make([]*Node, 0, len(frontier)*2)
-		progressed := false
-		for _, n := range frontier {
-			if n.Leaf() {
-				next = append(next, n)
-				continue
-			}
-			upper = append(upper, n)
-			next = append(next, n.Children...)
-			progressed = true
-		}
-		frontier = next
-		if !progressed {
-			break
-		}
-	}
-
-	for _, n := range upper {
-		mbr := geom.EmptyBox()
-		ext := 0.0
-		for _, ch := range n.Children {
-			mbr.Extend(&ch.MBR)
-			ext += ch.extSumA
-		}
-		if err := checkNode(n, mbr, ext); err != nil {
-			return err
-		}
-	}
-
-	if len(frontier) < 2 {
-		for _, n := range frontier {
-			if err := walk(n); err != nil {
-				return err
+			if ext != t.extSum[i] {
+				return errCorrupt("node %d extent sum %g does not match its subtree's %g", i, t.extSum[i], ext)
 			}
 		}
 		return nil
 	}
-	errs := make([]error, len(frontier))
+	workers := min(runtime.GOMAXPROCS(0), len(t.table))
+	if workers < 2 {
+		return check(0, len(t.table))
+	}
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for i, n := range frontier {
+	for w := range errs {
 		wg.Add(1)
-		go func(i int, n *Node) {
+		go func() {
 			defer wg.Done()
-			errs[i] = walk(n)
-		}(i, n)
+			errs[w] = check(w*len(t.table)/workers, (w+1)*len(t.table)/workers)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// checkNode demands bit-equality between a node's stored derived values
-// and the ones recomputed from its subtree.
-func checkNode(n *Node, mbr geom.Box, ext float64) error {
-	if mbr != n.MBR {
-		return errCorrupt("node %d MBR %v does not match its subtree's %v", n.id, n.MBR, mbr)
-	}
-	if ext != n.extSumA {
-		return errCorrupt("node %d extent sum %g does not match its subtree's %g", n.id, n.extSumA, ext)
 	}
 	return nil
 }

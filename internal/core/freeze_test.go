@@ -12,8 +12,8 @@ import (
 )
 
 // thawEqual asserts that a thawed tree is structurally identical to the
-// original: counts, per-node topology, MBRs, arena ranges and content,
-// and the derived probe table and block directory.
+// original: counts, the node table — topology, MBRs, arena ranges — and
+// the extent sums, the arena's content, and the derived block directory.
 func thawEqual(t *testing.T, want, got *Tree) {
 	t.Helper()
 	if got.Nodes != want.Nodes || got.Leaves != want.Leaves || got.Height != want.Height || got.SizeA != want.SizeA {
@@ -28,39 +28,20 @@ func thawEqual(t *testing.T, want, got *Tree) {
 			t.Fatalf("arena[%d] = %v, want %v", i, got.arena[i], want.arena[i])
 		}
 	}
-	for i := range want.nodes {
-		w, g := want.nodes[i], got.nodes[i]
-		if g.MBR != w.MBR || g.aStart != w.aStart || g.aEnd != w.aEnd ||
-			len(g.Children) != len(w.Children) || g.id != w.id || g.extSumA != w.extSumA {
-			t.Fatalf("node %d mismatch: got %+v, want %+v", i, g, w)
+	if len(got.table) != len(want.table) || len(got.extSum) != len(want.extSum) {
+		t.Fatalf("%d entries and %d extent sums, want %d and %d", len(got.table), len(got.extSum), len(want.table), len(want.extSum))
+	}
+	for i := range want.table {
+		if w, g := want.table[i], got.table[i]; g != w || got.extSum[i] != want.extSum[i] {
+			t.Fatalf("node %d mismatch: got %+v (extent sum %g), want %+v (%g)", i, g, got.extSum[i], w, want.extSum[i])
 		}
 	}
 	if got.cfg != want.cfg {
 		t.Fatalf("config %+v, want %+v", got.cfg, want.cfg)
 	}
-	if !slices.Equal(got.table, want.table) {
-		t.Fatal("the thawed probe table differs from the built one")
-	}
 	if !slices.Equal(got.blocks, want.blocks) {
 		t.Fatal("the thawed block directory differs from the built one")
 	}
-}
-
-// leafDepths returns the distinct depths of the tree's leaves, ascending.
-func leafDepths(tr *Tree) []int {
-	var depths []int
-	var walk func(n *Node, d int)
-	walk = func(n *Node, d int) {
-		if n.Leaf() && !slices.Contains(depths, d) {
-			depths = append(depths, d)
-		}
-		for _, ch := range n.Children {
-			walk(ch, d+1)
-		}
-	}
-	walk(tr.Root, 0)
-	slices.Sort(depths)
-	return depths
 }
 
 func TestFreezeThawRoundtrip(t *testing.T) {
@@ -143,6 +124,19 @@ func TestThawRejectsCorruption(t *testing.T) {
 		{"extent-drift", func(f *Frozen) { f.Nodes[len(f.Nodes)-1].ExtSumA += 0.5 }, "extent"},
 		{"nan-arena-box", func(f *Frozen) { f.Arena[0].Box.Min[1] = math.NaN() }, "non-finite"},
 		{"inverted-arena-box", func(f *Frozen) { f.Arena[3].Box.Min[0] = f.Arena[3].Box.Max[0] + 1 }, "inverted"},
+		// The child counts of the tree as built run out exactly at its last
+		// node; one more child anywhere has no node left to be.
+		{"children-end-at-last-node", func(f *Frozen) {}, ""},
+		{"children-end-one-past-last-node", func(f *Frozen) { f.Nodes[lastInner(f)].Children++ }, "consume"},
+		{"sibling-gap", func(f *Frozen) { f.Nodes[lastLeaf(f)].AStart++ }, "starts at"},
+		{"sibling-overlap", func(f *Frozen) { f.Nodes[lastLeaf(f)].AStart-- }, "starts at"},
+		{"first-child-off-parent-start", func(f *Frozen) { f.Nodes[lastInner(f)+1].AStart++ }, "starts at"},
+		{"parent-ends-before-last-child", func(f *Frozen) { f.Nodes[lastInner(f)].AEnd-- }, "children end at"},
+		{"child-count-short", func(f *Frozen) { f.Nodes[lastInner(f)].Children-- }, "children end at"},
+		{"root-short-of-arena", func(f *Frozen) { f.Nodes[0].AEnd-- }, "children end at"},
+		{"arena-past-the-root", func(f *Frozen) { f.Arena = append(f.Arena, f.Arena[0]) }, "does not cover"},
+		{"trailing-node", func(f *Frozen) { f.Nodes = append(f.Nodes, f.Nodes[lastLeaf(f)]) }, "trailing"},
+		{"root-a-leaf", func(f *Frozen) { f.Nodes[0].Children = 0 }, "trailing"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := base.Freeze()
@@ -152,6 +146,12 @@ func TestThawRejectsCorruption(t *testing.T) {
 			f.Arena = append([]geom.Object(nil), f.Arena...)
 			tc.mutate(f)
 			_, err := Thaw(f)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("Thaw rejected the tree as built: %v", err)
+				}
+				return
+			}
 			if err == nil {
 				t.Fatalf("Thaw accepted corruption %q", tc.name)
 			}
@@ -173,16 +173,36 @@ func lastLeaf(f *Frozen) int {
 	return 0
 }
 
-// A hostile single-child chain must be rejected by the depth bound, not
-// unwind an unbounded stack.
-func TestThawDepthBound(t *testing.T) {
-	const n = 500
-	f := &Frozen{Height: n, Leaves: 1, Nodes: make([]FrozenNode, n)}
-	for i := range f.Nodes {
-		f.Nodes[i] = FrozenNode{Children: 1}
+// lastInner returns the index of the last inner node; every child of it
+// is a leaf, the last of them lastLeaf.
+func lastInner(f *Frozen) int {
+	for i := len(f.Nodes) - 1; i >= 0; i-- {
+		if f.Nodes[i].Children > 0 {
+			return i
+		}
 	}
-	f.Nodes[n-1].Children = 0
-	if _, err := Thaw(f); err == nil || !strings.Contains(err.Error(), "deeper") {
-		t.Fatalf("deep chain not rejected: %v", err)
+	return 0
+}
+
+// A hostile single-child chain must be rejected by the depth bound, not
+// grow a stack as long as the file says: a chain of maxThawDepth nodes over
+// no objects is a (strange) tree, one node more is not.
+func TestThawDepthBound(t *testing.T) {
+	for _, n := range []int{maxThawDepth, maxThawDepth + 1, 500} {
+		f := &Frozen{Height: n, Leaves: 1, Nodes: make([]FrozenNode, n)}
+		for i := range f.Nodes {
+			f.Nodes[i] = FrozenNode{MBR: geom.EmptyBox(), Children: 1}
+		}
+		f.Nodes[n-1].Children = 0
+		tr, err := Thaw(f)
+		if n <= maxThawDepth {
+			if err != nil || tr.Height != n || tr.table[0].skip != int32(n) {
+				t.Fatalf("chain of %d nodes: %v", n, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "deeper") {
+			t.Fatalf("chain of %d nodes not rejected: %v", n, err)
+		}
 	}
 }

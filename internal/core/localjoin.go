@@ -60,14 +60,14 @@ func (k LocalJoinKind) String() string {
 // calling worker's scratch arena; the tree itself is only read. tk is
 // the worker's cancellation ticker, threaded through every node the
 // worker processes so the checkpoints amortize across nodes.
-func (t *Tree) localJoin(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink, ws *joinScratch) {
+func (t *Tree) localJoin(id int32, bs []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink, ws *joinScratch) {
 	switch t.cfg.LocalJoin {
 	case LocalJoinGrid, LocalJoinGridPostDedup:
-		t.gridJoin(n, bs, tk, c, sink, ws)
+		t.gridJoin(id, bs, tk, c, sink, ws)
 	case LocalJoinSweep:
-		t.sweepJoin(n, bs, tk, c, sink, ws)
+		t.sweepJoin(id, bs, tk, c, sink, ws)
 	case LocalJoinNested:
-		t.nestedJoin(n, bs, tk, c, sink)
+		t.nestedJoin(id, bs, tk, c, sink)
 	default:
 		panic("core: unknown local join kind")
 	}
@@ -79,12 +79,12 @@ func (t *Tree) localJoin(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.C
 // probe tasks, see probeTasks — probe the cells they overlap. Depending
 // on the configuration, duplicate candidates are skipped before the test
 // (canonical-cell rule) or discarded after it (reference-point method).
-func (t *Tree) gridJoin(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink, ws *joinScratch) {
-	tasks := ws.probeTasks(n, bs, tk, c)
+func (t *Tree) gridJoin(id int32, bs []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink, ws *joinScratch) {
+	tasks := ws.probeTasks(t, id, bs, tk, c)
 	if tk.Stopped() {
 		return
 	}
-	g, csr := t.nodeGrid(n, bs, c, ws)
+	g, csr := t.nodeGrid(id, bs, c, ws)
 	for i := range tasks {
 		t.gridProbe(g, csr, bs, &tasks[i], tk, c, sink)
 	}
@@ -92,8 +92,8 @@ func (t *Tree) gridJoin(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.Co
 
 // nodeGrid sizes and builds one node's grid in ws, charging its replicas
 // to c and its analytic footprint to the scratch's peak.
-func (t *Tree) nodeGrid(n *Node, bs []geom.Object, c *stats.Counters, ws *joinScratch) (*grid.Grid, *csrGrid) {
-	g, replicas := t.boundedGrid(n, bs, ws)
+func (t *Tree) nodeGrid(id int32, bs []geom.Object, c *stats.Counters, ws *joinScratch) (*grid.Grid, *csrGrid) {
+	g, replicas := t.boundedGrid(id, bs, ws)
 	csr := ws.buildCSR(g, replicas)
 	c.Replicas += csr.replicas
 	// Transient per-node grid footprint: remember the peak; Join adds it
@@ -124,15 +124,15 @@ const replicaSlack = 4
 // again, each pass as cheap as one filter pass of probeTasks. An estimate
 // that is not finite coarsens nothing. The cell ranges of the grid
 // returned are left in ws for buildCSR.
-func (t *Tree) boundedGrid(n *Node, bs []geom.Object, ws *joinScratch) (*grid.Grid, int64) {
-	g, work := t.localGrid(n, bs)
+func (t *Tree) boundedGrid(id int32, bs []geom.Object, ws *joinScratch) (*grid.Grid, int64) {
+	g, work := t.localGrid(id, bs)
 	replicas := ws.cellRanges(g, bs)
 	for float64(replicas) > replicaSlack*work && g.Cells() > 1 {
 		res := g.Res
 		for d := range res {
 			res[d] = (res[d] + 1) / 2
 		}
-		g = grid.NewRes(n.MBR, res)
+		g = grid.NewRes(t.table[id].mbr, res)
 		replicas = ws.cellRanges(g, bs)
 	}
 	return g, replicas
@@ -165,35 +165,38 @@ type probeTask struct {
 // The ticker is charged one unit per test, a filter pass at a time: a
 // cancelled join gives up within one pass over the node's B objects. The
 // tasks live in ws and are valid until its next probeTasks call.
-func (ws *joinScratch) probeTasks(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.Counters) []probeTask {
+func (ws *joinScratch) probeTasks(t *Tree, id int32, bs []geom.Object, tk *stats.Ticker, c *stats.Counters) []probeTask {
 	ws.tasks = ws.tasks[:0]
 	ws.idx = slices.Grow(ws.idx[:0], len(bs))
 	for i := range bs {
 		ws.idx = append(ws.idx, int32(i))
 	}
-	ws.descend(n, bs, 0, tk, c)
+	ws.descend(t, id, bs, 0, tk, c)
 	return ws.tasks
 }
 
-// descend is probeTasks below node n, for the B objects ws.idx[from:].
-func (ws *joinScratch) descend(n *Node, bs []geom.Object, from int, tk *stats.Ticker, c *stats.Counters) {
+// descend is probeTasks below node id, for the B objects ws.idx[from:].
+func (ws *joinScratch) descend(t *Tree, id int32, bs []geom.Object, from int, tk *stats.Ticker, c *stats.Counters) {
+	e := &t.table[id]
 	end := len(ws.idx)
-	if end-from > n.aCount() || (n.Leaf() && (end-from > leafBlock || len(n.blocks) < 2)) {
-		ws.emit(n.aStart, n.aEnd, bs, from)
+	leaf := e.leaf(id)
+	if end-from > e.aCount() || (leaf && (end-from > leafBlock || e.blocks() < 2)) {
+		ws.emit(e.aStart, e.aEnd, bs, from)
 		return
 	}
-	// A leaf has blocks and no children, an inner node children and no
-	// blocks: one of the two loops runs.
-	for i := range n.blocks {
-		if ws.meeting(&n.blocks[i], bs, from, end, tk, c) {
-			start := n.aStart + int32(i*leafBlock)
-			ws.emit(start, min(start+leafBlock, n.aEnd), bs, end)
+	if leaf {
+		for bi := int32(0); bi < e.blocks(); bi++ {
+			if ws.meeting(&t.blocks[e.block+bi], bs, from, end, tk, c) {
+				start := e.aStart + bi*leafBlock
+				ws.emit(start, min(start+leafBlock, e.aEnd), bs, end)
+			}
+			ws.idx = ws.idx[:end]
 		}
-		ws.idx = ws.idx[:end]
+		return
 	}
-	for _, ch := range n.Children {
-		if ws.meeting(&ch.MBR, bs, from, end, tk, c) {
-			ws.descend(ch, bs, end, tk, c)
+	for ch := id + 1; ch < e.skip; ch = t.table[ch].skip {
+		if ws.meeting(&t.table[ch].mbr, bs, from, end, tk, c) {
+			ws.descend(t, ch, bs, end, tk, c)
 		}
 		ws.idx = ws.idx[:end]
 	}
@@ -325,18 +328,19 @@ const cellHalvings = 4
 // replicas and cell lookups it adds; an estimate that is not finite
 // keeps the paper's side. The estimate of the side taken is returned with
 // the grid.
-func (t *Tree) localGrid(n *Node, bs []geom.Object) (*grid.Grid, float64) {
+func (t *Tree) localGrid(id int32, bs []geom.Object) (*grid.Grid, float64) {
+	n := &t.table[id]
 	extB := geom.Dataset(bs).AverageExtent()
 	extA := 0.0
 	if n.aCount() > 0 {
-		extA = n.extSumA / float64(n.aCount())
+		extA = t.extSum[id] / float64(n.aCount())
 	}
 	side := max(extA, extB) * t.cfg.CellFactor
 	if side <= 0 {
 		// Degenerate (point) objects: fall back to the resolution cap.
 		maxExt := 0.0
 		for d := 0; d < geom.Dims; d++ {
-			if e := n.MBR.Extent(d); e > maxExt {
+			if e := n.mbr.Extent(d); e > maxExt {
 				maxExt = e
 			}
 		}
@@ -348,7 +352,7 @@ func (t *Tree) localGrid(n *Node, bs []geom.Object) (*grid.Grid, float64) {
 	// csr.go keeps cell coordinates in int32.
 	maxRes := min(t.cfg.LocalCells, math.MaxInt32)
 	work := func(s float64) float64 {
-		return gridWork(n.MBR, grid.ResFor(n.MBR, s, maxRes), float64(n.aCount()), float64(len(bs)), extA, extB)
+		return gridWork(n.mbr, grid.ResFor(n.mbr, s, maxRes), float64(n.aCount()), float64(len(bs)), extA, extB)
 	}
 	best, bestWork := side, work(side)
 	if !math.IsInf(bestWork, 0) && !math.IsNaN(bestWork) {
@@ -359,7 +363,7 @@ func (t *Tree) localGrid(n *Node, bs []geom.Object) (*grid.Grid, float64) {
 			}
 		}
 	}
-	return grid.NewCellSize(n.MBR, best, maxRes), bestWork
+	return grid.NewCellSize(n.mbr, best, maxRes), bestWork
 }
 
 // gridWork estimates a node's local-join work on a grid of the given
@@ -392,9 +396,9 @@ func gridWork(mbr geom.Box, res grid.Coords, nA, nB, extA, extB float64) float64
 // objects. The A objects are copied into worker scratch before sorting
 // (the arena must stay in leaf order); the B segment is private to the
 // probe and rewritten by its next Assign, so it is sorted in place.
-func (t *Tree) sweepJoin(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink, ws *joinScratch) {
+func (t *Tree) sweepJoin(id int32, bs []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink, ws *joinScratch) {
 	byXMin := func(a, b geom.Object) int { return cmp.Compare(a.Box.Min[0], b.Box.Min[0]) }
-	as := append(ws.aObjs[:0], t.subtreeA(n)...)
+	as := append(ws.aObjs[:0], t.subtreeA(id)...)
 	ws.aObjs = as
 	slices.SortFunc(as, byXMin)
 	slices.SortFunc(bs, byXMin)
@@ -408,8 +412,8 @@ func (t *Tree) sweepJoin(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.C
 }
 
 // nestedJoin is the unpartitioned local join: all pairs.
-func (t *Tree) nestedJoin(n *Node, bs []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink) {
-	as := t.subtreeA(n)
+func (t *Tree) nestedJoin(id int32, bs []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink) {
+	as := t.subtreeA(id)
 	for ai := range as {
 		a := &as[ai]
 		for i := range bs {

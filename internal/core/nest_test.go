@@ -48,51 +48,43 @@ func checkNests(t *testing.T, name string, tr *Tree, ds geom.Dataset, cfg Config
 	if tr.Leaves != len(groups)-1 {
 		t.Fatalf("%s: %d leaves, STR cut %d groups", name, tr.Leaves, len(groups)-1)
 	}
-	if h := measureHeight(tr.Root); tr.Height != h {
-		t.Errorf("%s: Height %d, the longest root-to-leaf path has %d nodes", name, tr.Height, h)
+	if d := leafDepths(tr); tr.Height != d[len(d)-1]+1 {
+		t.Errorf("%s: Height %d, the longest root-to-leaf path has %d nodes", name, tr.Height, d[len(d)-1]+1)
 	}
-	if tr.Nodes != len(tr.nodes) {
-		t.Errorf("%s: Nodes %d, the table holds %d", name, tr.Nodes, len(tr.nodes))
+	if tr.Nodes != len(tr.table) {
+		t.Errorf("%s: Nodes %d, the table holds %d", name, tr.Nodes, len(tr.table))
 	}
-
-	leaf := 0
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.Leaf() {
-			if n.aStart != groups[leaf] {
-				t.Fatalf("%s: leaf %d begins at arena %d, STR's group %d at %d", name, n.id, n.aStart, leaf, groups[leaf])
-			}
-			leaf++
-		}
-		for i, ch := range n.Children {
-			// Children are consecutive arena ranges, in order.
-			want := n.aStart
-			if i > 0 {
-				want = n.Children[i-1].aEnd
-			}
-			if ch.aStart != want {
-				t.Fatalf("%s: node %d child %d begins at arena %d, want %d", name, n.id, i, ch.aStart, want)
-			}
-			walk(ch)
-		}
-	}
-	walk(tr.Root)
 
 	// inRun reports whether the node's arena range lies inside one run of
 	// the cut along dimension d.
-	inRun := func(d int, n *Node) bool {
+	inRun := func(d int, n *entry) bool {
 		i, _ := slices.BinarySearch(stages[d], n.aStart+1) // the end of the run aStart lies in
 		return stages[d][i] >= n.aEnd
 	}
-	for _, n := range tr.nodes {
-		if n.Leaf() {
+	leaf := 0
+	for i := range tr.table {
+		id, n := int32(i), &tr.table[i]
+		if n.leaf(id) {
+			if n.aStart != groups[leaf] {
+				t.Fatalf("%s: leaf %d begins at arena %d, STR's group %d at %d", name, id, n.aStart, leaf, groups[leaf])
+			}
+			leaf++
 			continue
 		}
-		if len(n.Children) < 2 || len(n.Children) > cfg.Fanout {
-			t.Errorf("%s: node %d has %d children under fanout %d", name, n.id, len(n.Children), cfg.Fanout)
+		chs := tr.children(id)
+		if len(chs) < 2 || len(chs) > cfg.Fanout {
+			t.Errorf("%s: node %d has %d children under fanout %d", name, id, len(chs), cfg.Fanout)
 		}
-		if last := n.Children[len(n.Children)-1]; last.aEnd != n.aEnd {
-			t.Errorf("%s: node %d ends at arena %d, its children at %d", name, n.id, n.aEnd, last.aEnd)
+		// Children are consecutive arena ranges, in order.
+		want := n.aStart
+		for j, ch := range chs {
+			if c := &tr.table[ch]; c.aStart != want {
+				t.Fatalf("%s: node %d child %d begins at arena %d, want %d", name, id, j, c.aStart, want)
+			}
+			want = tr.table[ch].aEnd
+		}
+		if want != n.aEnd {
+			t.Errorf("%s: node %d ends at arena %d, its children at %d", name, id, n.aEnd, want)
 		}
 		// The node splits along the innermost cut that does not hold all
 		// of it in one run: tiles of one run are split in the last
@@ -105,18 +97,18 @@ func checkNests(t *testing.T, name string, tr *Tree, ds geom.Dataset, cfg Config
 			}
 		}
 		// Its children are whole runs of that cut: nothing is cut across.
-		for _, ch := range n.Children {
-			if _, ok := slices.BinarySearch(stages[dim], ch.aStart); !ok {
-				t.Errorf("%s: node %d splits in dimension %d, but child %d begins inside a run of that cut", name, n.id, dim, ch.id)
+		for _, ch := range chs {
+			if _, ok := slices.BinarySearch(stages[dim], tr.table[ch].aStart); !ok {
+				t.Errorf("%s: node %d splits in dimension %d, but child %d begins inside a run of that cut", name, id, dim, ch)
 			}
 		}
 		// Siblings ascend by centre along the split, so they overlap there
 		// by an object's extent at most.
-		for i, left := range n.Children {
-			for _, right := range n.Children[i+1:] {
-				if over := left.MBR.Max[dim] - right.MBR.Min[dim]; over > maxExt[dim]*(1+1e-12) {
+		for j, left := range chs {
+			for _, right := range chs[j+1:] {
+				if over := tr.table[left].mbr.Max[dim] - tr.table[right].mbr.Min[dim]; over > maxExt[dim]*(1+1e-12) {
 					t.Errorf("%s: node %d splits in dimension %d, where children %d and %d overlap by %g; the largest object spans %g",
-						name, n.id, dim, left.id, right.id, over, maxExt[dim])
+						name, id, dim, left, right, over, maxExt[dim])
 				}
 			}
 		}
@@ -161,8 +153,8 @@ func TestUpperLevelsNest(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			if !slices.Equal(trees[0].table, trees[1].table) || !slices.Equal(trees[0].arena, trees[1].arena) ||
-				!slices.Equal(trees[0].blocks, trees[1].blocks) {
+			if !slices.Equal(trees[0].table, trees[1].table) || !slices.Equal(trees[0].extSum, trees[1].extSum) ||
+				!slices.Equal(trees[0].arena, trees[1].arena) || !slices.Equal(trees[0].blocks, trees[1].blocks) {
 				t.Errorf("%s: two concurrent builds of one dataset differ", name)
 			}
 			checkNests(t, name, trees[0], tc.ds, cfg)

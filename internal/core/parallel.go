@@ -94,7 +94,7 @@ func (p *Probe) joinParallel(ctl *stats.Control, c *stats.Counters, sink stats.S
 	bigCut := total/int64(2*workers) + 1
 	p.big, p.small = p.big[:0], p.small[:0]
 	for _, id := range p.active {
-		if gridKind && p.joinCost(id) >= bigCut && t.nodes[id].aCount() >= 4*workers {
+		if gridKind && p.joinCost(id) >= bigCut && t.table[id].aCount() >= 4*workers {
 			p.big = append(p.big, id)
 		} else {
 			p.small = append(p.small, id)
@@ -122,14 +122,13 @@ func (p *Probe) joinParallel(ctl *stats.Control, c *stats.Counters, sink stats.S
 		if ctl.Stopped() {
 			break
 		}
-		n := t.nodes[id]
 		bs := p.nodeB(id)
 		ws0 := p.scratches[0]
-		tasks := ws0.probeTasks(n, bs, &tk0, c)
+		tasks := ws0.probeTasks(t, id, bs, &tk0, c)
 		if tk0.Stopped() {
 			break
 		}
-		g, csr := t.nodeGrid(n, bs, c, ws0)
+		g, csr := t.nodeGrid(id, bs, c, ws0)
 		total := 0
 		for i := range tasks {
 			total += int(tasks[i].aEnd - tasks[i].aStart)
@@ -176,7 +175,7 @@ func (p *Probe) joinParallel(ctl *stats.Control, c *stats.Counters, sink stats.S
 					break
 				}
 				id := small[i]
-				t.localJoin(t.nodes[id], p.nodeB(id), &tk, &counters[w], batches[w], p.scratches[w])
+				t.localJoin(id, p.nodeB(id), &tk, &counters[w], batches[w], p.scratches[w])
 			}
 			batches[w].Flush()
 		}(w)

@@ -214,27 +214,23 @@ func TestArenaInvariant(t *testing.T) {
 		t.Fatalf("arena holds %d objects, want %d", len(tr.arena), len(a))
 	}
 	next := int32(0)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.Leaf() {
+	for i := range tr.table {
+		id, n := int32(i), &tr.table[i]
+		if n.leaf(id) {
 			if n.aStart != next {
 				t.Fatalf("leaf range starts at %d, want %d", n.aStart, next)
 			}
-			if !slices.EqualFunc(n.Entries, tr.arena[n.aStart:n.aEnd],
-				func(x, y geom.Object) bool { return x == y }) {
-				t.Fatal("leaf Entries do not alias their arena segment")
+			if es := tr.subtreeA(id); len(es) != n.aCount() || (len(es) > 0 && &es[0] != &tr.arena[n.aStart]) {
+				t.Fatal("a leaf's objects are not its arena segment")
 			}
 			next = n.aEnd
-			return
+			continue
 		}
-		if n.aStart != n.Children[0].aStart || n.aEnd != n.Children[len(n.Children)-1].aEnd {
+		chs := tr.children(id)
+		if n.aStart != tr.table[chs[0]].aStart || n.aEnd != tr.table[chs[len(chs)-1]].aEnd {
 			t.Fatalf("inner range [%d,%d) does not span its children", n.aStart, n.aEnd)
 		}
-		for _, ch := range n.Children {
-			walk(ch)
-		}
 	}
-	walk(tr.Root)
 	if next != int32(len(tr.arena)) {
 		t.Fatalf("leaves tile %d of %d arena slots", next, len(tr.arena))
 	}

@@ -107,22 +107,23 @@ type LevelStats struct {
 func (p *Probe) Levels() []LevelStats {
 	t := p.tree
 	levels := make([]LevelStats, t.Height)
-	depth := make([]int, len(t.nodes))
-	var walk func(n *Node, d int)
-	walk = func(n *Node, d int) {
-		depth[n.id] = d
-		l := &levels[d]
+	// Parents precede their children, so one pass front to back knows
+	// every node's depth by the time it reaches it.
+	depth := make([]int, len(t.table))
+	for i := range t.table {
+		id, e := int32(i), &t.table[i]
+		l := &levels[depth[i]]
 		l.Nodes++
-		if !n.Leaf() {
-			dim, share := n.split()
-			l.Split[dim]++
-			l.Overlap += share
+		if e.leaf(id) {
+			continue
 		}
-		for _, ch := range n.Children {
-			walk(ch, d+1)
+		dim, share := t.split(id)
+		l.Split[dim]++
+		l.Overlap += share
+		for ch := id + 1; ch < e.skip; ch = t.table[ch].skip {
+			depth[ch] = depth[i] + 1
 		}
 	}
-	walk(t.Root, 0)
 	for d := range levels {
 		l := &levels[d]
 		inner := 0
@@ -137,23 +138,26 @@ func (p *Probe) Levels() []LevelStats {
 		l := &levels[depth[id]]
 		l.Active++
 		l.AssignedB += len(p.nodeB(id))
-		l.ActiveA += t.nodes[id].aCount()
+		l.ActiveA += t.table[id].aCount()
 	}
 	return levels
 }
 
-// split returns the dimension in which the inner node's neighbouring
+// split returns the dimension in which the inner node i's neighbouring
 // children have the least in common, and how much that is as a share of
 // the node's extent there (0 for a node of no extent).
-func (n *Node) split() (dim int, share float64) {
+func (t *Tree) split(i int32) (dim int, share float64) {
+	e := &t.table[i]
 	share = math.Inf(1)
 	for d := 0; d < geom.Dims; d++ {
 		common := 0.0
-		for i, ch := range n.Children[1:] {
-			prev := n.Children[i]
-			common += max(0, min(prev.MBR.Max[d], ch.MBR.Max[d])-max(prev.MBR.Min[d], ch.MBR.Min[d]))
+		prev := &t.table[i+1]
+		for ch := prev.skip; ch < e.skip; ch = prev.skip {
+			next := &t.table[ch]
+			common += max(0, min(prev.mbr.Max[d], next.mbr.Max[d])-max(prev.mbr.Min[d], next.mbr.Min[d]))
+			prev = next
 		}
-		if ext := n.MBR.Extent(d); ext > 0 {
+		if ext := e.mbr.Extent(d); ext > 0 {
 			common /= ext
 		}
 		if common < share {
@@ -276,14 +280,14 @@ func (p *Probe) JoinPhase(ctl *stats.Control, c *stats.Counters, sink stats.Sink
 		if tk.Stopped() {
 			break
 		}
-		t.localJoin(t.nodes[id], p.nodeB(id), &tk, c, sink, ws)
+		t.localJoin(id, p.nodeB(id), &tk, c, sink, ws)
 	}
 	p.peakGridBytes = ws.peakBytes
 }
 
 // joinCost estimates node id's local-join work for this probe.
 func (p *Probe) joinCost(id int32) int64 {
-	return int64(len(p.nodeB(id))) * int64(p.tree.nodes[id].aCount())
+	return int64(len(p.nodeB(id))) * int64(p.tree.table[id].aCount())
 }
 
 // scratch returns worker w's reusable buffer arena, growing the pool on

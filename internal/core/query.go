@@ -14,12 +14,11 @@ import (
 // indexed dataset A, reusing the same immutable structure: node MBRs
 // prune the descent, the dense-DFS arena layout turns every subtree
 // into one contiguous [aStart, aEnd) scan, and inside a leaf the block
-// directory prunes once more, leafBlock objects at a time. The queries
-// read the hierarchy from the probe table (probeEntry), never from the
-// nodes: pre-order with skip links needs no stack, so the range walk is
-// one forward pass and all that is left of the traversal state — the kNN
-// queue, the result buffers, the sort's scratch — lives in the Probe's
-// queryScratch and recycles across queries; steady-state serving
+// directory prunes once more, leafBlock objects at a time. Pre-order with
+// skip links (entry) needs no stack, so the range walk is one forward
+// pass over the node table and all that is left of the traversal state —
+// the kNN queue, the result buffers, the sort's scratch — lives in the
+// Probe's queryScratch and recycles across queries; steady-state serving
 // allocates nothing inside the traversal.
 //
 // None of that state belongs to a particular tree, so one probe can walk
@@ -68,7 +67,7 @@ func (p *Probe) RangeQuery(q geom.Box, c *stats.Counters, upper ...*Tree) []geom
 }
 
 // rangeQuery appends t's answer to q, ascending, to s.ids. It walks the
-// probe table front to back: a node that misses q is left by its skip
+// node table front to back: a node that misses q is left by its skip
 // link, and so is one q contains, after its arena range is emitted; any
 // other inner node is followed by its first child, any other leaf is
 // scanned block by block and followed by its skip link, the next entry.
@@ -127,12 +126,12 @@ func (s *queryScratch) emit(es []geom.Object) {
 
 // blocks returns how many blocks the leaf entry e has in the directory
 // (an inner node has none of its own; its entry's count means nothing).
-func (e *probeEntry) blocks() int32 {
+func (e *entry) blocks() int32 {
 	return (e.aEnd - e.aStart + leafBlock - 1) / leafBlock
 }
 
 // block returns the objects of block bi of the leaf entry e.
-func (t *Tree) block(e *probeEntry, bi int32) []geom.Object {
+func (t *Tree) block(e *entry, bi int32) []geom.Object {
 	start := e.aStart + bi*leafBlock
 	return t.arena[start:min(start+leafBlock, e.aEnd)]
 }

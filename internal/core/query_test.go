@@ -381,7 +381,7 @@ func TestQueryCountsGolden(t *testing.T) {
 		p := tr.NewProbe()
 		// Query shapes in the dataset's own universe: boxes from point-like
 		// to a third of its extent per side, points anywhere inside it.
-		mbr, rng := tr.Root.MBR, rand.New(rand.NewSource(4242))
+		mbr, rng := tr.table[0].mbr, rand.New(rand.NewSource(4242))
 		var rc, kc stats.Counters
 		for i := 0; i < 64; i++ {
 			var lo, hi, pt geom.Point

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -15,57 +14,84 @@ import (
 	"touch/internal/stats"
 )
 
-// subtreeSize counts the nodes of n's subtree by its pointers.
-func subtreeSize(n *Node) int32 {
-	size := int32(1)
-	for _, ch := range n.Children {
-		size += subtreeSize(ch)
+// children returns the ids of node i's children, in order: the one way
+// the tests walk the tree.
+func (t *Tree) children(i int32) []int32 {
+	var chs []int32
+	for ch := i + 1; ch < t.table[i].skip; ch = t.table[ch].skip {
+		chs = append(chs, ch)
 	}
-	return size
+	return chs
 }
 
-// checkTable asserts the probe table invariants of a tree against its
-// nodes: one entry per node at the node's id; skip is the id plus the size
-// of the subtree, so a leaf's is the next id; MBR and arena range are the
-// node's, bit for bit; and the leaves' block offsets, in id order, tile
-// the block directory exactly — a leaf's blocks start where the previous
-// leaf's ended and are the ones its node holds.
+// leafDepths returns the distinct depths of the tree's leaves, ascending.
+func leafDepths(tr *Tree) []int {
+	var depths []int
+	depth := make([]int, len(tr.table))
+	for i := range tr.table {
+		if id := int32(i); tr.table[i].leaf(id) && !slices.Contains(depths, depth[i]) {
+			depths = append(depths, depth[i])
+		}
+		for _, ch := range tr.children(int32(i)) {
+			depth[ch] = depth[i] + 1
+		}
+	}
+	slices.Sort(depths)
+	return depths
+}
+
+// checkTable asserts the invariants of a built tree's table against brute
+// force, reading no link to establish another: one entry and one extent
+// sum per node, exactly allocated; skip is the id plus the size of the
+// subtree, counted as the entries that follow with an arena range inside
+// the node's (every node of a built tree holds objects, and no inner node
+// has one child, so a range inside it is a descendant's), which makes a
+// leaf's the next id; an MBR is the union of the arena objects below the
+// node, bit for bit; the children's arena ranges tile the node's, the
+// root's is the arena; and the leaves' block offsets, in id order, tile
+// the block directory exactly, each block a run of leafBlock arena objects
+// but the leaf's last.
 func checkTable(t *testing.T, name string, tr *Tree) {
 	t.Helper()
-	if len(tr.table) != len(tr.nodes) || cap(tr.table) != len(tr.table) {
-		t.Fatalf("%s: %d table entries (cap %d) for %d nodes", name, len(tr.table), cap(tr.table), len(tr.nodes))
+	if len(tr.table) != tr.Nodes || cap(tr.table) != tr.Nodes || len(tr.extSum) != tr.Nodes || cap(tr.extSum) != tr.Nodes {
+		t.Fatalf("%s: %d table entries (cap %d), %d extent sums (cap %d) for %d nodes",
+			name, len(tr.table), cap(tr.table), len(tr.extSum), cap(tr.extSum), tr.Nodes)
 	}
-	next := int32(0) // next unclaimed entry of tr.blocks
-	for i, n := range tr.nodes {
+	if root := &tr.table[0]; root.aStart != 0 || int(root.aEnd) != len(tr.arena) || int(root.skip) != tr.Nodes {
+		t.Fatalf("%s: the root covers arena [%d,%d) and ends at node %d; %d objects, %d nodes", name, root.aStart, root.aEnd, root.skip, len(tr.arena), tr.Nodes)
+	}
+	next, leaves := int32(0), 0 // next unclaimed entry of tr.blocks
+	for i := range tr.table {
 		id, e := int32(i), &tr.table[i]
-		if want := id + subtreeSize(n); e.skip != want {
+		want := id + 1
+		for int(want) < len(tr.table) && tr.table[want].aStart >= e.aStart && tr.table[want].aEnd <= e.aEnd {
+			want++
+		}
+		if e.skip != want {
 			t.Fatalf("%s: node %d skip %d, want %d", name, id, e.skip, want)
 		}
-		if e.leaf(id) != n.Leaf() {
-			t.Fatalf("%s: node %d reads as a leaf: %v, is one: %v", name, id, e.leaf(id), n.Leaf())
-		}
-		for d := 0; d < geom.Dims; d++ {
-			if math.Float64bits(e.mbr.Min[d]) != math.Float64bits(n.MBR.Min[d]) || math.Float64bits(e.mbr.Max[d]) != math.Float64bits(n.MBR.Max[d]) {
-				t.Fatalf("%s: node %d entry MBR %v, node MBR %v", name, id, e.mbr, n.MBR)
-			}
-		}
-		if e.aStart != n.aStart || e.aEnd != n.aEnd {
-			t.Fatalf("%s: node %d entry range [%d,%d), node range [%d,%d)", name, id, e.aStart, e.aEnd, n.aStart, n.aEnd)
+		if union := geom.Dataset(tr.arena[e.aStart:e.aEnd]).MBR(); e.mbr != union {
+			t.Fatalf("%s: node %d MBR %v, its objects' %v", name, id, e.mbr, union)
 		}
 		if e.block != next {
 			t.Fatalf("%s: node %d first block %d, the blocks before it end at %d", name, id, e.block, next)
 		}
-		if !n.Leaf() {
+		if !e.leaf(id) {
+			covered := e.aStart
+			for _, ch := range tr.children(id) {
+				if c := &tr.table[ch]; c.aStart != covered || c.aEnd <= c.aStart {
+					t.Fatalf("%s: node %d child %d covers arena [%d,%d), its siblings before it end at %d", name, id, ch, c.aStart, c.aEnd, covered)
+				}
+				covered = tr.table[ch].aEnd
+			}
+			if covered != e.aEnd {
+				t.Fatalf("%s: node %d [%d,%d): children end at %d", name, id, e.aStart, e.aEnd, covered)
+			}
 			continue
 		}
-		if int(e.blocks()) != len(n.blocks) {
-			t.Fatalf("%s: leaf %d has %d blocks by its entry, %d by its node", name, id, e.blocks(), len(n.blocks))
-		}
+		leaves++
 		covered := e.aStart
 		for bi := int32(0); bi < e.blocks(); bi++ {
-			if &tr.blocks[e.block+bi] != &n.blocks[bi] {
-				t.Fatalf("%s: leaf %d block %d is not directory entry %d", name, id, bi, e.block+bi)
-			}
 			es := tr.block(e, bi)
 			if len(es) == 0 || &es[0] != &tr.arena[covered] || (len(es) != leafBlock && bi != e.blocks()-1) {
 				t.Fatalf("%s: leaf %d block %d: %d objects from arena %d", name, id, bi, len(es), covered)
@@ -80,6 +106,9 @@ func checkTable(t *testing.T, name string, tr *Tree) {
 	if int(next) != len(tr.blocks) {
 		t.Fatalf("%s: the leaves' entries claim %d blocks, the directory holds %d", name, next, len(tr.blocks))
 	}
+	if leaves != tr.Leaves {
+		t.Fatalf("%s: %d leaves in the table, Leaves is %d", name, leaves, tr.Leaves)
+	}
 }
 
 // TestProbeTable checks the table on fresh and on thawed trees — fanouts
@@ -87,8 +116,8 @@ func checkTable(t *testing.T, name string, tr *Tree) {
 // exactly leafBlock objects and of one more — and that a thaw rebuilds
 // the table of the tree it froze.
 func TestProbeTable(t *testing.T) {
-	if size := unsafe.Sizeof(probeEntry{}); size != bytesPerProbeEntry {
-		t.Fatalf("a probe table entry is %d bytes, StaticBytes counts %d", size, bytesPerProbeEntry)
+	if size := unsafe.Sizeof(entry{}); size != bytesPerEntry {
+		t.Fatalf("a table entry is %d bytes, StaticBytes counts %d", size, bytesPerEntry)
 	}
 	type tc struct {
 		name string
@@ -122,13 +151,13 @@ func TestProbeTable(t *testing.T) {
 			t.Fatalf("%s: Thaw: %v", tc.name, err)
 		}
 		checkTable(t, tc.name+"/thawed", thawed)
-		if !slices.Equal(thawed.table, fresh.table) {
+		if !slices.Equal(thawed.table, fresh.table) || !slices.Equal(thawed.extSum, fresh.extSum) {
 			t.Fatalf("%s: the thawed table differs from the fresh one", tc.name)
 		}
 	}
 }
 
-// TestConcurrentQueriesOneTree: the probe table and the block directory
+// TestConcurrentQueriesOneTree: the node table and the block directory
 // are read-only state every probe of a tree shares. Eight goroutines,
 // each with a private probe, run range queries and kNN searches over one
 // tree — answers long enough for the radix sort among them — and must

@@ -16,7 +16,7 @@ func nodeTasks(tr *Tree, p *Probe, c *stats.Counters) map[int32][]probeTask {
 	ws := &joinScratch{}
 	out := make(map[int32][]probeTask, len(p.active))
 	for _, id := range p.active {
-		out[id] = append([]probeTask(nil), ws.probeTasks(tr.nodes[id], p.nodeB(id), nil, c)...)
+		out[id] = append([]probeTask(nil), ws.probeTasks(tr, id, p.nodeB(id), nil, c)...)
 	}
 	return out
 }
@@ -68,7 +68,7 @@ func TestProbeTasksLoseNoPair(t *testing.T) {
 			}
 			tasks := nodeTasks(tr, p, &c)
 			for id, ts := range tasks {
-				n := tr.nodes[id]
+				n := &tr.table[id]
 				next := n.aStart
 				for _, task := range ts {
 					if task.aStart < next || task.aEnd <= task.aStart || task.aEnd > n.aEnd {
@@ -122,7 +122,7 @@ func TestSmallProbeSkipsTheIndex(t *testing.T) {
 		p.Assign(b, nil, &c)
 		below, visited, longest := 0, 0, 0
 		for id, ts := range nodeTasks(tr, p, &c) {
-			below += tr.nodes[id].aCount()
+			below += tr.table[id].aCount()
 			for _, task := range ts {
 				visited += int(task.aEnd - task.aStart)
 				longest = max(longest, int(task.aEnd-task.aStart))
@@ -188,7 +188,7 @@ func TestJoinCountsGolden(t *testing.T) {
 			b:    datagen.UniformSet(60_000, 43),
 			want: joinCounts{
 				Comparisons: 30623, NodeTests: 1437388, Filtered: 1526, Results: 1551, Replicas: 62092,
-				StaticBytes: 591808, ProbeBytes: 514056,
+				StaticBytes: 351928, ProbeBytes: 514056,
 			},
 		},
 		{
@@ -199,7 +199,7 @@ func TestJoinCountsGolden(t *testing.T) {
 			b:    dendrites.Objects().Expand(5),
 			want: joinCounts{
 				Comparisons: 98619, NodeTests: 324028, Filtered: 17835, Results: 22883, Replicas: 50774,
-				StaticBytes: 534848, ProbeBytes: 162784,
+				StaticBytes: 294968, ProbeBytes: 162784,
 			},
 		},
 		{
@@ -213,7 +213,7 @@ func TestJoinCountsGolden(t *testing.T) {
 			cfg:  Config{Partitions: 16},
 			want: joinCounts{
 				Comparisons: 447, NodeTests: 1170, Filtered: 0, Results: 167, Replicas: 157,
-				StaticBytes: 59472, ProbeBytes: 3040,
+				StaticBytes: 55272, ProbeBytes: 3040,
 			},
 		},
 	} {

@@ -53,18 +53,27 @@
 //
 // # Flat layout invariant
 //
-// After Build, all A objects live in one contiguous arena slice — the
-// one STR ordered them into, never copied — leaf by leaf in tree (DFS)
-// order: every node's subtree covers exactly
-// the half-open arena range [aStart, aEnd), leaves included, so local
-// joins read their A objects as a zero-copy slice view instead of
-// re-walking the subtree. Leaf Entries slices alias the arena; nothing
-// may reorder the arena after Build (local joins that need a different
-// order, e.g. the plane-sweep, must copy first — B objects live in the
-// probe's private CSR and may be reordered freely). One walk stamps
-// every node's dense id in DFS pre-order, so ascending node ids are the
-// sequential processing order and a Probe can address per-node B
-// segments by id without touching the shared nodes.
+// The tree is a table: one 64-byte entry per node (entry), in DFS
+// pre-order, the root first, so a node's dense id is its index, the
+// entries of its subtree are the run that follows it, and every entry
+// holds the id of the first node after that run. Nothing points at
+// anything. A pre-order walk that skips a subtree by jumping there needs
+// no stack — a range query is one forward pass over the table — and every
+// other reader finds a node's children as the entries at i+1, skip, skip,
+// …: the assignment descent, the join's filter descent, a kNN search,
+// Levels, Freeze and Thaw's check. Build appends the entries in that order
+// and Thaw writes them in one pass over the frozen nodes; ascending node
+// ids are the sequential processing order, and a Probe addresses per-node
+// B segments by id without touching the shared tree.
+//
+// All A objects live in one contiguous arena slice — the one STR ordered
+// them into, never copied — leaf by leaf in the same order: every node's
+// subtree covers exactly the half-open arena range [aStart, aEnd), leaves
+// included, so local joins read their A objects as a zero-copy slice view
+// instead of re-walking the subtree. Nothing may reorder the arena after
+// Build (local joins that need a different order, e.g. the plane-sweep,
+// must copy first — B objects live in the probe's private CSR and may be
+// reordered freely).
 //
 // Under every leaf sits a block directory: one MBR per leafBlock
 // consecutive arena objects of the leaf, so a single probe — a range
@@ -78,14 +87,6 @@
 // query answers. The directory is derived state: one arena pass at the
 // end of Build fills it, Thaw rebuilds it over whatever order the frozen
 // arena holds, and it is never serialized.
-//
-// The same pass lays out the probe table, the form of the hierarchy the
-// single-probe queries read: one 64-byte entry per node, in the node
-// table's DFS pre-order, holding the node's MBR, its arena range, its
-// first block and the id of the first node after its subtree. A pre-order
-// walk that skips a subtree by jumping there needs no stack and follows no
-// pointer — a range query is one forward pass over the table, a kNN search
-// reads a node's children as the entries at i+1, skip, skip, … (probeEntry).
 //
 // Both the assignment and join phases run in parallel when the probe's
 // worker count is > 1; results and counters are identical to the
@@ -170,85 +171,58 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Node is one node of the TOUCH partitioning tree. Leaves reference
-// objects of dataset A (Entries). Nodes are immutable after Build; the
-// B objects a join assigns to a node live in that join's Probe, keyed
-// by the node's dense id.
-type Node struct {
-	MBR      geom.Box
-	Children []*Node
-	Entries  []geom.Object // A objects; leaves only, aliasing the tree arena
-
-	// blocks is the leaf's stretch of the block directory: blocks[i] is
-	// the MBR of Entries[i*leafBlock : (i+1)*leafBlock]. A leaf of at most
-	// leafBlock objects has one block, equal to its own MBR; an empty leaf
-	// has none. Leaves only, aliasing Tree.blocks.
-	blocks []geom.Box
-
-	// [aStart, aEnd) is the subtree's range in the tree arena (see the
-	// flat layout invariant in the package comment).
-	aStart, aEnd int32
-
-	// id is the node's dense index in Tree.nodes, stamped in DFS
-	// pre-order; probes use it to address per-node B segments.
-	id int32
-
-	// extSumA is the subtree's summed mean box extent, maintained at
-	// build time together with the arena range to size the local-join
-	// grid.
-	extSumA float64
-}
-
-// Leaf reports whether the node is a leaf of the tree.
-func (n *Node) Leaf() bool { return len(n.Children) == 0 }
-
-// aCount returns the number of A objects below the node.
-func (n *Node) aCount() int { return int(n.aEnd - n.aStart) }
-
 // Tree is the hierarchical data-oriented partitioning built on dataset
 // A. It is immutable after Build: every method is read-only, so a single
 // Tree safely serves concurrent probes.
 type Tree struct {
-	Root   *Node
 	Height int // nodes on the longest root-to-leaf path, 1 = single leaf
 	Nodes  int
 	Leaves int
 	SizeA  int // objects indexed
 	cfg    Config
 
-	// nodes indexes every node by its dense id, in DFS pre-order.
-	nodes []*Node
-
 	// arena holds all A objects contiguously, ordered leaf by leaf in
 	// DFS order, which is STR's output order; node [aStart, aEnd) ranges
 	// index into it.
 	arena []geom.Object
 
-	// blocks is the block directory of all leaves, in arena order (see
-	// Node.blocks and index).
-	blocks []geom.Box
+	// table is the hierarchy: one entry per node at the node's dense id,
+	// in DFS pre-order, the root first (see entry).
+	table []entry
 
-	// table is the probe table, entry i describing nodes[i] (see
-	// probeEntry and index).
-	table []probeEntry
+	// extSum[i] is the summed mean box extent of the A objects below node
+	// i, kept beside the table because only the local-join grid sizing and
+	// the snapshot read it.
+	extSum []float64
+
+	// blocks is the block directory of all leaves, in arena order: the
+	// blocks of the leaf entry e are blocks[e.block : e.block+e.blocks()],
+	// block bi the MBR of the leaf's objects [bi*leafBlock,
+	// (bi+1)*leafBlock). A leaf of at most leafBlock objects has one
+	// block, equal to its own MBR; an empty leaf has none.
+	blocks []geom.Box
 }
 
-// probeEntry is one node as the single-probe queries see it: everything
-// a range walk or a kNN search reads about the node in one cache line, at
-// the node's dense id. The entries of a subtree are the contiguous run
-// [i, skip), so skip is where a walk continues once node i is pruned or
-// emitted whole, the children of an inner node are the entries i+1,
-// table[i+1].skip, … up to skip, and a leaf is an entry whose skip is
-// i+1. Derived like the block directory, never serialized.
-type probeEntry struct {
+// entry is one node of the tree: everything an assignment, a join's
+// filter descent, a range walk or a kNN search reads about it, in one
+// cache line at the node's dense id. The entries of a subtree are the
+// contiguous run [i, skip), so skip is where a walk continues once node i
+// is pruned or emitted whole, the children of an inner node are the
+// entries i+1, table[i+1].skip, … up to skip, and a leaf is an entry whose
+// skip is i+1. Nodes are immutable after Build; the B objects a join
+// assigns to a node live in that join's Probe, keyed by the id.
+type entry struct {
 	mbr          geom.Box
 	skip         int32 // id of the first node after the subtree
 	aStart, aEnd int32 // the subtree's arena range
 	block        int32 // index in Tree.blocks of the subtree's first block
 }
 
-// leaf reports whether entry i of the probe table, e, is a leaf.
-func (e *probeEntry) leaf(i int32) bool { return e.skip == i+1 }
+// leaf reports whether entry i of the table, e, is a leaf.
+func (e *entry) leaf(i int32) bool { return e.skip == i+1 }
+
+// aCount returns the number of A objects below the node.
+func (e *entry) aCount() int { return int(e.aEnd - e.aStart) }
 
 // Workers returns the tree's default worker count, the one probes start
 // with (Probe.SetWorkers overrides it per query).
@@ -268,10 +242,11 @@ func (t *Tree) MaxID() geom.ID {
 	return maxID
 }
 
-// subtreeA returns the A objects of the node's descendant leaves as a
+// subtreeA returns the A objects of node i's descendant leaves as a
 // zero-copy view into the arena.
-func (t *Tree) subtreeA(n *Node) []geom.Object {
-	return t.arena[n.aStart:n.aEnd:n.aEnd]
+func (t *Tree) subtreeA(i int32) []geom.Object {
+	e := &t.table[i]
+	return t.arena[e.aStart:e.aEnd:e.aEnd]
 }
 
 // Build runs the tree-building phase on dataset A: Algorithm 2's leaves,
@@ -282,126 +257,106 @@ func Build(a geom.Dataset, cfg Config) *Tree {
 	cfg.fillDefaults()
 	t := &Tree{SizeA: len(a), cfg: cfg}
 	if len(a) == 0 {
-		t.Root = &Node{MBR: geom.EmptyBox()}
+		t.table, t.extSum = []entry{{mbr: geom.EmptyBox(), skip: 1}}, []float64{0}
 		t.Height, t.Nodes, t.Leaves = 1, 1, 1
-		t.number()
 		return t
 	}
 	bucketSize := str.GroupSizeFor(len(a), cfg.Partitions)
 	arena, stages := str.PackStages(a, func(o geom.Object) geom.Point { return o.Box.Center() }, bucketSize)
 	t.arena = arena
-	// The buckets are the runs of STR's last cut.
-	buckets := stages[len(stages)-1]
-	level := make([]*Node, len(buckets)-1)
-	for i := range level {
-		start, end := buckets[i], buckets[i+1]
-		n := &Node{Entries: arena[start:end:end], MBR: geom.EmptyBox(), aStart: start, aEnd: end}
-		for j := range n.Entries {
-			b := &n.Entries[j].Box
-			n.MBR.Extend(b)
-			for d := 0; d < geom.Dims; d++ {
-				n.extSumA += b.Extent(d)
-			}
-		}
-		n.extSumA /= geom.Dims
-		level[i] = n
+	// The buckets are the runs of STR's last cut, and a tree has the most
+	// nodes for its leaves when every inner node has two children.
+	t.Leaves = len(stages[geom.Dims-1]) - 1
+	t.table = make([]entry, 0, 2*t.Leaves-1)
+	t.extSum = make([]float64, 0, 2*t.Leaves-1)
+	t.nest(&stages, 0, 0, len(stages[0])-1, 1)
+	if t.Nodes = len(t.table); t.Nodes < cap(t.table) {
+		// A wider fanout made fewer: the tree holds on to what it counts.
+		t.table = append(make([]entry, 0, t.Nodes), t.table...)
+		t.extSum = append(make([]float64, 0, t.Nodes), t.extSum...)
 	}
-	t.Leaves = len(level)
-	t.Nodes = len(level)
-	// Collapse the cuts above it innermost first: the tiles of a run become
-	// one node, then the runs of a slab, then the slabs. A cut lists its
-	// runs by the arena offset they begin at, which is how each finds its
-	// children in the level below.
-	for d := len(stages) - 2; d >= 0; d-- {
-		runs := stages[d]
-		next := make([]*Node, len(runs)-1)
-		lo := 0
-		for r := range next {
-			hi := lo + 1
-			for hi < len(level) && level[hi].aStart < runs[r+1] {
-				hi++
-			}
-			next[r] = t.nest(level[lo:hi])
-			lo = hi
-		}
-		level = next
-	}
-	t.Root = t.nest(level)
-	t.Height = measureHeight(t.Root)
-	t.number()
+	t.index()
 	return t
 }
 
-// nest returns one node over the consecutive siblings ns, which ascend
-// along the dimension their run was cut in: ns itself when it is one
-// node, a parent of all of them when the fanout allows, and otherwise a
-// parent of Fanout near-equal consecutive parts, each nested the same
-// way. Every inner node so has between two and Fanout children, and its
-// children are separated along one dimension.
-func (t *Tree) nest(ns []*Node) *Node {
-	if len(ns) == 1 {
-		return ns[0]
+// nest appends, in DFS pre-order, one subtree over the consecutive runs
+// [lo, hi) of STR's cut along dimension d, which ascend along it: the run
+// itself when it is one, a parent of all of them when the fanout allows,
+// and otherwise a parent of Fanout near-equal consecutive parts, each
+// nested the same way. A run of the last cut is a bucket, a leaf; a run of
+// any other is the runs of the next cut it was cut into, nested — the
+// tiles of a run collapse into one node, the runs of a slab, the slabs.
+// Every inner node so has between two and Fanout children, separated along
+// one dimension. A parent's slot is taken before its children's and filled
+// once they are: its subtree ends where the table does then, and its MBR
+// and extent sum are theirs (derive). depth counts the nodes from the root
+// down to the subtree's.
+func (t *Tree) nest(stages *str.Stages, d, lo, hi, depth int) {
+	runs := stages[d]
+	if hi-lo == 1 && d < geom.Dims-1 {
+		// A cut lists its runs by the arena offset they begin at, which is
+		// how a run finds the runs it was cut into.
+		first, _ := slices.BinarySearch(stages[d+1], runs[lo])
+		end, _ := slices.BinarySearch(stages[d+1], runs[hi])
+		t.nest(stages, d+1, first, end, depth)
+		return
 	}
-	n := &Node{MBR: geom.EmptyBox()}
-	if f := t.cfg.Fanout; len(ns) <= f {
-		n.Children = slices.Clone(ns)
-	} else {
-		n.Children = make([]*Node, f)
-		for i := range n.Children {
-			n.Children[i] = t.nest(ns[i*len(ns)/f : (i+1)*len(ns)/f])
+	id := int32(len(t.table))
+	t.table = append(t.table, entry{skip: id + 1, aStart: runs[lo], aEnd: runs[hi]})
+	t.extSum = append(t.extSum, 0)
+	t.Height = max(t.Height, depth)
+	if n := hi - lo; n > 1 {
+		parts := min(n, t.cfg.Fanout)
+		for i := 0; i < parts; i++ {
+			t.nest(stages, d, lo+i*n/parts, lo+(i+1)*n/parts, depth+1)
 		}
+		t.table[id].skip = int32(len(t.table))
 	}
-	for _, ch := range n.Children {
-		n.MBR.Extend(&ch.MBR)
-		n.extSumA += ch.extSumA
-	}
-	n.aStart, n.aEnd = n.Children[0].aStart, n.Children[len(n.Children)-1].aEnd
-	t.Nodes++
-	return n
+	t.table[id].mbr, t.extSum[id] = t.derive(id)
 }
 
-// number stamps every node's dense id in DFS pre-order and fills the
-// id → node table. Children are consecutive stretches of the arena, so
-// that is also arena order — the flat layout invariant — and the derived
-// state is laid over it.
-func (t *Tree) number() {
-	t.nodes = make([]*Node, 0, t.Nodes)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		n.id = int32(len(t.nodes))
-		t.nodes = append(t.nodes, n)
-		for _, ch := range n.Children {
-			walk(ch)
+// derive computes node i's MBR and extent sum from what lies below it: a
+// leaf's from its arena objects, an inner node's from the stored values
+// of its children, both in order. Build fills the table with it and Thaw
+// checks a frozen one against it, so the two agree bit for bit.
+func (t *Tree) derive(i int32) (geom.Box, float64) {
+	e := &t.table[i]
+	mbr, ext := geom.EmptyBox(), 0.0
+	if !e.leaf(i) {
+		for ch := i + 1; ch < e.skip; ch = t.table[ch].skip {
+			mbr.Extend(&t.table[ch].mbr)
+			ext += t.extSum[ch]
+		}
+		return mbr, ext
+	}
+	es := t.arena[e.aStart:e.aEnd]
+	for j := range es {
+		b := &es[j].Box
+		mbr.Extend(b)
+		for d := 0; d < geom.Dims; d++ {
+			ext += b.Extent(d)
 		}
 	}
-	walk(t.Root)
-	t.index()
+	return mbr, ext / geom.Dims
 }
 
-// index derives the block directory and the probe table from the arena
-// and the node table as they stand: one pass over each, one exactly sized
-// allocation each. A block's MBR is the union of its objects in arena
-// order, the way Build unions a leaf's.
+// index derives the block directory from the arena and the table as they
+// stand: one pass over each, one exactly sized allocation. A block's MBR
+// is the union of its objects in arena order, the way derive unions a
+// leaf's.
 func (t *Tree) index() {
-	t.table = make([]probeEntry, len(t.nodes))
 	total := int32(0)
-	// Last node first: an inner node's subtree ends where its last
-	// child's does, and children follow their parent.
-	for i := len(t.nodes) - 1; i >= 0; i-- {
-		n, e := t.nodes[i], &t.table[i]
-		e.mbr, e.aStart, e.aEnd = n.MBR, n.aStart, n.aEnd
-		e.skip = int32(i + 1)
-		if n.Leaf() {
+	for i := range t.table {
+		e := &t.table[i]
+		e.block = total
+		if e.leaf(int32(i)) {
 			total += e.blocks()
-		} else {
-			e.skip = t.table[n.Children[len(n.Children)-1].id].skip
 		}
 	}
 	t.blocks = make([]geom.Box, 0, total)
-	for i, n := range t.nodes {
+	for i := range t.table {
 		e := &t.table[i]
-		e.block = int32(len(t.blocks))
-		if !n.Leaf() {
+		if !e.leaf(int32(i)) {
 			continue
 		}
 		for bi := int32(0); bi < e.blocks(); bi++ {
@@ -412,7 +367,6 @@ func (t *Tree) index() {
 			}
 			t.blocks = append(t.blocks, mbr)
 		}
-		n.blocks = t.blocks[e.block:len(t.blocks):len(t.blocks)]
 	}
 }
 
@@ -421,50 +375,47 @@ func (t *Tree) index() {
 // box was filtered (it overlaps no MBR and therefore cannot intersect any
 // object of A). Child-MBR tests are charged to c.NodeTests.
 func (t *Tree) AssignOne(b *geom.Box, c *stats.Counters) int32 {
-	p := t.Root
+	tab := t.table
 	c.NodeTests++
-	if !p.MBR.Meets(b) {
+	if !tab[0].mbr.Meets(b) {
 		return -1
 	}
-	for !p.Leaf() {
-		var hit *Node
-		multi := false
-		for _, ch := range p.Children {
+	p := int32(0)
+	for !tab[p].leaf(p) {
+		hit := int32(-1)
+		for ch, end := p+1, tab[p].skip; ch < end; ch = tab[ch].skip {
 			c.NodeTests++
-			if ch.MBR.Meets(b) {
-				if hit != nil {
-					multi = true
-					break
+			if tab[ch].mbr.Meets(b) {
+				if hit >= 0 {
+					// It meets two children: it stays at p.
+					return p
 				}
 				hit = ch
 			}
 		}
-		if hit == nil {
+		if hit < 0 {
 			// Inside p's MBR but in dead space between the children.
 			return -1
 		}
-		if multi {
-			break
-		}
 		p = hit
 	}
-	return p.id
+	return p
 }
 
 // StaticBytes is the analytic footprint of the immutable build artifact:
-// the tree structure plus the A references in the buckets ("the buckets
-// constructed based on dataset A in addition to the tree", §6.4), plus
-// one MBR per block of the leaves' block directory and one probe table
-// entry per node. The per-query side — assigned B references and the
+// the tree — one table entry and one extent sum per node — plus the A
+// references in the buckets ("the buckets constructed based on dataset A
+// in addition to the tree", §6.4), plus one MBR per block of the leaves'
+// block directory. The per-query side — assigned B references and the
 // transient local-join grid — is accounted by Probe.MemoryBytes.
 func (t *Tree) StaticBytes() int64 {
-	return int64(t.Nodes)*(stats.BytesPerNode+bytesPerProbeEntry) + int64(t.SizeA)*stats.BytesPerRef +
+	return int64(t.Nodes)*(bytesPerEntry+8) + int64(t.SizeA)*stats.BytesPerRef +
 		int64(len(t.blocks))*stats.BytesPerBox
 }
 
-// bytesPerProbeEntry is the size of one probeEntry: an MBR and four
-// int32s, one cache line.
-const bytesPerProbeEntry = stats.BytesPerBox + 4*4
+// bytesPerEntry is the size of one entry: an MBR and four int32s, one
+// cache line.
+const bytesPerEntry = stats.BytesPerBox + 4*4
 
 // Join runs all three TOUCH phases: build the tree on a, assign b via a
 // fresh probe, join. Phase timings land in c.BuildTime / c.AssignTime /

@@ -110,32 +110,26 @@ func TestBuildTreeShape(t *testing.T) {
 	if tr.Height < 7 {
 		t.Fatalf("binary tree over %d leaves should be at least 7 high, got %d", tr.Leaves, tr.Height)
 	}
-	// MBR containment invariant.
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		for _, ch := range n.Children {
-			if !n.MBR.Contains(ch.MBR) {
-				t.Fatalf("child MBR %v not inside parent %v", ch.MBR, n.MBR)
-			}
-			walk(ch)
-		}
-		for _, o := range n.Entries {
-			if !n.MBR.Contains(o.Box) {
-				t.Fatalf("entry box %v not inside leaf %v", o.Box, n.MBR)
-			}
-		}
-	}
-	walk(tr.Root)
-	// Every object lands in exactly one leaf.
+	// MBR containment invariant, and every object lands in exactly one
+	// leaf.
 	count := 0
-	var countEntries func(n *Node)
-	countEntries = func(n *Node) {
-		count += len(n.Entries)
-		for _, ch := range n.Children {
-			countEntries(ch)
+	for i := range tr.table {
+		id, e := int32(i), &tr.table[i]
+		for _, ch := range tr.children(id) {
+			if c := &tr.table[ch]; !e.mbr.Contains(c.mbr) {
+				t.Fatalf("child MBR %v not inside parent %v", c.mbr, e.mbr)
+			}
 		}
+		if !e.leaf(id) {
+			continue
+		}
+		for _, o := range tr.subtreeA(id) {
+			if !e.mbr.Contains(o.Box) {
+				t.Fatalf("entry box %v not inside leaf %v", o.Box, e.mbr)
+			}
+		}
+		count += e.aCount()
 	}
-	countEntries(tr.Root)
 	if count != 1000 {
 		t.Fatalf("tree holds %d entries, want 1000", count)
 	}
@@ -153,12 +147,12 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 	cfg := Config{Partitions: 64, Fanout: 3}
 	t1, t2 := Build(a, cfg), Build(a, cfg)
-	if len(t1.nodes) != len(t2.nodes) {
-		t.Fatalf("%d nodes, then %d", len(t1.nodes), len(t2.nodes))
+	if len(t1.table) != len(t2.table) {
+		t.Fatalf("%d nodes, then %d", len(t1.table), len(t2.table))
 	}
-	for id := range t1.nodes {
-		if t1.nodes[id].MBR != t2.nodes[id].MBR {
-			t.Fatalf("node %d: MBR %v, then %v", id, t1.nodes[id].MBR, t2.nodes[id].MBR)
+	for id := range t1.table {
+		if t1.table[id].mbr != t2.table[id].mbr {
+			t.Fatalf("node %d: MBR %v, then %v", id, t1.table[id].mbr, t2.table[id].mbr)
 		}
 	}
 	if !slices.Equal(t1.arena, t2.arena) {
@@ -184,29 +178,24 @@ func TestAssignmentInvariants(t *testing.T) {
 		id := tr.AssignOne(&o.Box, &c)
 		if id < 0 {
 			// Filtered: must not intersect any leaf MBR.
-			var check func(m *Node)
-			check = func(m *Node) {
-				if m.Leaf() && m.MBR.Intersects(o.Box) {
-					t.Fatalf("filtered object %d overlaps leaf MBR %v", o.ID, m.MBR)
-				}
-				for _, ch := range m.Children {
-					check(ch)
+			for i := range tr.table {
+				if m := &tr.table[i]; m.leaf(int32(i)) && m.mbr.Intersects(o.Box) {
+					t.Fatalf("filtered object %d overlaps leaf MBR %v", o.ID, m.mbr)
 				}
 			}
-			check(tr.Root)
 			continue
 		}
 		// Assigned: the node's MBR must overlap the object.
-		n := tr.nodes[id]
-		if !n.MBR.Intersects(o.Box) {
+		n := &tr.table[id]
+		if !n.mbr.Intersects(o.Box) {
 			t.Fatalf("object %d assigned to non-overlapping node", o.ID)
 		}
 		// If assigned to an inner node, at least two children overlap
 		// (otherwise the algorithm should have descended).
-		if !n.Leaf() {
+		if !n.leaf(id) {
 			hits := 0
-			for _, ch := range n.Children {
-				if ch.MBR.Intersects(o.Box) {
+			for _, ch := range tr.children(id) {
+				if tr.table[ch].mbr.Intersects(o.Box) {
 					hits++
 				}
 			}

@@ -323,7 +323,7 @@ func TestFormat2OfTheOldBuilderThaws(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(2))
-	mbr := tree.Root.MBR
+	mbr := tree.Freeze().Nodes[0].MBR
 	p := tree.NewProbe()
 	var c stats.Counters
 	for i := 0; i < 200; i++ {

@@ -172,8 +172,10 @@ const (
 	BytesPerRef = 8
 	// BytesPerBox is the size of one MBR.
 	BytesPerBox = 6 * 8
-	// BytesPerNode is the fixed overhead of one tree node (MBR + slice
-	// headers for children and entries + level/parent bookkeeping).
+	// BytesPerNode is the fixed overhead of one node of a pointer tree
+	// (MBR + slice headers for children and entries + level/parent
+	// bookkeeping): the R-tree baseline's. TOUCH's tree is a table and
+	// counts its own entries (core.Tree.StaticBytes).
 	BytesPerNode = BytesPerBox + 3*24 + 8
 	// BytesPerCell is the fixed overhead of one occupied grid cell
 	// (hash-map bucket entry + two slice headers).
