@@ -4,11 +4,12 @@
 // loading) and prints the same rows/series the paper reports.
 //
 // Dataset sizes scale with RunConfig.Scale relative to the paper's
-// (Scale=1 reproduces the full 1.6M×9.6M workloads; the default used in
-// EXPERIMENTS.md is smaller so every experiment completes on one core in
-// minutes). The *shape* of the results — which algorithm wins, by what
-// factor, where crossovers fall — is preserved across scales because all
-// algorithms see the same workload.
+// (Scale=1 reproduces the full 1.6M×9.6M workloads; the default, 0.02 —
+// what `go run ./cmd/touchbench -exp all` prints — is smaller so every
+// experiment completes on one core in minutes). The *shape* of the
+// results — which algorithm wins, by what factor, where crossovers fall —
+// is preserved across scales because all algorithms see the same
+// workload.
 package bench
 
 import (

@@ -48,8 +48,9 @@ func runAblation(rc RunConfig, w io.Writer) error {
 
 	// Fanout sensitivity under both grid modes: the paper's post-test
 	// dedup makes the comparison count depend on how high B objects are
-	// assigned; the pre-test rule flattens it (see EXPERIMENTS.md on
-	// Figure 14).
+	// assigned; the pre-test rule flattens it (Figure 14; the table below
+	// is what `go run ./cmd/touchbench -exp ablation` prints, and
+	// `-exp fig14` the paper's own sweep).
 	fmt.Fprintf(w, "\nFanout sensitivity of the grid modes\n")
 	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "fanout\tpre-test dedup\tpost-test dedup (paper)\n")

@@ -93,6 +93,9 @@ func runMapReference(a, b geom.Dataset, cfg Config, postDedup bool) mapReference
 // sparse CSR path via coarse node MBRs) — probed node by node, and
 // through JoinPhase with 2 and 4 workers, where stage 1 of joinParallel
 // chunks a big node's A objects across workers probing one shared grid.
+// Node by node, every replica's ownership byte is checked against the
+// boxes too; the map grid decides ownership from the boxes alone, through
+// RefCell.
 func TestCSRMatchesMapGrid(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -165,6 +168,7 @@ func TestCSRMatchesMapGrid(t *testing.T) {
 				if sized, _ := tr.localGrid(id, bs); sized.Res != g.Res {
 					coarsened = true
 				}
+				checkOwnership(t, tc.name, g, csr, bs)
 				occupied += csr.occupied
 				for _, task := range new(joinScratch).probeTasks(tr, id, bs, nil, &c) {
 					tr.gridProbe(g, csr, bs, &task, nil, &c, sink)
@@ -220,7 +224,8 @@ func TestCSRMatchesMapGrid(t *testing.T) {
 
 // TestCSRSparsePath forces the sparse (sort-based) CSR build by making
 // the cell space vastly exceed the replica count, and cross-checks it
-// against the dense build on the same inputs.
+// against the dense build on the same inputs: the same run in every
+// cell, and the same ownership byte beside every replica of it.
 func TestCSRSparsePath(t *testing.T) {
 	universe := geom.NewBox(geom.Point{0, 0, 0}, geom.Point{1000, 1000, 1000})
 	g := grid.New(universe, 120) // 1.7M cells, above any dense slack for a handful of replicas
@@ -243,10 +248,42 @@ func TestCSRSparsePath(t *testing.T) {
 	}
 	lo, hi := grid.Coords{0, 0, 0}, grid.Coords{g.Res[0] - 1, g.Res[1] - 1, g.Res[2] - 1}
 	g.ForEachKey(lo, hi, func(k int64) {
-		a := slices.Clone(sparse.run(k))
-		b := slices.Clone(ref.run(k))
-		if !slices.Equal(a, b) {
-			t.Fatalf("cell %d: sparse run %v, dense run %v", k, a, b)
+		run, own := sparse.run(k)
+		refRun, refOwn := ref.run(k)
+		if !slices.Equal(run, refRun) {
+			t.Fatalf("cell %d: sparse run %v, dense run %v", k, run, refRun)
+		}
+		if !slices.Equal(own, refOwn) {
+			t.Fatalf("cell %d: sparse ownership %v, dense ownership %v", k, own, refOwn)
 		}
 	})
+}
+
+// checkOwnership checks every replica of a built grid against the rule
+// recomputed from the boxes: every cell of a B object's range holds it,
+// with bit d of its ownership byte set iff the cell's coordinate along d
+// is the object's first.
+func checkOwnership(t *testing.T, name string, g *grid.Grid, csr *csrGrid, bs []geom.Object) {
+	t.Helper()
+	for bi := range bs {
+		lo, hi := g.Range(bs[bi].Box)
+		g.ForEachKey(lo, hi, func(k int64) {
+			run, own := csr.run(k)
+			j, found := slices.BinarySearch(run, int32(bi))
+			if !found || len(own) != len(run) {
+				t.Fatalf("%s: cell %d: B object %d missing from run %v (ownership %v)", name, k, bi, run, own)
+			}
+			cc := g.KeyCoords(k)
+			want := uint8(0)
+			for d, bit := range []uint8{ownX, ownY, ownZ} {
+				if cc[d] == lo[d] {
+					want |= bit
+				}
+			}
+			if own[j] != want {
+				t.Fatalf("%s: cell %v: B object %d (first cell %v) has ownership %03b, want %03b",
+					name, cc, bi, lo, own[j], want)
+			}
+		})
+	}
 }

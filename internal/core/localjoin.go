@@ -97,7 +97,8 @@ func (t *Tree) nodeGrid(id int32, bs []geom.Object, c *stats.Counters, ws *joinS
 	csr := ws.buildCSR(g, replicas)
 	c.Replicas += csr.replicas
 	// Transient per-node grid footprint: remember the peak; Join adds it
-	// on top of the static structure bytes.
+	// on top of the static structure bytes. A replica, an int32 index and
+	// its ownership byte, fits the BytesPerRef it is priced at.
 	gridBytes := csr.occupied*stats.BytesPerCell + csr.replicas*stats.BytesPerRef
 	if gridBytes > ws.peakBytes {
 		ws.peakBytes = gridBytes
@@ -240,14 +241,17 @@ func (ws *joinScratch) emit(aStart, aEnd int32, bs []geom.Object, from int) {
 // A pair sharing several cells belongs to exactly one of them: the cell
 // where, in every dimension, one of the two objects begins (Tsitsigkos
 // et al., arXiv 2307.09256). That is the reference-point rule without
-// the arithmetic. grid.RefCell clamps the componentwise max of the two
-// minimum corners; the clamp is monotone, so the cell of the max is the
-// max of the cells, i.e. of the two objects' first cells — a's from its
-// Range, b's cached in csr.ranges by buildCSR. Inside a cell both hold a
-// and b, x >= aLo and x >= bLo already, so x == max(aLo, bLo) iff
-// x == aLo or x == bLo; and in a's own first cell the whole run passes
-// unchecked. The cells are walked with an inlined triple loop for the
-// reason buildDense gives.
+// the arithmetic: grid.RefCell clamps the componentwise max of the two
+// minimum corners, and the clamp is monotone, so the cell of the max is
+// the max of the two objects' first cells. Inside a cell both overlap,
+// x >= aLo and x >= bLo already, so x == max(aLo, bLo) iff x == aLo or
+// x == bLo. Which dimensions b begins in at this cell was decided when
+// the replica was written — its ownership byte (see ownX) — so the
+// probe only forms need, the dimensions in which this cell is not a's
+// first, and keeps a candidate whose byte has all of them: one test on a
+// byte streamed beside the run, exact by the argument above. In a's own
+// first cell need is empty and the whole run passes. The cells are
+// walked with an inlined triple loop for the reason buildDense gives.
 func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *probeTask, tk *stats.Ticker, c *stats.Counters, sink stats.Sink) {
 	postDedup := t.cfg.LocalJoin == LocalJoinGridPostDedup
 	r1, r2 := int64(g.Res[1]), int64(g.Res[2])
@@ -261,28 +265,26 @@ func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *pro
 			continue
 		}
 		aLo, aHi := g.Range(a.Box)
+		// need: the dimensions in which the cell is not a's first, where
+		// b must begin; each bit joins after its loop's first pass.
+		needX := uint8(0)
 		for x := aLo[0]; x <= aHi[0]; x++ {
+			needXY := needX
 			for y := aLo[1]; y <= aHi[1]; y++ {
 				base := (int64(x)*r1 + int64(y)) * r2
-				// b must begin in this cell in every dimension a does not.
-				needX, needY := x != aLo[0], y != aLo[1]
-				for z := aLo[2]; z <= aHi[2]; z++ {
-					run := csr.run(base + int64(z))
+				need := needXY
+				for z := aLo[2]; z <= aHi[2]; z, need = z+1, needXY|ownZ {
+					run, own := csr.run(base + int64(z))
 					if len(run) == 0 {
 						continue
 					}
 					if tk.TickN(len(run)) {
 						return
 					}
-					needZ := z != aLo[2]
-					check := needX || needY || needZ
-					for _, bi := range run {
+					own = own[:len(run)]
+					for j, bi := range run {
 						b := &bs[bi]
-						owns := true
-						if check {
-							bLo := &csr.ranges[bi].lo
-							owns = (!needX || int(bLo[0]) == x) && (!needY || int(bLo[1]) == y) && (!needZ || int(bLo[2]) == z)
-						}
+						owns := own[j]&need == need
 						if postDedup {
 							// Paper mode: test in every shared cell, keep
 							// the hit only in the owning cell.
@@ -304,7 +306,9 @@ func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *pro
 						}
 					}
 				}
+				needXY = needX | ownY
 			}
+			needX = ownX
 		}
 	}
 }

@@ -252,7 +252,8 @@ func TestFanoutInsensitivityOfComparisons(t *testing.T) {
 	// with the canonical-cell rule *before* comparing, which removes the
 	// duplicate tests that made the paper's grid sensitive to how high
 	// up B objects are assigned; comparisons therefore stay flat across
-	// fanouts (documented in EXPERIMENTS.md). Assert that flatness —
+	// fanouts (`go run ./cmd/touchbench -exp ablation` prints both grid
+	// kinds' comparisons at fanouts 2, 8 and 20). Assert that flatness —
 	// and that every fanout still yields the correct result.
 	a := datagen.GaussianSet(3000, 191).Expand(5)
 	b := datagen.GaussianSet(9000, 192)

@@ -145,8 +145,9 @@ func (g *Grid) KeyCoords(k int64) Coords {
 // before paying for the intersection check.
 //
 // clampIndex is monotone, so the result equals the componentwise max of
-// the two boxes' first cells (Range's lo): a caller that already holds
-// both, like TOUCH's grid probe, needs no arithmetic at all.
+// the two boxes' first cells (Range's lo): a caller that knows, per cell,
+// whether each box begins there — TOUCH's local-join grid records it
+// beside every replica — needs no arithmetic at all.
 func (g *Grid) RefCell(a, b *geom.Box) Coords {
 	var c Coords
 	for d := 0; d < geom.Dims; d++ {

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"touch"
+	"touch/internal/core"
 	"touch/internal/geom"
 	"touch/internal/nl"
+	"touch/internal/stats"
 )
 
 // The fuzz targets decode raw bytes into small datasets and check the
@@ -81,15 +83,43 @@ func nestSeeds(n int) (sameCentre, scattered []byte) {
 	return sameCentre, scattered
 }
 
+// fuzzGrid is the configuration FuzzJoin runs both grid kinds on: a
+// local-join grid of at most four cells per dimension, with a cell side
+// of a hundredth of the larger mean extent, so a node gets all four along
+// every dimension its MBR spans widely. On a node over [0, 300]³ the cell
+// boundaries then fall on the lattice, every 75, and the decoded boxes
+// span several cells: the pairs whose owning cell the probe must pick.
+var fuzzGrid = core.Config{Partitions: 4, LocalCells: 4, CellFactor: 0.01}
+
+// alignedSeed is 27 A boxes and 27 B boxes whose minimum corners sit on
+// the cell boundaries of fuzzGrid's grid over [0, 300]³ (A's MBR) and
+// which span three cells (A) or two (B, whose maximum corners are
+// boundaries too) in every dimension: pairs that share several cells and
+// begin on a boundary, where an off-by-one in the owning cell shows.
+func alignedSeed() []byte {
+	out := []byte{27}
+	for _, ext := range []float64{150, 75} {
+		for i := 0; i < 27; i++ {
+			x, y, z := float64(75*(i%3)), float64(75*(i/3%3)), float64(75*(i/9))
+			out = append(out, fuzzLattice(x, y, z, x+ext, y+ext, z+ext)...)
+		}
+	}
+	return out
+}
+
 // FuzzJoin: TOUCH (sequential and 4 workers) and the clamped PBSM grid
 // must reproduce the nested-loop pair set on arbitrary decoded
-// datasets.
+// datasets, and so must core.Join with both grid local joins — the
+// pre-test canonical-cell rule and the paper's post-test dedup — which
+// must also agree on Results and Replicas, the post-test kind comparing
+// at least as much.
 func FuzzJoin(f *testing.F) {
 	fuzzSeeds(f)
 	// 28 objects in buckets of one: a cube of 27 and one over.
 	sameCentre, scattered := nestSeeds(28)
 	f.Add(slices.Concat([]byte{28}, sameCentre, scattered))
 	f.Add(slices.Concat([]byte{28}, scattered, sameCentre))
+	f.Add(alignedSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -106,6 +136,24 @@ func FuzzJoin(f *testing.F) {
 				if err := CheckJoin(alg, c, workers, want); err != nil {
 					t.Error(err)
 				}
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			var counts [2]stats.Counters
+			for i, kind := range []core.LocalJoinKind{core.LocalJoinGrid, core.LocalJoinGridPostDedup} {
+				cfg := fuzzGrid
+				cfg.LocalJoin, cfg.Workers = kind, workers
+				sink := &stats.CollectSink{}
+				core.Join(a, b, cfg, nil, &counts[i], sink)
+				if got := PairSet(sink.Pairs); !slices.Equal(got, want) {
+					t.Errorf("core.Join %s workers=%d: %d pairs, oracle has %d (first diff at %d)",
+						kind, workers, len(got), len(want), firstDiff(got, want))
+				}
+			}
+			pre, post := &counts[0], &counts[1]
+			if pre.Results != post.Results || pre.Replicas != post.Replicas || post.Comparisons < pre.Comparisons {
+				t.Errorf("core.Join workers=%d: grid results %d, replicas %d, comparisons %d; grid-postdedup %d, %d, %d",
+					workers, pre.Results, pre.Replicas, pre.Comparisons, post.Results, post.Replicas, post.Comparisons)
 			}
 		}
 	})
