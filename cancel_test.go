@@ -3,6 +3,7 @@ package touch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -72,7 +73,7 @@ type countingSink func()
 func (f countingSink) Emit(a, b ID) { f() }
 
 // TestCancelPreCanceledContext: a context that is already dead fails
-// fast on every entry point, before any work.
+// fast on every entry point, before any work — a sink receives nothing.
 func TestCancelPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -91,15 +92,16 @@ func TestCancelPreCanceledContext(t *testing.T) {
 	if _, err := ix.DistanceJoinCtx(ctx, b, 1, nil); !errors.Is(err, ErrJoinCanceled) {
 		t.Fatalf("Index.DistanceJoinCtx: %v", err)
 	}
-	sawErr := false
-	for _, err := range ix.JoinSeq(ctx, b, nil) {
-		if !errors.Is(err, ErrJoinCanceled) {
-			t.Fatalf("JoinSeq on dead context yielded %v", err)
-		}
-		sawErr = true
+	emitted := 0
+	opt := &Options{Sink: countingSink(func() { emitted++ })}
+	if _, err := SpatialJoinCtx(ctx, AlgTOUCH, a, b, opt); !errors.Is(err, ErrJoinCanceled) {
+		t.Fatalf("SpatialJoinCtx with a sink: %v", err)
 	}
-	if !sawErr {
-		t.Fatal("JoinSeq on dead context yielded nothing")
+	if _, err := ix.JoinCtx(ctx, b, opt); !errors.Is(err, ErrJoinCanceled) {
+		t.Fatalf("Index.JoinCtx with a sink: %v", err)
+	}
+	if emitted != 0 {
+		t.Fatalf("a dead context delivered %d pairs to the sink", emitted)
 	}
 }
 
@@ -220,26 +222,32 @@ func TestLimitRespectsSwap(t *testing.T) {
 	}
 }
 
-// pairSet collects an iterator's pairs into a map, failing on error.
-func pairSet(t *testing.T, seq func(func(Pair, error) bool)) map[Pair]bool {
+// sinkSet runs one join with opt's Sink collecting the pairs into a set,
+// failing on an error or a pair delivered twice.
+func sinkSet(t *testing.T, opt Options, join func(*Options) (*Result, error)) map[Pair]bool {
 	t.Helper()
 	m := make(map[Pair]bool)
-	for p, err := range seq {
-		if err != nil {
-			t.Fatalf("streaming join error: %v", err)
-		}
+	dups := 0
+	opt.Sink = stats.FuncSink(func(a, b ID) {
+		p := Pair{A: a, B: b}
 		if m[p] {
-			t.Fatalf("streaming join yielded duplicate pair %v", p)
+			dups++
 		}
 		m[p] = true
+	})
+	if _, err := join(&opt); err != nil {
+		t.Fatalf("sink join: %v", err)
+	}
+	if dups > 0 {
+		t.Fatalf("sink join delivered %d pairs twice", dups)
 	}
 	return m
 }
 
-// TestStreamingMaterializedDifferential: the streaming, materialized and
-// effectively-unlimited (Limit far past the result size) paths must emit
-// identical pair sets, one-shot and on a prebuilt index, sequential and
-// parallel.
+// TestStreamingMaterializedDifferential: the sink, materialized and
+// effectively-unlimited (Limit far past the result size) paths must
+// deliver identical pair sets, one-shot and on a prebuilt index,
+// sequential and parallel.
 func TestStreamingMaterializedDifferential(t *testing.T) {
 	a := GenerateUniform(600, 61).Expand(8)
 	b := GenerateUniform(1100, 62)
@@ -267,12 +275,16 @@ func TestStreamingMaterializedDifferential(t *testing.T) {
 
 	ix := BuildIndex(a, TOUCHConfig{})
 	ctx := context.Background()
-	check("one-shot stream", pairSet(t, JoinSeq(ctx, AlgTOUCH, a, b, nil)))
-	check("one-shot stream w4", pairSet(t, JoinSeq(ctx, AlgTOUCH, a, b, &Options{Workers: 4})))
-	check("one-shot stream nl", pairSet(t, JoinSeq(ctx, AlgNL, a, b, nil)))
-	check("index stream", pairSet(t, ix.JoinSeq(ctx, b, nil)))
-	check("index stream w4", pairSet(t, ix.JoinSeq(ctx, b, &Options{Workers: 4})))
-	check("limit beyond total", pairSet(t, ix.JoinSeq(ctx, b, &Options{Limit: int64(len(want)) + 10_000})))
+	oneShot := func(alg Algorithm) func(*Options) (*Result, error) {
+		return func(o *Options) (*Result, error) { return SpatialJoinCtx(ctx, alg, a, b, o) }
+	}
+	onIndex := func(o *Options) (*Result, error) { return ix.JoinCtx(ctx, b, o) }
+	check("one-shot sink", sinkSet(t, Options{}, oneShot(AlgTOUCH)))
+	check("one-shot sink w4", sinkSet(t, Options{Workers: 4}, oneShot(AlgTOUCH)))
+	check("one-shot sink nl", sinkSet(t, Options{}, oneShot(AlgNL)))
+	check("index sink", sinkSet(t, Options{}, onIndex))
+	check("index sink w4", sinkSet(t, Options{Workers: 4}, onIndex))
+	check("limit beyond total", sinkSet(t, Options{Limit: int64(len(want)) + 10_000}, onIndex))
 
 	mat, err := ix.JoinCtx(ctx, b, &Options{Limit: int64(len(want)) + 10_000})
 	if err != nil {
@@ -285,91 +297,85 @@ func TestStreamingMaterializedDifferential(t *testing.T) {
 	check("materialized with headroom limit", got)
 }
 
-// TestJoinSeqBreakAndLimit: breaking out of the iterator stops the join
-// cleanly, and Options.Limit truncates the sequence exactly.
-func TestJoinSeqBreakAndLimit(t *testing.T) {
+// TestSinkCancelAndLimit: a sink that cancels its context after n pairs
+// stops the join with ErrJoinCanceled within the checkpoint bound, and
+// Options.Limit stops it after exactly that many pairs, normally.
+func TestSinkCancelAndLimit(t *testing.T) {
 	a, b := cancelFixture(200) // 40000 pairs
 	ix := BuildIndex(a, TOUCHConfig{})
 
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	n := 0
-	for p, err := range ix.JoinSeq(context.Background(), b, nil) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = p
+	_, err := ix.JoinCtx(ctx, b, &Options{Sink: countingSink(func() {
 		if n++; n == 37 {
-			break
+			cancel()
 		}
+	})})
+	if !errors.Is(err, ErrJoinCanceled) {
+		t.Fatalf("a sink that cancelled after 37 pairs got %v, want ErrJoinCanceled", err)
 	}
-	if n != 37 {
-		t.Fatalf("broke after %d pairs", n)
+	if n < 37 || n > 37+2*stats.CheckEvery {
+		t.Fatalf("the sink got %d pairs, want 37 plus at most %d", n, 2*stats.CheckEvery)
 	}
 
 	n = 0
-	for _, err := range ix.JoinSeq(context.Background(), b, &Options{Limit: 123}) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
+	if _, err := ix.JoinCtx(context.Background(), b, &Options{Limit: 123, Sink: countingSink(func() { n++ })}); err != nil {
+		t.Fatal(err)
 	}
 	if n != 123 {
-		t.Fatalf("limited sequence yielded %d pairs, want 123", n)
+		t.Fatalf("a limited join delivered %d pairs to its sink, want 123", n)
 	}
 }
 
-// TestDistanceJoinSeq: the streaming distance join shares the buffered
-// path's validation (negative eps yields the error as the only
-// element) and its probe-side expansion (same pair set).
-func TestDistanceJoinSeq(t *testing.T) {
+// TestDistanceJoinCtxSink: a distance join into a sink shares the
+// buffered path's validation (a negative eps fails before any Emit) and
+// its probe-side expansion (same pair set).
+func TestDistanceJoinCtxSink(t *testing.T) {
 	a := GenerateUniform(300, 81)
 	b := GenerateUniform(500, 82)
 	ix := BuildIndex(a, TOUCHConfig{})
+	ctx := context.Background()
 
-	var got error
-	for _, err := range ix.DistanceJoinSeq(context.Background(), b, -1, nil) {
-		got = err
-	}
-	if !errors.Is(got, ErrNegativeDistance) {
-		t.Fatalf("negative eps yielded %v, want ErrNegativeDistance", got)
+	emitted := 0
+	_, err := ix.DistanceJoinCtx(ctx, b, -1, &Options{Sink: countingSink(func() { emitted++ })})
+	if !errors.Is(err, ErrNegativeDistance) || emitted != 0 {
+		t.Fatalf("negative eps: %v after %d pairs, want ErrNegativeDistance before any", err, emitted)
 	}
 
 	ref, err := ix.DistanceJoin(b, 40, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make(map[Pair]bool, len(ref.Pairs))
+	got := sinkSet(t, Options{}, func(o *Options) (*Result, error) { return ix.DistanceJoinCtx(ctx, b, 40, o) })
+	if len(got) != len(ref.Pairs) {
+		t.Fatalf("distance join into a sink: %d pairs, want %d", len(got), len(ref.Pairs))
+	}
 	for _, p := range ref.Pairs {
-		want[p] = true
-	}
-	got2 := pairSet(t, ix.DistanceJoinSeq(context.Background(), b, 40, nil))
-	if len(got2) != len(want) {
-		t.Fatalf("streamed distance join: %d pairs, want %d", len(got2), len(want))
-	}
-	for p := range got2 {
-		if !want[p] {
-			t.Fatalf("streamed distance join: spurious pair %v", p)
+		if !got[p] {
+			t.Fatalf("distance join into a sink: missing pair %v", p)
 		}
 	}
 }
 
-// TestJoinSeqUnknownAlgorithm: the one-shot iterator surfaces a bad
-// algorithm name as its only element.
-func TestJoinSeqUnknownAlgorithm(t *testing.T) {
-	var got error
-	for _, err := range JoinSeq(context.Background(), Algorithm("bogus"), nil, nil, nil) {
-		got = err
-	}
-	if !errors.Is(got, ErrUnknownAlgorithm) {
-		t.Fatalf("got %v, want ErrUnknownAlgorithm", got)
+// TestSinkUnknownAlgorithm: a bad algorithm name fails the one-shot join
+// before the sink sees a pair.
+func TestSinkUnknownAlgorithm(t *testing.T) {
+	a, b := cancelFixture(10)
+	emitted := 0
+	_, err := SpatialJoinCtx(context.Background(), Algorithm("bogus"), a, b,
+		&Options{Sink: countingSink(func() { emitted++ })})
+	if !errors.Is(err, ErrUnknownAlgorithm) || emitted != 0 {
+		t.Fatalf("got %v after %d pairs, want ErrUnknownAlgorithm before any", err, emitted)
 	}
 }
 
-// TestJoinSeqConcurrentBreakRace is the -race centerpiece of the
-// streaming API: 8 consumers iterate JoinSeq on one shared Index and
-// break at random points (some cancel instead), concurrently, in
+// TestSinkConcurrentCancelRace is the -race centerpiece of incremental
+// delivery: 8 goroutines join into their own sinks on one shared Index
+// and cancel from inside the sink at random points, concurrently, in
 // several rounds. Probes must recycle cleanly through the pool — the
 // final full joins must stay bit-identical to the sequential oracle.
-func TestJoinSeqConcurrentBreakRace(t *testing.T) {
+func TestSinkConcurrentCancelRace(t *testing.T) {
 	a := GenerateUniform(700, 71).Expand(8)
 	b := GenerateUniform(1500, 72)
 	ix := BuildIndex(a, TOUCHConfig{Partitions: 64})
@@ -390,21 +396,15 @@ func TestJoinSeqConcurrentBreakRace(t *testing.T) {
 				stopAt := 1 + rng.Intn(2*len(oracle.Pairs))
 				ctx, cancel := context.WithCancel(context.Background())
 				n := 0
-				for _, err := range ix.JoinSeq(ctx, b, &Options{Workers: workers}) {
-					if err != nil {
-						if !errors.Is(err, ErrJoinCanceled) {
-							t.Errorf("consumer %d round %d: %v", g, r, err)
-						}
-						break
-					}
+				_, err := ix.JoinCtx(ctx, b, &Options{Workers: workers, Sink: countingSink(func() {
 					if n++; n == stopAt {
-						if rng.Intn(2) == 0 {
-							break // iterator break path
-						}
-						cancel() // context cancellation path
+						cancel()
 					}
-				}
+				})})
 				cancel()
+				if err != nil && !errors.Is(err, ErrJoinCanceled) {
+					t.Errorf("consumer %d round %d: %v", g, r, err)
+				}
 			}
 		}(g)
 	}
@@ -418,6 +418,125 @@ func TestJoinSeqConcurrentBreakRace(t *testing.T) {
 		if !slices.Equal(got.Pairs, oracle.Pairs) {
 			t.Fatalf("post-race join %d diverged from oracle (%d vs %d pairs)",
 				i, len(got.Pairs), len(oracle.Pairs))
+		}
+	}
+}
+
+// TestSinkContract holds every join entry point to what Options.Sink
+// promises: Emit never runs concurrently with itself and never after the
+// join call returns, pairs arrive in (A, B) orientation — the KeepOrder
+// answer, though A is the larger side and the join-order heuristic swaps
+// — Limit caps the calls, and a cancel from inside Emit ends the call
+// with ErrJoinCanceled or, if the join finished first, none
+// (TestCancelMidJoinBounded prices the stop on a join large enough to
+// outrun a checkpoint). Every algorithm runs one-shot; the Index and a
+// Mutable's View with inserts and tombstones pending run TOUCH.
+func TestSinkContract(t *testing.T) {
+	a := GenerateUniform(900, 91).Expand(60) // larger: the heuristic swaps
+	b := GenerateUniform(500, 92)
+	m, err := NewMutable(a, TOUCHConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetCompactThreshold(-1)
+	ins, err := m.Insert([]Box{a[3].Box, a[400].Box.Expand(30), b[7].Box})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Delete([]ID{0, 17, 512, ins[1]})
+
+	type row struct {
+		name string
+		want Dataset // the A side the KeepOrder answer is taken over
+		join func(context.Context, *Options) (*Result, error)
+	}
+	var rows []row
+	for _, alg := range append(Algorithms(), AlgSeeded) {
+		rows = append(rows, row{string(alg), a, func(ctx context.Context, o *Options) (*Result, error) {
+			return SpatialJoinCtx(ctx, alg, a, b, o)
+		}})
+	}
+	ix, view := BuildIndex(a, TOUCHConfig{}), m.View()
+	rows = append(rows,
+		row{"Index", a, func(ctx context.Context, o *Options) (*Result, error) { return ix.JoinCtx(ctx, b, o) }},
+		row{"Mutable.View", m.Dataset(), func(ctx context.Context, o *Options) (*Result, error) { return view.JoinCtx(ctx, b, o) }})
+
+	// late reports, once every row has run, whether any sink was called
+	// after its join returned.
+	var late []*atomic.Bool
+	defer func() {
+		for i, l := range late {
+			if l.Load() {
+				t.Errorf("sink %d called after its join returned", i)
+			}
+		}
+	}()
+	for _, r := range rows {
+		ref, err := SpatialJoin(AlgNL, r.want, b, &Options{KeepOrder: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		valid := make(map[Pair]bool, len(ref.Pairs))
+		for _, p := range ref.Pairs {
+			valid[p] = true
+		}
+		total := len(valid)
+		if total < 200 {
+			t.Fatalf("premise: %s answers only %d pairs", r.name, total)
+		}
+		for _, workers := range []int{1, 4} {
+			for _, mode := range []string{"full", "limit", "cancel"} {
+				ctx, cancel := context.WithCancel(context.Background())
+				var inFlight, overlap, returned atomic.Bool
+				lateCall := new(atomic.Bool)
+				late = append(late, lateCall)
+				got := make(map[Pair]int)
+				opt := &Options{Workers: workers}
+				if mode == "limit" {
+					opt.Limit = 100
+				}
+				opt.Sink = stats.FuncSink(func(x, y ID) {
+					if !inFlight.CompareAndSwap(false, true) {
+						overlap.Store(true)
+					}
+					if returned.Load() {
+						lateCall.Store(true)
+					}
+					got[Pair{A: x, B: y}]++
+					if mode == "cancel" && len(got) == 50 {
+						cancel()
+					}
+					inFlight.Store(false)
+				})
+				_, err := r.join(ctx, opt)
+				returned.Store(true)
+				cancel()
+				name := fmt.Sprintf("%s/w%d/%s", r.name, workers, mode)
+				if overlap.Load() {
+					t.Errorf("%s: Emit ran concurrently with itself", name)
+				}
+				n := 0
+				for p, c := range got {
+					if !valid[p] {
+						t.Fatalf("%s: pair %v is not in the (A, B) KeepOrder answer", name, p)
+					}
+					n += c
+				}
+				switch mode {
+				case "full":
+					if err != nil || n != total || len(got) != total {
+						t.Errorf("%s: %v, %d calls for %d distinct pairs, want %d", name, err, n, len(got), total)
+					}
+				case "limit":
+					if err != nil || n != 100 {
+						t.Errorf("%s: %v, %d calls, want exactly the limit's 100", name, err, n)
+					}
+				case "cancel":
+					if err != nil && !errors.Is(err, ErrJoinCanceled) {
+						t.Errorf("%s: %v", name, err)
+					}
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package touch_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"touch"
@@ -30,26 +31,37 @@ func ExampleIndex_RangeQuery() {
 	// Output: [0 1]
 }
 
-// JoinSeq streams join results as a range-over-func iterator: pairs
-// arrive as the engine finds them, so nothing is materialized, breaking
-// out of the loop aborts the join promptly, and cancelling the context
-// (or Options.Limit) bounds the work. Here the consumer stops after two
-// pairs of a join that would produce three.
-func ExampleIndex_JoinSeq() {
+// sinkFunc adapts a function to touch.Sink.
+type sinkFunc func(a, b touch.ID)
+
+func (f sinkFunc) Emit(a, b touch.ID) { f(a, b) }
+
+// A join streams its results through Options.Sink: pairs arrive as the
+// engine finds them, so nothing is materialized, and cancelling the
+// context — from inside the sink too — or Options.Limit bounds the work.
+// Here the sink stops the join after two pairs of the three it would
+// produce; the engine notices at its next checkpoint, so the sink drops
+// whatever it still finds until then.
+func ExampleIndex_JoinCtx() {
 	idx := touch.BuildIndex(exampleDataset(), touch.TOUCHConfig{})
 	probe := touch.Dataset{
 		{ID: 100, Box: touch.NewBox(touch.Point{0, 0, 0}, touch.Point{9, 1, 1})},
 	}
 
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	seen := 0
-	for pair, err := range idx.JoinSeq(context.Background(), probe, nil) {
-		if err != nil {
-			panic(err) // only a canceled context ends the stream early
+	sink := sinkFunc(func(a, b touch.ID) {
+		if ctx.Err() != nil {
+			return
 		}
-		fmt.Printf("indexed %d overlaps probe %d\n", pair.A, pair.B)
+		fmt.Printf("indexed %d overlaps probe %d\n", a, b)
 		if seen++; seen == 2 {
-			break // stops the running join, no goroutine leaks
+			cancel()
 		}
+	})
+	if _, err := idx.JoinCtx(ctx, probe, &touch.Options{Sink: sink}); err != nil && !errors.Is(err, touch.ErrJoinCanceled) {
+		panic(err)
 	}
 	// Output:
 	// indexed 0 overlaps probe 100

@@ -6,7 +6,7 @@
 // the same data
 //
 //  1. in process, on one shared reader under concurrent goroutines
-//     (plus a streaming join that is broken out of and one that is
+//     (plus a join streamed into a sink that cancels it and one that is
 //     canceled by a deadline),
 //  2. over HTTP/JSON, through the touchserved handler on a loopback port,
 //  3. over the pipelined binary protocol, through touch/client (unary,
@@ -111,15 +111,22 @@ func main() {
 	fmt.Printf("in process: %d ids, %d neighbors, %d pairs — %d concurrent clients agree ✓\n",
 		len(want.IDs), len(want.Nbrs), len(want.Pairs), *clients)
 
-	// The same reader serves streaming consumers: breaking out of a
-	// JoinSeq loop aborts the join instead of finishing it, and a
-	// deadline cancels one mid-flight.
+	// The same reader streams joins through a sink: pairs arrive as the
+	// engine finds them, a sink that has seen enough cancels its context
+	// and the join stops at its next checkpoint instead of finishing, and
+	// a deadline cancels one mid-flight.
+	sctx, cancel := context.WithCancel(ctx)
 	streamed, half := 0, len(want.Pairs)/2+1
-	for _, err := range m.View().DistanceJoinSeq(ctx, grid, eps, nil) {
-		check(err)
-		if streamed++; streamed == half {
-			break
+	_, err = m.View().DistanceJoinCtx(sctx, grid, eps, &touch.Options{Sink: sinkFunc(func(a, b touch.ID) {
+		if sctx.Err() == nil {
+			if streamed++; streamed == half {
+				cancel()
+			}
 		}
+	})})
+	cancel()
+	if err != nil && !errors.Is(err, touch.ErrJoinCanceled) {
+		log.Fatal(err)
 	}
 	dctx, cancel := context.WithTimeout(ctx, time.Nanosecond)
 	_, err = m.View().DistanceJoinCtx(dctx, grid, eps, nil)
@@ -127,7 +134,7 @@ func main() {
 	if !errors.Is(err, touch.ErrJoinCanceled) {
 		log.Fatalf("expected ErrJoinCanceled, got %v", err)
 	}
-	fmt.Printf("streamed %d of %d pairs then broke out; a deadline returned ErrJoinCanceled ✓\n", streamed, len(want.Pairs))
+	fmt.Printf("streamed %d of %d pairs then cancelled from the sink; a deadline returned ErrJoinCanceled ✓\n", streamed, len(want.Pairs))
 
 	// --- 2 and 3. The network doors. --------------------------------------
 	mustAgree("HTTP", overHTTP(hs.URL), want)
@@ -293,6 +300,11 @@ func mustAgree(door string, got, want answers) {
 			len(got.IDs), len(want.IDs), len(got.Nbrs), len(want.Nbrs), len(got.Pairs), len(want.Pairs))
 	}
 }
+
+// sinkFunc adapts a function to touch.Sink.
+type sinkFunc func(a, b touch.ID)
+
+func (f sinkFunc) Emit(a, b touch.ID) { f(a, b) }
 
 func check(err error) {
 	if err != nil {

@@ -50,7 +50,7 @@ func BuildIndex(a Dataset, cfg TOUCHConfig) *Index {
 // tiers[0] being the base — plus a possibly-empty delta of pending
 // updates. Index embeds it with one tier and nothing pending, Overlay
 // with the tiers, the unindexed tail and the tombstones of one
-// generation, and Mutable.View returns the current one; all twelve query
+// generation, and Mutable.View returns the current one; all ten query
 // and join methods are declared here and answer bit-identically to an
 // index rebuilt from the merged dataset.
 //
@@ -132,7 +132,7 @@ func (r *reader) JoinCtx(ctx context.Context, b Dataset, opt *Options) (*Result,
 	})
 }
 
-// run executes one join for JoinCtx and JoinSeq: one probe per tier, with
+// run executes one join for JoinCtx: one probe per tier, with
 // a tombstone filter in front of the delivery chain when there are
 // tombstones, then — unless the join was stopped or nothing is unindexed
 // — the brute-force pass over the live inserts into the same chain, one

@@ -39,9 +39,6 @@ var bucketsNs = func() [len(buckets)]int64 {
 // follows implicitly.
 const NumBuckets = len(buckets)
 
-// Bucket returns the upper bound (seconds) of finite bucket i.
-func Bucket(i int) float64 { return buckets[i] }
-
 // Histogram is a fixed-bucket duration histogram: one atomic counter
 // per bucket plus the +Inf overflow, the observation sum and count.
 // Observe is wait-free; render reads are torn at worst by one in-flight
@@ -67,37 +64,6 @@ func (h *Histogram) Observe(d time.Duration) {
 
 // Count reports the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Quantile estimates the q-quantile (0 < q < 1) with the standard
-// Prometheus histogram_quantile interpolation: find the bucket holding
-// the rank, interpolate linearly inside it. ok is false on an empty
-// histogram; ranks landing in the +Inf bucket report the largest finite
-// bound.
-func (h *Histogram) Quantile(q float64) (seconds float64, ok bool) {
-	total := h.count.Load()
-	if total == 0 {
-		return 0, false
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	for i := range buckets {
-		cum += h.buckets[i].Load()
-		if float64(cum) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = buckets[i-1]
-			}
-			hi := buckets[i]
-			inBucket := float64(h.buckets[i].Load())
-			if inBucket == 0 {
-				return hi, true
-			}
-			prev := float64(cum) - inBucket
-			return lo + (hi-lo)*(rank-prev)/inBucket, true
-		}
-	}
-	return buckets[len(buckets)-1], true
-}
 
 // Render writes one histogram family member's bucket/sum/count lines.
 // labels is the rendered label pairs without braces ("class=\"query\""),

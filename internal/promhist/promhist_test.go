@@ -69,25 +69,3 @@ func TestHistogramRenderParses(t *testing.T) {
 		t.Fatalf("+Inf bucket %g / count %g, want both %d", inf, count, len(durations))
 	}
 }
-
-// TestQuantile pins the interpolation behavior: an empty histogram
-// reports !ok, a loaded one brackets its observations, and a rank in
-// the overflow bucket clamps to the largest finite bound.
-func TestQuantile(t *testing.T) {
-	var h promhist.Histogram
-	if _, ok := h.Quantile(0.5); ok {
-		t.Fatal("empty histogram reported a quantile")
-	}
-	for i := 0; i < 100; i++ {
-		h.Observe(2 * time.Millisecond) // lands in the (1ms, 2.5ms] bucket
-	}
-	p50, ok := h.Quantile(0.5)
-	if !ok || p50 < 1e-3 || p50 > 2.5e-3 {
-		t.Fatalf("p50 = %g ok=%v, want inside (1ms, 2.5ms]", p50, ok)
-	}
-	h.Observe(5 * time.Minute) // overflow
-	p100, ok := h.Quantile(0.9999)
-	if !ok || p100 != promhist.Bucket(promhist.NumBuckets-1) {
-		t.Fatalf("overflow quantile = %g ok=%v, want largest finite bound", p100, ok)
-	}
-}

@@ -46,6 +46,7 @@ import (
 	"touch"
 	"touch/internal/api"
 	"touch/internal/geom"
+	"touch/internal/stats"
 	"touch/internal/trace"
 	"touch/internal/wire"
 )
@@ -449,9 +450,9 @@ func (c *binConn) handleUpdate(req *wireReq) *api.Error {
 }
 
 // handleJoin answers a join frame. count_only joins return one OpCount;
-// full joins stream OpPairs batches straight off the engine's iterator
-// — O(1) result memory, exempt from MaxJoinPairs exactly like the
-// NDJSON path — and finish with OpJoinDone. Joins are the only
+// full joins stream OpPairs batches from the join's sink as the engine
+// finds the pairs — O(1) result memory, exempt from MaxJoinPairs exactly
+// like the NDJSON path — and finish with OpJoinDone. Joins are the only
 // multi-millisecond work on a connection, so they alone get a deadline
 // context and per-tag cancel registration; a cancel frame or ShutdownWire
 // aborts the engine cooperatively and the admission slot frees on the
@@ -480,7 +481,7 @@ func (c *binConn) handleJoin(req *wireReq) *api.Error {
 	s.hook(ctx)
 
 	if jr.CountOnly {
-		res, e := s.join(ctx, rq, plan, jr.Eps, true, 0)
+		res, e := s.join(ctx, rq, plan, jr.Eps, touch.Options{NoPairs: true})
 		if e != nil {
 			return e
 		}
@@ -494,28 +495,30 @@ func (c *binConn) handleJoin(req *wireReq) *api.Error {
 
 	// Unlike NDJSON streaming, a mid-stream failure here still has a
 	// terminal frame to use: OpError after partial OpPairs tells the
-	// client to discard what it buffered for the tag.
+	// client to discard what it buffered for the tag. The sink is called
+	// one pair at a time and never after the join returns, so the
+	// connection's scratch is its alone meanwhile.
 	c.pairBuf = c.pairBuf[:0]
 	n := int64(0)
 	frames := 0
-	for p, err := range plan.snap.ov.DistanceJoinSeq(ctx, plan.probe, jr.Eps,
-		&touch.Options{Workers: plan.workers, Trace: &rq.span}) {
-		if err != nil {
-			return s.joinError(ctx, err)
-		}
-		c.pairBuf = append(c.pairBuf, p)
-		if len(c.pairBuf) == wirePairBatch {
-			n += int64(len(c.pairBuf))
-			c.scratch = wire.AppendPairsResp(c.scratch[:0], c.pairBuf)
-			frames++
-			c.respondStream(req.tag, c.scratch, frames%wireStreamFlushEvery == 0)
-			c.pairBuf = c.pairBuf[:0]
-		}
-	}
-	if len(c.pairBuf) > 0 {
+	writePairs := func(flush bool) {
 		n += int64(len(c.pairBuf))
 		c.scratch = wire.AppendPairsResp(c.scratch[:0], c.pairBuf)
-		c.respondStream(req.tag, c.scratch, false)
+		c.respondStream(req.tag, c.scratch, flush)
+		c.pairBuf = c.pairBuf[:0]
+	}
+	sink := stats.FuncSink(func(a, b geom.ID) {
+		c.pairBuf = append(c.pairBuf, geom.Pair{A: a, B: b})
+		if len(c.pairBuf) == wirePairBatch {
+			frames++
+			writePairs(frames%wireStreamFlushEvery == 0)
+		}
+	})
+	if _, e := s.join(ctx, rq, plan, jr.Eps, touch.Options{Sink: sink}); e != nil {
+		return e
+	}
+	if len(c.pairBuf) > 0 {
+		writePairs(false)
 	}
 	if jr.Trace {
 		c.respondTrace(req.tag)

@@ -270,13 +270,14 @@ func prepareJoin[S name](s *Server, rq *request, snap *snapshot, probeName S, in
 	return p, nil
 }
 
-// join runs a buffered join. ε = 0 is the plain intersection join:
-// Dataset.Expand(0) is the identity, so there is no expansion copy to
-// skip, on either protocol. limit > 0 makes the engine abort
-// cooperatively once that many pairs exist.
-func (s *Server) join(ctx context.Context, rq *request, p joinPlan, eps float64, noPairs bool, limit int64) (*touch.Result, *api.Error) {
-	res, err := p.snap.ov.DistanceJoinCtx(ctx, p.probe, eps,
-		&touch.Options{Workers: p.workers, NoPairs: noPairs, Limit: limit, Trace: &rq.span})
+// join runs one join of the plan, delivering as opt says — Result.Pairs,
+// a count (NoPairs) or a streaming Sink, under opt.Limit — with the
+// plan's workers and the request's trace. ε = 0 is the plain
+// intersection join: Dataset.Expand(0) is the identity, so there is no
+// expansion copy to skip, on either protocol.
+func (s *Server) join(ctx context.Context, rq *request, p joinPlan, eps float64, opt touch.Options) (*touch.Result, *api.Error) {
+	opt.Workers, opt.Trace = p.workers, &rq.span
+	res, err := p.snap.ov.DistanceJoinCtx(ctx, p.probe, eps, &opt)
 	if err != nil {
 		return nil, s.joinError(ctx, err)
 	}

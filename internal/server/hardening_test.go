@@ -280,34 +280,6 @@ func TestClientDisconnectIsNotATimeout(t *testing.T) {
 	}
 }
 
-// TestQPSWindowedEstimate: the qps gauge must report window semantics
-// for sparse traffic — one request 100ms before the scrape is ~0.02
-// qps, not 10 — and use the ring span only when the full ring is newer
-// than the window.
-func TestQPSWindowedEstimate(t *testing.T) {
-	m := newMetrics()
-	now := time.Now()
-	if got := m.qps(now); got != 0 {
-		t.Fatalf("idle qps = %g, want 0", got)
-	}
-	m.times.observe(time.Duration(now.Add(-100 * time.Millisecond).UnixNano()))
-	got := m.qps(now)
-	want := 1.0 / qpsWindow.Seconds()
-	if got < want*0.9 || got > want*1.1 {
-		t.Fatalf("sparse qps = %g, want ≈ %g (1 request per window)", got, want)
-	}
-
-	// Saturated ring entirely inside the window → span-based estimate.
-	m2 := newMetrics()
-	for i := 0; i < ringSize; i++ {
-		m2.times.observe(time.Duration(now.Add(-time.Duration(i) * time.Millisecond).UnixNano()))
-	}
-	got = m2.qps(now) // 1024 samples spaced 1ms → span ≈ 1.02s → ≈1000 qps
-	if got < 900 || got > 1100 {
-		t.Fatalf("burst qps = %g, want ≈ 1000 (ring span)", got)
-	}
-}
-
 // TestRejectsStayOutOfLatencyHistograms: admission rejects finish in
 // microseconds; feeding them into the duration histogram would report a
 // healthy p50 during an overload incident.
@@ -320,10 +292,5 @@ func TestRejectsStayOutOfLatencyHistograms(t *testing.T) {
 	m.observe(classQuery, http.StatusOK, time.Millisecond, true)
 	if n := m.duration[classQuery].Count(); n != 1 {
 		t.Fatalf("admitted request not recorded (count %d)", n)
-	}
-	// The derived p50 must land in the bucket holding 1ms.
-	p50, ok := m.duration[classQuery].Quantile(0.50)
-	if !ok || p50 < 0.0005 || p50 > 0.005 {
-		t.Fatalf("derived p50 = %gs, want ≈ 0.001s", p50)
 	}
 }

@@ -13,9 +13,8 @@ import (
 	"touch/internal/trace"
 )
 
-// Request classes for per-endpoint accounting. Query and join are the
-// serving hot paths and get latency rings; load and catalog traffic is
-// counted but not timed.
+// Request classes for per-endpoint accounting: every class is counted,
+// and its admitted requests are timed in a duration histogram.
 const (
 	classQuery = iota
 	classJoin
@@ -47,28 +46,6 @@ func codeIndex(status int) int {
 	return len(trackedCodes)
 }
 
-// ringSize is the number of recent samples the completion-time ring
-// keeps; the qps estimate is computed over this window at scrape time.
-const ringSize = 1024
-
-// latencyRing is a lock-free ring of recent timestamps. Writers claim a
-// slot with one atomic add; readers copy the window at scrape time. A
-// torn read can at worst mix two real samples — fine for a monitoring
-// gauge.
-type latencyRing struct {
-	n   atomic.Int64
-	buf [ringSize]atomic.Int64 // nanoseconds; 0 = never written
-}
-
-func (r *latencyRing) observe(d time.Duration) {
-	ns := int64(d)
-	if ns < 1 {
-		ns = 1 // 0 marks an empty slot
-	}
-	i := r.n.Add(1) - 1
-	r.buf[i%ringSize].Store(ns)
-}
-
 // dsCounters are the per-dataset engine-work counters, fed from request
 // spans: cumulative box comparisons and replica emissions answered from
 // one dataset.
@@ -87,16 +64,14 @@ func (c *dsCounters) add(sp *touch.Span) {
 
 // metrics aggregates the server's observability counters: request and
 // response totals per class, admission rejects by reason, the in-flight
-// gauge and the latency rings backing the p50/p99 lines of /metrics.
+// gauge and the duration histograms of /metrics.
 type metrics struct {
 	start    time.Time
 	inFlight atomic.Int64
 
 	requests  [nClasses]atomic.Int64
 	responses [nClasses][len(trackedCodes) + 1]atomic.Int64
-	// duration histograms every admitted request's wall time per class;
-	// the legacy touchserved_latency_seconds quantile lines are derived
-	// from it at scrape time.
+	// duration histograms every admitted request's wall time per class.
 	duration [nClasses]promhist.Histogram
 	// phase histograms engine phase wall times across all requests,
 	// indexed by trace.Phase and fed from the per-request spans.
@@ -108,10 +83,6 @@ type metrics struct {
 	// as Prometheus counters must never go backwards.
 	dsMu sync.RWMutex
 	ds   map[string]*dsCounters
-
-	// times holds the completion timestamps (unix nanos) of the most
-	// recent requests across all classes, backing the qps estimate.
-	times latencyRing
 
 	rejectOverload atomic.Int64
 	rejectDraining atomic.Int64
@@ -158,7 +129,6 @@ func newMetrics() *metrics {
 // would mask real serving latency under overload.
 func (m *metrics) observe(class, status int, d time.Duration, admitted bool) {
 	m.responses[class][codeIndex(status)].Add(1)
-	m.times.observe(time.Duration(time.Now().UnixNano()))
 	if admitted {
 		m.duration[class].Observe(d)
 	}
@@ -195,48 +165,6 @@ func datasetCounters[S name](m *metrics, n S) *dsCounters {
 	return c
 }
 
-// qpsWindow is the recency window of the qps gauge.
-const qpsWindow = 60 * time.Second
-
-// qps estimates current throughput from the completion timestamps of
-// the most recent requests: samples inside the window divided by the
-// window, or by the ring's actual span when the full ring is newer than
-// the window (the ring undercounts a burst hotter than ringSize/60s).
-// A lifetime mean would read ~0 after a long idle stretch exactly when
-// a burst arrives, and stay inflated by a long-past burst during an
-// outage.
-func (m *metrics) qps(now time.Time) float64 {
-	n := m.times.n.Load()
-	if n == 0 {
-		return 0
-	}
-	if n > ringSize {
-		n = ringSize
-	}
-	cutoff := now.Add(-qpsWindow).UnixNano()
-	inWindow, oldest := 0, int64(1)<<62
-	for i := int64(0); i < n; i++ {
-		v := m.times.buf[i].Load()
-		if v == 0 {
-			continue
-		}
-		if v >= cutoff {
-			inWindow++
-		}
-		if v < oldest {
-			oldest = v
-		}
-	}
-	// The span estimate applies only when the full ring is newer than
-	// the window (older samples were evicted, so inWindow/60 would
-	// undercount a hot burst). With a partially filled ring, window
-	// semantics win: one lone request 100ms ago is ~0.02 qps, not 10.
-	if span := now.UnixNano() - oldest; n == ringSize && inWindow == ringSize && span > 0 {
-		return float64(n) / (float64(span) / float64(time.Second))
-	}
-	return float64(inWindow) / qpsWindow.Seconds()
-}
-
 // render writes the Prometheus text exposition. cat is read at scrape
 // time for the dataset rows and the compaction counters; snapshotErrors
 // is the cumulative persistence failure count.
@@ -248,10 +176,6 @@ func (m *metrics) render(w io.Writer, cat *catalog, snapshotErrors int64) {
 	fmt.Fprintf(w, "touchserved_uptime_seconds %g\n", uptime)
 	fmt.Fprintf(w, "# TYPE touchserved_in_flight gauge\n")
 	fmt.Fprintf(w, "touchserved_in_flight %d\n", m.inFlight.Load())
-	// A windowed estimate, not a lifetime mean; for precise rates derive
-	// rate(touchserved_requests_total[1m]) from the counters below.
-	fmt.Fprintf(w, "# TYPE touchserved_qps gauge\n")
-	fmt.Fprintf(w, "touchserved_qps %g\n", m.qps(time.Now()))
 
 	fmt.Fprintf(w, "# TYPE touchserved_requests_total counter\n")
 	for i := 0; i < nClasses; i++ {
@@ -276,9 +200,9 @@ func (m *metrics) render(w io.Writer, cat *catalog, snapshotErrors int64) {
 	fmt.Fprintf(w, "touchserved_rejects_total{reason=\"canceled\"} %d\n", m.rejectCanceled.Load())
 	fmt.Fprintf(w, "touchserved_rejects_total{reason=\"limited\"} %d\n", m.rejectLimited.Load())
 
-	// The real distributions: fixed-bucket histograms per request class
-	// and per engine phase. The legacy latency gauge below is derived
-	// from these at scrape time.
+	// Fixed-bucket histograms per request class and per engine phase:
+	// histogram_quantile over them gives any percentile, rate() over
+	// touchserved_requests_total any throughput.
 	fmt.Fprintf(w, "# TYPE touchserved_request_duration_seconds histogram\n")
 	for i := 0; i < nClasses; i++ {
 		m.duration[i].Render(w, "touchserved_request_duration_seconds",
@@ -288,20 +212,6 @@ func (m *metrics) render(w io.Writer, cat *catalog, snapshotErrors int64) {
 	for _, p := range trace.Phases() {
 		m.phase[p].Render(w, "touchserved_phase_duration_seconds",
 			fmt.Sprintf("phase=%q", p.Name()))
-	}
-
-	// Kept for dashboard continuity: the historical quantile lines, now
-	// interpolated from the histograms above instead of a sampled ring.
-	fmt.Fprintf(w, "# TYPE touchserved_latency_seconds gauge\n")
-	for _, class := range []int{classQuery, classJoin, classWireQuery, classWireJoin} {
-		if p50, ok := m.duration[class].Quantile(0.50); ok {
-			fmt.Fprintf(w, "touchserved_latency_seconds{class=%q,quantile=\"0.5\"} %g\n",
-				classNames[class], p50)
-		}
-		if p99, ok := m.duration[class].Quantile(0.99); ok {
-			fmt.Fprintf(w, "touchserved_latency_seconds{class=%q,quantile=\"0.99\"} %g\n",
-				classNames[class], p99)
-		}
 	}
 
 	// Per-dataset engine work, fed from request spans: how much box

@@ -100,7 +100,7 @@ func TestMetricsScrapeWellFormed(t *testing.T) {
 	ts.srv.Load("p", probe, touch.TOUCHConfig{})
 
 	// HTTP: queries, a join, and a reject, so the conditional families
-	// (responses, rejects, latency gauges, dataset counters) populate.
+	// (responses, rejects, duration histograms, dataset counters) populate.
 	ts.postJSON("/v1/datasets/m/query", api.QueryRequest{Type: "range", Box: []float64{0, 0, 0, 500, 500, 500}})
 	ts.postJSON("/v1/datasets/m/query", api.QueryRequest{Type: "knn", Point: []float64{1, 2, 3}, K: 5})
 	ts.postJSON("/v1/datasets/m/join", api.JoinRequest{Probe: "p", Eps: 3, CountOnly: true})

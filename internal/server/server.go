@@ -13,7 +13,7 @@
 //	POST   /v1/datasets/{name}/query  range | point | knn against the serving index version
 //	POST   /v1/datasets/{name}/join   intersection / ε-distance join vs inline boxes or a named dataset
 //	GET    /healthz                   liveness (503 while draining)
-//	GET    /metrics                   Prometheus text: qps, in-flight, p50/p99 latency, rejects
+//	GET    /metrics                   Prometheus text: request counts, in-flight, latency histograms, rejects
 //
 // A join request with "Accept: application/x-ndjson" streams its pairs
 // as newline-delimited JSON instead of buffering them: one `[a,b]` array
@@ -22,7 +22,9 @@
 // result memory on the server, are exempt from the MaxJoinPairs response
 // cap, and stop promptly when the client disconnects (the request
 // context cancels the engine); a stream that ends without the trailer
-// line was truncated by cancellation.
+// line was truncated by cancellation. The 200 goes out with the first
+// pair, so a join that fails before finding one answers with the
+// buffered path's status and error body.
 //
 // # Hot swap
 //
@@ -79,6 +81,7 @@ import (
 	"touch"
 	"touch/internal/api"
 	snapstore "touch/internal/snapshot"
+	"touch/internal/stats"
 	"touch/internal/trace"
 	"touch/internal/wire"
 )
@@ -761,7 +764,7 @@ func (s *Server) handleJoin(h *httpRequest) *api.Error {
 	if !req.CountOnly {
 		limit = int64(s.cfg.MaxJoinPairs) + 1
 	}
-	res, e := s.join(h.ctx, &h.request, plan, req.Eps, req.CountOnly, limit)
+	res, e := s.join(h.ctx, &h.request, plan, req.Eps, touch.Options{NoPairs: req.CountOnly, Limit: limit})
 	if e != nil {
 		return e
 	}
@@ -812,41 +815,35 @@ const streamFlushEvery = 4096
 const streamFlushInterval = 250 * time.Millisecond
 
 // streamJoin answers a join with Accept: application/x-ndjson by
-// streaming one `[a,b]` line per pair straight off the engine's
-// iterator — O(1) server memory, no response cap — and a `{"count":N}`
-// trailer line after a complete join. Client disconnect or deadline
-// expiry cancels the engine mid-stream; the truncated stream simply
-// ends without the trailer (the status line is long gone), and the
-// abort is recorded under its own reject reason.
+// writing one `[a,b]` line per pair from the join's sink, on the
+// handler's goroutine — O(1) server memory, no response cap — and a
+// `{"count":N}` trailer line after a complete join. The 200 goes out
+// with the first pair, or after a join that found none, so an error
+// before then (a negative eps, a budget already spent) gets the
+// buffered path's status and code. Once the 200 is out, a client
+// disconnect or deadline expiry cancels the engine mid-stream; the
+// truncated stream simply ends without the trailer, and the abort is
+// recorded under its own reject reason.
 func (s *Server) streamJoin(h *httpRequest, plan joinPlan, eps float64) *api.Error {
-	ctx := h.ctx
-	// The eps validation must run before the 200 goes on the wire, so it
-	// is checked here for the status and delegated to the engine
-	// (DistanceJoinSeq) for the semantics — expansion policy included.
-	if eps < 0 {
-		return api.EngineError(fmt.Errorf("%w %g", touch.ErrNegativeDistance, eps))
-	}
-	// Last boundary check before the 200 goes on the wire: a request
-	// whose budget is already gone (or whose client already left) gets
-	// the same 503/499 the buffered path would give, not an empty
-	// trailer-less 200.
-	if ctx.Err() != nil {
-		return s.aborted(ctx)
-	}
-	h.Header().Set("Content-Type", ndjsonContentType)
-	h.WriteHeader(http.StatusOK)
 	bw := bufio.NewWriterSize(h, 64<<10)
 
-	// All writer access — pair lines, count-based flushes and the timer
-	// goroutine's staleness flushes — runs under one mutex: the
-	// ResponseWriter is not safe for concurrent use. The per-pair lock
-	// is uncontended except at the 4 Hz the timer fires.
+	// All writer access — the status line, pair lines, count-based
+	// flushes and the timer goroutine's staleness flushes — runs under
+	// one mutex: the ResponseWriter is not safe for concurrent use. The
+	// per-pair lock is uncontended except at the 4 Hz the timer fires.
 	var mu sync.Mutex
+	n := int64(0)
 	dirty := false
+	// Write errors are dropped: they mean the client is gone, and its
+	// request context cancels the engine.
 	flushLocked := func() {
 		_ = bw.Flush()
 		h.Flush()
 		dirty = false
+	}
+	startLocked := func() {
+		h.Header().Set("Content-Type", ndjsonContentType)
+		h.WriteHeader(http.StatusOK)
 	}
 	stopTimer := make(chan struct{})
 	timerDone := make(chan struct{})
@@ -874,31 +871,36 @@ func (s *Server) streamJoin(h *httpRequest, plan joinPlan, eps float64) *api.Err
 		<-timerDone
 	}()
 
-	n := int64(0)
-	for p, err := range plan.snap.ov.DistanceJoinSeq(ctx, plan.probe, eps,
-		&touch.Options{Workers: plan.workers, Trace: &h.span}) {
-		if err != nil {
-			// Mid-stream failure: the 200 is already on the wire, so the
-			// truncation is the signal — plus, for cancellations, the
-			// reject metric joinError records. (A non-cancellation engine
-			// error is unreachable today: eps was validated above.)
-			s.joinError(ctx, err)
-			mu.Lock()
-			_ = bw.Flush()
-			mu.Unlock()
-			return nil
-		}
+	sink := stats.FuncSink(func(a, b touch.ID) {
 		mu.Lock()
-		fmt.Fprintf(bw, "[%d,%d]\n", p.A, p.B)
+		if n == 0 {
+			startLocked()
+		}
+		fmt.Fprintf(bw, "[%d,%d]\n", a, b)
 		dirty = true
 		if n++; n == 1 || n%streamFlushEvery == 0 {
 			flushLocked()
 		}
 		mu.Unlock()
-	}
+	})
+	_, e := s.join(h.ctx, &h.request, plan, eps, touch.Options{Sink: sink})
+	// The join has returned, so the sink is done: the lock now only keeps
+	// the timer out.
 	mu.Lock()
-	fmt.Fprintf(bw, "{\"count\":%d}\n", n)
+	defer mu.Unlock()
+	if e != nil {
+		if n == 0 {
+			return e
+		}
+		// Mid-stream failure: the 200 is already on the wire, so the
+		// truncation is the signal — plus, for cancellations, the reject
+		// metric joinError recorded.
+	} else {
+		if n == 0 {
+			startLocked()
+		}
+		fmt.Fprintf(bw, "{\"count\":%d}\n", n)
+	}
 	_ = bw.Flush()
-	mu.Unlock()
 	return nil
 }

@@ -416,6 +416,16 @@ func TestErrorStatuses(t *testing.T) {
 			}
 		})
 	}
+	// The NDJSON twin of "negative eps": a streaming join that fails
+	// before its first pair answers like the buffered one.
+	t.Run("negative eps ndjson", func(t *testing.T) {
+		status, body, _ := ts.doHeaders(http.MethodPost, "/v1/datasets/ds/join",
+			api.JoinRequest{Boxes: [][]float64{{0, 0, 0, 1, 1, 1}}, Eps: -2},
+			map[string]string{"Accept": ndjsonContentType})
+		if status != http.StatusBadRequest || errCode(t, body) != api.CodeInvalidEps {
+			t.Fatalf("status %d (%s), want 400 %s", status, body, api.CodeInvalidEps)
+		}
+	})
 
 	// Oversized body → 413 with code body_too_large.
 	big := loadRequest{Boxes: boxRows(touch.GenerateUniform(200, 42))}
@@ -676,12 +686,10 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`touchserved_requests_total{class="other"} 1`,
 		`touchserved_responses_total{class="other",code="404"} 1`,
 		`touchserved_responses_total{class="query",code="200"} 3`,
-		`touchserved_latency_seconds{class="query",quantile="0.5"}`,
-		`touchserved_latency_seconds{class="query",quantile="0.99"}`,
+		`touchserved_request_duration_seconds_count{class="query"} 3`,
 		`touchserved_in_flight 0`,
 		`touchserved_datasets 1`,
 		`touchserved_dataset_static_bytes{dataset="m"}`,
-		`touchserved_qps`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)

@@ -134,6 +134,18 @@ func TestNDJSONStreamBypassesResultCap(t *testing.T) {
 	}
 }
 
+// TestNDJSONEmptyJoinIsA200: a streaming join that finds no pair still
+// answers 200 with the NDJSON content type and a zero trailer — the
+// status goes out after the join returns instead of with a first pair.
+func TestNDJSONEmptyJoinIsA200(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	ts.loadAndWait("ds", touch.GenerateUniform(50, 201), 8)
+	far := [][]float64{{5000, 5000, 5000, 5001, 5001, 5001}}
+	if pairs, trailer := ts.streamPairs("/v1/datasets/ds/join", api.JoinRequest{Boxes: far}); len(pairs) != 0 || trailer != 0 {
+		t.Fatalf("empty streaming join: %d pairs, trailer %d, want 0 and 0", len(pairs), trailer)
+	}
+}
+
 // TestNDJSONCountOnlyStaysBuffered: count_only is a buffered answer even
 // when the client advertises NDJSON (there is nothing to stream).
 func TestNDJSONCountOnlyStaysBuffered(t *testing.T) {

@@ -3,10 +3,10 @@ package stats
 import "sync/atomic"
 
 // Control is the cooperative abort state of one join execution, the
-// single mechanism behind context cancellation, result limits and
-// consumers breaking out of a streaming iterator. The layer that owns
-// the execution (the public touch package, the HTTP server) creates one
-// Control per join and hands it down; every join inner loop polls it
+// single mechanism behind context cancellation (a sink cancelling its
+// join's context mid-join included) and result limits. The layer that
+// owns the execution (the public touch package) creates one Control per
+// join and hands it down; every join inner loop polls it
 // through a worker-local Ticker and unwinds as soon as it reads true.
 //
 // A Control carries no context.Context dependency — only the context's
@@ -28,7 +28,7 @@ const (
 	// CauseContext: the execution context was canceled or timed out.
 	CauseContext
 	// CauseStop: the consumer stopped the join — the result limit was
-	// reached or a streaming consumer broke out of its iterator.
+	// reached.
 	CauseStop
 )
 

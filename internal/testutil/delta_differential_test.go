@@ -2,6 +2,7 @@ package testutil
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 	"touch"
 	"touch/internal/geom"
 	"touch/internal/nl"
+	"touch/internal/stats"
 )
 
 // The delta-layer differential suite: a Mutable driven through random
@@ -174,14 +176,12 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 		}
 
 		var streamed []touch.Pair
-		for p, err := range m.View().DistanceJoinSeq(context.Background(), probe, eps, nil) {
-			if err != nil {
-				t.Fatalf("DistanceJoinSeq: %v", err)
-			}
-			streamed = append(streamed, p)
+		sink := stats.FuncSink(func(a, b geom.ID) { streamed = append(streamed, touch.Pair{A: a, B: b}) })
+		if _, err := m.View().DistanceJoinCtx(context.Background(), probe, eps, &touch.Options{Sink: sink}); err != nil {
+			t.Fatalf("DistanceJoinCtx into a sink: %v", err)
 		}
 		if got := PairSet(streamed); !slices.Equal(got, want) {
-			t.Fatalf("DistanceJoinSeq(eps=%g) diverges from rebuild: %d pairs, want %d", eps, len(got), len(want))
+			t.Fatalf("DistanceJoinCtx(eps=%g) into a sink diverges from rebuild: %d pairs, want %d", eps, len(got), len(want))
 		}
 	}
 
@@ -742,17 +742,18 @@ func TestMutableRace(t *testing.T) {
 						return
 					}
 				default:
+					// A sink that stops its own join after 500 pairs.
+					jctx, stop := context.WithCancel(ctx)
 					n := 0
-					for _, err := range m.View().JoinSeq(ctx, probe, nil) {
-						if err != nil {
-							if ctx.Err() == nil {
-								errs <- err
-							}
-							return
+					_, err := m.View().DistanceJoinCtx(jctx, probe, 0, &touch.Options{Sink: stats.FuncSink(func(a, b geom.ID) {
+						if n++; n == 500 {
+							stop()
 						}
-						if n++; n >= 500 {
-							break
-						}
+					})})
+					stop()
+					if err != nil && ctx.Err() == nil && !errors.Is(err, touch.ErrJoinCanceled) {
+						errs <- err
+						return
 					}
 				}
 			}

@@ -120,9 +120,9 @@ func (s *Span) Record(c *stats.Counters) {
 	s.Durations[PhaseJoin] += c.JoinTime
 }
 
-// SetResults overwrites the result counter — the streaming paths cap
-// delivery (Options.Limit) after the engine counted, so the serving
-// layer corrects the span to what the client actually received.
+// SetResults overwrites the result counter, for a caller whose answer
+// differs from what the engine counted — a range query over a delta
+// reports the IDs left after the merge and the tombstone filter.
 func (s *Span) SetResults(n int64) {
 	if s == nil {
 		return

@@ -2,7 +2,6 @@ package touch
 
 import (
 	"context"
-	"iter"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -14,6 +13,7 @@ import (
 	"time"
 	"unsafe"
 
+	"touch/internal/stats"
 	"touch/internal/trace"
 )
 
@@ -31,8 +31,6 @@ type querier interface {
 	JoinCtx(context.Context, Dataset, *Options) (*Result, error)
 	DistanceJoin(Dataset, float64, *Options) (*Result, error)
 	DistanceJoinCtx(context.Context, Dataset, float64, *Options) (*Result, error)
-	JoinSeq(context.Context, Dataset, *Options) iter.Seq2[Pair, error]
-	DistanceJoinSeq(context.Context, Dataset, float64, *Options) iter.Seq2[Pair, error]
 }
 
 var (
@@ -107,15 +105,11 @@ func TestOverlayEmptyDeltaReaderParity(t *testing.T) {
 			res, err := r.DistanceJoinCtx(ctx, probe, 3, &Options{Trace: sp})
 			return []any{res.Pairs, statsKey(&res.Stats), err}
 		}},
-		{"JoinSeq+Limit", []trace.Phase{trace.PhaseAssign, trace.PhaseJoin}, func(r querier, sp *Span) any {
+		{"Sink+Limit", []trace.Phase{trace.PhaseAssign, trace.PhaseJoin}, func(r querier, sp *Span) any {
 			var pairs []Pair
-			for p, err := range r.JoinSeq(ctx, probe, &Options{Limit: 40, Trace: sp}) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				pairs = append(pairs, p)
-			}
-			return pairs
+			sink := stats.FuncSink(func(a, b ID) { pairs = append(pairs, Pair{A: a, B: b}) })
+			res, err := r.JoinCtx(ctx, probe, &Options{Limit: 40, Sink: sink, Trace: sp})
+			return []any{pairs, statsKey(&res.Stats), err}
 		}},
 	}
 	for _, sh := range shapes {

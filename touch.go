@@ -27,9 +27,10 @@
 // Execution is context-first: the Ctx variants (SpatialJoinCtx,
 // Index.JoinCtx, …) abort cooperatively when their context is canceled,
 // returning ErrJoinCanceled within a bounded number of comparisons, and
-// the JoinSeq iterators stream result pairs with O(1) memory — breaking
-// out of the loop, cancelling the context, or Options.Limit all stop
-// the engine instead of letting it run to completion.
+// Options.Sink streams result pairs as the engine finds them, with O(1)
+// result memory — cancelling the context (from inside the sink too) or
+// Options.Limit stops the engine instead of letting it run to
+// completion.
 package touch
 
 import (
@@ -169,7 +170,23 @@ type Options struct {
 	// is set.
 	NoPairs bool
 	// Sink, when non-nil, receives pairs as they are found instead of
-	// Result.Pairs. Pairs are delivered in (A, B) orientation.
+	// Result.Pairs: the way to consume a join incrementally, in O(1)
+	// result memory. Every join entry point promises a sink that
+	//
+	//   - Emit is never called concurrently: parallel workers and the slab
+	//     driver funnel through one stats.LockedSink, so a sink needs no
+	//     locking of its own;
+	//   - Emit is never called after the join call returns;
+	//   - pairs arrive in (A, B) orientation — (indexed dataset, b) on an
+	//     Index or Overlay — the join-order swap undone first;
+	//   - Emit is called at most Limit times when Limit is set;
+	//   - Emit may cancel the join's context: the engine stops at its next
+	//     checkpoint (the bound ErrJoinCanceled describes) and, unless it
+	//     finished first, the call returns ErrJoinCanceled; pairs found
+	//     before that checkpoint still reach Emit.
+	//
+	// Emit runs on the engine's goroutines: a sink that blocks (on a
+	// network write, say) holds the join back with it.
 	Sink Sink
 	// Workers > 1 parallelizes the join with that many goroutines (0 or
 	// 1 = single-threaded, the paper's setting). AlgTOUCH — including
@@ -181,7 +198,7 @@ type Options struct {
 	// duplicates with an ownership rule.
 	Workers int
 	// Limit > 0 stops the join after exactly that many result pairs have
-	// been delivered (to Result.Pairs, the Sink, or a JoinSeq consumer).
+	// been delivered (to Result.Pairs or the Sink).
 	// The engine aborts cooperatively instead of materializing and
 	// discarding the excess; a limited join returns normally with
 	// Stats.Results equal to the delivered count. Which pairs are kept is
@@ -189,8 +206,8 @@ type Options struct {
 	Limit int64
 	// Trace, when non-nil, receives the execution's phase timings,
 	// engine counters and cancel cause. The span is written once, after
-	// the engine finishes (for JoinSeq, after the iterator's loop
-	// exits); nil adds no work and no allocations to the join.
+	// the engine finishes and before the join call returns; nil adds no
+	// work and no allocations to the join.
 	Trace *Span
 }
 
@@ -199,19 +216,6 @@ func (o *Options) normalized() Options {
 		return Options{}
 	}
 	return *o
-}
-
-// orderDatasets applies the join-order heuristic of §5.2.3 unless
-// KeepOrder disables it: the smaller dataset builds the tree/index — it
-// is likely sparser, enabling more filtering, and cheaper to index.
-// swapped tells the sink layer to re-orient emitted pairs back to
-// (A, B). One implementation shared by the materializing and streaming
-// one-shot paths, so the orientation policy cannot drift between them.
-func (o *Options) orderDatasets(a, b Dataset) (x, y Dataset, swapped bool) {
-	if !o.KeepOrder && len(b) < len(a) {
-		return b, a, true
-	}
-	return a, b, false
 }
 
 // ErrUnknownAlgorithm is wrapped into the error returned when an
@@ -232,9 +236,9 @@ var ErrNegativeDistance = errors.New("touch: negative distance")
 // checkpoint — prebuilt Index joins have no such phase. The returned
 // error also wraps the context's own error, so errors.Is matches
 // ErrJoinCanceled, context.Canceled and context.DeadlineExceeded as
-// appropriate. A join truncated by Options.Limit or by a consumer
-// breaking out of a JoinSeq iterator is a normal termination, not an
-// ErrJoinCanceled.
+// appropriate. A join truncated by Options.Limit is a normal
+// termination, not an ErrJoinCanceled; a sink that wants to stop early
+// cancels the context and gets one.
 var ErrJoinCanceled = errors.New("touch: join canceled")
 
 // canceled wraps a context error in ErrJoinCanceled.
@@ -243,8 +247,8 @@ func canceled(cause error) error {
 }
 
 // canceledErr translates an execution's abort state into the public
-// error: only a context-caused abort is an error — limit and iterator
-// stops terminate normally.
+// error: only a context-caused abort is an error — a limit stop
+// terminates normally.
 func canceledErr(ctx context.Context, ctl *stats.Control) error {
 	if ctl.Cause() == stats.CauseContext {
 		return canceled(context.Cause(ctx))
@@ -402,17 +406,30 @@ func SpatialJoinCtx(ctx context.Context, alg Algorithm, a, b Dataset, opt *Optio
 	if err != nil {
 		return nil, err
 	}
-	a, b, swapped := o.orderDatasets(a, b)
+	// The join-order heuristic of §5.2.3, unless KeepOrder disables it:
+	// the smaller dataset builds the tree/index — it is likely sparser,
+	// enabling more filtering, and cheaper to index. The delivery chain
+	// re-orients the swapped pairs back to (A, B).
+	swapped := !o.KeepOrder && len(b) < len(a)
+	if swapped {
+		a, b = b, a
+	}
 	return collect(ctx, &o, swapped, func(ctl *stats.Control, c *Stats, sink Sink) {
-		dispatch(alg, join, &o, a, b, ctl, c, sink)
+		// AlgTOUCH parallelizes internally (bind routed Options.Workers
+		// into its config); every other algorithm runs under the slab
+		// driver when Workers > 1.
+		if o.Workers > 1 && alg != AlgTOUCH {
+			parallel.Join(a, b, o.Workers, join, ctl, c, sink)
+		} else {
+			join(a, b, ctl, c, sink)
+		}
 	})
 }
 
-// collect runs one join to completion and materializes its result — the
-// twin of streamJoin, over the same run closure: build the abort handle
-// and the delivery chain, run, and translate the abort state. Every
-// materializing join of the package, one-shot or over a prebuilt tree,
-// ends here.
+// collect runs one join to completion: build the abort handle and the
+// delivery chain — Result.Pairs, a count or Options.Sink — run, and
+// translate the abort state. Every join of the package, one-shot or
+// over a prebuilt tree, ends here.
 func collect(ctx context.Context, o *Options, swapped bool, run func(*stats.Control, *Stats, Sink)) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, canceled(err)
@@ -435,20 +452,6 @@ func collect(ctx context.Context, o *Options, swapped bool, run func(*stats.Cont
 		return nil, err
 	}
 	return res, nil
-}
-
-// dispatch runs a bound join on its execution engine: AlgTOUCH
-// parallelizes internally (bind routed Options.Workers into its
-// config), every other algorithm runs under the slab driver when
-// Workers > 1. One implementation shared by the materializing and
-// streaming one-shot paths, so the engine choice cannot drift between
-// them.
-func dispatch(alg Algorithm, join parallel.JoinFunc, o *Options, a, b Dataset, ctl *stats.Control, c *Stats, sink Sink) {
-	if o.Workers > 1 && alg != AlgTOUCH {
-		parallel.Join(a, b, o.Workers, join, ctl, c, sink)
-	} else {
-		join(a, b, ctl, c, sink)
-	}
 }
 
 // DistanceJoin finds every pair of objects within distance eps of each
