@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet benchmark benchmark-compare serve-smoke clean
+.PHONY: all build test race vet fuzz benchmark benchmark-compare serve-smoke clean
 
 all: vet build test
 
@@ -15,6 +15,17 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fuzz runs every fuzz target for FUZZTIME each — the list CI's fuzz
+# smoke runs, so a codec change is fuzzed locally exactly as CI fuzzes
+# it. Failing inputs land in internal/testutil/testdata/fuzz/.
+FUZZTIME ?= 30s
+FUZZ_TARGETS = FuzzJoin FuzzRangeQuery FuzzKNN FuzzSortIDs FuzzSnapshotDecode FuzzThaw FuzzWireDecode FuzzDeltaMerge
+
+fuzz:
+	set -e; for target in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${target}\$$" -fuzztime $(FUZZTIME) ./internal/testutil; \
+	done
 
 # benchmark runs the repository's committed benchmark (BENCHMARK.json,
 # benchmark/README.md): every workload end to end, one table each.

@@ -90,14 +90,14 @@ func (b *Batch) KNN(dataset string, pt touch.Point, k int) NeighborsFuture {
 // JoinCount queues a count-only join.
 func (b *Batch) JoinCount(dataset string, spec JoinSpec) CountFuture {
 	return CountFuture{b.add(wire.OpJoin, func(dst []byte) []byte {
-		return wire.AppendJoinReq(dst, dataset, spec.Eps, spec.Workers, true, spec.Probe, spec.Boxes)
+		return wire.AppendJoinReq(dst, dataset, spec.Eps, spec.Workers, wire.FlagCountOnly, spec.Probe, spec.Boxes)
 	})}
 }
 
 // Join queues a pair-materializing join.
 func (b *Batch) Join(dataset string, spec JoinSpec) JoinFuture {
 	return JoinFuture{b.add(wire.OpJoin, func(dst []byte) []byte {
-		return wire.AppendJoinReq(dst, dataset, spec.Eps, spec.Workers, false, spec.Probe, spec.Boxes)
+		return wire.AppendJoinReq(dst, dataset, spec.Eps, spec.Workers, 0, spec.Probe, spec.Boxes)
 	})}
 }
 

@@ -636,7 +636,7 @@ type JoinSpec struct {
 
 // JoinCount runs a count-only join.
 func (c *Conn) JoinCount(ctx context.Context, dataset string, spec JoinSpec) (version, count int64, err error) {
-	r, err := c.Do(ctx, wire.OpJoin, wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, true, spec.Probe, spec.Boxes))
+	r, err := c.Do(ctx, wire.OpJoin, wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, wire.FlagCountOnly, spec.Probe, spec.Boxes))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -646,7 +646,7 @@ func (c *Conn) JoinCount(ctx context.Context, dataset string, spec JoinSpec) (ve
 // JoinCountTraced is JoinCount with per-request tracing.
 func (c *Conn) JoinCountTraced(ctx context.Context, dataset string, spec JoinSpec) (version, count int64, tr *Trace, err error) {
 	r, err := c.Do(ctx, wire.OpJoin,
-		wire.AppendJoinReqFlags(nil, dataset, spec.Eps, spec.Workers, wire.FlagCountOnly|wire.FlagTrace, spec.Probe, spec.Boxes))
+		wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, wire.FlagCountOnly|wire.FlagTrace, spec.Probe, spec.Boxes))
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -708,7 +708,7 @@ func (c *Conn) Datasets(ctx context.Context) ([]DatasetInfo, error) {
 // mode, and unlike buffered HTTP joins — there is no server-side
 // MaxJoinPairs cap; the cap here is this client's memory.
 func (c *Conn) Join(ctx context.Context, dataset string, spec JoinSpec) (version int64, pairs []touch.Pair, count int64, err error) {
-	r, err := c.Do(ctx, wire.OpJoin, wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, false, spec.Probe, spec.Boxes))
+	r, err := c.Do(ctx, wire.OpJoin, wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, 0, spec.Probe, spec.Boxes))
 	if err != nil {
 		return 0, nil, 0, err
 	}
@@ -718,7 +718,7 @@ func (c *Conn) Join(ctx context.Context, dataset string, spec JoinSpec) (version
 // JoinTraced is Join with per-request tracing.
 func (c *Conn) JoinTraced(ctx context.Context, dataset string, spec JoinSpec) (version int64, pairs []touch.Pair, count int64, tr *Trace, err error) {
 	r, err := c.Do(ctx, wire.OpJoin,
-		wire.AppendJoinReqFlags(nil, dataset, spec.Eps, spec.Workers, wire.FlagTrace, spec.Probe, spec.Boxes))
+		wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, wire.FlagTrace, spec.Probe, spec.Boxes))
 	if err != nil {
 		return 0, nil, 0, nil, err
 	}

@@ -198,9 +198,6 @@ func TestErrSeesIdleHangUp(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatalf("Err on a live idle connection: %v", err)
 	}
-	if !p.Healthy() {
-		t.Fatal("the pool holds a live connection and reports unhealthy")
-	}
 
 	sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
@@ -213,9 +210,6 @@ func TestErrSeesIdleHangUp(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("Err never reported the peer's hang-up on an idle connection")
 		}
-	}
-	if p.Healthy() {
-		t.Fatal("the pool reports a hung-up connection healthy")
 	}
 	// The pool looks at the connection it is about to hand out: the dead
 	// one is dropped, and with the server gone the redial fails.
@@ -372,7 +366,15 @@ func TestReadSideTokenIsNeverSwallowed(t *testing.T) {
 		go call(doneA)
 		tagA := <-peer.reqs
 		for !c.ReadSideTaken() { // A is the reader before anyone else waits
-			time.Sleep(50 * time.Microsecond)
+			// The probe takes the read side for an instant; when that
+			// instant is A's first try, A waits in the gap: let it go on
+			// to the token the probe left.
+			select {
+			case release := <-gaps:
+				held.Add(-1)
+				close(release)
+			case <-time.After(50 * time.Microsecond):
+			}
 		}
 		go call(doneB)
 		tagB := <-peer.reqs

@@ -53,21 +53,6 @@ func NewPool(addr string, size int) *Pool {
 // Addr returns the address the pool dials.
 func (p *Pool) Addr() string { return p.addr }
 
-// Healthy reports whether the pool currently holds at least one live
-// connection. It never dials, so false also covers a pool that simply
-// has not seen traffic yet; after traffic, false means every pooled
-// connection has failed since.
-func (p *Pool) Healthy() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, c := range p.conns {
-		if c.Err() == nil {
-			return true
-		}
-	}
-	return false
-}
-
 // pick returns the next live pooled connection in round-robin order,
 // nil when there is none. It looks only at the connection it is about to
 // hand out — Conn.Err on an idle connection is a look at its socket, one

@@ -167,34 +167,22 @@ func TestPoolDialBackoff(t *testing.T) {
 	if n := p.DialAttempts(); n > 10 {
 		t.Fatalf("50 Conn calls caused %d dial attempts, want a handful under backoff", n)
 	}
-	if p.Healthy() {
-		t.Fatal("pool with zero live connections reports Healthy")
-	}
 }
 
-// TestPoolHealthyAndCloseIdempotent: Healthy tracks live connections
-// through the pool's lifecycle, and Close can be called repeatedly.
-func TestPoolHealthyAndCloseIdempotent(t *testing.T) {
+// TestPoolCloseIdempotent: Close on a pool holding a live connection can
+// be called repeatedly, and a closed pool hands out nothing.
+func TestPoolCloseIdempotent(t *testing.T) {
 	s := newSilentAfterFirst(t)
 	p := client.NewPool(s.ln.Addr().String(), 1)
-	if p.Healthy() {
-		t.Fatal("undialed pool reports Healthy")
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if _, err := p.Conn(ctx); err != nil {
 		t.Fatalf("Conn: %v", err)
 	}
-	if !p.Healthy() {
-		t.Fatal("pool with a live connection reports unhealthy")
-	}
 	for i := 0; i < 3; i++ {
 		if err := p.Close(); err != nil {
 			t.Fatalf("Close #%d: %v", i+1, err)
 		}
-	}
-	if p.Healthy() {
-		t.Fatal("closed pool reports Healthy")
 	}
 	if _, err := p.Conn(ctx); err != client.ErrClosed {
 		t.Fatalf("Conn after Close: err %v, want ErrClosed", err)

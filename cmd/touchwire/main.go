@@ -120,9 +120,9 @@ func run(ctx context.Context, c *client.Conn, dataset string, eps float64, trace
 	for i, sp := range specs {
 		switch {
 		case sp.boxes != nil && sp.countOnly:
-			futs[i] = b.Do(wire.OpJoin, wire.AppendJoinReqFlags(nil, dataset, eps, 0, joinFlags|wire.FlagCountOnly, "", sp.boxes))
+			futs[i] = b.Do(wire.OpJoin, wire.AppendJoinReq(nil, dataset, eps, 0, joinFlags|wire.FlagCountOnly, "", sp.boxes))
 		case sp.boxes != nil:
-			futs[i] = b.Do(wire.OpJoin, wire.AppendJoinReqFlags(nil, dataset, eps, 0, joinFlags, "", sp.boxes))
+			futs[i] = b.Do(wire.OpJoin, wire.AppendJoinReq(nil, dataset, eps, 0, joinFlags, "", sp.boxes))
 		case sp.q.Type == api.TypeRange:
 			futs[i] = b.Do(wire.OpRange, wire.AppendRangeReqFlags(nil, dataset, sp.q.Box, queryFlags))
 		case sp.q.Type == api.TypePoint:

@@ -2,9 +2,10 @@
 //
 // Sweeps the fanout and the number of partitions on a clustered
 // workload — the same study as the paper's Figure 14 — and demonstrates
-// the reusable Index for build-once / join-many scenarios, the
-// parallel slab driver, and the R-tree baseline on the workload MBR
-// indexes find hardest: long, thin boxes (a road grid) against small
+// the reusable Index for build-once / join-many scenarios, the two
+// parallelism modes (TOUCH's own workers, and the slab driver every
+// other algorithm runs under), and the R-tree baseline on the workload
+// MBR indexes find hardest: long, thin boxes (a road grid) against small
 // clustered ones.
 //
 // Run with:
@@ -75,17 +76,28 @@ func main() {
 			season, res.Stats.Results, time.Since(start).Round(time.Millisecond))
 	}
 
-	// The embarrassingly-parallel mode of §3: slab-partitioned workers.
-	fmt.Println("\nparallel slab driver (the paper's per-core decomposition):")
-	for _, workers := range []int{1, 4} {
-		opt := &touch.Options{NoPairs: true, Workers: workers}
-		start := time.Now()
-		res, err := touch.DistanceJoin(touch.AlgTOUCH, a, b, *eps, opt)
-		if err != nil {
-			log.Fatal(err)
+	// Options.Workers means two things (README "Parallelism modes"): TOUCH
+	// shards its own assignment and join phases, every other algorithm
+	// runs under the slab driver — the paper's per-core decomposition of
+	// §3, with boundary objects replicated and deduplicated.
+	for _, mode := range []struct {
+		alg   touch.Algorithm
+		title string
+	}{
+		{touch.AlgTOUCH, "intra-TOUCH workers (no replication)"},
+		{touch.AlgPBSM100, "slab driver over PBSM-100 (the paper's per-core decomposition)"},
+	} {
+		fmt.Printf("\n%s:\n", mode.title)
+		for _, workers := range []int{1, 4} {
+			opt := &touch.Options{NoPairs: true, Workers: workers}
+			start := time.Now()
+			res, err := touch.DistanceJoin(mode.alg, a, b, *eps, opt)
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("workers=%d: %d pairs in %v\n",
+				workers, res.Stats.Results, time.Since(start).Round(time.Millisecond))
 		}
-		fmt.Printf("workers=%d: %d pairs in %v\n",
-			workers, res.Stats.Results, time.Since(start).Round(time.Millisecond))
 	}
 
 	// The paper's introduction motivates spatial joins with geographic

@@ -77,9 +77,9 @@ func TestRoutedFramesEqualDirect(t *testing.T) {
 		{"point", wire.OpPoint, wire.AppendPointReq(nil, "d", pt)},
 		{"knn", wire.OpKNN, wire.AppendKNNReq(nil, "d", pt, 9)},
 		{"knn k=0", wire.OpKNN, wire.AppendKNNReq(nil, "d", pt, 0)},
-		{"join", wire.OpJoin, wire.AppendJoinReq(nil, "d", 0, 0, false, "", probe)},
-		{"count-only join with eps", wire.OpJoin, wire.AppendJoinReq(nil, "d", 7.5, 0, true, "", probe)},
-		{"named-probe join", wire.OpJoin, wire.AppendJoinReq(nil, "d", 2, 0, false, "p", nil)},
+		{"join", wire.OpJoin, wire.AppendJoinReq(nil, "d", 0, 0, 0, "", probe)},
+		{"count-only join with eps", wire.OpJoin, wire.AppendJoinReq(nil, "d", 7.5, 0, wire.FlagCountOnly, "", probe)},
+		{"named-probe join", wire.OpJoin, wire.AppendJoinReq(nil, "d", 2, 0, 0, "p", nil)},
 		{"unknown dataset", wire.OpRange, wire.AppendRangeReq(nil, "ghost", box)},
 		{"truncated after the name", wire.OpRange, rangeReq[:len(rangeReq)-9]},
 		{"truncated inside the name", wire.OpKNN, []byte{9, 0, 'd'}},
@@ -88,7 +88,7 @@ func TestRoutedFramesEqualDirect(t *testing.T) {
 		{"traced range", wire.OpRange, wire.AppendRangeReqFlags(nil, "d", box, wire.QueryFlagTrace)},
 		{"traced point", wire.OpPoint, wire.AppendPointReqFlags(nil, "d", pt, wire.QueryFlagTrace)},
 		{"traced knn", wire.OpKNN, wire.AppendKNNReqFlags(nil, "d", pt, 9, wire.QueryFlagTrace)},
-		{"traced join", wire.OpJoin, wire.AppendJoinReqFlags(nil, "d", 0, 0, wire.FlagTrace, "", probe)},
+		{"traced join", wire.OpJoin, wire.AppendJoinReq(nil, "d", 0, 0, wire.FlagTrace, "", probe)},
 	}
 	for _, tc := range cases {
 		want, err := direct.Do(ctx, tc.op, tc.payload)

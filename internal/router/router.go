@@ -329,7 +329,7 @@ func (rt *Router) KNN(ctx context.Context, dataset string, pt touch.Point, k int
 // Join runs a join against the dataset's owners, materializing pairs.
 func (rt *Router) Join(ctx context.Context, dataset string, spec client.JoinSpec) (version int64, pairs []touch.Pair, count int64, err error) {
 	r, err := rt.relay(ctx, dataset, wire.OpJoin,
-		wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, false, spec.Probe, spec.Boxes))
+		wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, 0, spec.Probe, spec.Boxes))
 	if err != nil {
 		return 0, nil, 0, err
 	}
@@ -339,7 +339,7 @@ func (rt *Router) Join(ctx context.Context, dataset string, spec client.JoinSpec
 // JoinCount runs a count-only join against the dataset's owners.
 func (rt *Router) JoinCount(ctx context.Context, dataset string, spec client.JoinSpec) (version, count int64, err error) {
 	r, err := rt.relay(ctx, dataset, wire.OpJoin,
-		wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, true, spec.Probe, spec.Boxes))
+		wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, wire.FlagCountOnly, spec.Probe, spec.Boxes))
 	if err != nil {
 		return 0, 0, err
 	}

@@ -394,7 +394,7 @@ func TestWireCancelQueued(t *testing.T) {
 	w := wire.NewWriter(nc)
 
 	block.Store(true)
-	w.WriteFrame(wire.OpJoin, 1, wire.AppendJoinReq(nil, "cells", 0, 0, true, "", []touch.Box{{Max: touch.Point{1, 1, 1}}}))
+	w.WriteFrame(wire.OpJoin, 1, wire.AppendJoinReq(nil, "cells", 0, 0, wire.FlagCountOnly, "", []touch.Box{{Max: touch.Point{1, 1, 1}}}))
 	w.Flush()
 	<-entered
 	block.Store(false)

@@ -56,6 +56,7 @@ import (
 	"slices"
 	"time"
 
+	"touch/internal/binfmt"
 	"touch/internal/core"
 	"touch/internal/geom"
 )
@@ -99,9 +100,9 @@ const (
 const (
 	headerSize = len(Magic) + 8 // magic + version u32 + section count u32
 
-	objectSize   = 4 + 6*8             // id + box corners
-	nodeSize     = 6*8 + 4 + 4 + 4 + 8 // mbr + children + aStart + aEnd + extSumA
-	tierMetaSize = 3*4 + 8 + 2*4 + 4*4 // config + objects, nodes, leaves, height
+	objectSize   = 4 + binfmt.BoxSize             // id + box corners
+	nodeSize     = binfmt.BoxSize + 4 + 4 + 4 + 8 // mbr + children + aStart + aEnd + extSumA
+	tierMetaSize = 3*4 + 8 + 2*4 + 4*4            // config + objects, nodes, leaves, height
 
 	// maxNameLen caps the encoded dataset name — matches the serving
 	// layer's 128-char rule with headroom for other producers.
@@ -122,19 +123,9 @@ func corrupt(format string, args ...any) error {
 
 // appendSection appends one length-prefixed, checksummed section.
 func appendSection(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(payload)))
+	dst = binfmt.AppendU64(dst, uint64(len(payload)))
 	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-}
-
-func appendBox(dst []byte, b geom.Box) []byte {
-	for d := 0; d < geom.Dims; d++ {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.Min[d]))
-	}
-	for d := 0; d < geom.Dims; d++ {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.Max[d]))
-	}
-	return dst
+	return binfmt.AppendU32(dst, crc32.Checksum(payload, castagnoli))
 }
 
 // Marshal encodes the record in the current format. The trees are not
@@ -161,32 +152,32 @@ func (r *Record) Marshal() ([]byte, error) {
 	}
 
 	meta := make([]byte, 0, 64+len(r.Name)+len(r.Tiers)*tierMetaSize)
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(r.Name)))
+	meta = binfmt.AppendU32(meta, uint32(len(r.Name)))
 	meta = append(meta, r.Name...)
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(r.Version))
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(r.BuiltAt.UnixNano()))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(r.NextID))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(r.Tombs)))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(r.Tiers)))
+	meta = binfmt.AppendU64(meta, uint64(r.Version))
+	meta = binfmt.AppendU64(meta, uint64(r.BuiltAt.UnixNano()))
+	meta = binfmt.AppendU32(meta, uint32(r.NextID))
+	meta = binfmt.AppendU32(meta, uint32(len(r.Tombs)))
+	meta = binfmt.AppendU32(meta, uint32(len(r.Tiers)))
 	for _, t := range r.Tiers {
 		cfg := t.Tree.Cfg
-		meta = binary.LittleEndian.AppendUint32(meta, uint32(cfg.Partitions))
-		meta = binary.LittleEndian.AppendUint32(meta, uint32(cfg.Fanout))
-		meta = binary.LittleEndian.AppendUint32(meta, uint32(cfg.LocalCells))
-		meta = binary.LittleEndian.AppendUint64(meta, math.Float64bits(cfg.CellFactor))
-		meta = binary.LittleEndian.AppendUint32(meta, uint32(cfg.LocalJoin))
-		meta = binary.LittleEndian.AppendUint32(meta, uint32(cfg.Workers))
-		meta = binary.LittleEndian.AppendUint32(meta, uint32(len(t.Objects)))
-		meta = binary.LittleEndian.AppendUint32(meta, uint32(len(t.Tree.Nodes)))
-		meta = binary.LittleEndian.AppendUint32(meta, uint32(t.Tree.Leaves))
-		meta = binary.LittleEndian.AppendUint32(meta, uint32(t.Tree.Height))
+		meta = binfmt.AppendU32(meta, uint32(cfg.Partitions))
+		meta = binfmt.AppendU32(meta, uint32(cfg.Fanout))
+		meta = binfmt.AppendU32(meta, uint32(cfg.LocalCells))
+		meta = binfmt.AppendF64(meta, cfg.CellFactor)
+		meta = binfmt.AppendU32(meta, uint32(cfg.LocalJoin))
+		meta = binfmt.AppendU32(meta, uint32(cfg.Workers))
+		meta = binfmt.AppendU32(meta, uint32(len(t.Objects)))
+		meta = binfmt.AppendU32(meta, uint32(len(t.Tree.Nodes)))
+		meta = binfmt.AppendU32(meta, uint32(t.Tree.Leaves))
+		meta = binfmt.AppendU32(meta, uint32(t.Tree.Height))
 	}
 
 	sections := 2 + 2*len(r.Tiers)
 	out := make([]byte, 0, size+len(meta)+4*len(r.Tombs)+12*sections)
 	out = append(out, Magic...)
-	out = binary.LittleEndian.AppendUint32(out, FormatVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(sections))
+	out = binfmt.AppendU32(out, FormatVersion)
+	out = binfmt.AppendU32(out, uint32(sections))
 	out = appendSection(out, meta)
 	var buf []byte
 	for _, t := range r.Tiers {
@@ -195,17 +186,17 @@ func (r *Record) Marshal() ([]byte, error) {
 		buf = appendObjects(buf[:0], t.Tree.Arena)
 		for i := range t.Tree.Nodes {
 			n := &t.Tree.Nodes[i]
-			buf = appendBox(buf, n.MBR)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(n.Children))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(n.AStart))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(n.AEnd))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.ExtSumA))
+			buf = binfmt.AppendBox(buf, n.MBR)
+			buf = binfmt.AppendU32(buf, uint32(n.Children))
+			buf = binfmt.AppendU32(buf, uint32(n.AStart))
+			buf = binfmt.AppendU32(buf, uint32(n.AEnd))
+			buf = binfmt.AppendF64(buf, n.ExtSumA)
 		}
 		out = appendSection(out, buf)
 	}
 	buf = buf[:0]
 	for _, id := range r.Tombs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+		buf = binfmt.AppendU32(buf, uint32(id))
 	}
 	return appendSection(out, buf), nil
 }
@@ -213,98 +204,28 @@ func (r *Record) Marshal() ([]byte, error) {
 func appendObjects(dst []byte, objs []geom.Object) []byte {
 	dst = slices.Grow(dst, len(objs)*objectSize)
 	for i := range objs {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(objs[i].ID))
-		dst = appendBox(dst, objs[i].Box)
+		dst = binfmt.AppendU32(dst, uint32(objs[i].ID))
+		dst = binfmt.AppendBox(dst, objs[i].Box)
 	}
 	return dst
 }
 
-// reader is a bounds-checked cursor over the raw snapshot bytes; every
-// take is validated against the remaining input before it allocates or
-// reads anything.
-type reader struct {
-	data []byte
-	off  int
-}
-
-func (rd *reader) remaining() int { return len(rd.data) - rd.off }
-
-// rest consumes and returns everything left — used after a section's
-// exact size has been validated, so the bulk loops can decode with
-// fixed-stride indexing instead of per-field cursor calls.
-func (rd *reader) rest() []byte {
-	b := rd.data[rd.off:]
-	rd.off = len(rd.data)
-	return b
-}
-
-func (rd *reader) take(n int) ([]byte, error) {
-	if n < 0 || rd.remaining() < n {
-		return nil, corrupt("truncated: need %d bytes at offset %d, have %d", n, rd.off, rd.remaining())
+// section pops one length-prefixed section off rd, verifies its checksum
+// and returns its payload. A failed read of the length leaves it zero, so
+// the first failure is what the check after the checksum read reports.
+func section(rd *binfmt.Reader, name string) ([]byte, error) {
+	size := rd.U64()
+	if size > uint64(rd.Remaining()) {
+		return nil, corrupt("%s section claims %d bytes, %d remain", name, size, rd.Remaining())
 	}
-	b := rd.data[rd.off : rd.off+n]
-	rd.off += n
-	return b, nil
-}
-
-func (rd *reader) u32() (uint32, error) {
-	b, err := rd.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (rd *reader) u64() (uint64, error) {
-	b, err := rd.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (rd *reader) f64() (float64, error) {
-	v, err := rd.u64()
-	return math.Float64frombits(v), err
-}
-
-func (rd *reader) box() (geom.Box, error) {
-	var b geom.Box
-	var err error
-	for d := 0; d < geom.Dims; d++ {
-		if b.Min[d], err = rd.f64(); err != nil {
-			return b, err
-		}
-	}
-	for d := 0; d < geom.Dims; d++ {
-		if b.Max[d], err = rd.f64(); err != nil {
-			return b, err
-		}
-	}
-	return b, nil
-}
-
-// section pops one length-prefixed section and verifies its checksum.
-func (rd *reader) section(name string) (*reader, error) {
-	size, err := rd.u64()
-	if err != nil {
-		return nil, err
-	}
-	if size > uint64(rd.remaining()) {
-		return nil, corrupt("%s section claims %d bytes, %d remain", name, size, rd.remaining())
-	}
-	payload, err := rd.take(int(size))
-	if err != nil {
-		return nil, err
-	}
-	sum, err := rd.u32()
-	if err != nil {
+	payload, sum := rd.Take(int(size)), rd.U32()
+	if err := rd.Err(); err != nil {
 		return nil, err
 	}
 	if got := crc32.Checksum(payload, castagnoli); got != sum {
 		return nil, corrupt("%s section checksum %08x, want %08x", name, got, sum)
 	}
-	return &reader{data: payload}, nil
+	return payload, nil
 }
 
 // Unmarshal decodes and fully validates a snapshot of either format. Any
@@ -314,71 +235,55 @@ func (rd *reader) section(name string) (*reader, error) {
 // checks, in Thaw). The returned record owns its memory; data may be
 // reused afterwards.
 func Unmarshal(data []byte) (*Record, error) {
-	rd := &reader{data: data}
-	magic, err := rd.take(len(Magic))
-	if err != nil {
+	rd := binfmt.NewReader(data, ErrCorrupt, "snapshot")
+	magic := rd.Take(len(Magic))
+	if err := rd.Err(); err != nil {
 		return nil, err
 	}
 	if string(magic) != Magic {
 		return nil, corrupt("bad magic %q", magic)
 	}
-	format, err := rd.u32()
-	if err != nil {
+	format := rd.U32()
+	if err := rd.Err(); err != nil {
 		return nil, err
 	}
 	if format != FormatVersion && format != formatV1 {
 		return nil, corrupt("format version %d, this build reads %d and %d", format, formatV1, FormatVersion)
 	}
-	nsec, err := rd.u32()
+	nsec := rd.U32()
+	metaBytes, err := section(&rd, "meta")
 	if err != nil {
 		return nil, err
 	}
-
-	meta, err := rd.section("meta")
-	if err != nil {
-		return nil, err
-	}
-	rec := &Record{}
-	nameLen, err := meta.u32()
-	if err != nil {
+	meta := binfmt.NewReader(metaBytes, ErrCorrupt, "meta section")
+	nameLen := meta.U32()
+	if err := meta.Err(); err != nil {
 		return nil, err
 	}
 	if nameLen == 0 || nameLen > maxNameLen {
 		return nil, corrupt("name length %d outside [1,%d]", nameLen, maxNameLen)
 	}
-	nameBytes, err := meta.take(int(nameLen))
-	if err != nil {
+	rec := &Record{Name: string(meta.Take(int(nameLen))), Version: int64(meta.U64())}
+	rec.BuiltAt = time.Unix(0, int64(meta.U64())).UTC()
+	if err := meta.Err(); err != nil {
 		return nil, err
 	}
-	rec.Name = string(nameBytes)
-	v, err := meta.u64()
-	if err != nil {
-		return nil, err
-	}
-	rec.Version = int64(v)
-	builtNs, err := meta.u64()
-	if err != nil {
-		return nil, err
-	}
-	rec.BuiltAt = time.Unix(0, int64(builtNs)).UTC()
 	nTombs, nTiers, wantSections := 0, 1, uint32(3)
 	if format != formatV1 {
-		var fields [3]uint32 // next ID, tombstones, tiers
-		for i := range fields {
-			if fields[i], err = meta.u32(); err != nil {
-				return nil, err
-			}
+		nextID, tombs, tiers := meta.U32(), meta.U32(), meta.U32()
+		if err := meta.Err(); err != nil {
+			return nil, err
 		}
-		if int32(fields[0]) < 0 {
-			return nil, corrupt("next insert ID %d", int32(fields[0]))
+		if int32(nextID) < 0 {
+			return nil, corrupt("next insert ID %d", int32(nextID))
 		}
-		rec.NextID = geom.ID(fields[0])
+		rec.NextID = geom.ID(nextID)
 		// The tier count is checked against the bytes that are there
 		// before anything is sized by it.
-		if fields[2] == 0 || uint64(fields[2])*tierMetaSize != uint64(meta.remaining()) {
-			return nil, corrupt("%d tiers in a meta section with %d bytes left", fields[2], meta.remaining())
+		if tiers == 0 || uint64(tiers)*tierMetaSize != uint64(meta.Remaining()) {
+			return nil, corrupt("%d tiers in a meta section with %d bytes left", tiers, meta.Remaining())
 		}
-		nTombs, nTiers = int(fields[1]), int(fields[2])
+		nTombs, nTiers = int(tombs), int(tiers)
 		wantSections = uint32(2 + 2*nTiers)
 	}
 	if nsec != wantSections {
@@ -387,73 +292,53 @@ func Unmarshal(data []byte) (*Record, error) {
 	rec.Tiers = make([]Tier, nTiers)
 	counts := make([][2]int, nTiers) // objects, nodes
 	for i := range rec.Tiers {
-		f := &core.Frozen{}
-		var fields [3]uint32
-		for j := range fields {
-			if fields[j], err = meta.u32(); err != nil {
-				return nil, err
-			}
-		}
-		f.Cfg.Partitions, f.Cfg.Fanout, f.Cfg.LocalCells = int(int32(fields[0])), int(int32(fields[1])), int(int32(fields[2]))
-		if f.Cfg.CellFactor, err = meta.f64(); err != nil {
-			return nil, err
-		}
-		lj, err := meta.u32()
-		if err != nil {
-			return nil, err
-		}
-		f.Cfg.LocalJoin = core.LocalJoinKind(int32(lj))
-		wk, err := meta.u32()
-		if err != nil {
-			return nil, err
-		}
-		f.Cfg.Workers = int(int32(wk))
-		var c [4]uint32 // objects, nodes, leaves, height
-		for j := range c {
-			if c[j], err = meta.u32(); err != nil {
-				return nil, err
-			}
-		}
-		counts[i] = [2]int{int(c[0]), int(c[1])}
-		f.Leaves, f.Height = int(c[2]), int(c[3])
+		f := &core.Frozen{Cfg: core.Config{
+			Partitions: int(int32(meta.U32())),
+			Fanout:     int(int32(meta.U32())),
+			LocalCells: int(int32(meta.U32())),
+			CellFactor: meta.F64(),
+			LocalJoin:  core.LocalJoinKind(int32(meta.U32())),
+			Workers:    int(int32(meta.U32())),
+		}}
+		counts[i] = [2]int{int(meta.U32()), int(meta.U32())}
+		f.Leaves, f.Height = int(meta.U32()), int(meta.U32())
 		rec.Tiers[i].Tree = f
 	}
-	if meta.remaining() != 0 {
-		return nil, corrupt("%d trailing bytes in meta section", meta.remaining())
+	if err := meta.Done(); err != nil {
+		return nil, err
 	}
 
 	for i := range rec.Tiers {
 		t, nObj, nNodes := &rec.Tiers[i], counts[i][0], counts[i][1]
-		objects, err := rd.section("objects")
+		objects, err := section(&rd, "objects")
 		if err != nil {
 			return nil, err
 		}
-		if objects.remaining() != nObj*objectSize {
-			return nil, corrupt("objects section is %d bytes, %d objects need %d", objects.remaining(), nObj, nObj*objectSize)
+		if len(objects) != nObj*objectSize {
+			return nil, corrupt("objects section is %d bytes, %d objects need %d", len(objects), nObj, nObj*objectSize)
 		}
 		t.Objects = make(geom.Dataset, nObj)
-		if err := decodeObjects(objects.rest(), t.Objects); err != nil {
+		if err := decodeObjects(objects, t.Objects); err != nil {
 			return nil, err
 		}
 
-		tree, err := rd.section("tree")
+		tree, err := section(&rd, "tree")
 		if err != nil {
 			return nil, err
 		}
-		if want := nObj*objectSize + nNodes*nodeSize; tree.remaining() != want {
-			return nil, corrupt("tree section is %d bytes, %d arena + %d nodes need %d", tree.remaining(), nObj, nNodes, want)
+		if want := nObj*objectSize + nNodes*nodeSize; len(tree) != want {
+			return nil, corrupt("tree section is %d bytes, %d arena + %d nodes need %d", len(tree), nObj, nNodes, want)
 		}
-		treeBuf := tree.rest()
 		t.Tree.Arena = make(geom.Dataset, nObj)
-		if err := decodeObjects(treeBuf[:nObj*objectSize], t.Tree.Arena); err != nil {
+		if err := decodeObjects(tree[:nObj*objectSize], t.Tree.Arena); err != nil {
 			return nil, err
 		}
-		nodeBuf := treeBuf[nObj*objectSize:]
+		nodeBuf := tree[nObj*objectSize:]
 		t.Tree.Nodes = make([]core.FrozenNode, nNodes)
 		for i := range t.Tree.Nodes {
 			b := nodeBuf[i*nodeSize : i*nodeSize+nodeSize : i*nodeSize+nodeSize]
 			n := &t.Tree.Nodes[i]
-			decodeBox(b, &n.MBR)
+			binfmt.DecodeBox(b, &n.MBR)
 			n.Children = int32(binary.LittleEndian.Uint32(b[48:]))
 			n.AStart = int32(binary.LittleEndian.Uint32(b[52:]))
 			n.AEnd = int32(binary.LittleEndian.Uint32(b[56:]))
@@ -461,21 +346,20 @@ func Unmarshal(data []byte) (*Record, error) {
 		}
 	}
 	if format != formatV1 {
-		tombs, err := rd.section("tombs")
+		tombs, err := section(&rd, "tombs")
 		if err != nil {
 			return nil, err
 		}
-		if tombs.remaining() != 4*nTombs {
-			return nil, corrupt("tombs section is %d bytes, %d tombstones need %d", tombs.remaining(), nTombs, 4*nTombs)
+		if len(tombs) != 4*nTombs {
+			return nil, corrupt("tombs section is %d bytes, %d tombstones need %d", len(tombs), nTombs, 4*nTombs)
 		}
-		buf := tombs.rest()
 		rec.Tombs = make([]geom.ID, nTombs)
 		for i := range rec.Tombs {
-			rec.Tombs[i] = geom.ID(int32(binary.LittleEndian.Uint32(buf[4*i:])))
+			rec.Tombs[i] = geom.ID(int32(binary.LittleEndian.Uint32(tombs[4*i:])))
 		}
 	}
-	if rd.remaining() != 0 {
-		return nil, corrupt("%d trailing bytes after the last section", rd.remaining())
+	if rd.Remaining() != 0 {
+		return nil, corrupt("%d trailing bytes after the last section", rd.Remaining())
 	}
 	if err := rec.checkTiers(); err != nil {
 		return nil, err
@@ -522,15 +406,6 @@ func (r *Record) checkTiers() error {
 	return nil
 }
 
-// decodeBox reads the 48-byte corner layout appendBox writes into box.
-// The caller guarantees len(b) >= 48.
-func decodeBox(b []byte, box *geom.Box) {
-	for d := 0; d < geom.Dims; d++ {
-		box.Min[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*d:]))
-		box.Max[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[24+8*d:]))
-	}
-}
-
 // decodeObjects decodes len(into) objects from buf, whose length the
 // caller has already validated to be exactly len(into)*objectSize.
 func decodeObjects(buf []byte, into geom.Dataset) error {
@@ -538,7 +413,7 @@ func decodeObjects(buf []byte, into geom.Dataset) error {
 		b := buf[i*objectSize : i*objectSize+objectSize : i*objectSize+objectSize]
 		o := &into[i]
 		o.ID = geom.ID(int32(binary.LittleEndian.Uint32(b)))
-		decodeBox(b[4:], &o.Box)
+		binfmt.DecodeBox(b[4:], &o.Box)
 		// The loaders reject non-finite and inverted boxes, so no valid
 		// producer can have written one — the same contract holds on the
 		// way back in (non-finite coordinates poison grid sizing and STR

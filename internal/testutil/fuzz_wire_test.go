@@ -10,8 +10,8 @@ import (
 )
 
 // wireSeed builds a valid frame stream holding one frame per request
-// codec, so mutations explore the framing and payload decoders instead
-// of bouncing off the length check.
+// and response codec, so mutations explore the framing and payload
+// decoders instead of bouncing off the length check.
 func wireSeed(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -25,9 +25,9 @@ func wireSeed(t testing.TB) []byte {
 		{wire.OpRange, wire.AppendRangeReqFlags(nil, "d", box, wire.QueryFlagTrace)},
 		{wire.OpPoint, wire.AppendPointReq(nil, "d", geom.Point{1, 2, 3})},
 		{wire.OpKNN, wire.AppendKNNReq(nil, "d", geom.Point{4, 5, 6}, 10)},
-		{wire.OpJoin, wire.AppendJoinReq(nil, "d", 2.5, 4, false, "", []geom.Box{box, box})},
-		{wire.OpJoin, wire.AppendJoinReq(nil, "d", 0, 0, true, "probe", nil)},
-		{wire.OpJoin, wire.AppendJoinReqFlags(nil, "d", 0, 0, wire.FlagTrace, "probe", nil)},
+		{wire.OpJoin, wire.AppendJoinReq(nil, "d", 2.5, 4, 0, "", []geom.Box{box, box})},
+		{wire.OpJoin, wire.AppendJoinReq(nil, "d", 0, 0, wire.FlagCountOnly, "probe", nil)},
+		{wire.OpJoin, wire.AppendJoinReq(nil, "d", 0, 0, wire.FlagTrace, "probe", nil)},
 		{wire.OpUpdate, wire.AppendUpdateReq(nil, "d", []geom.ID{3, 9}, []geom.Box{box})},
 		{wire.OpCancel, nil},
 		{wire.OpCatalog, nil},
@@ -35,6 +35,14 @@ func wireSeed(t testing.TB) []byte {
 			{Name: "d", Version: 3, Status: "ready", Objects: 7, StaticBytes: 512, DeltaInserts: 1, DeltaTombstones: 2, Persisted: true},
 			{Name: "e", Status: "building"},
 		})},
+		{wire.OpIDs, wire.AppendIDsResp(nil, 3, []geom.ID{1, 5, -2})},
+		{wire.OpNeighbors, wire.AppendNeighborsResp(nil, 3, []geom.Neighbor{{ID: 4, Distance: 1.5}, {ID: 9, Distance: 2}})},
+		{wire.OpCount, wire.AppendCountResp(nil, 3, 42)},
+		{wire.OpPairs, wire.AppendPairsResp(nil, []geom.Pair{{A: 1, B: 2}, {A: 3, B: 4}})},
+		{wire.OpJoinDone, wire.AppendJoinDoneResp(nil, 3, 2)},
+		{wire.OpUpdateDone, wire.AppendUpdateResp(nil, wire.UpdateResp{Version: 3, FirstID: 10, Inserted: 1, Deleted: 2, DeltaInserts: 5, DeltaTombstones: 6})},
+		{wire.OpError, wire.AppendErrorResp(nil, "unknown_dataset", `dataset "x" not loaded`)},
+		{wire.OpTrace, wire.AppendTraceResp(nil, wire.TraceResp{RequestID: "r-1", PhaseNs: []int64{0, 120, 7}, Comparisons: 9, Results: 2, Cancel: 1})},
 	}
 	for i, fr := range frames {
 		if err := w.WriteFrame(fr.op, uint32(i+1), fr.payload); err != nil {
@@ -47,9 +55,10 @@ func wireSeed(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// FuzzWireDecode: the wire framing and every request codec must treat
-// arbitrary bytes as either a clean frame stream or an error — never a
-// panic, never an unbounded allocation. Any payload that decodes is
+// FuzzWireDecode: the wire framing and every request and response codec
+// must treat arbitrary bytes as either a clean frame stream or an error —
+// never a panic, never an unbounded allocation (the client decodes the
+// responses off the network, and the router relays them). Any payload that decodes is
 // round-tripped through its Append twin, re-decoded and re-encoded:
 // the two encodings must match byte for byte (encoding is canonical, so
 // byte equality is the NaN-safe way to say "same value") — the property
@@ -139,12 +148,12 @@ func FuzzWireDecode(f *testing.F) {
 					}
 					return fl
 				}
-				enc = wire.AppendJoinReqFlags(nil, string(jr.Name), jr.Eps, jr.Workers, joinFlags(jr), string(jr.ProbeName), jr.Boxes)
+				enc = wire.AppendJoinReq(nil, string(jr.Name), jr.Eps, jr.Workers, joinFlags(jr), string(jr.ProbeName), jr.Boxes)
 				jr2, err := wire.DecodeJoinReq(enc)
 				if err != nil {
 					t.Fatalf("join re-decode: %v", err)
 				}
-				enc2 = wire.AppendJoinReqFlags(nil, string(jr2.Name), jr2.Eps, jr2.Workers, joinFlags(jr2), string(jr2.ProbeName), jr2.Boxes)
+				enc2 = wire.AppendJoinReq(nil, string(jr2.Name), jr2.Eps, jr2.Workers, joinFlags(jr2), string(jr2.ProbeName), jr2.Boxes)
 			case wire.OpUpdate:
 				ur, err := wire.DecodeUpdateReq(payload)
 				if err != nil {
@@ -171,6 +180,99 @@ func FuzzWireDecode(f *testing.F) {
 					t.Fatalf("catalog re-decode: %v", err)
 				}
 				enc2 = wire.AppendCatalogResp(nil, e2)
+			case wire.OpIDs:
+				v, ids, err := wire.DecodeIDsResp(payload)
+				if err != nil {
+					continue
+				}
+				if len(ids) > len(payload)/4 {
+					t.Fatalf("ids decode conjured %d ids from a %d-byte payload", len(ids), len(payload))
+				}
+				enc = wire.AppendIDsResp(nil, v, ids)
+				v2, ids2, err := wire.DecodeIDsResp(enc)
+				if err != nil {
+					t.Fatalf("ids re-decode: %v", err)
+				}
+				enc2 = wire.AppendIDsResp(nil, v2, ids2)
+			case wire.OpNeighbors:
+				v, nbrs, err := wire.DecodeNeighborsResp(payload)
+				if err != nil {
+					continue
+				}
+				if len(nbrs) > len(payload)/12 {
+					t.Fatalf("neighbors decode conjured %d entries from a %d-byte payload", len(nbrs), len(payload))
+				}
+				enc = wire.AppendNeighborsResp(nil, v, nbrs)
+				v2, nbrs2, err := wire.DecodeNeighborsResp(enc)
+				if err != nil {
+					t.Fatalf("neighbors re-decode: %v", err)
+				}
+				enc2 = wire.AppendNeighborsResp(nil, v2, nbrs2)
+			case wire.OpCount, wire.OpJoinDone:
+				decode, encode := wire.DecodeCountResp, wire.AppendCountResp
+				if op == wire.OpJoinDone {
+					decode, encode = wire.DecodeJoinDoneResp, wire.AppendJoinDoneResp
+				}
+				v, n, err := decode(payload)
+				if err != nil {
+					continue
+				}
+				enc = encode(nil, v, n)
+				v2, n2, err := decode(enc)
+				if err != nil {
+					t.Fatalf("op 0x%02x re-decode: %v", op, err)
+				}
+				enc2 = encode(nil, v2, n2)
+			case wire.OpPairs:
+				pairs, err := wire.DecodePairsResp(payload, nil)
+				if err != nil {
+					continue
+				}
+				if len(pairs) > len(payload)/8 {
+					t.Fatalf("pairs decode conjured %d pairs from a %d-byte payload", len(pairs), len(payload))
+				}
+				enc = wire.AppendPairsResp(nil, pairs)
+				pairs2, err := wire.DecodePairsResp(enc, nil)
+				if err != nil {
+					t.Fatalf("pairs re-decode: %v", err)
+				}
+				enc2 = wire.AppendPairsResp(nil, pairs2)
+			case wire.OpUpdateDone:
+				r, err := wire.DecodeUpdateResp(payload)
+				if err != nil {
+					continue
+				}
+				enc = wire.AppendUpdateResp(nil, r)
+				r2, err := wire.DecodeUpdateResp(enc)
+				if err != nil {
+					t.Fatalf("update-done re-decode: %v", err)
+				}
+				enc2 = wire.AppendUpdateResp(nil, r2)
+			case wire.OpError:
+				code, msg, err := wire.DecodeErrorResp(payload)
+				if err != nil {
+					continue
+				}
+				enc = wire.AppendErrorResp(nil, code, msg)
+				code2, msg2, err := wire.DecodeErrorResp(enc)
+				if err != nil {
+					t.Fatalf("error re-decode: %v", err)
+				}
+				enc2 = wire.AppendErrorResp(nil, code2, msg2)
+			case wire.OpTrace:
+				tr, err := wire.DecodeTraceResp(payload)
+				if err != nil {
+					continue
+				}
+				if len(tr.PhaseNs) > wire.MaxTracePhases {
+					t.Fatalf("trace decode conjured %d phases from a %d-byte payload", len(tr.PhaseNs), len(payload))
+				}
+				enc = wire.AppendTraceResp(nil, tr)
+				tr2, err := wire.DecodeTraceResp(enc)
+				if err != nil {
+					t.Fatalf("trace re-decode: %v", err)
+				}
+				enc2 = wire.AppendTraceResp(nil, tr2)
 			default:
 				continue
 			}

@@ -33,9 +33,10 @@
 // and every request produces exactly one terminal response frame carrying
 // its tag. All integers are little-endian; floats are IEEE-754 bit
 // patterns; boxes are a fixed 48-byte stride (minX minY minZ maxX maxY
-// maxZ), the same codec discipline as internal/snapshot — length-prefixed
-// sections, exact-size validation, errors instead of panics on any
-// malformed input.
+// maxZ). The field layout and the bounds-checked reader every payload
+// decoder here reads through are internal/binfmt's, the same code
+// internal/snapshot decodes with: exact-size validation, errors instead
+// of panics on any malformed input.
 //
 // # Requests and responses
 //
@@ -71,6 +72,7 @@ import (
 	"io"
 	"math"
 
+	"touch/internal/binfmt"
 	"touch/internal/geom"
 )
 
@@ -169,8 +171,8 @@ func WriteHello(w io.Writer, info string) error {
 	}
 	b := make([]byte, 0, helloFixedSize+len(info))
 	b = append(b, Magic...)
-	b = AppendU32(b, Version)
-	b = AppendU16(b, uint16(len(info)))
+	b = binfmt.AppendU32(b, Version)
+	b = binfmt.AppendU16(b, uint16(len(info)))
 	b = append(b, info...)
 	_, err := w.Write(b)
 	return err
@@ -311,119 +313,38 @@ func (w *Writer) Flush() error { return w.bw.Flush() }
 
 // --- payload primitives -------------------------------------------------
 
-// AppendU16/U32/U64/F64/Str/Box build payloads in caller-owned scratch
-// buffers, so the steady state encodes without allocating.
-
-func AppendU16(dst []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(dst, v) }
-func AppendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
-func AppendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
-func AppendF64(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
 // AppendStr appends a u16-length-prefixed string (names; capped at 64 KiB
 // by the prefix width).
 func AppendStr(dst []byte, s string) []byte {
-	dst = AppendU16(dst, uint16(len(s)))
+	dst = binfmt.AppendU16(dst, uint16(len(s)))
 	return append(dst, s...)
 }
 
-// AppendBox appends the fixed 48-byte corner layout.
-func AppendBox(dst []byte, b geom.Box) []byte {
-	for d := 0; d < geom.Dims; d++ {
-		dst = AppendF64(dst, b.Min[d])
+// payloadReader returns the reader every decoder reads its payload
+// through; each ends with Done, so a payload longer or shorter than its
+// contents is malformed.
+func payloadReader(p []byte) binfmt.Reader { return binfmt.NewReader(p, ErrMalformed, "payload") }
+
+// str reads a u16-prefixed string without copying; the bytes alias the
+// payload and are only valid as long as it is.
+func str(c *binfmt.Reader) []byte { return c.Take(int(c.U16())) }
+
+// decodeIDs decodes a run of u32 IDs whose size the caller has checked.
+func decodeIDs(raw []byte) []geom.ID {
+	ids := make([]geom.ID, len(raw)/4)
+	for i := range ids {
+		ids[i] = geom.ID(int32(binary.LittleEndian.Uint32(raw[4*i:])))
 	}
-	for d := 0; d < geom.Dims; d++ {
-		dst = AppendF64(dst, b.Max[d])
-	}
-	return dst
+	return ids
 }
 
-const boxSize = 6 * 8
-
-// cursor is a bounds-checked reader over one payload; every take is
-// validated before anything is read, and decode entry points require the
-// cursor to end exactly empty — a payload longer or shorter than its
-// contents is malformed, never silently truncated or zero-filled.
-type cursor struct {
-	b   []byte
-	off int
-}
-
-func (c *cursor) remaining() int { return len(c.b) - c.off }
-
-func (c *cursor) take(n int) ([]byte, error) {
-	if n < 0 || c.remaining() < n {
-		return nil, malformed("payload truncated: need %d bytes at offset %d, have %d", n, c.off, c.remaining())
+// decodeBoxes decodes a run of boxes whose size the caller has checked.
+func decodeBoxes(raw []byte) []geom.Box {
+	boxes := make([]geom.Box, len(raw)/binfmt.BoxSize)
+	for i := range boxes {
+		binfmt.DecodeBox(raw[i*binfmt.BoxSize:], &boxes[i])
 	}
-	b := c.b[c.off : c.off+n]
-	c.off += n
-	return b, nil
-}
-
-func (c *cursor) u16() (uint16, error) {
-	b, err := c.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (c *cursor) u32() (uint32, error) {
-	b, err := c.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (c *cursor) u64() (uint64, error) {
-	b, err := c.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (c *cursor) f64() (float64, error) {
-	v, err := c.u64()
-	return math.Float64frombits(v), err
-}
-
-// str returns the bytes of a u16-prefixed string without copying; they
-// alias the payload and are only valid as long as it is.
-func (c *cursor) str() ([]byte, error) {
-	n, err := c.u16()
-	if err != nil {
-		return nil, err
-	}
-	return c.take(int(n))
-}
-
-func (c *cursor) box() (geom.Box, error) {
-	var b geom.Box
-	raw, err := c.take(boxSize)
-	if err != nil {
-		return b, err
-	}
-	decodeBox(raw, &b)
-	return b, nil
-}
-
-// decodeBox reads the 48-byte corner layout; the caller guarantees
-// len(raw) >= boxSize.
-func decodeBox(raw []byte, b *geom.Box) {
-	for d := 0; d < geom.Dims; d++ {
-		b.Min[d] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*d:]))
-		b.Max[d] = math.Float64frombits(binary.LittleEndian.Uint64(raw[24+8*d:]))
-	}
-}
-
-func (c *cursor) done() error {
-	if c.remaining() != 0 {
-		return malformed("%d trailing bytes in payload", c.remaining())
-	}
-	return nil
+	return boxes
 }
 
 // --- requests -----------------------------------------------------------
@@ -434,35 +355,33 @@ func (c *cursor) done() error {
 // of the payload is for the server that executes it to judge. name
 // aliases the payload.
 func RequestDataset(p []byte) (name []byte, err error) {
-	c := cursor{b: p}
-	return c.str()
+	c := payloadReader(p)
+	name = str(&c)
+	return name, c.Err()
 }
 
-// queryFlags finishes a query request payload: the trailing flags byte
-// is written only when non-zero, so a zero-flag encoding is
+// appendQueryFlags finishes a query request payload: the trailing flags
+// byte is written only when non-zero, so a zero-flag encoding is
 // byte-identical to the pre-flags wire format.
-func queryFlags(dst []byte, flags byte) []byte {
+func appendQueryFlags(dst []byte, flags byte) []byte {
 	if flags != 0 {
 		dst = append(dst, flags)
 	}
 	return dst
 }
 
-// takeQueryFlags reads the optional trailing flags byte of a query
-// request; an exhausted cursor means flags zero, and unknown bits are
-// malformed.
-func (c *cursor) takeQueryFlags() (byte, error) {
-	if c.remaining() == 0 {
-		return 0, nil
+// queryFlags ends a query request: the optional trailing flags byte
+// (none left means flags zero; unknown bits are malformed) and nothing
+// after it.
+func queryFlags(c *binfmt.Reader) (byte, error) {
+	if c.Remaining() == 0 {
+		return 0, c.Done()
 	}
-	fb, err := c.take(1)
-	if err != nil {
-		return 0, err
+	flags := c.U8()
+	if flags&^QueryFlagTrace != 0 {
+		return 0, malformed("unknown query flags %#02x", flags)
 	}
-	if fb[0]&^QueryFlagTrace != 0 {
-		return 0, malformed("unknown query flags %#02x", fb[0])
-	}
-	return fb[0], nil
+	return flags, c.Done()
 }
 
 // AppendRangeReq encodes an OpRange payload with zero flags.
@@ -474,23 +393,16 @@ func AppendRangeReq(dst []byte, name string, b geom.Box) []byte {
 // trailing byte.
 func AppendRangeReqFlags(dst []byte, name string, b geom.Box, flags byte) []byte {
 	dst = AppendStr(dst, name)
-	dst = AppendBox(dst, b)
-	return queryFlags(dst, flags)
+	dst = binfmt.AppendBox(dst, b)
+	return appendQueryFlags(dst, flags)
 }
 
 // DecodeRangeReq decodes an OpRange payload. name aliases the payload.
 func DecodeRangeReq(p []byte) (name []byte, b geom.Box, flags byte, err error) {
-	c := cursor{b: p}
-	if name, err = c.str(); err != nil {
-		return nil, b, 0, err
-	}
-	if b, err = c.box(); err != nil {
-		return nil, b, 0, err
-	}
-	if flags, err = c.takeQueryFlags(); err != nil {
-		return nil, b, 0, err
-	}
-	return name, b, flags, c.done()
+	c := payloadReader(p)
+	name, b = str(&c), c.Box()
+	flags, err = queryFlags(&c)
+	return name, b, flags, err
 }
 
 // AppendPointReq encodes an OpPoint payload with zero flags.
@@ -503,26 +415,20 @@ func AppendPointReq(dst []byte, name string, p geom.Point) []byte {
 func AppendPointReqFlags(dst []byte, name string, p geom.Point, flags byte) []byte {
 	dst = AppendStr(dst, name)
 	for d := 0; d < geom.Dims; d++ {
-		dst = AppendF64(dst, p[d])
+		dst = binfmt.AppendF64(dst, p[d])
 	}
-	return queryFlags(dst, flags)
+	return appendQueryFlags(dst, flags)
 }
 
 // DecodePointReq decodes an OpPoint payload. name aliases the payload.
 func DecodePointReq(p []byte) (name []byte, pt geom.Point, flags byte, err error) {
-	c := cursor{b: p}
-	if name, err = c.str(); err != nil {
-		return nil, pt, 0, err
+	c := payloadReader(p)
+	name = str(&c)
+	for d := range pt {
+		pt[d] = c.F64()
 	}
-	for d := 0; d < geom.Dims; d++ {
-		if pt[d], err = c.f64(); err != nil {
-			return nil, pt, 0, err
-		}
-	}
-	if flags, err = c.takeQueryFlags(); err != nil {
-		return nil, pt, 0, err
-	}
-	return name, pt, flags, c.done()
+	flags, err = queryFlags(&c)
+	return name, pt, flags, err
 }
 
 // AppendKNNReq encodes an OpKNN payload with zero flags.
@@ -535,33 +441,24 @@ func AppendKNNReq(dst []byte, name string, p geom.Point, k int) []byte {
 func AppendKNNReqFlags(dst []byte, name string, p geom.Point, k int, flags byte) []byte {
 	dst = AppendStr(dst, name)
 	for d := 0; d < geom.Dims; d++ {
-		dst = AppendF64(dst, p[d])
+		dst = binfmt.AppendF64(dst, p[d])
 	}
-	dst = AppendU32(dst, uint32(k))
-	return queryFlags(dst, flags)
+	dst = binfmt.AppendU32(dst, uint32(k))
+	return appendQueryFlags(dst, flags)
 }
 
 // DecodeKNNReq decodes an OpKNN payload. name aliases the payload; k is
 // returned as the signed interpretation of the wire word so the engine's
 // k-validation sees negative values as negative.
 func DecodeKNNReq(p []byte) (name []byte, pt geom.Point, k int, flags byte, err error) {
-	c := cursor{b: p}
-	if name, err = c.str(); err != nil {
-		return nil, pt, 0, 0, err
+	c := payloadReader(p)
+	name = str(&c)
+	for d := range pt {
+		pt[d] = c.F64()
 	}
-	for d := 0; d < geom.Dims; d++ {
-		if pt[d], err = c.f64(); err != nil {
-			return nil, pt, 0, 0, err
-		}
-	}
-	kw, err := c.u32()
-	if err != nil {
-		return nil, pt, 0, 0, err
-	}
-	if flags, err = c.takeQueryFlags(); err != nil {
-		return nil, pt, 0, 0, err
-	}
-	return name, pt, int(int32(kw)), flags, c.done()
+	k = int(int32(c.U32()))
+	flags, err = queryFlags(&c)
+	return name, pt, k, flags, err
 }
 
 // JoinReq is a decoded OpJoin payload. Exactly one of ProbeName and
@@ -577,22 +474,13 @@ type JoinReq struct {
 	Boxes     []geom.Box // nil when FlagNamedProbe
 }
 
-// AppendJoinReq encodes an OpJoin payload. probeName selects a named
-// probe when non-empty; boxes are the inline probe otherwise.
-func AppendJoinReq(dst []byte, name string, eps float64, workers int, countOnly bool, probeName string, boxes []geom.Box) []byte {
-	flags := byte(0)
-	if countOnly {
-		flags |= FlagCountOnly
-	}
-	return AppendJoinReqFlags(dst, name, eps, workers, flags, probeName, boxes)
-}
-
-// AppendJoinReqFlags is AppendJoinReq with the flags byte given
-// explicitly (FlagNamedProbe is still derived from probeName).
-func AppendJoinReqFlags(dst []byte, name string, eps float64, workers int, flags byte, probeName string, boxes []geom.Box) []byte {
+// AppendJoinReq encodes an OpJoin payload. flags carries FlagCountOnly
+// and FlagTrace; FlagNamedProbe is derived from probeName, which selects
+// a named probe when non-empty — boxes are the inline probe otherwise.
+func AppendJoinReq(dst []byte, name string, eps float64, workers int, flags byte, probeName string, boxes []geom.Box) []byte {
 	dst = AppendStr(dst, name)
-	dst = AppendF64(dst, eps)
-	dst = AppendU32(dst, uint32(workers))
+	dst = binfmt.AppendF64(dst, eps)
+	dst = binfmt.AppendU32(dst, uint32(workers))
 	if probeName != "" {
 		flags |= FlagNamedProbe
 	} else {
@@ -602,9 +490,9 @@ func AppendJoinReqFlags(dst []byte, name string, eps float64, workers int, flags
 	if probeName != "" {
 		return AppendStr(dst, probeName)
 	}
-	dst = AppendU32(dst, uint32(len(boxes)))
+	dst = binfmt.AppendU32(dst, uint32(len(boxes)))
 	for _, b := range boxes {
-		dst = AppendBox(dst, b)
+		dst = binfmt.AppendBox(dst, b)
 	}
 	return dst
 }
@@ -614,50 +502,27 @@ func AppendJoinReqFlags(dst []byte, name string, eps float64, workers int, flags
 // allocated, so a hostile count field cannot oversize the allocation
 // beyond the frame the bytes actually arrived in.
 func DecodeJoinReq(p []byte) (JoinReq, error) {
-	var req JoinReq
-	c := cursor{b: p}
-	var err error
-	if req.Name, err = c.str(); err != nil {
-		return req, err
-	}
-	if req.Eps, err = c.f64(); err != nil {
-		return req, err
-	}
-	w, err := c.u32()
-	if err != nil {
-		return req, err
-	}
-	req.Workers = int(int32(w))
-	fb, err := c.take(1)
-	if err != nil {
-		return req, err
-	}
-	flags := fb[0]
+	c := payloadReader(p)
+	req := JoinReq{Name: str(&c), Eps: c.F64(), Workers: int(int32(c.U32()))}
+	flags := c.U8()
 	if flags&^(FlagCountOnly|FlagNamedProbe|FlagTrace) != 0 {
 		return req, malformed("unknown join flags %#02x", flags)
 	}
 	req.CountOnly = flags&FlagCountOnly != 0
 	req.Trace = flags&FlagTrace != 0
 	if flags&FlagNamedProbe != 0 {
-		if req.ProbeName, err = c.str(); err != nil {
-			return req, err
-		}
-		return req, c.done()
+		req.ProbeName = str(&c)
+		return req, c.Done()
 	}
-	n, err := c.u32()
-	if err != nil {
+	n := c.U32()
+	if err := c.Err(); err != nil {
 		return req, err
 	}
-	if int64(n)*boxSize != int64(c.remaining()) {
-		return req, malformed("join claims %d probe boxes, %d payload bytes remain", n, c.remaining())
+	if int64(n)*binfmt.BoxSize != int64(c.Remaining()) {
+		return req, malformed("join claims %d probe boxes, %d payload bytes remain", n, c.Remaining())
 	}
-	req.Boxes = make([]geom.Box, n)
-	for i := range req.Boxes {
-		if req.Boxes[i], err = c.box(); err != nil {
-			return req, err
-		}
-	}
-	return req, c.done()
+	req.Boxes = decodeBoxes(c.Take(int(n) * binfmt.BoxSize))
+	return req, c.Done()
 }
 
 // UpdateReq is a decoded OpUpdate payload: a batch of deletes-then-
@@ -672,13 +537,13 @@ type UpdateReq struct {
 // AppendUpdateReq encodes an OpUpdate payload.
 func AppendUpdateReq(dst []byte, name string, deletes []geom.ID, inserts []geom.Box) []byte {
 	dst = AppendStr(dst, name)
-	dst = AppendU32(dst, uint32(len(deletes)))
+	dst = binfmt.AppendU32(dst, uint32(len(deletes)))
 	for _, id := range deletes {
-		dst = AppendU32(dst, uint32(id))
+		dst = binfmt.AppendU32(dst, uint32(id))
 	}
-	dst = AppendU32(dst, uint32(len(inserts)))
+	dst = binfmt.AppendU32(dst, uint32(len(inserts)))
 	for _, b := range inserts {
-		dst = AppendBox(dst, b)
+		dst = binfmt.AppendBox(dst, b)
 	}
 	return dst
 }
@@ -687,39 +552,23 @@ func AppendUpdateReq(dst []byte, name string, deletes []geom.ID, inserts []geom.
 // against the remaining payload size before anything is allocated, and
 // the insert count must consume the payload exactly.
 func DecodeUpdateReq(p []byte) (UpdateReq, error) {
-	var req UpdateReq
-	c := cursor{b: p}
-	var err error
-	if req.Name, err = c.str(); err != nil {
-		return req, err
-	}
-	nDel, err := c.u32()
-	if err != nil {
+	c := payloadReader(p)
+	req := UpdateReq{Name: str(&c)}
+	nDel := c.U32()
+	if err := c.Err(); err != nil {
 		return req, err
 	}
 	// The delete section is followed by at least the 4-byte insert count.
-	if int64(nDel)*4+4 > int64(c.remaining()) {
-		return req, malformed("update claims %d delete ids, %d payload bytes remain", nDel, c.remaining())
+	if int64(nDel)*4+4 > int64(c.Remaining()) {
+		return req, malformed("update claims %d delete ids, %d payload bytes remain", nDel, c.Remaining())
 	}
-	req.Deletes = make([]geom.ID, nDel)
-	for i := range req.Deletes {
-		w, _ := c.u32() // size proven above
-		req.Deletes[i] = geom.ID(int32(w))
+	req.Deletes = decodeIDs(c.Take(4 * int(nDel)))
+	nIns := c.U32() // size proven above
+	if int64(nIns)*binfmt.BoxSize != int64(c.Remaining()) {
+		return req, malformed("update claims %d insert boxes, %d payload bytes remain", nIns, c.Remaining())
 	}
-	nIns, err := c.u32()
-	if err != nil {
-		return req, err
-	}
-	if int64(nIns)*boxSize != int64(c.remaining()) {
-		return req, malformed("update claims %d insert boxes, %d payload bytes remain", nIns, c.remaining())
-	}
-	req.Inserts = make([]geom.Box, nIns)
-	for i := range req.Inserts {
-		if req.Inserts[i], err = c.box(); err != nil {
-			return req, err
-		}
-	}
-	return req, c.done()
+	req.Inserts = decodeBoxes(c.Take(int(nIns) * binfmt.BoxSize))
+	return req, c.Done()
 }
 
 // --- responses ----------------------------------------------------------
@@ -727,10 +576,10 @@ func DecodeUpdateReq(p []byte) (UpdateReq, error) {
 // AppendIDsResp encodes an OpIDs payload: the answering catalog version
 // and the result IDs.
 func AppendIDsResp(dst []byte, version int64, ids []geom.ID) []byte {
-	dst = AppendU64(dst, uint64(version))
-	dst = AppendU32(dst, uint32(len(ids)))
+	dst = binfmt.AppendU64(dst, uint64(version))
+	dst = binfmt.AppendU32(dst, uint32(len(ids)))
 	for _, id := range ids {
-		dst = AppendU32(dst, uint32(id))
+		dst = binfmt.AppendU32(dst, uint32(id))
 	}
 	return dst
 }
@@ -738,86 +587,71 @@ func AppendIDsResp(dst []byte, version int64, ids []geom.ID) []byte {
 // DecodeIDsResp decodes an OpIDs payload. The count must agree exactly
 // with the payload size; the returned slice is freshly allocated.
 func DecodeIDsResp(p []byte) (version int64, ids []geom.ID, err error) {
-	c := cursor{b: p}
-	v, err := c.u64()
-	if err != nil {
+	c := payloadReader(p)
+	version = int64(c.U64())
+	n := c.U32()
+	if err := c.Err(); err != nil {
 		return 0, nil, err
 	}
-	n, err := c.u32()
-	if err != nil {
-		return 0, nil, err
+	if int64(n)*4 != int64(c.Remaining()) {
+		return 0, nil, malformed("ids response claims %d ids, %d payload bytes remain", n, c.Remaining())
 	}
-	if int64(n)*4 != int64(c.remaining()) {
-		return 0, nil, malformed("ids response claims %d ids, %d payload bytes remain", n, c.remaining())
-	}
-	ids = make([]geom.ID, n)
-	for i := range ids {
-		w, _ := c.u32() // size proven above
-		ids[i] = geom.ID(int32(w))
-	}
-	return int64(v), ids, c.done()
+	return version, decodeIDs(c.Take(4 * int(n))), c.Done()
 }
 
 // AppendNeighborsResp encodes an OpNeighbors payload.
 func AppendNeighborsResp(dst []byte, version int64, nbrs []geom.Neighbor) []byte {
-	dst = AppendU64(dst, uint64(version))
-	dst = AppendU32(dst, uint32(len(nbrs)))
+	dst = binfmt.AppendU64(dst, uint64(version))
+	dst = binfmt.AppendU32(dst, uint32(len(nbrs)))
 	for _, n := range nbrs {
-		dst = AppendU32(dst, uint32(n.ID))
-		dst = AppendF64(dst, n.Distance)
+		dst = binfmt.AppendU32(dst, uint32(n.ID))
+		dst = binfmt.AppendF64(dst, n.Distance)
 	}
 	return dst
 }
 
 // DecodeNeighborsResp decodes an OpNeighbors payload.
 func DecodeNeighborsResp(p []byte) (version int64, nbrs []geom.Neighbor, err error) {
-	c := cursor{b: p}
-	v, err := c.u64()
-	if err != nil {
+	c := payloadReader(p)
+	version = int64(c.U64())
+	n := c.U32()
+	if err := c.Err(); err != nil {
 		return 0, nil, err
 	}
-	n, err := c.u32()
-	if err != nil {
-		return 0, nil, err
+	if int64(n)*12 != int64(c.Remaining()) {
+		return 0, nil, malformed("neighbors response claims %d entries, %d payload bytes remain", n, c.Remaining())
 	}
-	if int64(n)*12 != int64(c.remaining()) {
-		return 0, nil, malformed("neighbors response claims %d entries, %d payload bytes remain", n, c.remaining())
-	}
+	raw := c.Take(12 * int(n))
 	nbrs = make([]geom.Neighbor, n)
 	for i := range nbrs {
-		w, _ := c.u32()
-		d, _ := c.f64() // sizes proven above
-		nbrs[i] = geom.Neighbor{ID: geom.ID(int32(w)), Distance: d}
+		e := raw[12*i:]
+		nbrs[i] = geom.Neighbor{
+			ID:       geom.ID(int32(binary.LittleEndian.Uint32(e))),
+			Distance: math.Float64frombits(binary.LittleEndian.Uint64(e[4:])),
+		}
 	}
-	return int64(v), nbrs, c.done()
+	return version, nbrs, c.Done()
 }
 
 // AppendCountResp encodes an OpCount payload (count-only joins).
 func AppendCountResp(dst []byte, version, count int64) []byte {
-	dst = AppendU64(dst, uint64(version))
-	return AppendU64(dst, uint64(count))
+	dst = binfmt.AppendU64(dst, uint64(version))
+	return binfmt.AppendU64(dst, uint64(count))
 }
 
 // DecodeCountResp decodes an OpCount payload.
 func DecodeCountResp(p []byte) (version, count int64, err error) {
-	c := cursor{b: p}
-	v, err := c.u64()
-	if err != nil {
-		return 0, 0, err
-	}
-	n, err := c.u64()
-	if err != nil {
-		return 0, 0, err
-	}
-	return int64(v), int64(n), c.done()
+	c := payloadReader(p)
+	version, count = int64(c.U64()), int64(c.U64())
+	return version, count, c.Done()
 }
 
 // AppendPairsResp encodes one OpPairs batch.
 func AppendPairsResp(dst []byte, pairs []geom.Pair) []byte {
-	dst = AppendU32(dst, uint32(len(pairs)))
+	dst = binfmt.AppendU32(dst, uint32(len(pairs)))
 	for _, p := range pairs {
-		dst = AppendU32(dst, uint32(p.A))
-		dst = AppendU32(dst, uint32(p.B))
+		dst = binfmt.AppendU32(dst, uint32(p.A))
+		dst = binfmt.AppendU32(dst, uint32(p.B))
 	}
 	return dst
 }
@@ -826,20 +660,22 @@ func AppendPairsResp(dst []byte, pairs []geom.Pair) []byte {
 // be nil) so streaming clients accumulate without re-allocating per
 // frame.
 func DecodePairsResp(p []byte, dst []geom.Pair) ([]geom.Pair, error) {
-	c := cursor{b: p}
-	n, err := c.u32()
-	if err != nil {
+	c := payloadReader(p)
+	n := c.U32()
+	if err := c.Err(); err != nil {
 		return dst, err
 	}
-	if int64(n)*8 != int64(c.remaining()) {
-		return dst, malformed("pairs batch claims %d pairs, %d payload bytes remain", n, c.remaining())
+	if int64(n)*8 != int64(c.Remaining()) {
+		return dst, malformed("pairs batch claims %d pairs, %d payload bytes remain", n, c.Remaining())
 	}
-	for i := uint32(0); i < n; i++ {
-		a, _ := c.u32()
-		b, _ := c.u32() // sizes proven above
-		dst = append(dst, geom.Pair{A: geom.ID(int32(a)), B: geom.ID(int32(b))})
+	raw := c.Take(8 * int(n))
+	for i := 0; i < len(raw); i += 8 {
+		dst = append(dst, geom.Pair{
+			A: geom.ID(int32(binary.LittleEndian.Uint32(raw[i:]))),
+			B: geom.ID(int32(binary.LittleEndian.Uint32(raw[i+4:]))),
+		})
 	}
-	return dst, c.done()
+	return dst, c.Done()
 }
 
 // AppendJoinDoneResp encodes an OpJoinDone payload: the answering
@@ -873,36 +709,26 @@ type UpdateResp struct {
 
 // AppendUpdateResp encodes an OpUpdateDone payload.
 func AppendUpdateResp(dst []byte, r UpdateResp) []byte {
-	dst = AppendU64(dst, uint64(r.Version))
-	dst = AppendU64(dst, uint64(r.FirstID))
-	dst = AppendU32(dst, uint32(r.Inserted))
-	dst = AppendU32(dst, uint32(r.Deleted))
-	dst = AppendU32(dst, uint32(r.DeltaInserts))
-	return AppendU32(dst, uint32(r.DeltaTombstones))
+	dst = binfmt.AppendU64(dst, uint64(r.Version))
+	dst = binfmt.AppendU64(dst, uint64(r.FirstID))
+	dst = binfmt.AppendU32(dst, uint32(r.Inserted))
+	dst = binfmt.AppendU32(dst, uint32(r.Deleted))
+	dst = binfmt.AppendU32(dst, uint32(r.DeltaInserts))
+	return binfmt.AppendU32(dst, uint32(r.DeltaTombstones))
 }
 
 // DecodeUpdateResp decodes an OpUpdateDone payload.
 func DecodeUpdateResp(p []byte) (UpdateResp, error) {
-	var r UpdateResp
-	c := cursor{b: p}
-	v, err := c.u64()
-	if err != nil {
-		return r, err
+	c := payloadReader(p)
+	r := UpdateResp{
+		Version:         int64(c.U64()),
+		FirstID:         int64(c.U64()),
+		Inserted:        int(c.U32()),
+		Deleted:         int(c.U32()),
+		DeltaInserts:    int(c.U32()),
+		DeltaTombstones: int(c.U32()),
 	}
-	r.Version = int64(v)
-	f, err := c.u64()
-	if err != nil {
-		return r, err
-	}
-	r.FirstID = int64(f)
-	for _, dst := range []*int{&r.Inserted, &r.Deleted, &r.DeltaInserts, &r.DeltaTombstones} {
-		w, err := c.u32()
-		if err != nil {
-			return r, err
-		}
-		*dst = int(w)
-	}
-	return r, c.done()
+	return r, c.Done()
 }
 
 // MaxCatalogEntries caps the dataset count an OpCatalogResp frame may
@@ -935,15 +761,15 @@ const catalogEntryMinSize = 37
 //	             u64 staticBytes | u32 deltaInserts | u32 deltaTombstones |
 //	             u8 persisted)
 func AppendCatalogResp(dst []byte, entries []CatalogEntry) []byte {
-	dst = AppendU32(dst, uint32(len(entries)))
+	dst = binfmt.AppendU32(dst, uint32(len(entries)))
 	for _, e := range entries {
 		dst = AppendStr(dst, e.Name)
-		dst = AppendU64(dst, uint64(e.Version))
+		dst = binfmt.AppendU64(dst, uint64(e.Version))
 		dst = AppendStr(dst, e.Status)
-		dst = AppendU64(dst, uint64(e.Objects))
-		dst = AppendU64(dst, uint64(e.StaticBytes))
-		dst = AppendU32(dst, uint32(e.DeltaInserts))
-		dst = AppendU32(dst, uint32(e.DeltaTombstones))
+		dst = binfmt.AppendU64(dst, uint64(e.Objects))
+		dst = binfmt.AppendU64(dst, uint64(e.StaticBytes))
+		dst = binfmt.AppendU32(dst, uint32(e.DeltaInserts))
+		dst = binfmt.AppendU32(dst, uint32(e.DeltaTombstones))
 		var p byte
 		if e.Persisted {
 			p = 1
@@ -956,66 +782,34 @@ func AppendCatalogResp(dst []byte, entries []CatalogEntry) []byte {
 // DecodeCatalogResp decodes an OpCatalogResp payload. The strings are
 // copied — catalog listings are rare and their rows outlive the frame.
 func DecodeCatalogResp(p []byte) ([]CatalogEntry, error) {
-	c := cursor{b: p}
-	n, err := c.u32()
-	if err != nil {
+	c := payloadReader(p)
+	n := c.U32()
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
 	if n > MaxCatalogEntries {
 		return nil, malformed("catalog claims %d entries, cap is %d", n, MaxCatalogEntries)
 	}
-	if int(n)*catalogEntryMinSize > c.remaining() {
-		return nil, malformed("catalog claims %d entries, payload holds at most %d", n, c.remaining()/catalogEntryMinSize)
+	if int(n)*catalogEntryMinSize > c.Remaining() {
+		return nil, malformed("catalog claims %d entries, payload holds at most %d", n, c.Remaining()/catalogEntryMinSize)
 	}
-	entries := make([]CatalogEntry, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var e CatalogEntry
-		nb, err := c.str()
-		if err != nil {
-			return nil, err
+	entries := make([]CatalogEntry, n)
+	for i := range entries {
+		e := &entries[i]
+		e.Name = string(str(&c))
+		e.Version = int64(c.U64())
+		e.Status = string(str(&c))
+		e.Objects = int64(c.U64())
+		e.StaticBytes = int64(c.U64())
+		e.DeltaInserts = int(c.U32())
+		e.DeltaTombstones = int(c.U32())
+		persisted := c.U8()
+		if persisted > 1 {
+			return nil, malformed("catalog persisted flag %#02x is not a bool", persisted)
 		}
-		e.Name = string(nb)
-		v, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		e.Version = int64(v)
-		sb, err := c.str()
-		if err != nil {
-			return nil, err
-		}
-		e.Status = string(sb)
-		o, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		e.Objects = int64(o)
-		b, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		e.StaticBytes = int64(b)
-		di, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		e.DeltaInserts = int(di)
-		dt, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		e.DeltaTombstones = int(dt)
-		pb, err := c.take(1)
-		if err != nil {
-			return nil, err
-		}
-		if pb[0] > 1 {
-			return nil, malformed("catalog persisted flag %#02x is not a bool", pb[0])
-		}
-		e.Persisted = pb[0] == 1
-		entries = append(entries, e)
+		e.Persisted = persisted == 1
 	}
-	return entries, c.done()
+	return entries, c.Done()
 }
 
 // AppendErrorResp encodes an OpError payload: a machine-readable code
@@ -1031,16 +825,9 @@ func AppendErrorResp(dst []byte, code, message string) []byte {
 // DecodeErrorResp decodes an OpError payload. The strings are copied —
 // error paths are not the steady state, and callers keep them.
 func DecodeErrorResp(p []byte) (code, message string, err error) {
-	c := cursor{b: p}
-	cb, err := c.str()
-	if err != nil {
-		return "", "", err
-	}
-	mb, err := c.str()
-	if err != nil {
-		return "", "", err
-	}
-	return string(cb), string(mb), c.done()
+	c := payloadReader(p)
+	code, message = string(str(&c)), string(str(&c))
+	return code, message, c.Done()
 }
 
 // MaxTracePhases caps the phase count an OpTrace frame may claim,
@@ -1072,47 +859,38 @@ func AppendTraceResp(dst []byte, r TraceResp) []byte {
 	dst = AppendStr(dst, r.RequestID)
 	dst = append(dst, byte(len(r.PhaseNs)))
 	for _, ns := range r.PhaseNs {
-		dst = AppendU64(dst, uint64(ns))
+		dst = binfmt.AppendU64(dst, uint64(ns))
 	}
-	dst = AppendU64(dst, uint64(r.Comparisons))
-	dst = AppendU64(dst, uint64(r.NodeTests))
-	dst = AppendU64(dst, uint64(r.Filtered))
-	dst = AppendU64(dst, uint64(r.Results))
-	dst = AppendU64(dst, uint64(r.Replicas))
+	dst = binfmt.AppendU64(dst, uint64(r.Comparisons))
+	dst = binfmt.AppendU64(dst, uint64(r.NodeTests))
+	dst = binfmt.AppendU64(dst, uint64(r.Filtered))
+	dst = binfmt.AppendU64(dst, uint64(r.Results))
+	dst = binfmt.AppendU64(dst, uint64(r.Replicas))
 	return append(dst, r.Cancel)
 }
 
 // DecodeTraceResp decodes an OpTrace payload. The strings and slices
 // are freshly allocated; trace frames are rare, not the steady state.
 func DecodeTraceResp(p []byte) (TraceResp, error) {
-	var r TraceResp
-	c := cursor{b: p}
-	rid, err := c.str()
-	if err != nil {
+	c := payloadReader(p)
+	r := TraceResp{RequestID: string(str(&c))}
+	n := int(c.U8())
+	if err := c.Err(); err != nil {
 		return r, err
 	}
-	r.RequestID = string(rid)
-	nb, err := c.take(1)
-	if err != nil {
-		return r, err
-	}
-	n := int(nb[0])
 	if n > MaxTracePhases {
 		return r, malformed("trace claims %d phases, cap is %d", n, MaxTracePhases)
 	}
-	if int64(n)*8+5*8+1 != int64(c.remaining()) {
-		return r, malformed("trace claims %d phases, %d payload bytes remain", n, c.remaining())
+	if int64(n)*8+5*8+1 != int64(c.Remaining()) {
+		return r, malformed("trace claims %d phases, %d payload bytes remain", n, c.Remaining())
 	}
 	r.PhaseNs = make([]int64, n)
 	for i := range r.PhaseNs {
-		w, _ := c.u64() // size proven above
-		r.PhaseNs[i] = int64(w)
+		r.PhaseNs[i] = int64(c.U64())
 	}
 	for _, dst := range []*int64{&r.Comparisons, &r.NodeTests, &r.Filtered, &r.Results, &r.Replicas} {
-		w, _ := c.u64() // size proven above
-		*dst = int64(w)
+		*dst = int64(c.U64())
 	}
-	cb, _ := c.take(1) // size proven above
-	r.Cancel = cb[0]
-	return r, c.done()
+	r.Cancel = c.U8()
+	return r, c.Done()
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"touch/internal/binfmt"
 	"touch/internal/geom"
 )
 
@@ -47,8 +48,8 @@ func TestHelloRoundtrip(t *testing.T) {
 	// An info length beyond the cap is malformed before any allocation;
 	// a writer-side overlong info is truncated to the cap, not an error.
 	bad := []byte(Magic)
-	bad = AppendU32(bad, Version)
-	bad = AppendU16(bad, MaxHelloInfo+1)
+	bad = binfmt.AppendU32(bad, Version)
+	bad = binfmt.AppendU16(bad, MaxHelloInfo+1)
 	if _, _, err := ReadHello(bytes.NewReader(bad)); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("oversized info length: %v, want ErrMalformed", err)
 	}
@@ -180,7 +181,7 @@ func TestPointAndKNNReqRoundtrip(t *testing.T) {
 
 func TestJoinReqRoundtrip(t *testing.T) {
 	boxes := []geom.Box{box(0, 0, 0, 1, 1, 1), box(2, 2, 2, 3, 3, 3)}
-	p := AppendJoinReq(nil, "cells", 2.5, 4, true, "", boxes)
+	p := AppendJoinReq(nil, "cells", 2.5, 4, FlagCountOnly, "", boxes)
 	req, err := DecodeJoinReq(p)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +193,7 @@ func TestJoinReqRoundtrip(t *testing.T) {
 		t.Fatalf("join probe: %+v", req)
 	}
 
-	p = AppendJoinReq(nil, "cells", 0, 0, false, "grid", nil)
+	p = AppendJoinReq(nil, "cells", 0, 0, 0, "grid", nil)
 	req, err = DecodeJoinReq(p)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +203,7 @@ func TestJoinReqRoundtrip(t *testing.T) {
 	}
 
 	// The trace flag rides the existing join flags byte.
-	p = AppendJoinReqFlags(nil, "cells", 0, 0, FlagCountOnly|FlagTrace, "grid", nil)
+	p = AppendJoinReq(nil, "cells", 0, 0, FlagCountOnly|FlagTrace, "grid", nil)
 	req, err = DecodeJoinReq(p)
 	if err != nil || !req.Trace || !req.CountOnly || string(req.ProbeName) != "grid" {
 		t.Fatalf("traced join: %+v %v", req, err)
@@ -253,7 +254,7 @@ func TestTraceRespRoundtrip(t *testing.T) {
 func TestJoinReqHostileCount(t *testing.T) {
 	// A count field claiming far more boxes than the payload carries must
 	// be rejected before the allocation, not after.
-	p := AppendJoinReq(nil, "a", 0, 0, false, "", []geom.Box{box(0, 0, 0, 1, 1, 1)})
+	p := AppendJoinReq(nil, "a", 0, 0, 0, "", []geom.Box{box(0, 0, 0, 1, 1, 1)})
 	// The count u32 sits right after name(3) + eps(8) + workers(4) + flags(1).
 	countOff := 2 + 1 + 8 + 4 + 1
 	p[countOff] = 0xFF
@@ -264,7 +265,7 @@ func TestJoinReqHostileCount(t *testing.T) {
 		t.Fatalf("hostile count: %v, want ErrMalformed", err)
 	}
 	// Unknown flag bits are a protocol error, not silently ignored.
-	p2 := AppendJoinReq(nil, "a", 0, 0, false, "", nil)
+	p2 := AppendJoinReq(nil, "a", 0, 0, 0, "", nil)
 	p2[2+1+8+4] |= 0x80
 	if _, err := DecodeJoinReq(p2); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("unknown flags: %v, want ErrMalformed", err)

@@ -3,7 +3,6 @@ package touch
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -112,31 +111,6 @@ func DecodeOverlay(data []byte) (SnapshotInfo, *Overlay, error) {
 	}
 	info := SnapshotInfo{Name: rec.Name, Version: rec.Version, BuiltAt: rec.BuiltAt}
 	return info, base.over(tiers, delta.Restored(rec.Tombs, rec.NextID, maxID)), nil
-}
-
-// WriteSnapshot is EncodeSnapshot to an io.Writer, returning the byte
-// count written. Writing to a file does not by itself make the snapshot
-// crash-safe — the serving layer's store adds the temp-file → fsync →
-// rename → directory-fsync protocol on top.
-func WriteSnapshot(w io.Writer, info SnapshotInfo, a Dataset, ix *Index) (int64, error) {
-	data, err := EncodeSnapshot(info, a, ix)
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(data)
-	if err == nil && n < len(data) {
-		err = io.ErrShortWrite
-	}
-	return int64(n), err
-}
-
-// ReadSnapshot is DecodeSnapshot from an io.Reader.
-func ReadSnapshot(r io.Reader) (SnapshotInfo, Dataset, *Index, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return SnapshotInfo{}, nil, nil, fmt.Errorf("touch: read snapshot: %w", err)
-	}
-	return DecodeSnapshot(data)
 }
 
 // indexFromTree wraps a built or already-validated thawed tree in the

@@ -1,7 +1,6 @@
 package touch
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -16,18 +15,13 @@ func TestSnapshotRoundtripServesIdentically(t *testing.T) {
 	ix := BuildIndex(a, TOUCHConfig{Partitions: 128, Workers: 2})
 	info := SnapshotInfo{Name: "city", Version: 4, BuiltAt: time.Unix(1712000000, 0).UTC()}
 
-	var buf bytes.Buffer
-	n, err := WriteSnapshot(&buf, info, a, ix)
+	data, err := EncodeSnapshot(info, a, ix)
 	if err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+		t.Fatalf("EncodeSnapshot: %v", err)
 	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("wrote %d, buffer holds %d", n, buf.Len())
-	}
-
-	got, ds, loaded, err := ReadSnapshot(&buf)
+	got, ds, loaded, err := DecodeSnapshot(data)
 	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
+		t.Fatalf("DecodeSnapshot: %v", err)
 	}
 	if got != info {
 		t.Fatalf("info %+v, want %+v", got, info)
