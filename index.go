@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"touch/internal/core"
+	"touch/internal/delta"
 	"touch/internal/geom"
 	"touch/internal/nl"
 	"touch/internal/stats"
@@ -58,9 +59,11 @@ func BuildIndex(a Dataset, cfg TOUCHConfig) *Index {
 // answers, already ascending by the ID-range invariant; a kNN search
 // runs base to top over one k-slot heap, so a tier beyond the k-th
 // distance found so far costs its root test; a join runs one probe per
-// tier. The delta is held as its two slices, as they are: the inserts no
-// fold has indexed yet, which may contain tombstoned objects, and the
-// tombstones — of tier objects and inserts alike — ascending. A
+// tier. The delta is held as its slices, as they are: the inserts no
+// fold has indexed yet, which may contain tombstoned objects — in ID
+// order for joins, and for single probes as the delta's sealed x-sorted
+// runs (delta.Run) followed by the fewer than delta.RunLen unsealed rest
+// — and the tombstones, of tier objects and inserts alike, ascending. A
 // tombstone is tested by binary search, and only on an object that is
 // already a hit. Every delta pass starts by returning when its slice is
 // empty, so with one tier and nothing pending a read runs the bare
@@ -74,6 +77,8 @@ type reader struct {
 	tiers   []tier
 	upper   []*core.Tree // the trees of tiers[1:], as the engine's queries take them
 	inserts Dataset
+	runs    []delta.Run // seal inserts up to rest
+	rest    Dataset     // the unsealed suffix of inserts
 	tombs   []ID
 }
 
@@ -94,6 +99,12 @@ func newReader(tiers []tier) reader {
 		r.upper = append(r.upper, t.tree)
 	}
 	return r
+}
+
+// pend sets what is pending: inserts, runs sealing a prefix of them, and
+// tombs.
+func (r *reader) pend(inserts Dataset, runs []delta.Run, tombs []ID) {
+	r.inserts, r.runs, r.rest, r.tombs = inserts, runs, inserts[delta.Sealed(runs):], tombs
 }
 
 // frozen reports whether nothing is pending.
@@ -291,8 +302,9 @@ func checkPoint(p Point) error {
 // MBRs prune disjoint subtrees, a subtree fully inside q is emitted as
 // one contiguous arena scan with no per-object tests, and a leaf is
 // read block by block under the same rule, tier after tier. Over a
-// non-empty delta one pass over the inserts then appends the matches in
-// ID order (no sort, no extra allocation) and the answer is filtered
+// non-empty delta the inserts' matches are appended in ID order — each
+// sealed run tested only in the window of its x order that can reach q,
+// the few unsealed inserts one by one — and the answer is filtered
 // against the tombstones. Safe for arbitrary concurrent callers; steady-state
 // serving allocates only the returned slice.
 func (r *reader) RangeQuery(q Box) ([]ID, error) { return r.RangeQueryTraced(q, nil) }
@@ -300,7 +312,7 @@ func (r *reader) RangeQuery(q Box) ([]ID, error) { return r.RangeQueryTraced(q, 
 // RangeQueryTraced is RangeQuery with per-request tracing: a non-nil
 // span receives the descent wall time (PhaseQuery) and the traversal
 // counters the query engine already maintains and, over a non-empty
-// delta only, the pass over the pending inserts as PhaseDelta and the
+// delta only, the read of the pending inserts as PhaseDelta and the
 // tombstone filter as PhaseOverlay. A nil span is exactly RangeQuery —
 // no timing, no allocations.
 func (r *reader) RangeQueryTraced(q Box, sp *Span) ([]ID, error) {
@@ -354,9 +366,11 @@ func (r *reader) PointQueryTraced(x, y, z float64, sp *Span) ([]ID, error) {
 // well-separated data. The tiers are searched base to top over that one
 // heap, so a tier wholly beyond the k-th distance found below it costs
 // one node test, with the tombstones as the skip list, looked up only
-// for an object that would enter the heap; one pass over the inserts
-// then improves the same heap, touching it only when an insert beats
-// the current k-th neighbor. Safe for
+// for an object that would enter the heap; the inserts then improve the
+// same heap, touching it only when an insert beats the current k-th
+// neighbor — in each sealed run only the window around q's x that the
+// x-gap alone does not put beyond that neighbor, the few unsealed
+// inserts one by one. Safe for
 // arbitrary concurrent callers; steady-state serving allocates only the
 // returned slice.
 func (r *reader) KNN(q Point, k int) ([]Neighbor, error) { return r.KNNTraced(q, k, nil) }
@@ -387,7 +401,10 @@ func (r *reader) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
 		if sp != nil {
 			start = time.Now()
 		}
-		p.Offer(r.inserts, q, k, r.tombs)
+		for i := range r.runs {
+			p.Offer(r.runs[i].Objects, r.runs[i].Ext, q, k, r.tombs)
+		}
+		p.Offer(r.rest, math.Inf(1), q, k, r.tombs)
 		if sp != nil {
 			sp.Add(trace.PhaseDelta, time.Since(start))
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"sort"
 
 	"touch/internal/geom"
 	"touch/internal/stats"
@@ -223,10 +224,7 @@ func (s *queryScratch) enqueue(mbr *geom.Box, q geom.Point, k int, node, blk int
 // settles that the object is strictly beyond the worst neighbour held,
 // which is most objects of a long unindexed stretch after one dimension.
 func (s *queryScratch) offer(es []geom.Object, q geom.Point, k int, skip []geom.ID) {
-	limit := math.Inf(1)
-	if len(s.nbrs) == k {
-		limit = farther(s.nbrs[0].Distance)
-	}
+	limit := s.limit(k)
 	for i := range es {
 		b := &es[i].Box
 		sum := 0.0
@@ -259,6 +257,15 @@ func (s *queryScratch) offer(es []geom.Object, q geom.Point, k int, skip []geom.
 			limit = farther(s.nbrs[0].Distance)
 		}
 	}
+}
+
+// limit is offer's bound on an object's sum of squared gaps: farther than
+// the worst of k neighbours held, +Inf while fewer are held.
+func (s *queryScratch) limit(k int) float64 {
+	if len(s.nbrs) == k {
+		return farther(s.nbrs[0].Distance)
+	}
+	return math.Inf(1)
 }
 
 // farther returns a bound on squared distances: a sum of squared gaps
@@ -327,9 +334,27 @@ func (p *Probe) Nearest(q geom.Point, k int, c *stats.Counters, skip []geom.ID, 
 // objects no tree holds — the unindexed tail of a tiered index — under
 // the same k, skip list and (Distance, ID) order. Distance evaluations
 // here are not charged to any counter.
-func (p *Probe) Offer(objs []geom.Object, q geom.Point, k int, skip []geom.ID) {
-	if k > 0 {
-		p.query.offer(objs, q, k, skip)
+//
+// With ext = +Inf the objects may come in any order and every one is
+// offered. Otherwise they are sorted by Min[0] and Min[0] + ext is at
+// least Max[0] for each one (a sealed delta.Run), and only a window of
+// them is offered: right of q's x an object's x-gap is at least
+// Min[0] − q[0], left of it at least q[0] − (Min[0] + ext), each growing
+// away from q, so one binary search per side finds where that bound
+// alone first puts an object strictly beyond the k-th neighbour held —
+// where offer would drop it, and everything further out.
+func (p *Probe) Offer(objs []geom.Object, ext float64, q geom.Point, k int, skip []geom.ID) {
+	s := &p.query
+	switch {
+	case k <= 0:
+	case math.IsInf(ext, 1):
+		s.offer(objs, q, k, skip)
+	default:
+		limit := s.limit(k)
+		beyond := func(g float64) bool { return g > 0 && g*g > limit }
+		hi := sort.Search(len(objs), func(i int) bool { return beyond(objs[i].Box.Min[0] - q[0]) })
+		lo := sort.Search(hi, func(i int) bool { return !beyond(q[0] - (objs[i].Box.Min[0] + ext)) })
+		s.offer(objs[lo:hi], q, k, skip)
 	}
 }
 

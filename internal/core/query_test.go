@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"touch/internal/datagen"
+	"touch/internal/delta"
 	"touch/internal/geom"
 	"touch/internal/nl"
 	"touch/internal/stats"
@@ -422,7 +423,8 @@ func tieredFixture(ds geom.Dataset, cuts ...int) (p *Probe, upper []*Tree) {
 // answers the range query and the kNN search of the whole dataset — in
 // ID order and in (Distance, ID) order, ties across tiers included
 // (every box is present in every tier) — with a skip list and a tail of
-// unindexed objects offered to the same heap, and the probe is none the
+// unindexed objects offered to the same heap, in ID order or as sealed
+// x-sorted runs and the unsealed rest, and the probe is none the
 // worse for its next single-tree query.
 func TestTieredQueriesMatchOracle(t *testing.T) {
 	base := datagen.ClusteredSet(300, 251).Expand(3)
@@ -455,7 +457,15 @@ func TestTieredQueriesMatchOracle(t *testing.T) {
 		pt, k := base[rng.Intn(len(base))].Box.Center(), 1+rng.Intn(40)
 		c = stats.Counters{}
 		p.Nearest(pt, k, &c, skip, upper...)
-		p.Offer(tail, pt, k, skip)
+		if i%2 == 0 {
+			p.Offer(tail, math.Inf(1), pt, k, skip)
+		} else { // the tail as a delta holds it: sealed x-sorted runs, then the rest
+			runs := delta.Seal(nil, tail)
+			for _, r := range runs {
+				p.Offer(r.Objects, r.Ext, pt, k, skip)
+			}
+			p.Offer(tail[delta.Sealed(runs):], math.Inf(1), pt, k, skip)
+		}
 		if got, want := p.Neighbors(&c), nl.KNN(live, pt, k); !slices.Equal(got, want) {
 			t.Fatalf("tiered KNN(%v, %d):\n got %v\nwant %v", pt, k, got, want)
 		} else if c.Results != int64(len(got)) {

@@ -26,6 +26,15 @@
 // already a hit, so publishing an update costs O(batch) plus a
 // 4-byte-per-tombstone copy when the batch deletes something.
 //
+// Single-probe reads do not scan the tail object by object: every RunLen
+// consecutive inserts are sealed, once, on the write path, into a Run —
+// an immutable copy sorted along x with the largest x-extent it holds —
+// so a range query tests only the window of each run its box can reach
+// along x and a kNN search only the window around its point that the
+// x-gap alone does not put beyond the k-th neighbour found so far (Runs,
+// and the fewer than RunLen unsealed inserts after them, read whole).
+// Joins, folds and membership keep reading the ID-ordered Objects.
+//
 // A fold rewrites every object with an ID at or above some cut — the
 // tail alone, or the tail and the topmost tiers — and drops the
 // tombstoned ones together with their tombstones. Tombstones below the
@@ -34,7 +43,7 @@
 // of the unfolded tail that Size, Inserts and Tombstones measure and
 // that compaction thresholds are compared against — until a later fold
 // reaches their tier. Merged reads are a disjoint union — tier answers
-// minus tombstoned IDs, plus one pass over the tail — and a fold
+// minus tombstoned IDs, plus the tail's matches — and a fold
 // preserves every surviving ID, so answers over tiers + delta are
 // bit-identical to answers over an index rebuilt from the merged
 // dataset.
@@ -56,6 +65,10 @@ type Delta struct {
 	// tombstoned — the slice is append-only so descendant deltas and the
 	// readers of published generations share its backing array.
 	inserts geom.Dataset
+	// runs seal a prefix of inserts, in order; the inserts after it are
+	// fewer than RunLen. Shared across generations like inserts, and
+	// appended to under the same linear-history rule.
+	runs []Run
 	// tombs lists the deleted IDs whose objects some tier or the tail
 	// still holds, ascending. Never mutated after the Delta is published;
 	// Delete copies.
@@ -125,6 +138,16 @@ func (d *Delta) Objects() geom.Dataset {
 		return nil
 	}
 	return d.inserts
+}
+
+// Runs returns the sealed runs of the buffered inserts, in order: they
+// cover Objects up to Sealed(Runs()), and the rest of Objects is
+// unsealed. The slice is the delta's own and read-only.
+func (d *Delta) Runs() []Run {
+	if d == nil {
+		return nil
+	}
+	return d.runs
 }
 
 // Tombs returns the tombstoned IDs ascending, settled ones included. The
@@ -211,7 +234,9 @@ const maxID = geom.ID(1<<31 - 1)
 // — shares, so each delta may be extended at most once by a child that
 // is kept. Forking two kept children from one parent would let the
 // second overwrite the first one's objects. Calling Insert again on the
-// same parent and discarding the earlier result is fine.
+// same parent and discarding the earlier result is fine. The runs are
+// extended the same way: an insert that completes a stretch of RunLen
+// unsealed objects seals it.
 func (d *Delta) Insert(boxes []geom.Box) (nd *Delta, first geom.ID) {
 	first = d.nextID
 	if len(boxes) == 0 {
@@ -221,7 +246,8 @@ func (d *Delta) Insert(boxes []geom.Box) (nd *Delta, first geom.ID) {
 	for i, b := range boxes {
 		inserts = append(inserts, geom.Object{ID: first + geom.ID(i), Box: b})
 	}
-	return &Delta{inserts: inserts, tombs: d.tombs, settled: d.settled, nextID: first + geom.ID(len(boxes))}, first
+	runs := Seal(d.runs, inserts[Sealed(d.runs):])
+	return &Delta{inserts: inserts, runs: runs, tombs: d.tombs, settled: d.settled, nextID: first + geom.ID(len(boxes))}, first
 }
 
 // Delete returns a delta with a tombstone added for every id that is
@@ -246,7 +272,7 @@ func (d *Delta) Delete(ids []geom.ID, held func(geom.ID) bool) (nd *Delta, delet
 		tombs = append(append(tombs, old[:i]...), id)
 		old = old[i:]
 	}
-	return &Delta{inserts: d.inserts, tombs: append(tombs, old...), settled: d.settled, nextID: d.nextID}, len(add)
+	return &Delta{inserts: d.inserts, runs: d.runs, tombs: append(tombs, old...), settled: d.settled, nextID: d.nextID}, len(add)
 }
 
 // Apply is the one update step both owners run under their writer lock:
@@ -280,11 +306,23 @@ func Holds(ds geom.Dataset, id geom.ID) bool {
 // the objects they named. d must descend from d0 by Insert/Delete steps,
 // so d0's tombstones are a subsequence of d's and one walk separates
 // them; d0.Since(d0, cut) is the delta of the fold itself, nothing
-// carried over.
+// carried over. The runs of d that lie wholly among the carried inserts
+// carry over as they are; the carried part of the one run the fold cut
+// through is sealed again on its own.
 func (d *Delta) Since(d0 *Delta, cut geom.ID) *Delta {
 	nd := &Delta{nextID: d.nextID}
 	if n := len(d0.inserts); n < len(d.inserts) {
 		nd.inserts = d.inserts[n:]
+		at := 0
+		for _, r := range d.runs {
+			switch end := at + len(r.Objects); {
+			case at >= n:
+				nd.runs = append(nd.runs, r)
+			case end > n:
+				nd.runs = append(nd.runs, seal(d.inserts[n:end]))
+			}
+			at += len(r.Objects)
+		}
 	}
 	nd.settled, _ = slices.BinarySearch(d0.tombs, cut)
 	folded := d0.tombs[nd.settled:]

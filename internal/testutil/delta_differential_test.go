@@ -106,15 +106,24 @@ func liveIDs(m *touch.Mutable) []geom.ID {
 
 // checkMutableAgainstRebuild compares every query shape and the
 // materializing, count-only and streaming join forms between the
-// mutable and an index rebuilt from its merged dataset.
+// mutable's current generation and an index rebuilt from its merged
+// dataset.
 func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Dataset, seed int64) {
 	t.Helper()
-	merged := m.Dataset()
+	checkOverlayAgainstRebuild(t, m.View(), probe, seed)
+}
+
+// checkOverlayAgainstRebuild is checkMutableAgainstRebuild for one
+// generation v, which must hold its dataset (built by OverlayOf and the
+// steps after it).
+func checkOverlayAgainstRebuild(t *testing.T, v *touch.Overlay, probe touch.Dataset, seed int64) {
+	t.Helper()
+	merged := v.Dataset()
 	rebuilt := touch.BuildIndex(merged, touch.TOUCHConfig{})
 
 	boxes, points, ks := QueryWorkload(seed, 8)
 	for i := range boxes {
-		got, err := m.View().RangeQuery(boxes[i])
+		got, err := v.RangeQuery(boxes[i])
 		if err != nil {
 			t.Fatalf("RangeQuery: %v", err)
 		}
@@ -130,7 +139,7 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 		}
 
 		p := points[i]
-		gotPt, err := m.View().PointQuery(p[0], p[1], p[2])
+		gotPt, err := v.PointQuery(p[0], p[1], p[2])
 		if err != nil {
 			t.Fatalf("PointQuery: %v", err)
 		}
@@ -139,7 +148,7 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 			t.Fatalf("PointQuery(%v) diverges from rebuild: got %v, want %v", p, gotPt, wantPt)
 		}
 
-		gotK, err := m.View().KNN(p, ks[i])
+		gotK, err := v.KNN(p, ks[i])
 		if err != nil {
 			t.Fatalf("KNN: %v", err)
 		}
@@ -150,7 +159,7 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 	}
 
 	for _, eps := range []float64{0, 7.5} {
-		res, err := m.View().DistanceJoin(probe, eps, nil)
+		res, err := v.DistanceJoin(probe, eps, nil)
 		if err != nil {
 			t.Fatalf("DistanceJoin: %v", err)
 		}
@@ -167,7 +176,7 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 			t.Fatalf("DistanceJoin(eps=%g): Stats.Results=%d but %d pairs", eps, res.Stats.Results, len(got))
 		}
 
-		count, err := m.View().DistanceJoin(probe, eps, &touch.Options{NoPairs: true})
+		count, err := v.DistanceJoin(probe, eps, &touch.Options{NoPairs: true})
 		if err != nil {
 			t.Fatalf("count-only DistanceJoin: %v", err)
 		}
@@ -177,7 +186,7 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 
 		var streamed []touch.Pair
 		sink := stats.FuncSink(func(a, b geom.ID) { streamed = append(streamed, touch.Pair{A: a, B: b}) })
-		if _, err := m.View().DistanceJoinCtx(context.Background(), probe, eps, &touch.Options{Sink: sink}); err != nil {
+		if _, err := v.DistanceJoinCtx(context.Background(), probe, eps, &touch.Options{Sink: sink}); err != nil {
 			t.Fatalf("DistanceJoinCtx into a sink: %v", err)
 		}
 		if got := PairSet(streamed); !slices.Equal(got, want) {
@@ -187,7 +196,7 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 
 	// Limit must deliver exactly min(limit, total) live pairs — never a
 	// tombstoned one (every delivered pair's A side must be live).
-	res := m.View().Join(probe, &touch.Options{Limit: 5})
+	res := v.Join(probe, &touch.Options{Limit: 5})
 	if res != nil {
 		alive := make(map[geom.ID]bool, len(merged))
 		for _, o := range merged {

@@ -30,6 +30,17 @@ func FuzzDeltaMerge(f *testing.F) {
 	// what they left and a last fold: a history of several tiers.
 	f.Add([]byte{0x09, 0x30, 0x41, 0x52, 0x63, 0x74, 0x85, 0x96, 0xa7, 0xb8, 0xc9, 0xda, 0xeb, 0xfc,
 		0x04, 0x05, 0x0a, 0x05, 0x10, 0x05, 0x02, 0x03, 0x02, 0x19, 0x02, 0x2f, 0x00, 0x21, 0x43, 0x65, 0x05})
+	// Past two sealed runs (delta.RunLen inserts each): four bulk rounds
+	// seal one, a fold takes it, nine more seal two on top and leave 64
+	// unsealed, with single inserts and deletes into both after them.
+	// Repeated bulk bytes insert the same boxes again, so Min[0] ties
+	// straddle the runs.
+	sealed := []byte{0x06, 0x2a}
+	for i := 0; i < 6*bytesPerBox; i++ {
+		sealed = append(sealed, byte(i*37+11))
+	}
+	f.Add(append(sealed, 0x04, 0x0a, 0x10, 0x16, 0x05, 0x04, 0x0a, 0x04, 0x0a, 0x1c, 0x04, 0x0a, 0x22, 0x04,
+		0x00, 0x31, 0x42, 0x53, 0x64, 0x75, 0x86, 0x97, 0xa8, 0xb9, 0xca, 0xdb, 0xec, 0x02, 0x41, 0x02, 0x07))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

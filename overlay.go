@@ -19,7 +19,10 @@ import (
 // return, and an Overlay of one tier with nothing pending reads exactly
 // as its base Index does. What each shape costs per tier and over a
 // non-empty delta is documented on the reader's methods. Publishing an
-// update is O(batch): nothing here is copied or rebuilt per generation.
+// update is O(batch): nothing here is copied or rebuilt per generation,
+// except that the update completing a stretch of delta.RunLen inserts
+// seals it into a sorted run the single-probe queries read instead of
+// scanning it (see package delta).
 //
 // An Overlay is an immutable value: it holds references, never copies a
 // tier, and is safe for arbitrary concurrent callers, exactly like
@@ -65,7 +68,7 @@ func NewOverlay(idx *Index, inserts Dataset, deleted []ID) *Overlay {
 		slices.Sort(deleted)
 	}
 	v := &Overlay{reader: idx.reader, idx: idx}
-	v.inserts, v.tombs = inserts, deleted
+	v.pend(inserts, delta.Seal(nil, inserts), deleted)
 	return v
 }
 
@@ -88,7 +91,7 @@ func (ix *Index) tier(ds Dataset) tier {
 // pending.
 func (ix *Index) over(tiers []tier, d *delta.Delta) *Overlay {
 	v := &Overlay{reader: newReader(tiers), idx: ix, d: d}
-	v.inserts, v.tombs = d.Objects(), d.Tombs()
+	v.pend(d.Objects(), d.Runs(), d.Tombs())
 	return v
 }
 
@@ -118,7 +121,7 @@ func (v *Overlay) Apply(inserts []Box, deletes []ID) (next *Overlay, first ID, d
 		return v, first, deleted, ok
 	}
 	next = &Overlay{reader: v.reader, idx: v.idx, d: nd}
-	next.inserts, next.tombs = nd.Objects(), nd.Tombs()
+	next.pend(nd.Objects(), nd.Runs(), nd.Tombs())
 	return next, first, deleted, ok
 }
 
@@ -320,8 +323,10 @@ func (r *reader) dead(id ID) bool {
 // merged answer: the inserts intersecting q are appended — in ID order
 // and above every tier's IDs, so the list stays ascending — and then the
 // tombstoned IDs, tier objects and inserts alike, are removed in place.
-// A non-nil sp records the insert pass as PhaseDelta and the filter as
-// PhaseOverlay.
+// Each sealed run is tested only in its window (delta.Run.Window) and its
+// hits, met in x order, are sorted; the unsealed rest, ID-ascending and
+// above every run's IDs, is tested whole. A non-nil sp records the
+// insert pass as PhaseDelta and the filter as PhaseOverlay.
 func (r *reader) merge(ids []ID, q Box, sp *Span) []ID {
 	if r.frozen() {
 		return ids
@@ -330,10 +335,20 @@ func (r *reader) merge(ids []ID, q Box, sp *Span) []ID {
 	if sp != nil {
 		start = time.Now()
 	}
-	ins := r.inserts
-	for i := range ins {
-		if ins[i].Box.Meets(&q) {
-			ids = append(ids, ins[i].ID)
+	from := len(ids)
+	for i := range r.runs {
+		es := r.runs[i].Window(&q)
+		for j := range es {
+			if es[j].Box.Meets(&q) {
+				ids = append(ids, es[j].ID)
+			}
+		}
+	}
+	slices.Sort(ids[from:])
+	rest := r.rest
+	for i := range rest {
+		if rest[i].Box.Meets(&q) {
+			ids = append(ids, rest[i].ID)
 		}
 	}
 	if sp != nil {
