@@ -18,13 +18,19 @@ vet:
 
 # fuzz runs every fuzz target for FUZZTIME each — the list CI's fuzz
 # smoke runs, so a codec change is fuzzed locally exactly as CI fuzzes
-# it. Failing inputs land in internal/testutil/testdata/fuzz/.
+# it. Each entry is package:target; failing inputs land in that
+# package's testdata/fuzz/.
 FUZZTIME ?= 30s
-FUZZ_TARGETS = FuzzJoin FuzzRangeQuery FuzzKNN FuzzSortIDs FuzzSnapshotDecode FuzzThaw FuzzWireDecode FuzzDeltaMerge
+FUZZ_TARGETS = internal/testutil:FuzzJoin internal/testutil:FuzzRangeQuery \
+	internal/testutil:FuzzKNN internal/testutil:FuzzSortIDs \
+	internal/testutil:FuzzSnapshotDecode internal/testutil:FuzzThaw \
+	internal/testutil:FuzzWireDecode internal/testutil:FuzzDeltaMerge \
+	internal/str:FuzzPack
 
 fuzz:
-	set -e; for target in $(FUZZ_TARGETS); do \
-		$(GO) test -run '^$$' -fuzz "^$${target}\$$" -fuzztime $(FUZZTIME) ./internal/testutil; \
+	set -e; for entry in $(FUZZ_TARGETS); do \
+		pkg=$${entry%%:*}; target=$${entry#*:}; \
+		$(GO) test -run '^$$' -fuzz "^$${target}\$$" -fuzztime $(FUZZTIME) ./$${pkg}; \
 	done
 
 # benchmark runs the repository's committed benchmark (BENCHMARK.json,

@@ -3,10 +3,19 @@
 // to group dataset A into buckets (leaf nodes), and that the baseline
 // R-tree uses for bulk loading, level after level.
 //
-// STR sorts items by the first dimension of their center, slices the
+// STR orders items by the first dimension of their center, slices the
 // sequence into ⌈P^(1/D)⌉ vertical slabs, and recursively tiles each slab
 // on the remaining dimensions, producing P groups of at most groupSize
 // items with small, mostly non-overlapping MBRs.
+//
+// Only the last cut needs a sorted sequence: a slab is a range of ranks,
+// so an outer cut only selects — it moves the items of each rank range
+// into their slab and leaves them in any order there. Selection and sort
+// are one most-significant-digit radix routine over a permuted index
+// (arrange): a pass buckets a range by up to 11 bits of key and descends
+// only into the buckets a cut falls strictly inside, which for a sort is
+// every bucket of two items or more; a bucket whose keys all tie goes on
+// to the previous dimension's key, and then to the input index.
 //
 // The cuts nest — slabs hold runs, runs hold tiles, each an exact
 // partition of the items by center — and PackStages reports them with the
@@ -17,21 +26,12 @@
 package str
 
 import (
-	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 
 	"touch/internal/geom"
 )
-
-// sortRec is what pack sorts instead of the items themselves: 16 bytes
-// that carry the sort key, so the sort — the dominant cost of tree
-// building — neither calls back into the caller nor moves whole items.
-type sortRec struct {
-	key uint64 // sortKey of the item's center in the dimension being sorted
-	idx int32  // index of the item in Pack's input
-	pos int32  // position before this sort, the comparison sort's tie-break
-}
 
 // sortKey maps a coordinate to an unsigned integer that orders as
 // cmp.Compare orders the floats: NaN before everything, every NaN equal,
@@ -47,57 +47,6 @@ func sortKey(f float64) uint64 {
 	return bits | 1<<63
 }
 
-// radixMin is the run length from which sortRecs sorts by radix; under
-// it the comparison sort's lower fixed cost wins.
-const radixMin = 512
-
-// sortRecs sorts recs by (key, position before the sort), with tmp — as
-// long as recs — for scratch. Long runs take a least-significant-digit
-// radix sort over the key's eight bytes: every pass is stable, so tied
-// keys keep the order they came in and pos is never read; a byte on
-// which all keys agree (the exponent bytes, on most data) costs no pass.
-func sortRecs(recs, tmp []sortRec) {
-	if len(recs) < radixMin {
-		for i := range recs {
-			recs[i].pos = int32(i)
-		}
-		slices.SortFunc(recs, func(a, b sortRec) int {
-			if c := cmp.Compare(a.key, b.key); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.pos, b.pos)
-		})
-		return
-	}
-	var counts [8][256]int32
-	for i := range recs {
-		k := recs[i].key
-		for b := range counts {
-			counts[b][byte(k>>(8*b))]++
-		}
-	}
-	src, dst := recs, tmp
-	for b := range counts {
-		cnt, shift := &counts[b], 8*b
-		if int(cnt[byte(src[0].key>>shift)]) == len(src) {
-			continue
-		}
-		sum := int32(0)
-		for i, c := range cnt {
-			cnt[i], sum = sum, sum+c
-		}
-		for i := range src {
-			d := byte(src[i].key >> shift)
-			dst[cnt[d]] = src[i]
-			cnt[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &recs[0] {
-		copy(recs, src)
-	}
-}
-
 // Pack groups items into tiles of at most groupSize elements using STR.
 // The center function extracts the point used for sorting (typically the
 // MBR center); it is called exactly once per item. The input slice is
@@ -106,12 +55,14 @@ func sortRecs(recs, tmp []sortRec) {
 // Every input item appears in exactly one output group, and every group
 // except possibly the last few is full.
 //
-// Ties: items whose centers are equal in the dimension being sorted keep
-// the relative order they had before that sort — input order in the
-// first dimension, the order the previous dimension's sort left them in
-// afterwards. Every sort is therefore a total order and Pack is a pure
-// function of (items, centers, groupSize): the same input always packs
-// to the same groups in the same order.
+// Ties: the cut along dimension d ranks the items of a run of the cut
+// before it lexicographically by (key_d, key_{d−1}, …, key_0, input
+// index), key_i being the center's coordinate in dimension i — the order
+// a stable sort along each dimension in turn would leave. A run too small
+// to be cut again keeps the order of the cut before it (input order at
+// the first). The order is total, so Pack is a pure function of (items,
+// centers, groupSize): the same input always packs to the same groups in
+// the same order.
 //
 // The groups are stretches of one array, end to end, each with its
 // capacity clipped to its length: sorting one in place is safe, and an
@@ -135,10 +86,9 @@ func Pack[T any](items []T, center func(T) geom.Point, groupSize int) [][]T {
 // slab, and so on down to the last, whose runs are the groups — and then
 // the number of items, so run i of a cut is [Stages[d][i], Stages[d][i+1]).
 // A run's centers precede the next run's of the same parent in dimension
-// d (ties in the order the sort before left them), every run of cut d
-// begins a run of cut d+1, and a run small enough to become one group
-// uncut still counts as a run of every cut below it. No items, no runs:
-// the lists are nil.
+// d (ties broken as Pack says), every run of cut d begins a run of cut
+// d+1, and a run small enough to become one group uncut still counts as
+// a run of every cut below it. No items, no runs: the lists are nil.
 type Stages [geom.Dims][]int32
 
 // PackStages is Pack in its flat form: the items in the order STR leaves
@@ -154,60 +104,62 @@ func PackStages[T any](items []T, center func(T) geom.Point, groupSize int) ([]T
 	if len(items) > math.MaxInt32 {
 		panic("str: more than MaxInt32 items")
 	}
-	centers := make([]geom.Point, len(items))
-	recs := make([]sortRec, len(items))
+	n := len(items)
+	out := make([]T, n)
+	p := packer{groupSize: groupSize, order: make([]int32, n), tmp: make([]int32, n)}
+	keys := make([]uint64, geom.Dims*n)
+	for d := range p.keys {
+		p.keys[d] = keys[d*n : (d+1)*n]
+	}
 	for i, it := range items {
-		centers[i] = center(it)
-		recs[i].idx = int32(i)
+		c := center(it)
+		for d := range c {
+			p.keys[d][i] = sortKey(c[d])
+		}
+		p.order[i] = int32(i)
 	}
-	p := packer[T]{items: items, centers: centers, groupSize: groupSize}
-	p.out = make([]T, 0, len(items))
-	var tmp []sortRec
-	if len(items) >= radixMin {
-		tmp = make([]sortRec, len(items))
+	p.pack(0, n, 0)
+	for i, j := range p.order {
+		out[i] = items[j]
 	}
-	p.pack(recs, tmp, 0)
 	for d := range p.stages {
-		p.stages[d] = append(p.stages[d], int32(len(items)))
+		p.stages[d] = append(p.stages[d], int32(n))
 	}
-	return p.out, p.stages
+	return out, p.stages
 }
 
 // packer holds what every level of the recursion shares.
-type packer[T any] struct {
-	items     []T
-	centers   []geom.Point
+type packer struct {
+	keys      [geom.Dims][]uint64 // keys[d][i]: sortKey of item i's center in dimension d
+	order     []int32             // the items' indices, arranged in place
+	tmp       []int32             // scatter space, as long as order
 	groupSize int
-	out       []T
 	stages    Stages
 }
 
-// pack recursively tiles recs — one run of the cut along dim-1, or the
-// whole input — on dimensions dim..Dims-1, appending the resulting groups
-// to p.out and where the runs begin to p.stages. tmp is sortRecs'
-// scratch, as long as recs.
-func (p *packer[T]) pack(recs, tmp []sortRec, dim int) {
-	n := len(recs)
-	first := int32(len(p.out))
+// pack tiles order[lo:hi] — one run of the cut along dim-1, or the whole
+// input — on dimensions dim..Dims-1, recording where the runs begin.
+func (p *packer) pack(lo, hi, dim int) {
+	n := hi - lo
 	if dim > 0 {
-		p.stages[dim-1] = append(p.stages[dim-1], first)
+		p.stages[dim-1] = append(p.stages[dim-1], int32(lo))
 	}
 	if n <= p.groupSize {
-		for d := dim; d < geom.Dims-1; d++ {
-			p.stages[d] = append(p.stages[d], first)
+		for d := dim; d < geom.Dims; d++ {
+			p.stages[d] = append(p.stages[d], int32(lo))
 		}
-		p.extract(recs)
+		// Uncut, the run keeps the previous cut's order; the whole input,
+		// when it fits one group, keeps its own.
+		if dim > 0 {
+			p.arrange(lo, hi, dim-1, lo, 1)
+		}
 		return
 	}
-	for i := range recs {
-		r := &recs[i]
-		r.key = sortKey(p.centers[r.idx][dim])
-	}
-	sortRecs(recs, tmp)
 	if dim == geom.Dims-1 {
-		// Last dimension: chop the sorted run into consecutive groups.
-		for i := 0; i < n; i += p.groupSize {
-			p.extract(recs[i:min(i+p.groupSize, n)])
+		// Last dimension: sort the run and chop it into consecutive groups.
+		p.arrange(lo, hi, dim, lo, 1)
+		for i := lo; i < hi; i += p.groupSize {
+			p.stages[dim] = append(p.stages[dim], int32(i))
 		}
 		return
 	}
@@ -219,24 +171,86 @@ func (p *packer[T]) pack(recs, tmp []sortRec, dim int) {
 		s = 1
 	}
 	slabSize := (n + s - 1) / s
-	for i := 0; i < n; i += slabSize {
-		end := min(i+slabSize, n)
-		var slabTmp []sortRec
-		if tmp != nil {
-			slabTmp = tmp[i:end]
-		}
-		p.pack(recs[i:end], slabTmp, dim+1)
+	p.arrange(lo, hi, dim, lo, slabSize) // select: each slab its ranks, in any order
+	for i := lo; i < hi; i += slabSize {
+		p.pack(i, min(i+slabSize, hi), dim+1)
 	}
 }
 
-// extract materializes one group, gathering the items by index.
-func (p *packer[T]) extract(recs []sortRec) {
-	start := len(p.out)
-	p.stages[geom.Dims-1] = append(p.stages[geom.Dims-1], int32(start))
-	p.out = p.out[:start+len(recs)]
-	for i, r := range recs {
-		p.out[start+i] = p.items[r.idx]
+const (
+	smallRun  = 24 // the range length up to which arrange sorts by insertion
+	digitBits = 11 // the widest digit a radix pass buckets by: 2,048 buckets
+)
+
+// arrange puts order[a:b] in place for the cuts at base+k·step: every
+// item before a cut precedes every item after it in the order that ranks
+// by key levels l, l−1, …, 0 and then by index, levels above l being
+// equal across the range. step 1 sorts the range; between cuts the order
+// is unspecified otherwise.
+func (p *packer) arrange(a, b, l, base, step int) {
+	for b-a > smallRun {
+		if l < 0 {
+			slices.Sort(p.order[a:b]) // every key ties: the index decides
+			return
+		}
+		keys, order := p.keys[l], p.order[a:b]
+		least, most := keys[order[0]], keys[order[0]]
+		for _, j := range order {
+			least, most = min(least, keys[j]), max(most, keys[j])
+		}
+		if least == most {
+			l--
+			continue
+		}
+		// The digit is the top bits of key−least: a range whose keys span
+		// a few exponents still fills every bucket, and a short range
+		// takes about as many buckets as it has items.
+		width := min(digitBits, bits.Len(uint(b-a)))
+		shift := max(bits.Len64(most-least)-width, 0)
+		var next [1 << digitBits]int32 // bucket sizes, then where each bucket's next item goes
+		for _, j := range order {
+			next[(keys[j]-least)>>shift]++
+		}
+		sum := int32(a)
+		for d, c := range next[:1<<width] {
+			next[d], sum = sum, sum+c
+		}
+		for _, j := range order {
+			d := (keys[j] - least) >> shift
+			p.tmp[next[d]] = j
+			next[d]++
+		}
+		copy(order, p.tmp[a:b])
+		// next[d] is now where bucket d ends; cut is the first cut after lo.
+		lo, cut := a, base+((a-base)/step+1)*step
+		for _, hi := range next[:1<<width] {
+			if int(hi) > cut {
+				p.arrange(lo, int(hi), l, base, step)
+			}
+			lo = int(hi)
+			for cut <= lo {
+				cut += step
+			}
+		}
+		return
 	}
+	for i := a + 1; i < b; i++ {
+		x, j := p.order[i], i
+		for ; j > a && p.less(x, p.order[j-1], l); j-- {
+			p.order[j] = p.order[j-1]
+		}
+		p.order[j] = x
+	}
+}
+
+// less ranks item i before item j by key levels l..0, then by index.
+func (p *packer) less(i, j int32, l int) bool {
+	for ; l >= 0; l-- {
+		if a, b := p.keys[l][i], p.keys[l][j]; a != b {
+			return a < b
+		}
+	}
+	return i < j
 }
 
 // PackObjects is Pack specialized to spatial objects, grouping by MBR

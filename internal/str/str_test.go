@@ -1,10 +1,12 @@
 package str
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -276,13 +278,21 @@ func TestPackTiesAreStable(t *testing.T) {
 	}
 }
 
-// TestPackEqualsStableReference holds the radix path — every run of
-// radixMin records or more — to the stable-sort reference, group for
-// group, on this file's datasets and on the keys a bit-pattern sort gets
-// wrong first: NaN centers (first, all equal), −0 beside +0 (equal),
-// negative coordinates, infinities, one value everywhere, and a handful
-// of distinct keys each held by hundreds of items. Tied items differ
-// only by ID, so a sort that is not stable fails on the group contents.
+// TestPackEqualsStableReference holds the radix selection and sort to
+// the stable-sort reference, group for group, on this file's datasets and
+// on the keys a bit-pattern sort gets wrong first: NaN centers (first,
+// all equal), −0 beside +0 (equal), negative coordinates, infinities, one
+// value everywhere, and a handful of distinct keys each held by hundreds
+// of items. Tied items differ only by ID, so a sort that is not stable
+// fails on the group contents.
+//
+// The cases after those are where a selection goes wrong first: cuts
+// inside long runs of tied keys, where the earlier dimensions' keys and
+// then the input position decide the side an item falls on; cuts exactly
+// on the edge between two digit buckets; one dimension all equal beside
+// two distinct ones; and sizes one past a group, or one past two, so a
+// slab is too small to be cut again and keeps the order of the cut
+// before it.
 func TestPackEqualsStableReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	at := func(p geom.Point) geom.Box { return geom.Box{Min: p, Max: p} }
@@ -316,10 +326,60 @@ func TestPackEqualsStableReference(t *testing.T) {
 		}
 		cases[name] = objs
 	}
-	for _, n := range []int{1, 7, 100, radixMin - 1, radixMin, 1000, 1025, 20_000} {
+	for _, n := range []int{1, 7, 100, 511, 512, 1000, 1025, 20_000} {
 		cases[fmt.Sprintf("uniform %d", n)] = datagen.UniformSet(n, int64(n))
 	}
 	cases["clustered"] = datagen.ClusteredSet(6000, 3)
+	// The cases below draw from their own source, in a fixed order, so
+	// their data does not depend on the order the map above was read in.
+	src := rand.New(rand.NewSource(22))
+	for _, c := range []struct {
+		name string
+		box  func() geom.Box
+	}{
+		// Two x values, eight y, four z: every cut of every dimension falls
+		// inside a run of equal keys.
+		{"cuts inside ties", func() geom.Box {
+			return at(geom.Point{float64(src.Intn(2)), float64(src.Intn(8)), float64(src.Intn(4))})
+		}},
+		{"x all equal", func() geom.Box { return at(geom.Point{3, src.Float64(), src.Float64()}) }},
+		{"y all equal", func() geom.Box { return at(geom.Point{src.Float64(), -3, src.Float64()}) }},
+		{"z all equal", func() geom.Box { return at(geom.Point{src.Float64(), src.Float64(), 0}) }},
+	} {
+		objs := make([]geom.Object, 5000)
+		for i := range objs {
+			objs[i] = geom.Object{ID: geom.ID(i), Box: c.box()}
+		}
+		cases[c.name] = objs
+	}
+	for _, n := range []int{17, 33, 197, 393, 3001, 6001} { // one past 16, 196 and 3000 items, and past twice that
+		cases[fmt.Sprintf("uniform %d", n)] = datagen.UniformSet(n, int64(n))
+		tied := make([]geom.Object, n)
+		for i := range tied {
+			tied[i] = geom.Object{ID: geom.ID(i), Box: at(geom.Point{float64(src.Intn(3)), float64(src.Intn(3)), float64(src.Intn(3))})}
+		}
+		cases[fmt.Sprintf("tied %d", n)] = tied
+	}
+	for name, objs := range cases {
+		for _, groupSize := range []int{1, 16, 196, 3000} {
+			checkPack(t, name, objs, groupSize)
+		}
+	}
+	// 4,000 items in groups of 500 make two slabs of 2,000 and two runs of
+	// 1,000 in each: x is 1 or 2 and y is 1 or 2, 1,000 items each way, so
+	// both cuts fall exactly where one digit bucket of keys ends and the
+	// next begins.
+	edge := make([]geom.Object, 4000)
+	for i := range edge {
+		edge[i] = geom.Object{ID: geom.ID(i), Box: at(geom.Point{float64(1 + i%2), float64(1 + i/2%2), src.Float64()})}
+	}
+	checkPack(t, "cuts on a bucket edge", edge, 500)
+}
+
+// checkPack fails t unless Pack and PackStages give the stable-sort
+// reference's groups, ordered items and cuts for objs.
+func checkPack(t testing.TB, name string, objs []geom.Object, groupSize int) {
+	t.Helper()
 	// Objects hold NaN, so compare bit patterns, not values.
 	same := func(a, b geom.Object) bool {
 		if a.ID != b.ID {
@@ -332,24 +392,75 @@ func TestPackEqualsStableReference(t *testing.T) {
 		}
 		return true
 	}
-	for name, objs := range cases {
-		for _, groupSize := range []int{1, 16, 196, 3000} {
-			got := PackObjects(objs, groupSize)
-			ordered, gotStages := PackStages(objs, center, groupSize)
-			want, wantStages := stablePack(objs, groupSize)
-			if !slices.EqualFunc(got, want, func(a, b []geom.Object) bool { return slices.EqualFunc(a, b, same) }) {
-				t.Errorf("%s, groupSize %d: groups differ from the stable-sort reference", name, groupSize)
-			}
-			if !slices.EqualFunc(ordered, slices.Concat(want...), same) {
-				t.Errorf("%s, groupSize %d: the ordered items are not the reference's groups end to end", name, groupSize)
-			}
-			for d := range gotStages {
-				if !slices.Equal(gotStages[d], wantStages[d]) {
-					t.Errorf("%s, groupSize %d: runs of the cut along dimension %d begin at %v, in the reference at %v",
-						name, groupSize, d, gotStages[d], wantStages[d])
+	got := PackObjects(objs, groupSize)
+	ordered, gotStages := PackStages(objs, center, groupSize)
+	want, wantStages := stablePack(objs, groupSize)
+	if !slices.EqualFunc(got, want, func(a, b []geom.Object) bool { return slices.EqualFunc(a, b, same) }) {
+		t.Errorf("%s, groupSize %d: groups differ from the stable-sort reference", name, groupSize)
+	}
+	if !slices.EqualFunc(ordered, slices.Concat(want...), same) {
+		t.Errorf("%s, groupSize %d: the ordered items are not the reference's groups end to end", name, groupSize)
+	}
+	for d := range gotStages {
+		if !slices.Equal(gotStages[d], wantStages[d]) {
+			t.Errorf("%s, groupSize %d: runs of the cut along dimension %d begin at %v, in the reference at %v",
+				name, groupSize, d, gotStages[d], wantStages[d])
+		}
+	}
+}
+
+// fuzzCoords is what FuzzPack's bytes pick coordinates from: the values
+// a key gets wrong first, and small integers that make ties.
+var fuzzCoords = [16]float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1),
+	-math.MaxFloat64, math.SmallestNonzeroFloat64, -1.5, 1, 2, 3, 4, 5, 6, 7, 8}
+
+// FuzzPack holds PackStages to the stable-sort reference on decoded
+// points: the first byte picks the group size, 1 to 32, and every three
+// after it one item's center, a byte a coordinate — below 128 one of
+// fuzzCoords, above it one of 128 quarters in [0, 32).
+func FuzzPack(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3})
+	f.Add(append([]byte{4}, bytes.Repeat([]byte{9, 10, 0, 2, 1, 3}, 40)...))
+	stripes := []byte{7}
+	for i := range 600 {
+		stripes = append(stripes, byte(i*37))
+	}
+	f.Add(stripes)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		groupSize := int(data[0]%32) + 1
+		objs := make([]geom.Object, (len(data)-1)/3)
+		if len(objs) == 0 {
+			return // no items, no runs: TestPackEmpty
+		}
+		for i := range objs {
+			var p geom.Point
+			for d, b := range data[1+3*i : 4+3*i] {
+				p[d] = fuzzCoords[b%16]
+				if b >= 128 {
+					p[d] = float64(b-128) / 4
 				}
 			}
+			objs[i] = geom.Object{ID: geom.ID(i), Box: geom.BoxAt(p)}
 		}
+		checkPack(t, "fuzzed", objs, groupSize)
+	})
+}
+
+// TestPackAllocBudget pins what PackStages allocates: the ordered items,
+// one key per dimension, the index it permutes and as much scratch —
+// 88 bytes an object — and little else.
+func TestPackAllocBudget(t *testing.T) {
+	const n = 100_000
+	objs := datagen.UniformSet(n, 41)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	PackStages(objs, center, GroupSizeFor(n, 1024))
+	runtime.ReadMemStats(&after)
+	if perItem := float64(after.TotalAlloc-before.TotalAlloc) / n; perItem > 89 {
+		t.Errorf("PackStages allocated %.1f bytes an item, want at most 89", perItem)
 	}
 }
 
