@@ -52,7 +52,6 @@ import (
 
 	"touch"
 	"touch/internal/api"
-	"touch/internal/trace"
 	"touch/internal/wire"
 )
 
@@ -539,26 +538,11 @@ func (r *Reply) Trace() *Trace {
 		if f.Op != wire.OpTrace {
 			continue
 		}
-		tr, err := wire.DecodeTraceResp(f.Payload)
+		sp, err := wire.DecodeTrace(f.Payload)
 		if err != nil {
 			return nil
 		}
-		t := &Trace{
-			RequestID:   tr.RequestID,
-			PhaseNs:     make(map[string]int64),
-			Comparisons: tr.Comparisons,
-			NodeTests:   tr.NodeTests,
-			Filtered:    tr.Filtered,
-			Results:     tr.Results,
-			Replicas:    tr.Replicas,
-			Cancel:      trace.CancelName(int32(tr.Cancel)),
-		}
-		for i, ns := range tr.PhaseNs {
-			if ns > 0 && i < int(trace.NumPhases) {
-				t.PhaseNs[trace.Phase(i).Name()] = ns
-			}
-		}
-		return t
+		return api.NewTrace(&sp)
 	}
 	return nil
 }
@@ -578,7 +562,7 @@ func (c *Conn) Range(ctx context.Context, dataset string, b touch.Box) (version 
 // RangeTraced is Range with per-request tracing: the server returns its
 // engine trace alongside the result.
 func (c *Conn) RangeTraced(ctx context.Context, dataset string, b touch.Box) (version int64, ids []touch.ID, tr *Trace, err error) {
-	r, err := c.Do(ctx, wire.OpRange, wire.AppendRangeReqFlags(nil, dataset, b, wire.QueryFlagTrace))
+	r, err := c.Do(ctx, wire.OpRange, wire.AppendQueryFlags(wire.AppendRangeReq(nil, dataset, b), wire.QueryFlagTrace))
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -597,7 +581,7 @@ func (c *Conn) Point(ctx context.Context, dataset string, pt touch.Point) (versi
 
 // PointTraced is Point with per-request tracing.
 func (c *Conn) PointTraced(ctx context.Context, dataset string, pt touch.Point) (version int64, ids []touch.ID, tr *Trace, err error) {
-	r, err := c.Do(ctx, wire.OpPoint, wire.AppendPointReqFlags(nil, dataset, pt, wire.QueryFlagTrace))
+	r, err := c.Do(ctx, wire.OpPoint, wire.AppendQueryFlags(wire.AppendPointReq(nil, dataset, pt), wire.QueryFlagTrace))
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -616,7 +600,7 @@ func (c *Conn) KNN(ctx context.Context, dataset string, pt touch.Point, k int) (
 
 // KNNTraced is KNN with per-request tracing.
 func (c *Conn) KNNTraced(ctx context.Context, dataset string, pt touch.Point, k int) (version int64, nbrs []touch.Neighbor, tr *Trace, err error) {
-	r, err := c.Do(ctx, wire.OpKNN, wire.AppendKNNReqFlags(nil, dataset, pt, k, wire.QueryFlagTrace))
+	r, err := c.Do(ctx, wire.OpKNN, wire.AppendQueryFlags(wire.AppendKNNReq(nil, dataset, pt, k), wire.QueryFlagTrace))
 	if err != nil {
 		return 0, nil, nil, err
 	}

@@ -11,7 +11,9 @@ import (
 
 	"touch"
 	"touch/client"
+	"touch/internal/binfmt"
 	"touch/internal/server"
+	"touch/internal/trace"
 	"touch/internal/wire"
 )
 
@@ -467,6 +469,40 @@ func TestReadSideHandOffNeverStrands(t *testing.T) {
 			case <-timeout:
 				t.Fatalf("burst %d: %d of %d callers are stranded, nobody reads the connection", b, callers-g, callers)
 			}
+		}
+	}
+}
+
+// TestReplyTraceFromOlderAndNewerPeers: an OpTrace trailer from a server
+// that knows three phases or NumPhases+3 renders with exactly the phase
+// names this build knows — the absent ones missing, the unknown ones
+// dropped — and the counters intact.
+func TestReplyTraceFromOlderAndNewerPeers(t *testing.T) {
+	for _, n := range []int{3, int(trace.NumPhases) + 3} {
+		p := append(wire.AppendStr(nil, "peer"), byte(n))
+		for i := 0; i < n; i++ {
+			p = binfmt.AppendU64(p, uint64(10+i))
+		}
+		for _, c := range []uint64{7, 6, 5, 4, 3} {
+			p = binfmt.AppendU64(p, c)
+		}
+		p = append(p, 2)
+		r := &client.Reply{Frame: client.Frame{Op: wire.OpIDs}, Stream: []client.Frame{{Op: wire.OpTrace, Payload: p}}}
+		tr := r.Trace()
+		if tr == nil {
+			t.Fatalf("%d slots: no trace", n)
+		}
+		if len(tr.PhaseNs) != min(n, int(trace.NumPhases)) {
+			t.Errorf("%d slots: phases %v", n, tr.PhaseNs)
+		}
+		for p := trace.Phase(0); p < trace.NumPhases; p++ {
+			if _, ok := tr.PhaseNs[p.Name()]; ok != (int(p) < n) {
+				t.Errorf("%d slots: phase %q present %v", n, p.Name(), ok)
+			}
+		}
+		if tr.RequestID != "peer" || tr.Comparisons != 7 || tr.NodeTests != 6 || tr.Filtered != 5 ||
+			tr.Results != 4 || tr.Replicas != 3 || tr.Cancel != "stop" {
+			t.Errorf("%d slots: trace %+v", n, tr)
 		}
 	}
 }

@@ -200,12 +200,8 @@ func main() {
 		// The incremental path: index A, tombstone the -delete IDs, append
 		// the -insert boxes (IDs continue after A's last line), and join
 		// over the merged state — bit-identical to joining the edited file.
-		cfg := opt.TOUCH
-		if opt.Workers > 1 && cfg.Workers <= 1 {
-			cfg.Workers = opt.Workers
-		}
 		var m *touch.Mutable
-		if m, err = touch.NewMutable(a, cfg); err != nil {
+		if m, err = touch.NewMutable(a, opt.TOUCH); err != nil {
 			fatal(err)
 		}
 		m.SetCompactThreshold(-1) // one-shot process; folding buys nothing
@@ -340,13 +336,9 @@ func runProbes(ctx context.Context, a touch.Dataset, files []string, eps float64
 		return fmt.Errorf("-probes lists no files")
 	}
 
-	cfg := opt.TOUCH
-	if opt.Workers > 1 && cfg.Workers <= 1 {
-		cfg.Workers = opt.Workers
-	}
 	// The index is built on A, so the ε-expansion moves to the index
 	// side once instead of every probe dataset per join.
-	idx := touch.BuildIndex(a.Expand(eps), cfg)
+	idx := touch.BuildIndex(a.Expand(eps), opt.TOUCH)
 
 	// The output opens lazily, after the first join has succeeded: a
 	// -timeout expiring during the sequence then leaves an existing

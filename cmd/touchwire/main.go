@@ -124,11 +124,11 @@ func run(ctx context.Context, c *client.Conn, dataset string, eps float64, trace
 		case sp.boxes != nil:
 			futs[i] = b.Do(wire.OpJoin, wire.AppendJoinReq(nil, dataset, eps, 0, joinFlags, "", sp.boxes))
 		case sp.q.Type == api.TypeRange:
-			futs[i] = b.Do(wire.OpRange, wire.AppendRangeReqFlags(nil, dataset, sp.q.Box, queryFlags))
+			futs[i] = b.Do(wire.OpRange, wire.AppendQueryFlags(wire.AppendRangeReq(nil, dataset, sp.q.Box), queryFlags))
 		case sp.q.Type == api.TypePoint:
-			futs[i] = b.Do(wire.OpPoint, wire.AppendPointReqFlags(nil, dataset, sp.q.Point, queryFlags))
+			futs[i] = b.Do(wire.OpPoint, wire.AppendQueryFlags(wire.AppendPointReq(nil, dataset, sp.q.Point), queryFlags))
 		default:
-			futs[i] = b.Do(wire.OpKNN, wire.AppendKNNReqFlags(nil, dataset, sp.q.Point, sp.q.K, queryFlags))
+			futs[i] = b.Do(wire.OpKNN, wire.AppendQueryFlags(wire.AppendKNNReq(nil, dataset, sp.q.Point, sp.q.K), queryFlags))
 		}
 	}
 	if err := b.Send(); err != nil {

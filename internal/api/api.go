@@ -18,6 +18,7 @@ import (
 	"net/http"
 
 	"touch"
+	"touch/internal/trace"
 )
 
 // Query types, the values of QueryRequest.Type.
@@ -135,6 +136,27 @@ type Trace struct {
 	Results     int64            `json:"results"`
 	Replicas    int64            `json:"replicas"`
 	Cancel      string           `json:"cancel"`
+}
+
+// NewTrace renders a span as a Trace — the one JSON form of the engine's
+// trace record, for the HTTP field, the wire client and the slow log.
+func NewTrace(sp *trace.Span) *Trace {
+	t := &Trace{
+		RequestID:   sp.RequestID,
+		PhaseNs:     make(map[string]int64),
+		Comparisons: sp.Comparisons,
+		NodeTests:   sp.NodeTests,
+		Filtered:    sp.Filtered,
+		Results:     sp.Results,
+		Replicas:    sp.Replicas,
+		Cancel:      trace.CancelName(sp.Cancel),
+	}
+	for _, p := range trace.Phases() {
+		if d := sp.Durations[p]; d > 0 {
+			t.PhaseNs[p.Name()] = int64(d)
+		}
+	}
+	return t
 }
 
 // JoinRequest is the JSON body of POST /v1/datasets/{name}/join. Exactly

@@ -85,9 +85,9 @@ func TestRoutedFramesEqualDirect(t *testing.T) {
 		{"truncated inside the name", wire.OpKNN, []byte{9, 0, 'd'}},
 		{"update", wire.OpUpdate, wire.AppendUpdateReq(nil, "d", []touch.ID{4, 5}, insert)},
 		{"range after update", wire.OpRange, rangeReq},
-		{"traced range", wire.OpRange, wire.AppendRangeReqFlags(nil, "d", box, wire.QueryFlagTrace)},
-		{"traced point", wire.OpPoint, wire.AppendPointReqFlags(nil, "d", pt, wire.QueryFlagTrace)},
-		{"traced knn", wire.OpKNN, wire.AppendKNNReqFlags(nil, "d", pt, 9, wire.QueryFlagTrace)},
+		{"traced range", wire.OpRange, wire.AppendQueryFlags(wire.AppendRangeReq(nil, "d", box), wire.QueryFlagTrace)},
+		{"traced point", wire.OpPoint, wire.AppendQueryFlags(wire.AppendPointReq(nil, "d", pt), wire.QueryFlagTrace)},
+		{"traced knn", wire.OpKNN, wire.AppendQueryFlags(wire.AppendKNNReq(nil, "d", pt, 9), wire.QueryFlagTrace)},
 		{"traced join", wire.OpJoin, wire.AppendJoinReq(nil, "d", 0, 0, wire.FlagTrace, "", probe)},
 	}
 	for _, tc := range cases {
@@ -115,8 +115,8 @@ func TestRoutedFramesEqualDirect(t *testing.T) {
 			case g.Op != w.Op:
 				t.Errorf("%s: stream frame %d: routed opcode %#02x, direct %#02x", tc.name, i, g.Op, w.Op)
 			case w.Op == wire.OpTrace:
-				gt, gerr := wire.DecodeTraceResp(g.Payload)
-				wt, werr := wire.DecodeTraceResp(w.Payload)
+				gt, gerr := wire.DecodeTrace(g.Payload)
+				wt, werr := wire.DecodeTrace(w.Payload)
 				if gerr != nil || werr != nil || gt.RequestID == "" {
 					t.Errorf("%s: trace frames: routed %+v (%v), direct %+v (%v)", tc.name, gt, gerr, wt, werr)
 				}

@@ -124,20 +124,7 @@ func (c *binConn) respondTrace(tag uint32) {
 	if sp.RequestID == "" {
 		sp.RequestID = nextRequestID()
 	}
-	r := wire.TraceResp{
-		RequestID:   sp.RequestID,
-		PhaseNs:     make([]int64, trace.NumPhases),
-		Comparisons: sp.Comparisons,
-		NodeTests:   sp.NodeTests,
-		Filtered:    sp.Filtered,
-		Results:     sp.Results,
-		Replicas:    sp.Replicas,
-		Cancel:      byte(sp.Cancel),
-	}
-	for i, d := range sp.Durations {
-		r.PhaseNs[i] = int64(d)
-	}
-	c.scratch = wire.AppendTraceResp(c.scratch[:0], r)
+	c.scratch = wire.AppendTrace(c.scratch[:0], sp)
 	c.respond(wire.OpTrace, tag, c.scratch)
 }
 

@@ -447,6 +447,25 @@ func TestVersionAndSlowlogEndpoints(t *testing.T) {
 	if !found {
 		t.Fatalf("request %s not in slow log: %s", reqID, raw)
 	}
+	// The raw entry keeps every key it has always had, and its span's
+	// request_id is the entry's own id.
+	var rawSlow struct {
+		Entries []map[string]json.RawMessage `json:"entries"`
+	}
+	if err := json.Unmarshal(raw, &rawSlow); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range rawSlow.Entries {
+		for _, key := range []string{"id", "class", "status", "duration_ms", "at", "phase_ns",
+			"comparisons", "node_tests", "filtered", "results", "replicas", "cancel", "request_id"} {
+			if _, ok := e[key]; !ok {
+				t.Errorf("slow entry without %q: %v", key, e)
+			}
+		}
+		if string(e["request_id"]) != string(e["id"]) {
+			t.Errorf("slow entry request_id %s, id %s", e["request_id"], e["id"])
+		}
+	}
 
 	var dump bytes.Buffer
 	if n := ts.srv.DumpSlowLog(&dump); n == 0 || !strings.Contains(dump.String(), "slowlog:") {

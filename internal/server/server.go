@@ -100,7 +100,9 @@ type Config struct {
 	// MaxBodyBytes caps request bodies; larger ones get 413. Default 8 MiB.
 	MaxBodyBytes int64
 	// Workers is the default per-join parallelism; a join request's
-	// "workers" field overrides it. Default 0 (single-threaded).
+	// "workers" field overrides it, 1 meaning one worker. Default 0: the
+	// dataset's build-time count (single-threaded unless it was loaded
+	// with workers).
 	Workers int
 	// MaxPendingBuilds caps index builds accepted but not yet finished.
 	// Builds run in the background, outside the request-slot admission
@@ -667,20 +669,6 @@ func (s *Server) handleUpdate(h *httpRequest) *api.Error {
 
 // --- query --------------------------------------------------------------
 
-// spanTrace renders a span as the X-Touch-Trace response field.
-func spanTrace(sp *touch.Span) *api.Trace {
-	return &api.Trace{
-		RequestID:   sp.RequestID,
-		PhaseNs:     spanPhaseNs(sp),
-		Comparisons: sp.Comparisons,
-		NodeTests:   sp.NodeTests,
-		Filtered:    sp.Filtered,
-		Results:     sp.Results,
-		Replicas:    sp.Replicas,
-		Cancel:      trace.CancelName(sp.Cancel),
-	}
-}
-
 func (s *Server) handleQuery(h *httpRequest) *api.Error {
 	var req api.QueryRequest
 	if e := h.decode(s, &req); e != nil {
@@ -700,7 +688,7 @@ func (s *Server) handleQuery(h *httpRequest) *api.Error {
 	}
 	resp := api.NewQueryResponse(h.dataset, snap.version, q.Type, ids, nbrs)
 	if h.traced {
-		resp.Trace = spanTrace(&h.span)
+		resp.Trace = api.NewTrace(&h.span)
 	}
 	api.WriteJSON(h, http.StatusOK, resp)
 	return nil
@@ -795,7 +783,7 @@ func (s *Server) handleJoin(h *httpRequest) *api.Error {
 		JoinNs:      res.Stats.JoinTime.Nanoseconds(),
 	}
 	if h.traced {
-		resp.Trace = spanTrace(&h.span)
+		resp.Trace = api.NewTrace(&h.span)
 	}
 	api.WriteJSON(h, http.StatusOK, resp)
 	return nil

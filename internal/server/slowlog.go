@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"touch"
+	"touch/internal/api"
 	"touch/internal/trace"
 )
 
@@ -19,7 +20,6 @@ const slowLogSize = 128
 // full engine span — everything needed to explain the latency after the
 // fact.
 type slowEntry struct {
-	ID       string
 	Class    string
 	Status   int
 	Duration time.Duration
@@ -41,8 +41,7 @@ type slowLog struct {
 func (l *slowLog) note(class string, status int, d time.Duration, at time.Time, sp *touch.Span) {
 	l.mu.Lock()
 	l.ring[l.n%slowLogSize] = slowEntry{
-		ID: sp.RequestID, Class: class, Status: status,
-		Duration: d, At: at, Span: *sp,
+		Class: class, Status: status, Duration: d, At: at, Span: *sp,
 	}
 	l.n++
 	l.mu.Unlock()
@@ -82,42 +81,24 @@ func (s *Server) noteSlow(sp *touch.Span, class, status int, d time.Duration) {
 		"comparisons", sp.Comparisons, "results", sp.Results)
 }
 
-// slowEntryJSON is the /debug/slowlog wire form of one entry.
+// slowEntryJSON is the /debug/slowlog wire form of one entry: the
+// request's outcome under the entry's own "id" key, then its span in the
+// X-Touch-Trace form.
 type slowEntryJSON struct {
-	ID          string           `json:"id"`
-	Class       string           `json:"class"`
-	Status      int              `json:"status"`
-	DurationMs  float64          `json:"duration_ms"`
-	At          time.Time        `json:"at"`
-	PhaseNs     map[string]int64 `json:"phase_ns"`
-	Comparisons int64            `json:"comparisons"`
-	NodeTests   int64            `json:"node_tests"`
-	Filtered    int64            `json:"filtered"`
-	Results     int64            `json:"results"`
-	Replicas    int64            `json:"replicas"`
-	Cancel      string           `json:"cancel"`
+	ID         string    `json:"id"`
+	Class      string    `json:"class"`
+	Status     int       `json:"status"`
+	DurationMs float64   `json:"duration_ms"`
+	At         time.Time `json:"at"`
+	*api.Trace
 }
 
 func slowEntryToJSON(e slowEntry) slowEntryJSON {
 	return slowEntryJSON{
-		ID: e.ID, Class: e.Class, Status: e.Status,
+		ID: e.Span.RequestID, Class: e.Class, Status: e.Status,
 		DurationMs: float64(e.Duration) / 1e6, At: e.At,
-		PhaseNs:     spanPhaseNs(&e.Span),
-		Comparisons: e.Span.Comparisons, NodeTests: e.Span.NodeTests,
-		Filtered: e.Span.Filtered, Results: e.Span.Results,
-		Replicas: e.Span.Replicas, Cancel: trace.CancelName(e.Span.Cancel),
+		Trace: api.NewTrace(&e.Span),
 	}
-}
-
-// spanPhaseNs maps a span's non-zero phase durations by phase name.
-func spanPhaseNs(sp *touch.Span) map[string]int64 {
-	m := make(map[string]int64)
-	for _, p := range trace.Phases() {
-		if d := sp.Durations[p]; d > 0 {
-			m[p.Name()] = int64(d)
-		}
-	}
-	return m
 }
 
 // DumpSlowLog writes the slow-query log as human-readable lines, newest
@@ -134,7 +115,7 @@ func (s *Server) DumpSlowLog(w io.Writer) int {
 		len(entries), total, s.slow.threshold)
 	for _, e := range entries {
 		fmt.Fprintf(w, "%s id=%s class=%s status=%d duration=%v comparisons=%d results=%d cancel=%s",
-			e.At.Format(time.RFC3339Nano), e.ID, e.Class, e.Status, e.Duration,
+			e.At.Format(time.RFC3339Nano), e.Span.RequestID, e.Class, e.Status, e.Duration,
 			e.Span.Comparisons, e.Span.Results, trace.CancelName(e.Span.Cancel))
 		for _, p := range trace.Phases() {
 			if d := e.Span.Durations[p]; d > 0 {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"slices"
 	"testing"
+	"time"
 
 	"touch/internal/geom"
+	"touch/internal/trace"
 	"touch/internal/wire"
 )
 
@@ -22,7 +24,7 @@ func wireSeed(t testing.TB) []byte {
 		payload []byte
 	}{
 		{wire.OpRange, wire.AppendRangeReq(nil, "d", box)},
-		{wire.OpRange, wire.AppendRangeReqFlags(nil, "d", box, wire.QueryFlagTrace)},
+		{wire.OpRange, wire.AppendQueryFlags(wire.AppendRangeReq(nil, "d", box), wire.QueryFlagTrace)},
 		{wire.OpPoint, wire.AppendPointReq(nil, "d", geom.Point{1, 2, 3})},
 		{wire.OpKNN, wire.AppendKNNReq(nil, "d", geom.Point{4, 5, 6}, 10)},
 		{wire.OpJoin, wire.AppendJoinReq(nil, "d", 2.5, 4, 0, "", []geom.Box{box, box})},
@@ -42,7 +44,8 @@ func wireSeed(t testing.TB) []byte {
 		{wire.OpJoinDone, wire.AppendJoinDoneResp(nil, 3, 2)},
 		{wire.OpUpdateDone, wire.AppendUpdateResp(nil, wire.UpdateResp{Version: 3, FirstID: 10, Inserted: 1, Deleted: 2, DeltaInserts: 5, DeltaTombstones: 6})},
 		{wire.OpError, wire.AppendErrorResp(nil, "unknown_dataset", `dataset "x" not loaded`)},
-		{wire.OpTrace, wire.AppendTraceResp(nil, wire.TraceResp{RequestID: "r-1", PhaseNs: []int64{0, 120, 7}, Comparisons: 9, Results: 2, Cancel: 1})},
+		{wire.OpTrace, rawTrace("r-1", []int64{0, 120, 7}, [5]int64{9, 0, 0, 2, 0}, 1)}, // a peer with three phases
+		{wire.OpTrace, wire.AppendTrace(nil, &trace.Span{RequestID: "r-2", Durations: [trace.NumPhases]time.Duration{0, 120, 7}, Comparisons: 9, Results: 2, Cancel: 1})},
 	}
 	for i, fr := range frames {
 		if err := w.WriteFrame(fr.op, uint32(i+1), fr.payload); err != nil {
@@ -99,36 +102,36 @@ func FuzzWireDecode(f *testing.F) {
 					continue
 				}
 				sameName(name)
-				enc = wire.AppendRangeReqFlags(nil, string(name), box, flags)
+				enc = wire.AppendQueryFlags(wire.AppendRangeReq(nil, string(name), box), flags)
 				n2, b2, fl2, err := wire.DecodeRangeReq(enc)
 				if err != nil {
 					t.Fatalf("range re-decode: %v", err)
 				}
-				enc2 = wire.AppendRangeReqFlags(nil, string(n2), b2, fl2)
+				enc2 = wire.AppendQueryFlags(wire.AppendRangeReq(nil, string(n2), b2), fl2)
 			case wire.OpPoint:
 				name, pt, flags, err := wire.DecodePointReq(payload)
 				if err != nil {
 					continue
 				}
 				sameName(name)
-				enc = wire.AppendPointReqFlags(nil, string(name), pt, flags)
+				enc = wire.AppendQueryFlags(wire.AppendPointReq(nil, string(name), pt), flags)
 				n2, p2, fl2, err := wire.DecodePointReq(enc)
 				if err != nil {
 					t.Fatalf("point re-decode: %v", err)
 				}
-				enc2 = wire.AppendPointReqFlags(nil, string(n2), p2, fl2)
+				enc2 = wire.AppendQueryFlags(wire.AppendPointReq(nil, string(n2), p2), fl2)
 			case wire.OpKNN:
 				name, pt, k, flags, err := wire.DecodeKNNReq(payload)
 				if err != nil {
 					continue
 				}
 				sameName(name)
-				enc = wire.AppendKNNReqFlags(nil, string(name), pt, k, flags)
+				enc = wire.AppendQueryFlags(wire.AppendKNNReq(nil, string(name), pt, k), flags)
 				n2, p2, k2, fl2, err := wire.DecodeKNNReq(enc)
 				if err != nil {
 					t.Fatalf("knn re-decode: %v", err)
 				}
-				enc2 = wire.AppendKNNReqFlags(nil, string(n2), p2, k2, fl2)
+				enc2 = wire.AppendQueryFlags(wire.AppendKNNReq(nil, string(n2), p2, k2), fl2)
 			case wire.OpJoin:
 				jr, err := wire.DecodeJoinReq(payload)
 				if err != nil {
@@ -260,19 +263,16 @@ func FuzzWireDecode(f *testing.F) {
 				}
 				enc2 = wire.AppendErrorResp(nil, code2, msg2)
 			case wire.OpTrace:
-				tr, err := wire.DecodeTraceResp(payload)
+				sp, err := wire.DecodeTrace(payload)
 				if err != nil {
 					continue
 				}
-				if len(tr.PhaseNs) > wire.MaxTracePhases {
-					t.Fatalf("trace decode conjured %d phases from a %d-byte payload", len(tr.PhaseNs), len(payload))
-				}
-				enc = wire.AppendTraceResp(nil, tr)
-				tr2, err := wire.DecodeTraceResp(enc)
+				enc = wire.AppendTrace(nil, &sp)
+				sp2, err := wire.DecodeTrace(enc)
 				if err != nil {
 					t.Fatalf("trace re-decode: %v", err)
 				}
-				enc2 = wire.AppendTraceResp(nil, tr2)
+				enc2 = wire.AppendTrace(nil, &sp2)
 			default:
 				continue
 			}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"touch/internal/binfmt"
 	"touch/internal/geom"
 	"touch/internal/snapshot"
 	"touch/internal/wire"
@@ -41,7 +42,7 @@ var verdictGolden = map[string]struct {
 	"updatedone": {4001, 2432, "acae27239f069ad9"},
 	"catalog":    {4001, 1974, "925c101205bac12b"},
 	"error":      {4001, 2099, "54aabf10fdfb8fad"},
-	"trace":      {4001, 2277, "c112cea078cf3b73"},
+	"trace":      {4001, 2277, "75597a922aea2dd7"},
 	"snapshot":   {12003, 347, "95c0601d268d7fda"},
 }
 
@@ -130,15 +131,15 @@ func verdictCodecs(t *testing.T) []verdictCodec {
 	updateReq := wire.AppendUpdateReq(nil, "d", []geom.ID{3, 9}, []geom.Box{odd})
 	mal := wire.ErrMalformed
 	return []verdictCodec{
-		{"range", mal, [][]byte{rangeReq, wire.AppendRangeReqFlags(nil, "d", odd, wire.QueryFlagTrace)}, func(p []byte) (string, error) {
+		{"range", mal, [][]byte{rangeReq, wire.AppendQueryFlags(wire.AppendRangeReq(nil, "d", odd), wire.QueryFlagTrace)}, func(p []byte) (string, error) {
 			name, b, fl, err := wire.DecodeRangeReq(p)
 			return fmt.Sprint(name, b, fl), err
 		}},
-		{"point", mal, [][]byte{wire.AppendPointReq(nil, "d", pt), wire.AppendPointReqFlags(nil, "pts", pt, wire.QueryFlagTrace)}, func(p []byte) (string, error) {
+		{"point", mal, [][]byte{wire.AppendPointReq(nil, "d", pt), wire.AppendQueryFlags(wire.AppendPointReq(nil, "pts", pt), wire.QueryFlagTrace)}, func(p []byte) (string, error) {
 			name, q, fl, err := wire.DecodePointReq(p)
 			return fmt.Sprint(name, q, fl), err
 		}},
-		{"knn", mal, [][]byte{wire.AppendKNNReq(nil, "d", pt, 10), wire.AppendKNNReqFlags(nil, "d", pt, -3, wire.QueryFlagTrace)}, func(p []byte) (string, error) {
+		{"knn", mal, [][]byte{wire.AppendKNNReq(nil, "d", pt, 10), wire.AppendQueryFlags(wire.AppendKNNReq(nil, "d", pt, -3), wire.QueryFlagTrace)}, func(p []byte) (string, error) {
 			name, q, k, fl, err := wire.DecodeKNNReq(p)
 			return fmt.Sprint(name, q, k, fl), err
 		}},
@@ -193,9 +194,9 @@ func verdictCodecs(t *testing.T) []verdictCodec {
 			code, msg, err := wire.DecodeErrorResp(p)
 			return fmt.Sprintf("%q %q", code, msg), err
 		}},
-		{"trace", mal, [][]byte{wire.AppendTraceResp(nil, wire.TraceResp{RequestID: "9f3a-42", PhaseNs: []int64{0, 1200, -1}, Comparisons: 12345, NodeTests: 678, Filtered: 9, Results: 42, Replicas: 3, Cancel: 1})}, func(p []byte) (string, error) {
-			r, err := wire.DecodeTraceResp(p)
-			return fmt.Sprintf("%v", r), err
+		{"trace", mal, [][]byte{rawTrace("9f3a-42", []int64{0, 1200, -1}, [5]int64{12345, 678, 9, 42, 3}, 1)}, func(p []byte) (string, error) {
+			sp, err := wire.DecodeTrace(p)
+			return fmt.Sprintf("%v", sp), err
 		}},
 		{"snapshot", snapshot.ErrCorrupt, [][]byte{snapshotSeed(t, 23), snapshotSeed(t, 0), tieredSnapshotSeed(t)}, func(p []byte) (string, error) {
 			rec, err := snapshot.Unmarshal(p)
@@ -210,4 +211,19 @@ func verdictCodecs(t *testing.T) []verdictCodec {
 			return b.String(), nil
 		}},
 	}
+}
+
+// rawTrace builds an OpTrace payload by hand — request ID, any number of
+// phase slots, the five counters in wire order and the cancel byte — the
+// way a peer built against a different phase list writes it; AppendTrace
+// always writes trace.NumPhases slots.
+func rawTrace(id string, phaseNs []int64, counters [5]int64, cancel byte) []byte {
+	p := append(wire.AppendStr(nil, id), byte(len(phaseNs)))
+	for _, ns := range phaseNs {
+		p = binfmt.AppendU64(p, uint64(ns))
+	}
+	for _, n := range counters {
+		p = binfmt.AppendU64(p, uint64(n))
+	}
+	return append(p, cancel)
 }

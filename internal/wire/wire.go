@@ -54,14 +54,17 @@
 // The join probe side is either inline boxes (u32 n | n×box) or, with
 // FlagNamedProbe set, a loaded dataset's name (str). str is u16 length +
 // bytes. The query requests take an optional trailing flags byte
-// (absent means zero — the encoding without flags stays valid);
+// (absent means zero — the encoding without flags stays valid), which
+// AppendQueryFlags appends to what the plain encoders wrote;
 // QueryFlagTrace asks the server to emit a non-terminal OpTrace frame
 // carrying the request's span immediately before the terminal response,
-// as FlagTrace does for joins. Every response that answers from an
-// index carries the catalog version it answered from, so clients can
-// pin or compare versions exactly as over HTTP. OpError (str code |
-// str message) is the terminal response of a failed request; the codes
-// are the same machine-readable vocabulary as the HTTP error bodies.
+// as FlagTrace does for joins. The OpTrace payload is the engine's
+// trace.Span, coded by AppendTrace and DecodeTrace. Every response that
+// answers from an index carries the catalog version it answered from,
+// so clients can pin or compare versions exactly as over HTTP. OpError
+// (str code | str message) is the terminal response of a failed
+// request; the codes are the same machine-readable vocabulary as the
+// HTTP error bodies.
 package wire
 
 import (
@@ -71,9 +74,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"touch/internal/binfmt"
 	"touch/internal/geom"
+	"touch/internal/trace"
 )
 
 // Magic opens the handshake hello; the trailing "1" is the protocol
@@ -360,10 +365,11 @@ func RequestDataset(p []byte) (name []byte, err error) {
 	return name, c.Err()
 }
 
-// appendQueryFlags finishes a query request payload: the trailing flags
-// byte is written only when non-zero, so a zero-flag encoding is
-// byte-identical to the pre-flags wire format.
-func appendQueryFlags(dst []byte, flags byte) []byte {
+// AppendQueryFlags finishes an OpRange, OpPoint or OpKNN payload that
+// one of the plain encoders wrote: the trailing flags byte is appended
+// only when non-zero, so a zero-flag encoding is byte-identical to the
+// pre-flags wire format.
+func AppendQueryFlags(dst []byte, flags byte) []byte {
 	if flags != 0 {
 		dst = append(dst, flags)
 	}
@@ -386,15 +392,7 @@ func queryFlags(c *binfmt.Reader) (byte, error) {
 
 // AppendRangeReq encodes an OpRange payload with zero flags.
 func AppendRangeReq(dst []byte, name string, b geom.Box) []byte {
-	return AppendRangeReqFlags(dst, name, b, 0)
-}
-
-// AppendRangeReqFlags encodes an OpRange payload; flags zero omits the
-// trailing byte.
-func AppendRangeReqFlags(dst []byte, name string, b geom.Box, flags byte) []byte {
-	dst = AppendStr(dst, name)
-	dst = binfmt.AppendBox(dst, b)
-	return appendQueryFlags(dst, flags)
+	return binfmt.AppendBox(AppendStr(dst, name), b)
 }
 
 // DecodeRangeReq decodes an OpRange payload. name aliases the payload.
@@ -407,17 +405,11 @@ func DecodeRangeReq(p []byte) (name []byte, b geom.Box, flags byte, err error) {
 
 // AppendPointReq encodes an OpPoint payload with zero flags.
 func AppendPointReq(dst []byte, name string, p geom.Point) []byte {
-	return AppendPointReqFlags(dst, name, p, 0)
-}
-
-// AppendPointReqFlags encodes an OpPoint payload; flags zero omits the
-// trailing byte.
-func AppendPointReqFlags(dst []byte, name string, p geom.Point, flags byte) []byte {
 	dst = AppendStr(dst, name)
 	for d := 0; d < geom.Dims; d++ {
 		dst = binfmt.AppendF64(dst, p[d])
 	}
-	return appendQueryFlags(dst, flags)
+	return dst
 }
 
 // DecodePointReq decodes an OpPoint payload. name aliases the payload.
@@ -433,18 +425,7 @@ func DecodePointReq(p []byte) (name []byte, pt geom.Point, flags byte, err error
 
 // AppendKNNReq encodes an OpKNN payload with zero flags.
 func AppendKNNReq(dst []byte, name string, p geom.Point, k int) []byte {
-	return AppendKNNReqFlags(dst, name, p, k, 0)
-}
-
-// AppendKNNReqFlags encodes an OpKNN payload; flags zero omits the
-// trailing byte.
-func AppendKNNReqFlags(dst []byte, name string, p geom.Point, k int, flags byte) []byte {
-	dst = AppendStr(dst, name)
-	for d := 0; d < geom.Dims; d++ {
-		dst = binfmt.AppendF64(dst, p[d])
-	}
-	dst = binfmt.AppendU32(dst, uint32(k))
-	return appendQueryFlags(dst, flags)
+	return binfmt.AppendU32(AppendPointReq(dst, name, p), uint32(k))
 }
 
 // DecodeKNNReq decodes an OpKNN payload. name aliases the payload; k is
@@ -830,67 +811,54 @@ func DecodeErrorResp(p []byte) (code, message string, err error) {
 	return code, message, c.Done()
 }
 
-// MaxTracePhases caps the phase count an OpTrace frame may claim,
-// bounding the decode allocation.
+// MaxTracePhases caps the phase count an OpTrace frame may claim; a
+// larger count is malformed.
 const MaxTracePhases = 64
 
-// TraceResp is a decoded OpTrace payload: the server-assigned request
-// ID, per-phase wall times in nanoseconds (indexed by the engine's
-// phase order; the count may grow as phases are added), the engine
-// counters for the request, and the cancel cause (0 none, 1 context,
-// 2 stop).
-type TraceResp struct {
-	RequestID   string
-	PhaseNs     []int64
-	Comparisons int64
-	NodeTests   int64
-	Filtered    int64
-	Results     int64
-	Replicas    int64
-	Cancel      byte
-}
-
-// AppendTraceResp encodes an OpTrace payload:
+// AppendTrace encodes a span as an OpTrace payload:
 //
 //	str requestID | u8 nPhases | nPhases×u64 ns |
 //	u64 comparisons | u64 nodeTests | u64 filtered |
 //	u64 results | u64 replicas | u8 cancel
-func AppendTraceResp(dst []byte, r TraceResp) []byte {
-	dst = AppendStr(dst, r.RequestID)
-	dst = append(dst, byte(len(r.PhaseNs)))
-	for _, ns := range r.PhaseNs {
-		dst = binfmt.AppendU64(dst, uint64(ns))
+//
+// The phase slots follow the engine's phase order, all trace.NumPhases
+// of them; cancel is the stats cancel cause (0 none, 1 context, 2 stop).
+func AppendTrace(dst []byte, s *trace.Span) []byte {
+	dst = AppendStr(dst, s.RequestID)
+	dst = append(dst, byte(len(s.Durations)))
+	for _, d := range s.Durations {
+		dst = binfmt.AppendU64(dst, uint64(d))
 	}
-	dst = binfmt.AppendU64(dst, uint64(r.Comparisons))
-	dst = binfmt.AppendU64(dst, uint64(r.NodeTests))
-	dst = binfmt.AppendU64(dst, uint64(r.Filtered))
-	dst = binfmt.AppendU64(dst, uint64(r.Results))
-	dst = binfmt.AppendU64(dst, uint64(r.Replicas))
-	return append(dst, r.Cancel)
+	for _, n := range [...]int64{s.Comparisons, s.NodeTests, s.Filtered, s.Results, s.Replicas} {
+		dst = binfmt.AppendU64(dst, uint64(n))
+	}
+	return append(dst, byte(s.Cancel))
 }
 
-// DecodeTraceResp decodes an OpTrace payload. The strings and slices
-// are freshly allocated; trace frames are rare, not the steady state.
-func DecodeTraceResp(p []byte) (TraceResp, error) {
+// DecodeTrace decodes an OpTrace payload. A peer may know a different
+// number of phases: slots past trace.NumPhases are dropped, and slots it
+// did not send stay zero.
+func DecodeTrace(p []byte) (trace.Span, error) {
 	c := payloadReader(p)
-	r := TraceResp{RequestID: string(str(&c))}
+	s := trace.Span{RequestID: string(str(&c))}
 	n := int(c.U8())
 	if err := c.Err(); err != nil {
-		return r, err
+		return s, err
 	}
 	if n > MaxTracePhases {
-		return r, malformed("trace claims %d phases, cap is %d", n, MaxTracePhases)
+		return s, malformed("trace claims %d phases, cap is %d", n, MaxTracePhases)
 	}
 	if int64(n)*8+5*8+1 != int64(c.Remaining()) {
-		return r, malformed("trace claims %d phases, %d payload bytes remain", n, c.Remaining())
+		return s, malformed("trace claims %d phases, %d payload bytes remain", n, c.Remaining())
 	}
-	r.PhaseNs = make([]int64, n)
-	for i := range r.PhaseNs {
-		r.PhaseNs[i] = int64(c.U64())
+	for i := 0; i < n; i++ {
+		if d := time.Duration(c.U64()); i < len(s.Durations) {
+			s.Durations[i] = d
+		}
 	}
-	for _, dst := range []*int64{&r.Comparisons, &r.NodeTests, &r.Filtered, &r.Results, &r.Replicas} {
+	for _, dst := range []*int64{&s.Comparisons, &s.NodeTests, &s.Filtered, &s.Results, &s.Replicas} {
 		*dst = int64(c.U64())
 	}
-	r.Cancel = c.U8()
-	return r, c.Done()
+	s.Cancel = int32(c.U8())
+	return s, c.Done()
 }

@@ -2,14 +2,17 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"touch/internal/binfmt"
 	"touch/internal/geom"
+	"touch/internal/trace"
 )
 
 func box(minX, minY, minZ, maxX, maxY, maxZ float64) geom.Box {
@@ -131,11 +134,11 @@ func TestRangeReqRoundtrip(t *testing.T) {
 	}
 	// The flagless encoding carries no flags byte at all — older peers'
 	// encodings stay valid and byte-stable.
-	if flagged := AppendRangeReqFlags(nil, "cells", b, 0); !bytes.Equal(p, flagged) {
+	if flagged := AppendQueryFlags(AppendRangeReq(nil, "cells", b), 0); !bytes.Equal(p, flagged) {
 		t.Fatalf("zero-flags encoding differs from legacy encoding")
 	}
 	// A trace-flagged request round-trips its flag.
-	p2 := AppendRangeReqFlags(nil, "cells", b, QueryFlagTrace)
+	p2 := AppendQueryFlags(AppendRangeReq(nil, "cells", b), QueryFlagTrace)
 	if len(p2) != len(p)+1 {
 		t.Fatalf("flags byte: len %d vs %d", len(p2), len(p))
 	}
@@ -159,7 +162,7 @@ func TestPointAndKNNReqRoundtrip(t *testing.T) {
 	if err != nil || string(name) != "grid" || got != pt || flags != 0 {
 		t.Fatalf("point: %q %v flags=%#x %v", name, got, flags, err)
 	}
-	if _, _, flags, err = DecodePointReq(AppendPointReqFlags(nil, "grid", pt, QueryFlagTrace)); err != nil || flags != QueryFlagTrace {
+	if _, _, flags, err = DecodePointReq(AppendQueryFlags(AppendPointReq(nil, "grid", pt), QueryFlagTrace)); err != nil || flags != QueryFlagTrace {
 		t.Fatalf("point flags: %#x %v", flags, err)
 	}
 
@@ -168,7 +171,7 @@ func TestPointAndKNNReqRoundtrip(t *testing.T) {
 	if err != nil || string(name) != "grid" || got != pt || k != 12 || flags != 0 {
 		t.Fatalf("knn: %q %v k=%d flags=%#x %v", name, got, k, flags, err)
 	}
-	if _, _, _, flags, err = DecodeKNNReq(AppendKNNReqFlags(nil, "grid", pt, 12, QueryFlagTrace)); err != nil || flags != QueryFlagTrace {
+	if _, _, _, flags, err = DecodeKNNReq(AppendQueryFlags(AppendKNNReq(nil, "grid", pt, 12), QueryFlagTrace)); err != nil || flags != QueryFlagTrace {
 		t.Fatalf("knn flags: %#x %v", flags, err)
 	}
 	// Negative k survives the unsigned wire word as negative, so the
@@ -210,44 +213,97 @@ func TestJoinReqRoundtrip(t *testing.T) {
 	}
 }
 
-func TestTraceRespRoundtrip(t *testing.T) {
-	want := TraceResp{
+func TestTraceRoundtrip(t *testing.T) {
+	want := trace.Span{
 		RequestID:   "9f3ac81b-42",
-		PhaseNs:     []int64{0, 1200, 0, 1_000_000, 0, 0, 0, 0},
 		Comparisons: 12345, NodeTests: 678, Filtered: 9, Results: 42, Replicas: 3,
 		Cancel: 1,
 	}
-	p := AppendTraceResp(nil, want)
-	got, err := DecodeTraceResp(p)
+	want.Durations[trace.PhaseDecode] = 1200
+	want.Durations[trace.PhaseJoin] = time.Millisecond
+	p := AppendTrace(nil, &want)
+	got, err := DecodeTrace(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.RequestID != want.RequestID || got.Comparisons != want.Comparisons ||
-		got.NodeTests != want.NodeTests || got.Filtered != want.Filtered ||
-		got.Results != want.Results || got.Replicas != want.Replicas || got.Cancel != want.Cancel {
-		t.Fatalf("got %+v", got)
-	}
-	if len(got.PhaseNs) != len(want.PhaseNs) {
-		t.Fatalf("phases: %v", got.PhaseNs)
-	}
-	for i := range want.PhaseNs {
-		if got.PhaseNs[i] != want.PhaseNs[i] {
-			t.Fatalf("phase %d: %d != %d", i, got.PhaseNs[i], want.PhaseNs[i])
-		}
+	if got != want {
+		t.Fatalf("got %+v, want %+v", got, want)
 	}
 	// Exact-size validation both ways.
-	if _, err := DecodeTraceResp(append(p, 0)); !errors.Is(err, ErrMalformed) {
+	if _, err := DecodeTrace(append(p, 0)); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("trailing byte: %v", err)
 	}
-	if _, err := DecodeTraceResp(p[:len(p)-1]); !errors.Is(err, ErrMalformed) {
+	if _, err := DecodeTrace(p[:len(p)-1]); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("truncated: %v", err)
 	}
 	// A hostile phase count beyond MaxTracePhases is rejected before the
 	// size arithmetic can mislead.
 	hostile := AppendStr(nil, "id")
 	hostile = append(hostile, 255)
-	if _, err := DecodeTraceResp(hostile); !errors.Is(err, ErrMalformed) {
+	if _, err := DecodeTrace(hostile); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("hostile phase count: %v", err)
+	}
+}
+
+// TestTraceBytesPinned holds AppendTrace to the OpTrace bytes the
+// protocol has always carried: the literal is what the encoder that
+// copied the span into a separate wire record wrote for the same values.
+func TestTraceBytesPinned(t *testing.T) {
+	sp := trace.Span{
+		RequestID:   "req-0007",
+		Durations:   [trace.NumPhases]time.Duration{1500, 0, 250000, 1000000, 42, 7, 0, 9999},
+		Comparisons: 123456789, NodeTests: 4321, Filtered: 99, Results: 17, Replicas: 5,
+		Cancel: 2,
+	}
+	const want = "08007265712d3030303708dc05000000000000000000000000000090d003000000000040420f00000000002a00000000000000070000000000000000000000000000000f2700000000000015cd5b0700000000e11000000000000063000000000000001100000000000000050000000000000002"
+	if got := hex.EncodeToString(AppendTrace(nil, &sp)); got != want {
+		t.Fatalf("AppendTrace wrote\n%s\nwant\n%s", got, want)
+	}
+}
+
+// rawTrace builds an OpTrace payload by hand with any number of phase
+// slots, the way a peer built against a different phase list writes it.
+func rawTrace(id string, phaseNs []int64, comparisons, results int64, cancel byte) []byte {
+	p := append(AppendStr(nil, id), byte(len(phaseNs)))
+	for _, ns := range phaseNs {
+		p = binfmt.AppendU64(p, uint64(ns))
+	}
+	for _, n := range []int64{comparisons, 0, 0, results, 0} {
+		p = binfmt.AppendU64(p, uint64(n))
+	}
+	return append(p, cancel)
+}
+
+// TestTraceFromOlderAndNewerPeers: a peer with fewer phases leaves the
+// missing slots zero; one with more has its extra slots dropped, and the
+// re-encoding carries exactly trace.NumPhases.
+func TestTraceFromOlderAndNewerPeers(t *testing.T) {
+	older, err := DecodeTrace(rawTrace("old", []int64{5, 6, 7}, 11, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := trace.Span{RequestID: "old", Comparisons: 11, Results: 2, Cancel: 1}
+	want.Durations[0], want.Durations[1], want.Durations[2] = 5, 6, 7
+	if older != want {
+		t.Fatalf("3-slot trace decoded to %+v, want %+v", older, want)
+	}
+
+	slots := make([]int64, trace.NumPhases+3)
+	for i := range slots {
+		slots[i] = int64(100 + i)
+	}
+	newer, err := DecodeTrace(rawTrace("new", slots, 11, 2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range newer.Durations {
+		if int64(d) != slots[i] {
+			t.Fatalf("phase %d: %d, want %d", i, d, slots[i])
+		}
+	}
+	re := AppendTrace(nil, &newer)
+	if want := rawTrace("new", slots[:trace.NumPhases], 11, 2, 0); !bytes.Equal(re, want) {
+		t.Fatalf("re-encoding\n% x\nwant\n% x", re, want)
 	}
 }
 

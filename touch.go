@@ -188,14 +188,16 @@ type Options struct {
 	// Emit runs on the engine's goroutines: a sink that blocks (on a
 	// network write, say) holds the join back with it.
 	Sink Sink
-	// Workers > 1 parallelizes the join with that many goroutines (0 or
-	// 1 = single-threaded, the paper's setting). AlgTOUCH — including
+	// Workers > 1 parallelizes the join with that many goroutines; 1 is
+	// single-threaded, the paper's setting. AlgTOUCH — including
 	// Index.Join — parallelizes internally: the assignment and join
-	// phases shard work across goroutines with no object replication
-	// (equivalent to setting Options.TOUCH.Workers); every other
-	// algorithm runs under the slab driver of internal/parallel, which
-	// splits space into contiguous slabs and suppresses boundary
-	// duplicates with an ownership rule.
+	// phases shard work across goroutines with no object replication. For
+	// AlgTOUCH a positive Workers is the call's worker count, overriding
+	// Options.TOUCH.Workers and an index's build-time default; 0 leaves
+	// those in charge. Every other algorithm runs under the slab driver
+	// of internal/parallel when Workers > 1, which splits space into
+	// contiguous slabs and suppresses boundary duplicates with an
+	// ownership rule, and single-threaded otherwise.
 	Workers int
 	// Limit > 0 stops the join after exactly that many result pairs have
 	// been delivered (to Result.Pairs or the Sink).
@@ -477,7 +479,7 @@ func bind(alg Algorithm, o *Options) (parallel.JoinFunc, error) {
 	switch alg {
 	case AlgTOUCH:
 		cfg := o.TOUCH
-		if cfg.Workers <= 1 && o.Workers > 1 {
+		if o.Workers > 0 {
 			// TOUCH parallelizes internally instead of running under the
 			// slab driver: no replication, no boundary-ownership filter.
 			cfg.Workers = o.Workers

@@ -1,8 +1,13 @@
 package touch
 
 import (
+	"bytes"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
+
+	"touch/internal/stats"
 )
 
 func sortPairSet(ps []Pair) []Pair {
@@ -100,6 +105,68 @@ func TestIndexParallelJoin(t *testing.T) {
 		optGot := sortPairSet(seqIdx.Join(b, &Options{Workers: 8}).Pairs)
 		if !slices.Equal(optGot, want) {
 			t.Fatalf("seed %d: Options.Workers index join differs from sequential", seed)
+		}
+	}
+}
+
+// goroutineID returns the calling goroutine's ID, the number on the
+// first line of its stack ("goroutine 42 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
+}
+
+// TestOptionsWorkersOverridesConfig: a positive Options.Workers is the
+// call's worker count even when the config says more — with 1 every pair
+// reaches the sink on the caller's goroutine — while 0 leaves the
+// config's four workers in charge. Held on a prebuilt Index, on
+// Mutable.View() and on the one-shot join.
+func TestOptionsWorkersOverridesConfig(t *testing.T) {
+	a := GenerateUniform(3000, 151)
+	b := GenerateUniform(3000, 152)
+	cfg := TOUCHConfig{Workers: 4}
+	m, err := NewMutable(a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := BuildIndex(a, cfg)
+	joins := []struct {
+		name string
+		join func(*Options) (*Result, error)
+	}{
+		{"index", func(o *Options) (*Result, error) { return idx.DistanceJoin(b, 20, o) }},
+		{"view", func(o *Options) (*Result, error) { return m.View().DistanceJoin(b, 20, o) }},
+		{"one-shot", func(o *Options) (*Result, error) {
+			o.TOUCH = cfg
+			return DistanceJoin(AlgTOUCH, a, b, 20, o)
+		}},
+	}
+	for _, j := range joins {
+		for _, workers := range []int{1, 0} {
+			caller := goroutineID()
+			var on, off atomic.Int64
+			opt := &Options{Workers: workers, Sink: stats.FuncSink(func(ID, ID) {
+				if goroutineID() == caller {
+					on.Add(1)
+				} else {
+					off.Add(1)
+				}
+			})}
+			res, err := j.join(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Results < 100 {
+				t.Fatalf("%s: premise: the join found only %d pairs", j.name, res.Stats.Results)
+			}
+			if workers == 1 && off.Load() != 0 {
+				t.Errorf("%s, Workers 1: %d of %d pairs arrived off the caller's goroutine",
+					j.name, off.Load(), on.Load()+off.Load())
+			}
+			if workers == 0 && off.Load() == 0 {
+				t.Errorf("%s, Workers 0: all %d pairs on the caller's goroutine; the config's 4 workers did not run",
+					j.name, on.Load())
+			}
 		}
 	}
 }
