@@ -25,7 +25,7 @@ FUZZ_TARGETS = internal/testutil:FuzzJoin internal/testutil:FuzzRangeQuery \
 	internal/testutil:FuzzKNN internal/testutil:FuzzSortIDs \
 	internal/testutil:FuzzSnapshotDecode internal/testutil:FuzzThaw \
 	internal/testutil:FuzzWireDecode internal/testutil:FuzzDeltaMerge \
-	internal/str:FuzzPack
+	internal/str:FuzzPack internal/server:FuzzHTTPDataPlane
 
 fuzz:
 	set -e; for entry in $(FUZZ_TARGETS); do \

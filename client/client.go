@@ -43,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -479,12 +478,8 @@ func (r *Reply) Join() (version int64, pairs []touch.Pair, count int64, err erro
 	if count != int64(len(pairs)) {
 		return 0, nil, 0, fmt.Errorf("client: join stream carried %d pairs but the trailer counts %d", len(pairs), count)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
+	res := touch.Result{Pairs: pairs}
+	res.SortPairs()
 	return version, pairs, count, nil
 }
 

@@ -3,6 +3,7 @@ package client_test
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -503,6 +504,72 @@ func TestReplyTraceFromOlderAndNewerPeers(t *testing.T) {
 		if tr.RequestID != "peer" || tr.Comparisons != 7 || tr.NodeTests != 6 || tr.Filtered != 5 ||
 			tr.Results != 4 || tr.Replicas != 3 || tr.Cancel != "stop" {
 			t.Errorf("%d slots: trace %+v", n, tr)
+		}
+	}
+}
+
+// logRecords is a slog.Handler that hands every record to the test.
+type logRecords chan slog.Record
+
+func (l logRecords) Enabled(context.Context, slog.Level) bool { return true }
+func (l logRecords) WithAttrs([]slog.Attr) slog.Handler       { return l }
+func (l logRecords) WithGroup(string) slog.Handler            { return l }
+func (l logRecords) Handle(_ context.Context, r slog.Record) error {
+	l <- r.Clone()
+	return nil
+}
+
+// TestTracedFailureNamesItself: a traced request that fails gets its
+// OpTrace frame before the OpError, so Reply.Trace names the failed call
+// by the ID the server's failure log records it under.
+func TestTracedFailureNamesItself(t *testing.T) {
+	logged := make(logRecords, 64)
+	srv := server.New(server.Config{Logger: slog.New(logged)})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeWire(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.ShutdownWire(ctx)
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c, err := client.Dial(ctx, ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	r, err := c.Do(ctx, wire.OpRange, wire.AppendQueryFlags(
+		wire.AppendRangeReq(nil, "ghost", touch.Box{Max: touch.Point{1, 1, 1}}), wire.QueryFlagTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var se *client.ServerError
+	if _, _, err := r.IDs(); !errors.As(err, &se) || se.Code != "unknown_dataset" {
+		t.Fatalf("range on an unknown dataset: %v", err)
+	}
+	tr := r.Trace()
+	if tr == nil || tr.RequestID == "" {
+		t.Fatalf("failed traced request: trace %+v, want its request ID", tr)
+	}
+	for {
+		select {
+		case rec := <-logged:
+			if rec.Message != "request rejected" {
+				continue
+			}
+			attrs := map[string]string{}
+			rec.Attrs(func(a slog.Attr) bool { attrs[a.Key] = a.Value.String(); return true })
+			if attrs["id"] != tr.RequestID || attrs["status"] != "404" {
+				t.Fatalf("failure log %v, trace names %q", attrs, tr.RequestID)
+			}
+			return
+		case <-ctx.Done():
+			t.Fatal("the failed request never reached the failure log")
 		}
 	}
 }

@@ -1,10 +1,9 @@
 // Command touchwire probes a touchserved (or touchrouter) binary
 // listener: it pipelines every query given on the command line over one
 // connection in a single batch, then prints one JSON answer per line, in
-// request order, in exactly the shape the HTTP API uses (modulo join
-// stats, which carry wall-clock timings and are never printed). That
-// makes differential smoke tests one-line diffs: the same query over
-// HTTP and over the wire must print the same bytes.
+// request order, in exactly the shape the HTTP API uses. That makes
+// differential smoke tests one-line diffs: the same query over HTTP and
+// over the wire must print the same bytes.
 //
 // Usage:
 //
@@ -162,8 +161,6 @@ func run(ctx context.Context, c *client.Conn, dataset string, eps float64, trace
 		if tr := r.Trace(); tr != nil {
 			_ = tenc.Encode(tr)
 		}
-		// Join answers take the HTTP API's shape minus the stats the wire
-		// does not carry.
 		var answer any = api.NewQueryResponse(dataset, v, sp.q.Type, ids, nbrs)
 		if sp.boxes != nil {
 			answer = api.JoinResponse{Dataset: dataset, Version: v, ProbeObjects: len(sp.boxes),

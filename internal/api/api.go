@@ -2,11 +2,22 @@
 // once: the request and response shapes of /v1/datasets/{name}/query,
 // /join and PATCH, the error body and its machine-readable code
 // vocabulary with the one code → HTTP status table, the dataset-name
-// rule, request-body decoding and the JSON writers. touchserved
-// (internal/server) answers with these shapes, touchrouter
-// (internal/router) re-renders backend wire answers into them, and
-// cmd/touchwire prints them — so "a routed answer is byte-identical to a
-// direct one" holds by construction, not by keeping copies in step.
+// rule, request-body decoding and the JSON writers — and the one HTTP
+// data plane that speaks them (Front, front.go): it decodes a query,
+// join or update, encodes the binary wire frame, hands it to a Doer and
+// renders the frames that come back. touchserved (internal/server) and
+// touchrouter (internal/router) both mount it, the first over its
+// in-process frame executor, the second over its relay to the owners,
+// and cmd/touchwire prints the same shapes — so "a routed answer is
+// byte-identical to a direct one" holds by construction, not by keeping
+// copies in step.
+//
+// The NDJSON join contract: one `[a,b]` line per pair in the order the
+// OpPairs batches bring them, then a `{"count":N}` line once the join is
+// complete. touchserved's executor sends the first pair in a batch of
+// its own, so the 200 leaves with the first pair the engine finds; a
+// routed stream starts once the owner's terminal frame has reached the
+// router.
 //
 // Field order and omitempty placement are part of the contract: the
 // byte-identity tests in internal/server and internal/router pin them.
@@ -36,8 +47,8 @@ type QueryRequest struct {
 	K     int       `json:"k,omitempty"`
 }
 
-// Query is a QueryRequest after shape validation: the form both codecs
-// (JSON here, binary frames in internal/wire) hand to the execute core.
+// Query is a QueryRequest after shape validation: what the HTTP front
+// encodes as a query frame, and what the frame executor decodes back.
 // Value validation — NaN coordinates, inverted boxes, k < 1 — is the
 // engine's, mapped back through EngineError.
 type Query struct {
@@ -184,28 +195,16 @@ func (r *JoinRequest) ProbeBoxes() ([]touch.Box, *Error) {
 	return nil, Errorf(CodeBadRequest, "give inline boxes or a probe name")
 }
 
-// JoinStats are the engine statistics of a buffered join. The wire
-// protocol does not carry them, so routed answers and touchwire omit the
-// object.
-type JoinStats struct {
-	Comparisons int64 `json:"comparisons"`
-	NodeTests   int64 `json:"node_tests"`
-	Filtered    int64 `json:"filtered"`
-	MemoryBytes int64 `json:"memory_bytes"`
-	AssignNs    int64 `json:"assign_ns"`
-	JoinNs      int64 `json:"join_ns"`
-}
-
 // JoinResponse is the buffered answer to a join.
 type JoinResponse struct {
-	Dataset      string        `json:"dataset"`
-	Version      int64         `json:"version"`
-	Probe        string        `json:"probe,omitempty"`
-	ProbeVersion int64         `json:"probe_version,omitempty"`
+	Dataset string `json:"dataset"`
+	Version int64  `json:"version"`
+	Probe   string `json:"probe,omitempty"`
+	// ProbeObjects counts the inline probe's boxes; a named probe's count
+	// is not in the answer frame, so it reads 0.
 	ProbeObjects int           `json:"probe_objects"`
 	Count        int64         `json:"count"`
 	Pairs        [][2]touch.ID `json:"pairs,omitempty"`
-	Stats        *JoinStats    `json:"stats,omitempty"`
 	Trace        *Trace        `json:"trace,omitempty"`
 }
 

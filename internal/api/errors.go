@@ -99,6 +99,9 @@ func Errorf(code, format string, args ...any) *Error {
 	return &Error{Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
+// Error makes an Error an error, for the Doers that return one.
+func (e *Error) Error() string { return e.Code + ": " + e.Message }
+
 // Status is the HTTP status of the error's code.
 func (e *Error) Status() int { return Status(e.Code) }
 

@@ -1,22 +1,12 @@
 package router
 
-// The router's HTTP front: the same /v1 surface touchserved exposes,
-// answered by proxying over the binary wire protocol to the ring
-// owners. Requests are decoded and answers rendered with the
-// internal/api shapes, decoder and error table the backends themselves
-// use, so for range/point/knn — and for every request the router can
-// refuse without a backend — a client cannot tell a router answer from a
-// direct backend answer byte-for-byte. Deliberate differences,
-// documented in README.md:
-//
-//   - Joins carry no "stats" object, no trace and no "probe_version":
-//     the wire protocol does not stream the engine's join statistics or
-//     the named probe's version.
-//   - GET /v1/datasets is the merged, provenance-annotated catalog —
-//     a router-specific shape, not one backend's listing.
-//   - Loads and deletes are not routed: dataset placement is by name,
-//     but load bodies are huge and replication policy (load to every
-//     owner) belongs to the operator's loader, not a blind proxy.
+// The router's HTTP front: the same /v1 surface touchserved exposes.
+// The data plane is touchserved's own HTTP front (api.Front) over
+// Router.Do, which relays the encoded frame to the ring owners, so a
+// routed answer is the owner's — trace, request ID and NDJSON stream
+// included. What differs is listed in README.md: the merged catalog,
+// the 501 on loads and deletes, no_backend, the body cap, and NDJSON
+// that starts once the owner's whole answer has arrived.
 
 import (
 	"context"
@@ -24,13 +14,13 @@ import (
 	"net/http"
 	"strings"
 
-	"touch"
 	"touch/client"
 	"touch/internal/api"
+	"touch/internal/wire"
 )
 
-// maxBodyBytes caps proxied request bodies (queries, joins, updates).
-const maxBodyBytes = 64 << 20
+// front is the data plane over Router.Do, with the router's body cap.
+var front = api.Front{MaxBodyBytes: 64 << 20}
 
 // proxiedError maps a forwarding failure onto the error vocabulary for
 // either front: backend answers keep their own code (and, over HTTP,
@@ -93,7 +83,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "":
 		switch r.Method {
 		case http.MethodPatch:
-			rt.proxy(ctx, w, r, name, (*Router).handleUpdate)
+			front.Update(ctx, w, r, name, rt)
 		case http.MethodPost, http.MethodDelete:
 			reject(w, api.CodeNotRoutable,
 				"the router does not proxy dataset loads or deletes; address the owning backends directly (owners of %q: %s)",
@@ -106,13 +96,13 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			reject(w, api.CodeMethod, "use POST on /v1/datasets/{name}/query")
 			return
 		}
-		rt.proxy(ctx, w, r, name, (*Router).handleQuery)
+		front.Query(ctx, w, r, name, rt)
 	case "join":
 		if r.Method != http.MethodPost {
 			reject(w, api.CodeMethod, "use POST on /v1/datasets/{name}/join")
 			return
 		}
-		rt.proxy(ctx, w, r, name, (*Router).handleJoin)
+		front.Join(ctx, w, r, name, rt)
 	default:
 		reject(w, api.CodeNotFound, "unknown action %q", action)
 	}
@@ -138,91 +128,24 @@ func (rt *Router) handleHealthz(w http.ResponseWriter) {
 	}{Status: map[bool]string{true: "ok", false: "no_backends"}[healthy > 0], Backends: len(rt.backends), Healthy: healthy})
 }
 
-// --- query, join, update ----------------------------------------------------
-
-// proxy runs one proxied handler and writes its answer: the response
-// under 200, or the error.
-func (rt *Router) proxy(ctx context.Context, w http.ResponseWriter, r *http.Request, name string,
-	handler func(*Router, context.Context, http.ResponseWriter, *http.Request, string) (any, *api.Error)) {
-	resp, e := handler(rt, ctx, w, r, name)
-	if e != nil {
-		api.WriteError(w, e)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (rt *Router) handleQuery(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) (any, *api.Error) {
-	var req api.QueryRequest
-	if e := api.DecodeBody(w, r, maxBodyBytes, &req); e != nil {
-		return nil, e
-	}
-	q, e := req.Query()
-	if e != nil {
-		return nil, e
-	}
-	var (
-		version int64
-		ids     []touch.ID
-		nbrs    []touch.Neighbor
-		err     error
-	)
-	switch q.Type {
-	case api.TypeRange:
-		version, ids, err = rt.Range(ctx, name, q.Box)
-	case api.TypePoint:
-		version, ids, err = rt.Point(ctx, name, q.Point)
-	default:
-		version, nbrs, err = rt.KNN(ctx, name, q.Point, q.K)
-	}
+// Do is the seam under the HTTP front: it relays one encoded request
+// frame to the dataset's owners (see relay) and replays the answer — the
+// owner's stream frames in order, then its terminal frame.
+func (rt *Router) Do(ctx context.Context, op byte, payload []byte, stream func(op byte, p []byte) error) (byte, []byte, error) {
+	name, err := wire.RequestDataset(payload)
 	if err != nil {
-		return nil, proxiedError(err)
+		return 0, nil, api.DecodeError(err)
 	}
-	return api.NewQueryResponse(name, version, q.Type, ids, nbrs), nil
-}
-
-func (rt *Router) handleJoin(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) (any, *api.Error) {
-	var req api.JoinRequest
-	if e := api.DecodeBody(w, r, maxBodyBytes, &req); e != nil {
-		return nil, e
-	}
-	boxes, e := req.ProbeBoxes()
-	if e != nil {
-		return nil, e
-	}
-	spec := client.JoinSpec{Probe: req.Probe, Boxes: boxes, Eps: req.Eps, Workers: req.Workers}
-	resp := api.JoinResponse{Dataset: name, Probe: req.Probe, ProbeObjects: len(boxes)}
-	var err error
-	if req.CountOnly {
-		resp.Version, resp.Count, err = rt.JoinCount(ctx, name, spec)
-	} else {
-		var pairs []touch.Pair
-		resp.Version, pairs, resp.Count, err = rt.Join(ctx, name, spec)
-		resp.Pairs = api.Pairs(pairs)
-	}
+	r, err := rt.relay(ctx, string(name), op, payload)
 	if err != nil {
-		return nil, proxiedError(err)
+		return 0, nil, proxiedError(err)
 	}
-	return resp, nil
-}
-
-func (rt *Router) handleUpdate(ctx context.Context, w http.ResponseWriter, r *http.Request, name string) (any, *api.Error) {
-	var req api.UpdateRequest
-	if e := api.DecodeBody(w, r, maxBodyBytes, &req); e != nil {
-		return nil, e
+	for _, f := range r.Stream {
+		if err := stream(f.Op, f.Payload); err != nil {
+			return 0, nil, err
+		}
 	}
-	inserts, e := api.Boxes("insert", req.Insert)
-	if e != nil {
-		return nil, e
-	}
-	res, err := rt.Update(ctx, name, client.UpdateSpec{Insert: inserts, Delete: req.Delete})
-	if err != nil {
-		return nil, proxiedError(err)
-	}
-	return api.UpdateResponse{
-		Name: name, Version: res.Version, InsertedIDs: res.InsertedIDs, Deleted: res.Deleted,
-		DeltaInserts: res.DeltaInserts, DeltaTombstones: res.DeltaTombstones,
-	}, nil
+	return r.Op, r.Payload, nil
 }
 
 // --- catalog --------------------------------------------------------------

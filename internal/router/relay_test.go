@@ -89,6 +89,7 @@ func TestRoutedFramesEqualDirect(t *testing.T) {
 		{"traced point", wire.OpPoint, wire.AppendQueryFlags(wire.AppendPointReq(nil, "d", pt), wire.QueryFlagTrace)},
 		{"traced knn", wire.OpKNN, wire.AppendQueryFlags(wire.AppendKNNReq(nil, "d", pt, 9), wire.QueryFlagTrace)},
 		{"traced join", wire.OpJoin, wire.AppendJoinReq(nil, "d", 0, 0, wire.FlagTrace, "", probe)},
+		{"traced unknown dataset", wire.OpRange, wire.AppendQueryFlags(wire.AppendRangeReq(nil, "ghost", box), wire.QueryFlagTrace)},
 	}
 	for _, tc := range cases {
 		want, err := direct.Do(ctx, tc.op, tc.payload)

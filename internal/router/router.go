@@ -308,15 +308,6 @@ func (rt *Router) Range(ctx context.Context, dataset string, box touch.Box) (ver
 	return r.IDs()
 }
 
-// Point answers a point query from the dataset's owners.
-func (rt *Router) Point(ctx context.Context, dataset string, pt touch.Point) (version int64, ids []touch.ID, err error) {
-	r, err := rt.relay(ctx, dataset, wire.OpPoint, wire.AppendPointReq(nil, dataset, pt))
-	if err != nil {
-		return 0, nil, err
-	}
-	return r.IDs()
-}
-
 // KNN answers a k-nearest-neighbor query from the dataset's owners.
 func (rt *Router) KNN(ctx context.Context, dataset string, pt touch.Point, k int) (version int64, nbrs []touch.Neighbor, err error) {
 	r, err := rt.relay(ctx, dataset, wire.OpKNN, wire.AppendKNNReq(nil, dataset, pt, k))
@@ -334,26 +325,6 @@ func (rt *Router) Join(ctx context.Context, dataset string, spec client.JoinSpec
 		return 0, nil, 0, err
 	}
 	return r.Join()
-}
-
-// JoinCount runs a count-only join against the dataset's owners.
-func (rt *Router) JoinCount(ctx context.Context, dataset string, spec client.JoinSpec) (version, count int64, err error) {
-	r, err := rt.relay(ctx, dataset, wire.OpJoin,
-		wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, wire.FlagCountOnly, spec.Probe, spec.Boxes))
-	if err != nil {
-		return 0, 0, err
-	}
-	return r.Count()
-}
-
-// Update applies an incremental update through the dataset's primary
-// owner only (see relay).
-func (rt *Router) Update(ctx context.Context, dataset string, spec client.UpdateSpec) (client.UpdateResult, error) {
-	r, err := rt.relay(ctx, dataset, wire.OpUpdate, wire.AppendUpdateReq(nil, dataset, spec.Delete, spec.Insert))
-	if err != nil {
-		return client.UpdateResult{}, err
-	}
-	return r.Update()
 }
 
 // CatalogRow is one dataset of the merged catalog: the row reported by

@@ -16,6 +16,7 @@ import (
 
 	"touch"
 	"touch/client"
+	"touch/internal/api"
 	"touch/internal/promtext"
 	"touch/internal/router"
 	"touch/internal/server"
@@ -83,9 +84,9 @@ func postJSON(t *testing.T, h http.Handler, path, body string) *httptest.Respons
 	return rec
 }
 
-// TestRoutedHTTPByteIdentity: for range, point and knn, the router's
-// HTTP answer is byte-for-byte the answer the backend itself would have
-// given — same struct shapes, same field order, same encoder settings.
+// TestRoutedHTTPByteIdentity: for queries, joins and updates, the
+// router's HTTP answer is byte-for-byte the answer the backend itself
+// would have given — both are one front rendering one executor's frames.
 func TestRoutedHTTPByteIdentity(t *testing.T) {
 	ds := touch.GenerateUniform(500, 7)
 	b0 := startBackend(t, "r0", map[string]touch.Dataset{"d": ds})
@@ -139,6 +140,16 @@ func TestRoutedHTTPByteIdentity(t *testing.T) {
 		{"update 4-number insert", update, `{"insert":[[0,0,0,1]]}`, 400},
 		{"update inverted insert", update, `{"insert":[[9,9,9,0,0,0]]}`, 400},
 		{"update unknown dataset", "/v1/datasets/ghost", `{"delete":[1]}`, 404},
+		// Values the frame cannot carry saturate instead of wrapping.
+		{"query k 4294967297", query, `{"type":"knn","point":[10,20,30],"k":4294967297}`, 200},
+		{"query k 3000000000", query, `{"type":"knn","point":[10,20,30],"k":3000000000}`, 200},
+		{"join workers 4294967297", join, `{"boxes":[[0,0,0,300,300,300]],"workers":4294967297}`, 200},
+		{"join 65537-char probe", join, `{"probe":"` + strings.Repeat("p", 65537) + `"}`, 400},
+		// Joins answer byte for byte too: the same frames rendered by the
+		// same front.
+		{"join inline", join, `{"boxes":[[0,0,0,300,300,300],[500,500,500,900,900,900]],"eps":2}`, 200},
+		{"join named probe", join, `{"probe":"d","eps":1}`, 200},
+		{"join count_only", join, `{"probe":"d","eps":3,"count_only":true}`, 200},
 	} {
 		post := postJSON
 		if !strings.Contains(row.path, "/query") && !strings.Contains(row.path, "/join") {
@@ -154,6 +165,43 @@ func TestRoutedHTTPByteIdentity(t *testing.T) {
 		if !bytes.Equal(direct.Body.Bytes(), routed.Body.Bytes()) {
 			t.Errorf("%s:\ndirect: %srouted: %s", row.name, direct.Body.Bytes(), routed.Body.Bytes())
 		}
+	}
+
+	// An NDJSON join streams the owner's pair lines in the owner's order.
+	ndjson := func(h http.Handler) string {
+		req := httptest.NewRequest(http.MethodPost, join, strings.NewReader(`{"probe":"d","eps":1}`))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Accept", api.NDJSONContentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != api.NDJSONContentType {
+			t.Fatalf("ndjson join: %d %q %.200s", rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes())
+		}
+		return rec.Body.String()
+	}
+	directLines, routedLines := ndjson(b0.srv), ndjson(rt)
+	if !strings.HasSuffix(directLines, "}\n") || strings.Count(directLines, "\n") < 2 {
+		t.Fatalf("direct ndjson join is no complete stream: %.200s", directLines)
+	}
+	if routedLines != directLines {
+		t.Fatalf("ndjson join:\ndirect: %.200s\nrouted: %.200s", directLines, routedLines)
+	}
+
+	// A traced query carries the answering backend's trace, named in the
+	// X-Touch-Request-Id header.
+	req := httptest.NewRequest(http.MethodPost, query, strings.NewReader(bodies[0]))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(api.TraceHeader, "1")
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, req)
+	var traced api.QueryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &traced); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("traced routed query: %d %v %s", rec.Code, err, rec.Body.Bytes())
+	}
+	if traced.Trace == nil || traced.Trace.RequestID == "" || traced.Trace.NodeTests == 0 ||
+		traced.Trace.RequestID != rec.Header().Get(api.RequestIDHeader) {
+		t.Fatalf("traced routed query: trace %+v, %s header %q",
+			traced.Trace, api.RequestIDHeader, rec.Header().Get(api.RequestIDHeader))
 	}
 
 	// A draining replica answers every frame "draining". For a read that

@@ -30,9 +30,13 @@ package server
 // every slot taken waits for one instead of failing with an overload
 // error (see Server.begin).
 //
-// The handlers here are a codec: decode the frame, call the execute core
-// (core.go), encode the answer. They return the request's *api.Error, if
-// any; handle writes the error frame.
+// The handlers are the frame executor's (exec, below), which runs the
+// HTTP front's requests too (httpRequest.Do): a connection is one frame
+// sink among two. The executor decodes a frame into the internal/api
+// vocabulary, calls the engine inside the request lifecycle of core.go
+// and answers in frames, so the two transports share every handler and
+// differ only in what is theirs: metric classes, admission, drain, and
+// the buffered HTTP join's pair cap.
 
 import (
 	"context"
@@ -54,9 +58,6 @@ import (
 // wireQueueDepth bounds requests queued per connection past the one
 // executing; a full queue stops the reader (TCP backpressure).
 const wireQueueDepth = 256
-
-// wirePairBatch is how many join pairs one OpPairs frame carries.
-const wirePairBatch = 512
 
 // wireStreamFlushEvery bounds how many OpPairs frames may sit in the
 // write buffer mid-join before an explicit flush keeps the stream
@@ -106,26 +107,14 @@ type binConn struct {
 	curTag    uint32
 	curCancel context.CancelFunc
 
-	// Worker-owned scratch reused across requests on this connection.
-	scratch []byte
-	pairBuf []geom.Pair
-
-	// req is the current request's accounting state, worker-owned and
-	// reset per request — kept on the connection so the steady (untraced)
-	// pipeline stays allocation-free.
-	req request
-}
-
-// respondTrace emits the non-terminal OpTrace frame carrying the
-// current request's span; call it immediately before the terminal
-// response of a traced request.
-func (c *binConn) respondTrace(tag uint32) {
-	sp := &c.req.span
-	if sp.RequestID == "" {
-		sp.RequestID = nextRequestID()
-	}
-	c.scratch = wire.AppendTrace(c.scratch[:0], sp)
-	c.respond(wire.OpTrace, tag, c.scratch)
+	// x executes the connection's requests, one at a time, with the
+	// connection as its frame sink; worker-owned, and kept on the
+	// connection so the steady (untraced) pipeline stays allocation-free.
+	// tag is the request it executes now, frames how many OpPairs frames
+	// that request has written.
+	x      exec
+	tag    uint32
+	frames int
 }
 
 // serveWireConn serves one handshaken connection (wire.Acceptor's
@@ -144,6 +133,7 @@ func (s *Server) serveWireConn(ctx context.Context, r *wire.Reader, w *wire.Writ
 		free:    make(chan *wireReq, wireQueueDepth+1),
 		pending: make(map[uint32]bool),
 	}
+	c.x = exec{s: s, out: c}
 	s.met.wireConns.Add(1)
 	defer s.met.wireConns.Add(-1)
 
@@ -242,22 +232,20 @@ func (c *binConn) putReq(req *wireReq) {
 	}
 }
 
-// respond writes a response frame, flushing only when the pipeline has
-// drained — under load many responses share one flush. Write errors are
-// ignored here: a failed write means the connection is dying, which the
-// reader observes and turns into teardown.
-func (c *binConn) respond(op byte, tag uint32, payload []byte) {
-	c.wmu.Lock()
-	if c.w.WriteFrame(op, tag, payload) == nil && len(c.queue) == 0 {
-		_ = c.w.Flush()
+// frame writes one frame of the current request. Flushes are rationed:
+// a terminal frame is flushed when the pipeline has drained — under load
+// many responses share one flush — and mid-join every
+// wireStreamFlushEvery-th OpPairs frame, so a long stream keeps moving.
+// A failed write means the connection is dying, which the reader
+// observes and turns into teardown.
+func (c *binConn) frame(op byte, p []byte, terminal bool) {
+	flush := terminal && len(c.queue) == 0
+	if op == wire.OpPairs {
+		c.frames++
+		flush = c.frames%wireStreamFlushEvery == 0
 	}
-	c.wmu.Unlock()
-}
-
-// respondStream writes a non-terminal OpPairs frame mid-join.
-func (c *binConn) respondStream(tag uint32, payload []byte, flush bool) {
 	c.wmu.Lock()
-	if c.w.WriteFrame(wire.OpPairs, tag, payload) == nil && flush {
+	if c.w.WriteFrame(op, c.tag, p) == nil && flush {
 		_ = c.w.Flush()
 	}
 	c.wmu.Unlock()
@@ -281,7 +269,7 @@ func (c *binConn) fatalError(tag uint32, msg string) {
 // accounting. slot says the caller has claimed the request's admission
 // slot already.
 func (c *binConn) handle(req *wireReq, slot bool) {
-	s, rq := c.s, &c.req
+	s, x := c.s, &c.x
 	class := classWireQuery
 	switch req.op {
 	case wire.OpJoin:
@@ -291,8 +279,9 @@ func (c *binConn) handle(req *wireReq, slot bool) {
 	case wire.OpCatalog:
 		class = classWireCatalog
 	}
-	s.arrive(rq, class)
-	rq.slot = slot
+	s.arrive(&x.request, class)
+	x.slot = slot
+	c.tag, c.frames = req.tag, 0
 	s.met.observeWireDepth(len(c.queue) + 1)
 
 	c.mu.Lock()
@@ -314,12 +303,16 @@ func (c *binConn) handle(req *wireReq, slot bool) {
 	status := http.StatusOK
 	if e != nil {
 		status = e.Status()
-		c.respond(wire.OpError, req.tag, wire.AppendErrorResp(nil, e.Code, e.Message))
+		x.fail(e)
 	}
-	s.finish(rq, status)
+	s.finish(&x.request, status)
 }
 
-// run admits one frame and dispatches it to its handler.
+// run admits one frame and executes it. Joins are the only
+// multi-millisecond work on a connection, so they alone get a deadline
+// context and per-tag cancel registration; a cancel frame or
+// ShutdownWire aborts the engine cooperatively and the admission slot
+// frees on the unwind.
 func (c *binConn) run(req *wireReq) *api.Error {
 	s := c.s
 	// Queue wait counts against the processing budget — the boundary
@@ -327,52 +320,106 @@ func (c *binConn) run(req *wireReq) *api.Error {
 	if time.Since(req.enq) > s.cfg.RequestTimeout {
 		return s.timedOut()
 	}
-	if e := s.begin(&c.req, req.enq, c.ctx.Done()); e != nil {
+	if e := s.begin(&c.x.request, req.enq, c.ctx.Done()); e != nil {
 		return e
 	}
-	switch req.op {
-	case wire.OpJoin:
-		return c.handleJoin(req)
-	case wire.OpUpdate:
-		return c.handleUpdate(req)
-	case wire.OpCatalog:
-		return c.handleCatalog(req)
+	ctx := c.ctx
+	if req.op == wire.OpJoin {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(c.ctx, s.cfg.RequestTimeout)
+		defer cancel()
+		c.setCurrent(req.tag, cancel)
+		defer c.setCurrent(0, nil)
 	}
-	return c.handleQuery(req)
+	return c.x.run(ctx, req.op, req.buf)
 }
 
-// handleCatalog answers OpCatalog with the serving catalog — the wire
-// twin of GET /v1/datasets, carrying the rows a routing tier needs to
-// merge listings across replicas.
-func (c *binConn) handleCatalog(req *wireReq) *api.Error {
-	if len(req.buf) != 0 {
-		return api.Errorf(api.CodeBadRequest, "catalog request carries a %d-byte payload, want empty", len(req.buf))
+// wirePairBatch is how many join pairs one OpPairs frame carries.
+const wirePairBatch = 512
+
+// frameSink takes an exec's response frames: the non-terminal ones
+// (OpPairs batches, the OpTrace trailer), then the terminal one. The
+// payload is the executor's scratch, valid only for the call.
+type frameSink interface {
+	frame(op byte, p []byte, terminal bool)
+}
+
+// exec executes request frames one at a time: the current request's
+// accounting state plus the scratch its answers are encoded in.
+type exec struct {
+	request
+	s   *Server
+	out frameSink
+	// pairCap is the buffered HTTP join's response cap
+	// (Config.MaxJoinPairs); 0 on the wire, which has none.
+	pairCap int64
+
+	scratch []byte
+	pairBuf []geom.Pair
+}
+
+// run executes one admitted request frame and returns its error, which
+// the caller answers with fail.
+func (x *exec) run(ctx context.Context, op byte, p []byte) *api.Error {
+	switch op {
+	case wire.OpJoin:
+		return x.join(ctx, p)
+	case wire.OpUpdate:
+		return x.update(ctx, p)
+	case wire.OpCatalog:
+		return x.catalog(ctx, p)
 	}
-	if c.ctx.Err() != nil {
-		return c.s.aborted(c.ctx)
+	return x.query(ctx, op, p)
+}
+
+// answer sends the request's terminal frame, encoded by encode — after
+// the OpTrace frame when the request asked for one, so the trace holds
+// everything up to the answer, and a traced failure names itself.
+func (x *exec) answer(op byte, encode func(dst []byte) []byte) {
+	if x.traced {
+		sp := &x.span
+		if sp.RequestID == "" {
+			sp.RequestID = nextRequestID()
+		}
+		x.scratch = wire.AppendTrace(x.scratch[:0], sp)
+		x.out.frame(wire.OpTrace, x.scratch, false)
 	}
-	infos := c.s.cat.list()
+	x.scratch = encode(x.scratch[:0])
+	x.out.frame(op, x.scratch, true)
+}
+
+// fail answers a failed request with its OpError frame.
+func (x *exec) fail(e *api.Error) {
+	x.answer(wire.OpError, func(dst []byte) []byte { return wire.AppendErrorResp(dst, e.Code, e.Message) })
+}
+
+// catalog answers OpCatalog with the serving catalog — the wire twin of
+// GET /v1/datasets, carrying the rows a routing tier needs to merge
+// listings across replicas.
+func (x *exec) catalog(ctx context.Context, p []byte) *api.Error {
+	if len(p) != 0 {
+		return api.Errorf(api.CodeBadRequest, "catalog request carries a %d-byte payload, want empty", len(p))
+	}
+	if ctx.Err() != nil {
+		return x.s.aborted(ctx)
+	}
+	infos := x.s.cat.list()
 	entries := make([]wire.CatalogEntry, len(infos))
 	for i, d := range infos {
-		entries[i] = wire.CatalogEntry{
-			Name:            d.Name,
-			Version:         d.Version,
-			Status:          d.Status,
-			Objects:         int64(d.Objects),
-			StaticBytes:     d.StaticBytes,
-			DeltaInserts:    d.DeltaInserts,
-			DeltaTombstones: d.DeltaTombstones,
-			Persisted:       d.Persisted,
-		}
+		entries[i] = wire.CatalogEntry{Name: d.Name, Version: d.Version, Status: d.Status,
+			Objects: int64(d.Objects), StaticBytes: d.StaticBytes, Persisted: d.Persisted,
+			DeltaInserts: d.DeltaInserts, DeltaTombstones: d.DeltaTombstones}
 	}
-	c.respond(wire.OpCatalogResp, req.tag, wire.AppendCatalogResp(nil, entries))
+	x.answer(wire.OpCatalogResp, func(dst []byte) []byte { return wire.AppendCatalogResp(dst, entries) })
 	return nil
 }
 
-// handleQuery answers OpRange, OpPoint and OpKNN: ID-list queries with
-// OpIDs, kNN with OpNeighbors.
-func (c *binConn) handleQuery(req *wireReq) *api.Error {
-	rq := &c.req
+// query answers OpRange, OpPoint and OpKNN: ID-list queries with OpIDs,
+// kNN with OpNeighbors. Single-probe queries run in microseconds, so the
+// budget is only checked at the boundary — a request whose budget is
+// already gone (it spent it queueing upstream, or the client left) skips
+// the work.
+func (x *exec) query(ctx context.Context, op byte, p []byte) *api.Error {
 	decStart := time.Now()
 	var (
 		dataset []byte
@@ -380,137 +427,174 @@ func (c *binConn) handleQuery(req *wireReq) *api.Error {
 		flags   byte
 		err     error
 	)
-	switch req.op {
+	switch op {
 	case wire.OpRange:
-		q.Type = api.TypeRange
-		dataset, q.Box, flags, err = wire.DecodeRangeReq(req.buf)
+		dataset, q.Box, flags, err = wire.DecodeRangeReq(p)
 	case wire.OpPoint:
-		q.Type = api.TypePoint
-		dataset, q.Point, flags, err = wire.DecodePointReq(req.buf)
+		dataset, q.Point, flags, err = wire.DecodePointReq(p)
 	default:
-		q.Type = api.TypeKNN
-		dataset, q.Point, q.K, flags, err = wire.DecodeKNNReq(req.buf)
+		dataset, q.Point, q.K, flags, err = wire.DecodeKNNReq(p)
 	}
 	if err != nil {
 		return api.DecodeError(err)
 	}
-	rq.span.Add(trace.PhaseDecode, time.Since(decStart))
-	snap, e := resolve(c.s, rq, dataset)
+	x.traced = x.traced || flags&wire.QueryFlagTrace != 0
+	x.span.Add(trace.PhaseDecode, time.Since(decStart))
+	snap, e := resolve(x.s, &x.request, dataset)
 	if e != nil {
 		return e
 	}
-	ids, nbrs, e := c.s.runQuery(c.ctx, rq, snap, &q)
-	if e != nil {
-		return e
+	x.s.hook(ctx)
+	if ctx.Err() != nil {
+		return x.s.aborted(ctx)
 	}
-	if flags&wire.QueryFlagTrace != 0 {
-		c.respondTrace(req.tag)
+	var (
+		ids  []touch.ID
+		nbrs []touch.Neighbor
+	)
+	switch eng, pt := snap.ov, q.Point; op {
+	case wire.OpRange:
+		ids, err = eng.RangeQueryTraced(q.Box, &x.span)
+	case wire.OpPoint:
+		ids, err = eng.PointQueryTraced(pt[0], pt[1], pt[2], &x.span)
+	default:
+		nbrs, err = eng.KNNTraced(pt, q.K, &x.span)
 	}
-	if q.Type == api.TypeKNN {
-		c.scratch = wire.AppendNeighborsResp(c.scratch[:0], snap.version, nbrs)
-		c.respond(wire.OpNeighbors, req.tag, c.scratch)
-	} else {
-		c.scratch = wire.AppendIDsResp(c.scratch[:0], snap.version, ids)
-		c.respond(wire.OpIDs, req.tag, c.scratch)
+	switch {
+	case err != nil:
+		return api.EngineError(err)
+	case op == wire.OpKNN:
+		x.answer(wire.OpNeighbors, func(dst []byte) []byte { return wire.AppendNeighborsResp(dst, snap.version, nbrs) })
+	default:
+		x.answer(wire.OpIDs, func(dst []byte) []byte { return wire.AppendIDsResp(dst, snap.version, ids) })
 	}
 	return nil
 }
 
-// handleUpdate applies an OpUpdate frame — the wire twin of HTTP's
-// PATCH handler — answered with one OpUpdateDone.
-func (c *binConn) handleUpdate(req *wireReq) *api.Error {
-	ur, err := wire.DecodeUpdateReq(req.buf)
-	if err != nil {
-		return api.DecodeError(err)
-	}
-	res, e := c.s.update(c.ctx, string(ur.Name), ur.Inserts, ur.Deletes)
-	if e != nil {
-		return e
-	}
-	c.scratch = wire.AppendUpdateResp(c.scratch[:0], wire.UpdateResp{
-		Version: res.version, FirstID: res.firstID,
-		Inserted: res.inserted, Deleted: res.deleted,
-		DeltaInserts: res.deltaIns, DeltaTombstones: res.deltaTomb,
-	})
-	c.respond(wire.OpUpdateDone, req.tag, c.scratch)
-	return nil
-}
-
-// handleJoin answers a join frame. count_only joins return one OpCount;
-// full joins stream OpPairs batches from the join's sink as the engine
-// finds the pairs — O(1) result memory, exempt from MaxJoinPairs exactly
-// like the NDJSON path — and finish with OpJoinDone. Joins are the only
-// multi-millisecond work on a connection, so they alone get a deadline
-// context and per-tag cancel registration; a cancel frame or ShutdownWire
-// aborts the engine cooperatively and the admission slot frees on the
-// unwind.
-func (c *binConn) handleJoin(req *wireReq) *api.Error {
-	s, rq := c.s, &c.req
+// update applies an OpUpdate frame — one batch of deletes-then-inserts,
+// published atomically against the serving snapshot — answered with one
+// OpUpdateDone.
+func (x *exec) update(ctx context.Context, p []byte) *api.Error {
 	decStart := time.Now()
-	jr, err := wire.DecodeJoinReq(req.buf)
+	ur, err := wire.DecodeUpdateReq(p)
 	if err != nil {
 		return api.DecodeError(err)
 	}
-	rq.span.Add(trace.PhaseDecode, time.Since(decStart))
-	snap, e := resolve(s, rq, jr.Name)
+	x.span.Add(trace.PhaseDecode, time.Since(decStart))
+	name := string(ur.Name)
+	if len(ur.Inserts) == 0 && len(ur.Deletes) == 0 {
+		return api.Errorf(api.CodeBadRequest, "update needs insert rows or delete IDs")
+	}
+	// Validate through the same hardening as a load; the validated
+	// dataset is discarded — applyUpdate assigns the real IDs.
+	if _, err := touch.DatasetFromBoxes(ur.Inserts); err != nil {
+		return api.EngineError(err)
+	}
+	if ctx.Err() != nil {
+		return x.s.aborted(ctx)
+	}
+	res, st := x.s.cat.applyUpdate(name, ur.Inserts, ur.Deletes)
+	switch st {
+	case updUnknown:
+		return api.Errorf(api.CodeUnknownDataset, "dataset %q not loaded", name)
+	case updBuilding:
+		return api.Errorf(api.CodeBuilding, "dataset %q is still building its first index version", name)
+	case updOverflow:
+		return api.Errorf(api.CodeIDExhausted,
+			"inserting %d objects would exhaust the dataset's object ID space", len(ur.Inserts))
+	}
+	x.answer(wire.OpUpdateDone, func(dst []byte) []byte {
+		return wire.AppendUpdateResp(dst, wire.UpdateResp{
+			Version: res.version, FirstID: res.firstID,
+			Inserted: res.inserted, Deleted: res.deleted,
+			DeltaInserts: res.deltaIns, DeltaTombstones: res.deltaTomb,
+		})
+	})
+	return nil
+}
+
+// join answers a join frame. count_only joins return one OpCount; full
+// joins stream OpPairs batches from the join's sink as the engine finds
+// the pairs — O(1) result memory — and finish with OpJoinDone. The
+// first pair goes out alone, so a streaming reader sees the join start
+// with it. A failure after pairs went out still has its terminal frame:
+// OpError tells the reader to discard what it took for the request.
+// ε = 0 is the plain intersection join: Dataset.Expand(0) is the
+// identity, so there is no expansion copy to skip.
+func (x *exec) join(ctx context.Context, p []byte) *api.Error {
+	s := x.s
+	decStart := time.Now()
+	jr, err := wire.DecodeJoinReq(p)
+	if err != nil {
+		return api.DecodeError(err)
+	}
+	x.traced = x.traced || jr.Trace
+	x.span.Add(trace.PhaseDecode, time.Since(decStart))
+	snap, e := resolve(s, &x.request, jr.Name)
 	if e != nil {
 		return e
 	}
-	plan, e := prepareJoin(s, rq, snap, jr.ProbeName, jr.Boxes, jr.Workers)
-	if e != nil {
-		return e
-	}
-
-	ctx, cancel := context.WithTimeout(c.ctx, s.cfg.RequestTimeout)
-	defer cancel()
-	c.setCurrent(req.tag, cancel)
-	defer c.setCurrent(0, nil)
-	s.hook(ctx)
-
-	if jr.CountOnly {
-		res, e := s.join(ctx, rq, plan, jr.Eps, touch.Options{NoPairs: true})
+	probe := touch.Dataset(nil)
+	if jr.Boxes == nil {
+		named, e := resolve(s, &x.request, jr.ProbeName)
 		if e != nil {
 			return e
 		}
-		if jr.Trace {
-			c.respondTrace(req.tag)
-		}
-		c.scratch = wire.AppendCountResp(c.scratch[:0], plan.snap.version, res.Stats.Results)
-		c.respond(wire.OpCount, req.tag, c.scratch)
-		return nil
+		// dataset() folds the probe's pending updates in, so a named
+		// probe joins with the same merged state its own queries see.
+		probe = named.dataset()
+	} else if probe, err = touch.DatasetFromBoxes(jr.Boxes); err != nil {
+		return api.EngineError(err)
 	}
+	opt := touch.Options{Workers: clampWorkers(jr.Workers), Trace: &x.span, NoPairs: jr.CountOnly}
+	if opt.Workers <= 0 {
+		opt.Workers = s.cfg.Workers
+	}
+	s.hook(ctx)
 
-	// Unlike NDJSON streaming, a mid-stream failure here still has a
-	// terminal frame to use: OpError after partial OpPairs tells the
-	// client to discard what it buffered for the tag. The sink is called
-	// one pair at a time and never after the join returns, so the
-	// connection's scratch is its alone meanwhile.
-	c.pairBuf = c.pairBuf[:0]
-	n := int64(0)
-	frames := 0
-	writePairs := func(flush bool) {
-		n += int64(len(c.pairBuf))
-		c.scratch = wire.AppendPairsResp(c.scratch[:0], c.pairBuf)
-		c.respondStream(req.tag, c.scratch, flush)
-		c.pairBuf = c.pairBuf[:0]
+	// The sink is called one pair at a time and never after the join
+	// returns, so the scratch is its alone meanwhile.
+	x.pairBuf = x.pairBuf[:0]
+	n, batch := int64(0), 1
+	writePairs := func() {
+		n += int64(len(x.pairBuf))
+		x.scratch = wire.AppendPairsResp(x.scratch[:0], x.pairBuf)
+		x.out.frame(wire.OpPairs, x.scratch, false)
+		x.pairBuf = x.pairBuf[:0]
 	}
-	sink := stats.FuncSink(func(a, b geom.ID) {
-		c.pairBuf = append(c.pairBuf, geom.Pair{A: a, B: b})
-		if len(c.pairBuf) == wirePairBatch {
-			frames++
-			writePairs(frames%wireStreamFlushEvery == 0)
+	if !jr.CountOnly {
+		opt.Sink = stats.FuncSink(func(a, b geom.ID) {
+			x.pairBuf = append(x.pairBuf, geom.Pair{A: a, B: b})
+			if len(x.pairBuf) == batch {
+				writePairs()
+				batch = wirePairBatch
+			}
+		})
+		// A capped join runs with a result limit one past the cap: a
+		// join that would blow it aborts right there instead of producing
+		// |A|·|B| pairs to throw away.
+		if x.pairCap > 0 {
+			opt.Limit = x.pairCap + 1
 		}
-	})
-	if _, e := s.join(ctx, rq, plan, jr.Eps, touch.Options{Sink: sink}); e != nil {
-		return e
 	}
-	if len(c.pairBuf) > 0 {
-		writePairs(false)
+	res, err := snap.ov.DistanceJoinCtx(ctx, probe, jr.Eps, &opt)
+	switch {
+	case errors.Is(err, touch.ErrJoinCanceled):
+		return s.aborted(ctx)
+	case err != nil:
+		return api.EngineError(err)
+	case jr.CountOnly:
+		x.answer(wire.OpCount, func(dst []byte) []byte { return wire.AppendCountResp(dst, snap.version, res.Stats.Results) })
+		return nil
+	case x.pairCap > 0 && res.Stats.Results > x.pairCap:
+		s.met.rejectLimited.Add(1)
+		return api.Errorf(api.CodeResultTooLarge,
+			"join exceeds the %d-pair response cap; use count_only, the %s streaming mode, or a narrower probe",
+			x.pairCap, api.NDJSONContentType)
 	}
-	if jr.Trace {
-		c.respondTrace(req.tag)
+	if len(x.pairBuf) > 0 {
+		writePairs()
 	}
-	c.scratch = wire.AppendJoinDoneResp(c.scratch[:0], plan.snap.version, n)
-	c.respond(wire.OpJoinDone, req.tag, c.scratch)
+	x.answer(wire.OpJoinDone, func(dst []byte) []byte { return wire.AppendJoinDoneResp(dst, snap.version, n) })
 	return nil
 }

@@ -1,15 +1,15 @@
 package server
 
-// The transport-neutral execute core. Both codecs — JSON over HTTP
-// (server.go) and binary frames (bin.go) — decode a request into the
-// internal/api vocabulary, call in here, and encode what comes back:
+// The transport-neutral request lifecycle, around the frame executor
+// (exec, in bin.go) that runs the wire listener's requests and the HTTP
+// front's alike:
 //
-//	arrive → begin ─ admission ─→ resolve / runQuery / update / prepareJoin+join → finish
+//	arrive → begin ─ admission ─→ exec: resolve, the engine call → finish
 //
 // Everything a request can fail with leaves as a typed *api.Error, which
-// HTTP writes as the JSON error body under the code's status and the
-// wire path as an error frame; the status also classifies the request in
-// the metrics either way.
+// goes back as an error frame — the HTTP front writes it as the JSON
+// error body under the code's status; the status also classifies the
+// request in the metrics either way.
 
 import (
 	"context"
@@ -38,6 +38,9 @@ type request struct {
 	// and lazily on the wire — only when a request is traced, slow, or
 	// fails.
 	span touch.Span
+	// traced: the request asked for its span back as an OpTrace frame —
+	// every HTTP request does, a wire request by its payload's flag.
+	traced bool
 	// ds is the per-dataset counter cell of the dataset the request
 	// answered from, set by its first resolve.
 	ds *dsCounters
@@ -184,111 +187,4 @@ func (s *Server) hook(ctx context.Context) {
 	if hook := s.testHookWorker; hook != nil {
 		hook(ctx)
 	}
-}
-
-// runQuery answers one range, point or kNN query from snap. Single-probe
-// queries run in microseconds, so the budget is only checked at the
-// boundary — a request whose budget is already gone (it spent it
-// queueing upstream, or the client left) skips the work.
-func (s *Server) runQuery(ctx context.Context, rq *request, snap *snapshot, q *api.Query) (ids []touch.ID, nbrs []touch.Neighbor, e *api.Error) {
-	s.hook(ctx)
-	if ctx.Err() != nil {
-		return nil, nil, s.aborted(ctx)
-	}
-	var err error
-	switch eng := snap.ov; q.Type {
-	case api.TypeRange:
-		ids, err = eng.RangeQueryTraced(q.Box, &rq.span)
-	case api.TypePoint:
-		ids, err = eng.PointQueryTraced(q.Point[0], q.Point[1], q.Point[2], &rq.span)
-	default:
-		nbrs, err = eng.KNNTraced(q.Point, q.K, &rq.span)
-	}
-	if err != nil {
-		return nil, nil, api.EngineError(err)
-	}
-	return ids, nbrs, nil
-}
-
-// update applies one batch of deletes-then-inserts to the named
-// dataset, published atomically against the serving snapshot.
-func (s *Server) update(ctx context.Context, dataset string, inserts []touch.Box, deletes []touch.ID) (updResult, *api.Error) {
-	if len(inserts) == 0 && len(deletes) == 0 {
-		return updResult{}, api.Errorf(api.CodeBadRequest, "update needs insert rows or delete IDs")
-	}
-	// Validate through the same hardening as a load; the validated
-	// dataset is discarded — applyUpdate assigns the real IDs.
-	if _, err := touch.DatasetFromBoxes(inserts); err != nil {
-		return updResult{}, api.EngineError(err)
-	}
-	if ctx.Err() != nil {
-		return updResult{}, s.aborted(ctx)
-	}
-	res, st := s.cat.applyUpdate(dataset, inserts, deletes)
-	switch st {
-	case updUnknown:
-		return res, api.Errorf(api.CodeUnknownDataset, "dataset %q not loaded", dataset)
-	case updBuilding:
-		return res, api.Errorf(api.CodeBuilding, "dataset %q is still building its first index version", dataset)
-	case updOverflow:
-		return res, api.Errorf(api.CodeIDExhausted,
-			"inserting %d objects would exhaust the dataset's object ID space", len(inserts))
-	}
-	return res, nil
-}
-
-// joinPlan is a join with both sides resolved.
-type joinPlan struct {
-	snap         *snapshot
-	probe        touch.Dataset
-	probeVersion int64 // serving version of a named probe; 0 for an inline one
-	workers      int
-}
-
-// prepareJoin completes a join against snap: it resolves the probe side
-// — the inline boxes when non-nil, the named dataset otherwise — and
-// settles the worker count.
-func prepareJoin[S name](s *Server, rq *request, snap *snapshot, probeName S, inline []touch.Box, workers int) (joinPlan, *api.Error) {
-	p := joinPlan{snap: snap}
-	if inline == nil {
-		probe, e := resolve(s, rq, probeName)
-		if e != nil {
-			return p, e
-		}
-		// dataset() folds the probe's pending updates in, so a named
-		// probe joins with the same merged state its own queries see.
-		p.probe, p.probeVersion = probe.dataset(), probe.version
-	} else {
-		var err error
-		if p.probe, err = touch.DatasetFromBoxes(inline); err != nil {
-			return p, api.EngineError(err)
-		}
-	}
-	if p.workers = clampWorkers(workers); p.workers <= 0 {
-		p.workers = s.cfg.Workers
-	}
-	return p, nil
-}
-
-// join runs one join of the plan, delivering as opt says — Result.Pairs,
-// a count (NoPairs) or a streaming Sink, under opt.Limit — with the
-// plan's workers and the request's trace. ε = 0 is the plain
-// intersection join: Dataset.Expand(0) is the identity, so there is no
-// expansion copy to skip, on either protocol.
-func (s *Server) join(ctx context.Context, rq *request, p joinPlan, eps float64, opt touch.Options) (*touch.Result, *api.Error) {
-	opt.Workers, opt.Trace = p.workers, &rq.span
-	res, err := p.snap.ov.DistanceJoinCtx(ctx, p.probe, eps, &opt)
-	if err != nil {
-		return nil, s.joinError(ctx, err)
-	}
-	return res, nil
-}
-
-// joinError maps a failed join: a cancellation through aborted, anything
-// else through the engine's typed errors.
-func (s *Server) joinError(ctx context.Context, err error) *api.Error {
-	if errors.Is(err, touch.ErrJoinCanceled) {
-		return s.aborted(ctx)
-	}
-	return api.EngineError(err)
 }

@@ -59,7 +59,7 @@ func (ts *testServer) doHeaders(method, path string, body any, hdr map[string]st
 func (ts *testServer) tracedJoin(name string, req api.JoinRequest) (api.JoinResponse, http.Header) {
 	ts.t.Helper()
 	status, raw, hdr := ts.doHeaders(http.MethodPost, "/v1/datasets/"+name+"/join", req,
-		map[string]string{traceHeader: "1"})
+		map[string]string{api.TraceHeader: "1"})
 	if status != http.StatusOK {
 		ts.t.Fatalf("traced join: status %d: %s", status, raw)
 	}
@@ -158,6 +158,32 @@ func TestMetricsScrapeWellFormed(t *testing.T) {
 	}
 }
 
+// TestHTTPDataPlaneKeepsItsMetricClasses: HTTP queries, joins and
+// updates run on the wire listener's executor, yet count under their own
+// classes and move none of the touchserved_wire_* series.
+func TestHTTPDataPlaneKeepsItsMetricClasses(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	ts.srv.Load("m", touch.GenerateUniform(200, 9), touch.TOUCHConfig{})
+	ts.postJSON("/v1/datasets/m/query", api.QueryRequest{Type: "range", Box: []float64{0, 0, 0, 500, 500, 500}})
+	ts.postJSON("/v1/datasets/m/join", api.JoinRequest{Probe: "m", Eps: 1})
+	ts.do(http.MethodPatch, "/v1/datasets/m", "application/json", api.UpdateRequest{Delete: []touch.ID{1}})
+
+	m := ts.scrape()
+	for _, s := range m.Families["touchserved_requests_total"].Samples {
+		want := map[string]float64{"query": 1, "join": 1, "update": 1}[s.Label("class")]
+		if s.Value != want {
+			t.Errorf("requests_total{class=%q} = %v, want %v", s.Label("class"), s.Value, want)
+		}
+	}
+	for fam, f := range m.Families {
+		for _, s := range f.Samples {
+			if strings.HasPrefix(fam, "touchserved_wire_") && s.Value != 0 {
+				t.Errorf("HTTP traffic moved %s%v to %v", s.Name, s.Labels, s.Value)
+			}
+		}
+	}
+}
+
 // readmeFamilies extracts every touchserved_* family named in the
 // README's metrics table.
 func readmeFamilies(t *testing.T) map[string]bool {
@@ -202,9 +228,8 @@ func TestMetricsFamiliesMatchREADME(t *testing.T) {
 	}
 }
 
-// TestTracedJoinMatchesStatsAndLibrary pins the trace to ground truth
-// twice over: the span's counters must equal the join's own stats
-// object in the same response, and both must equal what a direct
+// TestTracedJoinMatchesStatsAndLibrary pins the trace to ground truth:
+// the span's counters and the response's count must equal what a direct
 // in-process Index run of the identical join reports.
 func TestTracedJoinMatchesStatsAndLibrary(t *testing.T) {
 	ds := touch.GenerateUniform(600, 11)
@@ -218,15 +243,8 @@ func TestTracedJoinMatchesStatsAndLibrary(t *testing.T) {
 	if tr.RequestID == "" {
 		t.Fatal("trace without a request ID")
 	}
-	if got := hdr.Get(requestIDHeader); got != tr.RequestID {
-		t.Fatalf("%s header %q != trace request_id %q", requestIDHeader, got, tr.RequestID)
-	}
-	if resp.Stats == nil {
-		t.Fatal("join response without stats")
-	}
-	if tr.Comparisons != resp.Stats.Comparisons || tr.NodeTests != resp.Stats.NodeTests ||
-		tr.Filtered != resp.Stats.Filtered {
-		t.Fatalf("trace counters %+v disagree with response stats %+v", tr, resp.Stats)
+	if got := hdr.Get(api.RequestIDHeader); got != tr.RequestID {
+		t.Fatalf("%s header %q != trace request_id %q", api.RequestIDHeader, got, tr.RequestID)
 	}
 	if tr.Results != resp.Count {
 		t.Fatalf("trace results %d != join count %d", tr.Results, resp.Count)
@@ -279,7 +297,7 @@ func TestTraceParityHTTPVsWire(t *testing.T) {
 	box := touch.Box{Min: touch.Point{10, 10, 10}, Max: touch.Point{400, 400, 400}}
 	status, raw, _ := ts.doHeaders(http.MethodPost, "/v1/datasets/cells/query",
 		api.QueryRequest{Type: "range", Box: []float64{10, 10, 10, 400, 400, 400}},
-		map[string]string{traceHeader: "1"})
+		map[string]string{api.TraceHeader: "1"})
 	if status != http.StatusOK {
 		t.Fatalf("traced http range: status %d: %s", status, raw)
 	}
@@ -415,9 +433,9 @@ func TestVersionAndSlowlogEndpoints(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("query: status %d", status)
 	}
-	reqID := hdr.Get(requestIDHeader)
+	reqID := hdr.Get(api.RequestIDHeader)
 	if reqID == "" {
-		t.Fatalf("admitted response without %s header", requestIDHeader)
+		t.Fatalf("admitted response without %s header", api.RequestIDHeader)
 	}
 
 	status, raw = ts.do(http.MethodGet, "/debug/slowlog", "", nil)

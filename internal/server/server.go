@@ -15,16 +15,24 @@
 //	GET    /healthz                   liveness (503 while draining)
 //	GET    /metrics                   Prometheus text: request counts, in-flight, latency histograms, rejects
 //
+// The data plane — query, join, update — is internal/api's HTTP front
+// over the in-process frame executor (bin.go): the front encodes the
+// JSON request as a binary wire frame, the executor runs it through the
+// same handlers as the wire listener (bin.go), and the front renders the
+// frames that come back as JSON. The control plane — load, delete, list,
+// healthz, metrics, version, slowlog — is HTTP's alone.
+//
 // A join request with "Accept: application/x-ndjson" streams its pairs
 // as newline-delimited JSON instead of buffering them: one `[a,b]` array
 // per pair in the engine's emission order, then one `{"count":N}`
-// trailer object marking a complete stream. Streaming joins run in O(1)
-// result memory on the server, are exempt from the MaxJoinPairs response
-// cap, and stop promptly when the client disconnects (the request
-// context cancels the engine); a stream that ends without the trailer
-// line was truncated by cancellation. The 200 goes out with the first
-// pair, so a join that fails before finding one answers with the
-// buffered path's status and error body.
+// trailer object marking a complete stream. The join's sink hands the
+// pairs to the writer in OpPairs batches; the first pair goes out alone,
+// so the 200 still leaves with it, and a join that fails before finding
+// one answers with the buffered path's status and error body. Streaming
+// joins run in O(1) result memory on the server, are exempt from the
+// MaxJoinPairs response cap, and stop promptly when the client
+// disconnects (the request context cancels the engine); a stream that
+// ends without the trailer line was truncated by cancellation.
 //
 // # Hot swap
 //
@@ -63,16 +71,13 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
 	"log/slog"
-	"mime"
 	"net"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,7 +86,6 @@ import (
 	"touch"
 	"touch/internal/api"
 	snapstore "touch/internal/snapshot"
-	"touch/internal/stats"
 	"touch/internal/trace"
 	"touch/internal/wire"
 )
@@ -218,6 +222,10 @@ type Server struct {
 	// bin.go for the per-connection serving loop.
 	wire wire.Acceptor
 
+	// front is the HTTP data plane (query, join, update); the Server's
+	// requests are its Doers.
+	front api.Front
+
 	// slow is the bounded slow-query ring; nil when
 	// Config.SlowQueryThreshold is 0.
 	slow *slowLog
@@ -250,6 +258,7 @@ func New(cfg Config) *Server {
 	if cfg.NodeID != "" {
 		s.SetNodeID(cfg.NodeID)
 	}
+	s.front.MaxBodyBytes = cfg.MaxBodyBytes
 	s.wire.MaxFrame = int(cfg.MaxBodyBytes)
 	s.wire.Info = s.helloInfo
 	s.wire.Handle = s.serveWireConn
@@ -377,7 +386,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			case http.MethodPost:
 				s.serve(classLoad, w, r, name, (*Server).handleLoad)
 			case http.MethodPatch:
-				s.serve(classUpdate, w, r, name, (*Server).handleUpdate)
+				s.serve(classUpdate, w, r, name, (*Server).handleData)
 			case http.MethodDelete:
 				s.serve(classCatalog, w, r, name, (*Server).handleDelete)
 			default:
@@ -388,13 +397,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				s.reject(w, api.CodeMethod, "use POST on /v1/datasets/{name}/query")
 				return
 			}
-			s.serve(classQuery, w, r, name, (*Server).handleQuery)
+			s.serve(classQuery, w, r, name, (*Server).handleData)
 		case "join":
 			if r.Method != http.MethodPost {
 				s.reject(w, api.CodeMethod, "use POST on /v1/datasets/{name}/join")
 				return
 			}
-			s.serve(classJoin, w, r, name, (*Server).handleJoin)
+			s.serve(classJoin, w, r, name, (*Server).handleData)
 		default:
 			s.reject(w, api.CodeNotFound, "unknown action %q", action)
 		}
@@ -403,22 +412,27 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// httpRequest is one admitted-or-rejected /v1 request: the shared
-// accounting state plus what the JSON codec needs. It is the
-// ResponseWriter its handler answers on, recording the status for the
-// metrics and forwarding Flush so the NDJSON streaming path can push
-// pairs through the net/http buffer as they are produced.
+// httpRequest is one admitted-or-rejected /v1 request: the frame
+// executor it runs on (its accounting state included) plus what the
+// JSON codec needs. It is the ResponseWriter its handler answers on,
+// recording the status for the metrics, and — for the data plane — the
+// HTTP front's Doer.
 type httpRequest struct {
-	request
+	exec
 	http.ResponseWriter
 	status int
 	r      *http.Request
 	// ctx carries the per-request processing budget, armed at admission.
 	ctx context.Context
+	// admitted is when admission ended and the handler began.
+	admitted time.Time
 	// dataset is the {name} path element; empty on the catalog listing.
 	dataset string
-	// traced is the client's X-Touch-Trace opt-in.
-	traced bool
+	// frames is the HTTP front's stream callback, op and payload the
+	// terminal frame — the executor's sink while Do runs.
+	frames  func(op byte, p []byte) error
+	op      byte
+	payload []byte
 }
 
 func (h *httpRequest) WriteHeader(status int) {
@@ -426,11 +440,9 @@ func (h *httpRequest) WriteHeader(status int) {
 	h.ResponseWriter.WriteHeader(status)
 }
 
-func (h *httpRequest) Flush() {
-	if f, ok := h.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
+// Unwrap lets http.ResponseController reach the connection's writer, so
+// an NDJSON stream can flush its first pair through.
+func (h *httpRequest) Unwrap() http.ResponseWriter { return h.ResponseWriter }
 
 // decode reads the request's JSON body (capped at MaxBodyBytes → 413)
 // into into, timing it as the decode phase.
@@ -443,33 +455,26 @@ func (h *httpRequest) decode(s *Server, into any) *api.Error {
 	return nil
 }
 
-// traceHeader is the opt-in request header: "X-Touch-Trace: 1" adds the
-// span breakdown to the JSON response of a query or buffered join.
-const traceHeader = "X-Touch-Trace"
-
-// requestIDHeader carries the server-assigned request ID on every
-// admitted response, so any error a client logs names a request the
-// slow log and server logs can be searched for.
-const requestIDHeader = "X-Touch-Request-Id"
-
 // serve is the HTTP front door of all /v1 traffic: admission (503 during
 // drain, 429 when every in-flight slot is taken), the per-request
 // deadline, the handler, and the completion hook. A handler either
 // writes its success response or returns the error for serve to write.
 func (s *Server) serve(class int, w http.ResponseWriter, r *http.Request, dataset string,
 	handler func(*Server, *httpRequest) *api.Error) {
-	h := &httpRequest{ResponseWriter: w, status: http.StatusOK, r: r, dataset: dataset,
-		traced: r.Header.Get(traceHeader) == "1"}
+	h := &httpRequest{ResponseWriter: w, status: http.StatusOK, r: r, dataset: dataset}
+	h.exec = exec{s: s, out: h}
 	s.arrive(&h.request, class)
 	h.span.RequestID = nextRequestID()
 	defer func() { s.finish(&h.request, h.status) }()
 
 	e := s.begin(&h.request, h.start, nil)
 	if e == nil {
-		h.Header().Set(requestIDHeader, h.span.RequestID)
+		// Every admitted response names its request, so any error a
+		// client logs names a request the slow log and server logs know.
+		h.Header().Set(api.RequestIDHeader, h.span.RequestID)
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		h.ctx = ctx
+		h.ctx, h.admitted = ctx, time.Now()
 		e = handler(s, h)
 	}
 	if e != nil {
@@ -643,252 +648,58 @@ func (s *Server) handleLoad(h *httpRequest) *api.Error {
 	return nil
 }
 
-func (s *Server) handleUpdate(h *httpRequest) *api.Error {
-	var req api.UpdateRequest
-	if e := h.decode(s, &req); e != nil {
-		return e
-	}
-	inserts, e := api.Boxes("insert", req.Insert)
-	if e != nil {
-		return e
-	}
-	res, e := s.update(h.ctx, h.dataset, inserts, req.Delete)
-	if e != nil {
-		return e
-	}
-	ids := make([]touch.ID, len(inserts))
-	for i := range ids {
-		ids[i] = touch.ID(res.firstID) + touch.ID(i)
-	}
-	api.WriteJSON(h, http.StatusOK, api.UpdateResponse{
-		Name: h.dataset, Version: res.version, InsertedIDs: ids, Deleted: res.deleted,
-		DeltaInserts: res.deltaIns, DeltaTombstones: res.deltaTomb,
-	})
-	return nil
-}
+// --- data plane ---------------------------------------------------------
 
-// --- query --------------------------------------------------------------
-
-func (s *Server) handleQuery(h *httpRequest) *api.Error {
-	var req api.QueryRequest
-	if e := h.decode(s, &req); e != nil {
-		return e
-	}
-	q, e := req.Query()
-	if e != nil {
-		return e
-	}
-	snap, e := resolve(s, &h.request, h.dataset)
-	if e != nil {
-		return e
-	}
-	ids, nbrs, e := s.runQuery(h.ctx, &h.request, snap, &q)
-	if e != nil {
-		return e
-	}
-	resp := api.NewQueryResponse(h.dataset, snap.version, q.Type, ids, nbrs)
-	if h.traced {
-		resp.Trace = api.NewTrace(&h.span)
-	}
-	api.WriteJSON(h, http.StatusOK, resp)
-	return nil
-}
-
-// --- join ---------------------------------------------------------------
-
-// ndjsonContentType is the media type selecting (and labelling) the
-// streaming join response.
-const ndjsonContentType = "application/x-ndjson"
-
-// wantsNDJSON reports whether the Accept header names the NDJSON media
-// type as acceptable — listed as a proper token (not a substring) and
-// not explicitly refused with q=0. Full content negotiation is not
-// attempted; the buffered JSON answer is the default for everything
-// else.
-func wantsNDJSON(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		mediaType, params, err := mime.ParseMediaType(strings.TrimSpace(part))
-		if err != nil || mediaType != ndjsonContentType {
-			continue
-		}
-		if qs, ok := params["q"]; ok {
-			if q, err := strconv.ParseFloat(qs, 64); err == nil && q <= 0 {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-func (s *Server) handleJoin(h *httpRequest) *api.Error {
-	var req api.JoinRequest
-	if e := h.decode(s, &req); e != nil {
-		return e
-	}
-	snap, e := resolve(s, &h.request, h.dataset)
-	if e != nil {
-		return e
-	}
-	inline, e := req.ProbeBoxes()
-	if e != nil {
-		return e
-	}
-	plan, e := prepareJoin(s, &h.request, snap, req.Probe, inline, req.Workers)
-	if e != nil {
-		return e
-	}
-	s.hook(h.ctx)
-	if !req.CountOnly && wantsNDJSON(h.r.Header.Get("Accept")) {
-		return s.streamJoin(h, plan, req.Eps)
-	}
-
-	// The buffered path runs with a result limit one past the response
-	// cap: a join that would blow the cap aborts cooperatively right
-	// there, instead of materializing |A|·|B| pairs to throw away.
-	// count_only joins carry no pairs, so their count stays exact and
-	// uncapped.
-	limit := int64(0)
-	if !req.CountOnly {
-		limit = int64(s.cfg.MaxJoinPairs) + 1
-	}
-	res, e := s.join(h.ctx, &h.request, plan, req.Eps, touch.Options{NoPairs: req.CountOnly, Limit: limit})
-	if e != nil {
-		return e
-	}
-	resp := api.JoinResponse{
-		Dataset: h.dataset, Version: plan.snap.version,
-		Probe: req.Probe, ProbeVersion: plan.probeVersion, ProbeObjects: len(plan.probe),
-		Count: res.Stats.Results,
-	}
-	if !req.CountOnly {
-		if res.Stats.Results > int64(s.cfg.MaxJoinPairs) {
-			s.met.rejectLimited.Add(1)
-			return api.Errorf(api.CodeResultTooLarge,
-				"join exceeds the %d-pair response cap; use count_only, the %s streaming mode, or a narrower probe",
-				s.cfg.MaxJoinPairs, ndjsonContentType)
-		}
-		// Canonical (indexed, probe) ascending order: parallel joins
-		// emit in nondeterministic order, but the wire format is
-		// stable and byte-identical to a direct Index call.
-		res.SortPairs()
-		resp.Pairs = api.Pairs(res.Pairs)
-	}
-	resp.Stats = &api.JoinStats{
-		Comparisons: res.Stats.Comparisons,
-		NodeTests:   res.Stats.NodeTests,
-		Filtered:    res.Stats.Filtered,
-		MemoryBytes: res.Stats.MemoryBytes,
-		AssignNs:    res.Stats.AssignTime.Nanoseconds(),
-		JoinNs:      res.Stats.JoinTime.Nanoseconds(),
-	}
-	if h.traced {
-		resp.Trace = api.NewTrace(&h.span)
-	}
-	api.WriteJSON(h, http.StatusOK, resp)
-	return nil
-}
-
-// streamFlushEvery is how many NDJSON pair lines are written between
-// explicit flushes at full production rate — rare enough that the
-// syscall cost disappears. Slow producers are covered separately: the
-// first line flushes eagerly (so the client sees the stream start) and
-// a timer goroutine bounds how stale pending lines may get.
-const streamFlushEvery = 4096
-
-// streamFlushInterval caps the time pairs may sit in the stream buffer
-// when the join produces them slowly or in bursts with long gaps — the
-// timer fires independently of the next pair's arrival, keeping
-// trickling results moving and intermediary idle-body timeouts at bay.
-const streamFlushInterval = 250 * time.Millisecond
-
-// streamJoin answers a join with Accept: application/x-ndjson by
-// writing one `[a,b]` line per pair from the join's sink, on the
-// handler's goroutine — O(1) server memory, no response cap — and a
-// `{"count":N}` trailer line after a complete join. The 200 goes out
-// with the first pair, or after a join that found none, so an error
-// before then (a negative eps, a budget already spent) gets the
-// buffered path's status and code. Once the 200 is out, a client
-// disconnect or deadline expiry cancels the engine mid-stream; the
-// truncated stream simply ends without the trailer, and the abort is
-// recorded under its own reject reason.
-func (s *Server) streamJoin(h *httpRequest, plan joinPlan, eps float64) *api.Error {
-	bw := bufio.NewWriterSize(h, 64<<10)
-
-	// All writer access — the status line, pair lines, count-based
-	// flushes and the timer goroutine's staleness flushes — runs under
-	// one mutex: the ResponseWriter is not safe for concurrent use. The
-	// per-pair lock is uncontended except at the 4 Hz the timer fires.
-	var mu sync.Mutex
-	n := int64(0)
-	dirty := false
-	// Write errors are dropped: they mean the client is gone, and its
-	// request context cancels the engine.
-	flushLocked := func() {
-		_ = bw.Flush()
-		h.Flush()
-		dirty = false
-	}
-	startLocked := func() {
-		h.Header().Set("Content-Type", ndjsonContentType)
-		h.WriteHeader(http.StatusOK)
-	}
-	stopTimer := make(chan struct{})
-	timerDone := make(chan struct{})
-	go func() {
-		defer close(timerDone)
-		t := time.NewTicker(streamFlushInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				mu.Lock()
-				if dirty {
-					flushLocked()
-				}
-				mu.Unlock()
-			case <-stopTimer:
-				return
-			}
-		}
-	}()
-	// The timer goroutine must be gone before the handler returns — a
-	// flush racing the handler's exit would write a dead ResponseWriter.
+// handleData answers the data plane — query, join, update — through the
+// HTTP front, with h as its Doer.
+func (s *Server) handleData(h *httpRequest) *api.Error {
+	// The executor's scratch outlives Do — the answer frame is rendered
+	// from it — and is the pool's again once the front has written.
+	buf := scratchPool.Get().(*[]byte)
+	h.scratch = (*buf)[:0]
 	defer func() {
-		close(stopTimer)
-		<-timerDone
+		*buf = h.scratch[:0]
+		scratchPool.Put(buf)
 	}()
-
-	sink := stats.FuncSink(func(a, b touch.ID) {
-		mu.Lock()
-		if n == 0 {
-			startLocked()
+	switch h.class {
+	case classQuery:
+		s.front.Query(h.ctx, h, h.r, h.dataset, h)
+	case classJoin:
+		if !api.WantsNDJSON(h.r.Header.Get("Accept")) {
+			h.pairCap = int64(s.cfg.MaxJoinPairs)
 		}
-		fmt.Fprintf(bw, "[%d,%d]\n", a, b)
-		dirty = true
-		if n++; n == 1 || n%streamFlushEvery == 0 {
-			flushLocked()
-		}
-		mu.Unlock()
-	})
-	_, e := s.join(h.ctx, &h.request, plan, eps, touch.Options{Sink: sink})
-	// The join has returned, so the sink is done: the lock now only keeps
-	// the timer out.
-	mu.Lock()
-	defer mu.Unlock()
-	if e != nil {
-		if n == 0 {
-			return e
-		}
-		// Mid-stream failure: the 200 is already on the wire, so the
-		// truncation is the signal — plus, for cancellations, the reject
-		// metric joinError recorded.
-	} else {
-		if n == 0 {
-			startLocked()
-		}
-		fmt.Fprintf(bw, "{\"count\":%d}\n", n)
+		s.front.Join(h.ctx, h, h.r, h.dataset, h)
+	default:
+		s.front.Update(h.ctx, h, h.r, h.dataset, h)
 	}
-	_ = bw.Flush()
 	return nil
+}
+
+// scratchPool recycles HTTP executors' scratch; wire connections keep theirs.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// Do is the in-process executor under the HTTP front: the wire
+// listener's handlers with the front as frame sink. What is HTTP's own
+// is set in serve and handleData — metric class, admission, the join's
+// pair cap — and here: every request is traced, and the front's JSON
+// decode and frame encode count as its decode phase.
+func (h *httpRequest) Do(ctx context.Context, op byte, payload []byte, stream func(op byte, p []byte) error) (byte, []byte, error) {
+	h.span.Add(trace.PhaseDecode, time.Since(h.admitted))
+	h.traced, h.frames = true, stream
+	if e := h.run(ctx, op, payload); e != nil {
+		h.fail(e)
+	}
+	return h.op, h.payload, nil
+}
+
+// frame makes httpRequest the executor's frame sink: stream frames go to
+// the front as they come, the terminal one back from Do. A stream error
+// means the client is going, which the engine learns from the request's
+// context.
+func (h *httpRequest) frame(op byte, p []byte, terminal bool) {
+	if terminal {
+		h.op, h.payload = op, p
+	} else {
+		_ = h.frames(op, p)
+	}
 }

@@ -261,9 +261,6 @@ func TestJoinEndpoint(t *testing.T) {
 			t.Fatalf("inline join meta: count %d/%d probe_objects %d/%d",
 				jr.Count, res.Stats.Results, jr.ProbeObjects, len(b))
 		}
-		if jr.Stats == nil || jr.Stats.Comparisons != res.Stats.Comparisons {
-			t.Fatalf("inline join stats mismatch: %+v vs %+v", jr.Stats, res.Stats)
-		}
 	}
 
 	// Named probe with ε-distance.
@@ -281,7 +278,7 @@ func TestJoinEndpoint(t *testing.T) {
 	}
 	res.SortPairs()
 	checkPairs("named-eps4", jr.Pairs, res.Pairs)
-	if jr.Probe != "b" || jr.ProbeVersion != 1 {
+	if jr.Probe != "b" {
 		t.Fatalf("named join meta: %+v", jr)
 	}
 
@@ -382,7 +379,7 @@ func TestErrorStatuses(t *testing.T) {
 		{"load wrong method", http.MethodPut, "/v1/datasets/ds", "", nil, 405, api.CodeMethod},
 		{"bad dataset name", http.MethodPost, "/v1/datasets/bad%20name", "application/json", loadRequest{}, 400, api.CodeInvalidName},
 		{"unknown dataset query", http.MethodPost, "/v1/datasets/ghost/query", "application/json", api.QueryRequest{Type: "point", Point: []float64{0, 0, 0}}, 404, api.CodeUnknownDataset},
-		{"unknown dataset join", http.MethodPost, "/v1/datasets/ghost/join", "application/json", api.JoinRequest{Boxes: [][]float64{}}, 404, api.CodeUnknownDataset},
+		{"unknown dataset join", http.MethodPost, "/v1/datasets/ghost/join", "application/json", []byte(`{"boxes":[]}`), 404, api.CodeUnknownDataset},
 		{"unknown probe name", http.MethodPost, "/v1/datasets/ds/join", "application/json", api.JoinRequest{Probe: "ghost"}, 404, api.CodeUnknownDataset},
 		{"delete unknown", http.MethodDelete, "/v1/datasets/ghost", "", nil, 404, api.CodeUnknownDataset},
 		{"malformed json", http.MethodPost, "/v1/datasets/ds/query", "application/json", []byte("{nope"), 400, api.CodeBadRequest},
@@ -421,7 +418,7 @@ func TestErrorStatuses(t *testing.T) {
 	t.Run("negative eps ndjson", func(t *testing.T) {
 		status, body, _ := ts.doHeaders(http.MethodPost, "/v1/datasets/ds/join",
 			api.JoinRequest{Boxes: [][]float64{{0, 0, 0, 1, 1, 1}}, Eps: -2},
-			map[string]string{"Accept": ndjsonContentType})
+			map[string]string{"Accept": api.NDJSONContentType})
 		if status != http.StatusBadRequest || errCode(t, body) != api.CodeInvalidEps {
 			t.Fatalf("status %d (%s), want 400 %s", status, body, api.CodeInvalidEps)
 		}

@@ -37,7 +37,7 @@ func (ts *testServer) streamPairs(path string, body any) (pairs [][2]touch.ID, t
 	if resp.StatusCode != http.StatusOK {
 		ts.t.Fatalf("streaming join status %d", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != ndjsonContentType {
+	if ct := resp.Header.Get("Content-Type"); ct != api.NDJSONContentType {
 		ts.t.Fatalf("streaming join content type %q", ct)
 	}
 	trailer = -1
@@ -188,8 +188,8 @@ func TestWantsNDJSON(t *testing.T) {
 		{"application/x-ndjson-extended", false},
 	}
 	for _, tc := range cases {
-		if got := wantsNDJSON(tc.accept); got != tc.want {
-			t.Errorf("wantsNDJSON(%q) = %v, want %v", tc.accept, got, tc.want)
+		if got := api.WantsNDJSON(tc.accept); got != tc.want {
+			t.Errorf("api.WantsNDJSON(%q) = %v, want %v", tc.accept, got, tc.want)
 		}
 	}
 }

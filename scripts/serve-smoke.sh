@@ -150,20 +150,17 @@ CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/datasets/ghost/q
 
 # --- binary wire protocol ----------------------------------------------
 # The same four answers over the binary listener, pipelined in a single
-# touchwire batch, must be byte-identical to the HTTP ones (join stats
-# stripped on the HTTP side — they carry wall-clock timings the wire
-# protocol doesn't transmit).
+# touchwire batch, must be byte-identical to the HTTP ones.
 
 WADDR=$(sed -n 's/.*touchserved wire listening on \([^ "]*\).*/\1/p' "$LOG" | head -n 1)
 [ -n "$WADDR" ] || fail "server never printed its wire listen address"
 echo "serve-smoke: wire listener on $WADDR"
 
-strip_stats() { sed 's/,"stats":{[^}]*}//'; }
 HTTP_ANSWERS=$(
     post /v1/datasets/smoke/query '{"type":"range","box":[0,0,0,50,50,50]}'
     post /v1/datasets/smoke/query '{"type":"point","point":[6,6,6]}'
     post /v1/datasets/smoke/query '{"type":"knn","point":[1,1,1],"k":2}'
-    post /v1/datasets/smoke/join '{"boxes":[[4,4,4,6,6,6]]}' | strip_stats
+    post /v1/datasets/smoke/join '{"boxes":[[4,4,4,6,6,6]]}'
 )
 WIRE_ANSWERS=$("$WIREBIN" -addr "$WADDR" -dataset smoke \
     'range:0,0,0,50,50,50' 'point:6,6,6' 'knn:1,1,1,2' 'join:4,4,4,6,6,6') \
@@ -240,9 +237,7 @@ echo "serve-smoke: durable server on $BASE"
 LIST_BEFORE=$(curl -sf "$BASE/v1/datasets")
 echo "$LIST_BEFORE" | grep -q '"persisted":true' || fail "datasets not persisted"
 RANGE_BEFORE=$(post /v1/datasets/smoke/query '{"type":"range","box":[0,0,0,50,50,50]}')
-# Join stats carry wall-clock timings; strip_stats (defined above)
-# removes them before comparing.
-JOIN_BEFORE=$(post /v1/datasets/other/join '{"boxes":[[1,1,1,9,9,9]]}' | strip_stats)
+JOIN_BEFORE=$(post /v1/datasets/other/join '{"boxes":[[1,1,1,9,9,9]]}')
 
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
@@ -270,7 +265,7 @@ before: $LIST_BEFORE
 after:  $LIST_AFTER"
 RANGE_AFTER=$(post /v1/datasets/smoke/query '{"type":"range","box":[0,0,0,50,50,50]}')
 [ "$RANGE_AFTER" = "$RANGE_BEFORE" ] || fail "range answer changed across crash"
-JOIN_AFTER=$(post /v1/datasets/other/join '{"boxes":[[1,1,1,9,9,9]]}' | strip_stats)
+JOIN_AFTER=$(post /v1/datasets/other/join '{"boxes":[[1,1,1,9,9,9]]}')
 [ "$JOIN_AFTER" = "$JOIN_BEFORE" ] || fail "join answer changed across crash"
 curl -sf "$BASE/metrics" | grep -q 'touchserved_snapshot_errors_total 0' \
     || fail "snapshot errors after clean recovery"
@@ -283,9 +278,9 @@ PID=
 
 # --- routing tier -------------------------------------------------------
 # Two replicas serving the same dataset behind a touchrouter. Routed
-# query answers must be byte-identical to a direct backend's; the
-# routed join differs only by the stats object (the wire protocol the
-# router proxies over doesn't transmit it). Then kill -9 one replica:
+# query and join answers — NDJSON streams included — must be
+# byte-identical to a direct backend's, and a traced routed query must
+# carry the answering backend's trace. Then kill -9 one replica:
 # reads through the router must keep succeeding — the first one fails
 # over inside the same call — and the router's metrics must record the
 # ejection.
@@ -335,10 +330,28 @@ routed: $R
 direct: $D"
 done
 RJ=$(rpost /v1/datasets/smoke/join '{"boxes":[[4,4,4,6,6,6]]}') || fail "routed join"
-DJ=$(dpost /v1/datasets/smoke/join '{"boxes":[[4,4,4,6,6,6]]}' | strip_stats) || fail "direct join"
+DJ=$(dpost /v1/datasets/smoke/join '{"boxes":[[4,4,4,6,6,6]]}') || fail "direct join"
 [ "$RJ" = "$DJ" ] || fail "routed join differs from direct:
 routed: $RJ
 direct: $DJ"
+ndjson() { curl -sf -X POST "$1/v1/datasets/smoke/join" -H 'Content-Type: application/json' \
+    -H 'Accept: application/x-ndjson' -d '{"boxes":[[4,4,4,6,6,6]]}'; }
+RN=$(ndjson "$RBASE") || fail "routed ndjson join"
+DN=$(ndjson "http://$HADDR1") || fail "direct ndjson join"
+echo "$RN" | grep -q '^{"count":2}$' || fail "routed ndjson join trailer: $RN"
+[ "$RN" = "$DN" ] || fail "routed ndjson join differs from direct:
+routed: $RN
+direct: $DN"
+
+# Routed tracing: the trace object and the X-Touch-Request-Id header
+# both name the answering backend's request.
+RT_HDRS="$WORK/routed-trace-headers.txt"
+RTRACED=$(curl -sf -D "$RT_HDRS" -X POST "$RBASE/v1/datasets/smoke/query" \
+    -H 'Content-Type: application/json' -H 'X-Touch-Trace: 1' \
+    -d '{"type":"range","box":[0,0,0,50,50,50]}') || fail "traced routed query"
+RID=$(echo "$RTRACED" | sed -n 's/.*"request_id":"\([^"]*\)".*/\1/p')
+[ -n "$RID" ] || fail "traced routed query carries no request id: $RTRACED"
+grep -qi "^x-touch-request-id: $RID" "$RT_HDRS" || fail "routed X-Touch-Request-Id is not the trace's $RID: $(cat "$RT_HDRS")"
 
 # The router's wire front relays frames, trace trailer included: a
 # traced probe prints the same stdout as the untraced one and exactly
