@@ -68,7 +68,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	rest, ok := strings.CutPrefix(path, "/v1/datasets/")
 	if !ok {
-		reject(w, api.CodeNotFound, "unknown route %q", path)
+		reject(w, api.CodeNotFound, "no route for %s", path)
 		return
 	}
 	name, action, _ := strings.Cut(rest, "/")
@@ -89,7 +89,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				"the router does not proxy dataset loads or deletes; address the owning backends directly (owners of %q: %s)",
 				name, strings.Join(rt.Owners(name), ", "))
 		default:
-			reject(w, api.CodeMethod, "use PATCH on /v1/datasets/{name}")
+			reject(w, api.CodeMethod, "use POST, PATCH or DELETE on /v1/datasets/{name}")
 		}
 	case "query":
 		if r.Method != http.MethodPost {
@@ -136,7 +136,7 @@ func (rt *Router) Do(ctx context.Context, op byte, payload []byte, stream func(o
 	if err != nil {
 		return 0, nil, api.DecodeError(err)
 	}
-	r, err := rt.relay(ctx, string(name), op, payload)
+	r, err := rt.call(ctx, string(name), op, payload)
 	if err != nil {
 		return 0, nil, proxiedError(err)
 	}

@@ -31,8 +31,10 @@ type routerMetrics struct {
 
 	requests [nRC]atomic.Int64
 
-	// failovers counts reads retried on a further ring owner after the
-	// preceding owner failed at the connection level.
+	// failovers counts reads moved on to a further ring owner because
+	// the preceding one left them unanswered (a dead connection, a
+	// "draining" reply): one per read, so a coalesced burst that fails
+	// over counts each read it moves.
 	failovers atomic.Int64
 	// ejections and reinstatements count health-state transitions; their
 	// difference bounds how often the ring flapped.

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -327,4 +328,118 @@ func TestLoneReadAbortsOnCancelAndHangUp(t *testing.T) {
 	expect("the backend receiving the second forwarded read", b.reqs)
 	c.Close()
 	expect("the backend receiving a cancel after the client hung up", b.cancels)
+}
+
+// metric reads one sample of the router's exposition: the family's
+// sample whose label key has value val, or its only sample when key is
+// empty.
+func metric(t *testing.T, rt *router.Router, family, key, val string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	rt.RenderMetrics(&buf)
+	m, err := promtext.Parse(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fam := m.Families[family]; fam != nil {
+		for _, s := range fam.Samples {
+			if key == "" || s.Label(key) == val {
+				return s.Value
+			}
+		}
+	}
+	t.Fatalf("no %s{%s=%q} sample", family, key, val)
+	return 0
+}
+
+// TestBurstEndedByCallerEjectsNoOne: a pipelined burst the router holds
+// at a backend that never answers ends when its caller does — the
+// client hanging up, or the router's request budget running out, when
+// each read answers timeout. Either way the owner did nothing wrong: it
+// is not ejected, and no request frame is sent to it twice.
+func TestBurstEndedByCallerEjectsNoOne(t *testing.T) {
+	const burst = 6
+	for _, row := range []struct {
+		name    string
+		budget  time.Duration
+		hangsUp bool
+	}{
+		{"client hangs up", time.Minute, true},
+		{"router budget runs out", 200 * time.Millisecond, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			b := startStalledBackend(t)
+			rt, err := router.New(router.Config{Backends: []string{b.addr}, Replication: 1,
+				HealthInterval: time.Hour, RequestTimeout: row.budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Start()
+			t.Cleanup(func() { rt.Close() })
+			c := serveWire(t, context.Background(), rt)
+
+			batch := c.Batch()
+			futs := make([]client.IDsFuture, burst)
+			for i := range futs {
+				futs[i] = batch.Range("d", touch.Box{Max: touch.Point{float64(i), 1, 1}})
+			}
+			if err := batch.Send(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < burst; i++ {
+				select {
+				case <-b.reqs:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("the backend received %d of the %d forwarded reads", i, burst)
+				}
+			}
+			if !row.hangsUp {
+				for i, f := range futs {
+					var se *client.ServerError
+					if _, _, err := f.Get(context.Background()); !errors.As(err, &se) || se.Code != api.CodeTimeout {
+						t.Fatalf("read %d answered %v, want a %s ServerError", i, err, api.CodeTimeout)
+					}
+				}
+			}
+			c.Close()
+			// The connection gauge drops once every forward on it is over.
+			for deadline := time.Now().Add(10 * time.Second); metric(t, rt, "touchrouter_wire_connections", "", "") != 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("the router's forwards never ended")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if n := metric(t, rt, "touchrouter_ejections_total", "", ""); n != 0 {
+				t.Errorf("ejections_total = %g, want 0", n)
+			}
+			if h := metric(t, rt, "touchrouter_backend_healthy", "addr", b.addr); h != 1 {
+				t.Errorf("backend_healthy = %g, want 1", h)
+			}
+			if n := len(b.reqs); n != 0 {
+				t.Errorf("the backend received %d request frames again", n)
+			}
+		})
+	}
+}
+
+// TestCatalogBudgetEjectsNoOne: a catalog scatter whose budget runs out
+// at a backend that never answers lists that backend as failed and
+// leaves it in the ring — the spent budget is the caller's.
+func TestCatalogBudgetEjectsNoOne(t *testing.T) {
+	b := startStalledBackend(t)
+	rt, err := router.New(router.Config{Backends: []string{b.addr}, Replication: 1,
+		HealthInterval: time.Hour, RequestTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	t.Cleanup(func() { rt.Close() })
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/datasets", nil))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"partial":true`) {
+		t.Fatalf("catalog past its budget: %d %s, want a partial listing", rec.Code, rec.Body.Bytes())
+	}
+	if n := metric(t, rt, "touchrouter_ejections_total", "", ""); n != 0 {
+		t.Fatalf("ejections_total = %g, want 0", n)
+	}
 }

@@ -7,12 +7,13 @@
 // owned by the first R distinct backends clockwise from its point —
 // every router instance with the same backend list, virtual-node count
 // and replication factor computes the same owners, so a fleet of
-// routers needs no coordination. Idempotent reads try the owners in
-// ring order (healthy ones first) and fail over on connection-level
-// errors within the caller's deadline; updates go to the primary owner
-// only — a blind retry elsewhere could double-apply a batch. Catalog
-// listings scatter to every backend and merge with per-backend
-// provenance.
+// routers needs no coordination. Idempotent reads — one or a coalesced
+// burst alike — try the owners in ring order (healthy ones first) and
+// fail over on connection-level errors within the caller's deadline; a
+// caller's own hang-up or spent deadline ejects no owner. Updates go to
+// the primary owner only — a blind retry elsewhere could double-apply a
+// batch. Catalog listings scatter to every backend and merge with
+// per-backend provenance.
 package router
 
 import (

@@ -169,17 +169,6 @@ func (rt *Router) owners(dataset string) []*backend {
 	return owners
 }
 
-// healthyOwner returns the dataset's first healthy owner in ring
-// order, or nil when every owner is ejected.
-func (rt *Router) healthyOwner(dataset string) *backend {
-	for _, b := range rt.owners(dataset) {
-		if b.healthy.Load() {
-			return b
-		}
-	}
-	return nil
-}
-
 // errNoBackend is the terminal failure of a read whose every owner was
 // unreachable; callers map it to 502/"no_backend".
 var errNoBackend = errors.New("router: no owner backend reachable")
@@ -197,47 +186,71 @@ func answered(err error) bool {
 	return errors.As(err, &se) && se.Code != api.CodeDraining
 }
 
-// relay is the one forwarding path under both fronts: it sends an
-// already encoded request frame to the dataset's owners and returns the
-// answering owner's frames undecoded. Queries and joins go through the
-// read failover; any error frame but "draining" is the owner's answer
-// and comes back as a Reply like a result does. Updates go to the
-// primary owner only, with no failover: the router cannot know whether
-// a torn connection applied the batch, and a blind retry on a fallback
-// owner could double-apply it — the explicit error hands that call to
-// the caller, who knows whether the batch is idempotent.
-func (rt *Router) relay(ctx context.Context, dataset string, op byte, payload []byte) (*client.Reply, error) {
-	if op != wire.OpUpdate {
-		class := rcQuery
-		if op == wire.OpJoin {
-			class = rcJoin
-		}
-		rt.met.requests[class].Add(1)
-		return rt.read(ctx, dataset, op, payload)
+// request is one request frame to forward: the tag it arrived under on
+// the wire front (0 elsewhere), the dataset name that opens its
+// payload, and the payload itself.
+type request struct {
+	op      byte
+	tag     uint32
+	dataset string
+	payload []byte
+}
+
+// answerFunc receives one request's answer: the owner's reply, or the
+// error that is all the request will get.
+type answerFunc func(req *request, r *client.Reply, err error)
+
+// relay is the one forwarding path under both fronts: it sends a run of
+// already encoded request frames for one dataset to that dataset's
+// owners and hands each answer to answer undecoded. Queries and joins
+// go through the owner walk (read); any error frame but "draining" is
+// the owner's answer and comes back as a Reply like a result does.
+// Updates travel alone and go to the primary owner only, with no
+// failover: the router cannot know whether a torn connection applied
+// the batch, and a blind retry on a fallback owner could double-apply
+// it — the explicit error hands that call to the caller, who knows
+// whether the batch is idempotent.
+func (rt *Router) relay(ctx context.Context, reqs []request, answer answerFunc) {
+	if reqs[0].op != wire.OpUpdate {
+		rt.read(ctx, reqs, answer)
+		return
 	}
 	rt.met.requests[rcUpdate].Add(1)
-	owners := rt.owners(dataset)
-	if len(owners) == 0 {
-		return nil, errNoBackend
+	b := rt.owners(reqs[0].dataset)[0]
+	rest, err := rt.try(ctx, b, reqs, answer)
+	if len(rest) > 0 {
+		if ctx.Err() == nil {
+			rt.noteFailure(b, err)
+		}
+		answer(&rest[0], nil, fmt.Errorf("router: update primary %s: %w", b.ID(), err))
 	}
-	b := owners[0]
-	r, err := rt.try(ctx, b, op, payload)
-	var se *client.ServerError
-	if err != nil && !errors.As(err, &se) {
-		rt.noteFailure(b, err)
-		err = fmt.Errorf("router: update primary %s: %w", b.ID(), err)
-	}
+}
+
+// call relays one request frame and returns its answer: the typed
+// calls' and the HTTP front's way into relay.
+func (rt *Router) call(ctx context.Context, dataset string, op byte, payload []byte) (r *client.Reply, err error) {
+	rt.relay(ctx, []request{{op: op, dataset: dataset, payload: payload}},
+		func(_ *request, reply *client.Reply, e error) { r, err = reply, e })
 	return r, err
 }
 
-// read sends the frame to the dataset's owners in ring order — healthy
-// owners in a first pass, ejected ones as a last resort — failing over
-// on connection-level errors until a backend answers authoritatively
-// (see answered) or the caller's context expires.
-func (rt *Router) read(ctx context.Context, dataset string, op byte, payload []byte) (*client.Reply, error) {
-	owners := rt.owners(dataset)
-	tried := 0
-	var lastErr error
+// read is the owner walk: it sends reqs (one class — joins travel
+// alone) to the dataset's owners in ring order — healthy owners in a
+// first pass, ejected ones as a last resort — and what one owner left
+// unanswered moves on to the next, counting one failover a request. An
+// attempt that fails at the connection level ejects its owner. One
+// ended by the caller's own context (a hang-up, a spent budget) ejects
+// no one and sends nothing again: the rest is answered with that error.
+func (rt *Router) read(ctx context.Context, reqs []request, answer answerFunc) {
+	class := rcQuery
+	if reqs[0].op == wire.OpJoin {
+		class = rcJoin
+	}
+	rt.met.requests[class].Add(int64(len(reqs)))
+	owners := rt.owners(reqs[0].dataset)
+	tried := false
+	var err error
+walk:
 	for pass := 0; pass < 2; pass++ {
 		for _, b := range owners {
 			// Pass 0 tries healthy owners, pass 1 the ejected ones: a
@@ -246,47 +259,79 @@ func (rt *Router) read(ctx context.Context, dataset string, op byte, payload []b
 			if (pass == 0) != b.healthy.Load() {
 				continue
 			}
-			if tried > 0 {
-				rt.met.failovers.Add(1)
+			if tried {
+				rt.met.failovers.Add(int64(len(reqs)))
 			}
-			tried++
-			r, err := rt.try(ctx, b, op, payload)
-			if err == nil {
-				return r, nil
+			tried = true
+			if reqs, err = rt.try(ctx, b, reqs, answer); len(reqs) == 0 {
+				return
 			}
-			if answered(err) || ctx.Err() != nil {
-				return nil, err
+			if ctx.Err() != nil {
+				break walk
 			}
-			lastErr = err
 			rt.noteFailure(b, err)
 		}
 	}
-	if lastErr == nil {
-		lastErr = errNoBackend
+	if ctx.Err() == nil {
+		err = fmt.Errorf("%w: %w", errNoBackend, err)
 	}
-	return nil, fmt.Errorf("%w: %w", errNoBackend, lastErr)
+	for i := range reqs {
+		answer(&reqs[i], nil, err)
+	}
 }
 
-// try runs one round trip over one backend's pool, feeding the
-// per-backend request, error and latency series. The Reply counts only
-// when the error is nil: a replica's "draining" error frame is returned
-// as the error it is to every request but an update, whose primary has
-// no one to defer to.
-func (rt *Router) try(ctx context.Context, b *backend, op byte, payload []byte) (*client.Reply, error) {
-	b.requests.Add(1)
+// try is one attempt at one backend: reqs go out over one pooled
+// connection — one frame as Conn.Do, so a lone request wakes no
+// goroutine but its own, several as one pipelined Batch — and each
+// answer goes to answer as it is harvested. An answer is a reply (a
+// result, or any error frame but a read's "draining": an update's
+// primary has no one to defer to) or a ServerError the client returned
+// without asking (an over-cap frame). The requests left unanswered come
+// back as rest, in order and in reqs' own array, with the error that
+// left them so. Each attempt feeds the per-backend series once: every
+// frame sent, one latency sample, and one error when anything is left.
+func (rt *Router) try(ctx context.Context, b *backend, reqs []request, answer answerFunc) (rest []request, err error) {
+	b.requests.Add(int64(len(reqs)))
 	start := time.Now()
-	c, err := b.pool.Conn(ctx)
-	var r *client.Reply
-	if err == nil {
-		if r, err = c.Do(ctx, op, payload); err == nil && op != wire.OpUpdate {
-			err = draining(r)
+	judge := func(req *request, r *client.Reply, e error) {
+		if e == nil && req.op != wire.OpUpdate {
+			e = draining(r)
+		}
+		if e == nil || answered(e) {
+			answer(req, r, e)
+			return
+		}
+		rest, err = append(rest, *req), e
+	}
+	c, cerr := b.pool.Conn(ctx)
+	switch {
+	case cerr != nil:
+		rest, err = reqs, cerr
+	case len(reqs) == 1:
+		rest = reqs[:0]
+		r, e := c.Do(ctx, reqs[0].op, reqs[0].payload)
+		judge(&reqs[0], r, e)
+	default:
+		batch := c.Batch()
+		futs := make([]client.ReplyFuture, len(reqs))
+		for i := range reqs {
+			futs[i] = batch.Do(reqs[i].op, reqs[i].payload)
+		}
+		if err = batch.Send(); err != nil {
+			rest = reqs
+			break
+		}
+		rest = reqs[:0]
+		for i := range reqs {
+			r, e := futs[i].Get(ctx)
+			judge(&reqs[i], r, e)
 		}
 	}
 	b.latency.Observe(time.Since(start))
-	if err != nil && !answered(err) {
+	if len(rest) > 0 {
 		b.errs.Add(1)
 	}
-	return r, err
+	return rest, err
 }
 
 // draining returns a replica's "draining" error frame as an error and
@@ -301,7 +346,7 @@ func draining(r *client.Reply) error {
 
 // Range answers a range query from the dataset's owners.
 func (rt *Router) Range(ctx context.Context, dataset string, box touch.Box) (version int64, ids []touch.ID, err error) {
-	r, err := rt.relay(ctx, dataset, wire.OpRange, wire.AppendRangeReq(nil, dataset, box))
+	r, err := rt.call(ctx, dataset, wire.OpRange, wire.AppendRangeReq(nil, dataset, box))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -310,7 +355,7 @@ func (rt *Router) Range(ctx context.Context, dataset string, box touch.Box) (ver
 
 // KNN answers a k-nearest-neighbor query from the dataset's owners.
 func (rt *Router) KNN(ctx context.Context, dataset string, pt touch.Point, k int) (version int64, nbrs []touch.Neighbor, err error) {
-	r, err := rt.relay(ctx, dataset, wire.OpKNN, wire.AppendKNNReq(nil, dataset, pt, k))
+	r, err := rt.call(ctx, dataset, wire.OpKNN, wire.AppendKNNReq(nil, dataset, pt, k))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -319,7 +364,7 @@ func (rt *Router) KNN(ctx context.Context, dataset string, pt touch.Point, k int
 
 // Join runs a join against the dataset's owners, materializing pairs.
 func (rt *Router) Join(ctx context.Context, dataset string, spec client.JoinSpec) (version int64, pairs []touch.Pair, count int64, err error) {
-	r, err := rt.relay(ctx, dataset, wire.OpJoin,
+	r, err := rt.call(ctx, dataset, wire.OpJoin,
 		wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, 0, spec.Probe, spec.Boxes))
 	if err != nil {
 		return 0, nil, 0, err
@@ -367,11 +412,16 @@ func (rt *Router) Catalog(ctx context.Context) ([]CatalogRow, []BackendFailure) 
 		go func(b *backend) {
 			defer wg.Done()
 			var infos []client.DatasetInfo
-			r, err := rt.try(ctx, b, wire.OpCatalog, nil)
-			if err == nil {
-				infos, err = r.Datasets()
+			var err error
+			_, lost := rt.try(ctx, b, []request{{op: wire.OpCatalog}}, func(_ *request, r *client.Reply, e error) {
+				if err = e; e == nil {
+					infos, err = r.Datasets()
+				}
+			})
+			if lost != nil {
+				err = lost
 			}
-			if err != nil {
+			if err != nil && ctx.Err() == nil {
 				rt.noteFailure(b, err)
 			}
 			mu.Lock()

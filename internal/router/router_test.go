@@ -20,6 +20,7 @@ import (
 	"touch/internal/promtext"
 	"touch/internal/router"
 	"touch/internal/server"
+	"touch/internal/wire"
 )
 
 // testBackend is one in-process touchserved replica.
@@ -164,6 +165,29 @@ func TestRoutedHTTPByteIdentity(t *testing.T) {
 		}
 		if !bytes.Equal(direct.Body.Bytes(), routed.Body.Bytes()) {
 			t.Errorf("%s:\ndirect: %srouted: %s", row.name, direct.Body.Bytes(), routed.Body.Bytes())
+		}
+	}
+
+	// Routing errors: both routers refuse a request they cannot route in
+	// the same words. (POST and DELETE on a dataset are routes of the
+	// router too, answered 501 not_routable.)
+	for _, row := range []struct {
+		name, method, path string
+		status             int
+	}{
+		{"unknown path", http.MethodGet, "/x", 404},
+		{"unknown action", http.MethodPost, "/v1/datasets/d/nope", 404},
+		{"GET on query", http.MethodGet, query, 405},
+		{"GET on join", http.MethodGet, join, 405},
+		{"GET on a dataset", http.MethodGet, update, 405},
+		{"PUT on the catalog", http.MethodPut, "/v1/datasets", 405},
+		{"invalid name", http.MethodPost, "/v1/datasets/bad%20name/query", 400},
+	} {
+		direct, routed := httptest.NewRecorder(), httptest.NewRecorder()
+		b0.srv.ServeHTTP(direct, httptest.NewRequest(row.method, row.path, nil))
+		rt.ServeHTTP(routed, httptest.NewRequest(row.method, row.path, nil))
+		if direct.Code != row.status || routed.Code != row.status || !bytes.Equal(direct.Body.Bytes(), routed.Body.Bytes()) {
+			t.Errorf("%s: direct %d %srouted %d %s", row.name, direct.Code, direct.Body.Bytes(), routed.Code, routed.Body.Bytes())
 		}
 	}
 
@@ -580,5 +604,81 @@ func TestRouterMetricsParse(t *testing.T) {
 	rt.ServeHTTP(hrec, hreq)
 	if hrec.Code != http.StatusOK || !strings.Contains(hrec.Body.String(), `"status":"ok"`) {
 		t.Fatalf("healthz = %d %s", hrec.Code, hrec.Body.String())
+	}
+}
+
+// TestBurstFailoverAccounting: a pipelined burst whose primary died
+// while still marked healthy fails over the way a lone read does,
+// request by request. Every answer is a direct connection's frames,
+// each read counts one query and one failover, and the dead primary
+// one ejection. The health checker is kept out of it, so only the
+// request path can have noticed the death.
+func TestBurstFailoverAccounting(t *testing.T) {
+	ds := touch.GenerateUniform(300, 8)
+	b0 := startBackend(t, "r0", map[string]touch.Dataset{"d": ds})
+	b1 := startBackend(t, "r1", map[string]touch.Dataset{"d": ds})
+	backends := map[string]*testBackend{"r0": b0, "r1": b1}
+	rt, err := router.New(router.Config{Backends: []string{b0.addr, b1.addr}, Replication: 2,
+		HealthInterval: time.Hour, RequestTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	t.Cleanup(func() { rt.Close() })
+	owners := rt.Owners("d")
+	primary, fallback := backends[owners[0]], backends[owners[1]]
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	direct := dial(t, ctx, fallback.addr)
+	routed := serveWire(t, ctx, rt)
+
+	type frame struct {
+		op      byte
+		payload []byte
+	}
+	var reqs []frame
+	for i := 0; i < 4; i++ {
+		v := float64(100 + 150*i)
+		reqs = append(reqs,
+			frame{wire.OpRange, wire.AppendRangeReq(nil, "d", touch.Box{Min: touch.Point{v, 0, 0}, Max: touch.Point{v + 200, 900, 900}})},
+			frame{wire.OpKNN, wire.AppendKNNReq(nil, "d", touch.Point{v, v, v}, 5)})
+	}
+	primary.kill()
+
+	batch := routed.Batch()
+	futs := make([]client.ReplyFuture, len(reqs))
+	for i, rq := range reqs {
+		futs[i] = batch.Do(rq.op, rq.payload)
+	}
+	if err := batch.Send(); err != nil {
+		t.Fatal(err)
+	}
+	for i, rq := range reqs {
+		got, err := futs[i].Get(ctx)
+		if err != nil {
+			t.Fatalf("routed read %d: %v", i, err)
+		}
+		want, err := direct.Do(ctx, rq.op, rq.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Op != want.Op || !bytes.Equal(got.Payload, want.Payload) || len(got.Stream) != len(want.Stream) {
+			t.Errorf("routed read %d: %#02x % x, direct %#02x % x", i, got.Op, got.Payload, want.Op, want.Payload)
+		}
+	}
+
+	n := float64(len(reqs))
+	for _, c := range []struct {
+		family, key, val string
+		want             float64
+	}{
+		{"touchrouter_failovers_total", "", "", n},
+		{"touchrouter_requests_total", "class", "query", n},
+		{"touchrouter_ejections_total", "", "", 1},
+	} {
+		if got := metric(t, rt, c.family, c.key, c.val); got != c.want {
+			t.Errorf("%s{%s=%q} = %g, want %g", c.family, c.key, c.val, got, c.want)
+		}
 	}
 }

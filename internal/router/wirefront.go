@@ -18,17 +18,17 @@ package router
 //
 // Read frames (range, point, kNN) that arrive back-to-back — a
 // pipelining client's flush delivers dozens in one burst — are
-// coalesced and forwarded as one pipelined Batch to the dataset's
-// first healthy owner: one flush toward the backend, one goroutine,
-// one flush back, so the per-query cost of the extra hop is two frame
-// copies, not a per-request round trip. A connection-level failure
-// mid-batch drops only the unanswered requests onto the failover path
-// (Router.relay), which retries the remaining ring owners. Joins,
-// updates and catalog requests keep their own goroutine each
-// (bounded per connection), so one slow join never convoys the
-// pipelined queries behind it; responses go back matched by tag,
-// possibly out of arrival order — exactly what the protocol's tag
-// contract permits.
+// coalesced: each run of them for one dataset goes down the same owner
+// walk as a lone read (Router.relay), sent to an owner as one pipelined
+// Batch — one flush toward the backend, one goroutine, one flush back,
+// so the per-query cost of the extra hop is two frame copies, not a
+// per-request round trip. Each answer is written back as it is
+// harvested, and what an owner leaves unanswered moves on to the next
+// owner. Joins, updates and catalog requests are dispatched alone, each
+// on a goroutine of its own (bounded per connection), so one slow join
+// never convoys the pipelined queries behind it; responses go back
+// matched by tag, possibly out of arrival order — exactly what the
+// protocol's tag contract permits.
 //
 // The catalog is the one request the front answers itself (the merged
 // listing), and cancel frames for coalesced reads are accepted but not
@@ -133,16 +133,6 @@ func (rt *Router) serveWireConn(ctx context.Context, r *wire.Reader, w *wire.Wri
 	c.wg.Wait()
 }
 
-// relayReq is one request frame awaiting forwarding: the routing key
-// peeked from its payload, and the payload copied out of the reader's
-// reused buffer.
-type relayReq struct {
-	op      byte
-	tag     uint32
-	dataset string
-	payload []byte
-}
-
 // readLoop reads the connection's frames until it ends, then cancels the
 // connection's context and gives up the read loop's count in wg. It may
 // do so on another goroutine than it was called on: a lone read is
@@ -163,7 +153,7 @@ func (c *frontConn) read(r *wire.Reader) bool {
 	// buffered; it is dispatched as soon as the next read would block
 	// (or the group is full), so a pipelined burst becomes one batch
 	// and a lone request is forwarded immediately.
-	var group []relayReq
+	var group []request
 	dispatch := func() {
 		if len(group) == 0 {
 			return
@@ -182,7 +172,7 @@ func (c *frontConn) read(r *wire.Reader) bool {
 		go func() {
 			defer c.wg.Done()
 			defer func() { <-c.sem }()
-			c.forwardReads(g)
+			c.forward(g)
 		}()
 	}
 	defer dispatch()
@@ -206,7 +196,7 @@ func (c *frontConn) read(r *wire.Reader) bool {
 					time.AfterFunc(lonePatience, func() { c.watch(r, n) })
 				}
 				c.wg.Add(1)
-				c.forwardReads(g)
+				c.forward(g)
 				c.wg.Done()
 				if !c.lone.CompareAndSwap(n, 0) {
 					return false // the watch has moved the loop on
@@ -238,7 +228,7 @@ func (c *frontConn) read(r *wire.Reader) bool {
 			c.fatalError(tag, fmt.Sprintf("unknown opcode %#02x", op))
 			return true
 		}
-		req := relayReq{op: op, tag: tag, payload: append([]byte(nil), payload...)}
+		req := request{op: op, tag: tag, payload: append([]byte(nil), payload...)}
 		if op != wire.OpCatalog {
 			// A payload too short to hold its own name cannot be placed;
 			// it is refused here, with the error an owner would give.
@@ -250,26 +240,14 @@ func (c *frontConn) read(r *wire.Reader) bool {
 			}
 			req.dataset = string(name)
 		}
-		if read {
-			c.inflight.Add(1)
-			group = append(group, req)
-			continue
-		}
-		dispatch()
-		select {
-		case c.sem <- struct{}{}:
-		case <-c.ctx.Done():
-			return true
+		if !read {
+			dispatch() // a join, update or catalog request goes alone
 		}
 		c.inflight.Add(1)
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			defer func() { <-c.sem }()
-			ctx, cancel := context.WithTimeout(c.ctx, c.rt.cfg.RequestTimeout)
-			defer cancel()
-			c.forward(ctx, &req)
-		}()
+		group = append(group, req)
+		if !read {
+			dispatch()
+		}
 	}
 }
 
@@ -333,87 +311,21 @@ func (c *frontConn) respondError(tag uint32, e *api.Error) {
 	c.respond(tag, client.Frame{Op: wire.OpError, Payload: wire.AppendErrorResp(nil, e.Code, e.Message)})
 }
 
-// forwardReads proxies one dispatched burst of read frames under one
-// timeout. Each contiguous run for the same dataset (the whole burst,
-// for a typical pipelining client) is answered batched over the first
-// healthy owner when it holds more than one request, per-request with
-// full failover otherwise — including the leftovers of a batch whose
-// connection died mid-flight, each of which counts as a failover
-// because a second backend is about to serve it.
-func (c *frontConn) forwardReads(reqs []relayReq) {
+// forward answers one dispatched group under one timeout: a join,
+// update or catalog request alone, or a burst of reads, each contiguous
+// run of which for one dataset (the whole burst, for a typical
+// pipelining client) is relayed as one run.
+func (c *frontConn) forward(group []request) {
 	ctx, cancel := context.WithTimeout(c.ctx, c.rt.cfg.RequestTimeout)
 	defer cancel()
-	for start := 0; start < len(reqs); {
+	for start := 0; start < len(group); {
 		end := start + 1
-		for end < len(reqs) && reqs[end].dataset == reqs[start].dataset {
+		for end < len(group) && group[end].dataset == group[start].dataset {
 			end++
 		}
-		run := reqs[start:end]
+		c.relay(ctx, group[start:end])
 		start = end
-		if len(run) > 1 {
-			if b := c.rt.healthyOwner(run[0].dataset); b != nil {
-				run = c.tryBatch(ctx, b, run)
-				c.rt.met.failovers.Add(int64(len(run)))
-			}
-		}
-		for i := range run {
-			c.forward(ctx, &run[i])
-		}
 	}
-}
-
-// tryBatch pipelines reqs (all one dataset) over one pooled connection
-// to b: every request is queued, sent with a single flush and
-// harvested in order. Requests the backend answered — with a result
-// or with an authoritative server error — are responded to here; the
-// remainder (connection-level failures) are returned for the caller
-// to fail over.
-func (c *frontConn) tryBatch(ctx context.Context, b *backend, reqs []relayReq) []relayReq {
-	rt := c.rt
-	conn, err := b.pool.Conn(ctx)
-	if err != nil {
-		rt.noteFailure(b, err)
-		return reqs
-	}
-	b.requests.Add(int64(len(reqs)))
-	start := time.Now()
-	batch := conn.Batch()
-	futs := make([]client.ReplyFuture, len(reqs))
-	for i := range reqs {
-		futs[i] = batch.Do(reqs[i].op, reqs[i].payload)
-	}
-	if err := batch.Send(); err != nil {
-		b.errs.Add(1)
-		b.latency.Observe(time.Since(start))
-		rt.noteFailure(b, err)
-		return reqs
-	}
-	var rest []relayReq
-	var connErr error
-	for i := range reqs {
-		r, err := futs[i].Get(ctx)
-		if err == nil {
-			err = draining(r)
-		}
-		// A server error is the backend's authoritative answer; anything
-		// else (and a draining replica) fails the request over.
-		switch {
-		case err == nil:
-			c.respond(reqs[i].tag, r.Frame, r.Stream...)
-		case answered(err):
-			c.respondError(reqs[i].tag, proxiedError(err))
-		default:
-			connErr = err
-			rest = append(rest, reqs[i])
-		}
-	}
-	b.latency.Observe(time.Since(start))
-	rt.met.requests[rcQuery].Add(int64(len(reqs) - len(rest)))
-	if connErr != nil {
-		b.errs.Add(1)
-		rt.noteFailure(b, connErr)
-	}
-	return rest
 }
 
 // track registers the in-flight forward for tag so a cancel frame can
@@ -428,15 +340,19 @@ func (c *frontConn) track(tag uint32, cancel context.CancelFunc) {
 	c.mu.Unlock()
 }
 
-// forward answers one request on the caller's goroutine, its tag
-// registered so a cancel frame can abort it: the merged catalog from
-// Router.Catalog, every other frame through Router.relay.
-func (c *frontConn) forward(ctx context.Context, req *relayReq) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	c.track(req.tag, cancel)
-	defer c.track(req.tag, nil)
-
+// relay answers one run: the merged catalog from Router.Catalog, every
+// other frame through Router.relay. A request relayed alone has its tag
+// registered meanwhile, so a cancel frame can abort it; the requests of
+// a coalesced run share one attempt and are not canceled one by one.
+func (c *frontConn) relay(ctx context.Context, run []request) {
+	req := &run[0]
+	if len(run) == 1 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+		c.track(req.tag, cancel)
+		defer c.track(req.tag, nil)
+	}
 	if req.op == wire.OpCatalog {
 		if len(req.payload) != 0 {
 			c.respondError(req.tag, api.Errorf(api.CodeBadRequest,
@@ -451,7 +367,12 @@ func (c *frontConn) forward(ctx context.Context, req *relayReq) {
 		c.respond(req.tag, client.Frame{Op: wire.OpCatalogResp, Payload: wire.AppendCatalogResp(nil, entries)})
 		return
 	}
-	r, err := c.rt.relay(ctx, req.dataset, req.op, req.payload)
+	c.rt.relay(ctx, run, c.answer)
+}
+
+// answer writes one request's answer back under its tag: the owner's
+// frames as they arrived, or the error frame its failure maps to.
+func (c *frontConn) answer(req *request, r *client.Reply, err error) {
 	if err != nil {
 		c.respondError(req.tag, proxiedError(err))
 		return

@@ -9,9 +9,10 @@
 # and the catalog must come back identical — same versions, same
 # answers, no rebuilds — with corrupt snapshot files quarantined, not
 # fatal. A third phase boots two replicas behind a touchrouter: routed
-# answers must match a direct backend byte-for-byte, and kill -9 on one
-# replica must leave reads working while the router's metrics record
-# the ejection. CI runs this via `make serve-smoke`.
+# answers must match a direct backend byte-for-byte, and kill -9 on the
+# dataset's primary must leave reads working — a pipelined touchwire
+# burst answers exactly as it did before the kill — while the router's
+# metrics record the ejection. CI runs this via `make serve-smoke`.
 set -eu
 
 WORK=$(mktemp -d)
@@ -280,10 +281,10 @@ PID=
 # Two replicas serving the same dataset behind a touchrouter. Routed
 # query and join answers — NDJSON streams included — must be
 # byte-identical to a direct backend's, and a traced routed query must
-# carry the answering backend's trace. Then kill -9 one replica:
-# reads through the router must keep succeeding — the first one fails
-# over inside the same call — and the router's metrics must record the
-# ejection.
+# carry the answering backend's trace. Then kill -9 the primary owner:
+# reads through the router must keep succeeding — the first ones fail
+# over inside the same call, a coalesced wire burst included — and the
+# router's metrics must record the ejection.
 
 # wait_for LOGFILE PREFIX: block until the startup line "PREFIX ADDR"
 # appears in LOGFILE, echo ADDR.
@@ -372,9 +373,28 @@ CAT=$(curl -sf "$RBASE/v1/datasets") || fail "routed catalog"
 echo "$CAT" | grep -q '"backends":\["replica-a","replica-b"\]' \
     || fail "catalog provenance: $CAT"
 
-kill -9 "$BPID1"
-wait "$BPID1" 2>/dev/null || true
-BPID1=
+# One pipelined touchwire burst through the router's wire front: the
+# three reads are coalesced into one batch, the two joins go alone.
+BURST='range:0,0,0,50,50,50 point:6,6,6 knn:1,1,1,2 join:4,4,4,6,6,6 joincount:4,4,4,6,6,6'
+BURST_BEFORE=$("$WIREBIN" -addr "$RWADDR" -dataset smoke $BURST) || fail "routed touchwire burst"
+
+# The 501 on a load names the owners, primary first: kill that one, so
+# the next reads find their first owner dead.
+PRIMARY=$(curl -s -X POST "$RBASE/v1/datasets/smoke" -d '' \
+    | sed -n 's/.*owners of \\"smoke\\": \([^,)]*\).*/\1/p')
+case "$PRIMARY" in
+replica-a) KPID=$BPID1 BPID1= ;;
+replica-b) KPID=$BPID2 BPID2= ;;
+*) fail "router named no primary owner of smoke: '$PRIMARY'" ;;
+esac
+kill -9 "$KPID"
+wait "$KPID" 2>/dev/null || true
+
+BURST_AFTER=$("$WIREBIN" -addr "$RWADDR" -dataset smoke $BURST) \
+    || fail "routed touchwire burst failed after the primary's kill"
+[ "$BURST_AFTER" = "$BURST_BEFORE" ] || fail "routed burst changed across the primary's kill:
+before: $BURST_BEFORE
+after:  $BURST_AFTER"
 
 # Every read through the router must keep succeeding while the health
 # checker notices the corpse; stop once the metrics show it ejected.
@@ -384,7 +404,7 @@ while :; do
         || fail "routed read failed after backend kill"
     echo "$OUT" | grep -q '"count":3' || fail "routed read wrong after kill: $OUT"
     curl -sf "$RBASE/metrics" \
-        | grep -q 'touchrouter_backend_healthy{backend="replica-a"[^}]*} 0' && break
+        | grep -q "touchrouter_backend_healthy{backend=\"$PRIMARY\"[^}]*} 0" && break
     i=$((i + 1))
     [ $i -lt 100 ] || fail "router never ejected the killed backend"
     sleep 0.1
@@ -398,8 +418,10 @@ wait "$RPID" || STATUS=$?
 [ "$STATUS" = "0" ] || fail "router exited with status $STATUS"
 grep -q 'drained, bye' "$LOG" || fail "no router clean-drain line"
 RPID=
-kill -TERM "$BPID2"
-wait "$BPID2" 2>/dev/null || true
-BPID2=
+for P in $BPID1 $BPID2; do
+    kill -TERM "$P"
+    wait "$P" 2>/dev/null || true
+done
+BPID1= BPID2=
 
 echo "serve-smoke: OK"
