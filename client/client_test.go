@@ -5,6 +5,8 @@ import (
 	"errors"
 	"log/slog"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,54 +37,60 @@ func startServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestServerNodeAndCatalog: a server with a node ID advertises it in
-// the hello info ("node/<id>"), ServerNode parses it back, and the wire
-// catalog listing mirrors what the server is actually serving.
+// TestServerNodeAndCatalog: the hello info a server sends carries its
+// frame cap ("maxframe/<bytes>", which the client's over-cap refusal
+// reads) and its node ID ("node/<id>", whitespace rewritten to "-", the
+// listener's address when empty); ServerNode parses the ID back, and the
+// wire catalog listing mirrors what the server is actually serving.
 func TestServerNodeAndCatalog(t *testing.T) {
-	srv := server.New(server.Config{NodeID: "replica-7"})
-	srv.Load("d", touch.GenerateUniform(200, 1), touch.TOUCHConfig{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.ServeWire(ln)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.ShutdownWire(ctx)
-	}()
+	for _, tc := range []struct {
+		name, nodeID, want string
+		maxBody            int64
+		maxFrame           string
+	}{
+		{"set", "replica-7", "replica-7", 0, "maxframe/8388608"},
+		{"whitespace", "replica 7\tb", "replica-7-b", 64 << 10, "maxframe/65536"},
+		{"absent", "", "", 0, "maxframe/8388608"}, // want: the listener's address
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := server.New(server.Config{NodeID: tc.nodeID, MaxBodyBytes: tc.maxBody})
+			srv.Load("d", touch.GenerateUniform(200, 1), touch.TOUCHConfig{})
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.ServeWire(ln)
+			defer func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				srv.ShutdownWire(ctx)
+			}()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	c, err := client.Dial(ctx, ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.ServerNode(); got != "replica-7" {
-		t.Fatalf("ServerNode = %q (info %q), want %q", got, c.ServerInfo(), "replica-7")
-	}
-	infos, err := c.Datasets(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 1 || infos[0].Name != "d" || infos[0].Objects != 200 || infos[0].Status != "ready" {
-		t.Fatalf("Datasets = %+v, want one ready row for %q with 200 objects", infos, "d")
-	}
-}
-
-// TestServerNodeAbsent: servers without a node ID yield "".
-func TestServerNodeAbsent(t *testing.T) {
-	addr := startServer(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	c, err := client.Dial(ctx, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.ServerNode(); got != "" {
-		t.Fatalf("ServerNode = %q, want empty for a server without -node-id", got)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			c, err := client.Dial(ctx, ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			want := tc.want
+			if want == "" {
+				want = ln.Addr().String()
+			}
+			if got := c.ServerNode(); got != want {
+				t.Fatalf("ServerNode = %q (info %q), want %q", got, c.ServerInfo(), want)
+			}
+			if !slices.Contains(strings.Fields(c.ServerInfo()), tc.maxFrame) {
+				t.Fatalf("ServerInfo = %q, want a %q token", c.ServerInfo(), tc.maxFrame)
+			}
+			infos, err := c.Datasets(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(infos) != 1 || infos[0].Name != "d" || infos[0].Objects != 200 || infos[0].Status != "ready" {
+				t.Fatalf("Datasets = %+v, want one ready row for %q with 200 objects", infos, "d")
+			}
+		})
 	}
 }
 

@@ -23,18 +23,11 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"touch/cmd/internal/daemon"
 	"touch/internal/router"
 )
 
@@ -53,21 +46,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var handler slog.Handler
-	switch *logFormat {
-	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	default:
-		fmt.Fprintf(os.Stderr, "touchrouter: -log-format %q: want text or json\n", *logFormat)
-		os.Exit(2)
-	}
-	logger := slog.New(handler)
-	fatal := func(msg string, args ...any) {
-		logger.Error(msg, args...)
-		os.Exit(1)
-	}
+	d := daemon.New("touchrouter", *logFormat)
 
 	var backends []string
 	for _, b := range strings.Split(*backendsArg, ",") {
@@ -76,7 +55,7 @@ func main() {
 		}
 	}
 	if len(backends) == 0 {
-		fatal("no backends: pass -backends host1:port,host2:port")
+		d.Fatal("no backends: pass -backends host1:port,host2:port")
 	}
 
 	rt, err := router.New(router.Config{
@@ -86,68 +65,18 @@ func main() {
 		PoolSize:       *poolSize,
 		HealthInterval: *healthEvery,
 		RequestTimeout: *timeout,
-		Logger:         logger,
+		Logger:         d.Log,
 	})
 	if err != nil {
-		fatal("router init failed", "err", err)
+		d.Fatal("router init failed", "err", err)
 	}
-	logger.Info("touchrouter starting", "backends", len(backends), "replication", *replication)
+	d.Log.Info("touchrouter starting", "backends", len(backends), "replication", *replication)
 
 	// The initial sweep runs before the listeners open, so the first
 	// request already sees probed health state.
 	rt.Start()
+	defer rt.Close()
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal("listen failed", "addr", *addr, "err", err)
-	}
-	hs := &http.Server{
-		Handler:           rt,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       *timeout + 15*time.Second,
-		WriteTimeout:      *timeout + 30*time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	// The parseable startup line smoke tests grab the port from.
-	logger.Info(fmt.Sprintf("touchrouter listening on %s", ln.Addr()))
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	wireServing := false
-	if *binAddr != "" {
-		bln, err := net.Listen("tcp", *binAddr)
-		if err != nil {
-			fatal("listen -bin-addr failed", "addr", *binAddr, "err", err)
-		}
-		logger.Info(fmt.Sprintf("touchrouter wire listening on %s", bln.Addr()))
-		wireServing = true
-		go func() {
-			if err := rt.ServeWire(bln); err != nil {
-				errc <- err
-			}
-		}()
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		fatal("serve failed", "err", err)
-	case <-ctx.Done():
-	}
-
-	logger.Info("draining", "grace", *grace)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	if wireServing {
-		if err := rt.ShutdownWire(shutdownCtx); err != nil {
-			fatal("wire shutdown failed", "err", err)
-		}
-	}
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		fatal("shutdown failed", "err", err)
-	}
-	rt.Close()
-	logger.Info("drained, bye")
+	d.Serve(rt, *addr, *binAddr, *timeout)
+	d.Wait(*grace, nil)
 }

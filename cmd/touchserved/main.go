@@ -40,10 +40,8 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -54,6 +52,7 @@ import (
 	"time"
 
 	"touch"
+	"touch/cmd/internal/daemon"
 	"touch/internal/api"
 	"touch/internal/server"
 )
@@ -89,21 +88,7 @@ func main() {
 		return
 	}
 
-	var handler slog.Handler
-	switch *logFormat {
-	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	default:
-		fmt.Fprintf(os.Stderr, "touchserved: -log-format %q: want text or json\n", *logFormat)
-		os.Exit(2)
-	}
-	logger := slog.New(handler)
-	fatal := func(msg string, args ...any) {
-		logger.Error(msg, args...)
-		os.Exit(1)
-	}
+	d := daemon.New("touchserved", *logFormat)
 
 	srv := server.New(server.Config{
 		MaxInFlight:        *maxInFlight,
@@ -112,92 +97,49 @@ func main() {
 		Workers:            *workers,
 		DataDir:            *dataDir,
 		SlowQueryThreshold: time.Duration(*slowMs) * time.Millisecond,
-		Logger:             logger,
+		Logger:             d.Log,
+		NodeID:             *nodeID,
 	})
 
-	logger.Info("touchserved starting", "build", server.BuildInfo())
+	d.Log.Info("touchserved starting", "build", server.BuildInfo())
 
 	if *dataDir != "" {
 		start := time.Now()
 		stats, err := srv.Recover()
 		if err != nil {
-			fatal("recovery failed", "data_dir", *dataDir, "err", err)
+			d.Fatal("recovery failed", "data_dir", *dataDir, "err", err)
 		}
 		// The smoke tests grep this exact sentence; keep it stable.
-		logger.Info(fmt.Sprintf("recovered %d dataset(s) from %s in %v (%d quarantined)",
+		d.Log.Info(fmt.Sprintf("recovered %d dataset(s) from %s in %v (%d quarantined)",
 			stats.Loaded, *dataDir, time.Since(start).Round(time.Millisecond), stats.Quarantined))
 	}
 
 	for _, p := range preloads {
 		name, path, _ := strings.Cut(p, "=")
 		if !api.ValidDatasetName(name) {
-			fatal("-load name must be 1-128 chars of [A-Za-z0-9._-]", "arg", p)
+			d.Fatal("-load name must be 1-128 chars of [A-Za-z0-9._-]", "arg", p)
 		}
 		f, err := os.Open(path)
 		if err != nil {
-			fatal("-load open failed", "arg", p, "err", err)
+			d.Fatal("-load open failed", "arg", p, "err", err)
 		}
 		ds, err := touch.ReadDataset(f)
 		f.Close()
 		if err != nil {
-			fatal("-load parse failed", "arg", p, "err", err)
+			d.Fatal("-load parse failed", "arg", p, "err", err)
 		}
 		start := time.Now()
 		_, stats := srv.Load(name, ds, touch.TOUCHConfig{Workers: *workers})
 		// "built in" marks an index build; the recovery smoke test asserts
 		// its absence after a restore.
-		logger.Info(fmt.Sprintf("loaded %q: %d objects, %s static, built in %v",
+		d.Log.Info(fmt.Sprintf("loaded %q: %d objects, %s static, built in %v",
 			name, stats.Objects, touch.FormatBytes(stats.StaticBytes), time.Since(start).Round(time.Millisecond)))
 	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal("listen failed", "addr", *addr, "err", err)
-	}
-	// Read deadlines close the slow-body loophole: body decoding happens
-	// before the handler's processing budget is enforced, so without
-	// them a client trickling one byte at a time could pin an admission
-	// slot indefinitely. Write/idle deadlines leave room for the handler
-	// budget plus response transfer.
-	hs := &http.Server{
-		Handler:           srv,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       *timeout + 15*time.Second,
-		WriteTimeout:      *timeout + 30*time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-
-	// The parseable startup line smoke tests grab the port from.
-	logger.Info(fmt.Sprintf("touchserved listening on %s", ln.Addr()))
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
 
 	// The binary protocol is a second front door onto the same catalog,
 	// admission slots and metrics — see internal/wire for the framing
 	// and the client package for the pipelining dialer.
-	wireServing := false
-	if *nodeID != "" {
-		srv.SetNodeID(*nodeID)
-	}
-	if *binAddr != "" {
-		bln, err := net.Listen("tcp", *binAddr)
-		if err != nil {
-			fatal("listen -bin-addr failed", "addr", *binAddr, "err", err)
-		}
-		if *nodeID == "" {
-			// Routers key their logs and metrics on this ID; the bound
-			// wire address is the natural default for one.
-			srv.SetNodeID(bln.Addr().String())
-		}
-		logger.Info(fmt.Sprintf("touchserved wire listening on %s", bln.Addr()))
-		wireServing = true
-		go func() {
-			if err := srv.ServeWire(bln); err != nil {
-				errc <- err
-			}
-		}()
-	}
+	d.Serve(srv, *addr, *binAddr, *timeout)
 
 	// The debug listener is a separate, operator-only mux: pprof plus a
 	// plain-text slow-log mirror. Deliberately not mounted on the serving
@@ -215,12 +157,12 @@ func main() {
 		})
 		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
-			fatal("listen -debug-addr failed", "addr", *debugAddr, "err", err)
+			d.Fatal("listen -debug-addr failed", "addr", *debugAddr, "err", err)
 		}
-		logger.Info(fmt.Sprintf("touchserved debug listening on %s", dln.Addr()))
+		d.Log.Info(fmt.Sprintf("touchserved debug listening on %s", dln.Addr()))
 		go func() {
 			if err := http.Serve(dln, dmux); err != nil {
-				logger.Error("debug listener failed", "err", err)
+				d.Log.Error("debug listener failed", "err", err)
 			}
 		}()
 	}
@@ -235,25 +177,5 @@ func main() {
 		}
 	}()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		fatal("serve failed", "err", err)
-	case <-ctx.Done():
-	}
-
-	logger.Info("draining", "grace", *grace)
-	srv.BeginShutdown()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	if wireServing {
-		if err := srv.ShutdownWire(shutdownCtx); err != nil {
-			fatal("wire shutdown failed", "err", err)
-		}
-	}
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		fatal("shutdown failed", "err", err)
-	}
-	logger.Info("drained, bye")
+	d.Wait(*grace, srv.BeginShutdown)
 }

@@ -13,6 +13,9 @@ import (
 	"time"
 )
 
+// ContentType is the Content-Type of every /metrics answer.
+const ContentType = "text/plain; version=0.0.4; charset=utf-8"
+
 // buckets are the shared upper bounds (seconds) of every duration
 // histogram: log-spaced from 1µs to 30s, covering microsecond query
 // phases and multi-second joins in one fixed layout. Fixed buckets —

@@ -16,6 +16,7 @@ import (
 
 	"touch/client"
 	"touch/internal/api"
+	"touch/internal/promhist"
 	"touch/internal/wire"
 )
 
@@ -55,7 +56,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rt.handleHealthz(w)
 		return
 	case "/metrics":
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		w.Header().Set("Content-Type", promhist.ContentType)
 		rt.RenderMetrics(w)
 		return
 	case "/v1/datasets":

@@ -143,7 +143,6 @@ func New(cfg Config) (*Router, error) {
 		rt.backends[addr] = &backend{addr: addr, pool: client.NewPool(addr, cfg.PoolSize)}
 	}
 	rt.wire.MaxFrame = wireMaxFrame
-	rt.wire.Info = func() string { return "touchrouter/go" }
 	rt.wire.Handle = rt.serveWireConn
 	return rt, nil
 }

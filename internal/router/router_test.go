@@ -575,6 +575,10 @@ func TestRouterMetricsParse(t *testing.T) {
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	rec := httptest.NewRecorder()
 	rt.ServeHTTP(rec, req)
+	// touchserved's /metrics answers with the same Content-Type.
+	if ct := rec.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Fatalf("/metrics Content-Type = %q", ct)
+	}
 	m, err := promtext.Parse(rec.Body)
 	if err != nil {
 		t.Fatalf("metrics do not parse: %v", err)

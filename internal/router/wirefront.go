@@ -68,7 +68,7 @@ const wireMaxFrame = 64 << 20
 // ServeWire accepts binary-protocol connections on ln until the
 // listener fails or ShutdownWire closes it (which returns nil). Run it
 // on its own goroutine, one per listener.
-func (rt *Router) ServeWire(ln net.Listener) error { return rt.wire.Serve(ln) }
+func (rt *Router) ServeWire(ln net.Listener) error { return rt.wire.Serve(ln, "touchrouter/go") }
 
 // ShutdownWire stops accepting, force-closes every wire-front
 // connection (canceling their in-flight forwards) and waits for the

@@ -64,10 +64,10 @@
 //
 // The Server is an http.Handler; connection-level protection is the
 // enclosing http.Server's job. Deployments must set ReadTimeout /
-// ReadHeaderTimeout (as cmd/touchserved does): request bodies are
-// decoded before the per-request processing budget applies, so without
-// a read deadline a client trickling its body one byte at a time could
-// pin an admission slot indefinitely.
+// ReadHeaderTimeout (as cmd/internal/daemon does for touchserved):
+// request bodies are decoded before the per-request processing budget
+// applies, so without a read deadline a client trickling its body one
+// byte at a time could pin an admission slot indefinitely.
 package server
 
 import (
@@ -85,6 +85,7 @@ import (
 
 	"touch"
 	"touch/internal/api"
+	"touch/internal/promhist"
 	snapstore "touch/internal/snapshot"
 	"touch/internal/trace"
 	"touch/internal/wire"
@@ -147,9 +148,9 @@ type Config struct {
 	Logger *slog.Logger
 	// NodeID names this server instance in the wire hello info string
 	// (as a "node/<id>" token), so routing tiers can label a backend
-	// stably across address changes. Deployments that learn their
-	// address only after binding the wire listener can set it late with
-	// SetNodeID. Empty omits the token.
+	// stably across address changes. Whitespace is rewritten to "-" —
+	// the hello info is a space-separated token list. Empty names the
+	// instance by the address of the listener ServeWire accepts on.
 	NodeID string
 
 	// build replaces touch.BuildIndex in tests (slow/observable builds).
@@ -230,10 +231,6 @@ type Server struct {
 	// Config.SlowQueryThreshold is 0.
 	slow *slowLog
 
-	// nodeID is the instance name advertised in the wire hello; atomic
-	// because SetNodeID may race with connections handshaking.
-	nodeID atomic.Pointer[string]
-
 	// testHookWorker, when set, runs inside query and join handlers
 	// before the engine call, under the request context — tests block it
 	// to hold requests in flight or to park them past their deadline.
@@ -255,12 +252,8 @@ func New(cfg Config) *Server {
 		slots: make(chan struct{}, cfg.MaxInFlight),
 	}
 	s.cat.compactAt = cfg.CompactThreshold
-	if cfg.NodeID != "" {
-		s.SetNodeID(cfg.NodeID)
-	}
 	s.front.MaxBodyBytes = cfg.MaxBodyBytes
 	s.wire.MaxFrame = int(cfg.MaxBodyBytes)
-	s.wire.Info = s.helloInfo
 	s.wire.Handle = s.serveWireConn
 	if cfg.SlowQueryThreshold > 0 {
 		s.slow = &slowLog{threshold: cfg.SlowQueryThreshold}
@@ -281,29 +274,6 @@ func New(cfg Config) *Server {
 		}
 	}
 	return s
-}
-
-// SetNodeID (re)names this instance in the wire hello info string.
-// Callers that derive the ID from a bound listener address set it after
-// net.Listen and before ServeWire; connections already past their
-// handshake keep the hello they saw. Whitespace is rewritten to "-" —
-// the hello info is a space-separated token list.
-func (s *Server) SetNodeID(id string) {
-	id = strings.Join(strings.Fields(id), "-")
-	s.nodeID.Store(&id)
-}
-
-// helloInfo is the info string of the server's wire hello: the build
-// string, a "maxframe/<bytes>" token stating the frame cap this server
-// enforces — so a client can refuse an over-cap request itself instead
-// of losing the connection to it — plus a "node/<id>" token naming this
-// instance when one is configured.
-func (s *Server) helloInfo() string {
-	info := fmt.Sprintf("%s maxframe/%d", BuildInfo(), s.wire.MaxFrame)
-	if id := s.nodeID.Load(); id != nil && *id != "" {
-		info += " node/" + *id
-	}
-	return info
 }
 
 // logger returns the configured operational logger (never nil).
@@ -331,7 +301,19 @@ func (s *Server) BeginShutdown() { s.draining.Store(true) }
 // ServeWire accepts binary-protocol connections on ln until the
 // listener fails or ShutdownWire closes it (which returns nil). Run it
 // on its own goroutine, one per listener.
-func (s *Server) ServeWire(ln net.Listener) error { return s.wire.Serve(ln) }
+//
+// Each client's hello carries the build string, a "maxframe/<bytes>"
+// token stating the frame cap this server enforces — so a client can
+// refuse an over-cap request itself instead of losing the connection to
+// it — and a "node/<id>" token naming this instance: Config.NodeID, or
+// ln's address when that is empty.
+func (s *Server) ServeWire(ln net.Listener) error {
+	id := strings.Join(strings.Fields(s.cfg.NodeID), "-")
+	if id == "" {
+		id = ln.Addr().String()
+	}
+	return s.wire.Serve(ln, fmt.Sprintf("%s maxframe/%d node/%s", BuildInfo(), s.wire.MaxFrame, id))
+}
 
 // ShutdownWire drains the binary protocol: stops accepting, rejects new
 // frames with a draining error, waits (bounded by ctx) for requests
@@ -506,7 +488,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header().Set("Content-Type", promhist.ContentType)
 	s.met.render(w, s.cat, s.SnapshotErrors())
 }
 

@@ -692,6 +692,12 @@ func TestHealthzAndMetrics(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
 		}
 	}
+	// touchrouter's /metrics answers with the same Content-Type.
+	rec := httptest.NewRecorder()
+	ts.srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if ct := rec.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Fatalf("/metrics Content-Type = %q", ct)
+	}
 }
 
 // TestSyncLoad: the programmatic preload path builds before returning.

@@ -22,9 +22,6 @@ const handshakeTimeout = 10 * time.Second
 type Acceptor struct {
 	// MaxFrame caps inbound frame payloads (see NewReader).
 	MaxFrame int
-	// Info returns the hello info string sent to each client; called per
-	// handshake, so it may change between connections.
-	Info func() string
 	// Handle serves one connection after a successful handshake and
 	// returns when its reader is done and its in-flight work has unwound.
 	// ctx is the connection's lifetime: canceled by Shutdown's
@@ -43,10 +40,10 @@ type Acceptor struct {
 	connWG sync.WaitGroup
 }
 
-// Serve accepts connections on ln until the listener fails or Shutdown
-// closes it (which returns nil). Run it on its own goroutine, one per
-// listener.
-func (a *Acceptor) Serve(ln net.Listener) error {
+// Serve accepts connections on ln, answering each client's hello with
+// info, until the listener fails or Shutdown closes it (which returns
+// nil). Run it on its own goroutine, one per listener.
+func (a *Acceptor) Serve(ln net.Listener, info string) error {
 	a.mu.Lock()
 	if a.stopped {
 		a.mu.Unlock()
@@ -72,11 +69,11 @@ func (a *Acceptor) Serve(ln net.Listener) error {
 			return err
 		}
 		a.connWG.Add(1)
-		go a.serveConn(nc)
+		go a.serveConn(nc, info)
 	}
 }
 
-func (a *Acceptor) serveConn(nc net.Conn) {
+func (a *Acceptor) serveConn(nc net.Conn, info string) {
 	defer a.connWG.Done()
 	defer nc.Close()
 
@@ -107,7 +104,7 @@ func (a *Acceptor) serveConn(nc net.Conn) {
 	if err != nil {
 		return
 	}
-	if w.WriteHello(a.Info()) != nil || w.Flush() != nil || clientV != Version {
+	if w.WriteHello(info) != nil || w.Flush() != nil || clientV != Version {
 		return
 	}
 	nc.SetDeadline(time.Time{})

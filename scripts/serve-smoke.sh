@@ -12,7 +12,10 @@
 # answers must match a direct backend byte-for-byte, and kill -9 on the
 # dataset's primary must leave reads working — a pipelined touchwire
 # burst answers exactly as it did before the kill — while the router's
-# metrics record the ejection. CI runs this via `make serve-smoke`.
+# metrics record the ejection. One replica runs without -node-id and
+# must be known by its wire address; the router logs JSON. Both daemons
+# must refuse an unknown -log-format with exit 2. CI runs this via
+# `make serve-smoke`.
 set -eu
 
 WORK=$(mktemp -d)
@@ -51,6 +54,15 @@ WIREBIN="$WORK/touchwire"
 go build -o "$WIREBIN" ./cmd/touchwire
 RBIN="$WORK/touchrouter"
 go build -o "$RBIN" ./cmd/touchrouter
+
+# Both daemons share one lifecycle (cmd/internal/daemon): an unknown
+# -log-format is a usage error, exit 2, before anything binds.
+for B in "$BIN" "$RBIN"; do
+    STATUS=0
+    timeout 10 "$B" -addr 127.0.0.1:0 -log-format bogus > "$WORK/bogus.log" 2>&1 || STATUS=$?
+    [ "$STATUS" = "2" ] || fail "$B -log-format bogus exited $STATUS, want 2"
+    grep -q 'want text or json' "$WORK/bogus.log" || fail "$B -log-format bogus: $(cat "$WORK/bogus.log")"
+done
 
 # Three known boxes so every query has a predictable answer.
 printf '0 0 0 10 10 10\n5 5 5 15 15 15\n20 20 20 30 30 30\n' > "$DATA"
@@ -303,20 +315,27 @@ BLOG1="$WORK/replica-a.log"
 BLOG2="$WORK/replica-b.log"
 "$BIN" -addr 127.0.0.1:0 -bin-addr 127.0.0.1:0 -node-id replica-a -load smoke="$DATA" > "$BLOG1" 2>&1 &
 BPID1=$!
-"$BIN" -addr 127.0.0.1:0 -bin-addr 127.0.0.1:0 -node-id replica-b -load smoke="$DATA" > "$BLOG2" 2>&1 &
+# replica-b has no -node-id: it goes by its bound wire address.
+"$BIN" -addr 127.0.0.1:0 -bin-addr 127.0.0.1:0 -load smoke="$DATA" > "$BLOG2" 2>&1 &
 BPID2=$!
 WADDR1=$(wait_for "$BLOG1" "touchserved wire listening on") || fail "replica-a wire address"
 WADDR2=$(wait_for "$BLOG2" "touchserved wire listening on") || fail "replica-b wire address"
 HADDR1=$(wait_for "$BLOG1" "touchserved listening on") || fail "replica-a http address"
 
+# The router logs JSON: its startup lines and its drain line must read
+# the same to wait_for and grep as the text format's. It reaches
+# replica-b as localhost:PORT, so the label "$WADDR2" (127.0.0.1:PORT)
+# can only come from the node token in replica-b's hello.
 LOG="$WORK/router.log"
-"$RBIN" -addr 127.0.0.1:0 -bin-addr 127.0.0.1:0 -backends "$WADDR1,$WADDR2" -replication 2 \
-    -health-interval 200ms > "$LOG" 2>&1 &
+"$RBIN" -addr 127.0.0.1:0 -bin-addr 127.0.0.1:0 -backends "$WADDR1,localhost:${WADDR2##*:}" -replication 2 \
+    -health-interval 200ms -log-format json > "$LOG" 2>&1 &
 RPID=$!
 RADDR=$(wait_for "$LOG" "touchrouter listening on") || fail "router address"
 RWADDR=$(wait_for "$LOG" "touchrouter wire listening on") || fail "router wire address"
 RBASE="http://$RADDR"
 echo "serve-smoke: router on $RBASE over $WADDR1 $WADDR2"
+curl -sf "$RBASE/metrics" | grep -q "touchrouter_backend_healthy{backend=\"$WADDR2\"" \
+    || fail "router does not label replica-b by its wire address $WADDR2"
 
 rpost() { curl -sf -X POST "$RBASE$1" -H 'Content-Type: application/json' -d "$2"; }
 dpost() { curl -sf -X POST "http://$HADDR1$1" -H 'Content-Type: application/json' -d "$2"; }
@@ -370,7 +389,7 @@ grep -q '"request_id":"[^"]' "$ROUTED_TRACE" || fail "routed trace carries no re
 
 # Merged catalog: one row for smoke, provenance naming both replicas.
 CAT=$(curl -sf "$RBASE/v1/datasets") || fail "routed catalog"
-echo "$CAT" | grep -q '"backends":\["replica-a","replica-b"\]' \
+echo "$CAT" | grep -q "\"backends\":\\[\"$WADDR2\",\"replica-a\"\\]" \
     || fail "catalog provenance: $CAT"
 
 # One pipelined touchwire burst through the router's wire front: the
@@ -384,7 +403,7 @@ PRIMARY=$(curl -s -X POST "$RBASE/v1/datasets/smoke" -d '' \
     | sed -n 's/.*owners of \\"smoke\\": \([^,)]*\).*/\1/p')
 case "$PRIMARY" in
 replica-a) KPID=$BPID1 BPID1= ;;
-replica-b) KPID=$BPID2 BPID2= ;;
+"$WADDR2") KPID=$BPID2 BPID2= ;;
 *) fail "router named no primary owner of smoke: '$PRIMARY'" ;;
 esac
 kill -9 "$KPID"
