@@ -21,7 +21,8 @@ vet:
 # it. Each entry is package:target; failing inputs land in that
 # package's testdata/fuzz/.
 FUZZTIME ?= 30s
-FUZZ_TARGETS = internal/testutil:FuzzJoin internal/testutil:FuzzRangeQuery \
+FUZZ_TARGETS = internal/testutil:FuzzJoin internal/testutil:FuzzDistanceJoin \
+	internal/testutil:FuzzRangeQuery \
 	internal/testutil:FuzzKNN internal/testutil:FuzzSortIDs \
 	internal/testutil:FuzzSnapshotDecode internal/testutil:FuzzThaw \
 	internal/testutil:FuzzWireDecode internal/testutil:FuzzDeltaMerge \

@@ -1,0 +1,63 @@
+package touch
+
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"unsafe"
+)
+
+// allocBytes returns the bytes the second of two calls of f allocates,
+// with the collector off so that no collection empties a pool the first
+// call filled.
+func allocBytes(f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDistanceJoinAllocBudget: a distance join allocates its answer and
+// little else. An index applies ε in its probe's own copy of B, whose
+// buffers a warm probe reuses, so a count-only DistanceJoin of an
+// N-object probe allocates less than one Object per probe object — an
+// enlarged copy of the probe alone would be one each; what it does
+// allocate is the engine's per-node grid headers. A materializing join
+// on a warm pool of pair chunks allocates that, its Result.Pairs and a
+// few kilobytes more, where gathering the pairs in fresh chunks would
+// allocate them twice.
+func TestDistanceJoinAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a random share of what a sync.Pool is given")
+	}
+	const n = 40_000
+	idx := BuildIndex(GenerateUniform(20_000, 61), TOUCHConfig{})
+	b := GenerateUniform(n, 62)
+	join := func(opt *Options) *Result {
+		res, err := idx.DistanceJoin(b, 40, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	counted := join(&Options{NoPairs: true}).Stats.Results
+	engine := allocBytes(func() { join(&Options{NoPairs: true}) })
+	if perObject, limit := float64(engine)/n, unsafe.Sizeof(Object{}); perObject >= float64(limit) {
+		t.Errorf("count-only DistanceJoin allocated %.1f bytes a probe object, want under %d", perObject, limit)
+	}
+
+	pairs := len(join(nil).Pairs)
+	if int64(pairs) != counted || pairs < 4*maxPairChunk {
+		t.Fatalf("%d pairs materialized, %d counted: want equal and several chunks' worth", pairs, counted)
+	}
+	const slack = 16 << 10
+	answer := uint64(pairs) * uint64(unsafe.Sizeof(Pair{}))
+	if got := allocBytes(func() { join(nil) }); got > engine+answer+slack {
+		t.Errorf("materializing DistanceJoin allocated %d bytes, the count-only one %d, for a %d-byte answer: want at most %d more than both",
+			got, engine, answer, slack)
+	}
+}

@@ -3,10 +3,12 @@ package touch
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"touch/internal/geom"
+	"touch/internal/stats"
 )
 
 func TestUnknownAlgorithm(t *testing.T) {
@@ -194,6 +196,46 @@ func TestIndexDistanceJoinRejectsNegativeEps(t *testing.T) {
 	}
 	if _, err := DistanceJoin(AlgTOUCH, GenerateUniform(20, 83), GenerateUniform(20, 84), -0.5, nil); !errors.Is(err, ErrNegativeDistance) {
 		t.Fatalf("one-shot DistanceJoin must reject negative eps, got %v", err)
+	}
+}
+
+// TestNaNEpsRejected: a box grown by NaN meets every box, so a NaN ε
+// must fail like a negative one on every path before a pair is emitted
+// — one-shot, for TOUCH and two baselines, and on an index with and
+// without pending inserts. +Inf stays legal: it joins every pair.
+func TestNaNEpsRejected(t *testing.T) {
+	a, b := GenerateUniform(200, 85), GenerateUniform(300, 86)
+	idx := BuildIndex(a, TOUCHConfig{})
+	ins := GenerateUniform(10, 87)
+	for i := range ins {
+		ins[i].ID = ID(len(a) + i)
+	}
+	withInserts := NewOverlay(idx, ins, nil)
+	type distanceJoin func(eps float64, opt *Options) (*Result, error)
+	joins := map[string]distanceJoin{
+		"index":   func(eps float64, opt *Options) (*Result, error) { return idx.DistanceJoin(b, eps, opt) },
+		"overlay": func(eps float64, opt *Options) (*Result, error) { return withInserts.DistanceJoin(b, eps, opt) },
+	}
+	for _, alg := range []Algorithm{AlgTOUCH, AlgNL, AlgPBSM100} {
+		joins[string(alg)] = func(eps float64, opt *Options) (*Result, error) { return DistanceJoin(alg, a, b, eps, opt) }
+	}
+	for name, join := range joins {
+		emitted := 0
+		sink := stats.FuncSink(func(ID, ID) { emitted++ })
+		if _, err := join(math.NaN(), &Options{Sink: sink}); !errors.Is(err, ErrNegativeDistance) || emitted > 0 {
+			t.Errorf("%s: NaN eps gave %v after %d pairs, want ErrNegativeDistance before any", name, err, emitted)
+		}
+		res, err := join(math.Inf(1), &Options{NoPairs: true})
+		if err != nil {
+			t.Fatalf("%s: +Inf eps: %v", name, err)
+		}
+		want := int64(len(a) * len(b))
+		if name == "overlay" {
+			want += int64(len(ins) * len(b))
+		}
+		if res.Stats.Results != want {
+			t.Errorf("%s: +Inf eps joined %d pairs, want all %d", name, res.Stats.Results, want)
+		}
 	}
 }
 

@@ -137,28 +137,36 @@ func (r *reader) Join(b Dataset, opt *Options) *Result {
 // The probe recycles cleanly either way: an aborted call leaves no
 // state behind for the next join drawing the same probe from the pool.
 func (r *reader) JoinCtx(ctx context.Context, b Dataset, opt *Options) (*Result, error) {
+	return r.joinCtx(ctx, b, 0, opt)
+}
+
+// joinCtx is the join of JoinCtx and DistanceJoinCtx: the trees against
+// b with every box enlarged by eps.
+func (r *reader) joinCtx(ctx context.Context, b Dataset, eps float64, opt *Options) (*Result, error) {
 	o := opt.normalized()
 	return collect(ctx, &o, false, func(ctl *stats.Control, c *Stats, sink Sink) {
-		r.run(b, &o, ctl, c, sink)
+		r.run(b, eps, &o, ctl, c, sink)
 	})
 }
 
-// run executes one join for JoinCtx: one probe per tier, with
-// a tombstone filter in front of the delivery chain when there are
-// tombstones, then — unless the join was stopped or nothing is unindexed
-// — the brute-force pass over the live inserts into the same chain, one
-// nl.Join per run of inserts between two dead ones. The engine counts
+// run executes one join for joinCtx, b's boxes enlarged by eps: one
+// probe per tier, with a tombstone filter in front of the delivery chain
+// when there are tombstones, then — unless the join was stopped or
+// nothing is unindexed — the brute-force pass over the live inserts into
+// the same chain, one nl.Join per run of inserts between two dead ones.
+// The probes grow b's boxes in their own copies; only the insert pass,
+// when there is one, joins an enlarged copy of b. The engine counts
 // every emission in c.Results before the filter can see it, so the
 // dropped pairs are subtracted afterwards, keeping Stats.Results equal to
 // the delivered (live) pair count. A non-nil o.Trace records the insert
 // pass's wall time as PhaseDelta (the tombstone filter runs inline inside
 // the join phase and is not timed separately).
-func (r *reader) run(b Dataset, o *Options, ctl *stats.Control, c *Stats, sink Sink) {
+func (r *reader) run(b Dataset, eps float64, o *Options, ctl *stats.Control, c *Stats, sink Sink) {
 	if len(r.tombs) == 0 {
-		r.probeTiers(b, o.Workers, ctl, c, sink)
+		r.probeTiers(b, eps, o.Workers, ctl, c, sink)
 	} else {
 		var dropped int64
-		r.probeTiers(b, o.Workers, ctl, c, stats.FuncSink(func(a, bid ID) {
+		r.probeTiers(b, eps, o.Workers, ctl, c, stats.FuncSink(func(a, bid ID) {
 			if r.dead(a) {
 				dropped++
 				return
@@ -175,6 +183,7 @@ func (r *reader) run(b Dataset, o *Options, ctl *stats.Control, c *Stats, sink S
 	if o.Trace != nil {
 		start = time.Now()
 	}
+	var grown Dataset // b.Expand(eps), made for the first live run
 	for from, i := 0, 0; i <= len(ins); i++ {
 		if i < len(ins) && !r.dead(ins[i].ID) {
 			continue
@@ -183,7 +192,10 @@ func (r *reader) run(b Dataset, o *Options, ctl *stats.Control, c *Stats, sink S
 			if ctl.Stopped() {
 				break
 			}
-			nl.Join(ins[from:i], b, ctl, c, sink)
+			if grown == nil {
+				grown = b.Expand(eps)
+			}
+			nl.Join(ins[from:i], grown, ctl, c, sink)
 		}
 		from = i + 1
 	}
@@ -194,21 +206,21 @@ func (r *reader) run(b Dataset, o *Options, ctl *stats.Control, c *Stats, sink S
 
 // probeTiers runs the engine over every tier in turn, unless the join is
 // stopped on the way.
-func (r *reader) probeTiers(b Dataset, workers int, ctl *stats.Control, c *Stats, sink Sink) {
+func (r *reader) probeTiers(b Dataset, eps float64, workers int, ctl *stats.Control, c *Stats, sink Sink) {
 	for i := range r.tiers {
 		if i > 0 && ctl.Stopped() {
 			return
 		}
-		r.tiers[i].runProbe(b, workers, ctl, c, sink)
+		r.tiers[i].runProbe(b, eps, workers, ctl, c, sink)
 	}
 }
 
 // runProbe is the engine block of run: draw a probe from the tier's pool,
 // pin its worker count (a recycled probe keeps its previous count, so it
 // is re-pinned to the build-time default unless the call names a
-// positive one), run the assignment and join phases with their timings,
-// and account the memory.
-func (t *tier) runProbe(b Dataset, workers int, ctl *stats.Control, c *Stats, sink Sink) {
+// positive one), run the assignment — b's boxes enlarged by eps — and
+// join phases with their timings, and account the memory.
+func (t *tier) runProbe(b Dataset, eps float64, workers int, ctl *stats.Control, c *Stats, sink Sink) {
 	p := t.probes.Get().(*core.Probe)
 	defer t.probes.Put(p)
 	if workers > 0 {
@@ -218,7 +230,7 @@ func (t *tier) runProbe(b Dataset, workers int, ctl *stats.Control, c *Stats, si
 	}
 
 	start := time.Now()
-	p.Assign(b, ctl, c)
+	p.AssignExpanded(b, eps, ctl, c)
 	c.AssignTime += time.Since(start)
 	start = time.Now()
 	p.JoinPhase(ctl, c, sink)
@@ -226,12 +238,14 @@ func (t *tier) runProbe(b Dataset, workers int, ctl *stats.Control, c *Stats, si
 	c.MemoryBytes += t.tree.StaticBytes() + p.MemoryBytes()
 }
 
-// DistanceJoin is Join with the probe dataset's boxes enlarged by eps —
-// note that for a reusable index the expansion must be applied to the
-// probe side (the identity at eps = 0, so base and insert passes see
-// the same expanded probe), unlike the one-shot DistanceJoin which
-// expands A. Like the one-shot DistanceJoin, a negative eps is
-// rejected.
+// DistanceJoin is Join against b with every box enlarged by eps: its
+// pairs and Stats are Join(b.Expand(eps))'s. The enlargement is on the
+// probe side — the trees are built already — and b is not copied for
+// it: each tier's probe grows the boxes in the copy of b it makes
+// anyway, its node segments; only the brute-force pass over pending
+// inserts, when there are any, joins an enlarged copy of b. Like the
+// one-shot DistanceJoin, an eps that is negative or NaN is rejected with
+// ErrNegativeDistance.
 func (r *reader) DistanceJoin(b Dataset, eps float64, opt *Options) (*Result, error) {
 	return r.DistanceJoinCtx(context.Background(), b, eps, opt)
 }
@@ -242,7 +256,7 @@ func (r *reader) DistanceJoinCtx(ctx context.Context, b Dataset, eps float64, op
 	if err := checkEps(eps); err != nil {
 		return nil, err
 	}
-	return r.JoinCtx(ctx, b.Expand(eps), opt)
+	return r.joinCtx(ctx, b, eps, opt)
 }
 
 // IndexStats describes the immutable build artifact behind an Index:

@@ -18,7 +18,7 @@ const (
 	CodeInvalidBox     = "invalid_box"      // NaN/Inf/inverted box coordinates
 	CodeInvalidPoint   = "invalid_point"    // NaN point coordinates
 	CodeInvalidK       = "invalid_k"        // kNN k < 1
-	CodeInvalidEps     = "invalid_eps"      // negative join distance
+	CodeInvalidEps     = "invalid_eps"      // negative or NaN join distance
 	CodeInvalidName    = "invalid_name"     // dataset name outside [A-Za-z0-9._-]
 	CodeUnknownDataset = "unknown_dataset"  // no catalog entry with that name
 	CodeBuilding       = "building"         // first index version not ready yet

@@ -103,3 +103,25 @@ func TestBuildFingerprint(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildExpandedFingerprint: BuildExpanded grows the boxes in its own
+// arena and sorts by the grown boxes' centres, so its tree is bit for
+// bit the one Build makes from the expanded copy. A grown centre need
+// not be the original one — it can round differently, and at ε = +Inf
+// it is NaN in every dimension — so sorting by the original centres
+// would build another tree.
+func TestBuildExpandedFingerprint(t *testing.T) {
+	for name, ds := range map[string]geom.Dataset{
+		"uniform":           datagen.UniformSet(3000, 21),
+		"all centres equal": sameCentre(2000, 22),
+		"one object":        datagen.UniformSet(1, 23),
+		"empty":             nil,
+	} {
+		for _, eps := range []float64{0, 0.1, 2.5, math.Inf(1)} {
+			want := fingerprint(Build(ds.Expand(eps), Config{Partitions: 64}).Freeze())
+			if got := fingerprint(BuildExpanded(ds, eps, Config{Partitions: 64}).Freeze()); got != want {
+				t.Errorf("%s eps=%g: fingerprint %s, the expanded copy's %s", name, eps, got, want)
+			}
+		}
+	}
+}

@@ -24,8 +24,7 @@ const (
 // per-index dest slot, so no synchronization is needed beyond the final
 // counting-sort merge (Probe.merge), which runs in input order and makes
 // every node's B segment bit-identical to the sequential assignment.
-func (p *Probe) assignParallel(b geom.Dataset, dest []int32, ctl *stats.Control, c *stats.Counters) {
-	t := p.tree
+func (p *Probe) assignParallel(b geom.Dataset, eps float64, dest []int32, ctl *stats.Control, c *stats.Counters) {
 	workers := p.workers
 	if max := (len(b) + minParallelAssign - 1) / minParallelAssign; workers > max {
 		workers = max
@@ -42,17 +41,7 @@ func (p *Probe) assignParallel(b geom.Dataset, dest []int32, ctl *stats.Control,
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			local := &counters[w]
-			tk := stats.NewTicker(ctl)
-			for i := lo; i < hi; i++ {
-				if tk.Tick() {
-					break
-				}
-				dest[i] = t.AssignOne(&b[i].Box, local)
-				if dest[i] < 0 {
-					local.Filtered++
-				}
-			}
+			p.tree.assignRange(b, eps, dest, lo, hi, ctl, &counters[w])
 		}(w, lo, hi)
 	}
 	wg.Wait()

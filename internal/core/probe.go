@@ -185,24 +185,23 @@ func (p *Probe) MemoryBytes() int64 {
 // then has nothing to do) — never a partially merged one — and the next
 // Assign recycles it as usual.
 func (p *Probe) Assign(b geom.Dataset, ctl *stats.Control, c *stats.Counters) {
-	t := p.tree
+	p.AssignExpanded(b, 0, ctl, c)
+}
+
+// AssignExpanded is Assign over b with every box enlarged by eps
+// (geom.Box.Expand), without copying b: the descent tests each grown box
+// and the merge writes it into the node segments, the probe's own copy
+// of B, so the probe holds bit for bit what Assign(b.Expand(eps)) leaves.
+// eps = 0 is Assign, with no arithmetic on the boxes.
+func (p *Probe) AssignExpanded(b geom.Dataset, eps float64, ctl *stats.Control, c *stats.Counters) {
 	if cap(p.dest) < len(b) {
 		p.dest = make([]int32, len(b))
 	}
 	dest := p.dest[:len(b)]
 	if p.workers > 1 && len(b) >= minParallelAssign {
-		p.assignParallel(b, dest, ctl, c)
+		p.assignParallel(b, eps, dest, ctl, c)
 	} else {
-		tk := stats.NewTicker(ctl)
-		for i := range b {
-			if tk.Tick() {
-				break
-			}
-			dest[i] = t.AssignOne(&b[i].Box, c)
-			if dest[i] < 0 {
-				c.Filtered++
-			}
-		}
+		p.tree.assignRange(b, eps, dest, 0, len(b), ctl, c)
 	}
 	if ctl.Stopped() {
 		// The tail of dest was never written this round (it may hold a
@@ -211,13 +210,34 @@ func (p *Probe) Assign(b geom.Dataset, ctl *stats.Control, c *stats.Counters) {
 		p.active = p.active[:0]
 		return
 	}
-	p.merge(b, dest)
+	p.merge(b, eps, dest)
+}
+
+// assignRange assigns b[lo:hi], every box enlarged by eps, recording the
+// destination of b[i] in dest[i] and charging c, until ctl stops it.
+func (t *Tree) assignRange(b geom.Dataset, eps float64, dest []int32, lo, hi int, ctl *stats.Control, c *stats.Counters) {
+	tk := stats.NewTicker(ctl)
+	for i := lo; i < hi; i++ {
+		if tk.Tick() {
+			return
+		}
+		box := &b[i].Box
+		if eps != 0 {
+			grown := box.Expand(eps)
+			box = &grown
+		}
+		dest[i] = t.AssignOne(box, c)
+		if dest[i] < 0 {
+			c.Filtered++
+		}
+	}
 }
 
 // merge builds the CSR from the per-object destinations: a counting sort
 // by node id whose scatter runs in input order, making every node
-// segment bit-identical to a sequential append.
-func (p *Probe) merge(b geom.Dataset, dest []int32) {
+// segment bit-identical to a sequential append. The scatter is where the
+// probe copies B, so that is where a box is enlarged by eps.
+func (p *Probe) merge(b geom.Dataset, eps float64, dest []int32) {
 	t := p.tree
 	if cap(p.nodeOff) < t.Nodes {
 		p.nodeOff = make([]int32, t.Nodes)
@@ -250,7 +270,11 @@ func (p *Probe) merge(b geom.Dataset, dest []int32) {
 		if id < 0 {
 			continue
 		}
-		p.bObjs[off[id]] = b[i]
+		o := &p.bObjs[off[id]]
+		*o = b[i]
+		if eps != 0 {
+			o.Box = o.Box.Expand(eps)
+		}
 		off[id]++
 	}
 	// After the scatter, off[id] is the end offset of node id's segment

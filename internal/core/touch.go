@@ -253,7 +253,14 @@ func (t *Tree) subtreeA(i int32) []geom.Object {
 // and above them the grouping along STR's cuts the package comment
 // describes. An empty dataset produces a single empty leaf. Build is a
 // pure function of the dataset and the configuration.
-func Build(a geom.Dataset, cfg Config) *Tree {
+func Build(a geom.Dataset, cfg Config) *Tree { return BuildExpanded(a, 0, cfg) }
+
+// BuildExpanded is Build over a with every box enlarged by eps
+// (geom.Box.Expand), without copying a: STR sorts by the centres of the
+// grown boxes, and the boxes are grown in the arena STR gathers, the
+// tree's own copy of A — so the tree is bit for bit Build(a.Expand(eps)).
+// eps = 0 is Build, with no arithmetic on the boxes.
+func BuildExpanded(a geom.Dataset, eps float64, cfg Config) *Tree {
 	cfg.fillDefaults()
 	t := &Tree{SizeA: len(a), cfg: cfg}
 	if len(a) == 0 {
@@ -262,7 +269,16 @@ func Build(a geom.Dataset, cfg Config) *Tree {
 		return t
 	}
 	bucketSize := str.GroupSizeFor(len(a), cfg.Partitions)
-	arena, stages := str.PackStages(a, func(o geom.Object) geom.Point { return o.Box.Center() }, bucketSize)
+	centre := func(o geom.Object) geom.Point { return o.Box.Center() }
+	if eps != 0 {
+		centre = func(o geom.Object) geom.Point { return o.Box.Expand(eps).Center() }
+	}
+	arena, stages := str.PackStages(a, centre, bucketSize)
+	if eps != 0 {
+		for i := range arena {
+			arena[i].Box = arena[i].Box.Expand(eps)
+		}
+	}
 	t.arena = arena
 	// The buckets are the runs of STR's last cut, and a tree has the most
 	// nodes for its leaves when every inner node has two children.
@@ -424,13 +440,22 @@ const bytesPerEntry = stats.BytesPerBox + 4*4
 // assignment and join phases; a stopped join unwinds with partial
 // counters.
 func Join(a, b geom.Dataset, cfg Config, ctl *stats.Control, c *stats.Counters, sink stats.Sink) {
+	JoinExpanded(a, 0, b, 0, cfg, ctl, c, sink)
+}
+
+// JoinExpanded is Join of a with every box enlarged by epsA against b
+// with every box enlarged by epsB, copying neither: the boxes are grown
+// where the engine copies them anyway, in the tree's arena
+// (BuildExpanded) and the probe's node segments (AssignExpanded). Its
+// pairs and counters are Join(a.Expand(epsA), b.Expand(epsB))'s.
+func JoinExpanded(a geom.Dataset, epsA float64, b geom.Dataset, epsB float64, cfg Config, ctl *stats.Control, c *stats.Counters, sink stats.Sink) {
 	start := time.Now()
-	t := Build(a, cfg)
+	t := BuildExpanded(a, epsA, cfg)
 	c.BuildTime += time.Since(start)
 	p := t.NewProbe()
 
 	start = time.Now()
-	p.Assign(b, ctl, c)
+	p.AssignExpanded(b, epsB, ctl, c)
 	c.AssignTime += time.Since(start)
 
 	start = time.Now()

@@ -519,8 +519,9 @@ func (x *exec) update(ctx context.Context, p []byte) *api.Error {
 // first pair goes out alone, so a streaming reader sees the join start
 // with it. A failure after pairs went out still has its terminal frame:
 // OpError tells the reader to discard what it took for the request.
-// ε = 0 is the plain intersection join: Dataset.Expand(0) is the
-// identity, so there is no expansion copy to skip.
+// Every join goes through DistanceJoinCtx, ε = 0 being the plain
+// intersection join: the engine applies ε in its probe's own copy of
+// the boxes, so no ε copies the probe.
 func (x *exec) join(ctx context.Context, p []byte) *api.Error {
 	s := x.s
 	decStart := time.Now()

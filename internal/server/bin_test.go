@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -245,6 +246,45 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 		if status != tc.status || errCode(t, raw) != tc.code || !errors.As(err, &se) || se.Code != tc.code {
 			t.Fatalf("probe %s: http %d %s, wire %v, want %s", tc.dataset, status, raw, err, tc.code)
 		}
+	}
+}
+
+// TestNaNEpsRejected: a probe box grown by NaN meets every box, so a
+// NaN ε must fail before the first pair, with the code a negative ε
+// gets over HTTP, instead of streaming every pair of the two datasets.
+// Only the wire can carry one: JSON has no NaN, and an HTTP body that
+// spells it is refused as malformed before the engine runs.
+func TestNaNEpsRejected(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	ts.srv.Load("cells", touch.GenerateUniform(200, 1), touch.TOUCHConfig{})
+	c := ts.dialWire(ts.startWire())
+	ctx := context.Background()
+	box := touch.Box{Max: touch.Point{9, 9, 9}}
+
+	status, raw := ts.postJSON("/v1/datasets/cells/join", api.JoinRequest{Boxes: [][]float64{{0, 0, 0, 9, 9, 9}}, Eps: -2})
+	negCode := errCode(t, raw)
+	if status != http.StatusBadRequest || negCode != api.CodeInvalidEps {
+		t.Fatalf("http negative eps: %d %s, want 400 %s", status, raw, api.CodeInvalidEps)
+	}
+	status, raw = ts.postJSON("/v1/datasets/cells/join", []byte(`{"boxes":[[0,0,0,9,9,9]],"eps":NaN}`))
+	if status != http.StatusBadRequest {
+		t.Fatalf("http NaN eps: %d %s, want 400", status, raw)
+	}
+
+	var se *client.ServerError
+	for _, eps := range []float64{math.NaN(), -2} {
+		spec := client.JoinSpec{Boxes: []touch.Box{box}, Eps: eps}
+		if _, pairs, _, err := c.Join(ctx, "cells", spec); !errors.As(err, &se) || se.Code != negCode || len(pairs) > 0 {
+			t.Fatalf("wire join eps=%g: %v after %d pairs, want %s before any", eps, err, len(pairs), negCode)
+		}
+		if _, _, err := c.JoinCount(ctx, "cells", spec); !errors.As(err, &se) || se.Code != negCode {
+			t.Fatalf("wire join count eps=%g: %v, want %s", eps, err, negCode)
+		}
+	}
+	// The connection survived the error frames, and +Inf is a distance.
+	_, n, err := c.JoinCount(ctx, "cells", client.JoinSpec{Boxes: []touch.Box{box}, Eps: math.Inf(1)})
+	if err != nil || n != 200 {
+		t.Fatalf("wire join eps=+Inf: %d, %v, want all 200", n, err)
 	}
 }
 

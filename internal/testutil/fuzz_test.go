@@ -159,6 +159,35 @@ func FuzzJoin(f *testing.F) {
 	})
 }
 
+// FuzzDistanceJoin: a distance join that applies ε in the engine's own
+// copies must equal the intersection join over the expanded dataset —
+// pairs and counters — on an index (ε on the probe) and one-shot (ε on
+// A, kept as the tree or swapped to the probe), with 1 and 4 workers.
+// The datasets decode as FuzzJoin's after one more byte, the ε: a
+// multiple of 2.5 up to 30, so ε is often exactly a lattice gap or half
+// of one.
+func FuzzDistanceJoin(f *testing.F) {
+	fuzzSeeds(f)
+	f.Add(slices.Concat([]byte{27, 2}, alignedSeed()[1:]))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		eps := float64(data[1]%13) * 2.5
+		a, off := fuzzDataset(data, 2, int(data[0])%64)
+		b, _ := fuzzDataset(data, off, 64)
+		idx := touch.BuildIndex(a, fuzzGrid)
+		for _, workers := range []int{1, 4} {
+			if err := checkOneShotFold(a, b, eps, workers); err != nil {
+				t.Errorf("eps=%g workers=%d: %v", eps, workers, err)
+			}
+			if err := checkReaderFold(idx, b, eps, workers); err != nil {
+				t.Errorf("eps=%g workers=%d index: %v", eps, workers, err)
+			}
+		}
+	})
+}
+
 // FuzzRangeQuery: the tree-accelerated range and point queries must
 // match the exhaustive scans on arbitrary decoded datasets and query
 // boxes.

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"touch/internal/core"
 	"touch/internal/geom"
@@ -225,8 +226,9 @@ func (o *Options) normalized() Options {
 var ErrUnknownAlgorithm = errors.New("touch: unknown algorithm")
 
 // ErrNegativeDistance is wrapped into the error returned when a distance
-// join is asked for a negative ε; test with errors.Is. DistanceJoin and
-// Index.DistanceJoin share it, so the two paths reject consistently.
+// join is asked for a negative or NaN ε; test with errors.Is.
+// DistanceJoin and Index.DistanceJoin share it, so the two paths reject
+// consistently.
 var ErrNegativeDistance = errors.New("touch: negative distance")
 
 // ErrJoinCanceled is wrapped into the error returned when a join's
@@ -282,9 +284,10 @@ var ErrInvalidPoint = errors.New("touch: invalid query point")
 // for fewer than one neighbor; test with errors.Is.
 var ErrInvalidK = errors.New("touch: k must be at least 1")
 
-// checkEps validates a distance-join ε.
+// checkEps validates a distance-join ε: NaN is refused with the
+// negative values, because a box grown by NaN meets every box.
 func checkEps(eps float64) error {
-	if eps < 0 {
+	if !(eps >= 0) {
 		return fmt.Errorf("%w %g", ErrNegativeDistance, eps)
 	}
 	return nil
@@ -319,7 +322,9 @@ func (s *limitSink) Emit(a, b geom.ID) {
 // slice copies everything gathered so far each time it regrows — 59 MB
 // allocated to deliver 16 MB of pairs — so the pairs go into chunks that
 // double up to maxPairChunk and are joined once, into a Result.Pairs
-// sized for them.
+// sized for them. Full-size chunks come from and go back to
+// pairChunkPool, so a join on a warm pool allocates its Result.Pairs and
+// little else.
 type pairChunks struct {
 	full [][]Pair // filled chunks, in emission order
 	cur  []Pair   // the chunk being filled
@@ -330,20 +335,43 @@ const (
 	maxPairChunk = 64 << 10
 )
 
+// pairChunkPool recycles the chunks of maxPairChunk pairs between joins.
+// It has no New: an empty pool leaves a join to start small.
+var pairChunkPool sync.Pool // *[maxPairChunk]Pair
+
 // Emit implements Sink.
 func (p *pairChunks) Emit(a, b geom.ID) {
 	if len(p.cur) == cap(p.cur) {
-		if p.cur != nil {
-			p.full = append(p.full, p.cur)
-		}
-		p.cur = make([]Pair, 0, min(max(2*cap(p.cur), minPairChunk), maxPairChunk))
+		p.grow()
 	}
 	p.cur = append(p.cur, Pair{A: a, B: b})
 }
 
-// pairs joins the chunks; nil when nothing was emitted.
+// grow files the full current chunk and starts the next: a pooled one
+// when there is one, else one twice as large, up to maxPairChunk.
+func (p *pairChunks) grow() {
+	if p.cur != nil {
+		p.full = append(p.full, p.cur)
+	}
+	if c, ok := pairChunkPool.Get().(*[maxPairChunk]Pair); ok {
+		p.cur = c[:0]
+		return
+	}
+	p.cur = make([]Pair, 0, min(max(2*cap(p.cur), minPairChunk), maxPairChunk))
+}
+
+// pairs joins the chunks — nil when nothing was emitted — and returns
+// the full-size ones to the pool.
 func (p *pairChunks) pairs() []Pair {
-	return slices.Concat(append(p.full, p.cur)...)
+	chunks := append(p.full, p.cur)
+	out := slices.Concat(chunks...)
+	for _, c := range chunks {
+		if cap(c) == maxPairChunk {
+			pairChunkPool.Put((*[maxPairChunk]Pair)(c[:maxPairChunk]))
+		}
+	}
+	p.full, p.cur = nil, nil
+	return out
 }
 
 // joinSink builds the pair-delivery chain of one join: the engine-facing
@@ -403,26 +431,46 @@ func SpatialJoin(alg Algorithm, a, b Dataset, opt *Options) (*Result, error) {
 // ctx's error wrapped in ErrJoinCanceled. A join stopped by
 // Options.Limit is not an error; it returns the truncated result.
 func SpatialJoinCtx(ctx context.Context, alg Algorithm, a, b Dataset, opt *Options) (*Result, error) {
+	return joinCtx(ctx, alg, a, b, 0, opt)
+}
+
+// joinCtx is the one-shot join of SpatialJoinCtx and DistanceJoinCtx:
+// A's boxes enlarged by eps against B's. TOUCH grows them in its own
+// copies of the datasets (core.JoinExpanded); the baselines join a grown
+// copy of A.
+func joinCtx(ctx context.Context, alg Algorithm, a, b Dataset, eps float64, opt *Options) (*Result, error) {
 	o := opt.normalized()
 	join, err := bind(alg, &o)
 	if err != nil {
 		return nil, err
 	}
+	if alg != AlgTOUCH {
+		a, eps = a.Expand(eps), 0
+	}
 	// The join-order heuristic of §5.2.3, unless KeepOrder disables it:
 	// the smaller dataset builds the tree/index — it is likely sparser,
-	// enabling more filtering, and cheaper to index. The delivery chain
-	// re-orients the swapped pairs back to (A, B).
+	// enabling more filtering, and cheaper to index. ε goes with A to
+	// whichever side it lands on, and the delivery chain re-orients the
+	// swapped pairs back to (A, B).
 	swapped := !o.KeepOrder && len(b) < len(a)
+	epsA, epsB := eps, 0.0
 	if swapped {
-		a, b = b, a
+		a, b, epsA, epsB = b, a, epsB, epsA
 	}
 	return collect(ctx, &o, swapped, func(ctl *stats.Control, c *Stats, sink Sink) {
-		// AlgTOUCH parallelizes internally (bind routed Options.Workers
-		// into its config); every other algorithm runs under the slab
-		// driver when Workers > 1.
-		if o.Workers > 1 && alg != AlgTOUCH {
+		switch {
+		case alg == AlgTOUCH:
+			// TOUCH parallelizes internally instead of running under
+			// the slab driver: no replication, no boundary-ownership
+			// filter.
+			cfg := o.TOUCH
+			if o.Workers > 0 {
+				cfg.Workers = o.Workers
+			}
+			core.JoinExpanded(a, epsA, b, epsB, cfg, ctl, c, sink)
+		case o.Workers > 1:
 			parallel.Join(a, b, o.Workers, join, ctl, c, sink)
-		} else {
+		default:
 			join(a, b, ctl, c, sink)
 		}
 	})
@@ -458,9 +506,16 @@ func collect(ctx context.Context, o *Options, swapped bool, run func(*stats.Cont
 
 // DistanceJoin finds every pair of objects within distance eps of each
 // other (per-dimension box distance, the predicate of the paper's
-// filtering phase), by enlarging dataset A's boxes by eps and running an
-// intersection join. Enlarging either dataset yields the same pair set,
-// so the join-order heuristic of SpatialJoin applies unchanged.
+// filtering phase): the intersection join of A's boxes enlarged by eps
+// with B's, so its pairs and Stats are SpatialJoin(alg, a.Expand(eps),
+// b)'s. Enlarging either dataset yields the same pair set, so the
+// join-order heuristic of SpatialJoin applies unchanged, ε going with A
+// to whichever side it lands on. AlgTOUCH copies neither dataset for
+// it: ε is applied in the copies the engine makes anyway — the tree's
+// arena when A builds the tree, the probe's node segments when it is
+// the probe. The other algorithms join an enlarged copy of A. An eps
+// that is negative or NaN is rejected with ErrNegativeDistance; +Inf
+// joins every pair.
 func DistanceJoin(alg Algorithm, a, b Dataset, eps float64, opt *Options) (*Result, error) {
 	return DistanceJoinCtx(context.Background(), alg, a, b, eps, opt)
 }
@@ -471,20 +526,17 @@ func DistanceJoinCtx(ctx context.Context, alg Algorithm, a, b Dataset, eps float
 	if err := checkEps(eps); err != nil {
 		return nil, err
 	}
-	return SpatialJoinCtx(ctx, alg, a.Expand(eps), b, opt)
+	return joinCtx(ctx, alg, a, b, eps, opt)
 }
 
-// bind resolves an algorithm name and its options to a JoinFunc.
+// bind resolves an algorithm name and its options to a JoinFunc — nil
+// for AlgTOUCH, which joinCtx runs itself.
 func bind(alg Algorithm, o *Options) (parallel.JoinFunc, error) {
 	switch alg {
 	case AlgTOUCH:
-		cfg := o.TOUCH
-		if o.Workers > 0 {
-			// TOUCH parallelizes internally instead of running under the
-			// slab driver: no replication, no boundary-ownership filter.
-			cfg.Workers = o.Workers
-		}
-		return func(a, b Dataset, ctl *stats.Control, c *Stats, s Sink) { core.Join(a, b, cfg, ctl, c, s) }, nil
+		// joinCtx runs TOUCH itself: it parallelizes internally and
+		// applies ε in its own copies of the datasets.
+		return nil, nil
 	case AlgNL:
 		return nl.Join, nil
 	case AlgPS:
