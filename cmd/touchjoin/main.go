@@ -174,7 +174,7 @@ func main() {
 	if !touch.ValidAlgorithm(alg) {
 		fatal(fmt.Errorf("%w %q (%s)", touch.ErrUnknownAlgorithm, *algName, algHint()))
 	}
-	if *eps < 0 {
+	if !(*eps >= 0) { // NaN too
 		fatal(fmt.Errorf("%w %g", touch.ErrNegativeDistance, *eps))
 	}
 
@@ -315,7 +315,7 @@ func (pw *pairWriter) abortFlush() {
 // per join that they stay sorted (unlike the streaming single-join
 // mode).
 func runProbes(ctx context.Context, a touch.Dataset, files []string, eps float64, opt *touch.Options, outPath string, count, stat bool) error {
-	if eps < 0 {
+	if !(eps >= 0) { // NaN too
 		return fmt.Errorf("%w %g", touch.ErrNegativeDistance, eps)
 	}
 	names := make([]string, 0, len(files))
@@ -411,7 +411,7 @@ func parseFloats(arg, flagName string, n int) ([]float64, error) {
 // is only honored at the phase boundaries (before the index build and
 // before the query), not inside them.
 func runQuery(ctx context.Context, a touch.Dataset, mode, boxArg, ptArg string, k int, eps float64, outPath string, updIns touch.Dataset, updDel []touch.ID) error {
-	if eps < 0 {
+	if !(eps >= 0) { // NaN too
 		return fmt.Errorf("%w %g", touch.ErrNegativeDistance, eps)
 	}
 

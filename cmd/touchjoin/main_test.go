@@ -223,6 +223,8 @@ func TestFailurePaths(t *testing.T) {
 		{"unreadable-b", []string{"-a", aPath, "-b", missing}, 1, "no such file"},
 		{"bad-alg", []string{"-a", aPath, "-b", aPath, "-alg", "bogus"}, 1, "unknown algorithm"},
 		{"negative-eps", []string{"-a", aPath, "-b", aPath, "-eps", "-3"}, 1, "negative distance"},
+		{"nan-eps", []string{"-a", aPath, "-b", aPath, "-eps", "NaN"}, 1, "negative distance"},
+		{"probes-nan-eps", []string{"-a", aPath, "-probes", aPath, "-eps", "NaN"}, 1, "negative distance"},
 		{"probes-missing-file", []string{"-a", aPath, "-probes", missing}, 1, "no such file"},
 		{"probes-empty-list", []string{"-a", aPath, "-probes", ","}, 1, "lists no files"},
 		{"bad-query-mode", []string{"-a", aPath, "-query", "bogus"}, 1, "unknown -query mode"},
@@ -233,6 +235,7 @@ func TestFailurePaths(t *testing.T) {
 		{"knn-bad-k", []string{"-a", aPath, "-query", "knn", "-point", "1,2,3", "-k", "0"}, 1, "k must be at least 1"},
 		{"query-bad-alg", []string{"-a", aPath, "-query", "range", "-box", "0,0,0,1,1,1", "-alg", "nl"}, 1, "not supported"},
 		{"query-negative-eps", []string{"-a", aPath, "-query", "point", "-point", "1,2,3", "-eps", "-1"}, 1, "negative distance"},
+		{"query-nan-eps", []string{"-a", aPath, "-query", "range", "-box", "0,0,0,1,1,1", "-eps", "NaN"}, 1, "negative distance"},
 	}
 	for i, tc := range cases {
 		tc := tc

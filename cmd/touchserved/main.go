@@ -129,7 +129,7 @@ func main() {
 			d.Fatal("-load parse failed", "arg", p, "err", err)
 		}
 		start := time.Now()
-		_, stats := srv.Load(name, ds, touch.TOUCHConfig{Workers: *workers})
+		_, stats := srv.Load(name, ds, touch.TOUCHConfig{})
 		// "built in" marks an index build; the recovery smoke test asserts
 		// its absence after a restore.
 		d.Log.Info(fmt.Sprintf("loaded %q: %d objects, %s static, built in %v",

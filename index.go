@@ -40,8 +40,8 @@ type Index struct {
 
 // BuildIndex constructs the TOUCH tree on the dataset with the given
 // configuration (zero value = paper defaults: 1024 partitions, fanout 2).
-// cfg.Workers sets the default per-join parallelism; a positive
-// Options.Workers overrides it per call, 1 meaning single-threaded.
+// The configuration describes the tree only: each join picks its own
+// parallelism with Options.Workers.
 func BuildIndex(a Dataset, cfg TOUCHConfig) *Index {
 	return indexFromTree(core.Build(a, cfg))
 }
@@ -216,18 +216,13 @@ func (r *reader) probeTiers(b Dataset, eps float64, workers int, ctl *stats.Cont
 }
 
 // runProbe is the engine block of run: draw a probe from the tier's pool,
-// pin its worker count (a recycled probe keeps its previous count, so it
-// is re-pinned to the build-time default unless the call names a
-// positive one), run the assignment — b's boxes enlarged by eps — and
-// join phases with their timings, and account the memory.
+// set the call's worker count (a recycled probe keeps its previous one),
+// run the assignment — b's boxes enlarged by eps — and join phases with
+// their timings, and account the memory.
 func (t *tier) runProbe(b Dataset, eps float64, workers int, ctl *stats.Control, c *Stats, sink Sink) {
 	p := t.probes.Get().(*core.Probe)
 	defer t.probes.Put(p)
-	if workers > 0 {
-		p.SetWorkers(workers)
-	} else {
-		p.SetWorkers(t.tree.Workers())
-	}
+	p.SetWorkers(workers)
 
 	start := time.Now()
 	p.AssignExpanded(b, eps, ctl, c)

@@ -24,7 +24,7 @@ func fingerprint(f *Frozen) string {
 		}
 	}
 	put(uint64(f.Cfg.Partitions), uint64(f.Cfg.Fanout), uint64(f.Cfg.LocalCells), math.Float64bits(f.Cfg.CellFactor),
-		uint64(f.Cfg.LocalJoin), uint64(f.Cfg.Workers), uint64(f.Height), uint64(f.Leaves), uint64(len(f.Nodes)))
+		uint64(f.Cfg.LocalJoin), 0, uint64(f.Height), uint64(f.Leaves), uint64(len(f.Nodes)))
 	for i := range f.Nodes {
 		n := &f.Nodes[i]
 		for d := 0; d < geom.Dims; d++ {

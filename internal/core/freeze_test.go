@@ -46,20 +46,21 @@ func thawEqual(t *testing.T, want, got *Tree) {
 
 func TestFreezeThawRoundtrip(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		ds     geom.Dataset
-		cfg    Config
-		uneven bool // premise: the leaves sit at more than one depth
+		name    string
+		ds      geom.Dataset
+		cfg     Config
+		workers int  // the probes' worker count
+		uneven  bool // premise: the leaves sit at more than one depth
 	}{
-		{"empty", nil, Config{}, false},
-		{"single", datagen.UniformSet(1, 1), Config{}, false},
-		{"uniform", datagen.UniformSet(4000, 2), Config{Partitions: 64, Workers: 3}, false},
-		{"clustered-fanout4", datagen.ClusteredSet(2500, 3), Config{Partitions: 128, Fanout: 4}, false},
-		{"sweep-localjoin", datagen.GaussianSet(900, 4), Config{Partitions: 16, LocalJoin: LocalJoinSweep}, false},
+		{"empty", nil, Config{}, 0, false},
+		{"single", datagen.UniformSet(1, 1), Config{}, 0, false},
+		{"uniform", datagen.UniformSet(4000, 2), Config{Partitions: 64}, 3, false},
+		{"clustered-fanout4", datagen.ClusteredSet(2500, 3), Config{Partitions: 128, Fanout: 4}, 0, false},
+		{"sweep-localjoin", datagen.GaussianSet(900, 4), Config{Partitions: 16, LocalJoin: LocalJoinSweep}, 0, false},
 		// STR cuts 1,021 buckets from 11 slabs, and 11 halves to 5 and 6,
 		// to 2, 3, 3 and 3: some slabs end up a level below the others, and
 		// the runs and tiles inside them round the same way.
-		{"leaves-at-unequal-depths", datagen.UniformSet(20_000, 5), Config{Partitions: 1021}, true},
+		{"leaves-at-unequal-depths", datagen.UniformSet(20_000, 5), Config{Partitions: 1021}, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := Build(tc.ds, tc.cfg)
@@ -77,6 +78,8 @@ func TestFreezeThawRoundtrip(t *testing.T) {
 			var cw, cg stats.Counters
 			sw, sg := &stats.CollectSink{}, &stats.CollectSink{}
 			pw, pg := want.NewProbe(), got.NewProbe()
+			pw.SetWorkers(tc.workers)
+			pg.SetWorkers(tc.workers)
 			pw.Assign(b, nil, &cw)
 			pw.JoinPhase(nil, &cw, sw)
 			pg.Assign(b, nil, &cg)

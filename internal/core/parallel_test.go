@@ -32,6 +32,15 @@ func sortedPairs(ps []geom.Pair) []geom.Pair {
 	return out
 }
 
+// runWorkers is run with the probe on the given number of workers.
+func runWorkers(t *testing.T, a, b geom.Dataset, cfg Config, workers int) ([]geom.Pair, stats.Counters) {
+	t.Helper()
+	var c stats.Counters
+	sink := &stats.CollectSink{}
+	JoinExpanded(a, 0, b, 0, cfg, workers, nil, &c, sink)
+	return sink.Pairs, c
+}
+
 // TestWorkersEquivalence: the parallel core must produce the identical
 // sorted pair set AND identical work counters (comparisons, node tests,
 // filtered, replicas) as the single-threaded execution, for every local
@@ -44,11 +53,11 @@ func TestWorkersEquivalence(t *testing.T) {
 		for _, kind := range []LocalJoinKind{
 			LocalJoinGrid, LocalJoinGridPostDedup, LocalJoinSweep, LocalJoinNested,
 		} {
-			ref, refC := run(t, a, b, Config{LocalJoin: kind, Workers: 1})
+			ref, refC := runWorkers(t, a, b, Config{LocalJoin: kind}, 1)
 			verifyLemmas(t, kind.String(), ref, want)
 			refSorted := sortedPairs(ref)
 			for _, workers := range []int{2, 8} {
-				got, c := run(t, a, b, Config{LocalJoin: kind, Workers: workers})
+				got, c := runWorkers(t, a, b, Config{LocalJoin: kind}, workers)
 				if !slices.Equal(sortedPairs(got), refSorted) {
 					t.Fatalf("%s/%s workers=%d: pair set differs from sequential",
 						dist, kind, workers)
@@ -100,8 +109,8 @@ func TestParallelAssignMatchesSequential(t *testing.T) {
 // previous query's state.
 func TestParallelReuseAcrossProbes(t *testing.T) {
 	a := datagen.UniformSet(400, 421).Expand(6)
-	tr := Build(a, Config{Workers: 4})
-	p := tr.NewProbe()
+	p := Build(a, Config{}).NewProbe()
+	p.SetWorkers(4)
 	for seed := int64(430); seed < 433; seed++ {
 		b := datagen.UniformSet(3000, seed)
 		var c stats.Counters
@@ -192,7 +201,7 @@ func TestParallelLargeRace(t *testing.T) {
 	b := datagen.UniformSet(9000, 442)
 	ref, refC := run(t, a, b, Config{})
 	refSorted := sortedPairs(ref)
-	got, c := run(t, a, b, Config{Workers: 8})
+	got, c := runWorkers(t, a, b, Config{}, 8)
 	if !slices.Equal(sortedPairs(got), refSorted) {
 		t.Fatal("workers=8: pair set differs from sequential")
 	}

@@ -49,21 +49,22 @@ type Probe struct {
 	peakGridBytes int64 // largest transient local-join grid of the last join
 }
 
-// NewProbe returns a fresh probe for joining against the tree, with the
-// tree's default worker count.
+// NewProbe returns a fresh, single-threaded probe for joining against
+// the tree.
 func (t *Tree) NewProbe() *Probe {
-	return &Probe{tree: t, workers: t.cfg.Workers}
+	return &Probe{tree: t}
 }
 
 // Tree returns the shared tree the probe joins against.
 func (p *Probe) Tree() *Tree { return p.tree }
 
-// Workers returns the probe's worker count.
-func (p *Probe) Workers() int { return p.workers }
-
 // SetWorkers sets the number of goroutines Assign and JoinPhase use (0
-// or 1 = single-threaded). Per-probe: concurrent joins on one tree may
-// each pick their own parallelism.
+// or 1 = single-threaded, the paper's setting and a fresh probe's).
+// Per-probe: concurrent joins on one tree may each pick their own
+// parallelism. Unlike the slab driver in internal/parallel, it needs no
+// object replication or boundary-ownership filtering: B is sharded
+// across the workers for the assignment and tree nodes are dispatched
+// to a worker pool for the join.
 func (p *Probe) SetWorkers(n int) { p.workers = n }
 
 // nodeB returns node id's segment of assigned B objects. The segment is

@@ -143,14 +143,6 @@ type Config struct {
 	// the zero value is the grid with pre-test deduplication. See
 	// LocalJoinKind for the ablation alternatives.
 	LocalJoin LocalJoinKind
-	// Workers is the default number of goroutines the assignment and
-	// join phases of a probe use (0 or 1 = single-threaded, the paper's
-	// setting). It seeds Probe.SetWorkers; each probe may override it
-	// per query. Unlike the slab driver in internal/parallel, intra-TOUCH
-	// parallelism needs no object replication or boundary-ownership
-	// filtering: B is sharded across workers for assignment and tree
-	// nodes are dispatched to a worker pool for the join.
-	Workers int
 }
 
 func (c *Config) fillDefaults() {
@@ -223,10 +215,6 @@ func (e *entry) leaf(i int32) bool { return e.skip == i+1 }
 
 // aCount returns the number of A objects below the node.
 func (e *entry) aCount() int { return int(e.aEnd - e.aStart) }
-
-// Workers returns the tree's default worker count, the one probes start
-// with (Probe.SetWorkers overrides it per query).
-func (t *Tree) Workers() int { return t.cfg.Workers }
 
 // Config returns the configuration the tree was built with (defaults
 // filled in), so a snapshot can reproduce the exact tree on reload.
@@ -433,26 +421,28 @@ func (t *Tree) StaticBytes() int64 {
 // cache line.
 const bytesPerEntry = stats.BytesPerBox + 4*4
 
-// Join runs all three TOUCH phases: build the tree on a, assign b via a
-// fresh probe, join. Phase timings land in c.BuildTime / c.AssignTime /
-// c.JoinTime and the analytic footprint in c.MemoryBytes. ctl (which may
-// be nil) is the cooperative abort signal polled throughout the
-// assignment and join phases; a stopped join unwinds with partial
-// counters.
+// Join runs all three TOUCH phases single-threaded: build the tree on a,
+// assign b via a fresh probe, join. Phase timings land in c.BuildTime /
+// c.AssignTime / c.JoinTime and the analytic footprint in
+// c.MemoryBytes. ctl (which may be nil) is the cooperative abort signal
+// polled throughout the assignment and join phases; a stopped join
+// unwinds with partial counters.
 func Join(a, b geom.Dataset, cfg Config, ctl *stats.Control, c *stats.Counters, sink stats.Sink) {
-	JoinExpanded(a, 0, b, 0, cfg, ctl, c, sink)
+	JoinExpanded(a, 0, b, 0, cfg, 1, ctl, c, sink)
 }
 
 // JoinExpanded is Join of a with every box enlarged by epsA against b
 // with every box enlarged by epsB, copying neither: the boxes are grown
 // where the engine copies them anyway, in the tree's arena
-// (BuildExpanded) and the probe's node segments (AssignExpanded). Its
-// pairs and counters are Join(a.Expand(epsA), b.Expand(epsB))'s.
-func JoinExpanded(a geom.Dataset, epsA float64, b geom.Dataset, epsB float64, cfg Config, ctl *stats.Control, c *stats.Counters, sink stats.Sink) {
+// (BuildExpanded) and the probe's node segments (AssignExpanded). The
+// probe runs with the given worker count (Probe.SetWorkers). Its pairs
+// and counters are Join(a.Expand(epsA), b.Expand(epsB))'s.
+func JoinExpanded(a geom.Dataset, epsA float64, b geom.Dataset, epsB float64, cfg Config, workers int, ctl *stats.Control, c *stats.Counters, sink stats.Sink) {
 	start := time.Now()
 	t := BuildExpanded(a, epsA, cfg)
 	c.BuildTime += time.Since(start)
 	p := t.NewProbe()
+	p.SetWorkers(workers)
 
 	start = time.Now()
 	p.AssignExpanded(b, epsB, ctl, c)

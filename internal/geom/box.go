@@ -126,21 +126,6 @@ func (b Box) Union(o Box) Box {
 	return b
 }
 
-// Intersection returns the overlap region of b and o. The second return
-// value is false when the boxes do not intersect, in which case the
-// returned box is the zero value.
-func (b Box) Intersection(o Box) (Box, bool) {
-	var r Box
-	for d := 0; d < Dims; d++ {
-		r.Min[d] = math.Max(b.Min[d], o.Min[d])
-		r.Max[d] = math.Min(b.Max[d], o.Max[d])
-		if r.Min[d] > r.Max[d] {
-			return Box{}, false
-		}
-	}
-	return r, true
-}
-
 // Center returns the center point of the box.
 func (b Box) Center() Point {
 	var c Point
@@ -160,16 +145,6 @@ func (b Box) Volume() float64 {
 		v *= b.Extent(d)
 	}
 	return v
-}
-
-// Margin returns the sum of the box's side lengths (the 3-D analogue of
-// the perimeter, used by packing heuristics).
-func (b Box) Margin() float64 {
-	m := 0.0
-	for d := 0; d < Dims; d++ {
-		m += b.Extent(d)
-	}
-	return m
 }
 
 // Distance returns the minimum Euclidean distance between the two boxes;
@@ -214,24 +189,6 @@ func (b Box) AxisDistance(o Box) float64 {
 		}
 	}
 	return worst
-}
-
-// ReferencePoint returns the canonical point of the pair (b, o) used for
-// duplicate avoidance in grid-partitioned joins: the minimum corner of the
-// intersection of the two boxes (Dittrich & Seeger's reference-point
-// method). It must only be called for intersecting boxes; the second
-// return value is false otherwise.
-func (b Box) ReferencePoint(o Box) (Point, bool) {
-	var p Point
-	for d := 0; d < Dims; d++ {
-		lo := math.Max(b.Min[d], o.Min[d])
-		hi := math.Min(b.Max[d], o.Max[d])
-		if lo > hi {
-			return Point{}, false
-		}
-		p[d] = lo
-	}
-	return p, true
 }
 
 // String implements fmt.Stringer.

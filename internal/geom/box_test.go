@@ -138,27 +138,12 @@ func TestUnionAndIntersection(t *testing.T) {
 	if u != box(0, -2, 0, 6, 4, 4) {
 		t.Fatalf("Union = %v", u)
 	}
-	inter, ok := a.Intersection(b)
-	if !ok || inter != box(2, 0, 1, 4, 3, 3) {
-		t.Fatalf("Intersection = %v ok=%v", inter, ok)
-	}
-	if _, ok := a.Intersection(box(5, 5, 5, 6, 6, 6)); ok {
-		t.Fatal("disjoint boxes must not intersect")
-	}
-	// Touching boxes intersect in a degenerate box.
-	inter, ok = a.Intersection(box(4, 0, 0, 5, 4, 4))
-	if !ok || inter.Extent(0) != 0 {
-		t.Fatalf("touching boxes: intersection %v ok=%v", inter, ok)
-	}
 }
 
 func TestVolumeMarginExtentCenter(t *testing.T) {
 	b := box(0, 0, 0, 2, 3, 4)
 	if b.Volume() != 24 {
 		t.Errorf("Volume = %g, want 24", b.Volume())
-	}
-	if b.Margin() != 9 {
-		t.Errorf("Margin = %g, want 9", b.Margin())
 	}
 	if b.Extent(1) != 3 {
 		t.Errorf("Extent(1) = %g, want 3", b.Extent(1))
@@ -201,24 +186,6 @@ func TestAxisDistance(t *testing.T) {
 	}
 	if got := a.AxisDistance(a); got != 0 {
 		t.Errorf("AxisDistance self = %g", got)
-	}
-}
-
-func TestReferencePoint(t *testing.T) {
-	a := box(0, 0, 0, 4, 4, 4)
-	b := box(2, 1, -1, 6, 3, 3)
-	p, ok := a.ReferencePoint(b)
-	if !ok {
-		t.Fatal("overlapping boxes must have a reference point")
-	}
-	if p != (Point{2, 1, 0}) {
-		t.Fatalf("ReferencePoint = %v", p)
-	}
-	if !a.ContainsPoint(p) || !b.ContainsPoint(p) {
-		t.Fatal("reference point must lie in both boxes")
-	}
-	if _, ok := a.ReferencePoint(box(5, 5, 5, 6, 6, 6)); ok {
-		t.Fatal("disjoint boxes must not have a reference point")
 	}
 }
 
@@ -308,45 +275,11 @@ func TestPropContainsImpliesIntersects(t *testing.T) {
 	}
 }
 
-func TestPropIntersectionIsContained(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := randomBox(r, 20, 15), randomBox(r, 20, 15)
-		inter, ok := a.Intersection(b)
-		if ok != a.Intersects(b) {
-			return false
-		}
-		if !ok {
-			return true
-		}
-		return a.Contains(inter) && b.Contains(inter)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPropDistanceZeroIffIntersects(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randomBox(r, 20, 15), randomBox(r, 20, 15)
 		return (a.Distance(b) == 0) == a.Intersects(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropReferencePointInIntersection(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := randomBox(r, 20, 15), randomBox(r, 20, 15)
-		p, ok := a.ReferencePoint(b)
-		if !ok {
-			return !a.Intersects(b)
-		}
-		inter, interOK := a.Intersection(b)
-		return interOK && inter.ContainsPoint(p) && p == inter.Min
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,14 +47,110 @@ func TestJoinWorkersClamped(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("clamped join: %d %s", status, body)
 	}
-	// Same for the load config's workers knob.
-	req := loadRequest{Boxes: boxRows(b)}
-	req.Config.Workers = 1 << 30
-	status, body = ts.postJSON("/v1/datasets/wclamp", req)
-	if status != http.StatusAccepted {
-		t.Fatalf("clamped load: %d %s", status, body)
+}
+
+// goroutineRecorder is a ResponseWriter that counts the writes made on
+// the goroutine named caller and those made on any other.
+type goroutineRecorder struct {
+	*httptest.ResponseRecorder
+	caller  string
+	on, off atomic.Int64
+}
+
+// goroutineID returns the calling goroutine's ID, the number on the
+// first line of its stack ("goroutine 42 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
+}
+
+func (w *goroutineRecorder) note() {
+	if goroutineID() == w.caller {
+		w.on.Add(1)
+	} else {
+		w.off.Add(1)
 	}
-	ts.waitServing("wclamp", 1)
+}
+
+func (w *goroutineRecorder) WriteHeader(status int) {
+	w.note()
+	w.ResponseRecorder.WriteHeader(status)
+}
+
+func (w *goroutineRecorder) Write(p []byte) (int, error) {
+	w.note()
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestJoinDefaultWorkers: a join that names no workers runs with the
+// server's Config.Workers — single-threaded when that is 0, so the whole
+// NDJSON stream is written on the request's goroutine, and on engine
+// goroutines, the first pair going out as the engine finds it, when it
+// is 4.
+func TestJoinDefaultWorkers(t *testing.T) {
+	a := touch.GenerateUniform(3000, 151)
+	b := touch.GenerateUniform(3000, 152)
+	body, err := json.Marshal(api.JoinRequest{Boxes: boxRows(b), Eps: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 4} {
+		s := New(Config{Workers: workers})
+		s.Load("a", a, touch.TOUCHConfig{})
+		req := httptest.NewRequest(http.MethodPost, "/v1/datasets/a/join", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Accept", api.NDJSONContentType)
+		w := &goroutineRecorder{ResponseRecorder: httptest.NewRecorder(), caller: goroutineID()}
+		s.ServeHTTP(w, req)
+		if w.Code != http.StatusOK || bytes.Count(w.Body.Bytes(), []byte("\n")) < 100 {
+			t.Fatalf("workers %d: status %d, %d bytes", workers, w.Code, w.Body.Len())
+		}
+		if workers == 0 && w.off.Load() != 0 {
+			t.Errorf("Config.Workers 0: %d of %d writes off the request's goroutine", w.off.Load(), w.on.Load()+w.off.Load())
+		}
+		if workers == 4 && w.off.Load() == 0 {
+			t.Errorf("Config.Workers 4: all %d writes on the request's goroutine", w.on.Load())
+		}
+	}
+}
+
+// TestLoadIgnoresConfigWorkers: a load body that still carries the
+// retired config.workers field is accepted and builds the same tree as
+// one without it.
+func TestLoadIgnoresConfigWorkers(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	a := touch.GenerateUniform(500, 161)
+	b := touch.GenerateUniform(300, 162)
+	ts.loadAndWait("plain", a, 32)
+	status, body := ts.postJSON("/v1/datasets/workers", map[string]any{
+		"boxes":  boxRows(a),
+		"config": map[string]int{"partitions": 32, "workers": 4},
+	})
+	if status != http.StatusAccepted {
+		t.Fatalf("load with config.workers: %d %s", status, body)
+	}
+	ts.waitServing("workers", 1)
+
+	plain, withWorkers := ts.datasetInfo("plain"), ts.datasetInfo("workers")
+	if plain.Objects != withWorkers.Objects || plain.StaticBytes != withWorkers.StaticBytes ||
+		plain.Nodes != withWorkers.Nodes || plain.Height != withWorkers.Height {
+		t.Fatalf("trees differ: %+v vs %+v", withWorkers, plain)
+	}
+	join := func(name string) api.JoinResponse {
+		status, body := ts.postJSON("/v1/datasets/"+name+"/join", api.JoinRequest{Boxes: boxRows(b), Eps: 60})
+		if status != http.StatusOK {
+			t.Fatalf("join %s: %d %s", name, status, body)
+		}
+		var jr api.JoinResponse
+		if err := json.Unmarshal(body, &jr); err != nil {
+			t.Fatal(err)
+		}
+		return jr
+	}
+	got, want := join("workers"), join("plain")
+	if want.Count < 10 || got.Count != want.Count || !slices.Equal(got.Pairs, want.Pairs) {
+		t.Fatalf("joins differ: %d pairs vs %d", got.Count, want.Count)
+	}
 }
 
 // TestBuildBacklogCap: background builds live outside the request-slot

@@ -104,10 +104,9 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies; larger ones get 413. Default 8 MiB.
 	MaxBodyBytes int64
-	// Workers is the default per-join parallelism; a join request's
-	// "workers" field overrides it, 1 meaning one worker. Default 0: the
-	// dataset's build-time count (single-threaded unless it was loaded
-	// with workers).
+	// Workers is the per-join parallelism of a join request that names
+	// no "workers" (or 0); a request's positive count overrides it, 1
+	// meaning one worker. Default 0: single-threaded.
 	Workers int
 	// MaxPendingBuilds caps index builds accepted but not yet finished.
 	// Builds run in the background, outside the request-slot admission
@@ -565,7 +564,6 @@ type loadRequest struct {
 		Partitions int `json:"partitions"`
 		Fanout     int `json:"fanout"`
 		LocalCells int `json:"local_cells"`
-		Workers    int `json:"workers"`
 	} `json:"config"`
 }
 
@@ -599,7 +597,6 @@ func (s *Server) handleLoad(h *httpRequest) *api.Error {
 			Partitions: req.Config.Partitions,
 			Fanout:     req.Config.Fanout,
 			LocalCells: min(req.Config.LocalCells, maxLocalCells),
-			Workers:    clampWorkers(req.Config.Workers),
 		}
 	case ct == "" || strings.HasPrefix(ct, "text/"):
 		if ds, err = touch.ReadDataset(http.MaxBytesReader(h, h.r.Body, s.cfg.MaxBodyBytes)); err != nil {
@@ -609,10 +606,6 @@ func (s *Server) handleLoad(h *httpRequest) *api.Error {
 		return api.Errorf(api.CodeUnsupported,
 			"content type %q: send application/json boxes or a text/plain dataset", ct)
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = s.cfg.Workers
-	}
-
 	// Builds run in the background and outlive the request's admission
 	// slot; the catalog reserves a backlog slot atomically so load
 	// floods degrade into 429s too.

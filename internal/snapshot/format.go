@@ -11,7 +11,10 @@
 //
 //	magic "TCHSNAP1" | format version u32 | section count u32
 //	meta    (name, version, builtAt, next insert ID, tombstone and tier
-//	         counts; per tier the tree config and the element counts)
+//	         counts; per tier the tree config — partitions, fanout,
+//	         local cells, cell factor, local-join kind, then a retired
+//	         u32 worker slot, written 0 and ignored on read — and the
+//	         element counts)
 //	per tier, base first:
 //	  objects (the tier's dataset, ID-ascending — load order for a
 //	           dataset that was never updated: id + 6 coords per object)
@@ -166,7 +169,7 @@ func (r *Record) Marshal() ([]byte, error) {
 		meta = binfmt.AppendU32(meta, uint32(cfg.LocalCells))
 		meta = binfmt.AppendF64(meta, cfg.CellFactor)
 		meta = binfmt.AppendU32(meta, uint32(cfg.LocalJoin))
-		meta = binfmt.AppendU32(meta, uint32(cfg.Workers))
+		meta = binfmt.AppendU32(meta, 0) // the retired worker slot
 		meta = binfmt.AppendU32(meta, uint32(len(t.Objects)))
 		meta = binfmt.AppendU32(meta, uint32(len(t.Tree.Nodes)))
 		meta = binfmt.AppendU32(meta, uint32(t.Tree.Leaves))
@@ -298,8 +301,8 @@ func Unmarshal(data []byte) (*Record, error) {
 			LocalCells: int(int32(meta.U32())),
 			CellFactor: meta.F64(),
 			LocalJoin:  core.LocalJoinKind(int32(meta.U32())),
-			Workers:    int(int32(meta.U32())),
 		}}
+		meta.U32() // the retired worker slot
 		counts[i] = [2]int{int(meta.U32()), int(meta.U32())}
 		f.Leaves, f.Height = int(meta.U32()), int(meta.U32())
 		rec.Tiers[i].Tree = f

@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -33,15 +35,39 @@ func buildRecord(t *testing.T, n int, seed int64, cfg core.Config) (*Record, *co
 	}, tree
 }
 
+// withWorkerSlot returns a copy of the single-tier snapshot data with
+// its tier's retired worker slot set to v and the meta checksum
+// recomputed.
+func withWorkerSlot(t *testing.T, data []byte, v uint32) []byte {
+	t.Helper()
+	out := slices.Clone(data)
+	meta := out[headerSize+8:]
+	meta = meta[:binary.LittleEndian.Uint64(out[headerSize:])]
+	nameLen := int(binary.LittleEndian.Uint32(meta))
+	// name, version, builtAt, next ID, tombstone and tier counts, then
+	// the tier's partitions, fanout, local cells, cell factor, local join.
+	slot := 4 + nameLen + 8 + 8 + 3*4 + 3*4 + 8 + 4
+	if binary.LittleEndian.Uint32(meta[slot:]) != 0 {
+		t.Fatal("premise: the writer put a non-zero worker slot")
+	}
+	binary.LittleEndian.PutUint32(meta[slot:], v)
+	binary.LittleEndian.PutUint32(out[headerSize+8+len(meta):], crc32.Checksum(meta, castagnoli))
+	return out
+}
+
 func TestMarshalUnmarshalRoundtrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		n    int
 		cfg  core.Config
+		slot uint32 // the retired worker slot the decoded file carries
 	}{
-		{"empty", 0, core.Config{}},
-		{"small", 300, core.Config{Partitions: 16}},
-		{"fanout4-sweep", 2000, core.Config{Partitions: 64, Fanout: 4, LocalJoin: core.LocalJoinSweep, Workers: 2}},
+		{"empty", 0, core.Config{}, 0},
+		{"small", 300, core.Config{Partitions: 16}, 0},
+		{"fanout4-sweep", 2000, core.Config{Partitions: 64, Fanout: 4, LocalJoin: core.LocalJoinSweep}, 0},
+		// Files from builds that stored a per-tree worker count there
+		// decode as if it were 0.
+		{"worker-slot-4", 2000, core.Config{Partitions: 64}, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec, tree := buildRecord(t, tc.n, 11, tc.cfg)
@@ -49,9 +75,16 @@ func TestMarshalUnmarshalRoundtrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Marshal: %v", err)
 			}
-			got, err := Unmarshal(data)
+			got, err := Unmarshal(withWorkerSlot(t, data, tc.slot))
 			if err != nil {
 				t.Fatalf("Unmarshal: %v", err)
+			}
+			plain, err := Unmarshal(data)
+			if err != nil {
+				t.Fatalf("Unmarshal: %v", err)
+			}
+			if !reflect.DeepEqual(got, plain) {
+				t.Fatalf("worker slot %d decodes to %+v, slot 0 to %+v", tc.slot, got.Tiers[0].Tree.Cfg, plain.Tiers[0].Tree.Cfg)
 			}
 			if got.Name != rec.Name || got.Version != rec.Version || !got.BuiltAt.Equal(rec.BuiltAt) {
 				t.Fatalf("identity mismatch: %q v%d %v", got.Name, got.Version, got.BuiltAt)

@@ -109,7 +109,7 @@ func alignedSeed() []byte {
 
 // FuzzJoin: TOUCH (sequential and 4 workers) and the clamped PBSM grid
 // must reproduce the nested-loop pair set on arbitrary decoded
-// datasets, and so must core.Join with both grid local joins — the
+// datasets, and so must core.JoinExpanded with both grid local joins — the
 // pre-test canonical-cell rule and the paper's post-test dedup — which
 // must also agree on Results and Replicas, the post-test kind comparing
 // at least as much.
@@ -142,17 +142,17 @@ func FuzzJoin(f *testing.F) {
 			var counts [2]stats.Counters
 			for i, kind := range []core.LocalJoinKind{core.LocalJoinGrid, core.LocalJoinGridPostDedup} {
 				cfg := fuzzGrid
-				cfg.LocalJoin, cfg.Workers = kind, workers
+				cfg.LocalJoin = kind
 				sink := &stats.CollectSink{}
-				core.Join(a, b, cfg, nil, &counts[i], sink)
+				core.JoinExpanded(a, 0, b, 0, cfg, workers, nil, &counts[i], sink)
 				if got := PairSet(sink.Pairs); !slices.Equal(got, want) {
-					t.Errorf("core.Join %s workers=%d: %d pairs, oracle has %d (first diff at %d)",
+					t.Errorf("core.JoinExpanded %s workers=%d: %d pairs, oracle has %d (first diff at %d)",
 						kind, workers, len(got), len(want), firstDiff(got, want))
 				}
 			}
 			pre, post := &counts[0], &counts[1]
 			if pre.Results != post.Results || pre.Replicas != post.Replicas || post.Comparisons < pre.Comparisons {
-				t.Errorf("core.Join workers=%d: grid results %d, replicas %d, comparisons %d; grid-postdedup %d, %d, %d",
+				t.Errorf("core.JoinExpanded workers=%d: grid results %d, replicas %d, comparisons %d; grid-postdedup %d, %d, %d",
 					workers, pre.Results, pre.Replicas, pre.Comparisons, post.Results, post.Replicas, post.Comparisons)
 			}
 		}

@@ -43,7 +43,7 @@ var verdictGolden = map[string]struct {
 	"catalog":    {4001, 1974, "925c101205bac12b"},
 	"error":      {4001, 2099, "54aabf10fdfb8fad"},
 	"trace":      {4001, 2277, "75597a922aea2dd7"},
-	"snapshot":   {12003, 347, "95c0601d268d7fda"},
+	"snapshot":   {12003, 347, "6c202d90ebf9fd2b"},
 }
 
 // verdictCodec is one decoder under the corpus: the valid payloads its

@@ -12,7 +12,7 @@ import (
 
 func TestSnapshotRoundtripServesIdentically(t *testing.T) {
 	a := GenerateClustered(6000, 42)
-	ix := BuildIndex(a, TOUCHConfig{Partitions: 128, Workers: 2})
+	ix := BuildIndex(a, TOUCHConfig{Partitions: 128})
 	info := SnapshotInfo{Name: "city", Version: 4, BuiltAt: time.Unix(1712000000, 0).UTC()}
 
 	data, err := EncodeSnapshot(info, a, ix)

@@ -189,16 +189,14 @@ type Options struct {
 	// Emit runs on the engine's goroutines: a sink that blocks (on a
 	// network write, say) holds the join back with it.
 	Sink Sink
-	// Workers > 1 parallelizes the join with that many goroutines; 1 is
-	// single-threaded, the paper's setting. AlgTOUCH — including
-	// Index.Join — parallelizes internally: the assignment and join
-	// phases shard work across goroutines with no object replication. For
-	// AlgTOUCH a positive Workers is the call's worker count, overriding
-	// Options.TOUCH.Workers and an index's build-time default; 0 leaves
-	// those in charge. Every other algorithm runs under the slab driver
-	// of internal/parallel when Workers > 1, which splits space into
-	// contiguous slabs and suppresses boundary duplicates with an
-	// ownership rule, and single-threaded otherwise.
+	// Workers > 1 parallelizes the join with that many goroutines; 0 and
+	// 1 are single-threaded, the paper's setting. AlgTOUCH — including
+	// the joins of an Index, Overlay or Mutable.View() — parallelizes
+	// internally: the assignment and join phases shard work across
+	// goroutines with no object replication. Every other algorithm runs
+	// under the slab driver of internal/parallel when Workers > 1, which
+	// splits space into contiguous slabs and suppresses boundary
+	// duplicates with an ownership rule.
 	Workers int
 	// Limit > 0 stops the join after exactly that many result pairs have
 	// been delivered (to Result.Pairs or the Sink).
@@ -463,11 +461,7 @@ func joinCtx(ctx context.Context, alg Algorithm, a, b Dataset, eps float64, opt 
 			// TOUCH parallelizes internally instead of running under
 			// the slab driver: no replication, no boundary-ownership
 			// filter.
-			cfg := o.TOUCH
-			if o.Workers > 0 {
-				cfg.Workers = o.Workers
-			}
-			core.JoinExpanded(a, epsA, b, epsB, cfg, ctl, c, sink)
+			core.JoinExpanded(a, epsA, b, epsB, o.TOUCH, o.Workers, ctl, c, sink)
 		case o.Workers > 1:
 			parallel.Join(a, b, o.Workers, join, ctl, c, sink)
 		default:

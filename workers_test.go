@@ -42,8 +42,7 @@ func TestTOUCHWorkersBitIdentical(t *testing.T) {
 				t.Fatal("premise: oracle found no pairs")
 			}
 			for _, workers := range []int{1, 2, 8} {
-				opt := &Options{}
-				opt.TOUCH.Workers = workers
+				opt := &Options{Workers: workers}
 				res, err := DistanceJoin(AlgTOUCH, fx.a, fx.b, fx.eps, opt)
 				if err != nil {
 					t.Fatal(err)
@@ -87,24 +86,20 @@ func TestWorkersOptionRoutesTOUCHInternally(t *testing.T) {
 	}
 }
 
-// TestIndexParallelJoin: a prebuilt index configured with workers joins
-// repeatedly and matches the sequential index result; Options.Workers
-// on a sequential index must be honored per call and then dropped.
+// TestIndexParallelJoin: per-call Options.Workers on one index joins
+// repeatedly and matches the index's sequential joins, its pooled probes
+// going back and forth between the two counts.
 func TestIndexParallelJoin(t *testing.T) {
 	a := GenerateUniform(250, 61)
-	seqIdx := BuildIndex(a.Expand(10), TOUCHConfig{Partitions: 32})
-	parIdx := BuildIndex(a.Expand(10), TOUCHConfig{Partitions: 32, Workers: 4})
+	idx := BuildIndex(a.Expand(10), TOUCHConfig{Partitions: 32})
 	for seed := int64(70); seed < 73; seed++ {
 		b := GenerateUniform(500, seed)
-		want := sortPairSet(seqIdx.Join(b, nil).Pairs)
-		got := sortPairSet(parIdx.Join(b, nil).Pairs)
-		if !slices.Equal(got, want) {
-			t.Fatalf("seed %d: parallel index join differs from sequential", seed)
-		}
-		// Per-call Options.Workers on the sequential index.
-		optGot := sortPairSet(seqIdx.Join(b, &Options{Workers: 8}).Pairs)
-		if !slices.Equal(optGot, want) {
-			t.Fatalf("seed %d: Options.Workers index join differs from sequential", seed)
+		want := sortPairSet(idx.Join(b, nil).Pairs)
+		for _, workers := range []int{4, 8} {
+			got := sortPairSet(idx.Join(b, &Options{Workers: workers}).Pairs)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d: %d-worker index join differs from sequential", seed, workers)
+			}
 		}
 	}
 }
@@ -116,33 +111,31 @@ func goroutineID() string {
 	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
 }
 
-// TestOptionsWorkersOverridesConfig: a positive Options.Workers is the
-// call's worker count even when the config says more — with 1 every pair
-// reaches the sink on the caller's goroutine — while 0 leaves the
-// config's four workers in charge. Held on a prebuilt Index, on
-// Mutable.View() and on the one-shot join.
+// TestOptionsWorkersOverridesConfig: Options.Workers alone decides
+// where a join runs — the TOUCH configuration holds no worker count. With
+// 4 pairs arrive off the caller's goroutine; with 0 or 1 every pair
+// reaches the sink on it. Held on a prebuilt Index, on Mutable.View()
+// and on the one-shot join, in the order 4, 0, 1 on the same index, so a
+// probe recycled from the 4-worker call must run the next call
+// single-threaded.
 func TestOptionsWorkersOverridesConfig(t *testing.T) {
 	a := GenerateUniform(3000, 151)
 	b := GenerateUniform(3000, 152)
-	cfg := TOUCHConfig{Workers: 4}
-	m, err := NewMutable(a, cfg)
+	m, err := NewMutable(a, TOUCHConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := BuildIndex(a, cfg)
+	idx := BuildIndex(a, TOUCHConfig{})
 	joins := []struct {
 		name string
 		join func(*Options) (*Result, error)
 	}{
 		{"index", func(o *Options) (*Result, error) { return idx.DistanceJoin(b, 20, o) }},
 		{"view", func(o *Options) (*Result, error) { return m.View().DistanceJoin(b, 20, o) }},
-		{"one-shot", func(o *Options) (*Result, error) {
-			o.TOUCH = cfg
-			return DistanceJoin(AlgTOUCH, a, b, 20, o)
-		}},
+		{"one-shot", func(o *Options) (*Result, error) { return DistanceJoin(AlgTOUCH, a, b, 20, o) }},
 	}
 	for _, j := range joins {
-		for _, workers := range []int{1, 0} {
+		for _, workers := range []int{4, 0, 1} {
 			caller := goroutineID()
 			var on, off atomic.Int64
 			opt := &Options{Workers: workers, Sink: stats.FuncSink(func(ID, ID) {
@@ -159,12 +152,12 @@ func TestOptionsWorkersOverridesConfig(t *testing.T) {
 			if res.Stats.Results < 100 {
 				t.Fatalf("%s: premise: the join found only %d pairs", j.name, res.Stats.Results)
 			}
-			if workers == 1 && off.Load() != 0 {
-				t.Errorf("%s, Workers 1: %d of %d pairs arrived off the caller's goroutine",
-					j.name, off.Load(), on.Load()+off.Load())
+			if workers <= 1 && off.Load() != 0 {
+				t.Errorf("%s, Workers %d: %d of %d pairs arrived off the caller's goroutine",
+					j.name, workers, off.Load(), on.Load()+off.Load())
 			}
-			if workers == 0 && off.Load() == 0 {
-				t.Errorf("%s, Workers 0: all %d pairs on the caller's goroutine; the config's 4 workers did not run",
+			if workers == 4 && off.Load() == 0 {
+				t.Errorf("%s, Workers 4: all %d pairs on the caller's goroutine; the call's workers did not run",
 					j.name, on.Load())
 			}
 		}
