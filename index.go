@@ -35,15 +35,15 @@ import (
 // per query.
 type Index struct {
 	reader
-	maxID ID // largest indexed object ID, -1 when empty
 }
 
 // BuildIndex constructs the TOUCH tree on the dataset with the given
 // configuration (zero value = paper defaults: 1024 partitions, fanout 2).
 // The configuration describes the tree only: each join picks its own
-// parallelism with Options.Workers.
+// parallelism with Options.Workers. The tree keeps its own copy of the
+// objects: the index holds no reference to a.
 func BuildIndex(a Dataset, cfg TOUCHConfig) *Index {
-	return indexFromTree(core.Build(a, cfg))
+	return &Index{reader: newReader([]tier{newTier(core.Build(a, cfg), delta.IDsOf(a))})}
 }
 
 // reader is the one read surface of the package: a short list of
@@ -82,15 +82,19 @@ type reader struct {
 	tombs   []ID
 }
 
-// tier is one immutable tree of a reader with the objects it indexes.
+// tier is one immutable tree of a reader. The tree's arena, in STR's
+// order, is the tier's only copy of its objects; ids, their ID set,
+// answers what an update, a fold and Tiers ask of the tier — membership,
+// the ID range, and the rank that gathers the arena back into ID order
+// (tier.gather).
 type tier struct {
-	// ds is the tier's dataset, ID-ascending: what a fold merges and an
-	// update searches. A bare Index keeps none — its caller holds the
-	// dataset — and only generations made by OverlayOf carry it.
-	ds     Dataset
 	tree   *core.Tree
+	ids    delta.IDs
 	probes *sync.Pool // *core.Probe, shared by every reader over tree
 }
+
+// gather appends the tier's objects to dst in ID order.
+func (t *tier) gather(dst Dataset) Dataset { return t.ids.Gather(dst, t.tree.Arena()) }
 
 // newReader returns the reader over tiers with nothing pending.
 func newReader(tiers []tier) reader {

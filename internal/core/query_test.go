@@ -272,7 +272,7 @@ func TestKNNCounters(t *testing.T) {
 
 // TestKNNSkipTiesAndShadows pins the skip list on hand-built cases: a
 // dead and a live object at one distance, the k nearest all dead, every
-// object dead, and skip IDs the tree never held. MaxID rides along.
+// object dead, and skip IDs the tree never held.
 func TestKNNSkipTiesAndShadows(t *testing.T) {
 	// Object i sits at x = 10*(i/2): IDs 2j and 2j+1 tie at every
 	// distance from a point on the x axis.
@@ -282,12 +282,6 @@ func TestKNNSkipTiesAndShadows(t *testing.T) {
 		ds[i] = geom.Object{ID: geom.ID(i), Box: geom.NewBox(geom.Point{x, 0, 0}, geom.Point{x + 1, 1, 1})}
 	}
 	tree := Build(ds, Config{Partitions: 8})
-	if got := tree.MaxID(); got != 39 {
-		t.Fatalf("MaxID = %d, want 39", got)
-	}
-	if got := Build(nil, Config{}).MaxID(); got != -1 {
-		t.Fatalf("MaxID of an empty tree = %d, want -1", got)
-	}
 	p := tree.NewProbe()
 	q := geom.Point{-5, 0.5, 0.5}
 	ids := func(nbrs []geom.Neighbor) []geom.ID {

@@ -220,15 +220,11 @@ func (e *entry) aCount() int { return int(e.aEnd - e.aStart) }
 // filled in), so a snapshot can reproduce the exact tree on reload.
 func (t *Tree) Config() Config { return t.cfg }
 
-// MaxID returns the largest object ID the tree indexes, -1 when it is
-// empty. One scan of the arena; callers that need it often keep it.
-func (t *Tree) MaxID() geom.ID {
-	maxID := geom.ID(-1)
-	for i := range t.arena {
-		maxID = max(maxID, t.arena[i].ID)
-	}
-	return maxID
-}
+// Arena returns the indexed objects as the tree holds them, leaf by
+// leaf in DFS order — STR's order, not ID order. Read-only: it is the
+// tree's own storage, and the only copy of its objects a served tier
+// keeps.
+func (t *Tree) Arena() []geom.Object { return t.arena }
 
 // subtreeA returns the A objects of node i's descendant leaves as a
 // zero-copy view into the arena.

@@ -8,18 +8,18 @@
 // both owners, the touch package's Mutable and the server catalog, each
 // under its own writer lock: Apply is the update step (a batch of
 // deletes, then inserts), Scheduler decides when the owner folds, and
-// Merged and Since are the two halves of a fold — the dataset of the
-// tier it builds, and what is left pending once that tier is published
-// (the fold rule itself, which tiers a fold rewrites, lives with the
-// tiers in package touch). Serialized writers are what lets inserts
-// share one append-only backing array across generations.
+// Merged (or MergedInPlace) and Since are the two halves of a fold — the
+// dataset of the tier it builds, and what is left pending once that tier
+// is published (the fold rule itself, which tiers a fold rewrites, lives
+// with the tiers in package touch). Serialized writers are what lets
+// inserts share one append-only backing array across generations.
 //
-// The contract that everything downstream leans on: every tier's dataset
-// is ID-ascending and the tiers' ID ranges ascend without overlap, every
-// insert receives a fresh ID strictly greater than any ID the dataset
-// has ever held (NextID is monotone across folds and restarts, IDs are
-// never reused), and deletes are recorded as tombstones rather than
-// applied in place: the unfolded tail keeps tombstoned objects, and the
+// The contract that everything downstream leans on: every tier holds
+// distinct IDs (an IDs set) and the tiers' ID ranges ascend without
+// overlap, every insert receives a fresh ID strictly greater than any ID
+// the dataset has ever held (NextID is monotone across folds and
+// restarts, IDs are never reused), and deletes are recorded as tombstones
+// rather than applied in place: the unfolded tail keeps tombstoned objects, and the
 // tombstones — of tier objects and tail objects alike — are one
 // ID-ascending slice. Readers take both slices as they are (Objects,
 // Tombs) and test a tombstone by binary search only on an object that is
@@ -82,8 +82,7 @@ type Delta struct {
 }
 
 // NewForBase returns an empty delta whose first insert will receive an
-// ID greater than every ID in base. base need not be sorted here (the
-// max is scanned), though Merged and merged reads require it ascending.
+// ID greater than every ID in base, in any order (the max is scanned).
 func NewForBase(base geom.Dataset) *Delta {
 	next := geom.ID(0)
 	for i := range base {
@@ -94,10 +93,11 @@ func NewForBase(base geom.Dataset) *Delta {
 	return &Delta{nextID: next}
 }
 
-// Restored returns the delta a decoded snapshot resumes from: nothing
+// Restored returns the delta a decoded snapshot — or a dataset's first
+// generation, with no tombstones and no mark — resumes from: nothing
 // unfolded, tombs (ascending, retained) settled, and the next insert ID
 // the persisted high-water mark or one above maxID, the largest ID the
-// snapshot holds, whichever is greater.
+// tiers hold, whichever is greater.
 func Restored(tombs []geom.ID, nextID, maxID geom.ID) *Delta {
 	return &Delta{tombs: tombs, settled: len(tombs), nextID: max(nextID, maxID+1)}
 }
@@ -175,7 +175,9 @@ func findID(ds geom.Dataset, id geom.ID) (int, bool) {
 
 // appendLive appends the objects of src (ID-ascending) that tombs
 // (ascending) does not name: one binary search per tombstone in src's
-// ID range, the runs between them copied whole.
+// ID range, the runs between them copied whole. dst may share src's
+// array as long as it ends at or before src's start: the copies move
+// left.
 func appendLive(dst, src geom.Dataset, tombs []geom.ID) geom.Dataset {
 	if len(src) > 0 {
 		below, _ := slices.BinarySearch(tombs, src[0].ID)
@@ -207,7 +209,7 @@ func (d *Delta) Live() geom.Dataset {
 // containsInsert reports whether id is one of the unfolded inserts,
 // whose IDs are the consecutive run ending just below nextID. The
 // shortcut holds for the tail only: a tier's IDs have gaps where a fold
-// dropped dead objects, so tiers are searched (Apply's held).
+// dropped dead objects, so tiers are asked (Apply's held, IDs.Holds).
 func (d *Delta) containsInsert(id geom.ID) bool {
 	return id >= d.tailStart() && id < d.nextID
 }
@@ -290,13 +292,6 @@ func (d *Delta) Apply(inserts []geom.Box, deletes []geom.ID, held func(geom.ID) 
 	return next, first, deleted, true
 }
 
-// Holds reports whether the ID-ascending ds holds an object with this
-// ID — the membership test of one tier.
-func Holds(ds geom.Dataset, id geom.ID) bool {
-	_, found := findID(ds, id)
-	return found
-}
-
 // Since returns what is left pending of d once a fold built from its
 // ancestor d0 publishes, the fold having rewritten every object with an
 // ID at or above cut (d0's whole tail included): the inserts appended
@@ -346,23 +341,37 @@ func (d *Delta) Since(d0 *Delta, cut geom.ID) *Delta {
 // build a tier from — and, by the ID-stability contract, an index built
 // from it answers every query and join exactly as (those tiers + delta)
 // do. Tombstones naming objects of lower tiers are passed over. With
-// nothing to merge into a single tier it returns that tier itself.
+// nothing to merge into a single tier it returns that tier itself;
+// otherwise a fresh slice, the tiers left as they are.
 func (d *Delta) Merged(tiers ...geom.Dataset) geom.Dataset {
 	if len(tiers) == 1 && len(d.Objects()) == 0 && len(d.Tombs()) == 0 {
 		return tiers[0]
 	}
-	// Every tombstone at or above the lowest ID merged names one of the
-	// objects merged, so the result's size is known.
-	n, lowest := len(d.Objects()), d.tailStart()
-	for i := len(tiers) - 1; i >= 0; i-- {
-		if n += len(tiers[i]); len(tiers[i]) > 0 {
-			lowest = tiers[i][0].ID
+	n := len(d.Objects())
+	for _, t := range tiers {
+		n += len(t)
+	}
+	held := make(geom.Dataset, 0, n)
+	for _, t := range tiers {
+		held = append(held, t...)
+	}
+	return d.MergedInPlace(held)
+}
+
+// MergedInPlace is Merged over tiers the caller has gathered, in order,
+// into held, a slice it gives up: the objects the tombstones spare are
+// moved down in place and the live inserts appended, so a fold that
+// gathers its tiers from their arenas copies each object once. held's
+// capacity should leave room for the inserts.
+func (d *Delta) MergedInPlace(held geom.Dataset) geom.Dataset {
+	// The objects below the first tombstone that names one of them stay
+	// where they are.
+	tombs, keep := d.Tombs(), len(held)
+	if keep > 0 {
+		below, _ := slices.BinarySearch(tombs, held[0].ID)
+		if tombs = tombs[below:]; len(tombs) > 0 {
+			keep, _ = findID(held, tombs[0])
 		}
 	}
-	below, _ := slices.BinarySearch(d.Tombs(), lowest)
-	merged := make(geom.Dataset, 0, n-(len(d.Tombs())-below))
-	for _, t := range tiers {
-		merged = appendLive(merged, t, d.Tombs())
-	}
-	return appendLive(merged, d.Objects(), d.Tombs())
+	return appendLive(appendLive(held[:keep], held[keep:], tombs), d.Objects(), d.Tombs())
 }

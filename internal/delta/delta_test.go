@@ -77,6 +77,10 @@ func TestInsertDeleteMerged(t *testing.T) {
 	if !slices.IsSortedFunc(merged, func(a, b geom.Object) int { return int(a.ID - b.ID) }) {
 		t.Fatal("merged dataset not ID-ascending")
 	}
+	held := slices.Clone(bs)
+	if inPlace := d.MergedInPlace(held); !slices.Equal(inPlace, merged) || &inPlace[0] != &held[0] {
+		t.Fatalf("MergedInPlace = %v, want Merged's %v in the slice it was given", inPlace, merged)
+	}
 }
 
 func TestDeleteAlreadyDeadAndUnknownKeepsValue(t *testing.T) {
@@ -317,7 +321,7 @@ func TestSinceBelowTheCutSettles(t *testing.T) {
 	held := func(tiers ...geom.Dataset) func(geom.ID) bool {
 		return func(id geom.ID) bool {
 			for _, ds := range tiers {
-				if Holds(ds, id) {
+				if IDsOf(ds).Holds(id) {
 					return true
 				}
 			}

@@ -541,9 +541,11 @@ func (x *exec) join(ctx context.Context, p []byte) *api.Error {
 		if e != nil {
 			return e
 		}
-		// dataset() folds the probe's pending updates in, so a named
-		// probe joins with the same merged state its own queries see.
-		probe = named.dataset()
+		// Dataset folds the probe's pending updates in, so a named probe
+		// joins with the same merged state its own queries see. It is a
+		// fresh gather from the tiers' arenas, dropped after the join: a
+		// serving state holds every object once.
+		probe = named.ov.Dataset()
 	} else if probe, err = touch.DatasetFromBoxes(jr.Boxes); err != nil {
 		return api.EngineError(err)
 	}

@@ -38,19 +38,6 @@ type snapshot struct {
 	// restart loses it.
 	persisted bool
 	snapBytes int64
-
-	// merged lazily materializes ov.Dataset() for probe-side use of the
-	// dataset in joins; computed at most once per snapshot.
-	mergedOnce sync.Once
-	merged     touch.Dataset
-}
-
-// dataset returns the live objects of this serving state — the loaded
-// dataset itself while it has never been updated, the merged
-// materialization otherwise (computed once and cached on the snapshot).
-func (s *snapshot) dataset() touch.Dataset {
-	s.mergedOnce.Do(func() { s.merged = s.ov.Dataset() })
-	return s.merged
 }
 
 // pending returns the size of the unfolded tail, inserts + tombstones:

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"touch"
 	"touch/client"
 	"touch/internal/api"
+	"touch/internal/nl"
 	"touch/internal/testutil"
 )
 
@@ -539,5 +541,52 @@ func TestUpdateUnderConcurrentReads(t *testing.T) {
 	ts.checkAgainstOracle(o, "cells", probe, 55)
 	if got := ts.srv.cat.compactions.Load(); got < 1 {
 		t.Fatalf("compactions %d, want >= 1 (threshold 16 over 40 mutation steps)", got)
+	}
+}
+
+// TestLoadUnorderedIDsDeletes: Server.Load takes the tier's ID set from
+// the index's arena, not from the order of the caller's slice, so a
+// dataset loaded in reverse ID order deletes like any other — a PATCH of
+// two live IDs tombstones both — and the answers afterwards are the
+// nested loop's over what is live.
+func TestLoadUnorderedIDsDeletes(t *testing.T) {
+	ts := newTestServer(t, Config{CompactThreshold: -1})
+	ds := touch.GenerateUniform(2000, 97)
+	slices.Reverse(ds)
+	ts.srv.Load("rev", ds, touch.TOUCHConfig{Partitions: 32})
+	status, raw := ts.patch("rev", api.UpdateRequest{Delete: []touch.ID{5, 1500}})
+	var ack api.UpdateResponse
+	if err := json.Unmarshal(raw, &ack); status != http.StatusOK || err != nil || ack.Deleted != 2 {
+		t.Fatalf("PATCH delete of two live IDs: status %d, %s", status, raw)
+	}
+	boxes, points, ks := testutil.QueryWorkload(98, 24)
+	for _, o := range ds {
+		if o.ID == 5 || o.ID == 1500 { // where the deleted objects were
+			boxes, points, ks = append(boxes, o.Box), append(points, o.Box.Center()), append(ks, 3)
+		}
+	}
+	live := slices.DeleteFunc(ds, func(o touch.Object) bool { return o.ID == 5 || o.ID == 1500 })
+	for i, q := range boxes {
+		status, raw := ts.postJSON("/v1/datasets/rev/query", api.QueryRequest{Type: "range", Box: boxRow(q)})
+		var resp api.QueryResponse
+		if err := json.Unmarshal(raw, &resp); status != http.StatusOK || err != nil || !slices.Equal(resp.IDs, nl.RangeQuery(live, q)) {
+			t.Fatalf("range %d: status %d, %v; the nested loop finds %v", i, status, resp.IDs, nl.RangeQuery(live, q))
+		}
+	}
+	for i, p := range points {
+		status, raw := ts.postJSON("/v1/datasets/rev/query", api.QueryRequest{Type: "knn", Point: p[:], K: ks[i]})
+		var resp api.QueryResponse
+		if err := json.Unmarshal(raw, &resp); status != http.StatusOK || err != nil {
+			t.Fatalf("knn %d: status %d: %s", i, status, raw)
+		}
+		want := nl.KNN(live, p, ks[i])
+		if len(resp.Neighbors) != len(want) {
+			t.Fatalf("knn %d: %d neighbors, the nested loop %d", i, len(resp.Neighbors), len(want))
+		}
+		for j, n := range want {
+			if got := resp.Neighbors[j]; got.ID != n.ID || got.Distance != n.Distance {
+				t.Fatalf("knn %d neighbor %d: {%d %g}, the nested loop {%d %g}", i, j, got.ID, got.Distance, n.ID, n.Distance)
+			}
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package snapshot makes the index catalog durable: a versioned,
 // checksummed binary format for one serving version of a dataset (name,
-// version, and per index tier the objects and the frozen TOUCH tree over
-// them, plus the tombstones and the ID high-water mark) and a crash-safe
-// on-disk store with atomic replace semantics, quarantine of corrupt
-// files and an injectable filesystem seam for fault testing.
+// version, and per index tier the frozen TOUCH tree, whose arena is the
+// tier's only copy of its objects, plus the tombstones and the ID
+// high-water mark) and a crash-safe on-disk store with atomic replace
+// semantics, quarantine of corrupt files and an injectable filesystem
+// seam for fault testing.
 //
 // # Format
 //
@@ -16,19 +17,25 @@
 //	         u32 worker slot, written 0 and ignored on read — and the
 //	         element counts)
 //	per tier, base first:
-//	  objects (the tier's dataset, ID-ascending — load order for a
-//	           dataset that was never updated: id + 6 coords per object)
-//	  tree    (the arena — every object again, id + 6 coords, in the
-//	           tree's DFS leaf order — and the DFS pre-order node table)
+//	  tree    (the arena — every object of the tier, id + 6 coords, in
+//	           the tree's DFS leaf order — and the DFS pre-order node
+//	           table)
 //	tombs   (the IDs, ascending, of objects the tiers hold but that have
 //	         been deleted: u32 each)
 //
-// That is format 2. Format 1, which this package still reads and no
-// longer writes, is one tier without the tombs section and without the
-// next-ID and count fields in meta; it decodes as a record with no
-// tombstones and no high-water mark (NextID 0: one above the largest ID).
-// The next insert ID is persisted because it cannot be recomputed: once
-// a fold has dropped the objects with the highest IDs, the largest
+// That is format 3. The arena is what every reader scans, and its IDs,
+// gathered into runs of consecutive IDs on decode, are what the tiers'
+// ID ranges, the tombstones and the ID order a fold merges in are
+// checked and rebuilt from. Formats 1 and 2, which this package still
+// reads and no longer writes, put an objects section before each tree
+// section — the tier's dataset again, id + 6 coords per object — that
+// decode checks against the arena, object for object, and then drops: a
+// file whose two copies disagree is corrupt. Format 2's meta is format
+// 3's; format 1 is one tier without the tombs section and without the
+// next-ID and count fields in meta, and decodes as a record with no
+// tombstones and no high-water mark (NextID 0: one above the largest
+// ID). The next insert ID is persisted because it cannot be recomputed:
+// once a fold has dropped the objects with the highest IDs, the largest
 // surviving ID no longer tells which IDs were ever issued.
 //
 // Every section is length-prefixed (u64) and carries a CRC32-Castagnoli
@@ -36,10 +43,10 @@
 // bit patterns. Decode verifies the magic, the format version, every
 // length against the remaining input and every checksum before a single
 // element is interpreted, checks what the readers lean on across tiers —
-// ascending, disjoint ID ranges, tombstones that name held objects — and
-// then re-validates the structural invariants of every tree through
-// core.Thaw: arbitrary corrupt bytes produce an error, never a panic and
-// never a silently different index.
+// distinct IDs in every tier, ascending, disjoint ID ranges, tombstones
+// that name held objects — and then re-validates the structural
+// invariants of every tree through core.Thaw: arbitrary corrupt bytes
+// produce an error, never a panic and never a silently different index.
 //
 // # Durability
 //
@@ -61,6 +68,7 @@ import (
 
 	"touch/internal/binfmt"
 	"touch/internal/core"
+	"touch/internal/delta"
 	"touch/internal/geom"
 )
 
@@ -80,12 +88,13 @@ type Record struct {
 	NextID geom.ID
 }
 
-// Tier is one index tier of a Record: the dataset (the probe side of
-// joins against other datasets, and what a fold merges) and the frozen
-// index built over it.
+// Tier is one index tier of a Record: the frozen index, whose arena
+// holds the tier's objects, and the set of their IDs.
 type Tier struct {
-	Objects geom.Dataset
-	Tree    *core.Frozen
+	Tree *core.Frozen
+	// IDs is the set of the arena's IDs. Unmarshal fills it in, having
+	// checked them; Marshal does not read it.
+	IDs delta.IDs
 }
 
 // Magic identifies a snapshot file. Layout changes bump FormatVersion
@@ -94,9 +103,10 @@ type Tier struct {
 const Magic = "TCHSNAP1"
 
 // FormatVersion is the encoding version this package writes; it reads
-// this one and formatV1.
+// this one, formatV2 and formatV1.
 const (
-	FormatVersion = 2
+	FormatVersion = 3
+	formatV2      = 2
 	formatV1      = 1
 )
 
@@ -132,9 +142,8 @@ func appendSection(dst, payload []byte) []byte {
 }
 
 // Marshal encodes the record in the current format. The trees are not
-// re-validated here — the producer is the live engine — but the element
-// counts are cross-checked so an inconsistent record cannot be written
-// at all.
+// re-validated here — the producer is the live engine, and Unmarshal
+// checks everything on the way back.
 func (r *Record) Marshal() ([]byte, error) {
 	if len(r.Name) == 0 || len(r.Name) > maxNameLen {
 		return nil, fmt.Errorf("snapshot: name length %d outside [1,%d]", len(r.Name), maxNameLen)
@@ -147,11 +156,7 @@ func (r *Record) Marshal() ([]byte, error) {
 		if t.Tree == nil {
 			return nil, fmt.Errorf("snapshot: tier %d: nil frozen tree", i)
 		}
-		if len(t.Objects) != len(t.Tree.Arena) {
-			return nil, fmt.Errorf("snapshot: tier %d: %d objects but %d arena entries — index built from a different dataset?",
-				i, len(t.Objects), len(t.Tree.Arena))
-		}
-		size += 2*len(t.Objects)*objectSize + len(t.Tree.Nodes)*nodeSize
+		size += len(t.Tree.Arena)*objectSize + len(t.Tree.Nodes)*nodeSize
 	}
 
 	meta := make([]byte, 0, 64+len(r.Name)+len(r.Tiers)*tierMetaSize)
@@ -170,13 +175,13 @@ func (r *Record) Marshal() ([]byte, error) {
 		meta = binfmt.AppendF64(meta, cfg.CellFactor)
 		meta = binfmt.AppendU32(meta, uint32(cfg.LocalJoin))
 		meta = binfmt.AppendU32(meta, 0) // the retired worker slot
-		meta = binfmt.AppendU32(meta, uint32(len(t.Objects)))
+		meta = binfmt.AppendU32(meta, uint32(len(t.Tree.Arena)))
 		meta = binfmt.AppendU32(meta, uint32(len(t.Tree.Nodes)))
 		meta = binfmt.AppendU32(meta, uint32(t.Tree.Leaves))
 		meta = binfmt.AppendU32(meta, uint32(t.Tree.Height))
 	}
 
-	sections := 2 + 2*len(r.Tiers)
+	sections := 2 + len(r.Tiers)
 	out := make([]byte, 0, size+len(meta)+4*len(r.Tombs)+12*sections)
 	out = append(out, Magic...)
 	out = binfmt.AppendU32(out, FormatVersion)
@@ -184,8 +189,6 @@ func (r *Record) Marshal() ([]byte, error) {
 	out = appendSection(out, meta)
 	var buf []byte
 	for _, t := range r.Tiers {
-		buf = appendObjects(buf[:0], t.Objects)
-		out = appendSection(out, buf)
 		buf = appendObjects(buf[:0], t.Tree.Arena)
 		for i := range t.Tree.Nodes {
 			n := &t.Tree.Nodes[i]
@@ -231,9 +234,10 @@ func section(rd *binfmt.Reader, name string) ([]byte, error) {
 	return payload, nil
 }
 
-// Unmarshal decodes and fully validates a snapshot of either format. Any
+// Unmarshal decodes and fully validates a snapshot of any format. Any
 // deviation — truncation, checksum mismatch, counts that disagree with
-// section sizes, tiers or tombstones out of order — returns an error
+// section sizes, repeated IDs, tiers or tombstones out of order, an
+// objects section that disagrees with its arena — returns an error
 // wrapping ErrCorrupt (so does a tree failing core.Thaw's structural
 // checks, in Thaw). The returned record owns its memory; data may be
 // reused afterwards.
@@ -250,8 +254,8 @@ func Unmarshal(data []byte) (*Record, error) {
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
-	if format != FormatVersion && format != formatV1 {
-		return nil, corrupt("format version %d, this build reads %d and %d", format, formatV1, FormatVersion)
+	if format != FormatVersion && format != formatV2 && format != formatV1 {
+		return nil, corrupt("format version %d, this build reads %d to %d", format, formatV1, FormatVersion)
 	}
 	nsec := rd.U32()
 	metaBytes, err := section(&rd, "meta")
@@ -287,7 +291,10 @@ func Unmarshal(data []byte) (*Record, error) {
 			return nil, corrupt("%d tiers in a meta section with %d bytes left", tiers, meta.Remaining())
 		}
 		nTombs, nTiers = int(tombs), int(tiers)
-		wantSections = uint32(2 + 2*nTiers)
+		wantSections = uint32(2 + nTiers)
+		if format == formatV2 {
+			wantSections += uint32(nTiers)
+		}
 	}
 	if nsec != wantSections {
 		return nil, corrupt("%d sections, want %d", nsec, wantSections)
@@ -311,18 +318,23 @@ func Unmarshal(data []byte) (*Record, error) {
 		return nil, err
 	}
 
+	// legacy holds the objects sections of a format-1 or -2 file, per tier,
+	// until they are checked against the arenas.
+	var legacy []geom.Dataset
 	for i := range rec.Tiers {
 		t, nObj, nNodes := &rec.Tiers[i], counts[i][0], counts[i][1]
-		objects, err := section(&rd, "objects")
-		if err != nil {
-			return nil, err
-		}
-		if len(objects) != nObj*objectSize {
-			return nil, corrupt("objects section is %d bytes, %d objects need %d", len(objects), nObj, nObj*objectSize)
-		}
-		t.Objects = make(geom.Dataset, nObj)
-		if err := decodeObjects(objects, t.Objects); err != nil {
-			return nil, err
+		if format != FormatVersion {
+			objects, err := section(&rd, "objects")
+			if err != nil {
+				return nil, err
+			}
+			if len(objects) != nObj*objectSize {
+				return nil, corrupt("objects section is %d bytes, %d objects need %d", len(objects), nObj, nObj*objectSize)
+			}
+			legacy = append(legacy, make(geom.Dataset, nObj))
+			if err := decodeObjects(objects, legacy[i]); err != nil {
+				return nil, err
+			}
 		}
 
 		tree, err := section(&rd, "tree")
@@ -364,47 +376,69 @@ func Unmarshal(data []byte) (*Record, error) {
 	if rd.Remaining() != 0 {
 		return nil, corrupt("%d trailing bytes after the last section", rd.Remaining())
 	}
-	if err := rec.checkTiers(); err != nil {
+	if err := rec.checkTiers(legacy); err != nil {
 		return nil, err
 	}
 	return rec, nil
 }
 
-// checkTiers verifies what merged reads lean on once a record holds more
-// than a dataset as it was loaded: every tier ID-ascending, the tiers'
-// ID ranges ascending without overlap, no empty tier above the base, and
-// the tombstones ascending, each naming an object some tier holds. A
-// lone tier without tombstones is taken in whatever order it was loaded.
-func (r *Record) checkTiers() error {
-	if len(r.Tiers) == 1 && len(r.Tombs) == 0 {
-		return nil
-	}
+// checkTiers verifies what merged reads lean on and fills in the tiers'
+// ID sets: no tier repeats an ID, the tiers' ID ranges ascend without
+// overlap, no tier above the base is empty, and the tombstones ascend,
+// each naming an object some tier holds. legacy, the objects sections of
+// a format-1 or -2 file, must hold exactly the arenas' objects.
+func (r *Record) checkTiers(legacy []geom.Dataset) error {
 	last, seen := geom.ID(0), false
-	for i, t := range r.Tiers {
-		if i > 0 && len(t.Objects) == 0 {
-			return corrupt("tier %d is empty", i)
+	for i := range r.Tiers {
+		t := &r.Tiers[i]
+		arena := t.Tree.Arena
+		if t.IDs = delta.IDsOf(arena); t.IDs.Len() != len(arena) {
+			return corrupt("tier %d repeats %d IDs", i, len(arena)-t.IDs.Len())
 		}
-		for j := range t.Objects {
-			id := t.Objects[j].ID
-			if seen && id <= last {
-				return corrupt("tier %d object %d has ID %d, not above %d", i, j, id, last)
+		if legacy != nil {
+			if err := sameObjects(legacy[i], arena, t.IDs); err != nil {
+				return corrupt("tier %d: %v", i, err)
 			}
-			last, seen = id, true
 		}
+		if t.IDs.Len() == 0 {
+			if i > 0 {
+				return corrupt("tier %d is empty", i)
+			}
+			continue
+		}
+		if seen && t.IDs.Min() <= last {
+			return corrupt("tier %d starts at ID %d, not above %d", i, t.IDs.Min(), last)
+		}
+		last, seen = t.IDs.Max(), true
 	}
 	for i, id := range r.Tombs {
 		if i > 0 && id <= r.Tombs[i-1] {
 			return corrupt("tombstone %d is %d, not above %d", i, id, r.Tombs[i-1])
 		}
 		held := false
-		for _, t := range r.Tiers {
-			if _, held = slices.BinarySearchFunc(t.Objects, id, func(o geom.Object, id geom.ID) int { return int(o.ID) - int(id) }); held {
+		for j := range r.Tiers {
+			if held = r.Tiers[j].IDs.Holds(id); held {
 				break
 			}
 		}
 		if !held {
 			return corrupt("tombstone %d names no object of any tier", id)
 		}
+	}
+	return nil
+}
+
+// sameObjects checks that objs, an objects section, holds the objects of
+// arena, whose IDs are ids, each exactly once, in any order.
+func sameObjects(objs, arena geom.Dataset, ids delta.IDs) error {
+	byID := ids.Gather(make(geom.Dataset, 0, len(arena)), arena)
+	matched := make([]bool, len(byID))
+	for i := range objs {
+		at, held := ids.Rank(objs[i].ID)
+		if !held || matched[at] || byID[at] != objs[i] {
+			return fmt.Errorf("objects section entry %d (ID %d) is not an object of the arena", i, objs[i].ID)
+		}
+		matched[at] = true
 	}
 	return nil
 }

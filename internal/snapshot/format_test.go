@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"touch/internal/binfmt"
 	"touch/internal/core"
 	"touch/internal/datagen"
 	"touch/internal/geom"
@@ -31,7 +32,7 @@ func buildRecord(t *testing.T, n int, seed int64, cfg core.Config) (*Record, *co
 		Name:    "roundtrip",
 		Version: 7,
 		BuiltAt: time.Unix(1700000000, 123456789).UTC(),
-		Tiers:   []Tier{{Objects: ds, Tree: tree.Freeze()}},
+		Tiers:   []Tier{{Tree: tree.Freeze()}},
 	}, tree
 }
 
@@ -92,8 +93,8 @@ func TestMarshalUnmarshalRoundtrip(t *testing.T) {
 			if len(got.Tiers) != 1 || len(got.Tombs) != 0 || got.NextID != rec.NextID {
 				t.Fatalf("%d tiers, %d tombstones, next ID %d; want 1, 0, %d", len(got.Tiers), len(got.Tombs), got.NextID, rec.NextID)
 			}
-			if !slices.Equal(got.Tiers[0].Objects, rec.Tiers[0].Objects) {
-				t.Fatalf("objects differ: %d decoded, %d encoded", len(got.Tiers[0].Objects), len(rec.Tiers[0].Objects))
+			if !slices.Equal(got.Tiers[0].Tree.Arena, rec.Tiers[0].Tree.Arena) || got.Tiers[0].IDs.Len() != tc.n {
+				t.Fatalf("arenas differ: %d decoded objects with %d IDs, %d encoded", len(got.Tiers[0].Tree.Arena), got.Tiers[0].IDs.Len(), tc.n)
 			}
 
 			trees, err := got.Thaw()
@@ -124,12 +125,7 @@ func TestMarshalUnmarshalRoundtrip(t *testing.T) {
 }
 
 func TestMarshalRejectsInconsistentRecord(t *testing.T) {
-	rec, _ := buildRecord(t, 100, 3, core.Config{})
-	rec.Tiers[0].Objects = rec.Tiers[0].Objects[:50]
-	if _, err := rec.Marshal(); err == nil || !strings.Contains(err.Error(), "arena") {
-		t.Fatalf("marshal with mismatched objects: %v", err)
-	}
-	rec, _ = buildRecord(t, 10, 3, core.Config{})
+	rec, _ := buildRecord(t, 10, 3, core.Config{})
 	rec.Tiers[0].Tree = nil
 	if _, err := rec.Marshal(); err == nil {
 		t.Fatal("marshal with nil tree succeeded")
@@ -214,13 +210,13 @@ func tieredRecord(t *testing.T) *Record {
 	rec := &Record{Name: "tiers", Version: 9, BuiltAt: time.Unix(1700000001, 0).UTC(), NextID: 1500}
 	for _, r := range [][2]int{{0, 1000}, {1000, 1300}, {1320, 1400}} { // 1300..1319 were folded away
 		ds := all[r[0]:r[1]]
-		rec.Tiers = append(rec.Tiers, Tier{Objects: ds, Tree: core.Build(ds, core.Config{Partitions: 8}).Freeze()})
+		rec.Tiers = append(rec.Tiers, Tier{Tree: core.Build(ds, core.Config{Partitions: 8}).Freeze()})
 	}
 	rec.Tombs = []geom.ID{4, 999, 1000, 1299, 1320, 1377}
 	return rec
 }
 
-// TestTieredRoundtrip: format 2 carries every tier, the tombstones and
+// TestTieredRoundtrip: format 3 carries every tier, the tombstones and
 // the next insert ID, and what comes back thaws tier by tier.
 func TestTieredRoundtrip(t *testing.T) {
 	rec := tieredRecord(t)
@@ -241,10 +237,14 @@ func TestTieredRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tier := range rec.Tiers {
-		if !slices.Equal(got.Tiers[i].Objects, tier.Objects) || got.Tiers[i].Tree.Cfg != tier.Tree.Cfg {
+		if !slices.Equal(got.Tiers[i].Tree.Arena, tier.Tree.Arena) || got.Tiers[i].Tree.Cfg != tier.Tree.Cfg {
 			t.Fatalf("tier %d differs after the round trip", i)
 		}
-		if trees[i].SizeA != len(tier.Objects) || trees[i].Leaves != tier.Tree.Leaves {
+		bounds := [][2]geom.ID{{0, 999}, {1000, 1299}, {1320, 1399}}[i]
+		if ids := got.Tiers[i].IDs; ids.Len() != len(tier.Tree.Arena) || ids.Min() != bounds[0] || ids.Max() != bounds[1] {
+			t.Fatalf("tier %d decoded %d IDs in [%d, %d], want %d in %v", i, ids.Len(), ids.Min(), ids.Max(), len(tier.Tree.Arena), bounds)
+		}
+		if trees[i].SizeA != len(tier.Tree.Arena) || trees[i].Leaves != tier.Tree.Leaves {
 			t.Fatalf("tier %d thawed to %d objects in %d leaves", i, trees[i].SizeA, trees[i].Leaves)
 		}
 	}
@@ -256,13 +256,13 @@ func TestTieredRoundtrip(t *testing.T) {
 }
 
 // TestUnmarshalChecksTiers: what merged reads lean on is checked at the
-// door — a file whose tiers or tombstones are out of order is corrupt,
-// however good its checksums.
+// door — a file whose tiers repeat IDs or whose tiers or tombstones are
+// out of order is corrupt, however good its checksums.
 func TestUnmarshalChecksTiers(t *testing.T) {
 	for name, spoil := range map[string]func(*Record){
 		"tier ID ranges overlap":           func(r *Record) { r.Tiers[1], r.Tiers[2] = r.Tiers[2], r.Tiers[1] },
-		"tier not ID-ascending":            func(r *Record) { o := r.Tiers[1].Objects; o[3], o[4] = o[4], o[3] },
-		"duplicate ID across tiers":        func(r *Record) { r.Tiers[2].Objects[0].ID = 1299 },
+		"ID repeated within a tier":        func(r *Record) { a := r.Tiers[1].Tree.Arena; a[3].ID = a[4].ID },
+		"duplicate ID across tiers":        func(r *Record) { r.Tiers[2].Tree.Arena[0].ID = 1299 },
 		"empty upper tier":                 func(r *Record) { r.Tiers[1] = Tier{Tree: core.Build(nil, core.Config{}).Freeze()} },
 		"tombstones out of order":          func(r *Record) { r.Tombs[0], r.Tombs[1] = r.Tombs[1], r.Tombs[0] },
 		"duplicate tombstone":              func(r *Record) { r.Tombs[1] = r.Tombs[0] },
@@ -270,9 +270,6 @@ func TestUnmarshalChecksTiers(t *testing.T) {
 		"negative next ID":                 func(r *Record) { r.NextID = -2 },
 	} {
 		rec := tieredRecord(t)
-		for i := range rec.Tiers { // the fixture's tiers share one backing array
-			rec.Tiers[i].Objects = slices.Clone(rec.Tiers[i].Objects)
-		}
 		spoil(rec)
 		data, err := rec.Marshal()
 		if err != nil {
@@ -282,13 +279,94 @@ func TestUnmarshalChecksTiers(t *testing.T) {
 			t.Errorf("%s: Unmarshal = %v, want ErrCorrupt", name, err)
 		}
 	}
-	// A lone tier without tombstones is a dataset as it was loaded, in
-	// whatever order.
-	rec, _ := buildRecord(t, 50, 3, core.Config{})
-	slices.Reverse(rec.Tiers[0].Objects)
-	data, _ := rec.Marshal()
-	if _, err := Unmarshal(data); err != nil {
-		t.Fatalf("a lone unordered tier: %v", err)
+}
+
+// asFormat2 rewrites a format-3 file into format 2, the layout of the
+// builds that wrote every tier's objects twice: in front of each tier's
+// tree section an objects section holding what objects returns for the
+// tier, handed its objects in ID order; meta — format 2's is format 3's —
+// and the other sections as they are.
+func asFormat2(t *testing.T, data []byte, objects func(tier int, byID geom.Dataset) geom.Dataset) []byte {
+	t.Helper()
+	rec, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := binfmt.NewReader(data[headerSize:], ErrCorrupt, "format-3 file")
+	out := binfmt.AppendU32(append([]byte(nil), Magic...), formatV2)
+	out = binfmt.AppendU32(out, uint32(2+2*len(rec.Tiers)))
+	meta, _ := section(&rd, "meta")
+	out = appendSection(out, meta)
+	for i, tier := range rec.Tiers {
+		out = appendSection(out, appendObjects(nil, objects(i, tier.IDs.Gather(nil, tier.Tree.Arena))))
+		tree, _ := section(&rd, "tree")
+		out = appendSection(out, tree)
+	}
+	tombs, err := section(&rd, "tombs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return appendSection(out, tombs)
+}
+
+// TestLegacyObjectsSectionMatchesArena: a format-2 file carries every
+// object twice, and the two copies must agree — an objects section that
+// holds anything but its tier's arena objects, each once, is corrupt.
+// Its order does not matter: the tier's ID order comes from the arena,
+// so a lone tier written in reverse decodes to the record the format-3
+// file decodes to, and its IDs are there to delete by.
+func TestLegacyObjectsSectionMatchesArena(t *testing.T) {
+	one, _ := buildRecord(t, 1600, 21, core.Config{Partitions: 16})
+	oneData, err := one.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered, err := tieredRecord(t).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reversed := func(_ int, ds geom.Dataset) geom.Dataset { slices.Reverse(ds); return ds }
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		objects func(int, geom.Dataset) geom.Dataset
+		ok      bool
+	}{
+		{"as written", oneData, func(_ int, ds geom.Dataset) geom.Dataset { return ds }, true},
+		{"reversed", oneData, reversed, true},
+		{"object 7's box moved", oneData, func(_ int, ds geom.Dataset) geom.Dataset {
+			ds[7].Box.Min[0], ds[7].Box.Max[0] = ds[7].Box.Min[0]+50, ds[7].Box.Max[0]+50
+			return ds
+		}, false},
+		{"an ID nobody holds", oneData, func(_ int, ds geom.Dataset) geom.Dataset { ds[9].ID = 1600; return ds }, false},
+		{"an object twice, its neighbour missing", oneData, func(_ int, ds geom.Dataset) geom.Dataset { ds[8] = ds[7]; return ds }, false},
+		{"tiers reversed", tiered, reversed, true},
+		{"a box of tier 1 moved", tiered, func(i int, ds geom.Dataset) geom.Dataset {
+			if i == 1 {
+				ds[3].Box.Max[2] += 0.5
+			}
+			return ds
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := Unmarshal(asFormat2(t, tc.data, tc.objects))
+			if !tc.ok {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Unmarshal = %v, want ErrCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := Unmarshal(tc.data)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("the format-2 file decodes to another record than the format-3 file it was made from")
+			}
+			if ids := got.Tiers[0].IDs; len(got.Tiers) == 1 && (!ids.Holds(5) || !ids.Holds(1500)) {
+				t.Fatal("the decoded tier does not hold IDs 5 and 1500")
+			}
+		})
 	}
 }
 
@@ -308,7 +386,7 @@ func TestFormat1StillDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Name != "legacy" || rec.Version != 7 || len(rec.Tiers) != 1 || len(rec.Tiers[0].Objects) != 23 ||
+	if rec.Name != "legacy" || rec.Version != 7 || len(rec.Tiers) != 1 || rec.Tiers[0].IDs.Len() != 23 ||
 		len(rec.Tombs) != 0 || rec.NextID != 0 || rec.Tiers[0].Tree.Cfg.Fanout != 4 {
 		t.Fatalf("decoded %q v%d: %d tiers, %d tombstones, next ID %d", rec.Name, rec.Version, len(rec.Tiers), len(rec.Tombs), rec.NextID)
 	}
@@ -319,6 +397,83 @@ func TestFormat1StillDecodes(t *testing.T) {
 		if _, err := Unmarshal(data[:cut]); err == nil {
 			t.Fatalf("format-1 truncation at %d/%d decoded", cut, len(data))
 		}
+	}
+}
+
+// TestFormat3Recovers: testdata/format3.snap is a format-3 generation
+// written when the format was introduced — three tiers over the IDs
+// 0–79, 80–109 and 115–129 of 130 clustered objects (the second with the
+// sweep local join), five tombstones and next ID 140, name "golden",
+// version 3. It decodes to those tiers, each thawed tree answers range
+// and kNN questions as the nested loop over its arena does, the writer
+// still writes it byte for byte, and every truncation is corrupt.
+// testdata/format2-tiers.snap is the same generation in format 2, its
+// objects sections in ID order: a fuzz seed for the format-2 reader whose
+// trees are this builder's.
+func TestFormat3Recovers(t *testing.T) {
+	data, err := os.ReadFile("testdata/format3.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[len(Magic):]); v != 3 {
+		t.Fatalf("the fixture is format %d", v)
+	}
+	rec, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Name != "golden" || rec.Version != 3 || rec.NextID != 140 || !slices.Equal(rec.Tombs, []geom.ID{3, 79, 80, 115, 120}) || len(rec.Tiers) != 3 {
+		t.Fatalf("decoded %q v%d: next ID %d, tombstones %v, %d tiers", rec.Name, rec.Version, rec.NextID, rec.Tombs, len(rec.Tiers))
+	}
+	trees, err := rec.Thaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	var c stats.Counters
+	hits := 0
+	for i, bounds := range [][2]geom.ID{{0, 79}, {80, 109}, {115, 129}} {
+		ids, arena := rec.Tiers[i].IDs, rec.Tiers[i].Tree.Arena
+		if ids.Len() != int(bounds[1]-bounds[0]+1) || ids.Min() != bounds[0] || ids.Max() != bounds[1] {
+			t.Fatalf("tier %d holds %d IDs in [%d, %d], want all of %v", i, ids.Len(), ids.Min(), ids.Max(), bounds)
+		}
+		p := trees[i].NewProbe()
+		for j := 0; j < 50; j++ {
+			var lo, pt geom.Point
+			for d := range lo {
+				lo[d], pt[d] = rng.Float64()*1000, rng.Float64()*1000
+			}
+			q := geom.NewBox(lo, geom.Point{lo[0] + 400, lo[1] + 400, lo[2] + 400})
+			got, want := p.RangeQuery(q, &c), nl.RangeQuery(arena, q)
+			if !slices.Equal(got, want) {
+				t.Fatalf("tier %d range %v: %v, nested loop %v", i, q, got, want)
+			}
+			hits += len(want)
+			if got, want := p.KNN(pt, 4, &c), nl.KNN(arena, pt, 4); !slices.Equal(got, want) {
+				t.Fatalf("tier %d: 4 nearest to %v: %v, nested loop %v", i, pt, got, want)
+			}
+		}
+	}
+	if hits < 100 {
+		t.Fatalf("premise: the range queries found %d objects in all", hits)
+	}
+	if again, err := rec.Marshal(); err != nil || !slices.Equal(again, data) {
+		t.Fatalf("re-encoding the decoded record: %d bytes, %v; want the fixture's %d", len(again), err, len(data))
+	}
+	for cut := 0; cut < len(data); cut += 17 {
+		if _, err := Unmarshal(data[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("format-3 truncation at %d/%d: %v", cut, len(data), err)
+		}
+	}
+	v2, err := os.ReadFile("testdata/format2-tiers.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(v2, asFormat2(t, data, func(_ int, ds geom.Dataset) geom.Dataset { return ds })) {
+		t.Fatal("format2-tiers.snap is not format3.snap in format 2")
+	}
+	if got, err := Unmarshal(v2); err != nil || !reflect.DeepEqual(got, rec) {
+		t.Fatalf("format2-tiers.snap decodes to another record: %v", err)
 	}
 }
 
@@ -348,7 +503,7 @@ func TestFormat2OfTheOldBuilderThaws(t *testing.T) {
 	if len(trees) != 1 {
 		t.Fatalf("%d tiers thawed, want 1", len(trees))
 	}
-	tree, ds := trees[0], rec.Tiers[0].Objects
+	tree, ds := trees[0], rec.Tiers[0].IDs.Gather(nil, rec.Tiers[0].Tree.Arena)
 	rebuilt := core.Build(ds, tree.Config())
 	if tree.Nodes != 45 || tree.Leaves != 18 || tree.Height != 6 || rebuilt.Leaves != tree.Leaves || rebuilt.Nodes >= tree.Nodes {
 		t.Fatalf("premise: thawed %d nodes over %d leaves, height %d; a rebuild has %d over %d",

@@ -20,7 +20,7 @@ func testRecord(t *testing.T, name string, version int64, n int, seed int64) *Re
 		Name:    name,
 		Version: version,
 		BuiltAt: time.Unix(1700000000, 0).UTC(),
-		Tiers:   []Tier{{Objects: ds, Tree: core.Build(ds, core.Config{Partitions: 16}).Freeze()}},
+		Tiers:   []Tier{{Tree: core.Build(ds, core.Config{Partitions: 16}).Freeze()}},
 	}
 }
 
@@ -102,8 +102,8 @@ func TestPutReplacesAndDeleteRemoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs, _ := scanAll(t, s)
-	if got := recs["ds"]; got.Version != 2 || len(got.Tiers[0].Objects) != 200 {
-		t.Fatalf("after replace: v%d with %d objects", got.Version, len(got.Tiers[0].Objects))
+	if got := recs["ds"]; got.Version != 2 || got.Tiers[0].IDs.Len() != 200 {
+		t.Fatalf("after replace: v%d with %d objects", got.Version, got.Tiers[0].IDs.Len())
 	}
 
 	if err := s.Delete("ds"); err != nil {
@@ -227,8 +227,8 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatalf("recovered version %d, want %d", got.Version, tc.wantVersion)
 			}
 			wantObjects := map[int64]int{1: 120, 2: 240}[tc.wantVersion]
-			if len(got.Tiers[0].Objects) != wantObjects {
-				t.Fatalf("recovered %d objects, want %d", len(got.Tiers[0].Objects), wantObjects)
+			if got.Tiers[0].IDs.Len() != wantObjects {
+				t.Fatalf("recovered %d objects, want %d", got.Tiers[0].IDs.Len(), wantObjects)
 			}
 			// A second scan after the crash must find no temp debris left.
 			if _, res2 := scanAll(t, s); res2.Loaded != 1 {

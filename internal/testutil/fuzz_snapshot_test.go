@@ -1,6 +1,8 @@
 package testutil
 
 import (
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -87,6 +89,18 @@ func FuzzSnapshotDecode(f *testing.F) {
 	tiered := tieredSnapshotSeed(f)
 	f.Add(tiered)
 	f.Add(tiered[:len(tiered)-9]) // torn inside the tombstone section
+	// Committed files of every format, the two this build only reads among
+	// them, whose objects sections are checked against the arenas. The
+	// format-2 seed is format3.snap rewritten, not format2.snap: that one
+	// holds an older builder's tree, which answers as its rebuild does but
+	// has more nodes, and the stats check below compares the shapes.
+	for _, name := range []string{"format1.snap", "format2-tiers.snap", "format3.snap"} {
+		data, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		info, ov, err := touch.DecodeOverlay(data)

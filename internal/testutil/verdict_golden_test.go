@@ -43,7 +43,7 @@ var verdictGolden = map[string]struct {
 	"catalog":    {4001, 1974, "925c101205bac12b"},
 	"error":      {4001, 2099, "54aabf10fdfb8fad"},
 	"trace":      {4001, 2277, "75597a922aea2dd7"},
-	"snapshot":   {12003, 347, "6c202d90ebf9fd2b"},
+	"snapshot":   {12003, 324, "ae757415dcb7d85b"},
 }
 
 // verdictCodec is one decoder under the corpus: the valid payloads its
@@ -206,7 +206,7 @@ func verdictCodecs(t *testing.T) []verdictCodec {
 			var b strings.Builder
 			fmt.Fprintf(&b, "%q %d %d %d %v", rec.Name, rec.Version, rec.BuiltAt.UnixNano(), rec.NextID, rec.Tombs)
 			for _, tier := range rec.Tiers {
-				fmt.Fprintf(&b, " | %d %v %v", int(tier.Tree.Cfg.LocalJoin), *tier.Tree, tier.Objects)
+				fmt.Fprintf(&b, " | %d %v %v", int(tier.Tree.Cfg.LocalJoin), *tier.Tree, tier.IDs)
 			}
 			return b.String(), nil
 		}},

@@ -3,7 +3,6 @@ package touch
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -56,16 +55,13 @@ type Mutable struct {
 }
 
 // NewMutable builds the base index over ds (zero cfg = paper defaults,
-// as BuildIndex) and returns a Mutable ready for updates. The dataset
-// is cloned and sorted by ID; duplicate IDs are rejected. Auto-
-// compaction starts enabled at DefaultCompactThreshold.
+// as BuildIndex) and returns a Mutable ready for updates. The IDs of ds
+// may come in any order; duplicate IDs are rejected. ds is not retained.
+// Auto-compaction starts enabled at DefaultCompactThreshold.
 func NewMutable(ds Dataset, cfg TOUCHConfig) (*Mutable, error) {
-	base := slices.Clone(ds)
-	slices.SortFunc(base, func(a, b Object) int { return int(a.ID) - int(b.ID) })
-	for i := 1; i < len(base); i++ {
-		if base[i].ID == base[i-1].ID {
-			return nil, fmt.Errorf("touch: duplicate object ID %d", base[i].ID)
-		}
+	v, err := BuildIndex(ds, cfg).first(len(ds))
+	if err != nil {
+		return nil, fmt.Errorf("touch: %w", err)
 	}
 	m := &Mutable{}
 	// The scheduled fold reports the updates that arrived during the build
@@ -74,7 +70,7 @@ func NewMutable(ds Dataset, cfg TOUCHConfig) (*Mutable, error) {
 		m.fold(false)
 		return m.view.Load().d.Size()
 	})
-	m.view.Store(OverlayOf(base, BuildIndex(base, cfg)))
+	m.view.Store(v)
 	return m, nil
 }
 
@@ -163,15 +159,7 @@ func (m *Mutable) fold(full bool) bool {
 // Dataset returns the merged live objects — tier survivors plus live
 // inserts, ID-ascending — as a fresh slice. An Index built from it is
 // the rebuild oracle the Mutable's answers are defined against.
-func (m *Mutable) Dataset() Dataset {
-	v := m.view.Load()
-	if len(v.tiers) == 1 && v.frozen() {
-		// Merged hands back the tier's dataset itself; everything else it
-		// returns is already a fresh slice.
-		return slices.Clone(v.tiers[0].ds)
-	}
-	return v.Dataset()
-}
+func (m *Mutable) Dataset() Dataset { return m.view.Load().Dataset() }
 
 // View returns the current generation's reader: an immutable Overlay
 // over the tiers and the pending tail, never nil. Take one View to ask

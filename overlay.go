@@ -51,12 +51,12 @@ type Overlay struct {
 // checked here, once, and a violation panics — and may or may not still
 // contain objects that deleted names. deleted may come in any order and
 // is copied only if it has to be sorted; otherwise the slices are
-// retained, not copied: treat them as frozen afterwards. The result
-// holds no dataset for its index, so it has none to merge or to search
-// for a deleted ID: Apply, Fold and Dataset panic on it, saying so.
+// retained, not copied: treat them as frozen afterwards. The result has
+// no write side — its inserts need not have the consecutive IDs an
+// update issues — so Apply, Fold and Dataset panic on it, saying so.
 // Generations that can be stepped start from OverlayOf.
 func NewOverlay(idx *Index, inserts Dataset, deleted []ID) *Overlay {
-	last := idx.maxID
+	last := idx.tiers[0].ids.Max()
 	for i := range inserts {
 		if inserts[i].ID <= last {
 			panic(fmt.Sprintf("touch: NewOverlay: insert ID %d is not above the base's and the earlier inserts' IDs (≤ %d)", inserts[i].ID, last))
@@ -73,18 +73,31 @@ func NewOverlay(idx *Index, inserts Dataset, deleted []ID) *Overlay {
 }
 
 // OverlayOf returns the first generation of a dataset: idx, which must
-// have been built over ds, as the only tier and nothing pending. ds must
-// be ID-ascending and is retained; the first insert will receive an ID
-// above every ID in it.
+// have been built over ds, as the only tier and nothing pending. The
+// IDs of ds may come in any order but must be distinct: a repeated ID,
+// or an index over another number of objects, panics. ds is not
+// retained — the index's arena is the tier's copy of the objects — and
+// the first insert will receive an ID above every ID in it.
 func OverlayOf(ds Dataset, idx *Index) *Overlay {
-	return idx.over([]tier{idx.tier(ds)}, delta.NewForBase(ds))
+	v, err := idx.first(len(ds))
+	if err != nil {
+		panic("touch: OverlayOf: " + err.Error())
+	}
+	return v
 }
 
-// tier returns ix's tree as the tier of ds, the dataset it indexes.
-func (ix *Index) tier(ds Dataset) tier {
-	t := ix.tiers[0]
-	t.ds = ds
-	return t
+// first returns the first generation over ix, built over n objects: ix
+// as the only tier and nothing pending. It fails when the index does not
+// hold n objects with distinct IDs.
+func (ix *Index) first(n int) (*Overlay, error) {
+	t := &ix.tiers[0]
+	if n != t.tree.SizeA {
+		return nil, fmt.Errorf("%d objects, but the index holds %d: built from a different dataset?", n, t.tree.SizeA)
+	}
+	if dup := n - t.ids.Len(); dup > 0 {
+		return nil, fmt.Errorf("%d duplicate object IDs", dup)
+	}
+	return ix.over(ix.tiers, delta.Restored(nil, 0, t.ids.Max())), nil
 }
 
 // over returns the generation of tiers — tiers[0] being ix's — with d
@@ -102,7 +115,7 @@ func (v *Overlay) Base() *Index { return v.idx }
 // caller.
 func (v *Overlay) stepped(method string) {
 	if v.d == nil {
-		panic("touch: Overlay." + method + " on a read-only Overlay built by NewOverlay, which holds no dataset for its index; start from OverlayOf")
+		panic("touch: Overlay." + method + " on a read-only Overlay built by NewOverlay, which has no write side; start from OverlayOf")
 	}
 }
 
@@ -130,8 +143,8 @@ func (v *Overlay) Apply(inserts []Box, deletes []ID) (next *Overlay, first ID, d
 // or below id is the only candidate.
 func (v *Overlay) holds(id ID) bool {
 	for i := len(v.tiers) - 1; i >= 0; i-- {
-		if ds := v.tiers[i].ds; len(ds) > 0 && ds[0].ID <= id {
-			return delta.Holds(ds, id)
+		if ids := v.tiers[i].ids; ids.Len() > 0 && ids.Min() <= id {
+			return ids.Holds(id)
 		}
 	}
 	return false
@@ -149,21 +162,27 @@ func (v *Overlay) Pending() (inserts, tombstones int) {
 // settled counts the tombstones a fold has seen and left in place.
 func (v *Overlay) settled() int { return len(v.d.Tombs()) - v.d.Tombstones() }
 
-// Dataset returns the merged live objects, ID-ascending: what an index
-// rebuilt from scratch would be built over. Read-only — with one tier and
-// no update ever applied to it, it is that tier's own dataset.
+// Dataset returns the merged live objects, ID-ascending, as a fresh
+// slice: what an index rebuilt from scratch would be built over, each
+// tier's objects gathered from its tree's arena.
 func (v *Overlay) Dataset() Dataset {
 	v.stepped("Dataset")
-	return v.d.Merged(v.datasets(0)...)
+	return v.merged(0)
 }
 
-// datasets lists the datasets of the tiers from start up.
-func (v *Overlay) datasets(start int) []Dataset {
-	out := make([]Dataset, 0, len(v.tiers)-start)
-	for _, t := range v.tiers[start:] {
-		out = append(out, t.ds)
+// merged gathers the objects of the tiers from start up, in ID order,
+// into one fresh slice with room for the inserts, and merges the delta
+// into it in place: the dataset of a fold that rewrites those tiers.
+func (v *Overlay) merged(start int) Dataset {
+	n := len(v.inserts)
+	for i := start; i < len(v.tiers); i++ {
+		n += v.tiers[i].ids.Len()
 	}
-	return out
+	held := make(Dataset, 0, n)
+	for i := start; i < len(v.tiers); i++ {
+		held = v.tiers[i].gather(held)
+	}
+	return v.d.MergedInPlace(held)
 }
 
 // Stats describes the generation's tiers as one index: object, node and
@@ -201,10 +220,10 @@ func (v *Overlay) Tiers() []TierStats {
 	out := make([]TierStats, len(v.tiers))
 	tombs := v.tombs
 	for i := len(v.tiers) - 1; i >= 0; i-- {
-		ds := v.tiers[i].ds
-		st := TierStats{Objects: len(ds), MaxID: -1}
-		if len(ds) > 0 {
-			st.MinID, st.MaxID = ds[0].ID, ds[len(ds)-1].ID
+		ids := v.tiers[i].ids
+		st := TierStats{Objects: ids.Len(), MaxID: -1}
+		if ids.Len() > 0 {
+			st.MinID, st.MaxID = ids.Min(), ids.Max()
 			tombs = tombs[:lowerBound(tombs, st.MaxID+1)]
 			below := lowerBound(tombs, st.MinID)
 			st.Dead, tombs = len(tombs)-below, tombs[:below]
@@ -273,33 +292,33 @@ func (v *Overlay) Fold(full bool, build func(Dataset, TOUCHConfig) *Index) *Fold
 		above := len(ins)
 		tombs = tombs[:lowerBound(tombs, tail)]
 		for i := len(v.tiers) - 1; i >= 0; i-- {
-			ds := v.tiers[i].ds
+			ids := v.tiers[i].ids
 			below := 0
 			if i > 0 {
-				below = lowerBound(tombs, ds[0].ID)
+				below = lowerBound(tombs, ids.Min())
 			}
-			if 2*(above+len(tombs)-below) >= len(ds) {
+			if 2*(above+len(tombs)-below) >= ids.Len() {
 				start = i
 			}
-			above, tombs = above+len(ds), tombs[:below]
+			above, tombs = above+ids.Len(), tombs[:below]
 		}
 	}
 
-	merged := v.d.Merged(v.datasets(start)...)
+	merged := v.merged(start)
 	f := &Fold{Objects: len(merged), from: v, idx: v.idx, tiers: slices.Clip(v.tiers[:start]), cut: tail}
 	cfg := v.idx.Config()
 	switch {
 	case start == 0:
 		f.cut = math.MinInt32
 		f.idx = build(merged, cfg)
-		f.tiers = append(f.tiers, f.idx.tier(merged))
+		f.tiers = append(f.tiers, f.idx.tiers[0])
 	case len(merged) > 0:
-		bucket := max(1, (len(v.tiers[0].ds)+cfg.Partitions-1)/cfg.Partitions)
+		bucket := max(1, (v.tiers[0].ids.Len()+cfg.Partitions-1)/cfg.Partitions)
 		cfg.Partitions = min(cfg.Partitions, (len(merged)+bucket-1)/bucket)
-		f.tiers = append(f.tiers, build(merged, cfg).tier(merged))
+		f.tiers = append(f.tiers, build(merged, cfg).tiers[0])
 	}
 	if 0 < start && start < len(v.tiers) {
-		f.cut = v.tiers[start].ds[0].ID
+		f.cut = v.tiers[start].ids.Min()
 	}
 	return f
 }

@@ -12,8 +12,9 @@ import (
 )
 
 // ErrSnapshotCorrupt is wrapped into every snapshot decode rejection —
-// truncated input, checksum mismatch, or a tree failing structural
-// validation; test with errors.Is. Decoding arbitrary corrupt bytes
+// truncated input, checksum mismatch, a repeated ID, a tree failing
+// structural validation, or an objects section of an older format that
+// disagrees with its tree; test with errors.Is. Decoding arbitrary corrupt bytes
 // returns an error wrapping this, never a panic and never a silently
 // different index.
 var ErrSnapshotCorrupt = snapshot.ErrCorrupt
@@ -31,25 +32,31 @@ type SnapshotInfo struct {
 // EncodeSnapshot serializes a dataset and the Index built over it into
 // the durable snapshot format: a versioned, length-prefixed binary
 // layout with per-section CRC32C checksums, decodable by DecodeSnapshot
-// into an Index that answers every query identically. The dataset must
-// be the one the index was built from (the object counts are
+// into an Index that answers every query identically. The objects are
+// written once, as the index's arena; the dataset must be the one the
+// index was built from, with distinct IDs (its object count is
 // cross-checked; a mismatched pairing fails to encode).
 func EncodeSnapshot(info SnapshotInfo, a Dataset, ix *Index) ([]byte, error) {
 	if ix == nil {
 		return nil, errors.New("touch: nil index")
 	}
-	return OverlayOf(a, ix).EncodeSnapshot(info)
+	v, err := ix.first(len(a))
+	if err != nil {
+		return nil, fmt.Errorf("touch: %w", err)
+	}
+	return v.EncodeSnapshot(info)
 }
 
-// EncodeSnapshot serializes a whole generation: every tier's dataset and
-// tree, the tombstones over them and the ID high-water mark, so that
-// DecodeOverlay restores the same live objects, the same answers and the
-// same next insert ID with no tree rebuilt. Inserts no fold has indexed
-// have no place in the format — a generation that holds some fails to
-// encode; fold first. The receiver must descend from OverlayOf.
+// EncodeSnapshot serializes a whole generation: every tier's tree — its
+// arena the tier's objects — the tombstones over them and the ID
+// high-water mark, so that DecodeOverlay restores the same live objects,
+// the same answers and the same next insert ID with no tree rebuilt.
+// Inserts no fold has indexed have no place in the format — a generation
+// that holds some fails to encode; fold first. The receiver must descend
+// from OverlayOf.
 func (v *Overlay) EncodeSnapshot(info SnapshotInfo) ([]byte, error) {
 	if v.d == nil {
-		return nil, errors.New("touch: a read-only Overlay built by NewOverlay holds no dataset to encode")
+		return nil, errors.New("touch: a read-only Overlay built by NewOverlay has no high-water mark to encode")
 	}
 	if n := len(v.inserts); n > 0 {
 		return nil, fmt.Errorf("touch: %d unfolded inserts cannot be encoded", n)
@@ -62,13 +69,14 @@ func (v *Overlay) EncodeSnapshot(info SnapshotInfo) ([]byte, error) {
 		NextID:  v.d.NextID(),
 	}
 	for _, t := range v.tiers {
-		rec.Tiers = append(rec.Tiers, snapshot.Tier{Objects: t.ds, Tree: t.tree.Freeze()})
+		rec.Tiers = append(rec.Tiers, snapshot.Tier{Tree: t.tree.Freeze()})
 	}
 	return rec.Marshal()
 }
 
 // DecodeSnapshot decodes and fully validates a snapshot produced by
-// EncodeSnapshot, returning its identity, the original dataset and a
+// EncodeSnapshot, returning its identity, the original dataset —
+// gathered from the index's arena in ID order, a fresh slice — and a
 // ready-to-serve Index — no rebuild. Every checksum and every
 // structural invariant of the tree is re-verified (MBRs and extent sums
 // are recomputed from the arena and compared bit-exactly), so corrupt
@@ -84,7 +92,7 @@ func DecodeSnapshot(data []byte) (SnapshotInfo, Dataset, *Index, error) {
 	if len(v.tiers) > 1 || len(v.tombs) > 0 {
 		return SnapshotInfo{}, nil, nil, fmt.Errorf("touch: snapshot holds %d tiers and %d tombstones; decode it with DecodeOverlay", len(v.tiers), len(v.tombs))
 	}
-	return info, v.tiers[0].ds, v.idx, nil
+	return info, v.Dataset(), v.idx, nil
 }
 
 // DecodeOverlay decodes and fully validates a snapshot of either
@@ -103,21 +111,20 @@ func DecodeOverlay(data []byte) (SnapshotInfo, *Overlay, error) {
 		return SnapshotInfo{}, nil, err
 	}
 	tiers := make([]tier, len(trees))
-	var base *Index
 	maxID := ID(-1)
-	for i := len(trees) - 1; i >= 0; i-- {
-		base = indexFromTree(trees[i])
-		tiers[i], maxID = base.tier(rec.Tiers[i].Objects), max(maxID, base.maxID)
+	for i, t := range trees {
+		tiers[i] = newTier(t, rec.Tiers[i].IDs)
+		maxID = max(maxID, tiers[i].ids.Max())
 	}
 	info := SnapshotInfo{Name: rec.Name, Version: rec.Version, BuiltAt: rec.BuiltAt}
+	base := &Index{reader: newReader(tiers[:1])}
 	return info, base.over(tiers, delta.Restored(rec.Tombs, rec.NextID, maxID)), nil
 }
 
-// indexFromTree wraps a built or already-validated thawed tree in the
-// public Index and wires its probe pool.
-func indexFromTree(t *core.Tree) *Index {
-	probes := &sync.Pool{New: func() any { return t.NewProbe() }}
-	return &Index{reader: newReader([]tier{{tree: t, probes: probes}}), maxID: t.MaxID()}
+// newTier wraps a built or already-validated thawed tree, whose arena
+// holds the IDs ids, in a tier and wires its probe pool.
+func newTier(t *core.Tree, ids delta.IDs) tier {
+	return tier{tree: t, ids: ids, probes: &sync.Pool{New: func() any { return t.NewProbe() }}}
 }
 
 // Config returns the configuration the index was built with, defaults

@@ -82,7 +82,7 @@ func TestIndexQueriesMatchOracle(t *testing.T) {
 func TestQueriesOnDegenerateIndexes(t *testing.T) {
 	one := Dataset{{ID: 0, Box: NewBox(Point{1, 2, 3}, Point{4, 5, 6})}}
 	some := GenerateUniform(300, 77)
-	tierOf := func(ds Dataset) tier { return BuildIndex(ds, TOUCHConfig{Partitions: 4}).tier(ds) }
+	tierOf := func(ds Dataset) tier { return BuildIndex(ds, TOUCHConfig{Partitions: 4}).tiers[0] }
 	everything := NewBox(Point{-1e9, -1e9, -1e9}, Point{1e9, 1e9, 1e9})
 	for _, tc := range []struct {
 		name  string

@@ -1,0 +1,209 @@
+package touch
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"touch/internal/nl"
+)
+
+// TestTierBytesPerObject: a tier keeps its objects once, in its tree's
+// arena. A generation made by OverlayOf, a Mutable and a decoded
+// snapshot hold at most 65 bytes per object once the caller's dataset
+// is gone — the arena's Object (56 bytes) and the tree over it — where
+// keeping the loaded dataset beside the arena held 113.
+func TestTierBytesPerObject(t *testing.T) {
+	const n = 100_000
+	const limit = 65.0
+	data, err := EncodeSnapshot(SnapshotInfo{Name: "d"}, GenerateUniform(n, 41), BuildIndex(GenerateUniform(n, 41), TOUCHConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		make func() any
+	}{
+		{"OverlayOf", func() any {
+			ds := GenerateUniform(n, 41)
+			return OverlayOf(ds, BuildIndex(ds, TOUCHConfig{}))
+		}},
+		{"NewMutable", func() any {
+			m, err := NewMutable(GenerateUniform(n, 41), TOUCHConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}},
+		{"DecodeOverlay", func() any {
+			_, v, err := DecodeOverlay(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}},
+	} {
+		before := heapAlloc()
+		kept := tc.make()
+		perObject := float64(heapAlloc()-before) / n
+		runtime.KeepAlive(kept)
+		t.Logf("%s: %.1f bytes per object", tc.name, perObject)
+		if perObject > limit {
+			t.Errorf("%s holds %.1f bytes per object, want at most %.0f", tc.name, perObject, limit)
+		}
+	}
+}
+
+// heapAlloc returns the live heap after two collections: the first moves
+// sync.Pool contents to the victim cache, the second frees them.
+func heapAlloc() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// tierFingerprints hashes, tier by tier, everything a frozen tree says:
+// configuration, shape, every node field by its bits and the arena's
+// objects in order.
+func tierFingerprints(v *Overlay) []string {
+	var out []string
+	for _, t := range v.tiers {
+		f := t.tree.Freeze()
+		h := sha256.New()
+		put := func(vs ...uint64) {
+			for _, x := range vs {
+				h.Write(binary.LittleEndian.AppendUint64(nil, x))
+			}
+		}
+		putBox := func(b Box) {
+			for d := range b.Min {
+				put(math.Float64bits(b.Min[d]), math.Float64bits(b.Max[d]))
+			}
+		}
+		put(uint64(f.Cfg.Partitions), uint64(f.Cfg.Fanout), uint64(f.Cfg.LocalCells), math.Float64bits(f.Cfg.CellFactor),
+			uint64(f.Cfg.LocalJoin), uint64(f.Height), uint64(f.Leaves), uint64(len(f.Nodes)))
+		for _, nd := range f.Nodes {
+			putBox(nd.MBR)
+			put(uint64(nd.Children), uint64(nd.AStart), uint64(nd.AEnd), math.Float64bits(nd.ExtSumA))
+		}
+		for _, o := range f.Arena {
+			put(uint64(o.ID))
+			putBox(o.Box)
+		}
+		out = append(out, hex.EncodeToString(h.Sum(nil))[:16])
+	}
+	return out
+}
+
+// TestFoldFingerprint: a fold gathers the objects it rewrites from the
+// tiers' arenas into ID order, so it hands the builder the very dataset
+// the tiers' own datasets used to merge into, and builds the same trees
+// bit for bit. A fold of the tail into a new tier, one that rewrites the
+// top tier with the tail, and a full fold are pinned to the fingerprints
+// of the build that kept each tier's dataset beside its tree.
+func TestFoldFingerprint(t *testing.T) {
+	base := GenerateClustered(6000, 17)
+	v := OverlayOf(base, BuildIndex(base, TOUCHConfig{Partitions: 64}))
+	boxes := func(n int, seed int64) []Box {
+		out := make([]Box, n)
+		for i, o := range GenerateUniform(n, seed) {
+			out[i] = o.Box
+		}
+		return out
+	}
+	step := func(inserts []Box, deletes []ID, full bool) {
+		t.Helper()
+		next, _, _, ok := v.Apply(inserts, deletes)
+		if !ok {
+			t.Fatal("Apply refused the batch")
+		}
+		v = next.Fold(full, BuildIndex).Next(next)
+	}
+	var deletes []ID
+	for id := ID(3); id < 6000; id += 11 {
+		deletes = append(deletes, id)
+	}
+	step(boxes(700, 18), deletes[:200], false) // the tail becomes tier 1
+	tail := tierFingerprints(v)
+	step(boxes(500, 19), []ID{6001, 6005, 44}, false) // tier 1 is rewritten with the tail
+	top := tierFingerprints(v)
+	topTiers := v.Tiers()
+	step(boxes(90, 20), deletes[200:], true)
+	full := tierFingerprints(v)
+
+	if len(tail) != 2 || len(top) != 2 || topTiers[1].MinID != 6000 || topTiers[1].Objects != 1198 || len(full) != 1 {
+		t.Fatalf("premise: the folds left %d, %d (%+v) and %d tiers", len(tail), len(top), topTiers, len(full))
+	}
+	want := []string{
+		"65c813f8ae566cc0", "35db3e92b981226b", // base, tail
+		"65c813f8ae566cc0", "17be0e6fc8a65e9c", // base, tier 1 and tail
+		"7ab092f845fac830", // full
+	}
+	got := slices.Concat(tail, top, full)
+	if !slices.Equal(got, want) {
+		t.Errorf("tier fingerprints %q, want %q", got, want)
+	}
+	live := v.Dataset()
+	if ids, _ := v.RangeQuery(NewBox(Point{-1e9, -1e9, -1e9}, Point{1e9, 1e9, 1e9})); len(ids) != len(live) {
+		t.Fatalf("the folded generation answers %d objects for the universe, its dataset holds %d", len(ids), len(live))
+	}
+}
+
+// TestOverlayOfUnorderedIDs: a generation's tier takes its ID set from
+// the tree's arena, whatever order the loaded dataset came in, so
+// deletes of objects of a dataset loaded in reverse ID order find them,
+// and the answers afterwards are the nested loop's over what is live. A
+// dataset that repeats an ID has no generation: OverlayOf panics and
+// NewMutable refuses it.
+func TestOverlayOfUnorderedIDs(t *testing.T) {
+	ds := GenerateUniform(2000, 23)
+	slices.Reverse(ds)
+	v := OverlayOf(ds, BuildIndex(ds, TOUCHConfig{}))
+	next, _, deleted, _ := v.Apply(nil, []ID{5, 1500})
+	if deleted != 2 {
+		t.Fatalf("deleting two live IDs of a reversed dataset tombstoned %d", deleted)
+	}
+	checkLive(t, next, slices.DeleteFunc(slices.Clone(ds), func(o Object) bool { return o.ID == 5 || o.ID == 1500 }))
+
+	dup := slices.Clone(ds)
+	dup[10].ID = dup[11].ID
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "duplicate") {
+				t.Errorf("OverlayOf over a repeated ID: recovered %q, want a panic naming the duplicate", msg)
+			}
+		}()
+		OverlayOf(dup, BuildIndex(dup, TOUCHConfig{}))
+	}()
+	if _, err := NewMutable(dup, TOUCHConfig{}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Errorf("NewMutable over a repeated ID: %v", err)
+	}
+}
+
+// checkLive compares v's range and kNN answers and its Dataset with the
+// nested loop over live, in any order.
+func checkLive(t *testing.T, v *Overlay, live Dataset) {
+	t.Helper()
+	byID := slices.Clone(live)
+	slices.SortFunc(byID, func(a, b Object) int { return int(a.ID) - int(b.ID) })
+	if got := v.Dataset(); !slices.Equal(got, byID) {
+		t.Fatalf("Dataset holds %d objects, %d are live", len(got), len(byID))
+	}
+	for i := 0; i < 40; i++ {
+		c := live[i*len(live)/40].Box.Center()
+		q := NewBox(Point{c[0] - 60, c[1] - 60, c[2] - 60}, Point{c[0] + 60, c[1] + 60, c[2] + 60})
+		if got, err := v.RangeQuery(q); err != nil || !slices.Equal(got, nl.RangeQuery(live, q)) {
+			t.Fatalf("RangeQuery(%v) = %v, %v; the nested loop finds %v", q, got, err, nl.RangeQuery(live, q))
+		}
+		if got, err := v.KNN(c, 7); err != nil || !slices.Equal(got, nl.KNN(live, c, 7)) {
+			t.Fatalf("KNN(%v, 7) = %v, %v; the nested loop finds %v", c, got, err, nl.KNN(live, c, 7))
+		}
+	}
+}
