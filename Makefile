@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fuzz benchmark benchmark-compare serve-smoke clean
+.PHONY: all build test race vet loc fuzz benchmark benchmark-compare serve-smoke clean
 
 all: vet build test
 
@@ -15,6 +15,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the number of non-test Go lines outside benchmark/, the size
+# the simplicity entries of CHANGES.md and ROADMAP.md quote.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l
 
 # fuzz runs every fuzz target for FUZZTIME each — the list CI's fuzz
 # smoke runs, so a codec change is fuzzed locally exactly as CI fuzzes

@@ -9,8 +9,12 @@ import (
 
 // allocBytes returns the bytes the second of two calls of f allocates,
 // with the collector off so that no collection empties a pool the first
-// call filled.
+// call filled, and on one P, as testing.AllocsPerRun measures: a
+// sync.Pool keeps what an empty P's pool is given in that P's private
+// slot, which no other P can take, so a goroutine that moved between the
+// two calls would miss the warm probe and pair chunks the first one left.
 func allocBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f()
 	var before, after runtime.MemStats

@@ -197,19 +197,13 @@ func main() {
 	}
 	var res *touch.Result
 	if hasUpd {
-		// The incremental path: index A, tombstone the -delete IDs, append
-		// the -insert boxes (IDs continue after A's last line), and join
-		// over the merged state — bit-identical to joining the edited file.
-		var m *touch.Mutable
-		if m, err = touch.NewMutable(a, opt.TOUCH); err != nil {
+		// The incremental path: join over the edited index — bit-identical
+		// to joining the edited file.
+		var v *touch.Overlay
+		if v, err = edited(a, opt.TOUCH, updIns, updDel); err != nil {
 			fatal(err)
 		}
-		m.SetCompactThreshold(-1) // one-shot process; folding buys nothing
-		m.Delete(updDel)
-		if _, err = m.Insert(boxesOf(updIns)); err != nil {
-			fatal(err)
-		}
-		res, err = m.View().DistanceJoinCtx(joinCtx, b, *eps, opt)
+		res, err = v.DistanceJoinCtx(joinCtx, b, *eps, opt)
 	} else {
 		res, err = touch.DistanceJoinCtx(joinCtx, alg, a, b, *eps, opt)
 	}
@@ -448,20 +442,9 @@ func runQuery(ctx context.Context, a touch.Dataset, mode, boxArg, ptArg string, 
 	// With -insert/-delete the query answers over the incrementally
 	// edited state: index A, apply the updates (inserted boxes get the
 	// same ε-expansion the indexed side carries), query the merge.
-	var ix *touch.Overlay
-	if len(updIns) > 0 || len(updDel) > 0 {
-		m, err := touch.NewMutable(a.Expand(eps), touch.TOUCHConfig{})
-		if err != nil {
-			return err
-		}
-		m.SetCompactThreshold(-1) // one-shot process; folding buys nothing
-		m.Delete(updDel)
-		if _, err := m.Insert(boxesOf(updIns.Expand(eps))); err != nil {
-			return err
-		}
-		ix = m.View()
-	} else {
-		ix = touch.NewOverlay(touch.BuildIndex(a.Expand(eps), touch.TOUCHConfig{}), nil, nil)
+	ix, err := edited(a.Expand(eps), touch.TOUCHConfig{}, updIns.Expand(eps), updDel)
+	if err != nil {
+		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("query canceled: %w", err)
@@ -567,14 +550,19 @@ func readUpdates(insFile, delArg string) (touch.Dataset, []touch.ID, error) {
 	return ins, dels, nil
 }
 
-// boxesOf strips a dataset down to its boxes — Mutable.Insert assigns
-// the IDs itself.
-func boxesOf(ds touch.Dataset) []touch.Box {
-	boxes := make([]touch.Box, len(ds))
-	for i, o := range ds {
+// edited indexes a and takes one update step: the del IDs tombstoned,
+// then ins appended with the IDs after a's last line. ins was read by
+// ReadDataset, which validated its boxes.
+func edited(a touch.Dataset, cfg touch.TOUCHConfig, ins touch.Dataset, del []touch.ID) (*touch.Overlay, error) {
+	boxes := make([]touch.Box, len(ins))
+	for i, o := range ins {
 		boxes[i] = o.Box
 	}
-	return boxes
+	v, _, _, ok := touch.BuildIndex(a, cfg).Apply(boxes, del)
+	if !ok {
+		return nil, touch.ErrIDSpaceExhausted
+	}
+	return v, nil
 }
 
 func readFile(path string) (touch.Dataset, error) {

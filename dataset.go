@@ -57,26 +57,12 @@ func RefineCylinders(a, b CylinderSet, pairs []Pair, eps float64) []Pair {
 func DatasetFromBoxes(boxes []Box) (Dataset, error) {
 	ds := make(Dataset, 0, len(boxes))
 	for i, b := range boxes {
-		if err := checkDataBox(b); err != nil {
-			return nil, fmt.Errorf("touch: box %d: %w", i, err)
+		if !b.Finite() {
+			return nil, fmt.Errorf("touch: box %d: %w %v", i, ErrInvalidBox, b)
 		}
 		ds = append(ds, Object{ID: geom.ID(len(ds)), Box: b})
 	}
 	return ds, nil
-}
-
-// checkDataBox validates a box destined for a dataset: every coordinate
-// finite and Min <= Max per dimension. (Query boxes are laxer — an
-// infinite RangeQuery box is meaningful — so this check is only applied
-// by the dataset loaders.)
-func checkDataBox(b Box) error {
-	for d := 0; d < geom.Dims; d++ {
-		lo, hi := b.Min[d], b.Max[d]
-		if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) || lo > hi {
-			return fmt.Errorf("%w %v", ErrInvalidBox, b)
-		}
-	}
-	return nil
 }
 
 // ReadDataset parses a dataset from a text stream with one object per

@@ -23,9 +23,10 @@ import (
 //
 // Beyond batch joins, the built tree doubles as a general query engine
 // over the indexed dataset: RangeQuery, PointQuery and KNN answer
-// single-probe questions through the same hierarchy. The read surface is
-// the reader's, with nothing pending: an Index answers exactly as an
-// Overlay with no inserts and no tombstones does, at the same cost.
+// single-probe questions through the same hierarchy. An Index is the
+// dataset's first generation: an Overlay of one tier with nothing
+// pending, which Apply and Fold step like any other when its IDs are
+// distinct.
 //
 // The tree is immutable after BuildIndex; everything a single join or
 // query writes lives in a per-query probe object drawn from an internal
@@ -33,56 +34,28 @@ import (
 // safe for arbitrary concurrent callers on one shared Index, and
 // steady-state serving recycles all probe state, allocating near zero
 // per query.
-type Index struct {
-	reader
-}
+type Index = Overlay
 
 // BuildIndex constructs the TOUCH tree on the dataset with the given
-// configuration (zero value = paper defaults: 1024 partitions, fanout 2).
-// The configuration describes the tree only: each join picks its own
-// parallelism with Options.Workers. The tree keeps its own copy of the
-// objects: the index holds no reference to a.
+// configuration (zero value = paper defaults: 1024 partitions, fanout 2)
+// and returns the dataset's first generation: the tree as the only tier
+// and nothing pending. The configuration describes the tree only: each
+// join picks its own parallelism with Options.Workers. The tree keeps
+// its own copy of the objects: the index holds no reference to a, whose
+// IDs may come in any order, and the first insert will receive an ID
+// above every ID in it. Over a repeated ID the index answers every
+// query and join, but it is read-only, as a NewOverlay generation is:
+// Apply, Fold, Dataset and both EncodeSnapshot forms refuse it.
 func BuildIndex(a Dataset, cfg TOUCHConfig) *Index {
-	return &Index{reader: newReader([]tier{newTier(core.Build(a, cfg), delta.IDsOf(a))})}
+	t := newTier(core.Build(a, cfg), delta.IDsOf(a))
+	var d *delta.Delta
+	if t.ids.Len() == len(a) {
+		d = delta.Restored(nil, 0, t.ids.Max())
+	}
+	return over([]tier{t}, d)
 }
 
-// reader is the one read surface of the package: a short list of
-// immutable TOUCH trees — tiers, over ascending, disjoint ID ranges,
-// tiers[0] being the base — plus a possibly-empty delta of pending
-// updates. Index embeds it with one tier and nothing pending, Overlay
-// with the tiers, the unindexed tail and the tombstones of one
-// generation, and Mutable.View returns the current one; all ten query
-// and join methods are declared here and answer bit-identically to an
-// index rebuilt from the merged dataset.
-//
-// Reads fan over the tiers: a range query concatenates the tiers'
-// answers, already ascending by the ID-range invariant; a kNN search
-// runs base to top over one k-slot heap, so a tier beyond the k-th
-// distance found so far costs its root test; a join runs one probe per
-// tier. The delta is held as its slices, as they are: the inserts no
-// fold has indexed yet, which may contain tombstoned objects — in ID
-// order for joins, and for single probes as the delta's sealed x-sorted
-// runs (delta.Run) followed by the fewer than delta.RunLen unsealed rest
-// — and the tombstones, of tier objects and inserts alike, ascending. A
-// tombstone is tested by binary search, and only on an object that is
-// already a hit. Every delta pass starts by returning when its slice is
-// empty, so with one tier and nothing pending a read runs the bare
-// tree's instructions plus those branches, and its trace carries no
-// delta or overlay phase.
-//
-// A reader is immutable and holds references only: safe for arbitrary
-// concurrent callers, each call drawing a private probe from the pool of
-// the tier it probes.
-type reader struct {
-	tiers   []tier
-	upper   []*core.Tree // the trees of tiers[1:], as the engine's queries take them
-	inserts Dataset
-	runs    []delta.Run // seal inserts up to rest
-	rest    Dataset     // the unsealed suffix of inserts
-	tombs   []ID
-}
-
-// tier is one immutable tree of a reader. The tree's arena, in STR's
+// tier is one immutable tree of a generation. The tree's arena, in STR's
 // order, is the tier's only copy of its objects; ids, their ID set,
 // answers what an update, a fold and Tiers ask of the tier — membership,
 // the ID range, and the rank that gathers the arena back into ID order
@@ -90,29 +63,31 @@ type reader struct {
 type tier struct {
 	tree   *core.Tree
 	ids    delta.IDs
-	probes *sync.Pool // *core.Probe, shared by every reader over tree
+	probes *sync.Pool // *core.Probe, shared by every generation over tree
 }
 
 // gather appends the tier's objects to dst in ID order.
 func (t *tier) gather(dst Dataset) Dataset { return t.ids.Gather(dst, t.tree.Arena()) }
 
-// newReader returns the reader over tiers with nothing pending.
-func newReader(tiers []tier) reader {
-	r := reader{tiers: tiers}
+// over returns the generation of tiers with d pending; a nil d makes it
+// read-only with nothing pending.
+func over(tiers []tier, d *delta.Delta) *Overlay {
+	v := &Overlay{tiers: tiers, d: d}
 	for _, t := range tiers[1:] {
-		r.upper = append(r.upper, t.tree)
+		v.upper = append(v.upper, t.tree)
 	}
-	return r
+	v.pend(d.Objects(), d.Runs(), d.Tombs())
+	return v
 }
 
 // pend sets what is pending: inserts, runs sealing a prefix of them, and
 // tombs.
-func (r *reader) pend(inserts Dataset, runs []delta.Run, tombs []ID) {
-	r.inserts, r.runs, r.rest, r.tombs = inserts, runs, inserts[delta.Sealed(runs):], tombs
+func (v *Overlay) pend(inserts Dataset, runs []delta.Run, tombs []ID) {
+	v.inserts, v.runs, v.rest, v.tombs = inserts, runs, inserts[delta.Sealed(runs):], tombs
 }
 
 // frozen reports whether nothing is pending.
-func (r *reader) frozen() bool { return len(r.inserts) == 0 && len(r.tombs) == 0 }
+func (v *Overlay) frozen() bool { return len(v.inserts) == 0 && len(v.tombs) == 0 }
 
 // Join runs TOUCH's assignment and join phases against b, reusing the
 // prebuilt trees. Result pairs are in (indexed dataset, b) orientation,
@@ -125,10 +100,10 @@ func (r *reader) frozen() bool { return len(r.inserts) == 0 && len(r.tombs) == 0
 // pool and no tree is ever written. It is JoinCtx with a background context —
 // uncancellable, and free of any cancellation bookkeeping unless
 // Options.Limit is set.
-func (r *reader) Join(b Dataset, opt *Options) *Result {
+func (v *Overlay) Join(b Dataset, opt *Options) *Result {
 	// A background context can never cancel, so the only abort cause is
 	// a limit stop — not an error.
-	res, _ := r.JoinCtx(context.Background(), b, opt)
+	res, _ := v.JoinCtx(context.Background(), b, opt)
 	return res
 }
 
@@ -140,16 +115,16 @@ func (r *reader) Join(b Dataset, opt *Options) *Result {
 // truncated result, and the limit counts only live (delivered) pairs.
 // The probe recycles cleanly either way: an aborted call leaves no
 // state behind for the next join drawing the same probe from the pool.
-func (r *reader) JoinCtx(ctx context.Context, b Dataset, opt *Options) (*Result, error) {
-	return r.joinCtx(ctx, b, 0, opt)
+func (v *Overlay) JoinCtx(ctx context.Context, b Dataset, opt *Options) (*Result, error) {
+	return v.joinCtx(ctx, b, 0, opt)
 }
 
 // joinCtx is the join of JoinCtx and DistanceJoinCtx: the trees against
 // b with every box enlarged by eps.
-func (r *reader) joinCtx(ctx context.Context, b Dataset, eps float64, opt *Options) (*Result, error) {
+func (v *Overlay) joinCtx(ctx context.Context, b Dataset, eps float64, opt *Options) (*Result, error) {
 	o := opt.normalized()
 	return collect(ctx, &o, false, func(ctl *stats.Control, c *Stats, sink Sink) {
-		r.run(b, eps, &o, ctl, c, sink)
+		v.run(b, eps, &o, ctl, c, sink)
 	})
 }
 
@@ -165,13 +140,13 @@ func (r *reader) joinCtx(ctx context.Context, b Dataset, eps float64, opt *Optio
 // the delivered (live) pair count. A non-nil o.Trace records the insert
 // pass's wall time as PhaseDelta (the tombstone filter runs inline inside
 // the join phase and is not timed separately).
-func (r *reader) run(b Dataset, eps float64, o *Options, ctl *stats.Control, c *Stats, sink Sink) {
-	if len(r.tombs) == 0 {
-		r.probeTiers(b, eps, o.Workers, ctl, c, sink)
+func (v *Overlay) run(b Dataset, eps float64, o *Options, ctl *stats.Control, c *Stats, sink Sink) {
+	if len(v.tombs) == 0 {
+		v.probeTiers(b, eps, o.Workers, ctl, c, sink)
 	} else {
 		var dropped int64
-		r.probeTiers(b, eps, o.Workers, ctl, c, stats.FuncSink(func(a, bid ID) {
-			if r.dead(a) {
+		v.probeTiers(b, eps, o.Workers, ctl, c, stats.FuncSink(func(a, bid ID) {
+			if v.dead(a) {
 				dropped++
 				return
 			}
@@ -179,7 +154,7 @@ func (r *reader) run(b Dataset, eps float64, o *Options, ctl *stats.Control, c *
 		}))
 		c.Results -= dropped
 	}
-	ins := r.inserts
+	ins := v.inserts
 	if len(ins) == 0 {
 		return
 	}
@@ -189,7 +164,7 @@ func (r *reader) run(b Dataset, eps float64, o *Options, ctl *stats.Control, c *
 	}
 	var grown Dataset // b.Expand(eps), made for the first live run
 	for from, i := 0, 0; i <= len(ins); i++ {
-		if i < len(ins) && !r.dead(ins[i].ID) {
+		if i < len(ins) && !v.dead(ins[i].ID) {
 			continue
 		}
 		if from < i {
@@ -210,12 +185,12 @@ func (r *reader) run(b Dataset, eps float64, o *Options, ctl *stats.Control, c *
 
 // probeTiers runs the engine over every tier in turn, unless the join is
 // stopped on the way.
-func (r *reader) probeTiers(b Dataset, eps float64, workers int, ctl *stats.Control, c *Stats, sink Sink) {
-	for i := range r.tiers {
+func (v *Overlay) probeTiers(b Dataset, eps float64, workers int, ctl *stats.Control, c *Stats, sink Sink) {
+	for i := range v.tiers {
 		if i > 0 && ctl.Stopped() {
 			return
 		}
-		r.tiers[i].runProbe(b, eps, workers, ctl, c, sink)
+		v.tiers[i].runProbe(b, eps, workers, ctl, c, sink)
 	}
 }
 
@@ -245,17 +220,17 @@ func (t *tier) runProbe(b Dataset, eps float64, workers int, ctl *stats.Control,
 // inserts, when there are any, joins an enlarged copy of b. Like the
 // one-shot DistanceJoin, an eps that is negative or NaN is rejected with
 // ErrNegativeDistance.
-func (r *reader) DistanceJoin(b Dataset, eps float64, opt *Options) (*Result, error) {
-	return r.DistanceJoinCtx(context.Background(), b, eps, opt)
+func (v *Overlay) DistanceJoin(b Dataset, eps float64, opt *Options) (*Result, error) {
+	return v.DistanceJoinCtx(context.Background(), b, eps, opt)
 }
 
 // DistanceJoinCtx is DistanceJoin under a context, with the cancellation
 // and limit semantics of JoinCtx.
-func (r *reader) DistanceJoinCtx(ctx context.Context, b Dataset, eps float64, opt *Options) (*Result, error) {
+func (v *Overlay) DistanceJoinCtx(ctx context.Context, b Dataset, eps float64, opt *Options) (*Result, error) {
 	if err := checkEps(eps); err != nil {
 		return nil, err
 	}
-	return r.joinCtx(ctx, b, eps, opt)
+	return v.joinCtx(ctx, b, eps, opt)
 }
 
 // IndexStats describes the immutable build artifact behind an Index:
@@ -279,11 +254,7 @@ type IndexStats struct {
 	StaticBytes int64
 }
 
-// Stats reports the size and shape of the index. The values are fixed at
-// BuildIndex time; calling Stats never touches per-query state, so it is
-// safe concurrently with any queries.
-func (ix *Index) Stats() IndexStats { return ix.tiers[0].stats() }
-
+// stats describes the tier's tree.
 func (t *tier) stats() IndexStats {
 	return IndexStats{
 		Objects:     t.tree.SizeA,
@@ -320,7 +291,7 @@ func checkPoint(p Point) error {
 // the few unsealed inserts one by one — and the answer is filtered
 // against the tombstones. Safe for arbitrary concurrent callers; steady-state
 // serving allocates only the returned slice.
-func (r *reader) RangeQuery(q Box) ([]ID, error) { return r.RangeQueryTraced(q, nil) }
+func (v *Overlay) RangeQuery(q Box) ([]ID, error) { return v.RangeQueryTraced(q, nil) }
 
 // RangeQueryTraced is RangeQuery with per-request tracing: a non-nil
 // span receives the descent wall time (PhaseQuery) and the traversal
@@ -328,41 +299,41 @@ func (r *reader) RangeQuery(q Box) ([]ID, error) { return r.RangeQueryTraced(q, 
 // delta only, the read of the pending inserts as PhaseDelta and the
 // tombstone filter as PhaseOverlay. A nil span is exactly RangeQuery —
 // no timing, no allocations.
-func (r *reader) RangeQueryTraced(q Box, sp *Span) ([]ID, error) {
+func (v *Overlay) RangeQueryTraced(q Box, sp *Span) ([]ID, error) {
 	if !q.Valid() {
 		return nil, fmt.Errorf("%w %v", ErrInvalidBox, q)
 	}
-	probes := r.tiers[0].probes
+	probes := v.tiers[0].probes
 	p := probes.Get().(*core.Probe)
 	defer probes.Put(p)
 	var c Stats
 	if sp == nil {
-		return r.merge(slices.Clone(p.RangeQuery(q, &c, r.upper...)), q, nil), nil
+		return v.merge(slices.Clone(p.RangeQuery(q, &c, v.upper...)), q, nil), nil
 	}
 	start := time.Now()
-	ids := slices.Clone(p.RangeQuery(q, &c, r.upper...))
+	ids := slices.Clone(p.RangeQuery(q, &c, v.upper...))
 	sp.Add(trace.PhaseQuery, time.Since(start))
 	c.Results = int64(len(ids))
 	sp.Record(&c)
-	return r.merge(ids, q, sp), nil
+	return v.merge(ids, q, sp), nil
 }
 
 // PointQuery returns the IDs of every live object whose MBR contains
 // the point (x, y, z), boundary included, sorted ascending. It is
 // RangeQuery with a zero-extent box; NaN coordinates are rejected with
 // ErrInvalidPoint.
-func (r *reader) PointQuery(x, y, z float64) ([]ID, error) {
-	return r.PointQueryTraced(x, y, z, nil)
+func (v *Overlay) PointQuery(x, y, z float64) ([]ID, error) {
+	return v.PointQueryTraced(x, y, z, nil)
 }
 
 // PointQueryTraced is PointQuery with per-request tracing; see
 // RangeQueryTraced.
-func (r *reader) PointQueryTraced(x, y, z float64, sp *Span) ([]ID, error) {
+func (v *Overlay) PointQueryTraced(x, y, z float64, sp *Span) ([]ID, error) {
 	pt := Point{x, y, z}
 	if err := checkPoint(pt); err != nil {
 		return nil, err
 	}
-	return r.RangeQueryTraced(geom.BoxAt(pt), sp)
+	return v.RangeQueryTraced(geom.BoxAt(pt), sp)
 }
 
 // KNN returns the k live objects nearest to q by minimum Euclidean
@@ -386,19 +357,19 @@ func (r *reader) PointQueryTraced(x, y, z float64, sp *Span) ([]ID, error) {
 // inserts one by one. Safe for
 // arbitrary concurrent callers; steady-state serving allocates only the
 // returned slice.
-func (r *reader) KNN(q Point, k int) ([]Neighbor, error) { return r.KNNTraced(q, k, nil) }
+func (v *Overlay) KNN(q Point, k int) ([]Neighbor, error) { return v.KNNTraced(q, k, nil) }
 
 // KNNTraced is KNN with per-request tracing; see RangeQueryTraced. The
 // insert pass records PhaseDelta; the tombstone test runs inside the
 // search.
-func (r *reader) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
+func (v *Overlay) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrInvalidK, k)
 	}
 	if err := checkPoint(q); err != nil {
 		return nil, err
 	}
-	probes := r.tiers[0].probes
+	probes := v.tiers[0].probes
 	p := probes.Get().(*core.Probe)
 	defer probes.Put(p)
 	var c Stats
@@ -406,18 +377,18 @@ func (r *reader) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
 	if sp != nil {
 		start = time.Now()
 	}
-	p.Nearest(q, k, &c, r.tombs, r.upper...)
+	p.Nearest(q, k, &c, v.tombs, v.upper...)
 	if sp != nil {
 		sp.Add(trace.PhaseQuery, time.Since(start))
 	}
-	if len(r.inserts) > 0 {
+	if len(v.inserts) > 0 {
 		if sp != nil {
 			start = time.Now()
 		}
-		for i := range r.runs {
-			p.Offer(r.runs[i].Objects, r.runs[i].Ext, q, k, r.tombs)
+		for i := range v.runs {
+			p.Offer(v.runs[i].Objects, v.runs[i].Ext, q, k, v.tombs)
 		}
-		p.Offer(r.rest, math.Inf(1), q, k, r.tombs)
+		p.Offer(v.rest, math.Inf(1), q, k, v.tombs)
 		if sp != nil {
 			sp.Add(trace.PhaseDelta, time.Since(start))
 		}

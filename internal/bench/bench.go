@@ -157,12 +157,6 @@ func memoryMetric() metric {
 	}}
 }
 
-func filteredMetric() metric {
-	return metric{Name: "filtered", Get: func(s touch.Stats) string {
-		return fmt.Sprintf("%d", s.Filtered)
-	}}
-}
-
 // series is a table with one row per workload point and one column per
 // algorithm, the layout of the paper's figures.
 type series struct {

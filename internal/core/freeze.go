@@ -104,21 +104,6 @@ func validateThawConfig(cfg Config) error {
 	return nil
 }
 
-// finiteObject reports whether an arena object's box is normalized and
-// fully finite — the invariant every dataset loader enforces. lo <= hi
-// rejects NaN and inverted corners in one compare; x-x != 0 catches
-// ±Inf (Inf-Inf = NaN). Runs once per arena object on every thaw, so
-// the branches matter.
-func finiteObject(o *geom.Object) bool {
-	for d := 0; d < geom.Dims; d++ {
-		lo, hi := o.Box.Min[d], o.Box.Max[d]
-		if !(lo <= hi) || lo-lo != 0 || hi-hi != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Thaw reconstructs a Tree from its frozen form, validating every
 // structural invariant Build would have established. The returned tree
 // keeps the Frozen's arena (the decoder must not reuse it).
@@ -133,7 +118,7 @@ func Thaw(f *Frozen) (*Tree, error) {
 		return nil, errCorrupt("node or arena count overflows int32")
 	}
 	for i := range f.Arena {
-		if !finiteObject(&f.Arena[i]) {
+		if !f.Arena[i].Box.Finite() {
 			return nil, errCorrupt("arena object %d has a non-finite or inverted box", i)
 		}
 	}

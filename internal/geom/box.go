@@ -55,6 +55,23 @@ func (b Box) Valid() bool {
 	return true
 }
 
+// Finite reports whether the box may be indexed: every coordinate finite
+// and Min <= Max in every dimension — what the dataset loaders check on
+// the way in and the snapshot decoder and core.Thaw on the way back, as
+// non-finite coordinates poison STR packing and grid sizing silently
+// rather than loudly. (Query boxes are laxer — an infinite range query is
+// meaningful — and are checked with Valid.) lo <= hi rejects NaN and
+// inverted corners in one compare; x-x != 0 catches ±Inf (Inf-Inf = NaN).
+func (b *Box) Finite() bool {
+	for d := 0; d < Dims; d++ {
+		lo, hi := b.Min[d], b.Max[d]
+		if !(lo <= hi) || lo-lo != 0 || hi-hi != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Intersects reports whether b and o overlap, where touching boundaries
 // count as overlap (closed-interval semantics).
 func (b Box) Intersects(o Box) bool { return b.Meets(&o) }

@@ -22,22 +22,31 @@ func TestNewBoxNormalizes(t *testing.T) {
 	}
 }
 
+// TestBoxValid: Valid admits what a query box may be — infinite
+// coordinates included — and Finite only what may be indexed.
 func TestBoxValid(t *testing.T) {
+	inf := math.Inf(1)
 	cases := []struct {
-		name string
-		b    Box
-		want bool
+		name          string
+		b             Box
+		valid, finite bool
 	}{
-		{"point box", BoxAt(Point{1, 2, 3}), true},
-		{"regular", box(0, 0, 0, 1, 1, 1), true},
-		{"inverted", Box{Min: Point{1, 0, 0}, Max: Point{0, 1, 1}}, false},
-		{"nan min", Box{Min: Point{math.NaN(), 0, 0}, Max: Point{1, 1, 1}}, false},
-		{"nan max", Box{Min: Point{0, 0, 0}, Max: Point{1, math.NaN(), 1}}, false},
-		{"empty identity", EmptyBox(), false},
+		{"point box", BoxAt(Point{1, 2, 3}), true, true},
+		{"regular", box(0, 0, 0, 1, 1, 1), true, true},
+		{"inverted", Box{Min: Point{1, 0, 0}, Max: Point{0, 1, 1}}, false, false},
+		{"nan min", Box{Min: Point{math.NaN(), 0, 0}, Max: Point{1, 1, 1}}, false, false},
+		{"nan max", Box{Min: Point{0, 0, 0}, Max: Point{1, math.NaN(), 1}}, false, false},
+		{"infinite max", Box{Min: Point{0, 0, 0}, Max: Point{1, 1, inf}}, true, false},
+		{"infinite min", Box{Min: Point{0, -inf, 0}, Max: Point{1, 1, 1}}, true, false},
+		{"the universe", Box{Min: Point{-inf, -inf, -inf}, Max: Point{inf, inf, inf}}, true, false},
+		{"empty identity", EmptyBox(), false, false},
 	}
 	for _, tc := range cases {
-		if got := tc.b.Valid(); got != tc.want {
-			t.Errorf("%s: Valid() = %v, want %v", tc.name, got, tc.want)
+		if got := tc.b.Valid(); got != tc.valid {
+			t.Errorf("%s: Valid() = %v, want %v", tc.name, got, tc.valid)
+		}
+		if got := tc.b.Finite(); got != tc.finite {
+			t.Errorf("%s: Finite() = %v, want %v", tc.name, got, tc.finite)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -229,7 +230,15 @@ func (c *catalog) load(name string, ds touch.Dataset, cfg touch.TOUCHConfig, wai
 	e, v := c.acquireVersion(name)
 	run := func() {
 		defer c.released(e)
-		full := func() *touch.Overlay { return touch.OverlayOf(ds, c.build(ds, cfg)) }
+		full := func() *touch.Overlay {
+			ov := c.build(ds, cfg)
+			// A repeated ID leaves the index read-only: no update could
+			// step it, so the dataset cannot be served.
+			if dup := len(ds) - ov.Tiers()[0].Objects; dup > 0 {
+				panic(fmt.Sprintf("server: dataset %q: %d duplicate object IDs", name, dup))
+			}
+			return ov
+		}
 		if snap := c.buildVersion(e, v, full); snap != nil {
 			e.mu.Lock()
 			if cur := e.ready.Load(); cur == nil || cur.version < v {

@@ -281,8 +281,8 @@ func (s *Server) logger() *slog.Logger { return s.cfg.Logger }
 // Load registers a dataset and builds its index synchronously — the
 // programmatic preload path used by touchserved -load, the benchmark
 // suite and the examples. HTTP loads build in the background instead.
-// The IDs of ds may come in any order but must be distinct (a repeated
-// ID panics, as touch.OverlayOf does). ds is not retained: the index's
+// The IDs of ds may come in any order but must be distinct: a repeated
+// ID panics, naming how many repeat. ds is not retained: the index's
 // arena is the served copy of the objects, so the caller may drop or
 // reuse it once Load returns.
 func (s *Server) Load(name string, ds touch.Dataset, cfg touch.TOUCHConfig) (version int64, stats touch.IndexStats) {

@@ -452,15 +452,9 @@ func decodeObjects(buf []byte, into geom.Dataset) error {
 		o.ID = geom.ID(int32(binary.LittleEndian.Uint32(b)))
 		binfmt.DecodeBox(b[4:], &o.Box)
 		// The loaders reject non-finite and inverted boxes, so no valid
-		// producer can have written one — the same contract holds on the
-		// way back in (non-finite coordinates poison grid sizing and STR
-		// silently rather than loudly). lo <= hi rejects NaN and inverted
-		// corners in one compare; x-x != 0 catches ±Inf (Inf-Inf = NaN).
-		for d := 0; d < geom.Dims; d++ {
-			lo, hi := o.Box.Min[d], o.Box.Max[d]
-			if !(lo <= hi) || lo-lo != 0 || hi-hi != 0 {
-				return corrupt("object %d has a non-finite or inverted box", i)
-			}
+		// producer can have written one.
+		if !o.Box.Finite() {
+			return corrupt("object %d has a non-finite or inverted box", i)
 		}
 	}
 	return nil

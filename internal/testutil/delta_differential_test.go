@@ -114,7 +114,7 @@ func checkMutableAgainstRebuild(t *testing.T, m *touch.Mutable, probe touch.Data
 }
 
 // checkOverlayAgainstRebuild is checkMutableAgainstRebuild for one
-// generation v, which must hold its dataset (built by OverlayOf and the
+// generation v, which must hold its dataset (built by BuildIndex and the
 // steps after it).
 func checkOverlayAgainstRebuild(t *testing.T, v *touch.Overlay, probe touch.Dataset, seed int64) {
 	t.Helper()

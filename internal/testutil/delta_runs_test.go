@@ -153,7 +153,7 @@ func TestOverlayFoldCarriesSealedRuns(t *testing.T) {
 		}
 		return next
 	}
-	v := apply(touch.OverlayOf(base, touch.BuildIndex(base, touch.TOUCHConfig{})), R+44, []geom.ID{3})
+	v := apply(touch.BuildIndex(base, touch.TOUCHConfig{}), R+44, []geom.ID{3})
 	fold := v.Fold(false, touch.BuildIndex)
 	if fold == nil {
 		t.Fatal("nothing to fold")

@@ -104,7 +104,7 @@ func foldReaders(t *testing.T, a touch.Dataset) map[string]distanceReader {
 		}
 		return next
 	}
-	gen := step(touch.OverlayOf(base, baseIdx), tail, nil)
+	gen := step(baseIdx, tail, nil)
 	gen = gen.Fold(false, touch.BuildIndex).Next(gen)
 	if n := len(gen.Tiers()); n != 2 {
 		t.Fatalf("the fold left %d tiers, want 2", n)

@@ -121,7 +121,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded generation range query: %v", err)
 		}
-		if want, _ := touch.BuildIndex(ds, ov.Base().Config()).RangeQuery(q); !slices.Equal(all, want) {
+		if want, _ := touch.BuildIndex(ds, ov.Config()).RangeQuery(q); !slices.Equal(all, want) {
 			t.Fatalf("decoded generation disagrees with the rebuild of its dataset: %d ids, want %d", len(all), len(want))
 		}
 		if next, first, _, ok := ov.Apply([]geom.Box{{}}, nil); ok && (next == ov || (len(all) > 0 && first <= all[len(all)-1])) {

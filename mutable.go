@@ -59,8 +59,8 @@ type Mutable struct {
 // may come in any order; duplicate IDs are rejected. ds is not retained.
 // Auto-compaction starts enabled at DefaultCompactThreshold.
 func NewMutable(ds Dataset, cfg TOUCHConfig) (*Mutable, error) {
-	v, err := BuildIndex(ds, cfg).first(len(ds))
-	if err != nil {
+	v := BuildIndex(ds, cfg)
+	if err := v.readOnly(); err != nil {
 		return nil, fmt.Errorf("touch: %w", err)
 	}
 	m := &Mutable{}
@@ -105,8 +105,8 @@ func (m *Mutable) apply(boxes []Box, ids []ID) (first ID, deleted int, ok bool) 
 // error nothing is inserted.
 func (m *Mutable) Insert(boxes []Box) ([]ID, error) {
 	for _, b := range boxes {
-		if err := checkDataBox(b); err != nil {
-			return nil, err
+		if !b.Finite() {
+			return nil, fmt.Errorf("%w %v", ErrInvalidBox, b)
 		}
 	}
 	first, _, ok := m.apply(boxes, nil)
@@ -189,7 +189,7 @@ func (m *Mutable) Stats() MutableStats {
 	v := m.view.Load()
 	ins, tombs := v.Pending()
 	return MutableStats{
-		Base:            v.Base().Stats(),
+		Base:            v.tiers[0].stats(),
 		Objects:         v.Stats().Objects + ins - tombs,
 		DeltaInserts:    ins,
 		DeltaTombstones: tombs,

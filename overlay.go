@@ -1,65 +1,80 @@
 package touch
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"time"
 
+	"touch/internal/core"
 	"touch/internal/delta"
 	"touch/internal/trace"
 )
 
-// Overlay is one immutable generation of an updatable dataset: a short
-// list of immutable index tiers over ascending, disjoint ID ranges — the
-// base Index first — plus the pending updates no fold has indexed yet,
-// inserted objects and deleted (tombstoned) IDs, presenting the reader's
-// query and join surface over the merged state. Every answer is
-// bit-identical to what an index rebuilt from the merged dataset would
-// return, and an Overlay of one tier with nothing pending reads exactly
-// as its base Index does. What each shape costs per tier and over a
-// non-empty delta is documented on the reader's methods. Publishing an
-// update is O(batch): nothing here is copied or rebuilt per generation,
-// except that the update completing a stretch of delta.RunLen inserts
-// seals it into a sorted run the single-probe queries read instead of
-// scanning it (see package delta).
+// Overlay is one immutable generation of a dataset, and the one read
+// surface of the package: a short list of immutable index tiers over
+// ascending, disjoint ID ranges, tiers[0] being the base, plus the
+// pending updates no fold has indexed yet, inserted objects and deleted
+// (tombstoned) IDs. BuildIndex returns a dataset's first generation, one
+// tier with nothing pending; Apply is the update step, and Fold with
+// Fold.Next the compaction. All ten query and join methods answer
+// bit-identically to an index rebuilt from the merged dataset. Publishing
+// an update is O(batch): nothing here is copied or rebuilt per
+// generation, except that the update completing a stretch of
+// delta.RunLen inserts seals it into a sorted run the single-probe
+// queries read instead of scanning it (see package delta).
+//
+// Reads fan over the tiers — each method says at what cost — and over
+// the delta as its slices, as they are. Every delta pass returns at once
+// when its slice is empty, so with one tier and nothing pending a read
+// runs the bare tree's instructions plus those branches, and its trace
+// carries no delta or overlay phase.
 //
 // An Overlay is an immutable value: it holds references, never copies a
-// tier, and is safe for arbitrary concurrent callers, exactly like
-// Index. The write side lives elsewhere (Mutable here, the serving
-// catalog in touchserved); both hold the current Overlay behind an
-// atomic pointer and step it with the same three functions: OverlayOf
-// starts a generation from a dataset and its index, Apply is the update
-// step, and Fold with Fold.Next is the compaction.
+// tier, and is safe for arbitrary concurrent callers, each call drawing
+// a private probe from the pool of the tier it probes. The write side
+// lives elsewhere (Mutable here, the serving catalog in touchserved);
+// both hold the current Overlay behind an atomic pointer and step it
+// with Apply and Fold.
 //
 // The invariant the merges rest on: every tier's IDs lie above the IDs
 // of the tiers below it, the inserts are strictly ID-ascending and every
 // insert ID is greater than every ID a tier holds, so merged ID lists
 // stay sorted by concatenation and an insert loses every distance tie
-// against what is already in a top-k. OverlayOf's descendants keep it by
-// construction; NewOverlay checks it once.
+// against what is already in a top-k. The steps keep it by construction;
+// NewOverlay checks it once.
 type Overlay struct {
-	reader
-	idx *Index
-	// d is the write side's account of inserts and tombs; nil in an
-	// Overlay built by NewOverlay, which is read-only.
+	tiers []tier
+	upper []*core.Tree // the trees of tiers[1:], as the engine's queries take them
+	// inserts are the ones no fold has indexed, tombstoned ones included,
+	// in ID order, as joins read them; single probes read them as runs,
+	// the sealed x-sorted stretches of delta.RunLen (delta.Run), and rest.
+	inserts Dataset
+	runs    []delta.Run
+	rest    Dataset // the unsealed suffix of inserts
+	tombs   []ID    // ascending, of tier objects and inserts alike
+	// d is the write side's account of inserts and tombs; nil in a
+	// read-only generation: one built by NewOverlay, or by BuildIndex over
+	// a repeated ID.
 	d *delta.Delta
 }
 
-// NewOverlay builds a read-only Overlay over idx with the given inserted
-// objects and deleted IDs. inserts must satisfy the Overlay invariant —
-// checked here, once, and a violation panics — and may or may not still
-// contain objects that deleted names. deleted may come in any order and
-// is copied only if it has to be sorted; otherwise the slices are
-// retained, not copied: treat them as frozen afterwards. The result has
-// no write side — its inserts need not have the consecutive IDs an
-// update issues — so Apply, Fold and Dataset panic on it, saying so.
-// Generations that can be stepped start from OverlayOf.
+// NewOverlay builds a read-only Overlay over idx's tiers with the given
+// inserted objects and deleted IDs; what idx has pending is not carried
+// over. inserts must satisfy the Overlay invariant — checked here, once,
+// against the top tier's largest ID, and a violation panics — and may or
+// may not still contain objects that deleted names. deleted may come in
+// any order and is copied only if it has to be sorted; otherwise the
+// slices are retained, not copied: treat them as frozen afterwards. The
+// result has no write side — its inserts need not have the consecutive
+// IDs an update issues — so Apply, Fold and Dataset panic on it, saying
+// so, and EncodeSnapshot refuses it.
 func NewOverlay(idx *Index, inserts Dataset, deleted []ID) *Overlay {
-	last := idx.tiers[0].ids.Max()
+	last := idx.tiers[len(idx.tiers)-1].ids.Max()
 	for i := range inserts {
 		if inserts[i].ID <= last {
-			panic(fmt.Sprintf("touch: NewOverlay: insert ID %d is not above the base's and the earlier inserts' IDs (≤ %d)", inserts[i].ID, last))
+			panic(fmt.Sprintf("touch: NewOverlay: insert ID %d is not above the tiers' and the earlier inserts' IDs (≤ %d)", inserts[i].ID, last))
 		}
 		last = inserts[i].ID
 	}
@@ -67,55 +82,27 @@ func NewOverlay(idx *Index, inserts Dataset, deleted []ID) *Overlay {
 		deleted = slices.Clone(deleted)
 		slices.Sort(deleted)
 	}
-	v := &Overlay{reader: idx.reader, idx: idx}
+	v := &Overlay{tiers: idx.tiers, upper: idx.upper}
 	v.pend(inserts, delta.Seal(nil, inserts), deleted)
 	return v
 }
 
-// OverlayOf returns the first generation of a dataset: idx, which must
-// have been built over ds, as the only tier and nothing pending. The
-// IDs of ds may come in any order but must be distinct: a repeated ID,
-// or an index over another number of objects, panics. ds is not
-// retained — the index's arena is the tier's copy of the objects — and
-// the first insert will receive an ID above every ID in it.
-func OverlayOf(ds Dataset, idx *Index) *Overlay {
-	v, err := idx.first(len(ds))
-	if err != nil {
-		panic("touch: OverlayOf: " + err.Error())
+// readOnly says why v has no write side, nil when it has one.
+func (v *Overlay) readOnly() error {
+	switch t := &v.tiers[0]; {
+	case v.d != nil:
+		return nil
+	case t.ids.Len() < t.tree.SizeA:
+		return fmt.Errorf("%d duplicate object IDs", t.tree.SizeA-t.ids.Len())
+	default:
+		return errors.New("a read-only Overlay built by NewOverlay has no write side")
 	}
-	return v
 }
 
-// first returns the first generation over ix, built over n objects: ix
-// as the only tier and nothing pending. It fails when the index does not
-// hold n objects with distinct IDs.
-func (ix *Index) first(n int) (*Overlay, error) {
-	t := &ix.tiers[0]
-	if n != t.tree.SizeA {
-		return nil, fmt.Errorf("%d objects, but the index holds %d: built from a different dataset?", n, t.tree.SizeA)
-	}
-	if dup := n - t.ids.Len(); dup > 0 {
-		return nil, fmt.Errorf("%d duplicate object IDs", dup)
-	}
-	return ix.over(ix.tiers, delta.Restored(nil, 0, t.ids.Max())), nil
-}
-
-// over returns the generation of tiers — tiers[0] being ix's — with d
-// pending.
-func (ix *Index) over(tiers []tier, d *delta.Delta) *Overlay {
-	v := &Overlay{reader: newReader(tiers), idx: ix, d: d}
-	v.pend(d.Objects(), d.Runs(), d.Tombs())
-	return v
-}
-
-// Base returns the base index, the lowest tier.
-func (v *Overlay) Base() *Index { return v.idx }
-
-// stepped panics when v is read-only (see NewOverlay); method names the
-// caller.
+// stepped panics when v is read-only; method names the caller.
 func (v *Overlay) stepped(method string) {
-	if v.d == nil {
-		panic("touch: Overlay." + method + " on a read-only Overlay built by NewOverlay, which has no write side; start from OverlayOf")
+	if err := v.readOnly(); err != nil {
+		panic("touch: Overlay." + method + ": " + err.Error())
 	}
 }
 
@@ -133,7 +120,7 @@ func (v *Overlay) Apply(inserts []Box, deletes []ID) (next *Overlay, first ID, d
 	if nd == v.d {
 		return v, first, deleted, ok
 	}
-	next = &Overlay{reader: v.reader, idx: v.idx, d: nd}
+	next = &Overlay{tiers: v.tiers, upper: v.upper, d: nd}
 	next.pend(nd.Objects(), nd.Runs(), nd.Tombs())
 	return next, first, deleted, ok
 }
@@ -159,7 +146,8 @@ func (v *Overlay) Pending() (inserts, tombstones int) {
 	return len(v.inserts), len(v.tombs) - v.settled()
 }
 
-// settled counts the tombstones a fold has seen and left in place.
+// settled counts the tombstones a fold has seen and left in place; none
+// in a read-only generation, whose tombstones are all pending.
 func (v *Overlay) settled() int { return len(v.d.Tombs()) - v.d.Tombstones() }
 
 // Dataset returns the merged live objects, ID-ascending, as a fresh
@@ -249,7 +237,6 @@ type Fold struct {
 	Objects int
 
 	from  *Overlay
-	idx   *Index
 	tiers []tier
 	cut   ID // the fold rewrote every object with an ID at or above it
 }
@@ -305,13 +292,12 @@ func (v *Overlay) Fold(full bool, build func(Dataset, TOUCHConfig) *Index) *Fold
 	}
 
 	merged := v.merged(start)
-	f := &Fold{Objects: len(merged), from: v, idx: v.idx, tiers: slices.Clip(v.tiers[:start]), cut: tail}
-	cfg := v.idx.Config()
+	f := &Fold{Objects: len(merged), from: v, tiers: slices.Clip(v.tiers[:start]), cut: tail}
+	cfg := v.Config()
 	switch {
 	case start == 0:
 		f.cut = math.MinInt32
-		f.idx = build(merged, cfg)
-		f.tiers = append(f.tiers, f.idx.tiers[0])
+		f.tiers = append(f.tiers, build(merged, cfg).tiers[0])
 	case len(merged) > 0:
 		bucket := max(1, (v.tiers[0].ids.Len()+cfg.Partitions-1)/cfg.Partitions)
 		cfg.Partitions = min(cfg.Partitions, (len(merged)+bucket-1)/bucket)
@@ -329,12 +315,12 @@ func (v *Overlay) Fold(full bool, build func(Dataset, TOUCHConfig) *Index) *Fold
 // Passing that generation itself gives the fold's own outcome, nothing
 // carried over. O(tombstones); the caller holds its writer lock.
 func (f *Fold) Next(cur *Overlay) *Overlay {
-	return f.idx.over(f.tiers, cur.d.Since(f.from.d, f.cut))
+	return over(f.tiers, cur.d.Since(f.from.d, f.cut))
 }
 
 // dead reports whether id is tombstoned.
-func (r *reader) dead(id ID) bool {
-	_, dead := slices.BinarySearch(r.tombs, id)
+func (v *Overlay) dead(id ID) bool {
+	_, dead := slices.BinarySearch(v.tombs, id)
 	return dead
 }
 
@@ -346,8 +332,8 @@ func (r *reader) dead(id ID) bool {
 // hits, met in x order, are sorted; the unsealed rest, ID-ascending and
 // above every run's IDs, is tested whole. A non-nil sp records the
 // insert pass as PhaseDelta and the filter as PhaseOverlay.
-func (r *reader) merge(ids []ID, q Box, sp *Span) []ID {
-	if r.frozen() {
+func (v *Overlay) merge(ids []ID, q Box, sp *Span) []ID {
+	if v.frozen() {
 		return ids
 	}
 	var start time.Time
@@ -355,8 +341,8 @@ func (r *reader) merge(ids []ID, q Box, sp *Span) []ID {
 		start = time.Now()
 	}
 	from := len(ids)
-	for i := range r.runs {
-		es := r.runs[i].Window(&q)
+	for i := range v.runs {
+		es := v.runs[i].Window(&q)
 		for j := range es {
 			if es[j].Box.Meets(&q) {
 				ids = append(ids, es[j].ID)
@@ -364,7 +350,7 @@ func (r *reader) merge(ids []ID, q Box, sp *Span) []ID {
 		}
 	}
 	slices.Sort(ids[from:])
-	rest := r.rest
+	rest := v.rest
 	for i := range rest {
 		if rest[i].Box.Meets(&q) {
 			ids = append(ids, rest[i].ID)
@@ -374,7 +360,7 @@ func (r *reader) merge(ids []ID, q Box, sp *Span) []ID {
 		sp.Add(trace.PhaseDelta, time.Since(start))
 		start = time.Now()
 	}
-	if tombs := r.tombs; len(tombs) > 0 {
+	if tombs := v.tombs; len(tombs) > 0 {
 		live := ids[:0]
 		for _, id := range ids {
 			// ids ascend, so each search resumes where the last ended.

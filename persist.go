@@ -35,16 +35,20 @@ type SnapshotInfo struct {
 // into an Index that answers every query identically. The objects are
 // written once, as the index's arena; the dataset must be the one the
 // index was built from, with distinct IDs (its object count is
-// cross-checked; a mismatched pairing fails to encode).
+// cross-checked; a mismatched pairing fails to encode). An index that
+// has been stepped to more than one tier or to pending updates is not
+// one dataset and one index: encode it with Overlay.EncodeSnapshot.
 func EncodeSnapshot(info SnapshotInfo, a Dataset, ix *Index) ([]byte, error) {
-	if ix == nil {
+	switch {
+	case ix == nil:
 		return nil, errors.New("touch: nil index")
+	case len(ix.tiers) > 1 || !ix.frozen():
+		ins, tombs := ix.Pending()
+		return nil, fmt.Errorf("touch: a generation of %d tiers, %d inserts and %d tombstones is not one dataset and one index; encode it with Overlay.EncodeSnapshot", len(ix.tiers), ins, tombs)
+	case len(a) != ix.tiers[0].tree.SizeA:
+		return nil, fmt.Errorf("touch: %d objects, but the index holds %d: built from a different dataset?", len(a), ix.tiers[0].tree.SizeA)
 	}
-	v, err := ix.first(len(a))
-	if err != nil {
-		return nil, fmt.Errorf("touch: %w", err)
-	}
-	return v.EncodeSnapshot(info)
+	return ix.EncodeSnapshot(info)
 }
 
 // EncodeSnapshot serializes a whole generation: every tier's tree — its
@@ -52,11 +56,12 @@ func EncodeSnapshot(info SnapshotInfo, a Dataset, ix *Index) ([]byte, error) {
 // high-water mark, so that DecodeOverlay restores the same live objects,
 // the same answers and the same next insert ID with no tree rebuilt.
 // Inserts no fold has indexed have no place in the format — a generation
-// that holds some fails to encode; fold first. The receiver must descend
-// from OverlayOf.
+// that holds some fails to encode; fold first. A read-only generation —
+// one built by NewOverlay, or by BuildIndex over a repeated ID — has no
+// high-water mark and fails to encode too.
 func (v *Overlay) EncodeSnapshot(info SnapshotInfo) ([]byte, error) {
-	if v.d == nil {
-		return nil, errors.New("touch: a read-only Overlay built by NewOverlay has no high-water mark to encode")
+	if err := v.readOnly(); err != nil {
+		return nil, fmt.Errorf("touch: %w", err)
 	}
 	if n := len(v.inserts); n > 0 {
 		return nil, fmt.Errorf("touch: %d unfolded inserts cannot be encoded", n)
@@ -77,7 +82,8 @@ func (v *Overlay) EncodeSnapshot(info SnapshotInfo) ([]byte, error) {
 // DecodeSnapshot decodes and fully validates a snapshot produced by
 // EncodeSnapshot, returning its identity, the original dataset —
 // gathered from the index's arena in ID order, a fresh slice — and a
-// ready-to-serve Index — no rebuild. Every checksum and every
+// ready-to-serve Index — no rebuild — whose first insert receives the
+// persisted ID high-water mark. Every checksum and every
 // structural invariant of the tree is re-verified (MBRs and extent sums
 // are recomputed from the arena and compared bit-exactly), so corrupt
 // bytes — torn writes, bit flips, hostile edits — are rejected with an
@@ -92,7 +98,7 @@ func DecodeSnapshot(data []byte) (SnapshotInfo, Dataset, *Index, error) {
 	if len(v.tiers) > 1 || len(v.tombs) > 0 {
 		return SnapshotInfo{}, nil, nil, fmt.Errorf("touch: snapshot holds %d tiers and %d tombstones; decode it with DecodeOverlay", len(v.tiers), len(v.tombs))
 	}
-	return info, v.Dataset(), v.idx, nil
+	return info, v.Dataset(), v, nil
 }
 
 // DecodeOverlay decodes and fully validates a snapshot of either
@@ -117,8 +123,7 @@ func DecodeOverlay(data []byte) (SnapshotInfo, *Overlay, error) {
 		maxID = max(maxID, tiers[i].ids.Max())
 	}
 	info := SnapshotInfo{Name: rec.Name, Version: rec.Version, BuiltAt: rec.BuiltAt}
-	base := &Index{reader: newReader(tiers[:1])}
-	return info, base.over(tiers, delta.Restored(rec.Tombs, rec.NextID, maxID)), nil
+	return info, over(tiers, delta.Restored(rec.Tombs, rec.NextID, maxID)), nil
 }
 
 // newTier wraps a built or already-validated thawed tree, whose arena
@@ -127,7 +132,8 @@ func newTier(t *core.Tree, ids delta.IDs) tier {
 	return tier{tree: t, ids: ids, probes: &sync.Pool{New: func() any { return t.NewProbe() }}}
 }
 
-// Config returns the configuration the index was built with, defaults
-// filled in — the value a snapshot round-trips, so a rebuild with this
-// config reproduces the identical tree shape.
-func (ix *Index) Config() TOUCHConfig { return ix.tiers[0].tree.Config() }
+// Config returns the configuration the base tier was built with,
+// defaults filled in — the value a snapshot round-trips, so a rebuild
+// with this config reproduces the identical tree shape, and the one a
+// fold builds its tiers with.
+func (v *Overlay) Config() TOUCHConfig { return v.tiers[0].tree.Config() }

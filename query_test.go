@@ -94,7 +94,7 @@ func TestQueriesOnDegenerateIndexes(t *testing.T) {
 		{"empty upper tier", []tier{tierOf(some), tierOf(nil)}, some},
 		{"empty base tier", []tier{tierOf(nil), tierOf(some)}, some},
 	} {
-		r := newReader(tc.tiers)
+		r := over(tc.tiers, nil)
 		for _, q := range []Box{everything, NewBox(Point{0, 0, 0}, Point{10, 10, 10}), NewBox(Point{-9, -9, -9}, Point{-8, -8, -8}), some[7].Box} {
 			if got, err := r.RangeQuery(q); err != nil || !slices.Equal(got, nl.RangeQuery(tc.ds, q)) {
 				t.Errorf("%s: RangeQuery(%v) = %v, %v; the nested loop finds %v", tc.name, q, got, err, nl.RangeQuery(tc.ds, q))

@@ -55,10 +55,9 @@ func untimed(t *testing.T, sp Span, recorded ...trace.Phase) Span {
 	return sp
 }
 
-// TestOverlayEmptyDeltaReaderParity: the four ways to hold a dataset
-// with nothing pending — the bare Index, an Overlay built with no
-// updates, the first generation of OverlayOf and a fresh Mutable's View —
-// are one reader: the same answers, the same trace apart from the
+// TestOverlayEmptyDeltaReaderParity: the three ways to hold a dataset
+// with nothing pending — the Index, its first generation; an Overlay
+// built with no updates; and a fresh Mutable's View — are one reader: the same answers, the same trace apart from the
 // durations (no delta or overlay phase), the same allocations per call.
 func TestOverlayEmptyDeltaReaderParity(t *testing.T) {
 	ds := GenerateClustered(3000, 1501).Expand(4)
@@ -74,7 +73,6 @@ func TestOverlayEmptyDeltaReaderParity(t *testing.T) {
 	}{
 		{"Index", idx},
 		{"NewOverlay(nil,nil)", NewOverlay(idx, nil, nil)},
-		{"OverlayOf", OverlayOf(ds, idx)},
 		{"Mutable.View", m.View()},
 	}
 
@@ -381,8 +379,8 @@ func TestMutableDatasetAllocatesOnce(t *testing.T) {
 // TestReadOnlyOverlayAccounts: an Overlay built by NewOverlay has no
 // write side, only what it was given to read. Pending and Stats count
 // exactly that, and the three methods that need the dataset the index was
-// built from — Apply, Fold, Dataset — panic with a message that says what
-// to use instead, as EncodeSnapshot refuses with an error; none of them
+// built from — Apply, Fold, Dataset — panic with a message that names the
+// method and says why, as EncodeSnapshot refuses with an error; none of them
 // runs into a nil pointer halfway.
 func TestReadOnlyOverlayAccounts(t *testing.T) {
 	base := GenerateUniform(300, 3)
@@ -409,8 +407,8 @@ func TestReadOnlyOverlayAccounts(t *testing.T) {
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
-				if !strings.Contains(msg, "Overlay."+name) || !strings.Contains(msg, "OverlayOf") {
-					t.Errorf("%s on a read-only overlay: recovered %q, want a panic naming the method and OverlayOf", name, msg)
+				if !strings.Contains(msg, "Overlay."+name) || !strings.Contains(msg, "NewOverlay") {
+					t.Errorf("%s on a read-only overlay: recovered %q, want a panic naming the method and NewOverlay", name, msg)
 				}
 			}()
 			call()

@@ -7,14 +7,11 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
-
-	"touch/internal/nl"
 )
 
 // TestTierBytesPerObject: a tier keeps its objects once, in its tree's
-// arena. A generation made by OverlayOf, a Mutable and a decoded
+// arena. A generation made by BuildIndex, a Mutable and a decoded
 // snapshot hold at most 65 bytes per object once the caller's dataset
 // is gone — the arena's Object (56 bytes) and the tree over it — where
 // keeping the loaded dataset beside the arena held 113.
@@ -29,10 +26,7 @@ func TestTierBytesPerObject(t *testing.T) {
 		name string
 		make func() any
 	}{
-		{"OverlayOf", func() any {
-			ds := GenerateUniform(n, 41)
-			return OverlayOf(ds, BuildIndex(ds, TOUCHConfig{}))
-		}},
+		{"BuildIndex", func() any { return BuildIndex(GenerateUniform(n, 41), TOUCHConfig{}) }},
 		{"NewMutable", func() any {
 			m, err := NewMutable(GenerateUniform(n, 41), TOUCHConfig{})
 			if err != nil {
@@ -110,7 +104,7 @@ func tierFingerprints(v *Overlay) []string {
 // of the build that kept each tier's dataset beside its tree.
 func TestFoldFingerprint(t *testing.T) {
 	base := GenerateClustered(6000, 17)
-	v := OverlayOf(base, BuildIndex(base, TOUCHConfig{Partitions: 64}))
+	v := BuildIndex(base, TOUCHConfig{Partitions: 64})
 	boxes := func(n int, seed int64) []Box {
 		out := make([]Box, n)
 		for i, o := range GenerateUniform(n, seed) {
@@ -153,57 +147,5 @@ func TestFoldFingerprint(t *testing.T) {
 	live := v.Dataset()
 	if ids, _ := v.RangeQuery(NewBox(Point{-1e9, -1e9, -1e9}, Point{1e9, 1e9, 1e9})); len(ids) != len(live) {
 		t.Fatalf("the folded generation answers %d objects for the universe, its dataset holds %d", len(ids), len(live))
-	}
-}
-
-// TestOverlayOfUnorderedIDs: a generation's tier takes its ID set from
-// the tree's arena, whatever order the loaded dataset came in, so
-// deletes of objects of a dataset loaded in reverse ID order find them,
-// and the answers afterwards are the nested loop's over what is live. A
-// dataset that repeats an ID has no generation: OverlayOf panics and
-// NewMutable refuses it.
-func TestOverlayOfUnorderedIDs(t *testing.T) {
-	ds := GenerateUniform(2000, 23)
-	slices.Reverse(ds)
-	v := OverlayOf(ds, BuildIndex(ds, TOUCHConfig{}))
-	next, _, deleted, _ := v.Apply(nil, []ID{5, 1500})
-	if deleted != 2 {
-		t.Fatalf("deleting two live IDs of a reversed dataset tombstoned %d", deleted)
-	}
-	checkLive(t, next, slices.DeleteFunc(slices.Clone(ds), func(o Object) bool { return o.ID == 5 || o.ID == 1500 }))
-
-	dup := slices.Clone(ds)
-	dup[10].ID = dup[11].ID
-	func() {
-		defer func() {
-			if msg, _ := recover().(string); !strings.Contains(msg, "duplicate") {
-				t.Errorf("OverlayOf over a repeated ID: recovered %q, want a panic naming the duplicate", msg)
-			}
-		}()
-		OverlayOf(dup, BuildIndex(dup, TOUCHConfig{}))
-	}()
-	if _, err := NewMutable(dup, TOUCHConfig{}); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Errorf("NewMutable over a repeated ID: %v", err)
-	}
-}
-
-// checkLive compares v's range and kNN answers and its Dataset with the
-// nested loop over live, in any order.
-func checkLive(t *testing.T, v *Overlay, live Dataset) {
-	t.Helper()
-	byID := slices.Clone(live)
-	slices.SortFunc(byID, func(a, b Object) int { return int(a.ID) - int(b.ID) })
-	if got := v.Dataset(); !slices.Equal(got, byID) {
-		t.Fatalf("Dataset holds %d objects, %d are live", len(got), len(byID))
-	}
-	for i := 0; i < 40; i++ {
-		c := live[i*len(live)/40].Box.Center()
-		q := NewBox(Point{c[0] - 60, c[1] - 60, c[2] - 60}, Point{c[0] + 60, c[1] + 60, c[2] + 60})
-		if got, err := v.RangeQuery(q); err != nil || !slices.Equal(got, nl.RangeQuery(live, q)) {
-			t.Fatalf("RangeQuery(%v) = %v, %v; the nested loop finds %v", q, got, err, nl.RangeQuery(live, q))
-		}
-		if got, err := v.KNN(c, 7); err != nil || !slices.Equal(got, nl.KNN(live, c, 7)) {
-			t.Fatalf("KNN(%v, 7) = %v, %v; the nested loop finds %v", c, got, err, nl.KNN(live, c, 7))
-		}
 	}
 }
