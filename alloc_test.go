@@ -5,6 +5,8 @@ import (
 	"runtime/debug"
 	"testing"
 	"unsafe"
+
+	"touch/internal/core"
 )
 
 // allocBytes returns the bytes the second of two calls of f allocates,
@@ -25,11 +27,11 @@ func allocBytes(f func()) uint64 {
 }
 
 // TestDistanceJoinAllocBudget: a distance join allocates its answer and
-// little else. An index applies ε in its probe's own copy of B, whose
-// buffers a warm probe reuses, so a count-only DistanceJoin of an
-// N-object probe allocates less than one Object per probe object — an
-// enlarged copy of the probe alone would be one each; what it does
-// allocate is the engine's per-node grid headers. A materializing join
+// little else. An index applies ε as its probe gathers each node's B
+// objects into buffers a warm probe reuses, so a count-only DistanceJoin
+// of an N-object probe allocates less than one Object per probe object —
+// an enlarged copy of the probe alone would be one each; what it does
+// allocate is the call's own few hundred bytes. A materializing join
 // on a warm pool of pair chunks allocates that, its Result.Pairs and a
 // few kilobytes more, where gathering the pairs in fresh chunks would
 // allocate them twice.
@@ -63,5 +65,27 @@ func TestDistanceJoinAllocBudget(t *testing.T) {
 	if got := allocBytes(func() { join(nil) }); got > engine+answer+slack {
 		t.Errorf("materializing DistanceJoin allocated %d bytes, the count-only one %d, for a %d-byte answer: want at most %d more than both",
 			got, engine, answer, slack)
+	}
+}
+
+// TestOneShotDistanceJoinAllocBudget: a one-shot TOUCH join copies A
+// into its tree and nothing of B. Beyond what building the tree
+// allocates, a count-only DistanceJoin allocates less than half an
+// Object per probe object: the probe's index CSR and the per-node
+// scratch its local joins gather into, where a copy of B alone would be
+// one Object each.
+func TestOneShotDistanceJoinAllocBudget(t *testing.T) {
+	const n = 60_000
+	a, b := GenerateUniform(20_000, 63), GenerateUniform(n, 64)
+	build := allocBytes(func() { core.BuildExpanded(a, 5, core.Config{}) })
+	join := allocBytes(func() {
+		if _, err := DistanceJoin(AlgTOUCH, a, b, 5, &Options{NoPairs: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perObject := (float64(join) - float64(build)) / n
+	t.Logf("%.1f bytes a probe object beyond the tree", perObject)
+	if limit := unsafe.Sizeof(Object{}) / 2; perObject >= float64(limit) {
+		t.Errorf("count-only one-shot DistanceJoin allocated %.1f bytes a probe object beyond its tree, want under %d", perObject, limit)
 	}
 }

@@ -133,8 +133,8 @@ func (v *Overlay) joinCtx(ctx context.Context, b Dataset, eps float64, opt *Opti
 // when there are tombstones, then — unless the join was stopped or
 // nothing is unindexed — the brute-force pass over the live inserts into
 // the same chain, one nl.Join per run of inserts between two dead ones.
-// The probes grow b's boxes in their own copies; only the insert pass,
-// when there is one, joins an enlarged copy of b. The engine counts
+// The probes grow b's boxes as their local joins gather them; only the
+// insert pass, when there is one, joins an enlarged copy of b. The engine counts
 // every emission in c.Results before the filter can see it, so the
 // dropped pairs are subtracted afterwards, keeping Stats.Results equal to
 // the delivered (live) pair count. A non-nil o.Trace records the insert
@@ -215,9 +215,9 @@ func (t *tier) runProbe(b Dataset, eps float64, workers int, ctl *stats.Control,
 // DistanceJoin is Join against b with every box enlarged by eps: its
 // pairs and Stats are Join(b.Expand(eps))'s. The enlargement is on the
 // probe side — the trees are built already — and b is not copied for
-// it: each tier's probe grows the boxes in the copy of b it makes
-// anyway, its node segments; only the brute-force pass over pending
-// inserts, when there are any, joins an enlarged copy of b. Like the
+// it: each tier's probe grows the boxes of one node at a time, as that
+// node's local join gathers them; only the brute-force pass over
+// pending inserts, when there are any, joins an enlarged copy of b. Like the
 // one-shot DistanceJoin, an eps that is negative or NaN is rejected with
 // ErrNegativeDistance.
 func (v *Overlay) DistanceJoin(b Dataset, eps float64, opt *Options) (*Result, error) {

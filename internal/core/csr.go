@@ -14,8 +14,9 @@ import (
 // map[int64][]int32, paying a map allocation plus per-cell slice growth
 // for every node; the CSR build is two counting-sort passes into flat
 // offsets/ids arrays that live in a per-worker joinScratch and are
-// reused across all nodes the worker processes, so the steady-state
-// local join allocates nothing.
+// reused across all nodes the worker processes, with the node's gathered
+// B objects, its grid and the CSR header beside them, so the
+// steady-state local join allocates nothing.
 
 const (
 	// maxDenseCells bounds the dense offsets array a worker will hold
@@ -68,16 +69,22 @@ type cellEntry struct {
 // it in one step, not appended to: a slice regrown across nodes of slowly
 // rising size copies itself every time.
 type joinScratch struct {
-	tasks   []probeTask // the current node's probe tasks, see probeTasks
-	idx     []int32     // probeTasks' stack of surviving B object indexes
-	ranges  []cellRange // build only: each B object's cell range, see cellRanges
-	counts  []int32     // dense path: per-cell counts → end offsets
-	ids     []int32     // B object indexes grouped by cell
-	own     []uint8     // ownership byte of each replica in ids, see ownX
-	entries []cellEntry // sparse path: (key, idx, own) triples, sorted
-	keys    []int64     // sparse path: distinct occupied cell keys
-	offs    []int32     // sparse path: run offsets into ids, len(keys)+1
+	bObjs   []geom.Object // the current node's B objects, see Probe.nodeB
+	tasks   []probeTask   // the current node's probe tasks, see probeTasks
+	idx     []int32       // probeTasks' stack of surviving B object indexes
+	ranges  []cellRange   // build only: each B object's cell range, see cellRanges
+	counts  []int32       // dense path: per-cell counts → end offsets
+	ids     []int32       // B object indexes grouped by cell
+	own     []uint8       // ownership byte of each replica in ids, see ownX
+	entries []cellEntry   // sparse path: (key, idx, own) triples, sorted
+	keys    []int64       // sparse path: distinct occupied cell keys
+	offs    []int32       // sparse path: run offsets into ids, len(keys)+1
 	aObjs   []geom.Object
+
+	// The current node's grid and its CSR, by value: nodeGrid hands out
+	// pointers to them, valid until the worker's next node.
+	grid grid.Grid
+	csr  csrGrid
 
 	peakBytes int64 // largest analytic grid footprint seen (merged into Tree.peakGridBytes)
 }
@@ -191,7 +198,8 @@ func (ws *joinScratch) buildDense(g *grid.Grid, cells int, replicas int64) *csrG
 	}
 	// After the scatter pass counts[k] is the *end* offset of cell k
 	// (and counts[k-1] its start), exactly the CSR offsets run() needs.
-	return &csrGrid{dense: true, counts: counts, ids: ids, own: own, replicas: replicas, occupied: occupied}
+	ws.csr = csrGrid{dense: true, counts: counts, ids: ids, own: own, replicas: replicas, occupied: occupied}
+	return &ws.csr
 }
 
 func (ws *joinScratch) buildSparse(g *grid.Grid, replicas int64) *csrGrid {
@@ -236,10 +244,11 @@ func (ws *joinScratch) buildSparse(g *grid.Grid, replicas int64) *csrGrid {
 		ids[i], own[i] = e.idx, e.own
 	}
 	ws.offs = append(ws.offs, int32(len(ws.entries)))
-	return &csrGrid{
+	ws.csr = csrGrid{
 		dense: false, ids: ids, own: own, keys: ws.keys, offs: ws.offs,
 		replicas: replicas, occupied: int64(len(ws.keys)),
 	}
+	return &ws.csr
 }
 
 // run returns the B object indexes hashed into the cell with the given

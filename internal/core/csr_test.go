@@ -76,9 +76,10 @@ func runMapReference(a, b geom.Dataset, cfg Config, postDedup bool) mapReference
 	t := Build(a, cfg)
 	p := t.NewProbe()
 	p.Assign(b, nil, &ref.c)
+	ws := &joinScratch{}
 	for _, id := range p.active {
 		before := ref.c.Replicas
-		occupied := t.mapGridJoin(id, p.nodeB(id), postDedup, &ref.c, sink)
+		occupied := t.mapGridJoin(id, p.nodeB(id, ws), postDedup, &ref.c, sink)
 		ref.occupied += occupied
 		bytes := occupied*stats.BytesPerCell + (ref.c.Replicas-before)*stats.BytesPerRef
 		ref.peakBytes = max(ref.peakBytes, bytes)
@@ -163,7 +164,7 @@ func TestCSRMatchesMapGrid(t *testing.T) {
 			occupied := int64(0)
 			coarsened := false
 			for _, id := range p.active {
-				bs := p.nodeB(id)
+				bs := p.nodeB(id, ws)
 				g, csr := tr.nodeGrid(id, bs, &c, ws)
 				if sized, _ := tr.localGrid(id, bs); sized.Res != g.Res {
 					coarsened = true

@@ -56,7 +56,7 @@ func (k LocalJoinKind) String() string {
 }
 
 // localJoin dispatches one node's local join according to the
-// configuration. bs is the probe's B segment for the node and ws the
+// configuration. bs is the node's B objects, gathered into ws, the
 // calling worker's scratch arena; the tree itself is only read. tk is
 // the worker's cancellation ticker, threaded through every node the
 // worker processes so the checkpoints amortize across nodes.
@@ -123,17 +123,19 @@ const replicaSlack = 4
 // build's first pass): while they exceed replicaSlack times the estimated
 // work of the whole join, the resolution is halved and they are counted
 // again, each pass as cheap as one filter pass of probeTasks. An estimate
-// that is not finite coarsens nothing. The cell ranges of the grid
-// returned are left in ws for buildCSR.
+// that is not finite coarsens nothing. The grid returned is ws's, and
+// the cell ranges of it are left in ws for buildCSR.
 func (t *Tree) boundedGrid(id int32, bs []geom.Object, ws *joinScratch) (*grid.Grid, int64) {
-	g, work := t.localGrid(id, bs)
+	g := &ws.grid
+	var work float64
+	*g, work = t.localGrid(id, bs)
 	replicas := ws.cellRanges(g, bs)
 	for float64(replicas) > replicaSlack*work && g.Cells() > 1 {
 		res := g.Res
 		for d := range res {
 			res[d] = (res[d] + 1) / 2
 		}
-		g = grid.NewRes(t.table[id].mbr, res)
+		*g = grid.NewRes(t.table[id].mbr, res)
 		replicas = ws.cellRanges(g, bs)
 	}
 	return g, replicas
@@ -332,7 +334,7 @@ const cellHalvings = 4
 // replicas and cell lookups it adds; an estimate that is not finite
 // keeps the paper's side. The estimate of the side taken is returned with
 // the grid.
-func (t *Tree) localGrid(id int32, bs []geom.Object) (*grid.Grid, float64) {
+func (t *Tree) localGrid(id int32, bs []geom.Object) (grid.Grid, float64) {
 	n := &t.table[id]
 	extB := geom.Dataset(bs).AverageExtent()
 	extA := 0.0
@@ -398,8 +400,8 @@ func gridWork(mbr geom.Box, res grid.Coords, nA, nB, extA, extB float64) float64
 
 // sweepJoin plane-sweeps the subtree's A objects against the node's B
 // objects. The A objects are copied into worker scratch before sorting
-// (the arena must stay in leaf order); the B segment is private to the
-// probe and rewritten by its next Assign, so it is sorted in place.
+// (the arena must stay in leaf order); the B objects were gathered into
+// that scratch already (Probe.nodeB), so they are sorted in place.
 func (t *Tree) sweepJoin(id int32, bs []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink, ws *joinScratch) {
 	byXMin := func(a, b geom.Object) int { return cmp.Compare(a.Box.Min[0], b.Box.Min[0]) }
 	as := append(ws.aObjs[:0], t.subtreeA(id)...)

@@ -23,7 +23,8 @@ const (
 // the shared tree and record each object's destination node id in its
 // per-index dest slot, so no synchronization is needed beyond the final
 // counting-sort merge (Probe.merge), which runs in input order and makes
-// every node's B segment bit-identical to the sequential assignment.
+// every node's segment of B indexes identical to the sequential
+// assignment's.
 func (p *Probe) assignParallel(b geom.Dataset, eps float64, dest []int32, ctl *stats.Control, c *stats.Counters) {
 	workers := p.workers
 	if max := (len(b) + minParallelAssign - 1) / minParallelAssign; workers > max {
@@ -103,16 +104,16 @@ func (p *Probe) joinParallel(ctl *stats.Control, c *stats.Counters, sink stats.S
 		batches[w] = locked.NewBatch(sinkBatchSize)
 	}
 
-	// Stage 1: big nodes, one at a time: the tasks and the grid are built
-	// once, here, and every worker probes an equal share of the tasks'
-	// A objects.
+	// Stage 1: big nodes, one at a time: the node's B objects are
+	// gathered, and the tasks and the grid built, once, here, and every
+	// worker probes an equal share of the tasks' A objects.
 	tk0 := stats.NewTicker(ctl)
 	for _, id := range p.big {
 		if ctl.Stopped() {
 			break
 		}
-		bs := p.nodeB(id)
 		ws0 := p.scratches[0]
+		bs := p.nodeB(id, ws0)
 		tasks := ws0.probeTasks(t, id, bs, &tk0, c)
 		if tk0.Stopped() {
 			break
@@ -163,8 +164,8 @@ func (p *Probe) joinParallel(ctl *stats.Control, c *stats.Counters, sink stats.S
 				if i >= len(small) {
 					break
 				}
-				id := small[i]
-				t.localJoin(id, p.nodeB(id), &tk, &counters[w], batches[w], p.scratches[w])
+				id, ws := small[i], p.scratches[w]
+				t.localJoin(id, p.nodeB(id, ws), &tk, &counters[w], batches[w], ws)
 			}
 			batches[w].Flush()
 		}(w)

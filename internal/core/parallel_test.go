@@ -74,7 +74,7 @@ func TestWorkersEquivalence(t *testing.T) {
 }
 
 // TestParallelAssignMatchesSequential: the sharded assignment must leave
-// the probe's CSR bit-identical (same per-node segments, same order) to
+// the probe's CSR identical (same per-node index segments, same order) to
 // the sequential assignment.
 func TestParallelAssignMatchesSequential(t *testing.T) {
 	a := datagen.GaussianSet(800, 411).Expand(5)
@@ -99,8 +99,9 @@ func TestParallelAssignMatchesSequential(t *testing.T) {
 	if !slices.Equal(seq.nodeOff, par.nodeOff) {
 		t.Fatal("per-node CSR offsets differ")
 	}
-	if !slices.EqualFunc(seq.bObjs, par.bObjs, func(x, y geom.Object) bool { return x == y }) {
-		t.Fatal("assigned B objects differ in content or order")
+	// Equal input indexes gather equal objects in equal order.
+	if !slices.Equal(seq.bIdx, par.bIdx) {
+		t.Fatal("assigned B indexes differ in content or order")
 	}
 }
 

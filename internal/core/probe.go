@@ -16,20 +16,26 @@ import (
 // across sequential joins and queries: each Assign or query fully
 // overwrites the previous state, no reset step needed.
 //
-// The B assignments are a flat CSR over the tree's dense node ids: all
-// assigned B objects live in one contiguous slice grouped by node, with
-// per-node end offsets, replacing the per-node slices the tree itself
-// used to carry.
+// The B assignments are a flat CSR over the tree's dense node ids: the
+// input indexes of all assigned B objects in one contiguous slice
+// grouped by node, with per-node end offsets. The probe keeps the
+// caller's B between Assign and JoinPhase and copies none of it: each
+// local join gathers its node's objects into the calling worker's
+// scratch just before it runs (nodeB).
 type Probe struct {
 	tree    *Tree
 	workers int
 
-	// bObjs holds the assigned B objects grouped by node id (the CSR
-	// value array); nodeOff[id] is the end offset of node id's segment
-	// (its start is nodeOff[id-1], 0 for id 0). active lists the ids
-	// with a non-empty segment in ascending order — DFS pre-order, the
+	// b is the dataset of the last Assign, its boxes grown by eps where
+	// nodeB gathers them; JoinPhase drops it. bIdx holds the input
+	// indexes of the assigned objects grouped by node id (the CSR value
+	// array); nodeOff[id] is the end offset of node id's segment (its
+	// start is nodeOff[id-1], 0 for id 0). active lists the ids with a
+	// non-empty segment in ascending order — DFS pre-order, the
 	// sequential processing order.
-	bObjs   []geom.Object
+	b       geom.Dataset
+	eps     float64
+	bIdx    []int32
 	nodeOff []int32
 	active  []int32
 
@@ -67,21 +73,36 @@ func (p *Probe) Tree() *Tree { return p.tree }
 // to a worker pool for the join.
 func (p *Probe) SetWorkers(n int) { p.workers = n }
 
-// nodeB returns node id's segment of assigned B objects. The segment is
-// probe-private and rewritten by the next Assign, so local joins may
-// reorder it in place.
-func (p *Probe) nodeB(id int32) []geom.Object {
+// nodeIdx returns the input indexes of node id's assigned B objects,
+// in input order.
+func (p *Probe) nodeIdx(id int32) []int32 {
 	start := int32(0)
 	if id > 0 {
 		start = p.nodeOff[id-1]
 	}
-	end := p.nodeOff[id]
-	return p.bObjs[start:end:end]
+	return p.bIdx[start:p.nodeOff[id]]
+}
+
+// nodeB gathers node id's assigned B objects into ws, in input order,
+// each box grown by the probe's ε with the Box.Expand the assignment
+// tested. The slice is ws's and rewritten by its next nodeB, so local
+// joins may reorder it in place.
+func (p *Probe) nodeB(id int32, ws *joinScratch) []geom.Object {
+	idx := p.nodeIdx(id)
+	ws.bObjs = sized(ws.bObjs, len(idx))
+	bs, b, eps := ws.bObjs, p.b, p.eps
+	for i, bi := range idx {
+		bs[i] = b[bi]
+		if eps != 0 {
+			bs[i].Box = bs[i].Box.Expand(eps)
+		}
+	}
+	return bs
 }
 
 // Assigned returns the number of B objects the last Assign placed in the
 // tree (the probe dataset size minus the filtered objects).
-func (p *Probe) Assigned() int { return len(p.bObjs) }
+func (p *Probe) Assigned() int { return len(p.bIdx) }
 
 // LevelStats is one tree depth of Probe.Levels.
 type LevelStats struct {
@@ -138,7 +159,7 @@ func (p *Probe) Levels() []LevelStats {
 	for _, id := range p.active {
 		l := &levels[depth[id]]
 		l.Active++
-		l.AssignedB += len(p.nodeB(id))
+		l.AssignedB += len(p.nodeIdx(id))
 		l.ActiveA += t.table[id].aCount()
 	}
 	return levels
@@ -173,7 +194,7 @@ func (t *Tree) split(i int32) (dim int, share float64) {
 // after JoinPhase; together with Tree.StaticBytes it reproduces the
 // paper's TOUCH memory accounting (§6.4).
 func (p *Probe) MemoryBytes() int64 {
-	return int64(len(p.bObjs))*stats.BytesPerRef + p.peakGridBytes
+	return int64(len(p.bIdx))*stats.BytesPerRef + p.peakGridBytes
 }
 
 // Assign runs the assignment phase for all of dataset B, overwriting any
@@ -191,9 +212,10 @@ func (p *Probe) Assign(b geom.Dataset, ctl *stats.Control, c *stats.Counters) {
 
 // AssignExpanded is Assign over b with every box enlarged by eps
 // (geom.Box.Expand), without copying b: the descent tests each grown box
-// and the merge writes it into the node segments, the probe's own copy
-// of B, so the probe holds bit for bit what Assign(b.Expand(eps)) leaves.
-// eps = 0 is Assign, with no arithmetic on the boxes.
+// and each local join grows its node's objects as it gathers them, so
+// the join sees bit for bit the boxes of Assign(b.Expand(eps)). eps = 0
+// is Assign, with no arithmetic on the boxes. The probe keeps b until
+// JoinPhase returns; b must not change in between.
 func (p *Probe) AssignExpanded(b geom.Dataset, eps float64, ctl *stats.Control, c *stats.Counters) {
 	if cap(p.dest) < len(b) {
 		p.dest = make([]int32, len(b))
@@ -207,7 +229,7 @@ func (p *Probe) AssignExpanded(b geom.Dataset, eps float64, ctl *stats.Control, 
 	if ctl.Stopped() {
 		// The tail of dest was never written this round (it may hold a
 		// previous assignment's ids); merging it would corrupt the CSR.
-		p.bObjs = p.bObjs[:0]
+		p.b, p.bIdx = nil, p.bIdx[:0]
 		p.active = p.active[:0]
 		return
 	}
@@ -235,9 +257,9 @@ func (t *Tree) assignRange(b geom.Dataset, eps float64, dest []int32, lo, hi int
 }
 
 // merge builds the CSR from the per-object destinations: a counting sort
-// by node id whose scatter runs in input order, making every node
-// segment bit-identical to a sequential append. The scatter is where the
-// probe copies B, so that is where a box is enlarged by eps.
+// by node id whose scatter of input indexes runs in input order, so every
+// node gathers its objects in the order a sequential append would have
+// left them.
 func (p *Probe) merge(b geom.Dataset, eps float64, dest []int32) {
 	t := p.tree
 	if cap(p.nodeOff) < t.Nodes {
@@ -263,23 +285,16 @@ func (p *Probe) merge(b geom.Dataset, eps float64, dest []int32) {
 		off[id] = total
 		total += cnt
 	}
-	if cap(p.bObjs) < assigned {
-		p.bObjs = make([]geom.Object, assigned)
-	}
-	p.bObjs = p.bObjs[:assigned]
+	p.bIdx = sized(p.bIdx, assigned)
 	for i, id := range dest {
-		if id < 0 {
-			continue
+		if id >= 0 {
+			p.bIdx[off[id]] = int32(i)
+			off[id]++
 		}
-		o := &p.bObjs[off[id]]
-		*o = b[i]
-		if eps != 0 {
-			o.Box = o.Box.Expand(eps)
-		}
-		off[id]++
 	}
 	// After the scatter, off[id] is the end offset of node id's segment
-	// — exactly the CSR form nodeB reads.
+	// — exactly the CSR form nodeIdx reads.
+	p.b, p.eps = b, eps
 }
 
 // JoinPhase runs the third phase: every node holding B objects is joined
@@ -287,8 +302,11 @@ func (p *Probe) merge(b geom.Dataset, eps float64, dest []int32) {
 // local join, across the probe's workers when > 1. ctl (which may be
 // nil) is polled through amortized checkpoints inside every local join;
 // a stopped phase unwinds with partial counters and whatever pairs were
-// already emitted.
+// already emitted. It drops the probe's reference to the assigned
+// dataset when it returns, so a probe kept for reuse does not keep the
+// caller's B alive; the next join needs its own Assign.
 func (p *Probe) JoinPhase(ctl *stats.Control, c *stats.Counters, sink stats.Sink) {
+	defer func() { p.b = nil }()
 	p.peakGridBytes = 0
 	if len(p.active) == 0 || ctl.Stopped() {
 		return
@@ -305,14 +323,14 @@ func (p *Probe) JoinPhase(ctl *stats.Control, c *stats.Counters, sink stats.Sink
 		if tk.Stopped() {
 			break
 		}
-		t.localJoin(id, p.nodeB(id), &tk, c, sink, ws)
+		t.localJoin(id, p.nodeB(id, ws), &tk, c, sink, ws)
 	}
 	p.peakGridBytes = ws.peakBytes
 }
 
 // joinCost estimates node id's local-join work for this probe.
 func (p *Probe) joinCost(id int32) int64 {
-	return int64(len(p.nodeB(id))) * int64(p.tree.table[id].aCount())
+	return int64(len(p.nodeIdx(id))) * int64(p.tree.table[id].aCount())
 }
 
 // scratch returns worker w's reusable buffer arena, growing the pool on

@@ -16,7 +16,7 @@ func nodeTasks(tr *Tree, p *Probe, c *stats.Counters) map[int32][]probeTask {
 	ws := &joinScratch{}
 	out := make(map[int32][]probeTask, len(p.active))
 	for _, id := range p.active {
-		out[id] = append([]probeTask(nil), ws.probeTasks(tr, id, p.nodeB(id), nil, c)...)
+		out[id] = append([]probeTask(nil), ws.probeTasks(tr, id, p.nodeB(id, ws), nil, c)...)
 	}
 	return out
 }
@@ -61,8 +61,9 @@ func TestProbeTasksLoseNoPair(t *testing.T) {
 			var c stats.Counters
 			p.Assign(b, nil, &c)
 			assigned := make(map[geom.ID]int32, len(b))
+			ws := &joinScratch{}
 			for _, id := range p.active {
-				for _, o := range p.nodeB(id) {
+				for _, o := range p.nodeB(id, ws) {
 					assigned[o.ID] = id
 				}
 			}

@@ -44,12 +44,14 @@
 // ranges. After Build returns, nothing ever mutates a Tree — every
 // method on it is read-only — so one Tree can serve any number of
 // concurrent joins. Probe owns everything a single join writes: the B
-// assignments (a flat CSR over the dense node ids), the worker count,
-// the local-join scratch buffers and the transient memory high-water
-// marks. Each concurrent join needs its own Probe (and its own
-// stats.Counters and Sink); a Probe is reusable across sequential joins
-// and recycles all of its buffers, so steady-state serving allocates
-// near zero.
+// assignments (a flat CSR of input indexes over the dense node ids), the
+// worker count, the local-join scratch buffers and the transient memory
+// high-water marks. It copies nothing of B: each local join gathers its
+// node's objects into the calling worker's scratch, and the probe lets
+// go of B when its join phase returns. Each concurrent join needs its
+// own Probe (and its own stats.Counters and Sink); a Probe is reusable
+// across sequential joins and recycles all of its buffers, so a warm
+// probe's assignment and join allocate nothing.
 //
 // # Flat layout invariant
 //
@@ -72,8 +74,8 @@
 // included, so local joins read their A objects as a zero-copy slice view
 // instead of re-walking the subtree. Nothing may reorder the arena after
 // Build (local joins that need a different order, e.g. the plane-sweep,
-// must copy first — B objects live in the probe's private CSR and may be
-// reordered freely).
+// must copy first — a node's B objects are gathered into worker scratch
+// and may be reordered freely).
 //
 // Under every leaf sits a block directory: one MBR per leafBlock
 // consecutive arena objects of the leaf, so a single probe — a range
@@ -430,9 +432,10 @@ func Join(a, b geom.Dataset, cfg Config, ctl *stats.Control, c *stats.Counters, 
 // JoinExpanded is Join of a with every box enlarged by epsA against b
 // with every box enlarged by epsB, copying neither: the boxes are grown
 // where the engine copies them anyway, in the tree's arena
-// (BuildExpanded) and the probe's node segments (AssignExpanded). The
-// probe runs with the given worker count (Probe.SetWorkers). Its pairs
-// and counters are Join(a.Expand(epsA), b.Expand(epsB))'s.
+// (BuildExpanded) and as each local join gathers its node's B objects
+// (AssignExpanded). The probe runs with the given worker count
+// (Probe.SetWorkers). Its pairs and counters are
+// Join(a.Expand(epsA), b.Expand(epsB))'s.
 func JoinExpanded(a geom.Dataset, epsA float64, b geom.Dataset, epsB float64, cfg Config, workers int, ctl *stats.Control, c *stats.Counters, sink stats.Sink) {
 	start := time.Now()
 	t := BuildExpanded(a, epsA, cfg)

@@ -34,12 +34,15 @@ func New(universe geom.Box, res int) *Grid {
 	for d := 0; d < geom.Dims; d++ {
 		r[d] = res
 	}
-	return NewRes(universe, r)
+	g := NewRes(universe, r)
+	return &g
 }
 
-// NewRes creates a grid with a separate resolution per dimension.
-func NewRes(universe geom.Box, res Coords) *Grid {
-	g := &Grid{Universe: universe, Res: res}
+// NewRes creates a grid with a separate resolution per dimension. It
+// returns the grid by value, so a caller building one per node can keep
+// it in reused storage instead of allocating it.
+func NewRes(universe geom.Box, res Coords) Grid {
+	g := Grid{Universe: universe, Res: res}
 	for d := 0; d < geom.Dims; d++ {
 		if res[d] < 1 {
 			panic(fmt.Sprintf("grid: resolution %d < 1 in dim %d", res[d], d))
@@ -59,7 +62,7 @@ func NewRes(universe geom.Box, res Coords) *Grid {
 // given side length, clamping the per-dimension resolution to maxRes.
 // Used by TOUCH's local join to keep cells "considerably larger than the
 // average size of the objects" (§5.2.2).
-func NewCellSize(universe geom.Box, side float64, maxRes int) *Grid {
+func NewCellSize(universe geom.Box, side float64, maxRes int) Grid {
 	return NewRes(universe, ResFor(universe, side, maxRes))
 }
 

@@ -241,7 +241,7 @@ func TestForEachCellVisitsAllOnce(t *testing.T) {
 func TestPropCoordsWithinRes(t *testing.T) {
 	g := NewRes(universe(), Coords{4, 9, 13})
 	f := func(x, y, z float64) bool {
-		c := cellOf(g, geom.Point{x * 200, y * 200, z * 200})
+		c := cellOf(&g, geom.Point{x * 200, y * 200, z * 200})
 		for d := 0; d < geom.Dims; d++ {
 			if c[d] < 0 || c[d] >= g.Res[d] {
 				return false

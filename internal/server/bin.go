@@ -520,8 +520,8 @@ func (x *exec) update(ctx context.Context, p []byte) *api.Error {
 // with it. A failure after pairs went out still has its terminal frame:
 // OpError tells the reader to discard what it took for the request.
 // Every join goes through DistanceJoinCtx, ε = 0 being the plain
-// intersection join: the engine applies ε in its probe's own copy of
-// the boxes, so no ε copies the probe.
+// intersection join: the engine applies ε to each node's boxes as its
+// local join gathers them, so no ε copies the probe.
 func (x *exec) join(ctx context.Context, p []byte) *api.Error {
 	s := x.s
 	decStart := time.Now()

@@ -10,8 +10,8 @@ import (
 )
 
 // A distance join applies ε inside the engine's own copies of the
-// datasets — the tree's arena, the probe's node segments — instead of
-// joining an enlarged copy. The tests here hold it to the copy it
+// datasets — the tree's arena, each local join's gathered node — instead
+// of joining an enlarged copy. The tests here hold it to the copy it
 // replaced: the same pairs and the same counters as the intersection
 // join over the explicitly expanded dataset.
 

@@ -433,9 +433,9 @@ func SpatialJoinCtx(ctx context.Context, alg Algorithm, a, b Dataset, opt *Optio
 }
 
 // joinCtx is the one-shot join of SpatialJoinCtx and DistanceJoinCtx:
-// A's boxes enlarged by eps against B's. TOUCH grows them in its own
-// copies of the datasets (core.JoinExpanded); the baselines join a grown
-// copy of A.
+// A's boxes enlarged by eps against B's. TOUCH grows them where it reads
+// them anyway, copying neither dataset for it (core.JoinExpanded); the
+// baselines join a grown copy of A.
 func joinCtx(ctx context.Context, alg Algorithm, a, b Dataset, eps float64, opt *Options) (*Result, error) {
 	o := opt.normalized()
 	join, err := bind(alg, &o)
@@ -505,9 +505,9 @@ func collect(ctx context.Context, o *Options, swapped bool, run func(*stats.Cont
 // b)'s. Enlarging either dataset yields the same pair set, so the
 // join-order heuristic of SpatialJoin applies unchanged, ε going with A
 // to whichever side it lands on. AlgTOUCH copies neither dataset for
-// it: ε is applied in the copies the engine makes anyway — the tree's
-// arena when A builds the tree, the probe's node segments when it is
-// the probe. The other algorithms join an enlarged copy of A. An eps
+// it: ε is applied where the engine copies objects anyway — the tree's
+// arena when A builds the tree, each local join's gathered node when it
+// is the probe. The other algorithms join an enlarged copy of A. An eps
 // that is negative or NaN is rejected with ErrNegativeDistance; +Inf
 // joins every pair.
 func DistanceJoin(alg Algorithm, a, b Dataset, eps float64, opt *Options) (*Result, error) {
@@ -529,7 +529,7 @@ func bind(alg Algorithm, o *Options) (parallel.JoinFunc, error) {
 	switch alg {
 	case AlgTOUCH:
 		// joinCtx runs TOUCH itself: it parallelizes internally and
-		// applies ε in its own copies of the datasets.
+		// applies ε itself, copying neither dataset for it.
 		return nil, nil
 	case AlgNL:
 		return nl.Join, nil
