@@ -31,39 +31,59 @@ func cancelFixture(n int) (a, b Dataset) {
 // — i.e. mid-join, deterministically — must return ErrJoinCanceled, and
 // the engine must stop within a bounded number of further emissions
 // (the checkpoint interval plus one indivisible work unit), not run the
-// join to completion.
+// join to completion. Besides every algorithm's one-shot join, it prices
+// a TOUCH index join whose every pair comes from a range scan: one B box
+// over a dense index, reaching each task alone.
 func TestCancelMidJoinBounded(t *testing.T) {
 	a, b := cancelFixture(400) // 160000 pairs if run to completion
 	algs := append(Algorithms(), AlgSeeded)
 	for _, alg := range algs {
 		t.Run(string(alg), func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var after atomic.Int64
-			canceledAt := int64(100)
-			var n int64
-			sink := countingSink(func() {
-				if n++; n == canceledAt {
-					cancel()
-				} else if n > canceledAt {
-					after.Add(1)
-				}
+			checkCancelBound(t, func(ctx context.Context, opt *Options) error {
+				_, err := SpatialJoinCtx(ctx, alg, a, b, opt)
+				return err
 			})
-			_, err := SpatialJoinCtx(ctx, alg, a, b, &Options{Sink: sink})
-			if !errors.Is(err, ErrJoinCanceled) {
-				t.Fatalf("cancelled %s join returned %v, want ErrJoinCanceled", alg, err)
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s: error %v must wrap context.Canceled", alg, err)
-			}
-			// The abort is cooperative: every worker may run up to one
-			// checkpoint interval past the cancel, plus one indivisible
-			// unit (a grid-cell run, a sweep prefix). 2× the interval is
-			// a safe, meaningful bound — full completion would be 160000.
-			if got := after.Load(); got > 2*stats.CheckEvery {
-				t.Fatalf("%s emitted %d pairs after cancellation (bound %d)", alg, got, 2*stats.CheckEvery)
-			}
 		})
+	}
+	t.Run("index-lone-scan", func(t *testing.T) {
+		dense, one := cancelFixture(20_000) // 20000 pairs, all of one B box
+		ix := BuildIndex(dense, TOUCHConfig{})
+		checkCancelBound(t, func(ctx context.Context, opt *Options) error {
+			_, err := ix.JoinCtx(ctx, one[:1], opt)
+			return err
+		})
+	})
+}
+
+// checkCancelBound runs join with a sink that cancels its context at the
+// 100th pair and checks the error and the pairs emitted after it.
+func checkCancelBound(t *testing.T, join func(context.Context, *Options) error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var after atomic.Int64
+	canceledAt := int64(100)
+	var n int64
+	sink := countingSink(func() {
+		if n++; n == canceledAt {
+			cancel()
+		} else if n > canceledAt {
+			after.Add(1)
+		}
+	})
+	err := join(ctx, &Options{Sink: sink})
+	if !errors.Is(err, ErrJoinCanceled) {
+		t.Fatalf("cancelled join returned %v, want ErrJoinCanceled", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v must wrap context.Canceled", err)
+	}
+	// The abort is cooperative: every worker may run up to one
+	// checkpoint interval past the cancel, plus one indivisible unit (a
+	// grid-cell run, a leaf block, a sweep prefix). 2× the interval is a
+	// safe, meaningful bound — far below the join run to completion.
+	if got := after.Load(); got > 2*stats.CheckEvery {
+		t.Fatalf("emitted %d pairs after cancellation (bound %d)", got, 2*stats.CheckEvery)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"touch/internal/core"
 	"touch/internal/datagen"
+	"touch/internal/geom"
 	"touch/internal/stats"
 )
 
@@ -17,8 +18,9 @@ func init() {
 		Title: "Ablation: TOUCH local-join strategies (beyond the paper)",
 		Description: "Algorithm 4 variants on the fig9 workload: grid with pre-test " +
 			"dedup (this repo's default), grid with post-test reference-point dedup " +
-			"(the paper's), plane-sweep and nested local joins; plus the fanout " +
-			"sensitivity of each grid mode.",
+			"(the paper's), plane-sweep and nested local joins, and the default grid " +
+			"under a served join's probe, 1% of B, whose lone tasks build no grid; " +
+			"plus the fanout sensitivity of each grid mode.",
 		Run: runAblation,
 	})
 }
@@ -35,13 +37,20 @@ func runAblation(rc RunConfig, w io.Writer) error {
 	fmt.Fprintf(w, "\nLocal-join strategy ablation (uniform %s × %s, ε=5 pre-applied)\n",
 		thousands(len(a)), thousands(len(b)))
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "strategy\tcomparisons\ttime\tresults\n")
-	for _, kind := range kinds {
+	fmt.Fprintf(tw, "strategy\tcomparisons\treplicas\ttime\tresults\n")
+	row := func(name string, probe geom.Dataset, kind core.LocalJoinKind) {
 		var c stats.Counters
-		core.Join(a, b, core.Config{LocalJoin: kind}, nil, &c, &stats.CountSink{})
-		fmt.Fprintf(tw, "%s\t%d\t%v\t%d\n",
-			kind, c.Comparisons, c.Total().Round(time.Millisecond), c.Results)
+		core.Join(a, probe, core.Config{LocalJoin: kind}, nil, &c, &stats.CountSink{})
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%v\t%d\n",
+			name, c.Comparisons, c.Replicas, c.Total().Round(time.Millisecond), c.Results)
 	}
+	for _, kind := range kinds {
+		row(kind.String(), b, kind)
+	}
+	// The served join's shape: a probe far smaller than the index, most of
+	// whose tasks one B object reaches alone and are scanned, not gridded.
+	served := b[:len(b)/100]
+	row(fmt.Sprintf("%s, served (B/100 = %s)", core.LocalJoinGrid, thousands(len(served))), served, core.LocalJoinGrid)
 	if err := tw.Flush(); err != nil {
 		return err
 	}

@@ -13,8 +13,33 @@ import (
 // mapGridJoin is the seed implementation of Algorithm 4 — B replicas
 // hashed into a map[int64][]int32 — kept here as the reference the CSR
 // grid must not diverge from: identical Comparisons, Replicas, occupied
-// cell count and result set per node.
-func (t *Tree) mapGridJoin(id int32, bs []geom.Object, postDedup bool, c *stats.Counters, sink stats.Sink) int64 {
+// cell count and result set per node. With scan set it also models
+// joinTask's dispatch: in pre-test dedup mode a lone task's A objects
+// are tested against its one B object directly, and a node whose tasks
+// are all lone builds no grid.
+func (t *Tree) mapGridJoin(id int32, bs []geom.Object, postDedup, scan bool, c *stats.Counters, sink stats.Sink) int64 {
+	scan = scan && !postDedup
+	tasks := new(joinScratch).probeTasks(t, id, bs, nil, c)
+	gridded := !scan
+	var as []geom.Object // the A objects the grid's tasks let through
+	for _, task := range tasks {
+		for _, a := range t.arena[task.aStart:task.aEnd] {
+			if !a.Box.Intersects(task.mbr) {
+				continue
+			}
+			if scan && task.lone >= 0 {
+				c.Comparisons++
+				c.Results++
+				sink.Emit(a.ID, bs[task.lone].ID)
+				continue
+			}
+			as = append(as, a)
+		}
+		gridded = gridded || task.lone < 0
+	}
+	if !gridded {
+		return 0
+	}
 	g, _ := t.boundedGrid(id, bs, new(joinScratch))
 	cells := make(map[int64][]int32)
 	for i := range bs {
@@ -23,14 +48,6 @@ func (t *Tree) mapGridJoin(id int32, bs []geom.Object, postDedup bool, c *stats.
 			cells[k] = append(cells[k], int32(i))
 			c.Replicas++
 		})
-	}
-	var as []geom.Object // the A objects the probe tasks let through
-	for _, task := range new(joinScratch).probeTasks(t, id, bs, nil, c) {
-		for _, a := range t.arena[task.aStart:task.aEnd] {
-			if a.Box.Intersects(task.mbr) {
-				as = append(as, a)
-			}
-		}
 	}
 	for ai := range as {
 		a := &as[ai]
@@ -69,8 +86,9 @@ type mapReference struct {
 	peakBytes int64       // largest per-node analytic grid footprint
 }
 
-// runMapReference executes build + probe assign + map-grid join.
-func runMapReference(a, b geom.Dataset, cfg Config, postDedup bool) mapReference {
+// runMapReference executes build + probe assign + map-grid join, lone
+// tasks scanned when scan is set.
+func runMapReference(a, b geom.Dataset, cfg Config, postDedup, scan bool) mapReference {
 	var ref mapReference
 	sink := &stats.CollectSink{}
 	t := Build(a, cfg)
@@ -79,7 +97,7 @@ func runMapReference(a, b geom.Dataset, cfg Config, postDedup bool) mapReference
 	ws := &joinScratch{}
 	for _, id := range p.active {
 		before := ref.c.Replicas
-		occupied := t.mapGridJoin(id, p.nodeB(id, ws), postDedup, &ref.c, sink)
+		occupied := t.mapGridJoin(id, p.nodeB(id, ws), postDedup, scan, &ref.c, sink)
 		ref.occupied += occupied
 		bytes := occupied*stats.BytesPerCell + (ref.c.Replicas-before)*stats.BytesPerRef
 		ref.peakBytes = max(ref.peakBytes, bytes)
@@ -91,12 +109,15 @@ func runMapReference(a, b geom.Dataset, cfg Config, postDedup bool) mapReference
 // TestCSRMatchesMapGrid: the CSR grid must count exactly the same
 // Comparisons and Replicas as the seed's map grid, in both dedup modes,
 // across distributions and grid shapes (including configs that force the
-// sparse CSR path via coarse node MBRs) — probed node by node, and
-// through JoinPhase with 2 and 4 workers, where stage 1 of joinParallel
-// chunks a big node's A objects across workers probing one shared grid.
-// Node by node, every replica's ownership byte is checked against the
-// boxes too; the map grid decides ownership from the boxes alone, through
-// RefCell.
+// sparse CSR path via coarse node MBRs) — probed node by node, every
+// task through the grid, and through JoinPhase with 1, 2 and 4 workers,
+// where stage 1 of joinParallel chunks a big node's A objects across
+// workers probing one shared grid. JoinPhase scans the tasks one B object
+// reaches alone and grids a node only for its other tasks; its counters
+// and peak must equal the map grid's run through the same dispatch, and
+// its pairs the grid's. Node by node, every replica's ownership byte is
+// checked against the boxes too; the map grid decides ownership from the
+// boxes alone, through RefCell.
 func TestCSRMatchesMapGrid(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -153,7 +174,8 @@ func TestCSRMatchesMapGrid(t *testing.T) {
 			if postDedup {
 				cfg.LocalJoin = LocalJoinGridPostDedup
 			}
-			ref := runMapReference(tc.a, tc.b, cfg, postDedup)
+			ref := runMapReference(tc.a, tc.b, cfg, postDedup, false)
+			scanRef := runMapReference(tc.a, tc.b, cfg, postDedup, true)
 
 			var c stats.Counters
 			sink := &stats.CollectSink{}
@@ -195,24 +217,24 @@ func TestCSRMatchesMapGrid(t *testing.T) {
 				t.Errorf("%s postDedup=%v: pair set differs from map grid", tc.name, postDedup)
 			}
 
-			for _, workers := range []int{2, 4} {
+			for _, workers := range []int{1, 2, 4} {
 				var c stats.Counters
 				sink := &stats.CollectSink{}
 				p.SetWorkers(workers)
 				p.Assign(tc.b, nil, &c)
 				p.JoinPhase(nil, &c, sink)
-				if tc.chunked && len(p.big) == 0 {
+				if tc.chunked && workers > 1 && len(p.big) == 0 {
 					t.Fatalf("%s workers=%d: premise: no node was chunked across workers", tc.name, workers)
 				}
-				if c != ref.c {
+				if c != scanRef.c {
 					t.Errorf("%s postDedup=%v workers=%d: counters %+v, map grid %+v",
-						tc.name, postDedup, workers, c, ref.c)
+						tc.name, postDedup, workers, c, scanRef.c)
 				}
 				// The peak is one node's occupied cells and replicas: the
 				// occupied-cell count as the parallel path accounts it.
-				if p.peakGridBytes != ref.peakBytes {
+				if p.peakGridBytes != scanRef.peakBytes {
 					t.Errorf("%s postDedup=%v workers=%d: peak grid bytes %d, map grid %d",
-						tc.name, postDedup, workers, p.peakGridBytes, ref.peakBytes)
+						tc.name, postDedup, workers, p.peakGridBytes, scanRef.peakBytes)
 				}
 				if !slices.Equal(sortedPairs(sink.Pairs), ref.pairs) {
 					t.Errorf("%s postDedup=%v workers=%d: pair set differs from map grid",

@@ -79,14 +79,64 @@ func (t *Tree) localJoin(id int32, bs []geom.Object, tk *stats.Ticker, c *stats.
 // probe tasks, see probeTasks — probe the cells they overlap. Depending
 // on the configuration, duplicate candidates are skipped before the test
 // (canonical-cell rule) or discarded after it (reference-point method).
+// A task one B object reaches alone needs no grid: with pre-test dedup it
+// is a scan of its A objects against that box (joinTask), and a node all
+// of whose tasks are lone builds none (taskGrid).
 func (t *Tree) gridJoin(id int32, bs []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink, ws *joinScratch) {
 	tasks := ws.probeTasks(t, id, bs, tk, c)
 	if tk.Stopped() {
 		return
 	}
-	g, csr := t.nodeGrid(id, bs, c, ws)
+	g, csr := t.taskGrid(id, bs, tasks, c, ws)
 	for i := range tasks {
-		t.gridProbe(g, csr, bs, &tasks[i], tk, c, sink)
+		t.joinTask(g, csr, bs, &tasks[i], tk, c, sink)
+	}
+}
+
+// scans reports whether joinTask scans task instead of probing a grid:
+// it is lone and the dedup is pre-test. Post-test dedup, the paper's
+// mode, keeps a grid for every task, so its counts are Algorithm 4's.
+func (t *Tree) scans(task *probeTask) bool {
+	return task.lone >= 0 && t.cfg.LocalJoin == LocalJoinGrid
+}
+
+// taskGrid builds node id's grid (nodeGrid) when one of its tasks needs
+// it, and returns nil for both when joinTask scans every task, or there
+// is none. Post-test dedup builds every node's grid, as Algorithm 4 does.
+func (t *Tree) taskGrid(id int32, bs []geom.Object, tasks []probeTask, c *stats.Counters, ws *joinScratch) (*grid.Grid, *csrGrid) {
+	need := t.cfg.LocalJoin != LocalJoinGrid
+	for i := 0; i < len(tasks) && !need; i++ {
+		need = !t.scans(&tasks[i])
+	}
+	if !need {
+		return nil, nil
+	}
+	return t.nodeGrid(id, bs, c, ws)
+}
+
+// joinTask joins one probe task, or any stretch of one: the one dispatch
+// of the sequential join and of joinParallel's shares. A task one B
+// object reaches alone is a range scan — every A object of it that meets
+// the box is one comparison and one result, emitted in A order, as
+// gridProbe would emit them — charged to the ticker once, for the task's
+// length, which is at most a leaf block. Any other task probes g and csr,
+// built by taskGrid.
+func (t *Tree) joinTask(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *probeTask, tk *stats.Ticker, c *stats.Counters, sink stats.Sink) {
+	if !t.scans(task) {
+		t.gridProbe(g, csr, bs, task, tk, c, sink)
+		return
+	}
+	if tk.TickN(int(task.aEnd - task.aStart)) {
+		return
+	}
+	b := &bs[task.lone]
+	as := t.arena[task.aStart:task.aEnd]
+	for ai := range as {
+		if as[ai].Box.Meets(&task.mbr) {
+			c.Comparisons++
+			c.Results++
+			sink.Emit(as[ai].ID, b.ID)
+		}
 	}
 }
 
@@ -143,9 +193,11 @@ func (t *Tree) boundedGrid(id int32, bs []geom.Object, ws *joinScratch) (*grid.G
 
 // probeTask is one stretch [aStart, aEnd) of a node's arena range whose A
 // objects may meet the node's B objects, with the MBR of the B objects
-// that can reach it.
+// that can reach it. When exactly one can, lone is its index in the
+// node's B objects and mbr is its box; otherwise lone is -1.
 type probeTask struct {
 	aStart, aEnd int32
+	lone         int32
 	mbr          geom.Box
 }
 
@@ -160,10 +212,11 @@ type probeTask struct {
 // objects are left — one more filter pass then costs more than the
 // probes it can save — and does not stop at a leaf: while no more B
 // objects are left than a block holds, the leaf's blocks are its
-// children, so a small probe's tasks are blocks, not buckets. Tasks come
-// out disjoint and in ascending arena order, so probing them in turn
-// visits the surviving A objects in the order a scan of the whole subtree
-// would.
+// children, so a small probe's tasks are blocks, not buckets. Below a
+// node one B object reaches alone the descent is loneTasks, a forward
+// walk making the same tests. Tasks come out disjoint and in ascending
+// arena order, so probing them in turn visits the surviving A objects in
+// the order a scan of the whole subtree would.
 //
 // The ticker is charged one unit per test, a filter pass at a time: a
 // cancelled join gives up within one pass over the node's B objects. The
@@ -182,6 +235,10 @@ func (ws *joinScratch) probeTasks(t *Tree, id int32, bs []geom.Object, tk *stats
 func (ws *joinScratch) descend(t *Tree, id int32, bs []geom.Object, from int, tk *stats.Ticker, c *stats.Counters) {
 	e := &t.table[id]
 	end := len(ws.idx)
+	if end-from == 1 {
+		ws.loneTasks(t, id, bs, ws.idx[from], tk, c)
+		return
+	}
 	leaf := e.leaf(id)
 	if end-from > e.aCount() || (leaf && (end-from > leafBlock || e.blocks() < 2)) {
 		ws.emit(e.aStart, e.aEnd, bs, from)
@@ -205,6 +262,58 @@ func (ws *joinScratch) descend(t *Tree, id int32, bs []geom.Object, from int, tk
 	}
 }
 
+// loneTasks is descend below node id for the one B object bs[bi] left
+// there. A filter pass is then one test and the survivors' MBR is the
+// box, so the recursion is a forward walk of the subtree's entries by
+// their skip links, the shape of rangeQuery: a node the box misses is
+// left with its subtree, a leaf is emitted whole (one block) or block by
+// block, and an inner node is followed by its first child. It makes
+// descend's tests in descend's order, charged alike, and emits descend's
+// tasks, each at most a leaf block long.
+func (ws *joinScratch) loneTasks(t *Tree, id int32, bs []geom.Object, bi int32, tk *stats.Ticker, c *stats.Counters) {
+	task := probeTask{lone: bi, mbr: bs[bi].Box}
+	b := &task.mbr
+	tests := int64(0)
+walk:
+	for i, end := id, t.table[id].skip; i < end; {
+		e := &t.table[i]
+		if i > id {
+			// The parent's filter pass over this child.
+			if tk.Tick() {
+				break walk
+			}
+			tests++
+			if !e.mbr.Meets(b) {
+				i = e.skip
+				continue
+			}
+		}
+		leaf := e.leaf(i)
+		switch {
+		case e.aCount() < 1 || leaf && e.blocks() < 2:
+			task.aStart, task.aEnd = e.aStart, e.aEnd
+			ws.tasks = append(ws.tasks, task)
+		case leaf:
+			for k := int32(0); k < e.blocks(); k++ {
+				if tk.Tick() {
+					break walk
+				}
+				tests++
+				if t.blocks[e.block+k].Meets(b) {
+					task.aStart = e.aStart + k*leafBlock
+					task.aEnd = min(task.aStart+leafBlock, e.aEnd)
+					ws.tasks = append(ws.tasks, task)
+				}
+			}
+		default:
+			i++
+			continue
+		}
+		i = e.skip
+	}
+	c.NodeTests += tests
+}
+
 // meeting is one filter pass of descend: it pushes the B objects of
 // ws.idx[from:end] that meet mbr onto the stack and reports whether any
 // does. A stopped ticker reads as none.
@@ -221,24 +330,29 @@ func (ws *joinScratch) meeting(mbr *geom.Box, bs []geom.Object, from, end int, t
 	return len(ws.idx) > end
 }
 
-// emit appends the task [aStart, aEnd) for the B objects ws.idx[from:].
+// emit appends the task [aStart, aEnd) for the B objects ws.idx[from:],
+// lone when a block's filter pass left one of them.
 func (ws *joinScratch) emit(aStart, aEnd int32, bs []geom.Object, from int) {
-	mbr := geom.EmptyBox()
-	for _, bi := range ws.idx[from:] {
-		mbr.Extend(&bs[bi].Box)
+	task := probeTask{aStart: aStart, aEnd: aEnd, lone: -1, mbr: geom.EmptyBox()}
+	if len(ws.idx)-from == 1 {
+		task.lone = ws.idx[from]
 	}
-	ws.tasks = append(ws.tasks, probeTask{aStart: aStart, aEnd: aEnd, mbr: mbr})
+	for _, bi := range ws.idx[from:] {
+		task.mbr.Extend(&bs[bi].Box)
+	}
+	ws.tasks = append(ws.tasks, task)
 }
 
 // gridProbe runs the probe side of Algorithm 4 for one task: every A
 // object of the task that meets the task's MBR probes the cells it
 // overlaps in the built CSR grid (the others are rejected before their
 // cell range is computed; like that computation, the rejection is not a
-// counted test). The grid and csr are read-only here, so joinParallel can
-// fan the tasks of one huge node out across workers, each probing its own
-// share. The worker's ticker is charged one unit per candidate run entry,
-// so a cancelled join aborts within CheckEvery comparisons plus one cell
-// run.
+// counted test). joinTask sends it every task two or more B objects
+// reach, and in post-test dedup mode every task. The grid and csr are
+// read-only here, so joinParallel can fan the tasks of one huge node out
+// across workers, each probing its own share. The worker's ticker is
+// charged one unit per candidate run entry, so a cancelled join aborts
+// within CheckEvery comparisons plus one cell run.
 //
 // A pair sharing several cells belongs to exactly one of them: the cell
 // where, in every dimension, one of the two objects begins (Tsitsigkos

@@ -56,9 +56,10 @@ func (p *Probe) assignParallel(b geom.Dataset, eps float64, dest []int32, ctl *s
 // the root-most nodes can hold orders of magnitude more work than a
 // leaf, and a node is otherwise indivisible — are processed one at a
 // time with all workers cooperating: the probe tasks and the CSR grid
-// are built once and the tasks' A objects are probed in parallel shares
-// — the same task list the sequential join walks, so the counters do not
-// depend on the worker count. The remaining nodes are dispatched whole
+// are built once and the tasks' A objects are joined in parallel shares
+// — the same task list the sequential join walks, each stretch of a task
+// joined as the whole task is, so the counters do not depend on the
+// worker count. The remaining nodes are dispatched whole
 // to a worker pool, most expensive first. Each
 // worker owns a stats.Counters and a joinScratch (grid buffers are
 // reused across nodes and across joins) and batches emitted pairs,
@@ -105,8 +106,9 @@ func (p *Probe) joinParallel(ctl *stats.Control, c *stats.Counters, sink stats.S
 	}
 
 	// Stage 1: big nodes, one at a time: the node's B objects are
-	// gathered, and the tasks and the grid built, once, here, and every
-	// worker probes an equal share of the tasks' A objects.
+	// gathered, and the tasks and the grid (if a task needs one) built,
+	// once, here, and every worker joins an equal share of the tasks' A
+	// objects through the sequential join's dispatch, joinTask.
 	tk0 := stats.NewTicker(ctl)
 	for _, id := range p.big {
 		if ctl.Stopped() {
@@ -118,7 +120,7 @@ func (p *Probe) joinParallel(ctl *stats.Control, c *stats.Counters, sink stats.S
 		if tk0.Stopped() {
 			break
 		}
-		g, csr := t.nodeGrid(id, bs, c, ws0)
+		g, csr := t.taskGrid(id, bs, tasks, c, ws0)
 		total := 0
 		for i := range tasks {
 			total += int(tasks[i].aEnd - tasks[i].aStart)
@@ -144,7 +146,7 @@ func (p *Probe) joinParallel(ctl *stats.Control, c *stats.Counters, sink stats.S
 					part.aStart += int32(skip)
 					part.aEnd = part.aStart + int32(take)
 					skip, left = 0, left-take
-					t.gridProbe(g, csr, bs, &part, &tk, &counters[w], batches[w])
+					t.joinTask(g, csr, bs, &part, &tk, &counters[w], batches[w])
 				}
 			}(w)
 		}

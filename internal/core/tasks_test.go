@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"touch/internal/datagen"
@@ -24,8 +25,9 @@ func nodeTasks(tr *Tree, p *Probe, c *stats.Counters) map[int32][]probeTask {
 // TestProbeTasksLoseNoPair: whatever the descent prunes, every pair of
 // the nested-loop oracle must stay reachable — its A object inside a
 // task of the node its B object was assigned to, and meeting that task's
-// MBR — and a node's tasks must be disjoint, ascending and inside the
-// node's arena range, the order a scan of the whole subtree would visit.
+// MBR; if the task is lone, its B object is that task's — and a node's
+// tasks must be disjoint, ascending and inside the node's arena range,
+// the order a scan of the whole subtree would visit.
 func TestProbeTasksLoseNoPair(t *testing.T) {
 	const nA = 600
 	box := geom.NewBox(geom.Point{400, 400, 400}, geom.Point{600, 600, 600})
@@ -91,6 +93,10 @@ func TestProbeTasksLoseNoPair(t *testing.T) {
 				for _, task := range tasks[id] {
 					if task.aStart <= pos && pos < task.aEnd {
 						reached = tr.arena[pos].Box.Intersects(task.mbr)
+						if task.lone >= 0 && b[p.nodeIdx(id)[task.lone]].ID != pair.B {
+							t.Fatalf("%s: pair %v: its A object is in a task B object %d reaches alone",
+								name, pair, b[p.nodeIdx(id)[task.lone]].ID)
+						}
 					}
 				}
 				if !reached {
@@ -148,6 +154,87 @@ func TestSmallProbeSkipsTheIndex(t *testing.T) {
 	}
 }
 
+// TestLoneTasksBuildNoGrid: a task one B object reaches alone is a scan
+// of its A objects against that box, and a node whose tasks are all lone
+// builds no grid. Three probes of the served join's shape against a 20K
+// index — one box inside a leaf; one box straddling the root's cut, a
+// node big enough that two workers share its tasks in stage 1 of
+// joinParallel; 64 scattered boxes — must find the nested loop's pairs
+// with no replica, the lone boxes with one comparison per result, and
+// the same counters at 1, 2 and 8 workers.
+func TestLoneTasksBuildNoGrid(t *testing.T) {
+	a := datagen.UniformSet(20_000, 630).Expand(5)
+	tr := Build(a, Config{})
+	around := func(p geom.Point, r float64) geom.Dataset {
+		return geom.Dataset{{ID: 1, Box: geom.NewBox(geom.Sub(p, geom.Point{r, r, r}), geom.Add(p, geom.Point{r, r, r}))}}
+	}
+	var inLeaf geom.Dataset
+	for i := range tr.arena {
+		b := around(tr.arena[i].Box.Center(), 25)
+		if id := tr.AssignOne(&b[0].Box, &stats.Counters{}); id >= 0 && tr.table[id].leaf(id) {
+			inLeaf = b
+			break
+		}
+	}
+	if inLeaf == nil {
+		t.Fatal("premise: no box around an A object is assigned to a leaf")
+	}
+	// The midpoint of the root's first two children's centres lies on
+	// the cut between them, and inside both along the other dimensions.
+	c1, c2 := tr.table[1].mbr.Center(), tr.table[tr.table[1].skip].mbr.Center()
+	straddling := around(geom.Scale(geom.Add(c1, c2), 0.5), 80)
+	for _, tc := range []struct {
+		name string
+		b    geom.Dataset
+		lone bool // one box: every pair is one comparison
+		root bool // the lone box is the root's, else a leaf's
+	}{
+		{name: "in-a-leaf", b: inLeaf, lone: true},
+		{name: "straddling-the-root", b: straddling, lone: true, root: true},
+		{name: "64-scattered", b: datagen.UniformSet(64, 631).Expand(5)},
+	} {
+		var want stats.Counters
+		ref := &stats.CollectSink{}
+		nl.Join(a, tc.b, nil, &want, ref)
+		if len(ref.Pairs) == 0 {
+			t.Fatalf("%s: premise: the nested loop found no pair", tc.name)
+		}
+		var first stats.Counters
+		for _, workers := range []int{1, 2, 8} {
+			name := fmt.Sprintf("%s/workers=%d", tc.name, workers)
+			p := tr.NewProbe()
+			p.SetWorkers(workers)
+			var c stats.Counters
+			sink := &stats.CollectSink{}
+			p.Assign(tc.b, nil, &c)
+			if tc.lone {
+				id := p.active[0]
+				if len(p.active) != 1 || tc.root != (id == 0) || !tc.root && !tr.table[id].leaf(id) {
+					t.Fatalf("%s: premise: the box was assigned to node %d", name, id)
+				}
+			}
+			p.JoinPhase(nil, &c, sink)
+			if tc.root && workers > 1 && len(p.big) == 0 {
+				t.Fatalf("%s: premise: the root was not shared in stage 1", name)
+			}
+			if !slices.Equal(sortedPairs(sink.Pairs), sortedPairs(ref.Pairs)) {
+				t.Errorf("%s: %d pairs differ from the nested loop's %d", name, len(sink.Pairs), len(ref.Pairs))
+			}
+			if c.Replicas != 0 {
+				t.Errorf("%s: %d replicas, want no grid", name, c.Replicas)
+			}
+			if tc.lone && c.Comparisons != c.Results {
+				t.Errorf("%s: %d comparisons for %d results, want one each", name, c.Comparisons, c.Results)
+			}
+			if workers == 1 {
+				first = c
+			} else if c != first {
+				t.Errorf("%s: counters %+v, 1 worker %+v", name, c, first)
+			}
+		}
+	}
+}
+
 // joinCounts is the paper's currency for one join: what TOUCH did, not
 // how long it took. Every field is exact and machine-independent.
 type joinCounts struct {
@@ -161,7 +248,14 @@ type joinCounts struct {
 // that moves a count must move the table with it, so the old and the new
 // number both show in its diff.
 //
-// The table last moved when the upper levels began to nest (Build, nest).
+// The table last moved when a task one B object reaches alone became a
+// scan of its A objects against that box (joinTask): such a task no
+// longer meets the node's other B objects in the grid's cells, so
+// Comparisons fell, and a node all of whose tasks are lone builds no
+// grid, so Replicas fell. Nothing else moved: the descent makes the same
+// tests, and the peak grid is still a node with tasks that need one.
+//
+// Before that, it moved when the upper levels began to nest (Build, nest).
 // B objects sink to small nodes instead of staying at a root whose
 // children overlapped, so each is gridded against a bucket's worth of A:
 // Comparisons and Replicas are down, and so is ProbeBytes, the peak
@@ -188,7 +282,7 @@ func TestJoinCountsGolden(t *testing.T) {
 			a:    datagen.UniformSet(20_000, 42).Expand(5),
 			b:    datagen.UniformSet(60_000, 43),
 			want: joinCounts{
-				Comparisons: 30623, NodeTests: 1437388, Filtered: 1526, Results: 1551, Replicas: 62092,
+				Comparisons: 30622, NodeTests: 1437388, Filtered: 1526, Results: 1551, Replicas: 61997,
 				StaticBytes: 351928, ProbeBytes: 514056,
 			},
 		},
@@ -199,7 +293,7 @@ func TestJoinCountsGolden(t *testing.T) {
 			a:    axons.Objects(),
 			b:    dendrites.Objects().Expand(5),
 			want: joinCounts{
-				Comparisons: 98619, NodeTests: 324028, Filtered: 17835, Results: 22883, Replicas: 50774,
+				Comparisons: 98413, NodeTests: 324028, Filtered: 17835, Results: 22883, Replicas: 50686,
 				StaticBytes: 294968, ProbeBytes: 162784,
 			},
 		},
@@ -213,7 +307,7 @@ func TestJoinCountsGolden(t *testing.T) {
 			b:    datagen.UniformSet(60, 7015).Expand(30),
 			cfg:  Config{Partitions: 16},
 			want: joinCounts{
-				Comparisons: 447, NodeTests: 1170, Filtered: 0, Results: 167, Replicas: 157,
+				Comparisons: 441, NodeTests: 1170, Filtered: 0, Results: 167, Replicas: 120,
 				StaticBytes: 55272, ProbeBytes: 3040,
 			},
 		},

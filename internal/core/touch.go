@@ -31,7 +31,9 @@
 //     blocks, when few are left — so only the stretches of the arena some
 //     B object can reach are probed (probeTasks), and
 //     the cell side is the cheapest, by estimated work, of the paper's
-//     and its four halvings (localGrid).
+//     and its four halvings (localGrid). A stretch one B object reaches
+//     alone, most of a small probe's, is a range scan against that box,
+//     and a node with no other builds no grid (joinTask, taskGrid).
 //
 // Unlike PBSM there is no replication of B objects (single assignment,
 // Lemma 3: no duplicate results before the local join), and unlike S3 the
