@@ -212,11 +212,11 @@ type probeTask struct {
 // objects are left — one more filter pass then costs more than the
 // probes it can save — and does not stop at a leaf: while no more B
 // objects are left than a block holds, the leaf's blocks are its
-// children, so a small probe's tasks are blocks, not buckets. Below a
-// node one B object reaches alone the descent is loneTasks, a forward
-// walk making the same tests. Tasks come out disjoint and in ascending
-// arena order, so probing them in turn visits the surviving A objects in
-// the order a scan of the whole subtree would.
+// children, so a small probe's tasks are blocks, not buckets. A task
+// the filter passes left one B object for is lone (see emit). Tasks come
+// out disjoint and in ascending arena order, so probing them in turn
+// visits the surviving A objects in the order a scan of the whole
+// subtree would.
 //
 // The ticker is charged one unit per test, a filter pass at a time: a
 // cancelled join gives up within one pass over the node's B objects. The
@@ -235,10 +235,6 @@ func (ws *joinScratch) probeTasks(t *Tree, id int32, bs []geom.Object, tk *stats
 func (ws *joinScratch) descend(t *Tree, id int32, bs []geom.Object, from int, tk *stats.Ticker, c *stats.Counters) {
 	e := &t.table[id]
 	end := len(ws.idx)
-	if end-from == 1 {
-		ws.loneTasks(t, id, bs, ws.idx[from], tk, c)
-		return
-	}
 	leaf := e.leaf(id)
 	if end-from > e.aCount() || (leaf && (end-from > leafBlock || e.blocks() < 2)) {
 		ws.emit(e.aStart, e.aEnd, bs, from)
@@ -262,58 +258,6 @@ func (ws *joinScratch) descend(t *Tree, id int32, bs []geom.Object, from int, tk
 	}
 }
 
-// loneTasks is descend below node id for the one B object bs[bi] left
-// there. A filter pass is then one test and the survivors' MBR is the
-// box, so the recursion is a forward walk of the subtree's entries by
-// their skip links, the shape of rangeQuery: a node the box misses is
-// left with its subtree, a leaf is emitted whole (one block) or block by
-// block, and an inner node is followed by its first child. It makes
-// descend's tests in descend's order, charged alike, and emits descend's
-// tasks, each at most a leaf block long.
-func (ws *joinScratch) loneTasks(t *Tree, id int32, bs []geom.Object, bi int32, tk *stats.Ticker, c *stats.Counters) {
-	task := probeTask{lone: bi, mbr: bs[bi].Box}
-	b := &task.mbr
-	tests := int64(0)
-walk:
-	for i, end := id, t.table[id].skip; i < end; {
-		e := &t.table[i]
-		if i > id {
-			// The parent's filter pass over this child.
-			if tk.Tick() {
-				break walk
-			}
-			tests++
-			if !e.mbr.Meets(b) {
-				i = e.skip
-				continue
-			}
-		}
-		leaf := e.leaf(i)
-		switch {
-		case e.aCount() < 1 || leaf && e.blocks() < 2:
-			task.aStart, task.aEnd = e.aStart, e.aEnd
-			ws.tasks = append(ws.tasks, task)
-		case leaf:
-			for k := int32(0); k < e.blocks(); k++ {
-				if tk.Tick() {
-					break walk
-				}
-				tests++
-				if t.blocks[e.block+k].Meets(b) {
-					task.aStart = e.aStart + k*leafBlock
-					task.aEnd = min(task.aStart+leafBlock, e.aEnd)
-					ws.tasks = append(ws.tasks, task)
-				}
-			}
-		default:
-			i++
-			continue
-		}
-		i = e.skip
-	}
-	c.NodeTests += tests
-}
-
 // meeting is one filter pass of descend: it pushes the B objects of
 // ws.idx[from:end] that meet mbr onto the stack and reports whether any
 // does. A stopped ticker reads as none.
@@ -331,7 +275,7 @@ func (ws *joinScratch) meeting(mbr *geom.Box, bs []geom.Object, from, end int, t
 }
 
 // emit appends the task [aStart, aEnd) for the B objects ws.idx[from:],
-// lone when a block's filter pass left one of them.
+// lone when there is one of them.
 func (ws *joinScratch) emit(aStart, aEnd int32, bs []geom.Object, from int) {
 	task := probeTask{aStart: aStart, aEnd: aEnd, lone: -1, mbr: geom.EmptyBox()}
 	if len(ws.idx)-from == 1 {
