@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet loc fuzz benchmark benchmark-compare serve-smoke clean
+.PHONY: all build test race vet loc fuzz stress benchmark benchmark-compare serve-smoke clean
 
 all: vet build test
 
@@ -38,6 +38,13 @@ fuzz:
 		pkg=$${entry%%:*}; target=$${entry#*:}; \
 		$(GO) test -run '^$$' -fuzz "^$${target}\$$" -fuzztime $(FUZZTIME) ./$${pkg}; \
 	done
+
+# stress runs CI's race x10 pass over the delta layer and the join entry
+# points at -count=$(COUNT) (default 50) beside nproc+2 CPU burners, so a
+# test whose premise depends on the scheduler fails locally; see
+# scripts/stress.sh for BURNERS and RUN. Not a CI step.
+stress:
+	./scripts/stress.sh
 
 # benchmark runs the repository's committed benchmark (BENCHMARK.json,
 # benchmark/README.md): every workload end to end, one table each.

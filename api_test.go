@@ -2,26 +2,30 @@ package touch
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"touch/internal/geom"
-	"touch/internal/stats"
 )
 
-func TestUnknownAlgorithm(t *testing.T) {
-	_, err := SpatialJoin("quantum", GenerateUniform(5, 1), GenerateUniform(5, 2), nil)
-	if err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
-		t.Fatalf("err = %v", err)
+// mustJoin is r.Join under a background context; an error fails t.
+func mustJoin(t testing.TB, r *Overlay, b Dataset, opt *Options) *Result {
+	t.Helper()
+	res, err := r.Join(context.Background(), b, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res
 }
 
-func TestNegativeEps(t *testing.T) {
-	_, err := DistanceJoin(AlgTOUCH, GenerateUniform(5, 1), GenerateUniform(5, 2), -1, nil)
-	if !errors.Is(err, ErrNegativeDistance) {
-		t.Fatalf("want ErrNegativeDistance, got %v", err)
+func TestUnknownAlgorithm(t *testing.T) {
+	_, err := SpatialJoin(context.Background(), "quantum", GenerateUniform(5, 1), GenerateUniform(5, 2), nil)
+	if err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -33,7 +37,7 @@ func TestAlgorithmsListComplete(t *testing.T) {
 	a := GenerateUniform(50, 1)
 	b := GenerateUniform(80, 2)
 	for _, alg := range algs {
-		if _, err := SpatialJoin(alg, a, b, nil); err != nil {
+		if _, err := SpatialJoin(context.Background(), alg, a, b, nil); err != nil {
 			t.Errorf("%s: %v", alg, err)
 		}
 	}
@@ -44,7 +48,7 @@ func TestJoinOrderHeuristicPreservesOrientation(t *testing.T) {
 	// (A, B) oriented.
 	a := GenerateUniform(400, 11)
 	b := GenerateUniform(100, 12)
-	res, err := DistanceJoin(AlgTOUCH, a, b, 60, nil)
+	res, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{Eps: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +61,7 @@ func TestJoinOrderHeuristicPreservesOrientation(t *testing.T) {
 		}
 	}
 	// KeepOrder must give the identical result set.
-	keep, err := DistanceJoin(AlgTOUCH, a, b, 60, &Options{KeepOrder: true})
+	keep, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{KeepOrder: true, Eps: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +79,7 @@ func TestJoinOrderHeuristicPreservesOrientation(t *testing.T) {
 func TestNoPairsOption(t *testing.T) {
 	a := GenerateUniform(100, 21)
 	b := GenerateUniform(200, 22)
-	res, err := DistanceJoin(AlgTOUCH, a, b, 60, &Options{NoPairs: true})
+	res, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{NoPairs: true, Eps: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +96,7 @@ func TestCustomSinkReceivesOrientedPairs(t *testing.T) {
 	b := GenerateUniform(100, 32)
 	var got []Pair
 	sink := funcSink(func(x, y geom.ID) { got = append(got, Pair{A: x, B: y}) })
-	res, err := DistanceJoin(AlgTOUCH, a, b, 10, &Options{Sink: sink})
+	res, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{Sink: sink, Eps: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +120,11 @@ func (f funcSink) Emit(a, b geom.ID) { f(a, b) }
 func TestWorkersOptionMatchesSequential(t *testing.T) {
 	a := GenerateClustered(300, 41)
 	b := GenerateClustered(600, 42)
-	seq, err := DistanceJoin(AlgTOUCH, a, b, 8, nil)
+	seq, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{Eps: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := DistanceJoin(AlgTOUCH, a, b, 8, &Options{Workers: 4})
+	par, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{Workers: 4, Eps: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +143,13 @@ func TestWorkersOptionMatchesSequential(t *testing.T) {
 func TestPBSMCustomResolution(t *testing.T) {
 	a := GenerateUniform(200, 51)
 	b := GenerateUniform(300, 52)
-	opt := &Options{}
+	opt := &Options{Eps: 10}
 	opt.PBSM.Resolution = 37
-	res, err := DistanceJoin(AlgPBSM, a, b, 10, opt)
+	res, err := SpatialJoin(context.Background(), AlgPBSM, a, b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := DistanceJoin(AlgNL, a, b, 10, nil)
+	ref, err := SpatialJoin(context.Background(), AlgNL, a, b, &Options{Eps: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +163,8 @@ func TestIndexReuse(t *testing.T) {
 	idx := BuildIndex(a.Expand(10), TOUCHConfig{Partitions: 32})
 	for seed := int64(70); seed < 73; seed++ {
 		b := GenerateUniform(400, seed)
-		res := idx.Join(b, nil)
-		ref, err := DistanceJoin(AlgNL, a, b, 10, &Options{KeepOrder: true})
+		res := mustJoin(t, idx, b, nil)
+		ref, err := SpatialJoin(context.Background(), AlgNL, a, b, &Options{KeepOrder: true, Eps: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,11 +178,11 @@ func TestIndexDistanceJoin(t *testing.T) {
 	a := GenerateUniform(150, 81)
 	b := GenerateUniform(250, 82)
 	idx := BuildIndex(a, TOUCHConfig{})
-	res, err := idx.DistanceJoin(b, 12, &Options{NoPairs: true})
+	res, err := idx.Join(context.Background(), b, &Options{NoPairs: true, Eps: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := DistanceJoin(AlgNL, a, b, 12, nil)
+	ref, err := SpatialJoin(context.Background(), AlgNL, a, b, &Options{Eps: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,23 +191,13 @@ func TestIndexDistanceJoin(t *testing.T) {
 	}
 }
 
-func TestIndexDistanceJoinRejectsNegativeEps(t *testing.T) {
-	// The one-shot DistanceJoin and the index path must agree on
-	// rejecting a negative ε instead of silently joining shrunk boxes.
-	idx := BuildIndex(GenerateUniform(20, 83), TOUCHConfig{})
-	if _, err := idx.DistanceJoin(GenerateUniform(20, 84), -0.5, nil); !errors.Is(err, ErrNegativeDistance) {
-		t.Fatalf("index DistanceJoin must reject negative eps like the one-shot path, got %v", err)
-	}
-	if _, err := DistanceJoin(AlgTOUCH, GenerateUniform(20, 83), GenerateUniform(20, 84), -0.5, nil); !errors.Is(err, ErrNegativeDistance) {
-		t.Fatalf("one-shot DistanceJoin must reject negative eps, got %v", err)
-	}
-}
-
-// TestNaNEpsRejected: a box grown by NaN meets every box, so a NaN ε
-// must fail like a negative one on every path before a pair is emitted
-// — one-shot, for TOUCH and two baselines, and on an index with and
-// without pending inserts. +Inf stays legal: it joins every pair.
-func TestNaNEpsRejected(t *testing.T) {
+// TestEpsValidation: both join forms check Options.Eps the same way,
+// and first. A negative or NaN ε — a box grown by NaN meets every box —
+// fails with ErrNegativeDistance before the sink sees a pair, on an
+// index, on an overlay with pending inserts and one-shot for TOUCH and
+// two baselines, even under a context canceled already. +Inf stays
+// legal: it joins every pair, the inserts' included.
+func TestEpsValidation(t *testing.T) {
 	a, b := GenerateUniform(200, 85), GenerateUniform(300, 86)
 	idx := BuildIndex(a, TOUCHConfig{})
 	ins := GenerateUniform(10, 87)
@@ -211,21 +205,28 @@ func TestNaNEpsRejected(t *testing.T) {
 		ins[i].ID = ID(len(a) + i)
 	}
 	withInserts := NewOverlay(idx, ins, nil)
-	type distanceJoin func(eps float64, opt *Options) (*Result, error)
-	joins := map[string]distanceJoin{
-		"index":   func(eps float64, opt *Options) (*Result, error) { return idx.DistanceJoin(b, eps, opt) },
-		"overlay": func(eps float64, opt *Options) (*Result, error) { return withInserts.DistanceJoin(b, eps, opt) },
+	type join func(context.Context, *Options) (*Result, error)
+	joins := map[string]join{
+		"index":   func(ctx context.Context, o *Options) (*Result, error) { return idx.Join(ctx, b, o) },
+		"overlay": func(ctx context.Context, o *Options) (*Result, error) { return withInserts.Join(ctx, b, o) },
 	}
 	for _, alg := range []Algorithm{AlgTOUCH, AlgNL, AlgPBSM100} {
-		joins[string(alg)] = func(eps float64, opt *Options) (*Result, error) { return DistanceJoin(alg, a, b, eps, opt) }
+		joins[string(alg)] = func(ctx context.Context, o *Options) (*Result, error) { return SpatialJoin(ctx, alg, a, b, o) }
 	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for name, join := range joins {
-		emitted := 0
-		sink := stats.FuncSink(func(ID, ID) { emitted++ })
-		if _, err := join(math.NaN(), &Options{Sink: sink}); !errors.Is(err, ErrNegativeDistance) || emitted > 0 {
-			t.Errorf("%s: NaN eps gave %v after %d pairs, want ErrNegativeDistance before any", name, err, emitted)
+		for _, eps := range []float64{-1, -0.5, math.NaN()} {
+			for _, ctx := range []context.Context{context.Background(), canceled} {
+				emitted := 0
+				_, err := join(ctx, &Options{Eps: eps, Sink: countingSink(func() { emitted++ })})
+				if !errors.Is(err, ErrNegativeDistance) || emitted > 0 {
+					t.Errorf("%s: eps %g under a context erring %v gave %v after %d pairs, want ErrNegativeDistance before any",
+						name, eps, ctx.Err(), err, emitted)
+				}
+			}
 		}
-		res, err := join(math.Inf(1), &Options{NoPairs: true})
+		res, err := join(context.Background(), &Options{Eps: math.Inf(1), NoPairs: true})
 		if err != nil {
 			t.Fatalf("%s: +Inf eps: %v", name, err)
 		}
@@ -236,6 +237,36 @@ func TestNaNEpsRejected(t *testing.T) {
 		if res.Stats.Results != want {
 			t.Errorf("%s: +Inf eps joined %d pairs, want all %d", name, res.Stats.Results, want)
 		}
+	}
+}
+
+// TestDistanceJoinWrappers: each DistanceJoin wrapper is its receiver's
+// one join form with Options.Eps set — the same pairs, the same counters
+// — and leaves the caller's Options as they were.
+func TestDistanceJoinWrappers(t *testing.T) {
+	a, b := GenerateUniform(300, 88), GenerateClustered(500, 89)
+	idx := BuildIndex(a, TOUCHConfig{})
+	opt := &Options{Workers: 2}
+	same := func(name string, got, want *Result, gotErr, wantErr error) {
+		t.Helper()
+		if gotErr != nil || wantErr != nil {
+			t.Fatalf("%s: %v; the one form: %v", name, gotErr, wantErr)
+		}
+		if !slices.Equal(sortPairSet(got.Pairs), sortPairSet(want.Pairs)) || statsKey(&got.Stats) != statsKey(&want.Stats) {
+			t.Errorf("%s: %d pairs, counters %v; the one form %d, %v",
+				name, len(got.Pairs), statsKey(&got.Stats), len(want.Pairs), statsKey(&want.Stats))
+		}
+	}
+	for _, alg := range []Algorithm{AlgTOUCH, AlgPBSM100} {
+		got, gotErr := DistanceJoin(alg, a, b, 7, opt)
+		want, wantErr := SpatialJoin(context.Background(), alg, a, b, &Options{Workers: 2, Eps: 7})
+		same(string(alg), got, want, gotErr, wantErr)
+	}
+	got, gotErr := idx.DistanceJoin(b, 7, opt)
+	want, wantErr := idx.Join(context.Background(), b, &Options{Workers: 2, Eps: 7})
+	same("index", got, want, gotErr, wantErr)
+	if *opt != (Options{Workers: 2}) {
+		t.Errorf("the wrappers changed the caller's Options to %+v", *opt)
 	}
 }
 
@@ -320,7 +351,7 @@ func TestDistanceJoinEquivalenceAcrossEps(t *testing.T) {
 	b := GenerateUniform(300, 92)
 	prev := int64(-1)
 	for _, eps := range []float64{0, 2, 5, 10, 20} {
-		res, err := DistanceJoin(AlgTOUCH, a, b, eps, &Options{NoPairs: true})
+		res, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{NoPairs: true, Eps: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +366,7 @@ func TestEmptyDatasetsAllAlgorithms(t *testing.T) {
 	ds := GenerateUniform(10, 1)
 	for _, alg := range Algorithms() {
 		for _, pair := range [][2]Dataset{{nil, ds}, {ds, nil}, {nil, nil}} {
-			res, err := SpatialJoin(alg, pair[0], pair[1], nil)
+			res, err := SpatialJoin(context.Background(), alg, pair[0], pair[1], nil)
 			if err != nil {
 				t.Fatalf("%s: %v", alg, err)
 			}
@@ -351,11 +382,11 @@ func TestSeededJoinViaAPI(t *testing.T) {
 	// evaluated set) must agree with the oracle through the public API.
 	a := GenerateClustered(300, 93)
 	b := GenerateClustered(700, 94)
-	res, err := DistanceJoin(AlgSeeded, a, b, 8, nil)
+	res, err := SpatialJoin(context.Background(), AlgSeeded, a, b, &Options{Eps: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := DistanceJoin(AlgNL, a, b, 8, nil)
+	ref, err := SpatialJoin(context.Background(), AlgNL, a, b, &Options{Eps: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

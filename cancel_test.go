@@ -40,7 +40,7 @@ func TestCancelMidJoinBounded(t *testing.T) {
 	for _, alg := range algs {
 		t.Run(string(alg), func(t *testing.T) {
 			checkCancelBound(t, func(ctx context.Context, opt *Options) error {
-				_, err := SpatialJoinCtx(ctx, alg, a, b, opt)
+				_, err := SpatialJoin(ctx, alg, a, b, opt)
 				return err
 			})
 		})
@@ -49,7 +49,7 @@ func TestCancelMidJoinBounded(t *testing.T) {
 		dense, one := cancelFixture(20_000) // 20000 pairs, all of one B box
 		ix := BuildIndex(dense, TOUCHConfig{})
 		checkCancelBound(t, func(ctx context.Context, opt *Options) error {
-			_, err := ix.JoinCtx(ctx, one[:1], opt)
+			_, err := ix.Join(ctx, one[:1], opt)
 			return err
 		})
 	})
@@ -99,33 +99,33 @@ func TestCancelPreCanceledContext(t *testing.T) {
 	cancel()
 	a := GenerateUniform(50, 1)
 	b := GenerateUniform(50, 2)
-	if _, err := SpatialJoinCtx(ctx, AlgTOUCH, a, b, nil); !errors.Is(err, ErrJoinCanceled) {
-		t.Fatalf("SpatialJoinCtx: %v", err)
+	if _, err := SpatialJoin(ctx, AlgTOUCH, a, b, nil); !errors.Is(err, ErrJoinCanceled) {
+		t.Fatalf("SpatialJoin: %v", err)
 	}
-	if _, err := DistanceJoinCtx(ctx, AlgNL, a, b, 1, nil); !errors.Is(err, ErrJoinCanceled) {
-		t.Fatalf("DistanceJoinCtx: %v", err)
+	if _, err := SpatialJoin(ctx, AlgNL, a, b, &Options{Eps: 1}); !errors.Is(err, ErrJoinCanceled) {
+		t.Fatalf("SpatialJoin with Eps: %v", err)
 	}
 	ix := BuildIndex(a, TOUCHConfig{})
-	if _, err := ix.JoinCtx(ctx, b, nil); !errors.Is(err, ErrJoinCanceled) {
-		t.Fatalf("Index.JoinCtx: %v", err)
+	if _, err := ix.Join(ctx, b, nil); !errors.Is(err, ErrJoinCanceled) {
+		t.Fatalf("Index.Join: %v", err)
 	}
-	if _, err := ix.DistanceJoinCtx(ctx, b, 1, nil); !errors.Is(err, ErrJoinCanceled) {
-		t.Fatalf("Index.DistanceJoinCtx: %v", err)
+	if _, err := ix.Join(ctx, b, &Options{Eps: 1}); !errors.Is(err, ErrJoinCanceled) {
+		t.Fatalf("Index.Join with Eps: %v", err)
 	}
 	emitted := 0
 	opt := &Options{Sink: countingSink(func() { emitted++ })}
-	if _, err := SpatialJoinCtx(ctx, AlgTOUCH, a, b, opt); !errors.Is(err, ErrJoinCanceled) {
-		t.Fatalf("SpatialJoinCtx with a sink: %v", err)
+	if _, err := SpatialJoin(ctx, AlgTOUCH, a, b, opt); !errors.Is(err, ErrJoinCanceled) {
+		t.Fatalf("SpatialJoin with a sink: %v", err)
 	}
-	if _, err := ix.JoinCtx(ctx, b, opt); !errors.Is(err, ErrJoinCanceled) {
-		t.Fatalf("Index.JoinCtx with a sink: %v", err)
+	if _, err := ix.Join(ctx, b, opt); !errors.Is(err, ErrJoinCanceled) {
+		t.Fatalf("Index.Join with a sink: %v", err)
 	}
 	if emitted != 0 {
 		t.Fatalf("a dead context delivered %d pairs to the sink", emitted)
 	}
 }
 
-// TestIndexJoinCtxCancelKeepsProbeClean: a cancelled JoinCtx (aborted
+// TestIndexJoinCtxCancelKeepsProbeClean: a cancelled Join (aborted
 // mid-assignment or mid-join) must leave nothing behind in the probe it
 // returns to the pool — the next, uncancelled join on the same index
 // answers exactly like a fresh one.
@@ -133,7 +133,7 @@ func TestIndexJoinCtxCancelKeepsProbeClean(t *testing.T) {
 	a := GenerateUniform(800, 31).Expand(100)
 	b := GenerateUniform(2000, 32)
 	ix := BuildIndex(a, TOUCHConfig{Partitions: 64})
-	want := ix.Join(b, nil)
+	want := mustJoin(t, ix, b, nil)
 	want.SortPairs()
 	// The cancellation below lands within the first ~134 pairs; the join
 	// must have far more than a checkpoint interval of work left there,
@@ -150,13 +150,13 @@ func TestIndexJoinCtxCancelKeepsProbeClean(t *testing.T) {
 				cancel()
 			}
 		})
-		if _, err := ix.JoinCtx(ctx, b, &Options{Sink: sink}); !errors.Is(err, ErrJoinCanceled) {
+		if _, err := ix.Join(ctx, b, &Options{Sink: sink}); !errors.Is(err, ErrJoinCanceled) {
 			cancel()
 			t.Fatalf("round %d: %v", i, err)
 		}
 		cancel()
 
-		got := ix.Join(b, nil)
+		got := mustJoin(t, ix, b, nil)
 		got.SortPairs()
 		if !slices.Equal(got.Pairs, want.Pairs) {
 			t.Fatalf("round %d: join after cancelled join diverged (%d vs %d pairs)",
@@ -171,7 +171,7 @@ func TestIndexJoinCtxCancelKeepsProbeClean(t *testing.T) {
 func TestLimitExact(t *testing.T) {
 	a := GenerateUniform(500, 41).Expand(60)
 	b := GenerateUniform(900, 42)
-	full, err := SpatialJoin(AlgTOUCH, a, b, nil)
+	full, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +182,7 @@ func TestLimitExact(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		for _, limit := range []int64{1, 7, total / 2, total, total + 1000} {
-			res, err := SpatialJoinCtx(context.Background(), AlgTOUCH, a, b,
-				&Options{Limit: limit, Workers: workers})
+			res, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{Limit: limit, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +197,7 @@ func TestLimitExact(t *testing.T) {
 	// Sink delivery is capped identically.
 	var delivered int64
 	sink := countingSink(func() { delivered++ })
-	if _, err := SpatialJoin(AlgTOUCH, a, b, &Options{Limit: 13, Sink: sink}); err != nil {
+	if _, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{Limit: 13, Sink: sink}); err != nil {
 		t.Fatal(err)
 	}
 	if delivered != 13 {
@@ -206,7 +205,7 @@ func TestLimitExact(t *testing.T) {
 	}
 
 	// NoPairs + Limit: the count stops at the limit too.
-	res, err := SpatialJoin(AlgTOUCH, a, b, &Options{Limit: 5, NoPairs: true})
+	res, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{Limit: 5, NoPairs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,14 +219,14 @@ func TestLimitExact(t *testing.T) {
 func TestLimitRespectsSwap(t *testing.T) {
 	a := GenerateUniform(900, 51).Expand(60) // larger: heuristic swaps
 	b := GenerateUniform(300, 52)
-	res, err := SpatialJoin(AlgTOUCH, a, b, &Options{Limit: 25})
+	res, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{Limit: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Pairs) != 25 {
 		t.Fatalf("limited swapped join delivered %d pairs", len(res.Pairs))
 	}
-	full, err := SpatialJoin(AlgTOUCH, a, b, &Options{KeepOrder: true})
+	full, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{KeepOrder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +271,7 @@ func TestStreamingMaterializedDifferential(t *testing.T) {
 	a := GenerateUniform(600, 61).Expand(8)
 	b := GenerateUniform(1100, 62)
 
-	ref, err := SpatialJoin(AlgTOUCH, a, b, nil)
+	ref, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,9 +295,9 @@ func TestStreamingMaterializedDifferential(t *testing.T) {
 	ix := BuildIndex(a, TOUCHConfig{})
 	ctx := context.Background()
 	oneShot := func(alg Algorithm) func(*Options) (*Result, error) {
-		return func(o *Options) (*Result, error) { return SpatialJoinCtx(ctx, alg, a, b, o) }
+		return func(o *Options) (*Result, error) { return SpatialJoin(ctx, alg, a, b, o) }
 	}
-	onIndex := func(o *Options) (*Result, error) { return ix.JoinCtx(ctx, b, o) }
+	onIndex := func(o *Options) (*Result, error) { return ix.Join(ctx, b, o) }
 	check("one-shot sink", sinkSet(t, Options{}, oneShot(AlgTOUCH)))
 	check("one-shot sink w4", sinkSet(t, Options{Workers: 4}, oneShot(AlgTOUCH)))
 	check("one-shot sink nl", sinkSet(t, Options{}, oneShot(AlgNL)))
@@ -306,7 +305,7 @@ func TestStreamingMaterializedDifferential(t *testing.T) {
 	check("index sink w4", sinkSet(t, Options{Workers: 4}, onIndex))
 	check("limit beyond total", sinkSet(t, Options{Limit: int64(len(want)) + 10_000}, onIndex))
 
-	mat, err := ix.JoinCtx(ctx, b, &Options{Limit: int64(len(want)) + 10_000})
+	mat, err := ix.Join(ctx, b, &Options{Limit: int64(len(want)) + 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +326,7 @@ func TestSinkCancelAndLimit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	n := 0
-	_, err := ix.JoinCtx(ctx, b, &Options{Sink: countingSink(func() {
+	_, err := ix.Join(ctx, b, &Options{Sink: countingSink(func() {
 		if n++; n == 37 {
 			cancel()
 		}
@@ -340,7 +339,7 @@ func TestSinkCancelAndLimit(t *testing.T) {
 	}
 
 	n = 0
-	if _, err := ix.JoinCtx(context.Background(), b, &Options{Limit: 123, Sink: countingSink(func() { n++ })}); err != nil {
+	if _, err := ix.Join(context.Background(), b, &Options{Limit: 123, Sink: countingSink(func() { n++ })}); err != nil {
 		t.Fatal(err)
 	}
 	if n != 123 {
@@ -349,25 +348,19 @@ func TestSinkCancelAndLimit(t *testing.T) {
 }
 
 // TestDistanceJoinCtxSink: a distance join into a sink shares the
-// buffered path's validation (a negative eps fails before any Emit) and
-// its probe-side expansion (same pair set).
+// buffered path's probe-side expansion (same pair set). Its validation,
+// a bad eps failing before any Emit, is TestEpsValidation's.
 func TestDistanceJoinCtxSink(t *testing.T) {
 	a := GenerateUniform(300, 81)
 	b := GenerateUniform(500, 82)
 	ix := BuildIndex(a, TOUCHConfig{})
 	ctx := context.Background()
 
-	emitted := 0
-	_, err := ix.DistanceJoinCtx(ctx, b, -1, &Options{Sink: countingSink(func() { emitted++ })})
-	if !errors.Is(err, ErrNegativeDistance) || emitted != 0 {
-		t.Fatalf("negative eps: %v after %d pairs, want ErrNegativeDistance before any", err, emitted)
-	}
-
-	ref, err := ix.DistanceJoin(b, 40, nil)
+	ref, err := ix.Join(ctx, b, &Options{Eps: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sinkSet(t, Options{}, func(o *Options) (*Result, error) { return ix.DistanceJoinCtx(ctx, b, 40, o) })
+	got := sinkSet(t, Options{Eps: 40}, func(o *Options) (*Result, error) { return ix.Join(ctx, b, o) })
 	if len(got) != len(ref.Pairs) {
 		t.Fatalf("distance join into a sink: %d pairs, want %d", len(got), len(ref.Pairs))
 	}
@@ -383,8 +376,7 @@ func TestDistanceJoinCtxSink(t *testing.T) {
 func TestSinkUnknownAlgorithm(t *testing.T) {
 	a, b := cancelFixture(10)
 	emitted := 0
-	_, err := SpatialJoinCtx(context.Background(), Algorithm("bogus"), a, b,
-		&Options{Sink: countingSink(func() { emitted++ })})
+	_, err := SpatialJoin(context.Background(), Algorithm("bogus"), a, b, &Options{Sink: countingSink(func() { emitted++ })})
 	if !errors.Is(err, ErrUnknownAlgorithm) || emitted != 0 {
 		t.Fatalf("got %v after %d pairs, want ErrUnknownAlgorithm before any", err, emitted)
 	}
@@ -400,7 +392,7 @@ func TestSinkConcurrentCancelRace(t *testing.T) {
 	b := GenerateUniform(1500, 72)
 	ix := BuildIndex(a, TOUCHConfig{Partitions: 64})
 
-	oracle := ix.Join(b, nil)
+	oracle := mustJoin(t, ix, b, nil)
 	oracle.SortPairs()
 
 	const consumers = 8
@@ -416,7 +408,7 @@ func TestSinkConcurrentCancelRace(t *testing.T) {
 				stopAt := 1 + rng.Intn(2*len(oracle.Pairs))
 				ctx, cancel := context.WithCancel(context.Background())
 				n := 0
-				_, err := ix.JoinCtx(ctx, b, &Options{Workers: workers, Sink: countingSink(func() {
+				_, err := ix.Join(ctx, b, &Options{Workers: workers, Sink: countingSink(func() {
 					if n++; n == stopAt {
 						cancel()
 					}
@@ -433,7 +425,7 @@ func TestSinkConcurrentCancelRace(t *testing.T) {
 	// After all that churn, full joins drawing recycled probes answer
 	// exactly like the pristine oracle.
 	for i := 0; i < 4; i++ {
-		got := ix.Join(b, nil)
+		got := mustJoin(t, ix, b, nil)
 		got.SortPairs()
 		if !slices.Equal(got.Pairs, oracle.Pairs) {
 			t.Fatalf("post-race join %d diverged from oracle (%d vs %d pairs)",
@@ -473,13 +465,13 @@ func TestSinkContract(t *testing.T) {
 	var rows []row
 	for _, alg := range append(Algorithms(), AlgSeeded) {
 		rows = append(rows, row{string(alg), a, func(ctx context.Context, o *Options) (*Result, error) {
-			return SpatialJoinCtx(ctx, alg, a, b, o)
+			return SpatialJoin(ctx, alg, a, b, o)
 		}})
 	}
 	ix, view := BuildIndex(a, TOUCHConfig{}), m.View()
 	rows = append(rows,
-		row{"Index", a, func(ctx context.Context, o *Options) (*Result, error) { return ix.JoinCtx(ctx, b, o) }},
-		row{"Mutable.View", m.Dataset(), func(ctx context.Context, o *Options) (*Result, error) { return view.JoinCtx(ctx, b, o) }})
+		row{"Index", a, func(ctx context.Context, o *Options) (*Result, error) { return ix.Join(ctx, b, o) }},
+		row{"Mutable.View", m.Dataset(), func(ctx context.Context, o *Options) (*Result, error) { return view.Join(ctx, b, o) }})
 
 	// late reports, once every row has run, whether any sink was called
 	// after its join returned.
@@ -492,7 +484,7 @@ func TestSinkContract(t *testing.T) {
 		}
 	}()
 	for _, r := range rows {
-		ref, err := SpatialJoin(AlgNL, r.want, b, &Options{KeepOrder: true})
+		ref, err := SpatialJoin(context.Background(), AlgNL, r.want, b, &Options{KeepOrder: true})
 		if err != nil {
 			t.Fatal(err)
 		}

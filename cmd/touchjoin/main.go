@@ -132,7 +132,7 @@ func main() {
 		}
 	}
 
-	opt := &touch.Options{NoPairs: *quiet, Workers: *workers, Limit: *limit}
+	opt := &touch.Options{Eps: *eps, NoPairs: *quiet, Workers: *workers, Limit: *limit}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -157,7 +157,7 @@ func main() {
 				*algName, algHint()))
 		}
 		files := strings.Split(*probes, ",")
-		if err := runProbes(ctx, a, files, *eps, opt, *out, *quiet, *stat); err != nil {
+		if err := runProbes(ctx, a, files, opt, *out, *quiet, *stat); err != nil {
 			fatal(err)
 		}
 		return
@@ -203,9 +203,9 @@ func main() {
 		if v, err = edited(a, opt.TOUCH, updIns, updDel); err != nil {
 			fatal(err)
 		}
-		res, err = v.DistanceJoinCtx(joinCtx, b, *eps, opt)
+		res, err = v.Join(joinCtx, b, opt)
 	} else {
-		res, err = touch.DistanceJoinCtx(joinCtx, alg, a, b, *eps, opt)
+		res, err = touch.SpatialJoin(joinCtx, alg, a, b, opt)
 	}
 	if err != nil {
 		if pw != nil {
@@ -308,9 +308,9 @@ func (pw *pairWriter) abortFlush() {
 // covers the whole sequence of joins; probe blocks are small enough
 // per join that they stay sorted (unlike the streaming single-join
 // mode).
-func runProbes(ctx context.Context, a touch.Dataset, files []string, eps float64, opt *touch.Options, outPath string, count, stat bool) error {
-	if !(eps >= 0) { // NaN too
-		return fmt.Errorf("%w %g", touch.ErrNegativeDistance, eps)
+func runProbes(ctx context.Context, a touch.Dataset, files []string, opt *touch.Options, outPath string, count, stat bool) error {
+	if !(opt.Eps >= 0) { // NaN too
+		return fmt.Errorf("%w %g", touch.ErrNegativeDistance, opt.Eps)
 	}
 	names := make([]string, 0, len(files))
 	datasets := make([]touch.Dataset, 0, len(files))
@@ -330,9 +330,10 @@ func runProbes(ctx context.Context, a touch.Dataset, files []string, eps float64
 		return fmt.Errorf("-probes lists no files")
 	}
 
-	// The index is built on A, so the ε-expansion moves to the index
-	// side once instead of every probe dataset per join.
-	idx := touch.BuildIndex(a.Expand(eps), opt.TOUCH)
+	// The index is built on A as it is: every join applies opt.Eps to
+	// the probe's boxes as its local joins gather them, copying neither
+	// dataset for it.
+	idx := touch.BuildIndex(a, opt.TOUCH)
 
 	// The output opens lazily, after the first join has succeeded: a
 	// -timeout expiring during the sequence then leaves an existing
@@ -348,7 +349,7 @@ func runProbes(ctx context.Context, a touch.Dataset, files []string, eps float64
 		}
 	}
 	for i, b := range datasets {
-		res, err := idx.JoinCtx(ctx, b, opt)
+		res, err := idx.Join(ctx, b, opt)
 		if err != nil {
 			if w != nil {
 				_ = w.Flush() // keep the blocks already written intact

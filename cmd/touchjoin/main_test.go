@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,7 +67,7 @@ func writeDataset(t *testing.T, dir, name string, ds touch.Dataset) string {
 }
 
 // TestRunProbes: the index-reuse mode must report, per probe file, the
-// same result count as an independent one-shot DistanceJoin.
+// same result count as an independent one-shot distance join.
 func TestRunProbes(t *testing.T) {
 	dir := t.TempDir()
 	a := touch.GenerateUniform(120, 1)
@@ -76,7 +77,7 @@ func TestRunProbes(t *testing.T) {
 	for seed := int64(2); seed < 5; seed++ {
 		b := touch.GenerateUniform(200, seed)
 		files = append(files, writeDataset(t, dir, fmt.Sprintf("b%d.txt", seed), b))
-		ref, err := touch.DistanceJoin(touch.AlgTOUCH, a, b, eps, &touch.Options{NoPairs: true, KeepOrder: true})
+		ref, err := touch.SpatialJoin(context.Background(), touch.AlgTOUCH, a, b, &touch.Options{NoPairs: true, KeepOrder: true, Eps: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,8 +85,8 @@ func TestRunProbes(t *testing.T) {
 	}
 
 	outPath := filepath.Join(dir, "counts.txt")
-	opt := &touch.Options{NoPairs: true}
-	if err := runProbes(context.Background(), a, files, eps, opt, outPath, true, false); err != nil {
+	opt := &touch.Options{Eps: eps, NoPairs: true}
+	if err := runProbes(context.Background(), a, files, opt, outPath, true, false); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(outPath)
@@ -105,7 +106,7 @@ func TestRunProbes(t *testing.T) {
 
 	// Pair mode: blocks headed by "# file", pairs matching the count.
 	pairPath := filepath.Join(dir, "pairs.txt")
-	if err := runProbes(context.Background(), a, files[:1], eps, &touch.Options{}, pairPath, false, false); err != nil {
+	if err := runProbes(context.Background(), a, files[:1], &touch.Options{Eps: eps}, pairPath, false, false); err != nil {
 		t.Fatal(err)
 	}
 	raw, err = os.ReadFile(pairPath)
@@ -133,10 +134,10 @@ func TestRunProbesFailureKeepsOutFile(t *testing.T) {
 	}
 	a := touch.GenerateUniform(10, 1)
 	missing := []string{filepath.Join(dir, "missing.txt")}
-	if err := runProbes(context.Background(), a, missing, 0, &touch.Options{}, outPath, true, false); err == nil {
+	if err := runProbes(context.Background(), a, missing, &touch.Options{}, outPath, true, false); err == nil {
 		t.Fatal("missing probe file must error")
 	}
-	if err := runProbes(context.Background(), a, nil, -1, &touch.Options{}, outPath, true, false); err == nil {
+	if err := runProbes(context.Background(), a, nil, &touch.Options{Eps: -1}, outPath, true, false); err == nil {
 		t.Fatal("negative eps must error in probes mode")
 	}
 	// A canceled sequence whose first join never finished must not touch
@@ -144,7 +145,7 @@ func TestRunProbesFailureKeepsOutFile(t *testing.T) {
 	probe := writeDataset(t, dir, "probe.txt", touch.GenerateUniform(10, 2))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := runProbes(ctx, a, []string{probe}, 0, &touch.Options{}, outPath, true, false); !errors.Is(err, touch.ErrJoinCanceled) {
+	if err := runProbes(ctx, a, []string{probe}, &touch.Options{}, outPath, true, false); !errors.Is(err, touch.ErrJoinCanceled) {
 		t.Fatalf("canceled probes run returned %v, want ErrJoinCanceled", err)
 	}
 	raw, err := os.ReadFile(outPath)
@@ -157,7 +158,7 @@ func TestRunProbesFailureKeepsOutFile(t *testing.T) {
 }
 
 func TestRunProbesNegativeEpsSentinel(t *testing.T) {
-	err := runProbes(context.Background(), touch.GenerateUniform(10, 1), nil, -1, &touch.Options{}, "", true, false)
+	err := runProbes(context.Background(), touch.GenerateUniform(10, 1), nil, &touch.Options{Eps: -1}, "", true, false)
 	if !errors.Is(err, touch.ErrNegativeDistance) {
 		t.Fatalf("want ErrNegativeDistance, got %v", err)
 	}
@@ -357,7 +358,7 @@ func TestJoinStreamedOutputMatchesOracle(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
-	ref, err := touch.DistanceJoin(touch.AlgNL, a, b, 40, &touch.Options{KeepOrder: true})
+	ref, err := touch.SpatialJoin(context.Background(), touch.AlgNL, a, b, &touch.Options{KeepOrder: true, Eps: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,6 +377,56 @@ func TestJoinStreamedOutputMatchesOracle(t *testing.T) {
 	for _, line := range lines {
 		if !want[line] {
 			t.Fatalf("streamed pair %q not in oracle", line)
+		}
+	}
+}
+
+// TestProbesEqualSingleJoins: -probes with -eps > 0 joins each probe
+// file against one index built on A as it is, ε applied on the probe
+// side, and writes for each file the pairs the single-join mode writes
+// for it.
+func TestProbesEqualSingleJoins(t *testing.T) {
+	dir := t.TempDir()
+	aPath := writeDataset(t, dir, "a.txt", touch.GenerateClustered(400, 21))
+	var probes []string
+	for seed := int64(22); seed < 25; seed++ {
+		probes = append(probes, writeDataset(t, dir, fmt.Sprintf("p%d.txt", seed), touch.GenerateUniform(300, seed)))
+	}
+	blocksPath := filepath.Join(dir, "blocks.txt")
+	if code, stderr := runTouchjoin(t, "-a", aPath, "-probes", strings.Join(probes, ","), "-eps", "40", "-out", blocksPath); code != 0 {
+		t.Fatalf("-probes exit %d: %s", code, stderr)
+	}
+	raw, err := os.ReadFile(blocksPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := make(map[string][]string) // probe file → its pair lines
+	var file string
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if name, ok := strings.CutPrefix(line, "# "); ok {
+			file = name
+			continue
+		}
+		blocks[file] = append(blocks[file], line)
+	}
+	for i, probe := range probes {
+		single := filepath.Join(dir, fmt.Sprintf("single-%d.txt", i))
+		if code, stderr := runTouchjoin(t, "-a", aPath, "-b", probe, "-eps", "40", "-out", single); code != 0 {
+			t.Fatalf("single join of %s: exit %d: %s", probe, code, stderr)
+		}
+		raw, err := os.ReadFile(single)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(want) < 10 {
+			t.Fatalf("premise: %s meets A in only %d pairs", probe, len(want))
+		}
+		got := blocks[probe]
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: -probes wrote %d pairs, the single join %d, or different ones", probe, len(got), len(want))
 		}
 	}
 }

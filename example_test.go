@@ -31,6 +31,27 @@ func ExampleIndex_RangeQuery() {
 	// Output: [0 1]
 }
 
+// Options.Eps turns SpatialJoin into the distance join: every pair whose
+// boxes lie within ε of each other in every dimension. The probe box
+// sits one unit from objects 0 and 1 along x and five from object 2, so
+// ε = 0 finds no pair and ε = 1 two.
+func ExampleSpatialJoin() {
+	probe := touch.Dataset{
+		{ID: 100, Box: touch.NewBox(touch.Point{2, 0, 0}, touch.Point{3, 1, 1})},
+	}
+	for _, eps := range []float64{0, 1} {
+		res, err := touch.SpatialJoin(context.Background(), touch.AlgTOUCH, exampleDataset(), probe, &touch.Options{Eps: eps})
+		if err != nil {
+			panic(err)
+		}
+		res.SortPairs()
+		fmt.Printf("ε = %g: %v\n", eps, res.Pairs)
+	}
+	// Output:
+	// ε = 0: []
+	// ε = 1: [{0 100} {1 100}]
+}
+
 // sinkFunc adapts a function to touch.Sink.
 type sinkFunc func(a, b touch.ID)
 
@@ -42,7 +63,7 @@ func (f sinkFunc) Emit(a, b touch.ID) { f(a, b) }
 // Here the sink stops the join after two pairs of the three it would
 // produce; the engine notices at its next checkpoint, so the sink drops
 // whatever it still finds until then.
-func ExampleIndex_JoinCtx() {
+func ExampleIndex_Join() {
 	idx := touch.BuildIndex(exampleDataset(), touch.TOUCHConfig{})
 	probe := touch.Dataset{
 		{ID: 100, Box: touch.NewBox(touch.Point{0, 0, 0}, touch.Point{9, 1, 1})},
@@ -60,7 +81,7 @@ func ExampleIndex_JoinCtx() {
 			cancel()
 		}
 	})
-	if _, err := idx.JoinCtx(ctx, probe, &touch.Options{Sink: sink}); err != nil && !errors.Is(err, touch.ErrJoinCanceled) {
+	if _, err := idx.Join(ctx, probe, &touch.Options{Sink: sink}); err != nil && !errors.Is(err, touch.ErrJoinCanceled) {
 		panic(err)
 	}
 	// Output:

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func main() {
 	// All pairs within distance 5 of each other. The zero Options use
 	// the paper's defaults: 1024 partitions, fanout 2, and the smaller
 	// dataset builds the tree.
-	res, err := touch.DistanceJoin(touch.AlgTOUCH, a, b, 5, nil)
+	res, err := touch.SpatialJoin(context.Background(), touch.AlgTOUCH, a, b, &touch.Options{Eps: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func main() {
 
 	// The same join through the textbook nested loop, to show what the
 	// hierarchy saves.
-	ref, err := touch.DistanceJoin(touch.AlgNL, a, b, 5, &touch.Options{NoPairs: true})
+	ref, err := touch.SpatialJoin(context.Background(), touch.AlgNL, a, b, &touch.Options{NoPairs: true, Eps: 5})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func main() {
 	// a deadline cancels one mid-flight.
 	sctx, cancel := context.WithCancel(ctx)
 	streamed, half := 0, len(want.Pairs)/2+1
-	_, err = m.View().DistanceJoinCtx(sctx, grid, eps, &touch.Options{Sink: sinkFunc(func(a, b touch.ID) {
+	_, err = m.View().Join(sctx, grid, &touch.Options{Eps: eps, Sink: sinkFunc(func(a, b touch.ID) {
 		if sctx.Err() == nil {
 			if streamed++; streamed == half {
 				cancel()
@@ -129,7 +129,7 @@ func main() {
 		log.Fatal(err)
 	}
 	dctx, cancel := context.WithTimeout(ctx, time.Nanosecond)
-	_, err = m.View().DistanceJoinCtx(dctx, grid, eps, nil)
+	_, err = m.View().Join(dctx, grid, &touch.Options{Eps: eps})
 	cancel()
 	if !errors.Is(err, touch.ErrJoinCanceled) {
 		log.Fatalf("expected ErrJoinCanceled, got %v", err)
@@ -231,7 +231,7 @@ func inProcess(v *touch.Overlay, probe touch.Dataset) answers {
 	check(err)
 	nbrs, err := v.KNN(pt, k)
 	check(err)
-	res, err := v.DistanceJoin(probe, eps, nil)
+	res, err := v.Join(context.Background(), probe, &touch.Options{Eps: eps})
 	check(err)
 	res.SortPairs()
 	return answers{ids, nbrs, res.Pairs}

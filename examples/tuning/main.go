@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -37,9 +38,9 @@ func main() {
 	fmt.Println("\nfanout sweep (paper §5.2.1: smaller fanout → taller tree → more filtering):")
 	fmt.Println("fanout   time        comparisons   filtered")
 	for _, fo := range []int{2, 4, 8, 16, 32} {
-		opt := &touch.Options{NoPairs: true, KeepOrder: true}
+		opt := &touch.Options{Eps: *eps, NoPairs: true, KeepOrder: true}
 		opt.TOUCH.Fanout = fo
-		res, err := touch.DistanceJoin(touch.AlgTOUCH, a, b, *eps, opt)
+		res, err := touch.SpatialJoin(context.Background(), touch.AlgTOUCH, a, b, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -50,9 +51,9 @@ func main() {
 	fmt.Println("\npartition sweep (bucket granularity of the tree leaves):")
 	fmt.Println("parts    time        comparisons   memory")
 	for _, p := range []int{64, 256, 1024, 4096} {
-		opt := &touch.Options{NoPairs: true, KeepOrder: true}
+		opt := &touch.Options{Eps: *eps, NoPairs: true, KeepOrder: true}
 		opt.TOUCH.Partitions = p
-		res, err := touch.DistanceJoin(touch.AlgTOUCH, a, b, *eps, opt)
+		res, err := touch.SpatialJoin(context.Background(), touch.AlgTOUCH, a, b, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -66,12 +67,15 @@ func main() {
 	// build phase is paid once).
 	fmt.Println("\nreusable index (build once, join three probe sets):")
 	start := time.Now()
-	idx := touch.BuildIndex(a.Expand(*eps), touch.TOUCHConfig{})
+	idx := touch.BuildIndex(a, touch.TOUCHConfig{})
 	fmt.Printf("build: %v\n", time.Since(start).Round(time.Millisecond))
 	for season := 0; season < 3; season++ {
 		probe := touch.GenerateClustered(*n, int64(100+season))
 		start = time.Now()
-		res := idx.Join(probe, &touch.Options{NoPairs: true})
+		res, err := idx.Join(context.Background(), probe, &touch.Options{Eps: *eps, NoPairs: true})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("probe %d: %d pairs in %v\n",
 			season, res.Stats.Results, time.Since(start).Round(time.Millisecond))
 	}
@@ -89,9 +93,9 @@ func main() {
 	} {
 		fmt.Printf("\n%s:\n", mode.title)
 		for _, workers := range []int{1, 4} {
-			opt := &touch.Options{NoPairs: true, Workers: workers}
+			opt := &touch.Options{Eps: *eps, NoPairs: true, Workers: workers}
 			start := time.Now()
-			res, err := touch.DistanceJoin(mode.alg, a, b, *eps, opt)
+			res, err := touch.SpatialJoin(context.Background(), mode.alg, a, b, opt)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -120,7 +124,7 @@ func main() {
 	}
 	fmt.Printf("\n%d road segments × %d clustered facilities, ε=%g:\n", len(roadSet), len(a), *eps)
 	for _, alg := range []touch.Algorithm{touch.AlgTOUCH, touch.AlgRTree} {
-		res, err := touch.DistanceJoin(alg, roadSet, a, *eps, &touch.Options{NoPairs: true})
+		res, err := touch.SpatialJoin(context.Background(), alg, roadSet, a, &touch.Options{NoPairs: true, Eps: *eps})
 		if err != nil {
 			log.Fatal(err)
 		}

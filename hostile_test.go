@@ -1,6 +1,7 @@
 package touch
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -66,7 +67,7 @@ func TestJoinHostileExtents(t *testing.T) {
 		{name: "one-universe-box-probing", a: indexed, b: skewed, maxReplicas: 8 * int64(len(indexed)+len(skewed))},
 	} {
 		a, b, eps := order.a, order.b, order.eps
-		nl, err := DistanceJoin(AlgNL, a, b, eps, &Options{KeepOrder: true})
+		nl, err := SpatialJoin(context.Background(), AlgNL, a, b, &Options{KeepOrder: true, Eps: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,9 +92,9 @@ func TestJoinHostileExtents(t *testing.T) {
 		idx := BuildIndex(a, order.cfg)
 		for _, workers := range []int{1, 4} {
 			// KeepOrder: each order must build the tree on its own A side.
-			res, err := DistanceJoin(AlgTOUCH, a, b, eps, &Options{KeepOrder: true, Workers: workers, TOUCH: order.cfg})
+			res, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{KeepOrder: true, Workers: workers, TOUCH: order.cfg, Eps: eps})
 			check(fmt.Sprintf("one-shot/w%d", workers), res, err)
-			res, err = idx.DistanceJoin(b, eps, &Options{Workers: workers})
+			res, err = idx.Join(context.Background(), b, &Options{Workers: workers, Eps: eps})
 			check(fmt.Sprintf("index/w%d", workers), res, err)
 		}
 
@@ -107,7 +108,7 @@ func TestJoinHostileExtents(t *testing.T) {
 		if ids, err := m.Insert([]Box{a[last].Box}); err != nil || ids[0] != a[last].ID {
 			t.Fatalf("%s: Insert = %v, %v, want ID %d", order.name, ids, err, a[last].ID)
 		}
-		res, err := m.View().DistanceJoin(b, eps, nil)
+		res, err := m.View().Join(context.Background(), b, &Options{Eps: eps})
 		check("overlay", res, err)
 	}
 }

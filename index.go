@@ -30,10 +30,9 @@ import (
 //
 // The tree is immutable after BuildIndex; everything a single join or
 // query writes lives in a per-query probe object drawn from an internal
-// sync.Pool. Join, DistanceJoin and all query methods are therefore
-// safe for arbitrary concurrent callers on one shared Index, and
-// steady-state serving recycles all probe state, allocating near zero
-// per query.
+// sync.Pool. Join and all query methods are therefore safe for
+// arbitrary concurrent callers on one shared Index, and steady-state
+// serving recycles all probe state, allocating near zero per query.
 type Index = Overlay
 
 // BuildIndex constructs the TOUCH tree on the dataset with the given
@@ -90,45 +89,42 @@ func (v *Overlay) pend(inserts Dataset, runs []delta.Run, tombs []ID) {
 func (v *Overlay) frozen() bool { return len(v.inserts) == 0 && len(v.tombs) == 0 }
 
 // Join runs TOUCH's assignment and join phases against b, reusing the
-// prebuilt trees. Result pairs are in (indexed dataset, b) orientation,
-// every Options knob honored. Tier after tier is probed, the pairs
-// filtered against the tombstones when there are any, and a brute-force
-// pass joins the live inserts, so pair order is the engine's emission
-// order tier by tier followed by the insert pass — arbitrary under
-// parallelism; sort with Result.SortPairs for a canonical order. Safe to
-// call concurrently: each call checks a private probe out of a tier's
-// pool and no tree is ever written. It is JoinCtx with a background context —
-// uncancellable, and free of any cancellation bookkeeping unless
-// Options.Limit is set.
-func (v *Overlay) Join(b Dataset, opt *Options) *Result {
-	// A background context can never cancel, so the only abort cause is
-	// a limit stop — not an error.
-	res, _ := v.JoinCtx(context.Background(), b, opt)
-	return res
-}
-
-// JoinCtx is Join under a context: cancelling ctx (or its deadline
-// expiring) aborts the assignment and join phases and the insert pass
-// cooperatively — every worker checkpoints at least once per CheckEvery
-// comparisons — and returns ctx's error wrapped in ErrJoinCanceled. A
-// join stopped by Options.Limit is not an error; it returns the
-// truncated result, and the limit counts only live (delivered) pairs.
-// The probe recycles cleanly either way: an aborted call leaves no
-// state behind for the next join drawing the same probe from the pool.
-func (v *Overlay) JoinCtx(ctx context.Context, b Dataset, opt *Options) (*Result, error) {
-	return v.joinCtx(ctx, b, 0, opt)
-}
-
-// joinCtx is the join of JoinCtx and DistanceJoinCtx: the trees against
-// b with every box enlarged by eps.
-func (v *Overlay) joinCtx(ctx context.Context, b Dataset, eps float64, opt *Options) (*Result, error) {
+// prebuilt trees: every pair (indexed object, b) whose boxes intersect
+// with b's enlarged by Options.Eps, every other Options knob honored.
+// The pairs and Stats of a distance join are those of the intersection
+// join against b.Expand(Options.Eps), and b is not copied for it: each
+// tier's probe grows the boxes of one node at a time, as that node's
+// local join gathers them; only the brute-force pass over pending
+// inserts, when there are any, joins an enlarged copy of b. A negative or
+// NaN Eps is rejected with ErrNegativeDistance before the context is
+// checked, as SpatialJoin rejects it.
+//
+// Tier after tier is probed, the pairs filtered against the tombstones
+// when there are any, and a brute-force pass joins the live inserts, so
+// pair order is the engine's emission order tier by tier followed by the
+// insert pass — arbitrary under parallelism; sort with Result.SortPairs
+// for a canonical order. Safe to call concurrently: each call checks a
+// private probe out of a tier's pool and no tree is ever written.
+//
+// Cancelling ctx (or its deadline expiring) aborts the assignment and
+// join phases and the insert pass cooperatively — every worker
+// checkpoints at least once per CheckEvery comparisons — and returns
+// ctx's error wrapped in ErrJoinCanceled. A join stopped by
+// Options.Limit is not an error; it returns the truncated result, and
+// the limit counts only live (delivered) pairs. The probe recycles
+// cleanly either way: an aborted call leaves no state behind for the
+// next join drawing the same probe from the pool.
+func (v *Overlay) Join(ctx context.Context, b Dataset, opt *Options) (*Result, error) {
 	o := opt.normalized()
+	if err := checkEps(o.Eps); err != nil {
+		return nil, err
+	}
 	return collect(ctx, &o, false, func(ctl *stats.Control, c *Stats, sink Sink) {
-		v.run(b, eps, &o, ctl, c, sink)
+		v.run(b, &o, ctl, c, sink)
 	})
 }
 
-// run executes one join for joinCtx, b's boxes enlarged by eps: one
+// run executes one join for Join, b's boxes enlarged by o.Eps: one
 // probe per tier, with a tombstone filter in front of the delivery chain
 // when there are tombstones, then — unless the join was stopped or
 // nothing is unindexed — the brute-force pass over the live inserts into
@@ -140,12 +136,12 @@ func (v *Overlay) joinCtx(ctx context.Context, b Dataset, eps float64, opt *Opti
 // the delivered (live) pair count. A non-nil o.Trace records the insert
 // pass's wall time as PhaseDelta (the tombstone filter runs inline inside
 // the join phase and is not timed separately).
-func (v *Overlay) run(b Dataset, eps float64, o *Options, ctl *stats.Control, c *Stats, sink Sink) {
+func (v *Overlay) run(b Dataset, o *Options, ctl *stats.Control, c *Stats, sink Sink) {
 	if len(v.tombs) == 0 {
-		v.probeTiers(b, eps, o.Workers, ctl, c, sink)
+		v.probeTiers(b, o.Eps, o.Workers, ctl, c, sink)
 	} else {
 		var dropped int64
-		v.probeTiers(b, eps, o.Workers, ctl, c, stats.FuncSink(func(a, bid ID) {
+		v.probeTiers(b, o.Eps, o.Workers, ctl, c, stats.FuncSink(func(a, bid ID) {
 			if v.dead(a) {
 				dropped++
 				return
@@ -162,7 +158,7 @@ func (v *Overlay) run(b Dataset, eps float64, o *Options, ctl *stats.Control, c 
 	if o.Trace != nil {
 		start = time.Now()
 	}
-	var grown Dataset // b.Expand(eps), made for the first live run
+	var grown Dataset // b.Expand(o.Eps), made for the first live run
 	for from, i := 0, 0; i <= len(ins); i++ {
 		if i < len(ins) && !v.dead(ins[i].ID) {
 			continue
@@ -172,7 +168,7 @@ func (v *Overlay) run(b Dataset, eps float64, o *Options, ctl *stats.Control, c 
 				break
 			}
 			if grown == nil {
-				grown = b.Expand(eps)
+				grown = b.Expand(o.Eps)
 			}
 			nl.Join(ins[from:i], grown, ctl, c, sink)
 		}
@@ -212,25 +208,12 @@ func (t *tier) runProbe(b Dataset, eps float64, workers int, ctl *stats.Control,
 	c.MemoryBytes += t.tree.StaticBytes() + p.MemoryBytes()
 }
 
-// DistanceJoin is Join against b with every box enlarged by eps: its
-// pairs and Stats are Join(b.Expand(eps))'s. The enlargement is on the
-// probe side — the trees are built already — and b is not copied for
-// it: each tier's probe grows the boxes of one node at a time, as that
-// node's local join gathers them; only the brute-force pass over
-// pending inserts, when there are any, joins an enlarged copy of b. Like the
-// one-shot DistanceJoin, an eps that is negative or NaN is rejected with
-// ErrNegativeDistance.
+// DistanceJoin is Join under a background context with Options.Eps set
+// to eps. It stays, as a wrapper, only because the committed benchmark
+// (benchmark/) calls it; it goes once the benchmark moves to Join
+// (ROADMAP item 1b (m)).
 func (v *Overlay) DistanceJoin(b Dataset, eps float64, opt *Options) (*Result, error) {
-	return v.DistanceJoinCtx(context.Background(), b, eps, opt)
-}
-
-// DistanceJoinCtx is DistanceJoin under a context, with the cancellation
-// and limit semantics of JoinCtx.
-func (v *Overlay) DistanceJoinCtx(ctx context.Context, b Dataset, eps float64, opt *Options) (*Result, error) {
-	if err := checkEps(eps); err != nil {
-		return nil, err
-	}
-	return v.joinCtx(ctx, b, eps, opt)
+	return v.Join(context.Background(), b, opt.withEps(eps))
 }
 
 // IndexStats describes the immutable build artifact behind an Index:

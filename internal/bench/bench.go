@@ -14,6 +14,7 @@ package bench
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"io"
 	"slices"
@@ -118,7 +119,7 @@ type measurement struct {
 func runPoint(algs []touch.Algorithm, a, b geom.Dataset, eps float64) ([]measurement, error) {
 	out := make([]measurement, 0, len(algs))
 	for _, alg := range algs {
-		res, err := touch.DistanceJoin(alg, a, b, eps, &touch.Options{NoPairs: true})
+		res, err := touch.SpatialJoin(context.TODO(), alg, a, b, &touch.Options{NoPairs: true, Eps: eps})
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", alg, err)
 		}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -80,7 +81,7 @@ func runTable1(rc RunConfig, w io.Writer) error {
 		b := generate(dist, nb, rc.Seed, 2)
 		sel := make([]float64, 0, 2)
 		for _, eps := range []float64{5, 10} {
-			res, err := touch.DistanceJoin(touch.AlgTOUCH, a, b, eps, &touch.Options{NoPairs: true})
+			res, err := touch.SpatialJoin(context.TODO(), touch.AlgTOUCH, a, b, &touch.Options{NoPairs: true, Eps: eps})
 			if err != nil {
 				return err
 			}
@@ -94,7 +95,7 @@ func runTable1(rc RunConfig, w io.Writer) error {
 	na, nb := len(axons), len(dendrites)
 	sel := make([]float64, 0, 2)
 	for _, eps := range []float64{5, 10} {
-		res, err := touch.DistanceJoin(touch.AlgTOUCH, axons, dendrites, eps, &touch.Options{NoPairs: true})
+		res, err := touch.SpatialJoin(context.TODO(), touch.AlgTOUCH, axons, dendrites, &touch.Options{NoPairs: true, Eps: eps})
 		if err != nil {
 			return err
 		}
@@ -132,7 +133,7 @@ func runLoading(rc RunConfig, w io.Writer) error {
 		}
 		loadTime := time.Since(start)
 
-		res, err := touch.DistanceJoin(touch.AlgPBSM500, a, b, 5, &touch.Options{NoPairs: true})
+		res, err := touch.SpatialJoin(context.TODO(), touch.AlgPBSM500, a, b, &touch.Options{NoPairs: true, Eps: 5})
 		if err != nil {
 			return err
 		}

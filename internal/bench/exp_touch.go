@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -41,7 +42,7 @@ func runFig13(rc RunConfig, w io.Writer) error {
 		for _, dist := range dists {
 			a := generate(dist, rc.n(largeA), rc.Seed, 1)
 			b := generate(dist, nb, rc.Seed, 2)
-			res, err := touch.DistanceJoin(touch.AlgTOUCH, a, b, 5, &touch.Options{NoPairs: true})
+			res, err := touch.SpatialJoin(context.TODO(), touch.AlgTOUCH, a, b, &touch.Options{NoPairs: true, Eps: 5})
 			if err != nil {
 				return err
 			}
@@ -63,9 +64,9 @@ func runFig14(rc RunConfig, w io.Writer) error {
 		a := generate(dist, rc.n(largeA), rc.Seed, 1)
 		b := generate(dist, rc.n(largeBMax), rc.Seed, 2)
 		for _, fo := range fanouts {
-			opt := &touch.Options{NoPairs: true, KeepOrder: true}
+			opt := &touch.Options{Eps: 5, NoPairs: true, KeepOrder: true}
 			opt.TOUCH.Fanout = fo
-			res, err := touch.DistanceJoin(touch.AlgTOUCH, a, b, 5, opt)
+			res, err := touch.SpatialJoin(context.TODO(), touch.AlgTOUCH, a, b, opt)
 			if err != nil {
 				return err
 			}

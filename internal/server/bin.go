@@ -519,9 +519,9 @@ func (x *exec) update(ctx context.Context, p []byte) *api.Error {
 // first pair goes out alone, so a streaming reader sees the join start
 // with it. A failure after pairs went out still has its terminal frame:
 // OpError tells the reader to discard what it took for the request.
-// Every join goes through DistanceJoinCtx, ε = 0 being the plain
-// intersection join: the engine applies ε to each node's boxes as its
-// local join gathers them, so no ε copies the probe.
+// The request's ε goes into Options.Eps of the one Overlay.Join, ε = 0
+// being the plain intersection join: the engine applies ε to each node's
+// boxes as its local join gathers them, so no ε copies the probe.
 func (x *exec) join(ctx context.Context, p []byte) *api.Error {
 	s := x.s
 	decStart := time.Now()
@@ -549,7 +549,7 @@ func (x *exec) join(ctx context.Context, p []byte) *api.Error {
 	} else if probe, err = touch.DatasetFromBoxes(jr.Boxes); err != nil {
 		return api.EngineError(err)
 	}
-	opt := touch.Options{Workers: clampWorkers(jr.Workers), Trace: &x.span, NoPairs: jr.CountOnly}
+	opt := touch.Options{Eps: jr.Eps, Workers: clampWorkers(jr.Workers), Trace: &x.span, NoPairs: jr.CountOnly}
 	if opt.Workers <= 0 {
 		opt.Workers = s.cfg.Workers
 	}
@@ -580,7 +580,7 @@ func (x *exec) join(ctx context.Context, p []byte) *api.Error {
 			opt.Limit = x.pairCap + 1
 		}
 	}
-	res, err := snap.ov.DistanceJoinCtx(ctx, probe, jr.Eps, &opt)
+	res, err := snap.ov.Join(ctx, probe, &opt)
 	switch {
 	case errors.Is(err, touch.ErrJoinCanceled):
 		return s.aborted(ctx)

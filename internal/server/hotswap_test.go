@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -44,7 +45,10 @@ func TestConcurrentClientsWithHotRebuild(t *testing.T) {
 	probe := touch.GenerateUniform(300, 103)
 	var joinWant [2][]touch.Pair
 	for p, idx := range []*touch.Index{idxOdd, idxEven} {
-		res := idx.Join(probe, nil)
+		res, err := idx.Join(context.Background(), probe, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		res.SortPairs()
 		joinWant[p] = res.Pairs
 	}

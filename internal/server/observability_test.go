@@ -259,7 +259,7 @@ func TestTracedJoinMatchesStatsAndLibrary(t *testing.T) {
 	// Ground truth: the same join straight through the library.
 	ix := touch.BuildIndex(ds, touch.TOUCHConfig{})
 	var sp touch.Span
-	res, err := ix.DistanceJoin(probe, 3, &touch.Options{Workers: 1, NoPairs: true, Trace: &sp})
+	res, err := ix.Join(context.Background(), probe, &touch.Options{Workers: 1, NoPairs: true, Trace: &sp, Eps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

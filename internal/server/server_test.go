@@ -254,7 +254,10 @@ func TestJoinEndpoint(t *testing.T) {
 		if err := json.Unmarshal(body, &jr); err != nil {
 			t.Fatal(err)
 		}
-		res := direct.Join(b, nil)
+		res, err := direct.Join(context.Background(), b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		res.SortPairs()
 		checkPairs(fmt.Sprintf("inline-w%d", workers), jr.Pairs, res.Pairs)
 		if jr.Count != res.Stats.Results || jr.ProbeObjects != len(b) {
@@ -272,7 +275,7 @@ func TestJoinEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatal(err)
 	}
-	res, err := direct.DistanceJoin(b, 4, nil)
+	res, err := direct.Join(context.Background(), b, &touch.Options{Eps: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +294,10 @@ func TestJoinEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatal(err)
 	}
-	plain := direct.Join(b, nil)
+	plain, err := direct.Join(context.Background(), b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if jr.Pairs != nil || jr.Count != plain.Stats.Results {
 		t.Fatalf("count_only: pairs=%v count=%d want count %d", jr.Pairs, jr.Count, plain.Stats.Results)
 	}

@@ -114,7 +114,7 @@ func (ts *testServer) checkAgainstOracle(o *updOracle, name string, probe touch.
 	if err := json.Unmarshal(raw, &jr); err != nil {
 		t.Fatal(err)
 	}
-	res, err := o.m.View().DistanceJoin(probe, 2.5, nil)
+	res, err := o.m.View().Join(context.Background(), probe, &touch.Options{Eps: 2.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,60 +159,67 @@ func checkOverlayAgainstRebuild(t *testing.T, v *touch.Overlay, probe touch.Data
 	}
 
 	for _, eps := range []float64{0, 7.5} {
-		res, err := v.DistanceJoin(probe, eps, nil)
+		res, err := v.Join(context.Background(), probe, &touch.Options{Eps: eps})
 		if err != nil {
-			t.Fatalf("DistanceJoin: %v", err)
+			t.Fatalf("Join: %v", err)
 		}
-		wantRes, err := rebuilt.DistanceJoin(probe, eps, nil)
+		wantRes, err := rebuilt.Join(context.Background(), probe, &touch.Options{Eps: eps})
 		if err != nil {
-			t.Fatalf("rebuilt DistanceJoin: %v", err)
+			t.Fatalf("rebuilt Join: %v", err)
 		}
 		got, want := PairSet(res.Pairs), PairSet(wantRes.Pairs)
 		if !slices.Equal(got, want) {
-			t.Fatalf("DistanceJoin(eps=%g) diverges from rebuild: %d pairs, want %d (first diff %d)",
+			t.Fatalf("Join(eps=%g) diverges from rebuild: %d pairs, want %d (first diff %d)",
 				eps, len(got), len(want), firstDiff(got, want))
 		}
 		if res.Stats.Results != int64(len(got)) {
-			t.Fatalf("DistanceJoin(eps=%g): Stats.Results=%d but %d pairs", eps, res.Stats.Results, len(got))
+			t.Fatalf("Join(eps=%g): Stats.Results=%d but %d pairs", eps, res.Stats.Results, len(got))
 		}
 
-		count, err := v.DistanceJoin(probe, eps, &touch.Options{NoPairs: true})
+		count, err := v.Join(context.Background(), probe, &touch.Options{NoPairs: true, Eps: eps})
 		if err != nil {
-			t.Fatalf("count-only DistanceJoin: %v", err)
+			t.Fatalf("count-only Join: %v", err)
 		}
 		if count.Stats.Results != int64(len(want)) {
-			t.Fatalf("count-only DistanceJoin(eps=%g) = %d, want %d", eps, count.Stats.Results, len(want))
+			t.Fatalf("count-only Join(eps=%g) = %d, want %d", eps, count.Stats.Results, len(want))
 		}
 
 		var streamed []touch.Pair
 		sink := stats.FuncSink(func(a, b geom.ID) { streamed = append(streamed, touch.Pair{A: a, B: b}) })
-		if _, err := v.DistanceJoinCtx(context.Background(), probe, eps, &touch.Options{Sink: sink}); err != nil {
-			t.Fatalf("DistanceJoinCtx into a sink: %v", err)
+		if _, err := v.Join(context.Background(), probe, &touch.Options{Sink: sink, Eps: eps}); err != nil {
+			t.Fatalf("Join into a sink: %v", err)
 		}
 		if got := PairSet(streamed); !slices.Equal(got, want) {
-			t.Fatalf("DistanceJoinCtx(eps=%g) into a sink diverges from rebuild: %d pairs, want %d", eps, len(got), len(want))
+			t.Fatalf("Join(eps=%g) into a sink diverges from rebuild: %d pairs, want %d", eps, len(got), len(want))
 		}
 	}
 
 	// Limit must deliver exactly min(limit, total) live pairs — never a
 	// tombstoned one (every delivered pair's A side must be live).
-	res := v.Join(probe, &touch.Options{Limit: 5})
-	if res != nil {
-		alive := make(map[geom.ID]bool, len(merged))
-		for _, o := range merged {
-			alive[o.ID] = true
-		}
-		full, _ := rebuilt.JoinCtx(context.Background(), probe, nil)
-		wantN := min(5, len(full.Pairs))
-		if len(res.Pairs) != wantN {
-			t.Fatalf("Limit=5 delivered %d pairs, want %d", len(res.Pairs), wantN)
-		}
-		for _, p := range res.Pairs {
-			if !alive[p.A] {
-				t.Fatalf("Limit join delivered tombstoned pair %v", p)
-			}
+	res := mustJoin(t, v, probe, &touch.Options{Limit: 5})
+	alive := make(map[geom.ID]bool, len(merged))
+	for _, o := range merged {
+		alive[o.ID] = true
+	}
+	wantN := min(5, len(mustJoin(t, rebuilt, probe, nil).Pairs))
+	if len(res.Pairs) != wantN {
+		t.Fatalf("Limit=5 delivered %d pairs, want %d", len(res.Pairs), wantN)
+	}
+	for _, p := range res.Pairs {
+		if !alive[p.A] {
+			t.Fatalf("Limit join delivered tombstoned pair %v", p)
 		}
 	}
+}
+
+// mustJoin is r.Join under a background context; an error fails t.
+func mustJoin(t testing.TB, r *touch.Overlay, b touch.Dataset, opt *touch.Options) *touch.Result {
+	t.Helper()
+	res, err := r.Join(context.Background(), b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestDifferentialMutable drives random op scripts — insert a random
@@ -554,7 +561,7 @@ func TestNewOverlayContract(t *testing.T) {
 	merged = slices.DeleteFunc(append(merged, live...), func(o touch.Object) bool { return slices.Contains(deleted, o.ID) })
 	rebuilt := touch.BuildIndex(merged, touch.TOUCHConfig{})
 	probe := touch.GenerateUniform(80, 9503)
-	wantJoin := PairSet(rebuilt.Join(probe, nil).Pairs)
+	wantJoin := PairSet(mustJoin(t, rebuilt, probe, nil).Pairs)
 
 	order := slices.Clone(deleted)
 	for name, ov := range map[string]*touch.Overlay{
@@ -580,7 +587,7 @@ func TestNewOverlayContract(t *testing.T) {
 				t.Fatalf("%s: KNN(%v, %d) = %v, %v; want %v", name, p, ks[i], gotK, err, wantK)
 			}
 		}
-		if got := PairSet(ov.Join(probe, nil).Pairs); !slices.Equal(got, wantJoin) {
+		if got := PairSet(mustJoin(t, ov, probe, nil).Pairs); !slices.Equal(got, wantJoin) {
 			t.Fatalf("%s: Join has %d pairs, want %d", name, len(got), len(wantJoin))
 		}
 	}
@@ -746,7 +753,7 @@ func TestMutableRace(t *testing.T) {
 						}
 					}
 				case 3:
-					if _, err := m.View().DistanceJoinCtx(ctx, probe, 5, &touch.Options{Workers: 2}); err != nil && ctx.Err() == nil {
+					if _, err := m.View().Join(ctx, probe, &touch.Options{Workers: 2, Eps: 5}); err != nil && ctx.Err() == nil {
 						errs <- err
 						return
 					}
@@ -754,7 +761,7 @@ func TestMutableRace(t *testing.T) {
 					// A sink that stops its own join after 500 pairs.
 					jctx, stop := context.WithCancel(ctx)
 					n := 0
-					_, err := m.View().DistanceJoinCtx(jctx, probe, 0, &touch.Options{Sink: stats.FuncSink(func(a, b geom.ID) {
+					_, err := m.View().Join(jctx, probe, &touch.Options{Sink: stats.FuncSink(func(a, b geom.ID) {
 						if n++; n == 500 {
 							stop()
 						}

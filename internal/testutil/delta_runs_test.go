@@ -238,6 +238,18 @@ func TestMutableSealedRunsUnderRacingWrites(t *testing.T) {
 		for views.Load() < int64(i/10) && len(errs) == 0 {
 			time.Sleep(50 * time.Microsecond)
 		}
+		// A generation two sealed runs deep holds still until a reader has
+		// recorded its depth, or a fold has replaced it. The first one
+		// comes at about 73 writes, before the pending inserts and
+		// tombstones reach the fold threshold at about 96, so no fold is
+		// in flight there and a reader records it.
+		if v := m.View(); deepest.Load() < 2*delta.RunLen {
+			if ins, _ := v.Pending(); ins >= 2*delta.RunLen {
+				for deepest.Load() < 2*delta.RunLen && m.View() == v && len(errs) == 0 {
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+		}
 	}
 	close(stop)
 	readers.Wait()

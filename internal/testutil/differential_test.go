@@ -1,6 +1,7 @@
 package testutil
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -87,13 +88,13 @@ func TestDifferentialDistanceJoins(t *testing.T) {
 	picked := []Case{cases[0], cases[8]} // uniform-small, all-identical
 	for _, c := range picked {
 		for _, eps := range []float64{0, 7.5} {
-			ref, err := touch.DistanceJoin(touch.AlgNL, c.A, c.B, eps, &touch.Options{KeepOrder: true})
+			ref, err := touch.SpatialJoin(context.Background(), touch.AlgNL, c.A, c.B, &touch.Options{KeepOrder: true, Eps: eps})
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := PairSet(ref.Pairs)
 			for _, alg := range touch.Algorithms() {
-				res, err := touch.DistanceJoin(alg, c.A, c.B, eps, nil)
+				res, err := touch.SpatialJoin(context.Background(), alg, c.A, c.B, &touch.Options{Eps: eps})
 				if err != nil {
 					t.Fatalf("%s/%s eps=%g: %v", c.Name, alg, eps, err)
 				}

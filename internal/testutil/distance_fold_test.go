@@ -1,6 +1,7 @@
 package testutil
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -14,12 +15,6 @@ import (
 // of joining an enlarged copy. The tests here hold it to the copy it
 // replaced: the same pairs and the same counters as the intersection
 // join over the explicitly expanded dataset.
-
-// distanceReader is the join surface an Index and an Overlay share.
-type distanceReader interface {
-	Join(b touch.Dataset, opt *touch.Options) *touch.Result
-	DistanceJoin(b touch.Dataset, eps float64, opt *touch.Options) (*touch.Result, error)
-}
 
 // sameJoin returns an error unless got and want hold the same pair set
 // and the same engine counters.
@@ -38,17 +33,20 @@ func sameJoin(got, want *touch.Result) error {
 	return nil
 }
 
-// checkOneShotFold compares the one-shot TOUCH DistanceJoin of a and b
-// with SpatialJoin over a.Expand(eps), with the join order kept and left
-// to the heuristic (which swaps when b is the smaller side).
+// checkOneShotFold compares the one-shot TOUCH join of a and b at
+// Options.Eps = eps with the intersection join over a.Expand(eps), with
+// the join order kept and left to the heuristic (which swaps when b is
+// the smaller side).
 func checkOneShotFold(a, b touch.Dataset, eps float64, workers int) error {
+	ctx := context.Background()
 	for _, keep := range []bool{true, false} {
-		opt := &touch.Options{Workers: workers, KeepOrder: keep}
-		got, err := touch.DistanceJoin(touch.AlgTOUCH, a, b, eps, opt)
+		opt := touch.Options{Workers: workers, KeepOrder: keep}
+		want, err := touch.SpatialJoin(ctx, touch.AlgTOUCH, a.Expand(eps), b, &opt)
 		if err != nil {
 			return err
 		}
-		want, err := touch.SpatialJoin(touch.AlgTOUCH, a.Expand(eps), b, opt)
+		opt.Eps = eps
+		got, err := touch.SpatialJoin(ctx, touch.AlgTOUCH, a, b, &opt)
 		if err != nil {
 			return err
 		}
@@ -59,15 +57,19 @@ func checkOneShotFold(a, b touch.Dataset, eps float64, workers int) error {
 	return nil
 }
 
-// checkReaderFold compares r.DistanceJoin(b, eps) with r.Join over
-// b.Expand(eps).
-func checkReaderFold(r distanceReader, b touch.Dataset, eps float64, workers int) error {
-	opt := &touch.Options{Workers: workers}
-	got, err := r.DistanceJoin(b, eps, opt)
+// checkReaderFold compares r's join of b at Options.Eps = eps with its
+// intersection join over b.Expand(eps).
+func checkReaderFold(r *touch.Overlay, b touch.Dataset, eps float64, workers int) error {
+	ctx := context.Background()
+	want, err := r.Join(ctx, b.Expand(eps), &touch.Options{Workers: workers})
 	if err != nil {
 		return err
 	}
-	return sameJoin(got, r.Join(b.Expand(eps), opt))
+	got, err := r.Join(ctx, b, &touch.Options{Workers: workers, Eps: eps})
+	if err != nil {
+		return err
+	}
+	return sameJoin(got, want)
 }
 
 // foldReaders returns the reader shapes a distance join runs on over
@@ -75,7 +77,7 @@ func checkReaderFold(r distanceReader, b touch.Dataset, eps float64, workers int
 // fifth of a is pending inserts; one with every third object
 // tombstoned; and a generation of two tiers — the last fifth of a
 // folded above the rest — with inserts and tombstones pending on both.
-func foldReaders(t *testing.T, a touch.Dataset) map[string]distanceReader {
+func foldReaders(t *testing.T, a touch.Dataset) map[string]*touch.Overlay {
 	t.Helper()
 	cut := 4 * len(a) / 5
 	base, tail := a[:cut], a[cut:]
@@ -85,7 +87,7 @@ func foldReaders(t *testing.T, a touch.Dataset) map[string]distanceReader {
 	}
 	idx := touch.BuildIndex(a, touch.TOUCHConfig{})
 	baseIdx := touch.BuildIndex(base, touch.TOUCHConfig{})
-	readers := map[string]distanceReader{
+	readers := map[string]*touch.Overlay{
 		"index":      idx,
 		"inserts":    touch.NewOverlay(baseIdx, tail, nil),
 		"tombstones": touch.NewOverlay(idx, nil, dead),
@@ -132,10 +134,11 @@ func latticeCase() Case {
 
 // TestDistanceJoinFoldsEps: on every harness case and the lattice, at
 // ε = 0, a small ε and the lattice's exact gaps, with 1 and 4 workers,
-// the one-shot TOUCH DistanceJoin (order kept and swapped) equals
-// SpatialJoin over A.Expand(ε), and DistanceJoin on a frozen index, on
-// overlays with pending inserts or tombstones and on a two-tier
-// generation equals its Join over B.Expand(ε) — pairs and counters.
+// the one-shot TOUCH join with Options.Eps (order kept and swapped)
+// equals the intersection join over A.Expand(ε), and the join with
+// Options.Eps on a frozen index, on overlays with pending inserts or
+// tombstones and on a two-tier generation equals its join over
+// B.Expand(ε) — pairs and counters.
 // Last, sides large enough for 4 workers to shard the assignment, with
 // ε on the probe (index, and one-shot swapped) and on the tree.
 func TestDistanceJoinFoldsEps(t *testing.T) {

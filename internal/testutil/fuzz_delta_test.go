@@ -133,8 +133,8 @@ func FuzzDeltaMerge(f *testing.F) {
 			}
 		}
 		probe, _ := fuzzDataset(bytes.Repeat(data, 1+120/max(len(data), 1)), 0, 8)
-		res := m.View().Join(probe, nil)
-		wantRes := rebuilt.Join(probe, nil)
+		res := mustJoin(t, m.View(), probe, nil)
+		wantRes := mustJoin(t, rebuilt, probe, nil)
 		got, want := PairSet(res.Pairs), PairSet(wantRes.Pairs)
 		if !slices.Equal(got, want) {
 			t.Fatalf("Join diverges from rebuild: %d pairs, want %d", len(got), len(want))

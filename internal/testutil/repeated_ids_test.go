@@ -121,7 +121,7 @@ func checkAnswers(t *testing.T, v *touch.Overlay, live touch.Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := PairSet(v.Join(probe, nil).Pairs); !slices.Equal(got, want) {
+	if got := PairSet(mustJoin(t, v, probe, nil).Pairs); !slices.Equal(got, want) {
 		t.Fatalf("Join found %d pairs, the nested loop %d", len(got), len(want))
 	}
 }

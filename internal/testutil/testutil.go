@@ -9,6 +9,7 @@ package testutil
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -106,7 +107,7 @@ func PairSet(pairs []touch.Pair) []touch.Pair {
 // through the public API, so orientation conventions match the checked
 // joins exactly.
 func OraclePairs(a, b touch.Dataset) ([]touch.Pair, error) {
-	res, err := touch.SpatialJoin(touch.AlgNL, a, b, &touch.Options{KeepOrder: true})
+	res, err := touch.SpatialJoin(context.Background(), touch.AlgNL, a, b, &touch.Options{KeepOrder: true})
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +117,7 @@ func OraclePairs(a, b touch.Dataset) ([]touch.Pair, error) {
 // CheckJoin runs one algorithm at one worker count and returns an error
 // unless its pair set is identical to the oracle's.
 func CheckJoin(alg touch.Algorithm, c Case, workers int, want []touch.Pair) error {
-	res, err := touch.SpatialJoin(alg, c.A, c.B, &touch.Options{Workers: workers, KeepOrder: c.KeepOrder})
+	res, err := touch.SpatialJoin(context.Background(), alg, c.A, c.B, &touch.Options{Workers: workers, KeepOrder: c.KeepOrder})
 	if err != nil {
 		return fmt.Errorf("%s/%s workers=%d: %w", c.Name, alg, workers, err)
 	}

@@ -18,7 +18,7 @@ import (
 // pending updates no fold has indexed yet, inserted objects and deleted
 // (tombstoned) IDs. BuildIndex returns a dataset's first generation, one
 // tier with nothing pending; Apply is the update step, and Fold with
-// Fold.Next the compaction. All ten query and join methods answer
+// Fold.Next the compaction. Every query and join method answers
 // bit-identically to an index rebuilt from the merged dataset. Publishing
 // an update is O(batch): nothing here is copied or rebuilt per
 // generation, except that the update completing a stretch of

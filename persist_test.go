@@ -39,8 +39,8 @@ func TestSnapshotRoundtripServesIdentically(t *testing.T) {
 	// Differential checks: join, range and kNN must answer exactly as
 	// the index the snapshot was taken from.
 	b := GenerateUniform(3000, 7)
-	want := ix.Join(b, nil)
-	have := loaded.Join(b, nil)
+	want := mustJoin(t, ix, b, nil)
+	have := mustJoin(t, loaded, b, nil)
 	if len(want.Pairs) != len(have.Pairs) {
 		t.Fatalf("join found %d pairs, want %d", len(have.Pairs), len(want.Pairs))
 	}
@@ -83,7 +83,7 @@ func TestSnapshotEmptyDataset(t *testing.T) {
 	if len(ds) != 0 {
 		t.Fatalf("decoded %d objects", len(ds))
 	}
-	res := loaded.Join(GenerateUniform(100, 1), nil)
+	res := mustJoin(t, loaded, GenerateUniform(100, 1), nil)
 	if len(res.Pairs) != 0 {
 		t.Fatalf("join on empty index found %d pairs", len(res.Pairs))
 	}
@@ -211,7 +211,7 @@ func TestOverlaySnapshotRoundtrip(t *testing.T) {
 			t.Fatalf("KNN(%v) differs after the round trip", pt)
 		}
 	}
-	if want, have := v.Join(probe, nil), back.Join(probe, nil); !slices.Equal(sortPairSet(have.Pairs), sortPairSet(want.Pairs)) {
+	if want, have := mustJoin(t, v, probe, nil), mustJoin(t, back, probe, nil); !slices.Equal(sortPairSet(have.Pairs), sortPairSet(want.Pairs)) {
 		t.Fatalf("Join: %d pairs after the round trip, %d before", len(have.Pairs), len(want.Pairs))
 	}
 

@@ -1,6 +1,7 @@
 package touch
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -228,7 +229,7 @@ func TestConcurrentQueriesAndJoins(t *testing.T) {
 
 	q := NewBox(Point{100, 100, 100}, Point{400, 400, 400})
 	wantIDs := nl.RangeQuery(a, q)
-	wantJoin := ix.Join(b, nil).Stats.Results
+	wantJoin := mustJoin(t, ix, b, nil).Stats.Results
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -251,7 +252,11 @@ func TestConcurrentQueriesAndJoins(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				res := ix.Join(b, &Options{NoPairs: true})
+				res, err := ix.Join(context.Background(), b, &Options{NoPairs: true})
+				if err != nil {
+					errs <- err
+					return
+				}
 				if res.Stats.Results != wantJoin {
 					errs <- errors.New("Join diverged while queries ran")
 					return

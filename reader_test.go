@@ -17,27 +17,6 @@ import (
 	"touch/internal/trace"
 )
 
-// querier is the read surface the package declares once, on the
-// unexported reader; the interface exists only here, to hold both
-// exported readers to it at compile time.
-type querier interface {
-	RangeQuery(Box) ([]ID, error)
-	RangeQueryTraced(Box, *Span) ([]ID, error)
-	PointQuery(x, y, z float64) ([]ID, error)
-	PointQueryTraced(x, y, z float64, sp *Span) ([]ID, error)
-	KNN(Point, int) ([]Neighbor, error)
-	KNNTraced(Point, int, *Span) ([]Neighbor, error)
-	Join(Dataset, *Options) *Result
-	JoinCtx(context.Context, Dataset, *Options) (*Result, error)
-	DistanceJoin(Dataset, float64, *Options) (*Result, error)
-	DistanceJoinCtx(context.Context, Dataset, float64, *Options) (*Result, error)
-}
-
-var (
-	_ querier = (*Index)(nil)
-	_ querier = (*Overlay)(nil)
-)
-
 // raceEnabled is set by race_test.go under the race detector, where
 // sync.Pool drops items at random and allocation counts mean nothing.
 var raceEnabled bool
@@ -69,7 +48,7 @@ func TestOverlayEmptyDeltaReaderParity(t *testing.T) {
 	}
 	readers := []struct {
 		name string
-		r    querier
+		r    *Overlay
 	}{
 		{"Index", idx},
 		{"NewOverlay(nil,nil)", NewOverlay(idx, nil, nil)},
@@ -81,32 +60,33 @@ func TestOverlayEmptyDeltaReaderParity(t *testing.T) {
 	shapes := []struct {
 		name     string
 		recorded []trace.Phase
-		ask      func(querier, *Span) any
+		ask      func(*Overlay, *Span) any
 	}{
-		{"range", []trace.Phase{trace.PhaseQuery}, func(r querier, sp *Span) any {
+		{"range", []trace.Phase{trace.PhaseQuery}, func(r *Overlay, sp *Span) any {
 			ids, err := r.RangeQueryTraced(box, sp)
 			return []any{ids, err}
 		}},
-		{"point", []trace.Phase{trace.PhaseQuery}, func(r querier, sp *Span) any {
+		{"point", []trace.Phase{trace.PhaseQuery}, func(r *Overlay, sp *Span) any {
 			c := ds[7].Box.Center()
 			ids, err := r.PointQueryTraced(c[0], c[1], c[2], sp)
 			return []any{ids, err}
 		}},
-		{"knn", []trace.Phase{trace.PhaseQuery}, func(r querier, sp *Span) any {
+		{"knn", []trace.Phase{trace.PhaseQuery}, func(r *Overlay, sp *Span) any {
 			nbrs, err := r.KNNTraced(pt, 10, sp)
 			return []any{nbrs, err}
 		}},
-		{"Join", []trace.Phase{trace.PhaseAssign, trace.PhaseJoin}, func(r querier, sp *Span) any {
-			return r.Join(probe, &Options{Trace: sp}).Pairs
+		{"Join", []trace.Phase{trace.PhaseAssign, trace.PhaseJoin}, func(r *Overlay, sp *Span) any {
+			res, err := r.Join(ctx, probe, &Options{Trace: sp})
+			return []any{res.Pairs, err}
 		}},
-		{"DistanceJoinCtx", []trace.Phase{trace.PhaseAssign, trace.PhaseJoin}, func(r querier, sp *Span) any {
-			res, err := r.DistanceJoinCtx(ctx, probe, 3, &Options{Trace: sp})
+		{"Join+Eps", []trace.Phase{trace.PhaseAssign, trace.PhaseJoin}, func(r *Overlay, sp *Span) any {
+			res, err := r.Join(ctx, probe, &Options{Eps: 3, Trace: sp})
 			return []any{res.Pairs, statsKey(&res.Stats), err}
 		}},
-		{"Sink+Limit", []trace.Phase{trace.PhaseAssign, trace.PhaseJoin}, func(r querier, sp *Span) any {
+		{"Sink+Limit", []trace.Phase{trace.PhaseAssign, trace.PhaseJoin}, func(r *Overlay, sp *Span) any {
 			var pairs []Pair
 			sink := stats.FuncSink(func(a, b ID) { pairs = append(pairs, Pair{A: a, B: b}) })
-			res, err := r.JoinCtx(ctx, probe, &Options{Limit: 40, Sink: sink, Trace: sp})
+			res, err := r.Join(ctx, probe, &Options{Limit: 40, Sink: sink, Trace: sp})
 			return []any{pairs, statsKey(&res.Stats), err}
 		}},
 	}
@@ -182,7 +162,7 @@ func TestMutableViewIsOneGeneration(t *testing.T) {
 				t.Fatalf("KNN(%v): %v, its generation's rebuild has %v", pts[i], gotK, wantK)
 			}
 		}
-		got, want := v.Join(probe, nil), oracle.Join(probe, nil)
+		got, want := mustJoin(t, v, probe, nil), mustJoin(t, oracle, probe, nil)
 		if !slices.Equal(sortPairSet(got.Pairs), sortPairSet(want.Pairs)) {
 			t.Fatalf("Join: %d pairs, its generation's rebuild has %d", len(got.Pairs), len(want.Pairs))
 		}
@@ -296,7 +276,7 @@ func TestViewOutlivesTierMerges(t *testing.T) {
 				t.Fatalf("KNN(%v): %v, its generation's rebuild has %v", pts[i], gotK, wantK)
 			}
 		}
-		got, want := v.Join(probe, nil), oracle.Join(probe, nil)
+		got, want := mustJoin(t, v, probe, nil), mustJoin(t, oracle, probe, nil)
 		if !slices.Equal(sortPairSet(got.Pairs), sortPairSet(want.Pairs)) {
 			t.Fatalf("Join: %d pairs, its generation's rebuild has %d", len(got.Pairs), len(want.Pairs))
 		}

@@ -1,6 +1,7 @@
 package touch
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -36,7 +37,7 @@ func TestConcurrentIndexServing(t *testing.T) {
 		for m := 0; m < probesPer; m++ {
 			b := GenerateUniform(900, int64(910+g*probesPer+m))
 			probes[g][m] = b
-			res := idx.Join(b, nil)
+			res := mustJoin(t, idx, b, nil)
 			refs[g][m] = ref{pairs: sortPairSet(res.Pairs), stats: statsKey(&res.Stats)}
 		}
 	}
@@ -52,7 +53,11 @@ func TestConcurrentIndexServing(t *testing.T) {
 				if g%2 == 1 {
 					opt = &Options{Workers: 2} // mix per-call parallelism across callers
 				}
-				res := idx.Join(probes[g][m], opt)
+				res, err := idx.Join(context.Background(), probes[g][m], opt)
+				if err != nil {
+					errs <- err
+					return
+				}
 				want := refs[g][m]
 				if !slices.Equal(sortPairSet(res.Pairs), want.pairs) {
 					errs <- fmt.Errorf("goroutine %d probe %d: pair set differs from sequential", g, m)
@@ -82,8 +87,8 @@ func TestIndexRepeatedJoinsNoReset(t *testing.T) {
 	b1 := GenerateUniform(700, 932)
 	b2 := GenerateGaussian(400, 933)
 
-	first := idx.Join(b1, nil)
-	ref, err := DistanceJoin(AlgNL, a, b1, 0, &Options{KeepOrder: true})
+	first := mustJoin(t, idx, b1, nil)
+	ref, err := SpatialJoin(context.Background(), AlgNL, a, b1, &Options{KeepOrder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +101,9 @@ func TestIndexRepeatedJoinsNoReset(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		// Interleave a different workload (different size, distribution
 		// and filtering profile) to dirty any recycled buffers…
-		idx.Join(b2, &Options{NoPairs: true})
+		mustJoin(t, idx, b2, &Options{NoPairs: true})
 		// …then the original query must still be bit-identical.
-		again := idx.Join(b1, nil)
+		again := mustJoin(t, idx, b1, nil)
 		if !slices.Equal(sortPairSet(again.Pairs), wantFirst) {
 			t.Fatalf("iteration %d: repeated join changed the pair set", i)
 		}

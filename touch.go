@@ -8,29 +8,33 @@
 // The package answers two kinds of queries over 3-D datasets of spatial
 // objects approximated by minimum bounding rectangles (MBRs):
 //
-//   - SpatialJoin: all pairs (a ∈ A, b ∈ B) whose MBRs intersect.
-//   - DistanceJoin: all pairs within distance ε (per-dimension), reduced
-//     to an intersection join by enlarging one dataset's boxes by ε.
+//   - the intersection join: all pairs (a ∈ A, b ∈ B) whose MBRs
+//     intersect;
+//   - the distance join: all pairs within distance ε (per-dimension),
+//     reduced to an intersection join by enlarging one dataset's boxes by
+//     ε, set with Options.Eps.
 //
-// Every join reports the paper's implementation-independent metrics —
-// object–object comparisons, filtered objects, analytic memory footprint
-// and per-phase timings — through the Stats of its Result.
+// Both are one call: SpatialJoin for two datasets, Overlay.Join (an Index
+// is an Overlay) against a prebuilt tree. Every join reports the paper's
+// implementation-independent metrics — object–object comparisons,
+// filtered objects, analytic memory footprint and per-phase timings —
+// through the Stats of its Result.
 //
 // A minimal distance join:
 //
 //	a := touch.GenerateUniform(10_000, 1)
 //	b := touch.GenerateUniform(40_000, 2)
-//	res, err := touch.DistanceJoin(touch.AlgTOUCH, a, b, 5, nil)
+//	res, err := touch.SpatialJoin(ctx, touch.AlgTOUCH, a, b, &touch.Options{Eps: 5})
 //	if err != nil { ... }
 //	fmt.Println(len(res.Pairs), res.Stats.Comparisons)
 //
-// Execution is context-first: the Ctx variants (SpatialJoinCtx,
-// Index.JoinCtx, …) abort cooperatively when their context is canceled,
-// returning ErrJoinCanceled within a bounded number of comparisons, and
-// Options.Sink streams result pairs as the engine finds them, with O(1)
-// result memory — cancelling the context (from inside the sink too) or
-// Options.Limit stops the engine instead of letting it run to
-// completion.
+// Execution is context-first: a join aborts cooperatively when its
+// context is canceled, returning ErrJoinCanceled within a bounded number
+// of comparisons, and Options.Sink streams result pairs as the engine
+// finds them, with O(1) result memory — cancelling the context (from
+// inside the sink too) or Options.Limit stops the engine instead of
+// letting it run to completion. A context that can never be canceled,
+// such as context.Background(), adds no cancellation bookkeeping.
 package touch
 
 import (
@@ -151,9 +155,17 @@ func ValidAlgorithm(alg Algorithm) bool {
 	return err == nil
 }
 
-// Options tunes a join execution. The zero value (or a nil pointer) uses
-// the paper's experimental defaults for every algorithm.
+// Options sets a join's distance and tunes its execution. The zero value
+// (or a nil pointer) is the intersection join under the paper's
+// experimental defaults for every algorithm.
 type Options struct {
+	// Eps makes the join a distance join: every pair within Eps of each
+	// other per dimension (the box distance of the paper's filtering
+	// phase), that is the intersection join of A's boxes enlarged by Eps
+	// with B's. 0 is the intersection join. A negative or NaN Eps is
+	// rejected with ErrNegativeDistance — a box grown by NaN meets every
+	// box — and +Inf joins every pair.
+	Eps float64
 	// TOUCH parameters (partitions, fanout, local grid).
 	TOUCH TOUCHConfig
 	// PBSM is the grid resolution used by AlgPBSM (cells per dimension).
@@ -223,9 +235,9 @@ func (o *Options) normalized() Options {
 // Algorithm name matches no implemented join; test with errors.Is.
 var ErrUnknownAlgorithm = errors.New("touch: unknown algorithm")
 
-// ErrNegativeDistance is wrapped into the error returned when a distance
-// join is asked for a negative or NaN ε; test with errors.Is.
-// DistanceJoin and Index.DistanceJoin share it, so the two paths reject
+// ErrNegativeDistance is wrapped into the error returned when a join is
+// asked for a negative or NaN Options.Eps; test with errors.Is.
+// SpatialJoin and Overlay.Join share it, so the two paths reject
 // consistently.
 var ErrNegativeDistance = errors.New("touch: negative distance")
 
@@ -282,8 +294,8 @@ var ErrInvalidPoint = errors.New("touch: invalid query point")
 // for fewer than one neighbor; test with errors.Is.
 var ErrInvalidK = errors.New("touch: k must be at least 1")
 
-// checkEps validates a distance-join ε: NaN is refused with the
-// negative values, because a box grown by NaN meets every box.
+// checkEps validates Options.Eps: NaN is refused with the negative
+// values, because a box grown by NaN meets every box.
 func checkEps(eps float64) error {
 	if !(eps >= 0) {
 		return fmt.Errorf("%w %g", ErrNegativeDistance, eps)
@@ -413,42 +425,40 @@ func joinSink(o *Options, swapped bool, ctl *stats.Control, res *Result) (sink S
 	return sink, finish
 }
 
-// SpatialJoin finds every pair of objects (a ∈ A, b ∈ B) whose boxes
-// intersect, using the selected algorithm. All algorithms produce the
-// identical, duplicate-free result set; they differ in the comparisons,
-// memory and time recorded in Result.Stats. It is SpatialJoinCtx with a
-// background context — uncancellable, and free of any cancellation
-// bookkeeping unless Options.Limit is set.
-func SpatialJoin(alg Algorithm, a, b Dataset, opt *Options) (*Result, error) {
-	return SpatialJoinCtx(context.Background(), alg, a, b, opt)
-}
-
-// SpatialJoinCtx is SpatialJoin under a context: cancelling ctx (or its
-// deadline expiring) aborts the join cooperatively — every worker
-// checkpoints at least once per CheckEvery comparisons — and returns
-// ctx's error wrapped in ErrJoinCanceled. A join stopped by
-// Options.Limit is not an error; it returns the truncated result.
-func SpatialJoinCtx(ctx context.Context, alg Algorithm, a, b Dataset, opt *Options) (*Result, error) {
-	return joinCtx(ctx, alg, a, b, 0, opt)
-}
-
-// joinCtx is the one-shot join of SpatialJoinCtx and DistanceJoinCtx:
-// A's boxes enlarged by eps against B's. TOUCH grows them where it reads
-// them anyway, copying neither dataset for it (core.JoinExpanded); the
-// baselines join a grown copy of A.
-func joinCtx(ctx context.Context, alg Algorithm, a, b Dataset, eps float64, opt *Options) (*Result, error) {
+// SpatialJoin finds every pair of objects (a ∈ A, b ∈ B) whose boxes,
+// A's enlarged by Options.Eps, intersect, using the selected algorithm.
+// All algorithms produce the identical, duplicate-free result set; they
+// differ in the comparisons, memory and time recorded in Result.Stats.
+//
+// ε is checked first, then the algorithm name, then the context. The
+// join-order heuristic of §5.2.3 applies to a distance join unchanged —
+// enlarging either dataset yields the same pair set — ε going with A to
+// whichever side it lands on. AlgTOUCH copies neither dataset for it: ε
+// is applied where the engine copies objects anyway, the tree's arena
+// when A builds the tree, each local join's gathered node when it is the
+// probe. The other algorithms join an enlarged copy of A.
+//
+// Cancelling ctx (or its deadline expiring) aborts the join
+// cooperatively — every worker checkpoints at least once per CheckEvery
+// comparisons — and returns ctx's error wrapped in ErrJoinCanceled. A
+// join stopped by Options.Limit is not an error; it returns the
+// truncated result.
+func SpatialJoin(ctx context.Context, alg Algorithm, a, b Dataset, opt *Options) (*Result, error) {
 	o := opt.normalized()
+	if err := checkEps(o.Eps); err != nil {
+		return nil, err
+	}
 	join, err := bind(alg, &o)
 	if err != nil {
 		return nil, err
 	}
+	eps := o.Eps
 	if alg != AlgTOUCH {
 		a, eps = a.Expand(eps), 0
 	}
-	// The join-order heuristic of §5.2.3, unless KeepOrder disables it:
-	// the smaller dataset builds the tree/index — it is likely sparser,
-	// enabling more filtering, and cheaper to index. ε goes with A to
-	// whichever side it lands on, and the delivery chain re-orients the
+	// The join-order heuristic, unless KeepOrder disables it: the smaller
+	// dataset builds the tree/index — it is likely sparser, enabling more
+	// filtering, and cheaper to index. The delivery chain re-orients the
 	// swapped pairs back to (A, B).
 	swapped := !o.KeepOrder && len(b) < len(a)
 	epsA, epsB := eps, 0.0
@@ -498,37 +508,27 @@ func collect(ctx context.Context, o *Options, swapped bool, run func(*stats.Cont
 	return res, nil
 }
 
-// DistanceJoin finds every pair of objects within distance eps of each
-// other (per-dimension box distance, the predicate of the paper's
-// filtering phase): the intersection join of A's boxes enlarged by eps
-// with B's, so its pairs and Stats are SpatialJoin(alg, a.Expand(eps),
-// b)'s. Enlarging either dataset yields the same pair set, so the
-// join-order heuristic of SpatialJoin applies unchanged, ε going with A
-// to whichever side it lands on. AlgTOUCH copies neither dataset for
-// it: ε is applied where the engine copies objects anyway — the tree's
-// arena when A builds the tree, each local join's gathered node when it
-// is the probe. The other algorithms join an enlarged copy of A. An eps
-// that is negative or NaN is rejected with ErrNegativeDistance; +Inf
-// joins every pair.
+// DistanceJoin is SpatialJoin under a background context with
+// Options.Eps set to eps. It stays, as a wrapper, only because the
+// committed benchmark (benchmark/) calls it; it goes once the benchmark
+// moves to SpatialJoin (ROADMAP item 1b (m)).
 func DistanceJoin(alg Algorithm, a, b Dataset, eps float64, opt *Options) (*Result, error) {
-	return DistanceJoinCtx(context.Background(), alg, a, b, eps, opt)
+	return SpatialJoin(context.Background(), alg, a, b, opt.withEps(eps))
 }
 
-// DistanceJoinCtx is DistanceJoin under a context, with the cancellation
-// and limit semantics of SpatialJoinCtx.
-func DistanceJoinCtx(ctx context.Context, alg Algorithm, a, b Dataset, eps float64, opt *Options) (*Result, error) {
-	if err := checkEps(eps); err != nil {
-		return nil, err
-	}
-	return joinCtx(ctx, alg, a, b, eps, opt)
+// withEps returns a copy of the options with Eps set to eps.
+func (o *Options) withEps(eps float64) *Options {
+	c := o.normalized()
+	c.Eps = eps
+	return &c
 }
 
 // bind resolves an algorithm name and its options to a JoinFunc — nil
-// for AlgTOUCH, which joinCtx runs itself.
+// for AlgTOUCH, which SpatialJoin runs itself.
 func bind(alg Algorithm, o *Options) (parallel.JoinFunc, error) {
 	switch alg {
 	case AlgTOUCH:
-		// joinCtx runs TOUCH itself: it parallelizes internally and
+		// SpatialJoin runs TOUCH itself: it parallelizes internally and
 		// applies ε itself, copying neither dataset for it.
 		return nil, nil
 	case AlgNL:

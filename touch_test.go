@@ -1,6 +1,7 @@
 package touch
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 			a := datagen.Generate(datagen.DefaultConfig(dist, 400, 1))
 			b := datagen.Generate(datagen.DefaultConfig(dist, 900, 2))
 
-			oracle, err := DistanceJoin(AlgNL, a, b, 10, &Options{KeepOrder: true})
+			oracle, err := SpatialJoin(context.Background(), AlgNL, a, b, &Options{KeepOrder: true, Eps: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,7 +45,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 				if alg == AlgNL {
 					continue
 				}
-				res, err := DistanceJoin(alg, a, b, 10, nil)
+				res, err := SpatialJoin(context.Background(), alg, a, b, &Options{Eps: 10})
 				if err != nil {
 					t.Fatalf("%s: %v", alg, err)
 				}

@@ -2,6 +2,7 @@ package touch
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -33,7 +34,7 @@ func TestTOUCHWorkersBitIdentical(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
-			nl, err := DistanceJoin(AlgNL, fx.a, fx.b, fx.eps, nil)
+			nl, err := SpatialJoin(context.Background(), AlgNL, fx.a, fx.b, &Options{Eps: fx.eps})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,8 +43,8 @@ func TestTOUCHWorkersBitIdentical(t *testing.T) {
 				t.Fatal("premise: oracle found no pairs")
 			}
 			for _, workers := range []int{1, 2, 8} {
-				opt := &Options{Workers: workers}
-				res, err := DistanceJoin(AlgTOUCH, fx.a, fx.b, fx.eps, opt)
+				opt := &Options{Workers: workers, Eps: fx.eps}
+				res, err := SpatialJoin(context.Background(), AlgTOUCH, fx.a, fx.b, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -66,11 +67,11 @@ func TestTOUCHWorkersBitIdentical(t *testing.T) {
 func TestWorkersOptionRoutesTOUCHInternally(t *testing.T) {
 	a := GenerateClustered(300, 141)
 	b := GenerateClustered(900, 142)
-	seq, err := DistanceJoin(AlgTOUCH, a, b, 8, nil)
+	seq, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{Eps: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := DistanceJoin(AlgTOUCH, a, b, 8, &Options{Workers: 4})
+	par, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{Workers: 4, Eps: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +95,9 @@ func TestIndexParallelJoin(t *testing.T) {
 	idx := BuildIndex(a.Expand(10), TOUCHConfig{Partitions: 32})
 	for seed := int64(70); seed < 73; seed++ {
 		b := GenerateUniform(500, seed)
-		want := sortPairSet(idx.Join(b, nil).Pairs)
+		want := sortPairSet(mustJoin(t, idx, b, nil).Pairs)
 		for _, workers := range []int{4, 8} {
-			got := sortPairSet(idx.Join(b, &Options{Workers: workers}).Pairs)
+			got := sortPairSet(mustJoin(t, idx, b, &Options{Workers: workers}).Pairs)
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d: %d-worker index join differs from sequential", seed, workers)
 			}
@@ -130,15 +131,15 @@ func TestOptionsWorkersOverridesConfig(t *testing.T) {
 		name string
 		join func(*Options) (*Result, error)
 	}{
-		{"index", func(o *Options) (*Result, error) { return idx.DistanceJoin(b, 20, o) }},
-		{"view", func(o *Options) (*Result, error) { return m.View().DistanceJoin(b, 20, o) }},
-		{"one-shot", func(o *Options) (*Result, error) { return DistanceJoin(AlgTOUCH, a, b, 20, o) }},
+		{"index", func(o *Options) (*Result, error) { return idx.Join(context.Background(), b, o) }},
+		{"view", func(o *Options) (*Result, error) { return m.View().Join(context.Background(), b, o) }},
+		{"one-shot", func(o *Options) (*Result, error) { return SpatialJoin(context.Background(), AlgTOUCH, a, b, o) }},
 	}
 	for _, j := range joins {
 		for _, workers := range []int{4, 0, 1} {
 			caller := goroutineID()
 			var on, off atomic.Int64
-			opt := &Options{Workers: workers, Sink: stats.FuncSink(func(ID, ID) {
+			opt := &Options{Eps: 20, Workers: workers, Sink: stats.FuncSink(func(ID, ID) {
 				if goroutineID() == caller {
 					on.Add(1)
 				} else {
