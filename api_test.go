@@ -191,13 +191,10 @@ func TestIndexDistanceJoin(t *testing.T) {
 	}
 }
 
-// TestEpsValidation: both join forms check Options.Eps the same way,
-// and first. A negative or NaN ε — a box grown by NaN meets every box —
-// fails with ErrNegativeDistance before the sink sees a pair, on an
-// index, on an overlay with pending inserts and one-shot for TOUCH and
-// two baselines, even under a context canceled already. +Inf stays
-// legal: it joins every pair, the inserts' included.
-func TestEpsValidation(t *testing.T) {
+// epsJoins returns the five joins the ε tests hold to the same rule —
+// on an index, on an overlay with pending inserts and one-shot for TOUCH
+// and two baselines — and the number of pairs each makes at ε = +Inf.
+func epsJoins() (map[string]func(context.Context, *Options) (*Result, error), map[string]int64) {
 	a, b := GenerateUniform(200, 85), GenerateUniform(300, 86)
 	idx := BuildIndex(a, TOUCHConfig{})
 	ins := GenerateUniform(10, 87)
@@ -205,37 +202,81 @@ func TestEpsValidation(t *testing.T) {
 		ins[i].ID = ID(len(a) + i)
 	}
 	withInserts := NewOverlay(idx, ins, nil)
-	type join func(context.Context, *Options) (*Result, error)
-	joins := map[string]join{
+	joins := map[string]func(context.Context, *Options) (*Result, error){
 		"index":   func(ctx context.Context, o *Options) (*Result, error) { return idx.Join(ctx, b, o) },
 		"overlay": func(ctx context.Context, o *Options) (*Result, error) { return withInserts.Join(ctx, b, o) },
 	}
+	all := map[string]int64{
+		"index":   int64(len(a) * len(b)),
+		"overlay": int64((len(a) + len(ins)) * len(b)),
+	}
 	for _, alg := range []Algorithm{AlgTOUCH, AlgNL, AlgPBSM100} {
 		joins[string(alg)] = func(ctx context.Context, o *Options) (*Result, error) { return SpatialJoin(ctx, alg, a, b, o) }
+		all[string(alg)] = int64(len(a) * len(b))
 	}
+	return joins, all
+}
+
+// rejectsEps checks that every join fails eps with ErrNegativeDistance
+// before the sink sees a pair, even under a context canceled already:
+// ε is checked first.
+func rejectsEps(t *testing.T, eps float64) {
+	t.Helper()
+	joins, _ := epsJoins()
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, join := range joins {
-		for _, eps := range []float64{-1, -0.5, math.NaN()} {
-			for _, ctx := range []context.Context{context.Background(), canceled} {
-				emitted := 0
-				_, err := join(ctx, &Options{Eps: eps, Sink: countingSink(func() { emitted++ })})
-				if !errors.Is(err, ErrNegativeDistance) || emitted > 0 {
-					t.Errorf("%s: eps %g under a context erring %v gave %v after %d pairs, want ErrNegativeDistance before any",
-						name, eps, ctx.Err(), err, emitted)
-				}
+		for _, ctx := range []context.Context{context.Background(), canceled} {
+			emitted := 0
+			_, err := join(ctx, &Options{Eps: eps, Sink: countingSink(func() { emitted++ })})
+			if !errors.Is(err, ErrNegativeDistance) || emitted > 0 {
+				t.Errorf("%s: eps %g under a context erring %v gave %v after %d pairs, want ErrNegativeDistance before any",
+					name, eps, ctx.Err(), err, emitted)
 			}
 		}
+	}
+}
+
+// TestNegativeEps: a negative Options.Eps fails with ErrNegativeDistance
+// on every join form instead of silently joining shrunk boxes.
+func TestNegativeEps(t *testing.T) {
+	rejectsEps(t, -1)
+	rejectsEps(t, -0.5)
+}
+
+// TestIndexDistanceJoinRejectsNegativeEps: the index and one-shot TOUCH
+// agree on rejecting a negative ε, through the DistanceJoin wrappers as
+// through Options.Eps.
+func TestIndexDistanceJoinRejectsNegativeEps(t *testing.T) {
+	a, b := GenerateUniform(20, 83), GenerateUniform(20, 84)
+	idx := BuildIndex(a, TOUCHConfig{})
+	if _, err := idx.DistanceJoin(b, -0.5, nil); !errors.Is(err, ErrNegativeDistance) {
+		t.Fatalf("index DistanceJoin must reject negative eps like the one-shot path, got %v", err)
+	}
+	if _, err := DistanceJoin(AlgTOUCH, a, b, -0.5, nil); !errors.Is(err, ErrNegativeDistance) {
+		t.Fatalf("one-shot DistanceJoin must reject negative eps, got %v", err)
+	}
+	if _, err := idx.Join(context.Background(), b, &Options{Eps: -0.5}); !errors.Is(err, ErrNegativeDistance) {
+		t.Fatalf("index Join must reject negative Options.Eps, got %v", err)
+	}
+	if _, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{Eps: -0.5}); !errors.Is(err, ErrNegativeDistance) {
+		t.Fatalf("one-shot SpatialJoin must reject negative Options.Eps, got %v", err)
+	}
+}
+
+// TestNaNEpsRejected: a box grown by NaN meets every box, so a NaN ε
+// fails like a negative one on every join form before a pair is
+// emitted. +Inf stays legal: it joins every pair, the inserts' included.
+func TestNaNEpsRejected(t *testing.T) {
+	rejectsEps(t, math.NaN())
+	joins, all := epsJoins()
+	for name, join := range joins {
 		res, err := join(context.Background(), &Options{Eps: math.Inf(1), NoPairs: true})
 		if err != nil {
 			t.Fatalf("%s: +Inf eps: %v", name, err)
 		}
-		want := int64(len(a) * len(b))
-		if name == "overlay" {
-			want += int64(len(ins) * len(b))
-		}
-		if res.Stats.Results != want {
-			t.Errorf("%s: +Inf eps joined %d pairs, want all %d", name, res.Stats.Results, want)
+		if res.Stats.Results != all[name] {
+			t.Errorf("%s: +Inf eps joined %d pairs, want all %d", name, res.Stats.Results, all[name])
 		}
 	}
 }

@@ -349,7 +349,8 @@ func TestSinkCancelAndLimit(t *testing.T) {
 
 // TestDistanceJoinCtxSink: a distance join into a sink shares the
 // buffered path's probe-side expansion (same pair set). Its validation,
-// a bad eps failing before any Emit, is TestEpsValidation's.
+// a bad eps failing before any Emit, is TestNegativeEps's and
+// TestNaNEpsRejected's.
 func TestDistanceJoinCtxSink(t *testing.T) {
 	a := GenerateUniform(300, 81)
 	b := GenerateUniform(500, 82)
