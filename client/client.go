@@ -10,23 +10,25 @@
 // caller already does, completing whatever calls the frames it reads
 // belong to, so a lone round trip wakes no goroutine but its own — on an
 // otherwise idle machine each extra wake-up is an idle core brought out
-// of its sleep. Two usage patterns:
+// of its sleep.
 //
-//   - Unary calls (Range, Point, KNN, Join, JoinCount) write one frame,
-//     flush, and wait. Concurrent goroutines sharing a Conn pipeline
-//     naturally — nobody waits for anyone else's response.
-//   - A Batch queues many requests and sends them with one write and
-//     one flush; each queued request returns a future whose Get blocks
-//     until its response arrives. This is the deep-pipelining mode that
-//     amortizes the round trip and the syscalls, and is where the
-//     protocol's throughput over HTTP/JSON comes from.
+// A request is a value — Range, Point, KNN, Join, CountJoin, Update,
+// Catalog, or Raw for an already encoded payload, each optionally
+// .Traced() — and there is one way to send it on each receiver:
 //
-// Under both sits one raw round trip: Conn.Do (and Batch.Do) sends an
-// opcode and an encoded payload and returns a Reply — the frames the
-// server answered with, undecoded. Every typed call is an encoder, Do
-// and one of Reply's decoders (IDs, Neighbors, Count, Join, Update,
-// Datasets, Trace), so a relay such as the router's wire front can move
-// the same frames on without knowing any payload format.
+//   - Conn.Do writes one frame, flushes, and waits. Concurrent
+//     goroutines sharing a Conn pipeline naturally — nobody waits for
+//     anyone else's response.
+//   - Batch.Add queues it; Send writes every queued request with one
+//     write and one flush, and each Add's future resolves when its
+//     response arrives. This is the deep-pipelining mode that amortizes
+//     the round trip and the syscalls, and is where the protocol's
+//     throughput over HTTP/JSON comes from.
+//
+// Both return a Reply — the frames the server answered with, undecoded —
+// and Reply's methods (IDs, Neighbors, Count, Join, Update, Datasets,
+// Trace) are the only decoders, so a relay such as the router's wire
+// front can move the same frames on without knowing any payload format.
 //
 // Canceling a request's context sends a cancel frame for its tag and
 // then waits for the guaranteed terminal response — the server frees
@@ -83,14 +85,18 @@ type Frame struct {
 type Reply struct {
 	Frame
 	Stream []Frame
+
+	// lost is the failure that ended the request without an answer: the
+	// connection's, filled by fail, or the round trip's, on a reply from
+	// settle.
+	lost error
 }
 
 // call is one in-flight request: whoever reads its terminal frame fills
-// it and closes done exactly once.
+// its reply (or fail sets reply.lost) and closes done exactly once.
 type call struct {
 	done  chan struct{}
 	reply Reply
-	err   error // connection-level failure
 }
 
 // Conn is one binary-protocol connection. Safe for concurrent use.
@@ -219,7 +225,7 @@ func (c *Conn) fail(err error) {
 	c.mu.Unlock()
 	c.nc.Close()
 	for _, cl := range calls {
-		cl.err = err
+		cl.reply.lost = err
 		close(cl.done)
 	}
 }
@@ -368,23 +374,23 @@ func (c *Conn) wait(ctx context.Context, tag uint32, cl *call) (*Reply, error) {
 		// frame goes out from the context's own goroutine.
 		stop := context.AfterFunc(ctx, func() { c.sendCancel(tag) })
 		c.await(cl)
-		if !stop() && cl.err == nil {
+		if !stop() && cl.reply.lost == nil {
 			return nil, ctx.Err()
 		}
 	}
-	if cl.err != nil {
-		return nil, cl.err
+	if cl.reply.lost != nil {
+		return nil, cl.reply.lost
 	}
 	return &cl.reply, nil
 }
 
-// Do is the raw round trip under every typed call: one frame out,
-// flushed, and the frames the server answered with returned undecoded.
-// A server error frame is a Reply like any other (see Reply.Err); the
-// error return is for requests that got no answer — a refused over-cap
-// payload (*ServerError, body_too_large, nothing written), a dead
-// connection, an expired context.
-func (c *Conn) Do(ctx context.Context, op byte, payload []byte) (*Reply, error) {
+// Do sends one request as one frame, flushed, and returns the frames the
+// server answered with, undecoded. A server error frame is a Reply like
+// any other (see Reply.Err); the error return is for requests that got
+// no answer — a refused over-cap payload (*ServerError, body_too_large,
+// nothing written), a dead connection, an expired context.
+func (c *Conn) Do(ctx context.Context, req Request) (*Reply, error) {
+	payload := req.appendTo(nil)
 	if err := c.admit(len(payload)); err != nil {
 		return nil, err
 	}
@@ -393,7 +399,7 @@ func (c *Conn) Do(ctx context.Context, op byte, payload []byte) (*Reply, error) 
 		return nil, err
 	}
 	c.wmu.Lock()
-	if err = c.w.WriteFrame(op, tag, payload); err == nil {
+	if err = c.w.WriteFrame(req.op, tag, payload); err == nil {
 		err = c.w.Flush()
 	}
 	c.wmu.Unlock()
@@ -419,9 +425,22 @@ func (r *Reply) Err() error {
 	return &ServerError{Code: code, Message: msg}
 }
 
-// expect opens every typed decoder: the server's error if it sent one,
-// a protocol error if the terminal opcode is not the answer's.
+// settle folds a round trip's error into its reply, so that one
+// decoder call reports either.
+func settle(r *Reply, err error) *Reply {
+	if err != nil {
+		return &Reply{lost: err}
+	}
+	return r
+}
+
+// expect opens every typed decoder: the round trip's failure or the
+// server's error if there is one, a protocol error if the terminal
+// opcode is not the answer's.
 func (r *Reply) expect(op byte) error {
+	if r.lost != nil {
+		return r.lost
+	}
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -483,6 +502,21 @@ func (r *Reply) Join() (version int64, pairs []touch.Pair, count int64, err erro
 	return version, pairs, count, nil
 }
 
+// UpdateResult describes an applied update batch.
+type UpdateResult struct {
+	// Version is the base version the update was applied against.
+	Version int64
+	// InsertedIDs are the server-assigned IDs of the inserted objects,
+	// consecutive and ascending; empty when the batch inserted nothing.
+	InsertedIDs []touch.ID
+	// Deleted counts live objects actually tombstoned.
+	Deleted int
+	// DeltaInserts and DeltaTombstones report the dataset's pending
+	// (not yet compacted) update counts after this batch.
+	DeltaInserts    int
+	DeltaTombstones int
+}
+
 // Update decodes an update batch's result.
 func (r *Reply) Update() (UpdateResult, error) {
 	if err := r.expect(wire.OpUpdateDone); err != nil {
@@ -505,7 +539,12 @@ func (r *Reply) Update() (UpdateResult, error) {
 	return res, nil
 }
 
-// Datasets decodes a catalog listing.
+// DatasetInfo is one row of a wire catalog listing — the wire twin of
+// GET /v1/datasets, carrying the fields a routing tier needs to merge
+// listings across replicas.
+type DatasetInfo = wire.CatalogEntry
+
+// Datasets decodes a catalog listing, sorted by name.
 func (r *Reply) Datasets() ([]DatasetInfo, error) {
 	if err := r.expect(wire.OpCatalogResp); err != nil {
 		return nil, err
@@ -542,165 +581,44 @@ func (r *Reply) Trace() *Trace {
 	return nil
 }
 
-// --- unary API ------------------------------------------------------------
+// --- kept wrappers ---------------------------------------------------------
 
-// Range returns the IDs of indexed objects intersecting the box, and
-// the dataset version that answered.
+// Range is Do with a Range request, decoded. It stays only until ROADMAP
+// item 1b (m) moves the benchmark to Do.
 func (c *Conn) Range(ctx context.Context, dataset string, b touch.Box) (version int64, ids []touch.ID, err error) {
-	r, err := c.Do(ctx, wire.OpRange, wire.AppendRangeReq(nil, dataset, b))
-	if err != nil {
-		return 0, nil, err
-	}
-	return r.IDs()
+	return settle(c.Do(ctx, Range(dataset, b))).IDs()
 }
 
-// RangeTraced is Range with per-request tracing: the server returns its
-// engine trace alongside the result.
+// RangeTraced is Range traced, with the reply's trace. It stays only
+// until ROADMAP item 1b (m) moves the benchmark to Do.
 func (c *Conn) RangeTraced(ctx context.Context, dataset string, b touch.Box) (version int64, ids []touch.ID, tr *Trace, err error) {
-	r, err := c.Do(ctx, wire.OpRange, wire.AppendQueryFlags(wire.AppendRangeReq(nil, dataset, b), wire.QueryFlagTrace))
-	if err != nil {
-		return 0, nil, nil, err
-	}
+	r := settle(c.Do(ctx, Range(dataset, b).Traced()))
 	version, ids, err = r.IDs()
 	return version, ids, r.Trace(), err
 }
 
-// Point returns the IDs of indexed objects containing the point.
-func (c *Conn) Point(ctx context.Context, dataset string, pt touch.Point) (version int64, ids []touch.ID, err error) {
-	r, err := c.Do(ctx, wire.OpPoint, wire.AppendPointReq(nil, dataset, pt))
-	if err != nil {
-		return 0, nil, err
-	}
-	return r.IDs()
-}
-
-// PointTraced is Point with per-request tracing.
-func (c *Conn) PointTraced(ctx context.Context, dataset string, pt touch.Point) (version int64, ids []touch.ID, tr *Trace, err error) {
-	r, err := c.Do(ctx, wire.OpPoint, wire.AppendQueryFlags(wire.AppendPointReq(nil, dataset, pt), wire.QueryFlagTrace))
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	version, ids, err = r.IDs()
-	return version, ids, r.Trace(), err
-}
-
-// KNN returns the k nearest indexed objects to the point.
+// KNN is Do with a KNN request, decoded. It stays only until ROADMAP
+// item 1b (m) moves the benchmark to Do.
 func (c *Conn) KNN(ctx context.Context, dataset string, pt touch.Point, k int) (version int64, nbrs []touch.Neighbor, err error) {
-	r, err := c.Do(ctx, wire.OpKNN, wire.AppendKNNReq(nil, dataset, pt, k))
-	if err != nil {
-		return 0, nil, err
-	}
-	return r.Neighbors()
+	return settle(c.Do(ctx, KNN(dataset, pt, k))).Neighbors()
 }
 
-// KNNTraced is KNN with per-request tracing.
-func (c *Conn) KNNTraced(ctx context.Context, dataset string, pt touch.Point, k int) (version int64, nbrs []touch.Neighbor, tr *Trace, err error) {
-	r, err := c.Do(ctx, wire.OpKNN, wire.AppendQueryFlags(wire.AppendKNNReq(nil, dataset, pt, k), wire.QueryFlagTrace))
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	version, nbrs, err = r.Neighbors()
-	return version, nbrs, r.Trace(), err
-}
-
-// JoinSpec selects a join's probe side and parameters. Exactly one of
-// Probe (a loaded dataset's name) or Boxes (an inline probe dataset)
-// must be set; Eps 0 is the plain intersection join.
-type JoinSpec struct {
-	Probe   string
-	Boxes   []touch.Box
-	Eps     float64
-	Workers int
-}
-
-// JoinCount runs a count-only join.
-func (c *Conn) JoinCount(ctx context.Context, dataset string, spec JoinSpec) (version, count int64, err error) {
-	r, err := c.Do(ctx, wire.OpJoin, wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, wire.FlagCountOnly, spec.Probe, spec.Boxes))
-	if err != nil {
-		return 0, 0, err
-	}
-	return r.Count()
-}
-
-// JoinCountTraced is JoinCount with per-request tracing.
-func (c *Conn) JoinCountTraced(ctx context.Context, dataset string, spec JoinSpec) (version, count int64, tr *Trace, err error) {
-	r, err := c.Do(ctx, wire.OpJoin,
-		wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, wire.FlagCountOnly|wire.FlagTrace, spec.Probe, spec.Boxes))
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	version, count, err = r.Count()
-	return version, count, r.Trace(), err
-}
-
-// UpdateSpec is one incremental-update batch against a loaded dataset.
-// Deletes apply before inserts, so a batch can replace objects without
-// tombstoning its own inserts; unknown or already-deleted IDs are
-// skipped silently.
-type UpdateSpec struct {
-	Insert []touch.Box
-	Delete []touch.ID
-}
-
-// UpdateResult describes an applied update batch.
-type UpdateResult struct {
-	// Version is the base version the update was applied against.
-	Version int64
-	// InsertedIDs are the server-assigned IDs of the inserted objects,
-	// consecutive and ascending; empty when the batch inserted nothing.
-	InsertedIDs []touch.ID
-	// Deleted counts live objects actually tombstoned.
-	Deleted int
-	// DeltaInserts and DeltaTombstones report the dataset's pending
-	// (not yet compacted) update counts after this batch.
-	DeltaInserts    int
-	DeltaTombstones int
-}
-
-// Update applies one batch of incremental inserts and deletes — the
-// wire twin of PATCH /v1/datasets/{name}. The update is visible to
-// every later query, on any connection, before Update returns.
-func (c *Conn) Update(ctx context.Context, dataset string, spec UpdateSpec) (UpdateResult, error) {
-	r, err := c.Do(ctx, wire.OpUpdate, wire.AppendUpdateReq(nil, dataset, spec.Delete, spec.Insert))
-	if err != nil {
-		return UpdateResult{}, err
-	}
-	return r.Update()
-}
-
-// DatasetInfo is one row of a wire catalog listing — the wire twin of
-// GET /v1/datasets, carrying the fields a routing tier needs to merge
-// listings across replicas.
-type DatasetInfo = wire.CatalogEntry
-
-// Datasets lists the server's catalog, sorted by name.
-func (c *Conn) Datasets(ctx context.Context) ([]DatasetInfo, error) {
-	r, err := c.Do(ctx, wire.OpCatalog, nil)
-	if err != nil {
-		return nil, err
-	}
-	return r.Datasets()
-}
-
-// Join runs a join and materializes its pairs, sorted canonically.
-// Pairs stream from the server in batches, so — like the HTTP NDJSON
-// mode, and unlike buffered HTTP joins — there is no server-side
-// MaxJoinPairs cap; the cap here is this client's memory.
+// Join is Do with a Join request, decoded. It stays only until ROADMAP
+// item 1b (m) moves the benchmark to Do.
 func (c *Conn) Join(ctx context.Context, dataset string, spec JoinSpec) (version int64, pairs []touch.Pair, count int64, err error) {
-	r, err := c.Do(ctx, wire.OpJoin, wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, 0, spec.Probe, spec.Boxes))
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	return r.Join()
+	return settle(c.Do(ctx, Join(dataset, spec))).Join()
 }
 
-// JoinTraced is Join with per-request tracing.
+// JoinTraced is Join traced, with the reply's trace. It stays only until
+// ROADMAP item 1b (m) moves the benchmark to Do.
 func (c *Conn) JoinTraced(ctx context.Context, dataset string, spec JoinSpec) (version int64, pairs []touch.Pair, count int64, tr *Trace, err error) {
-	r, err := c.Do(ctx, wire.OpJoin,
-		wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, wire.FlagTrace, spec.Probe, spec.Boxes))
-	if err != nil {
-		return 0, nil, 0, nil, err
-	}
+	r := settle(c.Do(ctx, Join(dataset, spec).Traced()))
 	version, pairs, count, err = r.Join()
 	return version, pairs, count, r.Trace(), err
+}
+
+// Update is Do with an Update request, decoded. It stays only until
+// ROADMAP item 1b (m) moves the benchmark to Do.
+func (c *Conn) Update(ctx context.Context, dataset string, spec UpdateSpec) (UpdateResult, error) {
+	return settle(c.Do(ctx, Update(dataset, spec))).Update()
 }

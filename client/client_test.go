@@ -37,6 +37,16 @@ func startServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
+// rangeIDs sends a Range request on c and decodes its answer.
+func rangeIDs(ctx context.Context, c *client.Conn, dataset string, box touch.Box) ([]touch.ID, error) {
+	r, err := c.Do(ctx, client.Range(dataset, box))
+	if err != nil {
+		return nil, err
+	}
+	_, ids, err := r.IDs()
+	return ids, err
+}
+
 // TestServerNodeAndCatalog: the hello info a server sends carries its
 // frame cap ("maxframe/<bytes>", which the client's over-cap refusal
 // reads) and its node ID ("node/<id>", whitespace rewritten to "-", the
@@ -83,7 +93,11 @@ func TestServerNodeAndCatalog(t *testing.T) {
 			if !slices.Contains(strings.Fields(c.ServerInfo()), tc.maxFrame) {
 				t.Fatalf("ServerInfo = %q, want a %q token", c.ServerInfo(), tc.maxFrame)
 			}
-			infos, err := c.Datasets(ctx)
+			r, err := c.Do(ctx, client.Catalog())
+			if err != nil {
+				t.Fatal(err)
+			}
+			infos, err := r.Datasets()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +124,7 @@ func TestPool(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen[c] = true
-		if _, _, err := c.Range(ctx, "d", box); err != nil {
+		if _, err := rangeIDs(ctx, c, "d", box); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +150,7 @@ func TestPool(t *testing.T) {
 		if !seen[c] {
 			replaced = true
 		}
-		if _, _, err := c.Range(ctx, "d", box); err != nil {
+		if _, err := rangeIDs(ctx, c, "d", box); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +170,7 @@ func TestConnSharedPipelining(t *testing.T) {
 	}
 	defer c.Close()
 
-	_, want, err := c.Range(ctx, "d", touch.Box{Max: touch.Point{500, 500, 500}})
+	want, err := rangeIDs(ctx, c, "d", touch.Box{Max: touch.Point{500, 500, 500}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +178,7 @@ func TestConnSharedPipelining(t *testing.T) {
 	for g := 0; g < 16; g++ {
 		go func() {
 			for i := 0; i < 50; i++ {
-				_, ids, err := c.Range(ctx, "d", touch.Box{Max: touch.Point{500, 500, 500}})
+				ids, err := rangeIDs(ctx, c, "d", touch.Box{Max: touch.Point{500, 500, 500}})
 				if err == nil && len(ids) != len(want) {
 					err = context.DeadlineExceeded // any sentinel: wrong answer
 				}
@@ -203,7 +217,7 @@ func TestErrSeesIdleHangUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	box := touch.Box{Max: touch.Point{500, 500, 500}}
-	if _, _, err := c.Range(ctx, "d", box); err != nil {
+	if _, err := rangeIDs(ctx, c, "d", box); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Err(); err != nil {
@@ -227,7 +241,7 @@ func TestErrSeesIdleHangUp(t *testing.T) {
 	if c2, err := p.Conn(ctx); err == nil {
 		t.Fatalf("the pool handed out a connection (the hung-up one: %v) with the server gone", c2 == c)
 	}
-	if _, _, err := c.Range(ctx, "d", box); err == nil {
+	if _, err := rangeIDs(ctx, c, "d", box); err == nil {
 		t.Fatal("a request on the hung-up connection succeeded")
 	}
 }
@@ -259,14 +273,14 @@ func TestCancelReachesTheReadingCaller(t *testing.T) {
 	defer cancel()
 	start := time.Now()
 	// A self-join of 60,000 fat boxes runs for seconds.
-	_, _, err = c.JoinCount(ctx, "big", client.JoinSpec{Probe: "big", Eps: 40})
+	_, err = c.Do(ctx, client.CountJoin("big", client.JoinSpec{Probe: "big", Eps: 40}))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("the join returned %v after %v, want the context's deadline", err, time.Since(start))
 	}
 	if took := time.Since(start); took > 5*time.Second {
 		t.Fatalf("the canceled join took %v to come back", took)
 	}
-	if _, ids, err := c.Range(context.Background(), "big", touch.Box{Max: touch.Point{50, 50, 50}}); err != nil || len(ids) == 0 {
+	if ids, err := rangeIDs(context.Background(), c, "big", touch.Box{Max: touch.Point{50, 50, 50}}); err != nil || len(ids) == 0 {
 		t.Fatalf("the connection after a cancel: %d ids, %v", len(ids), err)
 	}
 }
@@ -357,7 +371,7 @@ func TestReadSideTokenIsNeverSwallowed(t *testing.T) {
 	call := func(done chan<- error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_, _, err := c.Range(ctx, "d", touch.Box{})
+		_, err := rangeIDs(ctx, c, "d", touch.Box{})
 		done <- err
 	}
 	expect := func(what string, done <-chan error) {
@@ -461,7 +475,7 @@ func TestReadSideHandOffNeverStrands(t *testing.T) {
 			go func() {
 				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 				defer cancel()
-				_, _, err := c.Range(ctx, "d", touch.Box{})
+				_, err := rangeIDs(ctx, c, "d", touch.Box{})
 				errs <- err
 			}()
 		}
@@ -551,8 +565,7 @@ func TestTracedFailureNamesItself(t *testing.T) {
 	}
 	defer c.Close()
 
-	r, err := c.Do(ctx, wire.OpRange, wire.AppendQueryFlags(
-		wire.AppendRangeReq(nil, "ghost", touch.Box{Max: touch.Point{1, 1, 1}}), wire.QueryFlagTrace))
+	r, err := c.Do(ctx, client.Range("ghost", touch.Box{Max: touch.Point{1, 1, 1}}).Traced())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,11 @@ import (
 // first accepted connection completes the wire handshake and then idles
 // (a healthy pooled conn), while every later connection is accepted but
 // never answered — the shape of a server that stops responding mid-dial.
+// Its second accept is signaled on second: from then on the dial that
+// made it is parked in its handshake.
 type silentAfterFirst struct {
-	ln net.Listener
+	ln     net.Listener
+	second chan struct{}
 
 	mu    sync.Mutex
 	conns []net.Conn
@@ -29,7 +32,7 @@ func newSilentAfterFirst(t *testing.T) *silentAfterFirst {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &silentAfterFirst{ln: ln}
+	s := &silentAfterFirst{ln: ln, second: make(chan struct{})}
 	go func() {
 		for {
 			c, err := ln.Accept()
@@ -40,6 +43,9 @@ func newSilentAfterFirst(t *testing.T) *silentAfterFirst {
 			s.conns = append(s.conns, c)
 			first := s.n == 0
 			s.n++
+			if s.n == 2 {
+				close(s.second)
+			}
 			s.mu.Unlock()
 			if first {
 				go func() {
@@ -106,8 +112,13 @@ func TestPoolConnDialOutsideLock(t *testing.T) {
 		}
 	}()
 
-	// Give the parked call time to enter the dial, then demand service.
-	time.Sleep(50 * time.Millisecond)
+	// Wait until the parked call's dial is accepted — it hangs in the
+	// handshake from then on — then demand service.
+	select {
+	case <-s.second:
+	case <-ctx.Done():
+		t.Fatal("the parked Conn call never dialed")
+	}
 	start := time.Now()
 	qctx, qcancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer qcancel()

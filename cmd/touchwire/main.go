@@ -38,7 +38,6 @@ import (
 	"touch"
 	"touch/client"
 	"touch/internal/api"
-	"touch/internal/wire"
 )
 
 // spec is one parsed command-line SPEC.
@@ -110,25 +109,27 @@ func main() {
 // is read back. Answers go to stdout, each engine trace to stderr ahead
 // of its answer.
 func run(ctx context.Context, c *client.Conn, dataset string, eps float64, traced bool, specs []spec) error {
-	var queryFlags, joinFlags byte
-	if traced {
-		queryFlags, joinFlags = wire.QueryFlagTrace, wire.FlagTrace
-	}
 	b := c.Batch()
 	futs := make([]client.ReplyFuture, len(specs))
 	for i, sp := range specs {
+		var req client.Request
+		join := client.JoinSpec{Boxes: sp.boxes, Eps: eps}
 		switch {
 		case sp.boxes != nil && sp.countOnly:
-			futs[i] = b.Do(wire.OpJoin, wire.AppendJoinReq(nil, dataset, eps, 0, joinFlags|wire.FlagCountOnly, "", sp.boxes))
+			req = client.CountJoin(dataset, join)
 		case sp.boxes != nil:
-			futs[i] = b.Do(wire.OpJoin, wire.AppendJoinReq(nil, dataset, eps, 0, joinFlags, "", sp.boxes))
+			req = client.Join(dataset, join)
 		case sp.q.Type == api.TypeRange:
-			futs[i] = b.Do(wire.OpRange, wire.AppendQueryFlags(wire.AppendRangeReq(nil, dataset, sp.q.Box), queryFlags))
+			req = client.Range(dataset, sp.q.Box)
 		case sp.q.Type == api.TypePoint:
-			futs[i] = b.Do(wire.OpPoint, wire.AppendQueryFlags(wire.AppendPointReq(nil, dataset, sp.q.Point), queryFlags))
+			req = client.Point(dataset, sp.q.Point)
 		default:
-			futs[i] = b.Do(wire.OpKNN, wire.AppendQueryFlags(wire.AppendKNNReq(nil, dataset, sp.q.Point, sp.q.K), queryFlags))
+			req = client.KNN(dataset, sp.q.Point, sp.q.K)
 		}
+		if traced {
+			req = req.Traced()
+		}
+		futs[i] = b.Add(req)
 	}
 	if err := b.Send(); err != nil {
 		return err

@@ -78,7 +78,7 @@ func main() {
 	defer oracle.Close()
 
 	box := touch.Box{Max: touch.Point{500, 500, 500}}
-	_, want, err := oracle.Range(ctx, "parts", box)
+	_, want, err := do(ctx, oracle, client.Range("parts", box)).IDs()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func main() {
 	}
 	fmt.Printf("routed range query: %d ids, identical to the direct answer\n", len(got))
 
-	_, wantN, err := oracle.KNN(ctx, "parts", touch.Point{10, 20, 30}, 5)
+	_, wantN, err := do(ctx, oracle, client.KNN("parts", touch.Point{10, 20, 30}, 5)).Neighbors()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func main() {
 	fmt.Printf("routed knn query:   %d neighbors, identical\n", len(gotN))
 
 	spec := client.JoinSpec{Boxes: []touch.Box{{Max: touch.Point{200, 200, 200}}}}
-	_, _, wantCount, err := oracle.Join(ctx, "parts", spec)
+	_, _, wantCount, err := do(ctx, oracle, client.Join("parts", spec)).Join()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -140,4 +140,13 @@ func main() {
 		log.Fatal("failover lost reads")
 	}
 	fmt.Printf("owners now served by: %s (failover within the same call)\n", owners[1])
+}
+
+// do sends one request on c; the caller decodes the reply.
+func do(ctx context.Context, c *client.Conn, req client.Request) *client.Reply {
+	r, err := c.Do(ctx, req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return r
 }

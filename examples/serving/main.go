@@ -144,13 +144,15 @@ func main() {
 	// One pipelined batch: every request leaves in a single write burst
 	// and the answers come back tagged, in request order.
 	b := conn.Batch()
-	futs := make([]client.IDsFuture, 16)
+	futs := make([]client.ReplyFuture, 16)
 	for i := range futs {
-		futs[i] = b.Range("cells", shifted(i))
+		futs[i] = b.Add(client.Range("cells", shifted(i)))
 	}
 	check(b.Send())
 	for i, f := range futs {
-		_, ids, err := f.Get(ctx)
+		r, err := f.Get(ctx)
+		check(err)
+		_, ids, err := r.IDs()
 		check(err)
 		if ref, _ := m.View().RangeQuery(shifted(i)); !slices.Equal(ids, ref) {
 			log.Fatalf("pipelined range %d: %d ids, in process %d", i, len(ids), len(ref))
@@ -160,7 +162,7 @@ func main() {
 	// down and the connection stays usable.
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, _, _, err := conn.Join(cctx, "cells", client.JoinSpec{Probe: "grid", Eps: eps}); !errors.Is(err, context.Canceled) {
+	if _, err := conn.Do(cctx, client.Join("cells", client.JoinSpec{Probe: "grid", Eps: eps})); !errors.Is(err, context.Canceled) {
 		log.Fatalf("canceled wire join returned %v", err)
 	}
 	mustAgree("wire after cancel", overWire(ctx, conn), want)
@@ -178,7 +180,7 @@ func main() {
 	if !reflect.DeepEqual(ur.InsertedIDs, ids) {
 		log.Fatalf("server assigned IDs %v, Mutable %v", ur.InsertedIDs, ids)
 	}
-	_, err = conn.Update(ctx, "cells", client.UpdateSpec{Delete: want.IDs[2:4]})
+	_, err = do(ctx, conn, client.Update("cells", client.UpdateSpec{Delete: want.IDs[2:4]})).Update()
 	check(err)
 	m.Delete(want.IDs[2:4])
 
@@ -258,13 +260,20 @@ func overHTTP(base string) answers {
 
 // overWire asks the binary protocol, one unary request each.
 func overWire(ctx context.Context, c *client.Conn) answers {
-	_, ids, err := c.Range(ctx, "cells", box)
+	_, ids, err := do(ctx, c, client.Range("cells", box)).IDs()
 	check(err)
-	_, nbrs, err := c.KNN(ctx, "cells", pt, k)
+	_, nbrs, err := do(ctx, c, client.KNN("cells", pt, k)).Neighbors()
 	check(err)
-	_, pairs, _, err := c.Join(ctx, "cells", client.JoinSpec{Probe: "grid", Eps: eps})
+	_, pairs, _, err := do(ctx, c, client.Join("cells", client.JoinSpec{Probe: "grid", Eps: eps})).Join()
 	check(err)
 	return answers{ids, nbrs, pairs}
+}
+
+// do sends one request on c; the caller decodes the reply.
+func do(ctx context.Context, c *client.Conn, req client.Request) *client.Reply {
+	r, err := c.Do(ctx, req)
+	check(err)
+	return r
 }
 
 // call sends one JSON request and decodes the 200 response.

@@ -47,6 +47,40 @@ func dial(t *testing.T, ctx context.Context, addr string) *client.Conn {
 	return c
 }
 
+// wireIDs, wireNeighbors, wireJoin and wireCount send one request on c
+// and decode its answer with the matching Reply method.
+func wireIDs(ctx context.Context, c *client.Conn, req client.Request) (int64, []touch.ID, error) {
+	r, err := c.Do(ctx, req)
+	if err != nil {
+		return 0, nil, err
+	}
+	return r.IDs()
+}
+
+func wireNeighbors(ctx context.Context, c *client.Conn, req client.Request) (int64, []touch.Neighbor, error) {
+	r, err := c.Do(ctx, req)
+	if err != nil {
+		return 0, nil, err
+	}
+	return r.Neighbors()
+}
+
+func wireJoin(ctx context.Context, c *client.Conn, req client.Request) (int64, []touch.Pair, int64, error) {
+	r, err := c.Do(ctx, req)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	return r.Join()
+}
+
+func wireCount(ctx context.Context, c *client.Conn, req client.Request) (int64, int64, error) {
+	r, err := c.Do(ctx, req)
+	if err != nil {
+		return 0, 0, err
+	}
+	return r.Count()
+}
+
 // TestRoutedFramesEqualDirect: the wire front is a frame relay. Two
 // identically loaded backends, one asked directly and one through a
 // router, answer every request with the same frames byte for byte —
@@ -93,11 +127,11 @@ func TestRoutedFramesEqualDirect(t *testing.T) {
 		{"traced unknown dataset", wire.OpRange, wire.AppendQueryFlags(wire.AppendRangeReq(nil, "ghost", box), wire.QueryFlagTrace)},
 	}
 	for _, tc := range cases {
-		want, err := direct.Do(ctx, tc.op, tc.payload)
+		want, err := direct.Do(ctx, client.Raw(tc.op, tc.payload))
 		if err != nil {
 			t.Fatalf("%s: direct: %v", tc.name, err)
 		}
-		got, err := routed.Do(ctx, tc.op, tc.payload)
+		got, err := routed.Do(ctx, client.Raw(tc.op, tc.payload))
 		if err != nil {
 			t.Fatalf("%s: routed: %v", tc.name, err)
 		}
@@ -132,16 +166,17 @@ func TestRoutedFramesEqualDirect(t *testing.T) {
 		}
 	}
 
-	// The typed calls decode the same relayed frames: every *Traced method
+	// Reply.Trace decodes the same relayed frames: every traced request
 	// through the router returns the answering backend's trace.
 	spec := client.JoinSpec{Boxes: probe}
-	traces := map[string]*client.Trace{}
-	_, _, traces["range"], _ = routed.RangeTraced(ctx, "d", box)
-	_, _, traces["point"], _ = routed.PointTraced(ctx, "d", pt)
-	_, _, traces["knn"], _ = routed.KNNTraced(ctx, "d", pt, 3)
-	_, _, _, traces["join"], _ = routed.JoinTraced(ctx, "d", spec)
-	_, _, traces["joincount"], _ = routed.JoinCountTraced(ctx, "d", spec)
-	for name, tr := range traces {
+	for name, req := range map[string]client.Request{
+		"range": client.Range("d", box), "point": client.Point("d", pt), "knn": client.KNN("d", pt, 3),
+		"join": client.Join("d", spec), "joincount": client.CountJoin("d", spec),
+	} {
+		var tr *client.Trace
+		if r, err := routed.Do(ctx, req.Traced()); err == nil {
+			tr = r.Trace()
+		}
 		if tr == nil || tr.RequestID == "" {
 			t.Errorf("routed %s: trace %+v, want the backend's request ID", name, tr)
 		}
@@ -188,7 +223,7 @@ func TestOverCapRequestFailsAlone(t *testing.T) {
 	}
 
 	routed := serveWire(t, ctx, rt)
-	_, _, err := routed.JoinCount(ctx, "d", big)
+	_, _, err := wireCount(ctx, routed, client.CountJoin("d", big))
 	tooLarge("wire front", err)
 
 	body, _ := json.Marshal(api.JoinRequest{Boxes: make([][]float64, len(big.Boxes)), CountOnly: true})
@@ -199,21 +234,25 @@ func TestOverCapRequestFailsAlone(t *testing.T) {
 	}
 
 	direct := dial(t, ctx, addrs[0])
-	_, _, err = direct.JoinCount(ctx, "d", big)
+	_, _, err = wireCount(ctx, direct, client.CountJoin("d", big))
 	tooLarge("direct", err)
 	b := direct.Batch()
-	over, fine := b.JoinCount("d", big), b.Range("d", touch.Box{Max: touch.Point{500, 500, 500}})
+	over, fine := b.Add(client.CountJoin("d", big)), b.Add(client.Range("d", touch.Box{Max: touch.Point{500, 500, 500}}))
 	if err := b.Send(); err != nil {
 		t.Fatalf("batch with one over-cap request: %v", err)
 	}
-	_, _, err = over.Get(ctx)
+	_, err = over.Get(ctx)
 	tooLarge("direct batch", err)
-	if _, _, err := fine.Get(ctx); err != nil || direct.Err() != nil {
+	r, err := fine.Get(ctx)
+	if err == nil {
+		_, _, err = r.IDs()
+	}
+	if err != nil || direct.Err() != nil {
 		t.Fatalf("request batched beside the over-cap one: %v (connection: %v)", err, direct.Err())
 	}
 
 	// The request failed alone: reads still flow, nothing was ejected.
-	if _, _, err := routed.Range(ctx, "d", touch.Box{Max: touch.Point{500, 500, 500}}); err != nil {
+	if _, _, err := wireIDs(ctx, routed, client.Range("d", touch.Box{Max: touch.Point{500, 500, 500}})); err != nil {
 		t.Fatalf("routed read after the over-cap request: %v", err)
 	}
 	var buf bytes.Buffer
@@ -309,7 +348,7 @@ func TestLoneReadAbortsOnCancelAndHangUp(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Range(ctx, "d", box)
+		_, err := c.Do(ctx, client.Range("d", box))
 		done <- err
 	}()
 	expect("the backend receiving the forwarded read", b.reqs)
@@ -324,7 +363,7 @@ func TestLoneReadAbortsOnCancelAndHangUp(t *testing.T) {
 		t.Fatal("the canceled read got no terminal frame from the router")
 	}
 
-	go c.Range(context.Background(), "d", box)
+	go c.Do(context.Background(), client.Range("d", box))
 	expect("the backend receiving the second forwarded read", b.reqs)
 	c.Close()
 	expect("the backend receiving a cancel after the client hung up", b.cancels)
@@ -379,9 +418,9 @@ func TestBurstEndedByCallerEjectsNoOne(t *testing.T) {
 			c := serveWire(t, context.Background(), rt)
 
 			batch := c.Batch()
-			futs := make([]client.IDsFuture, burst)
+			futs := make([]client.ReplyFuture, burst)
 			for i := range futs {
-				futs[i] = batch.Range("d", touch.Box{Max: touch.Point{float64(i), 1, 1}})
+				futs[i] = batch.Add(client.Range("d", touch.Box{Max: touch.Point{float64(i), 1, 1}}))
 			}
 			if err := batch.Send(); err != nil {
 				t.Fatal(err)
@@ -396,7 +435,11 @@ func TestBurstEndedByCallerEjectsNoOne(t *testing.T) {
 			if !row.hangsUp {
 				for i, f := range futs {
 					var se *client.ServerError
-					if _, _, err := f.Get(context.Background()); !errors.As(err, &se) || se.Code != api.CodeTimeout {
+					r, err := f.Get(context.Background())
+					if err == nil {
+						err = r.Err()
+					}
+					if !errors.As(err, &se) || se.Code != api.CodeTimeout {
 						t.Fatalf("read %d answered %v, want a %s ServerError", i, err, api.CodeTimeout)
 					}
 				}

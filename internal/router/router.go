@@ -308,13 +308,13 @@ func (rt *Router) try(ctx context.Context, b *backend, reqs []request, answer an
 		rest, err = reqs, cerr
 	case len(reqs) == 1:
 		rest = reqs[:0]
-		r, e := c.Do(ctx, reqs[0].op, reqs[0].payload)
+		r, e := c.Do(ctx, client.Raw(reqs[0].op, reqs[0].payload))
 		judge(&reqs[0], r, e)
 	default:
 		batch := c.Batch()
 		futs := make([]client.ReplyFuture, len(reqs))
 		for i := range reqs {
-			futs[i] = batch.Do(reqs[i].op, reqs[i].payload)
+			futs[i] = batch.Add(client.Raw(reqs[i].op, reqs[i].payload))
 		}
 		if err = batch.Send(); err != nil {
 			rest = reqs

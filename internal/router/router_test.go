@@ -281,11 +281,11 @@ func TestRoutedWireMatchesDirect(t *testing.T) {
 	defer direct.Close()
 
 	box := touch.Box{Max: touch.Point{600, 600, 600}}
-	dv, dids, err := direct.Range(ctx, "d", box)
+	dv, dids, err := wireIDs(ctx, direct, client.Range("d", box))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv, rids, err := viaRouter.Range(ctx, "d", box)
+	rv, rids, err := wireIDs(ctx, viaRouter, client.Range("d", box))
 	if err != nil {
 		t.Fatalf("routed range: %v", err)
 	}
@@ -293,11 +293,11 @@ func TestRoutedWireMatchesDirect(t *testing.T) {
 		t.Fatalf("range mismatch: direct v%d %d ids, routed v%d %d ids", dv, len(dids), rv, len(rids))
 	}
 
-	_, dn, err := direct.KNN(ctx, "d", touch.Point{1, 2, 3}, 5)
+	_, dn, err := wireNeighbors(ctx, direct, client.KNN("d", touch.Point{1, 2, 3}, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rn, err := viaRouter.KNN(ctx, "d", touch.Point{1, 2, 3}, 5)
+	_, rn, err := wireNeighbors(ctx, viaRouter, client.KNN("d", touch.Point{1, 2, 3}, 5))
 	if err != nil {
 		t.Fatalf("routed knn: %v", err)
 	}
@@ -309,11 +309,11 @@ func TestRoutedWireMatchesDirect(t *testing.T) {
 		{Min: touch.Point{0, 0, 0}, Max: touch.Point{300, 300, 300}},
 		{Min: touch.Point{500, 500, 500}, Max: touch.Point{900, 900, 900}},
 	}}
-	dv, dpairs, dcount, err := direct.Join(ctx, "d", spec)
+	dv, dpairs, dcount, err := wireJoin(ctx, direct, client.Join("d", spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv, rpairs, rcount, err := viaRouter.Join(ctx, "d", spec)
+	rv, rpairs, rcount, err := wireJoin(ctx, viaRouter, client.Join("d", spec))
 	if err != nil {
 		t.Fatalf("routed join: %v", err)
 	}
@@ -323,7 +323,7 @@ func TestRoutedWireMatchesDirect(t *testing.T) {
 
 	// Unknown dataset: the backend's structured error passes through the
 	// router verbatim — an answer, not a failover trigger.
-	if _, _, err := viaRouter.Range(ctx, "nope", box); err == nil {
+	if _, _, err := wireIDs(ctx, viaRouter, client.Range("nope", box)); err == nil {
 		t.Fatal("routed range on unknown dataset succeeded")
 	} else {
 		var se *client.ServerError
@@ -362,7 +362,7 @@ func TestFailoverUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	box := touch.Box{Max: touch.Point{700, 700, 700}}
-	_, want, err := oracle.Range(ctx, "d", box)
+	_, want, err := wireIDs(ctx, oracle, client.Range("d", box))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestFailoverUnderLoad(t *testing.T) {
 					// Kill the primary owner mid-stream, exactly once.
 					killOnce.Do(primary.kill)
 				}
-				_, ids, err := conn.Range(ctx, "d", box)
+				_, ids, err := wireIDs(ctx, conn, client.Range("d", box))
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d read %d: %w", g, i, err)
 					return
@@ -525,7 +525,11 @@ func TestUpdatePrimaryOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		infos, err := c.Datasets(ctx)
+		r, err := c.Do(ctx, client.Catalog())
+		if err != nil {
+			t.Fatal(err)
+		}
+		infos, err := r.Datasets()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -653,7 +657,7 @@ func TestBurstFailoverAccounting(t *testing.T) {
 	batch := routed.Batch()
 	futs := make([]client.ReplyFuture, len(reqs))
 	for i, rq := range reqs {
-		futs[i] = batch.Do(rq.op, rq.payload)
+		futs[i] = batch.Add(client.Raw(rq.op, rq.payload))
 	}
 	if err := batch.Send(); err != nil {
 		t.Fatal(err)
@@ -663,7 +667,7 @@ func TestBurstFailoverAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("routed read %d: %v", i, err)
 		}
-		want, err := direct.Do(ctx, rq.op, rq.payload)
+		want, err := direct.Do(ctx, client.Raw(rq.op, rq.payload))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,6 +51,48 @@ func (ts *testServer) dialWire(addr string) *client.Conn {
 	return c
 }
 
+// wireIDs, wireNeighbors, wireJoin, wireCount and wireUpdate send one
+// request on c and decode its answer with the matching Reply method.
+func wireIDs(ctx context.Context, c *client.Conn, req client.Request) (int64, []touch.ID, error) {
+	r, err := c.Do(ctx, req)
+	if err != nil {
+		return 0, nil, err
+	}
+	return r.IDs()
+}
+
+func wireNeighbors(ctx context.Context, c *client.Conn, req client.Request) (int64, []touch.Neighbor, error) {
+	r, err := c.Do(ctx, req)
+	if err != nil {
+		return 0, nil, err
+	}
+	return r.Neighbors()
+}
+
+func wireJoin(ctx context.Context, c *client.Conn, req client.Request) (int64, []touch.Pair, int64, error) {
+	r, err := c.Do(ctx, req)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	return r.Join()
+}
+
+func wireCount(ctx context.Context, c *client.Conn, req client.Request) (int64, int64, error) {
+	r, err := c.Do(ctx, req)
+	if err != nil {
+		return 0, 0, err
+	}
+	return r.Count()
+}
+
+func wireUpdate(ctx context.Context, c *client.Conn, req client.Request) (client.UpdateResult, error) {
+	r, err := c.Do(ctx, req)
+	if err != nil {
+		return client.UpdateResult{}, err
+	}
+	return r.Update()
+}
+
 // TestWireDifferentialVsHTTP proves the binary and HTTP paths answer
 // identically — same IDs, neighbors, pairs, counts and catalog version
 // — for range, point, knn and join against the same serving snapshot.
@@ -91,7 +133,7 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 	for i := range boxes {
 		b := boxes[i]
 		href := httpQuery(api.QueryRequest{Type: "range", Box: []float64{b.Min[0], b.Min[1], b.Min[2], b.Max[0], b.Max[1], b.Max[2]}})
-		wv, wids, err := c.Range(ctx, "cells", b)
+		wv, wids, err := wireIDs(ctx, c, client.Range("cells", b))
 		if err != nil {
 			t.Fatalf("wire range %d: %v", i, err)
 		}
@@ -109,7 +151,7 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 
 		p := points[i]
 		href = httpQuery(api.QueryRequest{Type: "point", Point: []float64{p[0], p[1], p[2]}})
-		_, wids, err = c.Point(ctx, "cells", p)
+		_, wids, err = wireIDs(ctx, c, client.Point("cells", p))
 		if err != nil {
 			t.Fatalf("wire point %d: %v", i, err)
 		}
@@ -123,7 +165,7 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 		}
 
 		href = httpQuery(api.QueryRequest{Type: "knn", Point: []float64{p[0], p[1], p[2]}, K: ks[i]})
-		_, nbrs, err := c.KNN(ctx, "cells", p, ks[i])
+		_, nbrs, err := wireNeighbors(ctx, c, client.KNN("cells", p, ks[i]))
 		if err != nil {
 			t.Fatalf("wire knn %d: %v", i, err)
 		}
@@ -154,7 +196,7 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 	if err := json.Unmarshal(raw, &hj); err != nil {
 		t.Fatal(err)
 	}
-	wv, pairs, count, err := c.Join(ctx, "cells", client.JoinSpec{Boxes: probeBoxes, Eps: 3})
+	wv, pairs, count, err := wireJoin(ctx, c, client.Join("cells", client.JoinSpec{Boxes: probeBoxes, Eps: 3}))
 	if err != nil {
 		t.Fatalf("wire join: %v", err)
 	}
@@ -169,7 +211,7 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 			t.Fatalf("join pair %d: %v vs http %v", i, p, hj.Pairs[i])
 		}
 	}
-	_, wcount, err := c.JoinCount(ctx, "cells", client.JoinSpec{Boxes: probeBoxes, Eps: 3})
+	_, wcount, err := wireCount(ctx, c, client.CountJoin("cells", client.JoinSpec{Boxes: probeBoxes, Eps: 3}))
 	if err != nil || wcount != hj.Count {
 		t.Fatalf("wire join count: %d, %v (http %d)", wcount, err, hj.Count)
 	}
@@ -182,7 +224,7 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 	if err := json.Unmarshal(raw, &hj); err != nil {
 		t.Fatal(err)
 	}
-	_, wcount, err = c.JoinCount(ctx, "cells", client.JoinSpec{Probe: "probe"})
+	_, wcount, err = wireCount(ctx, c, client.CountJoin("cells", client.JoinSpec{Probe: "probe"}))
 	if err != nil || wcount != hj.Count {
 		t.Fatalf("wire named join count: %d, %v (http %d)", wcount, err, hj.Count)
 	}
@@ -209,18 +251,18 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 			path string
 			body any
 		}{
-			{"range", func() error { _, _, err := c.Range(ctx, tc.dataset, box); return err },
+			{"range", func() error { _, _, err := wireIDs(ctx, c, client.Range(tc.dataset, box)); return err },
 				"/query", api.QueryRequest{Type: "range", Box: boxRow}},
-			{"point", func() error { _, _, err := c.Point(ctx, tc.dataset, pt); return err },
+			{"point", func() error { _, _, err := wireIDs(ctx, c, client.Point(tc.dataset, pt)); return err },
 				"/query", api.QueryRequest{Type: "point", Point: ptRow}},
-			{"knn", func() error { _, _, err := c.KNN(ctx, tc.dataset, pt, 3); return err },
+			{"knn", func() error { _, _, err := wireNeighbors(ctx, c, client.KNN(tc.dataset, pt, 3)); return err },
 				"/query", api.QueryRequest{Type: "knn", Point: ptRow, K: 3}},
-			{"join", func() error { _, _, _, err := c.Join(ctx, tc.dataset, inline); return err },
+			{"join", func() error { _, _, _, err := wireJoin(ctx, c, client.Join(tc.dataset, inline)); return err },
 				"/join", api.JoinRequest{Boxes: [][]float64{boxRow}}},
-			{"joincount", func() error { _, _, err := c.JoinCount(ctx, tc.dataset, inline); return err },
+			{"joincount", func() error { _, _, err := wireCount(ctx, c, client.CountJoin(tc.dataset, inline)); return err },
 				"/join", api.JoinRequest{Boxes: [][]float64{boxRow}, CountOnly: true}},
 			{"update", func() error {
-				_, err := c.Update(ctx, tc.dataset, client.UpdateSpec{Insert: []touch.Box{box}})
+				_, err := wireUpdate(ctx, c, client.Update(tc.dataset, client.UpdateSpec{Insert: []touch.Box{box}}))
 				return err
 			}, "", api.UpdateRequest{Insert: [][]float64{boxRow}}},
 		}
@@ -241,7 +283,7 @@ func TestWireDifferentialVsHTTP(t *testing.T) {
 		}
 		// The probe side of a join resolves through the same function.
 		status, raw := ts.postJSON("/v1/datasets/cells/join", api.JoinRequest{Probe: tc.dataset, CountOnly: true})
-		_, _, err := c.JoinCount(ctx, "cells", client.JoinSpec{Probe: tc.dataset})
+		_, _, err := wireCount(ctx, c, client.CountJoin("cells", client.JoinSpec{Probe: tc.dataset}))
 		var se *client.ServerError
 		if status != tc.status || errCode(t, raw) != tc.code || !errors.As(err, &se) || se.Code != tc.code {
 			t.Fatalf("probe %s: http %d %s, wire %v, want %s", tc.dataset, status, raw, err, tc.code)
@@ -274,15 +316,15 @@ func TestNaNEpsRejected(t *testing.T) {
 	var se *client.ServerError
 	for _, eps := range []float64{math.NaN(), -2} {
 		spec := client.JoinSpec{Boxes: []touch.Box{box}, Eps: eps}
-		if _, pairs, _, err := c.Join(ctx, "cells", spec); !errors.As(err, &se) || se.Code != negCode || len(pairs) > 0 {
+		if _, pairs, _, err := wireJoin(ctx, c, client.Join("cells", spec)); !errors.As(err, &se) || se.Code != negCode || len(pairs) > 0 {
 			t.Fatalf("wire join eps=%g: %v after %d pairs, want %s before any", eps, err, len(pairs), negCode)
 		}
-		if _, _, err := c.JoinCount(ctx, "cells", spec); !errors.As(err, &se) || se.Code != negCode {
+		if _, _, err := wireCount(ctx, c, client.CountJoin("cells", spec)); !errors.As(err, &se) || se.Code != negCode {
 			t.Fatalf("wire join count eps=%g: %v, want %s", eps, err, negCode)
 		}
 	}
 	// The connection survived the error frames, and +Inf is a distance.
-	_, n, err := c.JoinCount(ctx, "cells", client.JoinSpec{Boxes: []touch.Box{box}, Eps: math.Inf(1)})
+	_, n, err := wireCount(ctx, c, client.CountJoin("cells", client.JoinSpec{Boxes: []touch.Box{box}, Eps: math.Inf(1)}))
 	if err != nil || n != 200 {
 		t.Fatalf("wire join eps=+Inf: %d, %v, want all 200", n, err)
 	}
@@ -299,11 +341,10 @@ func TestWirePipelinedBatch(t *testing.T) {
 
 	boxes, points, ks := testutil.QueryWorkload(11, 64)
 	b := c.Batch()
-	var rfut []client.IDsFuture
-	var kfut []client.NeighborsFuture
+	var rfut, kfut []client.ReplyFuture
 	for i := range boxes {
-		rfut = append(rfut, b.Range("cells", boxes[i]))
-		kfut = append(kfut, b.KNN("cells", points[i], ks[i]))
+		rfut = append(rfut, b.Add(client.Range("cells", boxes[i])))
+		kfut = append(kfut, b.Add(client.KNN("cells", points[i], ks[i])))
 	}
 	if b.Len() != 2*len(boxes) {
 		t.Fatalf("batch len %d", b.Len())
@@ -313,22 +354,29 @@ func TestWirePipelinedBatch(t *testing.T) {
 	}
 	// Harvest in reverse: tag matching, not arrival order, resolves them.
 	for i := len(boxes) - 1; i >= 0; i-- {
-		_, nbrs, err := kfut[i].Get(ctx)
+		r, err := kfut[i].Get(ctx)
 		if err != nil {
 			t.Fatalf("knn %d: %v", i, err)
 		}
-		_, want, err := c.KNN(ctx, "cells", points[i], ks[i])
+		_, nbrs, err := r.Neighbors()
+		if err != nil {
+			t.Fatalf("knn %d: %v", i, err)
+		}
+		_, want, err := wireNeighbors(ctx, c, client.KNN("cells", points[i], ks[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(nbrs) != len(want) {
 			t.Fatalf("knn %d: %d vs %d neighbors", i, len(nbrs), len(want))
 		}
-		_, ids, err := rfut[i].Get(ctx)
+		if r, err = rfut[i].Get(ctx); err != nil {
+			t.Fatalf("range %d: %v", i, err)
+		}
+		_, ids, err := r.IDs()
 		if err != nil {
 			t.Fatalf("range %d: %v", i, err)
 		}
-		_, wids, err := c.Range(ctx, "cells", boxes[i])
+		_, wids, err := wireIDs(ctx, c, client.Range("cells", boxes[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,22 +400,22 @@ func TestWireErrorFrames(t *testing.T) {
 	c := ts.dialWire(ts.startWire())
 	ctx := context.Background()
 
-	_, _, err := c.Range(ctx, "nope", touch.Box{Max: touch.Point{1, 1, 1}})
+	_, _, err := wireIDs(ctx, c, client.Range("nope", touch.Box{Max: touch.Point{1, 1, 1}}))
 	var se *client.ServerError
 	if !errors.As(err, &se) || se.Code != api.CodeUnknownDataset {
 		t.Fatalf("unknown dataset: %v", err)
 	}
-	_, _, err = c.KNN(ctx, "cells", touch.Point{1, 2, 3}, -5)
+	_, _, err = wireNeighbors(ctx, c, client.KNN("cells", touch.Point{1, 2, 3}, -5))
 	if !errors.As(err, &se) || se.Code != api.CodeInvalidK {
 		t.Fatalf("bad k: %v", err)
 	}
 	// The connection survived both error frames.
-	if _, _, err := c.Range(ctx, "cells", touch.Box{Max: touch.Point{500, 500, 500}}); err != nil {
+	if _, _, err := wireIDs(ctx, c, client.Range("cells", touch.Box{Max: touch.Point{500, 500, 500}})); err != nil {
 		t.Fatalf("after errors: %v", err)
 	}
 
 	ts.srv.BeginShutdown()
-	_, _, err = c.Range(ctx, "cells", touch.Box{Max: touch.Point{1, 1, 1}})
+	_, _, err = wireIDs(ctx, c, client.Range("cells", touch.Box{Max: touch.Point{1, 1, 1}}))
 	if !errors.As(err, &se) || se.Code != api.CodeDraining {
 		t.Fatalf("draining: %v", err)
 	}
@@ -393,7 +441,7 @@ func TestWireCancelInFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.Join(ctx, "cells", client.JoinSpec{Boxes: []touch.Box{{Max: touch.Point{1000, 1000, 1000}}}})
+		_, _, _, err := wireJoin(ctx, c, client.Join("cells", client.JoinSpec{Boxes: []touch.Box{{Max: touch.Point{1000, 1000, 1000}}}}))
 		done <- err
 	}()
 	<-entered
@@ -404,7 +452,7 @@ func TestWireCancelInFlight(t *testing.T) {
 	block.Store(false)
 
 	// The slot freed (MaxInFlight is 1) and the connection still works.
-	if _, _, err := c.Range(context.Background(), "cells", touch.Box{Max: touch.Point{500, 500, 500}}); err != nil {
+	if _, _, err := wireIDs(context.Background(), c, client.Range("cells", touch.Box{Max: touch.Point{500, 500, 500}})); err != nil {
 		t.Fatalf("after cancel: %v", err)
 	}
 	if got := ts.srv.met.rejectCanceled.Load(); got == 0 {
@@ -496,7 +544,7 @@ func TestWireLoneReadWaitingForASlotSeesHangUp(t *testing.T) {
 	holder := ts.dialWire(addr)
 	joined := make(chan error, 1)
 	go func() {
-		_, _, err := holder.JoinCount(context.Background(), "cells", client.JoinSpec{Boxes: []touch.Box{{Max: touch.Point{1, 1, 1}}}})
+		_, _, err := wireCount(context.Background(), holder, client.CountJoin("cells", client.JoinSpec{Boxes: []touch.Box{{Max: touch.Point{1, 1, 1}}}}))
 		joined <- err
 	}()
 	<-entered // the one slot is taken and stays taken
@@ -529,7 +577,7 @@ func TestWireTimeout(t *testing.T) {
 	ts.srv.testHookWorker = func(ctx context.Context) { <-ctx.Done() }
 	c := ts.dialWire(ts.startWire())
 
-	_, _, _, err := c.Join(context.Background(), "cells", client.JoinSpec{Boxes: []touch.Box{{Max: touch.Point{1, 1, 1}}}})
+	_, _, _, err := wireJoin(context.Background(), c, client.Join("cells", client.JoinSpec{Boxes: []touch.Box{{Max: touch.Point{1, 1, 1}}}}))
 	var se *client.ServerError
 	if !errors.As(err, &se) || se.Code != api.CodeTimeout {
 		t.Fatalf("timeout join: %v", err)
@@ -600,7 +648,7 @@ func TestWireShutdownDrain(t *testing.T) {
 	block.Store(true)
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.Join(context.Background(), "cells", client.JoinSpec{Boxes: []touch.Box{{Max: touch.Point{1, 1, 1}}}})
+		_, _, _, err := wireJoin(context.Background(), c, client.Join("cells", client.JoinSpec{Boxes: []touch.Box{{Max: touch.Point{1, 1, 1}}}}))
 		done <- err
 	}()
 	<-entered
@@ -643,7 +691,7 @@ func TestWireGracefulDrain(t *testing.T) {
 	ts.srv.Load("cells", touch.GenerateUniform(50, 5), touch.TOUCHConfig{})
 	addr := ts.startWire()
 	c := ts.dialWire(addr)
-	if _, _, err := c.Range(context.Background(), "cells", touch.Box{Max: touch.Point{500, 500, 500}}); err != nil {
+	if _, _, err := wireIDs(context.Background(), c, client.Range("cells", touch.Box{Max: touch.Point{500, 500, 500}})); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -756,10 +804,10 @@ func TestWireMetrics(t *testing.T) {
 	ts.srv.Load("cells", touch.GenerateUniform(50, 1), touch.TOUCHConfig{})
 	c := ts.dialWire(ts.startWire())
 	ctx := context.Background()
-	if _, _, err := c.Range(ctx, "cells", touch.Box{Max: touch.Point{500, 500, 500}}); err != nil {
+	if _, _, err := wireIDs(ctx, c, client.Range("cells", touch.Box{Max: touch.Point{500, 500, 500}})); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.JoinCount(ctx, "cells", client.JoinSpec{Boxes: []touch.Box{{Max: touch.Point{10, 10, 10}}}}); err != nil {
+	if _, _, err := wireCount(ctx, c, client.CountJoin("cells", client.JoinSpec{Boxes: []touch.Box{{Max: touch.Point{10, 10, 10}}}})); err != nil {
 		t.Fatal(err)
 	}
 	status, body := ts.do(http.MethodGet, "/metrics", "", nil)

@@ -110,10 +110,10 @@ func TestMetricsScrapeWellFormed(t *testing.T) {
 	addr := ts.startWire()
 	c := ts.dialWire(addr)
 	ctx := context.Background()
-	if _, _, err := c.Range(ctx, "m", touch.Box{Max: touch.Point{100, 100, 100}}); err != nil {
+	if _, _, err := wireIDs(ctx, c, client.Range("m", touch.Box{Max: touch.Point{100, 100, 100}})); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.JoinCount(ctx, "m", client.JoinSpec{Probe: "p", Eps: 3}); err != nil {
+	if _, _, err := wireCount(ctx, c, client.CountJoin("m", client.JoinSpec{Probe: "p", Eps: 3})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -308,10 +308,15 @@ func TestTraceParityHTTPVsWire(t *testing.T) {
 	if qresp.Trace == nil {
 		t.Fatal("traced http range came back without a trace")
 	}
-	_, wids, wtr, err := c.RangeTraced(ctx, "cells", box)
+	r, err := c.Do(ctx, client.Range("cells", box).Traced())
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, wids, err := r.IDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wtr := r.Trace()
 	if wtr == nil {
 		t.Fatal("traced wire range came back without a trace")
 	}
@@ -329,10 +334,15 @@ func TestTraceParityHTTPVsWire(t *testing.T) {
 
 	// Named count-only join both ways, single worker for determinism.
 	jresp, _ := ts.tracedJoin("cells", api.JoinRequest{Probe: "probe", Eps: 3, Workers: 1, CountOnly: true})
-	_, wcount, jtr, err := c.JoinCountTraced(ctx, "cells", client.JoinSpec{Probe: "probe", Eps: 3, Workers: 1})
+	r, err = c.Do(ctx, client.CountJoin("cells", client.JoinSpec{Probe: "probe", Eps: 3, Workers: 1}).Traced())
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, wcount, err := r.Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jtr := r.Trace()
 	if jtr == nil {
 		t.Fatal("traced wire join came back without a trace")
 	}

@@ -347,7 +347,7 @@ func TestWireUpdateMatchesHTTP(t *testing.T) {
 	for i := range ins {
 		ins[i] = touch.GenerateUniform(1, int64(i)*13+2)[0].Box
 	}
-	res, err := c.Update(ctx, "cells", client.UpdateSpec{Insert: ins, Delete: []touch.ID{10, 11, 12, 10}})
+	res, err := wireUpdate(ctx, c, client.Update("cells", client.UpdateSpec{Insert: ins, Delete: []touch.ID{10, 11, 12, 10}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,16 +361,23 @@ func TestWireUpdateMatchesHTTP(t *testing.T) {
 	// A batch-queued update is applied before later requests in the
 	// same pipeline.
 	b := c.Batch()
-	uf := b.Update("cells", client.UpdateSpec{Delete: []touch.ID{20}})
-	rf := b.Range("cells", touch.Box{Max: touch.Point{1000, 1000, 1000}})
+	uf := b.Add(client.Update("cells", client.UpdateSpec{Delete: []touch.ID{20}}))
+	rf := b.Add(client.Range("cells", touch.Box{Max: touch.Point{1000, 1000, 1000}}))
 	if err := b.Send(); err != nil {
 		t.Fatal(err)
 	}
-	ur, err := uf.Get(ctx)
+	r, err := uf.Get(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ur, err := r.Update()
 	if err != nil || ur.Deleted != 1 {
 		t.Fatalf("batched update: %+v, %v", ur, err)
 	}
-	if _, ids, err := rf.Get(ctx); err != nil {
+	if r, err = rf.Get(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, ids, err := r.IDs(); err != nil {
 		t.Fatal(err)
 	} else {
 		for _, id := range ids {
@@ -395,7 +402,7 @@ func TestWireUpdateMatchesHTTP(t *testing.T) {
 	for i, o := range probe {
 		probeBoxes[i] = o.Box
 	}
-	wv, pairs, count, err := c.Join(ctx, "cells", client.JoinSpec{Boxes: probeBoxes, Eps: 0})
+	wv, pairs, count, err := wireJoin(ctx, c, client.Join("cells", client.JoinSpec{Boxes: probeBoxes, Eps: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +490,7 @@ func TestUpdateUnderConcurrentReads(t *testing.T) {
 				return
 			default:
 			}
-			if _, pairs, count, err := c.Join(ctx, "cells", client.JoinSpec{Boxes: probeBoxes}); err != nil {
+			if _, pairs, count, err := wireJoin(ctx, c, client.Join("cells", client.JoinSpec{Boxes: probeBoxes})); err != nil {
 				fail("wire join: %v", err)
 				return
 			} else if int64(len(pairs)) != count {
