@@ -3,12 +3,13 @@
 //
 // Two in-process touchserved instances serve the same dataset over the
 // binary wire protocol; a router in front owns the hash ring and fans
-// reads out to the dataset's R=2 ring owners. The example routes range,
-// knn and join queries through the router and verifies every answer
-// against a direct connection to a backend (the oracle), then kills the
-// dataset's primary owner and shows reads keep succeeding — same
-// answers, zero errors — while the router's metrics record the ejection
-// and the failovers. Run with:
+// reads out to the dataset's R=2 ring owners. The example sends range,
+// knn and join requests to the router's own wire front — a client.Conn
+// pointed at the router, exactly as at a backend — and checks that every
+// answer is the same frames a direct connection to a backend (the
+// oracle) gets, then kills the dataset's primary owner and shows reads
+// on the same connection keep succeeding — same answers, zero errors —
+// while the router fails over to the fallback owner. Run with:
 //
 //	go run ./examples/router [-objects 5000]
 package main
@@ -36,27 +37,19 @@ func main() {
 	// Each gets a node ID, which the router learns from the wire hello
 	// and uses to label its logs and metrics.
 	ds := touch.GenerateUniform(*objects, 42)
-	type replica struct {
-		srv  *server.Server
-		addr string
-	}
-	replicas := make(map[string]*replica, 2)
-	var addrs []string
+	servers := make(map[string]*server.Server, 2)
+	addrs := make(map[string]string, 2)
+	var backends []string
 	for _, id := range []string{"replica-a", "replica-b"} {
-		srv := server.New(server.Config{NodeID: id})
-		srv.Load("parts", ds, touch.TOUCHConfig{})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		go srv.ServeWire(ln)
-		replicas[id] = &replica{srv: srv, addr: ln.Addr().String()}
-		addrs = append(addrs, ln.Addr().String())
-		fmt.Printf("%s serving %d objects on %s\n", id, *objects, ln.Addr())
+		servers[id] = server.New(server.Config{NodeID: id})
+		servers[id].Load("parts", ds, touch.TOUCHConfig{})
+		addrs[id] = serve(servers[id].ServeWire)
+		backends = append(backends, addrs[id])
+		fmt.Printf("%s serving %d objects on %s\n", id, *objects, addrs[id])
 	}
 
 	rt, err := router.New(router.Config{
-		Backends:       addrs,
+		Backends:       backends,
 		Replication:    2,
 		HealthInterval: 100 * time.Millisecond,
 	})
@@ -65,73 +58,65 @@ func main() {
 	}
 	rt.Start()
 	defer rt.Close()
+	// The router's wire front takes the same client and the same
+	// requests as a backend: it reads the dataset name and relays the
+	// frame to an owner.
+	front := serve(rt.ServeWire)
+	defer rt.ShutdownWire(ctx)
+	fmt.Printf("router wire front on %s\n", front)
 
 	owners := rt.Owners("parts")
 	fmt.Printf("\nring owners of \"parts\": primary %s, fallback %s\n", owners[0], owners[1])
 
 	// The oracle: a direct connection to one replica. Every routed
-	// answer must match it exactly.
-	oracle, err := client.Dial(ctx, replicas[owners[0]].addr)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// answer must be its answer, frame for frame.
+	oracle, routed := dial(ctx, addrs[owners[0]]), dial(ctx, front)
 	defer oracle.Close()
+	defer routed.Close()
+	same := func(req client.Request) *client.Reply {
+		want, got := do(ctx, oracle, req), do(ctx, routed, req)
+		if fmt.Sprint(got.Frame, got.Stream) != fmt.Sprint(want.Frame, want.Stream) {
+			log.Fatalf("routed answer diverged: %#02x (%d stream frames) vs %#02x (%d)",
+				got.Op, len(got.Stream), want.Op, len(want.Stream))
+		}
+		return got
+	}
 
-	box := touch.Box{Max: touch.Point{500, 500, 500}}
-	_, want, err := do(ctx, oracle, client.Range("parts", box)).IDs()
+	rangeReq := client.Range("parts", touch.Box{Max: touch.Point{500, 500, 500}})
+	_, want, err := same(rangeReq).IDs()
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, got, err := rt.Range(ctx, "parts", box)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		log.Fatalf("routed range diverged: %d ids vs %d", len(got), len(want))
-	}
-	fmt.Printf("routed range query: %d ids, identical to the direct answer\n", len(got))
+	fmt.Printf("routed range query: %d ids, identical to the direct answer\n", len(want))
 
-	_, wantN, err := do(ctx, oracle, client.KNN("parts", touch.Point{10, 20, 30}, 5)).Neighbors()
+	_, nbrs, err := same(client.KNN("parts", touch.Point{10, 20, 30}, 5)).Neighbors()
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, gotN, err := rt.KNN(ctx, "parts", touch.Point{10, 20, 30}, 5)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if fmt.Sprint(gotN) != fmt.Sprint(wantN) {
-		log.Fatal("routed knn diverged")
-	}
-	fmt.Printf("routed knn query:   %d neighbors, identical\n", len(gotN))
+	fmt.Printf("routed knn query:   %d neighbors, identical\n", len(nbrs))
 
 	spec := client.JoinSpec{Boxes: []touch.Box{{Max: touch.Point{200, 200, 200}}}}
-	_, _, wantCount, err := do(ctx, oracle, client.Join("parts", spec)).Join()
+	_, _, count, err := same(client.Join("parts", spec)).Join()
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, _, gotCount, err := rt.Join(ctx, "parts", spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if gotCount != wantCount {
-		log.Fatalf("routed join diverged: %d pairs vs %d", gotCount, wantCount)
-	}
-	fmt.Printf("routed join:        %d pairs, identical\n\n", gotCount)
+	fmt.Printf("routed join:        %d pairs, identical\n\n", count)
 
 	// Kill the primary owner the way a crash would: listener and every
 	// connection torn down at once, no goodbye.
 	fmt.Printf("killing primary owner %s...\n", owners[0])
 	killCtx, cancel := context.WithCancel(ctx)
 	cancel()
-	replicas[owners[0]].srv.ShutdownWire(killCtx)
+	servers[owners[0]].ShutdownWire(killCtx)
 
-	// Reads keep working: the first one trips over the dead backend,
-	// fails over to the fallback owner inside the same call, and ejects
-	// the corpse so later reads skip it entirely.
+	// Reads keep working on the same connection to the router: the
+	// first one trips over the dead backend, fails over to the fallback
+	// owner inside the same request, and ejects the corpse so later
+	// reads skip it entirely. A read the router loses ends the example
+	// in do; one it answers wrongly counts as failed.
 	failed := 0
 	for i := 0; i < 50; i++ {
-		_, ids, err := rt.Range(ctx, "parts", box)
-		if err != nil || len(ids) != len(want) {
+		if _, ids, err := do(ctx, routed, rangeReq).IDs(); err != nil || fmt.Sprint(ids) != fmt.Sprint(want) {
 			failed++
 		}
 	}
@@ -139,7 +124,26 @@ func main() {
 	if failed > 0 {
 		log.Fatal("failover lost reads")
 	}
-	fmt.Printf("owners now served by: %s (failover within the same call)\n", owners[1])
+	fmt.Printf("owners now served by: %s (failover within the same request)\n", owners[1])
+}
+
+// serve runs srv on a fresh loopback listener and returns its address.
+func serve(srv func(net.Listener) error) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	go srv(ln)
+	return ln.Addr().String()
+}
+
+// dial connects a wire client to addr.
+func dial(ctx context.Context, addr string) *client.Conn {
+	c, err := client.Dial(ctx, addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return c
 }
 
 // do sends one request on c; the caller decodes the reply.

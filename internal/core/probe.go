@@ -48,8 +48,8 @@ type Probe struct {
 	small     []int32
 	scratches []*joinScratch
 
-	// query holds the single-probe traversal state (RangeQuery /
-	// PointQuery / KNN); see query.go.
+	// query holds the single-probe traversal state (RangeQuery / KNN);
+	// see query.go.
 	query queryScratch
 
 	peakGridBytes int64 // largest transient local-join grid of the last join

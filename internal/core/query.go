@@ -137,14 +137,6 @@ func (t *Tree) block(e *entry, bi int32) []geom.Object {
 	return t.arena[start:min(start+leafBlock, e.aEnd)]
 }
 
-// PointQuery returns the IDs of every indexed A object whose MBR
-// contains the point (boundary included), sorted ascending by ID. It is
-// RangeQuery with a zero-extent box. The returned slice aliases
-// probe-owned scratch; see RangeQuery.
-func (p *Probe) PointQuery(pt geom.Point, c *stats.Counters) []geom.ID {
-	return p.RangeQuery(geom.BoxAt(pt), c)
-}
-
 // knnItem is one entry of the kNN search queue: a tree node (blk < 0) or
 // one block of a leaf, with the distance of its MBR from the query point.
 type knnItem struct {

@@ -71,7 +71,7 @@ func TestPointQueryMatchesOracle(t *testing.T) {
 	for i, pt := range pts {
 		want := nl.PointQuery(ds, pt)
 		var c stats.Counters
-		got := p.PointQuery(pt, &c)
+		got := p.RangeQuery(geom.BoxAt(pt), &c)
 		if !slices.Equal(got, want) {
 			t.Fatalf("point %d (%v): got %v, want %v", i, pt, got, want)
 		}
@@ -148,7 +148,7 @@ func TestQueriesDegenerate(t *testing.T) {
 		if got, want := p.RangeQuery(q, &c), nl.RangeQuery(ds, q); !slices.Equal(got, want) {
 			t.Fatalf("|ds|=%d range: got %v, want %v", len(ds), got, want)
 		}
-		if got, want := p.PointQuery(geom.Point{2, 3, 4}, &c), nl.PointQuery(ds, geom.Point{2, 3, 4}); !slices.Equal(got, want) {
+		if got, want := p.RangeQuery(geom.BoxAt(geom.Point{2, 3, 4}), &c), nl.PointQuery(ds, geom.Point{2, 3, 4}); !slices.Equal(got, want) {
 			t.Fatalf("|ds|=%d point: got %v, want %v", len(ds), got, want)
 		}
 		if got, want := p.KNN(geom.Point{0, 0, 0}, 3, &c), nl.KNN(ds, geom.Point{0, 0, 0}, 3); !slices.Equal(got, want) {

@@ -225,8 +225,8 @@ func (rt *Router) relay(ctx context.Context, reqs []request, answer answerFunc) 
 	}
 }
 
-// call relays one request frame and returns its answer: the typed
-// calls' and the HTTP front's way into relay.
+// call relays one request frame and returns its answer: the HTTP
+// front's way into relay, and the kept Range and KNN wrappers'.
 func (rt *Router) call(ctx context.Context, dataset string, op byte, payload []byte) (r *client.Reply, err error) {
 	rt.relay(ctx, []request{{op: op, dataset: dataset, payload: payload}},
 		func(_ *request, reply *client.Reply, e error) { r, err = reply, e })
@@ -343,7 +343,9 @@ func draining(r *client.Reply) error {
 	return nil
 }
 
-// Range answers a range query from the dataset's owners.
+// Range answers a range query from the dataset's owners. It stays only
+// for benchmark/'s in-process router rung (router.call) until ROADMAP
+// item 1b (m): a Go program sends client.Range to the wire front.
 func (rt *Router) Range(ctx context.Context, dataset string, box touch.Box) (version int64, ids []touch.ID, err error) {
 	r, err := rt.call(ctx, dataset, wire.OpRange, wire.AppendRangeReq(nil, dataset, box))
 	if err != nil {
@@ -352,23 +354,14 @@ func (rt *Router) Range(ctx context.Context, dataset string, box touch.Box) (ver
 	return r.IDs()
 }
 
-// KNN answers a k-nearest-neighbor query from the dataset's owners.
+// KNN answers a k-nearest-neighbor query from the dataset's owners. It
+// stays only for benchmark/, as Range does.
 func (rt *Router) KNN(ctx context.Context, dataset string, pt touch.Point, k int) (version int64, nbrs []touch.Neighbor, err error) {
 	r, err := rt.call(ctx, dataset, wire.OpKNN, wire.AppendKNNReq(nil, dataset, pt, k))
 	if err != nil {
 		return 0, nil, err
 	}
 	return r.Neighbors()
-}
-
-// Join runs a join against the dataset's owners, materializing pairs.
-func (rt *Router) Join(ctx context.Context, dataset string, spec client.JoinSpec) (version int64, pairs []touch.Pair, count int64, err error) {
-	r, err := rt.call(ctx, dataset, wire.OpJoin,
-		wire.AppendJoinReq(nil, dataset, spec.Eps, spec.Workers, 0, spec.Probe, spec.Boxes))
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	return r.Join()
 }
 
 // CatalogRow is one dataset of the merged catalog: the row reported by

@@ -337,23 +337,21 @@ func TestRoutedWireMatchesDirect(t *testing.T) {
 // through the router's wire front, one backend killed mid-load. Zero
 // reads may fail, every answer must match the oracle computed before
 // the kill, and the metrics must show the ejection and the failovers.
+// The health checker is kept out of it (one sweep at Start, the next an
+// hour later), so the dead primary is still marked healthy when the
+// first read after the kill tries it: that read fails over and ejects.
 func TestFailoverUnderLoad(t *testing.T) {
 	ds := touch.GenerateUniform(300, 3)
 	b0 := startBackend(t, "r0", map[string]touch.Dataset{"d": ds})
 	b1 := startBackend(t, "r1", map[string]touch.Dataset{"d": ds})
 	backends := map[string]*testBackend{"r0": b0, "r1": b1}
-	rt := startRouter(t, 2, b0.addr, b1.addr)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	rt, err := router.New(router.Config{Backends: []string{b0.addr, b1.addr}, Replication: 2,
+		HealthInterval: time.Hour, ProbeTimeout: time.Second, RequestTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go rt.ServeWire(ln)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		rt.ShutdownWire(ctx)
-	})
+	rt.Start()
+	t.Cleanup(func() { rt.Close() })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -377,11 +375,7 @@ func TestFailoverUnderLoad(t *testing.T) {
 		t.Fatalf("primary owner %q is not a known backend", owners[0])
 	}
 
-	conn, err := client.Dial(ctx, ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := serveWire(t, ctx, rt)
 
 	const goroutines, iters = 8, 150
 	var killOnce sync.Once

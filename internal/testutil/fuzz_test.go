@@ -111,8 +111,10 @@ func alignedSeed() []byte {
 // must reproduce the nested-loop pair set on arbitrary decoded
 // datasets, and so must core.JoinExpanded with both grid local joins — the
 // pre-test canonical-cell rule and the paper's post-test dedup — which
-// must also agree on Results and Replicas, the post-test kind comparing
-// at least as much.
+// must also agree on Results, the post-test kind comparing at least as
+// much and replicating at least as much: pre-test dedup builds a node's
+// grid only when some task of it is not a lone-box scan, and then the
+// same grid post-test dedup builds for every node.
 func FuzzJoin(f *testing.F) {
 	fuzzSeeds(f)
 	// 28 objects in buckets of one: a cube of 27 and one over.
@@ -120,6 +122,9 @@ func FuzzJoin(f *testing.F) {
 	f.Add(slices.Concat([]byte{28}, sameCentre, scattered))
 	f.Add(slices.Concat([]byte{28}, scattered, sameCentre))
 	f.Add(alignedSeed())
+	// A node whose only task is a lone probe box: pre-test dedup scans it
+	// without a grid (no replicas), post-test dedup builds one.
+	f.Add([]byte("A00A0000000A0000000000000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -151,7 +156,7 @@ func FuzzJoin(f *testing.F) {
 				}
 			}
 			pre, post := &counts[0], &counts[1]
-			if pre.Results != post.Results || pre.Replicas != post.Replicas || post.Comparisons < pre.Comparisons {
+			if pre.Results != post.Results || pre.Replicas > post.Replicas || post.Comparisons < pre.Comparisons {
 				t.Errorf("core.JoinExpanded workers=%d: grid results %d, replicas %d, comparisons %d; grid-postdedup %d, %d, %d",
 					workers, pre.Results, pre.Replicas, pre.Comparisons, post.Results, post.Replicas, post.Comparisons)
 			}
