@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,8 +16,9 @@ import (
 // leaves' blocks, in arena order, are exactly the directory; a leaf's
 // blocks partition its [aStart, aEnd) into consecutive runs of leafBlock
 // objects (the last one shorter); every block MBR is bit-equal to the
-// union of its objects; and a leaf of at most leafBlock objects has one
-// block, equal to its own MBR.
+// union of its objects; a leaf of at most leafBlock objects has one
+// block, equal to its own MBR; and every block's z window is right for
+// its objects (checkWindow).
 func checkDirectory(t *testing.T, name string, tr *Tree) {
 	t.Helper()
 	next := 0 // next unclaimed entry of tr.blocks
@@ -43,6 +45,7 @@ func checkDirectory(t *testing.T, name string, tr *Tree) {
 			if want := geom.Dataset(es).MBR(); blk != want {
 				t.Fatalf("%s: leaf %d block %d MBR %v, its objects' %v", name, id, bi, blk, want)
 			}
+			checkWindow(t, name, tr, n.block+int32(bi), es)
 		}
 		if covered != n.aEnd {
 			t.Fatalf("%s: leaf %d [%d,%d): blocks end at %d", name, id, n.aStart, n.aEnd, covered)
@@ -51,12 +54,54 @@ func checkDirectory(t *testing.T, name string, tr *Tree) {
 			t.Fatalf("%s: leaf %d's only block %v differs from its MBR %v", name, id, blocks[0], n.mbr)
 		}
 	}
-	if next != len(tr.blocks) || cap(tr.blocks) != len(tr.blocks) {
-		t.Fatalf("%s: leaves claim %d blocks, the directory holds %d (cap %d)", name, next, len(tr.blocks), cap(tr.blocks))
+	if next != len(tr.blocks) || cap(tr.blocks) != len(tr.blocks) || len(tr.windows) != next || cap(tr.windows) != next {
+		t.Fatalf("%s: leaves claim %d blocks, the directory holds %d (cap %d) and %d windows (cap %d)",
+			name, next, len(tr.blocks), cap(tr.blocks), len(tr.windows), cap(tr.windows))
 	}
-	// One 64-byte entry and one 8-byte extent sum per node.
-	if want := int64(tr.Nodes)*(64+8) + int64(tr.SizeA)*stats.BytesPerRef + int64(next)*stats.BytesPerBox; tr.StaticBytes() != want {
+	// One 64-byte entry and one 8-byte extent sum per node; one 48-byte
+	// MBR and one 24-byte z window per block.
+	if want := int64(tr.Nodes)*(64+8) + int64(tr.SizeA)*stats.BytesPerRef + int64(next)*(stats.BytesPerBox+24); tr.StaticBytes() != want {
 		t.Fatalf("%s: StaticBytes %d, want %d with %d blocks", name, tr.StaticBytes(), want, next)
+	}
+}
+
+// checkWindow asserts that the z window of block bi, whose objects are
+// es, is what zWindow says, read off the objects one by one: a finite
+// half extent exactly when the centres are finite and ascend, reaching
+// from both z corners of every object to its centre; and one key per
+// zStride objects, the first one's, then 255 past the last object.
+func checkWindow(t *testing.T, name string, tr *Tree, bi int32, es []geom.Object) {
+	t.Helper()
+	w, mbr := &tr.windows[bi], &tr.blocks[bi]
+	ordered := true
+	for j := range es {
+		c := es[j].Box.Center()[2]
+		ordered = ordered && !math.IsInf(c, 0) && !math.IsNaN(c) && (j == 0 || c >= es[j-1].Box.Center()[2])
+	}
+	if !ordered {
+		if !math.IsInf(w.half, 1) {
+			t.Fatalf("%s: block %d is not in z-centre order, yet its half extent is %g", name, bi, w.half)
+		}
+		return
+	}
+	if math.IsInf(w.half, 0) || math.IsNaN(w.half) {
+		t.Fatalf("%s: block %d is in z-centre order, yet its half extent is %g", name, bi, w.half)
+	}
+	for j := range es {
+		b := &es[j].Box
+		if c := b.Center()[2]; !(b.Min[2]+w.half >= c && b.Max[2]-w.half <= c) {
+			t.Fatalf("%s: block %d object %d: z [%g, %g] and half extent %g do not reach its centre %g",
+				name, bi, j, b.Min[2], b.Max[2], w.half, c)
+		}
+	}
+	for k, key := range w.keys {
+		want := uint8(255)
+		if j := k * zStride; j < len(es) {
+			want = zKey(es[j].Box.Center()[2], mbr.Min[2], zScale(mbr))
+		}
+		if key != want {
+			t.Fatalf("%s: block %d key %d is %d, want %d", name, bi, k, key, want)
+		}
 	}
 }
 
@@ -90,7 +135,7 @@ func TestBlockDirectory(t *testing.T) {
 			t.Fatalf("%s: Thaw: %v", tc.name, err)
 		}
 		checkDirectory(t, tc.name+"/thawed", thawed)
-		if !slices.Equal(thawed.blocks, fresh.blocks) {
+		if !slices.Equal(thawed.blocks, fresh.blocks) || !slices.Equal(thawed.windows, fresh.windows) {
 			t.Fatalf("%s: the thawed directory differs from the fresh one", tc.name)
 		}
 	}

@@ -23,12 +23,18 @@ func (t *Tree) mapGridJoin(id int32, bs []geom.Object, postDedup, scan bool, c *
 	gridded := !scan
 	var as []geom.Object // the A objects the grid's tasks let through
 	for _, task := range tasks {
+		// A lone scan tests each of the task's objects against one object's
+		// box; the grid's pre-filter tests them against the task's MBR.
+		if scan && task.lone >= 0 {
+			c.Comparisons += int64(task.aEnd - task.aStart)
+		} else {
+			c.NodeTests += int64(task.aEnd - task.aStart)
+		}
 		for _, a := range t.arena[task.aStart:task.aEnd] {
 			if !a.Box.Intersects(task.mbr) {
 				continue
 			}
 			if scan && task.lone >= 0 {
-				c.Comparisons++
 				c.Results++
 				sink.Emit(a.ID, bs[task.lone].ID)
 				continue

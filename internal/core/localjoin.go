@@ -116,24 +116,32 @@ func (t *Tree) taskGrid(id int32, bs []geom.Object, tasks []probeTask, c *stats.
 
 // joinTask joins one probe task, or any stretch of one: the one dispatch
 // of the sequential join and of joinParallel's shares. A task one B
-// object reaches alone is a range scan — every A object of it that meets
-// the box is one comparison and one result, emitted in A order, as
-// gridProbe would emit them — charged to the ticker once, for the task's
-// length, which is at most a leaf block. Any other task probes g and csr,
-// built by taskGrid.
+// object reaches alone is a range scan of its A objects against the box:
+// each is one comparison, hit or miss, and each that meets the box one
+// result, emitted in A order, as gridProbe would emit them. The scan is
+// charged to the ticker and to the comparisons once, for the task's
+// length. That length is a z window, not a leaf block: probeTasks cut the
+// task down to the run of its block that the block's keys bound for the
+// box's z extent grown by the block's largest half extent (zRun), the only
+// objects of the block that can meet the box along z. A lone task that is
+// not exactly one block keeps its whole length, as does a box whose window
+// bounds are not ordered; and a stretch joinParallel cuts from a task is
+// a stretch of the window. Any other task probes g and csr, built by
+// taskGrid.
 func (t *Tree) joinTask(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *probeTask, tk *stats.Ticker, c *stats.Counters, sink stats.Sink) {
 	if !t.scans(task) {
 		t.gridProbe(g, csr, bs, task, tk, c, sink)
 		return
 	}
-	if tk.TickN(int(task.aEnd - task.aStart)) {
+	n := int(task.aEnd - task.aStart)
+	if tk.TickN(n) {
 		return
 	}
+	c.Comparisons += int64(n)
 	b := &bs[task.lone]
 	as := t.arena[task.aStart:task.aEnd]
 	for ai := range as {
 		if as[ai].Box.Meets(&task.mbr) {
-			c.Comparisons++
 			c.Results++
 			sink.Emit(as[ai].ID, b.ID)
 		}
@@ -237,14 +245,18 @@ func (ws *joinScratch) descend(t *Tree, id int32, bs []geom.Object, from int, tk
 	end := len(ws.idx)
 	leaf := e.leaf(id)
 	if end-from > e.aCount() || (leaf && (end-from > leafBlock || e.blocks() < 2)) {
-		ws.emit(e.aStart, e.aEnd, bs, from)
+		blk := int32(-1)
+		if leaf && e.blocks() == 1 {
+			blk = e.block
+		}
+		ws.emit(t, e.aStart, e.aEnd, blk, bs, from)
 		return
 	}
 	if leaf {
 		for bi := int32(0); bi < e.blocks(); bi++ {
 			if ws.meeting(&t.blocks[e.block+bi], bs, from, end, tk, c) {
 				start := e.aStart + bi*leafBlock
-				ws.emit(start, min(start+leafBlock, e.aEnd), bs, end)
+				ws.emit(t, start, min(start+leafBlock, e.aEnd), e.block+bi, bs, end)
 			}
 			ws.idx = ws.idx[:end]
 		}
@@ -275,8 +287,11 @@ func (ws *joinScratch) meeting(mbr *geom.Box, bs []geom.Object, from, end int, t
 }
 
 // emit appends the task [aStart, aEnd) for the B objects ws.idx[from:],
-// lone when there is one of them.
-func (ws *joinScratch) emit(aStart, aEnd int32, bs []geom.Object, from int) {
+// lone when there is one of them. blk is the index of the block the
+// stretch is, exactly, or -1: a lone task joinTask scans is cut down to
+// its block's z window for the box (zRun), and not appended at all when
+// that is empty.
+func (ws *joinScratch) emit(t *Tree, aStart, aEnd, blk int32, bs []geom.Object, from int) {
 	task := probeTask{aStart: aStart, aEnd: aEnd, lone: -1, mbr: geom.EmptyBox()}
 	if len(ws.idx)-from == 1 {
 		task.lone = ws.idx[from]
@@ -284,14 +299,22 @@ func (ws *joinScratch) emit(aStart, aEnd int32, bs []geom.Object, from int) {
 	for _, bi := range ws.idx[from:] {
 		task.mbr.Extend(&bs[bi].Box)
 	}
+	if blk >= 0 && t.scans(&task) {
+		lo, hi := t.zRun(blk, aEnd-aStart, &task.mbr)
+		if lo == hi {
+			return
+		}
+		task.aStart, task.aEnd = aStart+lo, aStart+hi
+	}
 	ws.tasks = append(ws.tasks, task)
 }
 
 // gridProbe runs the probe side of Algorithm 4 for one task: every A
 // object of the task that meets the task's MBR probes the cells it
 // overlaps in the built CSR grid (the others are rejected before their
-// cell range is computed; like that computation, the rejection is not a
-// counted test). joinTask sends it every task two or more B objects
+// cell range is computed). The task's MBR stands for its B objects, so
+// that pre-filter's tests are node tests, added to c.NodeTests once, for
+// the task's length. joinTask sends it every task two or more B objects
 // reach, and in post-test dedup mode every task. The grid and csr are
 // read-only here, so joinParallel can fan the tasks of one huge node out
 // across workers, each probing its own share. The worker's ticker is
@@ -316,6 +339,7 @@ func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *pro
 	postDedup := t.cfg.LocalJoin == LocalJoinGridPostDedup
 	r1, r2 := int64(g.Res[1]), int64(g.Res[2])
 	as := t.arena[task.aStart:task.aEnd]
+	c.NodeTests += int64(len(as))
 	for ai := range as {
 		if tk.Stopped() {
 			return

@@ -119,6 +119,9 @@ func TestProbeTable(t *testing.T) {
 	if size := unsafe.Sizeof(entry{}); size != bytesPerEntry {
 		t.Fatalf("a table entry is %d bytes, StaticBytes counts %d", size, bytesPerEntry)
 	}
+	if size := unsafe.Sizeof(zWindow{}); size != bytesPerWindow {
+		t.Fatalf("a z window is %d bytes, StaticBytes counts %d", size, bytesPerWindow)
+	}
 	type tc struct {
 		name string
 		ds   geom.Dataset

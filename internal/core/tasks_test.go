@@ -160,8 +160,9 @@ func TestSmallProbeSkipsTheIndex(t *testing.T) {
 // index — one box inside a leaf; one box straddling the root's cut, a
 // node big enough that two workers share its tasks in stage 1 of
 // joinParallel; 64 scattered boxes — must find the nested loop's pairs
-// with no replica, the lone boxes with one comparison per result, and
-// the same counters at 1, 2 and 8 workers.
+// with no replica, the lone boxes with one comparison per A object of
+// their tasks' z windows (a scan tests each, hit or miss, and nothing
+// else), and the same counters at 1, 2 and 8 workers.
 func TestLoneTasksBuildNoGrid(t *testing.T) {
 	a := datagen.UniformSet(20_000, 630).Expand(5)
 	tr := Build(a, Config{})
@@ -186,7 +187,7 @@ func TestLoneTasksBuildNoGrid(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		b    geom.Dataset
-		lone bool // one box: every pair is one comparison
+		lone bool // one box: its scans are all the comparisons
 		root bool // the lone box is the root's, else a leaf's
 	}{
 		{name: "in-a-leaf", b: inLeaf, lone: true},
@@ -207,10 +208,14 @@ func TestLoneTasksBuildNoGrid(t *testing.T) {
 			var c stats.Counters
 			sink := &stats.CollectSink{}
 			p.Assign(tc.b, nil, &c)
+			windows := int64(0)
 			if tc.lone {
 				id := p.active[0]
 				if len(p.active) != 1 || tc.root != (id == 0) || !tc.root && !tr.table[id].leaf(id) {
 					t.Fatalf("%s: premise: the box was assigned to node %d", name, id)
+				}
+				for _, task := range nodeTasks(tr, p, &stats.Counters{})[id] {
+					windows += int64(task.aEnd - task.aStart)
 				}
 			}
 			p.JoinPhase(nil, &c, sink)
@@ -223,8 +228,8 @@ func TestLoneTasksBuildNoGrid(t *testing.T) {
 			if c.Replicas != 0 {
 				t.Errorf("%s: %d replicas, want no grid", name, c.Replicas)
 			}
-			if tc.lone && c.Comparisons != c.Results {
-				t.Errorf("%s: %d comparisons for %d results, want one each", name, c.Comparisons, c.Results)
+			if tc.lone && c.Comparisons != windows {
+				t.Errorf("%s: %d comparisons, want the %d A objects of the windows", name, c.Comparisons, windows)
 			}
 			if workers == 1 {
 				first = c
@@ -248,14 +253,24 @@ type joinCounts struct {
 // that moves a count must move the table with it, so the old and the new
 // number both show in its diff.
 //
-// The table last moved when a task one B object reaches alone became a
+// The table last moved when every box test TOUCH makes was counted and a
+// lone task's scan was cut to its block's z window (joinTask, zRun).
+// Comparisons rose: a lone scan now counts each A object of its window,
+// hit or miss, where it counted only the hits (an object outside the
+// window is not tested at all). NodeTests rose by gridProbe's pre-filter,
+// each A object of a gridded task tested against the task's MBR, which
+// was not counted. StaticBytes rose by the 24-byte z window of every
+// block. Filtered, Results, Replicas and ProbeBytes did not move: the
+// descent and the grids are the same.
+//
+// Before that, it moved when a task one B object reaches alone became a
 // scan of its A objects against that box (joinTask): such a task no
 // longer meets the node's other B objects in the grid's cells, so
 // Comparisons fell, and a node all of whose tasks are lone builds no
 // grid, so Replicas fell. Nothing else moved: the descent makes the same
 // tests, and the peak grid is still a node with tasks that need one.
 //
-// Before that, it moved when the upper levels began to nest (Build, nest).
+// Before those, it moved when the upper levels began to nest (Build, nest).
 // B objects sink to small nodes instead of staying at a root whose
 // children overlapped, so each is gridded against a bucket's worth of A:
 // Comparisons and Replicas are down, and so is ProbeBytes, the peak
@@ -282,8 +297,8 @@ func TestJoinCountsGolden(t *testing.T) {
 			a:    datagen.UniformSet(20_000, 42).Expand(5),
 			b:    datagen.UniformSet(60_000, 43),
 			want: joinCounts{
-				Comparisons: 30622, NodeTests: 1437388, Filtered: 1526, Results: 1551, Replicas: 61997,
-				StaticBytes: 351928, ProbeBytes: 514056,
+				Comparisons: 32750, NodeTests: 1538868, Filtered: 1526, Results: 1551, Replicas: 61997,
+				StaticBytes: 375928, ProbeBytes: 514056,
 			},
 		},
 		{
@@ -293,8 +308,8 @@ func TestJoinCountsGolden(t *testing.T) {
 			a:    axons.Objects(),
 			b:    dendrites.Objects().Expand(5),
 			want: joinCounts{
-				Comparisons: 98413, NodeTests: 324028, Filtered: 17835, Results: 22883, Replicas: 50686,
-				StaticBytes: 294968, ProbeBytes: 162784,
+				Comparisons: 99544, NodeTests: 342516, Filtered: 17835, Results: 22883, Replicas: 50686,
+				StaticBytes: 318968, ProbeBytes: 162784,
 			},
 		},
 		{
@@ -307,8 +322,8 @@ func TestJoinCountsGolden(t *testing.T) {
 			b:    datagen.UniformSet(60, 7015).Expand(30),
 			cfg:  Config{Partitions: 16},
 			want: joinCounts{
-				Comparisons: 441, NodeTests: 1170, Filtered: 0, Results: 167, Replicas: 120,
-				StaticBytes: 55272, ProbeBytes: 3040,
+				Comparisons: 3287, NodeTests: 2496, Filtered: 0, Results: 167, Replicas: 120,
+				StaticBytes: 57648, ProbeBytes: 3040,
 			},
 		},
 	} {

@@ -87,10 +87,15 @@
 // last dimension, for a bucket cut from a full tile), so consecutive
 // objects are neighbours along that dimension; a dataset that fits one
 // bucket is never sorted and its blocks are only as tight as its input
-// order. The order decides how much the directory prunes, never what a
-// query answers. The directory is derived state: one arena pass at the
-// end of Build fills it, Thaw rebuilds it over whatever order the frozen
-// arena holds, and it is never serialized.
+// order. The directory also bounds each block's z window (zWindow): in a
+// block whose objects ascend by z centre, the objects that can meet a
+// lone probe box along z are one run of it, which the directory finds
+// without reading an arena object outside that run. The order decides
+// how much the directory prunes and what a join reads, never what a query
+// or a join answers: a block not in z-centre order keeps no window and is
+// read whole. The directory, windows included, is derived state: one
+// arena pass at the end of Build fills it, Thaw rebuilds it over whatever
+// order the frozen arena holds, and it is never serialized.
 //
 // Both the assignment and join phases run in parallel when the probe's
 // worker count is > 1; results and counters are identical to the
@@ -98,6 +103,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -125,6 +131,90 @@ const (
 // bucket. 32 measured no better end to end than 64 and costs twice the
 // heap.
 const leafBlock = 64
+
+// zStride is how many consecutive objects of a block one key of its z
+// window stands for (zWindow). On the benchmark's serve_read workload (2
+// vCPUs, go1.24, six rotating runs each), strides 1, 4 and 8 read
+// wire_join_p50_ms medians of 4.26, 4.10 and 4.21 ms: 1 and 4 the same,
+// 8 worse, and 1 costs 1.5 MB more heap. 4 keeps a block's keys in 16
+// bytes.
+const zStride = 4
+
+// zWindow is one block's z window: what a lone probe box needs to find
+// the run of the block's objects that can meet it along z, without
+// reading an object outside that run. It holds for a block whose objects
+// ascend by z centre c = (Min[2]+Max[2])/2, as a leaf's do after STR's
+// last sort:
+//
+//   - half bounds every object's z half extent from above, in floating
+//     point: Min[2] + half >= c and Max[2] - half <= c for each one. A box
+//     q then meets an object along z only if the object's c lies in
+//     [q.Min[2] - half, q.Max[2] + half] as computed, since both bounds
+//     are monotone in the corner they add half to. It is +Inf for a block
+//     not in z-centre order, or with a centre that is not finite; such a
+//     block is read whole.
+//   - keys[i] is zKey of the centre of the block's object i*zStride, on
+//     the z range of the block's MBR; the slots past a partial block's
+//     last object hold 255. zKey is monotone, so the keys ascend, and an
+//     object whose key is below the window's lower bound's, or above its
+//     upper bound's, lies outside the window.
+type zWindow struct {
+	half float64
+	keys [leafBlock / zStride]uint8
+}
+
+// zScale is the factor zKey maps a block's z range [Min[2], Max[2]] onto
+// [0, 256) with: 0, every key 0, when the range is empty or not finite.
+func zScale(mbr *geom.Box) float64 {
+	if r := mbr.Max[2] - mbr.Min[2]; r > 0 {
+		return 256 / r
+	}
+	return 0
+}
+
+// zKey is z's key on a block's z range from lo, scaled by scale (zScale):
+// the floor of (z-lo)·scale, clamped to [0, 255]. Both arithmetic steps
+// round monotonically, and each value the product takes without a number
+// (0·Inf, Inf·0) sits where the clamp would put it anyway, so zKey never
+// decreases as z grows.
+func zKey(z, lo, scale float64) uint8 {
+	switch f := (z - lo) * scale; {
+	case !(f > 0):
+		return 0
+	case f >= 255:
+		return 255
+	default:
+		return uint8(f)
+	}
+}
+
+// zRun returns the run [lo, hi) of block bi's n objects, as offsets from
+// its first, outside which no object meets q along z. It reads the
+// block's MBR and window and no object. A window whose bounds are not
+// ordered — a NaN corner, or +Inf minus +Inf — is the whole block.
+func (t *Tree) zRun(bi, n int32, q *geom.Box) (lo, hi int32) {
+	w := &t.windows[bi]
+	zlo, zhi := q.Min[2]-w.half, q.Max[2]+w.half
+	if !(zlo <= zhi) {
+		return 0, n
+	}
+	mbr := &t.blocks[bi]
+	scale := zScale(mbr)
+	klo, khi := zKey(zlo, mbr.Min[2], scale), zKey(zhi, mbr.Min[2], scale)
+	// The first key at or above klo: every object up to the key before it
+	// is below the window. It is one of the first keys that hold objects,
+	// since the rest hold 255, so lo <= n. Then the first key above khi:
+	// it and every object after it are above.
+	i := int32(0)
+	for ; i < int32(len(w.keys)) && w.keys[i] < klo; i++ {
+	}
+	if i > 0 {
+		lo = (i-1)*zStride + 1
+	}
+	for ; i < int32(len(w.keys)) && w.keys[i] <= khi; i++ {
+	}
+	return lo, min(i*zStride, n)
+}
 
 // Config carries TOUCH's tunable parameters (§5.2).
 type Config struct {
@@ -197,6 +287,8 @@ type Tree struct {
 	// (bi+1)*leafBlock). A leaf of at most leafBlock objects has one
 	// block, equal to its own MBR; an empty leaf has none.
 	blocks []geom.Box
+	// windows[bi] is block bi's z window (zWindow).
+	windows []zWindow
 }
 
 // entry is one node of the tree: everything an assignment, a join's
@@ -345,9 +437,8 @@ func (t *Tree) derive(i int32) (geom.Box, float64) {
 }
 
 // index derives the block directory from the arena and the table as they
-// stand: one pass over each, one exactly sized allocation. A block's MBR
-// is the union of its objects in arena order, the way derive unions a
-// leaf's.
+// stand: one pass over each, one exactly sized allocation per slice
+// (entries).
 func (t *Tree) index() {
 	total := int32(0)
 	for i := range t.table {
@@ -358,20 +449,68 @@ func (t *Tree) index() {
 		}
 	}
 	t.blocks = make([]geom.Box, 0, total)
+	t.windows = make([]zWindow, 0, total)
 	for i := range t.table {
 		e := &t.table[i]
 		if !e.leaf(int32(i)) {
 			continue
 		}
 		for bi := int32(0); bi < e.blocks(); bi++ {
-			es := t.block(e, bi)
-			mbr := geom.EmptyBox()
-			for j := range es {
-				mbr.Extend(&es[j].Box)
-			}
+			mbr, w := entries(t.block(e, bi))
 			t.blocks = append(t.blocks, mbr)
+			t.windows = append(t.windows, w)
 		}
 	}
+}
+
+// entries returns the directory's entries for the block es, in one pass
+// over its objects: its MBR, the union of its objects in arena order the
+// way derive unions a leaf's, and its z window (zWindow). The window's
+// half extent is stepped up, as delta's runs step theirs, until it
+// reaches every object's centre from both of its corners in floating
+// point; a non-finite centre, or one below its predecessor's, leaves the
+// block without a window.
+func entries(es []geom.Object) (geom.Box, zWindow) {
+	mbr := geom.EmptyBox()
+	var centres [leafBlock / zStride]float64
+	half, prev, ordered := 0.0, math.Inf(-1), true
+	for j := range es {
+		b := &es[j].Box
+		mbr.Extend(b)
+		zlo, zhi := b.Min[2], b.Max[2]
+		c := (zlo + zhi) / 2
+		if ordered = ordered && c >= prev && !math.IsInf(c, 0); !ordered {
+			continue
+		}
+		prev = c
+		// A finite centre has finite corners, so the step ends at +Inf at
+		// the latest.
+		if d := c - zlo; d > half {
+			half = d
+		}
+		if d := zhi - c; d > half {
+			half = d
+		}
+		for !(zlo+half >= c && zhi-half <= c) {
+			half = math.Nextafter(half, math.Inf(1))
+		}
+		if j%zStride == 0 {
+			centres[j/zStride] = c
+		}
+	}
+	if !ordered {
+		return mbr, zWindow{half: math.Inf(1)}
+	}
+	w := zWindow{half: half}
+	lo, scale := mbr.Min[2], zScale(&mbr)
+	used := (len(es) + zStride - 1) / zStride
+	for k := range w.keys {
+		w.keys[k] = 255
+		if k < used {
+			w.keys[k] = zKey(centres[k], lo, scale)
+		}
+	}
+	return mbr, w
 }
 
 // AssignOne places one box of dataset B in the tree following Algorithm 3
@@ -409,17 +548,22 @@ func (t *Tree) AssignOne(b *geom.Box, c *stats.Counters) int32 {
 // StaticBytes is the analytic footprint of the immutable build artifact:
 // the tree — one table entry and one extent sum per node — plus the A
 // references in the buckets ("the buckets constructed based on dataset A
-// in addition to the tree", §6.4), plus one MBR per block of the leaves'
-// block directory. The per-query side — assigned B references and the
-// transient local-join grid — is accounted by Probe.MemoryBytes.
+// in addition to the tree", §6.4), plus one MBR and one z window per
+// block of the leaves' block directory. The per-query side — assigned B
+// references and the transient local-join grid — is accounted by
+// Probe.MemoryBytes.
 func (t *Tree) StaticBytes() int64 {
 	return int64(t.Nodes)*(bytesPerEntry+8) + int64(t.SizeA)*stats.BytesPerRef +
-		int64(len(t.blocks))*stats.BytesPerBox
+		int64(len(t.blocks))*(stats.BytesPerBox+bytesPerWindow)
 }
 
 // bytesPerEntry is the size of one entry: an MBR and four int32s, one
 // cache line.
 const bytesPerEntry = stats.BytesPerBox + 4*4
+
+// bytesPerWindow is the size of one zWindow: its half extent and its
+// keys.
+const bytesPerWindow = 8 + leafBlock/zStride
 
 // Join runs all three TOUCH phases single-threaded: build the tree on a,
 // assign b via a fresh probe, join. Phase timings land in c.BuildTime /

@@ -3,10 +3,14 @@
 // the number of filtered objects, result counts — plus an analytic memory
 // accounting of each algorithm's data structures and phase timings.
 //
-// A comparison is one intersection test between the bounding boxes of two
-// *objects* (one from each dataset). Tests against index-node MBRs are
-// tracked separately as NodeTests: they cost time but are not comparisons
-// in the paper's sense.
+// Every box test an algorithm makes is counted, hit or miss, in one of
+// two counters. A comparison is one intersection test between the
+// bounding boxes of two *objects* (one from each dataset). A test against
+// a box that stands for several objects — an index node, a leaf block, a
+// grid cell, the MBR of a join task's probe objects — is a node test: it
+// costs time but is not a comparison in the paper's sense. A test against
+// a box that stands for one object is a comparison, whatever structure
+// holds the box.
 package stats
 
 import (
@@ -22,11 +26,13 @@ import (
 // (the paper's joins are single-threaded; the parallel driver merges
 // per-worker Counters with Add).
 type Counters struct {
-	// Comparisons counts object–object MBR intersection tests, the
-	// paper's implementation-independent cost metric.
+	// Comparisons counts object–object box intersection tests, hit or
+	// miss, duplicates included: the paper's implementation-independent
+	// cost metric.
 	Comparisons int64
-	// NodeTests counts MBR tests against index nodes (R-tree nodes,
-	// TOUCH tree nodes, grid-cell bounds). Not part of Comparisons.
+	// NodeTests counts box tests against a box that stands for several
+	// objects (R-tree nodes, TOUCH tree nodes and leaf blocks, grid-cell
+	// bounds, a join task's MBR), hit or miss. Not part of Comparisons.
 	NodeTests int64
 	// Filtered counts objects of the probe dataset eliminated without
 	// any object-level comparison (TOUCH and S3 filtering).

@@ -111,10 +111,13 @@ func alignedSeed() []byte {
 // must reproduce the nested-loop pair set on arbitrary decoded
 // datasets, and so must core.JoinExpanded with both grid local joins — the
 // pre-test canonical-cell rule and the paper's post-test dedup — which
-// must also agree on Results, the post-test kind comparing at least as
-// much and replicating at least as much: pre-test dedup builds a node's
+// must also agree on Results, the post-test kind replicating at least as
+// much and testing at least as many boxes: pre-test dedup builds a node's
 // grid only when some task of it is not a lone-box scan, and then the
-// same grid post-test dedup builds for every node.
+// same grid post-test dedup builds for every node. The tests are counted
+// as comparisons and node tests together: a lone scan's misses are
+// comparisons, and post-test dedup rejects the same objects, and the ones
+// outside the scan's z window, in gridProbe's pre-filter, as node tests.
 func FuzzJoin(f *testing.F) {
 	fuzzSeeds(f)
 	// 28 objects in buckets of one: a cube of 27 and one over.
@@ -125,6 +128,19 @@ func FuzzJoin(f *testing.F) {
 	// A node whose only task is a lone probe box: pre-test dedup scans it
 	// without a grid (no replicas), post-test dedup builds one.
 	f.Add([]byte("A00A0000000A0000000000000"))
+	// A lone scan that misses: 4 comparisons for 2 results, where post-test
+	// dedup compares 2 and rejects the rest as node tests.
+	f.Add([]byte("\aZ000A000000000A000000000000000000000A00000000000000000000000A00000A0000000A000000000A0A000A00000"))
+	// A tall box among flat ones: 40 flat A boxes stacked along z and one
+	// spanning all of it, whose half extent widens the z window of its
+	// block, and one small B box among the top of the stack.
+	tall := []byte{41}
+	for i := 0; i < 40; i++ {
+		z := float64(5 * i)
+		tall = append(tall, fuzzLattice(0, 0, z, 20, 20, z)...)
+	}
+	tall = append(tall, fuzzLattice(10, 10, 0, 15, 15, 300)...)
+	f.Add(append(tall, fuzzLattice(5, 5, 180, 10, 10, 190)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -156,9 +172,9 @@ func FuzzJoin(f *testing.F) {
 				}
 			}
 			pre, post := &counts[0], &counts[1]
-			if pre.Results != post.Results || pre.Replicas > post.Replicas || post.Comparisons < pre.Comparisons {
-				t.Errorf("core.JoinExpanded workers=%d: grid results %d, replicas %d, comparisons %d; grid-postdedup %d, %d, %d",
-					workers, pre.Results, pre.Replicas, pre.Comparisons, post.Results, post.Replicas, post.Comparisons)
+			if pre.Results != post.Results || pre.Replicas > post.Replicas || post.Comparisons+post.NodeTests < pre.Comparisons+pre.NodeTests {
+				t.Errorf("core.JoinExpanded workers=%d: grid results %d, replicas %d, comparisons %d, node tests %d; grid-postdedup %d, %d, %d, %d",
+					workers, pre.Results, pre.Replicas, pre.Comparisons, pre.NodeTests, post.Results, post.Replicas, post.Comparisons, post.NodeTests)
 			}
 		}
 	})
