@@ -78,7 +78,7 @@ func TestDistanceJoinAllocBudget(t *testing.T) {
 func TestOneShotDistanceJoinAllocBudget(t *testing.T) {
 	const n = 60_000
 	a, b := GenerateUniform(20_000, 63), GenerateUniform(n, 64)
-	build := allocBytes(func() { core.BuildExpanded(a, 5, core.Config{}) })
+	build := allocBytes(func() { core.BuildExpanded(a, 5, core.Config{}, 1) })
 	join := allocBytes(func() {
 		if _, err := SpatialJoin(context.Background(), AlgTOUCH, a, b, &Options{NoPairs: true, Eps: 5}); err != nil {
 			t.Fatal(err)

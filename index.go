@@ -39,10 +39,14 @@ type Index = Overlay
 // configuration (zero value = paper defaults: 1024 partitions, fanout 2)
 // and returns the dataset's first generation: the tree as the only tier
 // and nothing pending. The configuration describes the tree only: each
-// join picks its own parallelism with Options.Workers. The tree keeps
-// its own copy of the objects: the index holds no reference to a, whose
-// IDs may come in any order, and the first insert will receive an ID
-// above every ID in it. Over a repeated ID the index answers every
+// join picks its own parallelism with Options.Workers. The build runs on
+// runtime.GOMAXPROCS(0) goroutines once a is large enough to pay for
+// them (2^17 objects for two; core.Build), and the tree is bit for bit
+// the same at any count. Loads, folds and NewMutable build this way, and
+// a recovered tier fills its block directory the same way. The tree
+// keeps its own copy of the objects: the index holds no reference to a,
+// whose IDs may come in any order, and the first insert will receive an
+// ID above every ID in it. Over a repeated ID the index answers every
 // query and join, but it is read-only, as a NewOverlay generation is:
 // Apply, Fold, Dataset and both EncodeSnapshot forms refuse it.
 func BuildIndex(a Dataset, cfg TOUCHConfig) *Index {

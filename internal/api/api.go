@@ -24,9 +24,11 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"sync"
 
 	"touch"
 	"touch/internal/trace"
@@ -271,14 +273,36 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, into any) *
 	return nil
 }
 
-// WriteJSON writes body as the JSON response with the given status.
+// WriteJSON writes body as the JSON response with the given status. The
+// body is encoded before the status goes out, so a value JSON cannot
+// carry — a non-finite number, such as the +Inf distance of a kNN
+// neighbour past the float range — answers the internal error naming it
+// instead of a 200 with an empty body.
 func WriteJSON(w http.ResponseWriter, status int, body any) {
+	buf := answers.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledAnswer {
+			buf.Reset()
+			answers.Put(buf)
+		}
+	}()
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(body); err != nil {
+		WriteError(w, Errorf(CodeInternal, "encoding the answer: %v", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(body) // write errors mean a gone client; nothing to do
+	_, _ = w.Write(buf.Bytes()) // write errors mean a gone client; nothing to do
 }
+
+// answers recycles WriteJSON's encoding buffers. One grown past
+// maxPooledAnswer, by a large join answer, goes to the collector rather
+// than stay in the pool.
+var answers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledAnswer = 64 << 10
 
 // WriteError writes e as the structured error body under its code's
 // status. The codes that mean "try again shortly" carry Retry-After.

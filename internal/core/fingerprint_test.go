@@ -110,17 +110,33 @@ func TestBuildFingerprint(t *testing.T) {
 // not be the original one — it can round differently, and at ε = +Inf
 // it is NaN in every dimension — so sorting by the original centres
 // would build another tree.
+//
+// The tree does not depend on the worker count either: the inputs of
+// 2^17 objects and more build on two and three goroutines (buildFloor),
+// and every tree equals the expanded copy's built on one.
 func TestBuildExpandedFingerprint(t *testing.T) {
-	for name, ds := range map[string]geom.Dataset{
-		"uniform":           datagen.UniformSet(3000, 21),
-		"all centres equal": sameCentre(2000, 22),
-		"one object":        datagen.UniformSet(1, 23),
-		"empty":             nil,
+	for _, tc := range []struct {
+		name string
+		ds   geom.Dataset
+		cfg  Config
+	}{
+		{"uniform", datagen.UniformSet(3000, 21), Config{Partitions: 64}},
+		{"all centres equal", sameCentre(2000, 22), Config{Partitions: 64}},
+		{"one object", datagen.UniformSet(1, 23), Config{Partitions: 64}},
+		{"empty", nil, Config{Partitions: 64}},
+		{"uniform 3·2^16", datagen.UniformSet(3<<16, 24), Config{}},
+		{"all centres equal 2^17", sameCentre(1<<17, 25), Config{}},
 	} {
 		for _, eps := range []float64{0, 0.1, 2.5, math.Inf(1)} {
-			want := fingerprint(Build(ds.Expand(eps), Config{Partitions: 64}).Freeze())
-			if got := fingerprint(BuildExpanded(ds, eps, Config{Partitions: 64}).Freeze()); got != want {
-				t.Errorf("%s eps=%g: fingerprint %s, the expanded copy's %s", name, eps, got, want)
+			expanded := tc.ds.Expand(eps)
+			want := fingerprint(BuildExpanded(expanded, 0, tc.cfg, 1).Freeze())
+			if got := fingerprint(Build(expanded, tc.cfg).Freeze()); got != want {
+				t.Errorf("%s eps=%g: Build's fingerprint %s, on one worker %s", tc.name, eps, got, want)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				if got := fingerprint(BuildExpanded(tc.ds, eps, tc.cfg, workers).Freeze()); got != want {
+					t.Errorf("%s eps=%g workers=%d: fingerprint %s, the expanded copy's %s", tc.name, eps, workers, got, want)
+				}
 			}
 		}
 	}

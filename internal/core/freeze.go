@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"touch/internal/geom"
+	"touch/internal/str"
 )
 
 // Freeze/Thaw turn the immutable build artifact into a flat, pointer-free
@@ -203,8 +203,9 @@ func Thaw(f *Frozen) (*Tree, error) {
 		return nil, err
 	}
 	// The block directory is not part of the frozen form: it is rebuilt
-	// over the arena as it arrived, whatever order a leaf's stretch is in.
-	t.index()
+	// over the arena as it arrived, whatever order a leaf's stretch is in,
+	// on as many goroutines as a build of the arena would use.
+	t.index(buildWorkers(runtime.GOMAXPROCS(0), len(t.arena)))
 	return t, nil
 }
 
@@ -229,20 +230,8 @@ func (t *Tree) verifyDerived() error {
 		}
 		return nil
 	}
-	workers := min(runtime.GOMAXPROCS(0), len(t.table))
-	if workers < 2 {
-		return check(0, len(t.table))
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[w] = check(w*len(t.table)/workers, (w+1)*len(t.table)/workers)
-		}()
-	}
-	wg.Wait()
+	errs := make([]error, runtime.GOMAXPROCS(0))
+	str.Spread(len(t.table), len(errs), func(w, lo, hi int) { errs[w] = check(lo, hi) })
 	for _, err := range errs {
 		if err != nil {
 			return err

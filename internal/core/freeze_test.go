@@ -39,7 +39,7 @@ func thawEqual(t *testing.T, want, got *Tree) {
 	if got.cfg != want.cfg {
 		t.Fatalf("config %+v, want %+v", got.cfg, want.cfg)
 	}
-	if !slices.Equal(got.blocks, want.blocks) {
+	if !slices.Equal(got.blocks, want.blocks) || !slices.Equal(got.windows, want.windows) {
 		t.Fatal("the thawed block directory differs from the built one")
 	}
 }
@@ -51,19 +51,27 @@ func TestFreezeThawRoundtrip(t *testing.T) {
 		cfg     Config
 		workers int  // the probes' worker count
 		uneven  bool // premise: the leaves sit at more than one depth
+		build   int  // the build's worker count; 0: Build's
 	}{
-		{"empty", nil, Config{}, 0, false},
-		{"single", datagen.UniformSet(1, 1), Config{}, 0, false},
-		{"uniform", datagen.UniformSet(4000, 2), Config{Partitions: 64}, 3, false},
-		{"clustered-fanout4", datagen.ClusteredSet(2500, 3), Config{Partitions: 128, Fanout: 4}, 0, false},
-		{"sweep-localjoin", datagen.GaussianSet(900, 4), Config{Partitions: 16, LocalJoin: LocalJoinSweep}, 0, false},
+		{"empty", nil, Config{}, 0, false, 0},
+		{"single", datagen.UniformSet(1, 1), Config{}, 0, false, 0},
+		{"uniform", datagen.UniformSet(4000, 2), Config{Partitions: 64}, 3, false, 0},
+		{"clustered-fanout4", datagen.ClusteredSet(2500, 3), Config{Partitions: 128, Fanout: 4}, 0, false, 0},
+		{"sweep-localjoin", datagen.GaussianSet(900, 4), Config{Partitions: 16, LocalJoin: LocalJoinSweep}, 0, false, 0},
 		// STR cuts 1,021 buckets from 11 slabs, and 11 halves to 5 and 6,
 		// to 2, 3, 3 and 3: some slabs end up a level below the others, and
 		// the runs and tiles inside them round the same way.
-		{"leaves-at-unequal-depths", datagen.UniformSet(20_000, 5), Config{Partitions: 1021}, 0, true},
+		{"leaves-at-unequal-depths", datagen.UniformSet(20_000, 5), Config{Partitions: 1021}, 0, true, 0},
+		// Two goroutines pack the slabs, and fill the block directory the
+		// thawed tree fills again.
+		{"built-in-parallel", datagen.UniformSet(1<<17, 6), Config{}, 2, false, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := Build(tc.ds, tc.cfg)
+			if tc.build > 0 {
+				want = BuildExpanded(tc.ds, 0, tc.cfg, tc.build)
+				thawEqual(t, BuildExpanded(tc.ds, 0, tc.cfg, 1), want)
+			}
 			if d := leafDepths(want); tc.uneven && len(d) < 2 {
 				t.Fatalf("premise: every leaf sits at depth %v", d)
 			}

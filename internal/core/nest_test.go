@@ -38,7 +38,7 @@ func checkNests(t *testing.T, name string, tr *Tree, ds geom.Dataset, cfg Config
 		}
 	}
 	ordered, stages := str.PackStages(ds, func(o geom.Object) geom.Point { return o.Box.Center() },
-		str.GroupSizeFor(len(ds), cfg.Partitions))
+		str.GroupSizeFor(len(ds), cfg.Partitions), 1)
 
 	// The arena is STR's output order, the leaves its groups.
 	if !slices.Equal(tr.arena, ordered) {

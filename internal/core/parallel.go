@@ -8,6 +8,7 @@ import (
 
 	"touch/internal/geom"
 	"touch/internal/stats"
+	"touch/internal/str"
 )
 
 const (
@@ -26,26 +27,11 @@ const (
 // every node's segment of B indexes identical to the sequential
 // assignment's.
 func (p *Probe) assignParallel(b geom.Dataset, eps float64, dest []int32, ctl *stats.Control, c *stats.Counters) {
-	workers := p.workers
-	if max := (len(b) + minParallelAssign - 1) / minParallelAssign; workers > max {
-		workers = max
-	}
+	workers := min(p.workers, (len(b)+minParallelAssign-1)/minParallelAssign)
 	counters := p.counterSlice(workers)
-	chunk := (len(b) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(b))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			p.tree.assignRange(b, eps, dest, lo, hi, ctl, &counters[w])
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	str.Spread(len(b), workers, func(w, lo, hi int) {
+		p.tree.assignRange(b, eps, dest, lo, hi, ctl, &counters[w])
+	})
 	for w := range counters {
 		c.Add(counters[w])
 	}

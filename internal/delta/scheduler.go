@@ -8,23 +8,28 @@ import "sync"
 type Scheduler struct {
 	Threshold int
 	lock      sync.Locker
-	fold      func() (pending int)
+	size      func() int
+	fold      func() (progress bool)
 	inFlight  bool
 }
 
 // NewScheduler returns the scheduler of an owner whose writer lock is
-// lock. fold runs without the lock and returns the tail size it left
-// pending; a fold that cannot make progress must return 0.
-func NewScheduler(lock sync.Locker, threshold int, fold func() (pending int)) Scheduler {
-	return Scheduler{Threshold: threshold, lock: lock, fold: fold}
+// lock. size reports the owner's unfolded tail and is called with the
+// lock held. fold runs without the lock and reports whether it folded
+// anything; a fold that cannot make progress must report false, or it
+// would be started again at once.
+func NewScheduler(lock sync.Locker, threshold int, size func() int, fold func() (progress bool)) Scheduler {
+	return Scheduler{Threshold: threshold, lock: lock, size: size, fold: fold}
 }
 
-// Arm starts the fold on a new goroutine when size has reached the
-// threshold and no fold is in flight. The caller holds the lock. What
-// the fold leaves pending is checked again under the lock — so a burst
-// that outran one fold is folded in turn, not left until the next write.
-func (s *Scheduler) Arm(size int) {
-	if s.Threshold <= 0 || size < s.Threshold || s.inFlight {
+// Arm starts the fold on a new goroutine when the tail has reached the
+// threshold and no fold is in flight. The caller holds the lock. A fold
+// that made progress arms again once it is done, under the lock and with
+// the tail as it is then — so a burst that outran one fold, or a
+// threshold lowered while it ran, is folded in turn, not left until the
+// next write.
+func (s *Scheduler) Arm() {
+	if s.Threshold <= 0 || s.inFlight || s.size() < s.Threshold {
 		return
 	}
 	s.inFlight = true
@@ -32,9 +37,11 @@ func (s *Scheduler) Arm(size int) {
 }
 
 func (s *Scheduler) run() {
-	pending := s.fold()
+	progress := s.fold()
 	s.lock.Lock()
 	defer s.lock.Unlock()
 	s.inFlight = false
-	s.Arm(pending)
+	if progress {
+		s.Arm()
+	}
 }

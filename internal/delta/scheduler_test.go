@@ -8,23 +8,39 @@ import (
 
 // TestScheduler walks the scheduler through its rules with an injected
 // fold held on channels: every run announces itself on started, then
-// reports as left pending whatever the test sends on result. A rule
-// broken by starting no fold hangs on started until the test timeout.
+// leaves as the owner's tail whatever the test sends on left — a
+// negative value is a fold that made no progress and leaves the tail
+// alone. A rule broken by starting no fold hangs on started until the
+// test timeout.
 func TestScheduler(t *testing.T) {
 	var mu sync.Mutex
-	started, result := make(chan struct{}), make(chan int)
-	fold := func() int {
+	tail := 0       // the owner's unfolded tail, guarded by mu
+	var late func() // what a fold runs once it has published, before it returns
+	started, left := make(chan struct{}), make(chan int)
+	fold := func() bool {
 		started <- struct{}{}
-		return <-result
+		n := <-left
+		if n < 0 {
+			return false
+		}
+		mu.Lock()
+		tail = n
+		mu.Unlock()
+		if late != nil {
+			late()
+		}
+		return true
 	}
 	newScheduler := func(threshold int) *Scheduler {
-		s := NewScheduler(&mu, threshold, fold)
+		s := NewScheduler(&mu, threshold, func() int { return tail }, fold)
 		return &s
 	}
+	// arm is a write: it sets the tail and arms, under the lock.
 	arm := func(s *Scheduler, size int) {
 		mu.Lock()
 		defer mu.Unlock()
-		s.Arm(size)
+		tail = size
+		s.Arm()
 	}
 	// settle waits until no fold is in flight and fails if one shows up
 	// on started meanwhile. A fold goroutine's last act is clearing the bit
@@ -57,12 +73,36 @@ func TestScheduler(t *testing.T) {
 	arm(s, 8)
 	<-started
 	arm(s, 100) // one is in flight: a fold started here would trip a later settle
-	result <- 8 // as much again arrived during the build:
+	left <- 8   // as much again arrived during the build:
 	<-started   // it is folded in turn, with no further Arm
-	result <- 7 // under the threshold: the chain ends
+	left <- 7   // under the threshold: the chain ends
 	settle(s, "after a fold that left less than the threshold pending, or while one was in flight")
 	arm(s, 9) // idle again: the next crossing folds
 	<-started
-	result <- 0
+	left <- 0
 	settle(s, "after a fold that left nothing pending")
+
+	// A threshold lowered and a write made after a fold has published, but
+	// before it has cleared its in-flight bit, start nothing themselves:
+	// the fold arms again with the tail as it is then, not as it left it.
+	arm(s, 8)
+	<-started
+	late = func() {
+		mu.Lock()
+		s.Threshold = 2
+		mu.Unlock()
+		arm(s, 3)
+	}
+	left <- 0
+	<-started
+	late = nil
+	left <- 0
+	settle(s, "after the late write was folded")
+
+	// A fold that made no progress does not start again by itself, however
+	// large the tail it left.
+	arm(s, 5)
+	<-started
+	left <- -1
+	settle(s, "after a fold that made no progress")
 }

@@ -144,6 +144,9 @@ func TestRoutedHTTPByteIdentity(t *testing.T) {
 		// Values the frame cannot carry saturate instead of wrapping.
 		{"query k 4294967297", query, `{"type":"knn","point":[10,20,30],"k":4294967297}`, 200},
 		{"query k 3000000000", query, `{"type":"knn","point":[10,20,30],"k":3000000000}`, 200},
+		// Neighbours at an infinite distance: JSON cannot carry it, so both
+		// fronts answer the internal error that names it.
+		{"query knn at 1e308", query, `{"type":"knn","point":[1e308,1e308,1e308],"k":3}`, 500},
 		{"join workers 4294967297", join, `{"boxes":[[0,0,0,300,300,300]],"workers":4294967297}`, 200},
 		{"join 65537-char probe", join, `{"probe":"` + strings.Repeat("p", 65537) + `"}`, 400},
 		// Joins answer byte for byte too: the same frames rendered by the
@@ -166,6 +169,11 @@ func TestRoutedHTTPByteIdentity(t *testing.T) {
 		if !bytes.Equal(direct.Body.Bytes(), routed.Body.Bytes()) {
 			t.Errorf("%s:\ndirect: %srouted: %s", row.name, direct.Body.Bytes(), routed.Body.Bytes())
 		}
+	}
+
+	if rec := postJSON(t, rt, query, `{"type":"knn","point":[1e308,1e308,1e308],"k":3}`); rec.Header().Get("Content-Type") != "application/json" ||
+		!bytes.Contains(rec.Body.Bytes(), []byte(`"code":"internal"`)) || !bytes.Contains(rec.Body.Bytes(), []byte("+Inf")) {
+		t.Errorf("routed kNN at 1e308: %d %q %s, want the internal error naming +Inf", rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes())
 	}
 
 	// Routing errors: both routers refuse a request they cannot route in

@@ -150,7 +150,7 @@ func (c *catalog) entryLocked(name string) *entry {
 	e := c.entries[name]
 	if e == nil {
 		e = &entry{name: name, accepted: c.retired[name]}
-		e.folds = delta.NewScheduler(&e.mu, c.compactAt, func() int { return c.fold(e) })
+		e.folds = delta.NewScheduler(&e.mu, c.compactAt, e.pending, func() bool { return c.fold(e) })
 		delete(c.retired, name)
 		c.entries[name] = e
 	}
@@ -313,7 +313,7 @@ func (c *catalog) updateEntry(e *entry, inserts []touch.Box, deletes []touch.ID)
 	e.ready.Store(snap.withOverlay(ov))
 	pending := res.deltaIns + res.deltaTomb
 	e.pendingMax = max(e.pendingMax, pending)
-	e.folds.Arm(pending)
+	e.folds.Arm()
 	return res, updOK
 }
 
@@ -324,21 +324,21 @@ func (c *catalog) updateEntry(e *entry, inserts []touch.Box, deletes []touch.ID)
 // it. Reserving the version under e.mu orders a racing re-POST: whichever
 // reserves later has the higher version and wins the publish guard.
 // Updates applied while the build ran carry over into the new snapshot's
-// tail (its size is the result), which inherits the ID high-water mark:
-// no ID reuse.
-func (c *catalog) fold(e *entry) (pending int) {
+// tail, which inherits the ID high-water mark: no ID reuse. It reports
+// whether it published.
+func (c *catalog) fold(e *entry) (published bool) {
 	e.mu.Lock()
 	from := e.ready.Load()
 	if e.dropped || from.pending() == 0 {
 		e.mu.Unlock()
-		return 0
+		return false
 	}
 	if e.accepted != from.version {
 		// A newer full version is building; it replaces the base
 		// wholesale, so folding into the old base could never publish.
 		e.mu.Unlock()
 		c.compactionsSkipped.Add(1)
-		return 0
+		return false
 	}
 	e.accepted++
 	e.building++
@@ -361,7 +361,7 @@ func (c *catalog) fold(e *entry) (pending int) {
 		// A newer full load was accepted or published while we built; its
 		// dataset replaced ours wholesale and pending updates with it.
 		c.compactionsSkipped.Add(1)
-		return 0
+		return false
 	}
 	next := snap.withOverlay(f.Next(cur.ov))
 	// Counted and observed before the publish, so a scrape never shows a
@@ -370,7 +370,16 @@ func (c *catalog) fold(e *entry) (pending int) {
 	c.compactionObjects.Add(int64(f.Objects))
 	c.compactionTime.Observe(time.Since(start))
 	e.ready.Store(next)
-	return next.pending()
+	return true
+}
+
+// pending is the unfolded tail of e's serving snapshot, none before its
+// first build; the caller holds e.mu.
+func (e *entry) pending() int {
+	if snap := e.ready.Load(); snap != nil {
+		return snap.pending()
+	}
+	return 0
 }
 
 // snapshotOf returns the serving snapshot for a name. exists reports

@@ -187,8 +187,8 @@ func TestDeleteThenRestartDoesNotResurrect(t *testing.T) {
 	if res, st := a.srv.cat.updateEntry(held, uniformBoxes(16, 11), nil); st != updUnknown {
 		t.Fatalf("update through the dropped entry: status %d, %+v, want unknown_dataset", st, res)
 	}
-	if pending := a.srv.cat.fold(held); pending != 0 {
-		t.Fatalf("fold of the dropped entry left %d pending, want a refusal", pending)
+	if a.srv.cat.fold(held) {
+		t.Fatal("the fold of the dropped entry published, want a refusal")
 	}
 	snapFile := filepath.Join(dir, "doomed.snap")
 	if _, err := os.Stat(snapFile); !os.IsNotExist(err) {

@@ -438,6 +438,32 @@ func TestErrorStatuses(t *testing.T) {
 	}
 }
 
+// TestNonFiniteAnswerIsAnError: a kNN query from a point near the top of
+// the float range finds neighbours at an infinite distance, which JSON
+// cannot carry. The answer is the structured internal error naming the
+// value, not a 200 with an empty body; the wire path, which carries the
+// distances as they are, is not touched.
+func TestNonFiniteAnswerIsAnError(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	ts.loadAndWait("ds", touch.GenerateUniform(20, 41), 4)
+	for _, traced := range []string{"", "1"} {
+		status, body, hdr := ts.doHeaders(http.MethodPost, "/v1/datasets/ds/query",
+			api.QueryRequest{Type: "knn", Point: []float64{1e308, 1e308, 1e308}, K: 3}, map[string]string{api.TraceHeader: traced})
+		if status != http.StatusInternalServerError || hdr.Get("Content-Type") != "application/json" {
+			t.Fatalf("trace %q: status %d, Content-Type %q (%s), want 500 JSON", traced, status, hdr.Get("Content-Type"), body)
+		}
+		var eb api.ErrorBody
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Code != api.CodeInternal || !strings.Contains(eb.Error.Message, "+Inf") {
+			t.Fatalf("trace %q: body %s, want an internal error naming +Inf", traced, body)
+		}
+	}
+	// A finite answer from the same dataset is untouched.
+	status, body := ts.postJSON("/v1/datasets/ds/query", api.QueryRequest{Type: "knn", Point: []float64{1, 2, 3}, K: 3})
+	if status != http.StatusOK || !bytes.HasSuffix(body, []byte("}\n")) {
+		t.Fatalf("finite kNN: status %d (%s)", status, body)
+	}
+}
+
 // TestBuildingStatus: a dataset whose first index version is still
 // building answers queries with 503 {"code":"building"} and lists as
 // "building"; during a rebuild the old version keeps serving and the

@@ -23,12 +23,19 @@
 // tree along them instead of packing the buckets' centers again, which
 // would cut across them; the R-tree packs level after level, as the STR
 // paper does.
+//
+// Once the first cut has selected its slabs, each slab is packed on its
+// own — it reads only its own stretch of the index — so PackStages packs
+// them on as many goroutines as it is given and joins their cuts in slab
+// order, which leaves the items and the cuts exactly as one goroutine
+// would.
 package str
 
 import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"touch/internal/geom"
 )
@@ -68,7 +75,7 @@ func sortKey(f float64) uint64 {
 // capacity clipped to its length: sorting one in place is safe, and an
 // append to one copies it out.
 func Pack[T any](items []T, center func(T) geom.Point, groupSize int) [][]T {
-	ordered, stages := PackStages(items, center, groupSize)
+	ordered, stages := PackStages(items, center, groupSize, 1)
 	if len(ordered) == 0 {
 		return nil
 	}
@@ -93,8 +100,13 @@ type Stages [geom.Dims][]int32
 
 // PackStages is Pack in its flat form: the items in the order STR leaves
 // them — the groups end to end, in one newly allocated slice — and where
-// it cut them.
-func PackStages[T any](items []T, center func(T) geom.Point, groupSize int) ([]T, Stages) {
+// it cut them. It runs on up to workers goroutines: the center keys, the
+// packs of the first cut's slabs and the gather into the result are each
+// split into consecutive ranges, one a goroutine, so center must be safe
+// to call concurrently when workers > 1. The selection of the slabs stays
+// on one goroutine. The items and the cuts are the same, bit for bit,
+// whatever the worker count; workers below 1 count as 1.
+func PackStages[T any](items []T, center func(T) geom.Point, groupSize, workers int) ([]T, Stages) {
 	if groupSize < 1 {
 		panic("str: groupSize must be >= 1")
 	}
@@ -106,26 +118,52 @@ func PackStages[T any](items []T, center func(T) geom.Point, groupSize int) ([]T
 	}
 	n := len(items)
 	out := make([]T, n)
-	p := packer{groupSize: groupSize, order: make([]int32, n), tmp: make([]int32, n)}
+	p := packer{groupSize: groupSize, order: make([]int32, n), tmp: make([]int32, n), workers: workers}
 	keys := make([]uint64, geom.Dims*n)
 	for d := range p.keys {
 		p.keys[d] = keys[d*n : (d+1)*n]
 	}
-	for i, it := range items {
-		c := center(it)
-		for d := range c {
-			p.keys[d][i] = sortKey(c[d])
+	Spread(n, workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c := center(items[i])
+			for d := range c {
+				p.keys[d][i] = sortKey(c[d])
+			}
+			p.order[i] = int32(i)
 		}
-		p.order[i] = int32(i)
-	}
+	})
 	p.pack(0, n, 0)
-	for i, j := range p.order {
-		out[i] = items[j]
-	}
+	Spread(n, workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = items[p.order[i]]
+		}
+	})
 	for d := range p.stages {
 		p.stages[d] = append(p.stages[d], int32(n))
 	}
 	return out, p.stages
+}
+
+// Spread calls fn(w, lo, hi) on near-equal consecutive ranges [lo, hi)
+// that tile [0, n), range w in ascending order of lo, one range a
+// goroutine on at most workers goroutines (and at most n), and returns
+// once every call has. With one worker it calls fn(0, 0, n) on the
+// calling goroutine.
+func Spread(n, workers int, fn func(w, lo, hi int)) {
+	workers = max(1, min(workers, n))
+	if workers == 1 {
+		fn(0, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w, w*n/workers, (w+1)*n/workers)
+		}()
+	}
+	wg.Wait()
 }
 
 // packer holds what every level of the recursion shares.
@@ -134,6 +172,7 @@ type packer struct {
 	order     []int32             // the items' indices, arranged in place
 	tmp       []int32             // scatter space, as long as order
 	groupSize int
+	workers   int // the goroutines the first cut's slabs are packed on
 	stages    Stages
 }
 
@@ -172,8 +211,28 @@ func (p *packer) pack(lo, hi, dim int) {
 	}
 	slabSize := (n + s - 1) / s
 	p.arrange(lo, hi, dim, lo, slabSize) // select: each slab its ranks, in any order
-	for i := lo; i < hi; i += slabSize {
-		p.pack(i, min(i+slabSize, hi), dim+1)
+	if dim > 0 {
+		for i := lo; i < hi; i += slabSize {
+			p.pack(i, min(i+slabSize, hi), dim+1)
+		}
+		return
+	}
+	// A slab of the first cut reads the keys and writes only its own
+	// stretch of order and tmp, so each is packed by a packer of its own
+	// into stage lists of its own, which are then joined in slab order: the
+	// lists one packer would have appended to, in the order it would have.
+	slabs := make([]packer, (n+slabSize-1)/slabSize)
+	Spread(len(slabs), p.workers, func(_, first, end int) {
+		for k := first; k < end; k++ {
+			q := &slabs[k]
+			q.keys, q.order, q.tmp, q.groupSize = p.keys, p.order, p.tmp, p.groupSize
+			q.pack(lo+k*slabSize, min(lo+(k+1)*slabSize, hi), dim+1)
+		}
+	})
+	for k := range slabs {
+		for d := range p.stages {
+			p.stages[d] = append(p.stages[d], slabs[k].stages[d]...)
+		}
 	}
 }
 

@@ -296,28 +296,7 @@ func TestPackTiesAreStable(t *testing.T) {
 func TestPackEqualsStableReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	at := func(p geom.Point) geom.Box { return geom.Box{Min: p, Max: p} }
-	special := []float64{math.NaN(), math.Copysign(0, -1), 0, -1.5, 1.5, math.Inf(-1), math.Inf(1),
-		-math.MaxFloat64, math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
-	tables := map[string]func(i int) geom.Box{
-		"special values": func(int) geom.Box {
-			return at(geom.Point{special[rng.Intn(len(special))], special[rng.Intn(len(special))], special[rng.Intn(len(special))]})
-		},
-		"signed zeros": func(i int) geom.Box {
-			return at(geom.Point{math.Copysign(0, float64(i%2)-0.5), 0, math.Copysign(0, float64(i%3)-1.5)})
-		},
-		"all equal": func(int) geom.Box { return at(geom.Point{7, 7, 7}) },
-		"few keys": func(int) geom.Box {
-			return at(geom.Point{float64(rng.Intn(3)), float64(rng.Intn(3)) - 1, -float64(rng.Intn(3))})
-		},
-		"negative side": func(int) geom.Box { return at(geom.Point{-rng.Float64() * 1e6, rng.NormFloat64(), -rng.ExpFloat64()}) },
-		"NaN in one dimension": func(i int) geom.Box {
-			p := geom.Point{rng.Float64(), rng.Float64(), rng.Float64()}
-			if i%4 == 0 {
-				p[i/4%3] = math.NaN()
-			}
-			return at(p)
-		},
-	}
+	tables := keyTables(rng)
 	cases := map[string][]geom.Object{}
 	for name, box := range tables {
 		objs := make([]geom.Object, 5000)
@@ -376,29 +355,101 @@ func TestPackEqualsStableReference(t *testing.T) {
 	checkPack(t, "cuts on a bucket edge", edge, 500)
 }
 
+// keyTables are the center tables a bit-pattern sort gets wrong first,
+// each a box for item i drawn from rng: NaN centers (first, all equal),
+// −0 beside +0 (equal), negative coordinates, infinities, one value
+// everywhere, a handful of distinct keys each held by many items, and NaN
+// in one dimension.
+func keyTables(rng *rand.Rand) map[string]func(i int) geom.Box {
+	at := func(p geom.Point) geom.Box { return geom.Box{Min: p, Max: p} }
+	special := []float64{math.NaN(), math.Copysign(0, -1), 0, -1.5, 1.5, math.Inf(-1), math.Inf(1),
+		-math.MaxFloat64, math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	return map[string]func(i int) geom.Box{
+		"special values": func(int) geom.Box {
+			return at(geom.Point{special[rng.Intn(len(special))], special[rng.Intn(len(special))], special[rng.Intn(len(special))]})
+		},
+		"signed zeros": func(i int) geom.Box {
+			return at(geom.Point{math.Copysign(0, float64(i%2)-0.5), 0, math.Copysign(0, float64(i%3)-1.5)})
+		},
+		"all equal": func(int) geom.Box { return at(geom.Point{7, 7, 7}) },
+		"few keys": func(int) geom.Box {
+			return at(geom.Point{float64(rng.Intn(3)), float64(rng.Intn(3)) - 1, -float64(rng.Intn(3))})
+		},
+		"negative side": func(int) geom.Box { return at(geom.Point{-rng.Float64() * 1e6, rng.NormFloat64(), -rng.ExpFloat64()}) },
+		"NaN in one dimension": func(i int) geom.Box {
+			p := geom.Point{rng.Float64(), rng.Float64(), rng.Float64()}
+			if i%4 == 0 {
+				p[i/4%3] = math.NaN()
+			}
+			return at(p)
+		},
+	}
+}
+
+// TestPackSameAtAnyWorkerCount: the slabs packed on several goroutines
+// leave the items and the cuts exactly as one goroutine does, on the key
+// tables, at sizes that make no cut at all (one group short of full, and
+// full), one item past a group (two slabs of one group each), and many
+// slabs; eight workers are more than some of those have slabs.
+func TestPackSameAtAnyWorkerCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for name, box := range keyTables(rng) {
+		for _, groupSize := range []int{16, 196} {
+			for _, n := range []int{groupSize - 1, groupSize, groupSize + 1, 20_000} {
+				objs := make([]geom.Object, n)
+				for i := range objs {
+					objs[i] = geom.Object{ID: geom.ID(i), Box: box(i)}
+				}
+				checkWorkers(t, fmt.Sprintf("%s %d", name, n), objs, groupSize, 2, 3, 8)
+			}
+		}
+	}
+}
+
+// checkWorkers fails t unless PackStages at each of the worker counts
+// orders objs and cuts them bit for bit as it does at one worker.
+func checkWorkers(t testing.TB, name string, objs []geom.Object, groupSize int, workers ...int) {
+	t.Helper()
+	want, wantStages := PackStages(objs, center, groupSize, 1)
+	for _, w := range workers {
+		got, gotStages := PackStages(objs, center, groupSize, w)
+		if !slices.EqualFunc(got, want, sameObject) {
+			t.Errorf("%s, groupSize %d, %d workers: the items are not in one worker's order", name, groupSize, w)
+		}
+		for d := range gotStages {
+			if !slices.Equal(gotStages[d], wantStages[d]) {
+				t.Errorf("%s, groupSize %d, %d workers: runs of the cut along dimension %d begin at %v, at one worker at %v",
+					name, groupSize, w, d, gotStages[d], wantStages[d])
+			}
+		}
+	}
+}
+
+// sameObject compares two objects by ID and by the bits of their boxes:
+// they hold NaN, which no value equals.
+func sameObject(a, b geom.Object) bool {
+	if a.ID != b.ID {
+		return false
+	}
+	for d := 0; d < geom.Dims; d++ {
+		if math.Float64bits(a.Box.Min[d]) != math.Float64bits(b.Box.Min[d]) || math.Float64bits(a.Box.Max[d]) != math.Float64bits(b.Box.Max[d]) {
+			return false
+		}
+	}
+	return true
+}
+
 // checkPack fails t unless Pack and PackStages give the stable-sort
 // reference's groups, ordered items and cuts for objs.
 func checkPack(t testing.TB, name string, objs []geom.Object, groupSize int) {
 	t.Helper()
-	// Objects hold NaN, so compare bit patterns, not values.
-	same := func(a, b geom.Object) bool {
-		if a.ID != b.ID {
-			return false
-		}
-		for d := 0; d < geom.Dims; d++ {
-			if math.Float64bits(a.Box.Min[d]) != math.Float64bits(b.Box.Min[d]) || math.Float64bits(a.Box.Max[d]) != math.Float64bits(b.Box.Max[d]) {
-				return false
-			}
-		}
-		return true
-	}
 	got := PackObjects(objs, groupSize)
-	ordered, gotStages := PackStages(objs, center, groupSize)
+	ordered, gotStages := PackStages(objs, center, groupSize, 1)
 	want, wantStages := stablePack(objs, groupSize)
-	if !slices.EqualFunc(got, want, func(a, b []geom.Object) bool { return slices.EqualFunc(a, b, same) }) {
+	if !slices.EqualFunc(got, want, func(a, b []geom.Object) bool { return slices.EqualFunc(a, b, sameObject) }) {
 		t.Errorf("%s, groupSize %d: groups differ from the stable-sort reference", name, groupSize)
 	}
-	if !slices.EqualFunc(ordered, slices.Concat(want...), same) {
+	if !slices.EqualFunc(ordered, slices.Concat(want...), sameObject) {
 		t.Errorf("%s, groupSize %d: the ordered items are not the reference's groups end to end", name, groupSize)
 	}
 	for d := range gotStages {
@@ -415,9 +466,10 @@ var fuzzCoords = [16]float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1), 
 	-math.MaxFloat64, math.SmallestNonzeroFloat64, -1.5, 1, 2, 3, 4, 5, 6, 7, 8}
 
 // FuzzPack holds PackStages to the stable-sort reference on decoded
-// points: the first byte picks the group size, 1 to 32, and every three
-// after it one item's center, a byte a coordinate — below 128 one of
-// fuzzCoords, above it one of 128 quarters in [0, 32).
+// points, and at four workers to itself at one: the first byte picks the
+// group size, 1 to 32, and every three after it one item's center, a byte
+// a coordinate — below 128 one of fuzzCoords, above it one of 128
+// quarters in [0, 32).
 func FuzzPack(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})
 	f.Add(append([]byte{4}, bytes.Repeat([]byte{9, 10, 0, 2, 1, 3}, 40)...))
@@ -446,21 +498,26 @@ func FuzzPack(f *testing.F) {
 			objs[i] = geom.Object{ID: geom.ID(i), Box: geom.BoxAt(p)}
 		}
 		checkPack(t, "fuzzed", objs, groupSize)
+		checkWorkers(t, "fuzzed", objs, groupSize, 4)
 	})
 }
 
 // TestPackAllocBudget pins what PackStages allocates: the ordered items,
 // one key per dimension, the index it permutes and as much scratch —
 // 88 bytes an object — and little else.
+// At two workers the slabs' own packers and stage lists and the
+// goroutines add a few kilobytes, well inside the same budget.
 func TestPackAllocBudget(t *testing.T) {
 	const n = 100_000
 	objs := datagen.UniformSet(n, 41)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	PackStages(objs, center, GroupSizeFor(n, 1024))
-	runtime.ReadMemStats(&after)
-	if perItem := float64(after.TotalAlloc-before.TotalAlloc) / n; perItem > 89 {
-		t.Errorf("PackStages allocated %.1f bytes an item, want at most 89", perItem)
+	for _, workers := range []int{1, 2} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		PackStages(objs, center, GroupSizeFor(n, 1024), workers)
+		runtime.ReadMemStats(&after)
+		if perItem := float64(after.TotalAlloc-before.TotalAlloc) / n; perItem > 89 {
+			t.Errorf("PackStages at %d workers allocated %.1f bytes an item, want at most 89", workers, perItem)
+		}
 	}
 }
 
@@ -491,7 +548,7 @@ func TestStagesTileTheItems(t *testing.T) {
 	}
 	for name, objs := range cases {
 		for _, groupSize := range []int{1, 7, 20, 196, 999, 1000, 30_000} {
-			ordered, stages := PackStages(objs, center, groupSize)
+			ordered, stages := PackStages(objs, center, groupSize, 1)
 			n := int32(len(ordered))
 			if len(ordered) != len(objs) {
 				t.Fatalf("%s, groupSize %d: %d items ordered, %d given", name, groupSize, len(ordered), len(objs))

@@ -64,12 +64,9 @@ func NewMutable(ds Dataset, cfg TOUCHConfig) (*Mutable, error) {
 		return nil, fmt.Errorf("touch: %w", err)
 	}
 	m := &Mutable{}
-	// The scheduled fold reports the updates that arrived during the build
-	// and are still unfolded, for the scheduler to check.
-	m.folds = delta.NewScheduler(&m.mu, DefaultCompactThreshold, func() int {
-		m.fold(false)
-		return m.view.Load().d.Size()
-	})
+	m.folds = delta.NewScheduler(&m.mu, DefaultCompactThreshold,
+		func() int { return m.view.Load().d.Size() },
+		func() bool { return m.fold(false) })
 	m.view.Store(v)
 	return m, nil
 }
@@ -82,7 +79,7 @@ func (m *Mutable) SetCompactThreshold(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.folds.Threshold = n
-	m.folds.Arm(m.view.Load().d.Size())
+	m.folds.Arm()
 }
 
 // apply runs one update step against the current generation and, when
@@ -94,7 +91,7 @@ func (m *Mutable) apply(boxes []Box, ids []ID) (first ID, deleted int, ok bool) 
 	next, first, deleted, ok := v.Apply(boxes, ids)
 	if next != v {
 		m.view.Store(next)
-		m.folds.Arm(next.d.Size())
+		m.folds.Arm()
 	}
 	return first, deleted, ok
 }
