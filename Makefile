@@ -31,7 +31,8 @@ FUZZ_TARGETS = internal/testutil:FuzzJoin internal/testutil:FuzzDistanceJoin \
 	internal/testutil:FuzzKNN internal/testutil:FuzzSortIDs \
 	internal/testutil:FuzzSnapshotDecode internal/testutil:FuzzThaw \
 	internal/testutil:FuzzWireDecode internal/testutil:FuzzDeltaMerge \
-	internal/str:FuzzPack internal/server:FuzzHTTPDataPlane
+	internal/str:FuzzPack internal/server:FuzzHTTPDataPlane \
+	internal/geom:FuzzBoxKernels
 
 fuzz:
 	set -e; for entry in $(FUZZ_TARGETS); do \

@@ -15,7 +15,8 @@ import (
 // indexed dataset A, reusing the same immutable structure: node MBRs
 // prune the descent, the dense-DFS arena layout turns every subtree
 // into one contiguous [aStart, aEnd) scan, and inside a leaf the block
-// directory prunes once more, leafBlock objects at a time. Pre-order with
+// directory prunes once more, leafBlock objects at a time, and a range
+// query's scan of a block once more, to its z window. Pre-order with
 // skip links (entry) needs no stack, so the range walk is one forward
 // pass over the node table and all that is left of the traversal state —
 // the kNN queue, the result buffers, the sort's scratch — lives in the
@@ -46,12 +47,14 @@ type queryScratch struct {
 // intersects q (closed-interval semantics: touching boundaries count),
 // sorted ascending by ID. A subtree or a leaf block that q contains is
 // emitted without per-object tests, a leaf block that misses q is skipped
-// whole, and only the remaining blocks are scanned. The returned slice
+// whole, and only the remaining blocks are scanned, each over its z
+// window for q (Tree.zRun): the run of its objects that can meet q along
+// z, or all of them when the block keeps no window. The returned slice
 // aliases probe-owned scratch and is only valid until the probe's next
 // query or join — callers that retain results must copy them. Node-MBR
 // and block-MBR tests are charged to c.NodeTests (a leaf of a single
-// block has been tested already and is not tested again), object tests
-// to c.Comparisons, and emitted matches to c.Results.
+// block has been tested already and is not tested again), the objects of
+// the scanned windows to c.Comparisons, and emitted matches to c.Results.
 //
 // upper lists the trees above the probe's own in a tiered index, lowest
 // first; each tier's answer is sorted on its own and follows the answer
@@ -71,7 +74,9 @@ func (p *Probe) RangeQuery(q geom.Box, c *stats.Counters, upper ...*Tree) []geom
 // node table front to back: a node that misses q is left by its skip
 // link, and so is one q contains, after its arena range is emitted; any
 // other inner node is followed by its first child, any other leaf is
-// scanned block by block and followed by its skip link, the next entry.
+// scanned block by block, each block over its z window with the
+// branch-free test (geom.AppendMeeting), and followed by its skip link,
+// the next entry.
 func (s *queryScratch) rangeQuery(t *Tree, q *geom.Box, c *stats.Counters) {
 	from := len(s.ids)
 	nodeTests, comparisons := 0, 0
@@ -101,12 +106,9 @@ func (s *queryScratch) rangeQuery(t *Tree, q *geom.Box, c *stats.Counters) {
 						continue
 					}
 				}
-				comparisons += len(es)
-				for j := range es {
-					if es[j].Box.Meets(q) {
-						s.ids = append(s.ids, es[j].ID)
-					}
-				}
+				lo, hi := t.zRun(e.block+bi, int32(len(es)), q)
+				comparisons += int(hi - lo)
+				s.ids = geom.AppendMeeting(s.ids, es[lo:hi], q)
 			}
 			i = e.skip
 		}
@@ -159,12 +161,15 @@ func after(a, b geom.Neighbor) bool {
 	return a.Distance > b.Distance || (a.Distance == b.Distance && a.ID > b.ID)
 }
 
-// siftUp and siftDown restore the order of a binary heap h, whose root is
-// the element no other is less than, after h[i] changed.
-func siftUp[T any](h []T, i int, less func(a, b T) bool) {
+// siftUp and siftDown restore the order of the kNN queue h, whose root is
+// the item no other is before, after h[i] changed; siftUpNbrs and
+// siftDownNbrs do the same for the k-slot heap, in after order. Each heap
+// has its own pair so that its order inlines: a generic pair taking the
+// order as a func value paid an indirect call per comparison.
+func siftUp(h []knnItem, i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !less(h[i], h[parent]) {
+		if !h[i].before(h[parent]) {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -172,13 +177,41 @@ func siftUp[T any](h []T, i int, less func(a, b T) bool) {
 	}
 }
 
-func siftDown[T any](h []T, i int, less func(a, b T) bool) {
+func siftDown(h []knnItem, i int) {
 	for {
 		l, r, m := 2*i+1, 2*i+2, i
-		if l < len(h) && less(h[l], h[m]) {
+		if l < len(h) && h[l].before(h[m]) {
 			m = l
 		}
-		if r < len(h) && less(h[r], h[m]) {
+		if r < len(h) && h[r].before(h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+func siftUpNbrs(h []geom.Neighbor, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !after(h[i], h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func siftDownNbrs(h []geom.Neighbor, i int) {
+	for {
+		l, r, m := 2*i+1, 2*i+2, i
+		if l < len(h) && after(h[l], h[m]) {
+			m = l
+		}
+		if r < len(h) && after(h[r], h[m]) {
 			m = r
 		}
 		if m == i {
@@ -205,28 +238,22 @@ func (s *queryScratch) enqueue(mbr *geom.Box, q geom.Point, k int, node, blk int
 		return
 	}
 	s.queue = append(s.queue, knnItem{dist: d, node: node, blk: blk})
-	siftUp(s.queue, len(s.queue)-1, knnItem.before)
+	siftUp(s.queue, len(s.queue)-1)
 }
 
 // offer runs the objects es past the k-slot heap s.nbrs: an object enters
 // when fewer than k are held or it precedes the worst of them in
 // (Distance, ID) order — and only then is it looked up in skip. The
-// distance is Box.PointDistance's, its sum of squared gaps cut short: the
-// partial sums only grow, so the first one past the bound (farther)
-// settles that the object is strictly beyond the worst neighbour held,
-// which is most objects of a long unindexed stretch after one dimension.
+// distance is Box.PointDistance's, and geom.NextWithin skips, without a
+// branch per dimension, every object whose square of it is past the bound
+// (farther), so strictly beyond the worst neighbour held: most objects of
+// a block, and of a long unindexed stretch.
 func (s *queryScratch) offer(es []geom.Object, q geom.Point, k int, skip []geom.ID) {
 	limit := s.limit(k)
-	for i := range es {
-		b := &es[i].Box
-		sum := 0.0
-		for d := 0; d < geom.Dims && sum <= limit; d++ {
-			if gap := max(b.Min[d]-q[d], q[d]-b.Max[d]); gap > 0 {
-				sum += gap * gap
-			}
-		}
-		if sum > limit {
-			continue
+	for i := 0; ; i++ {
+		var sum float64
+		if i, sum = geom.NextWithin(es, i, &q, limit); i == len(es) {
+			return
 		}
 		nb := geom.Neighbor{ID: es[i].ID, Distance: math.Sqrt(sum)}
 		full := len(s.nbrs) == k
@@ -240,10 +267,10 @@ func (s *queryScratch) offer(es []geom.Object, q geom.Point, k int, skip []geom.
 		}
 		if full {
 			s.nbrs[0] = nb
-			siftDown(s.nbrs, 0, after)
+			siftDownNbrs(s.nbrs, 0)
 		} else {
 			s.nbrs = append(s.nbrs, nb)
-			siftUp(s.nbrs, len(s.nbrs)-1, after)
+			siftUpNbrs(s.nbrs, len(s.nbrs)-1)
 		}
 		if len(s.nbrs) == k {
 			limit = farther(s.nbrs[0].Distance)
@@ -359,7 +386,7 @@ func (p *Probe) Neighbors(c *stats.Counters) []geom.Neighbor {
 	// the slice ends up ascending in (Distance, ID).
 	for end := len(s.nbrs) - 1; end > 0; end-- {
 		s.nbrs[0], s.nbrs[end] = s.nbrs[end], s.nbrs[0]
-		siftDown(s.nbrs[:end], 0, after)
+		siftDownNbrs(s.nbrs[:end], 0)
 	}
 	c.Results += int64(len(s.nbrs))
 	return s.nbrs
@@ -379,7 +406,7 @@ func (s *queryScratch) nearest(t *Tree, q geom.Point, k int, c *stats.Counters, 
 		last := len(s.queue) - 1
 		s.queue[0] = s.queue[last]
 		s.queue = s.queue[:last]
-		siftDown(s.queue, 0, knnItem.before)
+		siftDown(s.queue, 0)
 		e := &tab[it.node]
 		blocks := e.blocks()
 		switch {

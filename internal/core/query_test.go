@@ -332,11 +332,15 @@ type queryCounts struct {
 // the block directory does the work. A change that moves a count must move
 // the table with it, so the old and the new number both show in its diff.
 //
-// The table last moved when the upper levels began to nest (Build, nest):
-// NodeTests fell on every row, because a probe no longer meets both of
-// two overlapping siblings at every level. Comparisons, Results and the
-// directory did not move — the leaves and their blocks are the same
-// leaves and blocks, and object tests happen only there.
+// The table last moved when the range query began to scan each partly
+// covered block over its z window only (Tree.zRun), single-block leaves
+// included: range Comparisons fell on every row (7,040 → 3,972,
+// 16,744 → 11,277, 2,386 → 1,764 and 9,512 → 8,113), because the objects
+// outside a block's window, which cannot meet the box along z, are no
+// longer tested. NodeTests, Results, every kNN count and the directory
+// did not move: the walk and the blocks it opens are the same. Before
+// that, NodeTests fell on every row when the upper levels began to nest
+// (Build, nest).
 func TestQueryCountsGolden(t *testing.T) {
 	axons, _ := datagen.GenerateNeuro(datagen.ScaledNeuroConfig(42, 1.0/50))
 	for _, tc := range []struct {
@@ -349,25 +353,25 @@ func TestQueryCountsGolden(t *testing.T) {
 	}{
 		{
 			name: "uniform-20K", ds: datagen.UniformSet(20_000, 42),
-			rangeWant:  queryCounts{NodeTests: 3116, Comparisons: 7040, Results: 852},
+			rangeWant:  queryCounts{NodeTests: 3116, Comparisons: 3972, Results: 852},
 			knnWant:    queryCounts{NodeTests: 3318, Comparisons: 6960, Results: 640},
 			wantBlocks: 1000,
 		},
 		{
 			name: "uniform-20K/big-buckets", ds: datagen.UniformSet(20_000, 42), cfg: Config{Partitions: 41},
-			rangeWant:  queryCounts{NodeTests: 1956, Comparisons: 16744, Results: 852},
+			rangeWant:  queryCounts{NodeTests: 1956, Comparisons: 11277, Results: 852},
 			knnWant:    queryCounts{NodeTests: 1959, Comparisons: 17768, Results: 640},
 			wantBlocks: 336,
 		},
 		{
 			name: "neuro-1/50", ds: axons.Objects(),
-			rangeWant:  queryCounts{NodeTests: 2148, Comparisons: 2386, Results: 533},
+			rangeWant:  queryCounts{NodeTests: 2148, Comparisons: 1764, Results: 533},
 			knnWant:    queryCounts{NodeTests: 4306, Comparisons: 4181, Results: 640},
 			wantBlocks: 1000,
 		},
 		{
 			name: "neuro-1/50/big-buckets", ds: axons.Objects(), cfg: Config{Partitions: 27},
-			rangeWant:  queryCounts{NodeTests: 1286, Comparisons: 9512, Results: 533},
+			rangeWant:  queryCounts{NodeTests: 1286, Comparisons: 8113, Results: 533},
 			knnWant:    queryCounts{NodeTests: 2238, Comparisons: 19866, Results: 640},
 			wantBlocks: 216,
 		},

@@ -89,7 +89,8 @@
 // bucket is never sorted and its blocks are only as tight as its input
 // order. The directory also bounds each block's z window (zWindow): in a
 // block whose objects ascend by z centre, the objects that can meet a
-// lone probe box along z are one run of it, which the directory finds
+// lone probe box along z — a range query's, or a join's lone task's — are
+// one run of it, which the directory finds
 // without reading an arena object outside that run. The order decides
 // how much the directory prunes and what a join reads, never what a query
 // or a join answers: a block not in z-centre order keeps no window and is

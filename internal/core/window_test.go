@@ -9,6 +9,7 @@ import (
 
 	"touch/internal/datagen"
 	"touch/internal/geom"
+	"touch/internal/nl"
 	"touch/internal/stats"
 )
 
@@ -283,5 +284,74 @@ func TestZRun(t *testing.T) {
 	}
 	if narrowed == 0 {
 		t.Fatal("premise: no run is shorter than its block")
+	}
+}
+
+// TestRangeZWindowCounts counts a range query's comparisons by hand on one
+// block: 64 flat objects [0,1]² × [z,z], z = 0..63, built in one bucket,
+// so the tree is a single leaf of a single block whose window keys (zKey
+// of objects 0, 4, …, 60 on [0, 63], scale 256/63) read 0, 16, 32, 48,
+// 65, 81, … 227, 243 and whose half extent is 0. A query [0,1]² × [lo,hi]
+// meets the block's MBR without covering it, so the leaf is scanned over
+// zRun's run: it starts one past the last key below zKey(lo) and ends at
+// the first key above zKey(hi). A query covering the block emits it
+// without tests; a block not in z-centre order, a NaN corner and an
+// upper tier whose IDs ascend as z descends, the order inserts arrive
+// in, are read whole. Every answer is the nested loop's, and a tier is
+// one node test.
+func TestRangeZWindowCounts(t *testing.T) {
+	column := func(firstID geom.ID, z func(i int) float64) geom.Dataset {
+		ds := make(geom.Dataset, leafBlock)
+		for i := range ds {
+			ds[i] = geom.Object{ID: firstID + geom.ID(i), Box: geom.Box{Min: geom.Point{0, 0, z(i)}, Max: geom.Point{1, 1, z(i)}}}
+		}
+		return ds
+	}
+	up := column(0, func(i int) float64 { return float64(i) })
+	down := column(0, func(i int) float64 { return float64(63 - i) })
+	upperDown := column(64, func(i int) float64 { return float64(63 - i) })
+	slab := func(lo, hi float64) geom.Box { return geom.Box{Min: geom.Point{0, 0, lo}, Max: geom.Point{1, 1, hi}} }
+	for _, tc := range []struct {
+		name        string
+		base, upper geom.Dataset
+		q           geom.Box
+		comparisons int64 // the objects of the scanned windows
+		results     int64
+	}{
+		// zKey 40 and 81: keys 32 < 40 <= 48 put lo at 2·4+1, 97 > 81 hi at 6·4.
+		{name: "middle", base: up, q: slab(10, 20), comparisons: 24 - 9, results: 11},
+		// zKey 41 and 43: objects 9..11, none of them at a z in [10.2, 10.8].
+		{name: "between-objects", base: up, q: slab(10.2, 10.8), comparisons: 12 - 9, results: 0},
+		// zKey 0 and 12: the run starts at the block's first object.
+		{name: "bottom", base: up, q: slab(0, 3), comparisons: 4, results: 4},
+		// zKey 243 and 255: the run ends at the block's last object.
+		{name: "top", base: up, q: slab(60, 63), comparisons: 64 - 57, results: 4},
+		{name: "covers-the-block", base: up, q: slab(-1, 64), comparisons: 0, results: 64},
+		{name: "not-in-z-centre-order", base: down, q: slab(10, 20), comparisons: 64, results: 11},
+		// Meets reads a NaN corner as unbounded: every z up to 20 meets.
+		{name: "nan-corner", base: up, q: slab(math.NaN(), 20), comparisons: 64, results: 21},
+		{name: "upper-tier", base: up, upper: upperDown, q: slab(10, 20), comparisons: 24 - 9 + 64, results: 22},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Partitions: 1}
+			tr := Build(tc.base, cfg)
+			if len(tr.table) != 1 || len(tr.blocks) != 1 {
+				t.Fatalf("premise: %d nodes and %d blocks, want one leaf of one block", len(tr.table), len(tr.blocks))
+			}
+			all, tiers := tc.base, []*Tree(nil)
+			if tc.upper != nil {
+				all = append(slices.Clone(tc.base), tc.upper...)
+				tiers = append(tiers, Build(tc.upper, cfg))
+			}
+			var c stats.Counters
+			got := tr.NewProbe().RangeQuery(tc.q, &c, tiers...)
+			if want := nl.RangeQuery(all, tc.q); !slices.Equal(got, want) {
+				t.Errorf("answer %v, the nested loop %v", got, want)
+			}
+			want := stats.Counters{NodeTests: int64(1 + len(tiers)), Comparisons: tc.comparisons, Results: tc.results}
+			if c != want {
+				t.Errorf("counters %+v, want %+v", c, want)
+			}
+		})
 	}
 }

@@ -31,12 +31,15 @@ type Box struct {
 }
 
 // NewBox returns the box spanned by the two corner points, normalizing
-// the coordinates so that Min[d] <= Max[d] in every dimension.
+// the coordinates so that Min[d] <= Max[d] in every dimension. It, Distance
+// and AxisDistance take the builtin min and max, which inline where
+// math.Min and math.Max are calls, and agree with them bit for bit on
+// every operand but a NaN (TestBuiltinMinMaxMatchMath).
 func NewBox(a, b Point) Box {
 	var box Box
 	for d := 0; d < Dims; d++ {
-		box.Min[d] = math.Min(a[d], b[d])
-		box.Max[d] = math.Max(a[d], b[d])
+		box.Min[d] = min(a[d], b[d])
+		box.Max[d] = max(a[d], b[d])
 	}
 	return box
 }
@@ -169,7 +172,7 @@ func (b Box) Volume() float64 {
 func (b Box) Distance(o Box) float64 {
 	sum := 0.0
 	for d := 0; d < Dims; d++ {
-		gap := math.Max(b.Min[d]-o.Max[d], o.Min[d]-b.Max[d])
+		gap := max(b.Min[d]-o.Max[d], o.Min[d]-b.Max[d])
 		if gap > 0 {
 			sum += gap * gap
 		}
@@ -184,11 +187,11 @@ func (b Box) Distance(o Box) float64 {
 func (b Box) PointDistance(p Point) float64 {
 	sum := 0.0
 	for d := 0; d < Dims; d++ {
-		// The builtin max, as in Union: math.Max's semantics, inlined —
-		// this runs once per pending insert of every merged kNN query.
+		// The product is rounded on its own, so no fused multiply-add can
+		// make the sum differ from NextWithin's.
 		gap := max(b.Min[d]-p[d], p[d]-b.Max[d])
 		if gap > 0 {
-			sum += gap * gap
+			sum += float64(gap * gap)
 		}
 	}
 	return math.Sqrt(sum)
@@ -200,7 +203,7 @@ func (b Box) PointDistance(p Point) float64 {
 func (b Box) AxisDistance(o Box) float64 {
 	worst := 0.0
 	for d := 0; d < Dims; d++ {
-		gap := math.Max(b.Min[d]-o.Max[d], o.Min[d]-b.Max[d])
+		gap := max(b.Min[d]-o.Max[d], o.Min[d]-b.Max[d])
 		if gap > worst {
 			worst = gap
 		}

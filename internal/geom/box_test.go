@@ -398,3 +398,87 @@ func TestPointerFormsKeepTheTruthTable(t *testing.T) {
 		}
 	}
 }
+
+// TestBuiltinMinMaxMatchMath pins NewBox, Distance and AxisDistance, which
+// take the builtin min and max, to math.Min and math.Max on every pair of
+// corners: both zeros, both infinities, the subnormals, the extremes and
+// NaNs with other payloads and signs. Without a NaN operand the results
+// agree bit for bit. With one the builtins return a NaN, where math
+// returns a NaN of its own, or the infinity the other operand is when
+// that is -Inf for Min and +Inf for Max: a box either way is neither
+// Valid nor Finite, so no index holds one and no served query is one.
+func TestBuiltinMinMaxMatchMath(t *testing.T) {
+	inf := math.Inf(1)
+	corners := []float64{
+		math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64, math.Copysign(0, -1),
+		0, math.SmallestNonzeroFloat64, 1, math.MaxFloat64, inf,
+		math.NaN(), math.Float64frombits(0x7ff0000000000123), math.Float64frombits(0xfff8000000000456),
+	}
+	nan := math.IsNaN
+	for _, a := range corners {
+		for _, b := range corners {
+			for _, tc := range []struct {
+				name            string
+				builtin, method float64
+				inf             float64 // what math returns for a NaN beside this infinity
+			}{
+				{"min", min(a, b), math.Min(a, b), -inf},
+				{"max", max(a, b), math.Max(a, b), inf},
+			} {
+				switch {
+				case !nan(a) && !nan(b):
+					if math.Float64bits(tc.builtin) != math.Float64bits(tc.method) {
+						t.Errorf("%s(%g, %g): builtin %g, math %g", tc.name, a, b, tc.builtin, tc.method)
+					}
+				case !nan(tc.builtin):
+					t.Errorf("%s(%g, %g): builtin %g, want a NaN", tc.name, a, b, tc.builtin)
+				case a == tc.inf || b == tc.inf:
+					if tc.method != tc.inf {
+						t.Errorf("%s(%g, %g): math %g, want %g", tc.name, a, b, tc.method, tc.inf)
+					}
+				case !nan(tc.method):
+					t.Errorf("%s(%g, %g): math %g, want a NaN", tc.name, a, b, tc.method)
+				}
+			}
+			if nan(a) || nan(b) {
+				continue
+			}
+			// The three functions, as they read before taking the builtins.
+			p, q := Point{a, b, 1}, Point{b, a, -1}
+			var want Box
+			for d := 0; d < Dims; d++ {
+				want.Min[d], want.Max[d] = math.Min(p[d], q[d]), math.Max(p[d], q[d])
+			}
+			if got := NewBox(p, q); !sameBits(got, want) {
+				t.Errorf("NewBox(%v, %v) = %v, math %v", p, q, got, want)
+			}
+			o := Box{Min: Point{b, 0, math.Copysign(0, -1)}, Max: Point{b, 1, 0}}
+			dist, axis := 0.0, 0.0
+			for d := 0; d < Dims; d++ {
+				gap := math.Max(want.Min[d]-o.Max[d], o.Min[d]-want.Max[d])
+				if gap > 0 {
+					dist += gap * gap
+				}
+				if gap > axis {
+					axis = gap
+				}
+			}
+			if got := want.Distance(o); math.Float64bits(got) != math.Float64bits(math.Sqrt(dist)) {
+				t.Errorf("%v Distance %v = %g, math %g", want, o, got, math.Sqrt(dist))
+			}
+			if got := want.AxisDistance(o); math.Float64bits(got) != math.Float64bits(axis) {
+				t.Errorf("%v AxisDistance %v = %g, math %g", want, o, got, axis)
+			}
+		}
+	}
+}
+
+// sameBits reports whether two boxes hold the same bits.
+func sameBits(a, b Box) bool {
+	for d := 0; d < Dims; d++ {
+		if math.Float64bits(a.Min[d]) != math.Float64bits(b.Min[d]) || math.Float64bits(a.Max[d]) != math.Float64bits(b.Max[d]) {
+			return false
+		}
+	}
+	return true
+}

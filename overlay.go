@@ -9,6 +9,7 @@ import (
 
 	"touch/internal/core"
 	"touch/internal/delta"
+	"touch/internal/geom"
 	"touch/internal/trace"
 )
 
@@ -342,20 +343,10 @@ func (v *Overlay) merge(ids []ID, q Box, sp *Span) []ID {
 	}
 	from := len(ids)
 	for i := range v.runs {
-		es := v.runs[i].Window(&q)
-		for j := range es {
-			if es[j].Box.Meets(&q) {
-				ids = append(ids, es[j].ID)
-			}
-		}
+		ids = geom.AppendMeeting(ids, v.runs[i].Window(&q), &q)
 	}
 	slices.Sort(ids[from:])
-	rest := v.rest
-	for i := range rest {
-		if rest[i].Box.Meets(&q) {
-			ids = append(ids, rest[i].ID)
-		}
-	}
+	ids = geom.AppendMeeting(ids, v.rest, &q)
 	if sp != nil {
 		sp.Add(trace.PhaseDelta, time.Since(start))
 		start = time.Now()
