@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"touch/internal/core"
+	"touch/internal/delta"
 )
 
 // allocBytes returns the bytes the second of two calls of f allocates,
@@ -88,5 +89,50 @@ func TestOneShotDistanceJoinAllocBudget(t *testing.T) {
 	t.Logf("%.1f bytes a probe object beyond the tree", perObject)
 	if limit := unsafe.Sizeof(Object{}) / 2; perObject >= float64(limit) {
 		t.Errorf("count-only one-shot distance join allocated %.1f bytes a probe object beyond its tree, want under %d", perObject, limit)
+	}
+}
+
+// TestLoadedRangeQueryAllocatesOnce: a range query over a generation with
+// pending inserts and tombstones merges the delta's hits into the probe's
+// own answer, which the probe keeps, and copies the whole out once — so a
+// warm query whose answer holds tier objects, sealed-run inserts and
+// unsealed ones makes one allocation, the answer, as a query over a bare
+// tree does. Cloning the engine's answer first and appending the hits to
+// the clone made two.
+func TestLoadedRangeQueryAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a random share of what a sync.Pool is given")
+	}
+	q := NewBox(Point{200, 200, 200}, Point{600, 600, 600})
+	// Two sealed runs and an unsealed rest, every box inside q.
+	inserts := make([]Box, 2*delta.RunLen+100)
+	for i, o := range GenerateUniform(len(inserts), 73) {
+		for d := range o.Box.Min {
+			o.Box.Min[d], o.Box.Max[d] = 200+o.Box.Min[d]*0.35, 200+o.Box.Max[d]*0.35
+		}
+		inserts[i] = o.Box
+	}
+	v, _, _, ok := BuildIndex(GenerateUniform(20_000, 72), TOUCHConfig{}).Apply(inserts, []ID{5, 17, 1234})
+	if !ok {
+		t.Fatal("Apply refused the batch")
+	}
+	ids, err := v.RangeQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, rest := 0, 0
+	for _, id := range ids {
+		switch {
+		case id >= 20_000+2*delta.RunLen:
+			rest++
+		case id >= 20_000:
+			sealed++
+		}
+	}
+	if sealed < 2*delta.RunLen || rest < 50 || len(ids)-sealed-rest < 100 {
+		t.Fatalf("premise: %d tier objects, %d sealed inserts and %d unsealed ones meet %v", len(ids)-sealed-rest, sealed, rest, q)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { v.RangeQuery(q) }); allocs != 1 {
+		t.Errorf("a range query with %d delta hits made %.1f allocations, want 1", sealed+rest, allocs)
 	}
 }

@@ -50,7 +50,9 @@ type Index = Overlay
 // query and join, but it is read-only, as a NewOverlay generation is:
 // Apply, Fold, Dataset and both EncodeSnapshot forms refuse it.
 func BuildIndex(a Dataset, cfg TOUCHConfig) *Index {
-	t := newTier(core.Build(a, cfg), delta.IDsOf(a))
+	tree := core.Build(a, cfg)
+	_, ids := tree.Arena()
+	t := newTier(tree, delta.IDsOf(ids))
 	var d *delta.Delta
 	if t.ids.Len() == len(a) {
 		d = delta.Restored(nil, 0, t.ids.Max())
@@ -58,8 +60,9 @@ func BuildIndex(a Dataset, cfg TOUCHConfig) *Index {
 	return over([]tier{t}, d)
 }
 
-// tier is one immutable tree of a generation. The tree's arena, in STR's
-// order, is the tier's only copy of its objects; ids, their ID set,
+// tier is one immutable tree of a generation. The tree's arena, two
+// columns in STR's order, is the tier's only copy of its objects; ids,
+// their ID set,
 // answers what an update, a fold and Tiers ask of the tier — membership,
 // the ID range, and the rank that gathers the arena back into ID order
 // (tier.gather).
@@ -70,27 +73,23 @@ type tier struct {
 }
 
 // gather appends the tier's objects to dst in ID order.
-func (t *tier) gather(dst Dataset) Dataset { return t.ids.Gather(dst, t.tree.Arena()) }
+func (t *tier) gather(dst Dataset) Dataset {
+	boxes, ids := t.tree.Arena()
+	return t.ids.Gather(dst, boxes, ids)
+}
 
 // over returns the generation of tiers with d pending; a nil d makes it
 // read-only with nothing pending.
 func over(tiers []tier, d *delta.Delta) *Overlay {
-	v := &Overlay{tiers: tiers, d: d}
+	v := &Overlay{tiers: tiers, tail: d, d: d}
 	for _, t := range tiers[1:] {
 		v.upper = append(v.upper, t.tree)
 	}
-	v.pend(d.Objects(), d.Runs(), d.Tombs())
 	return v
 }
 
-// pend sets what is pending: inserts, runs sealing a prefix of them, and
-// tombs.
-func (v *Overlay) pend(inserts Dataset, runs []delta.Run, tombs []ID) {
-	v.inserts, v.runs, v.rest, v.tombs = inserts, runs, inserts[delta.Sealed(runs):], tombs
-}
-
 // frozen reports whether nothing is pending.
-func (v *Overlay) frozen() bool { return len(v.inserts) == 0 && len(v.tombs) == 0 }
+func (v *Overlay) frozen() bool { return v.tail.Inserts() == 0 && len(v.tail.Tombs()) == 0 }
 
 // Join runs TOUCH's assignment and join phases against b, reusing the
 // prebuilt trees: every pair (indexed object, b) whose boxes intersect
@@ -141,7 +140,7 @@ func (v *Overlay) Join(ctx context.Context, b Dataset, opt *Options) (*Result, e
 // pass's wall time as PhaseDelta (the tombstone filter runs inline inside
 // the join phase and is not timed separately).
 func (v *Overlay) run(b Dataset, o *Options, ctl *stats.Control, c *Stats, sink Sink) {
-	if len(v.tombs) == 0 {
+	if len(v.tail.Tombs()) == 0 {
 		v.probeTiers(b, o.Eps, o.Workers, ctl, c, sink)
 	} else {
 		var dropped int64
@@ -154,7 +153,7 @@ func (v *Overlay) run(b Dataset, o *Options, ctl *stats.Control, c *Stats, sink 
 		}))
 		c.Results -= dropped
 	}
-	ins := v.inserts
+	ins := v.tail.Objects()
 	if len(ins) == 0 {
 		return
 	}
@@ -294,15 +293,21 @@ func (v *Overlay) RangeQueryTraced(q Box, sp *Span) ([]ID, error) {
 	p := probes.Get().(*core.Probe)
 	defer probes.Put(p)
 	var c Stats
-	if sp == nil {
-		return v.merge(slices.Clone(p.RangeQuery(q, &c, v.upper...)), q, nil), nil
+	var start time.Time
+	if sp != nil {
+		start = time.Now()
 	}
-	start := time.Now()
-	ids := slices.Clone(p.RangeQuery(q, &c, v.upper...))
-	sp.Add(trace.PhaseQuery, time.Since(start))
-	c.Results = int64(len(ids))
-	sp.Record(&c)
-	return v.merge(ids, q, sp), nil
+	// The delta's hits are merged into the probe's own answer, which the
+	// probe keeps, and the whole is copied out once.
+	ids := p.RangeQuery(q, &c, v.upper...)
+	if sp != nil {
+		sp.Add(trace.PhaseQuery, time.Since(start))
+		c.Results = int64(len(ids))
+		sp.Record(&c)
+	}
+	ids = v.merge(ids, q, sp)
+	p.Recycle(ids)
+	return slices.Clone(ids), nil
 }
 
 // PointQuery returns the IDs of every live object whose MBR contains
@@ -364,18 +369,20 @@ func (v *Overlay) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
 	if sp != nil {
 		start = time.Now()
 	}
-	p.Nearest(q, k, &c, v.tombs, v.upper...)
+	tombs := v.tail.Tombs()
+	p.Nearest(q, k, &c, tombs, v.upper...)
 	if sp != nil {
 		sp.Add(trace.PhaseQuery, time.Since(start))
 	}
-	if len(v.inserts) > 0 {
+	if v.tail.Inserts() > 0 {
 		if sp != nil {
 			start = time.Now()
 		}
-		for i := range v.runs {
-			p.Offer(v.runs[i].Objects, v.runs[i].Ext, q, k, v.tombs)
+		for _, r := range v.tail.Runs() {
+			p.Offer(r.Boxes, r.IDs, r.Ext, q, k, tombs)
 		}
-		p.Offer(v.rest, math.Inf(1), q, k, v.tombs)
+		restBoxes, restIDs := v.tail.Rest()
+		p.Offer(restBoxes, restIDs, math.Inf(1), q, k, tombs)
 		if sp != nil {
 			sp.Add(trace.PhaseDelta, time.Since(start))
 		}

@@ -34,18 +34,18 @@ func checkDirectory(t *testing.T, name string, tr *Tree) {
 		next += len(blocks)
 		covered := n.aStart
 		for bi, blk := range blocks {
-			es := tr.block(n, int32(bi))
-			if len(es) == 0 || (len(es) != leafBlock && bi != len(blocks)-1) {
-				t.Fatalf("%s: leaf %d block %d holds %d objects", name, id, bi, len(es))
+			boxes, ids := tr.block(n, int32(bi))
+			if len(boxes) == 0 || len(ids) != len(boxes) || (len(boxes) != leafBlock && bi != len(blocks)-1) {
+				t.Fatalf("%s: leaf %d block %d holds %d boxes and %d IDs", name, id, bi, len(boxes), len(ids))
 			}
-			if &es[0] != &tr.arena[covered] {
+			if &boxes[0] != &tr.boxes[covered] || &ids[0] != &tr.ids[covered] {
 				t.Fatalf("%s: leaf %d block %d does not start at arena %d", name, id, bi, covered)
 			}
-			covered += int32(len(es))
-			if want := geom.Dataset(es).MBR(); blk != want {
+			covered += int32(len(boxes))
+			if want := objects(boxes, ids).MBR(); blk != want {
 				t.Fatalf("%s: leaf %d block %d MBR %v, its objects' %v", name, id, bi, blk, want)
 			}
-			checkWindow(t, name, tr, n.block+int32(bi), es)
+			checkWindow(t, name, tr, n.block+int32(bi), boxes)
 		}
 		if covered != n.aEnd {
 			t.Fatalf("%s: leaf %d [%d,%d): blocks end at %d", name, id, n.aStart, n.aEnd, covered)
@@ -70,13 +70,13 @@ func checkDirectory(t *testing.T, name string, tr *Tree) {
 // half extent exactly when the centres are finite and ascend, reaching
 // from both z corners of every object to its centre; and one key per
 // zStride objects, the first one's, then 255 past the last object.
-func checkWindow(t *testing.T, name string, tr *Tree, bi int32, es []geom.Object) {
+func checkWindow(t *testing.T, name string, tr *Tree, bi int32, es []geom.Box) {
 	t.Helper()
 	w, mbr := &tr.windows[bi], &tr.blocks[bi]
 	ordered := true
 	for j := range es {
-		c := es[j].Box.Center()[2]
-		ordered = ordered && !math.IsInf(c, 0) && !math.IsNaN(c) && (j == 0 || c >= es[j-1].Box.Center()[2])
+		c := es[j].Center()[2]
+		ordered = ordered && !math.IsInf(c, 0) && !math.IsNaN(c) && (j == 0 || c >= es[j-1].Center()[2])
 	}
 	if !ordered {
 		if !math.IsInf(w.half, 1) {
@@ -88,7 +88,7 @@ func checkWindow(t *testing.T, name string, tr *Tree, bi int32, es []geom.Object
 		t.Fatalf("%s: block %d is in z-centre order, yet its half extent is %g", name, bi, w.half)
 	}
 	for j := range es {
-		b := &es[j].Box
+		b := &es[j]
 		if c := b.Center()[2]; !(b.Min[2]+w.half >= c && b.Max[2]-w.half <= c) {
 			t.Fatalf("%s: block %d object %d: z [%g, %g] and half extent %g do not reach its centre %g",
 				name, bi, j, b.Min[2], b.Max[2], w.half, c)
@@ -97,7 +97,7 @@ func checkWindow(t *testing.T, name string, tr *Tree, bi int32, es []geom.Object
 	for k, key := range w.keys {
 		want := uint8(255)
 		if j := k * zStride; j < len(es) {
-			want = zKey(es[j].Box.Center()[2], mbr.Min[2], zScale(mbr))
+			want = zKey(es[j].Center()[2], mbr.Min[2], zScale(mbr))
 		}
 		if key != want {
 			t.Fatalf("%s: block %d key %d is %d, want %d", name, bi, k, key, want)
@@ -164,14 +164,8 @@ func TestThawIndexesAnyLeafOrder(t *testing.T) {
 	}
 	fresh := Build(ds, Config{Partitions: 8})
 	f := fresh.Freeze()
-	f.Arena = slices.Clone(f.Arena)
-	for _, fn := range f.Nodes {
-		if fn.Children == 0 {
-			leaf := f.Arena[fn.AStart:fn.AEnd]
-			rng.Shuffle(len(leaf), func(i, j int) { leaf[i], leaf[j] = leaf[j], leaf[i] })
-		}
-	}
-	if slices.Equal(f.Arena, fresh.arena) {
+	shuffleLeaves(f, rng)
+	if slices.Equal(f.Boxes, fresh.boxes) {
 		t.Fatal("premise: the shuffle left the arena as it was")
 	}
 	tr, err := Thaw(f)

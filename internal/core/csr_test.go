@@ -30,7 +30,7 @@ func (t *Tree) mapGridJoin(id int32, bs []geom.Object, postDedup, scan bool, c *
 		} else {
 			c.NodeTests += int64(task.aEnd - task.aStart)
 		}
-		for _, a := range t.arena[task.aStart:task.aEnd] {
+		for _, a := range objects(t.span(task.aStart, task.aEnd)) {
 			if !a.Box.Intersects(task.mbr) {
 				continue
 			}

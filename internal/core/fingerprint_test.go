@@ -32,9 +32,9 @@ func fingerprint(f *Frozen) string {
 		}
 		put(uint64(n.Children), uint64(n.AStart), uint64(n.AEnd), math.Float64bits(n.ExtSumA))
 	}
-	put(uint64(len(f.Arena)))
-	for i := range f.Arena {
-		put(uint64(f.Arena[i].ID))
+	put(uint64(len(f.IDs)))
+	for _, id := range f.IDs {
+		put(uint64(id))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

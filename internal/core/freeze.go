@@ -12,11 +12,11 @@ import (
 // Freeze/Thaw turn the immutable build artifact into a flat, pointer-free
 // form and back — the bridge between the in-memory Tree and the durable
 // snapshot format of internal/snapshot. The flat layout invariant of the
-// package comment makes this nearly free: the arena is already one
-// contiguous slice and the node table is already dense DFS pre-order, so
-// a frozen tree is the arena plus one fixed-size record per node, and
-// thawing turns the per-node child counts back into the table's skip
-// links in one pass.
+// package comment makes this nearly free: the arena is already two
+// contiguous columns and the node table is already dense DFS pre-order,
+// so a frozen tree is the arena's columns plus one fixed-size record per
+// node, and thawing turns the per-node child counts back into the table's
+// skip links in one pass.
 //
 // Thaw trusts nothing: a frozen tree arrives from disk, where torn
 // writes, bit flips and hostile edits are all possible, so every
@@ -46,22 +46,26 @@ type Frozen struct {
 	Cfg    Config
 	Height int
 	Leaves int
-	// Arena holds the A objects leaf by leaf in DFS order; Nodes the
-	// node table in DFS pre-order. Both alias the live tree when
-	// produced by Freeze — callers serialize, they do not mutate.
-	Arena []geom.Object
+	// Boxes and IDs are the arena, the A objects leaf by leaf in DFS
+	// order, in two columns of one length: object i's box is Boxes[i]
+	// and its ID IDs[i]. Nodes is the node table in DFS pre-order. All
+	// three alias the live tree when produced by Freeze — callers
+	// serialize, they do not mutate.
+	Boxes []geom.Box
+	IDs   []geom.ID
 	Nodes []FrozenNode
 }
 
-// Freeze returns the tree's flat form. The arena aliases the tree's own
-// storage (the tree is immutable, so sharing is safe); Thaw keeps the
-// arena it is handed.
+// Freeze returns the tree's flat form. The arena's columns alias the
+// tree's own storage (the tree is immutable, so sharing is safe); Thaw
+// keeps the columns it is handed.
 func (t *Tree) Freeze() *Frozen {
 	f := &Frozen{
 		Cfg:    t.cfg,
 		Height: t.Height,
 		Leaves: t.Leaves,
-		Arena:  t.arena,
+		Boxes:  t.boxes,
+		IDs:    t.ids,
 		Nodes:  make([]FrozenNode, len(t.table)),
 	}
 	for i := range t.table {
@@ -106,7 +110,7 @@ func validateThawConfig(cfg Config) error {
 
 // Thaw reconstructs a Tree from its frozen form, validating every
 // structural invariant Build would have established. The returned tree
-// keeps the Frozen's arena (the decoder must not reuse it).
+// keeps the Frozen's arena columns (the decoder must not reuse them).
 func Thaw(f *Frozen) (*Tree, error) {
 	if err := validateThawConfig(f.Cfg); err != nil {
 		return nil, err
@@ -114,11 +118,14 @@ func Thaw(f *Frozen) (*Tree, error) {
 	if len(f.Nodes) == 0 {
 		return nil, errCorrupt("no nodes")
 	}
-	if len(f.Nodes) > math.MaxInt32 || len(f.Arena) > math.MaxInt32 {
+	if len(f.Nodes) > math.MaxInt32 || len(f.Boxes) > math.MaxInt32 {
 		return nil, errCorrupt("node or arena count overflows int32")
 	}
-	for i := range f.Arena {
-		if !f.Arena[i].Box.Finite() {
+	if len(f.IDs) != len(f.Boxes) {
+		return nil, errCorrupt("%d arena IDs for %d boxes", len(f.IDs), len(f.Boxes))
+	}
+	for i := range f.Boxes {
+		if !f.Boxes[i].Finite() {
 			return nil, errCorrupt("arena object %d has a non-finite or inverted box", i)
 		}
 	}
@@ -127,9 +134,10 @@ func Thaw(f *Frozen) (*Tree, error) {
 	cfg.fillDefaults()
 	t := &Tree{
 		Nodes:  len(f.Nodes),
-		SizeA:  len(f.Arena),
+		SizeA:  len(f.Boxes),
 		cfg:    cfg,
-		arena:  f.Arena,
+		boxes:  f.Boxes,
+		ids:    f.IDs,
 		table:  make([]entry, len(f.Nodes)),
 		extSum: make([]float64, len(f.Nodes)),
 	}
@@ -153,8 +161,8 @@ func Thaw(f *Frozen) (*Tree, error) {
 		if len(open) == maxThawDepth {
 			return nil, errCorrupt("tree deeper than %d levels", maxThawDepth)
 		}
-		if fn.AStart < 0 || fn.AEnd < fn.AStart || int(fn.AEnd) > len(f.Arena) {
-			return nil, errCorrupt("node %d arena range [%d,%d) outside arena of %d", id, fn.AStart, fn.AEnd, len(f.Arena))
+		if fn.AStart < 0 || fn.AEnd < fn.AStart || int(fn.AEnd) > t.SizeA {
+			return nil, errCorrupt("node %d arena range [%d,%d) outside arena of %d", id, fn.AStart, fn.AEnd, t.SizeA)
 		}
 		if fn.Children < 0 || int(fn.Children) > len(f.Nodes) {
 			return nil, errCorrupt("node %d child count %d", id, fn.Children)
@@ -190,8 +198,8 @@ func Thaw(f *Frozen) (*Tree, error) {
 	if len(open) > 0 {
 		return nil, errCorrupt("child counts consume more than %d nodes", len(f.Nodes))
 	}
-	if root := &t.table[0]; root.aStart != 0 || int(root.aEnd) != len(f.Arena) {
-		return nil, errCorrupt("root arena range [%d,%d) does not cover the %d-object arena", root.aStart, root.aEnd, len(f.Arena))
+	if root := &t.table[0]; root.aStart != 0 || int(root.aEnd) != t.SizeA {
+		return nil, errCorrupt("root arena range [%d,%d) does not cover the %d-object arena", root.aStart, root.aEnd, t.SizeA)
 	}
 	if t.Leaves != f.Leaves {
 		return nil, errCorrupt("leaf count %d, walk found %d", f.Leaves, t.Leaves)
@@ -205,7 +213,7 @@ func Thaw(f *Frozen) (*Tree, error) {
 	// The block directory is not part of the frozen form: it is rebuilt
 	// over the arena as it arrived, whatever order a leaf's stretch is in,
 	// on as many goroutines as a build of the arena would use.
-	t.index(buildWorkers(runtime.GOMAXPROCS(0), len(t.arena)))
+	t.index(buildWorkers(runtime.GOMAXPROCS(0), t.SizeA))
 	return t, nil
 }
 

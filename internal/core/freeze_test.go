@@ -20,12 +20,12 @@ func thawEqual(t *testing.T, want, got *Tree) {
 		t.Fatalf("shape mismatch: got (%d nodes, %d leaves, h%d, %d objs), want (%d, %d, h%d, %d)",
 			got.Nodes, got.Leaves, got.Height, got.SizeA, want.Nodes, want.Leaves, want.Height, want.SizeA)
 	}
-	if len(got.arena) != len(want.arena) {
-		t.Fatalf("arena length %d, want %d", len(got.arena), len(want.arena))
+	if len(got.boxes) != len(want.boxes) || len(got.ids) != len(want.ids) {
+		t.Fatalf("arena columns of %d boxes and %d IDs, want %d and %d", len(got.boxes), len(got.ids), len(want.boxes), len(want.ids))
 	}
-	for i := range want.arena {
-		if got.arena[i] != want.arena[i] {
-			t.Fatalf("arena[%d] = %v, want %v", i, got.arena[i], want.arena[i])
+	for i := range want.boxes {
+		if got.boxes[i] != want.boxes[i] || got.ids[i] != want.ids[i] {
+			t.Fatalf("arena object %d = %d %v, want %d %v", i, got.ids[i], got.boxes[i], want.ids[i], want.boxes[i])
 		}
 	}
 	if len(got.table) != len(want.table) || len(got.extSum) != len(want.extSum) {
@@ -123,7 +123,7 @@ func TestThawRejectsCorruption(t *testing.T) {
 		{"overconsuming-children", func(f *Frozen) { f.Nodes[0].Children = int32(len(f.Nodes)) }, "consume"},
 		{"arena-overrun", func(f *Frozen) {
 			leaf := lastLeaf(f)
-			f.Nodes[leaf].AEnd = int32(len(f.Arena) + 5)
+			f.Nodes[leaf].AEnd = int32(len(f.Boxes) + 5)
 		}, "arena"},
 		{"inverted-range", func(f *Frozen) {
 			leaf := lastLeaf(f)
@@ -133,8 +133,9 @@ func TestThawRejectsCorruption(t *testing.T) {
 		{"wrong-height", func(f *Frozen) { f.Height++ }, "height"},
 		{"mbr-drift", func(f *Frozen) { f.Nodes[0].MBR.Max[0] += 1 }, "MBR"},
 		{"extent-drift", func(f *Frozen) { f.Nodes[len(f.Nodes)-1].ExtSumA += 0.5 }, "extent"},
-		{"nan-arena-box", func(f *Frozen) { f.Arena[0].Box.Min[1] = math.NaN() }, "non-finite"},
-		{"inverted-arena-box", func(f *Frozen) { f.Arena[3].Box.Min[0] = f.Arena[3].Box.Max[0] + 1 }, "inverted"},
+		{"nan-arena-box", func(f *Frozen) { f.Boxes[0].Min[1] = math.NaN() }, "non-finite"},
+		{"inverted-arena-box", func(f *Frozen) { f.Boxes[3].Min[0] = f.Boxes[3].Max[0] + 1 }, "inverted"},
+		{"arena-id-short", func(f *Frozen) { f.IDs = f.IDs[:len(f.IDs)-1] }, "arena IDs"},
 		// The child counts of the tree as built run out exactly at its last
 		// node; one more child anywhere has no node left to be.
 		{"children-end-at-last-node", func(f *Frozen) {}, ""},
@@ -145,16 +146,18 @@ func TestThawRejectsCorruption(t *testing.T) {
 		{"parent-ends-before-last-child", func(f *Frozen) { f.Nodes[lastInner(f)].AEnd-- }, "children end at"},
 		{"child-count-short", func(f *Frozen) { f.Nodes[lastInner(f)].Children-- }, "children end at"},
 		{"root-short-of-arena", func(f *Frozen) { f.Nodes[0].AEnd-- }, "children end at"},
-		{"arena-past-the-root", func(f *Frozen) { f.Arena = append(f.Arena, f.Arena[0]) }, "does not cover"},
+		{"arena-past-the-root", func(f *Frozen) {
+			f.Boxes, f.IDs = append(f.Boxes, f.Boxes[0]), append(f.IDs, f.IDs[0])
+		}, "does not cover"},
 		{"trailing-node", func(f *Frozen) { f.Nodes = append(f.Nodes, f.Nodes[lastLeaf(f)]) }, "trailing"},
 		{"root-a-leaf", func(f *Frozen) { f.Nodes[0].Children = 0 }, "trailing"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := base.Freeze()
 			// Deep-copy the mutable parts so mutations don't leak across
-			// subtests (Arena aliases the live tree).
+			// subtests (the arena's columns alias the live tree).
 			f.Nodes = append([]FrozenNode(nil), f.Nodes...)
-			f.Arena = append([]geom.Object(nil), f.Arena...)
+			f.Boxes, f.IDs = slices.Clone(f.Boxes), slices.Clone(f.IDs)
 			tc.mutate(f)
 			_, err := Thaw(f)
 			if tc.wantErr == "" {

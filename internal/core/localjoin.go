@@ -139,11 +139,11 @@ func (t *Tree) joinTask(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *prob
 	}
 	c.Comparisons += int64(n)
 	b := &bs[task.lone]
-	as := t.arena[task.aStart:task.aEnd]
-	for ai := range as {
-		if as[ai].Box.Meets(&task.mbr) {
+	boxes, ids := t.span(task.aStart, task.aEnd)
+	for ai := range boxes {
+		if boxes[ai].Meets(&task.mbr) {
 			c.Results++
-			sink.Emit(as[ai].ID, b.ID)
+			sink.Emit(ids[ai], b.ID)
 		}
 	}
 }
@@ -338,17 +338,18 @@ func (ws *joinScratch) emit(t *Tree, aStart, aEnd, blk int32, bs []geom.Object, 
 func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *probeTask, tk *stats.Ticker, c *stats.Counters, sink stats.Sink) {
 	postDedup := t.cfg.LocalJoin == LocalJoinGridPostDedup
 	r1, r2 := int64(g.Res[1]), int64(g.Res[2])
-	as := t.arena[task.aStart:task.aEnd]
-	c.NodeTests += int64(len(as))
-	for ai := range as {
+	boxes, ids := t.span(task.aStart, task.aEnd)
+	c.NodeTests += int64(len(boxes))
+	for ai := range boxes {
 		if tk.Stopped() {
 			return
 		}
-		a := &as[ai]
-		if !a.Box.Meets(&task.mbr) {
+		a := &boxes[ai]
+		if !a.Meets(&task.mbr) {
 			continue
 		}
-		aLo, aHi := g.Range(a.Box)
+		aID := ids[ai]
+		aLo, aHi := g.Range(*a)
 		// need: the dimensions in which the cell is not a's first, where
 		// b must begin; each bit joins after its loop's first pass.
 		needX := uint8(0)
@@ -373,9 +374,9 @@ func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *pro
 							// Paper mode: test in every shared cell, keep
 							// the hit only in the owning cell.
 							c.Comparisons++
-							if a.Box.Meets(&b.Box) && owns {
+							if a.Meets(&b.Box) && owns {
 								c.Results++
-								sink.Emit(a.ID, b.ID)
+								sink.Emit(aID, b.ID)
 							}
 							continue
 						}
@@ -384,9 +385,9 @@ func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *pro
 							continue
 						}
 						c.Comparisons++
-						if a.Box.Meets(&b.Box) {
+						if a.Meets(&b.Box) {
 							c.Results++
-							sink.Emit(a.ID, b.ID)
+							sink.Emit(aID, b.ID)
 						}
 					}
 				}
@@ -481,12 +482,18 @@ func gridWork(mbr geom.Box, res grid.Coords, nA, nB, extA, extB float64) float64
 }
 
 // sweepJoin plane-sweeps the subtree's A objects against the node's B
-// objects. The A objects are copied into worker scratch before sorting
-// (the arena must stay in leaf order); the B objects were gathered into
-// that scratch already (Probe.nodeB), so they are sorted in place.
+// objects. The A objects are gathered from the arena's two columns into
+// worker scratch before sorting (the arena must stay in leaf order); the
+// B objects were gathered into that scratch already (Probe.nodeB), so
+// they are sorted in place.
 func (t *Tree) sweepJoin(id int32, bs []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink, ws *joinScratch) {
 	byXMin := func(a, b geom.Object) int { return cmp.Compare(a.Box.Min[0], b.Box.Min[0]) }
-	as := append(ws.aObjs[:0], t.subtreeA(id)...)
+	e := &t.table[id]
+	boxes, ids := t.span(e.aStart, e.aEnd)
+	as := slices.Grow(ws.aObjs[:0], len(boxes))
+	for i := range boxes {
+		as = append(as, geom.Object{ID: ids[i], Box: boxes[i]})
+	}
 	ws.aObjs = as
 	slices.SortFunc(as, byXMin)
 	slices.SortFunc(bs, byXMin)
@@ -501,17 +508,18 @@ func (t *Tree) sweepJoin(id int32, bs []geom.Object, tk *stats.Ticker, c *stats.
 
 // nestedJoin is the unpartitioned local join: all pairs.
 func (t *Tree) nestedJoin(id int32, bs []geom.Object, tk *stats.Ticker, c *stats.Counters, sink stats.Sink) {
-	as := t.subtreeA(id)
-	for ai := range as {
-		a := &as[ai]
+	e := &t.table[id]
+	boxes, ids := t.span(e.aStart, e.aEnd)
+	for ai := range boxes {
+		a := &boxes[ai]
 		for i := range bs {
 			if tk.Tick() {
 				return
 			}
 			c.Comparisons++
-			if a.Box.Meets(&bs[i].Box) {
+			if a.Meets(&bs[i].Box) {
 				c.Results++
-				sink.Emit(a.ID, bs[i].ID)
+				sink.Emit(ids[ai], bs[i].ID)
 			}
 		}
 	}

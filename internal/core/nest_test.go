@@ -37,12 +37,15 @@ func checkNests(t *testing.T, name string, tr *Tree, ds geom.Dataset, cfg Config
 			maxExt[d] = max(maxExt[d], ds[i].Box.Extent(d))
 		}
 	}
-	ordered, stages := str.PackStages(ds, func(o geom.Object) geom.Point { return o.Box.Center() },
+	order, stages := str.PackStages(ds, func(o geom.Object) geom.Point { return o.Box.Center() },
 		str.GroupSizeFor(len(ds), cfg.Partitions), 1)
 
 	// The arena is STR's output order, the leaves its groups.
-	if !slices.Equal(tr.arena, ordered) {
-		t.Fatalf("%s: the arena is not STR's output order", name)
+	arena := objects(tr.Arena())
+	for i, j := range order {
+		if arena[i] != ds[j] {
+			t.Fatalf("%s: the arena is not STR's output order", name)
+		}
 	}
 	groups := stages[len(stages)-1]
 	if tr.Leaves != len(groups)-1 {
@@ -154,7 +157,7 @@ func TestUpperLevelsNest(t *testing.T) {
 			}
 			wg.Wait()
 			if !slices.Equal(trees[0].table, trees[1].table) || !slices.Equal(trees[0].extSum, trees[1].extSum) ||
-				!slices.Equal(trees[0].arena, trees[1].arena) || !slices.Equal(trees[0].blocks, trees[1].blocks) {
+				!slices.Equal(trees[0].boxes, trees[1].boxes) || !slices.Equal(trees[0].ids, trees[1].ids) || !slices.Equal(trees[0].blocks, trees[1].blocks) {
 				t.Errorf("%s: two concurrent builds of one dataset differ", name)
 			}
 			checkNests(t, name, trees[0], tc.ds, cfg)

@@ -220,8 +220,8 @@ func TestParallelLargeRace(t *testing.T) {
 func TestArenaInvariant(t *testing.T) {
 	a := datagen.ClusteredSet(900, 451)
 	tr := Build(a, Config{Partitions: 64, Fanout: 3})
-	if len(tr.arena) != len(a) {
-		t.Fatalf("arena holds %d objects, want %d", len(tr.arena), len(a))
+	if len(tr.boxes) != len(a) || len(tr.ids) != len(a) {
+		t.Fatalf("arena holds %d boxes and %d IDs, want %d", len(tr.boxes), len(tr.ids), len(a))
 	}
 	next := int32(0)
 	for i := range tr.table {
@@ -230,7 +230,8 @@ func TestArenaInvariant(t *testing.T) {
 			if n.aStart != next {
 				t.Fatalf("leaf range starts at %d, want %d", n.aStart, next)
 			}
-			if es := tr.subtreeA(id); len(es) != n.aCount() || (len(es) > 0 && &es[0] != &tr.arena[n.aStart]) {
+			if boxes, ids := tr.span(n.aStart, n.aEnd); len(boxes) != n.aCount() || len(ids) != n.aCount() ||
+				(len(boxes) > 0 && (&boxes[0] != &tr.boxes[n.aStart] || &ids[0] != &tr.ids[n.aStart])) {
 				t.Fatal("a leaf's objects are not its arena segment")
 			}
 			next = n.aEnd
@@ -241,7 +242,7 @@ func TestArenaInvariant(t *testing.T) {
 			t.Fatalf("inner range [%d,%d) does not span its children", n.aStart, n.aEnd)
 		}
 	}
-	if next != int32(len(tr.arena)) {
-		t.Fatalf("leaves tile %d of %d arena slots", next, len(tr.arena))
+	if next != int32(len(tr.boxes)) {
+		t.Fatalf("leaves tile %d of %d arena slots", next, len(tr.boxes))
 	}
 }

@@ -14,7 +14,8 @@ import (
 // box, point or k-nearest-neighbor question at a time against the
 // indexed dataset A, reusing the same immutable structure: node MBRs
 // prune the descent, the dense-DFS arena layout turns every subtree
-// into one contiguous [aStart, aEnd) scan, and inside a leaf the block
+// into one contiguous [aStart, aEnd) stretch of the arena's two columns
+// — its boxes to test, its IDs to answer with — and inside a leaf the block
 // directory prunes once more, leafBlock objects at a time, and a range
 // query's scan of a block once more, to its z window. Pre-order with
 // skip links (entry) needs no stack, so the range walk is one forward
@@ -70,9 +71,15 @@ func (p *Probe) RangeQuery(q geom.Box, c *stats.Counters, upper ...*Tree) []geom
 	return s.ids
 }
 
+// Recycle gives the probe back ids, the answer of its last RangeQuery
+// after the caller appended to it in place, so that its next query
+// appends into whatever larger array the caller's appends grew.
+func (p *Probe) Recycle(ids []geom.ID) { p.query.ids = ids[:0] }
+
 // rangeQuery appends t's answer to q, ascending, to s.ids. It walks the
 // node table front to back: a node that misses q is left by its skip
-// link, and so is one q contains, after its arena range is emitted; any
+// link, and so is one q contains, after the IDs of its arena range are
+// copied into the answer, as are a contained block's; any
 // other inner node is followed by its first child, any other leaf is
 // scanned block by block, each block over its z window with the
 // branch-free test (geom.AppendMeeting), and followed by its skip link,
@@ -87,14 +94,14 @@ func (s *queryScratch) rangeQuery(t *Tree, q *geom.Box, c *stats.Counters) {
 		case !e.mbr.Meets(q):
 			i = e.skip
 		case q.Covers(&e.mbr):
-			s.emit(t.arena[e.aStart:e.aEnd])
+			s.ids = append(s.ids, t.ids[e.aStart:e.aEnd]...)
 			i = e.skip
 		case !e.leaf(i):
 			i++
 		default:
 			blocks := e.blocks()
 			for bi := int32(0); bi < blocks; bi++ {
-				es := t.block(e, bi)
+				boxes, ids := t.block(e, bi)
 				if blocks > 1 {
 					nodeTests++
 					blk := &t.blocks[e.block+bi]
@@ -102,13 +109,13 @@ func (s *queryScratch) rangeQuery(t *Tree, q *geom.Box, c *stats.Counters) {
 						continue
 					}
 					if q.Covers(blk) {
-						s.emit(es)
+						s.ids = append(s.ids, ids...)
 						continue
 					}
 				}
-				lo, hi := t.zRun(e.block+bi, int32(len(es)), q)
+				lo, hi := t.zRun(e.block+bi, int32(len(boxes)), q)
 				comparisons += int(hi - lo)
-				s.ids = geom.AppendMeeting(s.ids, es[lo:hi], q)
+				s.ids = geom.AppendMeeting(s.ids, boxes[lo:hi], ids[lo:hi], q)
 			}
 			i = e.skip
 		}
@@ -119,24 +126,16 @@ func (s *queryScratch) rangeQuery(t *Tree, q *geom.Box, c *stats.Counters) {
 	s.sortIDs(s.ids[from:])
 }
 
-// emit appends the IDs of es, objects q contains whole — a subtree's
-// arena range or a block — without per-object tests.
-func (s *queryScratch) emit(es []geom.Object) {
-	for i := range es {
-		s.ids = append(s.ids, es[i].ID)
-	}
-}
-
 // blocks returns how many blocks the leaf entry e has in the directory
 // (an inner node has none of its own; its entry's count means nothing).
 func (e *entry) blocks() int32 {
 	return (e.aEnd - e.aStart + leafBlock - 1) / leafBlock
 }
 
-// block returns the objects of block bi of the leaf entry e.
-func (t *Tree) block(e *entry, bi int32) []geom.Object {
+// block returns the boxes and IDs of block bi of the leaf entry e.
+func (t *Tree) block(e *entry, bi int32) ([]geom.Box, []geom.ID) {
 	start := e.aStart + bi*leafBlock
-	return t.arena[start:min(start+leafBlock, e.aEnd)]
+	return t.span(start, min(start+leafBlock, e.aEnd))
 }
 
 // knnItem is one entry of the kNN search queue: a tree node (blk < 0) or
@@ -241,21 +240,21 @@ func (s *queryScratch) enqueue(mbr *geom.Box, q geom.Point, k int, node, blk int
 	siftUp(s.queue, len(s.queue)-1)
 }
 
-// offer runs the objects es past the k-slot heap s.nbrs: an object enters
-// when fewer than k are held or it precedes the worst of them in
-// (Distance, ID) order — and only then is it looked up in skip. The
-// distance is Box.PointDistance's, and geom.NextWithin skips, without a
-// branch per dimension, every object whose square of it is past the bound
-// (farther), so strictly beyond the worst neighbour held: most objects of
-// a block, and of a long unindexed stretch.
-func (s *queryScratch) offer(es []geom.Object, q geom.Point, k int, skip []geom.ID) {
+// offer runs the objects of the two columns boxes and ids past the k-slot
+// heap s.nbrs: an object enters when fewer than k are held or it precedes
+// the worst of them in (Distance, ID) order — and only then is it looked
+// up in skip. The distance is Box.PointDistance's, and geom.NextWithin
+// skips, without a branch per dimension, every object whose square of it
+// is past the bound (farther), so strictly beyond the worst neighbour
+// held: most objects of a block, and of a long unindexed stretch.
+func (s *queryScratch) offer(boxes []geom.Box, ids []geom.ID, q geom.Point, k int, skip []geom.ID) {
 	limit := s.limit(k)
 	for i := 0; ; i++ {
 		var sum float64
-		if i, sum = geom.NextWithin(es, i, &q, limit); i == len(es) {
+		if i, sum = geom.NextWithin(boxes, i, &q, limit); i == len(boxes) {
 			return
 		}
-		nb := geom.Neighbor{ID: es[i].ID, Distance: math.Sqrt(sum)}
+		nb := geom.Neighbor{ID: ids[i], Distance: math.Sqrt(sum)}
 		full := len(s.nbrs) == k
 		if full && !after(s.nbrs[0], nb) {
 			continue
@@ -349,31 +348,31 @@ func (p *Probe) Nearest(q geom.Point, k int, c *stats.Counters, skip []geom.ID, 
 	}
 }
 
-// Offer improves the neighbours Nearest left in the probe with objs,
-// objects no tree holds — the unindexed tail of a tiered index — under
-// the same k, skip list and (Distance, ID) order. Distance evaluations
-// here are not charged to any counter.
+// Offer improves the neighbours Nearest left in the probe with objects no
+// tree holds — the unindexed tail of a tiered index, its boxes and IDs
+// two columns of one order — under the same k, skip list and (Distance,
+// ID) order. Distance evaluations here are not charged to any counter.
 //
 // With ext = +Inf the objects may come in any order and every one is
 // offered. Otherwise they are sorted by Min[0] and Min[0] + ext is at
-// least Max[0] for each one (a sealed delta.Run), and only a window of
-// them is offered: right of q's x an object's x-gap is at least
-// Min[0] − q[0], left of it at least q[0] − (Min[0] + ext), each growing
-// away from q, so one binary search per side finds where that bound
-// alone first puts an object strictly beyond the k-th neighbour held —
-// where offer would drop it, and everything further out.
-func (p *Probe) Offer(objs []geom.Object, ext float64, q geom.Point, k int, skip []geom.ID) {
+// least Max[0] for each one (a delta.Run), and only a window of them is
+// offered: right of q's x an object's x-gap is at least Min[0] − q[0],
+// left of it at least q[0] − (Min[0] + ext), each growing away from q, so
+// one binary search per side finds where that bound alone first puts an
+// object strictly beyond the k-th neighbour held — where offer would drop
+// it, and everything further out.
+func (p *Probe) Offer(boxes []geom.Box, ids []geom.ID, ext float64, q geom.Point, k int, skip []geom.ID) {
 	s := &p.query
 	switch {
 	case k <= 0:
 	case math.IsInf(ext, 1):
-		s.offer(objs, q, k, skip)
+		s.offer(boxes, ids, q, k, skip)
 	default:
 		limit := s.limit(k)
 		beyond := func(g float64) bool { return g > 0 && g*g > limit }
-		hi := sort.Search(len(objs), func(i int) bool { return beyond(objs[i].Box.Min[0] - q[0]) })
-		lo := sort.Search(hi, func(i int) bool { return !beyond(q[0] - (objs[i].Box.Min[0] + ext)) })
-		s.offer(objs[lo:hi], q, k, skip)
+		hi := sort.Search(len(boxes), func(i int) bool { return beyond(boxes[i].Min[0] - q[0]) })
+		lo := sort.Search(hi, func(i int) bool { return !beyond(q[0] - (boxes[i].Min[0] + ext)) })
+		s.offer(boxes[lo:hi], ids[lo:hi], q, k, skip)
 	}
 }
 
@@ -411,9 +410,9 @@ func (s *queryScratch) nearest(t *Tree, q geom.Point, k int, c *stats.Counters, 
 		blocks := e.blocks()
 		switch {
 		case it.blk >= 0:
-			es := t.block(e, it.blk)
-			c.Comparisons += int64(len(es))
-			s.offer(es, q, k, skip)
+			boxes, ids := t.block(e, it.blk)
+			c.Comparisons += int64(len(boxes))
+			s.offer(boxes, ids, q, k, skip)
 		case !e.leaf(it.node):
 			for ch := it.node + 1; ch < e.skip; ch = tab[ch].skip {
 				c.NodeTests++
@@ -425,9 +424,9 @@ func (s *queryScratch) nearest(t *Tree, q geom.Point, k int, c *stats.Counters, 
 				s.enqueue(&t.blocks[e.block+bi], q, k, it.node, bi)
 			}
 		default:
-			es := t.arena[e.aStart:e.aEnd]
-			c.Comparisons += int64(len(es))
-			s.offer(es, q, k, skip)
+			boxes, ids := t.span(e.aStart, e.aEnd)
+			c.Comparisons += int64(len(boxes))
+			s.offer(boxes, ids, q, k, skip)
 		}
 	}
 }

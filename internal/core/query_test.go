@@ -456,13 +456,15 @@ func TestTieredQueriesMatchOracle(t *testing.T) {
 		c = stats.Counters{}
 		p.Nearest(pt, k, &c, skip, upper...)
 		if i%2 == 0 {
-			p.Offer(tail, math.Inf(1), pt, k, skip)
+			boxes, ids := columns(tail)
+			p.Offer(boxes, ids, math.Inf(1), pt, k, skip)
 		} else { // the tail as a delta holds it: sealed x-sorted runs, then the rest
 			runs := delta.Seal(nil, tail)
 			for _, r := range runs {
-				p.Offer(r.Objects, r.Ext, pt, k, skip)
+				p.Offer(r.Boxes, r.IDs, r.Ext, pt, k, skip)
 			}
-			p.Offer(tail[delta.Sealed(runs):], math.Inf(1), pt, k, skip)
+			boxes, ids := columns(tail[delta.Sealed(runs):])
+			p.Offer(boxes, ids, math.Inf(1), pt, k, skip)
 		}
 		if got, want := p.Neighbors(&c), nl.KNN(live, pt, k); !slices.Equal(got, want) {
 			t.Fatalf("tiered KNN(%v, %d):\n got %v\nwant %v", pt, k, got, want)

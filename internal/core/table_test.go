@@ -57,8 +57,8 @@ func checkTable(t *testing.T, name string, tr *Tree) {
 		t.Fatalf("%s: %d table entries (cap %d), %d extent sums (cap %d) for %d nodes",
 			name, len(tr.table), cap(tr.table), len(tr.extSum), cap(tr.extSum), tr.Nodes)
 	}
-	if root := &tr.table[0]; root.aStart != 0 || int(root.aEnd) != len(tr.arena) || int(root.skip) != tr.Nodes {
-		t.Fatalf("%s: the root covers arena [%d,%d) and ends at node %d; %d objects, %d nodes", name, root.aStart, root.aEnd, root.skip, len(tr.arena), tr.Nodes)
+	if root := &tr.table[0]; root.aStart != 0 || int(root.aEnd) != len(tr.boxes) || int(root.skip) != tr.Nodes {
+		t.Fatalf("%s: the root covers arena [%d,%d) and ends at node %d; %d objects, %d nodes", name, root.aStart, root.aEnd, root.skip, len(tr.boxes), tr.Nodes)
 	}
 	next, leaves := int32(0), 0 // next unclaimed entry of tr.blocks
 	for i := range tr.table {
@@ -70,7 +70,7 @@ func checkTable(t *testing.T, name string, tr *Tree) {
 		if e.skip != want {
 			t.Fatalf("%s: node %d skip %d, want %d", name, id, e.skip, want)
 		}
-		if union := geom.Dataset(tr.arena[e.aStart:e.aEnd]).MBR(); e.mbr != union {
+		if union := objects(tr.span(e.aStart, e.aEnd)).MBR(); e.mbr != union {
 			t.Fatalf("%s: node %d MBR %v, its objects' %v", name, id, e.mbr, union)
 		}
 		if e.block != next {
@@ -92,8 +92,8 @@ func checkTable(t *testing.T, name string, tr *Tree) {
 		leaves++
 		covered := e.aStart
 		for bi := int32(0); bi < e.blocks(); bi++ {
-			es := tr.block(e, bi)
-			if len(es) == 0 || &es[0] != &tr.arena[covered] || (len(es) != leafBlock && bi != e.blocks()-1) {
+			es, _ := tr.block(e, bi)
+			if len(es) == 0 || &es[0] != &tr.boxes[covered] || (len(es) != leafBlock && bi != e.blocks()-1) {
 				t.Fatalf("%s: leaf %d block %d: %d objects from arena %d", name, id, bi, len(es), covered)
 			}
 			covered += int32(len(es))

@@ -52,9 +52,9 @@ func TestProbeTasksLoseNoPair(t *testing.T) {
 		{name: "leaves-of-three-blocks", a: datagen.ClusteredSet(nA, 604).Expand(6), cfg: Config{Partitions: 4}},
 	} {
 		tr := Build(shape.a, shape.cfg)
-		arenaPos := make(map[geom.ID]int32, len(tr.arena))
-		for i := range tr.arena {
-			arenaPos[tr.arena[i].ID] = int32(i)
+		arenaPos := make(map[geom.ID]int32, len(tr.ids))
+		for i, id := range tr.ids {
+			arenaPos[id] = int32(i)
 		}
 		for _, nB := range []int{1, 8, 64, 4 * nA} {
 			name := fmt.Sprintf("%s/B=%d", shape.name, nB)
@@ -92,7 +92,7 @@ func TestProbeTasksLoseNoPair(t *testing.T) {
 				reached := false
 				for _, task := range tasks[id] {
 					if task.aStart <= pos && pos < task.aEnd {
-						reached = tr.arena[pos].Box.Intersects(task.mbr)
+						reached = tr.boxes[pos].Intersects(task.mbr)
 						if task.lone >= 0 && b[p.nodeIdx(id)[task.lone]].ID != pair.B {
 							t.Fatalf("%s: pair %v: its A object is in a task B object %d reaches alone",
 								name, pair, b[p.nodeIdx(id)[task.lone]].ID)
@@ -170,8 +170,8 @@ func TestLoneTasksBuildNoGrid(t *testing.T) {
 		return geom.Dataset{{ID: 1, Box: geom.NewBox(geom.Sub(p, geom.Point{r, r, r}), geom.Add(p, geom.Point{r, r, r}))}}
 	}
 	var inLeaf geom.Dataset
-	for i := range tr.arena {
-		b := around(tr.arena[i].Box.Center(), 25)
+	for i := range tr.boxes {
+		b := around(tr.boxes[i].Center(), 25)
 		if id := tr.AssignOne(&b[0].Box, &stats.Counters{}); id >= 0 && tr.table[id].leaf(id) {
 			inLeaf = b
 			break

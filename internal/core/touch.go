@@ -70,14 +70,19 @@
 // ids are the sequential processing order, and a Probe addresses per-node
 // B segments by id without touching the shared tree.
 //
-// All A objects live in one contiguous arena slice — the one STR ordered
-// them into, never copied — leaf by leaf in the same order: every node's
-// subtree covers exactly the half-open arena range [aStart, aEnd), leaves
-// included, so local joins read their A objects as a zero-copy slice view
-// instead of re-walking the subtree. Nothing may reorder the arena after
-// Build (local joins that need a different order, e.g. the plane-sweep,
-// must copy first — a node's B objects are gathered into worker scratch
-// and may be reordered freely).
+// All A objects live in one arena of two columns: boxes, 48 bytes an
+// object, and IDs, 4, one slice each and the same order — the order STR
+// packed them in, gathered once from the input by its permutation, and
+// leaf by leaf in the table's order. An object is its index in both: no
+// padding sits between an ID and its box, and a reader loads only the
+// column it needs — a box test the boxes, an answer the IDs, copied
+// whole from a covered subtree or block. Every node's subtree covers
+// exactly the half-open arena range [aStart, aEnd), leaves included, so
+// local joins and probes read their A objects as zero-copy views of the
+// two columns over that range instead of re-walking the subtree. Nothing
+// may reorder the arena after Build (local joins that need a different
+// order, e.g. the plane-sweep, must copy first — a node's B objects are
+// gathered into worker scratch and may be reordered freely).
 //
 // Under every leaf sits a block directory: one MBR per leafBlock
 // consecutive arena objects of the leaf, so a single probe — a range
@@ -269,10 +274,12 @@ type Tree struct {
 	SizeA  int // objects indexed
 	cfg    Config
 
-	// arena holds all A objects contiguously, ordered leaf by leaf in
-	// DFS order, which is STR's output order; node [aStart, aEnd) ranges
-	// index into it.
-	arena []geom.Object
+	// boxes and ids are the arena, all A objects in two columns of one
+	// order: object i's box is boxes[i] and its ID ids[i]. The order is
+	// leaf by leaf in DFS order, which is STR's output order; node
+	// [aStart, aEnd) ranges index into both.
+	boxes []geom.Box
+	ids   []geom.ID
 
 	// table is the hierarchy: one entry per node at the node's dense id,
 	// in DFS pre-order, the root first (see entry).
@@ -318,17 +325,17 @@ func (e *entry) aCount() int { return int(e.aEnd - e.aStart) }
 // filled in), so a snapshot can reproduce the exact tree on reload.
 func (t *Tree) Config() Config { return t.cfg }
 
-// Arena returns the indexed objects as the tree holds them, leaf by
-// leaf in DFS order — STR's order, not ID order. Read-only: it is the
-// tree's own storage, and the only copy of its objects a served tier
-// keeps.
-func (t *Tree) Arena() []geom.Object { return t.arena }
+// Arena returns the indexed objects as the tree holds them, in two
+// columns of one order, leaf by leaf in DFS order — STR's order, not ID
+// order: object i's box is boxes[i] and its ID ids[i]. Read-only: they
+// are the tree's own storage, and the only copy of its objects a served
+// tier keeps.
+func (t *Tree) Arena() (boxes []geom.Box, ids []geom.ID) { return t.boxes, t.ids }
 
-// subtreeA returns the A objects of node i's descendant leaves as a
-// zero-copy view into the arena.
-func (t *Tree) subtreeA(i int32) []geom.Object {
-	e := &t.table[i]
-	return t.arena[e.aStart:e.aEnd:e.aEnd]
+// span returns the arena range [lo, hi) as zero-copy views of its two
+// columns.
+func (t *Tree) span(lo, hi int32) ([]geom.Box, []geom.ID) {
+	return t.boxes[lo:hi:hi], t.ids[lo:hi:hi]
 }
 
 // Build runs the tree-building phase on dataset A: Algorithm 2's leaves,
@@ -341,16 +348,16 @@ func Build(a geom.Dataset, cfg Config) *Tree { return BuildExpanded(a, 0, cfg, r
 
 // BuildExpanded is Build over a with every box enlarged by eps
 // (geom.Box.Expand), without copying a: STR sorts by the centres of the
-// grown boxes, and the boxes are grown in the arena STR gathers, the
-// tree's own copy of A — so the tree is bit for bit Build(a.Expand(eps)).
-// eps = 0 is Build, with no arithmetic on the boxes.
+// grown boxes, and the boxes are grown as the arena is gathered in STR's
+// order, into the tree's own two columns — so the tree is bit for bit
+// Build(a.Expand(eps)). eps = 0 is Build, with no arithmetic on the
+// boxes.
 //
 // The build runs on up to workers goroutines, and on one (also for
 // workers ≤ 1) below the parallel floor: STR's pack (str.PackStages), the
-// growth of the arena by eps and the block directory each split their
-// objects into consecutive ranges, at most one range a goroutine per
-// buildFloor objects. The tree is bit for bit the same whatever the
-// count.
+// gather of the arena and the block directory each split their objects
+// into consecutive ranges, at most one range a goroutine per buildFloor
+// objects. The tree is bit for bit the same whatever the count.
 func BuildExpanded(a geom.Dataset, eps float64, cfg Config, workers int) *Tree {
 	cfg.fillDefaults()
 	t := &Tree{SizeA: len(a), cfg: cfg}
@@ -365,15 +372,18 @@ func BuildExpanded(a geom.Dataset, eps float64, cfg Config, workers int) *Tree {
 	if eps != 0 {
 		centre = func(o geom.Object) geom.Point { return o.Box.Expand(eps).Center() }
 	}
-	arena, stages := str.PackStages(a, centre, bucketSize, workers)
-	if eps != 0 {
-		str.Spread(len(arena), workers, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				arena[i].Box = arena[i].Box.Expand(eps)
+	order, stages := str.PackStages(a, centre, bucketSize, workers)
+	boxes, ids := make([]geom.Box, len(a)), make([]geom.ID, len(a))
+	str.Spread(len(a), workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			o := &a[order[i]]
+			boxes[i], ids[i] = o.Box, o.ID
+			if eps != 0 {
+				boxes[i].Grow(eps)
 			}
-		})
-	}
-	t.arena = arena
+		}
+	})
+	t.boxes, t.ids = boxes, ids
 	// The buckets are the runs of STR's last cut, and a tree has the most
 	// nodes for its leaves when every inner node has two children.
 	t.Leaves = len(stages[geom.Dims-1]) - 1
@@ -454,9 +464,9 @@ func (t *Tree) derive(i int32) (geom.Box, float64) {
 		}
 		return mbr, ext
 	}
-	es := t.arena[e.aStart:e.aEnd]
-	for j := range es {
-		b := &es[j].Box
+	boxes, _ := t.span(e.aStart, e.aEnd)
+	for j := range boxes {
+		b := &boxes[j]
 		mbr.Extend(b)
 		for d := 0; d < geom.Dims; d++ {
 			ext += b.Extent(d)
@@ -488,25 +498,26 @@ func (t *Tree) index(workers int) {
 				continue
 			}
 			for bi := int32(0); bi < e.blocks(); bi++ {
-				t.blocks[e.block+bi], t.windows[e.block+bi] = entries(t.block(e, bi))
+				boxes, _ := t.block(e, bi)
+				t.blocks[e.block+bi], t.windows[e.block+bi] = entries(boxes)
 			}
 		}
 	})
 }
 
-// entries returns the directory's entries for the block es, in one pass
-// over its objects: its MBR, the union of its objects in arena order the
+// entries returns the directory's entries for the block of the boxes, in
+// one pass over them: its MBR, the union of the boxes in arena order the
 // way derive unions a leaf's, and its z window (zWindow). The window's
 // half extent is stepped up, as delta's runs step theirs, until it
 // reaches every object's centre from both of its corners in floating
 // point; a non-finite centre, or one below its predecessor's, leaves the
 // block without a window.
-func entries(es []geom.Object) (geom.Box, zWindow) {
+func entries(boxes []geom.Box) (geom.Box, zWindow) {
 	mbr := geom.EmptyBox()
 	var centres [leafBlock / zStride]float64
 	half, prev, ordered := 0.0, math.Inf(-1), true
-	for j := range es {
-		b := &es[j].Box
+	for j := range boxes {
+		b := &boxes[j]
 		mbr.Extend(b)
 		zlo, zhi := b.Min[2], b.Max[2]
 		c := (zlo + zhi) / 2
@@ -534,7 +545,7 @@ func entries(es []geom.Object) (geom.Box, zWindow) {
 	}
 	w := zWindow{half: half}
 	lo, scale := mbr.Min[2], zScale(&mbr)
-	used := (len(es) + zStride - 1) / zStride
+	used := (len(boxes) + zStride - 1) / zStride
 	for k := range w.keys {
 		w.keys[k] = 255
 		if k < used {

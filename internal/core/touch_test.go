@@ -123,9 +123,10 @@ func TestBuildTreeShape(t *testing.T) {
 		if !e.leaf(id) {
 			continue
 		}
-		for _, o := range tr.subtreeA(id) {
-			if !e.mbr.Contains(o.Box) {
-				t.Fatalf("entry box %v not inside leaf %v", o.Box, e.mbr)
+		boxes, _ := tr.span(e.aStart, e.aEnd)
+		for _, b := range boxes {
+			if !e.mbr.Contains(b) {
+				t.Fatalf("entry box %v not inside leaf %v", b, e.mbr)
 			}
 		}
 		count += e.aCount()
@@ -155,7 +156,7 @@ func TestBuildDeterministic(t *testing.T) {
 			t.Fatalf("node %d: MBR %v, then %v", id, t1.table[id].mbr, t2.table[id].mbr)
 		}
 	}
-	if !slices.Equal(t1.arena, t2.arena) {
+	if !slices.Equal(t1.boxes, t2.boxes) || !slices.Equal(t1.ids, t2.ids) {
 		t.Fatal("the two builds order the arena differently")
 	}
 }

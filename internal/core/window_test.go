@@ -91,14 +91,7 @@ func TestZWindowJoins(t *testing.T) {
 	}
 	shuffled := func() *Tree {
 		f := Build(integral, cfg).Freeze()
-		f.Arena = slices.Clone(f.Arena)
-		rng := rand.New(rand.NewSource(952))
-		for _, fn := range f.Nodes {
-			if fn.Children == 0 {
-				leaf := f.Arena[fn.AStart:fn.AEnd]
-				rng.Shuffle(len(leaf), func(i, j int) { leaf[i], leaf[j] = leaf[j], leaf[i] })
-			}
-		}
+		shuffleLeaves(f, rand.New(rand.NewSource(952)))
 		tr, err := Thaw(f)
 		if err != nil {
 			t.Fatalf("Thaw of a shuffled arena: %v", err)
@@ -222,7 +215,7 @@ func lonePartialBlock(tr *Tree, b geom.Dataset) bool {
 				if !e.leaf(leaf) || task.aStart < e.aStart || task.aStart >= e.aEnd {
 					continue
 				}
-				if len(tr.block(e, (task.aStart-e.aStart)/leafBlock)) < leafBlock {
+				if boxes, _ := tr.block(e, (task.aStart-e.aStart)/leafBlock); len(boxes) < leafBlock {
 					return true
 				}
 			}
@@ -254,7 +247,7 @@ func TestZRun(t *testing.T) {
 			continue
 		}
 		for bi := int32(0); bi < e.blocks(); bi++ {
-			es := tr.block(e, bi)
+			es, _ := tr.block(e, bi)
 			blk := e.block + bi
 			for q := 0; q < 50; q++ {
 				z := rng.Float64()*1100 - 50
@@ -264,7 +257,7 @@ func TestZRun(t *testing.T) {
 					t.Fatalf("block %d of %d objects: run [%d,%d)", blk, len(es), lo, hi)
 				}
 				for j := range es {
-					if (int32(j) < lo || int32(j) >= hi) && es[j].Box.Meets(&box) {
+					if (int32(j) < lo || int32(j) >= hi) && es[j].Meets(&box) {
 						t.Fatalf("block %d: object %d meets %v outside the run [%d,%d)", blk, j, box, lo, hi)
 					}
 				}

@@ -32,7 +32,9 @@
 // so a range query tests only the window of each run its box can reach
 // along x and a kNN search only the window around its point that the
 // x-gap alone does not put beyond the k-th neighbour found so far (Runs,
-// and the fewer than RunLen unsealed inserts after them, read whole).
+// and the fewer than RunLen unsealed inserts after them, read whole from
+// two columns, Rest). A run, like the rest, holds its objects as a tree
+// holds its arena: a box column and an ID column.
 // Joins, folds and membership keep reading the ID-ordered Objects.
 //
 // A fold rewrites every object with an ID at or above some cut — the
@@ -69,6 +71,11 @@ type Delta struct {
 	// fewer than RunLen. Shared across generations like inserts, and
 	// appended to under the same linear-history rule.
 	runs []Run
+	// restBoxes and restIDs are those inserts after the runs again, in ID
+	// order, in two columns, as single probes scan them: appended to under
+	// the same rule, and begun afresh when a run is sealed.
+	restBoxes []geom.Box
+	restIDs   []geom.ID
 	// tombs lists the deleted IDs whose objects some tier or the tail
 	// still holds, ascending. Never mutated after the Delta is published;
 	// Delete copies.
@@ -148,6 +155,40 @@ func (d *Delta) Runs() []Run {
 		return nil
 	}
 	return d.runs
+}
+
+// Rest returns the unsealed inserts, Objects()[Sealed(Runs()):], as a box
+// column and an ID column. The slices are the delta's own and read-only.
+func (d *Delta) Rest() ([]geom.Box, []geom.ID) {
+	if d == nil {
+		return nil, nil
+	}
+	return d.restBoxes, d.restIDs
+}
+
+// Pending returns a delta holding inserts, ID-ascending, and tombs,
+// ascending, for reading only: its runs and its rest are what Insert
+// would have sealed and left of inserts. Its next ID and its count of
+// settled tombstones mean nothing, and it takes no update.
+func Pending(inserts geom.Dataset, tombs []geom.ID) *Delta {
+	d := &Delta{inserts: inserts, runs: Seal(nil, inserts), tombs: tombs}
+	d.restBoxes, d.restIDs = appendRest(nil, nil, inserts[Sealed(d.runs):])
+	return d
+}
+
+// appendRest appends the boxes and IDs of ds to the rest's two columns;
+// a nil pair is begun with room for RunLen objects, more than a rest ever
+// holds, so that the inserts up to the next run append in place.
+func appendRest(boxes []geom.Box, ids []geom.ID, ds geom.Dataset) ([]geom.Box, []geom.ID) {
+	if boxes == nil && len(ds) > 0 {
+		boxes, ids = make([]geom.Box, 0, RunLen), make([]geom.ID, 0, RunLen)
+	}
+	n := len(boxes)
+	boxes, ids = slices.Grow(boxes, len(ds))[:n+len(ds)], slices.Grow(ids, len(ds))[:n+len(ds)]
+	for i := range ds {
+		boxes[n+i], ids[n+i] = ds[i].Box, ds[i].ID
+	}
+	return boxes, ids
 }
 
 // Tombs returns the tombstoned IDs ascending, settled ones included. The
@@ -236,9 +277,10 @@ const maxID = geom.ID(1<<31 - 1)
 // — shares, so each delta may be extended at most once by a child that
 // is kept. Forking two kept children from one parent would let the
 // second overwrite the first one's objects. Calling Insert again on the
-// same parent and discarding the earlier result is fine. The runs are
-// extended the same way: an insert that completes a stretch of RunLen
-// unsealed objects seals it.
+// same parent and discarding the earlier result is fine. The runs and
+// the rest's columns are extended the same way: an insert that completes
+// a stretch of RunLen unsealed objects seals it, and the rest begins
+// again after it.
 func (d *Delta) Insert(boxes []geom.Box) (nd *Delta, first geom.ID) {
 	first = d.nextID
 	if len(boxes) == 0 {
@@ -249,7 +291,12 @@ func (d *Delta) Insert(boxes []geom.Box) (nd *Delta, first geom.ID) {
 		inserts = append(inserts, geom.Object{ID: first + geom.ID(i), Box: b})
 	}
 	runs := Seal(d.runs, inserts[Sealed(d.runs):])
-	return &Delta{inserts: inserts, runs: runs, tombs: d.tombs, settled: d.settled, nextID: first + geom.ID(len(boxes))}, first
+	rb, ri, from := d.restBoxes, d.restIDs, len(d.inserts)
+	if len(runs) > len(d.runs) {
+		rb, ri, from = nil, nil, Sealed(runs)
+	}
+	rb, ri = appendRest(rb, ri, inserts[from:])
+	return &Delta{inserts: inserts, runs: runs, restBoxes: rb, restIDs: ri, tombs: d.tombs, settled: d.settled, nextID: first + geom.ID(len(boxes))}, first
 }
 
 // Delete returns a delta with a tombstone added for every id that is
@@ -274,7 +321,8 @@ func (d *Delta) Delete(ids []geom.ID, held func(geom.ID) bool) (nd *Delta, delet
 		tombs = append(append(tombs, old[:i]...), id)
 		old = old[i:]
 	}
-	return &Delta{inserts: d.inserts, runs: d.runs, tombs: append(tombs, old...), settled: d.settled, nextID: d.nextID}, len(add)
+	return &Delta{inserts: d.inserts, runs: d.runs, restBoxes: d.restBoxes, restIDs: d.restIDs,
+		tombs: append(tombs, old...), settled: d.settled, nextID: d.nextID}, len(add)
 }
 
 // Apply is the one update step both owners run under their writer lock:
@@ -303,21 +351,24 @@ func (d *Delta) Apply(inserts []geom.Box, deletes []geom.ID, held func(geom.ID) 
 // them; d0.Since(d0, cut) is the delta of the fold itself, nothing
 // carried over. The runs of d that lie wholly among the carried inserts
 // carry over as they are; the carried part of the one run the fold cut
-// through is sealed again on its own.
+// through is sealed again on its own, and the rest carries over, less
+// what the fold took of it.
 func (d *Delta) Since(d0 *Delta, cut geom.ID) *Delta {
 	nd := &Delta{nextID: d.nextID}
 	if n := len(d0.inserts); n < len(d.inserts) {
 		nd.inserts = d.inserts[n:]
 		at := 0
 		for _, r := range d.runs {
-			switch end := at + len(r.Objects); {
+			switch end := at + len(r.IDs); {
 			case at >= n:
 				nd.runs = append(nd.runs, r)
 			case end > n:
 				nd.runs = append(nd.runs, seal(d.inserts[n:end]))
 			}
-			at += len(r.Objects)
+			at += len(r.IDs)
 		}
+		cut := max(0, n-Sealed(d.runs))
+		nd.restBoxes, nd.restIDs = d.restBoxes[cut:], d.restIDs[cut:]
 	}
 	nd.settled, _ = slices.BinarySearch(d0.tombs, cut)
 	folded := d0.tombs[nd.settled:]

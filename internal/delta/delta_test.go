@@ -321,7 +321,7 @@ func TestSinceBelowTheCutSettles(t *testing.T) {
 	held := func(tiers ...geom.Dataset) func(geom.ID) bool {
 		return func(id geom.ID) bool {
 			for _, ds := range tiers {
-				if IDsOf(ds).Holds(id) {
+				if IDsOf(ids(ds)).Holds(id) {
 					return true
 				}
 			}

@@ -28,50 +28,47 @@ type idRun struct {
 	at    int32 // the rank of first in the set
 }
 
-// IDsOf returns the set of IDs objs holds, in any order. A repeated ID
-// counts once, so Len below len(objs) says objs repeats some. An
-// ID-ascending dataset — one loaded from a file, a fold's — is read in
-// one pass; any other takes a bitmap of its ID span, or a sorted copy of
-// its IDs where the span is sparse.
-func IDsOf(objs geom.Dataset) IDs {
-	s := IDs{n: len(objs)}
-	for i := 0; i < len(objs); {
+// IDsOf returns the set of the IDs ids, in any order — a tree's ID
+// column, or a dataset's IDs. A repeated ID counts once, so Len below
+// len(ids) says ids repeats some. ID-ascending IDs — a fold's — are read
+// in one pass; any others, a tree's in STR's order among them, take a
+// bitmap of their span, or a sorted copy where the span is sparse.
+func IDsOf(ids []geom.ID) IDs {
+	s := IDs{n: len(ids)}
+	for i := 0; i < len(ids); {
 		j := i + 1
-		for j < len(objs) && objs[j].ID > objs[j-1].ID && objs[j].ID == objs[j-1].ID+1 {
+		for j < len(ids) && ids[j] > ids[j-1] && ids[j] == ids[j-1]+1 {
 			j++
 		}
-		if j < len(objs) && objs[j].ID <= objs[j-1].ID {
-			return unordered(objs)
+		if j < len(ids) && ids[j] <= ids[j-1] {
+			return unordered(ids)
 		}
-		s.runs = append(s.runs, idRun{first: objs[i].ID, at: int32(i)})
+		s.runs = append(s.runs, idRun{first: ids[i], at: int32(i)})
 		i = j
 	}
 	return s
 }
 
-// unordered is IDsOf of a dataset that is not ID-ascending.
-func unordered(objs geom.Dataset) IDs {
-	lo, hi := objs[0].ID, objs[0].ID
-	for i := range objs {
-		lo, hi = min(lo, objs[i].ID), max(hi, objs[i].ID)
+// unordered is IDsOf of IDs that do not ascend.
+func unordered(ids []geom.ID) IDs {
+	lo, hi := ids[0], ids[0]
+	for _, id := range ids {
+		lo, hi = min(lo, id), max(hi, id)
 	}
 	span := int64(hi) - int64(lo) + 1
-	if span > 32*int64(len(objs)) {
+	if span > 32*int64(len(ids)) {
 		// Too sparse for a bitmap of the span to beat a sorted copy.
-		ids := make([]geom.ID, len(objs))
-		for i := range objs {
-			ids[i] = objs[i].ID
-		}
-		slices.Sort(ids)
+		sorted := slices.Clone(ids)
+		slices.Sort(sorted)
 		var s IDs
-		for _, id := range slices.Compact(ids) {
+		for _, id := range slices.Compact(sorted) {
 			s.add(id, 1)
 		}
 		return s
 	}
 	bm := make([]uint64, (span+63)/64)
-	for i := range objs {
-		off := uint64(int64(objs[i].ID) - int64(lo))
+	for _, id := range ids {
+		off := uint64(int64(id) - int64(lo))
 		bm[off/64] |= 1 << (off % 64)
 	}
 	var s IDs
@@ -145,22 +142,24 @@ func (s IDs) Holds(id geom.ID) bool {
 	return held
 }
 
-// Gather appends objs — whose IDs must be exactly the set — to dst in ID
-// order, each object copied once, straight to its rank. Over several
+// Gather appends the objects of the two columns boxes and ids — object
+// i's box boxes[i] and its ID ids[i], the IDs exactly the set — to dst in
+// ID order, each object written once, straight to its rank. Over several
 // runs the ranks come from a table of the ID span, built once, where the
 // span is dense enough for one (every set a fold leaves), and from Rank
 // where it is not.
-func (s IDs) Gather(dst, objs geom.Dataset) geom.Dataset {
+func (s IDs) Gather(dst geom.Dataset, boxes []geom.Box, ids []geom.ID) geom.Dataset {
 	at := len(dst)
-	dst = slices.Grow(dst, len(objs))[:at+len(objs)]
+	dst = slices.Grow(dst, len(ids))[:at+len(ids)]
 	out := dst[at:]
+	boxes = boxes[:len(ids)]
 	lo, span := s.Min(), int64(s.Max())-int64(s.Min())+1
 	switch {
 	case len(s.runs) == 1:
-		for i := range objs {
-			out[objs[i].ID-lo] = objs[i]
+		for i, id := range ids {
+			out[id-lo] = geom.Object{ID: id, Box: boxes[i]}
 		}
-	case span <= 2*int64(len(objs)):
+	case span <= 2*int64(len(ids)):
 		rank := make([]int32, span)
 		for i, r := range s.runs {
 			end := int32(s.n)
@@ -171,13 +170,13 @@ func (s IDs) Gather(dst, objs geom.Dataset) geom.Dataset {
 				rank[r.first-lo+geom.ID(k-r.at)] = k
 			}
 		}
-		for i := range objs {
-			out[rank[objs[i].ID-lo]] = objs[i]
+		for i, id := range ids {
+			out[rank[id-lo]] = geom.Object{ID: id, Box: boxes[i]}
 		}
 	default:
-		for i := range objs {
-			r, _ := s.Rank(objs[i].ID)
-			out[r] = objs[i]
+		for i, id := range ids {
+			r, _ := s.Rank(id)
+			out[r] = geom.Object{ID: id, Box: boxes[i]}
 		}
 	}
 	return dst

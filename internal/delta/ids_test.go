@@ -49,7 +49,8 @@ func TestIDsMatchSortedColumn(t *testing.T) {
 			}
 			rng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
 			col := slices.Compact(slices.Sorted(slices.Values(tc.ids)))
-			s := IDsOf(objs)
+			boxes, ids := columns(objs)
+			s := IDsOf(ids)
 			if s.Len() != len(col) || (tc.runs >= 0 && len(s.runs) != tc.runs) {
 				t.Fatalf("%d IDs in %d runs, want %d in %d", s.Len(), len(s.runs), len(col), tc.runs)
 			}
@@ -77,15 +78,25 @@ func TestIDsMatchSortedColumn(t *testing.T) {
 			}
 			byID := slices.Clone(objs)
 			slices.SortFunc(byID, func(a, b geom.Object) int { return int(int64(a.ID) - int64(b.ID)) })
-			if !reflect.DeepEqual(IDsOf(byID), s) {
+			if _, ascending := columns(byID); !reflect.DeepEqual(IDsOf(ascending), s) {
 				t.Fatal("the ID-ascending pass and the unordered one built different sets")
 			}
 			prefix := geom.Dataset{{ID: -9}}
-			if got := s.Gather(prefix, objs); !slices.Equal(got[1:], byID) || got[0].ID != -9 {
+			if got := s.Gather(prefix, boxes, ids); !slices.Equal(got[1:], byID) || got[0].ID != -9 {
 				t.Fatal("Gather did not append the objects in ID order")
 			}
 		})
 	}
+}
+
+// columns splits objs into a box column and an ID column, as a tree
+// holds its arena.
+func columns(objs geom.Dataset) ([]geom.Box, []geom.ID) {
+	boxes, ids := make([]geom.Box, len(objs)), make([]geom.ID, len(objs))
+	for i := range objs {
+		boxes[i], ids[i] = objs[i].Box, objs[i].ID
+	}
+	return boxes, ids
 }
 
 func seq(from, to geom.ID) []geom.ID {

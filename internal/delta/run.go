@@ -24,13 +24,16 @@ import (
 const RunLen = 256
 
 // Run is an immutable x-sorted copy of a stretch of consecutive unfolded
-// inserts — the read side of that stretch for single-probe queries.
-// Shared by every generation that holds the stretch; never written after
-// it is sealed.
+// inserts — the read side of that stretch for single-probe queries —
+// held, as a tree holds its arena, in two columns of one order. Shared by
+// every generation that holds the stretch; never written after it is
+// sealed.
 type Run struct {
-	// Objects are the stretch's objects ordered by (Min[0], ID), NaN
-	// first as cmp.Compare orders it.
-	Objects geom.Dataset
+	// Boxes and IDs are the stretch's objects ordered by (Min[0], ID),
+	// NaN first as cmp.Compare orders it: object i's box is Boxes[i] and
+	// its ID IDs[i].
+	Boxes []geom.Box
+	IDs   []geom.ID
 	// Ext bounds every object's x-extent from above, in floating point:
 	// Min[0] + Ext >= Max[0] for each one. It is +Inf when some object's
 	// x-extent is not finite (a NaN or infinite corner on x), and then no
@@ -38,17 +41,26 @@ type Run struct {
 	Ext float64
 }
 
-// seal returns the run of ds: a sorted copy and its extent bound.
+// seal returns the run of ds: a sorted copy, gathered into the two
+// columns, and its extent bound.
 func seal(ds geom.Dataset) Run {
-	r := Run{Objects: slices.Clone(ds)}
-	slices.SortFunc(r.Objects, func(a, b geom.Object) int {
+	order := make([]int32, len(ds))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int {
+		a, b := &ds[i], &ds[j]
 		if c := cmp.Compare(a.Box.Min[0], b.Box.Min[0]); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
-	for i := range r.Objects {
-		b := &r.Objects[i].Box
+	r := Run{Boxes: make([]geom.Box, len(ds)), IDs: make([]geom.ID, len(ds))}
+	for k, i := range order {
+		r.Boxes[k], r.IDs[k] = ds[i].Box, ds[i].ID
+	}
+	for i := range r.Boxes {
+		b := &r.Boxes[i]
 		ext := b.Max[0] - b.Min[0] // +Inf for an infinite corner, and so is Ext then
 		if math.IsNaN(ext) {
 			r.Ext = math.Inf(1)
@@ -78,22 +90,22 @@ func Seal(runs []Run, ds geom.Dataset) []Run {
 func Sealed(runs []Run) int {
 	n := 0
 	for i := range runs {
-		n += len(runs[i].Objects)
+		n += len(runs[i].IDs)
 	}
 	return n
 }
 
-// Window returns the objects of r that can meet q: those whose Min[0] is
-// at most q.Max[0] and whose Min[0] + Ext reaches q.Min[0], a contiguous
-// stretch of the x order. Every object outside it misses q along x, so
-// testing the window with Box.Meets answers as testing the whole run
-// does. q must be a valid box.
-func (r *Run) Window(q *geom.Box) []geom.Object {
-	es := r.Objects
-	hi := sort.Search(len(es), func(i int) bool { return es[i].Box.Min[0] > q.Max[0] })
+// Window returns the boxes and IDs of the objects of r that can meet q:
+// those whose Min[0] is at most q.Max[0] and whose Min[0] + Ext reaches
+// q.Min[0], a contiguous stretch of the x order. Every object outside it
+// misses q along x, so testing the window with Box.Meets answers as
+// testing the whole run does. q must be a valid box.
+func (r *Run) Window(q *geom.Box) ([]geom.Box, []geom.ID) {
+	bs := r.Boxes
+	hi := sort.Search(len(bs), func(i int) bool { return bs[i].Min[0] > q.Max[0] })
 	lo := 0
 	if !math.IsInf(r.Ext, 1) {
-		lo = sort.Search(hi, func(i int) bool { return es[i].Box.Min[0]+r.Ext >= q.Min[0] })
+		lo = sort.Search(hi, func(i int) bool { return bs[i].Min[0]+r.Ext >= q.Min[0] })
 	}
-	return es[lo:hi]
+	return bs[lo:hi], r.IDs[lo:hi]
 }

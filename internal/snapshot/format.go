@@ -156,7 +156,7 @@ func (r *Record) Marshal() ([]byte, error) {
 		if t.Tree == nil {
 			return nil, fmt.Errorf("snapshot: tier %d: nil frozen tree", i)
 		}
-		size += len(t.Tree.Arena)*objectSize + len(t.Tree.Nodes)*nodeSize
+		size += len(t.Tree.IDs)*objectSize + len(t.Tree.Nodes)*nodeSize
 	}
 
 	meta := make([]byte, 0, 64+len(r.Name)+len(r.Tiers)*tierMetaSize)
@@ -175,7 +175,7 @@ func (r *Record) Marshal() ([]byte, error) {
 		meta = binfmt.AppendF64(meta, cfg.CellFactor)
 		meta = binfmt.AppendU32(meta, uint32(cfg.LocalJoin))
 		meta = binfmt.AppendU32(meta, 0) // the retired worker slot
-		meta = binfmt.AppendU32(meta, uint32(len(t.Tree.Arena)))
+		meta = binfmt.AppendU32(meta, uint32(len(t.Tree.IDs)))
 		meta = binfmt.AppendU32(meta, uint32(len(t.Tree.Nodes)))
 		meta = binfmt.AppendU32(meta, uint32(t.Tree.Leaves))
 		meta = binfmt.AppendU32(meta, uint32(t.Tree.Height))
@@ -189,7 +189,7 @@ func (r *Record) Marshal() ([]byte, error) {
 	out = appendSection(out, meta)
 	var buf []byte
 	for _, t := range r.Tiers {
-		buf = appendObjects(buf[:0], t.Tree.Arena)
+		buf = appendObjects(buf[:0], t.Tree.Boxes, t.Tree.IDs)
 		for i := range t.Tree.Nodes {
 			n := &t.Tree.Nodes[i]
 			buf = binfmt.AppendBox(buf, n.MBR)
@@ -207,11 +207,13 @@ func (r *Record) Marshal() ([]byte, error) {
 	return appendSection(out, buf), nil
 }
 
-func appendObjects(dst []byte, objs []geom.Object) []byte {
-	dst = slices.Grow(dst, len(objs)*objectSize)
-	for i := range objs {
-		dst = binfmt.AppendU32(dst, uint32(objs[i].ID))
-		dst = binfmt.AppendBox(dst, objs[i].Box)
+// appendObjects appends the objects of the two columns boxes and ids,
+// each as its ID and its box, in order.
+func appendObjects(dst []byte, boxes []geom.Box, ids []geom.ID) []byte {
+	dst = slices.Grow(dst, len(ids)*objectSize)
+	for i, id := range ids {
+		dst = binfmt.AppendU32(dst, uint32(id))
+		dst = binfmt.AppendBox(dst, boxes[i])
 	}
 	return dst
 }
@@ -320,7 +322,7 @@ func Unmarshal(data []byte) (*Record, error) {
 
 	// legacy holds the objects sections of a format-1 or -2 file, per tier,
 	// until they are checked against the arenas.
-	var legacy []geom.Dataset
+	var legacy []objectsSection
 	for i := range rec.Tiers {
 		t, nObj, nNodes := &rec.Tiers[i], counts[i][0], counts[i][1]
 		if format != FormatVersion {
@@ -331,10 +333,11 @@ func Unmarshal(data []byte) (*Record, error) {
 			if len(objects) != nObj*objectSize {
 				return nil, corrupt("objects section is %d bytes, %d objects need %d", len(objects), nObj, nObj*objectSize)
 			}
-			legacy = append(legacy, make(geom.Dataset, nObj))
-			if err := decodeObjects(objects, legacy[i]); err != nil {
+			var sec objectsSection
+			if sec.boxes, sec.ids, err = decodeObjects(objects, nObj); err != nil {
 				return nil, err
 			}
+			legacy = append(legacy, sec)
 		}
 
 		tree, err := section(&rd, "tree")
@@ -344,8 +347,7 @@ func Unmarshal(data []byte) (*Record, error) {
 		if want := nObj*objectSize + nNodes*nodeSize; len(tree) != want {
 			return nil, corrupt("tree section is %d bytes, %d arena + %d nodes need %d", len(tree), nObj, nNodes, want)
 		}
-		t.Tree.Arena = make(geom.Dataset, nObj)
-		if err := decodeObjects(tree[:nObj*objectSize], t.Tree.Arena); err != nil {
+		if t.Tree.Boxes, t.Tree.IDs, err = decodeObjects(tree[:nObj*objectSize], nObj); err != nil {
 			return nil, err
 		}
 		nodeBuf := tree[nObj*objectSize:]
@@ -387,16 +389,15 @@ func Unmarshal(data []byte) (*Record, error) {
 // overlap, no tier above the base is empty, and the tombstones ascend,
 // each naming an object some tier holds. legacy, the objects sections of
 // a format-1 or -2 file, must hold exactly the arenas' objects.
-func (r *Record) checkTiers(legacy []geom.Dataset) error {
+func (r *Record) checkTiers(legacy []objectsSection) error {
 	last, seen := geom.ID(0), false
 	for i := range r.Tiers {
 		t := &r.Tiers[i]
-		arena := t.Tree.Arena
-		if t.IDs = delta.IDsOf(arena); t.IDs.Len() != len(arena) {
-			return corrupt("tier %d repeats %d IDs", i, len(arena)-t.IDs.Len())
+		if t.IDs = delta.IDsOf(t.Tree.IDs); t.IDs.Len() != len(t.Tree.IDs) {
+			return corrupt("tier %d repeats %d IDs", i, len(t.Tree.IDs)-t.IDs.Len())
 		}
 		if legacy != nil {
-			if err := sameObjects(legacy[i], arena, t.IDs); err != nil {
+			if err := sameObjects(legacy[i], t.Tree, t.IDs); err != nil {
 				return corrupt("tier %d: %v", i, err)
 			}
 		}
@@ -428,36 +429,44 @@ func (r *Record) checkTiers(legacy []geom.Dataset) error {
 	return nil
 }
 
-// sameObjects checks that objs, an objects section, holds the objects of
-// arena, whose IDs are ids, each exactly once, in any order.
-func sameObjects(objs, arena geom.Dataset, ids delta.IDs) error {
-	byID := ids.Gather(make(geom.Dataset, 0, len(arena)), arena)
+// objectsSection is the objects section of a format-1 or -2 file,
+// decoded into two columns as an arena is.
+type objectsSection struct {
+	boxes []geom.Box
+	ids   []geom.ID
+}
+
+// sameObjects checks that objs holds the objects of arena, whose IDs are
+// ids, each exactly once, in any order.
+func sameObjects(objs objectsSection, arena *core.Frozen, ids delta.IDs) error {
+	byID := ids.Gather(make(geom.Dataset, 0, len(arena.IDs)), arena.Boxes, arena.IDs)
 	matched := make([]bool, len(byID))
-	for i := range objs {
-		at, held := ids.Rank(objs[i].ID)
-		if !held || matched[at] || byID[at] != objs[i] {
-			return fmt.Errorf("objects section entry %d (ID %d) is not an object of the arena", i, objs[i].ID)
+	for i, id := range objs.ids {
+		at, held := ids.Rank(id)
+		if !held || matched[at] || byID[at] != (geom.Object{ID: id, Box: objs.boxes[i]}) {
+			return fmt.Errorf("objects section entry %d (ID %d) is not an object of the arena", i, id)
 		}
 		matched[at] = true
 	}
 	return nil
 }
 
-// decodeObjects decodes len(into) objects from buf, whose length the
-// caller has already validated to be exactly len(into)*objectSize.
-func decodeObjects(buf []byte, into geom.Dataset) error {
-	for i := range into {
+// decodeObjects decodes n objects from buf, whose length the caller has
+// already validated to be exactly n*objectSize, into a box column and an
+// ID column.
+func decodeObjects(buf []byte, n int) ([]geom.Box, []geom.ID, error) {
+	boxes, ids := make([]geom.Box, n), make([]geom.ID, n)
+	for i := range ids {
 		b := buf[i*objectSize : i*objectSize+objectSize : i*objectSize+objectSize]
-		o := &into[i]
-		o.ID = geom.ID(int32(binary.LittleEndian.Uint32(b)))
-		binfmt.DecodeBox(b[4:], &o.Box)
+		ids[i] = geom.ID(int32(binary.LittleEndian.Uint32(b)))
+		binfmt.DecodeBox(b[4:], &boxes[i])
 		// The loaders reject non-finite and inverted boxes, so no valid
 		// producer can have written one.
-		if !o.Box.Finite() {
-			return corrupt("object %d has a non-finite or inverted box", i)
+		if !boxes[i].Finite() {
+			return nil, nil, corrupt("object %d has a non-finite or inverted box", i)
 		}
 	}
-	return nil
+	return boxes, ids, nil
 }
 
 // Thaw validates the record's frozen trees and returns the live ones,

@@ -93,8 +93,8 @@ func TestMarshalUnmarshalRoundtrip(t *testing.T) {
 			if len(got.Tiers) != 1 || len(got.Tombs) != 0 || got.NextID != rec.NextID {
 				t.Fatalf("%d tiers, %d tombstones, next ID %d; want 1, 0, %d", len(got.Tiers), len(got.Tombs), got.NextID, rec.NextID)
 			}
-			if !slices.Equal(got.Tiers[0].Tree.Arena, rec.Tiers[0].Tree.Arena) || got.Tiers[0].IDs.Len() != tc.n {
-				t.Fatalf("arenas differ: %d decoded objects with %d IDs, %d encoded", len(got.Tiers[0].Tree.Arena), got.Tiers[0].IDs.Len(), tc.n)
+			if !sameArena(got.Tiers[0].Tree, rec.Tiers[0].Tree) || got.Tiers[0].IDs.Len() != tc.n {
+				t.Fatalf("arenas differ: %d decoded objects with %d IDs, %d encoded", len(got.Tiers[0].Tree.IDs), got.Tiers[0].IDs.Len(), tc.n)
 			}
 
 			trees, err := got.Thaw()
@@ -237,14 +237,14 @@ func TestTieredRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tier := range rec.Tiers {
-		if !slices.Equal(got.Tiers[i].Tree.Arena, tier.Tree.Arena) || got.Tiers[i].Tree.Cfg != tier.Tree.Cfg {
+		if !sameArena(got.Tiers[i].Tree, tier.Tree) || got.Tiers[i].Tree.Cfg != tier.Tree.Cfg {
 			t.Fatalf("tier %d differs after the round trip", i)
 		}
 		bounds := [][2]geom.ID{{0, 999}, {1000, 1299}, {1320, 1399}}[i]
-		if ids := got.Tiers[i].IDs; ids.Len() != len(tier.Tree.Arena) || ids.Min() != bounds[0] || ids.Max() != bounds[1] {
-			t.Fatalf("tier %d decoded %d IDs in [%d, %d], want %d in %v", i, ids.Len(), ids.Min(), ids.Max(), len(tier.Tree.Arena), bounds)
+		if ids := got.Tiers[i].IDs; ids.Len() != len(tier.Tree.IDs) || ids.Min() != bounds[0] || ids.Max() != bounds[1] {
+			t.Fatalf("tier %d decoded %d IDs in [%d, %d], want %d in %v", i, ids.Len(), ids.Min(), ids.Max(), len(tier.Tree.IDs), bounds)
 		}
-		if trees[i].SizeA != len(tier.Tree.Arena) || trees[i].Leaves != tier.Tree.Leaves {
+		if trees[i].SizeA != len(tier.Tree.IDs) || trees[i].Leaves != tier.Tree.Leaves {
 			t.Fatalf("tier %d thawed to %d objects in %d leaves", i, trees[i].SizeA, trees[i].Leaves)
 		}
 	}
@@ -255,14 +255,19 @@ func TestTieredRoundtrip(t *testing.T) {
 	}
 }
 
+// sameArena reports whether two frozen trees hold equal arena columns.
+func sameArena(a, b *core.Frozen) bool {
+	return slices.Equal(a.Boxes, b.Boxes) && slices.Equal(a.IDs, b.IDs)
+}
+
 // TestUnmarshalChecksTiers: what merged reads lean on is checked at the
 // door — a file whose tiers repeat IDs or whose tiers or tombstones are
 // out of order is corrupt, however good its checksums.
 func TestUnmarshalChecksTiers(t *testing.T) {
 	for name, spoil := range map[string]func(*Record){
 		"tier ID ranges overlap":           func(r *Record) { r.Tiers[1], r.Tiers[2] = r.Tiers[2], r.Tiers[1] },
-		"ID repeated within a tier":        func(r *Record) { a := r.Tiers[1].Tree.Arena; a[3].ID = a[4].ID },
-		"duplicate ID across tiers":        func(r *Record) { r.Tiers[2].Tree.Arena[0].ID = 1299 },
+		"ID repeated within a tier":        func(r *Record) { ids := r.Tiers[1].Tree.IDs; ids[3] = ids[4] },
+		"duplicate ID across tiers":        func(r *Record) { r.Tiers[2].Tree.IDs[0] = 1299 },
 		"empty upper tier":                 func(r *Record) { r.Tiers[1] = Tier{Tree: core.Build(nil, core.Config{}).Freeze()} },
 		"tombstones out of order":          func(r *Record) { r.Tombs[0], r.Tombs[1] = r.Tombs[1], r.Tombs[0] },
 		"duplicate tombstone":              func(r *Record) { r.Tombs[1] = r.Tombs[0] },
@@ -298,7 +303,12 @@ func asFormat2(t *testing.T, data []byte, objects func(tier int, byID geom.Datas
 	meta, _ := section(&rd, "meta")
 	out = appendSection(out, meta)
 	for i, tier := range rec.Tiers {
-		out = appendSection(out, appendObjects(nil, objects(i, tier.IDs.Gather(nil, tier.Tree.Arena))))
+		var boxes []geom.Box
+		var ids []geom.ID
+		for _, o := range objects(i, tier.IDs.Gather(nil, tier.Tree.Boxes, tier.Tree.IDs)) {
+			boxes, ids = append(boxes, o.Box), append(ids, o.ID)
+		}
+		out = appendSection(out, appendObjects(nil, boxes, ids))
 		tree, _ := section(&rd, "tree")
 		out = appendSection(out, tree)
 	}
@@ -433,7 +443,8 @@ func TestFormat3Recovers(t *testing.T) {
 	var c stats.Counters
 	hits := 0
 	for i, bounds := range [][2]geom.ID{{0, 79}, {80, 109}, {115, 129}} {
-		ids, arena := rec.Tiers[i].IDs, rec.Tiers[i].Tree.Arena
+		ids, f := rec.Tiers[i].IDs, rec.Tiers[i].Tree
+		arena := ids.Gather(nil, f.Boxes, f.IDs)
 		if ids.Len() != int(bounds[1]-bounds[0]+1) || ids.Min() != bounds[0] || ids.Max() != bounds[1] {
 			t.Fatalf("tier %d holds %d IDs in [%d, %d], want all of %v", i, ids.Len(), ids.Min(), ids.Max(), bounds)
 		}
@@ -503,7 +514,7 @@ func TestFormat2OfTheOldBuilderThaws(t *testing.T) {
 	if len(trees) != 1 {
 		t.Fatalf("%d tiers thawed, want 1", len(trees))
 	}
-	tree, ds := trees[0], rec.Tiers[0].IDs.Gather(nil, rec.Tiers[0].Tree.Arena)
+	tree, ds := trees[0], rec.Tiers[0].IDs.Gather(nil, rec.Tiers[0].Tree.Boxes, rec.Tiers[0].Tree.IDs)
 	rebuilt := core.Build(ds, tree.Config())
 	if tree.Nodes != 45 || tree.Leaves != 18 || tree.Height != 6 || rebuilt.Leaves != tree.Leaves || rebuilt.Nodes >= tree.Nodes {
 		t.Fatalf("premise: thawed %d nodes over %d leaves, height %d; a rebuild has %d over %d",

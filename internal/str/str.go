@@ -75,9 +75,13 @@ func sortKey(f float64) uint64 {
 // capacity clipped to its length: sorting one in place is safe, and an
 // append to one copies it out.
 func Pack[T any](items []T, center func(T) geom.Point, groupSize int) [][]T {
-	ordered, stages := PackStages(items, center, groupSize, 1)
-	if len(ordered) == 0 {
+	order, stages := PackStages(items, center, groupSize, 1)
+	if len(order) == 0 {
 		return nil
+	}
+	ordered := make([]T, len(order))
+	for i, j := range order {
+		ordered[i] = items[j]
 	}
 	bounds := stages[geom.Dims-1]
 	groups := make([][]T, len(bounds)-1)
@@ -98,15 +102,17 @@ func Pack[T any](items []T, center func(T) geom.Point, groupSize int) [][]T {
 // a run of every cut below it. No items, no runs: the lists are nil.
 type Stages [geom.Dims][]int32
 
-// PackStages is Pack in its flat form: the items in the order STR leaves
-// them — the groups end to end, in one newly allocated slice — and where
-// it cut them. It runs on up to workers goroutines: the center keys, the
-// packs of the first cut's slabs and the gather into the result are each
-// split into consecutive ranges, one a goroutine, so center must be safe
-// to call concurrently when workers > 1. The selection of the slabs stays
-// on one goroutine. The items and the cuts are the same, bit for bit,
-// whatever the worker count; workers below 1 count as 1.
-func PackStages[T any](items []T, center func(T) geom.Point, groupSize, workers int) ([]T, Stages) {
+// PackStages is Pack in its flat form: the order STR leaves the items in —
+// order[i] is the index in items of the i-th, the groups end to end — and
+// where it cut them. The items are not moved: the caller gathers them
+// into whatever layout it keeps, in the same pass as anything else it
+// does to each. It runs on up to workers goroutines: the center keys and
+// the packs of the first cut's slabs are each split into consecutive
+// ranges, one a goroutine, so center must be safe to call concurrently
+// when workers > 1. The selection of the slabs stays on one goroutine.
+// The order and the cuts are the same, bit for bit, whatever the worker
+// count; workers below 1 count as 1.
+func PackStages[T any](items []T, center func(T) geom.Point, groupSize, workers int) ([]int32, Stages) {
 	if groupSize < 1 {
 		panic("str: groupSize must be >= 1")
 	}
@@ -117,7 +123,6 @@ func PackStages[T any](items []T, center func(T) geom.Point, groupSize, workers 
 		panic("str: more than MaxInt32 items")
 	}
 	n := len(items)
-	out := make([]T, n)
 	p := packer{groupSize: groupSize, order: make([]int32, n), tmp: make([]int32, n), workers: workers}
 	keys := make([]uint64, geom.Dims*n)
 	for d := range p.keys {
@@ -133,15 +138,10 @@ func PackStages[T any](items []T, center func(T) geom.Point, groupSize, workers 
 		}
 	})
 	p.pack(0, n, 0)
-	Spread(n, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = items[p.order[i]]
-		}
-	})
 	for d := range p.stages {
 		p.stages[d] = append(p.stages[d], int32(n))
 	}
-	return out, p.stages
+	return p.order, p.stages
 }
 
 // Spread calls fn(w, lo, hi) on near-equal consecutive ranges [lo, hi)

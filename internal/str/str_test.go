@@ -413,7 +413,7 @@ func checkWorkers(t testing.TB, name string, objs []geom.Object, groupSize int, 
 	want, wantStages := PackStages(objs, center, groupSize, 1)
 	for _, w := range workers {
 		got, gotStages := PackStages(objs, center, groupSize, w)
-		if !slices.EqualFunc(got, want, sameObject) {
+		if !slices.Equal(got, want) {
 			t.Errorf("%s, groupSize %d, %d workers: the items are not in one worker's order", name, groupSize, w)
 		}
 		for d := range gotStages {
@@ -423,6 +423,15 @@ func checkWorkers(t testing.TB, name string, objs []geom.Object, groupSize int, 
 			}
 		}
 	}
+}
+
+// gather returns the objects in the order PackStages handed back.
+func gather(objs []geom.Object, order []int32) []geom.Object {
+	out := make([]geom.Object, len(order))
+	for i, j := range order {
+		out[i] = objs[j]
+	}
+	return out
 }
 
 // sameObject compares two objects by ID and by the bits of their boxes:
@@ -444,7 +453,8 @@ func sameObject(a, b geom.Object) bool {
 func checkPack(t testing.TB, name string, objs []geom.Object, groupSize int) {
 	t.Helper()
 	got := PackObjects(objs, groupSize)
-	ordered, gotStages := PackStages(objs, center, groupSize, 1)
+	order, gotStages := PackStages(objs, center, groupSize, 1)
+	ordered := gather(objs, order)
 	want, wantStages := stablePack(objs, groupSize)
 	if !slices.EqualFunc(got, want, func(a, b []geom.Object) bool { return slices.EqualFunc(a, b, sameObject) }) {
 		t.Errorf("%s, groupSize %d: groups differ from the stable-sort reference", name, groupSize)
@@ -502,9 +512,9 @@ func FuzzPack(f *testing.F) {
 	})
 }
 
-// TestPackAllocBudget pins what PackStages allocates: the ordered items,
-// one key per dimension, the index it permutes and as much scratch —
-// 88 bytes an object — and little else.
+// TestPackAllocBudget pins what PackStages allocates: one key per
+// dimension, the index it permutes and hands back, and as much scratch —
+// 32 bytes an object — and little else; the items are not copied.
 // At two workers the slabs' own packers and stage lists and the
 // goroutines add a few kilobytes, well inside the same budget.
 func TestPackAllocBudget(t *testing.T) {
@@ -515,8 +525,8 @@ func TestPackAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		PackStages(objs, center, GroupSizeFor(n, 1024), workers)
 		runtime.ReadMemStats(&after)
-		if perItem := float64(after.TotalAlloc-before.TotalAlloc) / n; perItem > 89 {
-			t.Errorf("PackStages at %d workers allocated %.1f bytes an item, want at most 89", workers, perItem)
+		if perItem := float64(after.TotalAlloc-before.TotalAlloc) / n; perItem > 33 {
+			t.Errorf("PackStages at %d workers allocated %.1f bytes an item, want at most 33", workers, perItem)
 		}
 	}
 }
@@ -548,7 +558,8 @@ func TestStagesTileTheItems(t *testing.T) {
 	}
 	for name, objs := range cases {
 		for _, groupSize := range []int{1, 7, 20, 196, 999, 1000, 30_000} {
-			ordered, stages := PackStages(objs, center, groupSize, 1)
+			order, stages := PackStages(objs, center, groupSize, 1)
+			ordered := gather(objs, order)
 			n := int32(len(ordered))
 			if len(ordered) != len(objs) {
 				t.Fatalf("%s, groupSize %d: %d items ordered, %d given", name, groupSize, len(ordered), len(objs))

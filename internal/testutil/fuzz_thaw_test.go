@@ -37,7 +37,7 @@ func FuzzThaw(f *testing.F) {
 	inner, leaf := uint16(0), uint16(len(base.Nodes)-1)
 	f.Add([]byte{})
 	f.Add(thawEdit(3, 10, 4))                                     // arena swap 3 <-> 4: inside one leaf
-	f.Add(thawEdit(0, 10, uint64(len(base.Arena)-1)))             // across the tree
+	f.Add(thawEdit(0, 10, uint64(len(base.IDs)-1)))               // across the tree
 	f.Add(thawEdit(inner, 6, 1))                                  // the root an only child's parent
 	f.Add(thawEdit(inner, 6, uint64(len(base.Nodes))))            // more children than nodes
 	f.Add(thawEdit(inner, 6, math.MaxUint32))                     // a negative count
@@ -53,7 +53,7 @@ func FuzzThaw(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &core.Frozen{Cfg: base.Cfg, Height: base.Height, Leaves: base.Leaves,
-			Arena: slices.Clone(base.Arena), Nodes: slices.Clone(base.Nodes)}
+			Boxes: slices.Clone(base.Boxes), IDs: slices.Clone(base.IDs), Nodes: slices.Clone(base.Nodes)}
 		for ; len(data) >= bytesPerEdit && len(in.Nodes) > 0; data = data[bytesPerEdit:] {
 			index, raw := int(binary.LittleEndian.Uint16(data)), binary.LittleEndian.Uint64(data[3:])
 			n := &in.Nodes[index%len(in.Nodes)]
@@ -71,8 +71,9 @@ func FuzzThaw(f *testing.F) {
 			case 9:
 				n.ExtSumA = math.Float64frombits(raw)
 			case 10:
-				i, j := index%len(in.Arena), int(raw%uint64(len(in.Arena)))
-				in.Arena[i], in.Arena[j] = in.Arena[j], in.Arena[i]
+				i, j := index%len(in.IDs), int(raw%uint64(len(in.IDs)))
+				in.Boxes[i], in.Boxes[j] = in.Boxes[j], in.Boxes[i]
+				in.IDs[i], in.IDs[j] = in.IDs[j], in.IDs[i]
 			case 11:
 				in.Nodes = in.Nodes[:len(in.Nodes)-1]
 			case 12:
@@ -84,16 +85,19 @@ func FuzzThaw(f *testing.F) {
 			}
 		}
 		want := &core.Frozen{Cfg: in.Cfg, Height: in.Height, Leaves: in.Leaves,
-			Arena: slices.Clone(in.Arena), Nodes: slices.Clone(in.Nodes)}
+			Boxes: slices.Clone(in.Boxes), IDs: slices.Clone(in.IDs), Nodes: slices.Clone(in.Nodes)}
 		tr, err := core.Thaw(in)
 		if err != nil {
 			return // rejected — the only acceptable failure mode
 		}
 		if got := tr.Freeze(); got.Cfg != want.Cfg || got.Height != want.Height || got.Leaves != want.Leaves ||
-			!slices.Equal(got.Nodes, want.Nodes) || !slices.Equal(got.Arena, want.Arena) {
+			!slices.Equal(got.Nodes, want.Nodes) || !slices.Equal(got.Boxes, want.Boxes) || !slices.Equal(got.IDs, want.IDs) {
 			t.Fatalf("the thawed tree freezes to something else than it was thawed from:\n got %+v\nwant %+v", got, want)
 		}
-		ds := geom.Dataset(want.Arena)
+		ds := make(geom.Dataset, len(want.IDs))
+		for i, id := range want.IDs {
+			ds[i] = geom.Object{ID: id, Box: want.Boxes[i]}
+		}
 		p, c := tr.NewProbe(), stats.Counters{}
 		universe := geom.NewBox(geom.Point{-1e9, -1e9, -1e9}, geom.Point{1e9, 1e9, 1e9})
 		if got, want := p.RangeQuery(universe, &c), nl.RangeQuery(ds, universe); !slices.Equal(got, want) {

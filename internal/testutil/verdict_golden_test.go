@@ -206,7 +206,14 @@ func verdictCodecs(t *testing.T) []verdictCodec {
 			var b strings.Builder
 			fmt.Fprintf(&b, "%q %d %d %d %v", rec.Name, rec.Version, rec.BuiltAt.UnixNano(), rec.NextID, rec.Tombs)
 			for _, tier := range rec.Tiers {
-				fmt.Fprintf(&b, " | %d %v %v", int(tier.Tree.Cfg.LocalJoin), *tier.Tree, tier.IDs)
+				// The frozen tree prints as a struct whose arena is one
+				// slice of objects, ID and box, whatever columns hold it.
+				f := tier.Tree
+				arena := make([]geom.Object, len(f.IDs))
+				for i, id := range f.IDs {
+					arena[i] = geom.Object{ID: id, Box: f.Boxes[i]}
+				}
+				fmt.Fprintf(&b, " | %d {%v %v %v %v %v} %v", int(f.Cfg.LocalJoin), f.Cfg, f.Height, f.Leaves, arena, f.Nodes, tier.IDs)
 			}
 			return b.String(), nil
 		}},

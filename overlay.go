@@ -48,16 +48,16 @@ import (
 type Overlay struct {
 	tiers []tier
 	upper []*core.Tree // the trees of tiers[1:], as the engine's queries take them
-	// inserts are the ones no fold has indexed, tombstoned ones included,
-	// in ID order, as joins read them; single probes read them as runs,
-	// the sealed x-sorted stretches of delta.RunLen (delta.Run), and rest.
-	inserts Dataset
-	runs    []delta.Run
-	rest    Dataset // the unsealed suffix of inserts
-	tombs   []ID    // ascending, of tier objects and inserts alike
-	// d is the write side's account of inserts and tombs; nil in a
-	// read-only generation: one built by NewOverlay, or by BuildIndex over
-	// a repeated ID.
+	// tail is what no fold has indexed, as readers take it: the inserts,
+	// tombstoned ones included, in ID order, as joins read them, and as
+	// runs, the sealed x-sorted stretches of delta.RunLen (delta.Run), and
+	// the unsealed rest, as single probes read them; and the tombstones,
+	// ascending, of tier objects and inserts alike. It is d, or in a
+	// NewOverlay generation its own read-only delta; nil, nothing pending.
+	tail *delta.Delta
+	// d is the write side's account of the tail; nil in a read-only
+	// generation: one built by NewOverlay, or by BuildIndex over a
+	// repeated ID.
 	d *delta.Delta
 }
 
@@ -83,9 +83,7 @@ func NewOverlay(idx *Index, inserts Dataset, deleted []ID) *Overlay {
 		deleted = slices.Clone(deleted)
 		slices.Sort(deleted)
 	}
-	v := &Overlay{tiers: idx.tiers, upper: idx.upper}
-	v.pend(inserts, delta.Seal(nil, inserts), deleted)
-	return v
+	return &Overlay{tiers: idx.tiers, upper: idx.upper, tail: delta.Pending(inserts, deleted)}
 }
 
 // readOnly says why v has no write side, nil when it has one.
@@ -121,9 +119,7 @@ func (v *Overlay) Apply(inserts []Box, deletes []ID) (next *Overlay, first ID, d
 	if nd == v.d {
 		return v, first, deleted, ok
 	}
-	next = &Overlay{tiers: v.tiers, upper: v.upper, d: nd}
-	next.pend(nd.Objects(), nd.Runs(), nd.Tombs())
-	return next, first, deleted, ok
+	return &Overlay{tiers: v.tiers, upper: v.upper, tail: nd, d: nd}, first, deleted, ok
 }
 
 // holds reports whether some tier holds an object with this ID, dead or
@@ -144,7 +140,7 @@ func (v *Overlay) holds(id ID) bool {
 // place, because they name objects of tiers it did not rewrite, are not
 // part of it.
 func (v *Overlay) Pending() (inserts, tombstones int) {
-	return len(v.inserts), len(v.tombs) - v.settled()
+	return len(v.tail.Objects()), len(v.tail.Tombs()) - v.settled()
 }
 
 // settled counts the tombstones a fold has seen and left in place; none
@@ -163,7 +159,7 @@ func (v *Overlay) Dataset() Dataset {
 // into one fresh slice with room for the inserts, and merges the delta
 // into it in place: the dataset of a fold that rewrites those tiers.
 func (v *Overlay) merged(start int) Dataset {
-	n := len(v.inserts)
+	n := len(v.tail.Objects())
 	for i := start; i < len(v.tiers); i++ {
 		n += v.tiers[i].ids.Len()
 	}
@@ -207,7 +203,7 @@ type TierStats struct {
 // than twice the objects of all the tiers above it together.
 func (v *Overlay) Tiers() []TierStats {
 	out := make([]TierStats, len(v.tiers))
-	tombs := v.tombs
+	tombs := v.tail.Tombs()
 	for i := len(v.tiers) - 1; i >= 0; i-- {
 		ids := v.tiers[i].ids
 		st := TierStats{Objects: ids.Len(), MaxID: -1}
@@ -321,17 +317,18 @@ func (f *Fold) Next(cur *Overlay) *Overlay {
 
 // dead reports whether id is tombstoned.
 func (v *Overlay) dead(id ID) bool {
-	_, dead := slices.BinarySearch(v.tombs, id)
+	_, dead := slices.BinarySearch(v.tail.Tombs(), id)
 	return dead
 }
 
 // merge turns the tiers' answer ids (ascending) for the box q into the
-// merged answer: the inserts intersecting q are appended — in ID order
-// and above every tier's IDs, so the list stays ascending — and then the
-// tombstoned IDs, tier objects and inserts alike, are removed in place.
-// Each sealed run is tested only in its window (delta.Run.Window) and its
-// hits, met in x order, are sorted; the unsealed rest, ID-ascending and
-// above every run's IDs, is tested whole. A non-nil sp records the
+// merged answer, in ids' array while it has room: the inserts
+// intersecting q are appended — in ID order and above every tier's IDs,
+// so the list stays ascending — and then the tombstoned IDs, tier objects
+// and inserts alike, are removed in place. Each sealed run is scanned
+// only in its window (delta.Run.Window) and its hits, met in x order, are
+// sorted; the unsealed rest, ID-ascending and above every run's IDs, is
+// scanned whole — all with geom.AppendMeeting. A non-nil sp records the
 // insert pass as PhaseDelta and the filter as PhaseOverlay.
 func (v *Overlay) merge(ids []ID, q Box, sp *Span) []ID {
 	if v.frozen() {
@@ -341,17 +338,19 @@ func (v *Overlay) merge(ids []ID, q Box, sp *Span) []ID {
 	if sp != nil {
 		start = time.Now()
 	}
-	from := len(ids)
-	for i := range v.runs {
-		ids = geom.AppendMeeting(ids, v.runs[i].Window(&q), &q)
+	from, runs := len(ids), v.tail.Runs()
+	for i := range runs {
+		boxes, runIDs := runs[i].Window(&q)
+		ids = geom.AppendMeeting(ids, boxes, runIDs, &q)
 	}
 	slices.Sort(ids[from:])
-	ids = geom.AppendMeeting(ids, v.rest, &q)
+	restBoxes, restIDs := v.tail.Rest()
+	ids = geom.AppendMeeting(ids, restBoxes, restIDs, &q)
 	if sp != nil {
 		sp.Add(trace.PhaseDelta, time.Since(start))
 		start = time.Now()
 	}
-	if tombs := v.tombs; len(tombs) > 0 {
+	if tombs := v.tail.Tombs(); len(tombs) > 0 {
 		live := ids[:0]
 		for _, id := range ids {
 			// ids ascend, so each search resumes where the last ended.

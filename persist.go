@@ -63,14 +63,14 @@ func (v *Overlay) EncodeSnapshot(info SnapshotInfo) ([]byte, error) {
 	if err := v.readOnly(); err != nil {
 		return nil, fmt.Errorf("touch: %w", err)
 	}
-	if n := len(v.inserts); n > 0 {
+	if n := v.tail.Inserts(); n > 0 {
 		return nil, fmt.Errorf("touch: %d unfolded inserts cannot be encoded", n)
 	}
 	rec := &snapshot.Record{
 		Name:    info.Name,
 		Version: info.Version,
 		BuiltAt: info.BuiltAt,
-		Tombs:   v.tombs,
+		Tombs:   v.tail.Tombs(),
 		NextID:  v.d.NextID(),
 	}
 	for _, t := range v.tiers {
@@ -95,8 +95,8 @@ func DecodeSnapshot(data []byte) (SnapshotInfo, Dataset, *Index, error) {
 	if err != nil {
 		return SnapshotInfo{}, nil, nil, err
 	}
-	if len(v.tiers) > 1 || len(v.tombs) > 0 {
-		return SnapshotInfo{}, nil, nil, fmt.Errorf("touch: snapshot holds %d tiers and %d tombstones; decode it with DecodeOverlay", len(v.tiers), len(v.tombs))
+	if tombs := v.tail.Tombs(); len(v.tiers) > 1 || len(tombs) > 0 {
+		return SnapshotInfo{}, nil, nil, fmt.Errorf("touch: snapshot holds %d tiers and %d tombstones; decode it with DecodeOverlay", len(v.tiers), len(tombs))
 	}
 	return info, v.Dataset(), v, nil
 }

@@ -187,7 +187,7 @@ func TestOverlaySnapshotRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != info || !reflect.DeepEqual(back.Tiers(), v.Tiers()) || back.Stats() != v.Stats() ||
-		!slices.Equal(back.tombs, v.tombs) || back.d.NextID() != v.d.NextID() || back.Config() != v.Config() {
+		!slices.Equal(back.tail.Tombs(), v.tail.Tombs()) || back.d.NextID() != v.d.NextID() || back.Config() != v.Config() {
 		t.Fatalf("decoded %+v %+v next %d; encoded %+v %+v next %d", got, back.Tiers(), back.d.NextID(), info, v.Tiers(), v.d.NextID())
 	}
 	for i := range v.tiers {

@@ -253,8 +253,8 @@ func TestViewOutlivesTierMerges(t *testing.T) {
 	}
 	m.Delete([]ID{5, 2999, first[0], first[333], second[7], tail[3]})
 	old := m.View()
-	if tiers := old.Tiers(); len(tiers) != 3 || tiers[0].Dead != 2 || tiers[1].Dead != 2 || tiers[2].Dead != 1 || len(old.inserts) != 40 {
-		t.Fatalf("the fixture holds %+v under %d pending inserts", tiers, len(old.inserts))
+	if tiers := old.Tiers(); len(tiers) != 3 || tiers[0].Dead != 2 || tiers[1].Dead != 2 || tiers[2].Dead != 1 || old.tail.Inserts() != 40 {
+		t.Fatalf("the fixture holds %+v under %d pending inserts", tiers, old.tail.Inserts())
 	}
 	oldLive := old.Dataset()
 	oldOracle := BuildIndex(oldLive, TOUCHConfig{})
