@@ -140,24 +140,6 @@ func TestWorkersOptionMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestPBSMCustomResolution(t *testing.T) {
-	a := GenerateUniform(200, 51)
-	b := GenerateUniform(300, 52)
-	opt := &Options{Eps: 10}
-	opt.PBSM.Resolution = 37
-	res, err := SpatialJoin(context.Background(), AlgPBSM, a, b, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := SpatialJoin(context.Background(), AlgNL, a, b, &Options{Eps: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Pairs) != len(ref.Pairs) {
-		t.Fatalf("custom resolution wrong: %d vs %d", len(res.Pairs), len(ref.Pairs))
-	}
-}
-
 func TestIndexReuse(t *testing.T) {
 	a := GenerateUniform(200, 61)
 	idx := BuildIndex(a.Expand(10), TOUCHConfig{Partitions: 32})

@@ -63,7 +63,7 @@ func KNN(dataset string, pt touch.Point, k int) Request {
 // Join asks for the pairs the dataset forms with spec's probe side,
 // streamed back in batches; Reply.Join decodes and sorts them. Like the
 // HTTP NDJSON mode, and unlike a buffered HTTP join, there is no
-// server-side MaxJoinPairs cap: the cap is the client's memory.
+// server-side pair cap: the cap is the client's memory.
 func Join(dataset string, spec JoinSpec) Request {
 	return Request{op: wire.OpJoin, name: dataset, join: spec}
 }

@@ -23,7 +23,7 @@ const (
 	CodeUnknownDataset = "unknown_dataset"  // no catalog entry with that name
 	CodeBuilding       = "building"         // first index version not ready yet
 	CodeBodyTooLarge   = "body_too_large"   // request body over the cap
-	CodeResultTooLarge = "result_too_large" // join pair set over MaxJoinPairs
+	CodeResultTooLarge = "result_too_large" // buffered join over its pair cap
 	CodeUnsupported    = "unsupported_type" // content type not JSON or text
 	CodeOverload       = "overload"         // admission: too many in-flight
 	CodeTimeout        = "timeout"          // request exceeded its budget

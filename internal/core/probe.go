@@ -84,9 +84,9 @@ func (p *Probe) nodeIdx(id int32) []int32 {
 }
 
 // nodeB gathers node id's assigned B objects into ws, in input order,
-// each box grown by the probe's ε with the Box.Expand the assignment
-// tested. The slice is ws's and rewritten by its next nodeB, so local
-// joins may reorder it in place.
+// each box grown in place by the probe's ε, bit for bit the box the
+// assignment tested. The slice is ws's and rewritten by its next nodeB,
+// so local joins may reorder it in place.
 func (p *Probe) nodeB(id int32, ws *joinScratch) []geom.Object {
 	idx := p.nodeIdx(id)
 	ws.bObjs = sized(ws.bObjs, len(idx))
@@ -94,7 +94,7 @@ func (p *Probe) nodeB(id int32, ws *joinScratch) []geom.Object {
 	for i, bi := range idx {
 		bs[i] = b[bi]
 		if eps != 0 {
-			bs[i].Box = bs[i].Box.Expand(eps)
+			bs[i].Box.Grow(eps)
 		}
 	}
 	return bs
@@ -240,13 +240,15 @@ func (p *Probe) AssignExpanded(b geom.Dataset, eps float64, ctl *stats.Control, 
 // destination of b[i] in dest[i] and charging c, until ctl stops it.
 func (t *Tree) assignRange(b geom.Dataset, eps float64, dest []int32, lo, hi int, ctl *stats.Control, c *stats.Counters) {
 	tk := stats.NewTicker(ctl)
+	var grown geom.Box // b[i]'s box grown by eps, bit for bit Expand's
 	for i := lo; i < hi; i++ {
 		if tk.Tick() {
 			return
 		}
 		box := &b[i].Box
 		if eps != 0 {
-			grown := box.Expand(eps)
+			grown = *box
+			grown.Grow(eps)
 			box = &grown
 		}
 		dest[i] = t.AssignOne(box, c)

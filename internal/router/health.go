@@ -11,6 +11,9 @@ import (
 // worst-case reinstatement lag after a long outage.
 const probeBackoffMax = 30 * time.Second
 
+// probeTimeout bounds one health probe (dial + handshake).
+const probeTimeout = 2 * time.Second
+
 // Start runs one synchronous health sweep — so a router fresh out of
 // New already knows which backends answer before it takes traffic —
 // then probes in the background every HealthInterval until Close.
@@ -54,7 +57,7 @@ func (rt *Router) sweep() {
 // that proves the backend can actually serve, unlike a bare TCP connect
 // — and learns the backend's advertised node ID as a side effect.
 func (rt *Router) probe(b *backend) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	c, err := client.Dial(ctx, b.addr)
 	if err != nil {

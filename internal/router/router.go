@@ -37,9 +37,6 @@ type Config struct {
 	// HealthInterval is the probe cadence of the background health
 	// checker. Default 2s.
 	HealthInterval time.Duration
-	// ProbeTimeout bounds one health probe (dial + handshake).
-	// Default 2s.
-	ProbeTimeout time.Duration
 	// RequestTimeout is the per-request budget the HTTP and wire fronts
 	// apply when the caller brought no deadline of its own. Default 10s.
 	RequestTimeout time.Duration
@@ -63,9 +60,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second

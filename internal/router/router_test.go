@@ -65,7 +65,6 @@ func startRouter(t *testing.T, replication int, addrs ...string) *router.Router 
 		Backends:       addrs,
 		Replication:    replication,
 		HealthInterval: 50 * time.Millisecond,
-		ProbeTimeout:   time.Second,
 		RequestTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -354,7 +353,7 @@ func TestFailoverUnderLoad(t *testing.T) {
 	b1 := startBackend(t, "r1", map[string]touch.Dataset{"d": ds})
 	backends := map[string]*testBackend{"r0": b0, "r1": b1}
 	rt, err := router.New(router.Config{Backends: []string{b0.addr, b1.addr}, Replication: 2,
-		HealthInterval: time.Hour, ProbeTimeout: time.Second, RequestTimeout: 5 * time.Second})
+		HealthInterval: time.Hour, RequestTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -351,7 +351,7 @@ type exec struct {
 	s   *Server
 	out frameSink
 	// pairCap is the buffered HTTP join's response cap
-	// (Config.MaxJoinPairs); 0 on the wire, which has none.
+	// (Config.maxJoinPairs); 0 on the wire, which has none.
 	pairCap int64
 
 	scratch []byte

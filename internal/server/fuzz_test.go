@@ -18,7 +18,7 @@ import (
 // may panic the server or earn a 5xx, and every 200 must decode, strictly,
 // into the shape its route promises.
 func FuzzHTTPDataPlane(f *testing.F) {
-	s := New(Config{MaxJoinPairs: 2000, CompactThreshold: -1})
+	s := New(Config{maxJoinPairs: 2000, compactThreshold: -1})
 	s.Load("d", touch.GenerateUniform(300, 1), touch.TOUCHConfig{})
 	s.Load("p", touch.GenerateUniform(40, 2), touch.TOUCHConfig{})
 	for _, seed := range []struct {

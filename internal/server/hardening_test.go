@@ -158,7 +158,7 @@ func TestLoadIgnoresConfigWorkers(t *testing.T) {
 // rejected with 429 instead of queueing unbounded build goroutines.
 func TestBuildBacklogCap(t *testing.T) {
 	tokens := make(chan struct{})
-	cfg := Config{MaxPendingBuilds: 2}
+	cfg := Config{maxPendingBuilds: 2}
 	cfg.build = func(ds touch.Dataset, tc touch.TOUCHConfig) *touch.Index {
 		<-tokens
 		return touch.BuildIndex(ds, tc)
@@ -269,11 +269,11 @@ func TestRetiredMapBounded(t *testing.T) {
 	}
 }
 
-// TestJoinResultCap: a join whose pair set exceeds MaxJoinPairs is
+// TestJoinResultCap: a join whose pair set exceeds maxJoinPairs is
 // rejected with 422 instead of materializing an unbounded response;
 // count_only still answers exactly.
 func TestJoinResultCap(t *testing.T) {
-	ts := newTestServer(t, Config{MaxJoinPairs: 10})
+	ts := newTestServer(t, Config{maxJoinPairs: 10})
 	// 20 identical boxes joined against themselves → 400 pairs.
 	box := touch.NewBox(touch.Point{0, 0, 0}, touch.Point{10, 10, 10})
 	ds := make(touch.Dataset, 20)

@@ -88,7 +88,7 @@ type metrics struct {
 	rejectDraining atomic.Int64
 	rejectTimeout  atomic.Int64
 	// rejectCanceled counts computations aborted because the client went
-	// away, rejectLimited those aborted by the MaxJoinPairs response
+	// away, rejectLimited those aborted by the buffered join's pair
 	// cap — kept apart from rejectTimeout so dashboards can tell budget
 	// blowouts from client behavior and from oversized result sets.
 	rejectCanceled atomic.Int64

@@ -300,7 +300,7 @@ const modelName = "d"
 
 // start builds a server on the data dir and recovers it.
 func (h *modelServer) start() error {
-	h.srv = New(Config{DataDir: h.dir, CompactThreshold: modelThreshold})
+	h.srv = New(Config{DataDir: h.dir, compactThreshold: modelThreshold})
 	if _, err := h.srv.Recover(); err != nil {
 		return fmt.Errorf("Recover: %w", err)
 	}
@@ -366,6 +366,8 @@ func (h *modelServer) step(m *model, s modelStep, killLoses bool) error {
 		if err := h.start(); err != nil {
 			return err
 		}
+		// (iii): m.ov holds every acknowledged update, and the reads after
+		// this step hold the recovered server to it.
 		if m.tail > 0 {
 			if !killLoses {
 				return fmt.Errorf("the history killed over %d unfolded updates", m.tail)

@@ -173,7 +173,7 @@ func TestVersionCountersSurviveRestart(t *testing.T) {
 // persister's staleness guard and the restart would serve the dataset.
 func TestDeleteThenRestartDoesNotResurrect(t *testing.T) {
 	dir := t.TempDir()
-	a := newTestServer(t, Config{DataDir: dir, CompactThreshold: 8})
+	a := newTestServer(t, Config{DataDir: dir, compactThreshold: 8})
 	ds := touch.GenerateUniform(200, 9)
 	a.loadAndWait("doomed", ds, 16)
 	a.loadAndWait("doomed", ds, 16) // counter at 2
@@ -361,7 +361,7 @@ func TestRestartKeepsBuildConfig(t *testing.T) {
 	ds := touch.GenerateUniform(5000, 5)
 	_, want := a.srv.Load("d", ds, touch.TOUCHConfig{Partitions: 16, Fanout: 4})
 
-	b := newTestServer(t, Config{DataDir: dir, CompactThreshold: 8})
+	b := newTestServer(t, Config{DataDir: dir, compactThreshold: 8})
 	if stats := b.recover(); stats.Loaded != 1 {
 		t.Fatalf("recovery stats %+v", stats)
 	}

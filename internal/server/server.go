@@ -30,7 +30,7 @@
 // so the 200 still leaves with it, and a join that fails before finding
 // one answers with the buffered path's status and error body. Streaming
 // joins run in O(1) result memory on the server, are exempt from the
-// MaxJoinPairs response cap, and stop promptly when the client
+// buffered join's pair cap, and stop promptly when the client
 // disconnects (the request context cancels the engine); a stream that
 // ends without the trailer line was truncated by cancellation.
 //
@@ -55,7 +55,7 @@
 // abandoned computation. Single-probe queries, whose engine calls run
 // in microseconds, check the budget at the handler boundary instead of
 // inside the engine. Joins whose buffered response would exceed
-// MaxJoinPairs abort the same way (422 {"code":"result_too_large"})
+// 1,048,576 pairs abort the same way (422 {"code":"result_too_large"})
 // instead of materializing pairs that would only be thrown away.
 // Request bodies are capped (413) and every error is structured JSON.
 // BeginShutdown flips the server into draining: new work is rejected
@@ -108,27 +108,6 @@ type Config struct {
 	// no "workers" (or 0); a request's positive count overrides it, 1
 	// meaning one worker. Default 0: single-threaded.
 	Workers int
-	// MaxPendingBuilds caps index builds accepted but not yet finished.
-	// Builds run in the background, outside the request-slot admission
-	// layer; without this cap a client looping POST /v1/datasets could
-	// queue unbounded build goroutines, each pinning its decoded
-	// dataset. Further loads get 429. Default 16.
-	MaxPendingBuilds int
-	// MaxJoinPairs caps the pairs one buffered join response carries. A
-	// join can legitimately produce up to |A|·|B| pairs — far beyond any
-	// body-size cap — so the engine runs with a result limit of this
-	// many + 1 pairs and aborts cooperatively the moment the cap is
-	// exceeded; the request is answered 422 {"code":"result_too_large"}
-	// with no wasted materialization. count_only joins and NDJSON
-	// streaming joins are exempt (the first carries no pairs, the second
-	// never buffers them). Default 1<<20.
-	MaxJoinPairs int
-	// CompactThreshold is the per-dataset pending-update count (inserts
-	// plus tombstones from PATCH /v1/datasets/{name}) at which a
-	// background compaction folds the delta into a fresh base index
-	// version. 0 means the 4096 default; negative disables automatic
-	// compaction (updates still serve, merged on every read).
-	CompactThreshold int
 	// DataDir, when set, makes the catalog durable: every successful
 	// build persists a checksummed snapshot there before it becomes
 	// visible, DELETE removes the file, and Server.Recover restores the
@@ -157,6 +136,28 @@ type Config struct {
 	// snapFS replaces the real filesystem under DataDir in fault-injection
 	// tests.
 	snapFS snapstore.FS
+	// maxPendingBuilds caps index builds accepted but not yet finished.
+	// Builds run in the background, outside the request-slot admission
+	// layer; without this cap a client looping POST /v1/datasets could
+	// queue unbounded build goroutines, each pinning its decoded
+	// dataset. Further loads get 429. 0 means 16; tests lower it.
+	maxPendingBuilds int
+	// maxJoinPairs caps the pairs one buffered join response carries. A
+	// join can legitimately produce up to |A|·|B| pairs — far beyond any
+	// body-size cap — so the engine runs with a result limit of this
+	// many + 1 pairs and aborts cooperatively the moment the cap is
+	// exceeded; the request is answered 422 {"code":"result_too_large"}
+	// with no wasted materialization. count_only joins and NDJSON
+	// streaming joins are exempt (the first carries no pairs, the second
+	// never buffers them). 0 means 1<<20; tests lower it.
+	maxJoinPairs int
+	// compactThreshold is the per-dataset pending-update count (inserts
+	// plus tombstones from PATCH /v1/datasets/{name}) at which a
+	// background compaction folds the delta into a fresh base index
+	// version. 0 means touch.DefaultCompactThreshold; tests lower it, and
+	// a negative one disables automatic compaction (updates still serve,
+	// merged on every read).
+	compactThreshold int
 }
 
 func (c *Config) fillDefaults() {
@@ -169,14 +170,14 @@ func (c *Config) fillDefaults() {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
-	if c.MaxPendingBuilds <= 0 {
-		c.MaxPendingBuilds = 16
+	if c.maxPendingBuilds <= 0 {
+		c.maxPendingBuilds = 16
 	}
-	if c.MaxJoinPairs <= 0 {
-		c.MaxJoinPairs = 1 << 20
+	if c.maxJoinPairs <= 0 {
+		c.maxJoinPairs = 1 << 20
 	}
-	if c.CompactThreshold == 0 {
-		c.CompactThreshold = touch.DefaultCompactThreshold
+	if c.compactThreshold == 0 {
+		c.compactThreshold = touch.DefaultCompactThreshold
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -250,7 +251,7 @@ func New(cfg Config) *Server {
 		met:   newMetrics(),
 		slots: make(chan struct{}, cfg.MaxInFlight),
 	}
-	s.cat.compactAt = cfg.CompactThreshold
+	s.cat.compactAt = cfg.compactThreshold
 	s.front.MaxBodyBytes = cfg.MaxBodyBytes
 	s.wire.MaxFrame = int(cfg.MaxBodyBytes)
 	s.wire.Handle = s.serveWireConn
@@ -613,10 +614,10 @@ func (s *Server) handleLoad(h *httpRequest) *api.Error {
 	// Builds run in the background and outlive the request's admission
 	// slot; the catalog reserves a backlog slot atomically so load
 	// floods degrade into 429s too.
-	version, accepted := s.cat.load(h.dataset, ds, cfg, false, s.cfg.MaxPendingBuilds)
+	version, accepted := s.cat.load(h.dataset, ds, cfg, false, s.cfg.maxPendingBuilds)
 	if !accepted {
 		s.met.rejectOverload.Add(1)
-		return api.Errorf(api.CodeOverload, "server at its %d-build backlog cap", s.cfg.MaxPendingBuilds)
+		return api.Errorf(api.CodeOverload, "server at its %d-build backlog cap", s.cfg.maxPendingBuilds)
 	}
 	api.WriteJSON(h, http.StatusAccepted, struct {
 		Name    string `json:"name"`
@@ -645,7 +646,7 @@ func (s *Server) handleData(h *httpRequest) *api.Error {
 		s.front.Query(h.ctx, h, h.r, h.dataset, h)
 	case classJoin:
 		if !api.WantsNDJSON(h.r.Header.Get("Accept")) {
-			h.pairCap = int64(s.cfg.MaxJoinPairs)
+			h.pairCap = int64(s.cfg.maxJoinPairs)
 		}
 		s.front.Join(h.ctx, h, h.r, h.dataset, h)
 	default:

@@ -113,11 +113,11 @@ func TestNDJSONStreamDifferential(t *testing.T) {
 	}
 }
 
-// TestNDJSONStreamBypassesResultCap: MaxJoinPairs bounds what a buffered
+// TestNDJSONStreamBypassesResultCap: maxJoinPairs bounds what a buffered
 // response may materialize; the streaming mode holds O(1) server memory
 // and must deliver the full result set regardless.
 func TestNDJSONStreamBypassesResultCap(t *testing.T) {
-	ts := newTestServer(t, Config{MaxJoinPairs: 10})
+	ts := newTestServer(t, Config{maxJoinPairs: 10})
 	box := touch.NewBox(touch.Point{0, 0, 0}, touch.Point{10, 10, 10})
 	ds := make(touch.Dataset, 20)
 	for i := range ds {

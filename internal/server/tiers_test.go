@@ -39,7 +39,7 @@ func (ts *testServer) update(name string, inserts []touch.Box, deletes []touch.I
 // does.
 func TestRestartNeverReissuesFoldedIDs(t *testing.T) {
 	dir := t.TempDir()
-	a := newTestServer(t, Config{DataDir: dir, CompactThreshold: 8})
+	a := newTestServer(t, Config{DataDir: dir, compactThreshold: 8})
 	a.srv.Load("d", touch.GenerateUniform(200, 5), touch.TOUCHConfig{})
 	ids, _ := a.update("d", uniformBoxes(4, 6), nil)
 	if len(ids) != 4 || ids[0] != 200 {
@@ -55,7 +55,7 @@ func TestRestartNeverReissuesFoldedIDs(t *testing.T) {
 		t.Fatalf("without a restart the next insert received ID %d, want 204", ids[0])
 	}
 
-	b := newTestServer(t, Config{DataDir: dir, CompactThreshold: -1})
+	b := newTestServer(t, Config{DataDir: dir, compactThreshold: -1})
 	if stats := b.recover(); stats.Loaded != 1 {
 		t.Fatalf("recovery stats %+v", stats)
 	}
@@ -76,7 +76,7 @@ func TestRestartNeverReissuesFoldedIDs(t *testing.T) {
 // tier, and an ID whose tombstone came back from the file stays dead.
 func TestTieredFoldsPersistAndRecover(t *testing.T) {
 	dir := t.TempDir()
-	a := newTestServer(t, Config{DataDir: dir, CompactThreshold: 32})
+	a := newTestServer(t, Config{DataDir: dir, compactThreshold: 32})
 	ds := touch.GenerateUniform(2000, 11)
 	a.srv.Load("d", ds, touch.TOUCHConfig{Partitions: 64})
 	o := newUpdOracle(t, ds)
@@ -141,7 +141,7 @@ func TestTieredFoldsPersistAndRecover(t *testing.T) {
 	}
 
 	builds := 0
-	b := newTestServer(t, Config{DataDir: dir, CompactThreshold: -1, build: countingBuild(&builds)})
+	b := newTestServer(t, Config{DataDir: dir, compactThreshold: -1, build: countingBuild(&builds)})
 	if stats := b.recover(); stats.Loaded != 1 || stats.Quarantined != 0 || builds != 0 {
 		t.Fatalf("recovery stats %+v after %d builds, want one dataset and no build", stats, builds)
 	}
@@ -196,7 +196,7 @@ func TestFoldPersistFaultMatrix(t *testing.T) {
 				}
 				return nil
 			}
-			a := newTestServer(t, Config{DataDir: dir, snapFS: ffs, CompactThreshold: 16})
+			a := newTestServer(t, Config{DataDir: dir, snapFS: ffs, compactThreshold: 16})
 			ds := touch.GenerateUniform(500, 21)
 			a.srv.Load("d", ds, touch.TOUCHConfig{Partitions: 16})
 			o := newUpdOracle(t, ds)
@@ -211,7 +211,7 @@ func TestFoldPersistFaultMatrix(t *testing.T) {
 					snap.tiers(), snap.persisted, a.srv.SnapshotErrors())
 			}
 
-			b := newTestServer(t, Config{DataDir: dir, CompactThreshold: -1})
+			b := newTestServer(t, Config{DataDir: dir, compactThreshold: -1})
 			if stats := b.recover(); stats.Loaded != 1 || stats.Quarantined != 0 {
 				t.Fatalf("recovery stats %+v, want the one dataset and nothing quarantined", stats)
 			}

@@ -134,7 +134,7 @@ func (ts *testServer) checkAgainstOracle(o *updOracle, name string, probe touch.
 // after each batch — the server's merged answers must be exactly what a
 // rebuild of the merged dataset would produce, IDs included.
 func TestUpdateEndToEndDifferential(t *testing.T) {
-	ts := newTestServer(t, Config{CompactThreshold: -1})
+	ts := newTestServer(t, Config{compactThreshold: -1})
 	ds := touch.GenerateClustered(600, 5)
 	ts.srv.Load("cells", ds, touch.TOUCHConfig{})
 	o := newUpdOracle(t, ds)
@@ -216,7 +216,7 @@ func rowsOf(boxes []touch.Box) [][]float64 {
 // changing a single answer, without reusing IDs, and leaving the delta
 // counters empty.
 func TestUpdateCompactionPublishes(t *testing.T) {
-	ts := newTestServer(t, Config{CompactThreshold: 8})
+	ts := newTestServer(t, Config{compactThreshold: 8})
 	ds := touch.GenerateUniform(300, 3)
 	v0, _ := ts.srv.Load("cells", ds, touch.TOUCHConfig{})
 	o := newUpdOracle(t, ds)
@@ -336,7 +336,7 @@ func TestUpdateErrors(t *testing.T) {
 // to both transports, and at eps = 0 the join answers stay byte-identical
 // between HTTP and wire after the update — the fast-path parity check.
 func TestWireUpdateMatchesHTTP(t *testing.T) {
-	ts := newTestServer(t, Config{CompactThreshold: -1})
+	ts := newTestServer(t, Config{compactThreshold: -1})
 	ds := touch.GenerateUniform(900, 8)
 	ts.srv.Load("cells", ds, touch.TOUCHConfig{})
 	addr := ts.startWire()
@@ -427,7 +427,7 @@ func TestWireUpdateMatchesHTTP(t *testing.T) {
 // for internal consistency during the storm and against the oracle
 // after it.
 func TestUpdateUnderConcurrentReads(t *testing.T) {
-	ts := newTestServer(t, Config{CompactThreshold: 16, Workers: 2})
+	ts := newTestServer(t, Config{compactThreshold: 16, Workers: 2})
 	ds := touch.GenerateUniform(400, 6)
 	ts.srv.Load("cells", ds, touch.TOUCHConfig{})
 	o := newUpdOracle(t, ds)
@@ -557,7 +557,7 @@ func TestUpdateUnderConcurrentReads(t *testing.T) {
 // two live IDs tombstones both — and the answers afterwards are the
 // nested loop's over what is live.
 func TestLoadUnorderedIDsDeletes(t *testing.T) {
-	ts := newTestServer(t, Config{CompactThreshold: -1})
+	ts := newTestServer(t, Config{compactThreshold: -1})
 	ds := touch.GenerateUniform(2000, 97)
 	slices.Reverse(ds)
 	ts.srv.Load("rev", ds, touch.TOUCHConfig{Partitions: 32})

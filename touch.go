@@ -86,11 +86,6 @@ type (
 	// TOUCHConfig are TOUCH's tunable parameters (partitions, fanout,
 	// local-join grid resolution).
 	TOUCHConfig = core.Config
-	// S3Config is the S3 hierarchy shape (levels, refinement factor).
-	S3Config = s3.Config
-	// RTreeConfig is the R-tree bulk-load configuration (fanout, leaf
-	// capacity) used by the RTree and INL baselines.
-	RTreeConfig = rtree.Config
 	// Span is a per-request trace record: phase wall times (assignment,
 	// join, query descent, overlay merge, delta scan, …) plus the engine
 	// counters of one execution. Attach one via Options.Trace or the
@@ -108,8 +103,8 @@ func NewBox(a, b Point) Box { return geom.NewBox(a, b) }
 // Algorithm names a spatial-join algorithm.
 type Algorithm string
 
-// The eight algorithms of the paper's evaluation (§6). PBSM appears in
-// its two evaluated configurations plus a custom-resolution variant.
+// The algorithms of the paper's evaluation (§6), each in the
+// configuration the paper evaluates it in; PBSM appears in its two.
 const (
 	// AlgTOUCH is the paper's contribution: hierarchical data-oriented
 	// partitioning with grid local joins.
@@ -123,8 +118,6 @@ const (
 	AlgPBSM500 Algorithm = "pbsm-500"
 	// AlgPBSM100 is PBSM with 100 grid cells per dimension.
 	AlgPBSM100 Algorithm = "pbsm-100"
-	// AlgPBSM is PBSM with the resolution from Options.PBSM.
-	AlgPBSM Algorithm = "pbsm"
 	// AlgS3 is the Size Separation Spatial Join.
 	AlgS3 Algorithm = "s3"
 	// AlgINL is the indexed nested loop join (R-tree on A, one query per
@@ -149,15 +142,16 @@ func Algorithms() []Algorithm {
 // same resolution every join entry point performs, so callers that must
 // validate before doing irreversible work (creating an output file,
 // admitting a request) cannot drift from the engine's registry. It
-// accepts everything Algorithms lists plus AlgSeeded and AlgPBSM.
+// accepts everything Algorithms lists plus AlgSeeded.
 func ValidAlgorithm(alg Algorithm) bool {
-	_, err := bind(alg, &Options{})
+	_, err := bind(alg)
 	return err == nil
 }
 
 // Options sets a join's distance and tunes its execution. The zero value
 // (or a nil pointer) is the intersection join under the paper's
-// experimental defaults for every algorithm.
+// experimental defaults for every algorithm; the baselines always run in
+// the paper's configurations, and only TOUCH's are tunable.
 type Options struct {
 	// Eps makes the join a distance join: every pair within Eps of each
 	// other per dimension (the box distance of the paper's filtering
@@ -168,12 +162,6 @@ type Options struct {
 	Eps float64
 	// TOUCH parameters (partitions, fanout, local grid).
 	TOUCH TOUCHConfig
-	// PBSM is the grid resolution used by AlgPBSM (cells per dimension).
-	PBSM pbsm.Config
-	// S3 hierarchy shape.
-	S3 S3Config
-	// RTree bulk-load shape for AlgRTree and AlgINL.
-	RTree RTreeConfig
 	// KeepOrder disables the join-order heuristic of §5.2.3. By default
 	// the smaller dataset is used to build the index/tree (results are
 	// always reported in (A, B) orientation regardless).
@@ -448,7 +436,7 @@ func SpatialJoin(ctx context.Context, alg Algorithm, a, b Dataset, opt *Options)
 	if err := checkEps(o.Eps); err != nil {
 		return nil, err
 	}
-	join, err := bind(alg, &o)
+	join, err := bind(alg)
 	if err != nil {
 		return nil, err
 	}
@@ -523,9 +511,9 @@ func (o *Options) withEps(eps float64) *Options {
 	return &c
 }
 
-// bind resolves an algorithm name and its options to a JoinFunc — nil
-// for AlgTOUCH, which SpatialJoin runs itself.
-func bind(alg Algorithm, o *Options) (parallel.JoinFunc, error) {
+// bind resolves an algorithm name to its JoinFunc in the paper's
+// configuration — nil for AlgTOUCH, which SpatialJoin runs itself.
+func bind(alg Algorithm) (parallel.JoinFunc, error) {
 	switch alg {
 	case AlgTOUCH:
 		// SpatialJoin runs TOUCH itself: it parallelizes internally and
@@ -536,29 +524,23 @@ func bind(alg Algorithm, o *Options) (parallel.JoinFunc, error) {
 	case AlgPS:
 		return sweep.Join, nil
 	case AlgPBSM500:
-		return func(a, b Dataset, ctl *stats.Control, c *Stats, s Sink) {
-			pbsm.Join(a, b, pbsm.Config{Resolution: pbsm.Resolution500}, ctl, c, s)
-		}, nil
+		return paper(pbsm.Join, pbsm.Config{Resolution: pbsm.Resolution500}), nil
 	case AlgPBSM100:
-		return func(a, b Dataset, ctl *stats.Control, c *Stats, s Sink) {
-			pbsm.Join(a, b, pbsm.Config{Resolution: pbsm.Resolution100}, ctl, c, s)
-		}, nil
-	case AlgPBSM:
-		cfg := o.PBSM
-		return func(a, b Dataset, ctl *stats.Control, c *Stats, s Sink) { pbsm.Join(a, b, cfg, ctl, c, s) }, nil
+		return paper(pbsm.Join, pbsm.Config{Resolution: pbsm.Resolution100}), nil
 	case AlgS3:
-		cfg := o.S3
-		return func(a, b Dataset, ctl *stats.Control, c *Stats, s Sink) { s3.Join(a, b, cfg, ctl, c, s) }, nil
+		return paper(s3.Join, s3.Config{}), nil
 	case AlgINL:
-		cfg := o.RTree
-		return func(a, b Dataset, ctl *stats.Control, c *Stats, s Sink) { rtree.INLJoin(a, b, cfg, ctl, c, s) }, nil
+		return paper(rtree.INLJoin, rtree.Config{}), nil
 	case AlgRTree:
-		cfg := o.RTree
-		return func(a, b Dataset, ctl *stats.Control, c *Stats, s Sink) { rtree.SyncJoin(a, b, cfg, ctl, c, s) }, nil
+		return paper(rtree.SyncJoin, rtree.Config{}), nil
 	case AlgSeeded:
-		cfg := o.RTree
-		return func(a, b Dataset, ctl *stats.Control, c *Stats, s Sink) { rtree.SeededJoin(a, b, cfg, ctl, c, s) }, nil
+		return paper(rtree.SeededJoin, rtree.Config{}), nil
 	default:
 		return nil, fmt.Errorf("%w %q", ErrUnknownAlgorithm, alg)
 	}
+}
+
+// paper binds a baseline to its configuration.
+func paper[C any](join func(a, b Dataset, cfg C, ctl *stats.Control, c *Stats, s Sink), cfg C) parallel.JoinFunc {
+	return func(a, b Dataset, ctl *stats.Control, c *Stats, s Sink) { join(a, b, cfg, ctl, c, s) }
 }
