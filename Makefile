@@ -43,8 +43,8 @@ fuzz:
 # stress runs CI's race x10 pass over the delta layer and the join entry
 # points, then the server's model test, at -count=$(COUNT) (default 50)
 # beside nproc+2 CPU burners, so a test whose premise depends on the
-# scheduler fails locally; see scripts/stress.sh for BURNERS, RUN and
-# MODEL_RUN. Not a CI step.
+# scheduler fails locally; see scripts/stress.sh for COUNT, BURNERS and
+# RUN. Not a CI step.
 stress:
 	./scripts/stress.sh
 

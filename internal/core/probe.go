@@ -240,15 +240,13 @@ func (p *Probe) AssignExpanded(b geom.Dataset, eps float64, ctl *stats.Control, 
 // destination of b[i] in dest[i] and charging c, until ctl stops it.
 func (t *Tree) assignRange(b geom.Dataset, eps float64, dest []int32, lo, hi int, ctl *stats.Control, c *stats.Counters) {
 	tk := stats.NewTicker(ctl)
-	var grown geom.Box // b[i]'s box grown by eps, bit for bit Expand's
 	for i := lo; i < hi; i++ {
 		if tk.Tick() {
 			return
 		}
 		box := &b[i].Box
 		if eps != 0 {
-			grown = *box
-			grown.Grow(eps)
+			grown := box.Expand(eps)
 			box = &grown
 		}
 		dest[i] = t.AssignOne(box, c)

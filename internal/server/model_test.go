@@ -94,6 +94,10 @@ type model struct {
 	tail    int // inserts + tombstones since the last fold or build
 	folds   int // folds published
 	lost    int // acknowledged updates a kill has dropped
+
+	acked    []touch.ID        // IDs acknowledged to inserts the tail holds
+	dropped  map[touch.ID]bool // IDs acknowledged to inserts a kill dropped
+	reissued int               // dropped IDs a later ack gave to a new object
 }
 
 type modelRow struct {
@@ -101,10 +105,12 @@ type modelRow struct {
 	seed  int64
 	steps int
 	// killLoses lets a kill meet acknowledged updates that no fold has
-	// persisted, and pins what a restart does with them today: it loses
-	// them (ROADMAP item 3, the missing write-ahead log). Rows without it
-	// kill only after the tail has folded, where (iii) holds. The log
-	// flips this row: (iii) for every kill.
+	// persisted, and pins what a restart does with them today (ROADMAP
+	// item 3, the missing write-ahead log): it loses them, and it gives
+	// the IDs acknowledged to the lost inserts again to the next inserts,
+	// so a client holding such an ID finds a different object under it.
+	// Rows without it kill only after the tail has folded, where (iii)
+	// holds. The log flips this row: (iii) for every kill, no ID reissued.
 	killLoses bool
 }
 
@@ -130,16 +136,17 @@ func TestServerModel(t *testing.T) {
 				t.Fatalf("%v\nshortest failing prefix, %d of %d steps:\n%s",
 					err, len(prefix), len(steps), strings.Join(lines, "\n"))
 			}
-			if row.killLoses && m.lost == 0 {
-				t.Fatal("no kill met an unfolded update: the row pins nothing; pick a seed whose history does")
+			if row.killLoses && (m.lost == 0 || m.reissued == 0) {
+				t.Fatalf("%d acknowledged updates lost, %d IDs reissued: the row pins less than its name; pick a seed whose history does both",
+					m.lost, m.reissued)
 			}
 			var kinds [stepKill + 1]int
 			for _, s := range steps {
 				kinds[s.kind]++
 			}
-			t.Logf("%d steps: %d loads, %d patches, %d fold steps, %d deletes, %d posts, %d kills; %d folds published, version %d, %d acknowledged updates lost",
+			t.Logf("%d steps: %d loads, %d patches, %d fold steps, %d deletes, %d posts, %d kills; %d folds published, version %d, %d acknowledged updates lost, %d IDs reissued",
 				len(steps), kinds[stepLoad], kinds[stepPatch], kinds[stepFold], kinds[stepDelete], kinds[stepPost], kinds[stepKill],
-				m.folds, m.version, m.lost)
+				m.folds, m.version, m.lost, m.reissued)
 		})
 	}
 }
@@ -359,7 +366,7 @@ func (h *modelServer) step(m *model, s modelStep, killLoses bool) error {
 		if status != http.StatusOK {
 			return fmt.Errorf("delete: status %d %q", status, code)
 		}
-		m.ov, m.durable, m.tail = nil, nil, 0
+		m.ov, m.durable, m.tail, m.acked, m.dropped = nil, nil, 0, nil, nil
 		return nil
 	case stepKill:
 		h.kill()
@@ -373,9 +380,16 @@ func (h *modelServer) step(m *model, s modelStep, killLoses bool) error {
 				return fmt.Errorf("the history killed over %d unfolded updates", m.tail)
 			}
 			// Today's loss: acknowledged updates live only in memory until
-			// a fold persists them, so the restart serves the last file.
+			// a fold persists them, so the restart serves the last file,
+			// and its ID counter issues the lost inserts' IDs again.
 			m.lost += m.tail
-			m.ov, m.tail = m.durable, 0
+			if m.dropped == nil {
+				m.dropped = map[touch.ID]bool{}
+			}
+			for _, id := range m.acked {
+				m.dropped[id] = true
+			}
+			m.ov, m.tail, m.acked = m.durable, 0, nil
 		}
 		return nil
 	default:
@@ -390,7 +404,7 @@ func (h *modelServer) built(m *model, v int64, ds touch.Dataset) error {
 		return fmt.Errorf("the load was given version %d, want %d", v, m.version+1)
 	}
 	m.ov = touch.BuildIndex(ds, touch.TOUCHConfig{})
-	m.durable, m.version, m.tail = m.ov, v, 0
+	m.durable, m.version, m.tail, m.acked, m.dropped = m.ov, v, 0, nil, nil
 	return nil
 }
 
@@ -443,13 +457,20 @@ func (h *modelServer) update(m *model, s modelStep) error {
 			ack.Version, ack.InsertedIDs, ack.Deleted, ack.DeltaInserts, ack.DeltaTombstones,
 			m.version, want, deleted, m.tail)
 	}
+	for _, id := range want {
+		if m.dropped[id] {
+			m.reissued++
+			delete(m.dropped, id)
+		}
+	}
+	m.acked = append(m.acked, want...)
 	if m.tail < modelThreshold {
 		return nil
 	}
 	if err := h.waitVersion(m.version + 1); err != nil {
 		return err
 	}
-	m.version, m.tail, m.durable = m.version+1, 0, m.ov
+	m.version, m.tail, m.durable, m.acked = m.version+1, 0, m.ov, nil
 	m.folds++
 	return nil
 }

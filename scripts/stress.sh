@@ -12,16 +12,15 @@
 #   COUNT=200 BURNERS=3 RUN=SealedRunsUnderRacingWrites scripts/stress.sh
 #
 # COUNT (default 50) is the -count, BURNERS (default nproc+2) the number
-# of busy-loop processes, RUN (default CI's pattern) the -run pattern of
-# the first pass and MODEL_RUN (default TestServerModel) that of the
-# second. The burners are killed when the script exits, however it exits.
+# of busy-loop processes and RUN (default CI's pattern) the -run pattern
+# of the first pass. The burners are killed when the script exits,
+# however it exits.
 set -eu
 
 COUNT=${COUNT:-50}
 BURNERS=${BURNERS:-$(($(nproc) + 2))}
 # Keep in step with .github/workflows/ci.yml.
 RUN=${RUN:-'Mutable|Overlay|Delta|Update|Tier|Fold|Cancel|Limit|Sink|Streaming|Workers|ParallelJoin'}
-MODEL_RUN=${MODEL_RUN:-TestServerModel}
 
 PIDS=""
 cleanup() {
@@ -39,13 +38,13 @@ while [ "$i" -lt "$BURNERS" ]; do
     i=$((i + 1))
 done
 
-echo "stress: -race -count=$COUNT -run '$RUN', then -run '$MODEL_RUN' ./internal/server, under $BURNERS burners" >&2
+echo "stress: -race -count=$COUNT -run '$RUN', then -run TestServerModel ./internal/server, under $BURNERS burners" >&2
 start=$(date +%s)
 status=0
 # go test's timeout covers every -count of a package at once, and its
 # 10-minute default is shorter than 50 counts under the burners: allow
 # two minutes a count, so only a hang trips it.
 go test -race -count="$COUNT" -timeout "$((COUNT * 2))m" -run "$RUN" . ./internal/testutil || status=$?
-go test -race -count="$COUNT" -timeout "$((COUNT * 2))m" -run "$MODEL_RUN" ./internal/server || status=$?
+go test -race -count="$COUNT" -timeout "$((COUNT * 2))m" -run TestServerModel ./internal/server || status=$?
 echo "stress: $(($(date +%s) - start))s, exit $status" >&2
 exit "$status"
