@@ -281,10 +281,11 @@ func (v *Overlay) RangeQuery(q Box) ([]ID, error) { return v.RangeQueryTraced(q,
 
 // RangeQueryTraced is RangeQuery with per-request tracing: a non-nil
 // span receives the descent wall time (PhaseQuery) and the traversal
-// counters the query engine already maintains and, over a non-empty
-// delta only, the read of the pending inserts as PhaseDelta and the
-// tombstone filter as PhaseOverlay. A nil span is exactly RangeQuery —
-// no timing, no allocations.
+// counters the query engine already maintains, the inserts' box tests
+// among the comparisons, and, over a non-empty delta only, the read of
+// the pending inserts as PhaseDelta and the tombstone filter as
+// PhaseOverlay. A nil span is exactly RangeQuery — no timing, no
+// allocations.
 func (v *Overlay) RangeQueryTraced(q Box, sp *Span) ([]ID, error) {
 	if !q.Valid() {
 		return nil, fmt.Errorf("%w %v", ErrInvalidBox, q)
@@ -301,13 +302,21 @@ func (v *Overlay) RangeQueryTraced(q Box, sp *Span) ([]ID, error) {
 	// probe keeps, and the whole is copied out once.
 	ids := p.RangeQuery(q, &c, v.upper...)
 	if sp != nil {
-		sp.Add(trace.PhaseQuery, time.Since(start))
-		c.Results = int64(len(ids))
-		sp.Record(&c)
+		lap(sp, trace.PhaseQuery, &start)
 	}
-	ids = v.merge(ids, q, sp)
+	ids = v.merge(ids, q, &c, sp, start)
 	p.Recycle(ids)
+	c.Results = int64(len(ids))
+	sp.Record(&c)
 	return slices.Clone(ids), nil
+}
+
+// lap charges the time since *start to phase p of sp and starts the next
+// phase from the same clock reading.
+func lap(sp *Span, p trace.Phase, start *time.Time) {
+	now := time.Now()
+	sp.Add(p, now.Sub(*start))
+	*start = now
 }
 
 // PointQuery returns the IDs of every live object whose MBR contains
@@ -352,8 +361,8 @@ func (v *Overlay) PointQueryTraced(x, y, z float64, sp *Span) ([]ID, error) {
 func (v *Overlay) KNN(q Point, k int) ([]Neighbor, error) { return v.KNNTraced(q, k, nil) }
 
 // KNNTraced is KNN with per-request tracing; see RangeQueryTraced. The
-// insert pass records PhaseDelta; the tombstone test runs inside the
-// search.
+// insert pass records PhaseDelta, the inserts it offers counted among
+// the comparisons; the tombstone test runs inside the search.
 func (v *Overlay) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrInvalidK, k)
@@ -372,17 +381,14 @@ func (v *Overlay) KNNTraced(q Point, k int, sp *Span) ([]Neighbor, error) {
 	tombs := v.tail.Tombs()
 	p.Nearest(q, k, &c, tombs, v.upper...)
 	if sp != nil {
-		sp.Add(trace.PhaseQuery, time.Since(start))
+		lap(sp, trace.PhaseQuery, &start)
 	}
 	if v.tail.Inserts() > 0 {
-		if sp != nil {
-			start = time.Now()
-		}
 		for _, r := range v.tail.Runs() {
-			p.Offer(r.Boxes, r.IDs, r.Ext, q, k, tombs)
+			p.Offer(r.Boxes, r.IDs, r.Ext, q, k, &c, tombs)
 		}
 		restBoxes, restIDs := v.tail.Rest()
-		p.Offer(restBoxes, restIDs, math.Inf(1), q, k, tombs)
+		p.Offer(restBoxes, restIDs, math.Inf(1), q, k, &c, tombs)
 		if sp != nil {
 			sp.Add(trace.PhaseDelta, time.Since(start))
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"touch/internal/geom"
 	"touch/internal/stats"
@@ -243,10 +242,13 @@ func (s *queryScratch) enqueue(mbr *geom.Box, q geom.Point, k int, node, blk int
 // offer runs the objects of the two columns boxes and ids past the k-slot
 // heap s.nbrs: an object enters when fewer than k are held or it precedes
 // the worst of them in (Distance, ID) order — and only then is it looked
-// up in skip. The distance is Box.PointDistance's, and geom.NextWithin
-// skips, without a branch per dimension, every object whose square of it
-// is past the bound (farther), so strictly beyond the worst neighbour
-// held: most objects of a block, and of a long unindexed stretch.
+// up in skip, and only when it lies between skip's first and last ID, so
+// an object below every tombstone (a tier's, when the tombstones name
+// inserts) is never searched for. The distance is Box.PointDistance's,
+// and geom.NextWithin skips, without a branch per dimension, every object
+// whose square of it is past the bound (farther), so strictly beyond the
+// worst neighbour held: most objects of a block, and of a long unindexed
+// stretch.
 func (s *queryScratch) offer(boxes []geom.Box, ids []geom.ID, q geom.Point, k int, skip []geom.ID) {
 	limit := s.limit(k)
 	for i := 0; ; i++ {
@@ -259,7 +261,7 @@ func (s *queryScratch) offer(boxes []geom.Box, ids []geom.ID, q geom.Point, k in
 		if full && !after(s.nbrs[0], nb) {
 			continue
 		}
-		if len(skip) > 0 {
+		if len(skip) > 0 && skip[0] <= nb.ID && nb.ID <= skip[len(skip)-1] {
 			if _, dead := slices.BinarySearch(skip, nb.ID); dead {
 				continue
 			}
@@ -351,7 +353,8 @@ func (p *Probe) Nearest(q geom.Point, k int, c *stats.Counters, skip []geom.ID, 
 // Offer improves the neighbours Nearest left in the probe with objects no
 // tree holds — the unindexed tail of a tiered index, its boxes and IDs
 // two columns of one order — under the same k, skip list and (Distance,
-// ID) order. Distance evaluations here are not charged to any counter.
+// ID) order. The objects offered, whose distances are evaluated, are
+// charged to c.Comparisons.
 //
 // With ext = +Inf the objects may come in any order and every one is
 // offered. Otherwise they are sorted by Min[0] and Min[0] + ext is at
@@ -361,19 +364,39 @@ func (p *Probe) Nearest(q geom.Point, k int, c *stats.Counters, skip []geom.ID, 
 // one binary search per side finds where that bound alone first puts an
 // object strictly beyond the k-th neighbour held — where offer would drop
 // it, and everything further out.
-func (p *Probe) Offer(boxes []geom.Box, ids []geom.ID, ext float64, q geom.Point, k int, skip []geom.ID) {
-	s := &p.query
-	switch {
-	case k <= 0:
-	case math.IsInf(ext, 1):
-		s.offer(boxes, ids, q, k, skip)
-	default:
-		limit := s.limit(k)
-		beyond := func(g float64) bool { return g > 0 && g*g > limit }
-		hi := sort.Search(len(boxes), func(i int) bool { return beyond(boxes[i].Min[0] - q[0]) })
-		lo := sort.Search(hi, func(i int) bool { return !beyond(q[0] - (boxes[i].Min[0] + ext)) })
-		s.offer(boxes[lo:hi], ids[lo:hi], q, k, skip)
+func (p *Probe) Offer(boxes []geom.Box, ids []geom.ID, ext float64, q geom.Point, k int, c *stats.Counters, skip []geom.ID) {
+	if k <= 0 {
+		return
 	}
+	s := &p.query
+	if !math.IsInf(ext, 1) {
+		// Both searches are sort.Search's, inlined: hi is the first object
+		// whose x-gap to the right is beyond the bound, lo the first, below
+		// hi, whose x-gap to the left is not.
+		limit := s.limit(k)
+		lo, hi := 0, len(boxes)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if g := boxes[m].Min[0] - q[0]; g > 0 && g*g > limit {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		end := lo
+		lo, hi = 0, end
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if g := q[0] - (boxes[m].Min[0] + ext); g > 0 && g*g > limit {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		boxes, ids = boxes[lo:end], ids[lo:end]
+	}
+	c.Comparisons += int64(len(boxes))
+	s.offer(boxes, ids, q, k, skip)
 }
 
 // Neighbors returns what Nearest and Offer have gathered, ordered by

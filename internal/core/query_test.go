@@ -455,16 +455,23 @@ func TestTieredQueriesMatchOracle(t *testing.T) {
 		pt, k := base[rng.Intn(len(base))].Box.Center(), 1+rng.Intn(40)
 		c = stats.Counters{}
 		p.Nearest(pt, k, &c, skip, upper...)
+		tiers := c.Comparisons
 		if i%2 == 0 {
 			boxes, ids := columns(tail)
-			p.Offer(boxes, ids, math.Inf(1), pt, k, skip)
+			p.Offer(boxes, ids, math.Inf(1), pt, k, &c, skip)
+			if got := c.Comparisons - tiers; got != int64(len(tail)) {
+				t.Fatalf("Offer of a whole tail of %d charged %d comparisons", len(tail), got)
+			}
 		} else { // the tail as a delta holds it: sealed x-sorted runs, then the rest
 			runs := delta.Seal(nil, tail)
 			for _, r := range runs {
-				p.Offer(r.Boxes, r.IDs, r.Ext, pt, k, skip)
+				p.Offer(r.Boxes, r.IDs, r.Ext, pt, k, &c, skip)
 			}
 			boxes, ids := columns(tail[delta.Sealed(runs):])
-			p.Offer(boxes, ids, math.Inf(1), pt, k, skip)
+			p.Offer(boxes, ids, math.Inf(1), pt, k, &c, skip)
+			if got := c.Comparisons - tiers; got < int64(len(boxes)) || got > int64(len(tail)) {
+				t.Fatalf("Offer of a tail of %d, %d unsealed, charged %d comparisons", len(tail), len(boxes), got)
+			}
 		}
 		if got, want := p.Neighbors(&c), nl.KNN(live, pt, k); !slices.Equal(got, want) {
 			t.Fatalf("tiered KNN(%v, %d):\n got %v\nwant %v", pt, k, got, want)

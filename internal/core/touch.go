@@ -139,6 +139,16 @@ const (
 // heap.
 const leafBlock = 64
 
+// TierBucket caps the objects per bucket of a tier above a tiered
+// index's base. Only single probes read such a tier, and the base's
+// join-sized buckets (≈196 objects at 200K) leave a read scanning most of
+// a leaf for a few hits. On the serve_mixed update schedule replayed
+// over a 200K base (TestOverlayTailReadCounts), 32 halves the upper
+// tiers' comparisons per read — range 94.1 → 45.5, kNN 142.6 → 70.3 —
+// for a fifth more node tests (34.8 → 43.6, 29.9 → 35.3); 64 left them
+// at 64.7 and 136.2.
+const TierBucket = 32
+
 // zStride is how many consecutive objects of a block one key of its z
 // window stands for (zWindow). On the benchmark's serve_read workload (2
 // vCPUs, go1.24, six rotating runs each), strides 1, 4 and 8 read

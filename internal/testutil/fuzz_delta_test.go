@@ -41,6 +41,17 @@ func FuzzDeltaMerge(f *testing.F) {
 	}
 	f.Add(append(sealed, 0x04, 0x0a, 0x10, 0x16, 0x05, 0x04, 0x0a, 0x04, 0x0a, 0x1c, 0x04, 0x0a, 0x22, 0x04,
 		0x00, 0x31, 0x42, 0x53, 0x64, 0x75, 0x86, 0x97, 0xa8, 0xb9, 0xca, 0xdb, 0xec, 0x02, 0x41, 0x02, 0x07))
+	// The tombstone filter's bounds: a base of 12 and eight inserts, then
+	// tombstones on the last two inserts (above every base hit; the last
+	// insert covers the lattice, so it is the last ID of every answer that
+	// reaches it), on the first three base IDs (below every insert; 0
+	// covers the lattice, the first ID of those answers), interleaved
+	// through base and inserts, and spread over a base of 23 with inserts
+	// above it.
+	f.Add(tombSeed(12, 0x06, 0x06, 0x06, 0x06, 0x02, 19, 0x02, 18))
+	f.Add(tombSeed(12, 0x06, 0x06, 0x06, 0x06, 0x02, 0, 0x02, 1))
+	f.Add(tombSeed(12, 0x06, 0x06, 0x06, 0x06, 0x02, 3, 0x02, 13, 0x02, 15, 0x02, 9))
+	f.Add(tombSeed(23, 0x07, 0x06, 0x02, 5, 0x02, 20, 0x02, 1, 0x02, 14, 0x02, 17))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -140,4 +151,51 @@ func FuzzDeltaMerge(f *testing.F) {
 			t.Fatalf("Join diverges from rebuild: %d pairs, want %d", len(got), len(want))
 		}
 	})
+}
+
+// tombSeed returns a FuzzDeltaMerge script: a base of n boxes, then ops,
+// where an insert op (0x06, 0x07: two boxes) is followed by its boxes and
+// a delete op (0x02) by its byte as written. The base's boxes alternate
+// between the whole lattice and one cell of it, starting with the whole,
+// an insert op's are a cell and then the whole, so every query that
+// reaches the lattice answers with half the generation or more, and the
+// query seed (data[1]) is the first that puts two of the four range
+// boxes there.
+func tombSeed(n byte, ops ...byte) []byte {
+	box := func(i int) []byte {
+		lo, hi := byte(0), byte(63)
+		if i%2 == 1 {
+			lo = byte(i*7) % 62
+			hi = lo + 1
+		}
+		return []byte{lo, 0, lo, 0, lo, 0, hi, 0, hi, 0, hi, 0}
+	}
+	data := []byte{n, 0}
+	for i := 0; i < int(n); i++ {
+		data = append(data, box(i)...)
+	}
+	for i := 0; i < len(ops); i++ {
+		data = append(data, ops[i])
+		switch ops[i] {
+		case 0x06, 0x07:
+			data = append(append(data, box(2*len(data)+1)...), box(0)...)
+		case 0x02:
+			i++
+			data = append(data, ops[i])
+		}
+	}
+	for seed := 0; seed < 256; seed++ {
+		boxes, _, _ := QueryWorkload(int64(len(data))*31+int64(seed), 4)
+		reach := 0
+		for _, b := range boxes {
+			if b.Min[0] <= 315 && b.Min[1] <= 315 && b.Min[2] <= 315 {
+				reach++
+			}
+		}
+		if reach >= 2 {
+			data[1] = byte(seed)
+			break
+		}
+	}
+	return data
 }

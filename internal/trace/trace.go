@@ -120,16 +120,6 @@ func (s *Span) Record(c *stats.Counters) {
 	s.Durations[PhaseJoin] += c.JoinTime
 }
 
-// SetResults overwrites the result counter, for a caller whose answer
-// differs from what the engine counted — a range query over a delta
-// reports the IDs left after the merge and the tombstone filter.
-func (s *Span) SetResults(n int64) {
-	if s == nil {
-		return
-	}
-	s.Results = n
-}
-
 // SetCancel records the cancel cause (stats.CauseNone/CauseContext/
 // CauseStop). No-op on a nil span.
 func (s *Span) SetCancel(cause int32) {

@@ -12,7 +12,6 @@ func TestNilSpanIsSafe(t *testing.T) {
 	s.Add(PhaseJoin, time.Second)
 	s.Record(&stats.Counters{Comparisons: 10})
 	s.SetCancel(stats.CauseStop)
-	s.SetResults(5)
 	if s.Total() != 0 {
 		t.Fatalf("nil span total = %v, want 0", s.Total())
 	}

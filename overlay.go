@@ -257,7 +257,9 @@ type Fold struct {
 // tier, no tombstone, an explicit compaction.
 //
 // A tier above the base is built with the base's configuration and as
-// many partitions as give it the base's objects per bucket.
+// many partitions as give it the base's objects per bucket, but at most
+// core.TierBucket: only single probes read an upper tier, and a smaller
+// bucket leaves them less of a leaf to scan.
 func (v *Overlay) Fold(full bool, build func(Dataset, TOUCHConfig) *Index) *Fold {
 	v.stepped("Fold")
 	ins, tombs := v.d.Objects(), v.d.Tombs()
@@ -296,7 +298,7 @@ func (v *Overlay) Fold(full bool, build func(Dataset, TOUCHConfig) *Index) *Fold
 		f.cut = math.MinInt32
 		f.tiers = append(f.tiers, build(merged, cfg).tiers[0])
 	case len(merged) > 0:
-		bucket := max(1, (v.tiers[0].ids.Len()+cfg.Partitions-1)/cfg.Partitions)
+		bucket := min(core.TierBucket, max(1, (v.tiers[0].ids.Len()+cfg.Partitions-1)/cfg.Partitions))
 		cfg.Partitions = min(cfg.Partitions, (len(merged)+bucket-1)/bucket)
 		f.tiers = append(f.tiers, build(merged, cfg).tiers[0])
 	}
@@ -325,46 +327,84 @@ func (v *Overlay) dead(id ID) bool {
 // merged answer, in ids' array while it has room: the inserts
 // intersecting q are appended — in ID order and above every tier's IDs,
 // so the list stays ascending — and then the tombstoned IDs, tier objects
-// and inserts alike, are removed in place. Each sealed run is scanned
-// only in its window (delta.Run.Window) and its hits, met in x order, are
-// sorted; the unsealed rest, ID-ascending and above every run's IDs, is
-// scanned whole — all with geom.AppendMeeting. A non-nil sp records the
-// insert pass as PhaseDelta and the filter as PhaseOverlay.
-func (v *Overlay) merge(ids []ID, q Box, sp *Span) []ID {
+// and inserts alike, are removed in place (dropDead). Each sealed run is
+// scanned only in its window (delta.Run.Window) and its hits, met in x
+// order, are sorted; the unsealed rest, ID-ascending and above every
+// run's IDs, is scanned whole — all with geom.AppendMeeting, each object
+// scanned charged to c.Comparisons. A non-nil sp records the insert pass,
+// from start on, as PhaseDelta and the filter as PhaseOverlay.
+func (v *Overlay) merge(ids []ID, q Box, c *Stats, sp *Span, start time.Time) []ID {
 	if v.frozen() {
 		return ids
-	}
-	var start time.Time
-	if sp != nil {
-		start = time.Now()
 	}
 	from, runs := len(ids), v.tail.Runs()
 	for i := range runs {
 		boxes, runIDs := runs[i].Window(&q)
+		c.Comparisons += int64(len(boxes))
 		ids = geom.AppendMeeting(ids, boxes, runIDs, &q)
 	}
 	slices.Sort(ids[from:])
 	restBoxes, restIDs := v.tail.Rest()
+	c.Comparisons += int64(len(restBoxes))
 	ids = geom.AppendMeeting(ids, restBoxes, restIDs, &q)
 	if sp != nil {
-		sp.Add(trace.PhaseDelta, time.Since(start))
-		start = time.Now()
+		lap(sp, trace.PhaseDelta, &start)
 	}
 	if tombs := v.tail.Tombs(); len(tombs) > 0 {
-		live := ids[:0]
-		for _, id := range ids {
-			// ids ascend, so each search resumes where the last ended.
-			at, dead := slices.BinarySearch(tombs, id)
-			tombs = tombs[at:]
-			if !dead {
-				live = append(live, id)
-			}
-		}
-		ids = live
+		ids = dropDead(ids, tombs)
 	}
 	if sp != nil {
 		sp.Add(trace.PhaseOverlay, time.Since(start))
-		sp.SetResults(int64(len(ids)))
 	}
 	return ids
+}
+
+// dropDead removes from ids, in place, every ID tombs holds; both ascend
+// and tombs is not empty. Only the IDs from the first tombstone to the
+// last can be dead, and two binary searches find them; the answer below
+// stays where it is, the answer above moves down once, and each ID
+// between gallops through tombs from where the one before it stopped.
+// On a tail whose tombstones name inserts, a tier's hits lie below them
+// all and are never searched.
+func dropDead(ids, tombs []ID) []ID {
+	lo := lowerBound(ids, tombs[0])
+	hi, dead := slices.BinarySearch(ids[lo:], tombs[len(tombs)-1])
+	hi += lo
+	if dead {
+		hi++
+	}
+	live := ids[:lo]
+	for _, id := range ids[lo:hi] {
+		// id is at most the last tombstone, so tombs stays non-empty.
+		tombs = tombs[gallop(tombs, id):]
+		if tombs[0] != id {
+			live = append(live, id)
+		}
+	}
+	return append(live, ids[hi:]...)
+}
+
+// gallop returns the number of ids below id, ids ascending: it probes 1,
+// 2, 4, … places ahead until it passes id and then binary-searches the
+// last step, so its cost grows with the log of that number, not of
+// len(ids).
+func gallop(ids []ID, id ID) int {
+	if len(ids) == 0 || ids[0] >= id {
+		return 0
+	}
+	lo, step := 0, 1 // ids[lo] < id
+	for lo+step < len(ids) && ids[lo+step] < id {
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step, len(ids)) // ids[hi] >= id, or hi is the end
+	for lo+1 < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ids[m] < id {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return hi
 }

@@ -1,7 +1,6 @@
 package touch
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -42,14 +41,20 @@ func (r *Result) Selectivity(lenA, lenB int) float64 {
 }
 
 // SortPairs orders the result pairs by (A, B) for deterministic output
-// and comparison across algorithms.
+// and comparison across algorithms. It sorts one 64-bit key a pair,
+// which orders as the pair does — A in the high half, B in the low, each
+// with its sign bit flipped so that negative IDs come first — and writes
+// the pairs back from the sorted keys.
 func (r *Result) SortPairs() {
-	slices.SortFunc(r.Pairs, func(x, y Pair) int {
-		if x.A != y.A {
-			return cmp.Compare(x.A, y.A)
-		}
-		return cmp.Compare(x.B, y.B)
-	})
+	const sign = 1 << 31
+	keys := make([]uint64, len(r.Pairs))
+	for i, p := range r.Pairs {
+		keys[i] = uint64(uint32(p.A)^sign)<<32 | uint64(uint32(p.B)^sign)
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		r.Pairs[i] = Pair{A: ID(uint32(k>>32) ^ sign), B: ID(uint32(k) ^ sign)}
+	}
 }
 
 // String summarizes the result in one line.
