@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"sort"
 
 	"touch/internal/geom"
 	"touch/internal/stats"
@@ -370,30 +371,11 @@ func (p *Probe) Offer(boxes []geom.Box, ids []geom.ID, ext float64, q geom.Point
 	}
 	s := &p.query
 	if !math.IsInf(ext, 1) {
-		// Both searches are sort.Search's, inlined: hi is the first object
-		// whose x-gap to the right is beyond the bound, lo the first, below
-		// hi, whose x-gap to the left is not.
 		limit := s.limit(k)
-		lo, hi := 0, len(boxes)
-		for lo < hi {
-			m := int(uint(lo+hi) >> 1)
-			if g := boxes[m].Min[0] - q[0]; g > 0 && g*g > limit {
-				hi = m
-			} else {
-				lo = m + 1
-			}
-		}
-		end := lo
-		lo, hi = 0, end
-		for lo < hi {
-			m := int(uint(lo+hi) >> 1)
-			if g := q[0] - (boxes[m].Min[0] + ext); g > 0 && g*g > limit {
-				lo = m + 1
-			} else {
-				hi = m
-			}
-		}
-		boxes, ids = boxes[lo:end], ids[lo:end]
+		beyond := func(g float64) bool { return g > 0 && g*g > limit }
+		hi := sort.Search(len(boxes), func(i int) bool { return beyond(boxes[i].Min[0] - q[0]) })
+		lo := sort.Search(hi, func(i int) bool { return !beyond(q[0] - (boxes[i].Min[0] + ext)) })
+		boxes, ids = boxes[lo:hi], ids[lo:hi]
 	}
 	c.Comparisons += int64(len(boxes))
 	s.offer(boxes, ids, q, k, skip)

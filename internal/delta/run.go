@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sort"
 
 	"touch/internal/geom"
 )
@@ -100,30 +101,11 @@ func Sealed(runs []Run) int {
 // misses q along x, so testing the window with Box.Meets answers as
 // testing the whole run does. q must be a valid box.
 func (r *Run) Window(q *geom.Box) ([]geom.Box, []geom.ID) {
-	// Both searches are sort.Search's, inlined: end is the first object
-	// whose Min[0] is beyond q.Max[0], lo the first, below end, whose
-	// Min[0] + Ext reaches q.Min[0].
 	bs := r.Boxes
-	lo, hi := 0, len(bs)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if bs[m].Min[0] > q.Max[0] {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	end := lo
-	lo = 0
+	hi := sort.Search(len(bs), func(i int) bool { return bs[i].Min[0] > q.Max[0] })
+	lo := 0
 	if !math.IsInf(r.Ext, 1) {
-		for hi = end; lo < hi; {
-			m := int(uint(lo+hi) >> 1)
-			if bs[m].Min[0]+r.Ext >= q.Min[0] {
-				hi = m
-			} else {
-				lo = m + 1
-			}
-		}
+		lo = sort.Search(hi, func(i int) bool { return bs[i].Min[0]+r.Ext >= q.Min[0] })
 	}
-	return bs[lo:end], r.IDs[lo:end]
+	return bs[lo:hi], r.IDs[lo:hi]
 }

@@ -258,8 +258,8 @@ type Fold struct {
 //
 // A tier above the base is built with the base's configuration and as
 // many partitions as give it the base's objects per bucket, but at most
-// core.TierBucket: only single probes read an upper tier, and a smaller
-// bucket leaves them less of a leaf to scan.
+// core.TierBucket: a smaller bucket leaves a single probe less of a leaf
+// to scan and costs a join, which probes every tier too, next to nothing.
 func (v *Overlay) Fold(full bool, build func(Dataset, TOUCHConfig) *Index) *Fold {
 	v.stepped("Fold")
 	ins, tombs := v.d.Objects(), v.d.Tombs()
@@ -361,9 +361,9 @@ func (v *Overlay) merge(ids []ID, q Box, c *Stats, sp *Span, start time.Time) []
 
 // dropDead removes from ids, in place, every ID tombs holds; both ascend
 // and tombs is not empty. Only the IDs from the first tombstone to the
-// last can be dead, and two binary searches find them; the answer below
+// last can be dead, and two binary searches find them: the answer below
 // stays where it is, the answer above moves down once, and each ID
-// between gallops through tombs from where the one before it stopped.
+// between is searched for in tombs from where the one before it stopped.
 // On a tail whose tombstones name inserts, a tier's hits lie below them
 // all and are never searched.
 func dropDead(ids, tombs []ID) []ID {
@@ -375,36 +375,11 @@ func dropDead(ids, tombs []ID) []ID {
 	}
 	live := ids[:lo]
 	for _, id := range ids[lo:hi] {
-		// id is at most the last tombstone, so tombs stays non-empty.
-		tombs = tombs[gallop(tombs, id):]
-		if tombs[0] != id {
+		at, dead := slices.BinarySearch(tombs, id)
+		tombs = tombs[at:]
+		if !dead {
 			live = append(live, id)
 		}
 	}
 	return append(live, ids[hi:]...)
-}
-
-// gallop returns the number of ids below id, ids ascending: it probes 1,
-// 2, 4, … places ahead until it passes id and then binary-searches the
-// last step, so its cost grows with the log of that number, not of
-// len(ids).
-func gallop(ids []ID, id ID) int {
-	if len(ids) == 0 || ids[0] >= id {
-		return 0
-	}
-	lo, step := 0, 1 // ids[lo] < id
-	for lo+step < len(ids) && ids[lo+step] < id {
-		lo += step
-		step *= 2
-	}
-	hi := min(lo+step, len(ids)) // ids[hi] >= id, or hi is the end
-	for lo+1 < hi {
-		m := int(uint(lo+hi) >> 1)
-		if ids[m] < id {
-			lo = m
-		} else {
-			hi = m
-		}
-	}
-	return hi
 }

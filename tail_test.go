@@ -1,10 +1,12 @@
 package touch
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"touch/internal/core"
+	"touch/internal/stats"
 )
 
 // The tail-read harness: the update schedule of the benchmark's
@@ -17,6 +19,8 @@ const (
 	tailAtLive  = 32 // ...once this many are live
 	tailEvery   = 97 // updates between two sampled generations
 	tailK       = 10
+	tailJoinN   = 2048 // boxes of a join probe, as serve_read's wire joins
+	tailEps     = 5    // and their distance
 )
 
 // tailReplay replays updates updates of the schedule — each deletes the
@@ -74,6 +78,16 @@ func tailShapes(n int) ([]Box, []Point) {
 	return boxes, points
 }
 
+// tailProbes returns n join probes of tailJoinN uniform boxes, seeds 142
+// on, as the benchmark's serve_read draws its wire joins' probes.
+func tailProbes(n int) []Dataset {
+	probes := make([]Dataset, n)
+	for i := range probes {
+		probes[i] = GenerateUniform(tailJoinN, 142+int64(i))
+	}
+	return probes
+}
+
 // tailCounts is the work of one kind of read, summed over the reads.
 type tailCounts struct {
 	reads                     int
@@ -110,7 +124,7 @@ func countTailReads(tb testing.TB, v *Overlay, boxes []Box, points []Point, rc, 
 		if _, err := v.RangeQueryTraced(boxes[i], &sp); err != nil {
 			tb.Fatal(err)
 		}
-		rc.add(&base, &tiers, &sp)
+		rc.add(&base, &tiers, sp.Comparisons, sp.NodeTests)
 
 		base, tiers, sp = Stats{}, Stats{}, Span{}
 		p.Nearest(points[i], tailK, &base, skip)
@@ -118,35 +132,62 @@ func countTailReads(tb testing.TB, v *Overlay, boxes []Box, points []Point, rc, 
 		if _, err := v.KNNTraced(points[i], tailK, &sp); err != nil {
 			tb.Fatal(err)
 		}
-		kc.add(&base, &tiers, &sp)
+		kc.add(&base, &tiers, sp.Comparisons, sp.NodeTests)
 	}
 }
 
-func (c *tailCounts) add(base, tiers *Stats, sp *Span) {
+// countTailJoins joins every probe with v, as a server joins its current
+// generation, and adds each join's counters to jc, split as
+// countTailReads splits a read's: the base's from the base tier probed
+// alone, the tiers' from every tier probed in turn, the whole join's —
+// the tail's brute-force pass included — from Overlay.Join.
+func countTailJoins(tb testing.TB, v *Overlay, probes []Dataset, jc *tailCounts) {
+	tb.Helper()
+	ins, tombs := v.Pending()
+	jc.reads += len(probes)
+	jc.tiers += len(v.tiers) * len(probes)
+	jc.inserts += ins * len(probes)
+	jc.tombstone += tombs * len(probes)
+	none := stats.FuncSink(func(ID, ID) {})
+	for _, b := range probes {
+		var base, tiers Stats
+		v.tiers[0].runProbe(b, tailEps, 1, nil, &base, none)
+		v.probeTiers(b, tailEps, 1, nil, &tiers, none)
+		res, err := v.Join(context.Background(), b, &Options{Eps: tailEps, NoPairs: true, Workers: 1})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		jc.add(&base, &tiers, res.Stats.Comparisons, res.Stats.NodeTests)
+	}
+}
+
+// add adds one read's counters: the base tier's, every tier's, and the
+// whole read's comparisons and node tests.
+func (c *tailCounts) add(base, tiers *Stats, cmp, node int64) {
 	c.baseCmp += base.Comparisons
 	c.baseNode += base.NodeTests
 	c.upperCmp += tiers.Comparisons - base.Comparisons
 	c.upperNode += tiers.NodeTests - base.NodeTests
-	c.tailCmp += sp.Comparisons - tiers.Comparisons
-	c.tailNode += sp.NodeTests - tiers.NodeTests
-	c.overlayCmp += sp.Comparisons
-	c.overlayNode += sp.NodeTests
+	c.tailCmp += cmp - tiers.Comparisons
+	c.tailNode += node - tiers.NodeTests
+	c.overlayCmp += cmp
+	c.overlayNode += node
 }
 
-func (c *tailCounts) log(tb testing.TB, kind string) {
+func (c *tailCounts) log(tb testing.TB, kind, op string) {
 	per := func(n int64) float64 { return float64(n) / float64(c.reads) }
-	tb.Logf("%s, per read over %d reads (%.2f tiers, %.0f pending inserts, %.0f tombstones): "+
+	tb.Logf("%s, per %s over %d %ss (%.2f tiers, %.0f pending inserts, %.0f tombstones): "+
 		"base alone %.1f comparisons / %.1f node tests; loaded overlay %.1f / %.1f = base %.1f / %.1f + upper tiers %.1f / %.1f + tail %.1f / %.1f",
-		kind, c.reads, per(int64(c.tiers)), per(int64(c.inserts)), per(int64(c.tombstone)),
+		kind, op, c.reads, op, per(int64(c.tiers)), per(int64(c.inserts)), per(int64(c.tombstone)),
 		per(c.baseCmp), per(c.baseNode), per(c.overlayCmp), per(c.overlayNode),
 		per(c.baseCmp), per(c.baseNode), per(c.upperCmp), per(c.upperNode), per(c.tailCmp), per(c.tailNode))
 }
 
 // TestOverlayTailReadCounts prints what a read costs on the harness's
-// generations — comparisons and node tests per range and kNN read, for
-// the base alone and for the loaded overlay split into base, upper tiers
-// and tail — so a change that makes the tail do more work shows in the
-// log (run it with -v). It checks the split's premise: the tail's box
+// generations — comparisons and node tests per range and kNN read, and
+// per join of a tailJoinN-box probe, for the base alone and for the
+// loaded overlay split into base, upper tiers and tail — so a change that
+// makes the tail do more work shows in the log (run it with -v). It checks the split's premise: the tail's box
 // tests and the upper tiers' node tests are counted. The counts do not
 // depend on the race detector, which would only make the replay slow.
 func TestOverlayTailReadCounts(t *testing.T) {
@@ -154,39 +195,51 @@ func TestOverlayTailReadCounts(t *testing.T) {
 		t.Skip("a count harness; the race detector adds nothing but time")
 	}
 	boxes, points := tailShapes(4096)
-	var rc, kc tailCounts
+	probes := tailProbes(2)
+	var rc, kc, jc tailCounts
 	gens := 0
 	tailReplay(t, 51*tailEvery, func(v *Overlay) {
 		gens++
 		countTailReads(t, v, boxes, points, &rc, &kc)
+		countTailJoins(t, v, probes, &jc)
 	})
-	t.Logf("%d generations, %d shapes each", gens, len(boxes))
-	rc.log(t, "range")
-	kc.log(t, "kNN")
-	for _, c := range []*tailCounts{&rc, &kc} {
+	t.Logf("%d generations, %d shapes and %d join probes each", gens, len(boxes), len(probes))
+	rc.log(t, "range", "read")
+	kc.log(t, "kNN", "read")
+	jc.log(t, "join", "join")
+	for _, c := range []*tailCounts{&rc, &kc, &jc} {
 		if c.tailCmp <= 0 || c.upperNode <= 0 {
 			t.Errorf("premise: the tail's box tests (%d) and the upper tiers' node tests (%d) are not counted", c.tailCmp, c.upperNode)
 		}
 	}
 }
 
-// BenchmarkOverlayTailReads times range and kNN reads on the harness's
-// sampled generations, one read an op: every shape on one generation,
-// then on the next, as a server reads its current generation; the replay
-// itself is set-up.
+// BenchmarkOverlayTailReads times range and kNN reads and joins on the
+// harness's sampled generations, one read or join an op: every shape on
+// one generation, then on the next, as a server reads its current
+// generation; the replay itself is set-up. A join is count-only on one
+// worker, a tailJoinN-box probe at ε = tailEps.
 func BenchmarkOverlayTailReads(b *testing.B) {
 	var views []*Overlay
 	tailReplay(b, 51*tailEvery, func(v *Overlay) { views = append(views, v) })
 	boxes, points := tailShapes(4096)
-	for _, kind := range []string{"range", "knn"} {
+	probes := tailProbes(6)
+	for _, kind := range []string{"range", "knn", "join"} {
 		b.Run(kind, func(b *testing.B) {
+			n := len(boxes)
+			if kind == "join" {
+				n = len(probes)
+			}
 			for i := 0; i < b.N; i++ {
-				v, j := views[(i/len(boxes))%len(views)], i%len(boxes)
+				v, j := views[(i/n)%len(views)], i%n
 				var err error
-				if kind == "range" {
+				switch kind {
+				case "range":
 					_, err = v.RangeQuery(boxes[j])
-				} else {
+				case "knn":
 					_, err = v.KNN(points[j], tailK)
+				default:
+					_, err = v.Join(context.Background(), probes[j], &Options{Eps: tailEps, NoPairs: true, Workers: 1})
 				}
 				if err != nil {
 					b.Fatal(err)
