@@ -59,13 +59,13 @@ func (b *Batch) Add(req Request) ReplyFuture {
 	return ReplyFuture{c: b.c, tag: tag, call: cl}
 }
 
-// Range queues a Range request. It stays only until ROADMAP item 1b (m)
+// Range queues a Range request. It stays only until ROADMAP item 2
 // moves the benchmark to Add.
 func (b *Batch) Range(dataset string, box touch.Box) IDsFuture {
 	return IDsFuture{b.Add(Range(dataset, box))}
 }
 
-// KNN queues a KNN request. It stays only until ROADMAP item 1b (m)
+// KNN queues a KNN request. It stays only until ROADMAP item 2
 // moves the benchmark to Add.
 func (b *Batch) KNN(dataset string, pt touch.Point, k int) NeighborsFuture {
 	return NeighborsFuture{b.Add(KNN(dataset, pt, k))}
@@ -126,7 +126,7 @@ func (f ReplyFuture) Get(ctx context.Context) (*Reply, error) {
 }
 
 // IDsFuture is a ReplyFuture decoded by Reply.IDs. It stays only until
-// ROADMAP item 1b (m) moves the benchmark to Add.
+// ROADMAP item 2 moves the benchmark to Add.
 type IDsFuture struct{ f ReplyFuture }
 
 func (f IDsFuture) Get(ctx context.Context) (version int64, ids []touch.ID, err error) {
@@ -134,7 +134,7 @@ func (f IDsFuture) Get(ctx context.Context) (version int64, ids []touch.ID, err 
 }
 
 // NeighborsFuture is a ReplyFuture decoded by Reply.Neighbors. It stays
-// only until ROADMAP item 1b (m) moves the benchmark to Add.
+// only until ROADMAP item 2 moves the benchmark to Add.
 type NeighborsFuture struct{ f ReplyFuture }
 
 func (f NeighborsFuture) Get(ctx context.Context) (version int64, nbrs []touch.Neighbor, err error) {

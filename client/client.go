@@ -584,13 +584,13 @@ func (r *Reply) Trace() *Trace {
 // --- kept wrappers ---------------------------------------------------------
 
 // Range is Do with a Range request, decoded. It stays only until ROADMAP
-// item 1b (m) moves the benchmark to Do.
+// item 2 moves the benchmark to Do.
 func (c *Conn) Range(ctx context.Context, dataset string, b touch.Box) (version int64, ids []touch.ID, err error) {
 	return settle(c.Do(ctx, Range(dataset, b))).IDs()
 }
 
 // RangeTraced is Range traced, with the reply's trace. It stays only
-// until ROADMAP item 1b (m) moves the benchmark to Do.
+// until ROADMAP item 2 moves the benchmark to Do.
 func (c *Conn) RangeTraced(ctx context.Context, dataset string, b touch.Box) (version int64, ids []touch.ID, tr *Trace, err error) {
 	r := settle(c.Do(ctx, Range(dataset, b).Traced()))
 	version, ids, err = r.IDs()
@@ -598,19 +598,19 @@ func (c *Conn) RangeTraced(ctx context.Context, dataset string, b touch.Box) (ve
 }
 
 // KNN is Do with a KNN request, decoded. It stays only until ROADMAP
-// item 1b (m) moves the benchmark to Do.
+// item 2 moves the benchmark to Do.
 func (c *Conn) KNN(ctx context.Context, dataset string, pt touch.Point, k int) (version int64, nbrs []touch.Neighbor, err error) {
 	return settle(c.Do(ctx, KNN(dataset, pt, k))).Neighbors()
 }
 
 // Join is Do with a Join request, decoded. It stays only until ROADMAP
-// item 1b (m) moves the benchmark to Do.
+// item 2 moves the benchmark to Do.
 func (c *Conn) Join(ctx context.Context, dataset string, spec JoinSpec) (version int64, pairs []touch.Pair, count int64, err error) {
 	return settle(c.Do(ctx, Join(dataset, spec))).Join()
 }
 
 // JoinTraced is Join traced, with the reply's trace. It stays only until
-// ROADMAP item 1b (m) moves the benchmark to Do.
+// ROADMAP item 2 moves the benchmark to Do.
 func (c *Conn) JoinTraced(ctx context.Context, dataset string, spec JoinSpec) (version int64, pairs []touch.Pair, count int64, tr *Trace, err error) {
 	r := settle(c.Do(ctx, Join(dataset, spec).Traced()))
 	version, pairs, count, err = r.Join()
@@ -618,7 +618,7 @@ func (c *Conn) JoinTraced(ctx context.Context, dataset string, spec JoinSpec) (v
 }
 
 // Update is Do with an Update request, decoded. It stays only until
-// ROADMAP item 1b (m) moves the benchmark to Do.
+// ROADMAP item 2 moves the benchmark to Do.
 func (c *Conn) Update(ctx context.Context, dataset string, spec UpdateSpec) (UpdateResult, error) {
 	return settle(c.Do(ctx, Update(dataset, spec))).Update()
 }

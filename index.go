@@ -11,7 +11,6 @@ import (
 	"touch/internal/core"
 	"touch/internal/delta"
 	"touch/internal/geom"
-	"touch/internal/nl"
 	"touch/internal/stats"
 	"touch/internal/trace"
 )
@@ -97,26 +96,26 @@ func (v *Overlay) frozen() bool { return v.tail.Inserts() == 0 && len(v.tail.Tom
 // The pairs and Stats of a distance join are those of the intersection
 // join against b.Expand(Options.Eps), and b is not copied for it: each
 // tier's probe grows the boxes of one node at a time, as that node's
-// local join gathers them; only the brute-force pass over pending
-// inserts, when there are any, joins an enlarged copy of b. A negative or
-// NaN Eps is rejected with ErrNegativeDistance before the context is
-// checked, as SpatialJoin rejects it.
+// local join gathers them. A negative or NaN Eps is rejected with
+// ErrNegativeDistance before the context is checked, as SpatialJoin
+// rejects it.
 //
 // Tier after tier is probed, the pairs filtered against the tombstones
-// when there are any, and a brute-force pass joins the live inserts, so
-// pair order is the engine's emission order tier by tier followed by the
-// insert pass — arbitrary under parallelism; sort with Result.SortPairs
-// for a canonical order. Safe to call concurrently: each call checks a
-// private probe out of a tier's pool and no tree is ever written.
+// when there are any, and a TOUCH join of the live inserts with b
+// follows, so pair order is the engine's emission order tier by tier
+// followed by the inserts' — arbitrary under parallelism; sort with
+// Result.SortPairs for a canonical order. Safe to call concurrently:
+// each call checks a private probe out of a tier's pool and no tree is
+// ever written.
 //
 // Cancelling ctx (or its deadline expiring) aborts the assignment and
-// join phases and the insert pass cooperatively — every worker
-// checkpoints at least once per CheckEvery comparisons — and returns
-// ctx's error wrapped in ErrJoinCanceled. A join stopped by
-// Options.Limit is not an error; it returns the truncated result, and
-// the limit counts only live (delivered) pairs. The probe recycles
-// cleanly either way: an aborted call leaves no state behind for the
-// next join drawing the same probe from the pool.
+// join phases cooperatively — every worker checkpoints at least once per
+// CheckEvery comparisons — and returns ctx's error wrapped in
+// ErrJoinCanceled. A join stopped by Options.Limit is not an error; it
+// returns the truncated result, and the limit counts only live
+// (delivered) pairs. The probe recycles cleanly either way: an aborted
+// call leaves no state behind for the next join drawing the same probe
+// from the pool.
 func (v *Overlay) Join(ctx context.Context, b Dataset, opt *Options) (*Result, error) {
 	o := opt.normalized()
 	if err := checkEps(o.Eps); err != nil {
@@ -129,18 +128,17 @@ func (v *Overlay) Join(ctx context.Context, b Dataset, opt *Options) (*Result, e
 
 // run executes one join for Join, b's boxes enlarged by o.Eps: one
 // probe per tier, with a tombstone filter in front of the delivery chain
-// when there are tombstones, then — unless the join was stopped or
-// nothing is unindexed — the brute-force pass over the live inserts into
-// the same chain, one nl.Join per run of inserts between two dead ones.
-// The probes grow b's boxes as their local joins gather them; only the
-// insert pass, when there is one, joins an enlarged copy of b. The engine counts
-// every emission in c.Results before the filter can see it, so the
-// dropped pairs are subtracted afterwards, keeping Stats.Results equal to
-// the delivered (live) pair count. A non-nil o.Trace records the insert
-// pass's wall time as PhaseDelta (the tombstone filter runs inline inside
-// the join phase and is not timed separately).
+// when there are tombstones, then — unless the join was stopped or no
+// insert is live — a TOUCH join of the live inserts with b into the same
+// chain, its tree on the smaller side unless o.KeepOrder keeps it on the
+// inserts (§5.2.3). The engine counts every emission in c.Results before
+// the filter can see it, so the dropped pairs are subtracted afterwards,
+// keeping Stats.Results equal to the delivered (live) pair count. The
+// tiers build nothing, so c.BuildTime is the tail tree's build, which a
+// non-nil o.Trace records as PhaseDelta.
 func (v *Overlay) run(b Dataset, o *Options, ctl *stats.Control, c *Stats, sink Sink) {
-	if len(v.tail.Tombs()) == 0 {
+	tombs := v.tail.Tombs()
+	if len(tombs) == 0 {
 		v.probeTiers(b, o.Eps, o.Workers, ctl, c, sink)
 	} else {
 		var dropped int64
@@ -154,32 +152,19 @@ func (v *Overlay) run(b Dataset, o *Options, ctl *stats.Control, c *Stats, sink 
 		c.Results -= dropped
 	}
 	ins := v.tail.Objects()
-	if len(ins) == 0 {
+	if len(tombs) > 0 {
+		ins = slices.DeleteFunc(slices.Clone(ins), func(x Object) bool { return v.dead(x.ID) })
+	}
+	if len(ins) == 0 || ctl.Stopped() {
 		return
 	}
-	var start time.Time
-	if o.Trace != nil {
-		start = time.Now()
+	if !o.KeepOrder && len(b) < len(ins) {
+		core.JoinExpanded(b, o.Eps, ins, 0, v.Config(), o.Workers, ctl, c,
+			stats.FuncSink(func(bid, a ID) { sink.Emit(a, bid) }))
+	} else {
+		core.JoinExpanded(ins, 0, b, o.Eps, v.Config(), o.Workers, ctl, c, sink)
 	}
-	var grown Dataset // b.Expand(o.Eps), made for the first live run
-	for from, i := 0, 0; i <= len(ins); i++ {
-		if i < len(ins) && !v.dead(ins[i].ID) {
-			continue
-		}
-		if from < i {
-			if ctl.Stopped() {
-				break
-			}
-			if grown == nil {
-				grown = b.Expand(o.Eps)
-			}
-			nl.Join(ins[from:i], grown, ctl, c, sink)
-		}
-		from = i + 1
-	}
-	if o.Trace != nil {
-		o.Trace.Add(trace.PhaseDelta, time.Since(start))
-	}
+	o.Trace.Add(trace.PhaseDelta, c.BuildTime)
 }
 
 // probeTiers runs the engine over every tier in turn, unless the join is
@@ -214,7 +199,7 @@ func (t *tier) runProbe(b Dataset, eps float64, workers int, ctl *stats.Control,
 // DistanceJoin is Join under a background context with Options.Eps set
 // to eps. It stays, as a wrapper, only because the committed benchmark
 // (benchmark/) calls it; it goes once the benchmark moves to Join
-// (ROADMAP item 1b (m)).
+// (ROADMAP item 2).
 func (v *Overlay) DistanceJoin(b Dataset, eps float64, opt *Options) (*Result, error) {
 	return v.Join(context.Background(), b, opt.withEps(eps))
 }

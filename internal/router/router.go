@@ -339,7 +339,7 @@ func draining(r *client.Reply) error {
 
 // Range answers a range query from the dataset's owners. It stays only
 // for benchmark/'s in-process router rung (router.call) until ROADMAP
-// item 1b (m): a Go program sends client.Range to the wire front.
+// item 2: a Go program sends client.Range to the wire front.
 func (rt *Router) Range(ctx context.Context, dataset string, box touch.Box) (version int64, ids []touch.ID, err error) {
 	r, err := rt.call(ctx, dataset, wire.OpRange, wire.AppendRangeReq(nil, dataset, box))
 	if err != nil {

@@ -36,7 +36,8 @@ const (
 	// PhaseOverlay is merge work against the delta layer: tombstone
 	// filtering and result merging.
 	PhaseOverlay
-	// PhaseDelta is the scan of the in-memory delta (pending inserts).
+	// PhaseDelta is the read of the pending inserts: a single probe's
+	// scan of them, or the build of the tree a join joins them through.
 	PhaseDelta
 	// PhaseEncode is response materialization: pair sorting, JSON or
 	// wire frame encoding.

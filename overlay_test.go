@@ -1,8 +1,12 @@
 package touch
 
 import (
+	"context"
 	"slices"
 	"testing"
+	"time"
+
+	"touch/internal/trace"
 )
 
 // TestOverlayTombstoneBounds: a read filters tombstones only between the
@@ -85,5 +89,41 @@ func TestOverlayTombstoneBounds(t *testing.T) {
 				t.Errorf("KNN: %v, want %v", gotK, wantK)
 			}
 		})
+	}
+}
+
+// TestOverlayTracedJoinPhases: a traced join over pending inserts counts
+// each stretch of its wall time once. The tiers' and the inserts'
+// assignment and join phases go to PhaseAssign and PhaseJoin, the rest of
+// the inserts' pass — the tail tree's build — to PhaseDelta, so the
+// phases sum to no more than the call's wall time, whichever side of the
+// inserts' pass builds the tree. The tail outweighs the base, so that
+// counting its assignment and join twice would show.
+func TestOverlayTracedJoinPhases(t *testing.T) {
+	inserts := make([]Box, 6000)
+	for i, o := range GenerateUniform(len(inserts), 61) {
+		inserts[i] = o.Box.Expand(4)
+	}
+	v, first, _, ok := BuildIndex(GenerateUniform(1000, 60), TOUCHConfig{}).Apply(inserts, nil)
+	if !ok {
+		t.Fatal("Apply refused the inserts")
+	}
+	if v, _, _, ok = v.Apply(nil, []ID{first, first + 7, 12}); !ok {
+		t.Fatal("Apply refused the deletes")
+	}
+	for _, n := range []int{2048, 8192} { // the tree on the probe, then on the inserts
+		var sp Span
+		start := time.Now()
+		res, err := v.Join(context.Background(), GenerateUniform(n, 62), &Options{Eps: 5, NoPairs: true, Trace: &sp})
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Results == 0 || sp.Durations[trace.PhaseDelta] <= 0 || sp.Durations[trace.PhaseJoin] <= 0 {
+			t.Fatalf("probe of %d: premise: %d results, phases %v", n, res.Stats.Results, sp.Durations)
+		}
+		if sp.Total() > wall {
+			t.Errorf("probe of %d: phases sum to %v over %v of wall time: %v", n, sp.Total(), wall, sp.Durations)
+		}
 	}
 }

@@ -21,6 +21,9 @@ const (
 	tailK       = 10
 	tailJoinN   = 2048 // boxes of a join probe, as serve_read's wire joins
 	tailEps     = 5    // and their distance
+	// tailJoinMaxCmp bounds the comparisons of a join's tail: TOUCH over
+	// the live inserts makes about 120 a join.
+	tailJoinMaxCmp = 50_000
 )
 
 // tailReplay replays updates updates of the schedule — each deletes the
@@ -140,7 +143,7 @@ func countTailReads(tb testing.TB, v *Overlay, boxes []Box, points []Point, rc, 
 // generation, and adds each join's counters to jc, split as
 // countTailReads splits a read's: the base's from the base tier probed
 // alone, the tiers' from every tier probed in turn, the whole join's —
-// the tail's brute-force pass included — from Overlay.Join.
+// the tail's TOUCH join included — from Overlay.Join.
 func countTailJoins(tb testing.TB, v *Overlay, probes []Dataset, jc *tailCounts) {
 	tb.Helper()
 	ins, tombs := v.Pending()
@@ -187,9 +190,12 @@ func (c *tailCounts) log(tb testing.TB, kind, op string) {
 // generations — comparisons and node tests per range and kNN read, and
 // per join of a tailJoinN-box probe, for the base alone and for the
 // loaded overlay split into base, upper tiers and tail — so a change that
-// makes the tail do more work shows in the log (run it with -v). It checks the split's premise: the tail's box
-// tests and the upper tiers' node tests are counted. The counts do not
-// depend on the race detector, which would only make the replay slow.
+// makes the tail do more work shows in the log (run it with -v). It checks
+// the split's premise: the tail's box tests and the upper tiers' node
+// tests are counted. And it holds a join's tail to tailJoinMaxCmp
+// comparisons: a brute-force pass over the pending inserts makes about
+// 2.8M. The counts do not depend on the race detector, which would only
+// make the replay slow.
 func TestOverlayTailReadCounts(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a count harness; the race detector adds nothing but time")
@@ -211,6 +217,9 @@ func TestOverlayTailReadCounts(t *testing.T) {
 		if c.tailCmp <= 0 || c.upperNode <= 0 {
 			t.Errorf("premise: the tail's box tests (%d) and the upper tiers' node tests (%d) are not counted", c.tailCmp, c.upperNode)
 		}
+	}
+	if per := jc.tailCmp / int64(jc.reads); per >= tailJoinMaxCmp {
+		t.Errorf("a join's tail makes %d comparisons, at most %d allowed: the pending inserts are not joined through a tree", per, tailJoinMaxCmp)
 	}
 }
 

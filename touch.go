@@ -164,7 +164,9 @@ type Options struct {
 	TOUCH TOUCHConfig
 	// KeepOrder disables the join-order heuristic of §5.2.3. By default
 	// the smaller dataset is used to build the index/tree (results are
-	// always reported in (A, B) orientation regardless).
+	// always reported in (A, B) orientation regardless). An Overlay join
+	// over pending inserts builds a tree over its live inserts or over
+	// b, whichever is smaller; KeepOrder builds it over the inserts.
 	KeepOrder bool
 	// NoPairs suppresses materialization of Result.Pairs; the join only
 	// counts results (useful for large experiments). Ignored when Sink
@@ -235,7 +237,9 @@ var ErrNegativeDistance = errors.New("touch: negative distance")
 // the partial result is discarded. The bound covers the assignment and
 // join phases; a one-shot join's index-construction phase (tree build,
 // bulk loads, sort passes) runs to completion before the first
-// checkpoint — prebuilt Index joins have no such phase. The returned
+// checkpoint. A join over a prebuilt Index has no such phase, but an
+// Overlay join over pending inserts builds one small tree over its live
+// tail before that pass's first checkpoint. The returned
 // error also wraps the context's own error, so errors.Is matches
 // ErrJoinCanceled, context.Canceled and context.DeadlineExceeded as
 // appropriate. A join truncated by Options.Limit is a normal
@@ -499,7 +503,7 @@ func collect(ctx context.Context, o *Options, swapped bool, run func(*stats.Cont
 // DistanceJoin is SpatialJoin under a background context with
 // Options.Eps set to eps. It stays, as a wrapper, only because the
 // committed benchmark (benchmark/) calls it; it goes once the benchmark
-// moves to SpatialJoin (ROADMAP item 1b (m)).
+// moves to SpatialJoin (ROADMAP item 2).
 func DistanceJoin(alg Algorithm, a, b Dataset, eps float64, opt *Options) (*Result, error) {
 	return SpatialJoin(context.Background(), alg, a, b, opt.withEps(eps))
 }
