@@ -31,6 +31,7 @@ FUZZ_TARGETS = internal/testutil:FuzzJoin internal/testutil:FuzzDistanceJoin \
 	internal/testutil:FuzzKNN internal/testutil:FuzzSortIDs \
 	internal/testutil:FuzzSnapshotDecode internal/testutil:FuzzThaw \
 	internal/testutil:FuzzWireDecode internal/testutil:FuzzDeltaMerge \
+	internal/testutil:FuzzAssign \
 	internal/str:FuzzPack internal/server:FuzzHTTPDataPlane \
 	internal/geom:FuzzBoxKernels
 

@@ -59,8 +59,16 @@ func checkDirectory(t *testing.T, name string, tr *Tree) {
 			name, next, len(tr.blocks), cap(tr.blocks), len(tr.windows), cap(tr.windows))
 	}
 	// One 64-byte entry and one 8-byte extent sum per node; one 48-byte
-	// MBR and one 24-byte z window per block.
-	if want := int64(tr.Nodes)*(64+8) + int64(tr.SizeA)*stats.BytesPerRef + int64(next)*(stats.BytesPerBox+24); tr.StaticBytes() != want {
+	// MBR and one 24-byte z window per block; the cell table's cells, 2 or
+	// 4 bytes each, and its 8-byte bounds.
+	cells := int64(0)
+	if cl := tr.cells; cl != nil {
+		cells = int64(len(cl.small))*2 + int64(len(cl.wide))*4
+		for _, e := range cl.edges {
+			cells += int64(len(e)) * 8
+		}
+	}
+	if want := int64(tr.Nodes)*(64+8) + int64(tr.SizeA)*stats.BytesPerRef + int64(next)*(stats.BytesPerBox+24) + cells; tr.StaticBytes() != want {
 		t.Fatalf("%s: StaticBytes %d, want %d with %d blocks", name, tr.StaticBytes(), want, next)
 	}
 }

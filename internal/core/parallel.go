@@ -26,11 +26,11 @@ const (
 // counting-sort merge (Probe.merge), which runs in input order and makes
 // every node's segment of B indexes identical to the sequential
 // assignment's.
-func (p *Probe) assignParallel(b geom.Dataset, eps float64, dest []int32, ctl *stats.Control, c *stats.Counters) {
+func (p *Probe) assignParallel(b geom.Dataset, eps float64, cl *cellTable, dest []int32, ctl *stats.Control, c *stats.Counters) {
 	workers := min(p.workers, (len(b)+minParallelAssign-1)/minParallelAssign)
 	counters := p.counterSlice(workers)
 	str.Spread(len(b), workers, func(w, lo, hi int) {
-		p.tree.assignRange(b, eps, dest, lo, hi, ctl, &counters[w])
+		p.tree.assignRange(b, eps, cl, dest, lo, hi, ctl, &counters[w])
 	})
 	for w := range counters {
 		c.Add(counters[w])

@@ -221,10 +221,14 @@ func (p *Probe) AssignExpanded(b geom.Dataset, eps float64, ctl *stats.Control, 
 		p.dest = make([]int32, len(b))
 	}
 	dest := p.dest[:len(b)]
+	cl := p.tree.cells
+	if !cl.pays(b, eps) {
+		cl = nil
+	}
 	if p.workers > 1 && len(b) >= minParallelAssign {
-		p.assignParallel(b, eps, dest, ctl, c)
+		p.assignParallel(b, eps, cl, dest, ctl, c)
 	} else {
-		p.tree.assignRange(b, eps, dest, 0, len(b), ctl, c)
+		p.tree.assignRange(b, eps, cl, dest, 0, len(b), ctl, c)
 	}
 	if ctl.Stopped() {
 		// The tail of dest was never written this round (it may hold a
@@ -237,8 +241,9 @@ func (p *Probe) AssignExpanded(b geom.Dataset, eps float64, ctl *stats.Control, 
 }
 
 // assignRange assigns b[lo:hi], every box enlarged by eps, recording the
-// destination of b[i] in dest[i] and charging c, until ctl stops it.
-func (t *Tree) assignRange(b geom.Dataset, eps float64, dest []int32, lo, hi int, ctl *stats.Control, c *stats.Counters) {
+// destination of b[i] in dest[i] and charging c, until ctl stops it. Each
+// descent starts where cl sends the box, at the root when cl is nil.
+func (t *Tree) assignRange(b geom.Dataset, eps float64, cl *cellTable, dest []int32, lo, hi int, ctl *stats.Control, c *stats.Counters) {
 	tk := stats.NewTicker(ctl)
 	for i := lo; i < hi; i++ {
 		if tk.Tick() {
@@ -249,7 +254,7 @@ func (t *Tree) assignRange(b geom.Dataset, eps float64, dest []int32, lo, hi int
 			grown := box.Expand(eps)
 			box = &grown
 		}
-		dest[i] = t.AssignOne(box, c)
+		dest[i] = t.descend(box, cl.start(box), c)
 		if dest[i] < 0 {
 			c.Filtered++
 		}
