@@ -33,6 +33,7 @@ FUZZ_TARGETS = internal/testutil:FuzzJoin internal/testutil:FuzzDistanceJoin \
 	internal/testutil:FuzzWireDecode internal/testutil:FuzzDeltaMerge \
 	internal/testutil:FuzzAssign \
 	internal/str:FuzzPack internal/server:FuzzHTTPDataPlane \
+	internal/server:FuzzServerModel \
 	internal/geom:FuzzBoxKernels
 
 fuzz:

@@ -48,27 +48,6 @@ func (s *snapshot) pending() int {
 	return ins + tombs
 }
 
-// stats describes the version's index tiers as one index; updates do not
-// move it, only the fold or build that made the version.
-func (s *snapshot) stats() touch.IndexStats { return s.ov.Stats() }
-
-// tiers counts the version's index tiers.
-func (s *snapshot) tiers() int { return len(s.ov.Tiers()) }
-
-// newSnapshot is a freshly built or restored version.
-func newSnapshot(version int64, ov *touch.Overlay, builtAt time.Time) *snapshot {
-	return &snapshot{version: version, ov: ov, builtAt: builtAt}
-}
-
-// withOverlay derives the serving state that publishes ov, a generation
-// over the same tiers as s's.
-func (s *snapshot) withOverlay(ov *touch.Overlay) *snapshot {
-	return &snapshot{
-		version: s.version, ov: ov,
-		builtAt: s.builtAt, persisted: s.persisted, snapBytes: s.snapBytes,
-	}
-}
-
 // entry is one named dataset of the catalog.
 type entry struct {
 	name string
@@ -95,7 +74,7 @@ type entry struct {
 // Loading a name that already exists starts a background rebuild; the
 // old index keeps serving until the new one atomically replaces it, and
 // a version that finishes building after a newer one never regresses
-// the entry (the swap is guarded by a version comparison).
+// the entry (every swap of a version passes entry.publish).
 type catalog struct {
 	build buildFunc
 	// persist, when non-nil, mirrors builds and drops to disk. Set once
@@ -173,47 +152,72 @@ func (c *catalog) acquireVersion(name string) (*entry, int64) {
 }
 
 // buildVersion is the one way the reserved version v of e comes to
-// exist: in its turn on the entry's build lock it runs generation — a
-// full build or a fold — persists what it returns ahead of visibility and
-// returns the snapshot for the caller to publish under its own guard.
-// Superseded builds are skipped — nil, generation never called: once a
-// newer version has been accepted (it will build after us, or already
-// has), ours could never serve, so don't waste the work and release the
-// pinned dataset at once. The caller's guarded store still protects
-// against swaps backwards.
-func (c *catalog) buildVersion(e *entry, v int64, generation func() *touch.Overlay) *snapshot {
+// serve, and it ends the reservation. In its turn on the entry's build
+// lock it skips v if a newer version has been accepted (that one builds
+// after us, or already has, so ours could never serve: don't waste the
+// work, release the pinned dataset at once); otherwise it runs
+// generation — a full build or a fold — persists what that returns ahead
+// of visibility and publishes it through e.publish. carry is a fold's:
+// see publish. It reports whether v was published.
+func (c *catalog) buildVersion(e *entry, v int64, generation func() *touch.Overlay, carry func(*touch.Overlay) *touch.Overlay) bool {
+	if carry != nil {
+		c.compactionsInFlight.Add(1)
+	}
+	defer func() {
+		// The gauge drops before the version is released, so it never
+		// counts a fold that holds none.
+		if carry != nil {
+			c.compactionsInFlight.Add(-1)
+		}
+		e.mu.Lock()
+		e.building--
+		e.mu.Unlock()
+		c.pending.Add(-1)
+	}()
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
 	e.mu.Lock()
 	superseded := e.accepted > v
 	e.mu.Unlock()
 	if superseded {
-		return nil
+		return false
 	}
-	snap := newSnapshot(v, generation(), time.Now())
+	snap := &snapshot{version: v, ov: generation(), builtAt: time.Now()}
 	if p := c.persist; p != nil {
 		// Write-ahead of visibility: the snapshot — and with it every
 		// update a compaction folded in — must be durably on disk before
 		// the hot swap can publish it, so a crash right after a
 		// 200-visible version still restarts with that version. A
-		// persistence failure degrades gracefully — the caller's swap
-		// still happens, the version just serves as ephemeral (flagged
-		// in the listing, counted in metrics).
+		// persistence failure degrades gracefully — the publish still
+		// happens, the version just serves as ephemeral (flagged in the
+		// listing, counted in metrics).
 		var err error
 		if snap.snapBytes, snap.persisted, err = p.save(e.name, v, snap.ov, snap.builtAt); err != nil {
 			p.log.Error("snapshot: persist failed, dataset is ephemeral",
 				"dataset", e.name, "version", v, "err", err)
 		}
 	}
-	return snap
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.publish(snap, carry)
 }
 
-// released ends a version's reservation; deferred, so after its publish.
-func (c *catalog) released(e *entry) {
-	e.mu.Lock()
-	e.building--
-	e.mu.Unlock()
-	c.pending.Add(-1)
+// publish is the guard every version passes to serve: it stores snap
+// unless a version at least as new already serves, so the entry never
+// swaps backwards, and reports whether it stored. carry, when non-nil,
+// runs right before the store and gives the generation to serve in place
+// of snap's, from the serving one's: a fold carries over the updates
+// applied while it built. The caller holds e.mu.
+func (e *entry) publish(snap *snapshot, carry func(*touch.Overlay) *touch.Overlay) bool {
+	cur := e.ready.Load()
+	if cur != nil && cur.version >= snap.version {
+		return false
+	}
+	if carry != nil {
+		snap.ov = carry(cur.ov)
+	}
+	e.ready.Store(snap)
+	return true
 }
 
 // load accepts a new version of the named dataset and builds its index,
@@ -229,8 +233,7 @@ func (c *catalog) load(name string, ds touch.Dataset, cfg touch.TOUCHConfig, wai
 	}
 	e, v := c.acquireVersion(name)
 	run := func() {
-		defer c.released(e)
-		full := func() *touch.Overlay {
+		c.buildVersion(e, v, func() *touch.Overlay {
 			ov := c.build(ds, cfg)
 			// A repeated ID leaves the index read-only: no update could
 			// step it, so the dataset cannot be served.
@@ -238,14 +241,7 @@ func (c *catalog) load(name string, ds touch.Dataset, cfg touch.TOUCHConfig, wai
 				panic(fmt.Sprintf("server: dataset %q: %d duplicate object IDs", name, dup))
 			}
 			return ov
-		}
-		if snap := c.buildVersion(e, v, full); snap != nil {
-			e.mu.Lock()
-			if cur := e.ready.Load(); cur == nil || cur.version < v {
-				e.ready.Store(snap)
-			}
-			e.mu.Unlock()
-		}
+		}, nil)
 	}
 	if wait {
 		run()
@@ -310,7 +306,9 @@ func (c *catalog) updateEntry(e *entry, inserts []touch.Box, deletes []touch.ID)
 	if len(inserts) > 0 {
 		res.firstID = int64(first)
 	}
-	e.ready.Store(snap.withOverlay(ov))
+	next := *snap
+	next.ov = ov
+	e.ready.Store(&next)
 	pending := res.deltaIns + res.deltaTomb
 	e.pendingMax = max(e.pendingMax, pending)
 	e.folds.Arm()
@@ -319,13 +317,14 @@ func (c *catalog) updateEntry(e *entry, inserts []touch.Box, deletes []touch.ID)
 
 // fold is the one compaction: it folds e's unfolded tail into the tiers
 // (Overlay.Fold — a new top tier, or one tree in place of the tiers the
-// tail has outgrown) and publishes the result as the next version with
-// load's write-ahead persistence, unless a newer full version supersedes
-// it. Reserving the version under e.mu orders a racing re-POST: whichever
-// reserves later has the higher version and wins the publish guard.
-// Updates applied while the build ran carry over into the new snapshot's
-// tail, which inherits the ID high-water mark: no ID reuse. It reports
-// whether it published.
+// tail has outgrown) and publishes the result as the next version through
+// buildVersion, unless a newer full version supersedes it. Reserving the
+// version under e.mu while no newer one is accepted orders a racing
+// re-POST: whichever reserves later has the higher version and wins the
+// publish guard, and a version serving at the publish is either the
+// fold's base or newer than the fold. Updates applied while the build ran
+// carry over into the new snapshot's tail, which inherits the ID
+// high-water mark: no ID reuse. It reports whether it published.
 func (c *catalog) fold(e *entry) (published bool) {
 	e.mu.Lock()
 	from := e.ready.Load()
@@ -345,32 +344,26 @@ func (c *catalog) fold(e *entry) (published bool) {
 	v := e.accepted
 	e.mu.Unlock()
 	c.pending.Add(1)
-	defer c.released(e)
-	c.compactionsInFlight.Add(1)
-	defer c.compactionsInFlight.Add(-1)
 	start := time.Now()
 	var f *touch.Fold
-	snap := c.buildVersion(e, v, func() *touch.Overlay {
+	published = c.buildVersion(e, v, func() *touch.Overlay {
 		f = from.ov.Fold(false, c.build)
 		return f.Next(from.ov)
+	}, func(cur *touch.Overlay) *touch.Overlay {
+		// Counted and observed before the publish, so a scrape never shows
+		// a serving version whose fold is missing from the compaction
+		// metrics.
+		c.compactions.Add(1)
+		c.compactionObjects.Add(int64(f.Objects))
+		c.compactionTime.Observe(time.Since(start))
+		return f.Next(cur)
 	})
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cur := e.ready.Load()
-	if snap == nil || cur.version != from.version {
+	if !published {
 		// A newer full load was accepted or published while we built; its
 		// dataset replaced ours wholesale and pending updates with it.
 		c.compactionsSkipped.Add(1)
-		return false
 	}
-	next := snap.withOverlay(f.Next(cur.ov))
-	// Counted and observed before the publish, so a scrape never shows a
-	// serving version whose fold is missing from the compaction metrics.
-	c.compactions.Add(1)
-	c.compactionObjects.Add(int64(f.Objects))
-	c.compactionTime.Observe(time.Since(start))
-	e.ready.Store(next)
-	return true
+	return published
 }
 
 // pending is the unfolded tail of e's serving snapshot, none before its
@@ -452,23 +445,19 @@ func (c *catalog) counters() map[string]int64 {
 }
 
 // restore installs a snapshot recovered from disk, merging with
-// whatever the live catalog already holds under the same version guards
-// as builds: the accepted counter never regresses and a newer serving
-// version is never replaced by an older file — so a re-POST racing
-// startup recovery converges to the newest version, whichever side wins
-// the race.
+// whatever the live catalog already holds: the accepted counter never
+// regresses, and the file publishes through the guard every build passes,
+// so a newer serving version is never replaced by an older file — a
+// re-POST racing startup recovery converges to the newest version,
+// whichever side wins the race.
 func (c *catalog) restore(name string, version int64, ov *touch.Overlay, builtAt time.Time, size int64) {
-	snap := newSnapshot(version, ov, builtAt)
-	snap.persisted, snap.snapBytes = true, size
 	c.mu.Lock()
 	e := c.entryLocked(name)
 	c.mu.Unlock()
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.accepted = max(e.accepted, version)
-	if cur := e.ready.Load(); cur == nil || cur.version < version {
-		e.ready.Store(snap)
-	}
-	e.mu.Unlock()
+	e.publish(&snapshot{version: version, ov: ov, builtAt: builtAt, persisted: true, snapBytes: size}, nil)
 }
 
 // restoreCounters folds the persisted version counters back in after a
@@ -535,7 +524,7 @@ func (e *entry) info() datasetInfo {
 		status = "rebuilding"
 	}
 	ins, tombs := snap.ov.Pending()
-	stats := snap.stats()
+	stats := snap.ov.Stats()
 	return datasetInfo{
 		Name:            e.name,
 		Version:         snap.version,
@@ -550,7 +539,7 @@ func (e *entry) info() datasetInfo {
 		DeltaInserts:    ins,
 		DeltaTombstones: tombs,
 		deltaPendingMax: pendingMax,
-		tiers:           snap.tiers(),
+		tiers:           len(snap.ov.Tiers()),
 	}
 }
 

@@ -75,8 +75,8 @@ func TestCompactionRearmsAfterPublish(t *testing.T) {
 	for {
 		snap, _ := snapshotOf(cat, "m")
 		if snap.version == 3 {
-			if snap.pending() != 0 || snap.stats().Objects != 264 || snap.tiers() != 2 {
-				t.Fatalf("version 3 has %d objects in %d tiers and %d pending updates, want 264, 2 and 0", snap.stats().Objects, snap.tiers(), snap.pending())
+			if snap.pending() != 0 || snap.ov.Stats().Objects != 264 || len(snap.ov.Tiers()) != 2 {
+				t.Fatalf("version 3 has %d objects in %d tiers and %d pending updates, want 264, 2 and 0", snap.ov.Stats().Objects, len(snap.ov.Tiers()), snap.pending())
 			}
 			break
 		}

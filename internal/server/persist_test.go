@@ -379,7 +379,7 @@ func TestRestartKeepsBuildConfig(t *testing.T) {
 	}
 	b.waitServing("d", 2)
 	snap, _ := snapshotOf(b.srv.cat, "d")
-	if got := snap.stats(); snap.tiers() != 1 || got.Objects != want.Objects || got.Leaves != want.Leaves || got.Height != want.Height {
+	if got := snap.ov.Stats(); len(snap.ov.Tiers()) != 1 || got.Objects != want.Objects || got.Leaves != want.Leaves || got.Height != want.Height {
 		t.Fatalf("fold after restart built %d leaves, height %d; the load built %d leaves, height %d",
 			got.Leaves, got.Height, want.Leaves, want.Height)
 	}

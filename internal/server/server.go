@@ -291,7 +291,7 @@ func (s *Server) Load(name string, ds touch.Dataset, cfg touch.TOUCHConfig) (ver
 	// The snapshot can lag v only if a concurrent load superseded this
 	// one before it built; report whatever version is serving.
 	if snap, _ := snapshotOf(s.cat, name); snap != nil {
-		stats = snap.stats()
+		stats = snap.ov.Stats()
 	}
 	return v, stats
 }

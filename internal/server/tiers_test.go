@@ -146,9 +146,9 @@ func TestTieredFoldsPersistAndRecover(t *testing.T) {
 		t.Fatalf("recovery stats %+v after %d builds, want one dataset and no build", stats, builds)
 	}
 	back, _ := snapshotOf(b.srv.cat, "d")
-	if fmt.Sprint(back.ov.Tiers()) != fmt.Sprint(tiers) || back.version != 4 || back.stats() != snap.stats() {
+	if fmt.Sprint(back.ov.Tiers()) != fmt.Sprint(tiers) || back.version != 4 || back.ov.Stats() != snap.ov.Stats() {
 		t.Fatalf("recovered version %d with %+v %+v; served version 4 with %+v %+v",
-			back.version, back.ov.Tiers(), back.stats(), tiers, snap.stats())
+			back.version, back.ov.Tiers(), back.ov.Stats(), tiers, snap.ov.Stats())
 	}
 	b.checkAgainstOracle(o, "d", probe, 17)
 	// first[5] sits in a recovered upper tier; first[17]'s tombstone came
@@ -206,9 +206,9 @@ func TestFoldPersistFaultMatrix(t *testing.T) {
 			a.waitServing("d", 2)
 			armed = false
 			snap, _ := snapshotOf(a.srv.cat, "d")
-			if snap.tiers() != 2 || snap.persisted || a.srv.SnapshotErrors() == 0 {
+			if len(snap.ov.Tiers()) != 2 || snap.persisted || a.srv.SnapshotErrors() == 0 {
 				t.Fatalf("the fold serves %d tiers, persisted=%v, after %d snapshot errors; want 2 tiers, ephemeral, an error counted",
-					snap.tiers(), snap.persisted, a.srv.SnapshotErrors())
+					len(snap.ov.Tiers()), snap.persisted, a.srv.SnapshotErrors())
 			}
 
 			b := newTestServer(t, Config{DataDir: dir, compactThreshold: -1})
@@ -221,8 +221,8 @@ func TestFoldPersistFaultMatrix(t *testing.T) {
 				next = 564
 			}
 			back, _ := snapshotOf(b.srv.cat, "d")
-			if back.version != tc.want || back.tiers() != int(tc.want) {
-				t.Fatalf("recovered version %d with %d tiers, want version %d", back.version, back.tiers(), tc.want)
+			if back.version != tc.want || len(back.ov.Tiers()) != int(tc.want) {
+				t.Fatalf("recovered version %d with %d tiers, want version %d", back.version, len(back.ov.Tiers()), tc.want)
 			}
 			b.checkAgainstOracle(o, "d", touch.GenerateUniform(40, 23).Expand(5), 24)
 			if ids, _ := b.update("d", uniformBoxes(1, 25), nil); ids[0] != next {

@@ -238,8 +238,8 @@ func TestUpdateCompactionPublishes(t *testing.T) {
 	for {
 		snap, _ := snapshotOf(ts.srv.cat, "cells")
 		if snap != nil && snap.version > v0 && snap.pending() == 0 {
-			if snap.stats().Objects != 300-3+12 {
-				t.Fatalf("compacted base has %d objects, want %d", snap.stats().Objects, 300-3+12)
+			if snap.ov.Stats().Objects != 300-3+12 {
+				t.Fatalf("compacted base has %d objects, want %d", snap.ov.Stats().Objects, 300-3+12)
 			}
 			break
 		}
