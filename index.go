@@ -151,10 +151,7 @@ func (v *Overlay) run(b Dataset, o *Options, ctl *stats.Control, c *Stats, sink 
 		}))
 		c.Results -= dropped
 	}
-	ins := v.tail.Objects()
-	if len(tombs) > 0 {
-		ins = slices.DeleteFunc(slices.Clone(ins), func(x Object) bool { return v.dead(x.ID) })
-	}
+	ins := v.tail.Live()
 	if len(ins) == 0 || ctl.Stopped() {
 		return
 	}

@@ -61,9 +61,6 @@ func (t *Tree) NewProbe() *Probe {
 	return &Probe{tree: t}
 }
 
-// Tree returns the shared tree the probe joins against.
-func (p *Probe) Tree() *Tree { return p.tree }
-
 // SetWorkers sets the number of goroutines Assign and JoinPhase use (0
 // or 1 = single-threaded, the paper's setting and a fresh probe's).
 // Per-probe: concurrent joins on one tree may each pick their own

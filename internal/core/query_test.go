@@ -463,11 +463,12 @@ func TestTieredQueriesMatchOracle(t *testing.T) {
 				t.Fatalf("Offer of a whole tail of %d charged %d comparisons", len(tail), got)
 			}
 		} else { // the tail as a delta holds it: sealed x-sorted runs, then the rest
-			runs := delta.Seal(nil, tail)
+			boxes, ids := columns(tail)
+			runs := delta.Seal(nil, boxes, ids)
 			for _, r := range runs {
 				p.Offer(r.Boxes, r.IDs, r.Ext, pt, k, &c, skip)
 			}
-			boxes, ids := columns(tail[delta.Sealed(runs):])
+			boxes, ids = boxes[delta.Sealed(runs):], ids[delta.Sealed(runs):]
 			p.Offer(boxes, ids, math.Inf(1), pt, k, &c, skip)
 			if got := c.Comparisons - tiers; got < int64(len(boxes)) || got > int64(len(tail)) {
 				t.Fatalf("Offer of a tail of %d, %d unsealed, charged %d comparisons", len(tail), len(boxes), got)

@@ -12,7 +12,7 @@
 // dataset of the tier it builds, and what is left pending once that tier
 // is published (the fold rule itself, which tiers a fold rewrites, lives
 // with the tiers in package touch). Serialized writers are what lets
-// inserts share one append-only backing array across generations.
+// inserts share two append-only columns across generations.
 //
 // The contract that everything downstream leans on: every tier holds
 // distinct IDs (an IDs set) and the tiers' ID ranges ascend without
@@ -21,7 +21,7 @@
 // restarts, IDs are never reused), and deletes are recorded as tombstones
 // rather than applied in place: the unfolded tail keeps tombstoned objects, and the
 // tombstones — of tier objects and tail objects alike — are one
-// ID-ascending slice. Readers take both slices as they are (Objects,
+// ID-ascending slice. Readers take the slices as they are (Runs, Rest,
 // Tombs) and test a tombstone by binary search only on an object that is
 // already a hit, so publishing an update costs O(batch) plus a
 // 4-byte-per-tombstone copy when the batch deletes something.
@@ -32,10 +32,9 @@
 // so a range query tests only the window of each run its box can reach
 // along x and a kNN search only the window around its point that the
 // x-gap alone does not put beyond the k-th neighbour found so far (Runs,
-// and the fewer than RunLen unsealed inserts after them, read whole from
-// two columns, Rest). A run, like the rest, holds its objects as a tree
-// holds its arena: a box column and an ID column.
-// Joins, folds and membership keep reading the ID-ordered Objects.
+// and the fewer than RunLen unsealed inserts after them, read whole, Rest).
+// The tail holds each insert once, in ID order, and a run its stretch
+// sorted, both as a tree holds its arena: a box column and an ID column.
 //
 // A fold rewrites every object with an ID at or above some cut — the
 // tail alone, or the tail and the topmost tiers — and drops the
@@ -62,20 +61,17 @@ import (
 // NewForBase or Restored. A nil *Delta is a valid empty delta for every
 // read accessor.
 type Delta struct {
-	// inserts is the unfolded tail: every object inserted since the last
-	// fold, with consecutive ascending IDs, including ones later
-	// tombstoned — the slice is append-only so descendant deltas and the
-	// readers of published generations share its backing array.
-	inserts geom.Dataset
-	// runs seal a prefix of inserts, in order; the inserts after it are
-	// fewer than RunLen. Shared across generations like inserts, and
-	// appended to under the same linear-history rule.
+	// boxes and ids are the unfolded tail: every object inserted since
+	// the last fold, including ones later tombstoned, in ID order, object
+	// i's box boxes[i] and its ID ids[i]. The columns are append-only so
+	// descendant deltas and the readers of published generations share
+	// their backing arrays.
+	boxes []geom.Box
+	ids   []geom.ID
+	// runs seal a prefix of the columns, in order; the inserts after it,
+	// the rest, are fewer than RunLen. Shared across generations like the
+	// columns, and appended to under the same linear-history rule.
 	runs []Run
-	// restBoxes and restIDs are those inserts after the runs again, in ID
-	// order, in two columns, as single probes scan them: appended to under
-	// the same rule, and begun afresh when a run is sealed.
-	restBoxes []geom.Box
-	restIDs   []geom.ID
 	// tombs lists the deleted IDs whose objects some tier or the tail
 	// still holds, ascending. Never mutated after the Delta is published;
 	// Delete copies.
@@ -122,7 +118,12 @@ func (d *Delta) Empty() bool { return d.Size() == 0 }
 
 // Inserts returns the number of unfolded inserts, tombstoned ones
 // included.
-func (d *Delta) Inserts() int { return len(d.Objects()) }
+func (d *Delta) Inserts() int {
+	if d == nil {
+		return 0
+	}
+	return len(d.ids)
+}
 
 // Tombstones returns the number of unfolded tombstones: those of Tombs
 // no fold has settled.
@@ -137,19 +138,9 @@ func (d *Delta) Tombstones() int {
 // compaction thresholds are compared against.
 func (d *Delta) Size() int { return d.Inserts() + d.Tombstones() }
 
-// Objects returns every buffered insert, tombstoned ones included, in
-// ID order. The slice is the delta's own: read-only, and valid while
-// the writer keeps the history linear (see Insert).
-func (d *Delta) Objects() geom.Dataset {
-	if d == nil {
-		return nil
-	}
-	return d.inserts
-}
-
 // Runs returns the sealed runs of the buffered inserts, in order: they
-// cover Objects up to Sealed(Runs()), and the rest of Objects is
-// unsealed. The slice is the delta's own and read-only.
+// cover the first Sealed(Runs()) inserts, and the rest is unsealed. The
+// slice is the delta's own and read-only.
 func (d *Delta) Runs() []Run {
 	if d == nil {
 		return nil
@@ -157,38 +148,27 @@ func (d *Delta) Runs() []Run {
 	return d.runs
 }
 
-// Rest returns the unsealed inserts, Objects()[Sealed(Runs()):], as a box
-// column and an ID column. The slices are the delta's own and read-only.
+// Rest returns the unsealed inserts, those past the first Sealed(Runs()),
+// as a box column and an ID column: the delta's own, read-only, capped.
 func (d *Delta) Rest() ([]geom.Box, []geom.ID) {
 	if d == nil {
 		return nil, nil
 	}
-	return d.restBoxes, d.restIDs
+	n, end := Sealed(d.runs), len(d.ids)
+	return d.boxes[n:end:end], d.ids[n:end:end]
 }
 
-// Pending returns a delta holding inserts, ID-ascending, and tombs,
-// ascending, for reading only: its runs and its rest are what Insert
-// would have sealed and left of inserts. Its next ID and its count of
-// settled tombstones mean nothing, and it takes no update.
+// Pending returns a delta holding a copy of inserts, ID-ascending, and
+// tombs, ascending and retained, for reading only: its runs and its rest
+// are what Insert would have sealed and left of inserts. Its next ID and
+// its count of settled tombstones mean nothing, and it takes no update.
 func Pending(inserts geom.Dataset, tombs []geom.ID) *Delta {
-	d := &Delta{inserts: inserts, runs: Seal(nil, inserts), tombs: tombs}
-	d.restBoxes, d.restIDs = appendRest(nil, nil, inserts[Sealed(d.runs):])
+	d := &Delta{boxes: make([]geom.Box, len(inserts)), ids: make([]geom.ID, len(inserts)), tombs: tombs}
+	for i := range inserts {
+		d.boxes[i], d.ids[i] = inserts[i].Box, inserts[i].ID
+	}
+	d.runs = Seal(nil, d.boxes, d.ids)
 	return d
-}
-
-// appendRest appends the boxes and IDs of ds to the rest's two columns;
-// a nil pair is begun with room for RunLen objects, more than a rest ever
-// holds, so that the inserts up to the next run append in place.
-func appendRest(boxes []geom.Box, ids []geom.ID, ds geom.Dataset) ([]geom.Box, []geom.ID) {
-	if boxes == nil && len(ds) > 0 {
-		boxes, ids = make([]geom.Box, 0, RunLen), make([]geom.ID, 0, RunLen)
-	}
-	n := len(boxes)
-	boxes, ids = slices.Grow(boxes, len(ds))[:n+len(ds)], slices.Grow(ids, len(ds))[:n+len(ds)]
-	for i := range ds {
-		boxes[n+i], ids[n+i] = ds[i].Box, ds[i].ID
-	}
-	return boxes, ids
 }
 
 // Tombs returns the tombstoned IDs ascending, settled ones included. The
@@ -216,7 +196,7 @@ func findID(ds geom.Dataset, id geom.ID) (int, bool) {
 
 // appendLive appends the objects of src (ID-ascending) that tombs
 // (ascending) does not name: one binary search per tombstone in src's
-// ID range, the runs between them copied whole. dst may share src's
+// ID range, the stretches between them copied whole. dst may share src's
 // array as long as it ends at or before src's start: the copies move
 // left.
 func appendLive(dst, src geom.Dataset, tombs []geom.ID) geom.Dataset {
@@ -244,7 +224,26 @@ func (d *Delta) Live() geom.Dataset {
 	if d.Inserts() == 0 {
 		return nil
 	}
-	return appendLive(make(geom.Dataset, 0, len(d.inserts)), d.inserts, d.tombs)
+	return d.appendLive(make(geom.Dataset, 0, len(d.ids)))
+}
+
+// appendLive appends the inserts no tombstone names to dst, gathered
+// from the columns in one walk beside the tombstones in their ID range.
+func (d *Delta) appendLive(dst geom.Dataset) geom.Dataset {
+	if d.Inserts() == 0 {
+		return dst
+	}
+	below, _ := slices.BinarySearch(d.tombs, d.ids[0])
+	tombs := d.tombs[below:]
+	for i, id := range d.ids {
+		for len(tombs) > 0 && tombs[0] < id {
+			tombs = tombs[1:]
+		}
+		if len(tombs) == 0 || tombs[0] != id {
+			dst = append(dst, geom.Object{ID: id, Box: d.boxes[i]})
+		}
+	}
+	return dst
 }
 
 // containsInsert reports whether id is one of the unfolded inserts,
@@ -257,7 +256,7 @@ func (d *Delta) containsInsert(id geom.ID) bool {
 
 // tailStart returns the ID of the first unfolded insert — nextID when
 // there is none. Every ID at or above it belongs to the tail.
-func (d *Delta) tailStart() geom.ID { return d.nextID - geom.ID(len(d.inserts)) }
+func (d *Delta) tailStart() geom.ID { return d.nextID - geom.ID(len(d.ids)) }
 
 // CanInsert reports whether n more inserts fit before the int32 ID
 // space is exhausted.
@@ -273,30 +272,30 @@ const maxID = geom.ID(1<<31 - 1)
 // the writer lock.
 //
 // Linear history only: the new objects are appended into the spare
-// capacity of the array the receiver — and every published reader of it
-// — shares, so each delta may be extended at most once by a child that
-// is kept. Forking two kept children from one parent would let the
+// capacity of the columns the receiver — and every published reader of
+// it — shares, so each delta may be extended at most once by a child
+// that is kept. Forking two kept children from one parent would let the
 // second overwrite the first one's objects. Calling Insert again on the
-// same parent and discarding the earlier result is fine. The runs and
-// the rest's columns are extended the same way: an insert that completes
-// a stretch of RunLen unsealed objects seals it, and the rest begins
-// again after it.
+// same parent and discarding the earlier result is fine. The runs are
+// extended the same way: an insert that completes a stretch of RunLen
+// unsealed objects seals it. Columns that have to grow get room for
+// RunLen more inserts, so the next batches, or a retried one, fit.
 func (d *Delta) Insert(boxes []geom.Box) (nd *Delta, first geom.ID) {
 	first = d.nextID
 	if len(boxes) == 0 {
 		return d, first
 	}
-	inserts := d.inserts
-	for i, b := range boxes {
-		inserts = append(inserts, geom.Object{ID: first + geom.ID(i), Box: b})
+	bs, ids := d.boxes, d.ids
+	if len(ids)+len(boxes) > min(cap(bs), cap(ids)) {
+		bs, ids = slices.Grow(bs, len(boxes)+RunLen), slices.Grow(ids, len(boxes)+RunLen)
 	}
-	runs := Seal(d.runs, inserts[Sealed(d.runs):])
-	rb, ri, from := d.restBoxes, d.restIDs, len(d.inserts)
-	if len(runs) > len(d.runs) {
-		rb, ri, from = nil, nil, Sealed(runs)
+	bs = append(bs, boxes...)
+	for i := range boxes {
+		ids = append(ids, first+geom.ID(i))
 	}
-	rb, ri = appendRest(rb, ri, inserts[from:])
-	return &Delta{inserts: inserts, runs: runs, restBoxes: rb, restIDs: ri, tombs: d.tombs, settled: d.settled, nextID: first + geom.ID(len(boxes))}, first
+	sealed := Sealed(d.runs)
+	runs := Seal(d.runs, bs[sealed:], ids[sealed:])
+	return &Delta{boxes: bs, ids: ids, runs: runs, tombs: d.tombs, settled: d.settled, nextID: first + geom.ID(len(boxes))}, first
 }
 
 // Delete returns a delta with a tombstone added for every id that is
@@ -321,8 +320,7 @@ func (d *Delta) Delete(ids []geom.ID, held func(geom.ID) bool) (nd *Delta, delet
 		tombs = append(append(tombs, old[:i]...), id)
 		old = old[i:]
 	}
-	return &Delta{inserts: d.inserts, runs: d.runs, restBoxes: d.restBoxes, restIDs: d.restIDs,
-		tombs: append(tombs, old...), settled: d.settled, nextID: d.nextID}, len(add)
+	return &Delta{boxes: d.boxes, ids: d.ids, runs: d.runs, tombs: append(tombs, old...), settled: d.settled, nextID: d.nextID}, len(add)
 }
 
 // Apply is the one update step both owners run under their writer lock:
@@ -355,20 +353,18 @@ func (d *Delta) Apply(inserts []geom.Box, deletes []geom.ID, held func(geom.ID) 
 // what the fold took of it.
 func (d *Delta) Since(d0 *Delta, cut geom.ID) *Delta {
 	nd := &Delta{nextID: d.nextID}
-	if n := len(d0.inserts); n < len(d.inserts) {
-		nd.inserts = d.inserts[n:]
+	if n := len(d0.ids); n < len(d.ids) {
+		nd.boxes, nd.ids = d.boxes[n:], d.ids[n:]
 		at := 0
 		for _, r := range d.runs {
 			switch end := at + len(r.IDs); {
 			case at >= n:
 				nd.runs = append(nd.runs, r)
 			case end > n:
-				nd.runs = append(nd.runs, seal(d.inserts[n:end]))
+				nd.runs = append(nd.runs, seal(d.boxes[n:end], d.ids[n:end]))
 			}
 			at += len(r.IDs)
 		}
-		cut := max(0, n-Sealed(d.runs))
-		nd.restBoxes, nd.restIDs = d.restBoxes[cut:], d.restIDs[cut:]
 	}
 	nd.settled, _ = slices.BinarySearch(d0.tombs, cut)
 	folded := d0.tombs[nd.settled:]
@@ -395,10 +391,10 @@ func (d *Delta) Since(d0 *Delta, cut geom.ID) *Delta {
 // nothing to merge into a single tier it returns that tier itself;
 // otherwise a fresh slice, the tiers left as they are.
 func (d *Delta) Merged(tiers ...geom.Dataset) geom.Dataset {
-	if len(tiers) == 1 && len(d.Objects()) == 0 && len(d.Tombs()) == 0 {
+	if len(tiers) == 1 && d.Inserts() == 0 && len(d.Tombs()) == 0 {
 		return tiers[0]
 	}
-	n := len(d.Objects())
+	n := d.Inserts()
 	for _, t := range tiers {
 		n += len(t)
 	}
@@ -424,5 +420,5 @@ func (d *Delta) MergedInPlace(held geom.Dataset) geom.Dataset {
 			keep, _ = findID(held, tombs[0])
 		}
 	}
-	return appendLive(appendLive(held[:keep], held[keep:], tombs), d.Objects(), d.Tombs())
+	return d.appendLive(appendLive(held[:keep], held[keep:], tombs))
 }

@@ -1,8 +1,11 @@
 package delta
 
 import (
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"touch/internal/geom"
 )
@@ -10,6 +13,10 @@ import (
 func box(i float64) geom.Box {
 	return geom.Box{Min: geom.Point{i, i, i}, Max: geom.Point{i + 1, i + 1, i + 1}}
 }
+
+// objects zips d's two columns into objects, tombstoned inserts
+// included, in ID order.
+func objects(d *Delta) geom.Dataset { return runObjects(Run{Boxes: d.boxes, IDs: d.ids}) }
 
 func base(n int) geom.Dataset {
 	ds := make(geom.Dataset, n)
@@ -111,8 +118,8 @@ func TestSince(t *testing.T) {
 	d1, _ = d1.Delete([]geom.ID{1, 3, 4}, inBase(bs))
 
 	nd := d1.Since(d0, all)
-	if nd.Inserts() != 1 || nd.inserts[0].ID != 4 {
-		t.Fatalf("Since inserts = %v", nd.inserts)
+	if nd.Inserts() != 1 || nd.ids[0] != 4 {
+		t.Fatalf("Since inserts = %v", objects(nd))
 	}
 	if got := nd.TombIDs(); !slices.Equal(got, []geom.ID{1, 3, 4}) {
 		t.Fatalf("Since tombs = %v, want [1 3 4]", got)
@@ -184,8 +191,8 @@ func TestDeleteKeepsTombstonesSorted(t *testing.T) {
 	if got := d2.TombIDs(); !slices.Equal(got, d2.Tombs()) || &got[0] == &d2.Tombs()[0] {
 		t.Fatal("TombIDs must be a copy of Tombs")
 	}
-	if d2.Objects()[2].ID != 12 || d2.Inserts() != 4 {
-		t.Fatalf("Objects must keep tombstoned inserts, got %v", d2.Objects())
+	if objects(d2)[2].ID != 12 || d2.Inserts() != 4 {
+		t.Fatalf("Objects must keep tombstoned inserts, got %v", objects(d2))
 	}
 }
 
@@ -194,15 +201,15 @@ func TestDeleteKeepsTombstonesSorted(t *testing.T) {
 // keep reading untouched.
 func TestInsertSharesOneArray(t *testing.T) {
 	d0, _ := NewForBase(nil).Insert([]geom.Box{box(1), box(2), box(3)})
-	if cap(d0.Objects()) < 4 {
+	if cap(d0.boxes) < 4 || cap(d0.ids) < 4 {
 		t.Skip("append left no spare capacity to share")
 	}
 	d1, _ := d0.Insert([]geom.Box{box(4)})
 	d2, _ := d1.Insert([]geom.Box{box(5)})
-	if &d0.Objects()[0] != &d1.Objects()[0] {
+	if &d0.boxes[0] != &d1.boxes[0] || &d0.ids[0] != &d1.ids[0] {
 		t.Fatal("a linear history reallocated with spare capacity left")
 	}
-	if d0.Inserts() != 3 || d1.Inserts() != 4 || d2.Inserts() != 5 || d1.Objects()[3].Box != box(4) {
+	if d0.Inserts() != 3 || d1.Inserts() != 4 || d2.Inserts() != 5 || d1.boxes[3] != box(4) {
 		t.Fatalf("generations see %d/%d/%d inserts", d0.Inserts(), d1.Inserts(), d2.Inserts())
 	}
 }
@@ -222,8 +229,8 @@ func TestSinceAndMergedWalks(t *testing.T) {
 	if !slices.Equal(nd.Tombs(), []geom.ID{0, 4, 11, 12, 15}) {
 		t.Fatalf("Since tombs = %v, want [0 4 11 12 15]", nd.Tombs())
 	}
-	if nd.Inserts() != 2 || nd.Objects()[0].ID != 14 || nd.NextID() != 16 {
-		t.Fatalf("Since inserts = %v next=%d", nd.Objects(), nd.NextID())
+	if nd.Inserts() != 2 || objects(nd)[0].ID != 14 || nd.NextID() != 16 {
+		t.Fatalf("Since inserts = %v next=%d", objects(nd), nd.NextID())
 	}
 	if same := d1.Since(d1, all); !same.Empty() || same.NextID() != 16 {
 		t.Fatalf("Since(self) = %d inserts, %v", same.Inserts(), same.Tombs())
@@ -280,9 +287,9 @@ func TestApplyEqualsDeleteThenInsert(t *testing.T) {
 		want, wantDeleted := viaSteps.Delete(step.deletes, inBase(bs))
 		want, wantFirst := want.Insert(boxes)
 		if !ok || first != wantFirst || deleted != wantDeleted || next.NextID() != want.NextID() ||
-			!slices.Equal(next.Objects(), want.Objects()) || !slices.Equal(next.Tombs(), want.Tombs()) {
+			!slices.Equal(objects(next), objects(want)) || !slices.Equal(next.Tombs(), want.Tombs()) {
 			t.Fatalf("step %d: Apply = (ok %v, first %d, deleted %d, %v, tombs %v), Delete then Insert = (first %d, deleted %d, %v, tombs %v)",
-				i, ok, first, deleted, next.Objects(), next.Tombs(), wantFirst, wantDeleted, want.Objects(), want.Tombs())
+				i, ok, first, deleted, objects(next), next.Tombs(), wantFirst, wantDeleted, objects(want), want.Tombs())
 		}
 		if (next == viaApply) != (want == viaSteps) {
 			t.Fatalf("step %d: Apply returned the receiver itself: %v, Delete then Insert: %v", i, next == viaApply, want == viaSteps)
@@ -385,5 +392,31 @@ func TestSinceBelowTheCutSettles(t *testing.T) {
 	}
 	if r := Restored(nil, 0, 16); r.NextID() != 17 {
 		t.Fatalf("Restored(next 0, max 16): next %d, want 17", r.NextID())
+	}
+}
+
+// TestInsertAllocatesPerBatch: an insert appends into the spare room of
+// the columns its parent shares, so inserting 16 boxes, again and again,
+// on one parent whose 2,048 inserts are all sealed — as a retried update
+// does — allocates the new delta and nothing in proportion to what is
+// pending: less than the batch's own boxes and IDs a call.
+func TestInsertAllocatesPerBatch(t *testing.T) {
+	parent, _ := NewForBase(nil).Insert(make([]geom.Box, 8*RunLen))
+	if Sealed(parent.Runs()) != parent.Inserts() {
+		t.Fatalf("premise: %d of %d inserts sealed", Sealed(parent.Runs()), parent.Inserts())
+	}
+	batch := make([]geom.Box, 16)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	parent.Insert(batch)
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		parent.Insert(batch)
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	if limit := uint64(len(batch)) * uint64(unsafe.Sizeof(geom.Box{})+unsafe.Sizeof(geom.ID(0))); perCall >= limit {
+		t.Errorf("an insert of %d boxes on %d sealed inserts allocates %d B a call, want under %d", len(batch), parent.Inserts(), perCall, limit)
 	}
 }

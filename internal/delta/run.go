@@ -41,23 +41,22 @@ type Run struct {
 	Ext float64
 }
 
-// seal returns the run of ds: a sorted copy, gathered into the two
-// columns, and its extent bound.
-func seal(ds geom.Dataset) Run {
-	order := make([]int32, len(ds))
+// seal returns the run of the objects whose boxes and IDs the two
+// columns hold: a sorted copy, in two columns too, and its extent bound.
+func seal(boxes []geom.Box, ids []geom.ID) Run {
+	order := make([]int32, len(ids))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	slices.SortFunc(order, func(i, j int32) int {
-		a, b := &ds[i], &ds[j]
-		if c := cmp.Compare(a.Box.Min[0], b.Box.Min[0]); c != 0 {
+		if c := cmp.Compare(boxes[i].Min[0], boxes[j].Min[0]); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.ID, b.ID)
+		return cmp.Compare(ids[i], ids[j])
 	})
-	r := Run{Boxes: make([]geom.Box, len(ds)), IDs: make([]geom.ID, len(ds))}
+	r := Run{Boxes: make([]geom.Box, len(ids)), IDs: make([]geom.ID, len(ids))}
 	for k, i := range order {
-		r.Boxes[k], r.IDs[k] = ds[i].Box, ds[i].ID
+		r.Boxes[k], r.IDs[k] = boxes[i], ids[i]
 	}
 	for i := range r.Boxes {
 		b := &r.Boxes[i]
@@ -77,11 +76,12 @@ func seal(ds geom.Dataset) Run {
 }
 
 // Seal returns runs extended by one sealed run per whole stretch of
-// RunLen objects of ds, in order. The objects past the last whole
-// stretch are left unsealed; Sealed counts what the runs cover.
-func Seal(runs []Run, ds geom.Dataset) []Run {
-	for ; len(ds) >= RunLen; ds = ds[RunLen:] {
-		runs = append(runs, seal(ds[:RunLen]))
+// RunLen objects of the columns boxes and ids, in order. The objects past
+// the last whole stretch are left unsealed; Sealed counts what the runs
+// cover.
+func Seal(runs []Run, boxes []geom.Box, ids []geom.ID) []Run {
+	for ; len(ids) >= RunLen; boxes, ids = boxes[RunLen:], ids[RunLen:] {
+		runs = append(runs, seal(boxes[:RunLen], ids[:RunLen]))
 	}
 	return runs
 }

@@ -35,7 +35,7 @@ func randTail(rng *rand.Rand, first geom.ID, n int, odd bool) geom.Dataset {
 func checkRest(t *testing.T, name string, d *Delta) {
 	t.Helper()
 	boxes, ids := d.Rest()
-	want := d.Objects()[Sealed(d.Runs()):]
+	want := objects(d)[Sealed(d.Runs()):]
 	if !slices.Equal(runObjects(Run{Boxes: boxes, IDs: ids}), want) {
 		t.Fatalf("%s: the rest's columns hold %d objects, the unsealed inserts are %d", name, len(ids), len(want))
 	}
@@ -59,7 +59,7 @@ func TestSealWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
 		ds := randTail(rng, 100, 1+rng.Intn(2*RunLen), trial%2 == 1)
-		r := seal(ds)
+		r := seal(columns(ds))
 		objs := runObjects(r)
 		if !slices.IsSortedFunc(objs, func(a, b geom.Object) int {
 			if a.Box.Min[0] == b.Box.Min[0] || (math.IsNaN(a.Box.Min[0]) && math.IsNaN(b.Box.Min[0])) {
@@ -113,7 +113,7 @@ func TestInsertSealsRuns(t *testing.T) {
 		at := 0
 		for _, r := range d.Runs() {
 			ids := slices.Sorted(slices.Values(r.IDs))
-			if ids[0] != d.Objects()[at].ID || ids[len(ids)-1] != d.Objects()[at+len(ids)-1].ID {
+			if ids[0] != d.ids[at] || ids[len(ids)-1] != d.ids[at+len(ids)-1] {
 				t.Fatalf("run %v does not seal inserts %d..%d", ids, at, at+len(ids))
 			}
 			at += len(ids)
@@ -143,7 +143,7 @@ func TestSinceCarriesRuns(t *testing.T) {
 	if &nd.Runs()[1].IDs[0] != &d.Runs()[2].IDs[0] {
 		t.Fatal("a run wholly among the carried inserts was sealed again")
 	}
-	if want := seal(d.Objects()[RunLen+44 : 2*RunLen]); !slices.Equal(runObjects(nd.Runs()[0]), runObjects(want)) || nd.Runs()[0].Ext != want.Ext {
+	if want := seal(d.boxes[RunLen+44:2*RunLen], d.ids[RunLen+44:2*RunLen]); !slices.Equal(runObjects(nd.Runs()[0]), runObjects(want)) || nd.Runs()[0].Ext != want.Ext {
 		t.Fatal("the carried part of the cut run is not sealed on its own")
 	}
 	checkRest(t, "carried", nd)
@@ -161,7 +161,7 @@ func TestSinceCarriesRuns(t *testing.T) {
 	d1, _ := d.Insert(boxesOf(randTail(rng, 0, 30, false)))
 	checkRest(t, "a fold through the rest", d1.Since(d, all))
 	// Pending seals and leaves what Insert would.
-	p := Pending(d.Objects(), nil)
+	p := Pending(objects(d), nil)
 	if len(p.Runs()) != len(d.Runs()) || Sealed(p.Runs()) != Sealed(d.Runs()) {
 		t.Fatalf("Pending sealed %d runs over %d inserts, Insert %d over %d", len(p.Runs()), Sealed(p.Runs()), len(d.Runs()), Sealed(d.Runs()))
 	}

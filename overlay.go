@@ -49,11 +49,12 @@ type Overlay struct {
 	tiers []tier
 	upper []*core.Tree // the trees of tiers[1:], as the engine's queries take them
 	// tail is what no fold has indexed, as readers take it: the inserts,
-	// tombstoned ones included, in ID order, as joins read them, and as
-	// runs, the sealed x-sorted stretches of delta.RunLen (delta.Run), and
-	// the unsealed rest, as single probes read them; and the tombstones,
-	// ascending, of tier objects and inserts alike. It is d, or in a
-	// NewOverlay generation its own read-only delta; nil, nothing pending.
+	// tombstoned ones included, held once, in ID order, in a box and an
+	// ID column, which single probes read as sealed x-sorted runs of
+	// delta.RunLen (delta.Run) and the unsealed rest and a join as the live
+	// ones; and the tombstones, ascending, of tier objects and inserts
+	// alike. It is d, or in a NewOverlay generation its own read-only
+	// delta; nil, nothing pending.
 	tail *delta.Delta
 	// d is the write side's account of the tail; nil in a read-only
 	// generation: one built by NewOverlay, or by BuildIndex over a
@@ -66,8 +67,8 @@ type Overlay struct {
 // over. inserts must satisfy the Overlay invariant — checked here, once,
 // against the top tier's largest ID, and a violation panics — and may or
 // may not still contain objects that deleted names. deleted may come in
-// any order and is copied only if it has to be sorted; otherwise the
-// slices are retained, not copied: treat them as frozen afterwards. The
+// any order and is copied only if it has to be sorted, otherwise retained:
+// treat it as frozen afterwards. inserts is copied; reuse it at will. The
 // result has no write side — its inserts need not have the consecutive
 // IDs an update issues — so Apply, Fold and Dataset panic on it, saying
 // so, and EncodeSnapshot refuses it.
@@ -140,7 +141,7 @@ func (v *Overlay) holds(id ID) bool {
 // place, because they name objects of tiers it did not rewrite, are not
 // part of it.
 func (v *Overlay) Pending() (inserts, tombstones int) {
-	return len(v.tail.Objects()), len(v.tail.Tombs()) - v.settled()
+	return v.tail.Inserts(), len(v.tail.Tombs()) - v.settled()
 }
 
 // settled counts the tombstones a fold has seen and left in place; none
@@ -159,7 +160,7 @@ func (v *Overlay) Dataset() Dataset {
 // into one fresh slice with room for the inserts, and merges the delta
 // into it in place: the dataset of a fold that rewrites those tiers.
 func (v *Overlay) merged(start int) Dataset {
-	n := len(v.tail.Objects())
+	n := v.tail.Inserts()
 	for i := start; i < len(v.tiers); i++ {
 		n += v.tiers[i].ids.Len()
 	}
@@ -262,11 +263,11 @@ type Fold struct {
 // to scan and costs a join, which probes every tier too, next to nothing.
 func (v *Overlay) Fold(full bool, build func(Dataset, TOUCHConfig) *Index) *Fold {
 	v.stepped("Fold")
-	ins, tombs := v.d.Objects(), v.d.Tombs()
-	tail := v.d.NextID() - ID(len(ins)) // the first unfolded insert's ID
+	ins, tombs := v.d.Inserts(), v.d.Tombs()
+	tail := v.d.NextID() - ID(ins) // the first unfolded insert's ID
 	start := len(v.tiers)
 	if full {
-		if start = 0; len(v.tiers) == 1 && len(ins) == 0 && len(tombs) == 0 {
+		if start = 0; len(v.tiers) == 1 && ins == 0 && len(tombs) == 0 {
 			return nil
 		}
 	} else {
@@ -275,7 +276,7 @@ func (v *Overlay) Fold(full bool, build func(Dataset, TOUCHConfig) *Index) *Fold
 		}
 		// From the top: above counts the objects over tier i, and the
 		// tombstones not yet attributed all point into tier i or below.
-		above := len(ins)
+		above := ins
 		tombs = tombs[:lowerBound(tombs, tail)]
 		for i := len(v.tiers) - 1; i >= 0; i-- {
 			ids := v.tiers[i].ids

@@ -13,6 +13,7 @@ import (
 	"time"
 	"unsafe"
 
+	"touch/internal/delta"
 	"touch/internal/stats"
 	"touch/internal/trace"
 )
@@ -393,5 +394,49 @@ func TestReadOnlyOverlayAccounts(t *testing.T) {
 			}()
 			call()
 		}()
+	}
+}
+
+// TestNewOverlayCopiesInserts: NewOverlay copies the inserts into its
+// tail, sealed runs and unsealed rest alike, so a caller that overwrites
+// its slice afterwards changes no range, kNN or join answer.
+func TestNewOverlayCopiesInserts(t *testing.T) {
+	idx := BuildIndex(GenerateUniform(3000, 81), TOUCHConfig{})
+	ins := GenerateUniform(2*delta.RunLen+100, 82)
+	for i := range ins {
+		ins[i].ID = ID(3000 + i)
+	}
+	v := NewOverlay(idx, ins, []ID{4, 3001, 3000 + delta.RunLen})
+	b := GenerateUniform(500, 83)
+	queries := GenerateUniform(40, 84)
+	answers := func() (ranges [][]ID, knns [][]Neighbor, pairs []Pair) {
+		for _, q := range queries {
+			box := q.Box.Expand(60)
+			ids, err := v.RangeQuery(box)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nbrs, err := v.KNN(box.Center(), 12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranges, knns = append(ranges, ids), append(knns, nbrs)
+		}
+		res, err := v.Join(context.Background(), b, &Options{Eps: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.SortPairs()
+		return ranges, knns, res.Pairs
+	}
+	ranges, knns, pairs := answers()
+	// Every insert moves onto the first query's box: a tail that kept the
+	// slice would now answer it with all of them.
+	for i := range ins {
+		ins[i].Box = queries[0].Box
+	}
+	gotRanges, gotKNNs, gotPairs := answers()
+	if !reflect.DeepEqual(gotRanges, ranges) || !reflect.DeepEqual(gotKNNs, knns) || !slices.Equal(gotPairs, pairs) {
+		t.Fatal("overwriting the slice given to NewOverlay changed its answers")
 	}
 }
