@@ -34,7 +34,7 @@ FUZZ_TARGETS = internal/testutil:FuzzJoin internal/testutil:FuzzDistanceJoin \
 	internal/testutil:FuzzAssign \
 	internal/str:FuzzPack internal/server:FuzzHTTPDataPlane \
 	internal/server:FuzzServerModel \
-	internal/geom:FuzzBoxKernels
+	internal/geom:FuzzBoxKernels internal/grid:FuzzGridRange
 
 fuzz:
 	set -e; for entry in $(FUZZ_TARGETS); do \

@@ -226,6 +226,14 @@ type probeTask struct {
 // visits the surviving A objects in the order a scan of the whole
 // subtree would.
 //
+// One pass is not run: that of the node's own B objects against the
+// children of a node that has exactly two. Algorithm 3 leaves a box at
+// an inner node only when it meets two of its children (Tree.descend), so
+// there it meets both, and nodeB hands the join bit for bit the box the
+// assignment tested; the pass would keep every object. The tasks are the
+// ones every pass gives, with 2·|B| fewer node tests. At a node of three
+// or more children a box may miss one, so the pass runs there.
+//
 // The ticker is charged one unit per test, a filter pass at a time: a
 // cancelled join gives up within one pass over the node's B objects. The
 // tasks live in ws and are valid until its next probeTasks call.
@@ -239,7 +247,9 @@ func (ws *joinScratch) probeTasks(t *Tree, id int32, bs []geom.Object, tk *stats
 	return ws.tasks
 }
 
-// descend is probeTasks below node id, for the B objects ws.idx[from:].
+// descend is probeTasks below node id, for the B objects ws.idx[from:];
+// from is 0 for the node's own objects, the only ones it may trust to
+// meet both children of a node that has two.
 func (ws *joinScratch) descend(t *Tree, id int32, bs []geom.Object, from int, tk *stats.Ticker, c *stats.Counters) {
 	e := &t.table[id]
 	end := len(ws.idx)
@@ -262,8 +272,16 @@ func (ws *joinScratch) descend(t *Tree, id int32, bs []geom.Object, from int, tk
 		}
 		return
 	}
+	// The node's own B objects at a node of two children meet both:
+	// Algorithm 3 left each here for that reason, so a filter pass would
+	// keep them all and is skipped.
+	second := t.table[id+1].skip
+	trusted := from == 0 && second < e.skip && t.table[second].skip == e.skip
 	for ch := id + 1; ch < e.skip; ch = t.table[ch].skip {
-		if ws.meeting(&t.table[ch].mbr, bs, from, end, tk, c) {
+		if trusted {
+			ws.idx = append(ws.idx, ws.idx[:end]...)
+			ws.descend(t, ch, bs, end, tk, c)
+		} else if ws.meeting(&t.table[ch].mbr, bs, from, end, tk, c) {
 			ws.descend(t, ch, bs, end, tk, c)
 		}
 		ws.idx = ws.idx[:end]
@@ -335,11 +353,22 @@ func (ws *joinScratch) emit(t *Tree, aStart, aEnd, blk int32, bs []geom.Object, 
 // byte streamed beside the run, exact by the argument above. In a's own
 // first cell need is empty and the whole run passes. The cells are
 // walked with an inlined triple loop for the reason buildDense gives.
+//
+// An A object that lies in one cell is in its own first cell along every
+// dimension, so it owns every candidate there: with pre-test dedup it
+// reads that cell's run straight from the CSR and tests each candidate
+// with no ownership byte loaded and no loop over cells, the same
+// comparisons and results. It tests them 64 at a time with
+// geom.Meeting, which gathers the hits by their meet bits, not by a jump
+// per test: a hit (a third of the candidates on the neuroscience join)
+// comes at no position a predictor can learn. Post-test dedup keeps the
+// per-cell path, the paper's.
 func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *probeTask, tk *stats.Ticker, c *stats.Counters, sink stats.Sink) {
 	postDedup := t.cfg.LocalJoin == LocalJoinGridPostDedup
 	r1, r2 := int64(g.Res[1]), int64(g.Res[2])
 	boxes, ids := t.span(task.aStart, task.aEnd)
 	c.NodeTests += int64(len(boxes))
+	var hits [64]int32
 	for ai := range boxes {
 		if tk.Stopped() {
 			return
@@ -350,6 +379,35 @@ func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *pro
 		}
 		aID := ids[ai]
 		aLo, aHi := g.Range(*a)
+		if aLo == aHi && !postDedup {
+			// One cell, a's first along every dimension: need is empty
+			// and every candidate of the run is owned.
+			key := (int64(aLo[0])*r1+int64(aLo[1]))*r2 + int64(aLo[2])
+			var run []int32
+			if csr.dense {
+				start := int32(0)
+				if key > 0 {
+					start = csr.counts[key-1]
+				}
+				run = csr.ids[start:csr.counts[key]]
+			} else {
+				run, _ = csr.run(key)
+			}
+			if tk.TickN(len(run)) {
+				return
+			}
+			c.Comparisons += int64(len(run))
+			for len(run) > 0 {
+				k := min(len(run), len(hits))
+				n := geom.Meeting(hits[:k], run[:k], bs, a)
+				c.Results += int64(n)
+				for _, bi := range hits[:n] {
+					sink.Emit(aID, bs[bi].ID)
+				}
+				run = run[k:]
+			}
+			continue
+		}
 		// need: the dimensions in which the cell is not a's first, where
 		// b must begin; each bit joins after its loop's first pass.
 		needX := uint8(0)

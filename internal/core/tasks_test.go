@@ -111,6 +111,147 @@ func TestProbeTasksLoseNoPair(t *testing.T) {
 	}
 }
 
+// refDescent is what refTasks found below one node: the tasks and node
+// tests of probeTasks with every filter pass run, the node tests of the
+// passes descend skips — the node's own B objects against both children
+// of a node that has exactly two — and how many passes of the node's own
+// objects at a node of three or more children dropped one of them.
+type refDescent struct {
+	tasks          []probeTask
+	tests, trusted int64
+	dropsBelowWide int
+}
+
+// refTasks is probeTasks of node id with every filter pass run, the
+// passes descend skips included. It fails t if one of those drops an
+// object, which would make the skip lose pairs.
+func refTasks(t *testing.T, tr *Tree, id int32, bs []geom.Object) refDescent {
+	var r refDescent
+	ws := &joinScratch{}
+	for i := range bs {
+		ws.idx = append(ws.idx, int32(i))
+	}
+	var c stats.Counters
+	var walk func(id int32, from int)
+	walk = func(id int32, from int) {
+		e := &tr.table[id]
+		end := len(ws.idx)
+		leaf := e.leaf(id)
+		if end-from > e.aCount() || (leaf && (end-from > leafBlock || e.blocks() < 2)) {
+			blk := int32(-1)
+			if leaf && e.blocks() == 1 {
+				blk = e.block
+			}
+			ws.emit(tr, e.aStart, e.aEnd, blk, bs, from)
+			return
+		}
+		if leaf {
+			for bi := int32(0); bi < e.blocks(); bi++ {
+				if ws.meeting(&tr.blocks[e.block+bi], bs, from, end, nil, &c) {
+					start := e.aStart + bi*leafBlock
+					ws.emit(tr, start, min(start+leafBlock, e.aEnd), e.block+bi, bs, end)
+				}
+				ws.idx = ws.idx[:end]
+			}
+			return
+		}
+		children := 0
+		for ch := id + 1; ch < e.skip; ch = tr.table[ch].skip {
+			children++
+		}
+		for ch := id + 1; ch < e.skip; ch = tr.table[ch].skip {
+			met := ws.meeting(&tr.table[ch].mbr, bs, from, end, nil, &c)
+			if kept := len(ws.idx) - end; from == 0 && children == 2 {
+				r.trusted += int64(end)
+				if kept != end {
+					t.Fatalf("node %d: %d of its %d own B objects meet child %d of two", id, kept, end, ch)
+				}
+			} else if from == 0 && kept < end {
+				r.dropsBelowWide++
+			}
+			if met {
+				walk(ch, end)
+			}
+			ws.idx = ws.idx[:end]
+		}
+	}
+	walk(id, 0)
+	r.tasks, r.tests = ws.tasks, c.NodeTests
+	return r
+}
+
+// TestProbeTasksTrustAssignment: probeTasks skips the filter pass of a
+// node's own B objects against the children of a node that has exactly
+// two — Algorithm 3 left each object there because it meets both — and
+// nothing else. For fanout 2, 3 and 7 trees, built and thawed, probed at
+// ε 0 and 5 with 1 and 2 workers, every active node's tasks must equal
+// refTasks', which runs every pass, and its node tests must be refTasks'
+// less exactly the skipped passes; a join's node tests follow. The rows
+// of three children must show a pass that drops one of the node's own
+// objects, so a descent that trusted those nodes too would fail here.
+func TestProbeTasksTrustAssignment(t *testing.T) {
+	a := datagen.UniformSet(6000, 640).Expand(4)
+	b := datagen.UniformSet(3000, 641).Expand(12)
+	// The upper levels nest along STR's slabs, so a node's children are
+	// fewer than the fanout where the slabs are; 18 buckets give a fanout
+	// of 7 nodes of two children.
+	for _, row := range []struct{ fanout, partitions int }{{2, 100}, {3, 100}, {7, 18}} {
+		fanout := row.fanout
+		built := Build(a, Config{Fanout: fanout, Partitions: row.partitions})
+		thawed, err := Thaw(built.Freeze())
+		if err != nil {
+			t.Fatalf("fanout %d: %v", fanout, err)
+		}
+		for _, tr := range []struct {
+			name string
+			tree *Tree
+		}{{"built", built}, {"thawed", thawed}} {
+			for _, eps := range []float64{0, 5} {
+				for _, workers := range []int{1, 2} {
+					name := fmt.Sprintf("fanout=%d/%s/eps=%g/workers=%d", fanout, tr.name, eps, workers)
+					p := tr.tree.NewProbe()
+					p.SetWorkers(workers)
+					p.AssignExpanded(b, eps, nil, &stats.Counters{})
+					ws := &joinScratch{}
+					trusted, drops, want := int64(0), 0, int64(0)
+					for _, id := range p.active {
+						bs := p.nodeB(id, ws)
+						ref := refTasks(t, tr.tree, id, bs)
+						var c stats.Counters
+						got := ws.probeTasks(tr.tree, id, bs, nil, &c)
+						if !slices.Equal(got, ref.tasks) {
+							t.Fatalf("%s: node %d: tasks %v, every pass run %v", name, id, got, ref.tasks)
+						}
+						if c.NodeTests != ref.tests-ref.trusted {
+							t.Fatalf("%s: node %d: %d node tests, every pass run %d less %d skipped",
+								name, id, c.NodeTests, ref.tests, ref.trusted)
+						}
+						trusted += ref.trusted
+						drops += ref.dropsBelowWide
+						want += ref.tests - ref.trusted
+						for i := range got {
+							if !tr.tree.scans(&got[i]) {
+								want += int64(got[i].aEnd - got[i].aStart) // gridProbe's pre-filter
+							}
+						}
+					}
+					if trusted == 0 {
+						t.Fatalf("%s: premise: no pass was skipped", name)
+					}
+					if fanout == 3 && drops == 0 {
+						t.Fatalf("%s: premise: no pass at a node of three children dropped one of its own objects", name)
+					}
+					var c stats.Counters
+					p.JoinPhase(nil, &c, &stats.CountSink{})
+					if c.NodeTests != want {
+						t.Fatalf("%s: the join made %d node tests, want %d", name, c.NodeTests, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSmallProbeSkipsTheIndex: a join's cost follows the probe, not the
 // index. 256 boxes against 50,000 objects must leave most of the arena
 // below the nodes they were assigned to unvisited — structurally, not by
@@ -253,7 +394,13 @@ type joinCounts struct {
 // that moves a count must move the table with it, so the old and the new
 // number both show in its diff.
 //
-// The table last moved when the assignment began to start each B box's
+// The table last moved when probeTasks stopped filtering a node's own B
+// objects against the children of a node that has exactly two: the
+// assignment left each there because it meets both, so the pass kept
+// them all (descend). Only NodeTests fell, by those passes; the tasks,
+// and with them every other count, are the same.
+//
+// Before that, it moved when the assignment began to start each B box's
 // descent where the tree's cell table sends it (cellTable): at the node
 // where the descent of the one cell the box lies in stops, with one test
 // of that node's MBR, in place of the root and the levels above it.
@@ -309,7 +456,7 @@ func TestJoinCountsGolden(t *testing.T) {
 			a:    datagen.UniformSet(20_000, 42).Expand(5),
 			b:    datagen.UniformSet(60_000, 43),
 			want: joinCounts{
-				Comparisons: 32750, NodeTests: 1213408, Filtered: 1526, Results: 1551, Replicas: 61997,
+				Comparisons: 32750, NodeTests: 1185092, Filtered: 1526, Results: 1551, Replicas: 61997,
 				StaticBytes: 381776, ProbeBytes: 514056,
 			},
 		},
@@ -320,7 +467,7 @@ func TestJoinCountsGolden(t *testing.T) {
 			a:    axons.Objects(),
 			b:    dendrites.Objects().Expand(5),
 			want: joinCounts{
-				Comparisons: 99544, NodeTests: 342516, Filtered: 17835, Results: 22883, Replicas: 50686,
+				Comparisons: 99544, NodeTests: 328056, Filtered: 17835, Results: 22883, Replicas: 50686,
 				StaticBytes: 322736, ProbeBytes: 162784,
 			},
 		},
@@ -334,7 +481,7 @@ func TestJoinCountsGolden(t *testing.T) {
 			b:    datagen.UniformSet(60, 7015).Expand(30),
 			cfg:  Config{Partitions: 16},
 			want: joinCounts{
-				Comparisons: 3287, NodeTests: 2496, Filtered: 0, Results: 167, Replicas: 120,
+				Comparisons: 3287, NodeTests: 2456, Filtered: 0, Results: 167, Replicas: 120,
 				StaticBytes: 59346, ProbeBytes: 3040,
 			},
 		},

@@ -1,14 +1,16 @@
 package geom
 
-// The single-probe scans' box tests, written so that no branch the
-// predictor cannot learn decides an object; a missed guess costs more than
-// the test. A range query's leaf scan keeps a few objects in many, at no
-// position one can foresee, so it writes every object's ID past its
-// answer and advances by the object's meet bit. A kNN search's early-exit
-// loop over the gaps left after one, two or three dimensions, so it sums
-// all three and compares once. Its clamps stay jumps on a gap's sign,
-// which the objects of one block, neighbours in space, mostly share: a
-// bit mask in their place measured slower.
+// The single-probe scans' box tests, and the local join's for a probe
+// object in one grid cell, written so that no branch the predictor cannot
+// learn decides an object; a missed guess costs more than the test. A
+// range query's leaf scan keeps a few objects in many, at no position one
+// can foresee, so it writes every object's ID past its answer and
+// advances by the object's meet bit; Meeting does the same with a cell's
+// candidates. A kNN search's early-exit loop over the gaps left after
+// one, two or three dimensions, so it sums all three and compares once.
+// Its clamps stay jumps on a gap's sign, which the objects of one block,
+// neighbours in space, mostly share: a bit mask in their place measured
+// slower.
 
 // AppendMeeting appends to ids, in order, the IDs of the objects whose
 // boxes meet q (Box.Meets): the objects are two columns of one length,
@@ -40,6 +42,25 @@ func AppendMeeting(ids []ID, boxes []Box, of []ID, q *Box) []ID {
 		n += keep
 	}
 	return all[:n]
+}
+
+// Meeting writes to hits, in order, the entries of idx whose objects
+// meet q (Box.Meets) and returns how many it wrote: entry i names the
+// object objs[i]. hits is at least as long as idx and may be idx itself,
+// since every entry is written into the slot past the answer, at or
+// before its own, which the answer takes only if the object meets q.
+func Meeting(hits, idx []int32, objs []Object, q *Box) int {
+	x0, y0, z0, x1, y1, z1 := q.Min[0], q.Min[1], q.Min[2], q.Max[0], q.Max[1], q.Max[2]
+	hits = hits[:len(idx)]
+	n := 0
+	for _, i := range idx {
+		b := &objs[i].Box
+		hits[n] = i
+		n += 1 ^ (bit(b.Min[0] > x1) | bit(x0 > b.Max[0]) |
+			bit(b.Min[1] > y1) | bit(y0 > b.Max[1]) |
+			bit(b.Min[2] > z1) | bit(z0 > b.Max[2]))
+	}
+	return n
 }
 
 // bit is c as 0 or 1; the compiler turns it into a flag read, no jump.

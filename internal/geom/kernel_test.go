@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -26,6 +27,9 @@ func earlyExit(b *Box, p *Point, limit float64) (bool, float64) {
 //   - AppendMeeting keeps the object exactly when Box.Meets says it meets
 //     the query box, after what ids already held, which it leaves alone,
 //     whether ids is full or has room;
+//   - Meeting keeps, in order, the entries of a run naming the object and
+//     the query box itself exactly when Box.Meets does, written over the
+//     run it reads and into a slice of its own;
 //   - NextWithin's sum under an infinite bound is PointDistance's square,
 //     bit for bit, and under the fuzzed bound it keeps the object exactly
 //     when the early-exit loop does, at the sum that loop reaches.
@@ -62,6 +66,22 @@ func FuzzBoxKernels(f *testing.F) {
 			if want := 1 + bit(b.Meets(&q)); len(ids) != want || ids[0] != -1 || (want == 2 && ids[1] != 7) {
 				t.Fatalf("AppendMeeting(%v, %v) = %v, Meets %v", b, q, ids, b.Meets(&q))
 			}
+		}
+
+		objs := []Object{{ID: 7, Box: b}, {ID: 8, Box: q}}
+		var want []int32
+		run := []int32{1, 0, 0, 1, 0}
+		for _, i := range run {
+			if objs[i].Box.Meets(&q) {
+				want = append(want, i)
+			}
+		}
+		out := make([]int32, len(run))
+		if n := Meeting(out, run, objs, &q); !slices.Equal(out[:n], want) {
+			t.Fatalf("Meeting(%v, %v) = %v, Meets keeps %v", b, q, out[:n], want)
+		}
+		if n := Meeting(run, run, objs, &q); !slices.Equal(run[:n], want) {
+			t.Fatalf("Meeting(%v, %v) in place = %v, Meets keeps %v", b, q, run[:n], want)
 		}
 
 		i, sum := NextWithin(boxes, 0, &p, math.Inf(1))

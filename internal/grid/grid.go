@@ -20,7 +20,7 @@ type Coords [geom.Dims]int
 type Grid struct {
 	Universe geom.Box
 	Res      Coords             // number of cells per dimension (>= 1)
-	cell     [geom.Dims]float64 // cell side length per dimension
+	scale    [geom.Dims]float64 // cells per unit length per dimension: Res / extent
 }
 
 // New creates a grid with res cells in every dimension over the given
@@ -49,11 +49,10 @@ func NewRes(universe geom.Box, res Coords) Grid {
 		}
 		ext := universe.Extent(d)
 		if ext <= 0 {
-			g.Res[d] = 1
-			g.cell[d] = 1 // any positive value; everything maps to cell 0
+			g.Res[d] = 1 // scale 0: everything maps to cell 0
 			continue
 		}
-		g.cell[d] = ext / float64(res[d])
+		g.scale[d] = float64(res[d]) / ext
 	}
 	return g
 }
@@ -109,9 +108,13 @@ func clampFloor(f float64, n int) int {
 // clampIndex returns the index in dimension d of the cell containing v,
 // clamped to the grid: points outside the universe map to the nearest
 // border cell, which is what both PBSM and the local join need for
-// clamped ranges.
+// clamped ranges. It multiplies by the reciprocal cell width where a
+// division by the width would cost several times as much; a rounded
+// subtraction and a rounded product by a constant that is not negative
+// are both monotone, and so is clampFloor, so the index is monotone in
+// v — all RefCell asks of it.
 func (g *Grid) clampIndex(d int, v float64) int {
-	return clampFloor((v-g.Universe.Min[d])/g.cell[d], g.Res[d])
+	return clampFloor((v-g.Universe.Min[d])*g.scale[d], g.Res[d])
 }
 
 // Range returns the inclusive cell-coordinate range overlapped by the

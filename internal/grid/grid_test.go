@@ -1,8 +1,10 @@
 package grid
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -19,8 +21,8 @@ func TestNewBasics(t *testing.T) {
 		t.Fatalf("Cells = %d, want 1000", g.Cells())
 	}
 	for d := 0; d < geom.Dims; d++ {
-		if g.cell[d] != 10 {
-			t.Fatalf("cell side in dimension %d = %g", d, g.cell[d])
+		if g.scale[d] != 0.1 {
+			t.Fatalf("cells per unit length in dimension %d = %g", d, g.scale[d])
 		}
 	}
 }
@@ -118,8 +120,8 @@ func TestKeyUnique(t *testing.T) {
 func TestNewCellSize(t *testing.T) {
 	g := NewCellSize(universe(), 7, 500)
 	for d := 0; d < geom.Dims; d++ {
-		if g.cell[d] < 7 {
-			t.Fatalf("cell side %g below requested 7", g.cell[d])
+		if side := universe().Extent(d) / float64(g.Res[d]); side < 7 {
+			t.Fatalf("cell side %g below requested 7", side)
 		}
 	}
 	// Cap applies.
@@ -193,7 +195,7 @@ func TestPropRefCellIsMaxOfFirstCells(t *testing.T) {
 		coord := func(d int) float64 {
 			switch ext := u.Extent(d); rng.Intn(3) {
 			case 0: // exactly on a cell boundary, the universe's faces included
-				return u.Min[d] + float64(rng.Intn(g.Res[d]+1))*g.cell[d]
+				return u.Min[d] + float64(rng.Intn(g.Res[d]+1))*ext/float64(g.Res[d])
 			case 1: // anywhere within half an extent outside the universe
 				return u.Min[d] - ext/2 - 1 + rng.Float64()*(2*ext+2)
 			default:
@@ -290,17 +292,41 @@ func TestRangeClampsBeforeConverting(t *testing.T) {
 			box:  geom.Box{Min: geom.Point{0, 9.999, 10}, Max: geom.Point{0.5, 10, 11}},
 			lo:   Coords{0, 9, 9}, hi: Coords{0, 9, 9},
 		},
+		{
+			name: "nan",
+			box:  geom.Box{Min: geom.Point{math.NaN(), 5, math.NaN()}, Max: geom.Point{math.NaN(), math.NaN(), 5}},
+			lo:   Coords{0, 5, 0}, hi: Coords{0, 0, 5},
+		},
+		{
+			name: "cell-bounds",
+			box:  geom.Box{Min: geom.Point{1, math.Nextafter(3, 0), 7}, Max: geom.Point{math.Nextafter(1, 2), 3, math.Nextafter(7, 0)}},
+			lo:   Coords{1, 2, 7}, hi: Coords{1, 3, 6},
+		},
 	} {
 		if lo, hi := g.Range(tc.box); lo != tc.lo || hi != tc.hi {
 			t.Errorf("%s: Range = %v %v, want %v %v", tc.name, lo, hi, tc.lo, tc.hi)
 		}
 	}
 
+	// A cell width that is no binary fraction: 0.3 is a little below
+	// three tenths and 0.30000000000000004 a little above. Multiplied by
+	// the 10 cells a unit, 0.3, 0.6 and 0.7 round onto their cells' lower
+	// bounds and land in the cells they name (divided by the width 0.1
+	// they fell one cell lower); the float below 0.3 stays in cell 2.
+	tenths := New(geom.NewBox(geom.Point{0, 0, 0}, geom.Point{1, 1, 1}), 10)
+	lo, hi := tenths.Range(geom.Box{
+		Min: geom.Point{0.3, 0.6, math.Nextafter(0.3, 0)},
+		Max: geom.Point{0.7, math.Nextafter(1, 0), 0.1 * 3},
+	})
+	if lo != (Coords{3, 6, 2}) || hi != (Coords{7, 9, 3}) {
+		t.Errorf("tenths: Range = %v %v, want [3 6 2] [7 9 3]", lo, hi)
+	}
+
 	// A collapsed dimension has one cell whatever the coordinate, and an
 	// infinite universe (cell side +Inf, quotients 0 or NaN) maps every
 	// coordinate to cell 0 instead of panicking or wrapping.
 	flat := New(geom.NewBox(geom.Point{0, 0, 7}, geom.Point{10, 10, 7}), 10)
-	lo, hi := flat.Range(geom.Box{Min: geom.Point{1, 1, -1e300}, Max: geom.Point{2, 2, 1e300}})
+	lo, hi = flat.Range(geom.Box{Min: geom.Point{1, 1, -1e300}, Max: geom.Point{2, 2, 1e300}})
 	if lo != (Coords{1, 1, 0}) || hi != (Coords{2, 2, 0}) {
 		t.Errorf("collapsed dimension: Range = %v %v", lo, hi)
 	}
@@ -309,4 +335,95 @@ func TestRangeClampsBeforeConverting(t *testing.T) {
 	if lo != (Coords{0, 0, 0}) || hi != (Coords{0, 9, 9}) {
 		t.Errorf("infinite extent: Range = %v %v (res %v)", lo, hi, huge.Res)
 	}
+}
+
+// FuzzGridRange holds Range to what PBSM and TOUCH's local join ask of
+// it on any finite universe and resolution: every index lies in
+// [0, Res-1]; NaN and -Inf clamp to cell 0 and +Inf to the last cell
+// (cell 0 when the extent overflows to +Inf and every coordinate maps
+// there); each corner's index is monotone in the coordinate, which
+// RefCell's canonical-cell rule rests on. Where a cell is at least eight
+// ulps of the universe's largest coordinate wide and its reciprocal
+// width is finite, each cell bound Min + i·extent/res lands in cell i or
+// i-1, and the floats on either side of it in the same or adjacent
+// cells.
+func FuzzGridRange(f *testing.F) {
+	f.Add(0.0, 0.0, 0.0, 100.0, 100.0, 100.0, uint16(10), 5.0, 7.5, uint16(3))
+	f.Add(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, uint16(10), 0.3, 0.7, uint16(6))
+	f.Add(-1e300, -5.0, 1e15, 1e300, 5.0, 1e15+1e-3, uint16(500), 2e19, -0.0, uint16(499))
+	f.Add(-1e308, 0.0, 7.0, 1e308, 1e-310, 7.0, uint16(1023), 1e308, 5e-324, uint16(1))
+	f.Add(0.1, 0.2, 0.3, 0.7, 0.9, 0.4, uint16(3), 0.5, 0.30000000000000004, uint16(2))
+	f.Fuzz(func(t *testing.T, x0, y0, z0, x1, y1, z1 float64, res uint16, p, q float64, at uint16) {
+		for _, v := range []float64{x0, y0, z0, x1, y1, z1} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return
+			}
+		}
+		u := geom.NewBox(geom.Point{x0, y0, z0}, geom.Point{x1, y1, z1})
+		g := New(u, 1+int(res%1024))
+		inf := math.Inf(1)
+		for d := 0; d < geom.Dims; d++ {
+			// corners returns the indexes Range gives v as a box's
+			// minimum and as its maximum along d.
+			corners := func(v float64) (int, int) {
+				var b geom.Box
+				b.Min[d], b.Max[d] = v, v
+				lo, hi := g.Range(b)
+				if lo[d] < 0 || lo[d] >= g.Res[d] || hi[d] < 0 || hi[d] >= g.Res[d] {
+					t.Fatalf("universe %v res %v: %v maps to cells %d and %d along %d", u, g.Res, v, lo[d], hi[d], d)
+				}
+				return lo[d], hi[d]
+			}
+			cell := func(v float64) int {
+				lo, hi := corners(v)
+				if lo != hi {
+					t.Fatalf("universe %v res %v: %v maps to cell %d as a minimum, %d as a maximum, along %d", u, g.Res, v, lo, hi, d)
+				}
+				return lo
+			}
+			ext, n := u.Extent(d), g.Res[d]
+			if c := cell(math.NaN()); c != 0 {
+				t.Fatalf("universe %v res %v: NaN maps to cell %d along %d", u, g.Res, c, d)
+			}
+			if c := cell(-inf); c != 0 {
+				t.Fatalf("universe %v res %v: -Inf maps to cell %d along %d", u, g.Res, c, d)
+			}
+			if c, want := cell(inf), n-1; !math.IsInf(ext, 1) && c != want {
+				t.Fatalf("universe %v res %v: +Inf maps to cell %d along %d, want %d", u, g.Res, c, d, want)
+			}
+
+			vs := []float64{p, q, -inf, inf, u.Min[d], u.Max[d], math.Nextafter(u.Min[d], -inf), math.Nextafter(u.Max[d], inf)}
+			width := ext / float64(n)
+			m := max(math.Abs(u.Min[d]), math.Abs(u.Max[d]))
+			exact := ext > 0 && !math.IsInf(ext, 0) && !math.IsInf(g.scale[d], 0) && 8*(math.Nextafter(m, inf)-m) <= width
+			for _, i := range []int{0, 1, int(at) % (n + 1), n - 1, n} {
+				b := u.Min[d] + float64(i)*width
+				below, above := math.Nextafter(b, -inf), math.Nextafter(b, inf)
+				vs = append(vs, b, below, above)
+				if !exact {
+					continue
+				}
+				c := cell(b)
+				if c < i-1 || c > i {
+					t.Fatalf("universe %v res %v: bound %d at %v maps to cell %d along %d", u, g.Res, i, b, c, d)
+				}
+				if cb, ca := cell(below), cell(above); c-cb > 1 || ca-c > 1 {
+					t.Fatalf("universe %v res %v: bound %d at %v maps to cell %d along %d, the floats beside it to %d and %d",
+						u, g.Res, i, b, c, d, cb, ca)
+				}
+			}
+			slices.SortFunc(vs, cmp.Compare[float64])
+			for i := 1; i < len(vs); i++ {
+				if math.IsNaN(vs[i-1]) || math.IsNaN(vs[i]) {
+					continue
+				}
+				lo0, hi0 := corners(vs[i-1])
+				lo1, hi1 := corners(vs[i])
+				if lo0 > lo1 || hi0 > hi1 {
+					t.Fatalf("universe %v res %v: %v maps to cells %d/%d along %d, the larger %v to %d/%d",
+						u, g.Res, vs[i-1], lo0, hi0, d, vs[i], lo1, hi1)
+				}
+			}
+		}
+	})
 }
