@@ -383,16 +383,7 @@ func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *pro
 			// One cell, a's first along every dimension: need is empty
 			// and every candidate of the run is owned.
 			key := (int64(aLo[0])*r1+int64(aLo[1]))*r2 + int64(aLo[2])
-			var run []int32
-			if csr.dense {
-				start := int32(0)
-				if key > 0 {
-					start = csr.counts[key-1]
-				}
-				run = csr.ids[start:csr.counts[key]]
-			} else {
-				run, _ = csr.run(key)
-			}
+			run, _ := csr.run(key)
 			if tk.TickN(len(run)) {
 				return
 			}
