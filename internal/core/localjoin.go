@@ -350,19 +350,18 @@ func (ws *joinScratch) emit(t *Tree, aStart, aEnd, blk int32, bs []geom.Object, 
 // the replica was written — its ownership byte (see ownX) — so the
 // probe only forms need, the dimensions in which this cell is not a's
 // first, and keeps a candidate whose byte has all of them: one test on a
-// byte streamed beside the run, exact by the argument above. In a's own
-// first cell need is empty and the whole run passes. The cells are
+// byte streamed beside the run, exact by the argument above. The cells are
 // walked with an inlined triple loop for the reason buildDense gives.
 //
-// An A object that lies in one cell is in its own first cell along every
-// dimension, so it owns every candidate there: with pre-test dedup it
-// reads that cell's run straight from the CSR and tests each candidate
-// with no ownership byte loaded and no loop over cells, the same
-// comparisons and results. It tests them 64 at a time with
-// geom.Meeting, which gathers the hits by their meet bits, not by a jump
-// per test: a hit (a third of the candidates on the neuroscience join)
-// comes at no position a predictor can learn. Post-test dedup keeps the
-// per-cell path, the paper's.
+// In a's first cell need is empty, in either dedup mode: a owns every
+// candidate there, so the run is tested whole, with no ownership byte
+// loaded, 64 at a time with geom.Meeting, which gathers the hits by their
+// meet bits, not by a jump per test: a hit (a third of the candidates on
+// the neuroscience join) comes at no position a predictor can learn. An A
+// object that lies in one cell reads only that run. Every later cell's
+// candidates go through one loop, where the dedup mode decides one thing:
+// whether a candidate a does not own is tested. Pre-test dedup skips it;
+// post-test dedup, the paper's, tests it and drops the hit.
 func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *probeTask, tk *stats.Ticker, c *stats.Counters, sink stats.Sink) {
 	postDedup := t.cfg.LocalJoin == LocalJoinGridPostDedup
 	r1, r2 := int64(g.Res[1]), int64(g.Res[2])
@@ -379,26 +378,6 @@ func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *pro
 		}
 		aID := ids[ai]
 		aLo, aHi := g.Range(*a)
-		if aLo == aHi && !postDedup {
-			// One cell, a's first along every dimension: need is empty
-			// and every candidate of the run is owned.
-			key := (int64(aLo[0])*r1+int64(aLo[1]))*r2 + int64(aLo[2])
-			run, _ := csr.run(key)
-			if tk.TickN(len(run)) {
-				return
-			}
-			c.Comparisons += int64(len(run))
-			for len(run) > 0 {
-				k := min(len(run), len(hits))
-				n := geom.Meeting(hits[:k], run[:k], bs, a)
-				c.Results += int64(n)
-				for _, bi := range hits[:n] {
-					sink.Emit(aID, bs[bi].ID)
-				}
-				run = run[k:]
-			}
-			continue
-		}
 		// need: the dimensions in which the cell is not a's first, where
 		// b must begin; each bit joins after its loop's first pass.
 		needX := uint8(0)
@@ -415,26 +394,27 @@ func (t *Tree) gridProbe(g *grid.Grid, csr *csrGrid, bs []geom.Object, task *pro
 					if tk.TickN(len(run)) {
 						return
 					}
+					if need == 0 {
+						c.Comparisons += int64(len(run))
+						for len(run) > 0 {
+							k := min(len(run), len(hits))
+							n := geom.Meeting(hits[:k], run[:k], bs, a)
+							c.Results += int64(n)
+							for _, bi := range hits[:n] {
+								sink.Emit(aID, bs[bi].ID)
+							}
+							run = run[k:]
+						}
+						continue
+					}
 					own = own[:len(run)]
 					for j, bi := range run {
-						b := &bs[bi]
 						owns := own[j]&need == need
-						if postDedup {
-							// Paper mode: test in every shared cell, keep
-							// the hit only in the owning cell.
-							c.Comparisons++
-							if a.Meets(&b.Box) && owns {
-								c.Results++
-								sink.Emit(aID, b.ID)
-							}
-							continue
-						}
-						// Canonical-cell rule: test the pair only once.
-						if !owns {
+						if !owns && !postDedup {
 							continue
 						}
 						c.Comparisons++
-						if a.Meets(&b.Box) {
+						if b := &bs[bi]; a.Meets(&b.Box) && owns {
 							c.Results++
 							sink.Emit(aID, b.ID)
 						}

@@ -485,6 +485,39 @@ func TestJoinCountsGolden(t *testing.T) {
 				StaticBytes: 59346, ProbeBytes: 3040,
 			},
 		},
+		// The same three joins in the paper's post-test dedup mode: every
+		// task probes a grid, and a pair sharing several cells is tested in
+		// each of them.
+		{
+			name: "uniform-20Kx60K/postdedup",
+			a:    datagen.UniformSet(20_000, 42).Expand(5),
+			b:    datagen.UniformSet(60_000, 43),
+			cfg:  Config{LocalJoin: LocalJoinGridPostDedup},
+			want: joinCounts{
+				Comparisons: 31231, NodeTests: 1194492, Filtered: 1526, Results: 1551, Replicas: 62092,
+				StaticBytes: 381776, ProbeBytes: 514056,
+			},
+		},
+		{
+			name: "neuro-1/50/postdedup",
+			a:    axons.Objects(),
+			b:    dendrites.Objects().Expand(5),
+			cfg:  Config{LocalJoin: LocalJoinGridPostDedup},
+			want: joinCounts{
+				Comparisons: 117021, NodeTests: 330058, Filtered: 17835, Results: 22883, Replicas: 50774,
+				StaticBytes: 322736, ProbeBytes: 162784,
+			},
+		},
+		{
+			name: "probe-100x-smaller/postdedup",
+			a:    datagen.UniformSet(6000, 7014).Expand(8),
+			b:    datagen.UniformSet(60, 7015).Expand(30),
+			cfg:  Config{Partitions: 16, LocalJoin: LocalJoinGridPostDedup},
+			want: joinCounts{
+				Comparisons: 543, NodeTests: 8243, Filtered: 0, Results: 167, Replicas: 157,
+				StaticBytes: 59346, ProbeBytes: 3040,
+			},
+		},
 	} {
 		tr := Build(tc.a, tc.cfg)
 		for _, workers := range []int{1, 2} {

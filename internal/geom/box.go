@@ -234,14 +234,3 @@ func EmptyBox() Box {
 	}
 	return b
 }
-
-// IsEmpty reports whether the box is the EmptyBox identity (or otherwise
-// inverted in some dimension).
-func (b Box) IsEmpty() bool {
-	for d := 0; d < Dims; d++ {
-		if b.Min[d] > b.Max[d] {
-			return true
-		}
-	}
-	return false
-}

@@ -482,3 +482,14 @@ func sameBits(a, b Box) bool {
 	}
 	return true
 }
+
+// IsEmpty reports whether the box is the EmptyBox identity (or otherwise
+// inverted in some dimension).
+func (b Box) IsEmpty() bool {
+	for d := 0; d < Dims; d++ {
+		if b.Min[d] > b.Max[d] {
+			return true
+		}
+	}
+	return false
+}

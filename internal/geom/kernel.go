@@ -1,7 +1,7 @@
 package geom
 
-// The single-probe scans' box tests, and the local join's for a probe
-// object in one grid cell, written so that no branch the predictor cannot
+// The single-probe scans' box tests, and the local join's in a probe
+// object's first grid cell, written so that no branch the predictor cannot
 // learn decides an object; a missed guess costs more than the test. A
 // range query's leaf scan keeps a few objects in many, at no position one
 // can foresee, so it writes every object's ID past its answer and

@@ -6,8 +6,6 @@
 package rtree
 
 import (
-	"fmt"
-
 	"touch/internal/geom"
 	"touch/internal/stats"
 )
@@ -140,75 +138,4 @@ func (t *Tree) query(n *Node, q geom.Box, tk *stats.Ticker, c *stats.Counters, v
 			t.query(ch, q, tk, c, visit)
 		}
 	}
-}
-
-// Validate checks the structural invariants of the tree (for tests):
-// every node's MBR equals the union of its children/entries, leaves are
-// all at the same depth, and capacities are respected. It returns an
-// error describing the first violation found.
-func (t *Tree) Validate(cfg Config) error {
-	cfg.fillDefaults()
-	if t.Root == nil {
-		return fmt.Errorf("rtree: nil root")
-	}
-	depth := -1
-	var walk func(n *Node, level int) error
-	walk = func(n *Node, level int) error {
-		if n.Leaf() {
-			if depth == -1 {
-				depth = level
-			} else if depth != level {
-				return fmt.Errorf("rtree: leaves at depths %d and %d", depth, level)
-			}
-			if len(n.Entries) > cfg.LeafCapacity {
-				return fmt.Errorf("rtree: leaf with %d > %d entries", len(n.Entries), cfg.LeafCapacity)
-			}
-			if t.Size > 0 && len(n.Entries) == 0 {
-				return fmt.Errorf("rtree: empty leaf in non-empty tree")
-			}
-			mbr := geom.EmptyBox()
-			for _, o := range n.Entries {
-				mbr = mbr.Union(o.Box)
-			}
-			if mbr != n.MBR {
-				return fmt.Errorf("rtree: leaf MBR %v != union %v", n.MBR, mbr)
-			}
-			return nil
-		}
-		if len(n.Children) == 0 {
-			return fmt.Errorf("rtree: inner node without children")
-		}
-		if len(n.Children) > cfg.Fanout {
-			return fmt.Errorf("rtree: inner node with %d > %d children", len(n.Children), cfg.Fanout)
-		}
-		mbr := geom.EmptyBox()
-		for _, ch := range n.Children {
-			mbr = mbr.Union(ch.MBR)
-			if err := walk(ch, level+1); err != nil {
-				return err
-			}
-		}
-		if mbr != n.MBR {
-			return fmt.Errorf("rtree: inner MBR %v != union %v", n.MBR, mbr)
-		}
-		return nil
-	}
-	return walk(t.Root, 0)
-}
-
-// CountObjects returns the number of entries reachable from the root
-// (for tests).
-func (t *Tree) CountObjects() int {
-	var count func(n *Node) int
-	count = func(n *Node) int {
-		if n.Leaf() {
-			return len(n.Entries)
-		}
-		total := 0
-		for _, ch := range n.Children {
-			total += count(ch)
-		}
-		return total
-	}
-	return count(t.Root)
 }

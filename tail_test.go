@@ -189,9 +189,10 @@ func (c *tailCounts) log(tb testing.TB, kind, op string) {
 // TestOverlayTailReadCounts prints what a read costs on the harness's
 // generations — comparisons and node tests per range and kNN read, and
 // per join of a tailJoinN-box probe, for the base alone and for the
-// loaded overlay split into base, upper tiers and tail — so a change that
-// makes the tail do more work shows in the log (run it with -v). It checks
-// the split's premise: the tail's box tests and the upper tiers' node
+// loaded overlay split into base, upper tiers and tail (run it with -v) —
+// and pins their integer totals to a literal table, so a change that moves
+// the work of a read shows in the test's diff. It checks the split's
+// premise: the tail's box tests and the upper tiers' node
 // tests are counted. And it holds a join's tail to tailJoinMaxCmp
 // comparisons: a brute-force pass over the pending inserts makes about
 // 2.8M. The counts do not depend on the race detector, which would only
@@ -213,6 +214,37 @@ func TestOverlayTailReadCounts(t *testing.T) {
 	rc.log(t, "range", "read")
 	kc.log(t, "kNN", "read")
 	jc.log(t, "join", "join")
+	// The totals are exact: the base, the update schedule, the shapes and
+	// the probes are seeded, and every read and join runs on one worker.
+	// They move only with what a read or a join tests — the engine's
+	// descent, leaf scans or local join, the overlay's tier and tail
+	// reads — or with what shapes the tiers: the schedule, the fold and
+	// the build. A change that moves them edits this table, and the old
+	// and the new totals show in its diff.
+	for _, g := range []struct {
+		kind      string
+		got, want tailCounts
+	}{
+		{"range", rc, tailCounts{
+			reads: 208896, baseCmp: 76106943, baseNode: 13009284, upperCmp: 9507685, upperNode: 9113760,
+			tailCmp: 44434762, tailNode: 0, overlayCmp: 130049390, overlayNode: 22123044,
+			tiers: 524288, inserts: 290062336, tombstone: 144965632,
+		}},
+		{"kNN", kc, tailCounts{
+			reads: 208896, baseCmp: 53712894, baseNode: 9254868, upperCmp: 14690316, upperNode: 7383008,
+			tailCmp: 36764009, tailNode: 0, overlayCmp: 105167219, overlayNode: 16637876,
+			tiers: 524288, inserts: 290062336, tombstone: 144965632,
+		}},
+		{"join", jc, tailCounts{
+			reads: 102, baseCmp: 4069902, baseNode: 8060040, upperCmp: 334023, upperNode: 5800177,
+			tailCmp: 12127, tailNode: 3370144, overlayCmp: 4416052, overlayNode: 17230361,
+			tiers: 256, inserts: 141632, tombstone: 70784,
+		}},
+	} {
+		if g.got != g.want {
+			t.Errorf("%s totals:\n got %+v\nwant %+v", g.kind, g.got, g.want)
+		}
+	}
 	for _, c := range []*tailCounts{&rc, &kc, &jc} {
 		if c.tailCmp <= 0 || c.upperNode <= 0 {
 			t.Errorf("premise: the tail's box tests (%d) and the upper tiers' node tests (%d) are not counted", c.tailCmp, c.upperNode)
