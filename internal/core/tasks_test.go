@@ -390,7 +390,8 @@ type joinCounts struct {
 
 // TestJoinCountsGolden pins the counts of three joins — the three ways
 // the benchmark uses the engine, at a size that runs in well under a
-// second — to the literal table below, for 1 and 2 workers. A change
+// second — in the default pre-test dedup mode and in the paper's
+// post-test one, to the literal table below, for 1 and 2 workers. A change
 // that moves a count must move the table with it, so the old and the new
 // number both show in its diff.
 //
